@@ -11,7 +11,7 @@
 // Each experiment prints a table, the paper-vs-measured checks, and
 // optionally writes figure series as CSV files into -csv DIR. The
 // profile flags capture pprof data over the whole run, for digging into
-// fast-path regressions the bench harness flags.
+// fast-path regressions the benchmark (go run ./benchmark) flags.
 //
 // -parallel N runs up to N experiments concurrently, one simulation
 // engine per goroutine (N <= 0 means one per CPU). Experiments are fully
@@ -43,6 +43,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -101,37 +102,10 @@ func realMain() int {
 	}
 
 	cfg := experiments.Config{Seed: *seed, Duration: *duration, Shards: *shards, Sites: *sites, Flows: *flows}
-	drivers := map[string]func(experiments.Config) *experiments.Result{
-		"e1":  experiments.E1PathDiscovery,
-		"e2":  experiments.E2OWDComparison,
-		"e3":  experiments.E3Jitter,
-		"e4":  experiments.E4RouteChange,
-		"e5":  experiments.E5Instability,
-		"e6":  experiments.E6InOrderImpact,
-		"e7":  experiments.E7MeasurementSoundness,
-		"e8":  experiments.E8DataPlaneCost,
-		"e9":  experiments.E9LossReorder,
-		"e10": experiments.E10MeshOverlay,
-		"e11": experiments.E11Failover,
-		"e12": experiments.E12ShardedStorm,
-		"e13": experiments.E13FlowStorm,
-		"e14": experiments.E14DiscoverySweep,
-		"e15": experiments.E15TrafficEngineering,
-	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11"}
-
-	var ids []string
-	if *run == "all" {
-		ids = order
-	} else {
-		for _, id := range strings.Split(*run, ",") {
-			id = strings.TrimSpace(strings.ToLower(id))
-			if _, ok := drivers[id]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (have %v)\n", id, order)
-				return 2
-			}
-			ids = append(ids, id)
-		}
+	exps, err := selectExperiments(*run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 
 	fmt.Printf("tango-lab: reproducing HotNets '22 \"It Takes Two to Tango\" (seed %d)\n\n", *seed)
@@ -153,16 +127,16 @@ func realMain() int {
 	}
 	if *parallel == 1 {
 		// Serial runs stream each report as it finishes.
-		for _, id := range ids {
-			if err := emit(drivers[id](cfg)); err != nil {
+		for _, e := range exps {
+			if err := emit(e.Run(cfg)); err != nil {
 				fmt.Fprintf(os.Stderr, "writing CSVs: %v\n", err)
 				return 1
 			}
 		}
 	} else {
-		jobs := make([]experiments.Job, len(ids))
-		for i, id := range ids {
-			jobs[i] = experiments.Job{ID: id, Cfg: cfg, Run: drivers[id]}
+		jobs := make([]experiments.Job, len(exps))
+		for i, e := range exps {
+			jobs[i] = experiments.Job{ID: e.ID, Cfg: cfg, Run: e.Run}
 		}
 		for _, res := range experiments.RunJobs(jobs, *parallel) {
 			if err := emit(res); err != nil {
@@ -171,13 +145,40 @@ func realMain() int {
 			}
 		}
 	}
-	fmt.Printf("completed %d experiment(s) in %v wall-clock\n", len(ids), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("completed %d experiment(s) in %v wall-clock\n", len(exps), time.Since(start).Round(time.Millisecond))
 	if !allPass {
 		fmt.Println("RESULT: some checks FAILED")
 		return 1
 	}
 	fmt.Println("RESULT: all checks passed")
 	return 0
+}
+
+// selectExperiments resolves -run against experiments.Registry: "all" is
+// every row flagged InAll, anything else a comma-separated list of ids.
+func selectExperiments(run string) ([]experiments.Experiment, error) {
+	var picked []experiments.Experiment
+	if run == "all" {
+		for _, e := range experiments.Registry {
+			if e.InAll {
+				picked = append(picked, e)
+			}
+		}
+		return picked, nil
+	}
+	for _, id := range strings.Split(run, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		i := slices.IndexFunc(experiments.Registry, func(e experiments.Experiment) bool { return e.ID == id })
+		if i < 0 {
+			have := make([]string, len(experiments.Registry))
+			for j, e := range experiments.Registry {
+				have[j] = e.ID
+			}
+			return nil, fmt.Errorf("unknown experiment %q (have %v)", id, have)
+		}
+		picked = append(picked, experiments.Registry[i])
+	}
+	return picked, nil
 }
 
 func writeSeries(dir string, res *experiments.Result) error {

@@ -86,7 +86,7 @@ func TestAuthDetectsTimestampTampering(t *testing.T) {
 		outer := captureOuter(t, tp, withAuth)
 		outer[48+8] ^= 0xff // flip a SendTime byte inside the Tango header
 		fixUDPChecksum(outer)
-		tp.swB.Node().Inject(append([]byte{}, outer...))
+		tp.nb.Inject(append([]byte{}, outer...))
 		tp.w.Run(2 * time.Second)
 
 		if withAuth {
@@ -120,7 +120,7 @@ func captureOuter(t *testing.T, tp *testPair, signed bool) []byte {
 		Flags:    packet.TangoFlagSeq | packet.TangoFlagTimestamp | packet.TangoFlagInner6,
 		PathID:   tun.PathID,
 		Seq:      999,
-		SendTime: tp.swA.Node().Clock().Now(),
+		SendTime: tp.na.Clock().Now(),
 	}
 	if signed {
 		hdr.ExtFlags |= packet.TangoExtAuth

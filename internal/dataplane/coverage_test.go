@@ -83,7 +83,7 @@ func TestHandleNonTangoLocalTraffic(t *testing.T) {
 	}
 	raw := make([]byte, buf.Len())
 	copy(raw, buf.Bytes())
-	tp.swB.Node().Inject(raw)
+	tp.nb.Inject(raw)
 	tp.w.Run(time.Second)
 	if got == nil {
 		t.Fatal("non-Tango local traffic not delivered")

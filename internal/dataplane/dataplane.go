@@ -29,7 +29,6 @@ import (
 	"tango/internal/obs"
 	"tango/internal/packet"
 	"tango/internal/sim"
-	"tango/internal/simnet"
 	"tango/internal/transport"
 )
 
@@ -254,13 +253,6 @@ func NewSwitch(ep transport.Endpoint) *Switch {
 
 // Endpoint returns the transport endpoint the switch is attached to.
 func (s *Switch) Endpoint() transport.Endpoint { return s.ep }
-
-// Node returns the underlying simnet node when the switch runs on the
-// simulated transport, or nil on a real-socket backend.
-func (s *Switch) Node() *simnet.Node {
-	n, _ := s.ep.(*simnet.Node)
-	return n
-}
 
 // AddTunnel registers a path. The tunnel's local endpoint address is
 // claimed on the node so arriving outer packets are delivered here.

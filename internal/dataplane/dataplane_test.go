@@ -19,6 +19,7 @@ import (
 type testPair struct {
 	w        *simnet.Network
 	swA, swB *Switch
+	na, nb   *simnet.Node // the nodes swA and swB are attached to
 	r1, r2   *simnet.Node
 }
 
@@ -74,7 +75,7 @@ func newTestPair(t *testing.T, offsetA, offsetB time.Duration) *testPair {
 	swB.AddTunnel(mk(2, "slow", "2001:db8:b2::1", "2001:db8:a2::1", 40002))
 	swA.AddPeerPrefix(addr.MustParsePrefix("2001:db8:bb::/48"))
 	swB.AddPeerPrefix(addr.MustParsePrefix("2001:db8:aa::/48"))
-	return &testPair{w: w, swA: swA, swB: swB, r1: r1, r2: r2}
+	return &testPair{w: w, swA: swA, swB: swB, na: na, nb: nb, r1: r1, r2: r2}
 }
 
 // innerPkt builds a host-level packet from A's host space to B's.
@@ -287,8 +288,8 @@ func TestNonTangoTrafficBypasses(t *testing.T) {
 		t.Fatal("non-peer traffic was encapsulated")
 	}
 	// No route for cc:: -> dropped at node with NoRoute.
-	if tp.swA.Node().Stats.NoRoute != 1 {
-		t.Fatalf("NoRoute = %d", tp.swA.Node().Stats.NoRoute)
+	if tp.na.Stats.NoRoute != 1 {
+		t.Fatalf("NoRoute = %d", tp.na.Stats.NoRoute)
 	}
 }
 
@@ -426,11 +427,11 @@ func TestQueueReportReusesStorage(t *testing.T) {
 func TestRemoveTunnelReleasesLocalAddr(t *testing.T) {
 	tp := newTestPair(t, 0, 0)
 	local := netip.MustParseAddr("2001:db8:a1::1")
-	if !tp.swA.Node().OwnsAddr(local) {
+	if !tp.na.OwnsAddr(local) {
 		t.Fatal("tunnel local address not owned after AddTunnel")
 	}
 	tp.swA.RemoveTunnel(1)
-	if tp.swA.Node().OwnsAddr(local) {
+	if tp.na.OwnsAddr(local) {
 		t.Fatal("tunnel local address still owned after RemoveTunnel")
 	}
 
@@ -446,7 +447,7 @@ func TestRemoveTunnelReleasesLocalAddr(t *testing.T) {
 		t.Fatalf("packet to removed tunnel endpoint was delivered (delivered=%d, decapped=%d)",
 			delivered, tp.swA.Stats.Decapped)
 	}
-	if tp.swA.Node().Stats.NoRoute == 0 {
+	if tp.na.Stats.NoRoute == 0 {
 		t.Fatal("expected the packet to be dropped with NoRoute at the destination node")
 	}
 }
@@ -462,11 +463,11 @@ func TestRemoveTunnelSharedAddrRefcount(t *testing.T) {
 		SrcPort:    40003,
 	})
 	tp.swA.RemoveTunnel(3)
-	if !tp.swA.Node().OwnsAddr(shared) {
+	if !tp.na.OwnsAddr(shared) {
 		t.Fatal("shared local address released while another tunnel still uses it")
 	}
 	tp.swA.RemoveTunnel(2)
-	if tp.swA.Node().OwnsAddr(shared) {
+	if tp.na.OwnsAddr(shared) {
 		t.Fatal("shared local address still owned after last claim removed")
 	}
 }

@@ -71,7 +71,7 @@ func newRelayChain(t *testing.T) *relayChain {
 	return c
 }
 
-func relayInner(t *testing.T, dst string, payload string) []byte {
+func relayInner(t testing.TB, dst string, payload string) []byte {
 	t.Helper()
 	buf := packet.NewSerializeBuffer()
 	pay := packet.Payload([]byte(payload))
@@ -264,5 +264,67 @@ func TestRelayNoRouteDeliversLocally(t *testing.T) {
 	}
 	if c.relay.Stats.Forwarded != 0 || c.relay.Stats.TTLExpired != 0 {
 		t.Fatalf("relay stats: %+v", c.relay.Stats)
+	}
+}
+
+// BenchmarkRelayHop measures one full relay hop (parse + verify + decap +
+// relay lookup + re-encapsulate onto the next segment) on 1 KiB payloads —
+// the per-relay cost an overlay route adds over direct delivery
+// (perf.BenchDecap is the direct-delivery baseline).
+func BenchmarkRelayHop(b *testing.B) {
+	w := simnet.New(3)
+	nin := w.AddNode("relayIn", 0)
+	nout := w.AddNode("relayOut", 0)
+	nsink := w.AddNode("sink", 0)
+	w.Connect(nout, nsink,
+		simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)},
+		simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)})
+	nout.SetRoute(addr.MustParsePrefix("2001:db8:e2::/48"), nout.Ports()[0])
+
+	swIn := NewSwitch(nin)
+	inTun := &Tunnel{PathID: 1, Name: "seg1",
+		LocalAddr:  netip.MustParseAddr("2001:db8:2::1"),
+		RemoteAddr: netip.MustParseAddr("2001:db8:1::1")}
+	swIn.AddTunnel(inTun)
+	nin.AddAddr(inTun.LocalAddr)
+	swOut := NewSwitch(nout)
+	swOut.AddTunnel(&Tunnel{PathID: 1, Name: "seg2",
+		LocalAddr:  netip.MustParseAddr("2001:db8:c1::1"),
+		RemoteAddr: netip.MustParseAddr("2001:db8:e2::1"), SrcPort: 41002})
+
+	relay := NewRelay()
+	relay.AddRoute(addr.MustParsePrefix("2001:db8:cc::/48"), swOut)
+	relay.Attach(swIn)
+
+	// One relay-tagged packet whose inner destination is a further overlay
+	// segment away.
+	inner := relayInner(b, "2001:db8:cc::1", string(make([]byte, 1024)))
+	buf := packet.NewSerializeBuffer()
+	pay := packet.Payload(inner)
+	hdr := &packet.Tango{Flags: packet.TangoFlagSeq | packet.TangoFlagTimestamp | packet.TangoFlagInner6,
+		ExtFlags: packet.TangoExtRelay, RelayTTL: 2, PathID: 1, SendTime: 1}
+	udp := &packet.UDP{SrcPort: 40001, DstPort: packet.TangoPort}
+	udp.SetNetworkForChecksum(inTun.RemoteAddr, inTun.LocalAddr)
+	ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: inTun.RemoteAddr, Dst: inTun.LocalAddr}
+	if err := packet.SerializeLayers(buf, ip, udp, hdr, &pay); err != nil {
+		b.Fatal(err)
+	}
+	outer := make([]byte, buf.Len())
+	copy(outer, buf.Bytes())
+
+	b.SetBytes(int64(len(outer)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nin.Inject(outer)
+		if i%4096 == 0 {
+			b.StopTimer()
+			w.Eng.RunAll() // drain the egress segment's delivery events
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	w.Eng.RunAll()
+	if relay.Stats.Forwarded != uint64(b.N) {
+		b.Fatalf("forwarded %d of %d", relay.Stats.Forwarded, b.N)
 	}
 }

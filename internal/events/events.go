@@ -1,7 +1,7 @@
 // Package events injects the wide-area incidents the paper's eight-day
 // measurement happened to capture (§5, Figure 4 middle and right panels),
-// plus generic failures, into a running simulation. Each injector
-// manipulates the delay Shaper (or admin state) of a specific directed
+// plus loss bursts, into a running simulation. Each injector
+// manipulates the delay Shaper (or loss rate) of a specific directed
 // line — e.g. "GTT's trunk toward LA" — while every other path keeps its
 // usual behaviour, matching the paper's observation that "all other
 // networks experience almost no interference".
@@ -141,21 +141,6 @@ func (j jitterLift) Sample(now sim.Time, rng *sim.RNG) time.Duration {
 		}
 	}
 	return v
-}
-
-// LinkFailure takes a directed line down for a window; with BGP hold
-// timers configured on the adjacent session, the control plane eventually
-// notices and reroutes — far slower than Tango's data-driven switch.
-type LinkFailure struct {
-	Line     *simnet.Line
-	At       time.Duration
-	Duration time.Duration
-}
-
-// Schedule arms the failure on the engine.
-func (f *LinkFailure) Schedule(eng *sim.Engine) {
-	eng.ScheduleAt(sim.Time(f.At), func() { f.Line.SetDown(true) })
-	eng.ScheduleAt(sim.Time(f.At+f.Duration), func() { f.Line.SetDown(false) })
 }
 
 // LossBurst raises a line's loss rate for a window.

@@ -124,23 +124,6 @@ func TestInstabilityWindow(t *testing.T) {
 	}
 }
 
-func TestLinkFailureWindow(t *testing.T) {
-	w, line := newLine(t)
-	f := &LinkFailure{Line: line, At: time.Minute, Duration: 30 * time.Second}
-	f.Schedule(w.Eng)
-	if line.Down() {
-		t.Fatal("down before At")
-	}
-	w.Run(time.Minute + time.Second)
-	if !line.Down() {
-		t.Fatal("not down during window")
-	}
-	w.Run(2 * time.Minute)
-	if line.Down() {
-		t.Fatal("still down after window")
-	}
-}
-
 func TestLossBurstWindow(t *testing.T) {
 	w, line := newLine(t)
 	line.SetLoss(0.001)

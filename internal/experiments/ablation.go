@@ -11,7 +11,7 @@ import (
 )
 
 // The ablations quantify the design choices DESIGN.md §5 calls out. Each
-// returns plain numbers for the bench harness to report.
+// returns plain numbers for the benches in ablation_test.go to report.
 
 // AblationCadenceResult summarizes one controller-cadence run.
 type AblationCadenceResult struct {

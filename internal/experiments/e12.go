@@ -5,11 +5,7 @@ import (
 	"time"
 
 	"tango/internal/chaos"
-	"tango/internal/control"
-	"tango/internal/core"
-	"tango/internal/obs"
 	"tango/internal/sim"
-	"tango/internal/topo"
 	"tango/internal/workload"
 )
 
@@ -21,53 +17,12 @@ import (
 // conservation invariants verify the fabric stays coherent. The driver
 // honors cfg.Shards (1 = one worker; the partition layout is fixed by
 // the topology either way) and cfg.Sites (CI smoke runs a fraction of
-// the full deployment); tango-bench times the full scale at 1 vs. 8
-// workers and reports the speedup.
+// the full deployment).
 func E12ShardedStorm(cfg Config) *Result {
 	r := newResult("E12", "Sharded wide mesh rides out a chaos storm (§6 at scale)")
 
-	sites := cfg.Sites
-	if sites == 0 {
-		sites = 64
-	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	probe := cfg.ProbeInterval
-	if probe == 0 {
-		// 10k tunnels probing at the paper's 10 ms would dominate the
-		// event budget; 100 ms keeps the storm the interesting load.
-		probe = 100 * time.Millisecond
-	}
-
-	tc := topo.WideMeshConfig(cfg.Seed+12, sites)
-	tc.Shards = shards
-	s, err := topo.NewMeshScenario(tc)
-	if err != nil {
-		panic(err) // fixed config; cannot fail
-	}
-	s.Run(5 * time.Minute)
-	m, err := core.MeshFromScenario(s, core.MeshConfig{
-		ProbeInterval: probe,
-		MaxRounds:     16, // discovery must walk all sixteen shared providers
-		DecideEvery:   time.Second,
-		NewPolicy: func(site, peer string) control.Policy {
-			return &control.MinOWD{HysteresisMs: 0.5, MinDwell: time.Second, StaleAfter: 2 * time.Second}
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	m.Establish()
-	if !m.RunUntilReady(4 * time.Hour) {
-		panic("experiments: wide mesh failed to establish")
-	}
-	eng := s.B.Eng()
-	reg := obs.NewRegistry()
-	journal := obs.NewJournal(4096)
-	shardHooks(eng, journal)
-	m.Instrument(reg, journal)
+	sites, shards, probe := cfg.wideScale()
+	s, m, eng, reg, journal := newWideMesh(cfg.Seed+12, sites, shards, probe, time.Second)
 
 	tunnels := 0
 	for _, k := range s.PairKeys {
@@ -99,17 +54,8 @@ func E12ShardedStorm(cfg Config) *Result {
 
 	// Chaos over the whole deployment: every trunk is a fault target, and
 	// the app pair's edges are withdrawable.
-	ch := chaos.New(eng)
-	for _, site := range s.SiteNames {
-		for prov, line := range s.Trunk[site] {
-			ch.AddLine("trunk/"+site+"/"+prov, line)
-		}
-	}
+	ch := wideMeshChaos(s, reg, journal)
 	ch.AddSpeaker("edge/"+pk[1]+":"+pk[0], recv.Spec.Edge.Speaker)
-	ch.Instrument(reg, journal)
-	ch.Watch(chaos.Conservation("wide", s.B.W))
-	ch.Watch(chaos.BufferBalance("wide", s.B.W))
-	ch.StartChecks(time.Second)
 
 	window := cfg.dur(30 * time.Second)
 	rng := sim.NewStreams(cfg.Seed + 12).Stream("e12/storm")

@@ -6,11 +6,8 @@ import (
 	"time"
 
 	"tango/internal/chaos"
-	"tango/internal/control"
-	"tango/internal/core"
 	"tango/internal/obs"
 	"tango/internal/sim"
-	"tango/internal/topo"
 	"tango/internal/workload"
 )
 
@@ -41,50 +38,12 @@ const e13AvgPPSPerFlow = 58
 func E13FlowStorm(cfg Config) *Result {
 	r := newResult("E13", "1M concurrent flows ride out a path-failure storm (§4.2 at edge scale)")
 
-	sites := cfg.Sites
-	if sites == 0 {
-		sites = 64
-	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
-	}
+	sites, shards, probe := cfg.wideScale()
 	flows := cfg.Flows
 	if flows == 0 {
 		flows = 1_000_000
 	}
-	probe := cfg.ProbeInterval
-	if probe == 0 {
-		probe = 100 * time.Millisecond // as in E12: the storm, not the probe plane, is the load
-	}
-
-	tc := topo.WideMeshConfig(cfg.Seed+13, sites)
-	tc.Shards = shards
-	s, err := topo.NewMeshScenario(tc)
-	if err != nil {
-		panic(err) // fixed config; cannot fail
-	}
-	s.Run(5 * time.Minute)
-	m, err := core.MeshFromScenario(s, core.MeshConfig{
-		ProbeInterval: probe,
-		MaxRounds:     16,
-		DecideEvery:   time.Second,
-		NewPolicy: func(site, peer string) control.Policy {
-			return &control.MinOWD{HysteresisMs: 0.5, MinDwell: time.Second, StaleAfter: 2 * time.Second}
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	m.Establish()
-	if !m.RunUntilReady(4 * time.Hour) {
-		panic("experiments: wide mesh failed to establish")
-	}
-	eng := s.B.Eng()
-	reg := obs.NewRegistry()
-	journal := obs.NewJournal(4096)
-	shardHooks(eng, journal)
-	m.Instrument(reg, journal)
+	s, m, eng, reg, journal := newWideMesh(cfg.Seed+13, sites, shards, probe, time.Second)
 
 	// Stretch the class cadence so the whole population emits near the
 	// packet budget, keeping concurrency (the thing under test) intact.
@@ -171,16 +130,7 @@ func E13FlowStorm(cfg Config) *Result {
 		active == standing, "%d concurrent flows across %d sites", active, len(tables))
 
 	// Chaos over the whole deployment, exactly E12's storm shape.
-	ch := chaos.New(eng)
-	for _, site := range s.SiteNames {
-		for prov, line := range s.Trunk[site] {
-			ch.AddLine("trunk/"+site+"/"+prov, line)
-		}
-	}
-	ch.Instrument(reg, journal)
-	ch.Watch(chaos.Conservation("wide", s.B.W))
-	ch.Watch(chaos.BufferBalance("wide", s.B.W))
-	ch.StartChecks(time.Second)
+	ch := wideMeshChaos(s, reg, journal)
 
 	rng := sim.NewStreams(cfg.Seed + 13).Stream("e13/storm")
 	labels := ch.ScheduleStorm(rng, chaos.StormConfig{

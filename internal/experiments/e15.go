@@ -123,42 +123,13 @@ func pinProviderRoutes(s *topo.MeshScenario, m *core.Mesh) {
 // optimize=true disables them and installs Link-Guided Local Search
 // weights through per-class selectors instead. Both regimes see the
 // identical topology, capacities, demand matrix, and probe plane.
-func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
-	probe := cfg.ProbeInterval
-	if probe == 0 {
-		probe = 100 * time.Millisecond // as in E12/E13: data, not probes, is the load
+func e15Run(cfg Config, sites, shards int, probe time.Duration, optimize bool) *e15Stats {
+	decideEvery := time.Second
+	if optimize {
+		decideEvery = 0
 	}
-	tc := topo.WideMeshConfig(cfg.Seed+15, sites)
-	tc.Shards = shards
-	s, err := topo.NewMeshScenario(tc)
-	if err != nil {
-		panic(err) // fixed config; cannot fail
-	}
-	s.Run(5 * time.Minute)
-	mc := core.MeshConfig{
-		ProbeInterval: probe,
-		MaxRounds:     16,
-		NewPolicy: func(site, peer string) control.Policy {
-			return &control.MinOWD{HysteresisMs: 0.5, MinDwell: time.Second, StaleAfter: 2 * time.Second}
-		},
-	}
-	if !optimize {
-		mc.DecideEvery = time.Second
-	}
-	m, err := core.MeshFromScenario(s, mc)
-	if err != nil {
-		panic(err)
-	}
-	m.Establish()
-	if !m.RunUntilReady(4 * time.Hour) {
-		panic("experiments: wide mesh failed to establish")
-	}
+	s, m, eng, reg, journal := newWideMesh(cfg.Seed+15, sites, shards, probe, decideEvery)
 	pinProviderRoutes(s, m)
-	eng := s.B.Eng()
-	reg := obs.NewRegistry()
-	journal := obs.NewJournal(4096)
-	shardHooks(eng, journal)
-	m.Instrument(reg, journal)
 
 	// Provider order (P00 fastest) and site order index the TE link
 	// array: links[(si*P+pi)*2] is site si's uplink through provider pi,
@@ -427,17 +398,9 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 func E15TrafficEngineering(cfg Config) *Result {
 	r := newResult("E15", "Capacity-aware weighted steering beats greedy best-path under load (§5, §6)")
 
-	sites := cfg.Sites
-	if sites == 0 {
-		sites = 64
-	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
-	}
-
-	greedy := e15Run(cfg, sites, shards, false)
-	opt := e15Run(cfg, sites, shards, true)
+	sites, shards, probe := cfg.wideScale()
+	greedy := e15Run(cfg, sites, shards, probe, false)
+	opt := e15Run(cfg, sites, shards, probe, true)
 
 	ratio := func(st *e15Stats) float64 {
 		var sent, delvd uint64

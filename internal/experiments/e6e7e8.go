@@ -193,9 +193,10 @@ func E7MeasurementSoundness(cfg Config) *Result {
 
 // E8DataPlaneCost measures the per-packet cost of the sender and receiver
 // programs (encap+timestamp, parse+decap) — the stand-in for the paper's
-// "scalable eBPF implementation" claim. The root bench_test.go reports
-// the same numbers via testing.B; this driver gives the lab binary a
-// quick wall-clock estimate.
+// "scalable eBPF implementation" claim. perf.BenchEncap/BenchDecap are
+// the measured versions (the benchmark reports them as
+// dataplane.encap_ns_1k/decap_ns_1k); this driver gives the lab binary
+// a quick wall-clock estimate.
 func E8DataPlaneCost(cfg Config) *Result {
 	r := newResult("E8", "Data-plane per-packet cost (encap/decap, §4.2)")
 
@@ -224,12 +225,12 @@ func E8DataPlaneCost(cfg Config) *Result {
 	// Receiver cost: hand the receiver program a pre-built outer packet.
 	outer := buildOuter(tun, inner)
 	recv := dataplane.NewSwitch(w.AddNode("recv", 0))
-	recv.Node().AddAddr(tun.RemoteAddr)
+	recv.Endpoint().AddAddr(tun.RemoteAddr)
 	got := 0
 	recv.OnMeasure = func(dataplane.Measurement) { got++ }
 	start = time.Now()
 	for i := 0; i < iters; i++ {
-		recv.Node().Inject(outer)
+		recv.Endpoint().Inject(outer)
 	}
 	w.Eng.RunAll()
 	decapNs := float64(time.Since(start).Nanoseconds()) / iters

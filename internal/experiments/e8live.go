@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -194,9 +195,9 @@ type LoopbackReport struct {
 	PathA, PathB int           // converged current-path IDs per site
 	MatchesSim   bool          // equals the E8LiveSim expectation
 	ConvergedIn  time.Duration // wall time from both-ready to both-converged
-	PPS          float64       // sustained tango frames/sec across both sockets
-	Frames       uint64        // frames counted in the measurement window
-	Window       time.Duration // measurement window behind PPS
+	// Final holds each site's last /metrics scrape (site-a, site-b),
+	// taken after convergence and before teardown.
+	Final [2]map[string]float64
 }
 
 // LoopbackConfig parameterizes RunE8Loopback.
@@ -206,19 +207,14 @@ type LoopbackConfig struct {
 	// ArtifactDir, when set, receives process logs and final /metrics
 	// scrapes (a.log, b.log, a_metrics.prom, b_metrics.prom).
 	ArtifactDir string
-	// Measure is the pps measurement window (default 2s).
-	Measure time.Duration
 	// Timeout bounds the whole run (default 60s).
 	Timeout time.Duration
 }
 
 // RunE8Loopback launches two tangod processes over 127.0.0.1 on the
-// E8-live delay table, waits for both controllers to converge, measures
-// sustained frame rate from /metrics, and tears both processes down.
+// E8-live delay table, waits for both controllers to converge, takes a
+// final /metrics scrape of each, and tears both processes down.
 func RunE8Loopback(cfg LoopbackConfig) (*LoopbackReport, error) {
-	if cfg.Measure == 0 {
-		cfg.Measure = 2 * time.Second
-	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
 	}
@@ -331,28 +327,19 @@ func RunE8Loopback(cfg LoopbackConfig) (*LoopbackReport, error) {
 	rep.ConvergedIn = time.Since(convergeStart)
 	rep.MatchesSim = true
 
-	// Sustained rate: frame-count deltas across both sockets over the
-	// measurement window.
-	tx0, err := txFrames(a.metrics, b.metrics)
-	if err != nil {
-		return rep, err
-	}
-	t0 := time.Now()
-	time.Sleep(cfg.Measure)
-	tx1, err := txFrames(a.metrics, b.metrics)
-	if err != nil {
-		return rep, err
-	}
-	rep.Window = time.Since(t0)
-	rep.Frames = tx1 - tx0
-	rep.PPS = float64(rep.Frames) / rep.Window.Seconds()
-
-	// Final scrapes become CI artifacts.
-	if cfg.ArtifactDir != "" {
-		for _, p := range []*proc{a, b} {
-			if err := saveScrape(p.metrics+"/metrics", filepath.Join(cfg.ArtifactDir, p.site+"_metrics.prom")); err != nil {
+	// Final scrapes go into the report and, as CI artifacts, to disk.
+	for i, p := range []*proc{a, b} {
+		raw, err := fetchProm(p.metrics + "/metrics")
+		if err != nil {
+			return rep, err
+		}
+		if cfg.ArtifactDir != "" {
+			if err := os.WriteFile(filepath.Join(cfg.ArtifactDir, p.site+"_metrics.prom"), raw, 0o644); err != nil {
 				return rep, err
 			}
+		}
+		if rep.Final[i], err = ParseProm(bytes.NewReader(raw)); err != nil {
+			return rep, err
 		}
 	}
 
@@ -411,26 +398,8 @@ func waitFile(path string, deadline time.Time) error {
 	}
 }
 
-// txFrames sums tango_transport_tx_frames_total across both scrapes.
-func txFrames(urls ...string) (uint64, error) {
-	var sum uint64
-	for _, u := range urls {
-		m, err := scrapeProm(u + "/metrics")
-		if err != nil {
-			return 0, err
-		}
-		for k, v := range m {
-			if strings.HasPrefix(k, "tango_transport_tx_frames_total") {
-				sum += uint64(v)
-			}
-		}
-	}
-	return sum, nil
-}
-
-// scrapeProm fetches and parses a Prometheus text exposition into a
-// name{labels} -> value map (histogram buckets included verbatim).
-func scrapeProm(url string) (map[string]float64, error) {
+// fetchProm GETs one Prometheus text exposition.
+func fetchProm(url string) ([]byte, error) {
 	resp, err := http.Get(url)
 	if err != nil {
 		return nil, err
@@ -439,7 +408,17 @@ func scrapeProm(url string) (map[string]float64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	return ParseProm(resp.Body)
+	return io.ReadAll(resp.Body)
+}
+
+// scrapeProm fetches and parses a Prometheus text exposition into a
+// name{labels} -> value map (histogram buckets included verbatim).
+func scrapeProm(url string) (map[string]float64, error) {
+	raw, err := fetchProm(url)
+	if err != nil {
+		return nil, err
+	}
+	return ParseProm(bytes.NewReader(raw))
 }
 
 // ParseProm parses Prometheus text exposition.
@@ -463,17 +442,4 @@ func ParseProm(r io.Reader) (map[string]float64, error) {
 		out[strings.TrimSpace(line[:i])] = v
 	}
 	return out, sc.Err()
-}
-
-func saveScrape(url, path string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, raw, 0o644)
 }

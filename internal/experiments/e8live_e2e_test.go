@@ -41,7 +41,6 @@ func TestLoopbackE2E(t *testing.T) {
 	rep, err := RunE8Loopback(LoopbackConfig{
 		Tangod:      bin,
 		ArtifactDir: artifactDir,
-		Measure:     2 * time.Second,
 		Timeout:     90 * time.Second,
 	})
 	if err != nil {
@@ -50,9 +49,11 @@ func TestLoopbackE2E(t *testing.T) {
 	if !rep.MatchesSim {
 		t.Fatalf("live convergence (a=%d b=%d) does not match the simulated reference", rep.PathA, rep.PathB)
 	}
-	if rep.PPS <= 0 || rep.Frames == 0 {
-		t.Fatalf("no sustained traffic measured: %+v", rep)
+	for i, site := range []string{"site-a", "site-b"} {
+		if tx := rep.Final[i][`tango_transport_tx_frames_total{site="`+site+`"}`]; tx <= 0 {
+			t.Fatalf("%s wrote no Tango frames by its final scrape (tx_frames_total = %v)", site, tx)
+		}
 	}
-	t.Logf("converged in %v (a->path %d, b->path %d); sustained %.0f frames/s over %v",
-		rep.ConvergedIn.Round(time.Millisecond), rep.PathA, rep.PathB, rep.PPS, rep.Window.Round(time.Millisecond))
+	t.Logf("converged in %v (a->path %d, b->path %d)",
+		rep.ConvergedIn.Round(time.Millisecond), rep.PathA, rep.PathB)
 }

@@ -4,8 +4,8 @@
 //
 // Each experiment returns a Result: pass/fail checks against the paper's
 // claims (shape, not absolute numbers), human-readable table rows, and
-// the time series needed to redraw the figures. The cmd/tango-lab binary
-// and the root bench_test.go both drive these entry points.
+// the time series needed to redraw the figures. Registry lists the entry
+// points; the cmd/tango-lab binary drives them.
 package experiments
 
 import (
@@ -172,21 +172,32 @@ func (c Config) dur(def time.Duration) time.Duration {
 	return c.Duration
 }
 
-// All runs every experiment in order.
-func All(cfg Config) []*Result {
-	return []*Result{
-		E1PathDiscovery(cfg),
-		E2OWDComparison(cfg),
-		E3Jitter(cfg),
-		E4RouteChange(cfg),
-		E5Instability(cfg),
-		E6InOrderImpact(cfg),
-		E7MeasurementSoundness(cfg),
-		E8DataPlaneCost(cfg),
-		E9LossReorder(cfg),
-		E10MeshOverlay(cfg),
-		E11Failover(cfg),
-	}
+// Experiment is one row of the registry: the id tango-lab's -run flag
+// spells, the driver, and whether `-run all` includes it.
+type Experiment struct {
+	ID    string
+	Run   func(Config) *Result
+	InAll bool
+}
+
+// Registry lists every experiment once, in report order. E12-E15 run
+// minutes rather than seconds, so they are opt-in by id.
+var Registry = []Experiment{
+	{"e1", E1PathDiscovery, true},
+	{"e2", E2OWDComparison, true},
+	{"e3", E3Jitter, true},
+	{"e4", E4RouteChange, true},
+	{"e5", E5Instability, true},
+	{"e6", E6InOrderImpact, true},
+	{"e7", E7MeasurementSoundness, true},
+	{"e8", E8DataPlaneCost, true},
+	{"e9", E9LossReorder, true},
+	{"e10", E10MeshOverlay, true},
+	{"e11", E11Failover, true},
+	{"e12", E12ShardedStorm, false},
+	{"e13", E13FlowStorm, false},
+	{"e14", E14DiscoverySweep, false},
+	{"e15", E15TrafficEngineering, false},
 }
 
 // within reports whether v lies in [lo, hi].

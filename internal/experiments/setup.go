@@ -4,9 +4,11 @@ import (
 	"strings"
 	"time"
 
+	"tango/internal/chaos"
 	"tango/internal/control"
 	"tango/internal/core"
 	"tango/internal/obs"
+	"tango/internal/sim"
 	"tango/internal/topo"
 )
 
@@ -139,4 +141,76 @@ func pathByName(m *control.Monitor, name string) *control.PathMonitor {
 		}
 	}
 	return nil
+}
+
+// wideScale resolves the knobs E12, E13 and E15 share: the full 64-site
+// mesh, one shard worker, and a 100 ms probe cadence — 10k tunnels
+// probing at the paper's 10 ms would dominate the event budget, and the
+// storm (or the data load), not the probe plane, is the load under test.
+func (c Config) wideScale() (sites, shards int, probe time.Duration) {
+	sites, shards, probe = c.Sites, c.Shards, c.ProbeInterval
+	if sites == 0 {
+		sites = 64
+	}
+	if shards == 0 {
+		shards = 1
+	}
+	if probe == 0 {
+		probe = 100 * time.Millisecond
+	}
+	return sites, shards, probe
+}
+
+// newWideMesh is the fixture E12, E13 and E15 run on: the wide-mesh
+// scenario for seed (each experiment passes its own offset seed),
+// converged, with every pair established under min-OWD controllers
+// deciding at decideEvery (0 = never) and the mesh instrumented into a
+// fresh registry and journal.
+func newWideMesh(seed int64, sites, shards int, probe, decideEvery time.Duration) (
+	*topo.MeshScenario, *core.Mesh, *sim.Engine, *obs.Registry, *obs.Journal) {
+	tc := topo.WideMeshConfig(seed, sites)
+	tc.Shards = shards
+	s, err := topo.NewMeshScenario(tc)
+	if err != nil {
+		panic(err) // fixed config; cannot fail
+	}
+	s.Run(5 * time.Minute)
+	m, err := core.MeshFromScenario(s, core.MeshConfig{
+		ProbeInterval: probe,
+		MaxRounds:     16, // discovery must walk all sixteen shared providers
+		DecideEvery:   decideEvery,
+		NewPolicy: func(site, peer string) control.Policy {
+			return &control.MinOWD{HysteresisMs: 0.5, MinDwell: time.Second, StaleAfter: 2 * time.Second}
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+	m.Establish()
+	if !m.RunUntilReady(4 * time.Hour) {
+		panic("experiments: wide mesh failed to establish")
+	}
+	eng := s.B.Eng()
+	reg := obs.NewRegistry()
+	journal := obs.NewJournal(4096)
+	shardHooks(eng, journal)
+	m.Instrument(reg, journal)
+	return s, m, eng, reg, journal
+}
+
+// wideMeshChaos starts the chaos engine of the storm experiments: every
+// trunk of the deployment is a fault target, and the two conservation
+// invariants are checked each virtual second.
+func wideMeshChaos(s *topo.MeshScenario, reg *obs.Registry, journal *obs.Journal) *chaos.Engine {
+	ch := chaos.New(s.B.Eng())
+	for _, site := range s.SiteNames {
+		for prov, line := range s.Trunk[site] {
+			ch.AddLine("trunk/"+site+"/"+prov, line)
+		}
+	}
+	ch.Instrument(reg, journal)
+	ch.Watch(chaos.Conservation("wide", s.B.W))
+	ch.Watch(chaos.BufferBalance("wide", s.B.W))
+	ch.StartChecks(time.Second)
+	return ch
 }

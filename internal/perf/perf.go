@@ -1,15 +1,14 @@
-// Package perf is the perf-regression harness for the packet fast path.
-// It exposes the three dataplane micro-benchmarks — encap, decap, and
-// link traversal — as plain functions over *testing.B so the same bodies
-// back the `go test -bench` wrappers (bench_test.go), the hard
-// zero-allocation assertions (perf_test.go), and the BENCH.json emitter
-// (cmd/tango-bench), which runs them through testing.Benchmark outside
-// a test binary.
+// Package perf is the one table of micro-benchmark bodies for the
+// per-packet hot paths: plain functions over *testing.B, listed once in
+// Micros. perf_test.go loops over the table twice — TestZeroAlloc is the
+// hard zero-allocation gate, BenchmarkMicro the `go test -bench` face —
+// and the benchmark harness (benchmark/) times the same bodies by name
+// for its per-layer cost sheet. A new micro is a body plus one row.
 //
 // Each body warms the buffer/event freelists before ResetTimer so the
 // measured region is the steady state the pools are designed for: after
 // warmup the encap→inject→deliver path performs zero heap allocations,
-// and the assertions in perf_test.go fail the build if that regresses.
+// and TestZeroAlloc fails the build if that regresses.
 package perf
 
 import (
@@ -23,6 +22,31 @@ import (
 	"tango/internal/packet"
 	"tango/internal/simnet"
 )
+
+// Micro is one row of the table: a name and the body it labels.
+type Micro struct {
+	Name string
+	Fn   func(*testing.B)
+}
+
+// Micros lists every micro body once. Every row is held to zero
+// allocations per op in steady state: the packet path, the scheduler's
+// freelist-backed schedule/fire/cancel, the telemetry instruments that
+// ride every encap, the flow table's emit and slot churn, and the TE
+// solver's move evaluation and re-solve.
+var Micros = []Micro{
+	{"Encap", BenchEncap},
+	{"Decap", BenchDecap},
+	{"LinkTraverse", BenchLinkTraverse},
+	{"SchedFire", BenchSchedFire},
+	{"Cancel", BenchCancel},
+	{"ObsCounter", BenchObsCounter},
+	{"ObsHistogram", BenchObsHistogram},
+	{"FlowEmit", BenchFlowEmit},
+	{"FlowArriveDepart", BenchFlowArriveDepart},
+	{"TEMoveEval", BenchTEMoveEval},
+	{"SolverConverge", BenchSolverConverge},
+}
 
 const payloadSize = 1024
 

@@ -2,69 +2,31 @@ package perf
 
 import "testing"
 
-// The zero-allocation assertions are the teeth of the perf-regression
-// harness: they run the micro-benchmarks through testing.Benchmark and
-// hard-fail if the steady-state fast path allocates at all, so an
-// accidental per-packet allocation breaks `go test ./...` rather than
-// silently eroding throughput.
-
-func assertZeroAlloc(t *testing.T, name string, fn func(*testing.B)) {
-	t.Helper()
+// TestZeroAlloc is the teeth of the perf-regression harness: it runs
+// every row of Micros through testing.Benchmark and hard-fails if the
+// steady-state fast path allocates at all, so an accidental per-packet
+// allocation breaks `go test ./...` rather than silently eroding
+// throughput.
+func TestZeroAlloc(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, m := range Micros {
+		if seen[m.Name] {
+			t.Fatalf("Micros lists %q twice", m.Name)
+		}
+		seen[m.Name] = true
+	}
 	if testing.Short() {
 		t.Skip("skipping alloc regression check in -short mode")
 	}
-	res := testing.Benchmark(fn)
-	if a := res.AllocsPerOp(); a != 0 {
-		t.Fatalf("%s allocates %d times per op (%d B/op), want 0 — the packet fast path has regressed",
-			name, a, res.AllocedBytesPerOp())
+	for _, m := range Micros {
+		t.Run(m.Name, func(t *testing.T) {
+			res := testing.Benchmark(m.Fn)
+			if a := res.AllocsPerOp(); a != 0 {
+				t.Fatalf("%s allocates %d times per op (%d B/op), want 0 — the fast path has regressed",
+					m.Name, a, res.AllocedBytesPerOp())
+			}
+		})
 	}
-}
-
-func TestEncapZeroAlloc(t *testing.T) { assertZeroAlloc(t, "BenchEncap", BenchEncap) }
-func TestDecapZeroAlloc(t *testing.T) { assertZeroAlloc(t, "BenchDecap", BenchDecap) }
-func TestLinkTraverseZeroAlloc(t *testing.T) {
-	assertZeroAlloc(t, "BenchLinkTraverse", BenchLinkTraverse)
-}
-
-// The wheel's schedule/fire and schedule/cancel loops must also be
-// allocation-free in steady state: events come from the engine freelist
-// and lazy cancellation returns them there in bulk, so a 10k-pending
-// backlog costs no per-op heap traffic.
-
-func TestSchedFireZeroAlloc(t *testing.T) { assertZeroAlloc(t, "BenchSchedFire", BenchSchedFire) }
-func TestCancelZeroAlloc(t *testing.T)    { assertZeroAlloc(t, "BenchCancel", BenchCancel) }
-
-// The telemetry instruments ride the same fast path (every encap bumps
-// counters and observes a latency histogram), so they get the same
-// teeth: a registered instrument's hot ops must never allocate.
-
-func TestObsCounterZeroAlloc(t *testing.T) {
-	assertZeroAlloc(t, "BenchObsCounter", BenchObsCounter)
-}
-func TestObsHistogramZeroAlloc(t *testing.T) {
-	assertZeroAlloc(t, "BenchObsHistogram", BenchObsHistogram)
-}
-
-// The flyweight flow table carries the workload at edge scale, so its
-// steady-state paths — batched emit through the wheel and the full
-// arrive/emit/deliver/depart lifecycle — get the same teeth as the
-// packet path.
-
-func TestFlowEmitZeroAlloc(t *testing.T) { assertZeroAlloc(t, "BenchFlowEmit", BenchFlowEmit) }
-func TestFlowArriveDepartZeroAlloc(t *testing.T) {
-	assertZeroAlloc(t, "BenchFlowArriveDepart", BenchFlowArriveDepart)
-}
-
-// The TE optimizer's hot ops get the same teeth: an incremental move
-// evaluation (ApplyMove/MaxUtil/UndoMove) and a full steady-state
-// re-solve must both run allocation-free, or the control-plane cadence
-// starts generating garbage proportional to the mesh size.
-
-func TestTEMoveEvalZeroAlloc(t *testing.T) {
-	assertZeroAlloc(t, "BenchTEMoveEval", BenchTEMoveEval)
-}
-func TestSolverConvergeZeroAlloc(t *testing.T) {
-	assertZeroAlloc(t, "BenchSolverConverge", BenchSolverConverge)
 }
 
 // TestFlowMemoryPerFlow10x pins the flyweight claim: retained heap per
@@ -86,21 +48,10 @@ func TestFlowMemoryPerFlow10x(t *testing.T) {
 	}
 }
 
-// Wrappers so `go test -bench` in this package reports the same numbers
-// the assertions check.
-
-func BenchmarkEncap(b *testing.B)         { BenchEncap(b) }
-func BenchmarkDecap(b *testing.B)         { BenchDecap(b) }
-func BenchmarkLinkTraverse(b *testing.B)  { BenchLinkTraverse(b) }
-func BenchmarkSchedFire(b *testing.B)     { BenchSchedFire(b) }
-func BenchmarkSchedFireHeap(b *testing.B) { BenchSchedFireHeap(b) }
-func BenchmarkCancel(b *testing.B)        { BenchCancel(b) }
-func BenchmarkCancelHeap(b *testing.B)    { BenchCancelHeap(b) }
-func BenchmarkObsCounter(b *testing.B)    { BenchObsCounter(b) }
-func BenchmarkObsHistogram(b *testing.B)  { BenchObsHistogram(b) }
-func BenchmarkFlowEmit(b *testing.B)      { BenchFlowEmit(b) }
-func BenchmarkFlowArriveDepart(b *testing.B) {
-	BenchFlowArriveDepart(b)
+// BenchmarkMicro reports, per row of Micros, the numbers TestZeroAlloc
+// checks: `go test -bench 'Micro/(Encap|Decap)' ./internal/perf`.
+func BenchmarkMicro(b *testing.B) {
+	for _, m := range Micros {
+		b.Run(m.Name, m.Fn)
+	}
 }
-func BenchmarkTEMoveEval(b *testing.B)     { BenchTEMoveEval(b) }
-func BenchmarkSolverConverge(b *testing.B) { BenchSolverConverge(b) }

@@ -1,10 +1,10 @@
-// Scheduler micro-benchmarks: schedule+fire and schedule+cancel against a
-// standing backlog of ten thousand pending events, on both the timing
-// wheel (sim.Engine) and the preserved binary-heap reference (sim.Ref).
-// The backlog is the point: with n≈10k pending, the heap pays O(log n)
-// sift-downs on every operation while the wheel's bucket arithmetic stays
-// O(1), and BENCH.json carries the pair so the gap is visible on every
-// commit. cmd/tango-bench enforces wheel ≤ 0.75× heap under -check.
+// Scheduler micro-benchmarks: schedule+fire and schedule+cancel on the
+// timing wheel (sim.Engine) against a standing backlog of ten thousand
+// pending events. The backlog is the point: with n≈10k pending a
+// comparison-based queue pays O(log n) per operation while the wheel's
+// bucket arithmetic stays O(1), so a wheel that lost that property shows
+// here first (the benchmark harness reports these bodies as
+// sim.sched_fire_ns and sim.cancel_ns).
 package perf
 
 import (
@@ -52,26 +52,6 @@ func BenchSchedFire(b *testing.B) {
 	}
 }
 
-// BenchSchedFireHeap is BenchSchedFire on the binary-heap reference.
-func BenchSchedFireHeap(b *testing.B) {
-	r := sim.NewRef()
-	noop := func() {}
-	for i := 0; i < schedBacklog; i++ {
-		r.Schedule(time.Hour+backlogDelay(i), noop)
-	}
-	for i := 0; i < warmupIters; i++ {
-		r.Schedule(10*time.Microsecond, noop)
-		r.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Schedule(10*time.Microsecond, noop)
-		r.Step()
-	}
-	b.StopTimer()
-}
-
 // cancelWarmup pushes the cancel loop through several deferred-sweep
 // cycles before measurement so the steady state — tombstones accumulating
 // toward the sweep threshold, sweeps refilling the freelist — is what the
@@ -81,8 +61,7 @@ const cancelWarmup = 8192
 // BenchCancel measures one Schedule+Cancel cycle on the wheel with
 // schedBacklog live events pending. The cancel target's delay is drawn
 // from the same exponential span as the backlog so it lands mid-structure
-// on both schedulers (scheduling past the backlog's maximum would hand the
-// heap a free O(1) last-leaf removal). Cancellation is lazy, so the
+// rather than past every pending event. Cancellation is lazy, so the
 // measured cost is the O(1) tombstone write plus the amortized share of
 // the deferred sweeps that reclaim tombstones in bulk.
 func BenchCancel(b *testing.B) {
@@ -103,23 +82,4 @@ func BenchCancel(b *testing.B) {
 	if got := e.Stats.Cancelled; got != uint64(b.N+cancelWarmup) {
 		b.Fatalf("cancelled %d of %d", got, b.N+cancelWarmup)
 	}
-}
-
-// BenchCancelHeap is BenchCancel on the binary-heap reference, where every
-// cancel is an eager heap.Remove from the middle of a 10k-element heap.
-func BenchCancelHeap(b *testing.B) {
-	r := sim.NewRef()
-	noop := func() {}
-	for i := 0; i < schedBacklog; i++ {
-		r.Schedule(time.Hour+backlogDelay(i), noop)
-	}
-	for i := 0; i < cancelWarmup; i++ {
-		r.Cancel(r.Schedule(time.Hour+backlogDelay(i*31+7), noop))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Cancel(r.Schedule(time.Hour+backlogDelay(i*31+7), noop))
-	}
-	b.StopTimer()
 }

@@ -9,13 +9,10 @@ import (
 // Ref is the binary-heap reference scheduler: the exact event-queue
 // implementation the timing wheel replaced, preserved with the Engine's
 // semantics (same (at, seq) total order, same clock rules, same negative
-// and overflow delay clamps). It exists for two jobs:
-//
-//   - the differential property test executes random schedule/cancel/run
-//     scripts against a Ref and an Engine side by side and requires
-//     byte-identical fire sequences — the determinism gate for the wheel;
-//   - the scheduler micro-benchmarks measure heap vs. wheel on the same
-//     op mix, so BENCH.json carries the comparison on every commit.
+// and overflow delay clamps). It lives in a test file because its one
+// job is TestDifferential: random schedule/cancel/run scripts execute
+// against a Ref and an Engine side by side and must produce
+// byte-identical fire sequences — the determinism gate for the wheel.
 //
 // It is deliberately not pluggable into Engine: an indirection layer on
 // the schedule/fire path would cost the exact nanoseconds the wheel is

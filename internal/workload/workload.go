@@ -69,29 +69,18 @@ type AppRecord struct {
 // records ground-truth one-way latency in virtual time — the "user
 // experience" the baselines and Tango are compared on.
 type AppGen struct {
-	eng  *sim.Engine
 	sw   *dataplane.Switch
 	tick *sim.Ticker
 
-	seq       uint32
-	sentAt    map[uint32]sim.Time
-	delivered map[uint32]bool
-	Records   []AppRecord
-	Pending   int
-	// Dups counts duplicate deliveries of already-matched packets
-	// (legacy sink mode).
-	Dups     uint64
+	seq      uint32
+	sentAt   map[uint32]sim.Time
 	template []byte
 
-	// recvEng, when set by BindSink, switches the sink to receiver-side
-	// staging (see BindSink); arrivals collects (seq, receive time) pairs
-	// touched only by the receiving partition's goroutine.
+	// recvEng is the clock Sink stamps arrivals with; arrivals collects
+	// (seq, receive time) pairs touched only by the receiving
+	// partition's goroutine, joined with sentAt in FinalRecords.
 	recvEng  *sim.Engine
 	arrivals []arrival
-
-	// OnDeliver, when set, fires for each delivered packet (legacy sink
-	// mode only; BindSink mode joins records in FinalRecords instead).
-	OnDeliver func(AppRecord)
 }
 
 type arrival struct {
@@ -111,7 +100,7 @@ func NewAppGen(eng *sim.Engine, sw *dataplane.Switch, src, dst netip.Addr, inter
 	if payloadSize < 4 {
 		panic(fmt.Sprintf("workload: NewAppGen payload %dB cannot carry the 4-byte sequence number", payloadSize))
 	}
-	g := &AppGen{eng: eng, sw: sw, sentAt: make(map[uint32]sim.Time), delivered: make(map[uint32]bool)}
+	g := &AppGen{sw: sw, sentAt: make(map[uint32]sim.Time), recvEng: eng}
 	buf := packet.NewSerializeBuffer()
 	pay := packet.Payload(make([]byte, payloadSize))
 	udp := &packet.UDP{SrcPort: 7000, DstPort: AppPort}
@@ -133,23 +122,19 @@ func (g *AppGen) emit(now sim.Time) {
 	binary.BigEndian.PutUint32(g.template[48:52], g.seq)
 	g.sentAt[g.seq] = now
 	g.seq++
-	g.Pending++
 	g.sw.SendToPeer(g.template)
 }
 
-// BindSink binds the sink side to the receiving site's engine and
-// switches delivery accounting to receiver-side staging: Sink then
-// timestamps arrivals with the receiver's clock and touches only
-// receiver-owned state, and send/receive records are joined in
+// BindSink names the receiving site's engine (the default is the
+// sender's). Sink timestamps arrivals with that clock and touches only
+// receiver-owned state; send and receive records are joined in
 // FinalRecords. Required on a sharded network whenever the receiving
-// switch lives on a different partition than the generator (the legacy
-// sink would read sender-side maps from the receiver's goroutine).
-// OnDeliver does not fire in this mode.
+// switch lives on a different partition than the generator.
 func (g *AppGen) BindSink(eng *sim.Engine) { g.recvEng = eng }
 
 // Sink consumes an inner packet delivered at the receiving site and, if
-// it belongs to this generator, records its latency. Wire it into the
-// remote switch's DeliverLocal.
+// it is AppGen traffic, stages its arrival. Wire it into the remote
+// switch's DeliverLocal.
 func (g *AppGen) Sink(inner []byte) bool {
 	if len(inner) < 52 || inner[0]>>4 != 6 {
 		return false
@@ -159,30 +144,7 @@ func (g *AppGen) Sink(inner []byte) bool {
 		return false
 	}
 	seq := binary.BigEndian.Uint32(inner[48:52])
-	if g.recvEng != nil {
-		g.arrivals = append(g.arrivals, arrival{seq: seq, at: g.recvEng.Now()})
-		return true
-	}
-	sent, ok := g.sentAt[seq]
-	if !ok {
-		if g.delivered[seq] {
-			// A duplicate of a packet that already matched is still this
-			// generator's traffic: consume it (counted, not re-recorded)
-			// rather than reporting it foreign.
-			g.Dups++
-			return true
-		}
-		return false
-	}
-	delete(g.sentAt, seq)
-	g.delivered[seq] = true
-	g.Pending--
-	now := g.eng.Now()
-	rec := AppRecord{Seq: seq, SentAt: sent, RecvAt: now, Latency: now - sent}
-	g.Records = append(g.Records, rec)
-	if g.OnDeliver != nil {
-		g.OnDeliver(rec)
-	}
+	g.arrivals = append(g.arrivals, arrival{seq: seq, at: g.recvEng.Now()})
 	return true
 }
 
@@ -191,31 +153,24 @@ func (g *AppGen) Stop() { g.tick.Stop() }
 
 // FinalRecords returns every emitted packet ordered by send time, with
 // in-flight/lost packets carrying RecvAt 0. Call after the simulation
-// has drained (single-threaded: between runs). In BindSink mode this is
-// where receiver-staged arrivals are joined with the send log.
+// has drained (single-threaded: between runs). This is where staged
+// arrivals are joined with the send log: the first arrival of a sequence
+// number wins, duplicates and never-sent sequence numbers are dropped.
 func (g *AppGen) FinalRecords() []AppRecord {
-	if g.recvEng != nil {
-		out := make([]AppRecord, 0, len(g.sentAt))
-		matched := make(map[uint32]bool, len(g.arrivals))
-		for _, a := range g.arrivals {
-			sent, ok := g.sentAt[a.seq]
-			if !ok || matched[a.seq] {
-				continue
-			}
-			matched[a.seq] = true
-			out = append(out, AppRecord{Seq: a.seq, SentAt: sent, RecvAt: a.at, Latency: a.at - sent})
+	out := make([]AppRecord, 0, len(g.sentAt))
+	matched := make(map[uint32]bool, len(g.arrivals))
+	for _, a := range g.arrivals {
+		sent, ok := g.sentAt[a.seq]
+		if !ok || matched[a.seq] {
+			continue
 		}
-		for seq, sent := range g.sentAt {
-			if !matched[seq] {
-				out = append(out, AppRecord{Seq: seq, SentAt: sent})
-			}
-		}
-		sortRecords(out)
-		return out
+		matched[a.seq] = true
+		out = append(out, AppRecord{Seq: a.seq, SentAt: sent, RecvAt: a.at, Latency: a.at - sent})
 	}
-	out := append([]AppRecord(nil), g.Records...)
 	for seq, sent := range g.sentAt {
-		out = append(out, AppRecord{Seq: seq, SentAt: sent})
+		if !matched[seq] {
+			out = append(out, AppRecord{Seq: seq, SentAt: sent})
+		}
 	}
 	sortRecords(out)
 	return out
@@ -239,7 +194,7 @@ func cmpRecords(a, b AppRecord) int {
 }
 
 // sortRecordsInversionBound caps how disordered a trace may be before
-// sortRecords abandons insertion sort: heavily reordered BindSink traces
+// sortRecords abandons insertion sort: heavily reordered traces
 // (map-iteration tails, large reorder windows) would otherwise make it
 // O(n²).
 const sortRecordsInversionBound = 16

@@ -65,21 +65,21 @@ func TestAppGenLatencyGroundTruth(t *testing.T) {
 	swB.DeliverLocal = func(inner []byte) { g.Sink(inner) }
 
 	w.Run(time.Second)
+	g.Stop()
 	if g.Sent() < 45 {
 		t.Fatalf("sent = %d", g.Sent())
 	}
-	if len(g.Records) == 0 {
-		t.Fatal("no deliveries")
-	}
-	for _, r := range g.Records {
-		if r.Latency != 5*time.Millisecond {
+	pending := 0
+	for _, r := range g.FinalRecords() {
+		if r.RecvAt == 0 {
+			pending++
+		} else if r.Latency != 5*time.Millisecond {
 			t.Fatalf("latency = %v, want 5ms (ground truth, no clock offset)", r.Latency)
 		}
 	}
-	if g.Pending > 1 {
-		t.Fatalf("pending = %d", g.Pending)
+	if pending > 1 {
+		t.Fatalf("pending = %d", pending)
 	}
-	g.Stop()
 }
 
 func TestAppGenFinalRecordsIncludeLost(t *testing.T) {
@@ -112,23 +112,68 @@ func TestAppGenFinalRecordsIncludeLost(t *testing.T) {
 	}
 }
 
-func TestAppGenSinkRejectsForeign(t *testing.T) {
-	w, swA, _ := twoSwitchNet(t)
+// TestAppGenFinalRecordsJoin hands the sink one trace holding every case
+// the join must handle — reordered, duplicated, lost, and never-sent
+// sequence numbers, stamped by a receiver clock other than the sender's —
+// and checks FinalRecords reports each emitted packet exactly once.
+func TestAppGenFinalRecordsJoin(t *testing.T) {
+	w, swA, swB := twoSwitchNet(t)
 	g := NewAppGen(w.Eng, swA,
 		netip.MustParseAddr("2001:db8:aa::1"), netip.MustParseAddr("2001:db8:bb::1"),
-		time.Second, 10)
+		20*time.Millisecond, 100)
+	recv := sim.NewEngine()
+	g.BindSink(recv)
+	var captured [][]byte // DeliverLocal borrows; keep copies
+	swB.DeliverLocal = func(inner []byte) { captured = append(captured, append([]byte(nil), inner...)) }
+	w.Run(110 * time.Millisecond) // ticks at 20..100ms: seq 0..4
+	g.Stop()
+	if len(captured) != 5 || g.Sent() != 5 {
+		t.Fatalf("captured %d of %d sent, want 5 of 5", len(captured), g.Sent())
+	}
+
 	if g.Sink([]byte{1, 2, 3}) {
 		t.Fatal("garbage accepted")
 	}
 	if g.Sink(make([]byte, 100)) {
 		t.Fatal("non-IPv6 accepted")
 	}
-	// Unknown seq.
-	fake := make([]byte, 60)
-	fake[0] = 6 << 4
-	fake[42], fake[43] = AppPort>>8, AppPort&0xff
-	if g.Sink(fake) {
-		t.Fatal("unknown sequence accepted")
+	otherPort := append([]byte(nil), captured[0]...)
+	otherPort[42], otherPort[43] = 0, 9
+	if g.Sink(otherPort) {
+		t.Fatal("packet for another port accepted")
+	}
+	neverSent := append([]byte(nil), captured[0]...)
+	neverSent[48], neverSent[49], neverSent[50], neverSent[51] = 0xff, 0xff, 0xff, 0xff
+
+	const ms = sim.Time(time.Millisecond)
+	sinkAt := func(at sim.Time, inner []byte) {
+		t.Helper()
+		recv.Run(at)
+		if !g.Sink(inner) {
+			t.Fatalf("AppGen packet refused at %v", at)
+		}
+	}
+	sinkAt(200*ms, captured[2]) // reordered: overtakes 0
+	sinkAt(210*ms, captured[0])
+	sinkAt(220*ms, captured[0]) // duplicate: the first arrival stands
+	sinkAt(230*ms, neverSent)   // this generator's port, but no such packet
+	sinkAt(230*ms, captured[3])
+	sinkAt(240*ms, captured[4]) // seq 1 never arrives: lost
+
+	wantRecv := []sim.Time{210 * ms, 0, 200 * ms, 230 * ms, 240 * ms}
+	recs := g.FinalRecords()
+	if len(recs) != len(wantRecv) {
+		t.Fatalf("FinalRecords = %+v, want %d records", recs, len(wantRecv))
+	}
+	for i, r := range recs {
+		sent := sim.Time(i+1) * 20 * ms
+		want := AppRecord{Seq: uint32(i), SentAt: sent, RecvAt: wantRecv[i]}
+		if want.RecvAt != 0 {
+			want.Latency = want.RecvAt - sent
+		}
+		if r != want {
+			t.Fatalf("recs[%d] = %+v, want %+v", i, r, want)
+		}
 	}
 }
 
@@ -228,42 +273,6 @@ func TestNewAppGenRejectsTinyPayload(t *testing.T) {
 	NewAppGen(w.Eng, swA,
 		netip.MustParseAddr("2001:db8:aa::1"), netip.MustParseAddr("2001:db8:bb::1"),
 		time.Second, 3)
-}
-
-func TestAppGenSinkConsumesDuplicate(t *testing.T) {
-	w, swA, swB := twoSwitchNet(t)
-	g := NewAppGen(w.Eng, swA,
-		netip.MustParseAddr("2001:db8:aa::1"), netip.MustParseAddr("2001:db8:bb::1"),
-		20*time.Millisecond, 100)
-	var lastInner []byte
-	swB.DeliverLocal = func(inner []byte) {
-		lastInner = append(lastInner[:0], inner...) // DeliverLocal borrows; keep a copy
-		g.Sink(inner)
-	}
-	w.Run(100 * time.Millisecond)
-	g.Stop()
-	if lastInner == nil {
-		t.Fatal("no deliveries")
-	}
-	recorded := len(g.Records)
-	// Replaying an already-matched packet: it IS this generator's
-	// traffic, so the sink must consume it (claiming it from the sink
-	// chain), count it, and not re-record it.
-	if !g.Sink(lastInner) {
-		t.Fatal("duplicate of a matched packet reported as foreign")
-	}
-	if g.Dups != 1 {
-		t.Fatalf("Dups = %d, want 1", g.Dups)
-	}
-	if len(g.Records) != recorded {
-		t.Fatal("duplicate re-recorded")
-	}
-	// A genuinely unknown seq is still foreign.
-	fake := append([]byte(nil), lastInner...)
-	fake[48], fake[49], fake[50], fake[51] = 0xff, 0xff, 0xff, 0xff
-	if g.Sink(fake) {
-		t.Fatal("never-sent sequence accepted")
-	}
 }
 
 func TestInOrderModelAllLost(t *testing.T) {
