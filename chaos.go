@@ -5,48 +5,91 @@ import (
 	"time"
 
 	"tango/internal/chaos"
+	"tango/internal/core"
 	"tango/internal/obs"
+	"tango/internal/simnet"
+	"tango/internal/topo"
 )
 
 // Chaos is the public handle on the deterministic fault-injection engine
-// (internal/chaos) for a Mesh. Every provider trunk is registered as the
-// fault target "trunk/<site>/<provider>" and every pairwise Tango edge
-// server as "edge/<site>:<peer>"; faults fire at exact virtual instants,
-// random storms are drawn from the mesh's seeded RNG streams, and the
-// whole-network conservation and buffer-balance invariants are checked
-// continuously — so a fault campaign either reproduces byte for byte
-// from its seed or fails loudly.
+// (internal/chaos) of a Mesh or a Lab. Every provider trunk is
+// registered as the fault target "trunk/<site>/<provider>", the line
+// carrying that provider's traffic into the site — on a Lab that is
+// "trunk/la/<provider>" for the NY->LA direction and
+// "trunk/ny/<provider>" for LA->NY — and every pairwise Tango edge
+// server as "edge/<site>:<peer>". Faults fire at exact virtual instants,
+// random storms are drawn from the deployment's seeded RNG streams, and
+// the whole-network conservation and buffer-balance invariants are
+// checked continuously — so a fault campaign either reproduces byte for
+// byte from its seed or fails loudly.
 type Chaos struct {
-	m   *Mesh
+	s   *topo.MeshScenario
 	eng *chaos.Engine
+	// member resolves an established edge server; nil before Establish
+	// or when site and peer do not form a deployed pair.
+	member func(site, peer string) *core.Site
 }
 
-// Chaos returns the mesh's fault-injection handle, creating it on first
-// use. Creation registers every trunk line and edge speaker as a named
+// newChaos registers every trunk line and edge speaker of s as a named
 // target and starts conservation and buffer-balance checks on a 250 ms
 // cadence.
+func newChaos(s *topo.MeshScenario, member func(site, peer string) *core.Site) *Chaos {
+	ch := chaos.New(s.B.Eng())
+	for _, site := range s.SiteNames {
+		for prov, line := range s.Trunk[site] {
+			ch.AddLine("trunk/"+site+"/"+prov, line)
+		}
+	}
+	for key, e := range s.Edges {
+		ch.AddSpeaker("edge/"+key, e.Speaker)
+	}
+	ch.Watch(chaos.Conservation("net", s.B.W))
+	ch.Watch(chaos.BufferBalance("net", s.B.W))
+	ch.StartChecks(250 * time.Millisecond)
+	return &Chaos{s: s, eng: ch, member: member}
+}
+
+// Chaos returns the mesh's fault-injection handle, creating it (targets
+// registered, invariant checks started) on first use.
 func (m *Mesh) Chaos() (*Chaos, error) {
 	if m.buildErr != nil {
 		return nil, m.buildErr
 	}
-	if m.chaos != nil {
-		return m.chaos, nil
+	if m.chaos == nil {
+		m.chaos = newChaos(m.scenario, func(site, peer string) *core.Site {
+			if m.mesh == nil {
+				return nil
+			}
+			return m.mesh.Member(site, peer)
+		})
 	}
-	ch := chaos.New(m.scenario.B.Eng())
-	for _, site := range m.scenario.SiteNames {
-		for prov, line := range m.scenario.Trunk[site] {
-			ch.AddLine("trunk/"+site+"/"+prov, line)
-		}
-	}
-	for key, e := range m.scenario.Edges {
-		ch.AddSpeaker("edge/"+key, e.Speaker)
-	}
-	ch.Watch(chaos.Conservation("mesh", m.scenario.B.W))
-	ch.Watch(chaos.BufferBalance("mesh", m.scenario.B.W))
-	ch.StartChecks(250 * time.Millisecond)
-	m.chaos = &Chaos{m: m, eng: ch}
 	return m.chaos, nil
 }
+
+// Chaos returns the lab's fault-injection handle, creating it (targets
+// registered, invariant checks started) on first use.
+func (l *Lab) Chaos() (*Chaos, error) {
+	if l.buildErr != nil {
+		return nil, l.buildErr
+	}
+	if l.chaos == nil {
+		l.chaos = newChaos(l.scenario.MeshScenario, func(site, peer string) *core.Site {
+			if l.pair == nil {
+				return nil
+			}
+			for _, st := range []*core.Site{l.pair.A, l.pair.B} {
+				if st.Spec.Name == site && st.Peer().Spec.Name == peer {
+					return st
+				}
+			}
+			return nil
+		})
+	}
+	return l.chaos, nil
+}
+
+// now is the current virtual time; fault offsets count from it.
+func (c *Chaos) now() time.Duration { return c.s.B.W.Now() }
 
 // Instrument registers fault counters and per-trunk drop counters in
 // reg and journals chaos events (fault applies/reverts, withdrawals,
@@ -72,7 +115,7 @@ func (c *Chaos) LinkDown(site, provider string, in, dur time.Duration) error {
 	if err != nil {
 		return err
 	}
-	c.eng.Schedule(chaos.LinkDown{Target: name, At: c.m.Now() + in, For: dur})
+	c.eng.Schedule(chaos.LinkDown(name, c.now()+in, dur))
 	return nil
 }
 
@@ -83,7 +126,7 @@ func (c *Chaos) LossBurst(site, provider string, in, dur time.Duration, loss flo
 	if err != nil {
 		return err
 	}
-	c.eng.Schedule(chaos.LossBurst{Target: name, At: c.m.Now() + in, For: dur, Loss: loss})
+	c.eng.Schedule(chaos.LossBurst(name, c.now()+in, dur, loss))
 	return nil
 }
 
@@ -94,22 +137,47 @@ func (c *Chaos) DelayShift(site, provider string, in, dur, delta time.Duration) 
 	if err != nil {
 		return err
 	}
-	c.eng.Schedule(chaos.DelayShift{Target: name, At: c.m.Now() + in, For: dur, Delta: delta})
+	c.eng.Schedule(chaos.DelayShift(name, c.now()+in, dur, delta))
+	return nil
+}
+
+// RouteShift schedules an intra-provider routing change on the provider
+// trunk into site (the Figure 4 middle incident): after in the path is
+// turbulent for 20 s, settles delta higher for dur, then returns to the
+// original path through a second 20 s of turbulence.
+func (c *Chaos) RouteShift(site, provider string, in, dur, delta time.Duration) error {
+	name, err := c.trunk(site, provider)
+	if err != nil {
+		return err
+	}
+	c.eng.Schedule(chaos.RouteShift(name, c.now()+in, dur, delta, 20*time.Second)...)
+	return nil
+}
+
+// Instability schedules a Figure 4 (right) style degradation window on
+// the provider trunk into site: for dur after in, each packet spikes
+// with probability spikeProb by up to peakExtra above the path's
+// slightly lifted floor.
+func (c *Chaos) Instability(site, provider string, in, dur time.Duration, spikeProb float64, peakExtra time.Duration) error {
+	name, err := c.trunk(site, provider)
+	if err != nil {
+		return err
+	}
+	c.eng.Schedule(chaos.Instability(name, c.now()+in, dur,
+		simnet.SpikeDelay{Prob: spikeProb, Mean: peakExtra / 3, Cap: peakExtra},
+		time.Millisecond, 1500*time.Microsecond))
 	return nil
 }
 
 // WithdrawPath withdraws the pinned BGP prefix that site announces for
 // path id of its Tango pair with peer — killing that path of the
 // peer-to-site direction at the routing layer — and re-announces it with
-// identical attributes after dur. The mesh must be established first
-// (path prefixes exist only after establishment).
+// identical attributes after dur. The deployment must be established
+// first (path prefixes exist only after establishment).
 func (c *Chaos) WithdrawPath(site, peer string, id uint8, in, dur time.Duration) error {
-	if c.m.mesh == nil {
-		return fmt.Errorf("tango: mesh not established")
-	}
-	st := c.m.mesh.Member(site, peer)
+	st := c.member(site, peer)
 	if st == nil {
-		return fmt.Errorf("tango: no deployment %s:%s", site, peer)
+		return fmt.Errorf("tango: no established deployment %s:%s", site, peer)
 	}
 	pfx, err := st.PinnedPrefix(id)
 	if err != nil {
@@ -118,7 +186,7 @@ func (c *Chaos) WithdrawPath(site, peer string, id uint8, in, dur time.Duration)
 	c.eng.Schedule(chaos.Withdrawal{
 		Speaker: "edge/" + site + ":" + peer,
 		Prefix:  pfx,
-		At:      c.m.Now() + in,
+		At:      c.now() + in,
 		For:     dur,
 	})
 	return nil
@@ -127,12 +195,12 @@ func (c *Chaos) WithdrawPath(site, peer string, id uint8, in, dur time.Duration)
 // Storm schedules n seeded-random faults — link flaps, loss bursts,
 // delay shifts, withdrawals — uniformly over the window starting after
 // in, and returns their labels in schedule order. The draw comes from
-// the mesh's named RNG streams, so a storm replays exactly from the
-// mesh seed.
+// the deployment's named RNG streams, so a storm replays exactly from
+// its seed.
 func (c *Chaos) Storm(n int, in, window time.Duration) []string {
-	return c.eng.ScheduleStorm(c.m.scenario.B.W.Streams.Stream("chaos-storm"), chaos.StormConfig{
+	return c.eng.ScheduleStorm(c.s.B.W.Streams.Stream("chaos-storm"), chaos.StormConfig{
 		Faults: n,
-		Start:  c.m.Now() + in,
+		Start:  c.now() + in,
 		Window: window,
 	})
 }

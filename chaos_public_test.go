@@ -74,3 +74,53 @@ func TestMeshChaosFaultCampaign(t *testing.T) {
 		t.Fatalf("invariant violations during campaign: %v", vs)
 	}
 }
+
+// TestLabChaosHandle pins that the two-site lab hands out the same
+// Chaos type as the mesh, over the lab's own targets: the Inject*
+// wrappers land on "trunk/<site the direction flows into>/<provider>",
+// a withdrawal resolves the pair's edge speaker, and the invariants
+// watch the run.
+func TestLabChaosHandle(t *testing.T) {
+	l := newEstablishedLab(t, Options{Seed: 3})
+	ch, err := l.Chaos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch2, _ := l.Chaos(); ch2 != ch {
+		t.Fatal("second Chaos() call built a new engine")
+	}
+	if err := l.InjectRouteShift("GTT", NYtoLA, time.Second, 30*time.Second, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.InjectInstability("Telia", LAtoNY, time.Second, 10*time.Second, 0.1, 40*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.WithdrawPath("la", "ny", 1, 2*time.Second, 4*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.WithdrawPath("la", "chi", 1, time.Second, time.Second); err == nil {
+		t.Fatal("withdrawal for a pair the lab does not have accepted")
+	}
+	l.Run(2 * time.Minute)
+	ch.CheckNow()
+
+	events := strings.Join(ch.Events(), "\n")
+	for _, want := range []string{
+		"apply turbulence trunk/la/GTT",
+		"apply delay-shift trunk/la/GTT +5ms",
+		"revert delay-shift trunk/la/GTT +5ms",
+		"revert instability trunk/ny/Telia",
+		"apply withdraw edge/la:ny",
+		"revert withdraw edge/la:ny",
+	} {
+		if !strings.Contains(events, want) {
+			t.Fatalf("missing %q in event log:\n%s", want, events)
+		}
+	}
+	if n := strings.Count(events, "turbulence trunk/la/GTT"); n != 4 {
+		t.Fatalf("route shift logged %d turbulence transitions, want 4:\n%s", n, events)
+	}
+	if vs := ch.Violations(); len(vs) != 0 {
+		t.Fatalf("invariant violations: %v", vs)
+	}
+}

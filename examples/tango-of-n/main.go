@@ -81,7 +81,11 @@ func main() {
 	// 10 minutes — the direct pair's only path.
 	lead := 3 * time.Minute
 	eventDur := 10 * time.Minute
-	if err := mesh.InjectRouteShift("la", "NTT", lead, eventDur, 8*time.Millisecond); err != nil {
+	faults, err := mesh.Chaos()
+	if err != nil {
+		panic(err)
+	}
+	if err := faults.RouteShift("la", "NTT", lead, eventDur, 8*time.Millisecond); err != nil {
 		panic(err)
 	}
 	fmt.Printf("\nscheduled: +8 ms NTT internal route change toward LA (the direct pair's only path)\n\n")

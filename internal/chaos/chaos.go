@@ -1,8 +1,13 @@
-// Package chaos is a deterministic fault-injection engine for the
+// Package chaos is the deterministic fault-injection engine for the
 // simulated Tango deployment. It schedules scripted or seeded-random
 // fault timelines — link flaps, loss bursts, delay shifts, BGP
-// withdrawals — on the same event loop the system under test runs on,
-// and checks registered invariants as the simulation advances.
+// withdrawals, and the two wide-area incidents the paper's eight-day
+// measurement happened to capture (§5, Figure 4 middle and right:
+// RouteShift and Instability) — on the same event loop the system under
+// test runs on, and checks registered invariants as the simulation
+// advances. A fault touches one named target, so every other path keeps
+// its usual behaviour, matching the paper's observation that "all other
+// networks experience almost no interference".
 //
 // Everything is deterministic: faults fire at exact virtual instants,
 // random timelines are drawn from a caller-provided named RNG stream,
@@ -64,7 +69,7 @@ func InvariantFunc(name string, fn func(now sim.Time) error) Invariant {
 // and random target selection are reproducible across runs.
 type Engine struct {
 	eng      *sim.Engine
-	lines    map[string]*simnet.Line
+	lines    map[string]*lineTarget
 	speakers map[string]*bgp.Speaker
 
 	invs       []Invariant
@@ -97,7 +102,7 @@ type Engine struct {
 func New(eng *sim.Engine) *Engine {
 	return &Engine{
 		eng:      eng,
-		lines:    make(map[string]*simnet.Line),
+		lines:    make(map[string]*lineTarget),
 		speakers: make(map[string]*bgp.Speaker),
 	}
 }
@@ -117,8 +122,8 @@ func (e *Engine) Instrument(reg *obs.Registry, j *obs.Journal) {
 		"Fault windows that closed and reverted.")
 	e.obsViol = reg.Counter("tango_chaos_violations_total",
 		"Invariant violations observed at check instants.")
-	for name, l := range e.lines {
-		e.instrumentLine(name, l)
+	for name, t := range e.lines {
+		e.instrumentLine(name, t.line)
 	}
 }
 
@@ -141,7 +146,7 @@ func (e *Engine) journalFor(eng *sim.Engine) *obs.Journal {
 
 // AddLine registers a line as a fault target under name.
 func (e *Engine) AddLine(name string, l *simnet.Line) {
-	e.lines[name] = l
+	e.lines[name] = &lineTarget{line: l}
 	if e.reg != nil {
 		e.instrumentLine(name, l)
 	}
@@ -151,7 +156,12 @@ func (e *Engine) AddLine(name string, l *simnet.Line) {
 func (e *Engine) AddSpeaker(name string, sp *bgp.Speaker) { e.speakers[name] = sp }
 
 // Line returns the registered line, or nil.
-func (e *Engine) Line(name string) *simnet.Line { return e.lines[name] }
+func (e *Engine) Line(name string) *simnet.Line {
+	if t := e.lines[name]; t != nil {
+		return t.line
+	}
+	return nil
+}
 
 // Speaker returns the registered speaker, or nil.
 func (e *Engine) Speaker(name string) *bgp.Speaker { return e.speakers[name] }
@@ -183,19 +193,28 @@ func (e *Engine) Watch(inv Invariant) { e.invs = append(e.invs, inv) }
 // Invariants returns how many invariants are registered.
 func (e *Engine) Invariants() int { return len(e.invs) }
 
-// Schedule arms a fault: Apply fires at the fault's start instant and,
+// Schedule arms faults: Apply fires at each fault's start instant and,
 // for a finite window, the returned revert runs when the window closes.
-// Both transitions are logged. On a sharded network the fault fires on
+// Both transitions are logged. On a sharded network a fault fires on
 // its target's partition engine (line faults mutate send-path state
 // owned by the line's source partition; withdrawals run on the
 // speaker's partition), so no cross-partition state is touched.
-func (e *Engine) Schedule(f Fault) {
+func (e *Engine) Schedule(fs ...Fault) {
+	for _, f := range fs {
+		e.schedule(f)
+	}
+}
+
+func (e *Engine) schedule(f Fault) {
 	at, dur := f.Window()
 	kind := obs.KindFaultApply
 	if _, isWithdraw := f.(Withdrawal); isWithdraw {
 		kind = obs.KindWithdraw
 	}
-	owner := e.ownerEngine(f)
+	owner := f.owner(e)
+	if owner == nil {
+		owner = e.eng // unknown target: Apply fails and is logged here
+	}
 	if c := owner.Coord(); c != nil {
 		e.ensureMergeHook(c)
 	}
@@ -217,32 +236,6 @@ func (e *Engine) Schedule(f Fault) {
 			})
 		}
 	})
-}
-
-// ownerEngine resolves the partition engine that owns a fault's target
-// state; unknown fault types fall back to the chaos engine's own engine.
-func (e *Engine) ownerEngine(f Fault) *sim.Engine {
-	lineOwner := func(name string) *sim.Engine {
-		if l := e.lines[name]; l != nil {
-			return l.Eng()
-		}
-		return e.eng
-	}
-	switch t := f.(type) {
-	case LinkDown:
-		return lineOwner(t.Target)
-	case LossBurst:
-		return lineOwner(t.Target)
-	case DelayShift:
-		return lineOwner(t.Target)
-	case DelaySwap:
-		return lineOwner(t.Target)
-	case Withdrawal:
-		if sp := e.speakers[t.Speaker]; sp != nil {
-			return sp.Engine()
-		}
-	}
-	return e.eng
 }
 
 // ensureMergeHook registers, once, the barrier hook that folds staged

@@ -30,7 +30,7 @@ func TestLinkDownAppliesAndReverts(t *testing.T) {
 	w, lk := twoNodes(1)
 	ch := New(w.Eng)
 	ch.AddLine("ab", lk.LineAB())
-	ch.Schedule(LinkDown{Target: "ab", At: time.Second, For: 2 * time.Second})
+	ch.Schedule(LinkDown("ab", time.Second, 2*time.Second))
 
 	var duringDown, afterUp bool
 	w.Eng.ScheduleAt(1500*time.Millisecond, func() { duringDown = lk.LineAB().Down() })
@@ -47,40 +47,132 @@ func TestLinkDownAppliesAndReverts(t *testing.T) {
 	}
 }
 
+// delayRange draws n delays from the line's shaper and returns the
+// extremes.
+func delayRange(ln *simnet.Line, rng *sim.RNG, n int) (lo, hi time.Duration) {
+	lo = time.Hour
+	for i := 0; i < n; i++ {
+		v := ln.Shaper().Sample(0, rng)
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	return lo, hi
+}
+
+// TestLossBurstAndDelayFaultsRestoreState runs fault scripts against one
+// 10 ms line whose resting state is 1% loss, up, no offset, no overlay.
+// Each case names what the line must look like at chosen instants; every
+// case must end with the line exactly at rest.
 func TestLossBurstAndDelayFaultsRestoreState(t *testing.T) {
-	w, lk := twoNodes(1)
-	ln := lk.LineAB()
-	ln.SetLoss(0.01)
-	baseModel := ln.Shaper().Base()
-	ch := New(w.Eng)
-	ch.AddLine("ab", ln)
-
-	ch.Schedule(LossBurst{Target: "ab", At: time.Second, For: time.Second, Loss: 0.5})
-	ch.Schedule(DelayShift{Target: "ab", At: time.Second, For: time.Second, Delta: 5 * time.Millisecond})
-	ch.Schedule(DelaySwap{Target: "ab", At: time.Second, For: time.Second,
-		Model: simnet.FixedDelay(99 * time.Millisecond)})
-
-	w.Eng.ScheduleAt(1500*time.Millisecond, func() {
-		if ln.Loss() != 0.5 {
-			t.Errorf("loss during burst = %v, want 0.5", ln.Loss())
-		}
-		if ln.Shaper().Offset() != 5*time.Millisecond {
-			t.Errorf("offset during shift = %v, want 5ms", ln.Shaper().Offset())
-		}
-		if ln.Shaper().Base() != simnet.DelayModel(simnet.FixedDelay(99*time.Millisecond)) {
-			t.Errorf("base during swap = %v", ln.Shaper().Base())
-		}
-	})
-	w.Run(3 * time.Second)
-
-	if ln.Loss() != 0.01 {
-		t.Fatalf("loss after revert = %v, want 0.01", ln.Loss())
+	const (
+		base = 10 * time.Millisecond
+		s    = time.Second
+	)
+	spikes := simnet.SpikeDelay{Prob: 0.02, Mean: 18 * time.Millisecond, Cap: 48 * time.Millisecond}
+	type state struct {
+		loss   float64
+		down   bool
+		offset time.Duration
+		lo, hi time.Duration // extremes of 5000 sampled delays
 	}
-	if ln.Shaper().Offset() != 0 {
-		t.Fatalf("offset after revert = %v, want 0", ln.Shaper().Offset())
-	}
-	if ln.Shaper().Base() != baseModel {
-		t.Fatalf("base after revert = %v, want original", ln.Shaper().Base())
+	cases := []struct {
+		name   string
+		faults []Fault
+		at     []time.Duration
+		check  func(t *testing.T, at time.Duration, st state)
+	}{{
+		name: "one window each",
+		faults: []Fault{
+			LossBurst("ab", s, s, 0.5),
+			DelayShift("ab", s, s, 5*time.Millisecond),
+			LinkDown("ab", s, s),
+		},
+		at: []time.Duration{1500 * time.Millisecond},
+		check: func(t *testing.T, _ time.Duration, st state) {
+			if st.loss != 0.5 || !st.down || st.offset != 5*time.Millisecond || st.lo != base+5*time.Millisecond {
+				t.Errorf("during the windows: %+v", st)
+			}
+		},
+	}, {
+		// A on, B on, A off, B off, for every kind at once: a revert that
+		// restores what it saw at apply time ends stuck at B's value and
+		// cuts B short when A closes.
+		name: "interleaved windows of one kind",
+		faults: []Fault{
+			LossBurst("ab", 1*s, 2*s, 0.5), LossBurst("ab", 2*s, 2*s, 0.5),
+			DelayShift("ab", 1*s, 2*s, 5*time.Millisecond), DelayShift("ab", 2*s, 2*s, 3*time.Millisecond),
+			LinkDown("ab", 1*s, 2*s), LinkDown("ab", 2*s, 2*s),
+			Instability("ab", 1*s, 2*s, spikes, 0, 0), Instability("ab", 2*s, 2*s, spikes, 0, 0),
+		},
+		at: []time.Duration{2500 * time.Millisecond, 3500 * time.Millisecond},
+		check: func(t *testing.T, at time.Duration, st state) {
+			wantOff := 8 * time.Millisecond // both shifts open
+			if at > 3*s {
+				wantOff = 3 * time.Millisecond // A closed, B still open
+			}
+			if st.loss != 0.5 || !st.down || st.offset != wantOff || st.hi <= base+wantOff {
+				t.Errorf("t=%v with a window still open: %+v", at, st)
+			}
+		},
+	}, {
+		// The Figure 4 (middle) lifecycle: turbulent edge, settled +5 ms
+		// with the overlay gone, turbulent edge, original path back.
+		name:   "route shift",
+		faults: RouteShift("ab", time.Hour, 10*time.Minute, 5*time.Millisecond, 20*s),
+		at:     []time.Duration{time.Hour + 5*s, time.Hour + time.Minute, time.Hour + 10*time.Minute + 5*s},
+		check: func(t *testing.T, at time.Duration, st state) {
+			switch at {
+			case time.Hour + 5*s:
+				if st.offset != 0 || st.lo != base || st.hi <= base {
+					t.Errorf("leading edge: %+v", st)
+				}
+			case time.Hour + time.Minute:
+				if st.offset != 5*time.Millisecond || st.lo != base+st.offset || st.hi != st.lo {
+					t.Errorf("settled: %+v", st)
+				}
+			default:
+				if st.offset != 5*time.Millisecond || st.hi <= base+st.offset {
+					t.Errorf("trailing edge: %+v", st)
+				}
+			}
+		},
+	}, {
+		// The Figure 4 (right) shape: some packets still at the floor,
+		// spikes bounded by floor + minor tail + spike cap.
+		name:   "instability",
+		faults: []Fault{Instability("ab", 30*time.Minute, 5*time.Minute, spikes, time.Millisecond, 2*time.Millisecond)},
+		at:     []time.Duration{31 * time.Minute},
+		check: func(t *testing.T, _ time.Duration, st state) {
+			if st.lo != base || st.hi < base+30*time.Millisecond || st.hi > base+5*time.Millisecond+spikes.Cap {
+				t.Errorf("during instability: %+v", st)
+			}
+		},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, lk := twoNodes(1)
+			ln := lk.LineAB()
+			ln.SetLoss(0.01)
+			ch := New(w.Eng)
+			ch.AddLine("ab", ln)
+			ch.Schedule(tc.faults...)
+			rng := sim.NewStreams(1).Stream("test")
+			look := func() state {
+				lo, hi := delayRange(ln, rng, 5000)
+				return state{ln.Loss(), ln.Down(), ln.Shaper().Offset(), lo, hi}
+			}
+			for _, at := range tc.at {
+				w.Eng.ScheduleAt(at, func() { tc.check(t, at, look()) })
+			}
+			w.Run(2 * time.Hour)
+			if got, rest := look(), (state{loss: 0.01, lo: base, hi: base}); got != rest {
+				t.Fatalf("line not at rest after the last revert: %+v", got)
+			}
+		})
 	}
 }
 
@@ -119,7 +211,7 @@ func TestWithdrawalFaultReannouncesIdentically(t *testing.T) {
 func TestFaultOnUnknownTargetIsLoggedNotFatal(t *testing.T) {
 	w, _ := twoNodes(1)
 	ch := New(w.Eng)
-	ch.Schedule(LinkDown{Target: "nope", At: time.Second, For: time.Second})
+	ch.Schedule(LinkDown("nope", time.Second, time.Second))
 	w.Run(2 * time.Second)
 	if !strings.Contains(ch.LogString(), `fault link-down nope: no line "nope"`) {
 		t.Fatalf("missing error entry in log: %q", ch.LogString())
@@ -144,8 +236,8 @@ func TestConservationAndBufferBalanceOnLiveTraffic(t *testing.T) {
 	ch.Watch(BufferBalance("w", w))
 	ch.StartChecks(20 * time.Millisecond)
 	// Faults stress the accounting: admin drops and loss must balance.
-	ch.Schedule(LinkDown{Target: "ab", At: 100 * time.Millisecond, For: 200 * time.Millisecond})
-	ch.Schedule(LossBurst{Target: "ab", At: 500 * time.Millisecond, For: 200 * time.Millisecond, Loss: 0.5})
+	ch.Schedule(LinkDown("ab", 100*time.Millisecond, 200*time.Millisecond))
+	ch.Schedule(LossBurst("ab", 500*time.Millisecond, 200*time.Millisecond, 0.5))
 	w.Run(time.Second)
 
 	if vs := ch.Violations(); len(vs) != 0 {
@@ -192,7 +284,7 @@ func TestPathEvacuationFlagsStubbornController(t *testing.T) {
 	lineFor := map[uint8]*simnet.Line{1: lk.LineAB()}
 	ch.Watch(PathEvacuation("a->b", ctrl, lineFor, 2*time.Second))
 	ch.StartChecks(500 * time.Millisecond)
-	ch.Schedule(LinkDown{Target: "ab", At: time.Second, For: 10 * time.Second})
+	ch.Schedule(LinkDown("ab", time.Second, 10*time.Second))
 	ch.AddLine("ab", lk.LineAB())
 	w.Run(6 * time.Second)
 
@@ -221,7 +313,7 @@ func TestNoDataOnDeadPathExemptsProbes(t *testing.T) {
 	ch.AddLine("ab", lk.LineAB())
 	ch.Watch(NoDataOnDeadPath("a->b", sw, map[uint8]*simnet.Line{1: lk.LineAB()}, time.Second))
 	ch.StartChecks(250 * time.Millisecond)
-	ch.Schedule(LinkDown{Target: "ab", At: 0, For: 20 * time.Second})
+	ch.Schedule(LinkDown("ab", 0, 20*time.Second))
 
 	// Probes on the dead path are fine (recovery detection needs them).
 	w.Eng.ScheduleAt(3*time.Second, func() {

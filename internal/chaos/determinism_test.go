@@ -109,3 +109,83 @@ func TestStormReplayIsByteIdentical(t *testing.T) {
 		t.Fatal("different seeds produced byte-identical runs")
 	}
 }
+
+// residueRun schedules a seeded mix of scripted incidents and storm
+// faults on the two lines of one link (dense enough that windows of one
+// kind interleave on a line), runs until the last window has closed, and
+// returns the chaos log and each line's state at rest and at the end.
+// parts 1 is a single engine; parts 2 puts the lines on two partitions.
+func residueRun(seed int64, parts int) (log, rest, end string) {
+	var w *simnet.Network
+	if parts == 1 {
+		w = simnet.New(seed)
+	} else {
+		w = simnet.NewSharded(seed, parts, 10*time.Millisecond, func(name string) int {
+			if name == "b" {
+				return 1
+			}
+			return 0
+		})
+	}
+	lk := w.Connect(w.AddNode("a", 0), w.AddNode("b", 0),
+		simnet.LinkConfig{Delay: simnet.FixedDelay(10 * time.Millisecond)},
+		simnet.LinkConfig{Delay: simnet.FixedDelay(10 * time.Millisecond)})
+	lk.LineAB().SetLoss(0.01)
+	lines := map[string]*simnet.Line{"ab": lk.LineAB(), "ba": lk.LineBA()}
+	state := func() string {
+		var sb strings.Builder
+		probe := sim.NewStreams(seed).Stream("probe")
+		for _, name := range []string{"ab", "ba"} {
+			ln := lines[name]
+			lo, hi := delayRange(ln, probe, 200) // lo == hi == 10ms only with no overlay
+			fmt.Fprintf(&sb, "%s loss=%g down=%v offset=%v delay=[%v,%v]\n",
+				name, ln.Loss(), ln.Down(), ln.Shaper().Offset(), lo, hi)
+		}
+		return sb.String()
+	}
+	rest = state()
+
+	ch := New(w.Eng)
+	ch.AddLine("ab", lines["ab"])
+	ch.AddLine("ba", lines["ba"])
+	rng := sim.NewStreams(seed).Stream("mix")
+	const window = time.Minute
+	for i := 0; i < 4; i++ {
+		target := []string{"ab", "ba"}[rng.Intn(2)]
+		at := time.Second + sim.Time(rng.Int63n(int64(window)))
+		dur := time.Duration(1 + rng.Int63n(int64(20*time.Second)))
+		if i%2 == 0 {
+			ch.Schedule(RouteShift(target, at, dur, 5*time.Millisecond, 5*time.Second)...)
+		} else {
+			ch.Schedule(Instability(target, at, dur,
+				simnet.SpikeDelay{Prob: 0.1, Mean: 16 * time.Millisecond, Cap: 46 * time.Millisecond},
+				time.Millisecond, time.Millisecond))
+		}
+	}
+	ch.ScheduleStorm(rng, StormConfig{Faults: 24, Start: time.Second, Window: window, MaxFor: 20 * time.Second})
+
+	if c := w.Coord(); c != nil {
+		c.EnterParallel()
+	}
+	w.Run(2 * window)
+	return ch.LogString(), rest, state()
+}
+
+// TestFaultsLeaveNoResidue: whatever mix of faults ran, once the last
+// window closes every line is back at rest; the log replays byte for
+// byte from the seed and does not depend on the partition count.
+func TestFaultsLeaveNoResidue(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		log, rest, end := residueRun(seed, 1)
+		if end != rest {
+			t.Fatalf("seed %d: lines not at rest after the last window closed:\n%s--- want\n%s--- log\n%s", seed, end, rest, log)
+		}
+		if again, _, _ := residueRun(seed, 1); again != log {
+			t.Fatalf("seed %d: same seed, different log:\n%s---\n%s", seed, log, again)
+		}
+		log2, _, end2 := residueRun(seed, 2)
+		if log2 != log || end2 != rest {
+			t.Fatalf("seed %d: two partitions diverged from one:\n%s%s--- one partition\n%s", seed, log2, end2, log)
+		}
+	}
+}

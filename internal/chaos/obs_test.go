@@ -21,7 +21,7 @@ func TestChaosObsCountersAndJournal(t *testing.T) {
 	j := obs.NewJournal(32)
 	ch.Instrument(reg, j)
 
-	ch.Schedule(LinkDown{Target: "ab", At: time.Second, For: 2 * time.Second})
+	ch.Schedule(LinkDown("ab", time.Second, 2*time.Second))
 	w.Run(5 * time.Second)
 
 	snap := reg.Snapshot()

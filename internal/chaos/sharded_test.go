@@ -49,9 +49,9 @@ func TestShardedFaultLogMergesAcrossPartitions(t *testing.T) {
 	if ch.Speaker("missing") != nil {
 		t.Fatal("Speaker accessor broken")
 	}
-	ch.Schedule(LinkDown{Target: "ba", At: 5 * time.Millisecond, For: 20 * time.Millisecond})
-	ch.Schedule(LinkDown{Target: "ac", At: 5 * time.Millisecond, For: 20 * time.Millisecond})
-	ch.Schedule(LossBurst{Target: "ba", At: 15 * time.Millisecond, For: 10 * time.Millisecond, Loss: 0.5})
+	ch.Schedule(LinkDown("ba", 5*time.Millisecond, 20*time.Millisecond))
+	ch.Schedule(LinkDown("ac", 5*time.Millisecond, 20*time.Millisecond))
+	ch.Schedule(LossBurst("ba", 15*time.Millisecond, 10*time.Millisecond, 0.5))
 
 	w.Coord().EnterParallel()
 	w.Run(sim.Time(50 * time.Millisecond))
@@ -122,8 +122,8 @@ func TestShardedJournalViewsMergeAtBarriers(t *testing.T) {
 	reg := obs.NewRegistry()
 	j := obs.NewJournal(64)
 	ch.Instrument(reg, j)
-	ch.Schedule(LinkDown{Target: "ba", At: 5 * time.Millisecond, For: 10 * time.Millisecond})
-	ch.Schedule(LinkDown{Target: "ac", At: 5 * time.Millisecond, For: 10 * time.Millisecond})
+	ch.Schedule(LinkDown("ba", 5*time.Millisecond, 10*time.Millisecond))
+	ch.Schedule(LinkDown("ac", 5*time.Millisecond, 10*time.Millisecond))
 
 	w.Coord().EnterParallel()
 	w.Run(sim.Time(30 * time.Millisecond))

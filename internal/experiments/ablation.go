@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
+	"tango/internal/chaos"
 	"tango/internal/control"
-	"tango/internal/events"
 	"tango/internal/measure"
 	"tango/internal/sim"
 	"tango/internal/simnet"
@@ -31,12 +31,7 @@ func AblationCadence(cfg Config, cadence time.Duration) AblationCadenceResult {
 	})
 	lead := cfg.dur(2 * time.Minute)
 	eventAt := l.S.B.W.Now() + lead
-	(&events.RouteShift{
-		Line:     l.S.TrunkToLA["GTT"],
-		At:       eventAt,
-		Duration: 5 * time.Minute,
-		Delta:    5 * time.Millisecond,
-	}).Schedule(l.S.TrunkToLA["GTT"].Eng())
+	l.Chaos.Schedule(chaos.RouteShift("trunk/la/GTT", eventAt, 5*time.Minute, 5*time.Millisecond, 20*time.Second)...)
 
 	// Track the true OWD of whatever path currently carries traffic by
 	// sampling the controller's choice against the per-path monitors.
@@ -52,6 +47,7 @@ func AblationCadence(cfg Config, cadence time.Duration) AblationCadenceResult {
 		}
 	})
 	l.run(lead + 5*time.Minute + 2*time.Minute)
+	l.mustHold()
 	return AblationCadenceResult{MeanTrueOWDMs: acc.Mean(), Switches: ctl.Stats.Switches}
 }
 
@@ -73,16 +69,9 @@ func AblationHysteresis(cfg Config, marginMs float64) AblationHysteresisResult {
 	})
 	lead := cfg.dur(2 * time.Minute)
 	eventAt := l.S.B.W.Now() + lead
-	(&events.Instability{
-		Line:           l.S.TrunkToLA["GTT"],
-		At:             eventAt,
-		Duration:       5 * time.Minute,
-		SpikeProb:      0.15,
-		SpikeMean:      16 * time.Millisecond,
-		SpikeCap:       46 * time.Millisecond,
-		MinorExtraMean: 2 * time.Millisecond,
-		MinorExtraStd:  1500 * time.Microsecond,
-	}).Schedule(l.S.TrunkToLA["GTT"].Eng())
+	l.Chaos.Schedule(chaos.Instability("trunk/la/GTT", eventAt, 5*time.Minute,
+		simnet.SpikeDelay{Prob: 0.15, Mean: 16 * time.Millisecond, Cap: 46 * time.Millisecond},
+		2*time.Millisecond, 1500*time.Microsecond))
 
 	var acc measure.Welford
 	ctl := l.Pair.A.Controller
@@ -96,6 +85,7 @@ func AblationHysteresis(cfg Config, marginMs float64) AblationHysteresisResult {
 		}
 	})
 	l.run(lead + 5*time.Minute + time.Minute)
+	l.mustHold()
 	return AblationHysteresisResult{Switches: ctl.Stats.Switches, MeanTrueOWDMs: acc.Mean()}
 }
 
@@ -146,13 +136,8 @@ func AblationProbeRate(cfg Config, interval time.Duration) AblationProbeRateResu
 	})
 	lead := cfg.dur(2 * time.Minute)
 	eventAt := l.S.B.W.Now() + lead
-	(&events.RouteShift{
-		Line:            l.S.TrunkToLA["GTT"],
-		At:              eventAt,
-		Duration:        5 * time.Minute,
-		Delta:           5 * time.Millisecond,
-		EdgeInstability: time.Second, // sharp edge: isolate detection delay
-	}).Schedule(l.S.TrunkToLA["GTT"].Eng())
+	// A 1 s edge, not E4's 20 s: a sharp edge isolates detection delay.
+	l.Chaos.Schedule(chaos.RouteShift("trunk/la/GTT", eventAt, 5*time.Minute, 5*time.Millisecond, time.Second)...)
 
 	// Detection = first moment the post-event optimum (Telia) carries
 	// the traffic. Zero means the controller never adapted within the
@@ -165,6 +150,7 @@ func AblationProbeRate(cfg Config, interval time.Duration) AblationProbeRateResu
 		}
 	})
 	l.run(lead + 3*time.Minute)
+	l.mustHold()
 	return AblationProbeRateResult{
 		DetectionLatency: detected,
 		ProbesSent:       l.Pair.A.Prober.Sent,

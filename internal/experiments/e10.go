@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"tango/internal/chaos"
 	"tango/internal/control"
 	"tango/internal/core"
-	"tango/internal/events"
 	"tango/internal/obs"
 	"tango/internal/topo"
 )
@@ -46,6 +46,7 @@ func E10MeshOverlay(cfg Config) *Result {
 	journal := obs.NewJournal(1024)
 	shardHooks(s.B.Eng(), journal)
 	m.Instrument(reg, journal)
+	ch := trunkChaos(s, reg, journal)
 
 	// The motivating asymmetry: the direct pair has no path diversity.
 	direct := m.Member("ny", "la")
@@ -128,13 +129,7 @@ func E10MeshOverlay(cfg Config) *Result {
 	window := cfg.dur(2 * time.Minute)
 	shift := 8 * time.Millisecond
 	dBefore, rBefore, bestBefore := sample(window)
-	ev := &events.RouteShift{
-		Line:     s.Trunk["la"]["NTT"],
-		At:       eng.Now() + time.Duration(30*time.Second),
-		Duration: window + 2*time.Minute,
-		Delta:    shift,
-	}
-	ev.Schedule(ev.Line.Eng())
+	ch.Schedule(chaos.RouteShift("trunk/la/NTT", eng.Now()+30*time.Second, window+2*time.Minute, shift, 20*time.Second)...)
 	s.Run(90 * time.Second) // shift lands and estimates settle
 	dDuring, rDuring, bestDuring := sample(window)
 	s.Run(3 * time.Minute) // shift reverts and estimates settle
@@ -166,6 +161,7 @@ func E10MeshOverlay(cfg Config) *Result {
 	fwd := m.Relay("chi").Stats.Forwarded
 	r.check("relay re-encapsulated end-to-end traffic", "per-segment tunnelling",
 		fwd > 0, "%d forwarded at chi", fwd)
+	r.invariantsHold(ch)
 
 	r.note("composite scores stay in summed receiver clock domains; the telescoped " +
 		"offset is identical for both ny->la routes, so the comparison is exact")

@@ -161,7 +161,7 @@ func E11Failover(cfg Config) *Result {
 
 	// Fault 1: the trunk carrying the active path toward chi goes down.
 	linkFaultAt := eng.Now() + sim.Time(lead)
-	ch.Schedule(chaos.LinkDown{Target: "trunk/chi/" + origProv, At: linkFaultAt, For: faultFor})
+	ch.Schedule(chaos.LinkDown("trunk/chi/"+origProv, linkFaultAt, faultFor))
 	s.Run(lead + faultFor)
 	mark("link-down "+origProv, linkFaultAt)
 	s.Run(15 * time.Second) // revert lands; estimates refresh; switch back

@@ -130,7 +130,7 @@ func E13FlowStorm(cfg Config) *Result {
 		active == standing, "%d concurrent flows across %d sites", active, len(tables))
 
 	// Chaos over the whole deployment, exactly E12's storm shape.
-	ch := wideMeshChaos(s, reg, journal)
+	ch := trunkChaos(s, reg, journal)
 
 	rng := sim.NewStreams(cfg.Seed + 13).Stream("e13/storm")
 	labels := ch.ScheduleStorm(rng, chaos.StormConfig{
@@ -247,9 +247,7 @@ func E13FlowStorm(cfg Config) *Result {
 
 	r.check("storm drew its full fault schedule", "seeded draw over every trunk",
 		len(labels) == sites, "%d faults", len(labels))
-	vs := ch.Violations()
-	r.check("conservation held through the storm", "no packet leaked or double-counted",
-		ch.Invariants() == 2 && len(vs) == 0, "%d violations (first: %s)", len(vs), firstViolation(vs))
+	r.checkInvariants("conservation held through the storm", "no packet leaked or double-counted", ch)
 
 	r.note("class cadence is stretched %dx so %d concurrent flows emit ~%d pps aggregate; "+
 		"concurrency, arrival churn, and per-packet accounting run at full scale",

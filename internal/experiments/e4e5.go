@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"tango/internal/chaos"
 	"tango/internal/control"
-	"tango/internal/events"
+	"tango/internal/simnet"
 )
 
 // E4RouteChange reproduces Figure 4 (middle): an internal routing change
@@ -28,13 +29,7 @@ func E4RouteChange(cfg Config) *Result {
 	lead := cfg.dur(10 * time.Minute) // quiet time before the event
 	eventAt := l.S.B.W.Now() + lead
 	eventDur := 10 * time.Minute
-	shift := &events.RouteShift{
-		Line:     l.S.TrunkToLA["GTT"],
-		At:       eventAt,
-		Duration: eventDur,
-		Delta:    5 * time.Millisecond,
-	}
-	shift.Schedule(shift.Line.Eng())
+	l.Chaos.Schedule(chaos.RouteShift("trunk/la/GTT", eventAt, eventDur, 5*time.Millisecond, 20*time.Second)...)
 
 	var switches []string
 	nyCtl := l.Pair.A.Controller
@@ -89,6 +84,7 @@ func E4RouteChange(cfg Config) *Result {
 	r.Rows = append(r.Rows, []string{"static GTT during event", fmt.Sprintf("%.2f", gttDuring)})
 	r.Rows = append(r.Rows, []string{"best alternative (Telia)", fmt.Sprintf("%.2f", teliaDuring)})
 	r.check("alternate path wins during event", "switching is optimal", teliaDuring < gttDuring, "Telia %.2f vs GTT %.2f ms", teliaDuring, gttDuring)
+	r.invariantsHold(l.Chaos)
 
 	for _, pm := range l.monLA().Paths() {
 		if pm.Series != nil {
@@ -115,17 +111,10 @@ func E5Instability(cfg Config) *Result {
 	lead := cfg.dur(10 * time.Minute)
 	eventAt := l.S.B.W.Now() + lead
 	eventDur := 5 * time.Minute
-	inst := &events.Instability{
-		Line:           l.S.TrunkToLA["GTT"],
-		At:             eventAt,
-		Duration:       eventDur,
-		SpikeProb:      0.02,
-		SpikeMean:      16 * time.Millisecond,
-		SpikeCap:       46 * time.Millisecond, // floor 28.6 + minor(<=4) + 46 ~ 78 ms peak
-		MinorExtraMean: time.Millisecond,
-		MinorExtraStd:  1500 * time.Microsecond,
-	}
-	inst.Schedule(inst.Line.Eng())
+	l.Chaos.Schedule(chaos.Instability("trunk/la/GTT", eventAt, eventDur,
+		// floor 28.6 + minor(<=4) + 46 ~ 78 ms peak
+		simnet.SpikeDelay{Prob: 0.02, Mean: 16 * time.Millisecond, Cap: 46 * time.Millisecond},
+		time.Millisecond, 1500*time.Microsecond))
 
 	total := lead + eventDur + 5*time.Minute
 	l.run(total)
@@ -166,6 +155,7 @@ func E5Instability(cfg Config) *Result {
 		}
 	}
 	r.check("other paths undisturbed", "almost no interference elsewhere", flat, "%v", flat)
+	r.invariantsHold(l.Chaos)
 
 	for _, pm := range l.monLA().Paths() {
 		if pm.Series != nil {

@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"tango/internal/chaos"
 	"tango/internal/control"
 	"tango/internal/dataplane"
-	"tango/internal/events"
 	"tango/internal/measure"
+	"tango/internal/sim"
 	"tango/internal/simnet"
 	"tango/internal/workload"
 )
@@ -21,6 +22,7 @@ import (
 func E6InOrderImpact(cfg Config) *Result {
 	r := newResult("E6", "In-order delivery impact during instability; stay vs switch (§5)")
 
+	var chs []*chaos.Engine // both runs' engines, for the invariant check
 	run := func(adaptive bool, seed int64) (rawMean, inOrderMean, inOrderP99 float64, vt time.Duration) {
 		o := labOpts{
 			seed:          seed,
@@ -38,20 +40,14 @@ func E6InOrderImpact(cfg Config) *Result {
 			o.policyNY = &control.Static{ID: 3}
 		}
 		l := newLab(o)
+		chs = append(chs, l.Chaos)
 
 		lead := cfg.dur(3 * time.Minute)
 		eventAt := l.S.B.W.Now() + lead
 		eventDur := 5 * time.Minute
-		(&events.Instability{
-			Line:           l.S.TrunkToLA["GTT"],
-			At:             eventAt,
-			Duration:       eventDur,
-			SpikeProb:      0.15,
-			SpikeMean:      16 * time.Millisecond,
-			SpikeCap:       47500 * time.Microsecond,
-			MinorExtraMean: 2 * time.Millisecond,
-			MinorExtraStd:  1500 * time.Microsecond,
-		}).Schedule(l.S.B.Eng())
+		l.Chaos.Schedule(chaos.Instability("trunk/la/GTT", eventAt, eventDur,
+			simnet.SpikeDelay{Prob: 0.15, Mean: 16 * time.Millisecond, Cap: 47500 * time.Microsecond},
+			2*time.Millisecond, 1500*time.Microsecond))
 
 		// A 20 ms-period application stream NY->LA (drone telemetry
 		// rate), measured in ground-truth virtual time.
@@ -103,6 +99,7 @@ func E6InOrderImpact(cfg Config) *Result {
 		ioSwitch < ioStay, "%.2f vs %.2f ms", ioSwitch, ioStay)
 	r.check("switching beats staying (p99)", "tail latency collapses",
 		p99Switch < p99Stay*0.8, "%.2f vs %.2f ms", p99Switch, p99Stay)
+	r.invariantsHold(chs...)
 	return r
 }
 
@@ -243,7 +240,7 @@ func E8DataPlaneCost(cfg Config) *Result {
 	// build: the race detector multiplies per-packet cost several-fold,
 	// so under -race the timing rows stay informational.
 	budget := 10000.0
-	if raceEnabled {
+	if sim.RaceEnabled {
 		budget = 200000
 	}
 	r.check("sender under 10 µs/pkt", "line-rate feasible in eBPF/switch", encapNs < budget, "%.0f ns", encapNs)

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"tango/internal/events"
+	"tango/internal/chaos"
 	"tango/internal/measure"
+	"tango/internal/simnet"
 )
 
 // E9LossReorder validates §3's claim that "adding tunnel-specific
@@ -19,6 +20,7 @@ func E9LossReorder(cfg Config) *Result {
 	r := newResult("E9", "Loss and reordering from tunnel sequence numbers (§3)")
 	l := newLab(labOpts{
 		seed:          cfg.Seed + 9,
+		shards:        cfg.Shards,
 		probeInterval: cfg.probe(),
 	})
 
@@ -26,11 +28,7 @@ func E9LossReorder(cfg Config) *Result {
 	burstLoss := 0.02
 	lossAt := l.S.B.W.Now() + lead
 	lossDur := 3 * time.Minute
-	(&events.LossBurst{
-		Line: l.S.TrunkToLA["GTT"],
-		At:   lossAt, Duration: lossDur,
-		Loss: burstLoss,
-	}).Schedule(l.S.B.Eng())
+	l.Chaos.Schedule(chaos.LossBurst("trunk/la/GTT", lossAt, lossDur, burstLoss))
 
 	// Snapshot sequence accounting per path around the burst.
 	type snap struct{ recv, lost, reord uint64 }
@@ -79,13 +77,8 @@ func E9LossReorder(cfg Config) *Result {
 	// successors.
 	instAt := l.S.B.W.Now() + time.Minute
 	instDur := 3 * time.Minute
-	(&events.Instability{
-		Line: l.S.TrunkToLA["GTT"],
-		At:   instAt, Duration: instDur,
-		SpikeProb: 0.05,
-		SpikeMean: 30 * time.Millisecond,
-		SpikeCap:  60 * time.Millisecond,
-	}).Schedule(l.S.B.Eng())
+	l.Chaos.Schedule(chaos.Instability("trunk/la/GTT", instAt, instDur,
+		simnet.SpikeDelay{Prob: 0.05, Mean: 30 * time.Millisecond, Cap: 60 * time.Millisecond}, 0, 0))
 	l.S.B.W.Run(instAt)
 	before = take()
 	l.run(instDur)
@@ -112,6 +105,7 @@ func E9LossReorder(cfg Config) *Result {
 	}
 	r.check("no false loss/reorder on quiet paths", "sequence accounting exact",
 		quietLost == 0 && quietReord == 0, "lost=%d reordered=%d", quietLost, quietReord)
+	r.invariantsHold(l.Chaos)
 
 	// Loss-rate estimator from measure: cross-check with the path's
 	// LossRate helper over the whole trace.
@@ -122,5 +116,6 @@ func E9LossReorder(cfg Config) *Result {
 
 	r.VirtualTime = l.now()
 	l.snapshot(r)
+	r.Trace = traceJSON(l.J)
 	return r
 }

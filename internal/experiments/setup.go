@@ -22,6 +22,10 @@ type lab struct {
 	// final state into a Result for tango-lab to export.
 	Reg *obs.Registry
 	J   *obs.Journal
+	// Chaos schedules the experiment's incidents on the trunks (targets
+	// "trunk/la/<provider>" for NY->LA, "trunk/ny/<provider>" for the
+	// reverse) and watches the network invariants throughout.
+	Chaos *chaos.Engine
 	// offNYtoLA is the constant added to raw OWDs measured at LA for
 	// NY->LA traffic (receiver clock minus sender clock); offLAtoNY
 	// the reverse.
@@ -73,12 +77,14 @@ func newLab(o labOpts) *lab {
 	j := obs.NewJournal(1024)
 	shardHooks(s.B.Eng(), j)
 	p.Instrument(reg, j)
+	ch := trunkChaos(s.MeshScenario, reg, j)
 	enterParallel(s.B.Eng())
 	return &lab{
 		S:         s,
 		Pair:      p,
 		Reg:       reg,
 		J:         j,
+		Chaos:     ch,
 		offNYtoLA: o.clockLA - o.clockNY,
 		offLAtoNY: o.clockNY - o.clockLA,
 		t0:        s.B.W.Now(),
@@ -87,6 +93,15 @@ func newLab(o labOpts) *lab {
 
 // snapshot folds the lab's final observability state into the result.
 func (l *lab) snapshot(r *Result) { r.Metrics = deterministicSnapshot(l.Reg) }
+
+// mustHold is Result.invariantsHold for the ablations, which return bare
+// numbers and have no Result to carry a check.
+func (l *lab) mustHold() {
+	l.Chaos.CheckNow()
+	if vs := l.Chaos.Violations(); len(vs) > 0 {
+		panic("experiments: invariant violated: " + vs[0].String())
+	}
+}
 
 // wallClockFamilies are the instrument families measuring host wall-clock
 // latency. Their values vary run to run even with a fixed seed, so
@@ -198,10 +213,11 @@ func newWideMesh(seed int64, sites, shards int, probe, decideEvery time.Duration
 	return s, m, eng, reg, journal
 }
 
-// wideMeshChaos starts the chaos engine of the storm experiments: every
-// trunk of the deployment is a fault target, and the two conservation
-// invariants are checked each virtual second.
-func wideMeshChaos(s *topo.MeshScenario, reg *obs.Registry, journal *obs.Journal) *chaos.Engine {
+// trunkChaos starts the chaos engine every incident and storm is
+// scheduled through: each trunk of the deployment is the fault target
+// "trunk/<site>/<provider>", and the two conservation invariants are
+// checked each virtual second.
+func trunkChaos(s *topo.MeshScenario, reg *obs.Registry, journal *obs.Journal) *chaos.Engine {
 	ch := chaos.New(s.B.Eng())
 	for _, site := range s.SiteNames {
 		for prov, line := range s.Trunk[site] {
@@ -209,8 +225,32 @@ func wideMeshChaos(s *topo.MeshScenario, reg *obs.Registry, journal *obs.Journal
 		}
 	}
 	ch.Instrument(reg, journal)
-	ch.Watch(chaos.Conservation("wide", s.B.W))
-	ch.Watch(chaos.BufferBalance("wide", s.B.W))
+	ch.Watch(chaos.Conservation("net", s.B.W))
+	ch.Watch(chaos.BufferBalance("net", s.B.W))
 	ch.StartChecks(time.Second)
 	return ch
+}
+
+// checkInvariants adds the check that the two invariants trunkChaos
+// watches never failed on any of the engines, naming the first violation
+// if one did.
+func (r *Result) checkInvariants(name, paper string, chs ...*chaos.Engine) {
+	watched := true
+	var vs []chaos.Violation
+	for _, ch := range chs {
+		watched = watched && ch.Invariants() == 2
+		vs = append(vs, ch.Violations()...)
+	}
+	r.check(name, paper, watched && len(vs) == 0,
+		"%d violations (first: %s)", len(vs), firstViolation(vs))
+}
+
+// invariantsHold is the check every scripted-incident experiment ends
+// with: conservation and buffer balance held on each run's network from
+// establishment to now.
+func (r *Result) invariantsHold(chs ...*chaos.Engine) {
+	for _, ch := range chs {
+		ch.CheckNow()
+	}
+	r.checkInvariants("invariants hold", "no packet or buffer unaccounted for", chs...)
 }

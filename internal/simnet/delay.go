@@ -104,9 +104,10 @@ func (d SpikeDelay) MinDelay() time.Duration {
 }
 
 // Shaper is a mutable wrapper around a DelayModel. It is the control
-// surface for scenario events: the base model can be swapped, a constant
-// offset added (E4's +5 ms route shift), or the whole path taken down.
-// The zero offset/overlay state is a transparent pass-through.
+// surface for scenario events: an overlay can stand in for the base
+// model (E5's instability window) and a constant offset can be added
+// (E4's +5 ms route shift). The zero offset/overlay state is a
+// transparent pass-through.
 type Shaper struct {
 	base    DelayModel
 	overlay DelayModel // when non-nil, replaces base entirely
@@ -134,15 +135,6 @@ func (s *Shaper) Offset() time.Duration { return s.offset }
 
 // SetOverlay replaces the base model until cleared (nil restores base).
 func (s *Shaper) SetOverlay(m DelayModel) { s.overlay = m }
-
-// SwapBase replaces the base model permanently and returns the previous
-// one, so a fault injector can restore it when the fault reverts. Unlike
-// SetOverlay it composes with an overlay already in place.
-func (s *Shaper) SwapBase(m DelayModel) DelayModel {
-	old := s.base
-	s.base = m
-	return old
-}
 
 // Base returns the wrapped base model.
 func (s *Shaper) Base() DelayModel { return s.base }

@@ -190,11 +190,4 @@ func TestDelayModelFloors(t *testing.T) {
 	if (SpikeDelay{Base: noFloor{}}).MinDelay() != 0 {
 		t.Fatal("SpikeDelay over a floorless base must report 0")
 	}
-
-	// SwapBase replaces the model permanently and returns the old one.
-	sh := NewShaper(FixedDelay(time.Millisecond))
-	old := sh.SwapBase(FixedDelay(9 * time.Millisecond))
-	if old != FixedDelay(time.Millisecond) || sh.Base() != FixedDelay(9*time.Millisecond) {
-		t.Fatal("SwapBase did not exchange the base model")
-	}
 }

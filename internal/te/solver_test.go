@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"tango/internal/sim"
 )
 
 // twoPathProblem: one demand of 100 bps over two disjoint unit links of
@@ -166,7 +168,7 @@ func TestSolverE15ScaleConvergesFast(t *testing.T) {
 	got := s.Solve()
 	elapsed := time.Since(start)
 	limit := time.Second
-	if raceEnabled {
+	if sim.RaceEnabled {
 		limit = 8 * time.Second
 	}
 	if elapsed > limit {

@@ -8,7 +8,6 @@ import (
 	"tango/internal/control"
 	"tango/internal/core"
 	"tango/internal/dataplane"
-	"tango/internal/events"
 	"tango/internal/obs"
 	"tango/internal/topo"
 )
@@ -272,21 +271,4 @@ func (m *Mesh) RelayStats(site string) (forwarded, ttlExpired uint64) {
 		return 0, 0
 	}
 	return r.Stats.Forwarded, r.Stats.TTLExpired
-}
-
-// InjectRouteShift schedules an intra-provider routing change on the
-// provider's trunk toward the named site: after `in` of virtual time the
-// affected paths settle delta higher for dur, then revert.
-func (m *Mesh) InjectRouteShift(site, provider string, in, dur, delta time.Duration) error {
-	line := m.scenario.Trunk[site][provider]
-	if line == nil {
-		return fmt.Errorf("tango: no %s trunk toward %s", provider, site)
-	}
-	(&events.RouteShift{
-		Line:     line,
-		At:       m.Now() + in,
-		Duration: dur,
-		Delta:    delta,
-	}).Schedule(line.Eng())
-	return nil
 }

@@ -39,9 +39,7 @@ import (
 
 	"tango/internal/control"
 	"tango/internal/core"
-	"tango/internal/events"
 	"tango/internal/obs"
-	"tango/internal/simnet"
 	"tango/internal/topo"
 )
 
@@ -93,6 +91,7 @@ type Lab struct {
 	pair     *core.Pair
 	opts     Options
 	ny, la   *Site
+	chaos    *Chaos
 	buildErr error
 }
 
@@ -214,65 +213,42 @@ func (d Direction) String() string {
 	return "LA->NY"
 }
 
-// trunk returns the named provider's trunk line for the direction.
-func (l *Lab) trunk(provider string, dir Direction) (*simnet.Line, error) {
-	var m map[string]*simnet.Line
-	if dir == NYtoLA {
-		m = l.scenario.TrunkToLA
-	} else {
-		m = l.scenario.TrunkToNY
+// into returns the site the direction's traffic flows into, which names
+// the trunks carrying it ("trunk/<site>/<provider>").
+func (d Direction) into() string {
+	if d == NYtoLA {
+		return "la"
 	}
-	line, ok := m[provider]
-	if !ok {
-		return nil, fmt.Errorf("tango: no %s trunk for %v", provider, dir)
-	}
-	return line, nil
+	return "ny"
 }
 
 // InjectRouteShift schedules an intra-provider routing change (the
 // Figure 4 middle incident): after `in` of virtual time the provider's
 // path in the given direction settles delta higher for dur, then reverts.
 func (l *Lab) InjectRouteShift(provider string, dir Direction, in, dur, delta time.Duration) error {
-	line, err := l.trunk(provider, dir)
+	c, err := l.Chaos()
 	if err != nil {
 		return err
 	}
-	(&events.RouteShift{
-		Line:     line,
-		At:       l.Now() + in,
-		Duration: dur,
-		Delta:    delta,
-	}).Schedule(line.Eng())
-	return nil
+	return c.RouteShift(dir.into(), provider, in, dur, delta)
 }
 
 // InjectInstability schedules a Figure 4 (right) style degradation window
 // with latency spikes up to peak above the path's floor.
 func (l *Lab) InjectInstability(provider string, dir Direction, in, dur time.Duration, spikeProb float64, peakExtra time.Duration) error {
-	line, err := l.trunk(provider, dir)
+	c, err := l.Chaos()
 	if err != nil {
 		return err
 	}
-	(&events.Instability{
-		Line:           line,
-		At:             l.Now() + in,
-		Duration:       dur,
-		SpikeProb:      spikeProb,
-		SpikeMean:      peakExtra / 3,
-		SpikeCap:       peakExtra,
-		MinorExtraMean: time.Millisecond,
-		MinorExtraStd:  1500 * time.Microsecond,
-	}).Schedule(line.Eng())
-	return nil
+	return c.Instability(dir.into(), provider, in, dur, spikeProb, peakExtra)
 }
 
 // InjectLossBurst raises the provider's loss rate in one direction for a
 // window.
 func (l *Lab) InjectLossBurst(provider string, dir Direction, in, dur time.Duration, loss float64) error {
-	line, err := l.trunk(provider, dir)
+	c, err := l.Chaos()
 	if err != nil {
 		return err
 	}
-	(&events.LossBurst{Line: line, At: l.Now() + in, Duration: dur, Loss: loss}).Schedule(line.Eng())
-	return nil
+	return c.LossBurst(dir.into(), provider, in, dur, loss)
 }
