@@ -8,100 +8,56 @@ import (
 	"tango/internal/core"
 	"tango/internal/obs"
 	"tango/internal/simnet"
-	"tango/internal/topo"
 )
 
 // Chaos is the public handle on the deterministic fault-injection engine
-// (internal/chaos) of a Mesh or a Lab. Every provider trunk is
-// registered as the fault target "trunk/<site>/<provider>", the line
-// carrying that provider's traffic into the site — on a Lab that is
+// (internal/chaos) of a Mesh or a Lab. There is one naming scheme for
+// fault targets, and metrics and journal records use it too: every
+// provider trunk is "trunk/<site>/<provider>", the line carrying that
+// provider's traffic into the site — on a Lab that is
 // "trunk/la/<provider>" for the NY->LA direction and
 // "trunk/ny/<provider>" for LA->NY — and every pairwise Tango edge
-// server as "edge/<site>:<peer>". Faults fire at exact virtual instants,
+// server is "edge/<site>:<peer>". Faults fire at exact virtual instants,
 // random storms are drawn from the deployment's seeded RNG streams, and
 // the whole-network conservation and buffer-balance invariants are
 // checked continuously — so a fault campaign either reproduces byte for
 // byte from its seed or fails loudly.
 type Chaos struct {
-	s   *topo.MeshScenario
-	eng *chaos.Engine
-	// member resolves an established edge server; nil before Establish
-	// or when site and peer do not form a deployed pair.
-	member func(site, peer string) *core.Site
+	d *core.Deployment
 }
 
-// newChaos registers every trunk line and edge speaker of s as a named
-// target and starts conservation and buffer-balance checks on a 250 ms
-// cadence.
-func newChaos(s *topo.MeshScenario, member func(site, peer string) *core.Site) *Chaos {
-	ch := chaos.New(s.B.Eng())
-	for _, site := range s.SiteNames {
-		for prov, line := range s.Trunk[site] {
-			ch.AddLine("trunk/"+site+"/"+prov, line)
+// Chaos returns the deployment's fault-injection handle. The first call
+// registers every edge server as a withdrawal target and starts the
+// invariant checks on a 250 ms cadence.
+func (p *deployment) Chaos() (*Chaos, error) {
+	if p.buildErr != nil {
+		return nil, p.buildErr
+	}
+	if p.chaos == nil {
+		for _, pk := range p.d.Scenario.PairKeys {
+			p.d.EdgeTarget(pk[0], pk[1])
+			p.d.EdgeTarget(pk[1], pk[0])
 		}
+		p.d.Chaos.StartChecks(250 * time.Millisecond)
+		p.chaos = &Chaos{d: p.d}
 	}
-	for key, e := range s.Edges {
-		ch.AddSpeaker("edge/"+key, e.Speaker)
-	}
-	ch.Watch(chaos.Conservation("net", s.B.W))
-	ch.Watch(chaos.BufferBalance("net", s.B.W))
-	ch.StartChecks(250 * time.Millisecond)
-	return &Chaos{s: s, eng: ch, member: member}
-}
-
-// Chaos returns the mesh's fault-injection handle, creating it (targets
-// registered, invariant checks started) on first use.
-func (m *Mesh) Chaos() (*Chaos, error) {
-	if m.buildErr != nil {
-		return nil, m.buildErr
-	}
-	if m.chaos == nil {
-		m.chaos = newChaos(m.scenario, func(site, peer string) *core.Site {
-			if m.mesh == nil {
-				return nil
-			}
-			return m.mesh.Member(site, peer)
-		})
-	}
-	return m.chaos, nil
-}
-
-// Chaos returns the lab's fault-injection handle, creating it (targets
-// registered, invariant checks started) on first use.
-func (l *Lab) Chaos() (*Chaos, error) {
-	if l.buildErr != nil {
-		return nil, l.buildErr
-	}
-	if l.chaos == nil {
-		l.chaos = newChaos(l.scenario.MeshScenario, func(site, peer string) *core.Site {
-			if l.pair == nil {
-				return nil
-			}
-			for _, st := range []*core.Site{l.pair.A, l.pair.B} {
-				if st.Spec.Name == site && st.Peer().Spec.Name == peer {
-					return st
-				}
-			}
-			return nil
-		})
-	}
-	return l.chaos, nil
+	return p.chaos, nil
 }
 
 // now is the current virtual time; fault offsets count from it.
-func (c *Chaos) now() time.Duration { return c.s.B.W.Now() }
+func (c *Chaos) now() time.Duration { return c.d.Scenario.B.W.Now() }
 
 // Instrument registers fault counters and per-trunk drop counters in
 // reg and journals chaos events (fault applies/reverts, withdrawals,
 // invariant violations, queue drops) to j.
 func (c *Chaos) Instrument(reg *obs.Registry, j *obs.Journal) {
-	c.eng.Instrument(reg, j)
+	c.d.Chaos.Instrument(reg, j)
 }
 
 // trunk resolves a site/provider pair to its registered target name.
 func (c *Chaos) trunk(site, provider string) (string, error) {
-	name := "trunk/" + site + "/" + provider
-	if c.eng.Line(name) == nil {
+	name := core.TrunkTarget(site, provider)
+	if c.d.Chaos.Line(name) == nil {
 		return "", fmt.Errorf("tango: no trunk into site %q via provider %q", site, provider)
 	}
 	return name, nil
@@ -115,7 +71,7 @@ func (c *Chaos) LinkDown(site, provider string, in, dur time.Duration) error {
 	if err != nil {
 		return err
 	}
-	c.eng.Schedule(chaos.LinkDown(name, c.now()+in, dur))
+	c.d.Chaos.Schedule(chaos.LinkDown(name, c.now()+in, dur))
 	return nil
 }
 
@@ -126,7 +82,7 @@ func (c *Chaos) LossBurst(site, provider string, in, dur time.Duration, loss flo
 	if err != nil {
 		return err
 	}
-	c.eng.Schedule(chaos.LossBurst(name, c.now()+in, dur, loss))
+	c.d.Chaos.Schedule(chaos.LossBurst(name, c.now()+in, dur, loss))
 	return nil
 }
 
@@ -137,7 +93,7 @@ func (c *Chaos) DelayShift(site, provider string, in, dur, delta time.Duration) 
 	if err != nil {
 		return err
 	}
-	c.eng.Schedule(chaos.DelayShift(name, c.now()+in, dur, delta))
+	c.d.Chaos.Schedule(chaos.DelayShift(name, c.now()+in, dur, delta))
 	return nil
 }
 
@@ -150,7 +106,7 @@ func (c *Chaos) RouteShift(site, provider string, in, dur, delta time.Duration) 
 	if err != nil {
 		return err
 	}
-	c.eng.Schedule(chaos.RouteShift(name, c.now()+in, dur, delta, 20*time.Second)...)
+	c.d.Chaos.Schedule(chaos.RouteShift(name, c.now()+in, dur, delta, 20*time.Second)...)
 	return nil
 }
 
@@ -163,7 +119,7 @@ func (c *Chaos) Instability(site, provider string, in, dur time.Duration, spikeP
 	if err != nil {
 		return err
 	}
-	c.eng.Schedule(chaos.Instability(name, c.now()+in, dur,
+	c.d.Chaos.Schedule(chaos.Instability(name, c.now()+in, dur,
 		simnet.SpikeDelay{Prob: spikeProb, Mean: peakExtra / 3, Cap: peakExtra},
 		time.Millisecond, 1500*time.Microsecond))
 	return nil
@@ -175,16 +131,16 @@ func (c *Chaos) Instability(site, provider string, in, dur time.Duration, spikeP
 // identical attributes after dur. The deployment must be established
 // first (path prefixes exist only after establishment).
 func (c *Chaos) WithdrawPath(site, peer string, id uint8, in, dur time.Duration) error {
-	st := c.member(site, peer)
+	st := c.d.Mesh.Member(site, peer)
 	if st == nil {
-		return fmt.Errorf("tango: no established deployment %s:%s", site, peer)
+		return fmt.Errorf("tango: no deployed pair %s:%s", site, peer)
 	}
 	pfx, err := st.PinnedPrefix(id)
 	if err != nil {
 		return err
 	}
-	c.eng.Schedule(chaos.Withdrawal{
-		Speaker: "edge/" + site + ":" + peer,
+	c.d.Chaos.Schedule(chaos.Withdrawal{
+		Speaker: c.d.EdgeTarget(site, peer),
 		Prefix:  pfx,
 		At:      c.now() + in,
 		For:     dur,
@@ -198,7 +154,7 @@ func (c *Chaos) WithdrawPath(site, peer string, id uint8, in, dur time.Duration)
 // the deployment's named RNG streams, so a storm replays exactly from
 // its seed.
 func (c *Chaos) Storm(n int, in, window time.Duration) []string {
-	return c.eng.ScheduleStorm(c.s.B.W.Streams.Stream("chaos-storm"), chaos.StormConfig{
+	return c.d.Chaos.ScheduleStorm(c.d.Scenario.B.W.Streams.Stream("chaos-storm"), chaos.StormConfig{
 		Faults: n,
 		Start:  c.now() + in,
 		Window: window,
@@ -206,12 +162,12 @@ func (c *Chaos) Storm(n int, in, window time.Duration) []string {
 }
 
 // CheckNow runs every registered invariant once at the current instant.
-func (c *Chaos) CheckNow() { c.eng.CheckNow() }
+func (c *Chaos) CheckNow() { c.d.Chaos.CheckNow() }
 
 // Violations returns every invariant failure observed so far, rendered
 // one per entry.
 func (c *Chaos) Violations() []string {
-	vs := c.eng.Violations()
+	vs := c.d.Chaos.Violations()
 	out := make([]string, len(vs))
 	for i, v := range vs {
 		out[i] = v.String()
@@ -222,7 +178,7 @@ func (c *Chaos) Violations() []string {
 // Events returns the chaos event log — fault applications, reversions,
 // and violations — one entry per line, in virtual-time order.
 func (c *Chaos) Events() []string {
-	entries := c.eng.Log()
+	entries := c.d.Chaos.Log()
 	out := make([]string, len(entries))
 	for i, e := range entries {
 		out[i] = fmt.Sprintf("t=%s %s", e.At, e.Msg)
@@ -233,5 +189,5 @@ func (c *Chaos) Events() []string {
 // Targets returns the registered fault target names (trunks then edge
 // speakers), sorted within each group.
 func (c *Chaos) Targets() []string {
-	return append(c.eng.LineNames(), c.eng.SpeakerNames()...)
+	return append(c.d.Chaos.LineNames(), c.d.Chaos.SpeakerNames()...)
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tango/internal/obs"
 )
 
 // TestMeshChaosFaultCampaign drives the public chaos API end to end on
@@ -122,5 +124,97 @@ func TestLabChaosHandle(t *testing.T) {
 	}
 	if vs := ch.Violations(); len(vs) != 0 {
 		t.Fatalf("invariant violations: %v", vs)
+	}
+}
+
+// lineDrops returns the tango_line_drops_total series in reg by their
+// line label.
+func lineDrops(reg *obs.Registry) map[string]float64 {
+	const prefix = `tango_line_drops_total{line="`
+	out := map[string]float64{}
+	for k, v := range reg.Snapshot() {
+		if strings.HasPrefix(k, prefix) {
+			out[strings.TrimSuffix(strings.TrimPrefix(k, prefix), `"}`)] = v
+		}
+	}
+	return out
+}
+
+// TestOneLineOneDropCounter pins the one naming scheme: a trunk is
+// "trunk/<site>/<provider>" as a fault target, as a metric label and in
+// the journal, so instrumenting the deployment and its chaos handle — in
+// either order, once or twice — leaves exactly one drop counter per trunk
+// direction, and that counter counts.
+func TestOneLineOneDropCounter(t *testing.T) {
+	l := newEstablishedLab(t, Options{Seed: 9})
+	reg, j := obs.NewRegistry(), obs.NewJournal(4096)
+	if err := l.Instrument(reg, j); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := l.Chaos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.Instrument(reg, j)
+	if err := ch.LinkDown("la", "GTT", time.Second, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	l.Run(10 * time.Second)
+
+	drops := lineDrops(reg)
+	var trunks []string
+	for _, target := range ch.Targets() {
+		if strings.HasPrefix(target, "trunk/") {
+			trunks = append(trunks, target)
+		}
+	}
+	if len(drops) != len(trunks) {
+		t.Fatalf("%d drop series for %d trunk directions: %v", len(drops), len(trunks), drops)
+	}
+	for _, name := range trunks {
+		if _, ok := drops[name]; !ok {
+			t.Fatalf("no drop series named %q: %v", name, drops)
+		}
+	}
+	// 5 s of 10 ms probes offered to the downed trunk, all refused.
+	if got := drops["trunk/la/GTT"]; got < 450 {
+		t.Fatalf(`line="trunk/la/GTT" counted %v drops, want ~500`, got)
+	}
+}
+
+// TestInstrumentAloneJournalsFaults: Lab.Instrument (and Mesh.Instrument)
+// cover the fault injector too — a fault scheduled through the Inject*
+// wrappers or the chaos handle shows up in /trace and the trunk drop
+// counters exist without a second Instrument call.
+func TestInstrumentAloneJournalsFaults(t *testing.T) {
+	l := newEstablishedLab(t, Options{Seed: 10})
+	reg, j := obs.NewRegistry(), obs.NewJournal(4096)
+	if err := l.Instrument(reg, j); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.InjectLossBurst("GTT", NYtoLA, time.Second, 2*time.Second, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	l.Run(5 * time.Second)
+	var trace strings.Builder
+	if err := j.WriteJSON(&trace, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{`"fault_apply"`, `"fault_revert"`} {
+		if !strings.Contains(trace.String(), kind) {
+			t.Fatalf("no %s record in the trace after Lab.Instrument alone", kind)
+		}
+	}
+
+	m := NewMesh(MeshOptions{Seed: 10})
+	if err := m.Establish(); err != nil {
+		t.Fatal(err)
+	}
+	reg = obs.NewRegistry()
+	if err := m.Instrument(reg, obs.NewJournal(64)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := lineDrops(reg)["trunk/chi/NTT"]; !ok {
+		t.Fatalf("Mesh.Instrument registered no trunk drop counters: %v", lineDrops(reg))
 	}
 }

@@ -12,16 +12,15 @@ import (
 	"time"
 
 	"tango/internal/control"
-	"tango/internal/dataplane"
+	"tango/internal/core"
 	"tango/internal/obs"
 	"tango/internal/transport/udp"
-	"tango/internal/workload"
 )
 
 // liveOptions parameterizes -transport udp: one tangod process is one
-// Tango endpoint on a real UDP socket, running the same switch /
-// monitor / controller / reporter / prober stack the simulator runs —
-// only the transport backend and the meaning of "now" differ.
+// Tango endpoint on a real UDP socket, running core.Edge — the same
+// switch / monitor / controller / reporter / prober stack the simulator
+// runs — so only the transport backend and the meaning of "now" differ.
 type liveOptions struct {
 	Site    string // site name (labels metrics, derives outer addresses)
 	Listen  string // UDP bind address
@@ -78,46 +77,34 @@ func runLive(o liveOptions) int {
 	}
 	defer b.Close()
 
-	sw := dataplane.NewSwitch(b)
-	sw.Instrument(reg, o.Site)
-	mon := control.NewMonitor()
-	mon.Instrument(reg, o.Site)
+	edge := core.NewEdge(b, b.Eng())
+	edge.Instrument(reg, j, o.Site)
 
 	// The handshake provisions everything: tunnels toward the peer's
 	// endpoints, local endpoint ownership, and the measurement loop.
-	// OnEstablished runs on the event goroutine, so the wiring below is
-	// exactly the single-threaded wiring the simulator uses.
-	var ctl *control.Controller
-	var rep *control.Reporter
-	var prb *workload.Prober
+	// OnEstablished runs on the event goroutine, so core.Edge wires here
+	// exactly as it does single-threaded in the simulator.
 	established := make(chan struct{})
 	sess := udp.NewSession(b, o.Site, paths)
 	sess.OnEstablished = func(p *udp.Peer) {
 		for _, ep := range sess.Endpoints() {
 			b.AddAddr(ep)
 		}
-		for i, ps := range paths {
-			sw.AddTunnel(&dataplane.Tunnel{
-				PathID:     ps.ID,
-				Name:       ps.Name,
-				LocalAddr:  sess.SwitchAddr(),
-				RemoteAddr: p.Endpoints[i],
-				SrcPort:    uint16(41000 + i),
-			})
+		cfg := core.EdgeConfig{
+			Local:        sess.SwitchAddr(),
+			Policy:       pol,
+			DecideEvery:  o.DecideEvery,
+			ReportEvery:  o.ReportEvery,
+			ReportMaxAge: 5 * o.ReportEvery,
 		}
-		mon.Attach(sw, func(id uint8) string {
-			if int(id) >= 1 && int(id) <= len(p.Paths) {
-				return p.Paths[id-1].Name
-			}
-			return fmt.Sprintf("path-%d", id)
-		})
-		ctl = control.NewController(b.Eng(), sw, pol)
-		ctl.AttachFeedback(sw)
-		ctl.Instrument(reg, j, o.Site)
-		ctl.Start(o.DecideEvery)
-		rep = control.NewReporter(b.Eng(), mon, sw, o.ReportEvery)
-		rep.MaxAge = 5 * o.ReportEvery
-		prb = workload.NewProber(b.Eng(), sw, sess.SwitchAddr(), p.SwitchAddr, o.ProbeInterval)
+		for i, ps := range paths {
+			cfg.Paths = append(cfg.Paths, core.EdgePath{Name: ps.Name, Remote: p.Endpoints[i]})
+		}
+		for _, ps := range p.Paths {
+			cfg.PeerPaths = append(cfg.PeerPaths, ps.Name)
+		}
+		edge.Start(cfg)
+		edge.Probe(sess.SwitchAddr(), p.SwitchAddr, o.ProbeInterval)
 		close(established)
 	}
 	sess.OnError = func(err error) { fmt.Fprintf(os.Stderr, "tangod: session: %v\n", err) }
@@ -193,7 +180,7 @@ loop:
 	for {
 		select {
 		case <-status.C:
-			printLiveStatus(b, ctl, mon)
+			printLiveStatus(b, edge)
 		case s := <-sigc:
 			fmt.Printf("tangod: %v, shutting down\n", s)
 			break loop
@@ -203,21 +190,22 @@ loop:
 	}
 
 	b.Do(func() {
-		prb.Stop()
-		rep.Stop()
-		ctl.Stop()
-		printLiveStatusLocked(b, ctl, mon)
+		edge.Prober.Stop()
+		edge.Reporter.Stop()
+		edge.Controller.Stop()
+		printLiveStatusLocked(b, edge)
 	})
 	return 0
 }
 
 // printLiveStatus snapshots the live stack under the event lock.
-func printLiveStatus(b *udp.Backend, ctl *control.Controller, mon *control.Monitor) {
-	b.Do(func() { printLiveStatusLocked(b, ctl, mon) })
+func printLiveStatus(b *udp.Backend, e *core.Edge) {
+	b.Do(func() { printLiveStatusLocked(b, e) })
 }
 
 // printLiveStatusLocked is printLiveStatus inside an existing Do.
-func printLiveStatusLocked(b *udp.Backend, ctl *control.Controller, mon *control.Monitor) {
+func printLiveStatusLocked(b *udp.Backend, e *core.Edge) {
+	ctl, mon := e.Controller, e.Monitor
 	st := b.Stats()
 	fmt.Printf("%9v  tx %d rx %d frames; current path %d\n",
 		time.Duration(b.Now()).Round(time.Second), st.TxFrames, st.RxFrames, ctl.Current())

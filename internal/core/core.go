@@ -7,6 +7,12 @@
 // The result is the system of Figure 2: two border switches that between
 // them see every exposed wide-area path, measure each path's one-way
 // delay continuously, and steer traffic per packet.
+//
+// Three layers, each built from the one below: Edge is one border switch
+// with its measurement loop on any transport endpoint, Pair discovers the
+// paths between two sites and starts an Edge on each, Mesh composes pairs
+// with relay forwarding. Deploy stands the whole thing up from a topology
+// (DESIGN.md §7).
 package core
 
 import (
@@ -17,12 +23,10 @@ import (
 	"tango/internal/addr"
 	"tango/internal/bgp"
 	"tango/internal/control"
-	"tango/internal/dataplane"
 	"tango/internal/obs"
 	"tango/internal/sim"
 	"tango/internal/simnet"
 	"tango/internal/topo"
-	"tango/internal/workload"
 )
 
 // SiteSpec describes one cooperating edge network.
@@ -82,12 +86,10 @@ type PairConfig struct {
 
 // Site is one side of an established pair.
 type Site struct {
-	Spec       SiteSpec
-	Switch     *dataplane.Switch
-	Monitor    *control.Monitor    // measures incoming (peer->this) paths
-	Controller *control.Controller // steers outgoing (this->peer) traffic
-	Reporter   *control.Reporter
-	Prober     *workload.Prober
+	Spec SiteSpec
+	// Edge is the site's border switch and measurement loop (Switch,
+	// Monitor, Controller, Reporter, Prober).
+	*Edge
 	// OutPaths are the discovered wide-area paths for traffic leaving
 	// this site, indexed by tunnel PathID-1.
 	OutPaths []control.DiscoveredPath
@@ -143,10 +145,11 @@ func (s *Site) Eng() *sim.Engine { return s.Spec.Edge.Speaker.Engine() }
 // metrics in reg under the site's name and journals its path switches
 // to j.
 func (s *Site) Instrument(reg *obs.Registry, j *obs.Journal) {
-	name := s.Spec.Name
-	s.Switch.Instrument(reg, name)
-	s.Monitor.Instrument(reg, name)
-	s.Controller.Instrument(reg, shardView(j, s), name)
+	s.instrument(reg, j, s.Spec.Name)
+}
+
+func (s *Site) instrument(reg *obs.Registry, j *obs.Journal, name string) {
+	s.Edge.Instrument(reg, shardView(j, s), name)
 }
 
 // shardView returns the journal view a site's controller may write: the
@@ -221,8 +224,7 @@ func NewPair(cfg PairConfig) *Pair {
 }
 
 func newSite(spec SiteSpec) *Site {
-	s := &Site{Spec: spec}
-	s.Switch = dataplane.NewSwitch(spec.Edge.Node)
+	s := &Site{Spec: spec, Edge: NewEdge(spec.Edge.Node, spec.Edge.Speaker.Engine())}
 	// The switch's outer source address lives near the top of the host
 	// prefix.
 	sa, err := spec.HostPrefix.Host(0xfffe)
@@ -231,7 +233,6 @@ func newSite(spec SiteSpec) *Site {
 	}
 	s.SwitchAddr = sa
 	spec.Edge.Node.AddAddr(sa)
-	s.Monitor = control.NewMonitor()
 	s.Switch.DeliverLocal = func(inner []byte) {
 		for _, sink := range s.sinks {
 			if sink(inner) {
@@ -247,50 +248,45 @@ func newSite(spec SiteSpec) *Site {
 // progress. Sequence: concurrent bidirectional discovery, pinned prefix
 // origination, settle, tunnel provisioning and measurement wiring.
 func (p *Pair) Establish() {
-	var pathsAtoB, pathsBtoA []control.DiscoveredPath
-	doneCount := 0
+	remaining := 2
 	finish := func() {
-		doneCount++
-		if doneCount != 2 {
+		if remaining--; remaining > 0 {
 			return
 		}
-		p.A.OutPaths = pathsAtoB
-		p.B.OutPaths = pathsBtoA
 		// Each site originates one pinned prefix per path toward it.
-		originatePinned(p.B, pathsAtoB) // A->B paths: B announces endpoints
-		originatePinned(p.A, pathsBtoA)
+		originatePinned(p.B, p.A.OutPaths)
+		originatePinned(p.A, p.B.OutPaths)
 		p.eng.Schedule(p.cfg.SettleWait, func() {
-			provision(p.A, p.B, pathsAtoB)
-			provision(p.B, p.A, pathsBtoA)
-			p.wireMeasurement()
+			p.start(p.A, p.cfg.PolicyA)
+			p.start(p.B, p.cfg.PolicyB)
+			if every := p.cfg.ProbeInterval; every > 0 {
+				aHost, _ := p.A.Spec.HostPrefix.Host(0xfffd)
+				bHost, _ := p.B.Spec.HostPrefix.Host(0xfffd)
+				p.A.Probe(aHost, bHost, every)
+				p.B.Probe(bHost, aHost, every)
+			}
 			p.ready = true
 			if p.OnReady != nil {
 				p.OnReady()
 			}
 		})
 	}
-
-	// Discovery for A->B traffic: B announces, A observes.
-	dAB := &control.Discoverer{
-		Announcer: p.B.Spec.Edge.Speaker,
-		Observer:  p.A.Spec.Edge.Speaker,
-		Probe:     p.B.Spec.ProbePrefix,
-		POPAS:     p.B.Spec.POPAS,
-		NameFor:   p.cfg.NameFor,
-		RoundWait: p.cfg.RoundWait,
-		MaxRounds: p.cfg.MaxRounds,
+	// discover finds the paths for src->dst traffic: dst announces, src
+	// observes.
+	discover := func(src, dst *Site) {
+		d := &control.Discoverer{
+			Announcer: dst.Spec.Edge.Speaker,
+			Observer:  src.Spec.Edge.Speaker,
+			Probe:     dst.Spec.ProbePrefix,
+			POPAS:     dst.Spec.POPAS,
+			NameFor:   p.cfg.NameFor,
+			RoundWait: p.cfg.RoundWait,
+			MaxRounds: p.cfg.MaxRounds,
+		}
+		d.Run(func(found []control.DiscoveredPath) { src.OutPaths = found; finish() })
 	}
-	dBA := &control.Discoverer{
-		Announcer: p.A.Spec.Edge.Speaker,
-		Observer:  p.B.Spec.Edge.Speaker,
-		Probe:     p.A.Spec.ProbePrefix,
-		POPAS:     p.A.Spec.POPAS,
-		NameFor:   p.cfg.NameFor,
-		RoundWait: p.cfg.RoundWait,
-		MaxRounds: p.cfg.MaxRounds,
-	}
-	dAB.Run(func(found []control.DiscoveredPath) { pathsAtoB = found; finish() })
-	dBA.Run(func(found []control.DiscoveredPath) { pathsBtoA = found; finish() })
+	discover(p.A, p.B)
+	discover(p.B, p.A)
 }
 
 // originatePinned has dst announce one /48 per incoming path, pinned to
@@ -311,112 +307,53 @@ func originatePinned(dst *Site, paths []control.DiscoveredPath) {
 	}
 }
 
-// provision creates src's outgoing tunnels toward dst's endpoints.
-func provision(src, dst *Site, paths []control.DiscoveredPath) {
-	for i, dp := range paths {
-		src.Switch.AddTunnel(&dataplane.Tunnel{
-			PathID:     uint8(i + 1),
-			Name:       dp.ProviderName,
-			LocalAddr:  src.SwitchAddr,
-			RemoteAddr: dst.Endpoints[i],
-			SrcPort:    uint16(41000 + i),
-		})
-	}
-	src.Switch.AddPeerPrefix(dst.Spec.HostPrefix)
-}
-
-// measureConfig is the per-direction slice of PairConfig consumed by
-// wireSiteMeasurement; Mesh builds one per member from its own config.
-type measureConfig struct {
-	Policy         control.Policy
-	ReportInterval time.Duration
-	DecideEvery    time.Duration
-	RecordBucket   time.Duration
-	AuthKey        []byte
-}
-
-// wireSiteMeasurement attaches the measurement loop to one site: the
-// receiver-side monitor (named after the peer's outgoing paths), the
-// sender-side controller fed by piggybacked reports, and the reporter
-// that generates them.
-func wireSiteMeasurement(eng *sim.Engine, s *Site, mc measureConfig) {
-	if len(mc.AuthKey) > 0 {
-		s.Switch.SetAuthKey(mc.AuthKey)
-	}
+// start brings up s's edge toward its peer: one tunnel per discovered
+// path to the peer's pinned endpoints, and the measurement loop.
+func (p *Pair) start(s *Site, policy control.Policy) {
 	peer := s.peer
-	s.Monitor.RecordBucket = mc.RecordBucket
-	s.Monitor.Attach(s.Switch, func(id uint8) string { return peer.PathName(id) })
-
-	s.Controller = control.NewController(eng, s.Switch, mc.Policy)
-	s.Controller.AttachFeedback(s.Switch)
-	if mc.DecideEvery > 0 {
-		s.Controller.Start(mc.DecideEvery)
+	paths := make([]EdgePath, len(s.OutPaths))
+	for i, dp := range s.OutPaths {
+		paths[i] = EdgePath{Name: dp.ProviderName, Remote: peer.Endpoints[i]}
 	}
-	if mc.ReportInterval > 0 {
-		s.Reporter = control.NewReporter(eng, s.Monitor, s.Switch, mc.ReportInterval)
-		// A path that stops delivering packets must stop being
-		// reported, so the sender's estimate goes stale and its
-		// policy evacuates.
-		maxAge := 2 * time.Second
-		if v := 5 * mc.ReportInterval; v > maxAge {
-			maxAge = v
-		}
-		s.Reporter.MaxAge = maxAge
+	peerPaths := make([]string, len(peer.OutPaths))
+	for i, dp := range peer.OutPaths {
+		peerPaths[i] = dp.ProviderName
 	}
-}
-
-func (p *Pair) wireMeasurement() {
-	cfgPolicies := map[*Site]control.Policy{p.A: p.cfg.PolicyA, p.B: p.cfg.PolicyB}
-	for _, s := range []*Site{p.A, p.B} {
-		wireSiteMeasurement(s.Spec.Edge.Speaker.Engine(), s, measureConfig{
-			Policy:         cfgPolicies[s],
-			ReportInterval: p.cfg.ReportInterval,
-			DecideEvery:    p.cfg.DecideEvery,
-			RecordBucket:   p.cfg.RecordBucket,
-			AuthKey:        p.cfg.AuthKey,
-		})
-	}
-	if p.cfg.ProbeInterval > 0 {
-		aHost, _ := p.A.Spec.HostPrefix.Host(0xfffd)
-		bHost, _ := p.B.Spec.HostPrefix.Host(0xfffd)
-		p.A.Prober = workload.NewProber(p.A.Spec.Edge.Speaker.Engine(), p.A.Switch, aHost, bHost, p.cfg.ProbeInterval)
-		p.B.Prober = workload.NewProber(p.B.Spec.Edge.Speaker.Engine(), p.B.Switch, bHost, aHost, p.cfg.ProbeInterval)
-	}
+	s.Start(EdgeConfig{
+		Local:        s.SwitchAddr,
+		Paths:        paths,
+		PeerPaths:    peerPaths,
+		Policy:       policy,
+		DecideEvery:  p.cfg.DecideEvery,
+		ReportEvery:  p.cfg.ReportInterval,
+		ReportMaxAge: max(2*time.Second, 5*p.cfg.ReportInterval),
+		RecordBucket: p.cfg.RecordBucket,
+		AuthKey:      p.cfg.AuthKey,
+	})
+	s.Switch.AddPeerPrefix(peer.Spec.HostPrefix)
 }
 
 // RunUntilReady drives the simulation until establishment completes or
 // the deadline passes, reporting success. On a sharded network time is
 // driven through the coordinator (never an individual partition engine).
 func (p *Pair) RunUntilReady(maxVirtual time.Duration) bool {
-	deadline := p.net.Now() + maxVirtual
-	for !p.ready && p.net.Now() < deadline {
-		step := 10 * time.Second
-		if remaining := deadline - p.net.Now(); remaining < step {
-			step = remaining
-		}
-		p.net.Run(p.net.Now() + step)
+	return runUntil(p.net, p.Ready, maxVirtual)
+}
+
+// runUntil advances net in 10 s steps until done reports true or
+// maxVirtual has passed, and returns done's verdict.
+func runUntil(net *simnet.Network, done func() bool, maxVirtual time.Duration) bool {
+	deadline := net.Now() + maxVirtual
+	for !done() && net.Now() < deadline {
+		net.Run(min(net.Now()+10*time.Second, deadline))
 	}
-	return p.ready
+	return done()
 }
 
 // VultrPair builds a Pair over the paper's Vultr scenario with sensible
 // defaults: NY is site A, LA is site B.
 func VultrPair(s *topo.Scenario, cfg PairConfig) *Pair {
-	cfg.A = SiteSpec{
-		Name:        "ny",
-		Edge:        s.EdgeNY,
-		POPAS:       bgp.ASVultr,
-		Block:       s.BlockNY,
-		HostPrefix:  s.HostNY,
-		ProbePrefix: s.Probe["ny:la"],
-	}
-	cfg.B = SiteSpec{
-		Name:        "la",
-		Edge:        s.EdgeLA,
-		POPAS:       bgp.ASVultr,
-		Block:       s.BlockLA,
-		HostPrefix:  s.HostLA,
-		ProbePrefix: s.Probe["la:ny"],
-	}
+	cfg.A, cfg.B = siteSpec(s.MeshScenario, "ny", "la"), siteSpec(s.MeshScenario, "la", "ny")
+	cfg.A.Name, cfg.B.Name = "ny", "la"
 	return NewPair(cfg)
 }

@@ -1,0 +1,56 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"tango/internal/topo"
+)
+
+// TestLabIsTheOneLinkMesh is the differential that lets the benchmark's
+// pair_stream (built on VultrPair) speak for tango.Lab (built on Deploy):
+// equal seeds through both give the same discovered paths in both
+// directions, the same number of engine events at ready and after a
+// minute of probing, and the same per-path sample counts.
+func TestLabIsTheOneLinkMesh(t *testing.T) {
+	for _, seed := range []int64{1, 21, 77} {
+		cfg := PairConfig{ProbeInterval: 10 * time.Millisecond, DecideEvery: time.Second}
+		s, p := establish(t, seed, cfg)
+		d, err := Deploy(topo.VultrConfig(topo.ScenarioConfig{Seed: seed}), MeshConfig{
+			ProbeInterval: cfg.ProbeInterval,
+			DecideEvery:   cfg.DecideEvery,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ny, la := d.Mesh.Member("ny", "la"), d.Mesh.Member("la", "ny")
+		if !reflect.DeepEqual(p.A.OutPaths, ny.OutPaths) || !reflect.DeepEqual(p.B.OutPaths, la.OutPaths) {
+			t.Fatalf("seed %d: discovered paths differ:\npair %v / %v\nmesh %v / %v",
+				seed, p.A.OutPaths, p.B.OutPaths, ny.OutPaths, la.OutPaths)
+		}
+		fired := func() (pair, mesh uint64) {
+			return s.B.Eng().Stats.Fired, d.Scenario.B.Eng().Stats.Fired
+		}
+		if pf, mf := fired(); pf != mf {
+			t.Fatalf("seed %d: at ready the pair fired %d events, the mesh %d", seed, pf, mf)
+		}
+		s.Run(time.Minute)
+		d.Scenario.Run(time.Minute)
+		if pf, mf := fired(); pf != mf {
+			t.Fatalf("seed %d: after 60 s the pair fired %d events, the mesh %d", seed, pf, mf)
+		}
+		for _, sides := range [][2]*Site{{p.A, ny}, {p.B, la}} {
+			pair, mesh := sides[0].Monitor.Paths(), sides[1].Monitor.Paths()
+			if len(pair) != len(mesh) || len(pair) == 0 {
+				t.Fatalf("seed %d: monitored paths %d vs %d", seed, len(pair), len(mesh))
+			}
+			for i := range pair {
+				if pair[i].Name != mesh[i].Name || pair[i].OWD.N() != mesh[i].OWD.N() || pair[i].OWD.N() == 0 {
+					t.Fatalf("seed %d: path %s has %d samples on the pair, %s %d on the mesh",
+						seed, pair[i].Name, pair[i].OWD.N(), mesh[i].Name, mesh[i].OWD.N())
+				}
+			}
+		}
+	}
+}

@@ -82,8 +82,6 @@ type Mesh struct {
 	relays  map[string]*dataplane.Relay // one per site, attached to all members
 	sendBuf *packet.SerializeBuffer     // reused by SendAlong; Site.Send borrows
 	ready   bool
-	// OnReady fires once every pair is provisioned and relays are wired.
-	OnReady func()
 }
 
 // NewMesh prepares (but does not start) an N-site deployment.
@@ -168,24 +166,26 @@ func (m *Mesh) addMember(site, peer string, s *Site) {
 func (m *Mesh) Ready() bool { return m.ready }
 
 // Instrument registers every member edge server's metrics in reg and
-// journals path switches to j. A site deployed on several links has one
-// member switch per adjacent peer, so members are labelled "site->peer"
-// (plain site names would alias distinct switches onto one instrument).
+// journals path switches to j, each member under its label.
 func (m *Mesh) Instrument(reg *obs.Registry, j *obs.Journal) {
 	for _, site := range m.Sites() {
-		peers := make([]string, 0, len(m.members[site]))
-		for peer := range m.members[site] {
-			peers = append(peers, peer)
-		}
-		sort.Strings(peers)
-		for _, peer := range peers {
-			s := m.members[site][peer]
-			name := site + "->" + peer
-			s.Switch.Instrument(reg, name)
-			s.Monitor.Instrument(reg, name)
-			s.Controller.Instrument(reg, shardView(j, s), name)
+		for _, peer := range m.peersOf(site) {
+			m.members[site][peer].instrument(reg, j, m.label(site, peer))
 		}
 	}
+}
+
+// label is the one rule naming a member in metrics and journal records.
+// A site deployed on several links runs one member switch per adjacent
+// peer, so members are "site->peer" (plain site names would alias
+// distinct switches onto one instrument); a one-link deployment — the
+// paper's two-site lab — has one member per site, and the site name
+// says it all.
+func (m *Mesh) label(site, peer string) string {
+	if len(m.pairs) == 1 {
+		return site
+	}
+	return site + "->" + peer
 }
 
 // Sites returns the mesh's site names, sorted.
@@ -199,16 +199,22 @@ func (m *Mesh) Member(site, peer string) *Site { return m.members[site][peer] }
 // iteration order) for callers wiring per-member state such as flow
 // endpoints.
 func (m *Mesh) MembersOf(site string) []*Site {
-	peers := make([]string, 0, len(m.members[site]))
-	for peer := range m.members[site] {
-		peers = append(peers, peer)
-	}
-	sort.Strings(peers)
+	peers := m.peersOf(site)
 	out := make([]*Site, len(peers))
 	for i, peer := range peers {
 		out[i] = m.members[site][peer]
 	}
 	return out
+}
+
+// peersOf returns the sites that site has a deployed link to, sorted.
+func (m *Mesh) peersOf(site string) []string {
+	peers := make([]string, 0, len(m.members[site]))
+	for peer := range m.members[site] {
+		peers = append(peers, peer)
+	}
+	sort.Strings(peers)
+	return peers
 }
 
 // Relay returns the site's relay program (for stats inspection).
@@ -231,9 +237,6 @@ func (m *Mesh) Establish() {
 			}
 			m.wireRelays()
 			m.ready = true
-			if m.OnReady != nil {
-				m.OnReady()
-			}
 		}
 		p.Establish()
 	}
@@ -245,15 +248,7 @@ func (m *Mesh) Establish() {
 // establishment always runs in coupled mode, where the cross-site calls
 // of discovery and provisioning are exact.
 func (m *Mesh) RunUntilReady(maxVirtual time.Duration) bool {
-	deadline := m.net.Now() + maxVirtual
-	for !m.ready && m.net.Now() < deadline {
-		step := 10 * time.Second
-		if remaining := deadline - m.net.Now(); remaining < step {
-			step = remaining
-		}
-		m.net.Run(m.net.Now() + step)
-	}
-	return m.ready
+	return runUntil(m.net, m.Ready, maxVirtual)
 }
 
 // wireRelays installs the overlay forwarding state for every enumerable
@@ -383,28 +378,23 @@ func (m *Mesh) AddSink(site string, fn func(inner []byte) bool) {
 func MeshFromScenario(s *topo.MeshScenario, cfg MeshConfig) (*Mesh, error) {
 	for _, pk := range s.PairKeys {
 		a, b := pk[0], pk[1]
-		ka, kb := a+":"+b, b+":"+a
-		cfg.Links = append(cfg.Links, MeshLink{
-			SiteA: a, SiteB: b,
-			A: SiteSpec{
-				Name:        ka,
-				Edge:        s.Edges[ka],
-				POPAS:       s.POPs[a].ASN,
-				Block:       s.Block[ka],
-				HostPrefix:  s.HostPrefix[ka],
-				ProbePrefix: s.Probe[ka],
-			},
-			B: SiteSpec{
-				Name:        kb,
-				Edge:        s.Edges[kb],
-				POPAS:       s.POPs[b].ASN,
-				Block:       s.Block[kb],
-				HostPrefix:  s.HostPrefix[kb],
-				ProbePrefix: s.Probe[kb],
-			},
-		})
+		cfg.Links = append(cfg.Links, MeshLink{SiteA: a, SiteB: b, A: siteSpec(s, a, b), B: siteSpec(s, b, a)})
 	}
 	return NewMesh(cfg)
+}
+
+// siteSpec describes the edge server the scenario allocated at site for
+// its pair with peer.
+func siteSpec(s *topo.MeshScenario, site, peer string) SiteSpec {
+	key := site + ":" + peer
+	return SiteSpec{
+		Name:        key,
+		Edge:        s.Edges[key],
+		POPAS:       s.POPs[site].ASN,
+		Block:       s.Block[key],
+		HostPrefix:  s.HostPrefix[key],
+		ProbePrefix: s.Probe[key],
+	}
 }
 
 // HostAddr returns the canonical application address (::1) inside the

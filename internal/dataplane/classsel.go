@@ -1,5 +1,7 @@
 package dataplane
 
+import "encoding/binary"
+
 // ClassSelector is the TE layer's data-plane half: a deterministic
 // weighted selector keyed by the inner packet's flow class. The sender
 // stamps each flow's class into the inner IPv6 traffic-class byte (IPv4
@@ -95,4 +97,38 @@ func innerClass(inner []byte) (int, bool) {
 		return int(inner[1]), true
 	}
 	return 0, false
+}
+
+// innerFlowHash hashes the inner packet's flow identity (addresses +
+// transport ports), FNV-1a.
+func innerFlowHash(inner []byte) uint32 {
+	var h uint32 = 2166136261
+	mix := func(b []byte) {
+		for _, v := range b {
+			h ^= uint32(v)
+			h *= 16777619
+		}
+	}
+	if len(inner) < 1 {
+		return h
+	}
+	switch inner[0] >> 4 {
+	case 6:
+		if len(inner) >= 44 {
+			mix(inner[8:40])
+			mix(inner[40:44])
+		}
+	case 4:
+		if len(inner) >= 24 {
+			mix(inner[12:20])
+			mix(inner[20:24])
+		}
+	default:
+		if len(inner) >= 4 {
+			var b [4]byte
+			binary.BigEndian.PutUint32(b[:], uint32(len(inner)))
+			mix(b[:])
+		}
+	}
+	return h
 }

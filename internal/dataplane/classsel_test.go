@@ -11,7 +11,7 @@ import (
 
 // classInner builds an inner packet with the flow class stamped in the
 // IPv6 traffic-class byte and a distinct flow (source port).
-func classInner(t *testing.T, class uint8, sport uint16) []byte {
+func classInner(t testing.TB, class uint8, sport uint16) []byte {
 	t.Helper()
 	buf := packet.NewSerializeBuffer()
 	pay := packet.Payload([]byte("flowdata"))
@@ -127,4 +127,34 @@ func TestClassSelectorSelectZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { cs.Select(pkt) }); n != 0 {
 		t.Fatalf("Select allocates %v per op, want 0", n)
 	}
+}
+
+// FuzzClassSelector feeds the selector what a socket can: arbitrary inner
+// bytes. Whatever arrives, Select must not panic, must pick one of the
+// switch's registered tunnels (garbage still rides somewhere — the
+// selector-less fallback), and must pick the same one for equal bytes,
+// or a flow would reorder.
+func FuzzClassSelector(f *testing.F) {
+	tp := newTestPair(f, 0, 0)
+	cs := NewClassSelector(tp.swA, 3)
+	cs.SetWeights(0, []uint8{1, 2}, []int{3, 5})
+	cs.SetWeights(1, []uint8{2}, []int{4})
+
+	f.Add(classInner(f, 0, 7))
+	f.Add(classInner(f, 1, 9))
+	f.Add(classInner(f, 200, 1)) // class beyond the table
+	f.Add(classInner(f, 0, 7)[:20])
+	f.Add(innerV4(f))
+	f.Add([]byte(nil))
+	f.Add([]byte{0x00, 0x01})
+
+	f.Fuzz(func(t *testing.T, inner []byte) {
+		got := cs.Select(inner)
+		if reg, ok := tp.swA.Tunnel(got.PathID); !ok || reg != got {
+			t.Fatalf("Select returned %+v, not a registered tunnel", got)
+		}
+		if again := cs.Select(append([]byte(nil), inner...)); again != got {
+			t.Fatalf("equal bytes chose path %d then %d", got.PathID, again.PathID)
+		}
+	})
 }

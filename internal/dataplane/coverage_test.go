@@ -10,7 +10,7 @@ import (
 )
 
 // innerV4 builds an inner IPv4 packet between the test pair's host spaces.
-func innerV4(t *testing.T) []byte {
+func innerV4(t testing.TB) []byte {
 	t.Helper()
 	buf := packet.NewSerializeBuffer()
 	pay := packet.Payload([]byte("v4 inner"))

@@ -28,7 +28,7 @@ const (
 	slowDelay = 30 * time.Millisecond
 )
 
-func newTestPair(t *testing.T, offsetA, offsetB time.Duration) *testPair {
+func newTestPair(t testing.TB, offsetA, offsetB time.Duration) *testPair {
 	t.Helper()
 	w := simnet.New(11)
 	na := w.AddNode("swA", offsetA)

@@ -98,7 +98,7 @@ func E1PathDiscovery(cfg Config) *Result {
 	// provider.
 	pinOK := true
 	for i := range laToNY {
-		pfx, err := s.BlockNY.Subnet(48, i)
+		pfx, err := s.Block["ny:la"].Subnet(48, i)
 		if err != nil {
 			pinOK = false
 			break
@@ -107,7 +107,7 @@ func E1PathDiscovery(cfg Config) *Result {
 	}
 	s.Run(5 * time.Minute)
 	for i, want := range gotLA {
-		pfx, _ := s.BlockNY.Subnet(48, i)
+		pfx, _ := s.Block["ny:la"].Subnet(48, i)
 		best := s.EdgeLA.Speaker.Best(pfx)
 		if best == nil || topo.ProviderNameForPath(best.Path) != want {
 			pinOK = false

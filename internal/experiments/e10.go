@@ -25,28 +25,19 @@ func E10MeshOverlay(cfg Config) *Result {
 
 	tc := topo.TriConfig(cfg.Seed + 10)
 	tc.Shards = cfg.Shards
-	s, err := topo.NewMeshScenario(tc)
-	if err != nil {
-		panic(err) // fixed config; cannot fail
-	}
-	s.Run(5 * time.Minute)
-	m, err := core.MeshFromScenario(s, core.MeshConfig{
+	d, err := core.Deploy(tc, core.MeshConfig{
 		ProbeInterval: cfg.probe(),
 		DecideEvery:   time.Second,
 		NameFor:       topo.TriProviderName,
 	})
 	if err != nil {
-		panic(err)
+		panic(err) // fixed config; cannot fail
 	}
-	m.Establish()
-	if !m.RunUntilReady(2 * time.Hour) {
-		panic("experiments: mesh failed to establish")
-	}
+	s, m, ch := d.Scenario, d.Mesh, d.Chaos
 	reg := obs.NewRegistry()
 	journal := obs.NewJournal(1024)
-	shardHooks(s.B.Eng(), journal)
-	m.Instrument(reg, journal)
-	ch := trunkChaos(s, reg, journal)
+	d.Instrument(reg, journal)
+	ch.StartChecks(time.Second)
 
 	// The motivating asymmetry: the direct pair has no path diversity.
 	direct := m.Member("ny", "la")

@@ -31,11 +31,6 @@ func E11Failover(cfg Config) *Result {
 
 	tc := topo.TriConfig(cfg.Seed + 11)
 	tc.Shards = cfg.Shards
-	s, err := topo.NewMeshScenario(tc)
-	if err != nil {
-		panic(err) // fixed config; cannot fail
-	}
-	s.Run(5 * time.Minute)
 	// Convergence knobs, tightened from the defaults so the experiment's
 	// bound is meaningful: report max-age 2 s (set by the pair from the
 	// 100 ms report interval), estimate staleness 2 s, decisions every
@@ -46,7 +41,7 @@ func E11Failover(cfg Config) *Result {
 		decideEvery = 250 * time.Millisecond
 		reportAge   = 2 * time.Second // Reporter.MaxAge floor in core
 	)
-	m, err := core.MeshFromScenario(s, core.MeshConfig{
+	d, err := core.Deploy(tc, core.MeshConfig{
 		ProbeInterval: cfg.probe(),
 		DecideEvery:   decideEvery,
 		NameFor:       topo.TriProviderName,
@@ -55,17 +50,13 @@ func E11Failover(cfg Config) *Result {
 		},
 	})
 	if err != nil {
-		panic(err)
+		panic(err) // fixed config; cannot fail
 	}
-	m.Establish()
-	if !m.RunUntilReady(2 * time.Hour) {
-		panic("experiments: mesh failed to establish")
-	}
+	s, m, ch := d.Scenario, d.Mesh, d.Chaos
 	eng := s.B.Eng()
 	reg := obs.NewRegistry()
 	journal := obs.NewJournal(1024)
-	shardHooks(eng, journal)
-	m.Instrument(reg, journal)
+	d.Instrument(reg, journal)
 
 	sender := m.Member("ny", "chi")
 	recv := m.Member("chi", "ny")
@@ -89,20 +80,14 @@ func E11Failover(cfg Config) *Result {
 	gen.BindSink(recv.Eng())
 	recv.AddSink(gen.Sink)
 
-	// Chaos engine: every provider trunk is a named fault target, plus
-	// chi's edge speaker for the withdrawal. Worst-case detection chain:
-	// up to reportAge of zombie reports, staleAfter until the estimate is
-	// discarded, one decision tick — dwell cannot block an evacuation
-	// (a stale current path bypasses it), but keep a margin for it.
+	// Worst-case detection chain: up to reportAge of zombie reports,
+	// staleAfter until the estimate is discarded, one decision tick —
+	// dwell cannot block an evacuation (a stale current path bypasses
+	// it), but keep a margin for it.
 	grace := reportAge + staleAfter + decideEvery + minDwell // 5.25 s
-	ch := chaos.New(eng)
-	for _, site := range []string{"ny", "chi", "la"} {
-		for prov, line := range s.Trunk[site] {
-			ch.AddLine("trunk/"+site+"/"+prov, line)
-		}
-	}
-	ch.AddSpeaker("edge/chi:ny", recv.Spec.Edge.Speaker)
-	ch.Instrument(reg, journal)
+	// Every provider trunk already is a fault target; chi's edge speaker
+	// joins them for the withdrawal.
+	chiEdge := d.EdgeTarget("chi", "ny")
 
 	lineFor := map[uint8]*simnet.Line{}
 	for i, dp := range sender.OutPaths {
@@ -111,8 +96,6 @@ func E11Failover(cfg Config) *Result {
 	ch.Watch(chaos.PathEvacuation("ny->chi", sender.Controller, lineFor, grace))
 	ch.Watch(chaos.NoDataOnDeadPath("ny->chi", sender.Switch, lineFor, grace))
 	ch.Watch(chaos.SeqConsistency("chi<-ny", recv.Monitor, sender.Switch))
-	ch.Watch(chaos.Conservation("tri", s.B.W))
-	ch.Watch(chaos.BufferBalance("tri", s.B.W))
 	ch.StartChecks(250 * time.Millisecond)
 
 	type switchEv struct {
@@ -178,7 +161,7 @@ func E11Failover(cfg Config) *Result {
 		panic(err)
 	}
 	bgpFaultAt := eng.Now() + sim.Time(lead)
-	ch.Schedule(chaos.Withdrawal{Speaker: "edge/chi:ny", Prefix: pfx, At: bgpFaultAt, For: faultFor})
+	ch.Schedule(chaos.Withdrawal{Speaker: chiEdge, Prefix: pfx, At: bgpFaultAt, For: faultFor})
 	s.Run(lead + faultFor)
 	mark(fmt.Sprintf("withdraw path %d", cur2), bgpFaultAt)
 	s.Run(20 * time.Second) // re-announcement propagates; switch back

@@ -22,7 +22,8 @@ func E12ShardedStorm(cfg Config) *Result {
 	r := newResult("E12", "Sharded wide mesh rides out a chaos storm (§6 at scale)")
 
 	sites, shards, probe := cfg.wideScale()
-	s, m, eng, reg, journal := newWideMesh(cfg.Seed+12, sites, shards, probe, time.Second)
+	d, reg, journal := newWideMesh(cfg.Seed+12, sites, shards, probe, time.Second)
+	s, m, eng := d.Scenario, d.Mesh, d.Scenario.B.Eng()
 
 	tunnels := 0
 	for _, k := range s.PairKeys {
@@ -54,8 +55,10 @@ func E12ShardedStorm(cfg Config) *Result {
 
 	// Chaos over the whole deployment: every trunk is a fault target, and
 	// the app pair's edges are withdrawable.
-	ch := trunkChaos(s, reg, journal)
-	ch.AddSpeaker("edge/"+pk[1]+":"+pk[0], recv.Spec.Edge.Speaker)
+	ch := d.Chaos
+	ch.Instrument(reg, journal)
+	ch.StartChecks(time.Second)
+	d.EdgeTarget(pk[1], pk[0])
 
 	window := cfg.dur(30 * time.Second)
 	rng := sim.NewStreams(cfg.Seed + 12).Stream("e12/storm")

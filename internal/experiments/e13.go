@@ -43,7 +43,8 @@ func E13FlowStorm(cfg Config) *Result {
 	if flows == 0 {
 		flows = 1_000_000
 	}
-	s, m, eng, reg, journal := newWideMesh(cfg.Seed+13, sites, shards, probe, time.Second)
+	d, reg, journal := newWideMesh(cfg.Seed+13, sites, shards, probe, time.Second)
+	s, m, eng := d.Scenario, d.Mesh, d.Scenario.B.Eng()
 
 	// Stretch the class cadence so the whole population emits near the
 	// packet budget, keeping concurrency (the thing under test) intact.
@@ -130,7 +131,9 @@ func E13FlowStorm(cfg Config) *Result {
 		active == standing, "%d concurrent flows across %d sites", active, len(tables))
 
 	// Chaos over the whole deployment, exactly E12's storm shape.
-	ch := trunkChaos(s, reg, journal)
+	ch := d.Chaos
+	ch.Instrument(reg, journal)
+	ch.StartChecks(time.Second)
 
 	rng := sim.NewStreams(cfg.Seed + 13).Stream("e13/storm")
 	labels := ch.ScheduleStorm(rng, chaos.StormConfig{

@@ -128,7 +128,8 @@ func e15Run(cfg Config, sites, shards int, probe time.Duration, optimize bool) *
 	if optimize {
 		decideEvery = 0
 	}
-	s, m, eng, reg, journal := newWideMesh(cfg.Seed+15, sites, shards, probe, decideEvery)
+	d, reg, journal := newWideMesh(cfg.Seed+15, sites, shards, probe, decideEvery)
+	s, m, eng := d.Scenario, d.Mesh, d.Scenario.B.Eng()
 	pinProviderRoutes(s, m)
 
 	// Provider order (P00 fastest) and site order index the TE link

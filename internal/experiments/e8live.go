@@ -17,10 +17,9 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/control"
-	"tango/internal/dataplane"
+	"tango/internal/core"
 	"tango/internal/simnet"
 	"tango/internal/transport/udp"
-	"tango/internal/workload"
 )
 
 // E8-live is the transport-parity experiment: the identical probe /
@@ -74,14 +73,6 @@ func liveSteeringPolicy() control.Policy {
 	return &control.MinOWD{HysteresisMs: 1, MinDwell: 300 * time.Millisecond, StaleAfter: 5 * time.Second}
 }
 
-// liveSimSite is one endpoint of the simulated E8-live deployment.
-type liveSimSite struct {
-	node *simnet.Node
-	sw   *dataplane.Switch
-	mon  *control.Monitor
-	ctl  *control.Controller
-}
-
 // E8LiveSim runs the E8-live scenario on the simulated transport: two
 // nodes joined by one link per provider path, each direction delayed by
 // the same table the loopback harness hands tangod. It is the reference
@@ -106,38 +97,28 @@ func E8LiveSim(cfg Config) *Result {
 	swA, epA := udp.SiteAddrs("site-a", len(livePathNames))
 	swB, epB := udp.SiteAddrs("site-b", len(livePathNames))
 
-	wire := func(local *simnet.Node, localSw netip.Addr, peerEPs, ownEPs []netip.Addr, pol control.Policy) *liveSimSite {
-		s := &liveSimSite{node: local}
-		s.sw = dataplane.NewSwitch(local)
+	wire := func(local *simnet.Node, localSw netip.Addr, peerEPs, ownEPs []netip.Addr) *core.Edge {
+		cfg := core.EdgeConfig{
+			Local:        localSw,
+			PeerPaths:    livePathNames,
+			Policy:       liveSteeringPolicy(),
+			DecideEvery:  liveDecideEvery,
+			ReportEvery:  liveReportEvery,
+			ReportMaxAge: 5 * liveReportEvery,
+		}
 		for i, name := range livePathNames {
-			s.sw.AddTunnel(&dataplane.Tunnel{
-				PathID:     uint8(i + 1),
-				Name:       name,
-				LocalAddr:  localSw,
-				RemoteAddr: peerEPs[i],
-				SrcPort:    uint16(41000 + i),
-			})
+			cfg.Paths = append(cfg.Paths, core.EdgePath{Name: name, Remote: peerEPs[i]})
 		}
 		for _, ep := range ownEPs {
 			local.AddAddr(ep)
 		}
-		s.mon = control.NewMonitor()
-		s.mon.Attach(s.sw, func(id uint8) string {
-			if int(id) >= 1 && int(id) <= len(livePathNames) {
-				return livePathNames[id-1]
-			}
-			return fmt.Sprintf("path-%d", id)
-		})
-		s.ctl = control.NewController(local.Eng(), s.sw, pol)
-		s.ctl.AttachFeedback(s.sw)
-		s.ctl.Start(liveDecideEvery)
-		rep := control.NewReporter(local.Eng(), s.mon, s.sw, liveReportEvery)
-		rep.MaxAge = 5 * liveReportEvery
-		return s
+		e := core.NewEdge(local, local.Eng())
+		e.Start(cfg)
+		return e
 	}
 
-	a := wire(na, swA, epB, epA, liveSteeringPolicy())
-	b := wire(nb, swB, epA, epB, liveSteeringPolicy())
+	a := wire(na, swA, epB, epA)
+	b := wire(nb, swB, epA, epB)
 
 	// Each endpoint address is pinned to its provider's link, the role
 	// the live backend's route table plays.
@@ -146,27 +127,27 @@ func E8LiveSim(cfg Config) *Result {
 		nb.SetRoute(host128(epA[i]), links[i].PortB())
 	}
 
-	workload.NewProber(na.Eng(), a.sw, swA, swB, liveProbeEvery)
-	workload.NewProber(nb.Eng(), b.sw, swB, swA, liveProbeEvery)
+	a.Probe(swA, swB, liveProbeEvery)
+	b.Probe(swB, swA, liveProbeEvery)
 
 	runFor := cfg.dur(liveRunFor)
 	w.Run(w.Now() + runFor)
 	r.VirtualTime = runFor
 
 	r.check("a converges to min-delay path", fmt.Sprintf("GTT (path %d)", liveWantA),
-		a.ctl.Current() == liveWantA, "path %d", a.ctl.Current())
+		a.Controller.Current() == liveWantA, "path %d", a.Controller.Current())
 	r.check("b converges to min-delay path", fmt.Sprintf("Cogent (path %d)", liveWantB),
-		b.ctl.Current() == liveWantB, "path %d", b.ctl.Current())
+		b.Controller.Current() == liveWantB, "path %d", b.Controller.Current())
 
 	r.Rows = append(r.Rows, []string{"site", "path", "provider", "emulated OWD", "estimate (ms)"})
-	for _, s := range []*liveSimSite{a, b} {
+	for _, s := range []*core.Edge{a, b} {
 		delays := liveDelaysA
 		site := "site-a"
 		if s == b {
 			delays = liveDelaysB
 			site = "site-b"
 		}
-		for _, e := range s.ctl.Estimates() {
+		for _, e := range s.Controller.Estimates() {
 			if !e.Valid {
 				continue
 			}

@@ -8,7 +8,6 @@ import (
 	"tango/internal/control"
 	"tango/internal/core"
 	"tango/internal/obs"
-	"tango/internal/sim"
 	"tango/internal/topo"
 )
 
@@ -16,8 +15,8 @@ import (
 // experiments use for reporting (the simulator knows the true clock
 // offsets; the system under test does not).
 type lab struct {
-	S    *topo.Scenario
-	Pair *core.Pair
+	S    *topo.MeshScenario
+	Pair *core.Pair // the one NY (A) / LA (B) link
 	// Reg/J observe the deployment for the whole run; snapshot folds the
 	// final state into a Result for tango-lab to export.
 	Reg *obs.Registry
@@ -46,48 +45,48 @@ type labOpts struct {
 	clockLA       time.Duration
 }
 
-// newLab builds the Vultr scenario, establishes the pair (discovery,
-// pinning, tunnels, measurement loop), and returns with probes flowing.
+// newLab deploys Tango on the Vultr scenario (discovery, pinning,
+// tunnels, measurement loop), instruments it, starts the invariant checks
+// on a one-second cadence, and returns with probes flowing.
 func newLab(o labOpts) *lab {
 	if o.clockNY == 0 && o.clockLA == 0 {
 		o.clockNY, o.clockLA = 1700*time.Millisecond, -900*time.Millisecond
 	}
-	s, err := topo.NewVultrScenario(topo.ScenarioConfig{
-		Seed:          o.seed,
-		Shards:        o.shards,
-		ClockOffsetNY: o.clockNY,
-		ClockOffsetLA: o.clockLA,
-	})
+	d, err := core.Deploy(
+		topo.VultrConfig(topo.ScenarioConfig{
+			Seed:          o.seed,
+			Shards:        o.shards,
+			ClockOffsetNY: o.clockNY,
+			ClockOffsetLA: o.clockLA,
+		}),
+		core.MeshConfig{
+			ProbeInterval: o.probeInterval,
+			RecordBucket:  o.recordBucket,
+			DecideEvery:   o.decideEvery,
+			NewPolicy: func(site, peer string) control.Policy {
+				if site == "ny" {
+					return o.policyNY
+				}
+				return o.policyLA
+			},
+		})
 	if err != nil {
 		panic(err) // fixed config; cannot fail
 	}
-	s.Run(5 * time.Minute)
-	p := core.VultrPair(s, core.PairConfig{
-		ProbeInterval: o.probeInterval,
-		RecordBucket:  o.recordBucket,
-		DecideEvery:   o.decideEvery,
-		PolicyA:       o.policyNY,
-		PolicyB:       o.policyLA,
-	})
-	p.Establish()
-	if !p.RunUntilReady(2 * time.Hour) {
-		panic("experiments: pair failed to establish")
-	}
 	reg := obs.NewRegistry()
 	j := obs.NewJournal(1024)
-	shardHooks(s.B.Eng(), j)
-	p.Instrument(reg, j)
-	ch := trunkChaos(s.MeshScenario, reg, j)
-	enterParallel(s.B.Eng())
+	d.Instrument(reg, j)
+	d.Chaos.StartChecks(time.Second)
+	enterParallel(d.Scenario.B.Eng())
 	return &lab{
-		S:         s,
-		Pair:      p,
+		S:         d.Scenario,
+		Pair:      d.Mesh.Pairs()[0],
 		Reg:       reg,
 		J:         j,
-		Chaos:     ch,
+		Chaos:     d.Chaos,
 		offNYtoLA: o.clockLA - o.clockNY,
 		offLAtoNY: o.clockNY - o.clockLA,
-		t0:        s.B.W.Now(),
+		t0:        d.Scenario.B.W.Now(),
 	}
 }
 
@@ -179,18 +178,15 @@ func (c Config) wideScale() (sites, shards int, probe time.Duration) {
 // newWideMesh is the fixture E12, E13 and E15 run on: the wide-mesh
 // scenario for seed (each experiment passes its own offset seed),
 // converged, with every pair established under min-OWD controllers
-// deciding at decideEvery (0 = never) and the mesh instrumented into a
-// fresh registry and journal.
+// deciding at decideEvery (0 = never) and every edge instrumented into a
+// fresh registry and journal. The fault injector is left to the caller:
+// E12 and E13 instrument it and start its checks where their storm
+// begins, E15 injects nothing and its metrics carry no chaos families.
 func newWideMesh(seed int64, sites, shards int, probe, decideEvery time.Duration) (
-	*topo.MeshScenario, *core.Mesh, *sim.Engine, *obs.Registry, *obs.Journal) {
+	*core.Deployment, *obs.Registry, *obs.Journal) {
 	tc := topo.WideMeshConfig(seed, sites)
 	tc.Shards = shards
-	s, err := topo.NewMeshScenario(tc)
-	if err != nil {
-		panic(err) // fixed config; cannot fail
-	}
-	s.Run(5 * time.Minute)
-	m, err := core.MeshFromScenario(s, core.MeshConfig{
+	d, err := core.Deploy(tc, core.MeshConfig{
 		ProbeInterval: probe,
 		MaxRounds:     16, // discovery must walk all sixteen shared providers
 		DecideEvery:   decideEvery,
@@ -199,41 +195,17 @@ func newWideMesh(seed int64, sites, shards int, probe, decideEvery time.Duration
 		},
 	})
 	if err != nil {
-		panic(err)
+		panic(err) // fixed config; cannot fail
 	}
-	m.Establish()
-	if !m.RunUntilReady(4 * time.Hour) {
-		panic("experiments: wide mesh failed to establish")
-	}
-	eng := s.B.Eng()
 	reg := obs.NewRegistry()
 	journal := obs.NewJournal(4096)
-	shardHooks(eng, journal)
-	m.Instrument(reg, journal)
-	return s, m, eng, reg, journal
+	d.InstrumentEdges(reg, journal)
+	return d, reg, journal
 }
 
-// trunkChaos starts the chaos engine every incident and storm is
-// scheduled through: each trunk of the deployment is the fault target
-// "trunk/<site>/<provider>", and the two conservation invariants are
-// checked each virtual second.
-func trunkChaos(s *topo.MeshScenario, reg *obs.Registry, journal *obs.Journal) *chaos.Engine {
-	ch := chaos.New(s.B.Eng())
-	for _, site := range s.SiteNames {
-		for prov, line := range s.Trunk[site] {
-			ch.AddLine("trunk/"+site+"/"+prov, line)
-		}
-	}
-	ch.Instrument(reg, journal)
-	ch.Watch(chaos.Conservation("net", s.B.W))
-	ch.Watch(chaos.BufferBalance("net", s.B.W))
-	ch.StartChecks(time.Second)
-	return ch
-}
-
-// checkInvariants adds the check that the two invariants trunkChaos
-// watches never failed on any of the engines, naming the first violation
-// if one did.
+// checkInvariants adds the check that the two invariants every
+// deployment watches never failed on any of the engines, naming the first
+// violation if one did.
 func (r *Result) checkInvariants(name, paper string, chs ...*chaos.Engine) {
 	watched := true
 	var vs []chaos.Violation

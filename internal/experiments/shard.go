@@ -12,24 +12,11 @@ import (
 // A sharded experiment follows one shape: build the scenario with
 // cfg.Shards (the topo layer partitions the network and configures the
 // worker count), establish in the coordinator's coupled mode exactly like
-// a classic run, register the journal's barrier merge with shardHooks,
-// finish wiring (chaos, workloads, callbacks), then flip to parallel
-// epochs with enterParallel for the measurement phase. Every helper here
-// is a no-op on a classic single-engine network, so the same driver code
-// serves both paths.
-
-// shardHooks registers the journal's shard merge at the coordinator's
-// epoch barriers. Call it right after creating the journal — before any
-// other barrier hook is registered — so every later hook (chaos log
-// merges, invariant checks) observes a fully merged journal. No-op on a
-// classic engine or a nil journal.
-func shardHooks(eng *sim.Engine, j *obs.Journal) {
-	c := eng.Coord()
-	if c == nil || j == nil {
-		return
-	}
-	c.AtBarrier(0, func(sim.Time) { j.MergeShards() })
-}
+// a classic run, instrument the deployment (which registers the journal's
+// barrier merge first), finish wiring (chaos checks, workloads,
+// callbacks), then flip to parallel epochs with enterParallel for the
+// measurement phase. Every helper here is a no-op on a classic
+// single-engine network, so the same driver code serves both paths.
 
 // enterParallel switches a sharded run to parallel epochs; call it once
 // wiring and establishment are done (direct cross-partition calls are

@@ -43,7 +43,7 @@ func TestHandlerMetrics(t *testing.T) {
 func TestHandlerTrace(t *testing.T) {
 	j := NewJournal(8)
 	for i := 0; i < 5; i++ {
-		j.Record(time.Duration(i)*time.Second, KindQueueDrop, 0, 0, int64(100+i), "GTT:NY->LA")
+		j.Record(time.Duration(i)*time.Second, KindQueueDrop, 0, 0, int64(100+i), "trunk/la/GTT")
 	}
 	srv := httptest.NewServer(Handler(NewRegistry(), j))
 	defer srv.Close()

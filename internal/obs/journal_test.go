@@ -64,7 +64,7 @@ func TestJournalJSONDeterministicAndValid(t *testing.T) {
 		j := NewJournal(8)
 		j.Record(time.Second, KindPathSwitch, 1, 3, -250000, "ny")
 		j.Record(2*time.Second, KindFaultApply, 0, 0, int64(time.Minute), "down trunk/ny/GTT")
-		j.Record(3*time.Second, KindQueueDrop, 0, 0, 1064, "GTT:NY->LA")
+		j.Record(3*time.Second, KindQueueDrop, 0, 0, 1064, "trunk/la/GTT")
 		j.Record(4*time.Second, KindViolation, 0, 0, 0, "conservation")
 		return j
 	}

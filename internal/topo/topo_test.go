@@ -27,11 +27,11 @@ func TestScenarioConverges(t *testing.T) {
 	converge(s)
 
 	// Each edge learns the other's host prefix.
-	bestAtLA := s.EdgeLA.Speaker.Best(s.HostNY)
+	bestAtLA := s.EdgeLA.Speaker.Best(s.HostPrefix["ny:la"])
 	if bestAtLA == nil {
 		t.Fatal("LA edge has no route to NY host prefix")
 	}
-	bestAtNY := s.EdgeNY.Speaker.Best(s.HostLA)
+	bestAtNY := s.EdgeNY.Speaker.Best(s.HostPrefix["la:ny"])
 	if bestAtNY == nil {
 		t.Fatal("NY edge has no route to LA host prefix")
 	}
@@ -57,7 +57,7 @@ func TestScenarioDataPlaneDefaultPath(t *testing.T) {
 	// Send a packet from the NY edge to an address in LA's host
 	// prefix; it must arrive via NTT with roughly the NTT one-way
 	// delay.
-	dst, err := s.HostLA.Host(1)
+	dst, err := s.HostPrefix["la:ny"].Host(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestScenarioDataPlaneDefaultPath(t *testing.T) {
 	buf := packet.NewSerializeBuffer()
 	pay := packet.Payload([]byte("baseline"))
 	udp := &packet.UDP{SrcPort: 1, DstPort: 2}
-	src, _ := s.HostNY.Host(1)
+	src, _ := s.HostPrefix["ny:la"].Host(1)
 	ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
 	if err := packet.SerializeLayers(buf, ip, udp, &pay); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestScenarioDataPlaneDefaultPath(t *testing.T) {
 		t.Fatalf("NY->LA delay via default = %v, want ~36.7ms (NTT)", gotAt)
 	}
 	// NTT transited the packet.
-	if s.NTT.Node.Stats.Forwarded == 0 {
+	if s.Providers["NTT"].Node.Stats.Forwarded == 0 {
 		t.Fatal("NTT did not forward the packet")
 	}
 }
@@ -187,19 +187,19 @@ func TestProviderNameForPath(t *testing.T) {
 func TestTrunkHandles(t *testing.T) {
 	s := mustVultr(t, ScenarioConfig{Seed: 6})
 	for _, name := range []string{"NTT", "Telia", "GTT", "Level3"} {
-		if s.TrunkToLA[name] == nil {
-			t.Fatalf("TrunkToLA[%s] missing", name)
+		if s.Trunk["la"][name] == nil {
+			t.Fatalf("Trunk[la][%s] missing", name)
 		}
 	}
 	for _, name := range []string{"NTT", "Telia", "GTT", "Cogent"} {
-		if s.TrunkToNY[name] == nil {
-			t.Fatalf("TrunkToNY[%s] missing", name)
+		if s.Trunk["ny"][name] == nil {
+			t.Fatalf("Trunk[ny][%s] missing", name)
 		}
 	}
 	// The shapers must actually steer the right direction: raise GTT's
 	// NY->LA trunk and verify a NY->LA packet over GTT slows down.
-	s.TrunkToLA["GTT"].Shaper().SetOffset(100 * time.Millisecond)
-	if s.TrunkToLA["GTT"].Shaper().Offset() != 100*time.Millisecond {
+	s.Trunk["la"]["GTT"].Shaper().SetOffset(100 * time.Millisecond)
+	if s.Trunk["la"]["GTT"].Shaper().Offset() != 100*time.Millisecond {
 		t.Fatal("shaper offset not applied")
 	}
 }

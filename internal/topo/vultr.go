@@ -39,24 +39,14 @@ var (
 // Scenario is the paper's deployment: two Vultr datacenters (NY and LA),
 // a server with a private-ASN BIRD session in each, and the five transit
 // providers observed in §4.1, with an NTT–Cogent peering supplying the
-// fourth LA→NY path. It is the two-site special case of the mesh.
+// fourth LA→NY path. It is the two-site special case of the mesh, whose
+// maps hold everything else: POPs["ny"], Providers["GTT"],
+// Trunk["la"]["GTT"] (the line carrying GTT's NY->LA traffic),
+// Block/HostPrefix/Probe["ny:la"].
 type Scenario struct {
 	*MeshScenario
 
-	EdgeNY, EdgeLA   *AS // the Tango servers (private ASNs)
-	VultrNY, VultrLA *AS // Vultr border routers, both AS 20473
-	NTT, Telia, GTT  *AS
-	Cogent, Level3   *AS
-
-	// TrunkToLA[name] is the line carrying NY->LA traffic for that
-	// provider (the direction Figure 4 plots); TrunkToNY the reverse.
-	// Event injection reaches these lines' Shapers.
-	TrunkToLA map[string]*simnet.Line
-	TrunkToNY map[string]*simnet.Line
-
-	// Address plan.
-	BlockNY, BlockLA addr.Prefix // institutional space per site for tunnel prefixes
-	HostNY, HostLA   addr.Prefix // host-addressing prefixes (announced plainly)
+	EdgeNY, EdgeLA *AS // the Tango servers (private ASNs)
 }
 
 // ScenarioConfig tweaks the Vultr scenario.
@@ -167,25 +157,7 @@ func NewVultrScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Scenario{
-		MeshScenario: m,
-		EdgeNY:       m.Edges["ny:la"],
-		EdgeLA:       m.Edges["la:ny"],
-		VultrNY:      m.POPs["ny"],
-		VultrLA:      m.POPs["la"],
-		NTT:          m.Providers["NTT"],
-		Telia:        m.Providers["Telia"],
-		GTT:          m.Providers["GTT"],
-		Cogent:       m.Providers["Cogent"],
-		Level3:       m.Providers["Level3"],
-		TrunkToNY:    m.Trunk["ny"],
-		TrunkToLA:    m.Trunk["la"],
-		BlockNY:      m.Block["ny:la"],
-		BlockLA:      m.Block["la:ny"],
-		HostNY:       m.HostPrefix["ny:la"],
-		HostLA:       m.HostPrefix["la:ny"],
-	}
-	return s, nil
+	return &Scenario{MeshScenario: m, EdgeNY: m.Edges["ny:la"], EdgeLA: m.Edges["la:ny"]}, nil
 }
 
 // strLower lowercases ASCII letters (provider node names).

@@ -8,7 +8,6 @@ import (
 	"tango/internal/control"
 	"tango/internal/core"
 	"tango/internal/dataplane"
-	"tango/internal/obs"
 	"tango/internal/topo"
 )
 
@@ -72,12 +71,7 @@ type MeshOptions struct {
 // configured site pairs, composed into an overlay that can relay traffic
 // through intermediate sites when every direct wide-area path degrades.
 type Mesh struct {
-	scenario *topo.MeshScenario
-	mesh     *core.Mesh
-	opts     MeshOptions
-	nameFor  func(bgp.ASN) string
-	chaos    *Chaos
-	buildErr error
+	deployment
 
 	// trunkCap records SetTrunkCapacity declarations for the steering
 	// optimizer; steer holds the per-pair class selectors it installed.
@@ -128,65 +122,19 @@ func NewMesh(opts MeshOptions) *Mesh {
 		}
 		cfg = topo.RadialMeshConfig(opts.Seed, provs, sites, opts.Pairs)
 	}
-	s, err := topo.NewMeshScenario(cfg)
-	if err != nil {
-		return &Mesh{opts: opts, buildErr: err}
-	}
-	s.Run(5 * time.Minute)
-	return &Mesh{scenario: s, opts: opts, nameFor: nameFor}
+	return &Mesh{deployment: newDeployment(cfg, core.MeshConfig{
+		ProbeInterval: opts.ProbeInterval,
+		DecideEvery:   opts.DecideEvery,
+		NewPolicy:     func(site, peer string) control.Policy { return mkPolicy(opts.SitePolicy) },
+		NameFor:       nameFor,
+		RecordBucket:  opts.RecordBucket,
+		AuthKey:       opts.AuthKey,
+		MaxRelays:     opts.MaxRelays,
+	})}
 }
-
-// Establish runs the paper's setup for every deployed pair concurrently
-// in virtual time — discovery, pinned prefixes, tunnels, probing — then
-// wires the overlay relay tables. It returns an error if the topology
-// was invalid or establishment does not complete.
-func (m *Mesh) Establish() error {
-	if m.buildErr != nil {
-		return m.buildErr
-	}
-	if m.mesh != nil {
-		return nil // already established; re-wiring would duplicate the deployment
-	}
-	pol := m.opts.SitePolicy
-	cm, err := core.MeshFromScenario(m.scenario, core.MeshConfig{
-		ProbeInterval: m.opts.ProbeInterval,
-		DecideEvery:   m.opts.DecideEvery,
-		NewPolicy:     func(site, peer string) control.Policy { return mkPolicy(pol) },
-		NameFor:       m.nameFor,
-		RecordBucket:  m.opts.RecordBucket,
-		AuthKey:       m.opts.AuthKey,
-		MaxRelays:     m.opts.MaxRelays,
-	})
-	if err != nil {
-		return err
-	}
-	cm.Establish()
-	if !cm.RunUntilReady(4 * time.Hour) {
-		return fmt.Errorf("tango: mesh establishment did not complete")
-	}
-	m.mesh = cm
-	return nil
-}
-
-// Instrument registers every member edge server's metrics in reg
-// (labelled "site->peer") and journals path switches to j. Call after
-// Establish.
-func (m *Mesh) Instrument(reg *obs.Registry, j *obs.Journal) error {
-	if m.mesh == nil {
-		return fmt.Errorf("tango: Instrument before Establish")
-	}
-	m.mesh.Instrument(reg, j)
-	return nil
-}
-
-// Run advances the deployment by d of virtual time.
-func (m *Mesh) Run(d time.Duration) { m.scenario.Run(d) }
-
-// Now returns the current virtual time.
-func (m *Mesh) Now() time.Duration { return m.scenario.B.W.Now() }
 
 // Sites returns the deployment's site names, sorted.
-func (m *Mesh) Sites() []string { return m.mesh.Sites() }
+func (m *Mesh) Sites() []string { return m.d.Mesh.Sites() }
 
 // Route is one end-to-end overlay route: direct (empty Via) or relayed
 // through the named sites in order. OWDMs/JitterMs sum the live smoothed
@@ -222,7 +170,7 @@ func publicRoute(r control.CompositeRoute) Route {
 // Routes returns every route from src to dst scored from the live
 // segment estimates, best-first. Establish must have succeeded.
 func (m *Mesh) Routes(src, dst string) []Route {
-	rs := m.mesh.Routes(src, dst)
+	rs := m.d.Mesh.Routes(src, dst)
 	out := make([]Route, 0, len(rs))
 	for _, r := range rs {
 		out = append(out, publicRoute(r))
@@ -232,7 +180,7 @@ func (m *Mesh) Routes(src, dst string) []Route {
 
 // BestRoute returns the currently best valid route from src to dst.
 func (m *Mesh) BestRoute(src, dst string) (Route, bool) {
-	r, ok := m.mesh.Best(src, dst)
+	r, ok := m.d.Mesh.Best(src, dst)
 	return publicRoute(r), ok
 }
 
@@ -241,22 +189,22 @@ func (m *Mesh) BestRoute(src, dst string) (Route, bool) {
 // tunnelled by the origin pair; relayed routes are re-encapsulated at
 // each intermediate site.
 func (m *Mesh) Send(r Route, srcPort, dstPort uint16, payload []byte) error {
-	return m.mesh.SendAlong(control.CompositeRoute{Src: r.Src, Dst: r.Dst, Via: r.Via},
+	return m.d.Mesh.SendAlong(control.CompositeRoute{Src: r.Src, Dst: r.Dst, Via: r.Via},
 		srcPort, dstPort, payload)
 }
 
 // OnReceive registers a handler for application packets addressed to the
 // given inner UDP port arriving at a site, whichever route carried them.
 func (m *Mesh) OnReceive(site string, dstPort uint16, fn func(Delivery)) {
-	m.mesh.AddSink(site, deliverySink(m.Now, dstPort, fn))
+	m.d.Mesh.AddSink(site, deliverySink(m.Now, dstPort, fn))
 }
 
 // Paths returns the live per-path view of one deployed segment: the
 // paths carrying traffic from site toward peer. Establish must have
 // succeeded and the pair must exist.
 func (m *Mesh) Paths(site, peer string) ([]PathInfo, error) {
-	sender := m.mesh.Member(site, peer)
-	recv := m.mesh.Member(peer, site)
+	sender := m.d.Mesh.Member(site, peer)
+	recv := m.d.Mesh.Member(peer, site)
 	if sender == nil || recv == nil {
 		return nil, fmt.Errorf("tango: no deployed pair %s:%s", site, peer)
 	}
@@ -266,7 +214,7 @@ func (m *Mesh) Paths(site, peer string) ([]PathInfo, error) {
 // RelayStats reports a site's relay activity: packets re-encapsulated
 // onto a next segment and packets dropped by the TTL loop guard.
 func (m *Mesh) RelayStats(site string) (forwarded, ttlExpired uint64) {
-	r := m.mesh.Relay(site)
+	r := m.d.Mesh.Relay(site)
 	if r == nil {
 		return 0, 0
 	}

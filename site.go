@@ -13,23 +13,16 @@ import (
 
 // Site is one cooperating edge network in an established Lab.
 type Site struct {
-	lab  *Lab
+	name string
 	site *core.Site
+	now  func() time.Duration // the lab's virtual clock, stamped on deliveries
 	// sendBuf is reused across Send calls: the core only borrows the
 	// serialized bytes (the switch copies them into a pooled buffer).
 	sendBuf *packet.SerializeBuffer
 }
 
 // Name returns "ny" or "la".
-func (s *Site) Name() string { return s.site.Spec.Name }
-
-// peerSite resolves the public wrapper for the site's peer.
-func (s *Site) peer() *Site {
-	if s.site == s.lab.pair.A {
-		return s.lab.la
-	}
-	return s.lab.ny
-}
+func (s *Site) Name() string { return s.name }
 
 // PathInfo describes one of a site's outgoing wide-area paths with its
 // live measurements (taken at the peer, which is where one-way delay is
@@ -61,7 +54,7 @@ type PathInfo struct {
 // Paths returns the site's outgoing paths in discovery order with live
 // stats. Paths without measurements yet have zero Samples.
 func (s *Site) Paths() []PathInfo {
-	return pathInfos(s.site, s.peer().site.Monitor)
+	return pathInfos(s.site, s.site.Peer().Monitor)
 }
 
 // pathInfos assembles the public view of one direction's paths: the
@@ -147,7 +140,7 @@ type Delivery struct {
 // OnReceive registers a handler for application packets addressed to the
 // given inner UDP destination port.
 func (s *Site) OnReceive(dstPort uint16, fn func(Delivery)) {
-	s.site.AddSink(deliverySink(s.lab.Now, dstPort, fn))
+	s.site.AddSink(deliverySink(s.now, dstPort, fn))
 }
 
 // deliverySink builds a sink claiming inner UDP packets on dstPort and

@@ -46,8 +46,8 @@ func (m *Mesh) SetTrunkCapacity(site, provider string, bps float64) error {
 	if bps <= 0 {
 		return fmt.Errorf("tango: trunk capacity must be positive, got %g", bps)
 	}
-	down := m.scenario.Trunk[site][provider]
-	up := m.scenario.Uplink[site][provider]
+	down := m.d.Scenario.Trunk[site][provider]
+	up := m.d.Scenario.Uplink[site][provider]
 	if down == nil || up == nil {
 		return fmt.Errorf("tango: no %s trunk serving %s", provider, site)
 	}
@@ -76,7 +76,7 @@ func (m *Mesh) SetTrunkCapacity(site, provider string, bps float64) error {
 // Call after Establish, and again whenever demands change; repeated
 // calls reuse the installed selectors and overwrite their weights.
 func (m *Mesh) OptimizeSteering(seed int64, demands []SteeringDemand) (float64, []SteeringPlacement, error) {
-	if m.mesh == nil {
+	if !m.established() {
 		return 0, nil, fmt.Errorf("tango: OptimizeSteering before Establish")
 	}
 	if len(demands) == 0 {
@@ -86,12 +86,12 @@ func (m *Mesh) OptimizeSteering(seed int64, demands []SteeringDemand) (float64, 
 	// The link table covers every trunk direction of every site, in
 	// deterministic (site, provider, direction) order; capacities come
 	// from SetTrunkCapacity declarations, everything else is free.
-	sites := m.mesh.Sites()
+	sites := m.d.Mesh.Sites()
 	idx := map[[3]string]int{}
 	var links []te.Link
 	for _, site := range sites {
-		provs := make([]string, 0, len(m.scenario.Trunk[site]))
-		for p := range m.scenario.Trunk[site] {
+		provs := make([]string, 0, len(m.d.Scenario.Trunk[site]))
+		for p := range m.d.Scenario.Trunk[site] {
 			provs = append(provs, p)
 		}
 		sort.Strings(provs)
@@ -111,7 +111,7 @@ func (m *Mesh) OptimizeSteering(seed int64, demands []SteeringDemand) (float64, 
 		if d.Class >= SteeringClasses {
 			return 0, nil, fmt.Errorf("tango: demand %s->%s class %d out of range [0,%d)", d.Src, d.Dst, d.Class, SteeringClasses)
 		}
-		sender := m.mesh.Member(d.Src, d.Dst)
+		sender := m.d.Mesh.Member(d.Src, d.Dst)
 		if sender == nil {
 			return 0, nil, fmt.Errorf("tango: no deployed pair %s:%s", d.Src, d.Dst)
 		}
@@ -146,7 +146,7 @@ func (m *Mesh) OptimizeSteering(seed int64, demands []SteeringDemand) (float64, 
 	placements := make([]SteeringPlacement, len(demands))
 	var counts []int
 	for di, d := range demands {
-		sender := m.mesh.Member(d.Src, d.Dst)
+		sender := m.d.Mesh.Member(d.Src, d.Dst)
 		key := [2]string{d.Src, d.Dst}
 		cs, ok := m.steer[key]
 		if !ok {

@@ -83,16 +83,63 @@ type Options struct {
 	AuthKey []byte
 }
 
+// deployment is what a Lab and a Mesh both are: one core.Deployment (the
+// built topology, Tango on every deployed pair, the fault injector) or
+// the error that kept it from being built.
+type deployment struct {
+	d        *core.Deployment
+	buildErr error
+	chaos    *Chaos
+}
+
+func newDeployment(tc topo.MeshConfig, mc core.MeshConfig) deployment {
+	d, err := core.NewDeployment(tc, mc)
+	return deployment{d: d, buildErr: err}
+}
+
+// Establish runs the paper's setup for every deployed pair concurrently
+// in virtual time — iterative path discovery in both directions, one
+// pinned prefix announced per exposed path, tunnels provisioned, probing
+// and the measurement feedback loop started — then wires the overlay
+// relay tables. It returns an error if the topology was invalid or
+// establishment does not complete. A second call changes nothing.
+func (p *deployment) Establish() error {
+	if p.buildErr != nil {
+		return p.buildErr
+	}
+	return p.d.Establish()
+}
+
+// Instrument registers the deployment's metrics in reg — every edge
+// server's switch, monitor and controller (labelled by site on a Lab,
+// "site->peer" on a Mesh), the fault counters, and one
+// tango_line_drops_total series per provider trunk labelled
+// line="trunk/<site>/<provider>" — and journals structured events (path
+// switches, fault applies and reverts, queue drops) to j. Call after
+// Establish; both are typically served with obs.Handler.
+func (p *deployment) Instrument(reg *obs.Registry, j *obs.Journal) error {
+	if !p.established() {
+		return fmt.Errorf("tango: Instrument before Establish")
+	}
+	p.d.Instrument(reg, j)
+	return nil
+}
+
+// established reports whether Establish has succeeded.
+func (p *deployment) established() bool { return p.buildErr == nil && p.d.Mesh.Ready() }
+
+// Run advances the deployment by d of virtual time.
+func (p *deployment) Run(d time.Duration) { p.d.Scenario.Run(d) }
+
+// Now returns the current virtual time.
+func (p *deployment) Now() time.Duration { return p.d.Scenario.B.W.Now() }
+
 // Lab is the paper's deployment: two cooperating edge servers in Vultr's
 // NY and LA datacenters connected across five transit providers. It is
-// the two-site special case of the machinery behind NewMesh.
+// the one-link case of the machinery behind NewMesh.
 type Lab struct {
-	scenario *topo.Scenario
-	pair     *core.Pair
-	opts     Options
-	ny, la   *Site
-	chaos    *Chaos
-	buildErr error
+	deployment
+	ny, la *Site
 }
 
 // NewLab builds the simulated deployment (BGP sessions established, host
@@ -104,19 +151,24 @@ func NewLab(opts Options) *Lab {
 	if opts.DecideEvery == 0 {
 		opts.DecideEvery = time.Second
 	}
-	s, err := topo.NewVultrScenario(topo.ScenarioConfig{
-		Seed:          opts.Seed,
-		ClockOffsetNY: opts.ClockOffsetNY,
-		ClockOffsetLA: opts.ClockOffsetLA,
-	})
-	if err != nil {
-		// The Vultr config is fixed, so this cannot happen today; carry
-		// it to Establish rather than panic.
-		return &Lab{opts: opts, buildErr: err}
-	}
-	s.Run(5 * time.Minute)
-	l := &Lab{scenario: s, opts: opts}
-	return l
+	return &Lab{deployment: newDeployment(
+		topo.VultrConfig(topo.ScenarioConfig{
+			Seed:          opts.Seed,
+			ClockOffsetNY: opts.ClockOffsetNY,
+			ClockOffsetLA: opts.ClockOffsetLA,
+		}),
+		core.MeshConfig{
+			ProbeInterval: opts.ProbeInterval,
+			DecideEvery:   opts.DecideEvery,
+			NewPolicy: func(site, peer string) control.Policy {
+				if site == "ny" {
+					return mkPolicy(opts.PolicyNY)
+				}
+				return mkPolicy(opts.PolicyLA)
+			},
+			RecordBucket: opts.RecordBucket,
+			AuthKey:      opts.AuthKey,
+		})}
 }
 
 func mkPolicy(p Policy) control.Policy {
@@ -133,63 +185,22 @@ func mkPolicy(p Policy) control.Policy {
 // Establish runs the paper's setup end to end in virtual time: iterative
 // path discovery in both directions, one pinned prefix announced per
 // exposed path, tunnels provisioned, probing and the measurement feedback
-// loop started. It returns an error if BGP fails to expose any path.
+// loop started. It returns an error if establishment does not complete
+// or BGP exposed no path. A second call changes nothing.
 func (l *Lab) Establish() error {
-	if l.buildErr != nil {
-		return l.buildErr
+	if err := l.deployment.Establish(); err != nil {
+		return err
 	}
-	p := core.VultrPair(l.scenario, core.PairConfig{
-		ProbeInterval: l.opts.ProbeInterval,
-		DecideEvery:   l.opts.DecideEvery,
-		PolicyA:       mkPolicy(l.opts.PolicyNY),
-		PolicyB:       mkPolicy(l.opts.PolicyLA),
-		RecordBucket:  l.opts.RecordBucket,
-		AuthKey:       l.opts.AuthKey,
-	})
-	p.Establish()
-	if !p.RunUntilReady(2 * time.Hour) {
-		return fmt.Errorf("tango: establishment did not complete")
-	}
-	if len(p.A.OutPaths) == 0 || len(p.B.OutPaths) == 0 {
+	ny, la := l.d.Mesh.Member("ny", "la"), l.d.Mesh.Member("la", "ny")
+	if len(ny.OutPaths) == 0 || len(la.OutPaths) == 0 {
 		return fmt.Errorf("tango: no wide-area paths discovered")
 	}
-	l.pair = p
-	l.ny = &Site{lab: l, site: p.A}
-	l.la = &Site{lab: l, site: p.B}
-	return nil
-}
-
-// Instrument registers the deployment's metrics in reg — both sites'
-// switches, monitors and controllers plus per-provider trunk-line drop
-// counters — and journals structured events (path switches, queue drops)
-// to j. Call after Establish. Either argument may be used alone by
-// passing the other as a fresh value; both are typically served with
-// obs.Handler.
-func (l *Lab) Instrument(reg *obs.Registry, j *obs.Journal) error {
-	if l.pair == nil {
-		return fmt.Errorf("tango: Instrument before Establish")
-	}
-	l.pair.Instrument(reg, j)
-	for provider, line := range l.scenario.TrunkToLA {
-		name := provider + ":NY->LA"
-		line.Instrument(name, reg.Counter("tango_line_drops_total",
-			"Packets refused at line admission (down or queue overflow).",
-			obs.L("line", name)), j)
-	}
-	for provider, line := range l.scenario.TrunkToNY {
-		name := provider + ":LA->NY"
-		line.Instrument(name, reg.Counter("tango_line_drops_total",
-			"Packets refused at line admission (down or queue overflow).",
-			obs.L("line", name)), j)
+	if l.ny == nil {
+		l.ny = &Site{name: "ny", site: ny, now: l.Now}
+		l.la = &Site{name: "la", site: la, now: l.Now}
 	}
 	return nil
 }
-
-// Run advances the deployment by d of virtual time.
-func (l *Lab) Run(d time.Duration) { l.scenario.Run(d) }
-
-// Now returns the current virtual time.
-func (l *Lab) Now() time.Duration { return l.scenario.B.W.Now() }
 
 // NY returns the New York site. Establish must have succeeded.
 func (l *Lab) NY() *Site { return l.ny }

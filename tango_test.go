@@ -171,3 +171,67 @@ func TestLabAuthenticatedTelemetry(t *testing.T) {
 		t.Fatalf("controller on %s with auth enabled", l.NY().CurrentPath())
 	}
 }
+
+// TestEstablishIdempotent: on both deployment shapes a second Establish
+// returns nil, advances no virtual time and starts nothing — every path
+// keeps sampling at the rate it had before the call.
+func TestEstablishIdempotent(t *testing.T) {
+	lab := NewLab(Options{Seed: 12})
+	mesh := NewMesh(MeshOptions{Seed: 12})
+	for _, shape := range []struct {
+		name      string
+		establish func() error
+		now       func() time.Duration
+		run       func(time.Duration)
+		paths     func() []PathInfo
+	}{
+		{"lab", lab.Establish, lab.Now, lab.Run, func() []PathInfo {
+			return append(lab.NY().Paths(), lab.LA().Paths()...)
+		}},
+		{"mesh", mesh.Establish, mesh.Now, mesh.Run, func() []PathInfo {
+			var all []PathInfo
+			for _, pair := range [][2]string{{"ny", "chi"}, {"chi", "ny"}, {"chi", "la"}, {"la", "chi"}, {"ny", "la"}, {"la", "ny"}} {
+				ps, err := mesh.Paths(pair[0], pair[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, ps...)
+			}
+			return all
+		}},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			if err := shape.establish(); err != nil {
+				t.Fatal(err)
+			}
+			shape.run(10 * time.Second)
+			start := shape.paths()
+			shape.run(10 * time.Second)
+			before := shape.paths()
+
+			at := shape.now()
+			if err := shape.establish(); err != nil {
+				t.Fatalf("second Establish: %v", err)
+			}
+			if shape.now() != at {
+				t.Fatalf("second Establish advanced virtual time %v -> %v", at, shape.now())
+			}
+			shape.run(10 * time.Second)
+			after := shape.paths()
+
+			if len(after) != len(before) || len(before) == 0 {
+				t.Fatalf("path count changed: %d -> %d", len(before), len(after))
+			}
+			for i := range before {
+				was := before[i].Samples - start[i].Samples
+				is := after[i].Samples - before[i].Samples
+				// Jitter moves an arrival or two across a window edge; a
+				// second set of probers would double the rate.
+				if was == 0 || is+was/10 < was || is > was+was/10 {
+					t.Fatalf("path %d (%s): %d samples in the 10 s before the second Establish, %d after",
+						before[i].ID, before[i].Provider, was, is)
+				}
+			}
+		})
+	}
+}
