@@ -39,11 +39,14 @@ func (b *Buf) Release() {
 // Buffer capacity policy: buffers start at defaultBufCap (an MTU-sized
 // inner packet plus worst-case encapsulation overhead fits without
 // growing) and are discarded on release once grown past maxPooledCap, so
-// one jumbo packet cannot permanently inflate the pool's footprint.
+// one jumbo packet cannot permanently inflate the pool's footprint. The
+// buffer count is not capped: the freelist can never hold more buffers
+// than were once leased at the same instant, which is memory the run
+// already needed, and a cap below that working set turns every burst
+// into fresh allocations.
 const (
 	defaultBufCap = 2048
 	maxPooledCap  = 16384
-	maxPooledBufs = 4096
 )
 
 // BufPool is a freelist of fixed-capacity packet buffers. It is not
@@ -55,12 +58,14 @@ type BufPool struct {
 
 	// Stats counts pool activity; News on a warm steady state means the
 	// fast path is leaking buffers somewhere.
-	Stats struct {
-		Gets     uint64
-		News     uint64
-		Puts     uint64
-		Discards uint64
-	}
+	Stats PoolStats
+}
+
+// PoolStats counts a pool's leases (Gets), the ones that had to create a
+// buffer (News), releases (Puts) and the oversized releases it dropped
+// (Discards).
+type PoolStats struct {
+	Gets, News, Puts, Discards uint64
 }
 
 // NewBufPool returns an empty pool; buffers are created on demand and
@@ -96,7 +101,7 @@ func (p *BufPool) put(b *Buf) {
 	}
 	b.leased = false
 	p.Stats.Puts++
-	if cap(b.data) > maxPooledCap || p.nfree >= maxPooledBufs {
+	if cap(b.data) > maxPooledCap {
 		b.pool = nil // detach: a discarded Buf must not resurrect into the pool
 		p.Stats.Discards++
 		return

@@ -63,20 +63,26 @@ func TestBufPoolDiscardsOversized(t *testing.T) {
 	}
 }
 
-func TestBufPoolFreelistBounded(t *testing.T) {
+// The freelist keeps the working set: once N buffers have been leased at
+// the same instant (N past any fixed cap a pool might be tempted to have),
+// releasing them all and leasing N again creates and discards nothing.
+func TestBufPoolKeepsWorkingSet(t *testing.T) {
+	const n = 3 * 4096
 	p := NewBufPool()
-	bufs := make([]*Buf, maxPooledBufs+10)
-	for i := range bufs {
-		bufs[i] = p.Get()
+	bufs := make([]*Buf, n)
+	for round := 0; round < 2; round++ {
+		for i := range bufs {
+			bufs[i] = p.Get()
+		}
+		for _, b := range bufs {
+			b.Release()
+		}
+		if p.Free() != n {
+			t.Fatalf("round %d: freelist = %d, want the working set %d", round, p.Free(), n)
+		}
 	}
-	for _, b := range bufs {
-		b.Release()
-	}
-	if p.Free() != maxPooledBufs {
-		t.Fatalf("freelist = %d, want cap at %d", p.Free(), maxPooledBufs)
-	}
-	if p.Stats.Discards != 10 {
-		t.Fatalf("discards = %d", p.Stats.Discards)
+	if p.Stats.News != n || p.Stats.Discards != 0 {
+		t.Fatalf("second burst of %d: news=%d discards=%d, want %d and 0", n, p.Stats.News, p.Stats.Discards, n)
 	}
 }
 

@@ -40,6 +40,7 @@ var Micros = []Micro{
 	{"LinkTraverse", BenchLinkTraverse},
 	{"SchedFire", BenchSchedFire},
 	{"Cancel", BenchCancel},
+	{"LateBurst", BenchLateBurst},
 	{"ObsCounter", BenchObsCounter},
 	{"ObsHistogram", BenchObsHistogram},
 	{"FlowEmit", BenchFlowEmit},

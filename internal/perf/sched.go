@@ -4,7 +4,8 @@
 // comparison-based queue pays O(log n) per operation while the wheel's
 // bucket arithmetic stays O(1), so a wheel that lost that property shows
 // here first (the benchmark harness reports these bodies as
-// sim.sched_fire_ns and sim.cancel_ns).
+// sim.sched_fire_ns and sim.cancel_ns). LateBurst is the case the wheel
+// cannot place: events arriving behind a cursor that has run ahead.
 package perf
 
 import (
@@ -28,7 +29,7 @@ func backlogDelay(i int) time.Duration {
 // BenchSchedFire measures one Schedule(10µs)+Step cycle on the wheel with
 // schedBacklog events pending. The scheduled event is always the earliest,
 // so each iteration measures exactly one placement and one fire (bucket
-// insert, due-chain pop, freelist recycle); the backlog makes the wheel
+// insert, due-heap pop, freelist recycle); the backlog makes the wheel
 // actually maintain its levels while the clock advances.
 func BenchSchedFire(b *testing.B) {
 	e := sim.NewEngine()
@@ -81,5 +82,49 @@ func BenchCancel(b *testing.B) {
 	b.StopTimer()
 	if got := e.Stats.Cancelled; got != uint64(b.N+cancelWarmup) {
 		b.Fatalf("cancelled %d of %d", got, b.N+cancelWarmup)
+	}
+}
+
+// lateBurstSize is one burst of BenchLateBurst: the order of a barrier
+// drain's batch on the wide mesh.
+const lateBurstSize = 1024
+
+type nopHandler struct{}
+
+func (nopHandler) OnSimEvent(any) {}
+
+// BenchLateBurst measures one event of a late burst, schedule through
+// fire. A far timer and NextAt run the wheel's cursor ahead; lateBurstSize
+// events then arrive for granules the cursor has already passed, in a
+// fixed shuffled order (the stride is coprime to the burst size), and
+// run. This is how a barrier's cross-partition batch and a set-up burst
+// reach an engine, and the wheel cannot bucket them: each goes straight
+// to the due set, so the cost per event is the due set's insert and pop
+// at that depth.
+func BenchLateBurst(b *testing.B) {
+	const stride = 389
+	e := sim.NewEngine()
+	var h nopHandler
+	burst := func(n int) {
+		base := e.Now()
+		end := base + sim.Time(lateBurstSize+1)*sim.Time(2*time.Microsecond)
+		e.ScheduleArgAt(end, h, nil)
+		e.NextAt()
+		for i := 0; i < n; i++ {
+			e.ScheduleArgAt(base+sim.Time(1+i*stride%lateBurstSize)*sim.Time(2*time.Microsecond), h, nil)
+		}
+		e.Run(end)
+	}
+	burst(lateBurstSize)
+	fired := e.Stats.Fired
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= lateBurstSize {
+		burst(min(left, lateBurstSize))
+	}
+	b.StopTimer()
+	bursts := uint64((b.N + lateBurstSize - 1) / lateBurstSize)
+	if got := e.Stats.Fired - fired; got != uint64(b.N)+bursts {
+		b.Fatalf("fired %d of %d", got, uint64(b.N)+bursts)
 	}
 }

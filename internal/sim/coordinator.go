@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +56,7 @@ type Coordinator struct {
 	Stats struct {
 		Epochs   uint64
 		CrossMsg uint64
+		DrainMax uint64 // largest single barrier batch
 	}
 }
 
@@ -266,7 +268,9 @@ func (c *Coordinator) runEpochParallel(end Time) {
 // canonical (time, source partition, per-source sequence) order. The
 // ordering depends only on virtual time and scheduling order within each
 // partition, so the resulting destination-side event sequence is
-// identical for every worker count.
+// identical for every worker count. A batch sorted by time is also the
+// cheapest arrival order for the destinations' due heaps: every push
+// stays at the bottom.
 func (c *Coordinator) drain() {
 	c.scratch = c.scratch[:0]
 	for i := range c.outbox {
@@ -276,15 +280,14 @@ func (c *Coordinator) drain() {
 	if len(c.scratch) == 0 {
 		return
 	}
-	sort.Slice(c.scratch, func(i, j int) bool {
-		a, b := &c.scratch[i], &c.scratch[j]
+	slices.SortFunc(c.scratch, func(a, b crossMsg) int {
 		if a.at != b.at {
-			return a.at < b.at
+			return cmp.Compare(a.at, b.at)
 		}
 		if a.src != b.src {
-			return a.src < b.src
+			return cmp.Compare(a.src, b.src)
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range c.scratch {
 		m := &c.scratch[i]
@@ -299,7 +302,11 @@ func (c *Coordinator) drain() {
 		dst.ScheduleArgAt(m.at, m.h, m.arg)
 		m.h, m.arg = nil, nil
 	}
-	c.Stats.CrossMsg += uint64(len(c.scratch))
+	n := uint64(len(c.scratch))
+	c.Stats.CrossMsg += n
+	if n > c.Stats.DrainMax {
+		c.Stats.DrainMax = n
+	}
 }
 
 func (c *Coordinator) fireHooks(now Time) {

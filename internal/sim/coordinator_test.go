@@ -250,3 +250,92 @@ func TestLookaheadViolationPanics(t *testing.T) {
 	c.EnterParallel()
 	mustPanic(t, "lookahead violation", func() { c.Run(Time(20 * time.Millisecond)) })
 }
+
+// burstSource stages one barrier's worth of cross messages and counts its
+// PrepareCross calls; the destination logs (at, src, i) as each lands.
+type burstSource struct {
+	src   int
+	dst   *Engine
+	log   *[][3]int64
+	preps int
+}
+
+func (h *burstSource) PrepareCross(arg any) any { h.preps++; return arg }
+
+func (h *burstSource) OnSimEvent(arg any) {
+	*h.log = append(*h.log, [3]int64{int64(h.dst.Now()), int64(h.src), int64(arg.(int))})
+}
+
+// crossBurst runs 4 partitions where partitions 1–3 each send perSrc
+// messages to partition 0 from one callback, with at descending and
+// colliding (four per instant per source, every instant shared by all
+// three sources), while partition 0's cursor has run ahead to a far
+// timer. It returns the destination's fire log.
+func crossBurst(t *testing.T, workers int, parallel bool) [][3]int64 {
+	t.Helper()
+	const (
+		la     = 10 * time.Millisecond
+		perSrc = 4096
+	)
+	c := NewCoordinator(4, la)
+	c.SetWorkers(workers)
+	dst := c.Part(0)
+	dst.ScheduleAt(Time(time.Second), func() {})
+	var log [][3]int64
+	srcs := make([]*burstSource, 3)
+	for k := range srcs {
+		h := &burstSource{src: k + 1, dst: dst, log: &log}
+		srcs[k] = h
+		src := c.Part(h.src)
+		src.ScheduleAt(Time(time.Millisecond), func() {
+			for i := 0; i < perSrc; i++ {
+				at := Time(time.Millisecond+la) + Time((perSrc-1-i)/4)*Time(time.Microsecond)
+				CrossScheduleAt(src, dst, at, h, i)
+			}
+		})
+	}
+	if parallel {
+		c.EnterParallel()
+	}
+	c.Run(Time(50 * time.Millisecond))
+	for _, h := range srcs {
+		if h.preps != perSrc {
+			t.Fatalf("workers=%d parallel=%v: source %d saw %d PrepareCross calls, want %d",
+				workers, parallel, h.src, h.preps, perSrc)
+		}
+	}
+	if parallel {
+		if c.Stats.CrossMsg != 3*perSrc || c.Stats.DrainMax != 3*perSrc {
+			t.Fatalf("workers=%d: CrossMsg=%d DrainMax=%d, want %d in one barrier batch",
+				workers, c.Stats.CrossMsg, c.Stats.DrainMax, 3*perSrc)
+		}
+		// The whole batch landed behind the destination's cursor.
+		if dst.Stats.DuePeak < 3*perSrc {
+			t.Fatalf("workers=%d: destination DuePeak=%d, want ≥%d", workers, dst.Stats.DuePeak, 3*perSrc)
+		}
+	}
+	return log
+}
+
+// A barrier batch of burst size — thousands of messages, out of order and
+// colliding, onto an engine whose cursor has run ahead — lands in the
+// canonical (at, src, seq) order for every worker count and in coupled
+// mode alike.
+func TestDrainBurstCanonicalOrder(t *testing.T) {
+	base := crossBurst(t, 1, false) // coupled reference
+	if len(base) != 3*4096 {
+		t.Fatalf("coupled run fired %d cross messages, want %d", len(base), 3*4096)
+	}
+	for i := 1; i < len(base); i++ {
+		a, b := base[i-1], base[i]
+		if a[0] > b[0] || a[0] == b[0] && (a[1] > b[1] || a[1] == b[1] && a[2] >= b[2]) {
+			t.Fatalf("fire %d (at=%d src=%d i=%d) after (at=%d src=%d i=%d): not (at, src, seq) order",
+				i, b[0], b[1], b[2], a[0], a[1], a[2])
+		}
+	}
+	for _, w := range []int{1, 2, 4} {
+		if got := crossBurst(t, w, true); !reflect.DeepEqual(got, base) {
+			t.Fatalf("workers=%d parallel fired a different sequence than coupled mode", w)
+		}
+	}
+}

@@ -33,13 +33,14 @@ type diffDriver struct {
 	now      func() Time
 	pending  func() int
 	nextAt   func() (Time, bool)
+	eng      *Engine // nil for the reference heap
 }
 
 func engineDriver() *diffDriver {
 	e := NewEngine()
 	handles := make(map[int]*Event)
 	n := 0
-	d := &diffDriver{}
+	d := &diffDriver{eng: e}
 	d.schedule = func(dd time.Duration, fn func()) int {
 		i := n
 		n++

@@ -52,7 +52,7 @@ type Event struct {
 	handler ArgHandler
 	arg     any
 	state   int32
-	next    *Event // bucket / due / freelist chain link
+	next    *Event // bucket / overflow / freelist chain link
 }
 
 // ArgHandler consumes payload-carrying events scheduled with ScheduleArg.
@@ -84,7 +84,6 @@ type Engine struct {
 	running bool
 	stopped bool
 	free    *Event // freelist to avoid per-event allocation in long runs
-	nfree   int
 
 	// coord/part are set when the engine is one partition of a sharded
 	// simulation (see coordinator.go); standalone engines leave them zero.
@@ -97,6 +96,7 @@ type Engine struct {
 		Fired     uint64
 		Cancelled uint64
 		Swept     uint64 // tombstones reclaimed (deferred sweeps and bucket expiry)
+		DuePeak   uint64 // largest due set so far: events the cursor had already passed
 	}
 }
 
@@ -203,7 +203,7 @@ func (e *Engine) push(t Time) *Event {
 	ev.seq = e.seq
 	ev.state = statePending
 	e.seq++
-	e.w.place(ev)
+	e.w.place(e, ev)
 	e.nlive++
 	e.Stats.Scheduled++
 	return ev
@@ -234,8 +234,6 @@ func (e *Engine) Cancel(ev *Event) {
 // to matter, amortizing the walk over the cancels that created them. The
 // floor keeps sweeps rare in cancel-light runs; the live-count ratio
 // keeps a huge backlog from being walked for a handful of tombstones.
-// The floor stays below the freelist cap so a sweep's reclaimed events
-// are actually reusable.
 const (
 	sweepMinTombstones = 2048
 	sweepLiveRatio     = 4 // sweep when ntomb ≥ nlive/sweepLiveRatio
@@ -247,22 +245,32 @@ func (e *Engine) maybeSweep() {
 	}
 }
 
-// sweep unlinks every tombstone from every chain and returns the events
-// to the freelist.
+// sweep unlinks every tombstone from the due heap and every chain and
+// returns the events to the freelist.
 func (e *Engine) sweep() {
 	w := &e.w
-	w.due, w.dueTail = e.filterChain(w.due)
+	live := w.due[:0]
+	for _, ev := range w.due {
+		if ev.state < 0 {
+			e.reclaim(ev)
+			continue
+		}
+		live = append(live, ev)
+	}
+	clear(w.due[len(live):])
+	w.due = live
+	w.heapifyDue()
 	for l := range w.level {
 		lv := &w.level[l]
 		for m := lv.occupied; m != 0; m &= m - 1 {
 			s := bits.TrailingZeros64(m)
-			lv.slot[s], _ = e.filterChain(lv.slot[s])
+			lv.slot[s] = e.filterChain(lv.slot[s])
 			if lv.slot[s] == nil {
 				lv.occupied &^= 1 << uint(s)
 			}
 		}
 	}
-	w.overflow, _ = e.filterChain(w.overflow)
+	w.overflow = e.filterChain(w.overflow)
 	w.overflowMin = 0
 	for ev := w.overflow; ev != nil; ev = ev.next {
 		if u := granule(ev.at); w.overflowMin == 0 || u < w.overflowMin {
@@ -271,9 +279,9 @@ func (e *Engine) sweep() {
 	}
 }
 
-// filterChain rebuilds a chain without its tombstones (order preserved,
-// so the due chain stays sorted) and returns the new head and tail.
-func (e *Engine) filterChain(head *Event) (*Event, *Event) {
+// filterChain rebuilds a chain without its tombstones and returns the
+// new head.
+func (e *Engine) filterChain(head *Event) *Event {
 	var out, tail *Event
 	for head != nil {
 		ev := head
@@ -290,7 +298,7 @@ func (e *Engine) filterChain(head *Event) (*Event, *Event) {
 		}
 		tail = ev
 	}
-	return out, tail
+	return out
 }
 
 // reclaim returns an unlinked tombstone to the freelist.
@@ -300,47 +308,20 @@ func (e *Engine) reclaim(ev *Event) {
 	e.release(ev)
 }
 
-// sortIntoDue filters tombstones out of an expired level-0 bucket and
-// merges the survivors, sorted by (at, seq), into the due chain.
-func (e *Engine) sortIntoDue(chain *Event) {
-	var live *Event
-	for chain != nil {
-		ev := chain
-		chain = chain.next
-		if ev.state < 0 {
-			e.reclaim(ev)
-			continue
-		}
-		ev.next = live
-		live = ev
+// noteDue records the due set's high-water mark.
+func (e *Engine) noteDue() {
+	if n := uint64(len(e.w.due)); n > e.Stats.DuePeak {
+		e.Stats.DuePeak = n
 	}
-	live = mergeSortEvents(live)
-	if live == nil {
-		return
-	}
-	w := &e.w
-	if w.due == nil {
-		w.due = live
-	} else {
-		// refill only runs on an empty due chain, but a due chain can be
-		// non-empty here after schedules into already-passed granules;
-		// those all precede the freshly expired bucket (inv-1 held when
-		// they were inserted), so the bucket appends after the tail.
-		w.dueTail.next = live
-	}
-	tail := live
-	for tail.next != nil {
-		tail = tail.next
-	}
-	w.dueTail = tail
 }
 
 // peek returns the earliest pending event without firing it, advancing
 // the wheel cursor (but never the clock) as needed. Tombstones surfacing
-// at the due-chain head are reclaimed on the way.
+// at the due heap's root are reclaimed on the way.
 func (e *Engine) peek() *Event {
 	for {
-		for ev := e.w.due; ev != nil; ev = e.w.due {
+		for len(e.w.due) > 0 {
+			ev := e.w.due[0]
 			if ev.state >= 0 {
 				return ev
 			}
@@ -433,16 +414,13 @@ func (e *Engine) alloc() *Event {
 	ev := e.free
 	e.free = ev.next
 	ev.next = nil
-	e.nfree--
 	return ev
 }
 
+// release returns ev to the freelist. The list is uncapped: it can never
+// hold more events than were once pending at the same instant, which is
+// memory the run already needed.
 func (e *Engine) release(ev *Event) {
-	const maxFree = 4096
-	if e.nfree >= maxFree {
-		return
-	}
 	ev.next = e.free
 	e.free = ev
-	e.nfree++
 }

@@ -377,3 +377,25 @@ func TestScheduleArgSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("handler fired %d times", h.n)
 	}
 }
+
+// The event freelist keeps the working set: once n events (n past any
+// fixed cap a freelist might be tempted to have) have been pending at the
+// same instant, holding n pending again allocates nothing.
+func TestEventFreelistKeepsWorkingSet(t *testing.T) {
+	const n = 10_000
+	e := NewEngine()
+	h := &counterHandler{}
+	burst := func() {
+		for i := 0; i < n; i++ {
+			e.ScheduleArg(time.Duration(i%97)*time.Microsecond, h, nil)
+		}
+		if e.Pending() != n {
+			t.Fatalf("Pending() = %d, want %d", e.Pending(), n)
+		}
+		e.RunAll()
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(3, burst); allocs != 0 {
+		t.Fatalf("%d events pending again after a drain allocate %v times per burst, want 0", n, allocs)
+	}
+}

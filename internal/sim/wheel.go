@@ -20,19 +20,21 @@ import "math/bits"
 //     chained through Event.next (unordered — chains are prepend-only, so
 //     insertion allocates nothing and touches one pointer).
 //   - The cursor only moves forward. Entering a region cascades that
-//     region's bucket into lower levels; expiring a level-0 bucket sorts
-//     its chain by (at, seq) into the "due" chain the engine fires from.
+//     region's bucket into lower levels; expiring a level-0 bucket moves
+//     its live events into the "due" set the engine fires from, a binary
+//     min-heap on (at, seq).
 //
 // Exactness is what distinguishes this wheel from the kernel's: a timer
 // wheel may fire late by up to a bucket width, but a DES scheduler must
 // fire every event at its exact (at, seq) position or replay determinism
-// breaks. The due-chain sort restores the total order that bucketing
-// coarsened, and two invariants keep the order global rather than merely
-// per-bucket:
+// breaks. The due heap restores the total order that bucketing coarsened
+// — (at, seq) keys are unique per engine, so the heap's pop order is the
+// sorted order — and two invariants keep the order global rather than
+// merely per-bucket:
 //
 //	inv-1  every bucketed event's granule index is ≥ base, and every
-//	       due-chain event's is < base, so the sorted due chain strictly
-//	       precedes everything still in buckets (granule(at) < base
+//	       due event's is < base, so the due set strictly precedes
+//	       everything still in buckets (granule(at) < base
 //	       ⇒ at < base<<granBits ≤ any bucketed event's at);
 //	inv-2  the cursor never moves past an occupied bucket: before the
 //	       level-0 window is scanned, any bucket sitting at the cursor's
@@ -42,9 +44,15 @@ import "math/bits"
 //	       lowest non-empty level, which always precedes every slot of
 //	       the levels above it.
 //
-// Same-instant FIFO comes out of the (at, seq) sort: seq is assigned in
-// scheduling order and tie-breaks equal timestamps exactly as the old
-// heap's comparison did, so the wheel fires the byte-identical sequence.
+// Same-instant FIFO comes out of the (at, seq) key: seq is assigned in
+// scheduling order and tie-breaks equal timestamps.
+//
+// The due set is a heap rather than a sorted list because the cursor runs
+// ahead of the clock: peek moves base to the next occupied bucket even
+// when that lies far past the instant a Run stops at, and everything that
+// then arrives for an earlier granule — a barrier's cross-partition
+// batch, a set-up burst — lands in the due set in arbitrary order. A
+// push is O(log n) whatever the arrival order.
 const (
 	granBits    = 10 // level-0 bucket width: 2^10 ns ≈ 1 µs of virtual time
 	levelBits   = 6  // 64 buckets per level
@@ -65,11 +73,10 @@ type wheel struct {
 	// Monotonically non-decreasing; all bucketed events live at granule
 	// ≥ base (inv-1).
 	base int64
-	// due is the sorted (at, seq) chain the engine fires from: every
-	// pending event whose granule precedes base. dueTail makes the
-	// common same-instant append O(1).
-	due     *Event
-	dueTail *Event
+	// due is the min-heap on (at, seq) the engine fires from: every
+	// pending event whose granule precedes base. The slice keeps its
+	// capacity, so a warm engine pushes without allocating.
+	due []*Event
 	// overflow chains events beyond the wheel horizon (notably timers
 	// clamped to Forever). overflowMin tracks the earliest granule on the
 	// chain so an exhausted wheel can rebase onto it.
@@ -86,12 +93,13 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// place files ev into the due chain, a bucket, or the overflow chain,
+// place files ev into the due heap, a bucket, or the overflow chain,
 // according to where its granule falls relative to the cursor.
-func (w *wheel) place(ev *Event) {
+func (w *wheel) place(e *Engine, ev *Event) {
 	u := granule(ev.at)
 	if u < w.base {
 		w.insertDue(ev)
+		e.noteDue()
 		return
 	}
 	x := uint64(u ^ w.base)
@@ -114,52 +122,61 @@ func (w *wheel) place(ev *Event) {
 	lv.occupied |= 1 << uint(s)
 }
 
-// insertDue splices ev into the sorted due chain at its (at, seq)
-// position. Events scheduled for the current instant carry the largest
-// seq so far, so the overwhelmingly common case is an O(1) tail append;
-// mid-chain positions (an event scheduled into an earlier granule than
-// the chain's tail) take a walk from the head.
+// insertDue pushes ev onto the due heap.
 func (w *wheel) insertDue(ev *Event) {
-	tail := w.dueTail
-	if tail == nil {
-		ev.next = nil
-		w.due, w.dueTail = ev, ev
-		return
+	h := append(w.due, ev)
+	w.due = h
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventLess(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	if eventLess(tail, ev) {
-		ev.next = nil
-		tail.next = ev
-		w.dueTail = ev
-		return
-	}
-	if eventLess(ev, w.due) {
-		ev.next = w.due
-		w.due = ev
-		return
-	}
-	p := w.due
-	for p.next != nil && eventLess(p.next, ev) {
-		p = p.next
-	}
-	ev.next = p.next
-	p.next = ev
-	if ev.next == nil {
-		w.dueTail = ev
+	h[i] = ev
+}
+
+// popDue removes the due heap's root; the heap must not be empty.
+func (w *wheel) popDue() {
+	h := w.due
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	w.due = h[:n]
+	if n > 0 {
+		siftDown(h[:n], 0, last)
 	}
 }
 
-// popDue unlinks and returns the due chain's head (nil if empty).
-func (w *wheel) popDue() *Event {
-	ev := w.due
-	if ev == nil {
-		return nil
+// siftDown stores ev into the subtree of h rooted at the hole i, moving
+// smaller children up until ev fits.
+func siftDown(h []*Event, i int, ev *Event) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && eventLess(h[c+1], h[c]) {
+			c++
+		}
+		if !eventLess(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	w.due = ev.next
-	if w.due == nil {
-		w.dueTail = nil
+	h[i] = ev
+}
+
+// heapifyDue restores the heap property over the whole due slice, in
+// O(n): after a bucket's events were appended or a sweep removed some.
+func (w *wheel) heapifyDue() {
+	h := w.due
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, h[i])
 	}
-	ev.next = nil
-	return ev
 }
 
 // take detaches and returns slot s of level l.
@@ -172,8 +189,8 @@ func (w *wheel) take(l, s int) *Event {
 }
 
 // refill advances the cursor to the next occupied bucket, cascading
-// higher levels as regions are entered, and loads that bucket — sorted,
-// tombstones dropped — into the due chain. It reports whether any live
+// higher levels as regions are entered, and loads that bucket —
+// tombstones dropped — into the due heap. It reports whether any live
 // event became due. It never touches the clock: calling it early (NextAt
 // peeking ahead) only moves events between buckets, which cannot change
 // the (at, seq) fire order.
@@ -204,8 +221,8 @@ func (w *wheel) refill(e *Engine) bool {
 			u := w.base&^slotMask | k
 			chain := w.take(0, int(k))
 			w.base = u + 1
-			e.sortIntoDue(chain)
-			if w.due != nil {
+			w.expire(e, chain)
+			if len(w.due) > 0 {
 				return true
 			}
 			continue // bucket held only tombstones
@@ -243,7 +260,7 @@ func (w *wheel) refill(e *Engine) bool {
 	}
 }
 
-// drain cascades bucket (l, s) into lower levels (or the due chain),
+// drain cascades bucket (l, s) into lower levels (or the due heap),
 // reclaiming tombstones on the way. Every event re-places strictly below
 // level l because its granule now shares digit l with the cursor.
 func (w *wheel) drain(e *Engine, l, s int) {
@@ -255,7 +272,7 @@ func (w *wheel) drain(e *Engine, l, s int) {
 			e.reclaim(ev)
 			continue
 		}
-		w.place(ev)
+		w.place(e, ev)
 	}
 }
 
@@ -275,65 +292,23 @@ func (w *wheel) rebase(e *Engine) {
 			e.reclaim(ev)
 			continue
 		}
-		w.place(ev)
+		w.place(e, ev)
 	}
 }
 
-// mergeSortEvents sorts a bucket chain by (at, seq) — bottom-up merge
-// sort on the links themselves: O(n log n), no allocation, no recursion,
-// so a ten-thousand-event storm bucket sorts without growing the stack.
-func mergeSortEvents(list *Event) *Event {
-	if list == nil || list.next == nil {
-		return list
-	}
-	k := 1
-	for {
-		p := list
-		list = nil
-		var tail *Event
-		merges := 0
-		for p != nil {
-			merges++
-			q := p
-			psize := 0
-			for i := 0; i < k && q != nil; i++ {
-				q = q.next
-				psize++
-			}
-			qsize := k
-			for psize > 0 || (qsize > 0 && q != nil) {
-				var ev *Event
-				switch {
-				case psize == 0:
-					ev = q
-					q = q.next
-					qsize--
-				case qsize == 0 || q == nil:
-					ev = p
-					p = p.next
-					psize--
-				case eventLess(q, p):
-					ev = q
-					q = q.next
-					qsize--
-				default:
-					ev = p
-					p = p.next
-					psize--
-				}
-				if tail != nil {
-					tail.next = ev
-				} else {
-					list = ev
-				}
-				tail = ev
-			}
-			p = q
+// expire moves an expired level-0 bucket's live events onto the due heap
+// and reclaims its tombstones. refill only runs on an empty due set, so
+// the one heapify costs O(bucket).
+func (w *wheel) expire(e *Engine, chain *Event) {
+	for chain != nil {
+		ev := chain
+		chain = chain.next
+		if ev.state < 0 {
+			e.reclaim(ev)
+			continue
 		}
-		tail.next = nil
-		if merges <= 1 {
-			return list
-		}
-		k *= 2
+		w.due = append(w.due, ev)
 	}
+	w.heapifyDue()
+	e.noteDue()
 }

@@ -299,3 +299,73 @@ func TestWheelSameGranuleFIFOWithCancels(t *testing.T) {
 		want++
 	}
 }
+
+// lateBurst is the arrival pattern of a barrier drain or a set-up burst:
+// a far timer and NextAt run the cursor ahead, then n events land in
+// already-passed granules in a fixed shuffled order (stride is coprime to
+// n, so i*stride mod n visits every slot once) and run.
+func lateBurst(e *Engine, h ArgHandler, n int) {
+	const stride = 7919
+	base := e.Now()
+	end := base + Time(n+1)*Time(2*time.Microsecond)
+	e.ScheduleArgAt(end, h, nil)
+	e.NextAt()
+	for i := 0; i < n; i++ {
+		e.ScheduleArgAt(base+Time(1+i*stride%n)*Time(2*time.Microsecond), h, nil)
+	}
+	e.Run(end)
+}
+
+// Events landing behind the cursor in arbitrary order fire in (at, seq)
+// order, and DuePeak reports how deep the due set got.
+func TestWheelLateBurstFiresInOrder(t *testing.T) {
+	const n = 4096
+	e := NewEngine()
+	rec := &argRecorder{eng: e}
+	lateBurst(e, rec, n)
+	if len(rec.ats) != n+1 {
+		t.Fatalf("fired %d events, want %d", len(rec.ats), n+1)
+	}
+	for i, at := range rec.ats {
+		if want := Time(i+1) * Time(2*time.Microsecond); at != want {
+			t.Fatalf("fire %d at %v, want %v", i, at, want)
+		}
+	}
+	// The far timer sat in the due set while the burst arrived.
+	if e.Stats.DuePeak != n+1 {
+		t.Fatalf("DuePeak = %d, want %d", e.Stats.DuePeak, n+1)
+	}
+}
+
+// The due set must take a late burst at O(log n) per event: with a sorted
+// list and a head walk the per-event cost at 32k late events was 140× the
+// cost at 1k (956 ns → 135 µs); with the heap it is about 2.3×.
+func TestLateBurstScales(t *testing.T) {
+	if testing.Short() || RaceEnabled {
+		t.Skip("timing guard: skipped under -short and the race detector")
+	}
+	perEvent := func(n int) float64 {
+		res := testing.Benchmark(func(b *testing.B) {
+			e := NewEngine()
+			h := &counterHandler{}
+			lateBurst(e, h, n) // warm the freelist and the heap's slice
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lateBurst(e, h, n)
+			}
+		})
+		return float64(res.NsPerOp()) / float64(n)
+	}
+	// A noisy neighbour can slow either side; only a ratio that stays
+	// high three times running is the structure's fault.
+	var small, large float64
+	for try := 0; try < 3; try++ {
+		small, large = perEvent(1024), perEvent(32768)
+		t.Logf("late burst: %.0f ns/event at 1 024, %.0f ns/event at 32 768 (%.1f×)", small, large, large/small)
+		if large <= 6*small {
+			return
+		}
+	}
+	t.Fatalf("late-burst cost grew %.1f× from 1 024 to 32 768 events (%.0f → %.0f ns/event), want ≤6×",
+		large/small, small, large)
+}

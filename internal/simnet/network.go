@@ -87,11 +87,22 @@ func (w *Network) BufPool() *packet.BufPool { return w.pools[0] }
 // partition pool — the quantity the chaos buffer-balance invariant
 // compares against packets in flight.
 func (w *Network) LeasedBufs() uint64 {
-	var leased uint64
+	s := w.PoolStats()
+	return s.Gets - s.Puts
+}
+
+// PoolStats returns the buffer-pool counters summed over every partition
+// pool. On a leak-free network News stops moving once the pools have
+// grown to the working set.
+func (w *Network) PoolStats() packet.PoolStats {
+	var s packet.PoolStats
 	for _, p := range w.pools {
-		leased += p.Stats.Gets - p.Stats.Puts
+		s.Gets += p.Stats.Gets
+		s.News += p.Stats.News
+		s.Puts += p.Stats.Puts
+		s.Discards += p.Stats.Discards
 	}
-	return leased
+	return s
 }
 
 // AddNode creates a node with the given wall-clock offset from virtual

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tango/internal/addr"
+	"tango/internal/packet"
 	"tango/internal/sim"
 )
 
@@ -189,5 +190,72 @@ func TestDelayModelFloors(t *testing.T) {
 	}
 	if (SpikeDelay{Base: noFloor{}}).MinDelay() != 0 {
 		t.Fatal("SpikeDelay over a floorless base must report 0")
+	}
+}
+
+// A leak-free sharded network stops creating buffers and events once its
+// freelists have grown to the working set, however large that is: five
+// bursts of 6 000 packets cross one link, each burst materializing 6 000
+// buffers from the destination pool and 6 000 events on the destination
+// engine in a single barrier drain (behind a cursor that a far timer has
+// run ahead). After the first burst nothing is created or discarded
+// again. A freelist capped below the burst re-makes the excess every time.
+func TestShardedBurstsReuseWorkingSet(t *testing.T) {
+	const (
+		la    = 10 * time.Millisecond
+		burst = 6000
+	)
+	for _, workers := range []int{1, 2} {
+		w, a, b := shardedPair(t, la)
+		b.AddAddr(netip.MustParseAddr("2001:db8::b"))
+		a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
+		delivered := 0
+		b.SetHandler(func([]byte) { delivered++ })
+		b.Eng().ScheduleAt(sim.Time(time.Hour), func() {})
+		w.Coord().SetWorkers(workers)
+		w.Coord().EnterParallel()
+
+		pkt := mkPkt(t, "2001:db8::a", "2001:db8::b", 64, 1, 2)
+		inject := func() {
+			for i := 0; i < burst; i++ {
+				a.Inject(pkt)
+			}
+		}
+		bursts := 0
+		var warm packet.PoolStats
+		oneBurst := func() {
+			if bursts == 2 {
+				warm = w.PoolStats()
+			}
+			bursts++
+			a.Eng().ScheduleAt(w.Now()+sim.Time(time.Millisecond), inject)
+			w.Run(w.Now() + sim.Time(5*la))
+		}
+		oneBurst()
+		// AllocsPerRun's warm-up call is burst two; three to five are measured.
+		allocs := testing.AllocsPerRun(3, oneBurst)
+
+		got := w.PoolStats()
+		t.Logf("workers=%d: %d bursts of %d: pools %+v, %.0f allocs per burst", workers, bursts, burst, got, allocs)
+		if bursts != 5 || delivered != 5*burst {
+			t.Fatalf("workers=%d: %d bursts delivered %d packets, want 5 and %d", workers, bursts, delivered, 5*burst)
+		}
+		if got.News != warm.News || got.Discards != warm.Discards {
+			t.Fatalf("workers=%d: after burst two News %d → %d, Discards %d → %d: the pools re-make their working set",
+				workers, warm.News, got.News, warm.Discards, got.Discards)
+		}
+		if got.Discards != 0 || got.Puts != got.Gets || w.LeasedBufs() != 0 {
+			t.Fatalf("workers=%d: pools %+v with %d leased", workers, got, w.LeasedBufs())
+		}
+		// One worker runs epochs inline, so any allocation is the
+		// engine's or the pool's; two workers add a few per epoch for the
+		// goroutines, far below one per packet.
+		if limit := float64(burst/100) * float64(workers-1); allocs > limit {
+			t.Fatalf("workers=%d: %.0f allocations per warm burst, want ≤%.0f", workers, allocs, limit)
+		}
+		if c := w.Coord(); c.Stats.DrainMax != burst || b.Eng().Stats.DuePeak < burst {
+			t.Fatalf("workers=%d: DrainMax=%d DuePeak=%d, want one barrier batch of %d landing behind the cursor",
+				workers, c.Stats.DrainMax, b.Eng().Stats.DuePeak, burst)
+		}
 	}
 }
