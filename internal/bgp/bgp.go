@@ -203,18 +203,6 @@ type Route struct {
 	FromSession *Session // nil for locally originated routes
 }
 
-// LearnedRel returns the relation of the session the route was learned
-// over (what the sending neighbor is to this speaker), or false for a
-// locally originated route. Policy code uses it to reason about a best
-// route's re-export power: customer-learned routes go everywhere,
-// peer- and provider-learned ones only to customers.
-func (r *Route) LearnedRel() (Relation, bool) {
-	if r.FromSession == nil {
-		return 0, false
-	}
-	return r.FromSession.cfg.Relation, true
-}
-
 // Clone returns a deep copy safe to modify.
 func (r *Route) Clone() *Route {
 	c := *r

@@ -149,9 +149,6 @@ func (s *Session) State() State { return s.state }
 // LocalAddr returns this side's session endpoint address.
 func (s *Session) LocalAddr() netip.Addr { return s.cfg.LocalAddr }
 
-// PeerAddr returns the remote side's session endpoint address.
-func (s *Session) PeerAddr() netip.Addr { return s.peer.cfg.LocalAddr }
-
 // AdjIn returns the route learned from the peer for p, if any.
 func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
 	r, ok := s.adjIn[p]
@@ -160,12 +157,6 @@ func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
 
 // AdjInLen returns the number of routes learned from the peer.
 func (s *Session) AdjInLen() int { return len(s.adjIn) }
-
-// AdjOut returns the route currently advertised to the peer for p.
-func (s *Session) AdjOut(p addr.Prefix) (*Route, bool) {
-	r, ok := s.adjOut[p]
-	return r, ok
-}
 
 // SetBlackholed cuts (or restores) the session's transport in both
 // directions. With a HoldTime configured, both sides eventually expire

@@ -30,9 +30,39 @@ type Policy interface {
 	Choose(now sim.Time, cur uint8, ests []PathEstimate) uint8
 }
 
+// damping is the switch-damping rule MinOWD and MinJitter share, with
+// the state it keeps between ticks.
+type damping struct {
+	lastSwitch sim.Time
+	haveCur    bool
+}
+
+// usable reports whether an estimate may take part in a decision: it has
+// seen a report, and not longer than staleAfter ago (0 disables ageing).
+func usable(e *PathEstimate, now sim.Time, staleAfter time.Duration) bool {
+	return e.Valid && (staleAfter <= 0 || now-e.UpdatedAt <= staleAfter)
+}
+
+// settle turns a policy's candidate into its choice. Staying put is
+// free; a current path with no usable estimate (curKnown false: never
+// reported, or stale — possibly dead) is left at once; otherwise the
+// move waits out the dwell time and must clear the policy's absolute
+// margin, so measurement noise cannot flap traffic between near-equal
+// paths.
+func (d *damping) settle(now sim.Time, dwell time.Duration, cur, cand uint8, curKnown, clearsMargin bool) uint8 {
+	if cand == cur {
+		d.haveCur = true
+		return cur
+	}
+	if curKnown && (d.haveCur && now-d.lastSwitch < dwell || !clearsMargin) {
+		return cur
+	}
+	d.lastSwitch, d.haveCur = now, true
+	return cand
+}
+
 // MinOWD switches to the lowest-delay path, damped by an absolute
-// hysteresis margin and a minimum dwell time so measurement noise does
-// not flap traffic between near-equal paths.
+// hysteresis margin and a minimum dwell time (damping.settle).
 //
 // The margin is absolute (milliseconds), not relative: reported one-way
 // delays live in the receiver's clock domain and are shifted by the
@@ -51,65 +81,38 @@ type MinOWD struct {
 	// possibly dead); 0 disables.
 	StaleAfter time.Duration
 
-	lastSwitch sim.Time
-	haveCur    bool
+	damping
 }
 
 // Choose implements Policy.
 func (p *MinOWD) Choose(now sim.Time, cur uint8, ests []PathEstimate) uint8 {
-	best := -1
-	var bestOWD float64
-	var curEst *PathEstimate
+	var best, curEst *PathEstimate
 	for i := range ests {
 		e := &ests[i]
-		if !e.Valid {
-			continue
-		}
-		if p.StaleAfter > 0 && now-e.UpdatedAt > p.StaleAfter {
+		if !usable(e, now, p.StaleAfter) {
 			continue
 		}
 		if e.ID == cur {
 			curEst = e
 		}
-		if best < 0 || e.OWDMs < bestOWD {
-			best = i
-			bestOWD = e.OWDMs
+		if best == nil || e.OWDMs < best.OWDMs {
+			best = e
 		}
 	}
-	if best < 0 {
+	if best == nil {
 		return cur
 	}
-	cand := ests[best].ID
-	if cand == cur {
-		p.haveCur = true
-		return cur
-	}
-	if curEst == nil {
-		// Current path unknown or stale: move immediately.
-		p.lastSwitch = now
-		p.haveCur = true
-		return cand
-	}
-	if p.haveCur && now-p.lastSwitch < p.MinDwell {
-		return cur
-	}
-	if bestOWD <= curEst.OWDMs-p.HysteresisMs {
-		p.lastSwitch = now
-		p.haveCur = true
-		return cand
-	}
-	return cur
+	return p.settle(now, p.MinDwell, cur, best.ID, curEst != nil,
+		curEst != nil && best.OWDMs <= curEst.OWDMs-p.HysteresisMs)
 }
 
 // MinJitter prefers the path with the lowest reported jitter, breaking
 // ties by delay — for interactive applications where variance hurts more
 // than the mean (paper §5: "depending on the application, delay and
 // jitter could have a significant impact"). Switches are damped the
-// same way MinOWD's are: an absolute jitter-improvement margin and a
-// minimum dwell time, so two paths trading places by microseconds of
-// measured jitter cannot flap traffic every tick. The margin is
-// absolute (milliseconds): jitter, unlike OWD, is clock-offset free,
-// but near-equal values still make percentages flappy.
+// same way MinOWD's are (damping.settle), the margin being an absolute
+// jitter improvement: jitter, unlike OWD, is clock-offset free, but
+// near-equal values still make percentages flappy.
 type MinJitter struct {
 	// MaxOWDPenaltyMs bounds how much extra delay is acceptable to buy
 	// lower jitter; a calmer path more than this much slower than the
@@ -124,67 +127,38 @@ type MinJitter struct {
 	// possibly dead); 0 disables.
 	StaleAfter time.Duration
 
-	lastSwitch sim.Time
-	haveCur    bool
+	damping
 }
 
 // Choose implements Policy.
 func (p *MinJitter) Choose(now sim.Time, cur uint8, ests []PathEstimate) uint8 {
-	usable := func(e *PathEstimate) bool {
-		return e.Valid && (p.StaleAfter <= 0 || now-e.UpdatedAt <= p.StaleAfter)
-	}
-	fastest := -1
+	var fastest *PathEstimate
 	for i := range ests {
-		if !usable(&ests[i]) {
-			continue
-		}
-		if fastest < 0 || ests[i].OWDMs < ests[fastest].OWDMs {
-			fastest = i
+		if e := &ests[i]; usable(e, now, p.StaleAfter) && (fastest == nil || e.OWDMs < fastest.OWDMs) {
+			fastest = e
 		}
 	}
-	if fastest < 0 {
+	if fastest == nil {
 		return cur
 	}
-	best := -1
-	var curEst *PathEstimate
+	var best, curEst *PathEstimate
 	for i := range ests {
 		e := &ests[i]
-		if !usable(e) {
+		if !usable(e, now, p.StaleAfter) {
 			continue
 		}
 		if e.ID == cur {
 			curEst = e
 		}
-		if p.MaxOWDPenaltyMs > 0 && e.OWDMs > ests[fastest].OWDMs+p.MaxOWDPenaltyMs {
+		if p.MaxOWDPenaltyMs > 0 && e.OWDMs > fastest.OWDMs+p.MaxOWDPenaltyMs {
 			continue
 		}
-		if best < 0 || e.JitterMs < ests[best].JitterMs {
-			best = i
+		if best == nil || e.JitterMs < best.JitterMs {
+			best = e
 		}
 	}
-	if best < 0 {
-		return cur
-	}
-	cand := ests[best].ID
-	if cand == cur {
-		p.haveCur = true
-		return cur
-	}
-	if curEst == nil {
-		// Current path unknown or stale: move immediately.
-		p.lastSwitch = now
-		p.haveCur = true
-		return cand
-	}
-	if p.haveCur && now-p.lastSwitch < p.MinDwell {
-		return cur
-	}
-	if ests[best].JitterMs <= curEst.JitterMs-p.HysteresisMs {
-		p.lastSwitch = now
-		p.haveCur = true
-		return cand
-	}
-	return cur
+	return p.settle(now, p.MinDwell, cur, best.ID, curEst != nil,
+		curEst != nil && best.JitterMs <= curEst.JitterMs-p.HysteresisMs)
 }
 
 // Static always uses one path — the "BGP default" baseline when pointed
@@ -209,17 +183,18 @@ type Controller struct {
 	// so snapshots never re-sort. scratch is the decision loop's reusable
 	// snapshot buffer; decide runs every tick for the whole simulation, so
 	// it must not allocate or sort per tick.
-	order      []*PathEstimate
-	scratch    []PathEstimate
-	current    uint8
-	haveCur    bool
-	lastSwitch sim.Time
-	tick       *sim.Ticker
+	order   []*PathEstimate
+	scratch []PathEstimate
+	current uint8
+	haveCur bool
+	tick    *sim.Ticker
 
 	// OnSwitch fires when the controller moves traffic between paths.
 	OnSwitch func(at sim.Time, from, to uint8)
 
-	// cobs and journal are set by Instrument; nil means uninstrumented.
+	// cobs is the instrument set Stats is counted beside: the registered
+	// one after Instrument, the shared all-nil noCtlObs before. journal
+	// is nil until Instrument (Record on a nil journal is a no-op).
 	cobs    *ctlObs
 	journal *obs.Journal
 
@@ -234,9 +209,9 @@ type Controller struct {
 // gauges mirror the Estimates() snapshot exactly: they are written in
 // UpdateEstimate immediately after the estimate's fields (and its slot
 // in the sorted order slice) are final, and the switch counter is
-// incremented in the same event as Stats.Switches and lastSwitch — so
-// at any event boundary the gauges, the counter, and the snapshot agree
-// (the obs consistency test pins this down).
+// incremented in the same event as Stats.Switches — so at any event
+// boundary the gauges, the counter, and the snapshot agree (the obs
+// consistency test pins this down).
 type ctlObs struct {
 	reg  *obs.Registry
 	site string
@@ -251,6 +226,10 @@ type ctlObs struct {
 type pathGauges struct {
 	owd, jitter, samples *obs.Gauge
 }
+
+// noCtlObs is what an uninstrumented controller counts into: shared,
+// never written (pathGauges registers nothing without a registry).
+var noCtlObs = &ctlObs{}
 
 // Instrument registers the controller's metrics in reg under the given
 // site label and starts journaling path switches (old/new tunnel plus
@@ -281,10 +260,11 @@ func (c *Controller) Instrument(reg *obs.Registry, j *obs.Journal, site string) 
 	co.current.Set(float64(c.Current()))
 }
 
-// pathGauges returns (registering on first use) the gauges for a path.
+// pathGauges returns (registering on first use) the gauges for a path,
+// or nil when there is no registry to register them in.
 func (co *ctlObs) pathGauges(id uint8) *pathGauges {
 	pg, ok := co.paths[id]
-	if !ok {
+	if !ok && co.reg != nil {
 		ls := []obs.Label{obs.L("site", co.site), obs.L("path", strconv.Itoa(int(id)))}
 		pg = &pathGauges{
 			owd: co.reg.Gauge("tango_estimate_owd_ms",
@@ -299,8 +279,11 @@ func (co *ctlObs) pathGauges(id uint8) *pathGauges {
 	return pg
 }
 
-// set mirrors one estimate into its gauges.
+// set mirrors one estimate into its gauges. Safe on a nil receiver.
 func (pg *pathGauges) set(e *PathEstimate) {
+	if pg == nil {
+		return
+	}
 	pg.owd.Set(e.OWDMs)
 	pg.jitter.Set(e.JitterMs)
 	pg.samples.Set(float64(e.Samples))
@@ -309,7 +292,7 @@ func (pg *pathGauges) set(e *PathEstimate) {
 // NewController creates a controller for sw (the local switch whose
 // outgoing traffic is being steered).
 func NewController(eng *sim.Engine, sw *dataplane.Switch, policy Policy) *Controller {
-	c := &Controller{sw: sw, policy: policy, eng: eng, ests: make(map[uint8]*PathEstimate)}
+	c := &Controller{sw: sw, policy: policy, eng: eng, ests: make(map[uint8]*PathEstimate), cobs: noCtlObs}
 	// Until the first decision, traffic uses the first tunnel (the BGP
 	// default path by construction).
 	sw.SetSelector(func([]byte) *dataplane.Tunnel {
@@ -371,13 +354,11 @@ func (c *Controller) UpdateEstimate(id uint8, owdMs, jitterMs float64, samples u
 	e.UpdatedAt = c.eng.Now()
 	e.Valid = true
 	c.Stats.Reports++
+	c.cobs.reports.Inc()
 	// Gauges mirror the estimate only after every field (and the order
 	// slice) is final, so a concurrent scrape never sees a gauge ahead of
 	// what Estimates() would return at this event boundary.
-	if co := c.cobs; co != nil {
-		co.reports.Inc()
-		co.pathGauges(id).set(e)
-	}
+	c.cobs.pathGauges(id).set(e)
 }
 
 // Estimates returns a snapshot of every known path estimate, sorted by
@@ -397,13 +378,6 @@ func (c *Controller) estimatesInto(dst []PathEstimate) []PathEstimate {
 	return dst
 }
 
-// LastSwitch returns when the controller last moved traffic and whether
-// it has ever switched — the convergence signal failover experiments
-// time against.
-func (c *Controller) LastSwitch() (at sim.Time, switched bool) {
-	return c.lastSwitch, c.Stats.Switches > 0
-}
-
 // Start begins the decision loop with the given cadence.
 func (c *Controller) Start(every time.Duration) {
 	if c.tick != nil {
@@ -420,11 +394,8 @@ func (c *Controller) Stop() {
 }
 
 func (c *Controller) decide(now sim.Time) {
-	var t0 time.Time
-	if c.cobs != nil {
-		t0 = time.Now()
-	}
-	c.Stats.Decisions++
+	co := c.cobs
+	t0 := co.decideNs.Start()
 	c.scratch = c.estimatesInto(c.scratch[:0])
 	ests := c.scratch
 	cur := c.Current()
@@ -436,32 +407,19 @@ func (c *Controller) decide(now sim.Time) {
 			c.haveCur = true
 			if next != from {
 				c.Stats.Switches++
-				c.lastSwitch = now
-				if co := c.cobs; co != nil {
-					co.switches.Inc()
-					co.current.Set(float64(next))
-				}
+				co.switches.Inc()
+				co.current.Set(float64(next))
 				c.journal.Record(now, obs.KindPathSwitch, from, next,
-					owdDeltaNs(ests, from, next), c.siteLabel())
+					owdDeltaNs(ests, from, next), co.site)
 				if c.OnSwitch != nil {
 					c.OnSwitch(now, from, next)
 				}
 			}
 		}
 	}
-	if co := c.cobs; co != nil {
-		co.decisions.Inc()
-		co.decideNs.Observe(int64(time.Since(t0)))
-	}
-}
-
-// siteLabel returns the instrumented site name, or "" when uninstrumented
-// (the journal is nil then anyway, so the value never escapes).
-func (c *Controller) siteLabel() string {
-	if c.cobs != nil {
-		return c.cobs.site
-	}
-	return ""
+	c.Stats.Decisions++
+	co.decisions.Inc()
+	co.decideNs.ObserveSince(t0)
 }
 
 // owdDeltaNs returns (to - from) OWD in nanoseconds from a snapshot —

@@ -50,10 +50,6 @@ type Monitor struct {
 	// RecordBucket, when positive, attaches a Series with this bucket
 	// to every path created afterwards.
 	RecordBucket time.Duration
-	// EWMAAlpha configures the smoothed estimator (default 0.05).
-	EWMAAlpha float64
-	// JitterWindow configures the rolling-std window (default 1 s).
-	JitterWindow time.Duration
 	// OnSample, when set, fires after each sample is folded in.
 	OnSample func(*PathMonitor, dataplane.Measurement)
 
@@ -135,21 +131,20 @@ func (m *Monitor) Ingest(meas dataplane.Measurement, nameFor func(uint8) string)
 	}
 }
 
+// The monitor's smoothing: the EWMA weight of the reported estimates and
+// the window of the paper's rolling-stddev jitter metric (§5).
+const (
+	ewmaAlpha    = 0.05
+	jitterWindow = time.Second
+)
+
 func (m *Monitor) newPath(id uint8, name string) *PathMonitor {
-	alpha := m.EWMAAlpha
-	if alpha == 0 {
-		alpha = 0.05
-	}
-	win := m.JitterWindow
-	if win == 0 {
-		win = time.Second
-	}
 	pm := &PathMonitor{
 		ID:     id,
 		Name:   name,
-		Est:    measure.NewEWMA(alpha),
-		JitEst: measure.NewEWMA(alpha),
-		Jitter: measure.NewRollingStd(win),
+		Est:    measure.NewEWMA(ewmaAlpha),
+		JitEst: measure.NewEWMA(ewmaAlpha),
+		Jitter: measure.NewRollingStd(jitterWindow),
 	}
 	if m.RecordBucket > 0 {
 		pm.Series = measure.NewSeries(name, m.RecordBucket)

@@ -245,3 +245,100 @@ func TestMinJitterEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// TestDampingIsOneRule runs one table against both damped policies: the
+// value column is the path's OWD for MinOWD and its jitter for MinJitter
+// (at equal OWD), and every step must come out the same, because the
+// rule — keep, evacuate, dwell, margin — is damping.settle for both.
+func TestDampingIsOneRule(t *testing.T) {
+	type path struct {
+		id    uint8
+		value float64
+		at    sim.Time
+		dead  bool // estimate marked invalid
+	}
+	type step struct {
+		now   sim.Time
+		cur   uint8
+		paths []path
+		want  uint8
+	}
+	const s = time.Second
+	cases := []struct {
+		name         string
+		margin       float64
+		dwell, stale time.Duration
+		steps        []step
+	}{
+		{name: "no usable estimate keeps the current path", margin: 0.5, stale: 2 * s, steps: []step{
+			{now: 10 * s, cur: 1, want: 1, paths: []path{{1, 30, 0, false}, {2, 20, s, false}}},
+			{now: 10 * s, cur: 1, want: 1, paths: []path{{1, 30, 10 * s, true}, {2, 20, 10 * s, true}}},
+			{now: 10 * s, cur: 7, want: 7},
+		}},
+		{name: "an estimate exactly at the stale bound still counts", margin: 0.5, stale: 2 * s, steps: []step{
+			{now: 10 * s, cur: 1, want: 2, paths: []path{{1, 30, 10 * s, false}, {2, 20, 8 * s, false}}},
+		}},
+		{name: "the margin is inclusive and absolute", margin: 2, steps: []step{
+			{now: s, cur: 1, want: 1, paths: []path{{1, 30, s, false}, {2, 28.001, s, false}}},
+			{now: 2 * s, cur: 1, want: 2, paths: []path{{1, 30, 2 * s, false}, {2, 28, 2 * s, false}}},
+			// Shifting every value by a clock offset changes nothing.
+			{now: 3 * s, cur: 2, want: 2, paths: []path{{1, 1726.001, 3 * s, false}, {2, 1728, 3 * s, false}}},
+			{now: 4 * s, cur: 2, want: 1, paths: []path{{1, 1726, 4 * s, false}, {2, 1728, 4 * s, false}}},
+		}},
+		{name: "the first move is free, the next waits out the dwell to the tick", margin: 0.5, dwell: 5 * s, steps: []step{
+			{now: s, cur: 1, want: 2, paths: []path{{1, 30, s, false}, {2, 20, s, false}}},
+			{now: 6*s - time.Millisecond, cur: 2, want: 2, paths: []path{{1, 10, 5 * s, false}, {2, 20, 5 * s, false}}},
+			{now: 6 * s, cur: 2, want: 1, paths: []path{{1, 10, 6 * s, false}, {2, 20, 6 * s, false}}},
+		}},
+		{name: "confirming the current path starts the dwell clock at zero", margin: 0.5, dwell: 5 * s, steps: []step{
+			{now: s, cur: 1, want: 1, paths: []path{{1, 20, s, false}, {2, 30, s, false}}},
+			{now: 2 * s, cur: 1, want: 1, paths: []path{{1, 30, 2 * s, false}, {2, 20, 2 * s, false}}},
+			{now: 5 * s, cur: 1, want: 2, paths: []path{{1, 30, 5 * s, false}, {2, 20, 5 * s, false}}},
+		}},
+		{name: "a current path gone invalid or stale is left at once", margin: 5, dwell: time.Minute, stale: 2 * s, steps: []step{
+			{now: s, cur: 1, want: 2, paths: []path{{1, 30, s, false}, {2, 20, s, false}}},
+			// Mid-dwell, for a gain under the margin: invalid current.
+			{now: 2 * s, cur: 2, want: 1, paths: []path{{1, 19.9, 2 * s, false}, {2, 20, 2 * s, true}}},
+			// And again: stale current, worse candidate.
+			{now: 5 * s, cur: 1, want: 2, paths: []path{{1, 19.9, 2 * s, false}, {2, 25, 5 * s, false}}},
+			// A current path the table has never heard of.
+			{now: 6 * s, cur: 9, want: 2, paths: []path{{2, 25, 6 * s, false}}},
+		}},
+	}
+	policies := []struct {
+		name string
+		make func(margin float64, dwell, stale time.Duration) Policy
+		est  func(p path) PathEstimate
+	}{
+		{"MinOWD",
+			func(m float64, d, st time.Duration) Policy {
+				return &MinOWD{HysteresisMs: m, MinDwell: d, StaleAfter: st}
+			},
+			func(p path) PathEstimate {
+				return PathEstimate{ID: p.id, OWDMs: p.value, UpdatedAt: p.at, Valid: !p.dead}
+			}},
+		{"MinJitter",
+			func(m float64, d, st time.Duration) Policy {
+				return &MinJitter{HysteresisMs: m, MinDwell: d, StaleAfter: st}
+			},
+			func(p path) PathEstimate {
+				return PathEstimate{ID: p.id, OWDMs: 30, JitterMs: p.value, UpdatedAt: p.at, Valid: !p.dead}
+			}},
+	}
+	for _, pol := range policies {
+		for _, tc := range cases {
+			t.Run(pol.name+"/"+tc.name, func(t *testing.T) {
+				p := pol.make(tc.margin, tc.dwell, tc.stale)
+				for i, st := range tc.steps {
+					ests := make([]PathEstimate, len(st.paths))
+					for j, pa := range st.paths {
+						ests[j] = pol.est(pa)
+					}
+					if got := p.Choose(st.now, st.cur, ests); got != st.want {
+						t.Fatalf("step %d: Choose(now=%s, cur=%d) = %d, want %d", i, st.now, st.cur, got, st.want)
+					}
+				}
+			})
+		}
+	}
+}

@@ -58,15 +58,9 @@ type PairConfig struct {
 	// number of paths a pair can expose (control.Discoverer defaults
 	// to 8; deployments sharing more providers must raise it).
 	MaxRounds int
-	// SettleWait is the wait after originating pinned prefixes
-	// (default 3 min virtual).
-	SettleWait time.Duration
 	// ProbeInterval enables per-path probing at this interval when
 	// positive (the paper uses 10 ms).
 	ProbeInterval time.Duration
-	// ReportInterval paces piggybacked measurement reports (default
-	// 100 ms when probing is enabled).
-	ReportInterval time.Duration
 	// DecideEvery starts each site's controller at this cadence when
 	// positive.
 	DecideEvery time.Duration
@@ -83,6 +77,18 @@ type PairConfig struct {
 	// (paper §6, trustworthy telemetry).
 	AuthKey []byte
 }
+
+// Timing every pair shares (virtual time).
+const (
+	// settleWait follows the origination of the pinned prefixes, before
+	// tunnels are provisioned over them.
+	settleWait = 3 * time.Minute
+	// reportInterval paces piggybacked measurement reports; a path that
+	// has delivered nothing for reportMaxAge is no longer reported, so
+	// the sender's estimate goes stale.
+	reportInterval = 100 * time.Millisecond
+	reportMaxAge   = 2 * time.Second
+)
 
 // Site is one side of an established pair.
 type Site struct {
@@ -199,12 +205,6 @@ func NewPair(cfg PairConfig) *Pair {
 	if cfg.RoundWait == 0 {
 		cfg.RoundWait = 2 * time.Minute
 	}
-	if cfg.SettleWait == 0 {
-		cfg.SettleWait = 3 * time.Minute
-	}
-	if cfg.ProbeInterval > 0 && cfg.ReportInterval == 0 {
-		cfg.ReportInterval = 100 * time.Millisecond
-	}
 	if cfg.PolicyA == nil {
 		cfg.PolicyA = &control.MinOWD{HysteresisMs: 0.5, MinDwell: 2 * time.Second}
 	}
@@ -256,7 +256,7 @@ func (p *Pair) Establish() {
 		// Each site originates one pinned prefix per path toward it.
 		originatePinned(p.B, p.A.OutPaths)
 		originatePinned(p.A, p.B.OutPaths)
-		p.eng.Schedule(p.cfg.SettleWait, func() {
+		p.eng.Schedule(settleWait, func() {
 			p.start(p.A, p.cfg.PolicyA)
 			p.start(p.B, p.cfg.PolicyB)
 			if every := p.cfg.ProbeInterval; every > 0 {
@@ -319,14 +319,19 @@ func (p *Pair) start(s *Site, policy control.Policy) {
 	for i, dp := range peer.OutPaths {
 		peerPaths[i] = dp.ProviderName
 	}
+	// Reports ride back only when probing gives them traffic to ride on.
+	var reportEvery time.Duration
+	if p.cfg.ProbeInterval > 0 {
+		reportEvery = reportInterval
+	}
 	s.Start(EdgeConfig{
 		Local:        s.SwitchAddr,
 		Paths:        paths,
 		PeerPaths:    peerPaths,
 		Policy:       policy,
 		DecideEvery:  p.cfg.DecideEvery,
-		ReportEvery:  p.cfg.ReportInterval,
-		ReportMaxAge: max(2*time.Second, 5*p.cfg.ReportInterval),
+		ReportEvery:  reportEvery,
+		ReportMaxAge: reportMaxAge,
 		RecordBucket: p.cfg.RecordBucket,
 		AuthKey:      p.cfg.AuthKey,
 	})

@@ -42,14 +42,12 @@ type MeshLink struct {
 // mirror PairConfig and apply to every deployed pair.
 type MeshConfig struct {
 	Links []MeshLink
-	// RoundWait/SettleWait/ProbeInterval/ReportInterval/DecideEvery are
-	// passed through to each pair (see PairConfig).
-	RoundWait      time.Duration
-	MaxRounds      int
-	SettleWait     time.Duration
-	ProbeInterval  time.Duration
-	ReportInterval time.Duration
-	DecideEvery    time.Duration
+	// RoundWait/MaxRounds/ProbeInterval/DecideEvery are passed through
+	// to each pair (see PairConfig).
+	RoundWait     time.Duration
+	MaxRounds     int
+	ProbeInterval time.Duration
+	DecideEvery   time.Duration
 	// NewPolicy builds the path-selection policy steering traffic from
 	// site toward peer. Policies hold state (dwell timers), so the mesh
 	// needs a fresh instance per direction; nil uses the Pair default.
@@ -119,15 +117,13 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		}
 		pc := PairConfig{
 			A: l.A, B: l.B,
-			RoundWait:      cfg.RoundWait,
-			MaxRounds:      cfg.MaxRounds,
-			SettleWait:     cfg.SettleWait,
-			ProbeInterval:  cfg.ProbeInterval,
-			ReportInterval: cfg.ReportInterval,
-			DecideEvery:    cfg.DecideEvery,
-			NameFor:        cfg.NameFor,
-			RecordBucket:   cfg.RecordBucket,
-			AuthKey:        cfg.AuthKey,
+			RoundWait:     cfg.RoundWait,
+			MaxRounds:     cfg.MaxRounds,
+			ProbeInterval: cfg.ProbeInterval,
+			DecideEvery:   cfg.DecideEvery,
+			NameFor:       cfg.NameFor,
+			RecordBucket:  cfg.RecordBucket,
+			AuthKey:       cfg.AuthKey,
 		}
 		if cfg.NewPolicy != nil {
 			pc.PolicyA = cfg.NewPolicy(l.SiteA, l.SiteB)
@@ -356,7 +352,9 @@ func (m *Mesh) SendAlong(r control.CompositeRoute, sport, dport uint16, payload 
 	if err != nil {
 		return err
 	}
-	inner, err := buildInner(m.sendBuf, src, dst, sport, dport, payload)
+	// Site.Send only borrows the view of sendBuf (the data plane
+	// re-serializes into a pooled buffer), so nothing is copied here.
+	inner, err := packet.InnerUDP{Src: src, Dst: dst, SrcPort: sport, DstPort: dport}.Build(m.sendBuf, payload)
 	if err != nil {
 		return err
 	}
@@ -400,18 +398,3 @@ func siteSpec(s *topo.MeshScenario, site, peer string) SiteSpec {
 // HostAddr returns the canonical application address (::1) inside the
 // member's host prefix — the address SendAlong targets.
 func (s *Site) HostAddr() (netip.Addr, error) { return s.Spec.HostPrefix.Host(1) }
-
-// buildInner serializes a minimal inner IPv6/UDP packet.
-// buildInner serializes an inner UDP packet into buf and returns a view
-// of it, valid until buf is next reused. Site.Send only borrows the
-// slice (the data plane re-serializes into a pooled buffer), so callers
-// may hand the view straight to it without copying.
-func buildInner(buf *packet.SerializeBuffer, src, dst netip.Addr, sport, dport uint16, payload []byte) ([]byte, error) {
-	pay := packet.Payload(payload)
-	udp := &packet.UDP{SrcPort: sport, DstPort: dport}
-	ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
-	if err := packet.SerializeLayers(buf, ip, udp, &pay); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}

@@ -1,6 +1,6 @@
 package dataplane
 
-import "encoding/binary"
+import "tango/internal/packet"
 
 // ClassSelector is the TE layer's data-plane half: a deterministic
 // weighted selector keyed by the inner packet's flow class. The sender
@@ -68,10 +68,10 @@ func (cs *ClassSelector) SetWeights(class int, ids []uint8, counts []int) {
 // control traffic that carries class 0 by default) fall back to the
 // first registered tunnel, matching the selector-less switch.
 func (cs *ClassSelector) Select(inner []byte) *Tunnel {
-	c, ok := innerClass(inner)
+	c, ok := packet.TrafficClass(inner)
 	if ok && c < len(cs.classes) && cs.totals[c] > 0 {
 		entries := cs.classes[c]
-		h := innerFlowHash(inner) % cs.totals[c]
+		h := packet.FlowHash(inner) % cs.totals[c]
 		for i := range entries {
 			if h < entries[i].cum {
 				return entries[i].tun
@@ -82,53 +82,4 @@ func (cs *ClassSelector) Select(inner []byte) *Tunnel {
 		return ts[0]
 	}
 	return nil
-}
-
-// innerClass reads the flow class from the inner header: the IPv6
-// traffic-class byte or the IPv4 TOS byte.
-func innerClass(inner []byte) (int, bool) {
-	if len(inner) < 2 {
-		return 0, false
-	}
-	switch inner[0] >> 4 {
-	case 6:
-		return int(inner[0]&0x0f)<<4 | int(inner[1]>>4), true
-	case 4:
-		return int(inner[1]), true
-	}
-	return 0, false
-}
-
-// innerFlowHash hashes the inner packet's flow identity (addresses +
-// transport ports), FNV-1a.
-func innerFlowHash(inner []byte) uint32 {
-	var h uint32 = 2166136261
-	mix := func(b []byte) {
-		for _, v := range b {
-			h ^= uint32(v)
-			h *= 16777619
-		}
-	}
-	if len(inner) < 1 {
-		return h
-	}
-	switch inner[0] >> 4 {
-	case 6:
-		if len(inner) >= 44 {
-			mix(inner[8:40])
-			mix(inner[40:44])
-		}
-	case 4:
-		if len(inner) >= 24 {
-			mix(inner[12:20])
-			mix(inner[20:24])
-		}
-	default:
-		if len(inner) >= 4 {
-			var b [4]byte
-			binary.BigEndian.PutUint32(b[:], uint32(len(inner)))
-			mix(b[:])
-		}
-	}
-	return h
 }

@@ -167,10 +167,10 @@ type Switch struct {
 		Relayed uint64
 	}
 
-	// sobs holds the switch's registered observability instruments;
-	// nil when the switch is not instrumented. All instrument methods
-	// are nil-safe, so the fast path carries a single branch per
-	// counter and no allocation either way (see internal/obs).
+	// sobs is the instrument set every Stats word is counted beside:
+	// the registered one after Instrument, the shared all-nil noObs
+	// before. Instrument methods are nil-safe, so neither program asks
+	// which it holds.
 	sobs *switchObs
 }
 
@@ -178,6 +178,8 @@ type Switch struct {
 // per-path instruments are indexed by path ID so the hot path reaches
 // them with one array load; slots register at AddTunnel time (tx/probe/
 // data) or on first arrival (rx), never per packet in steady state.
+// With no registry (noObs) nothing ever registers and every slot stays
+// nil.
 type switchObs struct {
 	reg  *obs.Registry
 	site string
@@ -188,6 +190,18 @@ type switchObs struct {
 	authFail, relayed   *obs.Counter
 	repSent, repRecvd   *obs.Counter
 	tx, probe, data, rx [256]*obs.Counter
+}
+
+// noObs is what an uninstrumented switch counts into. It is shared and
+// never written: with a nil registry addTunnel and rxCounter leave it be.
+var noObs = &switchObs{}
+
+// count is the one way an event is counted: the Stats word and the
+// instrument beside it (ROADMAP 3(d): Stats stays until benchmark/ can
+// read the counters instead).
+func count(word *uint64, c *obs.Counter) {
+	*word++
+	c.Inc()
 }
 
 // Instrument registers the switch's metrics in reg under the given site
@@ -217,6 +231,9 @@ func (s *Switch) Instrument(reg *obs.Registry, site string) {
 
 // addTunnel registers the sender-side per-tunnel counters for a path ID.
 func (so *switchObs) addTunnel(id uint8) {
+	if so.reg == nil {
+		return
+	}
 	ls := []obs.Label{obs.L("site", so.site), obs.L("path", strconv.Itoa(int(id)))}
 	so.tx[id] = so.reg.Counter("tango_tunnel_tx_total", "Packets sent on this tunnel (probes plus data).", ls...)
 	so.probe[id] = so.reg.Counter("tango_tunnel_probe_total", "Measurement probes sent on this tunnel.", ls...)
@@ -226,13 +243,11 @@ func (so *switchObs) addTunnel(id uint8) {
 // rxCounter returns (registering on first use) the receiver-side
 // arrival counter for a path ID.
 func (so *switchObs) rxCounter(id uint8) *obs.Counter {
-	if c := so.rx[id]; c != nil {
-		return c
+	if so.rx[id] == nil && so.reg != nil {
+		so.rx[id] = so.reg.Counter("tango_tunnel_rx_total", "Tango packets arriving on this path.",
+			obs.L("site", so.site), obs.L("path", strconv.Itoa(int(id))))
 	}
-	c := so.reg.Counter("tango_tunnel_rx_total", "Tango packets arriving on this path.",
-		obs.L("site", so.site), obs.L("path", strconv.Itoa(int(id))))
-	so.rx[id] = c
-	return c
+	return so.rx[id]
 }
 
 // NewSwitch attaches a Tango switch to a transport endpoint — a simnet
@@ -245,6 +260,7 @@ func NewSwitch(ep transport.Endpoint) *Switch {
 		clock:     ep.Clock(),
 		tunnelIDs: make(map[uint8]*Tunnel),
 		pool:      ep.Pool(),
+		sobs:      noObs,
 	}
 	s.DeliverLocal = func(inner []byte) {} // dropped unless the site wires a host side
 	ep.SetHandler(s.handle)
@@ -263,9 +279,7 @@ func (s *Switch) AddTunnel(t *Tunnel) {
 	s.tunnels = append(s.tunnels, t)
 	s.tunnelIDs[t.PathID] = t
 	s.ep.AddAddr(t.LocalAddr)
-	if s.sobs != nil {
-		s.sobs.addTunnel(t.PathID)
-	}
+	s.sobs.addTunnel(t.PathID)
 }
 
 // RemoveTunnel withdraws a path (e.g. discovery found it dead) and
@@ -361,17 +375,13 @@ func (s *Switch) SendToPeer(inner []byte) {
 // selector. The measurement prober uses it to exercise every exposed
 // path at a fixed rate regardless of where data traffic currently flows.
 func (s *Switch) SendOnTunnel(tun *Tunnel, inner []byte) {
-	before := tun.Stats.Sent
 	s.encapOn(tun, inner, 0, true)
-	// Only count the probe if the encap actually went out (encapOn can
-	// drop on a serialization failure without touching Sent).
-	tun.Stats.ProbeSent += tun.Stats.Sent - before
 }
 
 // handle is the endpoint's local-delivery hook: every packet addressed to
 // one of the endpoint's owned addresses lands here.
 func (s *Switch) handle(data []byte) {
-	if s.isTangoPacket(data) {
+	if packet.IsTango(data) {
 		s.receiverProgram(data)
 		return
 	}
@@ -383,7 +393,7 @@ func (s *Switch) handle(data []byte) {
 // local hosts: if the destination belongs to the cooperating edge, it is
 // tunnelled; otherwise it is forwarded untouched (ordinary BGP routing).
 func (s *Switch) HandleHostTraffic(data []byte) {
-	dst, ok := innerDst(data)
+	dst, _, ok := packet.Dst(data)
 	if !ok {
 		s.badPacket()
 		return
@@ -399,27 +409,8 @@ func (s *Switch) HandleHostTraffic(data []byte) {
 	s.ep.Inject(data)
 }
 
-func innerDst(data []byte) (netip.Addr, bool) {
-	if len(data) < 1 {
-		return netip.Addr{}, false
-	}
-	switch data[0] >> 4 {
-	case 6:
-		if len(data) < 40 {
-			return netip.Addr{}, false
-		}
-		return netip.AddrFrom16([16]byte(data[24:40])), true
-	case 4:
-		if len(data) < 20 {
-			return netip.Addr{}, false
-		}
-		return netip.AddrFrom4([4]byte(data[16:20])), true
-	}
-	return netip.Addr{}, false
-}
-
-// encapAndSend is the sender eBPF program. A relayTTL above zero tags the
-// encapsulation for overlay relaying with that hop budget.
+// encapAndSend lets the selector pick the tunnel. A relayTTL above zero
+// tags the encapsulation for overlay relaying with that hop budget.
 func (s *Switch) encapAndSend(inner []byte, relayTTL uint8) {
 	var tun *Tunnel
 	if s.selector != nil {
@@ -430,30 +421,25 @@ func (s *Switch) encapAndSend(inner []byte, relayTTL uint8) {
 	s.encapOn(tun, inner, relayTTL, false)
 }
 
-// encapOn encapsulates inner onto tun. probe marks measurement traffic
-// (SendOnTunnel) as opposed to selector-steered data, for the per-tunnel
-// probe/data counters.
+// encapOn is the sender eBPF program: stamp path ID, sequence number and
+// local clock, attach a pending report, encapsulate, inject. probe marks
+// measurement traffic (SendOnTunnel) as opposed to selector-steered
+// data, for the per-tunnel probe/data split.
 func (s *Switch) encapOn(tun *Tunnel, inner []byte, relayTTL uint8, probe bool) {
-	var t0 time.Time
-	if s.sobs != nil {
-		t0 = time.Now()
-	}
+	so := s.sobs
+	t0 := so.encapNs.Start()
 	if tun == nil {
-		s.Stats.NoTunnel++
-		if s.sobs != nil {
-			s.sobs.noTunnel.Inc()
-		}
+		count(&s.Stats.NoTunnel, so.noTunnel)
 		return
 	}
-	flags := uint8(packet.TangoFlagSeq | packet.TangoFlagTimestamp)
-	if len(inner) > 0 && inner[0]>>4 == 6 {
-		flags |= packet.TangoFlagInner6
-	}
 	hdr := packet.Tango{
-		Flags:    flags,
+		Flags:    packet.TangoFlagSeq | packet.TangoFlagTimestamp,
 		PathID:   tun.PathID,
 		Seq:      tun.nextSeq(),
 		SendTime: s.clock.Now(),
+	}
+	if packet.Version(inner) == 6 {
+		hdr.Flags |= packet.TangoFlagInner6
 	}
 	if relayTTL > 0 {
 		hdr.ExtFlags |= packet.TangoExtRelay
@@ -462,10 +448,7 @@ func (s *Switch) encapOn(tun *Tunnel, inner []byte, relayTTL uint8, probe bool) 
 	if s.prCount > 0 {
 		hdr.Flags |= packet.TangoFlagReport
 		hdr.Report = s.popReport()
-		s.Stats.ReportsSent++
-		if s.sobs != nil {
-			s.sobs.repSent.Inc()
-		}
+		count(&s.Stats.ReportsSent, so.repSent)
 	}
 	if s.authKey != nil {
 		hdr.ExtFlags |= packet.TangoExtAuth
@@ -479,180 +462,99 @@ func (s *Switch) encapOn(tun *Tunnel, inner []byte, relayTTL uint8, probe bool) 
 		Dst:        tun.RemoteAddr,
 	}
 	pay := packet.Payload(inner)
-	// Serialize straight into a leased pooled buffer and hand it to the
-	// network with ownership — the steady-state sender program touches no
-	// allocator (the paper's eBPF program builds the encapsulation in a
-	// fixed per-packet buffer the same way).
+	// Serialize bottom-up straight into a leased pooled buffer (it
+	// arrives cleared) and hand it to the network with ownership — the
+	// steady-state sender touches no allocator, as the paper's eBPF
+	// program builds the encapsulation in a fixed per-packet buffer. The
+	// calls are direct: passing the layer locals through the
+	// SerializableLayer interface would box each one onto the heap. With
+	// a key, the finished Tango datagram is signed in place before UDP
+	// wraps it, because the UDP checksum must cover the final tag.
 	pb := s.pool.Get()
 	buf := &pb.SerializeBuffer
-	if s.authKey != nil {
-		// Two-phase build: serialize the Tango datagram, sign it in
-		// place, then wrap it in UDP (whose checksum must cover the
-		// final tag) and IP.
-		err := pay.SerializeTo(buf)
-		if err == nil {
-			err = hdr.SerializeTo(buf)
-		}
-		if err == nil {
-			err = packet.SignTangoDatagram(s.authKey, buf.Bytes())
-		}
-		if err == nil {
-			err = udp.SerializeTo(buf)
-		}
-		if err == nil {
-			err = ip.SerializeTo(buf)
-		}
-		if err != nil {
-			s.Stats.BadPacket++
-			if s.sobs != nil {
-				s.sobs.badPacket.Inc()
-			}
-			pb.Release()
-			return
-		}
+	err := pay.SerializeTo(buf)
+	if err == nil {
+		err = hdr.SerializeTo(buf)
+	}
+	if err == nil && s.authKey != nil {
+		err = packet.SignTangoDatagram(s.authKey, buf.Bytes())
+	}
+	if err == nil {
+		err = udp.SerializeTo(buf)
+	}
+	if err == nil {
+		err = ip.SerializeTo(buf)
+	}
+	if err != nil {
+		pb.Release()
+		s.badPacket()
+		return
+	}
+	count(&tun.Stats.Sent, so.tx[tun.PathID])
+	if probe {
+		count(&tun.Stats.ProbeSent, so.probe[tun.PathID])
 	} else {
-		// Serialize bottom-up with direct method calls: passing the
-		// layer locals through the SerializableLayer interface would box
-		// each one onto the heap, and this is the per-packet hot path.
-		// The leased buffer arrives cleared, like the auth branch assumes.
-		err := pay.SerializeTo(buf)
-		if err == nil {
-			err = hdr.SerializeTo(buf)
-		}
-		if err == nil {
-			err = udp.SerializeTo(buf)
-		}
-		if err == nil {
-			err = ip.SerializeTo(buf)
-		}
-		if err != nil {
-			s.Stats.BadPacket++
-			if s.sobs != nil {
-				s.sobs.badPacket.Inc()
-			}
-			pb.Release()
-			return
-		}
+		so.data[tun.PathID].Inc() // its word is Sent - ProbeSent
 	}
-	tun.Stats.Sent++
-	s.Stats.Encapped++
+	count(&s.Stats.Encapped, so.encapped)
 	s.ep.InjectBuf(pb)
-	if so := s.sobs; so != nil {
-		so.encapped.Inc()
-		so.tx[tun.PathID].Inc()
-		if probe {
-			so.probe[tun.PathID].Inc()
-		} else {
-			so.data[tun.PathID].Inc()
-		}
-		so.encapNs.Observe(int64(time.Since(t0)))
-	}
+	so.encapNs.ObserveSince(t0)
 }
 
-// isTangoPacket performs the cheap match an eBPF program would do before
-// full parsing: IPv6, UDP, Tango destination port.
-func (s *Switch) isTangoPacket(data []byte) bool {
-	if len(data) < 48 || data[0]>>4 != 6 {
-		return false
-	}
-	if data[6] != packet.ProtoUDP {
-		return false
-	}
-	dport := uint16(data[42])<<8 | uint16(data[43])
-	return dport == packet.TangoPort
-}
-
-// receiverProgram is the receiver eBPF program: parse, measure, decap,
-// deliver.
+// receiverProgram is the receiver eBPF program: parse and verify,
+// measure local clock minus timestamp, strip, forward. Its latency is
+// observed for accepted datagrams only.
 func (s *Switch) receiverProgram(data []byte) {
-	var t0 time.Time
-	if s.sobs != nil {
-		t0 = time.Now()
-	}
-	if err := s.decIP.DecodeFromBytes(data); err != nil {
+	so := s.sobs
+	t0 := so.decapNs.Start()
+	ip, udp, hdr := &s.decIP, &s.decUDP, &s.decTng
+	if ip.DecodeFromBytes(data) != nil ||
+		udp.DecodeFromBytes(ip.LayerPayload()) != nil ||
+		udp.VerifyChecksum(ip.Src, ip.Dst, ip.LayerPayload()) != nil ||
+		hdr.DecodeFromBytes(udp.LayerPayload()) != nil {
 		s.badPacket()
 		return
 	}
-	if err := s.decUDP.DecodeFromBytes(s.decIP.LayerPayload()); err != nil {
-		s.badPacket()
-		return
-	}
-	if err := s.decUDP.VerifyChecksum(s.decIP.Src, s.decIP.Dst, s.decIP.LayerPayload()); err != nil {
-		s.badPacket()
-		return
-	}
-	if err := s.decTng.DecodeFromBytes(s.decUDP.LayerPayload()); err != nil {
-		s.badPacket()
-		return
-	}
-	if s.authKey != nil && !packet.VerifyTangoDatagram(s.authKey, s.decUDP.LayerPayload()) {
+	if s.authKey != nil && !packet.VerifyTangoDatagram(s.authKey, udp.LayerPayload()) {
 		// Unsigned or tampered: reject before it can pollute the
 		// measurement engine.
-		s.Stats.AuthFail++
-		if s.sobs != nil {
-			s.sobs.authFail.Inc()
-		}
+		count(&s.Stats.AuthFail, so.authFail)
 		return
 	}
-	hdr := &s.decTng
 	if hdr.Flags&packet.TangoFlagTimestamp != 0 && s.OnMeasure != nil {
-		owd := time.Duration(s.clock.Now() - hdr.SendTime)
 		s.OnMeasure(Measurement{
 			At:     s.ep.Now(),
 			PathID: hdr.PathID,
-			OWD:    owd,
+			OWD:    time.Duration(s.clock.Now() - hdr.SendTime),
 			Seq:    hdr.Seq,
 			Size:   len(data),
 		})
 	}
 	if hdr.Flags&packet.TangoFlagReport != 0 {
-		s.Stats.ReportsRecvd++
-		if s.sobs != nil {
-			s.sobs.repRecvd.Inc()
-		}
+		count(&s.Stats.ReportsRecvd, so.repRecvd)
 		if s.OnReport != nil {
 			s.OnReport(hdr.Report)
 		}
 	}
-	s.Stats.Decapped++
-	if so := s.sobs; so != nil {
-		so.decapped.Inc()
-		so.rxCounter(hdr.PathID).Inc()
-	}
-	inner := hdr.LayerPayload()
-	if len(inner) == 0 {
-		if so := s.sobs; so != nil {
-			so.decapNs.Observe(int64(time.Since(t0)))
-		}
-		return
-	}
-	// Relay program: a tagged packet whose inner destination has a next
-	// overlay segment here is re-encapsulated, not delivered. The
-	// measurement above already ran, so each segment's monitor sees
-	// relayed traffic like any other.
-	if hdr.ExtFlags&packet.TangoExtRelay != 0 && s.relay != nil {
-		if s.relay.forward(inner, hdr.RelayTTL) {
-			s.Stats.Relayed++
-			if so := s.sobs; so != nil {
-				so.relayed.Inc()
-				so.decapNs.Observe(int64(time.Since(t0)))
-			}
-			return
+	count(&s.Stats.Decapped, so.decapped)
+	so.rxCounter(hdr.PathID).Inc()
+	if inner := hdr.LayerPayload(); len(inner) > 0 {
+		// Relay program: a tagged packet whose inner destination has a
+		// next overlay segment here is re-encapsulated, not delivered.
+		// The measurement above already ran, so each segment's monitor
+		// sees relayed traffic like any other. Otherwise inner goes to
+		// DeliverLocal as a borrowed view into the arriving packet's
+		// pooled buffer (released by the node once the handler chain
+		// returns): consumers copy if they retain, nothing is copied here.
+		if hdr.ExtFlags&packet.TangoExtRelay != 0 && s.relay != nil && s.relay.forward(inner, hdr.RelayTTL) {
+			count(&s.Stats.Relayed, so.relayed)
+		} else {
+			s.DeliverLocal(inner)
 		}
 	}
-	// inner is a borrowed view into the arriving packet's pooled buffer
-	// (released by the node once the handler chain returns); DeliverLocal
-	// consumers copy if they retain. No per-packet copy here.
-	s.DeliverLocal(inner)
-	if so := s.sobs; so != nil {
-		so.decapNs.Observe(int64(time.Since(t0)))
-	}
+	so.decapNs.ObserveSince(t0)
 }
 
-// badPacket counts a receiver-side parse/verify failure.
-func (s *Switch) badPacket() {
-	s.Stats.BadPacket++
-	if s.sobs != nil {
-		s.sobs.badPacket.Inc()
-	}
-}
+// badPacket counts a packet either program could not parse, verify or
+// serialize.
+func (s *Switch) badPacket() { count(&s.Stats.BadPacket, s.sobs.badPacket) }

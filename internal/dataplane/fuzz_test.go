@@ -71,6 +71,25 @@ func validEncap(key []byte) []byte {
 	return n.sent[0]
 }
 
+// receiverCorpus is FuzzReceiverProgram's seed corpus: per key, a valid
+// frame, the frame truncated at every header boundary — end of IPv6, end
+// of UDP, then each word of the Tango header and its extensions — and
+// the frame with its outer UDP checksum flipped; then the empty frame.
+func receiverCorpus() [][]byte {
+	var corpus [][]byte
+	for _, key := range [][]byte{nil, fuzzKey} {
+		frame := validEncap(key)
+		corpus = append(corpus, frame, frame[:40])
+		for cut := 48; cut < len(frame); cut += 4 {
+			corpus = append(corpus, frame[:cut])
+		}
+		flipped := append([]byte(nil), frame...)
+		flipped[46] ^= 0xff
+		corpus = append(corpus, flipped)
+	}
+	return append(corpus, nil)
+}
+
 // FuzzReceiverProgram feeds arbitrary frames to the receiver program of a
 // started edge, with and without an auth key. Every frame must be
 // accounted for by exactly one of Decapped, BadPacket, AuthFail and
@@ -78,20 +97,9 @@ func validEncap(key []byte) []byte {
 // OnMeasure; and once the engine has run the stack's own tickers, every
 // pooled buffer leased must have been released.
 func FuzzReceiverProgram(f *testing.F) {
-	for _, key := range [][]byte{nil, fuzzKey} {
-		frame := validEncap(key)
+	for _, frame := range receiverCorpus() {
 		f.Add(frame)
-		// Truncated at every header boundary: end of IPv6, end of UDP, then
-		// each word of the Tango header and its extensions.
-		f.Add(frame[:40])
-		for cut := 48; cut < len(frame); cut += 4 {
-			f.Add(frame[:cut])
-		}
-		flipped := append([]byte(nil), frame...)
-		flipped[46] ^= 0xff // outer UDP checksum
-		f.Add(flipped)
 	}
-	f.Add([]byte(nil))
 
 	type rx struct {
 		w        *simnet.Network

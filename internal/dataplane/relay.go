@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"tango/internal/addr"
+	"tango/internal/packet"
 )
 
 // Relay is the intra-site hand-off program that composes pairwise Tango
@@ -52,7 +53,7 @@ func (r *Relay) Attach(sw *Switch) { sw.relay = r }
 // packet's buffer: re-encapsulation serializes it into a freshly leased
 // buffer before the call returns, so no bytes outlive the borrow.
 func (r *Relay) forward(inner []byte, ttl uint8) bool {
-	dst, ok := innerDst(inner)
+	dst, _, ok := packet.Dst(inner)
 	if !ok {
 		return false
 	}

@@ -9,6 +9,7 @@ import (
 	"tango/internal/control"
 	"tango/internal/core"
 	"tango/internal/obs"
+	"tango/internal/packet"
 	"tango/internal/topo"
 )
 
@@ -72,11 +73,11 @@ func E10MeshOverlay(cfg Config) *Result {
 	}
 	var directW, relayW win
 	m.AddSink("la", func(inner []byte) bool {
-		if len(inner) < 52 || inner[0]>>4 != 6 ||
-			binary.BigEndian.Uint16(inner[42:44]) != dport {
+		port, pay, ok := packet.UDP6(inner)
+		if !ok || port != dport || len(pay) < 4 {
 			return false
 		}
-		seq := binary.BigEndian.Uint32(inner[48:52])
+		seq := binary.BigEndian.Uint32(pay)
 		t0, ok := sentAt[seq]
 		if !ok {
 			return false

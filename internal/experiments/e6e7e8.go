@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"net/netip"
 	"time"
 
 	"tango/internal/chaos"
 	"tango/internal/control"
 	"tango/internal/dataplane"
 	"tango/internal/measure"
+	"tango/internal/packet"
 	"tango/internal/sim"
 	"tango/internal/simnet"
 	"tango/internal/workload"
@@ -203,12 +205,15 @@ func E8DataPlaneCost(cfg Config) *Result {
 	tun := &dataplane.Tunnel{
 		PathID:     1,
 		Name:       "bench",
-		LocalAddr:  mustAddr6("2001:db8:1::1"),
-		RemoteAddr: mustAddr6("2001:db8:2::1"),
+		LocalAddr:  netip.MustParseAddr("2001:db8:1::1"),
+		RemoteAddr: netip.MustParseAddr("2001:db8:2::1"),
 		SrcPort:    40001,
 	}
 	sw.AddTunnel(tun)
-	inner := innerPacket(1024)
+	inner := packet.InnerUDP{
+		Src: netip.MustParseAddr("2001:db8:aa::1"), Dst: netip.MustParseAddr("2001:db8:bb::1"),
+		SrcPort: 7000, DstPort: 7001,
+	}.New(make([]byte, 1024))
 
 	const iters = 20000
 	start := time.Now()
@@ -220,7 +225,7 @@ func E8DataPlaneCost(cfg Config) *Result {
 	w.Eng.RunAll()
 
 	// Receiver cost: hand the receiver program a pre-built outer packet.
-	outer := buildOuter(tun, inner)
+	outer := packet.OuterFrame(tun.LocalAddr, tun.RemoteAddr, tun.SrcPort, tun.PathID, inner)
 	recv := dataplane.NewSwitch(w.AddNode("recv", 0))
 	recv.Endpoint().AddAddr(tun.RemoteAddr)
 	got := 0

@@ -39,8 +39,7 @@ type labOpts struct {
 	probeInterval time.Duration
 	recordBucket  time.Duration
 	decideEvery   time.Duration
-	policyNY      control.Policy
-	policyLA      control.Policy
+	policyNY      control.Policy // LA keeps the pair default
 	clockNY       time.Duration
 	clockLA       time.Duration
 }
@@ -67,7 +66,7 @@ func newLab(o labOpts) *lab {
 				if site == "ny" {
 					return o.policyNY
 				}
-				return o.policyLA
+				return nil
 			},
 		})
 	if err != nil {

@@ -29,6 +29,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Counter is a monotonically increasing metric (atomic, zero-allocation).
@@ -103,6 +104,25 @@ func (h *Histogram) Observe(v int64) {
 	h.bucket[bucketOf(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// Start reads the wall clock for a later ObserveSince. On a nil receiver
+// it returns the zero time without reading it, so an uninstrumented
+// caller pays a branch and no clock read.
+func (h *Histogram) Start() time.Time {
+	if h == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// ObserveSince records the wall-clock nanoseconds elapsed since t0, a
+// value Start returned. Safe on a nil receiver (no-op, no clock read).
+func (h *Histogram) ObserveSince(t0 time.Time) {
+	if h == nil {
+		return
+	}
+	h.Observe(int64(time.Since(t0)))
 }
 
 // bucketOf maps a value to its bucket index: 0 for v <= 0, otherwise

@@ -6,8 +6,13 @@
 // *prepended* into a SerializeBuffer (payload first, then UDP, then IP),
 // so each layer can treat the bytes already in the buffer as its payload
 // when computing lengths and checksums. Decoding uses preallocated layer
-// structs (DecodeFromBytes) so the per-packet hot path — which in the
-// paper is an eBPF program — does not allocate.
+// structs (DecodeFromBytes), chained by hand, so the per-packet hot path
+// — which in the paper is an eBPF program — does not allocate.
+//
+// No other package indexes header bytes: header.go has the fixed-offset
+// readers and setters a forwarder, selector or sink needs without a full
+// decode, and build.go the one builder of the inner packet generators
+// send.
 package packet
 
 import "fmt"
@@ -122,8 +127,6 @@ type SerializableLayer interface {
 	// SerializeTo prepends the layer's wire form. The bytes already in
 	// buf are the layer's payload.
 	SerializeTo(buf *SerializeBuffer) error
-	// LayerType identifies the layer.
-	LayerType() LayerType
 }
 
 // SerializeLayers clears buf and serializes the given layers so they wrap
@@ -132,7 +135,7 @@ func SerializeLayers(buf *SerializeBuffer, layers ...SerializableLayer) error {
 	buf.Clear()
 	for i := len(layers) - 1; i >= 0; i-- {
 		if err := layers[i].SerializeTo(buf); err != nil {
-			return fmt.Errorf("packet: serializing %v: %w", layers[i].LayerType(), err)
+			return fmt.Errorf("packet: serializing %T: %w", layers[i], err)
 		}
 	}
 	return nil

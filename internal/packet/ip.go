@@ -10,8 +10,7 @@ import (
 // IP protocol numbers used by Tango packets.
 const (
 	ProtoUDP  = 17
-	ProtoIPv4 = 4  // IPv4-in-X encapsulation
-	ProtoIPv6 = 41 // IPv6-in-X encapsulation
+	ProtoIPv4 = 4 // IPv4-in-X encapsulation
 )
 
 // IPv6 is the fixed 40-byte IPv6 header.
@@ -28,12 +27,6 @@ type IPv6 struct {
 const ipv6HeaderLen = 40
 
 var errTruncated = errors.New("truncated")
-
-// LayerType implements SerializableLayer and DecodingLayer.
-func (ip *IPv6) LayerType() LayerType { return LayerTypeIPv6 }
-
-// NextLayerType maps NextHeader to a layer type.
-func (ip *IPv6) NextLayerType() LayerType { return layerForProto(ip.NextHeader) }
 
 // LayerPayload returns the bytes after the IPv6 header.
 func (ip *IPv6) LayerPayload() []byte { return ip.payload }
@@ -102,12 +95,6 @@ type IPv4 struct {
 
 const ipv4HeaderLen = 20
 
-// LayerType implements SerializableLayer and DecodingLayer.
-func (ip *IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
-// NextLayerType maps Protocol to a layer type.
-func (ip *IPv4) NextLayerType() LayerType { return layerForProto(ip.Protocol) }
-
 // LayerPayload returns the bytes after the IPv4 header.
 func (ip *IPv4) LayerPayload() []byte { return ip.payload }
 
@@ -166,19 +153,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	}
 	ip.payload = data[ihl:total]
 	return nil
-}
-
-func layerForProto(proto uint8) LayerType {
-	switch proto {
-	case ProtoUDP:
-		return LayerTypeUDP
-	case ProtoIPv4:
-		return LayerTypeIPv4
-	case ProtoIPv6:
-		return LayerTypeIPv6
-	default:
-		return LayerTypePayload
-	}
 }
 
 // checksum computes the Internet checksum (RFC 1071) over data with an

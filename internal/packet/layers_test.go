@@ -44,9 +44,6 @@ func TestIPv6RoundTrip(t *testing.T) {
 	if string(dec.LayerPayload()) != "hello tango" {
 		t.Fatalf("payload = %q", dec.LayerPayload())
 	}
-	if dec.NextLayerType() != LayerTypeUDP {
-		t.Fatalf("NextLayerType = %v", dec.NextLayerType())
-	}
 }
 
 func TestIPv6Errors(t *testing.T) {
@@ -120,9 +117,6 @@ func TestUDPRoundTripWithChecksum(t *testing.T) {
 	if dec.SrcPort != 5000 || dec.DstPort != TangoPort {
 		t.Fatalf("ports = %d,%d", dec.SrcPort, dec.DstPort)
 	}
-	if dec.NextLayerType() != LayerTypeTango {
-		t.Fatalf("NextLayerType = %v", dec.NextLayerType())
-	}
 	if err := dec.VerifyChecksum(srcV6, dstV6, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +186,6 @@ func TestTangoRoundTrip(t *testing.T) {
 	}
 	if dec.Flags != h.Flags || dec.PathID != 3 || dec.Seq != 0xdeadbeef || dec.SendTime != 123456789012345 {
 		t.Fatalf("decode mismatch: %+v", dec)
-	}
-	if dec.NextLayerType() != LayerTypeIPv6 {
-		t.Fatalf("NextLayerType = %v", dec.NextLayerType())
 	}
 	if string(dec.LayerPayload()) != "inner packet bytes" {
 		t.Fatalf("payload = %q", dec.LayerPayload())
@@ -282,28 +273,29 @@ func TestFullEncapStack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Parse it back with a preallocated parser.
+	// Parse it back the way the receiver program does: preallocated
+	// layers, each decoding the previous one's payload.
 	var oip IPv6
 	var oudp UDP
 	var oth Tango
-	parser := NewParser(LayerTypeIPv6, &oip, &oudp, &oth)
-	var decoded []LayerType
-	rest, err := parser.Decode(buf.Bytes(), &decoded)
-	if err != nil {
+	if err := oip.DecodeFromBytes(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	// The parser stops at the inner IPv6 because &oip is already used;
-	// it decodes outer IPv6 -> UDP -> Tango, then the next IPv6 layer
-	// reuses the registered decoder. To keep zero-alloc semantics the
-	// parser re-decodes into the same struct, so decoded shows IPv6
-	// twice. Verify the chain prefix instead.
-	if len(decoded) < 3 || decoded[0] != LayerTypeIPv6 || decoded[1] != LayerTypeUDP || decoded[2] != LayerTypeTango {
-		t.Fatalf("decoded = %v", decoded)
+	if err := oudp.DecodeFromBytes(oip.LayerPayload()); err != nil {
+		t.Fatal(err)
+	}
+	if err := oudp.VerifyChecksum(oip.Src, oip.Dst, oip.LayerPayload()); err != nil {
+		t.Fatal(err)
+	}
+	if err := oth.DecodeFromBytes(oudp.LayerPayload()); err != nil {
+		t.Fatal(err)
+	}
+	if oip.Dst != outerDst || oudp.DstPort != TangoPort {
+		t.Fatalf("outer headers = %v port %d", oip.Dst, oudp.DstPort)
 	}
 	if oth.PathID != 2 || oth.Seq != 7 || oth.SendTime != 1000 {
 		t.Fatalf("tango hdr = %+v", oth)
 	}
-	_ = rest
 
 	// Decode the inner packet separately, as the receiver program does
 	// after computing OWD.
@@ -415,40 +407,5 @@ func TestUDPChecksumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParserUnknownLayerStops(t *testing.T) {
-	buf := NewSerializeBuffer()
-	pay := Payload([]byte("opaque"))
-	u := &UDP{SrcPort: 1, DstPort: 2}
-	ip := &IPv6{NextHeader: ProtoUDP, HopLimit: 1, Src: srcV6, Dst: dstV6}
-	if err := SerializeLayers(buf, ip, u, &pay); err != nil {
-		t.Fatal(err)
-	}
-	var dip IPv6
-	parser := NewParser(LayerTypeIPv6, &dip) // no UDP decoder registered
-	var decoded []LayerType
-	rest, err := parser.Decode(buf.Bytes(), &decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 1 || decoded[0] != LayerTypeIPv6 {
-		t.Fatalf("decoded = %v", decoded)
-	}
-	if len(rest) != udpHeaderLen+len(pay) {
-		t.Fatalf("rest = %d bytes", len(rest))
-	}
-}
-
-func TestLayerTypeString(t *testing.T) {
-	for lt, want := range map[LayerType]string{
-		LayerTypeNone: "None", LayerTypeIPv4: "IPv4", LayerTypeIPv6: "IPv6",
-		LayerTypeUDP: "UDP", LayerTypeTango: "Tango", LayerTypePayload: "Payload",
-		LayerType(99): "LayerType(99)",
-	} {
-		if lt.String() != want {
-			t.Fatalf("String(%d) = %q", lt, lt.String())
-		}
 	}
 }

@@ -98,17 +98,6 @@ type OWDReport struct {
 	JitterNano  int64
 }
 
-// LayerType implements SerializableLayer and DecodingLayer.
-func (t *Tango) LayerType() LayerType { return LayerTypeTango }
-
-// NextLayerType reports the inner packet's type from TangoFlagInner6.
-func (t *Tango) NextLayerType() LayerType {
-	if t.Flags&TangoFlagInner6 != 0 {
-		return LayerTypeIPv6
-	}
-	return LayerTypeIPv4
-}
-
 // LayerPayload returns the inner (tunnelled) packet bytes.
 func (t *Tango) LayerPayload() []byte { return t.payload }
 
@@ -209,12 +198,6 @@ func (t *Tango) DecodeFromBytes(data []byte) error {
 
 // Payload is a raw application payload layer.
 type Payload []byte
-
-// LayerType implements SerializableLayer and DecodingLayer.
-func (p *Payload) LayerType() LayerType { return LayerTypePayload }
-
-// NextLayerType reports that nothing follows a payload.
-func (p *Payload) NextLayerType() LayerType { return LayerTypeNone }
 
 // LayerPayload returns nil: payload is the innermost layer.
 func (p *Payload) LayerPayload() []byte { return nil }

@@ -40,18 +40,6 @@ func (u *UDP) SetNetworkForChecksum(src, dst netip.Addr) {
 	u.haveNet = true
 }
 
-// LayerType implements SerializableLayer and DecodingLayer.
-func (u *UDP) LayerType() LayerType { return LayerTypeUDP }
-
-// NextLayerType reports the payload layer: Tango when addressed to the
-// Tango port, opaque payload otherwise.
-func (u *UDP) NextLayerType() LayerType {
-	if u.DstPort == TangoPort {
-		return LayerTypeTango
-	}
-	return LayerTypePayload
-}
-
 // LayerPayload returns the bytes after the UDP header.
 func (u *UDP) LayerPayload() []byte { return u.payload }
 

@@ -57,43 +57,13 @@ const warmupIters = 128
 
 func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
-// buildInner serializes a host-level IPv6/UDP packet with a payload of
+// buildInner returns a host-level IPv6/UDP packet with a payload of
 // payloadSize zero bytes.
 func buildInner() []byte {
-	buf := packet.NewSerializeBuffer()
-	pay := packet.Payload(make([]byte, payloadSize))
-	udp := &packet.UDP{SrcPort: 7000, DstPort: 7001}
-	ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64,
-		Src: mustAddr("2001:db8:aa::1"),
-		Dst: mustAddr("2001:db8:bb::1")}
-	if err := packet.SerializeLayers(buf, ip, udp, &pay); err != nil {
-		panic(err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out
-}
-
-// buildOuter wraps inner in a full Tango encapsulation addressed to the
-// given tunnel's local endpoint, as its remote peer would send it.
-func buildOuter(tun *dataplane.Tunnel, inner []byte) []byte {
-	buf := packet.NewSerializeBuffer()
-	pay := packet.Payload(inner)
-	hdr := &packet.Tango{
-		Flags:    packet.TangoFlagSeq | packet.TangoFlagTimestamp | packet.TangoFlagInner6,
-		PathID:   tun.PathID,
-		SendTime: 1,
-	}
-	udp := &packet.UDP{SrcPort: 40001, DstPort: packet.TangoPort}
-	udp.SetNetworkForChecksum(tun.RemoteAddr, tun.LocalAddr)
-	ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64,
-		Src: tun.RemoteAddr, Dst: tun.LocalAddr}
-	if err := packet.SerializeLayers(buf, ip, udp, hdr, &pay); err != nil {
-		panic(err)
-	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	return out
+	return packet.InnerUDP{
+		Src: mustAddr("2001:db8:aa::1"), Dst: mustAddr("2001:db8:bb::1"),
+		SrcPort: 7000, DstPort: 7001,
+	}.New(make([]byte, payloadSize))
 }
 
 // BenchEncap measures the sender program — classify, lease a pooled
@@ -148,7 +118,8 @@ func BenchDecap(b *testing.B) {
 	// one-time lazy rx-counter registration, so the measured region is
 	// pure atomics.
 	sw.Instrument(obs.NewRegistry(), "bench")
-	outer := buildOuter(tun, buildInner())
+	// The frame as the tunnel's remote peer would send it.
+	outer := packet.OuterFrame(tun.RemoteAddr, tun.LocalAddr, 40001, tun.PathID, buildInner())
 	n.AddAddr(tun.LocalAddr)
 	measured := 0
 	sw.OnMeasure = func(dataplane.Measurement) { measured++ }

@@ -80,9 +80,6 @@ func NewBatchWheel(eng *Engine, granule, horizon time.Duration, cb func(now Time
 	return w
 }
 
-// Granule returns the wheel's time quantum.
-func (w *BatchWheel) Granule() time.Duration { return w.granule }
-
 // Len returns the number of items currently scheduled.
 func (w *BatchWheel) Len() int { return w.n }
 

@@ -202,7 +202,7 @@ func (n *Node) deliverFromLink(from *Port, pb *packet.Buf) {
 // handler a borrowed view first), and transmit passes ownership onward.
 func (n *Node) route(from *Port, pb *packet.Buf) {
 	data := pb.Bytes()
-	dst, hop, ok := parseForForwarding(data)
+	dst, hop, ok := packet.Dst(data)
 	if !ok {
 		n.Stats.ParseErr++
 		pb.Release()
@@ -222,7 +222,7 @@ func (n *Node) route(from *Port, pb *packet.Buf) {
 			pb.Release()
 			return
 		}
-		decHopLimit(data)
+		packet.DecHopLimit(data)
 		n.Stats.Forwarded++
 	}
 	ent := n.lookupCached(dst)
@@ -233,97 +233,9 @@ func (n *Node) route(from *Port, pb *packet.Buf) {
 	}
 	port := ent.Ports[0]
 	if len(ent.Ports) > 1 {
-		port = ent.Ports[flowHash(data)%uint32(len(ent.Ports))]
+		port = ent.Ports[packet.FlowHash(data)%uint32(len(ent.Ports))]
 	}
 	port.transmit(pb)
-}
-
-// parseForForwarding extracts the destination address and hop limit from
-// the IP header without a full decode.
-func parseForForwarding(data []byte) (dst netip.Addr, hopLimit uint8, ok bool) {
-	if len(data) < 1 {
-		return netip.Addr{}, 0, false
-	}
-	switch data[0] >> 4 {
-	case 6:
-		if len(data) < 40 {
-			return netip.Addr{}, 0, false
-		}
-		var d [16]byte
-		copy(d[:], data[24:40])
-		return netip.AddrFrom16(d), data[7], true
-	case 4:
-		if len(data) < 20 {
-			return netip.Addr{}, 0, false
-		}
-		return netip.AddrFrom4([4]byte(data[16:20])), data[8], true
-	}
-	return netip.Addr{}, 0, false
-}
-
-func decHopLimit(data []byte) {
-	switch data[0] >> 4 {
-	case 6:
-		data[7]--
-	case 4:
-		data[8]--
-		// A real router would also update the header checksum
-		// incrementally (RFC 1624); do the same so receivers that
-		// verify checksums keep working.
-		fixIPv4Checksum(data)
-	}
-}
-
-func fixIPv4Checksum(data []byte) {
-	ihl := int(data[0]&0x0f) * 4
-	if len(data) < ihl {
-		return
-	}
-	data[10], data[11] = 0, 0
-	c := ipv4HeaderChecksum(data[:ihl])
-	data[10] = byte(c >> 8)
-	data[11] = byte(c)
-}
-
-func ipv4HeaderChecksum(hdr []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(hdr); i += 2 {
-		sum += uint32(hdr[i])<<8 | uint32(hdr[i+1])
-	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
-// flowHash hashes the packet's 5-tuple-ish bytes (IP src/dst + first 4
-// transport bytes, i.e. the ports) the way a core router's ECMP stage
-// does. Same flow, same hash, same path — unless intermediate headers
-// vary, which is exactly the measurement hazard the paper's outer UDP
-// encapsulation eliminates.
-func flowHash(data []byte) uint32 {
-	var h uint32 = 2166136261
-	mix := func(b []byte) {
-		for _, v := range b {
-			h ^= uint32(v)
-			h *= 16777619
-		}
-	}
-	switch data[0] >> 4 {
-	case 6:
-		if len(data) < 48 {
-			return h
-		}
-		mix(data[8:40])  // src+dst
-		mix(data[40:44]) // transport ports
-	case 4:
-		if len(data) < 24 {
-			return h
-		}
-		mix(data[12:20])
-		mix(data[20:24])
-	}
-	return h
 }
 
 // LocalOut builds a convenience sender bound to this node: it serializes

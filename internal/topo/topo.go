@@ -107,8 +107,6 @@ type WireOpts struct {
 	// DelayAB/DelayBA are the data-plane one-way delay models; nil
 	// means a fixed 1 ms.
 	DelayAB, DelayBA simnet.DelayModel
-	// LossAB/LossBA are per-packet loss probabilities.
-	LossAB, LossBA float64
 	// SessionDelay is the one-way control-plane message delay
 	// (defaults to 10 ms).
 	SessionDelay time.Duration
@@ -128,12 +126,6 @@ type WireOpts struct {
 	// AllowOwnASA / AllowOwnASB enable allowas-in on A's (resp. B's)
 	// side of the session.
 	AllowOwnASA, AllowOwnASB bool
-	// ImportA runs on routes A learns from B; ImportB the reverse.
-	ImportA, ImportB func(*bgp.Route) *bgp.Route
-	// LinkPrefix, when valid, addresses the two session endpoints from
-	// its ::1 and ::2; otherwise a unique link /64 is synthesized from
-	// an internal counter under 2001:db8:fe00::/40.
-	LinkPrefix addr.Prefix
 }
 
 // Wire links two ASes in both planes and returns the created link and the
@@ -152,19 +144,16 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 		o.MRAI = 5 * time.Second
 	}
 	link := b.W.Connect(x.Node, y.Node,
-		simnet.LinkConfig{Delay: o.DelayAB, Loss: o.LossAB},
-		simnet.LinkConfig{Delay: o.DelayBA, Loss: o.LossBA})
+		simnet.LinkConfig{Delay: o.DelayAB},
+		simnet.LinkConfig{Delay: o.DelayBA})
 
-	lp := o.LinkPrefix
-	if !lp.IsValid() {
-		base := addr.MustParsePrefix("2001:db8:fe00::/40")
-		var err error
-		lp, err = base.Subnet(64, b.linkSeq)
-		if err != nil {
-			panic(err)
-		}
-		b.linkSeq++
+	// The two session endpoints are ::1 and ::2 of a link /64 of their
+	// own, numbered in wiring order.
+	lp, err := addr.MustParsePrefix("2001:db8:fe00::/40").Subnet(64, b.linkSeq)
+	if err != nil {
+		panic(err)
 	}
+	b.linkSeq++
 	ipX := mustHost(lp, 1)
 	ipY := mustHost(lp, 2)
 	x.Node.AddAddr(ipX)
@@ -182,7 +171,6 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 		StripPrivateASNs:       o.StripPrivateA2B,
 		ScrubActionCommunities: o.ScrubA2B,
 		AllowOwnAS:             o.AllowOwnASA,
-		Import:                 o.ImportA,
 	}
 	cfgY := bgp.SessionConfig{
 		Relation:               relBA,
@@ -193,7 +181,6 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 		StripPrivateASNs:       o.StripPrivateB2A,
 		ScrubActionCommunities: o.ScrubB2A,
 		AllowOwnAS:             o.AllowOwnASB,
-		Import:                 o.ImportB,
 	}
 	sx, sy := bgp.Connect(x.Speaker, y.Speaker, cfgX, cfgY)
 	return link, sx, sy

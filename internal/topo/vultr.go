@@ -63,8 +63,6 @@ type ScenarioConfig struct {
 	ClockOffsetNY, ClockOffsetLA time.Duration
 	// MRAI for all core sessions (default 5 s).
 	MRAI time.Duration
-	// Profiles override the default provider calibration when non-nil.
-	Profiles []ProviderProfile
 }
 
 // edge ASNs (RFC 6996 private, stripped by Vultr on export).
@@ -79,10 +77,7 @@ func VultrConfig(cfg ScenarioConfig) MeshConfig {
 		cfg.ClockOffsetNY = 1700 * time.Millisecond
 		cfg.ClockOffsetLA = -900 * time.Millisecond
 	}
-	profs := cfg.Profiles
-	if profs == nil {
-		profs = []ProviderProfile{ProfileNTT, ProfileTelia, ProfileGTT, ProfileCogent, ProfileLevel3}
-	}
+	profs := []ProviderProfile{ProfileNTT, ProfileTelia, ProfileGTT, ProfileCogent, ProfileLevel3}
 	byName := map[string]ProviderProfile{}
 	var providers []MeshProvider
 	for i, p := range profs {

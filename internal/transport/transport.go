@@ -112,24 +112,3 @@ type Endpoint interface {
 	// Now returns the endpoint's current event time.
 	Now() sim.Time
 }
-
-// Dst extracts the outer destination address from an IPv4/IPv6 frame
-// without a full decode — the one routing decision a backend makes.
-func Dst(data []byte) (netip.Addr, bool) {
-	if len(data) < 1 {
-		return netip.Addr{}, false
-	}
-	switch data[0] >> 4 {
-	case 6:
-		if len(data) < 40 {
-			return netip.Addr{}, false
-		}
-		return netip.AddrFrom16([16]byte(data[24:40])), true
-	case 4:
-		if len(data) < 20 {
-			return netip.Addr{}, false
-		}
-		return netip.AddrFrom4([4]byte(data[16:20])), true
-	}
-	return netip.Addr{}, false
-}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/packet"
 	"tango/internal/transport"
 )
 
@@ -54,21 +55,16 @@ var (
 	addrB = netip.MustParseAddr("fd00:7e57::b")
 )
 
-// frame builds a minimal IPv6 frame to dst with the given payload — just
-// enough header for the backends' outer-destination parse.
+// frame builds an IPv6/UDP frame to dst around payload; the backends read
+// only its outer destination.
 func frame(dst netip.Addr, payload []byte) []byte {
-	f := make([]byte, 40+len(payload))
-	f[0] = 0x60
-	f[4] = byte(len(payload) >> 8)
-	f[5] = byte(len(payload))
-	f[6] = 17 // next header: UDP-ish; the parse does not care
-	f[7] = 64 // hop limit
-	src := netip.MustParseAddr("fd00:7e57::5").As16()
-	copy(f[8:24], src[:])
-	d := dst.As16()
-	copy(f[24:40], d[:])
-	copy(f[40:], payload)
-	return f
+	return packet.InnerUDP{Src: netip.MustParseAddr("fd00:7e57::5"), Dst: dst, SrcPort: 9, DstPort: 9}.New(payload)
+}
+
+// payloadOf returns the payload view of a frame built by frame.
+func payloadOf(data []byte) []byte {
+	_, p, _ := packet.UDP6(data)
+	return p
 }
 
 func testDeliverOwned(t *testing.T, h *Harness) {
@@ -88,8 +84,8 @@ func testDeliverOwned(t *testing.T, h *Harness) {
 		if len(got) != 1 {
 			t.Fatalf("delivered %d frames, want 1", len(got))
 		}
-		if string(got[0][40:]) != "hello" {
-			t.Fatalf("payload = %q, want hello", got[0][40:])
+		if string(payloadOf(got[0])) != "hello" {
+			t.Fatalf("payload = %q, want hello", payloadOf(got[0]))
 		}
 	})
 }
@@ -101,7 +97,7 @@ func testDeliveryIsBorrow(t *testing.T, h *Harness) {
 	var payloads []string
 	h.Do(func() {
 		h.EP.SetHandler(func(data []byte) {
-			payloads = append(payloads, string(data[40:]))
+			payloads = append(payloads, string(payloadOf(data)))
 			for i := range data {
 				data[i] = 0xff // scribble over the borrow
 			}
@@ -123,11 +119,11 @@ func testDeliveryIsBorrow(t *testing.T, h *Harness) {
 func testInjectCopies(t *testing.T, h *Harness) {
 	var got string
 	h.Do(func() {
-		h.EP.SetHandler(func(data []byte) { got = string(data[40:]) })
+		h.EP.SetHandler(func(data []byte) { got = string(payloadOf(data)) })
 		h.EP.AddAddr(addrA)
 		f := frame(addrA, []byte("orig"))
 		h.EP.Inject(f)
-		copy(f[40:], "XXXX")
+		copy(payloadOf(f), "XXXX")
 	})
 	h.Sleep(10 * time.Millisecond)
 	h.Do(func() {
@@ -222,7 +218,7 @@ func testDoubleReleasePanics(t *testing.T, h *Harness) {
 func testDeliveryOrder(t *testing.T, h *Harness) {
 	var order []byte
 	h.Do(func() {
-		h.EP.SetHandler(func(data []byte) { order = append(order, data[40]) })
+		h.EP.SetHandler(func(data []byte) { order = append(order, payloadOf(data)[0]) })
 		h.EP.AddAddr(addrA)
 		for i := byte(0); i < 16; i++ {
 			h.EP.Inject(frame(addrA, []byte{i}))

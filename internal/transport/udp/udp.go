@@ -45,6 +45,15 @@ var ctlMagic = [4]byte{'T', 'N', 'G', 1}
 // frame is not a Tango datagram.
 const maxDatagram = 64 << 10
 
+// recvBuffer is the socket receive buffer New asks for; the kernel grants
+// the smaller of this and net.core.rmem_max. Its default (208 KiB on
+// Linux) holds a paced 1 KiB stream for about 13 ms, so any longer stall
+// of the event goroutine — a GC pause, a descheduled vCPU, a slow
+// handler holding the lock — made the kernel drop datagrams the sender
+// had already counted as sent. 4 MiB rides out a stall twenty times as
+// long and is what rmem_max commonly allows.
+const recvBuffer = 4 << 20
+
 // Config parameterizes New.
 type Config struct {
 	// Name labels the endpoint (site name).
@@ -126,6 +135,10 @@ func New(cfg Config) (*Backend, error) {
 	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
 		return nil, fmt.Errorf("udp: listen %q: %w", cfg.Listen, err)
+	}
+	if err := conn.SetReadBuffer(recvBuffer); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("udp: set receive buffer on %q: %w", cfg.Listen, err)
 	}
 	eng := sim.NewEngine()
 	b := &Backend{
@@ -260,7 +273,7 @@ func (b *Backend) Inject(data []byte) {
 // copies the bytes into the socket and releases the lease here.
 func (b *Backend) InjectBuf(pb *packet.Buf) {
 	data := pb.Bytes()
-	dst, ok := transport.Dst(data)
+	dst, _, ok := packet.Dst(data)
 	if !ok {
 		b.parseErr.Inc()
 		pb.Release()
@@ -316,7 +329,7 @@ func (b *Backend) deliver(from netip.AddrPort, data []byte) {
 		}
 		return
 	}
-	dst, ok := transport.Dst(data)
+	dst, _, ok := packet.Dst(data)
 	if !ok {
 		b.parseErr.Inc()
 		return

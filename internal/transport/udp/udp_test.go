@@ -3,9 +3,14 @@ package udp
 import (
 	"fmt"
 	"net/netip"
+	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"tango/internal/packet"
 	"tango/internal/transport/transporttest"
 )
 
@@ -78,8 +83,8 @@ func TestTwoBackendsExchangeFrames(t *testing.T) {
 	})
 	waitFor(t, b, 2*time.Second, "frame delivery", func() bool { return got != nil })
 
-	if string(got[40:]) != "over the wire" {
-		t.Fatalf("payload = %q", got[40:])
+	if _, pay, _ := packet.UDP6(got); string(pay) != "over the wire" {
+		t.Fatalf("payload = %q", pay)
 	}
 	if el := at.Sub(sent); el < 30*time.Millisecond {
 		t.Fatalf("frame arrived after %v, before the 30ms emulated delay", el)
@@ -100,18 +105,59 @@ func TestTwoBackendsExchangeFrames(t *testing.T) {
 	waitFor(t, b, 2*time.Second, "not-owned drop", func() bool { return b.Stats().NotOwned == 1 })
 }
 
-// mkFrame builds a minimal IPv6 frame to dst.
+// mkFrame builds an IPv6/UDP frame to dst around payload.
 func mkFrame(dst netip.Addr, payload []byte) []byte {
-	f := make([]byte, 40+len(payload))
-	f[0] = 0x60
-	f[4], f[5] = byte(len(payload)>>8), byte(len(payload))
-	f[6], f[7] = 17, 64
-	src := netip.MustParseAddr("fd00:7e57::1").As16()
-	copy(f[8:24], src[:])
-	d := dst.As16()
-	copy(f[24:40], d[:])
-	copy(f[40:], payload)
-	return f
+	return packet.InnerUDP{Src: netip.MustParseAddr("fd00:7e57::1"), Dst: dst, SrcPort: 9, DstPort: 9}.New(payload)
+}
+
+// TestBackendAbsorbsReadStall holds B's event lock — a GC pause, a
+// descheduled vCPU or a slow handler does the same — while A writes a
+// megabyte at it. The reader cannot hand anything over until the lock is
+// released, so everything waits in the socket's receive buffer; the
+// kernel-default buffer keeps under a tenth of it (92 of 1 000 frames).
+func TestBackendAbsorbsReadStall(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("receive-buffer limits are read from /proc")
+	}
+	raw, err := os.ReadFile("/proc/sys/net/core/rmem_max")
+	if err != nil {
+		t.Skip(err)
+	}
+	if max, _ := strconv.Atoi(strings.TrimSpace(string(raw))); max < recvBuffer {
+		t.Skipf("net.core.rmem_max = %d grants less than the %d the backend asks for", max, recvBuffer)
+	}
+	a := newBackend(t, "a")
+	b := newBackend(t, "b")
+	dst := netip.MustParseAddr("fd00:7e57::b1")
+	const frames = 1000
+	delivered := 0
+	b.Do(func() {
+		b.AddAddr(dst)
+		b.SetHandler(func([]byte) { delivered++ })
+	})
+	f := mkFrame(dst, make([]byte, 1024))
+	// Nothing below may t.Fatal inside Do: that would exit the goroutine
+	// with the event lock held and hang the cleanup.
+	var sent Stats
+	b.Do(func() { // the stall
+		a.Do(func() {
+			a.AddRoute(dst, b.Addr(), 0)
+			for i := 0; i < frames; i++ {
+				a.Inject(f)
+			}
+		})
+		sent = a.Stats()
+	})
+	if sent.TxFrames != frames || sent.WriteErr != 0 {
+		t.Fatalf("sender wrote %d frames with %d errors, want %d and 0", sent.TxFrames, sent.WriteErr, frames)
+	}
+	got := 0
+	for deadline := time.Now().Add(2 * time.Second); got != frames && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		b.Do(func() { got = delivered })
+	}
+	if rx := b.Stats().RxFrames; got != frames || rx != frames {
+		t.Fatalf("delivered %d frames, RxFrames %d, want %d: the kernel dropped the rest while the reader was stalled", got, rx, frames)
+	}
 }
 
 func TestParsePaths(t *testing.T) {

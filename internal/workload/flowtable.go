@@ -92,12 +92,11 @@ func DefaultClasses() [NumClasses]ClassSpec {
 // generators and flow tables can share a deployment).
 const FlowPort = 7002
 
-// Flow packet payload layout (offsets within the inner packet; the
-// payload starts at 48 = IPv6 40 + UDP 8):
+// Flow header: the first flowHeaderLen bytes of the inner UDP payload.
 //
-//	[48:52) per-flow sequence number
-//	[52:56) flow word: index (22 bits) | class (2 bits) | generation (8 bits)
-//	[56:64) virtual send time, nanoseconds
+//	[0:4)  per-flow sequence number
+//	[4:8)  flow word: index (22 bits) | class (2 bits) | generation (8 bits)
+//	[8:16) virtual send time, nanoseconds
 //
 // Carrying the send time in the packet is what makes receiver-side
 // accounting self-contained: OWD is receiver-now minus the stamp (both
@@ -157,15 +156,16 @@ type FlowClassStats struct {
 }
 
 // flowEndpoint is one (switch, src, dst) a table emits through, with a
-// prebuilt inner-packet template per class. src doubles as the table's
+// prebuilt inner-packet template per class and a view of each template's
+// flow header, where emit stamps. src doubles as the table's
 // claim filter: several tables can deliver into one site (an E13 mesh
 // has one per sending site), and flow indices overlap across tables, so
 // a sink claims a packet only when the inner source address matches the
 // endpoint the packet's flow index is bound to.
 type flowEndpoint struct {
-	sw   *dataplane.Switch
-	src  [16]byte
-	tmpl [NumClasses][]byte
+	sw        *dataplane.Switch
+	src       [16]byte
+	tmpl, hdr [NumClasses][]byte
 }
 
 // FlowTable is an array-of-structs store of concurrent flows for one
@@ -241,18 +241,12 @@ func NewFlowTable(eng *sim.Engine, classes [NumClasses]ClassSpec, capacity int) 
 func (t *FlowTable) AddEndpoint(sw *dataplane.Switch, src, dst netip.Addr) int {
 	ep := flowEndpoint{sw: sw, src: src.As16()}
 	for c := range t.classes {
-		buf := packet.NewSerializeBuffer()
-		pay := packet.Payload(make([]byte, t.classes[c].Payload))
-		udp := &packet.UDP{SrcPort: 7000, DstPort: FlowPort}
 		// The flow class rides the inner traffic-class byte so the
 		// data plane (dataplane.ClassSelector) can steer per class
 		// without parsing the Tango payload.
-		ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, TrafficClass: uint8(c), Src: src, Dst: dst}
-		if err := packet.SerializeLayers(buf, ip, udp, &pay); err != nil {
-			panic(err)
-		}
-		ep.tmpl[c] = make([]byte, buf.Len())
-		copy(ep.tmpl[c], buf.Bytes())
+		h := packet.InnerUDP{Src: src, Dst: dst, SrcPort: 7000, DstPort: FlowPort, TrafficClass: uint8(c)}
+		ep.tmpl[c] = h.New(make([]byte, t.classes[c].Payload))
+		_, ep.hdr[c], _ = packet.UDP6(ep.tmpl[c])
 	}
 	t.eps = append(t.eps, ep)
 	t.freeHead = append(t.freeHead, -1)
@@ -318,17 +312,15 @@ func (t *FlowTable) Start(ep int, c Class, emits uint32, delay time.Duration) in
 func (t *FlowTable) emit(now sim.Time, i int32) {
 	f := &t.send[i]
 	ep := &t.eps[f.ep]
-	tmpl := ep.tmpl[f.class]
+	tmpl, hdr := ep.tmpl[f.class], ep.hdr[f.class]
 	// Each flow stamps its own inner source port so hash-based selectors
 	// (ECMP-style stickiness hashes addresses+ports) see distinct flows,
 	// not one aggregate. The sink identifies flows by the flow word and
-	// destination port, never the source port, and the template's UDP
-	// checksum is the all-zero "not computed" value, so the in-place
-	// rewrite stays consistent.
-	binary.BigEndian.PutUint16(tmpl[40:42], flowSrcPort(i))
-	binary.BigEndian.PutUint32(tmpl[48:52], f.seq)
-	binary.BigEndian.PutUint32(tmpl[52:56], flowWord(i, Class(f.class), f.gen))
-	binary.BigEndian.PutUint64(tmpl[56:64], uint64(now))
+	// destination port, never the source port.
+	packet.SetUDPSrcPort6(tmpl, flowSrcPort(i))
+	binary.BigEndian.PutUint32(hdr[0:4], f.seq)
+	binary.BigEndian.PutUint32(hdr[4:8], flowWord(i, Class(f.class), f.gen))
+	binary.BigEndian.PutUint64(hdr[8:16], uint64(now))
 	f.seq++
 	f.emitsLeft--
 	t.cc[f.class].sent.Add(1)
@@ -356,13 +348,11 @@ func (t *FlowTable) SinkFor(recvEng *sim.Engine) func(inner []byte) bool {
 }
 
 func (t *FlowTable) sink(recvEng *sim.Engine, inner []byte) bool {
-	if len(inner) < 48+flowHeaderLen || inner[0]>>4 != 6 {
+	dport, hdr, ok := packet.UDP6(inner)
+	if !ok || dport != FlowPort || len(hdr) < flowHeaderLen {
 		return false
 	}
-	if binary.BigEndian.Uint16(inner[42:44]) != FlowPort {
-		return false
-	}
-	w := binary.BigEndian.Uint32(inner[52:56])
+	w := binary.BigEndian.Uint32(hdr[4:8])
 	idx := int32(w & flowIdxMask)
 	if int(idx) >= len(t.recv) {
 		return false // another table's flow
@@ -373,14 +363,14 @@ func (t *FlowTable) sink(recvEng *sim.Engine, inner []byte) bool {
 		// Unclaimed slots keep ep 0 and fail the source match below
 		// (another table's flow index landing in our range).
 		e := int(t.send[idx].ep)
-		if e >= len(t.eps) || [16]byte(inner[8:24]) != t.eps[e].src {
+		if e >= len(t.eps) || packet.Src6(inner) != t.eps[e].src {
 			return false
 		}
 	}
 	c := Class(w>>flowClassShift) & 3
 	gen := uint8(w >> flowGenShift)
-	seq := binary.BigEndian.Uint32(inner[48:52])
-	sentAt := sim.Time(binary.BigEndian.Uint64(inner[56:64]))
+	seq := binary.BigEndian.Uint32(hdr[0:4])
+	sentAt := sim.Time(binary.BigEndian.Uint64(hdr[8:16]))
 	now := recvEng.Now()
 	owd := now - sentAt
 
@@ -513,10 +503,11 @@ type ArrivalConfig struct {
 	FlashAt     sim.Time
 	FlashFor    time.Duration
 	FlashFactor float64
-	// Quantum is the generator tick (default 10 ms): one engine event
-	// per quantum starts that quantum's whole arrival batch.
-	Quantum time.Duration
 }
+
+// arrivalQuantum is the generator tick: one engine event per quantum
+// starts that quantum's whole arrival batch.
+const arrivalQuantum = 10 * time.Millisecond
 
 // Arrivals is a running arrival process on a table's owner engine.
 type Arrivals struct {
@@ -538,14 +529,11 @@ func (t *FlowTable) StartArrivals(rng *sim.RNG, cfg ArrivalConfig) *Arrivals {
 	if len(t.eps) == 0 {
 		panic("workload: StartArrivals on a table with no endpoints")
 	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 10 * time.Millisecond
-	}
 	if cfg.Emits == 0 {
 		cfg.Emits = 4
 	}
 	a := &Arrivals{t: t, rng: rng, cfg: cfg}
-	a.tick = sim.NewTicker(t.eng, cfg.Quantum, a.step)
+	a.tick = sim.NewTicker(t.eng, arrivalQuantum, a.step)
 	return a
 }
 
@@ -565,7 +553,7 @@ func (a *Arrivals) step(now sim.Time) {
 	if rate < 0 {
 		rate = 0
 	}
-	a.acc += rate * a.cfg.Quantum.Seconds()
+	a.acc += rate * arrivalQuantum.Seconds()
 	n := int(a.acc)
 	a.acc -= float64(n)
 	for k := 0; k < n; k++ {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tango/internal/obs"
+	"tango/internal/packet"
 	"tango/internal/sim"
 )
 
@@ -130,12 +131,14 @@ func TestFlowTableCapacityRefusal(t *testing.T) {
 
 // flowPacket hand-crafts an inner packet in the table's wire layout.
 func flowPacket(idx int32, c Class, gen uint8, seq uint32, sentAt sim.Time) []byte {
-	p := make([]byte, 64)
-	p[0] = 6 << 4
-	binary.BigEndian.PutUint16(p[42:44], FlowPort)
-	binary.BigEndian.PutUint32(p[48:52], seq)
-	binary.BigEndian.PutUint32(p[52:56], flowWord(idx, c, gen))
-	binary.BigEndian.PutUint64(p[56:64], uint64(sentAt))
+	p := packet.InnerUDP{
+		Src: netip.MustParseAddr("2001:db8:aa::1"), Dst: netip.MustParseAddr("2001:db8:bb::1"),
+		SrcPort: 7000, DstPort: FlowPort,
+	}.New(make([]byte, flowHeaderLen))
+	_, hdr, _ := packet.UDP6(p)
+	binary.BigEndian.PutUint32(hdr[0:4], seq)
+	binary.BigEndian.PutUint32(hdr[4:8], flowWord(idx, c, gen))
+	binary.BigEndian.PutUint64(hdr[8:16], uint64(sentAt))
 	return p
 }
 

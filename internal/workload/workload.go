@@ -33,15 +33,7 @@ type Prober struct {
 // probe packet (conventionally host addresses of the two sites).
 func NewProber(eng *sim.Engine, sw *dataplane.Switch, src, dst netip.Addr, interval time.Duration) *Prober {
 	p := &Prober{sw: sw, Interval: interval}
-	buf := packet.NewSerializeBuffer()
-	pay := packet.Payload([]byte("tango-probe"))
-	udp := &packet.UDP{SrcPort: 7, DstPort: 7}
-	ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
-	if err := packet.SerializeLayers(buf, ip, udp, &pay); err != nil {
-		panic(err)
-	}
-	p.inner = make([]byte, buf.Len())
-	copy(p.inner, buf.Bytes())
+	p.inner = packet.InnerUDP{Src: src, Dst: dst, SrcPort: 7, DstPort: 7}.New([]byte("tango-probe"))
 	p.tick = sim.NewTicker(eng, interval, func(sim.Time) { p.probe() })
 	return p
 }
@@ -72,9 +64,11 @@ type AppGen struct {
 	sw   *dataplane.Switch
 	tick *sim.Ticker
 
-	seq      uint32
-	sentAt   map[uint32]sim.Time
-	template []byte
+	seq    uint32
+	sentAt map[uint32]sim.Time
+	// template is the reused inner packet; seqAt views its first four
+	// payload bytes, where emit stamps the sequence number.
+	template, seqAt []byte
 
 	// recvEng is the clock Sink stamps arrivals with; arrivals collects
 	// (seq, receive time) pairs touched only by the receiving
@@ -101,15 +95,8 @@ func NewAppGen(eng *sim.Engine, sw *dataplane.Switch, src, dst netip.Addr, inter
 		panic(fmt.Sprintf("workload: NewAppGen payload %dB cannot carry the 4-byte sequence number", payloadSize))
 	}
 	g := &AppGen{sw: sw, sentAt: make(map[uint32]sim.Time), recvEng: eng}
-	buf := packet.NewSerializeBuffer()
-	pay := packet.Payload(make([]byte, payloadSize))
-	udp := &packet.UDP{SrcPort: 7000, DstPort: AppPort}
-	ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
-	if err := packet.SerializeLayers(buf, ip, udp, &pay); err != nil {
-		panic(err)
-	}
-	g.template = make([]byte, buf.Len())
-	copy(g.template, buf.Bytes())
+	g.template = packet.InnerUDP{Src: src, Dst: dst, SrcPort: 7000, DstPort: AppPort}.New(make([]byte, payloadSize))
+	_, g.seqAt, _ = packet.UDP6(g.template)
 	g.tick = sim.NewTicker(eng, interval, func(now sim.Time) { g.emit(now) })
 	return g
 }
@@ -117,9 +104,8 @@ func NewAppGen(eng *sim.Engine, sw *dataplane.Switch, src, dst netip.Addr, inter
 func (g *AppGen) emit(now sim.Time) {
 	// SendToPeer borrows the slice (the switch serializes it into a
 	// pooled buffer before returning), so the template is reused across
-	// packets: stamp the sequence number into the first 4 payload bytes
-	// (offset: IPv6 40 + UDP 8) in place.
-	binary.BigEndian.PutUint32(g.template[48:52], g.seq)
+	// packets: stamp the sequence number into it in place.
+	binary.BigEndian.PutUint32(g.seqAt, g.seq)
 	g.sentAt[g.seq] = now
 	g.seq++
 	g.sw.SendToPeer(g.template)
@@ -136,15 +122,11 @@ func (g *AppGen) BindSink(eng *sim.Engine) { g.recvEng = eng }
 // it is AppGen traffic, stages its arrival. Wire it into the remote
 // switch's DeliverLocal.
 func (g *AppGen) Sink(inner []byte) bool {
-	if len(inner) < 52 || inner[0]>>4 != 6 {
+	dport, pay, ok := packet.UDP6(inner)
+	if !ok || dport != AppPort || len(pay) < 4 {
 		return false
 	}
-	dport := binary.BigEndian.Uint16(inner[42:44])
-	if dport != AppPort {
-		return false
-	}
-	seq := binary.BigEndian.Uint32(inner[48:52])
-	g.arrivals = append(g.arrivals, arrival{seq: seq, at: g.recvEng.Now()})
+	g.arrivals = append(g.arrivals, arrival{seq: binary.BigEndian.Uint32(pay), at: g.recvEng.Now()})
 	return true
 }
 

@@ -1,7 +1,6 @@
 package tango
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"time"
@@ -147,14 +146,7 @@ func (s *Site) OnReceive(dstPort uint16, fn func(Delivery)) {
 // handing them to fn as parsed Deliveries.
 func deliverySink(now func() time.Duration, dstPort uint16, fn func(Delivery)) func([]byte) bool {
 	return func(inner []byte) bool {
-		if len(inner) < 48 || inner[0]>>4 != 6 {
-			return false
-		}
-		if inner[6] != packet.ProtoUDP {
-			return false
-		}
-		dp := binary.BigEndian.Uint16(inner[42:44])
-		if dp != dstPort {
+		if dp, _, ok := packet.UDP6(inner); !ok || dp != dstPort {
 			return false
 		}
 		var ip packet.IPv6
