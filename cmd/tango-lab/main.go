@@ -18,12 +18,11 @@
 // isolated, so the reports are byte-identical to a serial run; output is
 // buffered and printed in experiment order once all results are in.
 //
-// -shards N runs the sharding-aware experiments (e2, e10, e11, e12, e13,
-// e15)
-// on a partitioned network with N worker goroutines advancing the
-// partitions in lock-stepped epochs. The partition layout is fixed by
-// topology and seed, so any N produces the same report as -shards 1 —
-// only wall-clock time changes. e12, the 64-site / 10k-tunnel storm
+// -shards N runs the sharding-aware experiments (e2, e9, e10, e11, e12,
+// e13, e15) on a partitioned network with N worker goroutines advancing
+// the partitions in lock-stepped epochs. The partition layout is fixed by
+// the topology, so any N produces the same report as -shards 1 — only
+// wall-clock time changes. e12, the 64-site / 10k-tunnel storm
 // scale test, e13, the million-concurrent-flow SLO run on the same
 // mesh, e14, the discovery sweep over a generated 521-AS internet, and
 // e15, the traffic-engineering comparison of greedy best-path steering
@@ -65,7 +64,7 @@ func realMain() int {
 		duration   = flag.Duration("duration", 0, "main measurement window of virtual time (0 = per-experiment default)")
 		csvDir     = flag.String("csv", "", "directory to write figure series CSVs into")
 		parallel   = flag.Int("parallel", 1, "run up to N experiments concurrently (<=0: one per CPU)")
-		shards     = flag.Int("shards", 0, "advance sharding-aware experiments on N workers (0 = classic single engine)")
+		shards     = flag.Int("shards", 0, "advance sharding-aware experiments (e2, e9-e13, e15) on N workers (0 = classic single engine); e14: chunk-runner workers")
 		sites      = flag.Int("sites", 0, "scale e12/e13/e15's wide mesh to N sites (0 = the full 64)")
 		flows      = flag.Int("flows", 0, "scale e13's concurrent flow population (0 = the full 1M)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -191,7 +191,9 @@ loop:
 
 	b.Do(func() {
 		edge.Prober.Stop()
-		edge.Reporter.Stop()
+		if edge.Reporter != nil { // -report-every 0 never started one
+			edge.Reporter.Stop()
+		}
 		edge.Controller.Stop()
 		printLiveStatusLocked(b, edge)
 	})

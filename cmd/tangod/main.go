@@ -46,14 +46,21 @@ func main() {
 		peer      = flag.String("peer", "", "udp: peer socket address to dial; empty waits for a dialer")
 		paths     = flag.String("paths", "NTT:12ms,GTT:30ms,Cogent:20ms", "udp: outgoing paths as NAME:DELAY,... (emulated one-way delays)")
 		probeIv   = flag.Duration("probe-interval", 20*time.Millisecond, "udp: probe send interval per path")
-		reportIv  = flag.Duration("report-every", 25*time.Millisecond, "udp: piggybacked report interval")
-		decideIv  = flag.Duration("decide-every", 100*time.Millisecond, "udp: controller decision interval")
+		reportIv  = flag.Duration("report-every", 25*time.Millisecond, "udp: piggybacked report interval; 0 turns reports off")
+		decideIv  = flag.Duration("decide-every", 100*time.Millisecond, "udp: controller decision interval; 0 leaves the controller idle")
 		duration  = flag.Duration("duration", 0, "udp: wall-clock run time; 0 runs until SIGINT/SIGTERM")
 		addrFile  = flag.String("addr-file", "", "udp: write the bound socket address to this file")
 		readyFile = flag.String("ready-file", "", "udp: write to this file once the pair is established")
 		statusIv  = flag.Duration("status-every", 2*time.Second, "udp: wall-clock time between status prints")
 	)
 	flag.Parse()
+	if err := checkCadences(cadences{
+		Hours: *hours, Report: *report, Probe: *probeIv, Status: *statusIv,
+		ReportEvery: *reportIv, DecideEvery: *decideIv,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "tangod:", err)
+		os.Exit(2)
+	}
 
 	switch *transport {
 	case "udp":
@@ -137,6 +144,35 @@ func main() {
 		printStatus(lab)
 	}
 	fmt.Println("tangod: done")
+}
+
+// cadences are the flag values that pace a run.
+type cadences struct {
+	Hours                    float64
+	Report, Probe, Status    time.Duration
+	ReportEvery, DecideEvery time.Duration
+}
+
+// checkCadences rejects values a run cannot survive: the status loop
+// never advances on a non-positive -report, and a ticker panics on a
+// non-positive period. Zero -report-every and -decide-every are legal —
+// core.Edge leaves that loop off.
+func checkCadences(c cadences) error {
+	switch {
+	case !(c.Hours > 0): // NaN included
+		return fmt.Errorf("-hours must be positive, got %v", c.Hours)
+	case c.Report <= 0:
+		return fmt.Errorf("-report must be positive, got %v", c.Report)
+	case c.Probe <= 0:
+		return fmt.Errorf("-probe-interval must be positive, got %v", c.Probe)
+	case c.Status <= 0:
+		return fmt.Errorf("-status-every must be positive, got %v", c.Status)
+	case c.ReportEvery < 0:
+		return fmt.Errorf("-report-every must not be negative, got %v", c.ReportEvery)
+	case c.DecideEvery < 0:
+		return fmt.Errorf("-decide-every must not be negative, got %v", c.DecideEvery)
+	}
+	return nil
 }
 
 func printStatus(lab *tango.Lab) {

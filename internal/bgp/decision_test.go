@@ -11,30 +11,10 @@ import (
 // TestDecisionMED: with equal local-pref, path length, and origin, the
 // lower MED wins.
 func TestDecisionMED(t *testing.T) {
-	eng := sim.NewEngine()
-	col := NewSpeaker(eng, "col", 10, 1)
-	p1 := NewSpeaker(eng, "p1", 11, 2)
-	p2 := NewSpeaker(eng, "p2", 12, 3)
-	cA, cB := pairCfg(RelCustomer, "2001:db8:10::1", "2001:db8:10::2")
-	// p1 exports with MED 50, p2 with MED 10.
-	cB.Export = func(r *Route) *Route { r.MED = 50; return r }
-	s1, _ := Connect(col, p1, cA, cB)
-	cA, cB = pairCfg(RelCustomer, "2001:db8:11::1", "2001:db8:11::2")
-	cB.Export = func(r *Route) *Route { r.MED = 10; return r }
-	Connect(col, p2, cA, cB)
-	_ = s1
-
-	pfx := addr.MustParsePrefix("2001:db8:1::/48")
-	p1.Originate(pfx)
-	p2.Originate(pfx)
-	eng.Run(30 * time.Second)
-
-	best := col.Best(pfx)
-	if best == nil {
-		t.Fatal("no route")
-	}
-	if best.MED != 10 || best.Path[0] != 12 {
-		t.Fatalf("best = %v (MED %d), want via 12 with MED 10", best.Path, best.MED)
+	a := &Route{LocalPref: 100, Path: Path{12}, MED: 10}
+	b := &Route{LocalPref: 100, Path: Path{11}, MED: 50}
+	if !better(a, b) || better(b, a) {
+		t.Fatal("MED comparison wrong")
 	}
 }
 

@@ -89,14 +89,6 @@ type SessionConfig struct {
 	// (64600-64603 namespaces) after applying them, so internal knobs
 	// do not leak beyond the provider applying them.
 	ScrubActionCommunities bool
-	// Import, when non-nil, runs after the standard import pipeline;
-	// returning nil rejects the route. It receives a private clone and
-	// may modify it.
-	Import func(*Route) *Route
-	// Export, when non-nil, runs before the standard export transform;
-	// returning nil suppresses the export. It receives a private clone
-	// and may modify it.
-	Export func(*Route) *Route
 }
 
 // Session is one side of an established eBGP session. Messages to the
@@ -280,10 +272,8 @@ func (s *Session) handleOpen(o *Open) {
 		s.goDown()
 		return
 	}
+	// The peer's KEEPALIVE confirming our OPEN establishes the session.
 	s.sendMsg(&Message{Keepalive: true})
-	if s.state == StateOpenSent {
-		// Wait for the peer's KEEPALIVE confirming our OPEN.
-	}
 }
 
 func (s *Session) establish() {

@@ -29,11 +29,6 @@ type Speaker struct {
 	// the data-plane FIB.
 	OnBestChange func(p addr.Prefix, newBest, old *Route)
 
-	// LocalPrefFor maps a session relation to the default LOCAL_PREF
-	// assigned on import; nil uses Gao-Rexford defaults (customer 200,
-	// peer 100, provider 50).
-	LocalPrefFor func(Relation) uint32
-
 	Stats struct {
 		BestChanges uint64
 		Withdrawals uint64
@@ -176,18 +171,8 @@ func (sp *Speaker) importRoute(s *Session, r *Route) *Route {
 	if r.Path.Contains(sp.AS) && !s.cfg.AllowOwnAS {
 		return nil
 	}
-	r.LocalPref = sp.localPrefFor(s.cfg.Relation)
-	if s.cfg.Import != nil {
-		return s.cfg.Import(r)
-	}
+	r.LocalPref = DefaultLocalPref(s.cfg.Relation)
 	return r
-}
-
-func (sp *Speaker) localPrefFor(rel Relation) uint32 {
-	if sp.LocalPrefFor != nil {
-		return sp.LocalPrefFor(rel)
-	}
-	return DefaultLocalPref(rel)
 }
 
 // DefaultLocalPref is the Gao-Rexford import preference: customer routes
@@ -327,12 +312,6 @@ func (sp *Speaker) exportRoute(s *Session, best *Route) *Route {
 		prepends = 3
 	case best.HasCommunity(PrependTo(peerAS, 1)):
 		prepends = 2
-	}
-	if s.cfg.Export != nil {
-		out = s.cfg.Export(out)
-		if out == nil {
-			return nil
-		}
 	}
 	if s.cfg.StripPrivateASNs {
 		out.Path = out.Path.StripPrivate()

@@ -305,27 +305,11 @@ func TestDecisionLocalPrefThenPathLen(t *testing.T) {
 		t.Fatalf("path = %v, want shortest [11 14]", best.Path)
 	}
 
-	// Raising local-pref for the long path overrides length.
-	col.LocalPrefFor = nil
-	s := col.SessionTo("m2")
-	if s == nil {
-		t.Fatal("session lookup failed")
-	}
-	s.cfg.Import = func(r *Route) *Route { r.LocalPref = 500; return r }
-	// Force a re-advertisement by flapping the origination.
-	dst.Withdraw(pfx)
-	eng.Run(90 * time.Second)
-	if col.Best(pfx) != nil {
-		t.Fatal("withdraw did not propagate")
-	}
-	dst.Originate(pfx)
-	eng.Run(240 * time.Second)
-	best = col.Best(pfx)
-	if best == nil {
-		t.Fatal("no route after re-announce")
-	}
-	if !best.Path.Equal(Path{12, 13, 14}) {
-		t.Fatalf("path = %v, want local-pref override [12 13 14]", best.Path)
+	// A higher local-pref on the long path overrides length.
+	long := &Route{LocalPref: DefaultLocalPref(RelCustomer), Path: Path{12, 13, 14}}
+	short := &Route{LocalPref: DefaultLocalPref(RelPeer), Path: Path{11, 14}}
+	if !better(long, short) || better(short, long) {
+		t.Fatal("local-pref must be compared before path length")
 	}
 }
 

@@ -57,9 +57,6 @@ type Discoverer struct {
 	RoundWait time.Duration
 	// MaxRounds bounds the loop against runaway topologies; default 8.
 	MaxRounds int
-	// BaseCommunities are attached to every announcement in addition
-	// to the accumulated suppression set.
-	BaseCommunities []bgp.Community
 	// UsePoisoning suppresses observed providers by AS-path poisoning
 	// instead of action communities (§3/§6's "more knobs"). Poisoning
 	// needs no provider support, but it is a blunter instrument: a
@@ -132,10 +129,7 @@ func (d *Discoverer) Run(done func([]DiscoveredPath)) {
 	var suppressed []bgp.Community
 	var poison bgp.Path
 	var round func()
-	announce := func() {
-		comms := append(append([]bgp.Community(nil), d.BaseCommunities...), suppressed...)
-		d.Announcer.OriginateWithPath(d.Probe, poison, comms...)
-	}
+	announce := func() { d.Announcer.OriginateWithPath(d.Probe, poison, suppressed...) }
 	round = func() {
 		n := len(found)
 		best := d.Observer.Best(d.Probe)

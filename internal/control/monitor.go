@@ -50,8 +50,6 @@ type Monitor struct {
 	// RecordBucket, when positive, attaches a Series with this bucket
 	// to every path created afterwards.
 	RecordBucket time.Duration
-	// OnSample, when set, fires after each sample is folded in.
-	OnSample func(*PathMonitor, dataplane.Measurement)
 
 	// reg/site carry the instrumentation target set by Instrument;
 	// per-path histograms register in newPath (which already allocates,
@@ -126,9 +124,6 @@ func (m *Monitor) Ingest(meas dataplane.Measurement, nameFor func(uint8) string)
 	}
 	pm.LastAt = meas.At
 	pm.LastOWD = meas.OWD
-	if m.OnSample != nil {
-		m.OnSample(pm, meas)
-	}
 }
 
 // The monitor's smoothing: the EWMA weight of the reported estimates and

@@ -51,9 +51,6 @@ type SiteSpec struct {
 // PairConfig configures Establish.
 type PairConfig struct {
 	A, B SiteSpec
-	// RoundWait is the discovery per-round convergence wait (default
-	// 2 min virtual).
-	RoundWait time.Duration
 	// MaxRounds bounds discovery rounds per direction, and with them the
 	// number of paths a pair can expose (control.Discoverer defaults
 	// to 8; deployments sharing more providers must raise it).
@@ -80,6 +77,8 @@ type PairConfig struct {
 
 // Timing every pair shares (virtual time).
 const (
+	// roundWait is the discovery per-round convergence wait.
+	roundWait = 2 * time.Minute
 	// settleWait follows the origination of the pinned prefixes, before
 	// tunnels are provisioned over them.
 	settleWait = 3 * time.Minute
@@ -202,9 +201,6 @@ func NewPair(cfg PairConfig) *Pair {
 	if ea != eb && (ea.Coord() == nil || ea.Coord() != eb.Coord()) {
 		panic("core: sites on different engines")
 	}
-	if cfg.RoundWait == 0 {
-		cfg.RoundWait = 2 * time.Minute
-	}
 	if cfg.PolicyA == nil {
 		cfg.PolicyA = &control.MinOWD{HysteresisMs: 0.5, MinDwell: 2 * time.Second}
 	}
@@ -280,7 +276,7 @@ func (p *Pair) Establish() {
 			Probe:     dst.Spec.ProbePrefix,
 			POPAS:     dst.Spec.POPAS,
 			NameFor:   p.cfg.NameFor,
-			RoundWait: p.cfg.RoundWait,
+			RoundWait: roundWait,
 			MaxRounds: p.cfg.MaxRounds,
 		}
 		d.Run(func(found []control.DiscoveredPath) { src.OutPaths = found; finish() })

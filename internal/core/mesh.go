@@ -42,9 +42,8 @@ type MeshLink struct {
 // mirror PairConfig and apply to every deployed pair.
 type MeshConfig struct {
 	Links []MeshLink
-	// RoundWait/MaxRounds/ProbeInterval/DecideEvery are passed through
-	// to each pair (see PairConfig).
-	RoundWait     time.Duration
+	// MaxRounds/ProbeInterval/DecideEvery are passed through to each
+	// pair (see PairConfig).
 	MaxRounds     int
 	ProbeInterval time.Duration
 	DecideEvery   time.Duration
@@ -61,18 +60,18 @@ type MeshConfig struct {
 	// MaxRelays bounds intermediate sites per overlay route (0 = the
 	// default of 1; -1 = direct only). See control.CompositeTable.
 	MaxRelays int
-	// StaleAfter discards a segment's estimate when its freshest path
-	// sample is older than this (default 10 s virtual); a silent segment
-	// then poisons the routes through it.
-	StaleAfter time.Duration
 }
+
+// segmentStaleAfter discards a segment's estimate when its freshest path
+// sample is older than this; a silent segment then poisons the routes
+// through it.
+const segmentStaleAfter = 10 * time.Second
 
 // Mesh is an established N-site deployment.
 type Mesh struct {
 	// Table scores end-to-end routes from the live segment estimates.
 	Table *control.CompositeTable
 
-	cfg     MeshConfig
 	eng     *sim.Engine     // first link's A-side engine (time reads)
 	net     *simnet.Network // drives time (dispatches to the coordinator when sharded)
 	pairs   []*Pair
@@ -87,12 +86,8 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	if len(cfg.Links) == 0 {
 		return nil, fmt.Errorf("core: mesh needs at least one link")
 	}
-	if cfg.StaleAfter == 0 {
-		cfg.StaleAfter = 10 * time.Second
-	}
 	m := &Mesh{
 		Table:   control.NewCompositeTable(),
-		cfg:     cfg,
 		members: map[string]map[string]*Site{},
 		relays:  map[string]*dataplane.Relay{},
 		sendBuf: packet.NewSerializeBuffer(),
@@ -117,7 +112,6 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 		}
 		pc := PairConfig{
 			A: l.A, B: l.B,
-			RoundWait:     cfg.RoundWait,
 			MaxRounds:     cfg.MaxRounds,
 			ProbeInterval: cfg.ProbeInterval,
 			DecideEvery:   cfg.DecideEvery,
@@ -295,7 +289,7 @@ func (m *Mesh) segmentEstimate(from, to string) control.SegmentEstimate {
 		if pm.Est == nil || !pm.Est.Valid() {
 			continue
 		}
-		if m.eng.Now()-pm.LastAt > m.cfg.StaleAfter {
+		if m.eng.Now()-pm.LastAt > segmentStaleAfter {
 			continue
 		}
 		if !est.Valid || pm.Est.Value() < est.OWDMs {

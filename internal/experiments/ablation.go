@@ -25,7 +25,7 @@ type AblationCadenceResult struct {
 func AblationCadence(cfg Config, cadence time.Duration) AblationCadenceResult {
 	l := newLab(labOpts{
 		seed:          cfg.Seed + 40,
-		probeInterval: cfg.probe(),
+		probeInterval: probeInterval,
 		decideEvery:   cadence,
 		policyNY:      &control.MinOWD{HysteresisMs: 0.5, MinDwell: cadence},
 	})
@@ -63,7 +63,7 @@ type AblationHysteresisResult struct {
 func AblationHysteresis(cfg Config, marginMs float64) AblationHysteresisResult {
 	l := newLab(labOpts{
 		seed:          cfg.Seed + 41,
-		probeInterval: cfg.probe(),
+		probeInterval: probeInterval,
 		decideEvery:   time.Second,
 		policyNY:      &control.MinOWD{HysteresisMs: marginMs, MinDwell: time.Second},
 	})

@@ -27,7 +27,7 @@ func E10MeshOverlay(cfg Config) *Result {
 	tc := topo.TriConfig(cfg.Seed + 10)
 	tc.Shards = cfg.Shards
 	d, err := core.Deploy(tc, core.MeshConfig{
-		ProbeInterval: cfg.probe(),
+		ProbeInterval: probeInterval,
 		DecideEvery:   time.Second,
 		NameFor:       topo.TriProviderName,
 	})

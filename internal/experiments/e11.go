@@ -42,7 +42,7 @@ func E11Failover(cfg Config) *Result {
 		reportAge   = 2 * time.Second // Reporter.MaxAge floor in core
 	)
 	d, err := core.Deploy(tc, core.MeshConfig{
-		ProbeInterval: cfg.probe(),
+		ProbeInterval: probeInterval,
 		DecideEvery:   decideEvery,
 		NameFor:       topo.TriProviderName,
 		NewPolicy: func(site, peer string) control.Policy {
@@ -90,8 +90,15 @@ func E11Failover(cfg Config) *Result {
 	chiEdge := d.EdgeTarget("chi", "ny")
 
 	lineFor := map[uint8]*simnet.Line{}
-	for i, dp := range sender.OutPaths {
-		lineFor[uint8(i+1)] = s.Trunk["chi"][dp.ProviderName]
+	trunkFor := map[uint8]string{} // the same lines as fault targets
+	for i := range sender.OutPaths {
+		id := uint8(i + 1)
+		pl, err := d.PathLines("ny", "chi", id)
+		if err != nil {
+			panic(err) // every tri path rides a scenario provider
+		}
+		lineFor[id] = pl.Down
+		trunkFor[id] = core.TrunkTarget("chi", pl.Provider)
 	}
 	ch.Watch(chaos.PathEvacuation("ny->chi", sender.Controller, lineFor, grace))
 	ch.Watch(chaos.NoDataOnDeadPath("ny->chi", sender.Switch, lineFor, grace))
@@ -144,7 +151,7 @@ func E11Failover(cfg Config) *Result {
 
 	// Fault 1: the trunk carrying the active path toward chi goes down.
 	linkFaultAt := eng.Now() + sim.Time(lead)
-	ch.Schedule(chaos.LinkDown("trunk/chi/"+origProv, linkFaultAt, faultFor))
+	ch.Schedule(chaos.LinkDown(trunkFor[orig], linkFaultAt, faultFor))
 	s.Run(lead + faultFor)
 	mark("link-down "+origProv, linkFaultAt)
 	s.Run(15 * time.Second) // revert lands; estimates refresh; switch back

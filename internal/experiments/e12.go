@@ -21,8 +21,8 @@ import (
 func E12ShardedStorm(cfg Config) *Result {
 	r := newResult("E12", "Sharded wide mesh rides out a chaos storm (§6 at scale)")
 
-	sites, shards, probe := cfg.wideScale()
-	d, reg, journal := newWideMesh(cfg.Seed+12, sites, shards, probe, time.Second)
+	sites, shards := cfg.wideScale()
+	d, reg, journal := newWideMesh(cfg.Seed+12, sites, shards, time.Second)
 	s, m, eng := d.Scenario, d.Mesh, d.Scenario.B.Eng()
 
 	tunnels := 0
@@ -108,7 +108,7 @@ func E12ShardedStorm(cfg Config) *Result {
 	r.checkInvariants("conservation held through the storm", "no packet leaked or double-counted", ch)
 
 	r.note("the storm draws %d faults over %d trunk lines; probes run at %v so the "+
-		"fault timeline, not the probe plane, is the dominant load", sites, sites*16, probe)
+		"fault timeline, not the probe plane, is the dominant load", sites, sites*16, wideProbeInterval)
 	r.VirtualTime = time.Duration(eng.Now())
 	r.Metrics = deterministicSnapshot(reg)
 	r.Trace = traceJSON(journal)

@@ -38,12 +38,12 @@ const e13AvgPPSPerFlow = 58
 func E13FlowStorm(cfg Config) *Result {
 	r := newResult("E13", "1M concurrent flows ride out a path-failure storm (§4.2 at edge scale)")
 
-	sites, shards, probe := cfg.wideScale()
+	sites, shards := cfg.wideScale()
 	flows := cfg.Flows
 	if flows == 0 {
 		flows = 1_000_000
 	}
-	d, reg, journal := newWideMesh(cfg.Seed+13, sites, shards, probe, time.Second)
+	d, reg, journal := newWideMesh(cfg.Seed+13, sites, shards, time.Second)
 	s, m, eng := d.Scenario, d.Mesh, d.Scenario.B.Eng()
 
 	// Stretch the class cadence so the whole population emits near the

@@ -3,8 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"tango/internal/topo"
 )
 
 // e14Smoke is the CI-scale configuration: a ~34-AS generated internet
@@ -36,47 +34,5 @@ func TestE14SweepWorkerInvariance(t *testing.T) {
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("seed %d: Results differ between 1 and 4 workers", seed)
 		}
-	}
-}
-
-// TestRunSweepTopoShardInvariance pins the sharded-construction path:
-// building every chunk's replica over the PR 6 partitioned network (in
-// coupled mode — discovery reads RIBs across partitions) must produce
-// identical outcomes for any positive worker count, the same contract
-// MeshConfig.Shards carries. The classic (unsharded) build is a separate
-// code path with its own RNG layout; it is scored independently, not
-// compared byte-for-byte.
-func TestRunSweepTopoShardInvariance(t *testing.T) {
-	gcfg := topo.DefaultGenConfig(7, 12)
-	pairs := [][2]int{
-		{gcfg.Tier1 + gcfg.Tier2 + 0, gcfg.Tier1 + gcfg.Tier2 + 5},
-		{gcfg.Tier1 + gcfg.Tier2 + 3, gcfg.Tier1 + gcfg.Tier2 + 9},
-		{gcfg.Tier1 + gcfg.Tier2 + 11, gcfg.Tier1 + gcfg.Tier2 + 2},
-		{gcfg.Tier1 + gcfg.Tier2 + 6, gcfg.Tier1 + gcfg.Tier2 + 0},
-	}
-	run := func(shards int) *SweepReport {
-		rep, err := RunSweep(SweepConfig{Graph: gcfg, Pairs: pairs, Chunks: 2, Workers: 2, TopoShards: shards})
-		if err != nil {
-			t.Fatalf("TopoShards=%d: %v", shards, err)
-		}
-		for _, p := range rep.Pairs {
-			if len(p.Found) == 0 {
-				t.Fatalf("TopoShards=%d: pair %d->%d discovered nothing", shards, p.Src, p.Dst)
-			}
-			if !p.PhantomFree || !p.ValleyFree || p.Recall < 1 {
-				t.Fatalf("TopoShards=%d: pair %d->%d scored recall=%.2f phantomFree=%v valleyFree=%v",
-					shards, p.Src, p.Dst, p.Recall, p.PhantomFree, p.ValleyFree)
-			}
-		}
-		return rep
-	}
-	run(0) // classic path must score perfectly too
-	base := run(1)
-	got := run(2)
-	if base.Trace != got.Trace {
-		t.Fatalf("trace differs between TopoShards=1 and TopoShards=2")
-	}
-	if !reflect.DeepEqual(base.Pairs, got.Pairs) {
-		t.Fatalf("pair results differ between TopoShards=1 and TopoShards=2")
 	}
 }

@@ -7,12 +7,9 @@ import (
 	"time"
 
 	"tango/internal/bgp"
-	"tango/internal/control"
 	"tango/internal/core"
-	"tango/internal/dataplane"
 	"tango/internal/obs"
 	"tango/internal/simnet"
-	"tango/internal/te"
 	"tango/internal/topo"
 	"tango/internal/workload"
 )
@@ -123,34 +120,25 @@ func pinProviderRoutes(s *topo.MeshScenario, m *core.Mesh) {
 // optimize=true disables them and installs Link-Guided Local Search
 // weights through per-class selectors instead. Both regimes see the
 // identical topology, capacities, demand matrix, and probe plane.
-func e15Run(cfg Config, sites, shards int, probe time.Duration, optimize bool) *e15Stats {
+func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 	decideEvery := time.Second
 	if optimize {
 		decideEvery = 0
 	}
-	d, reg, journal := newWideMesh(cfg.Seed+15, sites, shards, probe, decideEvery)
+	d, reg, journal := newWideMesh(cfg.Seed+15, sites, shards, decideEvery)
 	s, m, eng := d.Scenario, d.Mesh, d.Scenario.B.Eng()
 	pinProviderRoutes(s, m)
 
-	// Provider order (P00 fastest) and site order index the TE link
-	// array: links[(si*P+pi)*2] is site si's uplink through provider pi,
-	// +1 the downlink toward it.
+	// Provider order (P00 fastest) fixes which trunks are scarce.
 	provNames := make([]string, 0, len(s.Providers))
 	for name := range s.Providers {
 		provNames = append(provNames, name)
 	}
 	sort.Strings(provNames)
-	provIdx := map[bgp.ASN]int{}
-	for pi, name := range provNames {
-		provIdx[s.Providers[name].ASN] = pi
-	}
 	siteIdx := map[string]int{}
 	for si, name := range s.SiteNames {
 		siteIdx[name] = si
 	}
-	nProv := len(provNames)
-	up := func(si, pi int) int { return (si*nProv + pi) * 2 }
-	down := func(si, pi int) int { return (si*nProv+pi)*2 + 1 }
 
 	// The demand matrix, in deterministic pair order. The stretch factor
 	// keeps the aggregate near the packet budget (concurrency and the
@@ -194,35 +182,28 @@ func e15Run(cfg Config, sites, shards int, probe time.Duration, optimize bool) *
 		dIn[siteIdx[d.to]] += d.rateBps
 	}
 
-	// Capacitate every trunk direction with the skewed shares and build
-	// the matching TE link array. Capacities go in after establishment so
-	// the (uncapacitated) BGP convergence phase is identical either way.
-	links := make([]te.Link, 2*len(s.SiteNames)*nProv)
+	// Capacitate every trunk direction with the skewed shares; the lines
+	// are where the steering optimizer reads capacities back. Capacities
+	// go in after establishment so the (uncapacitated) BGP convergence
+	// phase is identical either way.
 	type meterLine struct {
 		line  *simnet.Line
 		gauge *obs.Gauge
 	}
-	lines := make([]meterLine, len(links))
+	var lines []meterLine
+	capacitate := func(name string, ln *simnet.Line, bps float64) {
+		ln.SetCapacity(bps)
+		lines = append(lines, meterLine{line: ln, gauge: reg.Gauge("tango_link_utilization",
+			"Peak windowed utilization of a capacitated trunk line.", obs.L("line", name))})
+	}
 	for si, site := range s.SiteNames {
 		for pi, prov := range provNames {
-			for dir, li := range [2]int{up(si, pi), down(si, pi)} {
-				share := e15Share
-				if pi == 0 {
-					share = e15ScarceShare
-				}
-				capBps := share * dOut[si]
-				name := "up/" + site + "/" + prov
-				ln := s.Uplink[site][prov]
-				if dir == 1 {
-					capBps = share * dIn[si]
-					name = "down/" + site + "/" + prov
-					ln = s.Trunk[site][prov]
-				}
-				ln.SetCapacity(capBps)
-				links[li] = te.Link{Name: name, CapacityBps: capBps}
-				lines[li] = meterLine{line: ln, gauge: reg.Gauge("tango_link_utilization",
-					"Peak windowed utilization of a capacitated trunk line.", obs.L("line", name))}
+			share := e15Share
+			if pi == 0 {
+				share = e15ScarceShare
 			}
+			capacitate("up/"+site+"/"+prov, s.Uplink[site][prov], share*dOut[si])
+			capacitate("down/"+site+"/"+prov, s.Trunk[site][prov], share*dIn[si])
 		}
 	}
 
@@ -275,46 +256,15 @@ func e15Run(cfg Config, sites, shards int, probe time.Duration, optimize bool) *
 		// weighted selector and install one solve of the shared problem.
 		// On a sharded network the installs must land before parallel
 		// epochs begin (they mutate selectors owned by other partitions),
-		// so the cadence stays off and the placement is static.
-		prob := &te.Problem{Links: links}
-		var installs []control.TEInstall
-		selectors := map[string]*dataplane.ClassSelector{}
-		pathIDs := map[string][]uint8{}
-		for di := range demands {
-			d := &demands[di]
-			key := d.from + ":" + d.to
-			sender := m.Member(d.from, d.to)
-			cs, ok := selectors[key]
-			if !ok {
-				cs = dataplane.NewClassSelector(sender.Switch, workload.NumClasses)
-				sender.Switch.SetSelector(cs.Select)
-				selectors[key] = cs
-				ids := make([]uint8, len(sender.OutPaths))
-				for i := range sender.OutPaths {
-					ids[i] = uint8(i + 1)
-				}
-				pathIDs[key] = ids
-			}
-			paths := make([][]int, len(sender.OutPaths))
-			for i, dp := range sender.OutPaths {
-				pi, ok := provIdx[dp.ProviderASN]
-				if !ok {
-					panic(fmt.Sprintf("experiments: unknown provider AS%d on %s", dp.ProviderASN, key))
-				}
-				paths[i] = []int{up(siteIdx[d.from], pi), down(siteIdx[d.to], pi)}
-			}
-			prob.Demands = append(prob.Demands, te.Demand{
-				Name:    key + "/" + d.class.String(),
-				RateBps: d.rateBps,
-				Paths:   paths,
-			})
-			installs = append(installs, control.TEInstall{
-				Demand: di, Class: int(d.class), Selector: cs, PathIDs: pathIDs[key],
-			})
+		// so the placement is static.
+		steer := make([]core.SteerDemand, len(demands))
+		for i, dm := range demands {
+			steer[i] = core.SteerDemand{Src: dm.from, Dst: dm.to, Class: int(dm.class), RateBps: dm.rateBps}
 		}
-		solver := te.NewSolver(prob, cfg.Seed+15)
-		pol := control.NewTEPolicy(eng, solver, installs)
-		st.solvedUtil = pol.Install()
+		var err error
+		if st.solvedUtil, _, err = d.Steer(cfg.Seed+15, steer); err != nil {
+			panic(err) // every tunnel of the fixture rides a scenario provider
+		}
 	}
 
 	// Start the standing flows, staggered across each class interval so
@@ -399,9 +349,9 @@ func e15Run(cfg Config, sites, shards int, probe time.Duration, optimize bool) *
 func E15TrafficEngineering(cfg Config) *Result {
 	r := newResult("E15", "Capacity-aware weighted steering beats greedy best-path under load (§5, §6)")
 
-	sites, shards, probe := cfg.wideScale()
-	greedy := e15Run(cfg, sites, shards, probe, false)
-	opt := e15Run(cfg, sites, shards, probe, true)
+	sites, shards := cfg.wideScale()
+	greedy := e15Run(cfg, sites, shards, false)
+	opt := e15Run(cfg, sites, shards, true)
 
 	ratio := func(st *e15Stats) float64 {
 		var sent, delvd uint64

@@ -38,7 +38,7 @@ func E2OWDComparison(cfg Config) *Result {
 	l := newLab(labOpts{
 		seed:          cfg.Seed,
 		shards:        cfg.Shards,
-		probeInterval: cfg.probe(),
+		probeInterval: probeInterval,
 		recordBucket:  10 * time.Second,
 	})
 	dur := cfg.dur(2 * time.Hour)
@@ -99,7 +99,7 @@ func E3Jitter(cfg Config) *Result {
 	r := newResult("E3", "Sub-second jitter per path (1 s rolling window, §5)")
 	l := newLab(labOpts{
 		seed:          cfg.Seed + 1,
-		probeInterval: cfg.probe(),
+		probeInterval: probeInterval,
 	})
 	dur := cfg.dur(30 * time.Minute)
 	l.run(dur)

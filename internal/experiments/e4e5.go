@@ -18,7 +18,7 @@ func E4RouteChange(cfg Config) *Result {
 	r := newResult("E4", "Internal routing change in GTT (+5 ms for 10 min; Fig. 4 middle)")
 	l := newLab(labOpts{
 		seed:          cfg.Seed + 2,
-		probeInterval: cfg.probe(),
+		probeInterval: probeInterval,
 		recordBucket:  time.Second,
 		decideEvery:   time.Second,
 		// NY's controller steers NY->LA traffic (the plotted
@@ -104,7 +104,7 @@ func E5Instability(cfg Config) *Result {
 	r := newResult("E5", "Network instability in GTT (spikes to 78 ms; Fig. 4 right)")
 	l := newLab(labOpts{
 		seed:          cfg.Seed + 3,
-		probeInterval: cfg.probe(),
+		probeInterval: probeInterval,
 		recordBucket:  time.Second,
 	})
 

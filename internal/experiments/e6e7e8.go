@@ -28,7 +28,7 @@ func E6InOrderImpact(cfg Config) *Result {
 	run := func(adaptive bool, seed int64) (rawMean, inOrderMean, inOrderP99 float64, vt time.Duration) {
 		o := labOpts{
 			seed:          seed,
-			probeInterval: cfg.probe(),
+			probeInterval: probeInterval,
 			decideEvery:   time.Second,
 		}
 		if adaptive {
@@ -76,7 +76,7 @@ func E6InOrderImpact(cfg Config) *Result {
 				raw.Add(ms(rec.Latency))
 			}
 		}
-		lats := workload.InOrderModel{}.Apply(during)
+		lats := workload.InOrderLatencies(during)
 		var inOrder measure.Welford
 		res := measure.NewReservoir(8192, uint64(seed))
 		for _, lat := range lats {
@@ -123,7 +123,7 @@ func E7MeasurementSoundness(cfg Config) *Result {
 	measureOnce := func(offNY, offLA time.Duration) obs {
 		l := newLab(labOpts{
 			seed:          cfg.Seed + 5, // same seed: identical network draws
-			probeInterval: cfg.probe(),
+			probeInterval: probeInterval,
 			clockNY:       offNY,
 			clockLA:       offLA,
 		})
@@ -173,7 +173,7 @@ func E7MeasurementSoundness(cfg Config) *Result {
 	fwd, rev := m.trueNYLA, m.trueLANY // symmetric baseline
 	r.note("GTT direction symmetry: NY->LA %.2f ms vs LA->NY %.2f ms", fwd, rev)
 	// Compose an asymmetric round trip (GTT out, Cogent back ~40 ms).
-	l := newLab(labOpts{seed: cfg.Seed + 6, probeInterval: cfg.probe()})
+	l := newLab(labOpts{seed: cfg.Seed + 6, probeInterval: probeInterval})
 	l.run(dur)
 	gttOut := pathByName(l.monLA(), "GTT").OWD.Mean() - ms(l.offNYtoLA)
 	cogBack := pathByName(l.monNY(), "Cogent").OWD.Mean() - ms(l.offLAtoNY)

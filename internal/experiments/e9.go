@@ -21,7 +21,7 @@ func E9LossReorder(cfg Config) *Result {
 	l := newLab(labOpts{
 		seed:          cfg.Seed + 9,
 		shards:        cfg.Shards,
-		probeInterval: cfg.probe(),
+		probeInterval: probeInterval,
 	})
 
 	lead := cfg.dur(2 * time.Minute)

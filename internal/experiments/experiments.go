@@ -139,31 +139,29 @@ type Config struct {
 	// runs in seconds of real time; the paper's 8-day trace is the
 	// same process run longer).
 	Duration time.Duration
-	// ProbeInterval defaults to the paper's 10 ms.
-	ProbeInterval time.Duration
 	// Shards, when positive, runs the experiment on a sharded network
 	// with that many worker goroutines (see topo.MeshConfig.Shards).
-	// The partition layout depends only on the topology and seed, so any
-	// two positive values produce identical Results and trace journals —
-	// the shard-invariance differential test pins exactly that. Zero
-	// keeps the classic single-engine path. E2, E10, E11, and E12 honor
-	// the knob; the remaining experiments ignore it.
+	// The partition layout depends only on the topology, so any two
+	// positive values produce identical Results and trace journals — the
+	// shard-invariance differential test pins exactly that. Zero keeps
+	// the classic single-engine path. E2, E9, E10, E11, E12, E13 and E15
+	// read it (E12, E13 and E15 treat zero as one worker); E14 reads it
+	// as its chunk-runner worker count; the remaining experiments ignore
+	// it.
 	Shards int
-	// Sites scales E12's wide mesh (0 = the full 64-site / 10k-tunnel
-	// deployment; CI smoke runs a fraction of that). Other experiments
-	// have fixed topologies and ignore it.
+	// Sites scales the wide mesh of E12, E13 and E15 (0 = the full
+	// 64-site / 10k-tunnel deployment; CI smoke runs a fraction of that)
+	// and E14's generated stub-site count. Other experiments have fixed
+	// topologies and ignore it.
 	Sites int
 	// Flows scales E13's concurrent flow population (0 = the full one
 	// million). Other experiments ignore it.
 	Flows int
 }
 
-func (c Config) probe() time.Duration {
-	if c.ProbeInterval == 0 {
-		return 10 * time.Millisecond
-	}
-	return c.ProbeInterval
-}
+// probeInterval is the paper's per-path measurement cadence; the wide
+// mesh probes at wideProbeInterval instead (see wideScale).
+const probeInterval = 10 * time.Millisecond
 
 func (c Config) dur(def time.Duration) time.Duration {
 	if c.Duration == 0 {

@@ -156,22 +156,22 @@ func pathByName(m *control.Monitor, name string) *control.PathMonitor {
 	return nil
 }
 
+// wideProbeInterval is the wide mesh's probe cadence: 10k tunnels probing
+// at the paper's 10 ms would dominate the event budget, and the storm (or
+// the data load), not the probe plane, is the load under test.
+const wideProbeInterval = 100 * time.Millisecond
+
 // wideScale resolves the knobs E12, E13 and E15 share: the full 64-site
-// mesh, one shard worker, and a 100 ms probe cadence — 10k tunnels
-// probing at the paper's 10 ms would dominate the event budget, and the
-// storm (or the data load), not the probe plane, is the load under test.
-func (c Config) wideScale() (sites, shards int, probe time.Duration) {
-	sites, shards, probe = c.Sites, c.Shards, c.ProbeInterval
+// mesh and one shard worker.
+func (c Config) wideScale() (sites, shards int) {
+	sites, shards = c.Sites, c.Shards
 	if sites == 0 {
 		sites = 64
 	}
 	if shards == 0 {
 		shards = 1
 	}
-	if probe == 0 {
-		probe = 100 * time.Millisecond
-	}
-	return sites, shards, probe
+	return sites, shards
 }
 
 // newWideMesh is the fixture E12, E13 and E15 run on: the wide-mesh
@@ -181,12 +181,12 @@ func (c Config) wideScale() (sites, shards int, probe time.Duration) {
 // fresh registry and journal. The fault injector is left to the caller:
 // E12 and E13 instrument it and start its checks where their storm
 // begins, E15 injects nothing and its metrics carry no chaos families.
-func newWideMesh(seed int64, sites, shards int, probe, decideEvery time.Duration) (
+func newWideMesh(seed int64, sites, shards int, decideEvery time.Duration) (
 	*core.Deployment, *obs.Registry, *obs.Journal) {
 	tc := topo.WideMeshConfig(seed, sites)
 	tc.Shards = shards
 	d, err := core.Deploy(tc, core.MeshConfig{
-		ProbeInterval: probe,
+		ProbeInterval: wideProbeInterval,
 		MaxRounds:     16, // discovery must walk all sixteen shared providers
 		DecideEvery:   decideEvery,
 		NewPolicy: func(site, peer string) control.Policy {

@@ -24,7 +24,7 @@ var shardCases = []struct {
 // TestShardInvariance is the sharded simulation's core correctness pin:
 // a 1-worker run and an N-worker run of the same seeded experiment must
 // produce deeply equal Results and byte-identical trace journals. The
-// partition layout is a function of topology and seed alone, so the only
+// partition layout is a function of the topology alone, so the only
 // thing N changes is goroutine interleaving — any divergence means a
 // cross-partition ordering leak. Seeds cycle through N ∈ {2, 4, 8} so
 // every worker count is exercised across the sweep.
@@ -56,9 +56,9 @@ func TestShardInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesWindowless sanity-checks that a sharded run still
-// passes the experiment's own claims (the differential alone would be
-// satisfied by two identically wrong runs).
+// TestShardedE11Passes sanity-checks that a sharded run still passes the
+// experiment's own claims (the differential alone would be satisfied by
+// two identically wrong runs).
 func TestShardedE11Passes(t *testing.T) {
 	requirePassed(t, E11Failover(Config{Seed: 1, Duration: 20 * time.Second, Shards: 4}))
 }

@@ -16,21 +16,13 @@ import (
 // discovered provider sets against the generator's valley-free ground
 // truth.
 //
-// Concurrency has two independent axes:
-//
-//   - Pairs are split into a fixed number of chunks; each chunk is one
-//     RunJobs job that builds its own replica of the (identical, seeded)
-//     topology and runs its pairs' discoverers concurrently on that one
-//     engine. The chunk count — and therefore every engine's event
-//     timeline — depends only on the config, never on Workers, so serial
-//     (Workers 1) and parallel runs produce deeply equal results and
-//     byte-identical merged journals (the differential test pins this).
-//   - TopoShards > 0 additionally builds each replica over the PR 6
-//     partitioned network. The coordinator stays in coupled mode for the
-//     whole sweep: discovery round callbacks read the observer's RIB
-//     across partitions, which parallel epochs forbid, so the knob
-//     exercises the sharded construction path without changing event
-//     order.
+// Pairs are split into a fixed number of chunks; each chunk is one
+// RunJobs job that builds its own replica of the (identical, seeded)
+// topology and runs its pairs' discoverers concurrently on that one
+// engine. The chunk count — and therefore every engine's event timeline
+// — depends only on the config, never on Workers, so serial (Workers 1)
+// and parallel runs produce deeply equal results and byte-identical
+// merged journals (the differential test pins this).
 type SweepConfig struct {
 	// Graph generates the internet under test (its Seed drives every
 	// draw).
@@ -44,20 +36,19 @@ type SweepConfig struct {
 	Chunks int
 	// Workers bounds RunJobs parallelism (<= 0: GOMAXPROCS; 1: serial).
 	Workers int
-	// TopoShards builds each replica over a partitioned network with that
-	// many construction workers (0 = classic single-engine).
-	TopoShards int
-	// MRAI paces the transit sessions (default 2 s).
-	MRAI time.Duration
-	// RoundWait is the per-round convergence wait (default 30 s — a
-	// dozen-plus MRAI intervals, comfortably above worst-case path
-	// hunting on generated graphs).
-	RoundWait time.Duration
-	// MaxRounds bounds each discovery loop (default 8).
-	MaxRounds int
-	// Establish is the initial convergence window (default 120 s).
-	Establish time.Duration
 }
+
+// Timing every sweep chunk shares (virtual time).
+const (
+	// sweepEstablish is the initial convergence window.
+	sweepEstablish = 120 * time.Second
+	// sweepRoundWait is the per-round convergence wait: a dozen-plus MRAI
+	// intervals, comfortably above worst-case path hunting on generated
+	// graphs.
+	sweepRoundWait = 30 * time.Second
+	// sweepMaxRounds bounds each discovery loop.
+	sweepMaxRounds = 8
+)
 
 // PairResult scores one pair's discovery run.
 type PairResult struct {
@@ -189,29 +180,15 @@ func RunSweep(cfg SweepConfig) (*SweepReport, error) {
 func runSweepChunk(cfg SweepConfig, g *topo.ASGraph, edgeSites []int, lo, hi int) (*sweepChunk, error) {
 	s, err := topo.NewGenScenario(topo.GenScenarioConfig{
 		Graph:     cfg.Graph,
-		Shards:    cfg.TopoShards,
 		EdgeSites: edgeSites,
-		MRAI:      cfg.MRAI,
 	})
 	if err != nil {
 		return nil, err
 	}
-	establish := cfg.Establish
-	if establish == 0 {
-		establish = 120 * time.Second
-	}
-	wait := cfg.RoundWait
-	if wait == 0 {
-		wait = 30 * time.Second
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 8
-	}
-	s.Run(establish)
+	s.Run(sweepEstablish)
 
 	n := hi - lo
-	journal := obs.NewJournal(n*(maxRounds+2) + 1)
+	journal := obs.NewJournal(n*(sweepMaxRounds+2) + 1)
 	ch := &sweepChunk{found: make([][]control.DiscoveredPath, n)}
 	done := 0
 	for k := 0; k < n; k++ {
@@ -232,8 +209,8 @@ func runSweepChunk(cfg SweepConfig, g *topo.ASGraph, edgeSites []int, lo, hi int
 			Observer:  observer.Speaker,
 			Probe:     probe,
 			POPAS:     g.ASes[dst].ASN,
-			RoundWait: wait,
-			MaxRounds: maxRounds,
+			RoundWait: sweepRoundWait,
+			MaxRounds: sweepMaxRounds,
 			OnRound: func(round int, found *control.DiscoveredPath) {
 				if found == nil {
 					journal.Record(s.B.W.Now(), obs.KindDiscovery, uint8(round), 0, 0, target)
@@ -248,10 +225,10 @@ func runSweepChunk(cfg SweepConfig, g *topo.ASGraph, edgeSites []int, lo, hi int
 			done++
 		})
 	}
-	// Every loop terminates within maxRounds+1 waits; the guard is slack
-	// for the final withdrawals to land.
-	for i := 0; i < maxRounds+4 && done < n; i++ {
-		s.Run(wait)
+	// Every loop terminates within sweepMaxRounds+1 waits; the guard is
+	// slack for the final withdrawals to land.
+	for i := 0; i < sweepMaxRounds+4 && done < n; i++ {
+		s.Run(sweepRoundWait)
 	}
 	if done < n {
 		return nil, fmt.Errorf("experiments: sweep chunk [%d,%d) finished only %d/%d pairs", lo, hi, done, n)

@@ -75,7 +75,7 @@ func BenchTEMoveEval(b *testing.B) {
 // BenchSolverConverge measures a full Link-Guided Local Search run —
 // greedy construction, guided descent, bounded restarts — on the
 // mesh-shaped instance. The solver reuses its preallocated scratch, so
-// steady-state re-solves (the TEPolicy cadence) allocate nothing.
+// steady-state re-solves allocate nothing.
 func BenchSolverConverge(b *testing.B) {
 	solver := te.NewSolver(teBenchProblem(), 1)
 	var got float64

@@ -44,30 +44,23 @@ func (t *Ticker) Stop() {
 	t.eng.Cancel(t.ev)
 }
 
-// Clock is a node-local wall clock: virtual time plus a constant offset and
-// an optional linear drift. Tango's one-way-delay measurement reads the
-// sender clock when encapsulating and the receiver clock when
-// decapsulating; modelling per-node offsets lets tests verify the paper's
-// claim that a constant offset cancels out of path *comparisons*.
+// Clock is a node-local wall clock: virtual time plus a constant offset.
+// Tango's one-way-delay measurement reads the sender clock when
+// encapsulating and the receiver clock when decapsulating; modelling
+// per-node offsets lets tests verify the paper's claim that a constant
+// offset cancels out of path *comparisons*.
 type Clock struct {
 	eng    *Engine
 	offset time.Duration
-	// DriftPPM is clock drift in parts-per-million of elapsed virtual
-	// time. Zero for the experiments in the paper (constant offset).
-	driftPPM float64
 }
 
-// NewClock returns a clock reading eng.Now() + offset (+ drift).
-func NewClock(eng *Engine, offset time.Duration, driftPPM float64) *Clock {
-	return &Clock{eng: eng, offset: offset, driftPPM: driftPPM}
+// NewClock returns a clock reading eng.Now() + offset.
+func NewClock(eng *Engine, offset time.Duration) *Clock {
+	return &Clock{eng: eng, offset: offset}
 }
 
 // Now returns the node-local wall-clock reading in nanoseconds.
-func (c *Clock) Now() int64 {
-	t := int64(c.eng.Now())
-	d := int64(float64(t) * c.driftPPM / 1e6)
-	return t + int64(c.offset) + d
-}
+func (c *Clock) Now() int64 { return int64(c.eng.Now()) + int64(c.offset) }
 
 // Offset returns the configured constant offset.
 func (c *Clock) Offset() time.Duration { return c.offset }

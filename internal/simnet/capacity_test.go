@@ -33,8 +33,8 @@ func TestCapacitySerialization(t *testing.T) {
 	}
 }
 
-// TestCapacityDelaysButNeverDrops is the contract that separates
-// capacity from bandwidth: overload builds queueing delay, not loss.
+// TestCapacityDelaysButNeverDrops is the capacity model's contract:
+// overload builds queueing delay, not loss.
 func TestCapacityDelaysButNeverDrops(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
@@ -70,8 +70,7 @@ func TestCapacityAllowedOnCrossPartitionLinks(t *testing.T) {
 	})
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	// Bandwidth panics on a cross link (queue state straddles the
-	// barrier); capacity must be accepted — its clock is send-side only.
+	// Capacity is legal on a cross link: its clock is send-side only.
 	cfg := LinkConfig{Delay: FixedDelay(la), CapacityBps: 8000}
 	w.Connect(a, b, cfg, LinkConfig{Delay: FixedDelay(la)})
 
@@ -96,33 +95,6 @@ func TestCapacityAllowedOnCrossPartitionLinks(t *testing.T) {
 	if w.LeasedBufs() != 0 {
 		t.Fatalf("leaked %d buffers", w.LeasedBufs())
 	}
-}
-
-func TestCapacityBandwidthMutuallyExclusive(t *testing.T) {
-	mustPanic := func(fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatal("no panic")
-			}
-		}()
-		fn()
-	}
-	w := New(1)
-	a := w.AddNode("a", 0)
-	b := w.AddNode("b", 0)
-	mustPanic(func() {
-		w.Connect(a, b, LinkConfig{BandwidthBps: 1e6, CapacityBps: 1e6}, LinkConfig{})
-	})
-	lk := w.Connect(a, b, LinkConfig{BandwidthBps: 1e6}, LinkConfig{})
-	mustPanic(func() { lk.LineAB().SetCapacity(1e6) })
-	// The reverse line has no bandwidth: capacity installs fine and can
-	// be cleared again.
-	lk.LineBA().SetCapacity(1e6)
-	if lk.LineBA().Capacity() != 1e6 {
-		t.Fatal("SetCapacity did not take")
-	}
-	lk.LineBA().SetCapacity(0)
 }
 
 func TestTakeUtilizationWindows(t *testing.T) {

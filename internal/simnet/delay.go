@@ -4,11 +4,11 @@
 // It stands in for the public Internet core in the paper's evaluation:
 // nodes are hosts and routers (one router per transit AS point of
 // presence), links carry real packet bytes with configurable propagation
-// delay, jitter, loss, and bandwidth, and each node has its own wall
+// delay, jitter, loss, and capacity, and each node has its own wall
 // clock (constant offset from virtual time) so that one-way-delay
 // measurement behaves exactly as it does between unsynchronised machines.
 //
-// Delay models are mutable at runtime; the events package uses that to
+// Delay models are mutable at runtime; the chaos package uses that to
 // inject the paper's Figure-4 incidents (an internal routing change that
 // shifts a provider's delay floor by +5 ms, and a 5-minute instability
 // window with latency spikes) into a running simulation.

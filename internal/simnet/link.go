@@ -14,28 +14,23 @@ type LineStats struct {
 	Tx      uint64
 	Rx      uint64
 	Lost    uint64
-	Dropped uint64 // queue overflow
+	Dropped uint64 // refused at admission: the line was down
 	Bytes   uint64
 }
 
 // Line is one direction of a Link: a delay model, an optional loss
-// process, an optional bandwidth with a bounded FIFO queue, an optional
-// capacity (serialization only, no queue bound — the TE layer's model),
-// and an administrative up/down state.
+// process, an optional capacity (serialization delay behind an unbounded
+// queue — the TE layer's model), and an administrative up/down state.
 type Line struct {
 	from, to *Port
 	shaper   *Shaper
 	lossProb float64
-	// bandwidthBps of 0 means infinite (no serialization delay, no queue).
-	bandwidthBps float64
-	// capBps models bits-per-virtual-second serialization without a
-	// bounded queue: packets are never dropped, they just wait behind
-	// busyUntil. All its state lives on the send side, so — unlike
-	// bandwidthBps — it is legal on cross-partition lines.
-	capBps     float64
-	queueLimit int // max packets in flight waiting for serialization
-	queued     int
-	busyUntil  sim.Time
+	// capBps models bits-per-virtual-second serialization: packets are
+	// never dropped, they just wait behind busyUntil (0 = infinite, no
+	// serialization delay). All its state lives on the send side, so it
+	// is legal on cross-partition lines.
+	capBps    float64
+	busyUntil sim.Time
 	// utilMark/utilSince anchor the TakeUtilization window.
 	utilMark  uint64
 	utilSince sim.Time
@@ -46,12 +41,6 @@ type Line struct {
 
 	rngDelay *sim.RNG
 	rngLoss  *sim.RNG
-
-	// OnAdminChange, when non-nil, fires on every SetDown transition
-	// (fault injectors observe flaps without polling). OnLossChange fires
-	// on every SetLoss with old and new probability.
-	OnAdminChange func(down bool)
-	OnLossChange  func(old, new float64)
 
 	// obsName/obsDrop/journal are set by Instrument; the drop counter
 	// and journal methods are nil-safe, so uninstrumented lines pay
@@ -65,8 +54,8 @@ type Line struct {
 
 // Instrument wires the line's drop accounting to an observability
 // counter and, optionally, a trace journal: every packet refused at
-// admission (administratively down or queue overflow) increments the
-// counter and appends a queue_drop record named after the line.
+// admission (the line is administratively down) increments the counter
+// and appends a queue_drop record named after the line.
 func (l *Line) Instrument(name string, drop *obs.Counter, j *obs.Journal) {
 	l.obsName = name
 	l.obsDrop = drop
@@ -93,13 +82,7 @@ func (l *Line) Shaper() *Shaper { return l.shaper }
 
 // SetLoss sets the per-packet loss probability. Loss is sampled at send
 // time: packets already in flight keep the fate they drew when sent.
-func (l *Line) SetLoss(p float64) {
-	old := l.lossProb
-	l.lossProb = p
-	if l.OnLossChange != nil && old != p {
-		l.OnLossChange(old, p)
-	}
-}
+func (l *Line) SetLoss(p float64) { l.lossProb = p }
 
 // Loss returns the per-packet loss probability.
 func (l *Line) Loss() float64 { return l.lossProb }
@@ -107,13 +90,7 @@ func (l *Line) Loss() float64 { return l.lossProb }
 // SetDown sets the administrative state; a down line drops everything
 // subsequently sent on it. Packets whose delivery events were already
 // scheduled still arrive: admin state gates admission, not propagation.
-func (l *Line) SetDown(down bool) {
-	old := l.down
-	l.down = down
-	if l.OnAdminChange != nil && old != down {
-		l.OnAdminChange(down)
-	}
-}
+func (l *Line) SetDown(down bool) { l.down = down }
 
 // Down reports the administrative state.
 func (l *Line) Down() bool { return l.down }
@@ -121,14 +98,8 @@ func (l *Line) Down() bool { return l.down }
 // SetCapacity sets the line's capacity in bits per virtual second, or
 // disables it with 0. Capacity models serialization delay only: an
 // overloaded line builds queueing delay, never drops. It must be set
-// from the line's owning engine (or before the simulation starts) and
-// is mutually exclusive with the bandwidth/queue model.
-func (l *Line) SetCapacity(bps float64) {
-	if bps > 0 && l.bandwidthBps > 0 {
-		panic(fmt.Sprintf("simnet: line %s->%s models both bandwidth and capacity", l.from.node.name, l.to.node.name))
-	}
-	l.capBps = bps
-}
+// from the line's owning engine (or before the simulation starts).
+func (l *Line) SetCapacity(bps float64) { l.capBps = bps }
 
 // Capacity returns the line's capacity in bits per virtual second
 // (0 = uncapacitated).
@@ -168,17 +139,10 @@ func (l *Line) send(pb *packet.Buf) {
 		pb.Release()
 		return
 	}
+	// Tx counts only admitted packets, so Tx == Lost + Rx + InFlight
+	// holds exactly (the chaos conservation invariant depends on it).
 	size := pb.Len()
 	now := eng.Now()
-	// Admission control runs before any counter moves so that Tx counts
-	// only admitted packets and Tx == Lost + Rx + InFlight holds exactly
-	// (the chaos conservation invariant depends on it).
-	if l.bandwidthBps > 0 && l.queueLimit > 0 && l.busyUntil > now && l.queued >= l.queueLimit {
-		l.Stats.Dropped++
-		l.recordDrop(size)
-		pb.Release()
-		return
-	}
 	l.Stats.Tx++
 	l.Stats.Bytes += uint64(size)
 	if l.rngLoss.Bernoulli(l.lossProb) {
@@ -186,23 +150,13 @@ func (l *Line) send(pb *packet.Buf) {
 		pb.Release()
 		return
 	}
-	var txDone sim.Time
-	switch {
-	case l.bandwidthBps > 0:
-		ser := time.Duration(float64(size) * 8 / l.bandwidthBps * float64(time.Second))
-		start := now
-		if l.busyUntil > start {
-			start = l.busyUntil
-		}
-		l.busyUntil = start + ser
-		txDone = l.busyUntil
-		l.queued++
-	case l.capBps > 0:
-		// Capacity mode: serialization delay with an unbounded queue.
-		// busyUntil is read and written only here, on the send-side
-		// engine, and delay only ever grows — so a cross-partition
-		// delivery still leaves at least the propagation floor after
-		// txDone and the conservative epoch scheme stays sound.
+	txDone := now
+	if l.capBps > 0 {
+		// Serialization delay with an unbounded queue. busyUntil is read
+		// and written only here, on the send-side engine, and delay only
+		// ever grows — so a cross-partition delivery still leaves at
+		// least the propagation floor after txDone and the conservative
+		// epoch scheme stays sound.
 		ser := time.Duration(float64(size) * 8 / l.capBps * float64(time.Second))
 		start := now
 		if l.busyUntil > start {
@@ -210,8 +164,6 @@ func (l *Line) send(pb *packet.Buf) {
 		}
 		l.busyUntil = start + ser
 		txDone = l.busyUntil
-	default:
-		txDone = now
 	}
 	prop := l.shaper.Sample(now, l.rngDelay)
 	if l.cross {
@@ -255,9 +207,6 @@ func (l *Line) PrepareCross(arg any) any {
 // (Tx/Lost/Bytes stay source-side words, so the two sides never race).
 func (l *Line) OnSimEvent(arg any) {
 	pb := arg.(*packet.Buf)
-	if l.bandwidthBps > 0 {
-		l.queued--
-	}
 	l.Stats.Rx++
 	l.to.node.deliverFromLink(l.to, pb)
 }

@@ -80,31 +80,6 @@ func TestSetLossMidFlight(t *testing.T) {
 	}
 }
 
-// TestAdminAndLossChangeHooks verifies the chaos-facing notification
-// hooks fire only on real transitions, with the values they claim.
-func TestAdminAndLossChangeHooks(t *testing.T) {
-	_, _, ln, _ := midflightNet(t)
-	var adminEvents []bool
-	var lossEvents [][2]float64
-	ln.OnAdminChange = func(down bool) { adminEvents = append(adminEvents, down) }
-	ln.OnLossChange = func(old, new float64) { lossEvents = append(lossEvents, [2]float64{old, new}) }
-
-	ln.SetDown(true)
-	ln.SetDown(true) // no transition: no event
-	ln.SetDown(false)
-	ln.SetLoss(0.25)
-	ln.SetLoss(0.25) // no transition: no event
-	ln.SetLoss(0)
-
-	if len(adminEvents) != 2 || adminEvents[0] != true || adminEvents[1] != false {
-		t.Fatalf("admin events = %v, want [true false]", adminEvents)
-	}
-	want := [][2]float64{{0, 0.25}, {0.25, 0}}
-	if len(lossEvents) != 2 || lossEvents[0] != want[0] || lossEvents[1] != want[1] {
-		t.Fatalf("loss events = %v, want %v", lossEvents, want)
-	}
-}
-
 // TestInFlightTracksScheduledDeliveries checks the InFlight derivation
 // used by the buffer-balance invariant: it must equal the number of
 // packets admitted but not yet delivered or lost, at event boundaries.

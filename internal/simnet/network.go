@@ -126,7 +126,7 @@ func (w *Network) AddNode(name string, clockOffset time.Duration) *Node {
 		eng:   eng,
 		part:  part,
 		pool:  w.pools[part],
-		clock: sim.NewClock(eng, clockOffset, 0),
+		clock: sim.NewClock(eng, clockOffset),
 		owned: make(map[netip.Addr]int),
 	}
 	w.nodes[name] = n
@@ -154,17 +154,11 @@ type LinkConfig struct {
 	Delay DelayModel
 	// Loss is the per-packet loss probability.
 	Loss float64
-	// BandwidthBps of 0 disables serialization delay and queueing.
-	BandwidthBps float64
-	// QueueLimit bounds the packets awaiting serialization (0 =
-	// unbounded); only meaningful with BandwidthBps > 0.
-	QueueLimit int
 	// CapacityBps of 0 disables capacity modelling. A positive value
 	// adds bits-per-virtual-second serialization with an unbounded
 	// queue (delay instead of drops) — the model the TE layer's
-	// utilization accounting is built on. Unlike BandwidthBps its
-	// state is purely send-side, so it is allowed on cross-partition
-	// links. Mutually exclusive with BandwidthBps.
+	// utilization accounting is built on. Its state is purely
+	// send-side, so it is allowed on cross-partition links.
 	CapacityBps float64
 }
 
@@ -203,32 +197,22 @@ func newLine(from, to *Port, cfg LinkConfig, rng *sim.RNG) *Line {
 	if dm == nil {
 		dm = FixedDelay(0)
 	}
-	if cfg.BandwidthBps > 0 && cfg.CapacityBps > 0 {
-		panic(fmt.Sprintf("simnet: link %s->%s models both bandwidth and capacity", from.node.name, to.node.name))
-	}
 	return &Line{
-		from:         from,
-		to:           to,
-		shaper:       NewShaper(dm),
-		lossProb:     cfg.Loss,
-		bandwidthBps: cfg.BandwidthBps,
-		capBps:       cfg.CapacityBps,
-		queueLimit:   cfg.QueueLimit,
-		rngDelay:     rng,
-		rngLoss:      rng, // same stream: loss and delay draws interleave deterministically
+		from:     from,
+		to:       to,
+		shaper:   NewShaper(dm),
+		lossProb: cfg.Loss,
+		capBps:   cfg.CapacityBps,
+		rngDelay: rng,
+		rngLoss:  rng, // same stream: loss and delay draws interleave deterministically
 	}
 }
 
 // checkCross validates one direction of a partition-crossing link: the
 // conservative epoch scheme is only sound when every cross-partition
-// packet is in flight for at least the lookahead, and the bandwidth
-// queue would put mutable state (queued) on both sides of a barrier.
-// CapacityBps is fine: its serialization clock is purely send-side and
-// only ever adds delay on top of the propagation floor.
+// packet is in flight for at least the lookahead. (CapacityBps only ever
+// adds send-side delay on top of the propagation floor.)
 func (w *Network) checkCross(name string, cfg LinkConfig) {
-	if cfg.BandwidthBps > 0 {
-		panic(fmt.Sprintf("simnet: cross-partition link %s must not model bandwidth", name))
-	}
 	la := w.coord.Lookahead()
 	if la <= 0 {
 		return

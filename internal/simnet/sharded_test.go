@@ -130,17 +130,8 @@ func TestShardedCrossLinkValidation(t *testing.T) {
 		return w, w.AddNode("a", 0), w.AddNode("b", 0)
 	}
 
-	// Cross-partition links must not model bandwidth: queue state would
-	// straddle the barrier.
-	w, a, b := build()
-	mustPanic("must not model bandwidth", func() {
-		w.Connect(a, b,
-			LinkConfig{Delay: FixedDelay(5 * time.Millisecond), BandwidthBps: 1e6},
-			LinkConfig{Delay: FixedDelay(5 * time.Millisecond)})
-	})
-
 	// The delay model must declare a floor...
-	w, a, b = build()
+	w, a, b := build()
 	mustPanic("needs a delay model with a known minimum", func() {
 		w.Connect(a, b,
 			LinkConfig{Delay: noFloor{}},
@@ -155,11 +146,11 @@ func TestShardedCrossLinkValidation(t *testing.T) {
 			LinkConfig{Delay: FixedDelay(5 * time.Millisecond)})
 	})
 
-	// Same-partition links stay unconstrained: bandwidth and floorless
-	// models are fine inside one engine.
+	// Same-partition links stay unconstrained: floorless models are fine
+	// inside one engine.
 	w = NewSharded(1, 2, 5*time.Millisecond, func(string) int { return 0 })
 	a, b = w.AddNode("a", 0), w.AddNode("b", 0)
-	lk := w.Connect(a, b, LinkConfig{Delay: noFloor{}, BandwidthBps: 1e6}, LinkConfig{})
+	lk := w.Connect(a, b, LinkConfig{Delay: noFloor{}}, LinkConfig{})
 	if lk.Name() != "a<->b" || lk.PortB().Node() != b {
 		t.Fatalf("link accessors: name=%q", lk.Name())
 	}

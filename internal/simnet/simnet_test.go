@@ -184,58 +184,6 @@ func TestLinkDown(t *testing.T) {
 	}
 }
 
-func TestBandwidthSerialization(t *testing.T) {
-	w := New(1)
-	a := w.AddNode("a", 0)
-	b := w.AddNode("b", 0)
-	// 8000 bits/s: a 100-byte packet takes 100ms to serialize.
-	w.Connect(a, b, LinkConfig{BandwidthBps: 8000}, LinkConfig{})
-	dst := netip.MustParseAddr("2001:db8::b")
-	b.AddAddr(dst)
-	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
-	var times []sim.Time
-	b.SetHandler(func([]byte) { times = append(times, w.Now()) })
-
-	pkt := mkPkt(t, "2001:db8::a", "2001:db8::b", 64, 1, 2)
-	if len(pkt) != 60 { // 40 IPv6 + 8 UDP + 12 payload
-		t.Fatalf("test packet length %d", len(pkt))
-	}
-	// 60 bytes at 8000bps = 60ms each; two back-to-back packets queue.
-	a.Inject(pkt)
-	a.Inject(append([]byte{}, pkt...))
-	w.Run(time.Second)
-	if len(times) != 2 {
-		t.Fatalf("delivered %d", len(times))
-	}
-	if times[0] != 60*time.Millisecond || times[1] != 120*time.Millisecond {
-		t.Fatalf("delivery times %v, want [60ms 120ms]", times)
-	}
-}
-
-func TestQueueOverflow(t *testing.T) {
-	w := New(1)
-	a := w.AddNode("a", 0)
-	b := w.AddNode("b", 0)
-	w.Connect(a, b, LinkConfig{BandwidthBps: 8000, QueueLimit: 2}, LinkConfig{})
-	dst := netip.MustParseAddr("2001:db8::b")
-	b.AddAddr(dst)
-	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
-	got := 0
-	b.SetHandler(func([]byte) { got++ })
-
-	for i := 0; i < 10; i++ {
-		a.Inject(mkPkt(t, "2001:db8::a", "2001:db8::b", 64, 1, 2))
-	}
-	w.Run(10 * time.Second)
-	line := w.Links()[0].LineAB()
-	if line.Stats.Dropped == 0 {
-		t.Fatal("no queue drops with limit 2")
-	}
-	if got+int(line.Stats.Dropped) != 10 {
-		t.Fatalf("delivered %d + dropped %d != 10", got, line.Stats.Dropped)
-	}
-}
-
 func TestECMPPinsFlows(t *testing.T) {
 	// a has two equal-cost ports toward b's prefix (via r1 and r2).
 	w := New(3)

@@ -3,13 +3,13 @@ package te
 import "fmt"
 
 const (
-	// DefaultQuanta is the demand split resolution: weights come out as
-	// multiples of 1/8, fine enough to balance a 16-path set without
-	// blowing up the move space.
+	// DefaultQuanta is how many equal shares each demand is split into:
+	// weights come out as multiples of 1/8, fine enough to balance a
+	// 16-path set without blowing up the move space.
 	DefaultQuanta = 8
-	// DefaultRestarts is the number of perturbed restarts after the
-	// first descent.
-	DefaultRestarts = 3
+	// restarts is the number of perturbed restarts after the first
+	// descent.
+	restarts = 3
 	// eps separates "strictly better" from float noise on utilizations,
 	// which are O(1) values.
 	eps = 1e-9
@@ -25,12 +25,8 @@ const (
 // a private splitmix64 stream seeded by the constructor. Equal inputs
 // and seed reproduce the exact placement.
 type Solver struct {
-	prob   *Problem
-	state  *State
-	quanta int
-	// Restarts bounds the perturbed restarts per Solve (negative means
-	// DefaultRestarts; 0 disables restarts).
-	Restarts int
+	prob  *Problem
+	state *State
 
 	seed uint64
 	rng  uint64
@@ -47,7 +43,6 @@ type Solver struct {
 // out of range): placement problems are built by construction code, so
 // bugs should be loud.
 func NewSolver(p *Problem, seed int64) *Solver {
-	q := p.quanta()
 	for di, d := range p.Demands {
 		if len(d.Paths) == 0 {
 			panic(fmt.Sprintf("te: demand %d (%s) has no candidate paths", di, d.Name))
@@ -63,20 +58,18 @@ func NewSolver(p *Problem, seed int64) *Solver {
 			}
 		}
 	}
-	n := len(p.Demands) * q
+	n := len(p.Demands) * DefaultQuanta
 	s := &Solver{
-		prob:     p,
-		state:    NewState(p.Links),
-		quanta:   q,
-		Restarts: DefaultRestarts,
-		seed:     uint64(seed),
-		assign:   make([]uint16, n),
-		best:     make([]uint16, n),
-		rate:     make([]float64, len(p.Demands)),
-		moveCap:  64*n + 1024,
+		prob:    p,
+		state:   NewState(p.Links),
+		seed:    uint64(seed),
+		assign:  make([]uint16, n),
+		best:    make([]uint16, n),
+		rate:    make([]float64, len(p.Demands)),
+		moveCap: 64*n + 1024,
 	}
 	for di, d := range p.Demands {
-		s.rate[di] = d.RateBps / float64(q)
+		s.rate[di] = d.RateBps / DefaultQuanta
 	}
 	return s
 }
@@ -94,12 +87,11 @@ func (s *Solver) next() uint64 {
 // utilization found. The final assignment (read through Counts or
 // Weights) is the one achieving that value. Demand rates and link
 // capacities are re-read from the problem on every call, so a caller
-// (e.g. control.TEPolicy's Refresh hook) may mutate them in place
-// between solves. Zero allocations.
+// may mutate them in place between solves. Zero allocations.
 func (s *Solver) Solve() float64 {
 	s.rng = s.seed
 	for di := range s.prob.Demands {
-		s.rate[di] = s.prob.Demands[di].RateBps / float64(s.quanta)
+		s.rate[di] = s.prob.Demands[di].RateBps / DefaultQuanta
 	}
 	for i := range s.prob.Links {
 		if c := s.prob.Links[i].CapacityBps; c > 0 {
@@ -114,10 +106,6 @@ func (s *Solver) Solve() float64 {
 	s.bestMax, _ = s.state.MaxUtil()
 	copy(s.best, s.assign)
 
-	restarts := s.Restarts
-	if restarts < 0 {
-		restarts = DefaultRestarts
-	}
 	for r := 0; r < restarts; r++ {
 		s.kick()
 		s.descend()
@@ -131,7 +119,7 @@ func (s *Solver) Solve() float64 {
 	s.state.Reset()
 	copy(s.assign, s.best)
 	for q, pi := range s.assign {
-		d := q / s.quanta
+		d := q / DefaultQuanta
 		s.state.Add(s.prob.Demands[d].Paths[pi], s.rate[d])
 	}
 	return s.bestMax
@@ -144,7 +132,7 @@ func (s *Solver) Solve() float64 {
 func (s *Solver) greedyInit() {
 	st := s.state
 	for q := range s.assign {
-		d := q / s.quanta
+		d := q / DefaultQuanta
 		dem := &s.prob.Demands[d]
 		bps := s.rate[d]
 		bestPath, bestCost := 0, 0.0
@@ -190,7 +178,7 @@ func (s *Solver) descend() {
 			if q >= n {
 				q -= n
 			}
-			d := q / s.quanta
+			d := q / DefaultQuanta
 			dem := &s.prob.Demands[d]
 			cur := dem.Paths[s.assign[q]]
 			if !pathHas(cur, ml) {
@@ -251,7 +239,7 @@ func (s *Solver) kick() {
 	n := 1 + len(s.assign)/16
 	for i := 0; i < n; i++ {
 		q := int(s.next() % uint64(len(s.assign)))
-		d := q / s.quanta
+		d := q / DefaultQuanta
 		dem := &s.prob.Demands[d]
 		pi := int(s.next() % uint64(len(dem.Paths)))
 		if pi == int(s.assign[q]) {
@@ -290,7 +278,7 @@ func (s *Solver) Counts(d int, out []int) []int {
 	for i := 0; i < np; i++ {
 		out = append(out, 0)
 	}
-	for q := d * s.quanta; q < (d+1)*s.quanta; q++ {
+	for q := d * DefaultQuanta; q < (d+1)*DefaultQuanta; q++ {
 		out[s.assign[q]]++
 	}
 	return out
@@ -302,7 +290,7 @@ func (s *Solver) Weights(d int) []float64 {
 	counts := s.Counts(d, make([]int, 0, len(s.prob.Demands[d].Paths)))
 	w := make([]float64, len(counts))
 	for i, c := range counts {
-		w[i] = float64(c) / float64(s.quanta)
+		w[i] = float64(c) / DefaultQuanta
 	}
 	return w
 }

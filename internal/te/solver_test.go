@@ -93,17 +93,15 @@ func TestSolverDeterministicPerSeed(t *testing.T) {
 }
 
 func TestSolverCountsSumToQuanta(t *testing.T) {
-	p := twoPathProblem()
-	p.Quanta = 12
-	s := NewSolver(p, 3)
+	s := NewSolver(twoPathProblem(), 3)
 	s.Solve()
 	counts := s.Counts(0, make([]int, 0, 2))
 	sum := 0
 	for _, c := range counts {
 		sum += c
 	}
-	if sum != 12 {
-		t.Fatalf("counts %v sum to %d, want 12", counts, sum)
+	if sum != DefaultQuanta {
+		t.Fatalf("counts %v sum to %d, want %d", counts, sum, DefaultQuanta)
 	}
 }
 

@@ -28,30 +28,18 @@ type Link struct {
 // be placed across the candidate Paths, each path a set of link indices
 // into the problem's link table. The solver splits the rate into equal
 // quanta and assigns each quantum to exactly one path, so the resulting
-// per-path weights are multiples of 1/Quanta.
+// per-path weights are multiples of 1/DefaultQuanta.
 type Demand struct {
 	Name    string
 	RateBps float64
 	Paths   [][]int
 }
 
-// Problem is a full placement instance: the capacitated links, the
-// demands with their candidate paths, and the quantum resolution.
+// Problem is a full placement instance: the capacitated links and the
+// demands with their candidate paths.
 type Problem struct {
 	Links   []Link
 	Demands []Demand
-	// Quanta is how many equal shares each demand is split into
-	// (0 means DefaultQuanta). Higher values allow finer weights at
-	// proportionally more solver work.
-	Quanta int
-}
-
-// quanta returns the effective quantum resolution.
-func (p *Problem) quanta() int {
-	if p.Quanta <= 0 {
-		return DefaultQuanta
-	}
-	return p.Quanta
 }
 
 // State is the incremental utilization tracker: per-link load, inverse

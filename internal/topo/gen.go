@@ -41,7 +41,7 @@ import (
 // equal graphs (the determinism property test pins this).
 
 // GenConfig parameterizes the AS-graph generator. The zero value is
-// invalid; DefaultGenConfig returns a small working baseline.
+// invalid.
 type GenConfig struct {
 	// Seed drives every random draw.
 	Seed int64
@@ -66,22 +66,6 @@ type GenConfig struct {
 	// weighted by (1+customers)^PrefExp. 0 is uniform; 1 is linear
 	// (Barabási-Albert-like). Must be finite, in [0, 8].
 	PrefExp float64
-}
-
-// DefaultGenConfig returns a modest valid config: a 3-provider core, a
-// handful of regional transits, and n dual-homed sites.
-func DefaultGenConfig(seed int64, n int) GenConfig {
-	return GenConfig{
-		Seed:           seed,
-		Tier1:          3,
-		Tier2:          8,
-		Sites:          n,
-		MinHoming:      2,
-		MaxHoming:      3,
-		Tier2MaxHoming: 2,
-		PeerLinks:      4,
-		PrefExp:        1.0,
-	}
 }
 
 // Validate reports whether the config describes a generatable graph. It

@@ -22,26 +22,19 @@ import (
 const (
 	genEdgeLinkDelay    = 200 * time.Microsecond
 	genEdgeSessionDelay = time.Millisecond
+	// genMRAI paces the transit sessions; the edge-to-site sessions run
+	// at 1 s like the mesh scenarios.
+	genMRAI = 2 * time.Second
 )
 
 // GenScenarioConfig parameterizes NewGenScenario.
 type GenScenarioConfig struct {
 	// Graph generates the AS-level topology.
 	Graph GenConfig
-	// Shards, when positive, builds the simulation over a partitioned
-	// network with that many worker goroutines. The layout is a function
-	// of the graph only (see GenPartition). Discovery sweeps drive the
-	// coordinator in coupled mode — the Discoverer's round callbacks read
-	// the observer's RIB across partitions, which parallel epochs forbid
-	// — so Shards changes construction, never event order.
-	Shards int
 	// EdgeSites lists the site indices (into the graph's node order) that
 	// get a Tango edge server. At most 800 (private edge ASNs are carved
 	// from 64701 up).
 	EdgeSites []int
-	// MRAI paces the transit sessions (default 2 s; the edge-to-site
-	// sessions run at 1 s like the mesh scenarios).
-	MRAI time.Duration
 }
 
 // GenScenario is a built generated internet.
@@ -56,40 +49,11 @@ type GenScenario struct {
 	Hosts map[int]addr.Prefix
 	// EdgeSites is the deduplicated, ascending site list actually built.
 	EdgeSites []int
-	// Layout is the partition layout (zero value when Shards == 0).
-	Layout Partition
 
 	probeBase addr.Prefix
 }
 
 func edgeNodeName(site GenAS) string { return "ex-" + site.Name }
-
-// GenPartition derives the partition graph of a generated scenario
-// without building it: every AS plus every edge server, with each
-// adjacency's floor set by its link delay (the session delay equals the
-// link delay, so the same floor bounds both planes). Generated transit
-// delays are all >= 5 ms, so every AS lands in its own partition and the
-// edge servers (200 µs links, below the cut floor) glue to their sites.
-func GenPartition(g *ASGraph, edgeSites []int) Partition {
-	nodes := make([]string, 0, len(g.ASes)+len(edgeSites))
-	for _, a := range g.ASes {
-		nodes = append(nodes, a.Name)
-	}
-	edges := make([]PartEdge, 0, len(g.Edges)+len(edgeSites))
-	for _, e := range g.Edges {
-		edges = append(edges, PartEdge{
-			A: g.ASes[e.A].Name, B: g.ASes[e.B].Name,
-			MinDelayAB: e.Delay, MinDelayBA: e.Delay,
-		})
-	}
-	for _, s := range edgeSites {
-		name := edgeNodeName(g.ASes[s])
-		nodes = append(nodes, name)
-		d := min(genEdgeLinkDelay, genEdgeSessionDelay)
-		edges = append(edges, PartEdge{A: name, B: g.ASes[s].Name, MinDelayAB: d, MinDelayBA: d})
-	}
-	return PartitionGraph(g.Cfg.Seed, nodes, edges, 0, 0)
-}
 
 // NewGenScenario generates the graph and builds it as a simulation.
 func NewGenScenario(cfg GenScenarioConfig) (*GenScenario, error) {
@@ -110,25 +74,11 @@ func NewGenScenario(cfg GenScenarioConfig) (*GenScenario, error) {
 				s, stubBase, len(g.ASes))
 		}
 	}
-	mrai := cfg.MRAI
-	if mrai == 0 {
-		mrai = 2 * time.Second
-	}
-
-	var b *Builder
-	var layout Partition
-	if cfg.Shards > 0 {
-		layout = GenPartition(g, sites)
-		b = NewShardedBuilder(cfg.Graph.Seed, layout)
-		b.W.Coord().SetWorkers(cfg.Shards)
-	} else {
-		b = NewBuilder(cfg.Graph.Seed)
-	}
+	b := NewBuilder(cfg.Graph.Seed)
 	m := &GenScenario{
 		B: b, G: g,
 		Edges: map[int]*AS{}, Hosts: map[int]addr.Prefix{},
 		EdgeSites: sites,
-		Layout:    layout,
 		probeBase: addr.MustParsePrefix("2001:db8:9000::/36"),
 	}
 	for i, a := range g.ASes {
@@ -140,7 +90,7 @@ func NewGenScenario(cfg GenScenarioConfig) (*GenScenario, error) {
 			DelayAB:      simnet.FixedDelay(e.Delay),
 			DelayBA:      simnet.FixedDelay(e.Delay),
 			SessionDelay: e.Delay,
-			MRAI:         mrai,
+			MRAI:         genMRAI,
 		}
 		if g.ASes[e.A].Tier == GenStub && e.RelAB == bgp.RelProvider {
 			// The site is the probe's POP: strip the tenant edge's private

@@ -39,18 +39,13 @@ func TestGenProperties(t *testing.T) {
 			t.Fatalf("seed %d: Gen: %v", seed, err)
 		}
 
-		// Purity: a second build (graph and partition layout) is deeply
-		// equal.
+		// Purity: a second build is deeply equal.
 		g2, err := Gen(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: second Gen: %v", seed, err)
 		}
 		if !reflect.DeepEqual(g, g2) {
 			t.Fatalf("seed %d: two builds of the same config differ", seed)
-		}
-		sites := []int{cfg.Tier1 + cfg.Tier2, cfg.Tier1 + cfg.Tier2 + 1}
-		if !reflect.DeepEqual(GenPartition(g, sites), GenPartition(g2, sites)) {
-			t.Fatalf("seed %d: partition layouts of equal graphs differ", seed)
 		}
 
 		if want := cfg.Tier1 + cfg.Tier2 + cfg.Sites; len(g.ASes) != want {

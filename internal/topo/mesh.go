@@ -90,13 +90,11 @@ type MeshConfig struct {
 	Seed int64
 	// Shards, when positive, builds the mesh over a partitioned network
 	// (see MeshPartition) and runs parallel phases on that many worker
-	// goroutines. The partition layout is a function of the topology and
-	// Seed only — Shards sets workers, never the layout — so any two
-	// positive values produce identical simulations, differing only in
-	// wall-clock time. Zero builds the classic single-engine network.
+	// goroutines. The partition layout is a function of the topology
+	// only — Shards sets workers, never the layout — so any two positive
+	// values produce identical simulations, differing only in wall-clock
+	// time. Zero builds the classic single-engine network.
 	Shards int
-	// MRAI paces the transit and peering sessions (default 5 s).
-	MRAI time.Duration
 	// EdgeBlockBase supplies default per-edge prefixes (a /44 block plus
 	// host and probe /48s per edge, in edge-creation order). Default
 	// 2001:db8:4000::/36.
@@ -168,7 +166,7 @@ func modelFloor(dm simnet.DelayModel) time.Duration {
 // config will create, and each adjacency's per-direction minimum folds
 // the data-plane delay floor with the BGP session delay (whichever plane
 // interacts first bounds the lookahead). The layout depends only on the
-// topology and cfg.Seed — never on cfg.Shards.
+// topology — never on cfg.Shards.
 func MeshPartition(cfg MeshConfig) Partition {
 	var nodes []string
 	var edges []PartEdge
@@ -233,7 +231,7 @@ func MeshPartition(cfg MeshConfig) Partition {
 		d = min(d, meshSessionDelay)
 		edges = append(edges, PartEdge{A: pa, B: pb, MinDelayAB: d, MinDelayBA: d})
 	}
-	return PartitionGraph(cfg.Seed, nodes, edges, 0, 0)
+	return PartitionGraph(nodes, edges)
 }
 
 // NewMeshScenario builds the mesh, validating the config as it goes.
@@ -258,10 +256,6 @@ func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
 		HostPrefix: map[string]addr.Prefix{},
 		Block:      map[string]addr.Prefix{},
 		Probe:      map[string]addr.Prefix{},
-	}
-	mrai := cfg.MRAI
-	if mrai == 0 {
-		mrai = 5 * time.Second
 	}
 	blockBase := cfg.EdgeBlockBase
 	if !blockBase.IsValid() {
@@ -312,7 +306,6 @@ func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
 				RelAB:   bgp.RelProvider,
 				DelayAB: at.Access,
 				DelayBA: at.Trunk,
-				MRAI:    mrai,
 				// The POP strips the tenant's private ASN and scrubs
 				// action communities when announcing to the core.
 				StripPrivateA2B: true,
@@ -399,7 +392,6 @@ func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
 			RelAB:   bgp.RelPeer,
 			DelayAB: simnet.FixedDelay(d),
 			DelayBA: simnet.FixedDelay(d),
-			MRAI:    mrai,
 		})
 	}
 	return m, nil

@@ -2,10 +2,7 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 	"time"
-
-	"tango/internal/sim"
 )
 
 // PartEdge is one link of the partitioning graph: an undirected adjacency
@@ -47,21 +44,16 @@ type Partition struct {
 // peerings (≥ 1 ms floors) may be cut.
 const DefaultCutFloor = time.Millisecond
 
-// PartitionGraph groups nodes connected by edges faster than cutFloor
-// into clusters (they must share an engine: their interactions are too
-// fast to synchronize conservatively at a useful cadence) and assigns
-// clusters to partitions. With maxParts <= 0 or more than the cluster
-// count, every cluster is its own partition; otherwise clusters are
-// packed onto maxParts partitions by balanced size, ties broken by the
-// seeded RNG so packing is deterministic for a (seed, graph) pair.
+// PartitionGraph groups nodes connected by edges faster than
+// DefaultCutFloor into clusters (they must share an engine: their
+// interactions are too fast to synchronize conservatively at a useful
+// cadence); every cluster is one partition, numbered by first appearance
+// in node order.
 //
-// The partition layout is a function of the topology and seed only —
-// never of the worker count driving the simulation — which is what makes
-// 1-worker and N-worker runs produce identical event orders.
-func PartitionGraph(seed int64, nodes []string, edges []PartEdge, maxParts int, cutFloor time.Duration) Partition {
-	if cutFloor <= 0 {
-		cutFloor = DefaultCutFloor
-	}
+// The partition layout is a function of the topology only — never of the
+// worker count driving the simulation — which is what makes 1-worker and
+// N-worker runs produce identical event orders.
+func PartitionGraph(nodes []string, edges []PartEdge) Partition {
 	p := Partition{Part: make(map[string]int, len(nodes))}
 	if len(nodes) == 0 {
 		return p
@@ -73,7 +65,7 @@ func PartitionGraph(seed int64, nodes []string, edges []PartEdge, maxParts int, 
 		}
 		idx[n] = i
 	}
-	// Union-find over sub-cutFloor edges.
+	// Union-find over sub-floor edges.
 	parent := make([]int, len(nodes))
 	for i := range parent {
 		parent[i] = i
@@ -95,7 +87,7 @@ func PartitionGraph(seed int64, nodes []string, edges []PartEdge, maxParts int, 
 	}
 	for _, e := range edges {
 		a, b := lookup(e.A), lookup(e.B)
-		if e.minBoth() < cutFloor {
+		if e.minBoth() < DefaultCutFloor {
 			ra, rb := find(a), find(b)
 			if ra != rb {
 				parent[ra] = rb
@@ -104,68 +96,17 @@ func PartitionGraph(seed int64, nodes []string, edges []PartEdge, maxParts int, 
 	}
 	// Number clusters by first appearance in node order, so the layout is
 	// stable under edge reordering.
-	cluster := make([]int, len(nodes))
 	clusterOf := make(map[int]int)
-	for i := range nodes {
+	for i, n := range nodes {
 		r := find(i)
 		c, ok := clusterOf[r]
 		if !ok {
 			c = len(clusterOf)
 			clusterOf[r] = c
 		}
-		cluster[i] = c
+		p.Part[n] = c
 	}
-	nclusters := len(clusterOf)
-
-	// Map clusters to partitions: identity when they all fit, balanced
-	// packing (largest first onto the lightest partition) otherwise.
-	partOf := make([]int, nclusters)
-	if maxParts <= 0 || nclusters <= maxParts {
-		for c := range partOf {
-			partOf[c] = c
-		}
-		p.Parts = nclusters
-	} else {
-		size := make([]int, nclusters)
-		for i := range nodes {
-			size[cluster[i]]++
-		}
-		order := make([]int, nclusters)
-		for c := range order {
-			order[c] = c
-		}
-		sort.SliceStable(order, func(i, j int) bool { return size[order[i]] > size[order[j]] })
-		rng := sim.NewStreams(seed).Stream("topo/partition")
-		load := make([]int, maxParts)
-		for _, c := range order {
-			// Collect the currently lightest partitions and draw one, so
-			// equal-size layouts spread seeded rather than always leftward.
-			best, ties := load[0], 1
-			for _, l := range load[1:] {
-				if l < best {
-					best, ties = l, 1
-				} else if l == best {
-					ties++
-				}
-			}
-			pick := rng.Intn(ties)
-			for pi, l := range load {
-				if l != best {
-					continue
-				}
-				if pick == 0 {
-					partOf[c] = pi
-					load[pi] += size[c]
-					break
-				}
-				pick--
-			}
-		}
-		p.Parts = maxParts
-	}
-	for i, n := range nodes {
-		p.Part[n] = partOf[cluster[i]]
-	}
+	p.Parts = len(clusterOf)
 
 	// Lookahead: the tightest min delay crossing a partition boundary.
 	if p.Parts > 1 {

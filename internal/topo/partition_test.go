@@ -9,12 +9,18 @@ import (
 )
 
 func TestPartitionGraphEmpty(t *testing.T) {
-	p := PartitionGraph(1, nil, nil, 0, 0)
+	p := PartitionGraph(nil, nil)
 	if p.Parts != 0 || len(p.Part) != 0 || p.Lookahead != 0 {
 		t.Fatalf("empty graph: got %+v", p)
 	}
 	if mp := MeshPartition(MeshConfig{}); mp.Parts != 0 || mp.Lookahead != 0 {
 		t.Fatalf("empty mesh: got %+v", mp)
+	}
+	// Disconnected nodes are one partition each, in node order, with no
+	// cross edge to bound the epoch.
+	p = PartitionGraph([]string{"a", "b", "c"}, nil)
+	if p.Parts != 3 || p.Part["a"] != 0 || p.Part["c"] != 2 || p.Lookahead != 0 {
+		t.Fatalf("edgeless graph: got %+v", p)
 	}
 }
 
@@ -57,7 +63,6 @@ func TestPartitionMoreShardsThanNodesClamps(t *testing.T) {
 	// changes nothing about the layout.
 	cfg := TriConfig(7)
 	want := MeshPartition(MeshConfig{
-		Seed:      cfg.Seed,
 		Providers: cfg.Providers,
 		Sites:     cfg.Sites,
 		Pairs:     cfg.Pairs,
@@ -94,7 +99,7 @@ func TestPartitionLookaheadAsymmetricDelays(t *testing.T) {
 		{A: "a", B: "b", MinDelayAB: 9 * time.Millisecond, MinDelayBA: 3 * time.Millisecond},
 		{A: "b", B: "c", MinDelayAB: 5 * time.Millisecond, MinDelayBA: 20 * time.Millisecond},
 	}
-	p := PartitionGraph(1, nodes, edges, 0, 0)
+	p := PartitionGraph(nodes, edges)
 	if p.Parts != 3 {
 		t.Fatalf("want 3 partitions, got %d", p.Parts)
 	}
@@ -104,7 +109,7 @@ func TestPartitionLookaheadAsymmetricDelays(t *testing.T) {
 
 	// Reversing an edge's direction fields must not change the answer.
 	edges[0].MinDelayAB, edges[0].MinDelayBA = edges[0].MinDelayBA, edges[0].MinDelayAB
-	if q := PartitionGraph(1, nodes, edges, 0, 0); q.Lookahead != 3*time.Millisecond {
+	if q := PartitionGraph(nodes, edges); q.Lookahead != 3*time.Millisecond {
 		t.Fatalf("lookahead after swap: want 3ms, got %v", q.Lookahead)
 	}
 }
@@ -118,7 +123,7 @@ func TestPartitionSubFloorEdgeNeverCut(t *testing.T) {
 		{A: "a", B: "b", MinDelayAB: 100 * time.Microsecond, MinDelayBA: 30 * time.Millisecond},
 		{A: "b", B: "c", MinDelayAB: 2 * time.Millisecond, MinDelayBA: 2 * time.Millisecond},
 	}
-	p := PartitionGraph(1, nodes, edges, 0, 0)
+	p := PartitionGraph(nodes, edges)
 	if p.Parts != 2 {
 		t.Fatalf("want 2 partitions (a+b merged), got %d", p.Parts)
 	}
@@ -127,28 +132,5 @@ func TestPartitionSubFloorEdgeNeverCut(t *testing.T) {
 	}
 	if p.Lookahead != 2*time.Millisecond {
 		t.Fatalf("lookahead: want 2ms, got %v", p.Lookahead)
-	}
-}
-
-func TestPartitionPackingDeterministicPerSeed(t *testing.T) {
-	// More clusters than maxParts forces balanced packing; the tiebreak
-	// is seeded, so a fixed seed reproduces the layout exactly.
-	nodes := []string{"a", "b", "c", "d", "e"}
-	var edges []PartEdge // no edges: five singleton clusters
-	first := PartitionGraph(42, nodes, edges, 2, 0)
-	if first.Parts != 2 {
-		t.Fatalf("want 2 packed partitions, got %d", first.Parts)
-	}
-	for i := 0; i < 5; i++ {
-		again := PartitionGraph(42, nodes, edges, 2, 0)
-		for _, n := range nodes {
-			if first.Part[n] != again.Part[n] {
-				t.Fatalf("seeded packing not reproducible: %s moved", n)
-			}
-		}
-	}
-	// Disconnected partitions have no cross edges to bound the epoch.
-	if first.Lookahead != 0 {
-		t.Fatalf("no edges: want lookahead 0, got %v", first.Lookahead)
 	}
 }

@@ -113,19 +113,16 @@ type WireOpts struct {
 	// MRAI paces UPDATEs on both sides (defaults to 5 s — short enough
 	// to keep discovery experiments brisk, long enough to batch).
 	MRAI time.Duration
-	// HoldTime enables liveness detection on both sides when positive.
-	HoldTime time.Duration
-	// StripPrivateA2B strips private ASNs when A exports to B (and
-	// B2A for the reverse): set on a provider's sessions toward the
-	// core when the customer announces from a private ASN.
-	StripPrivateA2B, StripPrivateB2A bool
+	// StripPrivateA2B strips private ASNs when A exports to B: set on a
+	// provider's sessions toward the core when the customer announces
+	// from a private ASN.
+	StripPrivateA2B bool
 	// ScrubA2B removes A's action communities when exporting to B
 	// (after applying them), so operator knobs stay inside the
-	// provider that offers them; ScrubB2A the reverse.
-	ScrubA2B, ScrubB2A bool
-	// AllowOwnASA / AllowOwnASB enable allowas-in on A's (resp. B's)
-	// side of the session.
-	AllowOwnASA, AllowOwnASB bool
+	// provider that offers them.
+	ScrubA2B bool
+	// AllowOwnASA enables allowas-in on A's side of the session.
+	AllowOwnASA bool
 }
 
 // Wire links two ASes in both planes and returns the created link and the
@@ -167,20 +164,15 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 		LocalAddr:              ipX,
 		Delay:                  o.SessionDelay,
 		MRAI:                   o.MRAI,
-		HoldTime:               o.HoldTime,
 		StripPrivateASNs:       o.StripPrivateA2B,
 		ScrubActionCommunities: o.ScrubA2B,
 		AllowOwnAS:             o.AllowOwnASA,
 	}
 	cfgY := bgp.SessionConfig{
-		Relation:               relBA,
-		LocalAddr:              ipY,
-		Delay:                  o.SessionDelay,
-		MRAI:                   o.MRAI,
-		HoldTime:               o.HoldTime,
-		StripPrivateASNs:       o.StripPrivateB2A,
-		ScrubActionCommunities: o.ScrubB2A,
-		AllowOwnAS:             o.AllowOwnASB,
+		Relation:  relBA,
+		LocalAddr: ipY,
+		Delay:     o.SessionDelay,
+		MRAI:      o.MRAI,
 	}
 	sx, sy := bgp.Connect(x.Speaker, y.Speaker, cfgX, cfgY)
 	return link, sx, sy

@@ -61,8 +61,6 @@ type ScenarioConfig struct {
 	// ClockOffsetNY/LA model the unsynchronised server clocks. The
 	// defaults are deliberately large and asymmetric.
 	ClockOffsetNY, ClockOffsetLA time.Duration
-	// MRAI for all core sessions (default 5 s).
-	MRAI time.Duration
 }
 
 // edge ASNs (RFC 6996 private, stripped by Vultr on export).
@@ -102,7 +100,6 @@ func VultrConfig(cfg ScenarioConfig) MeshConfig {
 	return MeshConfig{
 		Seed:   cfg.Seed,
 		Shards: cfg.Shards,
-		MRAI:   cfg.MRAI,
 		Sites: []MeshSite{
 			{
 				Name: "ny", ClockOffset: cfg.ClockOffsetNY,

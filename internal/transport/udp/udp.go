@@ -144,7 +144,7 @@ func New(cfg Config) (*Backend, error) {
 	b := &Backend{
 		name:   cfg.Name,
 		eng:    eng,
-		clock:  sim.NewClock(eng, 0, 0),
+		clock:  sim.NewClock(eng, 0),
 		pool:   packet.NewBufPool(),
 		conn:   conn,
 		start:  time.Now(),

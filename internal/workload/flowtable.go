@@ -40,7 +40,7 @@ import (
 // Class enumerates the flyweight traffic classes. Each maps to one of
 // the paper's application arguments: VoIP to the jitter-sensitivity
 // analysis (E3), video to rate plus head-of-line blocking (E6's
-// InOrderModel), bulk to TCP-like throughput traffic.
+// InOrderLatencies), bulk to TCP-like throughput traffic.
 type Class uint8
 
 const (
@@ -368,6 +368,9 @@ func (t *FlowTable) sink(recvEng *sim.Engine, inner []byte) bool {
 		}
 	}
 	c := Class(w>>flowClassShift) & 3
+	if c >= NumClasses {
+		return false // two bits can spell 3; no table emits it
+	}
 	gen := uint8(w >> flowGenShift)
 	seq := binary.BigEndian.Uint32(hdr[0:4])
 	sentAt := sim.Time(binary.BigEndian.Uint64(hdr[8:16]))
@@ -483,21 +486,14 @@ func (t *FlowTable) Stop() {
 }
 
 // ArrivalConfig shapes a seeded flow-arrival process: a fluid base rate
-// modulated by a diurnal cycle and a flash-crowd spike. The fluid count
-// (rate × quantum, fractional remainder carried) keeps arrivals exactly
-// reproducible; randomness picks each arrival's class, endpoint, and
-// start stagger.
+// with a flash-crowd spike. The fluid count (rate × quantum, fractional
+// remainder carried) keeps arrivals exactly reproducible; randomness
+// picks each arrival's class (uniformly), endpoint, and start stagger.
 type ArrivalConfig struct {
 	// Rate is the base arrival rate in flows per second of virtual time.
 	Rate float64
-	// ClassMix weighs class selection (zero vector = uniform).
-	ClassMix [NumClasses]float64
 	// Emits is each arriving flow's lifetime in packets (default 4).
 	Emits uint32
-	// DiurnalPeriod, when positive, modulates the rate by
-	// 1 + DiurnalAmp·sin(2π·now/period) — the daily load swing.
-	DiurnalPeriod time.Duration
-	DiurnalAmp    float64
 	// FlashFactor, when > 1, multiplies the rate during
 	// [FlashAt, FlashAt+FlashFor) — a flash crowd.
 	FlashAt     sim.Time
@@ -543,21 +539,14 @@ func (a *Arrivals) Stop() { a.tick.Stop() }
 
 func (a *Arrivals) step(now sim.Time) {
 	rate := a.cfg.Rate
-	if a.cfg.DiurnalPeriod > 0 && a.cfg.DiurnalAmp != 0 {
-		phase := 2 * math.Pi * float64(now) / float64(a.cfg.DiurnalPeriod)
-		rate *= 1 + a.cfg.DiurnalAmp*math.Sin(phase)
-	}
 	if a.cfg.FlashFactor > 1 && now >= a.cfg.FlashAt && now < a.cfg.FlashAt+sim.Time(a.cfg.FlashFor) {
 		rate *= a.cfg.FlashFactor
-	}
-	if rate < 0 {
-		rate = 0
 	}
 	a.acc += rate * arrivalQuantum.Seconds()
 	n := int(a.acc)
 	a.acc -= float64(n)
 	for k := 0; k < n; k++ {
-		c := a.drawClass()
+		c := Class(a.rng.Intn(NumClasses))
 		ep := a.rng.Intn(len(a.t.eps))
 		stagger := time.Duration(a.rng.Int63n(int64(a.t.classes[c].Interval)))
 		if a.t.Start(ep, c, a.cfg.Emits, stagger) < 0 {
@@ -566,22 +555,4 @@ func (a *Arrivals) step(now sim.Time) {
 		}
 		a.Started++
 	}
-}
-
-func (a *Arrivals) drawClass() Class {
-	total := 0.0
-	for _, w := range a.cfg.ClassMix {
-		total += w
-	}
-	if total <= 0 {
-		return Class(a.rng.Intn(NumClasses))
-	}
-	x := a.rng.Float64() * total
-	for c, w := range a.cfg.ClassMix {
-		if x < w {
-			return Class(c)
-		}
-		x -= w
-	}
-	return NumClasses - 1
 }

@@ -154,7 +154,7 @@ func (g *AppGen) FinalRecords() []AppRecord {
 			out = append(out, AppRecord{Seq: seq, SentAt: sent})
 		}
 	}
-	sortRecords(out)
+	slices.SortFunc(out, cmpRecords)
 	return out
 }
 
@@ -175,67 +175,25 @@ func cmpRecords(a, b AppRecord) int {
 	}
 }
 
-// sortRecordsInversionBound caps how disordered a trace may be before
-// sortRecords abandons insertion sort: heavily reordered traces
-// (map-iteration tails, large reorder windows) would otherwise make it
-// O(n²).
-const sortRecordsInversionBound = 16
-
-func sortRecords(rs []AppRecord) {
-	// Traces are usually nearly sorted (records joined in send order with
-	// a short out-of-order tail), where insertion sort beats a general
-	// sort. Count adjacent inversions first and fall back to
-	// slices.SortFunc when the trace is genuinely disordered.
-	inv := 0
-	for i := 1; i < len(rs); i++ {
-		if cmpRecords(rs[i], rs[i-1]) < 0 {
-			if inv++; inv > sortRecordsInversionBound {
-				slices.SortFunc(rs, cmpRecords)
-				return
-			}
-		}
-	}
-	if inv == 0 {
-		return
-	}
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && cmpRecords(rs[j], rs[j-1]) < 0; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
 // Sent returns the number of packets emitted.
 func (g *AppGen) Sent() uint32 { return g.seq }
 
-// InOrderModel converts a per-packet delay trace into in-order delivery
-// latency, the quantity a TCP-like bytestream application experiences:
-// packet n is usable only once packets 0..n-1 are usable, so one delayed
-// packet holds up everything behind it (§5: "the application-layer data
-// stream will be held up by the slow packet").
-type InOrderModel struct {
-	// RetransmitAfter simulates loss recovery: a lost packet is treated
-	// as arriving RetransmitAfter later than its original send (0
-	// disables loss handling; lost packets then stall forever and are
-	// skipped).
-	RetransmitAfter time.Duration
-}
-
-// Apply takes records ordered by send time (RecvAt 0 = lost) and returns
-// the in-order delivery latency for each delivered packet.
-func (m InOrderModel) Apply(recs []AppRecord) []time.Duration {
+// InOrderLatencies converts a per-packet delay trace into in-order
+// delivery latency, the quantity a TCP-like bytestream application
+// experiences: packet n is usable only once packets 0..n-1 are usable, so
+// one delayed packet holds up everything behind it (§5: "the
+// application-layer data stream will be held up by the slow packet"). It
+// takes records ordered by send time and returns the latency of each
+// delivered packet; lost packets (RecvAt 0) are skipped.
+func InOrderLatencies(recs []AppRecord) []time.Duration {
 	out := make([]time.Duration, 0, len(recs))
 	var readyAt sim.Time
 	for _, r := range recs {
-		arrive := r.RecvAt
-		if arrive == 0 {
-			if m.RetransmitAfter == 0 {
-				continue
-			}
-			arrive = r.SentAt + m.RetransmitAfter
+		if r.RecvAt == 0 {
+			continue
 		}
-		if arrive > readyAt {
-			readyAt = arrive
+		if r.RecvAt > readyAt {
+			readyAt = r.RecvAt
 		}
 		out = append(out, readyAt-r.SentAt)
 	}

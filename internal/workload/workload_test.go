@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/rand"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -195,7 +194,7 @@ func TestInOrderModelHeadOfLineBlocking(t *testing.T) {
 		mk(6, 60, 28), // arrives t=88, usable at t=98
 		mk(7, 70, 28), // arrives t=98, unaffected
 	}
-	lats := InOrderModel{}.Apply(recs)
+	lats := InOrderLatencies(recs)
 	wantMs := []int64{28, 28, 78, 68, 58, 48, 38, 28}
 	for i, w := range wantMs {
 		if lats[i] != time.Duration(w)*time.Millisecond {
@@ -214,21 +213,10 @@ func TestInOrderModelLoss(t *testing.T) {
 		return r
 	}
 	recs := []AppRecord{mk(0, 0, false), mk(1, 10, true), mk(2, 20, false)}
-	// Without retransmission, lost packets are skipped.
-	lats := InOrderModel{}.Apply(recs)
-	if len(lats) != 2 {
-		t.Fatalf("lats = %v", lats)
-	}
-	// With a 200ms retransmit, packet 1 "arrives" at 210 and stalls 2.
-	lats = InOrderModel{RetransmitAfter: 200 * time.Millisecond}.Apply(recs)
-	if len(lats) != 3 {
-		t.Fatalf("lats = %v", lats)
-	}
-	if lats[1] != 200*time.Millisecond {
-		t.Fatalf("retransmitted latency = %v", lats[1])
-	}
-	if lats[2] != 190*time.Millisecond {
-		t.Fatalf("stalled latency = %v", lats[2])
+	// Lost packets are skipped and stall nothing behind them.
+	lats := InOrderLatencies(recs)
+	if len(lats) != 2 || lats[0] != 28*time.Millisecond || lats[1] != 28*time.Millisecond {
+		t.Fatalf("lats = %v, want [28ms 28ms]", lats)
 	}
 }
 
@@ -243,7 +231,7 @@ func TestInOrderMonotoneProperty(t *testing.T) {
 			recs[i] = AppRecord{Seq: uint32(i), SentAt: sent,
 				RecvAt: sent + sim.Time(l%100)*sim.Time(time.Millisecond) + sim.Time(time.Millisecond)}
 		}
-		lats := InOrderModel{}.Apply(recs)
+		lats := InOrderLatencies(recs)
 		var lastDeliver sim.Time
 		for i, l := range lats {
 			raw := recs[i].RecvAt - recs[i].SentAt
@@ -280,47 +268,9 @@ func TestInOrderModelAllLost(t *testing.T) {
 		return AppRecord{Seq: seq, SentAt: sim.Time(sentMs) * sim.Time(time.Millisecond)}
 	}
 	recs := []AppRecord{mkLost(0, 0), mkLost(1, 10), mkLost(2, 20)}
-	// No retransmission: every packet stalls forever and is skipped.
-	if lats := (InOrderModel{}).Apply(recs); len(lats) != 0 {
+	// Every packet stalls forever and is skipped.
+	if lats := InOrderLatencies(recs); len(lats) != 0 {
 		t.Fatalf("all-lost trace produced %v", lats)
-	}
-	// With retransmission every packet "arrives" SentAt+RetransmitAfter:
-	// arrivals are monotone, so each costs exactly the retransmit delay.
-	lats := InOrderModel{RetransmitAfter: 150 * time.Millisecond}.Apply(recs)
-	if len(lats) != 3 {
-		t.Fatalf("lats = %v", lats)
-	}
-	for i, l := range lats {
-		if l != 150*time.Millisecond {
-			t.Fatalf("lats[%d] = %v, want 150ms", i, l)
-		}
-	}
-}
-
-func TestInOrderModelRetransmitShorterThanReorderWindow(t *testing.T) {
-	// Packet 1 is lost with a 30ms retransmit, but packet 0 is reordered
-	// so badly (80ms late) that the retransmit "arrives" before the
-	// frontier clears: the head of line, not the retransmit, dominates.
-	mk := func(seq uint32, sentMs, recvMs int64) AppRecord {
-		return AppRecord{Seq: seq,
-			SentAt: sim.Time(sentMs) * sim.Time(time.Millisecond),
-			RecvAt: sim.Time(recvMs) * sim.Time(time.Millisecond)}
-	}
-	recs := []AppRecord{
-		mk(0, 0, 80),  // 80ms OWD: the reorder window
-		mk(1, 10, 0),  // lost; retransmit arrives 10+30 = 40ms
-		mk(2, 20, 25), // on time
-	}
-	lats := InOrderModel{RetransmitAfter: 30 * time.Millisecond}.Apply(recs)
-	want := []time.Duration{80 * time.Millisecond, 70 * time.Millisecond, 60 * time.Millisecond}
-	if len(lats) != len(want) {
-		t.Fatalf("lats = %v", lats)
-	}
-	for i := range want {
-		if lats[i] != want[i] {
-			t.Fatalf("lats[%d] = %v, want %v (frontier must dominate the short retransmit)",
-				i, lats[i], want[i])
-		}
 	}
 }
 
@@ -335,99 +285,25 @@ func TestInOrderModelGoldenSpikeRecovery(t *testing.T) {
 		return r
 	}
 	recs := []AppRecord{
-		mk(0, 0, 30),   // 30ms
-		mk(1, 10, 0),   // lost; retransmit at 10+100 = 110
-		mk(2, 20, 50),  // arrives 50, usable 110
+		mk(0, 0, 60),   // spike: arrives 60
+		mk(1, 10, 0),   // lost: skipped, holds nothing up
+		mk(2, 20, 50),  // arrives 50, usable 60
 		mk(3, 30, 140), // its own spike beyond the frontier
 		mk(4, 40, 70),  // arrives 70, usable 140
 	}
-	lats := InOrderModel{RetransmitAfter: 100 * time.Millisecond}.Apply(recs)
+	lats := InOrderLatencies(recs)
 	want := []time.Duration{
-		30 * time.Millisecond,  // 0
-		100 * time.Millisecond, // 1: retransmit
-		90 * time.Millisecond,  // 2: 110-20
+		60 * time.Millisecond,  // 0
+		40 * time.Millisecond,  // 2: 60-20
 		110 * time.Millisecond, // 3: 140-30
 		100 * time.Millisecond, // 4: 140-40
+	}
+	if len(lats) != len(want) {
+		t.Fatalf("lats = %v, want %v", lats, want)
 	}
 	for i := range want {
 		if lats[i] != want[i] {
 			t.Fatalf("lats[%d] = %v, want %v (all %v)", i, lats[i], want[i], lats)
 		}
-	}
-}
-
-func TestSortRecordsShuffled(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 2, 17, 1000} {
-		rs := make([]AppRecord, n)
-		for i := range rs {
-			rs[i] = AppRecord{Seq: uint32(i), SentAt: sim.Time(i) * sim.Time(time.Millisecond)}
-		}
-		rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
-		sortRecords(rs)
-		for i := range rs {
-			if rs[i].Seq != uint32(i) {
-				t.Fatalf("n=%d: rs[%d].Seq = %d after sort", n, i, rs[i].Seq)
-			}
-		}
-	}
-	// Nearly sorted (the insertion path): a short out-of-order tail.
-	rs := make([]AppRecord, 100)
-	for i := range rs {
-		rs[i] = AppRecord{Seq: uint32(i), SentAt: sim.Time(i) * sim.Time(time.Millisecond)}
-	}
-	rs[97], rs[99] = rs[99], rs[97]
-	sortRecords(rs)
-	for i := range rs {
-		if rs[i].Seq != uint32(i) {
-			t.Fatalf("nearly-sorted: rs[%d].Seq = %d", i, rs[i].Seq)
-		}
-	}
-	// Ties on SentAt break by Seq.
-	ties := []AppRecord{{Seq: 2}, {Seq: 0}, {Seq: 1}}
-	sortRecords(ties)
-	for i := range ties {
-		if ties[i].Seq != uint32(i) {
-			t.Fatalf("tie-break: %v", ties)
-		}
-	}
-}
-
-func benchRecords(n int, shuffled bool) []AppRecord {
-	rs := make([]AppRecord, n)
-	for i := range rs {
-		rs[i] = AppRecord{Seq: uint32(i), SentAt: sim.Time(i) * sim.Time(time.Millisecond)}
-	}
-	if shuffled {
-		rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
-	} else {
-		// A BindSink-like short reorder tail.
-		rs[n-1], rs[n-3] = rs[n-3], rs[n-1]
-	}
-	return rs
-}
-
-// BenchmarkSortRecordsShuffled is the satellite's proof: a fully
-// shuffled 10k-record trace must sort in O(n log n), not the old
-// insertion sort's O(n²).
-func BenchmarkSortRecordsShuffled(b *testing.B) {
-	src := benchRecords(10_000, true)
-	buf := make([]AppRecord, len(src))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		sortRecords(buf)
-	}
-}
-
-func BenchmarkSortRecordsNearlySorted(b *testing.B) {
-	src := benchRecords(10_000, false)
-	buf := make([]AppRecord, len(src))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, src)
-		sortRecords(buf)
 	}
 }

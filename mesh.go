@@ -7,7 +7,6 @@ import (
 	"tango/internal/bgp"
 	"tango/internal/control"
 	"tango/internal/core"
-	"tango/internal/dataplane"
 	"tango/internal/topo"
 )
 
@@ -72,11 +71,6 @@ type MeshOptions struct {
 // through intermediate sites when every direct wide-area path degrades.
 type Mesh struct {
 	deployment
-
-	// trunkCap records SetTrunkCapacity declarations for the steering
-	// optimizer; steer holds the per-pair class selectors it installed.
-	trunkCap map[[2]string]float64
-	steer    map[[2]string]*dataplane.ClassSelector
 }
 
 // NewMesh builds the simulated N-site deployment (BGP converged, host

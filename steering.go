@@ -2,17 +2,15 @@ package tango
 
 import (
 	"fmt"
-	"sort"
 
-	"tango/internal/dataplane"
-	"tango/internal/te"
+	"tango/internal/core"
 )
 
 // SteeringClasses is the number of flow classes the weighted steering
 // data plane distinguishes. A flow's class is the inner packet's IPv6
 // traffic-class byte (IPv4 TOS), so applications choose a class by
 // stamping 0..SteeringClasses-1 there.
-const SteeringClasses = 8
+const SteeringClasses = core.SteerClasses
 
 // SteeringDemand declares one steerable traffic aggregate for
 // OptimizeSteering: RateBps of class traffic offered from one deployed
@@ -53,10 +51,6 @@ func (m *Mesh) SetTrunkCapacity(site, provider string, bps float64) error {
 	}
 	down.SetCapacity(bps)
 	up.SetCapacity(bps)
-	if m.trunkCap == nil {
-		m.trunkCap = map[[2]string]float64{}
-	}
-	m.trunkCap[[2]string{site, provider}] = bps
 	return nil
 }
 
@@ -68,8 +62,8 @@ func (m *Mesh) SetTrunkCapacity(site, provider string, bps float64) error {
 // then on, classified host traffic from those sites hashes flow-wise
 // onto the weighted path set — each flow sticks to one path, the flow
 // population spreads in the installed proportions — while unclassified
-// traffic and classes without weights keep the controller's single-path
-// choice. It returns the placement's predicted maximum link utilization
+// traffic and classes without weights ride the pair's first path. It
+// returns the placement's predicted maximum link utilization
 // (a value above 1 means even the best split oversubscribes some trunk)
 // together with the per-demand weights, in input order.
 //
@@ -82,87 +76,19 @@ func (m *Mesh) OptimizeSteering(seed int64, demands []SteeringDemand) (float64, 
 	if len(demands) == 0 {
 		return 0, nil, fmt.Errorf("tango: OptimizeSteering needs at least one demand")
 	}
-
-	// The link table covers every trunk direction of every site, in
-	// deterministic (site, provider, direction) order; capacities come
-	// from SetTrunkCapacity declarations, everything else is free.
-	sites := m.d.Mesh.Sites()
-	idx := map[[3]string]int{}
-	var links []te.Link
-	for _, site := range sites {
-		provs := make([]string, 0, len(m.d.Scenario.Trunk[site]))
-		for p := range m.d.Scenario.Trunk[site] {
-			provs = append(provs, p)
-		}
-		sort.Strings(provs)
-		for _, p := range provs {
-			for _, dir := range [2]string{"up", "down"} {
-				idx[[3]string{site, p, dir}] = len(links)
-				links = append(links, te.Link{
-					Name:        dir + "/" + site + "/" + p,
-					CapacityBps: m.trunkCap[[2]string{site, p}],
-				})
-			}
-		}
+	cd := make([]core.SteerDemand, len(demands))
+	for i, d := range demands {
+		cd[i] = core.SteerDemand{Src: d.Src, Dst: d.Dst, Class: int(d.Class), RateBps: d.RateBps}
 	}
-
-	prob := &te.Problem{Links: links}
-	for _, d := range demands {
-		if d.Class >= SteeringClasses {
-			return 0, nil, fmt.Errorf("tango: demand %s->%s class %d out of range [0,%d)", d.Src, d.Dst, d.Class, SteeringClasses)
-		}
-		sender := m.d.Mesh.Member(d.Src, d.Dst)
-		if sender == nil {
-			return 0, nil, fmt.Errorf("tango: no deployed pair %s:%s", d.Src, d.Dst)
-		}
-		if len(sender.OutPaths) == 0 {
-			return 0, nil, fmt.Errorf("tango: pair %s:%s has no discovered paths", d.Src, d.Dst)
-		}
-		paths := make([][]int, len(sender.OutPaths))
-		for i := range sender.OutPaths {
-			prov := sender.PathName(uint8(i + 1))
-			var p []int
-			if li, ok := idx[[3]string{d.Src, prov, "up"}]; ok {
-				p = append(p, li)
-			}
-			if li, ok := idx[[3]string{d.Dst, prov, "down"}]; ok {
-				p = append(p, li)
-			}
-			paths[i] = p
-		}
-		prob.Demands = append(prob.Demands, te.Demand{
-			Name:    fmt.Sprintf("%s:%s/%d", d.Src, d.Dst, d.Class),
-			RateBps: d.RateBps,
-			Paths:   paths,
-		})
-	}
-
-	solver := te.NewSolver(prob, seed)
-	maxUtil := solver.Solve()
-
-	if m.steer == nil {
-		m.steer = map[[2]string]*dataplane.ClassSelector{}
+	maxUtil, weights, err := m.d.Steer(seed, cd)
+	if err != nil {
+		return 0, nil, err
 	}
 	placements := make([]SteeringPlacement, len(demands))
-	var counts []int
 	for di, d := range demands {
 		sender := m.d.Mesh.Member(d.Src, d.Dst)
-		key := [2]string{d.Src, d.Dst}
-		cs, ok := m.steer[key]
-		if !ok {
-			cs = dataplane.NewClassSelector(sender.Switch, SteeringClasses)
-			sender.Switch.SetSelector(cs.Select)
-			m.steer[key] = cs
-		}
-		ids := make([]uint8, len(sender.OutPaths))
-		for i := range ids {
-			ids[i] = uint8(i + 1)
-		}
-		counts = solver.Counts(di, counts)
-		cs.SetWeights(int(d.Class), ids, counts)
-
 		ws := map[string]float64{}
-		for i, w := range solver.Weights(di) {
+		for i, w := range weights[di] {
 			if w > 0 {
 				ws[sender.PathName(uint8(i+1))] += w
 			}
