@@ -212,9 +212,9 @@ func (s *Switch) Instrument(reg *obs.Registry, site string) {
 	so := &switchObs{reg: reg, site: site}
 	l := obs.L("site", site)
 	so.encapNs = reg.Histogram("tango_dataplane_encap_ns",
-		"Wall-clock latency of the sender program (classify, encapsulate, checksum, inject), nanoseconds.", l)
+		"Wall-clock latency of the sender program (classify, encapsulate, checksum, inject), nanoseconds; sampled 1 in 8, each sample counted 8 times.", l)
 	so.decapNs = reg.Histogram("tango_dataplane_decap_ns",
-		"Wall-clock latency of the receiver program (parse, verify, measure, decap, deliver), nanoseconds.", l)
+		"Wall-clock latency of the receiver program (parse, verify, measure, decap, deliver), nanoseconds; sampled 1 in 8, each sample counted 8 times.", l)
 	so.encapped = reg.Counter("tango_dataplane_encapped_total", "Packets encapsulated by the sender program.", l)
 	so.decapped = reg.Counter("tango_dataplane_decapped_total", "Tango packets decapsulated by the receiver program.", l)
 	so.badPacket = reg.Counter("tango_dataplane_bad_packets_total", "Packets dropped as unparsable or unserializable.", l)

@@ -162,13 +162,24 @@ func TestStatsMatchInstruments(t *testing.T) {
 			t.Errorf("keyed %t: tunnels sent %d (encapped %d), of them probes %d (prober sent %d); paths received %d (decapped %d)",
 				key != nil, tx, st.Encapped, probes, e.Prober.Sent, rx, st.Decapped)
 		}
-		// Latency is observed once per encapsulation and once per accepted
-		// datagram — not for what either program dropped.
-		if got := snap[`tango_dataplane_encap_ns_count{site="x"}`]; got != float64(st.Encapped) {
-			t.Errorf("encap latency observed %v times for %d encapsulations", got, st.Encapped)
-		}
-		if got := snap[`tango_dataplane_decap_ns_count{site="x"}`]; got != float64(st.Decapped) {
-			t.Errorf("decap latency observed %v times for %d accepted datagrams", got, st.Decapped)
+		// Latency is timed on one program run in 8 and recorded with weight
+		// 8, and only for runs the program completed, so each _count is a
+		// multiple of 8 and at most 8 × ⌈timed runs ÷ 8⌉. The sender ran
+		// for every encapsulation and every packet with no tunnel; the
+		// receiver for every Tango datagram, whatever became of it — all
+		// the bad packets but the one the sender could not parse.
+		for _, h := range []struct {
+			family string
+			timed  uint64
+		}{
+			{"tango_dataplane_encap_ns", st.Encapped + st.NoTunnel},
+			{"tango_dataplane_decap_ns", st.Decapped + st.AuthFail + st.BadPacket - 1},
+		} {
+			got := uint64(snap[h.family+`_count{site="x"}`])
+			if got%8 != 0 || got > (h.timed+7)/8*8 {
+				t.Errorf("keyed %t: %s_count %d from %d timed runs, want a multiple of 8 not above %d",
+					key != nil, h.family, got, h.timed, (h.timed+7)/8*8)
+			}
 		}
 	}
 }

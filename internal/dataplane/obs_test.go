@@ -11,7 +11,8 @@ import (
 // TestSwitchObsCountersMatchStats sends traffic both ways through the
 // instrumented pair and checks that the registered counters agree with
 // the switches' own Stats — the instruments must count the same events,
-// just exposed through the registry.
+// just exposed through the registry. The latency histograms are sampled:
+// the _total counters carry the exact counts.
 func TestSwitchObsCountersMatchStats(t *testing.T) {
 	tp := newTestPair(t, 0, 0)
 	reg := obs.NewRegistry()
@@ -42,12 +43,14 @@ func TestSwitchObsCountersMatchStats(t *testing.T) {
 	if got := snap[`tango_tunnel_rx_total{path="1",site="b"}`]; got != 5 {
 		t.Fatalf("tunnel rx counter %v, want 5", got)
 	}
-	// Latency histograms observed one value per packet.
-	if got := snap[`tango_dataplane_encap_ns_count{site="a"}`]; got != 5 {
-		t.Fatalf("encap latency observations %v, want 5", got)
+	// Each program ran five times, every run accepted. Timing samples the
+	// first call and every eighth after it, each sample counted 8 times:
+	// one sample, a _count of 8 = 8 × ⌈5 ÷ 8⌉.
+	if got := snap[`tango_dataplane_encap_ns_count{site="a"}`]; got != 8 {
+		t.Fatalf("encap latency _count %v, want 8 (one sample of weight 8 from 5 encapsulations)", got)
 	}
-	if got := snap[`tango_dataplane_decap_ns_count{site="b"}`]; got != 5 {
-		t.Fatalf("decap latency observations %v, want 5", got)
+	if got := snap[`tango_dataplane_decap_ns_count{site="b"}`]; got != 8 {
+		t.Fatalf("decap latency _count %v, want 8 (one sample of weight 8 from 5 accepted datagrams)", got)
 	}
 }
 

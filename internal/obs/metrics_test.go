@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
@@ -75,6 +76,60 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Bucket(0) != 1 || h.Bucket(1) != 1 || h.Bucket(11) != 1 {
 		t.Fatalf("bucket spread wrong: %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(11))
 	}
+}
+
+// TestObserveSinceSamples pins the wall-clock timing contract: Start reads
+// the clock on the first call and every 8th after it, ObserveSince
+// records each of those with weight 8 — bucket and count by 8, sum by 8×v
+// — and ignores the zero time every other Start returns. Observe stays
+// exact.
+func TestObserveSinceSamples(t *testing.T) {
+	h := &Histogram{}
+	const calls = 20
+	var sampled []int
+	for i := 0; i < calls; i++ {
+		t0 := h.Start()
+		if !t0.IsZero() {
+			sampled = append(sampled, i)
+		}
+		h.ObserveSince(t0)
+	}
+	if len(sampled) != 3 || sampled[0] != 0 || sampled[1] != 8 || sampled[2] != 16 {
+		t.Fatalf("Start read the clock on calls %v of %d, want [0 8 16]", sampled, calls)
+	}
+	if h.Count() != 24 || h.Sum()%8 != 0 {
+		t.Fatalf("3 samples gave count %d, sum %d; want count 24 and a sum that is 8 × the samples'", h.Count(), h.Sum())
+	}
+	var inBuckets uint64
+	for i := 0; i < NumBuckets; i++ {
+		if b := h.Bucket(i); b%8 != 0 {
+			t.Errorf("bucket %d holds %d, not a multiple of the weight 8", i, b)
+		} else {
+			inBuckets += b
+		}
+	}
+	if inBuckets != h.Count() {
+		t.Fatalf("buckets hold %d, count says %d", inBuckets, h.Count())
+	}
+	h.ObserveSince(time.Time{})
+	if h.Count() != 24 {
+		t.Fatalf("ObserveSince of the zero time recorded something: count %d", h.Count())
+	}
+
+	exact := &Histogram{}
+	for i := 0; i < calls; i++ {
+		exact.Observe(100)
+	}
+	if exact.Count() != calls || exact.Sum() != 100*calls || exact.Bucket(7) != calls {
+		t.Fatalf("Observe sampled: count %d, sum %d, bucket %d; want %d, %d, %d",
+			exact.Count(), exact.Sum(), exact.Bucket(7), calls, 100*calls, calls)
+	}
+
+	var nilH *Histogram
+	if !nilH.Start().IsZero() {
+		t.Fatal("nil histogram's Start read the clock")
+	}
+	nilH.ObserveSince(time.Now())
 }
 
 // TestHistogramQuantile pins Quantile's contract: the result is always a

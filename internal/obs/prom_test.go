@@ -161,14 +161,16 @@ func (e *scrapeErr) Error() string {
 
 func errLine(ln int, text, msg string) error { return &scrapeErr{ln, text, msg} }
 
-// TestConcurrentScrapeConsistency hammers one counter and one histogram
-// from 8 goroutines while scrapes run; under -race this doubles as the
-// data-race check, and each scrape's histogram must stay internally
-// consistent (cumulative buckets never exceed +Inf, +Inf == _count).
+// TestConcurrentScrapeConsistency hammers one counter, one histogram and
+// one sampled wall-clock timer from 8 goroutines while scrapes run; under
+// -race this doubles as the data-race check, and each scrape's histograms
+// must stay internally consistent (cumulative buckets never exceed +Inf,
+// +Inf == _count), weighted samples included.
 func TestConcurrentScrapeConsistency(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hammer_total", "hammered counter")
 	h := r.Histogram("hammer_ns", "hammered histogram")
+	timer := r.Histogram("hammer_timed_ns", "hammered sampled timer")
 
 	const writers = 8
 	const perWriter = 5000
@@ -181,6 +183,7 @@ func TestConcurrentScrapeConsistency(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
 				h.Observe((seed + int64(i)) << (i % 20))
+				timer.ObserveSince(timer.Start())
 			}
 		}(int64(w + 1))
 	}
@@ -198,19 +201,23 @@ func TestConcurrentScrapeConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inf := samples[`hammer_ns_bucket{le="+Inf"}`]
-		if count := samples["hammer_ns_count"]; count != inf {
-			t.Fatalf("scrape inconsistent: +Inf bucket %v != _count %v", inf, count)
-		}
-		for key, v := range samples {
-			if strings.HasPrefix(key, "hammer_ns_bucket{") && v > inf {
-				t.Fatalf("cumulative bucket %s=%v exceeds +Inf %v", key, v, inf)
+		for _, fam := range []string{"hammer_ns", "hammer_timed_ns"} {
+			inf := samples[fam+`_bucket{le="+Inf"}`]
+			if count := samples[fam+"_count"]; count != inf {
+				t.Fatalf("%s scrape inconsistent: +Inf bucket %v != _count %v", fam, inf, count)
+			}
+			for key, v := range samples {
+				if strings.HasPrefix(key, fam+"_bucket{") && v > inf {
+					t.Fatalf("cumulative bucket %s=%v exceeds +Inf %v", key, v, inf)
+				}
 			}
 		}
 		select {
 		case <-stop:
-			if c.Value() != writers*perWriter || h.Count() != writers*perWriter {
-				t.Fatalf("final counts %d/%d, want %d", c.Value(), h.Count(), writers*perWriter)
+			// One Start in 8 times, the first included, and counts 8 times:
+			// 8 × ⌈40000 ÷ 8⌉ is exactly the number of calls.
+			if c.Value() != writers*perWriter || h.Count() != writers*perWriter || timer.Count() != writers*perWriter {
+				t.Fatalf("final counts %d/%d/%d, want %d", c.Value(), h.Count(), timer.Count(), writers*perWriter)
 			}
 			return
 		default:

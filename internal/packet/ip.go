@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -156,18 +157,46 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 }
 
 // checksum computes the Internet checksum (RFC 1071) over data with an
-// initial partial sum.
-func checksum(data []byte, initial uint32) uint16 {
-	sum := initial
-	n := len(data) &^ 1
-	for i := 0; i < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
+// initial partial sum. It adds eight big-endian bytes per step into a
+// 64-bit ones'-complement accumulator, the carry of each add fed into the
+// next and added back once at the end, then folds 64 → 32 → 16. This is
+// RFC 1071 §2(B)–(C): 2^16 ≡ 1 mod 0xffff, so a sum of wider words with
+// deferred carries folds to the same 16-bit sum, and since every input is
+// non-negative it folds to 0 only when every input was 0 — the same
+// representative the 16-bit loop produces.
+func checksum(data []byte, initial uint64) uint16 {
+	sum, carry := initial, uint64(0)
+	for len(data) >= 32 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data[24:32]), carry)
+		data = data[32:]
 	}
-	if len(data)&1 != 0 {
-		sum += uint32(data[len(data)-1]) << 8
+	for len(data) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data), carry)
+		data = data[8:]
 	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
+	// Under eight bytes remain, each piece starting at an even offset.
+	var tail uint64
+	if len(data) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(data))
+		data = data[4:]
 	}
-	return ^uint16(sum)
+	if len(data) >= 2 {
+		tail += uint64(binary.BigEndian.Uint16(data))
+		data = data[2:]
+	}
+	if len(data) == 1 {
+		tail += uint64(data[0]) << 8
+	}
+	// tail < 2^34, so when this add carries sum ends below tail and adding
+	// the carry back cannot wrap.
+	sum, carry = bits.Add64(sum, tail, carry)
+	sum += carry
+	s32, c32 := bits.Add32(uint32(sum>>32), uint32(sum), 0)
+	s32 += c32
+	s16 := s32>>16 + s32&0xffff
+	s16 = s16>>16 + s16&0xffff
+	return ^uint16(s16)
 }

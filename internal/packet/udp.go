@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -113,25 +114,20 @@ func udpChecksum(src, dst netip.Addr, datagram []byte) uint16 {
 }
 
 // udpChecksumRaw computes the checksum over pseudo-header + datagram as-is
-// (used for verification: a valid datagram sums to zero).
+// (used for verification: a valid datagram sums to zero). Each address
+// enters the accumulator as two 64-bit words of its 16-byte form. For an
+// IPv4 address that form is ::ffff:a.b.c.d, whose extra 0xffff word is
+// ones'-complement zero: the pseudo-header always carries ProtoUDP, so the
+// sum is never zero and adding 0xffff leaves its folded value unchanged.
 func udpChecksumRaw(src, dst netip.Addr, datagram []byte) uint16 {
-	var sum uint32
-	addAddr := func(a netip.Addr) {
-		if a.Is4() {
-			b := a.As4()
-			sum += uint32(binary.BigEndian.Uint16(b[0:2]))
-			sum += uint32(binary.BigEndian.Uint16(b[2:4]))
-		} else {
-			b := a.As16()
-			for i := 0; i < 16; i += 2 {
-				sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-			}
-		}
-	}
-	addAddr(src)
-	addAddr(dst)
-	sum += uint32(ProtoUDP)
-	sum += uint32(len(datagram))
-	// checksum() folds and complements; feed it the partial sum.
-	return checksum(datagram, sum)
+	s, d := src.As16(), dst.As16()
+	sum, carry := bits.Add64(binary.BigEndian.Uint64(s[0:8]), binary.BigEndian.Uint64(s[8:16]), 0)
+	sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(d[0:8]), carry)
+	sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(d[8:16]), carry)
+	sum, carry = bits.Add64(sum, uint64(ProtoUDP)+uint64(len(datagram)), carry)
+	// checksum() adds the datagram, folds and complements; feed it the
+	// partial sum with the last carry added back. That add's operand is a
+	// length plus 17, so when it carries sum ends below that operand and
+	// this cannot wrap.
+	return checksum(datagram, sum+carry)
 }

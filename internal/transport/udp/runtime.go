@@ -46,13 +46,17 @@ func (b *Backend) Close() error {
 // runs with the event lock held, and the run loop is poked so anything
 // fn scheduled is considered for the next sleep. This is how goroutines
 // outside the runtime — main, tests, HTTP handlers — interact with the
-// stack.
+// stack. The lock is released and the run loop poked on every way out,
+// so a panic in fn reaches the caller with the backend still usable
+// (a deferred Close there would otherwise wait on the lock forever).
 func (b *Backend) Do(fn func()) {
 	b.mu.Lock()
+	defer func() {
+		b.mu.Unlock()
+		b.poke()
+	}()
 	b.advanceLocked()
 	fn()
-	b.mu.Unlock()
-	b.poke()
 }
 
 // advanceLocked runs the engine up to the current wall instant. mu held.

@@ -110,6 +110,31 @@ func mkFrame(dst netip.Addr, payload []byte) []byte {
 	return packet.InnerUDP{Src: netip.MustParseAddr("fd00:7e57::1"), Dst: dst, SrcPort: 9, DstPort: 9}.New(payload)
 }
 
+// TestDoPanicReleasesLock panics under Do and recovers in the caller: the
+// event lock must be free again, so the next Do and Close both return.
+func TestDoPanicReleasesLock(t *testing.T) {
+	b := newBackend(t, "a")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the panic in fn did not reach Do's caller")
+			}
+		}()
+		b.Do(func() { panic("boom") })
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.Do(func() {})
+		b.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Do and Close still blocked 2 s after a panic under Do: the event lock was never released")
+	}
+}
+
 // TestBackendAbsorbsReadStall holds B's event lock — a GC pause, a
 // descheduled vCPU or a slow handler does the same — while A writes a
 // megabyte at it. The reader cannot hand anything over until the lock is
@@ -136,8 +161,6 @@ func TestBackendAbsorbsReadStall(t *testing.T) {
 		b.SetHandler(func([]byte) { delivered++ })
 	})
 	f := mkFrame(dst, make([]byte, 1024))
-	// Nothing below may t.Fatal inside Do: that would exit the goroutine
-	// with the event lock held and hang the cleanup.
 	var sent Stats
 	b.Do(func() { // the stall
 		a.Do(func() {
@@ -293,9 +316,7 @@ func TestManyRoutedFrames(t *testing.T) {
 	// suite on a kernel-dropped datagram: require near-complete delivery.
 	waitFor(t, b, 5*time.Second, "burst delivery", func() bool { return n >= total*9/10 })
 	// The last tenth may still sit behind its 1 ms route delay, leased: the
-	// pool balances once the sender has written every frame. (Waiting here
-	// instead of asserting also keeps t.Fatalf out of Do, where its Goexit
-	// would unwind into the Close cleanup with the event lock held.)
+	// pool balances once the sender has written every frame.
 	waitFor(t, a, 5*time.Second, "sender pool leases to balance", func() bool {
 		s := a.Pool().Stats
 		return s.Gets == s.Puts
