@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -25,14 +26,16 @@ func TestE14SweepWorkerInvariance(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		base := e14Smoke(seed, 1)
-		requirePassed(t, base)
-		got := e14Smoke(seed, 4)
-		if base.Trace != got.Trace {
-			t.Fatalf("seed %d: merged trace journal differs between 1 and 4 workers", seed)
-		}
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("seed %d: Results differ between 1 and 4 workers", seed)
-		}
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			base := e14Smoke(seed, 1)
+			requirePassed(t, base)
+			got := e14Smoke(seed, 4)
+			if base.Trace != got.Trace {
+				t.Fatal("merged trace journal differs between 1 and 4 workers")
+			}
+			if !reflect.DeepEqual(base, got) {
+				t.Fatal("Results differ between 1 and 4 workers")
+			}
+		})
 	}
 }

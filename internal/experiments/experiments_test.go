@@ -18,6 +18,7 @@ func requirePassed(t *testing.T, r *Result) {
 		t.Fatalf("experiment failed:\n%s", b.String())
 	}
 	t.Logf("\n%s", b.String())
+	pinDigest(t, r)
 }
 
 func TestE1(t *testing.T) {
