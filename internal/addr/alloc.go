@@ -1,14 +1,11 @@
 package addr
 
-import (
-	"fmt"
-	"net/netip"
-)
+import "fmt"
 
-// Alloc hands out consecutive subnets and host addresses from a parent
-// block. The paper's deployment carves an institutional IPv6 allocation
-// into four /48s per site (one per exposed path) plus host-addressing
-// prefixes; Alloc is the bookkeeping for that.
+// Alloc hands out consecutive subnets from a parent block. The paper's
+// deployment carves an institutional IPv6 allocation into four /48s per
+// site (one per exposed path) plus host-addressing prefixes; Alloc is the
+// bookkeeping for that.
 type Alloc struct {
 	parent  Prefix
 	nextSub map[int]int // subnet length -> next index
@@ -18,9 +15,6 @@ type Alloc struct {
 func NewAlloc(parent Prefix) *Alloc {
 	return &Alloc{parent: parent, nextSub: make(map[int]int)}
 }
-
-// Parent returns the block being allocated from.
-func (a *Alloc) Parent() Prefix { return a.parent }
 
 // NextSubnet returns the next unused subnet of the given length.
 // Subnets of different lengths are allocated from independent counters;
@@ -35,42 +29,4 @@ func (a *Alloc) NextSubnet(bits int) (Prefix, error) {
 	}
 	a.nextSub[bits] = idx + 1
 	return p, nil
-}
-
-// MustNextSubnet is NextSubnet panicking on exhaustion; for scenario setup.
-func (a *Alloc) MustNextSubnet(bits int) Prefix {
-	p, err := a.NextSubnet(bits)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// HostAlloc hands out consecutive host addresses within one prefix,
-// starting at .1 (index 0 is the network address, conventionally skipped).
-type HostAlloc struct {
-	p    Prefix
-	next uint64
-}
-
-// NewHostAlloc returns a host allocator for prefix p.
-func NewHostAlloc(p Prefix) *HostAlloc { return &HostAlloc{p: p, next: 1} }
-
-// Next returns the next unused host address.
-func (h *HostAlloc) Next() (netip.Addr, error) {
-	ip, err := h.p.Host(h.next)
-	if err != nil {
-		return netip.Addr{}, err
-	}
-	h.next++
-	return ip, nil
-}
-
-// MustNext is Next panicking on exhaustion; for scenario setup.
-func (h *HostAlloc) MustNext() netip.Addr {
-	ip, err := h.Next()
-	if err != nil {
-		panic(err)
-	}
-	return ip
 }

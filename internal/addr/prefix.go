@@ -63,15 +63,6 @@ func (p Prefix) Is6() bool { return p.p.Addr().Is6() && !p.p.Addr().Is4In6() }
 // Contains reports whether the prefix contains ip.
 func (p Prefix) Contains(ip netip.Addr) bool { return p.p.Contains(ip) }
 
-// Covers reports whether p contains the entire prefix q (p is equal to or
-// less specific than q, over the same address family).
-func (p Prefix) Covers(q Prefix) bool {
-	return p.Bits() <= q.Bits() && p.p.Contains(q.p.Addr())
-}
-
-// Overlaps reports whether the two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool { return p.p.Overlaps(q.p) }
-
 // String returns the CIDR notation.
 func (p Prefix) String() string { return p.p.String() }
 

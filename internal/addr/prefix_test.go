@@ -35,27 +35,6 @@ func TestParsePrefixError(t *testing.T) {
 	}
 }
 
-func TestPrefixCovers(t *testing.T) {
-	a := MustParsePrefix("2001:db8::/32")
-	b := MustParsePrefix("2001:db8:5::/48")
-	if !a.Covers(b) {
-		t.Fatal("/32 should cover its /48")
-	}
-	if b.Covers(a) {
-		t.Fatal("/48 should not cover its /32")
-	}
-	if !a.Covers(a) {
-		t.Fatal("prefix should cover itself")
-	}
-	c := MustParsePrefix("2001:db9::/48")
-	if a.Covers(c) {
-		t.Fatal("disjoint prefixes should not cover")
-	}
-	if !a.Overlaps(b) || a.Overlaps(c) {
-		t.Fatal("Overlaps wrong")
-	}
-}
-
 func TestSubnet(t *testing.T) {
 	parent := MustParsePrefix("2001:db8::/32")
 	cases := []struct {

@@ -221,13 +221,6 @@ func (r *Route) HasCommunity(c Community) bool {
 	return false
 }
 
-// AddCommunity appends c if absent (in place; use on cloned routes).
-func (r *Route) AddCommunity(c Community) {
-	if !r.HasCommunity(c) {
-		r.Communities = append(r.Communities, c)
-	}
-}
-
 // SortedCommunities returns the communities in ascending order (stable
 // display and comparison).
 func (r *Route) SortedCommunities() []Community {

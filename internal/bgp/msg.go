@@ -21,7 +21,6 @@ const (
 const (
 	attrOrigin      = 1
 	attrASPath      = 2
-	attrNextHop     = 3
 	attrMED         = 4
 	attrLocalPref   = 5
 	attrCommunities = 8
@@ -96,10 +95,11 @@ type Attrs struct {
 	Communities  []Community
 }
 
-// Update announces and/or withdraws prefixes. IPv4 prefixes ride the
-// classic UPDATE fields; IPv6 prefixes ride MP_REACH_NLRI/MP_UNREACH_NLRI.
-// The codec hides the distinction: fill in the slices and it picks the
-// encoding per prefix family.
+// Update announces and/or withdraws IPv6 prefixes, which ride
+// MP_REACH_NLRI/MP_UNREACH_NLRI (RFC 4760). Every session in the
+// simulator peers over IPv6 link addresses, so the classic IPv4
+// withdrawn-routes and NLRI fields stay empty: the encoder rejects an
+// IPv4 prefix and the decoder rejects a message that fills either field.
 type Update struct {
 	Withdrawn []addr.Prefix
 	Announced []addr.Prefix
@@ -214,40 +214,23 @@ func decodeOpen(b []byte) (*Open, error) {
 	return o, nil
 }
 
-func splitFamilies(ps []addr.Prefix) (v4, v6 []addr.Prefix) {
-	for _, p := range ps {
-		if p.Is6() {
-			v6 = append(v6, p)
-		} else {
-			v4 = append(v4, p)
+func encodeUpdate(u *Update) ([]byte, error) {
+	for _, ps := range [][]addr.Prefix{u.Withdrawn, u.Announced} {
+		for _, p := range ps {
+			if !p.Is6() {
+				return nil, fmt.Errorf("bgp: %v is not an IPv6 prefix", p)
+			}
 		}
 	}
-	return
-}
 
-func encodeUpdate(u *Update) ([]byte, error) {
-	w4, w6 := splitFamilies(u.Withdrawn)
-	a4, a6 := splitFamilies(u.Announced)
-
-	var out []byte
-	// Withdrawn routes (IPv4).
-	wbuf := encodePrefixes(w4)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(wbuf)))
-	out = append(out, wbuf...)
+	// Empty classic withdrawn-routes field.
+	out := []byte{0, 0}
 
 	// Path attributes.
 	var attrs []byte
-	haveAnnounce := len(a4) > 0 || len(a6) > 0
-	if haveAnnounce {
+	if len(u.Announced) > 0 {
 		attrs = append(attrs, encodeAttr(flagTransitive, attrOrigin, []byte{byte(u.Attrs.Origin)})...)
 		attrs = append(attrs, encodeAttr(flagTransitive, attrASPath, encodeASPath(u.Attrs.Path))...)
-		if len(a4) > 0 {
-			if !u.Attrs.NextHop.Is4() {
-				return nil, errors.New("bgp: IPv4 NLRI requires IPv4 next hop")
-			}
-			nh := u.Attrs.NextHop.As4()
-			attrs = append(attrs, encodeAttr(flagTransitive, attrNextHop, nh[:])...)
-		}
 		if u.Attrs.HasMED {
 			var v [4]byte
 			binary.BigEndian.PutUint32(v[:], u.Attrs.MED)
@@ -265,33 +248,28 @@ func encodeUpdate(u *Update) ([]byte, error) {
 			}
 			attrs = append(attrs, encodeAttr(flagOptional|flagTransitive, attrCommunities, v)...)
 		}
-		if len(a6) > 0 {
-			if !u.Attrs.NextHop.Is6() || u.Attrs.NextHop.Is4In6() {
-				return nil, errors.New("bgp: IPv6 NLRI requires IPv6 next hop")
-			}
-			// Layout: AFI(2) SAFI(1) NHLen(1) NH(16) Reserved(1) NLRI.
-			nh := u.Attrs.NextHop.As16()
-			body := make([]byte, 0, 21+len(a6)*17)
-			body = binary.BigEndian.AppendUint16(body, afiIPv6)
-			body = append(body, safiUnicast, 16)
-			body = append(body, nh[:]...)
-			body = append(body, 0)
-			body = append(body, encodePrefixes(a6)...)
-			attrs = append(attrs, encodeAttr(flagOptional, attrMPReach, body)...)
+		if !u.Attrs.NextHop.Is6() || u.Attrs.NextHop.Is4In6() {
+			return nil, errors.New("bgp: IPv6 NLRI requires IPv6 next hop")
 		}
+		// Layout: AFI(2) SAFI(1) NHLen(1) NH(16) Reserved(1) NLRI.
+		nh := u.Attrs.NextHop.As16()
+		body := make([]byte, 0, 21+len(u.Announced)*17)
+		body = binary.BigEndian.AppendUint16(body, afiIPv6)
+		body = append(body, safiUnicast, 16)
+		body = append(body, nh[:]...)
+		body = append(body, 0)
+		body = append(body, encodePrefixes(u.Announced)...)
+		attrs = append(attrs, encodeAttr(flagOptional, attrMPReach, body)...)
 	}
-	if len(w6) > 0 {
-		body := make([]byte, 0, 3+len(w6)*17)
+	if len(u.Withdrawn) > 0 {
+		body := make([]byte, 0, 3+len(u.Withdrawn)*17)
 		body = binary.BigEndian.AppendUint16(body, afiIPv6)
 		body = append(body, safiUnicast)
-		body = append(body, encodePrefixes(w6)...)
+		body = append(body, encodePrefixes(u.Withdrawn)...)
 		attrs = append(attrs, encodeAttr(flagOptional, attrMPUnreach, body)...)
 	}
 	out = binary.BigEndian.AppendUint16(out, uint16(len(attrs)))
-	out = append(out, attrs...)
-	// NLRI (IPv4).
-	out = append(out, encodePrefixes(a4)...)
-	return out, nil
+	return append(out, attrs...), nil
 }
 
 func encodeAttr(flags, typ byte, val []byte) []byte {
@@ -323,44 +301,26 @@ func encodePrefixes(ps []addr.Prefix) []byte {
 	for _, p := range ps {
 		bits := p.Bits()
 		out = append(out, byte(bits))
-		nb := (bits + 7) / 8
-		if p.Is6() {
-			b := p.Addr().As16()
-			out = append(out, b[:nb]...)
-		} else {
-			b := p.Addr().As4()
-			out = append(out, b[:nb]...)
-		}
+		b := p.Addr().As16()
+		out = append(out, b[:(bits+7)/8]...)
 	}
 	return out
 }
 
-func decodePrefixes(b []byte, v6 bool) ([]addr.Prefix, error) {
+func decodePrefixes(b []byte) ([]addr.Prefix, error) {
 	var out []addr.Prefix
 	for len(b) > 0 {
 		bits := int(b[0])
-		max := 32
-		if v6 {
-			max = 128
-		}
-		if bits > max {
+		if bits > 128 {
 			return nil, fmt.Errorf("bgp: prefix length %d", bits)
 		}
 		nb := (bits + 7) / 8
 		if len(b) < 1+nb {
 			return nil, errors.New("bgp: truncated NLRI")
 		}
-		var ip netip.Addr
-		if v6 {
-			var raw [16]byte
-			copy(raw[:], b[1:1+nb])
-			ip = netip.AddrFrom16(raw)
-		} else {
-			var raw [4]byte
-			copy(raw[:], b[1:1+nb])
-			ip = netip.AddrFrom4(raw)
-		}
-		p, err := addr.PrefixFrom(ip, bits)
+		var raw [16]byte
+		copy(raw[:], b[1:1+nb])
+		p, err := addr.PrefixFrom(netip.AddrFrom16(raw), bits)
 		if err != nil {
 			return nil, err
 		}
@@ -375,17 +335,10 @@ func decodeUpdate(b []byte) (*Update, error) {
 	if len(b) < 2 {
 		return nil, errors.New("bgp: short UPDATE")
 	}
-	wlen := int(binary.BigEndian.Uint16(b[0:2]))
+	if binary.BigEndian.Uint16(b[0:2]) != 0 {
+		return nil, errors.New("bgp: IPv4 withdrawn routes unsupported")
+	}
 	b = b[2:]
-	if len(b) < wlen {
-		return nil, errors.New("bgp: truncated withdrawn routes")
-	}
-	w4, err := decodePrefixes(b[:wlen], false)
-	if err != nil {
-		return nil, err
-	}
-	u.Withdrawn = append(u.Withdrawn, w4...)
-	b = b[wlen:]
 	if len(b) < 2 {
 		return nil, errors.New("bgp: missing attribute length")
 	}
@@ -395,7 +348,9 @@ func decodeUpdate(b []byte) (*Update, error) {
 		return nil, errors.New("bgp: truncated attributes")
 	}
 	attrs := b[:alen]
-	nlri := b[alen:]
+	if len(b) > alen {
+		return nil, errors.New("bgp: IPv4 NLRI unsupported")
+	}
 
 	for len(attrs) > 0 {
 		if len(attrs) < 3 {
@@ -429,11 +384,6 @@ func decodeUpdate(b []byte) (*Update, error) {
 				return nil, err
 			}
 			u.Attrs.Path = p
-		case attrNextHop:
-			if vlen != 4 {
-				return nil, errors.New("bgp: bad NEXT_HOP length")
-			}
-			u.Attrs.NextHop = netip.AddrFrom4([4]byte(val))
 		case attrMED:
 			if vlen != 4 {
 				return nil, errors.New("bgp: bad MED length")
@@ -468,7 +418,7 @@ func decodeUpdate(b []byte) (*Update, error) {
 			}
 			u.Attrs.NextHop = netip.AddrFrom16([16]byte(val[4 : 4+16]))
 			rest := val[4+nhLen+1:]
-			ps, err := decodePrefixes(rest, true)
+			ps, err := decodePrefixes(rest)
 			if err != nil {
 				return nil, err
 			}
@@ -482,7 +432,7 @@ func decodeUpdate(b []byte) (*Update, error) {
 			if afi != afiIPv6 || safi != safiUnicast {
 				return nil, fmt.Errorf("bgp: unsupported AFI/SAFI %d/%d", afi, safi)
 			}
-			ps, err := decodePrefixes(val[3:], true)
+			ps, err := decodePrefixes(val[3:])
 			if err != nil {
 				return nil, err
 			}
@@ -493,12 +443,6 @@ func decodeUpdate(b []byte) (*Update, error) {
 		}
 		attrs = attrs[off+vlen:]
 	}
-
-	a4, err := decodePrefixes(nlri, false)
-	if err != nil {
-		return nil, err
-	}
-	u.Announced = append(u.Announced, a4...)
 	return u, nil
 }
 

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -102,46 +103,25 @@ func TestUpdateRoundTripIPv6(t *testing.T) {
 	}
 }
 
-func TestUpdateRoundTripIPv4(t *testing.T) {
-	u := &Update{
-		Announced: []addr.Prefix{addr.MustParsePrefix("203.0.113.0/24")},
-		Attrs: Attrs{
-			Origin:  OriginEGP,
-			Path:    Path{ASGTT},
-			NextHop: netip.MustParseAddr("198.51.100.1"),
-		},
-	}
-	raw, err := EncodeMessage(&Message{Update: u})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := DecodeMessage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Update.Announced, u.Announced) {
-		t.Fatalf("announced = %v", got.Update.Announced)
-	}
-	if got.Update.Attrs.NextHop != u.Attrs.NextHop {
-		t.Fatalf("nexthop = %v", got.Update.Attrs.NextHop)
-	}
-}
-
 func TestUpdateMixedFamilies(t *testing.T) {
-	// IPv4 NLRI needs an IPv4 next hop; IPv6 NLRI an IPv6 one. Mixing
-	// in one update is rejected by whichever family the next hop fails.
-	u := &Update{
-		Announced: []addr.Prefix{addr.MustParsePrefix("10.0.0.0/8"), addr.MustParsePrefix("2001:db8::/32")},
-		Attrs:     Attrs{NextHop: netip.MustParseAddr("10.0.0.1")},
-	}
-	if _, err := EncodeMessage(&Message{Update: u}); err == nil {
-		t.Fatal("mixed-family update with v4 next hop accepted")
+	// Sessions peer over IPv6, so only MP_REACH/MP_UNREACH carry NLRI: an
+	// IPv4 prefix is refused whether announced (alone or beside an IPv6
+	// one, with either next-hop family) or withdrawn.
+	v4, v6 := addr.MustParsePrefix("10.0.0.0/8"), addr.MustParsePrefix("2001:db8::/32")
+	for name, u := range map[string]*Update{
+		"announce v4": {Announced: []addr.Prefix{v4}, Attrs: Attrs{NextHop: netip.MustParseAddr("10.0.0.1")}},
+		"mixed":       {Announced: []addr.Prefix{v6, v4}, Attrs: Attrs{NextHop: netip.MustParseAddr("2001:db8:ffff::1")}},
+		"withdraw v4": {Withdrawn: []addr.Prefix{v6, v4}},
+	} {
+		if _, err := EncodeMessage(&Message{Update: u}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
 func TestUpdateWithdrawOnly(t *testing.T) {
 	u := &Update{Withdrawn: []addr.Prefix{
-		addr.MustParsePrefix("10.0.0.0/8"),
+		addr.MustParsePrefix("2001:db8:1::/48"),
 		addr.MustParsePrefix("2001:db8::/32"),
 	}}
 	raw, err := EncodeMessage(&Message{Update: u})
@@ -179,6 +159,20 @@ func TestDecodeErrors(t *testing.T) {
 	o, _ := EncodeMessage(&Message{Open: &Open{Version: 3, AS: 1, RouterID: 1}})
 	if _, _, err := DecodeMessage(o); err == nil {
 		t.Fatal("version 3 accepted")
+	}
+	// Classic IPv4 withdrawn routes or NLRI: 10.0.0.0/8 after an empty
+	// attribute block, or as the withdrawn-routes field.
+	for name, body := range map[string][]byte{
+		"withdrawn": {0, 2, 8, 10, 0, 0},
+		"nlri":      {0, 0, 0, 0, 8, 10},
+	} {
+		u := append([]byte{}, raw...)
+		u[18] = MsgUpdate
+		u = append(u, body...)
+		binary.BigEndian.PutUint16(u[16:18], uint16(len(u)))
+		if _, _, err := DecodeMessage(u); err == nil {
+			t.Fatalf("IPv4 %s accepted", name)
+		}
 	}
 }
 
@@ -255,7 +249,7 @@ func TestPrefixCodecProperty(t *testing.T) {
 			return false
 		}
 		enc := encodePrefixes([]addr.Prefix{p})
-		dec, err := decodePrefixes(enc, true)
+		dec, err := decodePrefixes(enc)
 		if err != nil || len(dec) != 1 {
 			return false
 		}
@@ -330,15 +324,12 @@ func TestRouteHelpers(t *testing.T) {
 	}
 	c := r.Clone()
 	c.Path[0] = 99
-	c.AddCommunity(MakeCommunity(8, 8))
-	if r.Path[0] != 1 || len(r.Communities) != 1 {
+	c.Communities[0] = MakeCommunity(8, 8)
+	c.Communities = append(c.Communities, MakeCommunity(7, 7))
+	if r.Path[0] != 1 || len(r.Communities) != 1 || r.Communities[0] != MakeCommunity(9, 9) {
 		t.Fatal("Clone aliased route")
 	}
-	c.AddCommunity(MakeCommunity(8, 8)) // duplicate ignored
-	if len(c.Communities) != 2 {
-		t.Fatalf("AddCommunity dup: %v", c.Communities)
-	}
-	if !c.HasCommunity(MakeCommunity(8, 8)) {
+	if !c.HasCommunity(MakeCommunity(8, 8)) || c.HasCommunity(MakeCommunity(9, 9)) {
 		t.Fatal("HasCommunity wrong")
 	}
 	sc := c.SortedCommunities()

@@ -54,16 +54,6 @@ func NewSpeaker(eng *sim.Engine, name string, as ASN, routerID uint32) *Speaker 
 // Sessions returns the speaker's sessions in creation order.
 func (sp *Speaker) Sessions() []*Session { return sp.sessions }
 
-// SessionTo returns the first session whose peer is the named speaker.
-func (sp *Speaker) SessionTo(peer string) *Session {
-	for _, s := range sp.sessions {
-		if s.peer.speaker.Name == peer {
-			return s
-		}
-	}
-	return nil
-}
-
 // Best returns the current best route for p, or nil.
 func (sp *Speaker) Best(p addr.Prefix) *Route { return sp.locRIB[p] }
 

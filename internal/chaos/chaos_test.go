@@ -21,8 +21,8 @@ func twoNodes(seed int64) (*simnet.Network, *simnet.Link) {
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
 	lk := w.Connect(a, b,
-		simnet.LinkConfig{Delay: simnet.FixedDelay(10 * time.Millisecond)},
-		simnet.LinkConfig{Delay: simnet.FixedDelay(10 * time.Millisecond)})
+		simnet.FixedDelay(10*time.Millisecond),
+		simnet.FixedDelay(10*time.Millisecond))
 	return w, lk
 }
 

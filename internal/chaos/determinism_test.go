@@ -23,9 +23,9 @@ func stormRun(seed int64) string {
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
 	c := w.AddNode("c", 0)
-	gauss := func(mean time.Duration) simnet.LinkConfig {
-		return simnet.LinkConfig{Delay: simnet.GaussianDelay{
-			Floor: mean - time.Millisecond, Mean: mean, Std: 300 * time.Microsecond}}
+	gauss := func(mean time.Duration) simnet.DelayModel {
+		return simnet.GaussianDelay{
+			Floor: mean - time.Millisecond, Mean: mean, Std: 300 * time.Microsecond}
 	}
 	ab := w.Connect(a, b, gauss(5*time.Millisecond), gauss(5*time.Millisecond))
 	bc := w.Connect(b, c, gauss(8*time.Millisecond), gauss(8*time.Millisecond))
@@ -128,8 +128,8 @@ func residueRun(seed int64, parts int) (log, rest, end string) {
 		})
 	}
 	lk := w.Connect(w.AddNode("a", 0), w.AddNode("b", 0),
-		simnet.LinkConfig{Delay: simnet.FixedDelay(10 * time.Millisecond)},
-		simnet.LinkConfig{Delay: simnet.FixedDelay(10 * time.Millisecond)})
+		simnet.FixedDelay(10*time.Millisecond),
+		simnet.FixedDelay(10*time.Millisecond))
 	lk.LineAB().SetLoss(0.01)
 	lines := map[string]*simnet.Line{"ab": lk.LineAB(), "ba": lk.LineBA()}
 	state := func() string {

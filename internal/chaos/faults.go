@@ -225,11 +225,14 @@ type StormConfig struct {
 	// MaxFor caps each fault's duration; durations are drawn uniformly
 	// from (0, MaxFor]. Default 30 s.
 	MaxFor time.Duration
-	// Loss is the loss-burst probability (default 0.3).
-	Loss float64
-	// Shift is the delay-shift delta (default 5 ms, the paper's E4 shift).
-	Shift time.Duration
 }
+
+// A storm's loss bursts drop stormLoss of packets; its delay shifts add
+// stormShift, the paper's E4 shift.
+const (
+	stormLoss  = 0.3
+	stormShift = 5 * time.Millisecond
+)
 
 // ScheduleStorm draws cfg.Faults faults from rng over the registered
 // targets and schedules them all, returning their labels in schedule
@@ -240,12 +243,6 @@ type StormConfig struct {
 func (e *Engine) ScheduleStorm(rng *sim.RNG, cfg StormConfig) []string {
 	if cfg.MaxFor <= 0 {
 		cfg.MaxFor = 30 * time.Second
-	}
-	if cfg.Loss <= 0 {
-		cfg.Loss = 0.3
-	}
-	if cfg.Shift <= 0 {
-		cfg.Shift = 5 * time.Millisecond
 	}
 	lines := e.LineNames()
 	type target struct {
@@ -274,9 +271,9 @@ func (e *Engine) ScheduleStorm(rng *sim.RNG, cfg StormConfig) []string {
 		case 0:
 			f = LinkDown(lines[rng.Intn(len(lines))], at, dur)
 		case 1:
-			f = LossBurst(lines[rng.Intn(len(lines))], at, dur, cfg.Loss)
+			f = LossBurst(lines[rng.Intn(len(lines))], at, dur, stormLoss)
 		case 2:
-			f = DelayShift(lines[rng.Intn(len(lines))], at, dur, cfg.Shift)
+			f = DelayShift(lines[rng.Intn(len(lines))], at, dur, stormShift)
 		case 3:
 			t := withdrawable[rng.Intn(len(withdrawable))]
 			f = Withdrawal{Speaker: t.speaker, Prefix: t.prefix, At: at, For: dur}

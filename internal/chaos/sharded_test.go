@@ -24,11 +24,11 @@ func shardedTriangle(seed int64) (*simnet.Network, *simnet.Link, *simnet.Link) {
 	b := w.AddNode("b", 0)
 	c := w.AddNode("c", 0)
 	cross := w.Connect(a, b,
-		simnet.LinkConfig{Delay: simnet.FixedDelay(10 * time.Millisecond)},
-		simnet.LinkConfig{Delay: simnet.FixedDelay(10 * time.Millisecond)})
+		simnet.FixedDelay(10*time.Millisecond),
+		simnet.FixedDelay(10*time.Millisecond))
 	local := w.Connect(a, c,
-		simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)},
-		simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)})
+		simnet.FixedDelay(time.Millisecond),
+		simnet.FixedDelay(time.Millisecond))
 	return w, cross, local
 }
 

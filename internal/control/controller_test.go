@@ -120,7 +120,7 @@ func newLoopback(t *testing.T) (*simnet.Network, *dataplane.Switch, *dataplane.S
 	w := simnet.New(5)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	w.Connect(a, b, simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)}, simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)})
+	w.Connect(a, b, simnet.FixedDelay(time.Millisecond), simnet.FixedDelay(time.Millisecond))
 	// trivial routing: everything b-ward / a-ward
 	swA := dataplane.NewSwitch(a)
 	swB := dataplane.NewSwitch(b)
@@ -171,8 +171,8 @@ func TestMonitorAttachAndReporterLoop(t *testing.T) {
 	nb := w.AddNode("B", -300*time.Millisecond)
 	r1 := w.AddNode("r1", 0)
 	r2 := w.AddNode("r2", 0)
-	fast := simnet.LinkConfig{Delay: simnet.FixedDelay(5 * time.Millisecond)}
-	slow := simnet.LinkConfig{Delay: simnet.FixedDelay(15 * time.Millisecond)}
+	fast := simnet.FixedDelay(5 * time.Millisecond)
+	slow := simnet.FixedDelay(15 * time.Millisecond)
 	w.Connect(na, r1, fast, fast)
 	w.Connect(r1, nb, fast, fast)
 	w.Connect(na, r2, slow, slow)

@@ -10,9 +10,9 @@ import (
 
 // establishMesh deploys Tango over the three-site tri scenario with
 // probing on and drives it until every pair is provisioned.
-func establishMesh(t *testing.T, seed int64, cfg MeshConfig) (*topo.TriScenario, *Mesh) {
+func establishMesh(t *testing.T, seed int64, cfg MeshConfig) (*topo.MeshScenario, *Mesh) {
 	t.Helper()
-	s, err := topo.NewTriScenario(seed)
+	s, err := topo.NewMeshScenario(topo.TriConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestMeshConfigErrors(t *testing.T) {
 	if _, err := NewMesh(MeshConfig{}); err == nil {
 		t.Fatal("empty mesh accepted")
 	}
-	s, err := topo.NewTriScenario(34)
+	s, err := topo.NewMeshScenario(topo.TriConfig(34))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMeshConfigErrors(t *testing.T) {
 	if _, err := NewMesh(MeshConfig{Links: []MeshLink{bad}}); err == nil {
 		t.Fatal("self-link accepted")
 	}
-	s2, err := topo.NewTriScenario(35)
+	s2, err := topo.NewMeshScenario(topo.TriConfig(35))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMeshConfigErrors(t *testing.T) {
 	}
 }
 
-func mustEdgeT(t *testing.T, s *topo.TriScenario, site, peer string) *topo.AS {
+func mustEdgeT(t *testing.T, s *topo.MeshScenario, site, peer string) *topo.AS {
 	t.Helper()
 	e, err := s.Edge(site, peer)
 	if err != nil {

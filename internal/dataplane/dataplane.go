@@ -282,26 +282,6 @@ func (s *Switch) AddTunnel(t *Tunnel) {
 	s.sobs.addTunnel(t.PathID)
 }
 
-// RemoveTunnel withdraws a path (e.g. discovery found it dead) and
-// releases the node-address claim AddTunnel made, so packets to the dead
-// tunnel's local endpoint stop reaching the receiver program. Claims are
-// refcounted on the node: an address shared with a still-registered
-// tunnel stays owned.
-func (s *Switch) RemoveTunnel(pathID uint8) {
-	t, ok := s.tunnelIDs[pathID]
-	if !ok {
-		return
-	}
-	delete(s.tunnelIDs, pathID)
-	for i, x := range s.tunnels {
-		if x == t {
-			s.tunnels = append(s.tunnels[:i], s.tunnels[i+1:]...)
-			break
-		}
-	}
-	s.ep.RemoveAddr(t.LocalAddr)
-}
-
 // Tunnels returns the registered tunnels in registration order.
 func (s *Switch) Tunnels() []*Tunnel { return s.tunnels }
 

@@ -34,11 +34,11 @@ func newRelayChain(t *testing.T) *relayChain {
 	nout := w.AddNode("relayOut", 0)
 	nc := w.AddNode("siteC", 0)
 	w.Connect(na, nin,
-		simnet.LinkConfig{Delay: simnet.FixedDelay(seg1Delay)},
-		simnet.LinkConfig{Delay: simnet.FixedDelay(seg1Delay)})
+		simnet.FixedDelay(seg1Delay),
+		simnet.FixedDelay(seg1Delay))
 	w.Connect(nout, nc,
-		simnet.LinkConfig{Delay: simnet.FixedDelay(seg2Delay)},
-		simnet.LinkConfig{Delay: simnet.FixedDelay(seg2Delay)})
+		simnet.FixedDelay(seg2Delay),
+		simnet.FixedDelay(seg2Delay))
 
 	na.SetRoute(addr.MustParsePrefix("2001:db8:e1::/48"), na.Ports()[0])
 	nin.SetRoute(addr.MustParsePrefix("2001:db8:a1::/48"), nin.Ports()[0])
@@ -201,7 +201,7 @@ func TestRelayLoopGuard(t *testing.T) {
 	na := w.AddNode("siteA", 0)
 	n1in, n1out := w.AddNode("r1in", 0), w.AddNode("r1out", 0)
 	n2in, n2out := w.AddNode("r2in", 0), w.AddNode("r2out", 0)
-	d := simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)}
+	d := simnet.FixedDelay(time.Millisecond)
 	w.Connect(na, n1in, d, d)
 	w.Connect(n1out, n2in, d, d)
 	w.Connect(n2out, n1in, d, d)
@@ -277,8 +277,8 @@ func BenchmarkRelayHop(b *testing.B) {
 	nout := w.AddNode("relayOut", 0)
 	nsink := w.AddNode("sink", 0)
 	w.Connect(nout, nsink,
-		simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)},
-		simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)})
+		simnet.FixedDelay(time.Millisecond),
+		simnet.FixedDelay(time.Millisecond))
 	nout.SetRoute(addr.MustParsePrefix("2001:db8:e2::/48"), nout.Ports()[0])
 
 	swIn := NewSwitch(nin)

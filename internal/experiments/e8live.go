@@ -85,10 +85,7 @@ func E8LiveSim(cfg Config) *Result {
 	nb := w.AddNode("site-b", 0)
 	links := make([]*simnet.Link, len(livePathNames))
 	for i := range livePathNames {
-		links[i] = w.Connect(na, nb,
-			simnet.LinkConfig{Delay: simnet.FixedDelay(liveDelaysA[i])},
-			simnet.LinkConfig{Delay: simnet.FixedDelay(liveDelaysB[i])},
-		)
+		links[i] = w.Connect(na, nb, simnet.FixedDelay(liveDelaysA[i]), simnet.FixedDelay(liveDelaysB[i]))
 	}
 
 	// Addressing is udp.SiteAddrs — the exact scheme the live session

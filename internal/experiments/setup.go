@@ -133,13 +133,6 @@ func (l *lab) run(d time.Duration) { l.S.Run(d) }
 // now returns virtual time since measurement start.
 func (l *lab) now() time.Duration { return l.S.B.W.Now() - l.t0 }
 
-// trueMeanOWD returns the offset-corrected mean OWD (ms) for a monitored
-// path. mon must be the receiving site's monitor and off that direction's
-// clock-offset (receiver minus sender).
-func trueMean(pm *control.PathMonitor, off time.Duration) float64 {
-	return pm.OWD.Mean() - ms(off)
-}
-
 // monLA returns LA's monitor (NY->LA direction, the one Figure 4 plots).
 func (l *lab) monLA() *control.Monitor { return l.Pair.B.Monitor }
 

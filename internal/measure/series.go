@@ -29,7 +29,6 @@ type Series struct {
 	pts     []Point
 	cur     Point
 	curOpen bool
-	overall Welford
 }
 
 // NewSeries creates a series with the given aggregation bucket.
@@ -40,7 +39,6 @@ func NewSeries(name string, bucket time.Duration) *Series {
 // Add appends a sample at virtual time t. Samples must arrive in
 // nondecreasing time order.
 func (s *Series) Add(t time.Duration, v float64) {
-	s.overall.Add(v)
 	if s.Bucket <= 0 {
 		s.pts = append(s.pts, Point{T: t, Min: v, Mean: v, Max: v, N: 1})
 		return
@@ -76,9 +74,6 @@ func (s *Series) Points() []Point {
 	s.flush()
 	return s.pts
 }
-
-// Overall returns streaming statistics across every raw sample.
-func (s *Series) Overall() *Welford { return &s.overall }
 
 // Len returns the number of closed buckets plus any open one.
 func (s *Series) Len() int {

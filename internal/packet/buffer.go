@@ -18,8 +18,8 @@ package packet
 import "fmt"
 
 // SerializeBuffer accumulates a packet back-to-front. PrependBytes returns
-// space in front of the current contents; AppendBytes returns space after.
-// Bytes returns the assembled packet. Clear resets for reuse (previously
+// space in front of the current contents. Bytes returns the assembled
+// packet. Clear resets for reuse (previously
 // returned slices are invalidated, as in gopacket).
 type SerializeBuffer struct {
 	data  []byte
@@ -32,8 +32,8 @@ func NewSerializeBuffer() *SerializeBuffer {
 	return NewSerializeBufferExpectedSize(128, 1500)
 }
 
-// NewSerializeBufferExpectedSize pre-reserves space for headers that will
-// be prepended and payload that will be appended.
+// NewSerializeBufferExpectedSize pre-reserves expectedPrepend bytes of
+// front headroom and expectedAppend more of capacity behind it.
 func NewSerializeBufferExpectedSize(expectedPrepend, expectedAppend int) *SerializeBuffer {
 	b := &SerializeBuffer{
 		data:  make([]byte, expectedPrepend, expectedPrepend+expectedAppend),
@@ -43,7 +43,7 @@ func NewSerializeBufferExpectedSize(expectedPrepend, expectedAppend int) *Serial
 }
 
 // Bytes returns the assembled packet. The slice is valid until the next
-// Prepend/Append/Clear.
+// PrependBytes/Clear/SetBytes.
 func (b *SerializeBuffer) Bytes() []byte { return b.data[b.start:] }
 
 // Len returns the current packet length.
@@ -77,33 +77,10 @@ func (b *SerializeBuffer) PrependBytes(n int) []byte {
 	return out
 }
 
-// AppendBytes returns a zeroed slice of n bytes after the current contents
-// for payload to be written into.
-func (b *SerializeBuffer) AppendBytes(n int) []byte {
-	if n < 0 {
-		panic("packet: negative append")
-	}
-	old := len(b.data)
-	if cap(b.data) < old+n {
-		nd := make([]byte, old, (old+n)*2)
-		copy(nd, b.data)
-		b.data = nd
-	}
-	b.data = b.data[:old+n]
-	out := b.data[old:]
-	for i := range out {
-		out[i] = 0
-	}
-	return out
-}
-
-// Clear empties the buffer. Almost all of the existing capacity becomes
-// front headroom (serialization is prepend-driven), with a slice kept
-// free at the back for appends.
+// Clear empties the buffer. All of the existing capacity becomes front
+// headroom: serialization is prepend-driven.
 func (b *SerializeBuffer) Clear() {
-	c := cap(b.data)
-	keepBack := c / 8
-	b.start = c - keepBack
+	b.start = cap(b.data)
 	b.data = b.data[:b.start]
 }
 

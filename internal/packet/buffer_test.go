@@ -6,11 +6,11 @@ import (
 	"testing/quick"
 )
 
-func TestSerializeBufferPrependAppend(t *testing.T) {
+func TestSerializeBufferPrependOntoContents(t *testing.T) {
+	// SetBytes leaves no headroom, so the prepend grows the front.
 	b := NewSerializeBuffer()
-	copy(b.AppendBytes(3), []byte{4, 5, 6})
+	b.SetBytes([]byte{4, 5, 6, 7})
 	copy(b.PrependBytes(3), []byte{1, 2, 3})
-	copy(b.AppendBytes(1), []byte{7})
 	want := []byte{1, 2, 3, 4, 5, 6, 7}
 	if !bytes.Equal(b.Bytes(), want) {
 		t.Fatalf("Bytes = %v, want %v", b.Bytes(), want)
@@ -46,17 +46,11 @@ func TestSerializeBufferZeroesReturnedSpace(t *testing.T) {
 			t.Fatalf("byte %d not zeroed after Clear: %#x", i, v)
 		}
 	}
-	a := b.AppendBytes(8)
-	for i, v := range a {
-		if v != 0 {
-			t.Fatalf("append byte %d not zeroed: %#x", i, v)
-		}
-	}
 }
 
 func TestSerializeBufferClear(t *testing.T) {
 	b := NewSerializeBuffer()
-	b.AppendBytes(10)
+	b.PrependBytes(10)
 	b.Clear()
 	if b.Len() != 0 {
 		t.Fatalf("Len after Clear = %d", b.Len())
@@ -69,44 +63,31 @@ func TestSerializeBufferClear(t *testing.T) {
 
 func TestSerializeBufferNegativePanics(t *testing.T) {
 	b := NewSerializeBuffer()
-	for _, fn := range []func(){
-		func() { b.PrependBytes(-1) },
-		func() { b.AppendBytes(-1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("negative size did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative size did not panic")
+		}
+	}()
+	b.PrependBytes(-1)
 }
 
-// Property: any interleaving of prepends and appends yields the
-// concatenation prepends-reversed ++ appends.
+// Property: a run of prepends, some after a Clear and some growing the
+// front, yields the chunks since the last Clear in reverse order.
 func TestSerializeBufferOrderProperty(t *testing.T) {
-	f := func(ops []bool, chunks [][]byte) bool {
+	f := func(clears []bool, chunks [][]byte) bool {
 		b := NewSerializeBufferExpectedSize(4, 4)
-		var front, back []byte
-		for i, pre := range ops {
-			if i >= len(chunks) {
-				break
+		var want []byte
+		for i, c := range chunks {
+			if i < len(clears) && clears[i] {
+				b.Clear()
+				want = nil
 			}
-			c := chunks[i]
 			if len(c) > 64 {
 				c = c[:64]
 			}
-			if pre {
-				copy(b.PrependBytes(len(c)), c)
-				front = append(append([]byte{}, c...), front...)
-			} else {
-				copy(b.AppendBytes(len(c)), c)
-				back = append(back, c...)
-			}
+			copy(b.PrependBytes(len(c)), c)
+			want = append(append([]byte{}, c...), want...)
 		}
-		want := append(front, back...)
 		return bytes.Equal(b.Bytes(), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -161,11 +142,11 @@ func TestSerializeBufferGrowthDoubles(t *testing.T) {
 	}
 }
 
-// Clear invariants: empty buffer, most capacity as front headroom, a
-// fraction kept free at the back, and existing capacity untouched.
+// Clear invariants: empty buffer, all capacity as front headroom, and
+// existing capacity untouched.
 func TestSerializeBufferClearHeadroom(t *testing.T) {
 	b := NewSerializeBufferExpectedSize(64, 64)
-	b.AppendBytes(40)
+	b.SetBytes(make([]byte, 40))
 	b.PrependBytes(30)
 	capBefore := cap(b.data)
 	b.Clear()
@@ -175,21 +156,13 @@ func TestSerializeBufferClearHeadroom(t *testing.T) {
 	if cap(b.data) != capBefore {
 		t.Fatalf("Clear changed capacity: %d -> %d", capBefore, cap(b.data))
 	}
-	c := cap(b.data)
-	wantStart := c - c/8
-	if b.start != wantStart {
-		t.Fatalf("Clear headroom: start = %d, want %d (cap %d)", b.start, wantStart, c)
+	if b.start != capBefore {
+		t.Fatalf("Clear headroom: start = %d, want the capacity %d", b.start, capBefore)
 	}
 	// The headroom is immediately usable without growth.
-	b.PrependBytes(wantStart)
+	b.PrependBytes(capBefore)
 	if cap(b.data) != capBefore {
 		t.Fatalf("prepend into advertised headroom grew buffer: %d -> %d", capBefore, cap(b.data))
-	}
-	// And the back free space likewise.
-	b.Clear()
-	b.AppendBytes(c / 8)
-	if cap(b.data) != capBefore {
-		t.Fatalf("append into advertised back space grew buffer: %d -> %d", capBefore, cap(b.data))
 	}
 }
 

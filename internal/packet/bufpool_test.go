@@ -89,7 +89,7 @@ func TestBufPoolKeepsWorkingSet(t *testing.T) {
 func TestBufSerializesLikeABuffer(t *testing.T) {
 	p := NewBufPool()
 	b := p.Get()
-	copy(b.AppendBytes(3), []byte{4, 5, 6})
+	copy(b.PrependBytes(3), []byte{4, 5, 6})
 	copy(b.PrependBytes(3), []byte{1, 2, 3})
 	if !bytes.Equal(b.Bytes(), []byte{1, 2, 3, 4, 5, 6}) {
 		t.Fatalf("Bytes = %v", b.Bytes())

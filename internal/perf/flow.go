@@ -25,7 +25,7 @@ func flowFixture(capacity int) (*simnet.Network, *workload.FlowTable, int) {
 	w := simnet.New(4)
 	na := w.AddNode("a", 0)
 	nb := w.AddNode("b", 0)
-	cfg := simnet.LinkConfig{Delay: simnet.FixedDelay(5 * time.Millisecond)}
+	cfg := simnet.FixedDelay(5 * time.Millisecond)
 	w.Connect(na, nb, cfg, cfg)
 	na.SetRoute(addr.MustParsePrefix("2001:db8:b::/48"), na.Ports()[0])
 	nb.SetRoute(addr.MustParsePrefix("2001:db8:a::/48"), nb.Ports()[0])

@@ -147,9 +147,7 @@ func BenchLinkTraverse(b *testing.B) {
 	w := simnet.New(3)
 	na := w.AddNode("a", 0)
 	nb := w.AddNode("b", 0)
-	w.Connect(na, nb,
-		simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)},
-		simnet.LinkConfig{Delay: simnet.FixedDelay(time.Millisecond)})
+	w.Connect(na, nb, simnet.FixedDelay(time.Millisecond), simnet.FixedDelay(time.Millisecond))
 	dst := mustAddr("2001:db8:bb::1")
 	nb.AddAddr(dst)
 	na.SetRoute(addr.MustParsePrefix("2001:db8:bb::/48"), na.Ports()[0])

@@ -14,7 +14,7 @@ func TestCapacitySerialization(t *testing.T) {
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
 	// 8000 bits/s: the 60-byte test packet takes 60ms to serialize.
-	w.Connect(a, b, LinkConfig{CapacityBps: 8000}, LinkConfig{})
+	w.Connect(a, b, nil, nil).LineAB().SetCapacity(8000)
 	dst := netip.MustParseAddr("2001:db8::b")
 	b.AddAddr(dst)
 	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
@@ -39,7 +39,7 @@ func TestCapacityDelaysButNeverDrops(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	w.Connect(a, b, LinkConfig{CapacityBps: 8000}, LinkConfig{})
+	w.Connect(a, b, nil, nil).LineAB().SetCapacity(8000)
 	dst := netip.MustParseAddr("2001:db8::b")
 	b.AddAddr(dst)
 	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
@@ -71,8 +71,7 @@ func TestCapacityAllowedOnCrossPartitionLinks(t *testing.T) {
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
 	// Capacity is legal on a cross link: its clock is send-side only.
-	cfg := LinkConfig{Delay: FixedDelay(la), CapacityBps: 8000}
-	w.Connect(a, b, cfg, LinkConfig{Delay: FixedDelay(la)})
+	w.Connect(a, b, FixedDelay(la), FixedDelay(la)).LineAB().SetCapacity(8000)
 
 	dst := netip.MustParseAddr("2001:db8::b")
 	b.AddAddr(dst)
@@ -101,7 +100,7 @@ func TestTakeUtilizationWindows(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	w.Connect(a, b, LinkConfig{CapacityBps: 8000}, LinkConfig{})
+	w.Connect(a, b, nil, nil).LineAB().SetCapacity(8000)
 	dst := netip.MustParseAddr("2001:db8::b")
 	b.AddAddr(dst)
 	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])

@@ -6,37 +6,7 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/packet"
 )
-
-func TestNodeLocalOut(t *testing.T) {
-	w := New(1)
-	a := w.AddNode("a", 0)
-	b := w.AddNode("b", 0)
-	w.Connect(a, b, LinkConfig{Delay: FixedDelay(time.Millisecond)}, LinkConfig{})
-	dst := netip.MustParseAddr("2001:db8::b")
-	b.AddAddr(dst)
-	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
-	got := 0
-	b.SetHandler(func([]byte) { got++ })
-
-	pay := packet.Payload([]byte("via LocalOut"))
-	udp := &packet.UDP{SrcPort: 1, DstPort: 2}
-	ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64,
-		Src: netip.MustParseAddr("2001:db8::a"), Dst: dst}
-	if err := a.LocalOut(ip, udp, &pay); err != nil {
-		t.Fatal(err)
-	}
-	w.Run(time.Second)
-	if got != 1 {
-		t.Fatal("LocalOut packet not delivered")
-	}
-	// Serialization errors surface.
-	bad := &packet.IPv6{Src: netip.MustParseAddr("10.0.0.1"), Dst: dst}
-	if err := a.LocalOut(bad, udp, &pay); err == nil {
-		t.Fatal("invalid layer accepted")
-	}
-}
 
 func TestNodeSchedule(t *testing.T) {
 	w := New(1)
@@ -60,11 +30,11 @@ func TestSetRouteValidation(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	w.Connect(a, b, LinkConfig{}, LinkConfig{})
+	w.Connect(a, b, nil, nil)
 	for name, fn := range map[string]func(){
 		"no ports":     func() { a.SetRoute(addr.MustParsePrefix("::/0")) },
 		"foreign port": func() { a.SetRoute(addr.MustParsePrefix("::/0"), b.Ports()[0]) },
-		"self link":    func() { w.Connect(a, a, LinkConfig{}, LinkConfig{}) },
+		"self link":    func() { w.Connect(a, a, nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -84,7 +54,7 @@ func TestDelRoute(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	w.Connect(a, b, LinkConfig{}, LinkConfig{})
+	w.Connect(a, b, nil, nil)
 	p := addr.MustParsePrefix("2001:db8::/32")
 	a.SetRoute(p, a.Ports()[0])
 	if !a.DelRoute(p) || a.DelRoute(p) {

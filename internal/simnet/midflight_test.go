@@ -16,8 +16,8 @@ func midflightNet(t *testing.T) (*Network, *Node, *Line, *int) {
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
 	lk := w.Connect(a, b,
-		LinkConfig{Delay: FixedDelay(10 * time.Millisecond)},
-		LinkConfig{Delay: FixedDelay(10 * time.Millisecond)})
+		FixedDelay(10*time.Millisecond),
+		FixedDelay(10*time.Millisecond))
 	b.AddAddr(netip.MustParseAddr("2001:db8::b"))
 	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
 	delivered := 0

@@ -127,7 +127,7 @@ func (w *Network) AddNode(name string, clockOffset time.Duration) *Node {
 		part:  part,
 		pool:  w.pools[part],
 		clock: sim.NewClock(eng, clockOffset),
-		owned: make(map[netip.Addr]int),
+		owned: make(map[netip.Addr]bool),
 	}
 	w.nodes[name] = n
 	return n
@@ -149,22 +149,11 @@ func (w *Network) Nodes() []*Node {
 // Links returns all links in creation order.
 func (w *Network) Links() []*Link { return w.links }
 
-// LinkConfig parameterizes one direction of a new link.
-type LinkConfig struct {
-	Delay DelayModel
-	// Loss is the per-packet loss probability.
-	Loss float64
-	// CapacityBps of 0 disables capacity modelling. A positive value
-	// adds bits-per-virtual-second serialization with an unbounded
-	// queue (delay instead of drops) — the model the TE layer's
-	// utilization accounting is built on. Its state is purely
-	// send-side, so it is allowed on cross-partition links.
-	CapacityBps float64
-}
-
-// Connect joins two nodes with a full-duplex link; cfgAB shapes the a-to-b
-// direction and cfgBA the reverse.
-func (w *Network) Connect(a, b *Node, cfgAB, cfgBA LinkConfig) *Link {
+// Connect joins two nodes with a full-duplex link; ab is the delay model
+// of the a-to-b direction and ba of the reverse (nil means no delay).
+// Loss and capacity are set per direction on the lines (Line.SetLoss,
+// Line.SetCapacity).
+func (w *Network) Connect(a, b *Node, ab, ba DelayModel) *Link {
 	if a.net != w || b.net != w {
 		panic("simnet: Connect across networks")
 	}
@@ -176,11 +165,11 @@ func (w *Network) Connect(a, b *Node, cfgAB, cfgBA LinkConfig) *Link {
 	pa := &Port{node: a, link: l, idx: len(a.ports)}
 	pb := &Port{node: b, link: l, idx: len(b.ports)}
 	l.a, l.b = pa, pb
-	l.ab = newLine(pa, pb, cfgAB, w.Streams.Stream(name+"/ab"))
-	l.ba = newLine(pb, pa, cfgBA, w.Streams.Stream(name+"/ba"))
+	l.ab = newLine(pa, pb, ab, w.Streams.Stream(name+"/ab"))
+	l.ba = newLine(pb, pa, ba, w.Streams.Stream(name+"/ba"))
 	if a.part != b.part {
-		w.checkCross(name, cfgAB)
-		w.checkCross(name, cfgBA)
+		w.checkCross(name, ab)
+		w.checkCross(name, ba)
 		l.ab.cross = true
 		l.ba.cross = true
 	}
@@ -192,8 +181,7 @@ func (w *Network) Connect(a, b *Node, cfgAB, cfgBA LinkConfig) *Link {
 	return l
 }
 
-func newLine(from, to *Port, cfg LinkConfig, rng *sim.RNG) *Line {
-	dm := cfg.Delay
+func newLine(from, to *Port, dm DelayModel, rng *sim.RNG) *Line {
 	if dm == nil {
 		dm = FixedDelay(0)
 	}
@@ -201,8 +189,6 @@ func newLine(from, to *Port, cfg LinkConfig, rng *sim.RNG) *Line {
 		from:     from,
 		to:       to,
 		shaper:   NewShaper(dm),
-		lossProb: cfg.Loss,
-		capBps:   cfg.CapacityBps,
 		rngDelay: rng,
 		rngLoss:  rng, // same stream: loss and delay draws interleave deterministically
 	}
@@ -210,14 +196,14 @@ func newLine(from, to *Port, cfg LinkConfig, rng *sim.RNG) *Line {
 
 // checkCross validates one direction of a partition-crossing link: the
 // conservative epoch scheme is only sound when every cross-partition
-// packet is in flight for at least the lookahead. (CapacityBps only ever
+// packet is in flight for at least the lookahead. (Capacity only ever
 // adds send-side delay on top of the propagation floor.)
-func (w *Network) checkCross(name string, cfg LinkConfig) {
+func (w *Network) checkCross(name string, dm DelayModel) {
 	la := w.coord.Lookahead()
 	if la <= 0 {
 		return
 	}
-	md, ok := cfg.Delay.(MinDelayer)
+	md, ok := dm.(MinDelayer)
 	if !ok {
 		panic(fmt.Sprintf("simnet: cross-partition link %s needs a delay model with a known minimum", name))
 	}

@@ -47,7 +47,7 @@ type Node struct {
 	clock *sim.Clock
 
 	fib   addr.Trie[*RouteEntry]
-	owned map[netip.Addr]int // refcounted: tunnels may share an address
+	owned map[netip.Addr]bool
 	// fibCache memoizes full-address FIB lookups (nil = cached miss);
 	// any FIB mutation flushes it. Real routers keep the same structure
 	// as a host/route cache in front of the LPM table, and the simulated
@@ -98,27 +98,12 @@ func (n *Node) Ports() []*Port { return n.ports }
 // SetHandler installs the local-delivery callback.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
 
-// AddAddr marks ip as owned: packets to ip are delivered locally. Claims
-// are refcounted — several tunnels may legitimately share one local
-// address — so an address stays owned until RemoveAddr balances every
-// AddAddr.
-func (n *Node) AddAddr(ip netip.Addr) { n.owned[ip]++ }
-
-// RemoveAddr drops one claim on ip, releasing local delivery once no
-// claims remain (e.g. a withdrawn tunnel endpoint). Removing an address
-// that was never added is a no-op.
-func (n *Node) RemoveAddr(ip netip.Addr) {
-	if c, ok := n.owned[ip]; ok {
-		if c <= 1 {
-			delete(n.owned, ip)
-		} else {
-			n.owned[ip] = c - 1
-		}
-	}
-}
+// AddAddr marks ip as owned: packets to ip are delivered locally.
+// Tunnels may share a local address; claiming it twice is harmless.
+func (n *Node) AddAddr(ip netip.Addr) { n.owned[ip] = true }
 
 // OwnsAddr reports whether ip is local to this node.
-func (n *Node) OwnsAddr(ip netip.Addr) bool { return n.owned[ip] > 0 }
+func (n *Node) OwnsAddr(ip netip.Addr) bool { return n.owned[ip] }
 
 // SetRoute installs (or replaces) a FIB route for p via the given ports.
 func (n *Node) SetRoute(p addr.Prefix, ports ...*Port) {
@@ -208,7 +193,7 @@ func (n *Node) route(from *Port, pb *packet.Buf) {
 		pb.Release()
 		return
 	}
-	if n.owned[dst] > 0 {
+	if n.owned[dst] {
 		n.Stats.Delivered++
 		if n.handler != nil {
 			n.handler(data)
@@ -236,19 +221,6 @@ func (n *Node) route(from *Port, pb *packet.Buf) {
 		port = ent.Ports[packet.FlowHash(data)%uint32(len(ent.Ports))]
 	}
 	port.transmit(pb)
-}
-
-// LocalOut builds a convenience sender bound to this node: it serializes
-// the given layers straight into a pooled buffer and injects the result,
-// so even the convenience path is allocation-free in steady state.
-func (n *Node) LocalOut(layers ...packet.SerializableLayer) error {
-	pb := n.pool.Get()
-	if err := packet.SerializeLayers(&pb.SerializeBuffer, layers...); err != nil {
-		pb.Release()
-		return err
-	}
-	n.InjectBuf(pb)
-	return nil
 }
 
 // Schedule is a convenience for scheduling node-scoped work.

@@ -15,7 +15,7 @@ func TestLineInstrumentAdminDrop(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	w.Connect(a, b, LinkConfig{}, LinkConfig{})
+	w.Connect(a, b, nil, nil)
 	b.AddAddr(netip.MustParseAddr("2001:db8::b"))
 	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
 
@@ -55,7 +55,7 @@ func TestLineUninstrumentedNoJournal(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	w.Connect(a, b, LinkConfig{}, LinkConfig{})
+	w.Connect(a, b, nil, nil)
 	b.AddAddr(netip.MustParseAddr("2001:db8::b"))
 	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
 

@@ -22,7 +22,7 @@ func shardedPair(t *testing.T, la time.Duration) (*Network, *Node, *Node) {
 	})
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	cfg := LinkConfig{Delay: FixedDelay(la)}
+	cfg := FixedDelay(la)
 	w.Connect(a, b, cfg, cfg)
 	return w, a, b
 }
@@ -95,18 +95,6 @@ func TestShardedDeliveryAcrossPartitions(t *testing.T) {
 	if deliveries != 2 || w.LeasedBufs() != 0 {
 		t.Fatalf("second round: %d deliveries, %d leaked", deliveries, w.LeasedBufs())
 	}
-
-	// RemoveAddr drops local delivery once claims balance.
-	b.AddAddr(dst)
-	b.RemoveAddr(dst)
-	if !b.OwnsAddr(dst) {
-		t.Fatal("refcounted address released too early")
-	}
-	b.RemoveAddr(dst)
-	if b.OwnsAddr(dst) {
-		t.Fatal("address still owned after claims balanced")
-	}
-	b.RemoveAddr(dst) // never-added / over-removed: no-op
 }
 
 func TestShardedCrossLinkValidation(t *testing.T) {
@@ -134,23 +122,23 @@ func TestShardedCrossLinkValidation(t *testing.T) {
 	w, a, b := build()
 	mustPanic("needs a delay model with a known minimum", func() {
 		w.Connect(a, b,
-			LinkConfig{Delay: noFloor{}},
-			LinkConfig{Delay: FixedDelay(5 * time.Millisecond)})
+			noFloor{},
+			FixedDelay(5*time.Millisecond))
 	})
 
 	// ...and the floor must clear the lookahead.
 	w, a, b = build()
 	mustPanic("below lookahead", func() {
 		w.Connect(a, b,
-			LinkConfig{Delay: FixedDelay(time.Millisecond)},
-			LinkConfig{Delay: FixedDelay(5 * time.Millisecond)})
+			FixedDelay(time.Millisecond),
+			FixedDelay(5*time.Millisecond))
 	})
 
 	// Same-partition links stay unconstrained: floorless models are fine
 	// inside one engine.
 	w = NewSharded(1, 2, 5*time.Millisecond, func(string) int { return 0 })
 	a, b = w.AddNode("a", 0), w.AddNode("b", 0)
-	lk := w.Connect(a, b, LinkConfig{Delay: noFloor{}}, LinkConfig{})
+	lk := w.Connect(a, b, noFloor{}, nil)
 	if lk.Name() != "a<->b" || lk.PortB().Node() != b {
 		t.Fatalf("link accessors: name=%q", lk.Name())
 	}

@@ -35,7 +35,7 @@ func TestDirectDelivery(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	w.Connect(a, b, LinkConfig{Delay: FixedDelay(10 * time.Millisecond)}, LinkConfig{Delay: FixedDelay(10 * time.Millisecond)})
+	w.Connect(a, b, FixedDelay(10*time.Millisecond), FixedDelay(10*time.Millisecond))
 
 	dstIP := netip.MustParseAddr("2001:db8::b")
 	b.AddAddr(dstIP)
@@ -67,7 +67,7 @@ func TestMultiHopForwardingAndTTL(t *testing.T) {
 	a := w.AddNode("a", 0)
 	r := w.AddNode("r", 0)
 	b := w.AddNode("b", 0)
-	cfg := LinkConfig{Delay: FixedDelay(5 * time.Millisecond)}
+	cfg := FixedDelay(5 * time.Millisecond)
 	w.Connect(a, r, cfg, cfg)
 	w.Connect(r, b, cfg, cfg)
 
@@ -132,9 +132,7 @@ func TestLoss(t *testing.T) {
 	w := New(7)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	w.Connect(a, b,
-		LinkConfig{Delay: FixedDelay(time.Millisecond), Loss: 0.5},
-		LinkConfig{Delay: FixedDelay(time.Millisecond)})
+	w.Connect(a, b, FixedDelay(time.Millisecond), FixedDelay(time.Millisecond)).LineAB().SetLoss(0.5)
 	dst := netip.MustParseAddr("2001:db8::b")
 	b.AddAddr(dst)
 	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
@@ -160,7 +158,7 @@ func TestLinkDown(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	l := w.Connect(a, b, LinkConfig{}, LinkConfig{})
+	l := w.Connect(a, b, nil, nil)
 	dst := netip.MustParseAddr("2001:db8::b")
 	b.AddAddr(dst)
 	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
@@ -191,7 +189,7 @@ func TestECMPPinsFlows(t *testing.T) {
 	r1 := w.AddNode("r1", 0)
 	r2 := w.AddNode("r2", 0)
 	b := w.AddNode("b", 0)
-	cfg := LinkConfig{Delay: FixedDelay(time.Millisecond)}
+	cfg := FixedDelay(time.Millisecond)
 	w.Connect(a, r1, cfg, cfg)
 	w.Connect(a, r2, cfg, cfg)
 	w.Connect(r1, b, cfg, cfg)
@@ -308,7 +306,7 @@ func TestIPv4ForwardingChecksumRepair(t *testing.T) {
 	a := w.AddNode("a", 0)
 	r := w.AddNode("r", 0)
 	b := w.AddNode("b", 0)
-	cfg := LinkConfig{Delay: FixedDelay(time.Millisecond)}
+	cfg := FixedDelay(time.Millisecond)
 	w.Connect(a, r, cfg, cfg)
 	w.Connect(r, b, cfg, cfg)
 
@@ -374,8 +372,8 @@ func TestDeterministicReplay(t *testing.T) {
 		a := w.AddNode("a", 0)
 		b := w.AddNode("b", 0)
 		w.Connect(a, b,
-			LinkConfig{Delay: GaussianDelay{Floor: 10 * time.Millisecond, Mean: 12 * time.Millisecond, Std: 2 * time.Millisecond}, Loss: 0.1},
-			LinkConfig{})
+			GaussianDelay{Floor: 10 * time.Millisecond, Mean: 12 * time.Millisecond, Std: 2 * time.Millisecond},
+			nil).LineAB().SetLoss(0.1)
 		dst := netip.MustParseAddr("2001:db8::b")
 		b.AddAddr(dst)
 		a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
@@ -402,7 +400,7 @@ func TestLineFromAndPortAccessors(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	l := w.Connect(a, b, LinkConfig{}, LinkConfig{})
+	l := w.Connect(a, b, nil, nil)
 	if l.LineFrom(a) != l.LineAB() || l.LineFrom(b) != l.LineBA() {
 		t.Fatal("LineFrom wrong")
 	}

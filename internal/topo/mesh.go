@@ -416,12 +416,6 @@ func (m *MeshScenario) Edge(site, peer string) (*AS, error) {
 	return e, nil
 }
 
-// Adjacent reports whether a pair is deployed between two sites.
-func (m *MeshScenario) Adjacent(a, b string) bool {
-	_, ok := m.Edges[a+":"+b]
-	return ok
-}
-
 // RadialProvider parameterizes a provider for RadialMeshConfig: its
 // hub-and-spoke backbone scales each site's radius by Scale (NTT slowest,
 // GTT fastest in the tri calibration) with per-packet jitter Std.

@@ -140,9 +140,7 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 	if o.MRAI == 0 {
 		o.MRAI = 5 * time.Second
 	}
-	link := b.W.Connect(x.Node, y.Node,
-		simnet.LinkConfig{Delay: o.DelayAB},
-		simnet.LinkConfig{Delay: o.DelayBA})
+	link := b.W.Connect(x.Node, y.Node, o.DelayAB, o.DelayBA)
 
 	// The two session endpoints are ::1 and ::2 of a link /64 of their
 	// own, numbered in wiring order.

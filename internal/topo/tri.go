@@ -7,9 +7,9 @@ import (
 	"tango/internal/bgp"
 )
 
-// TriScenario is the three-site instantiation of the mesh (the paper's
-// §6 "From Tango of 2 to Tango of N"): NY, CHI, LA, whose POPs attach to
-// *different* subsets of three transit providers:
+// TriConfig returns the MeshConfig of the three-site deployment (the
+// paper's §6 "From Tango of 2 to Tango of N"): NY, CHI, LA, whose POPs
+// attach to *different* subsets of three transit providers:
 //
 //	ny:  NTT, Telia
 //	chi: NTT, Telia, GTT
@@ -23,11 +23,7 @@ import (
 // NTT incidents that the direct pair must simply suffer.
 //
 // Provider delays use the radial model (see RadialMeshConfig): NTT is the
-// slowest backbone, GTT the fastest.
-type TriScenario = MeshScenario
-
-// TriConfig returns the tri deployment's MeshConfig: three sites,
-// heterogeneous provider attachment, all three pairs deployed.
+// slowest backbone, GTT the fastest. All three pairs are deployed.
 func TriConfig(seed int64) MeshConfig {
 	provs := []RadialProvider{
 		{"NTT", bgp.ASNTT, 1.30, 100 * time.Microsecond},
@@ -41,12 +37,6 @@ func TriConfig(seed int64) MeshConfig {
 	}
 	pairs := [][2]string{{"ny", "la"}, {"ny", "chi"}, {"chi", "la"}}
 	return RadialMeshConfig(seed, provs, sites, pairs)
-}
-
-// NewTriScenario builds the three-site deployment with pairwise Tango
-// servers for the pairs (ny,la), (ny,chi), (chi,la).
-func NewTriScenario(seed int64) (*TriScenario, error) {
-	return NewMeshScenario(TriConfig(seed))
 }
 
 // TriProviderName labels providers for the tri scenario's POP ASNs.

@@ -74,14 +74,9 @@ type Endpoint interface {
 	SetHandler(h Handler)
 
 	// AddAddr marks ip as owned: frames to ip are delivered locally.
-	// Claims are refcounted — several tunnels may legitimately share one
-	// local address — so an address stays owned until RemoveAddr
-	// balances every AddAddr.
+	// Several tunnels may share one local address; claiming it again is
+	// harmless.
 	AddAddr(ip netip.Addr)
-
-	// RemoveAddr drops one claim on ip, releasing local delivery once no
-	// claims remain. Removing an address that was never added is a no-op.
-	RemoveAddr(ip netip.Addr)
 
 	// OwnsAddr reports whether ip is local to this endpoint.
 	OwnsAddr(ip netip.Addr) bool

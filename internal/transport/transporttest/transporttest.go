@@ -40,8 +40,6 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("DeliverOwned", func(t *testing.T) { testDeliverOwned(t, mk(t)) })
 	t.Run("DeliveryIsBorrow", func(t *testing.T) { testDeliveryIsBorrow(t, mk(t)) })
 	t.Run("InjectCopies", func(t *testing.T) { testInjectCopies(t, mk(t)) })
-	t.Run("AddrRefcount", func(t *testing.T) { testAddrRefcount(t, mk(t)) })
-	t.Run("RemoveAddrStopsDelivery", func(t *testing.T) { testRemoveAddrStopsDelivery(t, mk(t)) })
 	t.Run("InjectBufConsumesLease", func(t *testing.T) { testInjectBufConsumesLease(t, mk(t)) })
 	t.Run("DoubleReleasePanics", func(t *testing.T) { testDoubleReleasePanics(t, mk(t)) })
 	t.Run("DeliveryOrder", func(t *testing.T) { testDeliveryOrder(t, mk(t)) })
@@ -129,42 +127,6 @@ func testInjectCopies(t *testing.T, h *Harness) {
 	h.Do(func() {
 		if got != "orig" {
 			t.Fatalf("delivered payload = %q, want orig (Inject must copy)", got)
-		}
-	})
-}
-
-func testAddrRefcount(t *testing.T, h *Harness) {
-	h.Do(func() {
-		h.EP.AddAddr(addrA)
-		h.EP.AddAddr(addrA) // two tunnels sharing one local address
-		h.EP.RemoveAddr(addrA)
-		if !h.EP.OwnsAddr(addrA) {
-			t.Fatal("address released while one claim remains")
-		}
-		h.EP.RemoveAddr(addrA)
-		if h.EP.OwnsAddr(addrA) {
-			t.Fatal("address still owned after claims balanced")
-		}
-		h.EP.RemoveAddr(addrB) // never added: must be a no-op
-		if h.EP.OwnsAddr(addrB) {
-			t.Fatal("RemoveAddr of unknown address created ownership")
-		}
-	})
-}
-
-func testRemoveAddrStopsDelivery(t *testing.T, h *Harness) {
-	var n int
-	h.Do(func() {
-		h.EP.SetHandler(func([]byte) { n++ })
-		h.EP.AddAddr(addrA)
-		h.EP.Inject(frame(addrA, nil))
-		h.EP.RemoveAddr(addrA)
-		h.EP.Inject(frame(addrA, nil)) // no longer owned: dropped, not delivered
-	})
-	h.Sleep(10 * time.Millisecond)
-	h.Do(func() {
-		if n != 1 {
-			t.Fatalf("delivered %d frames, want 1 (delivery after RemoveAddr)", n)
 		}
 	})
 }

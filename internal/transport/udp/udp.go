@@ -111,7 +111,7 @@ type Backend struct {
 
 	handler   transport.Handler
 	onControl func(from netip.AddrPort, payload []byte)
-	owned     map[netip.Addr]int
+	owned     map[netip.Addr]bool
 	routes    map[netip.Addr]*route
 
 	wake   chan struct{}
@@ -148,7 +148,7 @@ func New(cfg Config) (*Backend, error) {
 		pool:   packet.NewBufPool(),
 		conn:   conn,
 		start:  time.Now(),
-		owned:  make(map[netip.Addr]int),
+		owned:  make(map[netip.Addr]bool),
 		routes: make(map[netip.Addr]*route),
 		wake:   make(chan struct{}, 1),
 	}
@@ -225,22 +225,11 @@ func (b *Backend) Name() string { return b.name }
 // SetHandler installs the local-delivery callback.
 func (b *Backend) SetHandler(h transport.Handler) { b.handler = h }
 
-// AddAddr marks ip as owned (refcounted, like the simulated node).
-func (b *Backend) AddAddr(ip netip.Addr) { b.owned[ip]++ }
-
-// RemoveAddr drops one claim on ip; unknown addresses are a no-op.
-func (b *Backend) RemoveAddr(ip netip.Addr) {
-	if c, ok := b.owned[ip]; ok {
-		if c <= 1 {
-			delete(b.owned, ip)
-		} else {
-			b.owned[ip] = c - 1
-		}
-	}
-}
+// AddAddr marks ip as owned, like the simulated node.
+func (b *Backend) AddAddr(ip netip.Addr) { b.owned[ip] = true }
 
 // OwnsAddr reports whether ip is local to this endpoint.
-func (b *Backend) OwnsAddr(ip netip.Addr) bool { return b.owned[ip] > 0 }
+func (b *Backend) OwnsAddr(ip netip.Addr) bool { return b.owned[ip] }
 
 // Pool returns the pool outgoing frames must be leased from.
 func (b *Backend) Pool() *packet.BufPool { return b.pool }
@@ -279,7 +268,7 @@ func (b *Backend) InjectBuf(pb *packet.Buf) {
 		pb.Release()
 		return
 	}
-	if b.owned[dst] > 0 {
+	if b.owned[dst] {
 		// Hairpin: a frame for an address owned here never touches the
 		// socket, mirroring local delivery on the simulated node.
 		b.rxFrames.Inc()
@@ -334,7 +323,7 @@ func (b *Backend) deliver(from netip.AddrPort, data []byte) {
 		b.parseErr.Inc()
 		return
 	}
-	if b.owned[dst] == 0 {
+	if !b.owned[dst] {
 		b.notOwned.Inc()
 		return
 	}

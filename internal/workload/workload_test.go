@@ -18,7 +18,7 @@ func twoSwitchNet(t *testing.T) (*simnet.Network, *dataplane.Switch, *dataplane.
 	w := simnet.New(4)
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
-	cfg := simnet.LinkConfig{Delay: simnet.FixedDelay(5 * time.Millisecond)}
+	cfg := simnet.FixedDelay(5 * time.Millisecond)
 	w.Connect(a, b, cfg, cfg)
 	a.SetRoute(addr.MustParsePrefix("2001:db8:b::/48"), a.Ports()[0])
 	b.SetRoute(addr.MustParsePrefix("2001:db8:a::/48"), b.Ports()[0])
