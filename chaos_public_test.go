@@ -218,3 +218,38 @@ func TestInstrumentAloneJournalsFaults(t *testing.T) {
 		t.Fatalf("Mesh.Instrument registered no trunk drop counters: %v", lineDrops(reg))
 	}
 }
+
+// TestLabStormReplaysFromSeed: Chaos.Storm draws from the deployment's
+// seeded streams, so two labs of one seed schedule the same storm and log
+// the same events, the invariants hold through it, and another seed draws
+// another storm.
+func TestLabStormReplaysFromSeed(t *testing.T) {
+	storm := func(seed int64) (labels, events []string) {
+		l := newEstablishedLab(t, Options{Seed: seed})
+		ch, err := l.Chaos()
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels = ch.Storm(8, time.Second, 20*time.Second)
+		l.Run(time.Minute)
+		ch.CheckNow()
+		if vs := ch.Violations(); len(vs) != 0 {
+			t.Fatalf("seed %d: invariant violations during the storm: %v", seed, vs)
+		}
+		return labels, ch.Events()
+	}
+	labels, events := storm(11)
+	if len(labels) != 8 || len(events) < 16 {
+		t.Fatalf("storm of 8 scheduled %d faults and logged %d events:\n%s",
+			len(labels), len(events), strings.Join(events, "\n"))
+	}
+	labels2, events2 := storm(11)
+	if strings.Join(labels2, "\n") != strings.Join(labels, "\n") ||
+		strings.Join(events2, "\n") != strings.Join(events, "\n") {
+		t.Fatalf("equal seeds drew different storms:\n%s\n---\n%s",
+			strings.Join(events, "\n"), strings.Join(events2, "\n"))
+	}
+	if other, _ := storm(12); strings.Join(other, "\n") == strings.Join(labels, "\n") {
+		t.Fatalf("seeds 11 and 12 drew the same storm: %v", labels)
+	}
+}

@@ -106,16 +106,52 @@ func TestUpdateRoundTripIPv6(t *testing.T) {
 func TestUpdateMixedFamilies(t *testing.T) {
 	// Sessions peer over IPv6, so only MP_REACH/MP_UNREACH carry NLRI: an
 	// IPv4 prefix is refused whether announced (alone or beside an IPv6
-	// one, with either next-hop family) or withdrawn.
+	// one, with either next-hop family) or withdrawn, and so is an IPv4
+	// next hop.
 	v4, v6 := addr.MustParsePrefix("10.0.0.0/8"), addr.MustParsePrefix("2001:db8::/32")
 	for name, u := range map[string]*Update{
 		"announce v4": {Announced: []addr.Prefix{v4}, Attrs: Attrs{NextHop: netip.MustParseAddr("10.0.0.1")}},
 		"mixed":       {Announced: []addr.Prefix{v6, v4}, Attrs: Attrs{NextHop: netip.MustParseAddr("2001:db8:ffff::1")}},
 		"withdraw v4": {Withdrawn: []addr.Prefix{v6, v4}},
+		"v4 next hop": {Announced: []addr.Prefix{v6}, Attrs: Attrs{NextHop: netip.MustParseAddr("10.0.0.1")}},
 	} {
 		if _, err := EncodeMessage(&Message{Update: u}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestUpdateLongAttributes: LOCAL_PREF round-trips, an attribute longer
+// than 255 bytes takes the extended-length form, and a message past 4 096
+// bytes is refused.
+func TestUpdateLongAttributes(t *testing.T) {
+	u := &Update{
+		Announced: []addr.Prefix{addr.MustParsePrefix("2001:db8:1::/48")},
+		Attrs: Attrs{
+			NextHop:      netip.MustParseAddr("2001:db8:ffff::1"),
+			LocalPref:    200,
+			HasLocalPref: true,
+		},
+	}
+	for i := 0; i < 100; i++ { // 400 bytes of COMMUNITIES
+		u.Attrs.Communities = append(u.Attrs.Communities, MakeCommunity(ASN(i), 1))
+	}
+	raw, err := EncodeMessage(&Message{Update: u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := DecodeMessage(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := got.Update.Attrs; !a.HasLocalPref || a.LocalPref != 200 || !reflect.DeepEqual(a.Communities, u.Attrs.Communities) {
+		t.Fatalf("attrs = %+v", a)
+	}
+	for i := 0; i < 1000; i++ {
+		u.Attrs.Communities = append(u.Attrs.Communities, MakeCommunity(ASN(i), 2))
+	}
+	if _, err := EncodeMessage(&Message{Update: u}); err == nil {
+		t.Fatal("message over 4096 bytes accepted")
 	}
 }
 

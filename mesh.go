@@ -44,9 +44,12 @@ type MeshSiteSpec struct {
 type MeshOptions struct {
 	// Seed drives every random process; equal seeds reproduce bit-for-bit.
 	Seed int64
-	// ProbeInterval is the per-path measurement cadence (default 10 ms).
+	// ProbeInterval is the per-path measurement cadence (0 = 10 ms;
+	// Establish refuses a negative value).
 	ProbeInterval time.Duration
-	// DecideEvery is the per-pair controller cadence (default 1 s).
+	// DecideEvery is the per-pair controller cadence (0 = 1 s; Establish
+	// refuses a negative value). PolicyStaticDefault keeps traffic on the
+	// BGP default path.
 	DecideEvery time.Duration
 	// SitePolicy selects every member controller's strategy.
 	SitePolicy Policy
@@ -76,11 +79,10 @@ type Mesh struct {
 // NewMesh builds the simulated N-site deployment (BGP converged, host
 // prefixes announced) without running Tango establishment yet.
 func NewMesh(opts MeshOptions) *Mesh {
-	if opts.ProbeInterval == 0 {
-		opts.ProbeInterval = 10 * time.Millisecond
-	}
-	if opts.DecideEvery == 0 {
-		opts.DecideEvery = time.Second
+	var err error
+	opts.ProbeInterval, opts.DecideEvery, err = cadences("MeshOptions", opts.ProbeInterval, opts.DecideEvery)
+	if err != nil {
+		return &Mesh{deployment: deployment{buildErr: err}}
 	}
 	var cfg topo.MeshConfig
 	var nameFor func(bgp.ASN) string

@@ -64,11 +64,12 @@ type Options struct {
 	// Seed drives every random process; runs with equal seeds are
 	// bit-for-bit reproducible.
 	Seed int64
-	// ProbeInterval is the per-path measurement cadence (default the
-	// paper's 10 ms).
+	// ProbeInterval is the per-path measurement cadence (0 = the paper's
+	// 10 ms; Establish refuses a negative value).
 	ProbeInterval time.Duration
-	// DecideEvery is the controller cadence (default 1 s; 0 keeps the
-	// controllers off so traffic stays on the BGP default).
+	// DecideEvery is the controller cadence (0 = 1 s; Establish refuses a
+	// negative value). PolicyStaticDefault, not a cadence, is how to keep
+	// traffic on the BGP default path.
 	DecideEvery time.Duration
 	// PolicyNY / PolicyLA select each site's strategy.
 	PolicyNY, PolicyLA Policy
@@ -95,6 +96,25 @@ type deployment struct {
 func newDeployment(tc topo.MeshConfig, mc core.MeshConfig) deployment {
 	d, err := core.NewDeployment(tc, mc)
 	return deployment{d: d, buildErr: err}
+}
+
+// cadences resolves the probe and decision cadences of an options struct
+// (named opts in the error): 0 takes the default, 10 ms probing and a
+// decision every second, and a negative value is an error.
+func cadences(opts string, probe, decide time.Duration) (time.Duration, time.Duration, error) {
+	if probe < 0 {
+		return 0, 0, fmt.Errorf("tango: %s.ProbeInterval is %v; want a positive cadence, or 0 for 10ms", opts, probe)
+	}
+	if decide < 0 {
+		return 0, 0, fmt.Errorf("tango: %s.DecideEvery is %v; want a positive cadence, or 0 for 1s", opts, decide)
+	}
+	if probe == 0 {
+		probe = 10 * time.Millisecond
+	}
+	if decide == 0 {
+		decide = time.Second
+	}
+	return probe, decide, nil
 }
 
 // Establish runs the paper's setup for every deployed pair concurrently
@@ -145,11 +165,10 @@ type Lab struct {
 // NewLab builds the simulated deployment (BGP sessions established, host
 // prefixes announced) without running Tango discovery yet.
 func NewLab(opts Options) *Lab {
-	if opts.ProbeInterval == 0 {
-		opts.ProbeInterval = 10 * time.Millisecond
-	}
-	if opts.DecideEvery == 0 {
-		opts.DecideEvery = time.Second
+	var err error
+	opts.ProbeInterval, opts.DecideEvery, err = cadences("Options", opts.ProbeInterval, opts.DecideEvery)
+	if err != nil {
+		return &Lab{deployment: deployment{buildErr: err}}
 	}
 	return &Lab{deployment: newDeployment(
 		topo.VultrConfig(topo.ScenarioConfig{

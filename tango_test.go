@@ -1,6 +1,7 @@
 package tango
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -233,5 +234,26 @@ func TestEstablishIdempotent(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNegativeCadenceIsAnError: a negative probe or decision cadence used
+// to switch probing or the controllers off without a word; Establish now
+// names the field and the value.
+func TestNegativeCadenceIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		establish func() error
+		want      string
+	}{
+		{"lab probe", NewLab(Options{Seed: 1, ProbeInterval: -time.Millisecond}).Establish, "Options.ProbeInterval is -1ms"},
+		{"lab decide", NewLab(Options{Seed: 1, DecideEvery: -time.Second}).Establish, "Options.DecideEvery is -1s"},
+		{"mesh probe", NewMesh(MeshOptions{Seed: 1, ProbeInterval: -time.Millisecond}).Establish, "MeshOptions.ProbeInterval is -1ms"},
+		{"mesh decide", NewMesh(MeshOptions{Seed: 1, DecideEvery: -time.Second}).Establish, "MeshOptions.DecideEvery is -1s"},
+	} {
+		err := c.establish()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Establish() = %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
