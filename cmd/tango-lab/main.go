@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -71,6 +72,11 @@ func realMain() int {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
+	cfg := experiments.Config{Seed: *seed, Duration: *duration, Shards: *shards, Sites: *sites, Flows: *flows}
+	if err := checkScale(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "tango-lab:", err)
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -100,7 +106,6 @@ func realMain() int {
 		}()
 	}
 
-	cfg := experiments.Config{Seed: *seed, Duration: *duration, Shards: *shards, Sites: *sites, Flows: *flows}
 	exps, err := selectExperiments(*run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -117,10 +122,10 @@ func realMain() int {
 			allPass = false
 		}
 		if *csvDir != "" {
-			if err := writeSeries(*csvDir, res); err != nil {
+			if err := writeSeries(os.Stdout, *csvDir, res); err != nil {
 				return err
 			}
-			return writeMetrics(*csvDir, res)
+			return writeMetrics(os.Stdout, *csvDir, res)
 		}
 		return nil
 	}
@@ -153,6 +158,24 @@ func realMain() int {
 	return 0
 }
 
+// checkScale rejects scale flags no run can honour: a wide mesh needs
+// three sites for its first pair (and E14 three stubs for its four
+// distinct pairs), and a negative -shards, -flows or -duration has no
+// meaning — a negative -shards would silently pick the classic engine.
+func checkScale(c experiments.Config) error {
+	switch {
+	case c.Sites != 0 && c.Sites < 3:
+		return fmt.Errorf("-sites must be 0 (full scale) or at least 3, got %d", c.Sites)
+	case c.Shards < 0:
+		return fmt.Errorf("-shards must not be negative, got %d", c.Shards)
+	case c.Flows < 0:
+		return fmt.Errorf("-flows must not be negative, got %d", c.Flows)
+	case c.Duration < 0:
+		return fmt.Errorf("-duration must not be negative, got %v", c.Duration)
+	}
+	return nil
+}
+
 // selectExperiments resolves -run against experiments.Registry: "all" is
 // every row flagged InAll, anything else a comma-separated list of ids.
 func selectExperiments(run string) ([]experiments.Experiment, error) {
@@ -180,8 +203,15 @@ func selectExperiments(run string) ([]experiments.Experiment, error) {
 	return picked, nil
 }
 
-func writeSeries(dir string, res *experiments.Result) error {
-	for label, s := range res.Series {
+// writeSeries writes each of the experiment's figure series as CSV into
+// dir, in sorted label order, and logs each file to w.
+func writeSeries(w io.Writer, dir string, res *experiments.Result) error {
+	labels := make([]string, 0, len(res.Series))
+	for label := range res.Series {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	for _, label := range labels {
 		name := fmt.Sprintf("%s_%s.csv", strings.ToLower(res.ID), strings.ReplaceAll(label, "/", "_"))
 		path := filepath.Join(dir, name)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -191,14 +221,14 @@ func writeSeries(dir string, res *experiments.Result) error {
 		if err != nil {
 			return err
 		}
-		if err := s.WriteCSV(f); err != nil {
+		if err := res.Series[label].WriteCSV(f); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("   wrote %s\n", path)
+		fmt.Fprintf(w, "   wrote %s\n", path)
 	}
 	return nil
 }
@@ -206,8 +236,8 @@ func writeSeries(dir string, res *experiments.Result) error {
 // writeMetrics dumps the experiment's final observability snapshot as
 // sorted JSON next to the CSV series. Keys are rendered instrument names
 // ("tango_..._total{site=\"ny\"}"); sorting keeps the file diffable
-// across runs.
-func writeMetrics(dir string, res *experiments.Result) error {
+// across runs. The file is logged to w.
+func writeMetrics(w io.Writer, dir string, res *experiments.Result) error {
 	if len(res.Metrics) == 0 {
 		return nil
 	}
@@ -224,8 +254,8 @@ func writeMetrics(dir string, res *experiments.Result) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, "{")
+	bw := bufio.NewWriter(f)
+	fmt.Fprintln(bw, "{")
 	for i, k := range keys {
 		sep := ","
 		if i == len(keys)-1 {
@@ -236,16 +266,16 @@ func writeMetrics(dir string, res *experiments.Result) error {
 			f.Close()
 			return err
 		}
-		fmt.Fprintf(w, "  %s: %s%s\n", kb, strconv.FormatFloat(res.Metrics[k], 'g', -1, 64), sep)
+		fmt.Fprintf(bw, "  %s: %s%s\n", kb, strconv.FormatFloat(res.Metrics[k], 'g', -1, 64), sep)
 	}
-	fmt.Fprintln(w, "}")
-	if err := w.Flush(); err != nil {
+	fmt.Fprintln(bw, "}")
+	if err := bw.Flush(); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("   wrote %s\n", path)
+	fmt.Fprintf(w, "   wrote %s\n", path)
 	return nil
 }

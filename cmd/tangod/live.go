@@ -45,7 +45,7 @@ type liveOptions struct {
 func livePolicy(name string) (control.Policy, error) {
 	switch name {
 	case "min-delay":
-		return &control.MinOWD{HysteresisMs: 1, MinDwell: 300 * time.Millisecond, StaleAfter: 5 * time.Second}, nil
+		return core.LiveMinDelay(), nil
 	case "min-jitter":
 		return &control.MinJitter{MinDwell: 300 * time.Millisecond, StaleAfter: 5 * time.Second}, nil
 	case "static":

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"tango"
+	"tango/internal/core"
 	"tango/internal/obs"
 )
 
@@ -45,9 +46,9 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:0", "udp: UDP bind address")
 		peer      = flag.String("peer", "", "udp: peer socket address to dial; empty waits for a dialer")
 		paths     = flag.String("paths", "NTT:12ms,GTT:30ms,Cogent:20ms", "udp: outgoing paths as NAME:DELAY,... (emulated one-way delays)")
-		probeIv   = flag.Duration("probe-interval", 20*time.Millisecond, "udp: probe send interval per path")
-		reportIv  = flag.Duration("report-every", 25*time.Millisecond, "udp: piggybacked report interval; 0 turns reports off")
-		decideIv  = flag.Duration("decide-every", 100*time.Millisecond, "udp: controller decision interval; 0 leaves the controller idle")
+		probeIv   = flag.Duration("probe-interval", core.LiveProbeEvery, "udp: probe send interval per path")
+		reportIv  = flag.Duration("report-every", core.LiveReportEvery, "udp: piggybacked report interval; 0 turns reports off")
+		decideIv  = flag.Duration("decide-every", core.LiveDecideEvery, "udp: controller decision interval; 0 leaves the controller idle")
 		duration  = flag.Duration("duration", 0, "udp: wall-clock run time; 0 runs until SIGINT/SIGTERM")
 		addrFile  = flag.String("addr-file", "", "udp: write the bound socket address to this file")
 		readyFile = flag.String("ready-file", "", "udp: write to this file once the pair is established")

@@ -65,6 +65,22 @@ type EdgeConfig struct {
 	AuthKey []byte
 }
 
+// The live edge: cadences and steering policy for an edge on a real
+// socket, scaled to the wall clock so a loopback pair converges within a
+// couple of seconds. tangod -transport udp takes them as its defaults and
+// the E8-live simulated reference runs them, so both transports steer on
+// one configuration.
+const (
+	LiveProbeEvery  = 20 * time.Millisecond
+	LiveReportEvery = 25 * time.Millisecond
+	LiveDecideEvery = 100 * time.Millisecond
+)
+
+// LiveMinDelay returns the live edge's min-delay policy.
+func LiveMinDelay() control.Policy {
+	return &control.MinOWD{HysteresisMs: 1, MinDwell: 300 * time.Millisecond, StaleAfter: 5 * time.Second}
+}
+
 // NewEdge attaches a switch and a monitor to ep; eng is the engine ep's
 // events run on. The edge carries no traffic until Start.
 func NewEdge(ep transport.Endpoint, eng *sim.Engine) *Edge {

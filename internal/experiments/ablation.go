@@ -33,22 +33,10 @@ func AblationCadence(cfg Config, cadence time.Duration) AblationCadenceResult {
 	eventAt := l.S.B.W.Now() + lead
 	l.Chaos.Schedule(chaos.RouteShift("trunk/la/GTT", eventAt, 5*time.Minute, 5*time.Millisecond, 20*time.Second)...)
 
-	// Track the true OWD of whatever path currently carries traffic by
-	// sampling the controller's choice against the per-path monitors.
-	var acc measure.Welford
-	ctl := l.Pair.A.Controller
-	mon := l.monLA()
-	sim.NewTicker(l.S.B.Eng(), 100*time.Millisecond, func(sim.Time) {
-		if l.S.B.W.Now() < eventAt {
-			return
-		}
-		if pm := mon.Path(ctl.Current()); pm != nil && pm.Est.Valid() {
-			acc.Add(pm.Est.Value() - ms(l.offNYtoLA))
-		}
-	})
+	acc := l.trackCurrentOWD(eventAt)
 	l.run(lead + 5*time.Minute + 2*time.Minute)
 	l.mustHold()
-	return AblationCadenceResult{MeanTrueOWDMs: acc.Mean(), Switches: ctl.Stats.Switches}
+	return AblationCadenceResult{MeanTrueOWDMs: acc.Mean(), Switches: l.Pair.A.Controller.Stats.Switches}
 }
 
 // AblationHysteresisResult summarizes one hysteresis-margin run.
@@ -73,20 +61,10 @@ func AblationHysteresis(cfg Config, marginMs float64) AblationHysteresisResult {
 		simnet.SpikeDelay{Prob: 0.15, Mean: 16 * time.Millisecond, Cap: 46 * time.Millisecond},
 		2*time.Millisecond, 1500*time.Microsecond))
 
-	var acc measure.Welford
-	ctl := l.Pair.A.Controller
-	mon := l.monLA()
-	sim.NewTicker(l.S.B.Eng(), 100*time.Millisecond, func(sim.Time) {
-		if l.S.B.W.Now() < eventAt {
-			return
-		}
-		if pm := mon.Path(ctl.Current()); pm != nil && pm.Est.Valid() {
-			acc.Add(pm.Est.Value() - ms(l.offNYtoLA))
-		}
-	})
+	acc := l.trackCurrentOWD(eventAt)
 	l.run(lead + 5*time.Minute + time.Minute)
 	l.mustHold()
-	return AblationHysteresisResult{Switches: ctl.Stats.Switches, MeanTrueOWDMs: acc.Mean()}
+	return AblationHysteresisResult{Switches: l.Pair.A.Controller.Stats.Switches, MeanTrueOWDMs: acc.Mean()}
 }
 
 // AblationEstimator compares delay estimators offline on a synthetic

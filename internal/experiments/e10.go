@@ -8,7 +8,6 @@ import (
 	"tango/internal/chaos"
 	"tango/internal/control"
 	"tango/internal/core"
-	"tango/internal/obs"
 	"tango/internal/packet"
 	"tango/internal/topo"
 )
@@ -26,18 +25,13 @@ func E10MeshOverlay(cfg Config) *Result {
 
 	tc := topo.TriConfig(cfg.Seed + 10)
 	tc.Shards = cfg.Shards
-	d, err := core.Deploy(tc, core.MeshConfig{
+	d, reg, journal := deploy(tc, core.MeshConfig{
 		ProbeInterval: probeInterval,
 		DecideEvery:   time.Second,
 		NameFor:       topo.TriProviderName,
-	})
-	if err != nil {
-		panic(err) // fixed config; cannot fail
-	}
+	}, 1024)
 	s, m, ch := d.Scenario, d.Mesh, d.Chaos
-	reg := obs.NewRegistry()
-	journal := obs.NewJournal(1024)
-	d.Instrument(reg, journal)
+	ch.Instrument(reg, journal)
 	ch.StartChecks(time.Second)
 
 	// The motivating asymmetry: the direct pair has no path diversity.
@@ -157,9 +151,7 @@ func E10MeshOverlay(cfg Config) *Result {
 
 	r.note("composite scores stay in summed receiver clock domains; the telescoped " +
 		"offset is identical for both ny->la routes, so the comparison is exact")
-	r.VirtualTime = time.Duration(eng.Now())
-	r.Metrics = deterministicSnapshot(reg)
-	r.Trace = traceJSON(journal)
+	r.finish(eng, reg, journal)
 	return r
 }
 

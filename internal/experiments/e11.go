@@ -7,11 +7,9 @@ import (
 	"tango/internal/chaos"
 	"tango/internal/control"
 	"tango/internal/core"
-	"tango/internal/obs"
 	"tango/internal/sim"
 	"tango/internal/simnet"
 	"tango/internal/topo"
-	"tango/internal/workload"
 )
 
 // E11Failover measures failover behaviour end to end: a mesh carries a
@@ -41,44 +39,26 @@ func E11Failover(cfg Config) *Result {
 		decideEvery = 250 * time.Millisecond
 		reportAge   = 2 * time.Second // Reporter.MaxAge floor in core
 	)
-	d, err := core.Deploy(tc, core.MeshConfig{
+	d, reg, journal := deploy(tc, core.MeshConfig{
 		ProbeInterval: probeInterval,
 		DecideEvery:   decideEvery,
 		NameFor:       topo.TriProviderName,
 		NewPolicy: func(site, peer string) control.Policy {
 			return &control.MinOWD{HysteresisMs: 0.5, MinDwell: minDwell, StaleAfter: staleAfter}
 		},
-	})
-	if err != nil {
-		panic(err) // fixed config; cannot fail
-	}
+	}, 1024)
 	s, m, ch := d.Scenario, d.Mesh, d.Chaos
 	eng := s.B.Eng()
-	reg := obs.NewRegistry()
-	journal := obs.NewJournal(1024)
-	d.Instrument(reg, journal)
+	ch.Instrument(reg, journal)
 
 	sender := m.Member("ny", "chi")
 	recv := m.Member("chi", "ny")
 	r.check("ny->chi exposes two paths", "NY and CHI share NTT and Telia",
 		len(sender.OutPaths) == 2, "%d path(s)", len(sender.OutPaths))
 
-	// The application stream under test: 200 pkt/s ny->chi with
-	// ground-truth fates recorded at chi.
-	src, err := sender.HostAddr()
-	if err != nil {
-		panic(err)
-	}
-	dst, err := recv.HostAddr()
-	if err != nil {
-		panic(err)
-	}
-	// The generator ticks on the sending site's engine and stages
-	// arrivals on the receiving site's — on a sharded network those are
-	// different partitions (identical engines on a classic one).
-	gen := workload.NewAppGen(sender.Eng(), sender.Switch, src, dst, 5*time.Millisecond, 64)
-	gen.BindSink(recv.Eng())
-	recv.AddSink(gen.Sink)
+	// The application stream under test: ny->chi with ground-truth fates
+	// recorded at chi.
+	gen := appStream(m, "ny", "chi")
 
 	// Worst-case detection chain: up to reportAge of zombie reports,
 	// staleAfter until the estimate is discarded, one decision tick —
@@ -254,9 +234,7 @@ func E11Failover(cfg Config) *Result {
 	r.note("failover is pure measurement-plane detection: reports stop (max-age %v), "+
 		"the estimate goes stale (%v), and MinOWD abandons the path — no link-state signal",
 		reportAge, staleAfter)
-	r.VirtualTime = time.Duration(eng.Now())
-	r.Metrics = deterministicSnapshot(reg)
-	r.Trace = traceJSON(journal)
+	r.finish(eng, reg, journal)
 	return r
 }
 

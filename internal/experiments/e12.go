@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"tango/internal/chaos"
 	"tango/internal/sim"
-	"tango/internal/workload"
 )
 
 // E12ShardedStorm is the scale experiment the sharded engine exists for:
@@ -23,12 +21,9 @@ func E12ShardedStorm(cfg Config) *Result {
 
 	sites, shards := cfg.wideScale()
 	d, reg, journal := newWideMesh(cfg.Seed+12, sites, shards, time.Second)
-	s, m, eng := d.Scenario, d.Mesh, d.Scenario.B.Eng()
+	s, eng := d.Scenario, d.Scenario.B.Eng()
 
-	tunnels := 0
-	for _, k := range s.PairKeys {
-		tunnels += len(m.Member(k[0], k[1]).OutPaths) + len(m.Member(k[1], k[0]).OutPaths)
-	}
+	tunnels := tunnelCount(d)
 	expect := len(s.PairKeys) * 2 * 16
 	r.check("full tunnel fabric provisioned", "every pair pins every shared provider",
 		tunnels == expect && (sites < 64 || tunnels >= 10000),
@@ -39,38 +34,17 @@ func E12ShardedStorm(cfg Config) *Result {
 
 	// The probe stream under test: the last chord pair, farthest offset.
 	pk := s.PairKeys[len(s.PairKeys)-1]
-	sender := m.Member(pk[0], pk[1])
-	recv := m.Member(pk[1], pk[0])
-	src, err := sender.HostAddr()
-	if err != nil {
-		panic(err)
-	}
-	dst, err := recv.HostAddr()
-	if err != nil {
-		panic(err)
-	}
-	gen := workload.NewAppGen(sender.Eng(), sender.Switch, src, dst, 5*time.Millisecond, 64)
-	gen.BindSink(recv.Eng())
-	recv.AddSink(gen.Sink)
+	gen := appStream(d.Mesh, pk[0], pk[1])
 
 	// Chaos over the whole deployment: every trunk is a fault target, and
 	// the app pair's edges are withdrawable.
-	ch := d.Chaos
-	ch.Instrument(reg, journal)
-	ch.StartChecks(time.Second)
 	d.EdgeTarget(pk[1], pk[0])
-
 	window := cfg.dur(30 * time.Second)
-	rng := sim.NewStreams(cfg.Seed + 12).Stream("e12/storm")
-	labels := ch.ScheduleStorm(rng, chaos.StormConfig{
-		Faults: sites,
-		Start:  eng.Now() + sim.Time(2*time.Second),
-		Window: window,
-		MaxFor: 10 * time.Second,
-	})
+	labels := storm(d, reg, journal, sim.NewStreams(cfg.Seed+12).Stream("e12/storm"), window)
+	ch := d.Chaos
 
 	enterParallel(eng)
-	s.Run(2*time.Second + window + 15*time.Second) // lead + storm + reverts land
+	s.Run(stormLead + window + 15*time.Second) // storm + reverts land
 	gen.Stop()
 	ch.StopChecks()
 	s.Run(2 * time.Second)
@@ -109,8 +83,6 @@ func E12ShardedStorm(cfg Config) *Result {
 
 	r.note("the storm draws %d faults over %d trunk lines; probes run at %v so the "+
 		"fault timeline, not the probe plane, is the dominant load", sites, sites*16, wideProbeInterval)
-	r.VirtualTime = time.Duration(eng.Now())
-	r.Metrics = deterministicSnapshot(reg)
-	r.Trace = traceJSON(journal)
+	r.finish(eng, reg, journal)
 	return r
 }

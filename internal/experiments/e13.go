@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"tango/internal/chaos"
 	"tango/internal/obs"
 	"tango/internal/sim"
 	"tango/internal/workload"
@@ -43,82 +41,49 @@ func E13FlowStorm(cfg Config) *Result {
 	if flows == 0 {
 		flows = 1_000_000
 	}
+	// One endpoint per deployed direction, each carrying an equal share
+	// of the standing population.
+	endpoints := 2 * widePairs(sites)
+	if endpoints == 0 || flows < endpoints {
+		r.Err = fmt.Sprintf("E13 needs a flow per endpoint: %d flows over the %d endpoints of a %d-site mesh",
+			flows, endpoints, sites)
+		return r
+	}
+	perEp := flows / endpoints
+	standing := perEp * endpoints
 	d, reg, journal := newWideMesh(cfg.Seed+13, sites, shards, time.Second)
-	s, m, eng := d.Scenario, d.Mesh, d.Scenario.B.Eng()
+	s, eng := d.Scenario, d.Scenario.B.Eng()
 
 	// Stretch the class cadence so the whole population emits near the
 	// packet budget, keeping concurrency (the thing under test) intact.
-	slowdown := int64(1)
-	if sd := int64(math.Ceil(float64(flows) * e13AvgPPSPerFlow / e13TargetPPS)); sd > 1 {
-		slowdown = sd
-	}
-	classes := workload.DefaultClasses()
-	for c := range classes {
-		classes[c].Interval *= time.Duration(slowdown)
-	}
+	classes, slowdown := stretchedClasses(float64(flows)*e13AvgPPSPerFlow, e13TargetPPS)
 
 	window := cfg.dur(30 * time.Second)
-	stopAt := 2*time.Second + window
+	stopAt := stormLead + window
 
-	// One flow table per site, owned by that site's partition; one
-	// endpoint per member pair, sending host-to-host like E12's app
-	// stream; the sink lands on the receiving member's partition. The
-	// flash site's table gets slack beyond the standing population for
-	// the arrival churn (the fluid generator's exact integral bounds it).
-	endpoints := 2 * len(s.PairKeys)
-	perEp := flows / endpoints
-	standing := perEp * endpoints
+	// The flash site's table gets slack beyond the standing population
+	// for the arrival churn (the fluid generator's exact integral bounds
+	// it).
 	flashSite := s.SiteNames[0]
 	arrivalSlack := int(20*stopAt.Seconds()+40*window.Seconds()) + 64
-	tables := make(map[string]*workload.FlowTable, len(s.SiteNames))
-	for _, site := range s.SiteNames {
-		members := m.MembersOf(site)
-		capacity := perEp * len(members)
+	tables, eps := flowFabric(d, reg, classes, func(site string) int {
+		capacity := perEp * len(d.Mesh.MembersOf(site))
 		if site == flashSite {
 			capacity += arrivalSlack
 		}
-		t := workload.NewFlowTable(members[0].Eng(), classes, capacity)
-		t.Instrument(reg, site)
-		tables[site] = t
-	}
-	type boundEp struct {
-		table *workload.FlowTable
-		ep    int
-	}
-	var eps []boundEp
-	wire := func(site, peer string) {
-		sender := m.Member(site, peer)
-		recv := m.Member(peer, site)
-		if sender.Eng() != tables[site].Eng() {
-			panic("experiments: site members span partitions; flow table ownership broken")
-		}
-		src, err := sender.HostAddr()
-		if err != nil {
-			panic(err)
-		}
-		dst, err := recv.HostAddr()
-		if err != nil {
-			panic(err)
-		}
-		ep := tables[site].AddEndpoint(sender.Switch, src, dst)
-		recv.AddSink(tables[site].SinkFor(recv.Eng()))
-		eps = append(eps, boundEp{tables[site], ep})
-	}
-	for _, pk := range s.PairKeys {
-		wire(pk[0], pk[1])
-		wire(pk[1], pk[0])
-	}
+		return capacity
+	})
 
 	// The standing population: perEp flows per endpoint, class mix
 	// round-robin, start staggers arithmetically spread across each
 	// class interval so wheel buckets fill evenly. Lifetimes are
 	// effectively infinite — these flows stay concurrent all run.
-	for _, be := range eps {
+	for _, fe := range eps {
 		for k := 0; k < perEp; k++ {
 			c := workload.Class(k % workload.NumClasses)
 			iv := classes[c].Interval
 			stagger := time.Duration(int64(k)) * iv / time.Duration(perEp)
-			if be.table.Start(be.ep, c, 1<<31, stagger) < 0 {
+			if fe.table.Start(fe.ep, c, 1<<31, stagger) < 0 {
 				panic("experiments: standing flow refused below capacity")
 			}
 		}
@@ -131,17 +96,8 @@ func E13FlowStorm(cfg Config) *Result {
 		active == standing, "%d concurrent flows across %d sites", active, len(tables))
 
 	// Chaos over the whole deployment, exactly E12's storm shape.
+	labels := storm(d, reg, journal, sim.NewStreams(cfg.Seed+13).Stream("e13/storm"), window)
 	ch := d.Chaos
-	ch.Instrument(reg, journal)
-	ch.StartChecks(time.Second)
-
-	rng := sim.NewStreams(cfg.Seed + 13).Stream("e13/storm")
-	labels := ch.ScheduleStorm(rng, chaos.StormConfig{
-		Faults: sites,
-		Start:  eng.Now() + sim.Time(2*time.Second),
-		Window: window,
-		MaxFor: 10 * time.Second,
-	})
 
 	// A flash crowd churns short-lived flows through the first site's
 	// table while the storm runs: arrivals spike 5x mid-window.
@@ -151,7 +107,7 @@ func E13FlowStorm(cfg Config) *Result {
 		workload.ArrivalConfig{
 			Rate:        20,
 			Emits:       4,
-			FlashAt:     eng.Now() + sim.Time(2*time.Second) + sim.Time(window/4),
+			FlashAt:     eng.Now() + stormLead + window/4,
 			FlashFor:    window / 2,
 			FlashFactor: 5,
 		})
@@ -177,23 +133,17 @@ func E13FlowStorm(cfg Config) *Result {
 	s.Run(2 * time.Second)
 
 	// Aggregate per-class counters and histograms across every site.
-	var stats [workload.NumClasses]workload.FlowClassStats
-	var owdH, inH [workload.NumClasses][]*obs.Histogram
+	stats, owdH, inH := flowTotals(s.SiteNames, tables)
+	var ratio [workload.NumClasses]float64
+	for c, cs := range stats {
+		if cs.Sent > 0 {
+			ratio[c] = float64(cs.Delivered) / float64(cs.Sent)
+		}
+	}
 	peak, stillActive := 0, 0
 	for i, site := range s.SiteNames {
-		t := tables[site]
-		peak += t.Peak()
+		peak += tables[site].Peak()
 		stillActive += activeAtStop[i]
-		for c := workload.Class(0); c < workload.NumClasses; c++ {
-			cs := t.ClassStats(c)
-			stats[c].Sent += cs.Sent
-			stats[c].Delivered += cs.Delivered
-			stats[c].Dups += cs.Dups
-			stats[c].Gaps += cs.Gaps
-			stats[c].Refused += cs.Refused
-			owdH[c] = append(owdH[c], t.OWDHistogram(c))
-			inH[c] = append(inH[c], t.InOrderHistogram(c))
-		}
 	}
 
 	r.Rows = append(r.Rows, []string{"quantity", "value"})
@@ -209,16 +159,12 @@ func E13FlowStorm(cfg Config) *Result {
 		r.Rows = append(r.Rows, []string{row[0], row[1]})
 	}
 	for c := workload.Class(0); c < workload.NumClasses; c++ {
-		ratio := 0.0
-		if stats[c].Sent > 0 {
-			ratio = float64(stats[c].Delivered) / float64(stats[c].Sent)
-		}
 		r.Rows = append(r.Rows, []string{c.String() + " sent/delivered",
-			fmt.Sprintf("%d/%d (%.1f%%)", stats[c].Sent, stats[c].Delivered, ratio*100)})
+			fmt.Sprintf("%d/%d (%.1f%%)", stats[c].Sent, stats[c].Delivered, ratio[c]*100)})
 		r.Rows = append(r.Rows, []string{c.String() + " p99 OWD",
-			time.Duration(combinedQuantile(owdH[c], 0.99)).String()})
+			time.Duration(obs.Quantile(0.99, owdH[c]...)).String()})
 		r.Rows = append(r.Rows, []string{c.String() + " p99 in-order",
-			time.Duration(combinedQuantile(inH[c], 0.99)).String()})
+			time.Duration(obs.Quantile(0.99, inH[c]...)).String()})
 	}
 
 	r.check("population survived to the stop line", "flows stay concurrent through the storm",
@@ -230,22 +176,18 @@ func E13FlowStorm(cfg Config) *Result {
 	// storm criterion; the latency bars are generous 2x-bucket bounds on
 	// healthy wide-mesh OWD (failover keeps the population off dead
 	// paths for most of the window).
-	voipP99 := combinedQuantile(owdH[workload.ClassVoIP], 0.99)
+	voipP99 := obs.Quantile(0.99, owdH[workload.ClassVoIP]...)
 	r.check("VoIP SLO: p99 OWD under 250ms", "jitter-sensitive class stays interactive (§5)",
 		stats[workload.ClassVoIP].Delivered > 0 && voipP99 <= int64(250*time.Millisecond),
 		"p99 %v over %d deliveries", time.Duration(voipP99), stats[workload.ClassVoIP].Delivered)
-	videoP99 := combinedQuantile(inH[workload.ClassVideo], 0.99)
+	videoP99 := obs.Quantile(0.99, inH[workload.ClassVideo]...)
 	r.check("video SLO: p99 in-order under 1s", "HoL blocking stays bounded (§5)",
 		stats[workload.ClassVideo].Delivered > 0 && videoP99 <= int64(time.Second),
 		"p99 in-order %v", time.Duration(videoP99))
 	for c := workload.Class(0); c < workload.NumClasses; c++ {
-		ratio := 0.0
-		if stats[c].Sent > 0 {
-			ratio = float64(stats[c].Delivered) / float64(stats[c].Sent)
-		}
 		r.check(c.String()+" SLO: delivery through the storm", "failover keeps each class delivering",
-			stats[c].Sent > 0 && ratio >= 0.5,
-			"%d/%d delivered (%.0f%%)", stats[c].Delivered, stats[c].Sent, ratio*100)
+			stats[c].Sent > 0 && ratio[c] >= 0.5,
+			"%d/%d delivered (%.0f%%)", stats[c].Delivered, stats[c].Sent, ratio[c]*100)
 	}
 
 	r.check("storm drew its full fault schedule", "seeded draw over every trunk",
@@ -255,35 +197,6 @@ func E13FlowStorm(cfg Config) *Result {
 	r.note("class cadence is stretched %dx so %d concurrent flows emit ~%d pps aggregate; "+
 		"concurrency, arrival churn, and per-packet accounting run at full scale",
 		slowdown, standing, e13TargetPPS)
-	r.VirtualTime = time.Duration(eng.Now())
-	r.Metrics = deterministicSnapshot(reg)
-	r.Trace = traceJSON(journal)
+	r.finish(eng, reg, journal)
 	return r
-}
-
-// combinedQuantile computes the q-quantile upper bound over the union
-// of several histograms (summing per-bucket counts, exactly Histogram.
-// Quantile's rule over the merged distribution).
-func combinedQuantile(hs []*obs.Histogram, q float64) int64 {
-	var total uint64
-	for _, h := range hs {
-		total += h.Count()
-	}
-	if total == 0 {
-		return 0
-	}
-	need := uint64(math.Ceil(q * float64(total)))
-	if need == 0 {
-		need = 1
-	}
-	var cum uint64
-	for i := 0; i < obs.NumBuckets; i++ {
-		for _, h := range hs {
-			cum += h.Bucket(i)
-		}
-		if cum >= need {
-			return obs.BucketUpperBound(i)
-		}
-	}
-	return math.MaxInt64
 }

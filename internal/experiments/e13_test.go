@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -10,14 +10,8 @@ import (
 // e13Smoke is the CI-sized E13: a fraction of the wide mesh with a few
 // thousand concurrent flows — big enough that the wheel drains real
 // batches on every partition, small enough for the race detector.
-func e13Smoke(seed int64, shards int) *Result {
-	return E13FlowStorm(Config{
-		Seed:     seed,
-		Sites:    12,
-		Flows:    3000,
-		Duration: 3 * time.Second,
-		Shards:   shards,
-	})
+func e13Smoke(seed int64) Config {
+	return Config{Seed: seed, Sites: 12, Flows: 3000, Duration: 3 * time.Second}
 }
 
 // TestE13SmokeShardInvariant extends the shard-invariance contract to
@@ -34,16 +28,16 @@ func TestE13SmokeShardInvariant(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			base := e13Smoke(seed, 1)
-			requirePassed(t, base)
-			got := e13Smoke(seed, 2)
-			if base.Trace != got.Trace {
-				t.Errorf("E13 trace journal diverged between 1 and 2 workers")
-			}
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("E13 Result diverged between 1 and 2 workers:\n--- workers=1\n%s\n--- workers=2\n%s",
-					renderResult(base), renderResult(got))
-			}
+			requirePassed(t, sameAcrossWorkers(t, E13FlowStorm, e13Smoke(seed), 2))
 		})
+	}
+}
+
+// TestE13TooFewFlows pins that a flow population smaller than the
+// endpoint count fails the run with a reason instead of panicking.
+func TestE13TooFewFlows(t *testing.T) {
+	r := E13FlowStorm(Config{Seed: 1, Sites: 3, Flows: 5})
+	if r.Err == "" || !strings.Contains(r.Err, "5 flows over the 6 endpoints") || r.Passed() {
+		t.Fatalf("5 flows on a 3-site mesh: Err %q, passed %v", r.Err, r.Passed())
 	}
 }

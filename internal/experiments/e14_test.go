@@ -2,18 +2,17 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
 // e14Smoke is the CI-scale configuration: a ~34-AS generated internet
 // with 8 swept pairs, the same shape the race job's smoke step runs.
-func e14Smoke(seed int64, workers int) *Result {
-	return E14DiscoverySweep(Config{Seed: seed, Sites: 16, Shards: workers})
-}
+func e14Smoke(seed int64) Config { return Config{Seed: seed, Sites: 16} }
 
 func TestE14Smoke(t *testing.T) {
-	requirePassed(t, e14Smoke(1, 2))
+	cfg := e14Smoke(1)
+	cfg.Shards = 2
+	requirePassed(t, E14DiscoverySweep(cfg))
 }
 
 // TestE14SweepWorkerInvariance is the sweep driver's differential test:
@@ -27,15 +26,7 @@ func TestE14SweepWorkerInvariance(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			base := e14Smoke(seed, 1)
-			requirePassed(t, base)
-			got := e14Smoke(seed, 4)
-			if base.Trace != got.Trace {
-				t.Fatal("merged trace journal differs between 1 and 4 workers")
-			}
-			if !reflect.DeepEqual(base, got) {
-				t.Fatal("Results differ between 1 and 4 workers")
-			}
+			requirePassed(t, sameAcrossWorkers(t, E14DiscoverySweep, e14Smoke(seed), 4))
 		})
 	}
 }

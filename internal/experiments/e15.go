@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -41,9 +40,11 @@ const (
 // from uniform.
 func e15Flows(si, sj, c int) int { return 4 * (1 + (si*5+sj*3+c)%4) }
 
-// e15Demand is one row of the demand matrix: a directed pair and class.
+// e15Demand is one row of the demand matrix: a directed pair, its index
+// in directions order, and a class.
 type e15Demand struct {
 	from, to string
+	dir      int
 	class    workload.Class
 	flows    int
 	rateBps  float64 // offered wire rate after the interval stretch
@@ -55,8 +56,7 @@ type e15Stats struct {
 	slowdown   int64
 	peakUtil   float64
 	solvedUtil float64 // TE run only: the solver's predicted max util
-	classSent  [workload.NumClasses]uint64
-	classDelvd [workload.NumClasses]uint64
+	classes    [workload.NumClasses]workload.FlowClassStats
 	owdP99     [workload.NumClasses]int64
 	combP99    int64
 	virtual    time.Duration
@@ -87,29 +87,23 @@ func pinProviderRoutes(s *topo.MeshScenario, m *core.Mesh) {
 	for _, p := range s.Providers {
 		hubByASN[p.ASN] = p.Node
 	}
-	for _, pk := range s.PairKeys {
-		for k := 0; k < 2; k++ {
-			from, to := pk[0], pk[1]
-			if k == 1 {
-				from, to = pk[1], pk[0]
+	for _, dir := range directions(s) {
+		from, to := dir[0], dir[1]
+		recv := m.Member(to, from)
+		pop := s.POPs[from].Node
+		rpop := s.POPs[to].Node
+		for i, dp := range m.Member(from, to).OutPaths {
+			pfx, err := recv.PinnedPrefix(uint8(i + 1))
+			if err != nil {
+				panic(err)
 			}
-			sender := m.Member(from, to)
-			recv := m.Member(to, from)
-			pop := s.POPs[from].Node
-			rpop := s.POPs[to].Node
-			for i, dp := range sender.OutPaths {
-				pfx, err := recv.PinnedPrefix(uint8(i + 1))
-				if err != nil {
-					panic(err)
-				}
-				hub, ok := hubByASN[dp.ProviderASN]
-				if !ok {
-					panic(fmt.Sprintf("experiments: tunnel provider AS%d is not a scenario provider", dp.ProviderASN))
-				}
-				pop.SetRoute(pfx, portTo(pop, hub.Name()))
-				hub.SetRoute(pfx, portTo(hub, "pop-"+to))
-				rpop.SetRoute(pfx, portTo(rpop, "edge-"+to+":"+from))
+			hub, ok := hubByASN[dp.ProviderASN]
+			if !ok {
+				panic(fmt.Sprintf("experiments: tunnel provider AS%d is not a scenario provider", dp.ProviderASN))
 			}
+			pop.SetRoute(pfx, portTo(pop, hub.Name()))
+			hub.SetRoute(pfx, portTo(hub, "pop-"+to))
+			rpop.SetRoute(pfx, portTo(rpop, "edge-"+to+":"+from))
 		}
 	}
 }
@@ -144,29 +138,18 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 	// keeps the aggregate near the packet budget (concurrency and the
 	// relative demand skew are untouched), so rates are computed after
 	// it is known.
-	classes := workload.DefaultClasses()
+	base := workload.DefaultClasses()
 	var demands []e15Demand
 	totalPPS := 0.0
-	for _, pk := range s.PairKeys {
-		for k := 0; k < 2; k++ {
-			from, to := pk[0], pk[1]
-			if k == 1 {
-				from, to = pk[1], pk[0]
-			}
-			for c := 0; c < workload.NumClasses; c++ {
-				nf := e15Flows(siteIdx[from], siteIdx[to], c)
-				demands = append(demands, e15Demand{from: from, to: to, class: workload.Class(c), flows: nf})
-				totalPPS += float64(nf) * float64(time.Second) / float64(classes[c].Interval)
-			}
+	for di, dir := range directions(s) {
+		from, to := dir[0], dir[1]
+		for c := 0; c < workload.NumClasses; c++ {
+			nf := e15Flows(siteIdx[from], siteIdx[to], c)
+			demands = append(demands, e15Demand{from: from, to: to, dir: di, class: workload.Class(c), flows: nf})
+			totalPPS += float64(nf) * float64(time.Second) / float64(base[c].Interval)
 		}
 	}
-	slowdown := int64(1)
-	if sd := int64(math.Ceil(totalPPS / e15TargetPPS)); sd > 1 {
-		slowdown = sd
-	}
-	for c := range classes {
-		classes[c].Interval *= time.Duration(slowdown)
-	}
+	classes, slowdown := stretchedClasses(totalPPS, e15TargetPPS)
 	// Wire rate per flow: inner (48B headers + payload) plus the outer
 	// IPv6/UDP/Tango encapsulation (64B), at the stretched cadence.
 	wireBps := func(c workload.Class) float64 {
@@ -176,10 +159,10 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 	dOut := make([]float64, len(s.SiteNames))
 	dIn := make([]float64, len(s.SiteNames))
 	for i := range demands {
-		d := &demands[i]
-		d.rateBps = float64(d.flows) * wireBps(d.class)
-		dOut[siteIdx[d.from]] += d.rateBps
-		dIn[siteIdx[d.to]] += d.rateBps
+		dm := &demands[i]
+		dm.rateBps = float64(dm.flows) * wireBps(dm.class)
+		dOut[siteIdx[dm.from]] += dm.rateBps
+		dIn[siteIdx[dm.to]] += dm.rateBps
 	}
 
 	// Capacitate every trunk direction with the skewed shares; the lines
@@ -207,49 +190,14 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 		}
 	}
 
-	// One flow table per site (E13's ownership pattern): sender-side
-	// emission on the site's partition, receiver-side accounting in the
-	// receiving partition's sink.
-	type boundEp struct {
-		table *workload.FlowTable
-		ep    int
-	}
+	// One flow table per site, sized to the site's outgoing demand.
 	siteFlows := map[string]int{}
-	for _, d := range demands {
-		siteFlows[d.from] += d.flows
+	for _, dm := range demands {
+		siteFlows[dm.from] += dm.flows
 	}
-	tables := make(map[string]*workload.FlowTable, len(s.SiteNames))
-	for _, site := range s.SiteNames {
-		t := workload.NewFlowTable(m.MembersOf(site)[0].Eng(), classes, siteFlows[site])
-		t.Instrument(reg, site)
-		tables[site] = t
-	}
-	eps := map[string]boundEp{}
-	tunnels := 0
-	for _, pk := range s.PairKeys {
-		for k := 0; k < 2; k++ {
-			from, to := pk[0], pk[1]
-			if k == 1 {
-				from, to = pk[1], pk[0]
-			}
-			sender := m.Member(from, to)
-			recv := m.Member(to, from)
-			tunnels += len(sender.OutPaths)
-			src, err := sender.HostAddr()
-			if err != nil {
-				panic(err)
-			}
-			dst, err := recv.HostAddr()
-			if err != nil {
-				panic(err)
-			}
-			ep := tables[from].AddEndpoint(sender.Switch, src, dst)
-			recv.AddSink(tables[from].SinkFor(recv.Eng()))
-			eps[from+":"+to] = boundEp{tables[from], ep}
-		}
-	}
+	tables, eps := flowFabric(d, reg, classes, func(site string) int { return siteFlows[site] })
 
-	st := &e15Stats{tunnels: tunnels, slowdown: slowdown}
+	st := &e15Stats{tunnels: tunnelCount(d), slowdown: slowdown}
 
 	if optimize {
 		// Replace each member's controller selector with a per-class
@@ -269,12 +217,12 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 
 	// Start the standing flows, staggered across each class interval so
 	// emissions spread evenly over the measurement windows.
-	for _, d := range demands {
-		be := eps[d.from+":"+d.to]
-		iv := classes[d.class].Interval
-		for k := 0; k < d.flows; k++ {
-			stagger := time.Duration(int64(k)) * iv / time.Duration(d.flows)
-			if be.table.Start(be.ep, d.class, 1<<31, stagger) < 0 {
+	for _, dm := range demands {
+		fe := eps[dm.dir]
+		iv := classes[dm.class].Interval
+		for k := 0; k < dm.flows; k++ {
+			stagger := time.Duration(int64(k)) * iv / time.Duration(dm.flows)
+			if fe.table.Start(fe.ep, dm.class, 1<<31, stagger) < 0 {
 				panic("experiments: standing flow refused below capacity")
 			}
 		}
@@ -312,23 +260,15 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 			st.peakUtil = p
 		}
 	}
-	var owdH [workload.NumClasses][]*obs.Histogram
+	stats, owdH, _ := flowTotals(s.SiteNames, tables)
+	st.classes = stats
 	var allH []*obs.Histogram
-	for _, site := range s.SiteNames {
-		t := tables[site]
-		for c := workload.Class(0); c < workload.NumClasses; c++ {
-			cs := t.ClassStats(c)
-			st.classSent[c] += cs.Sent
-			st.classDelvd[c] += cs.Delivered
-			owdH[c] = append(owdH[c], t.OWDHistogram(c))
-			allH = append(allH, t.OWDHistogram(c))
-		}
+	for c := range owdH {
+		st.owdP99[c] = obs.Quantile(0.99, owdH[c]...)
+		allH = append(allH, owdH[c]...)
 	}
-	for c := workload.Class(0); c < workload.NumClasses; c++ {
-		st.owdP99[c] = combinedQuantile(owdH[c], 0.99)
-	}
-	st.combP99 = combinedQuantile(allH, 0.99)
-	st.virtual = time.Duration(eng.Now())
+	st.combP99 = obs.Quantile(0.99, allH...)
+	st.virtual = eng.Now()
 	st.metrics = deterministicSnapshot(reg)
 	st.trace = traceJSON(journal)
 	return st
@@ -355,9 +295,9 @@ func E15TrafficEngineering(cfg Config) *Result {
 
 	ratio := func(st *e15Stats) float64 {
 		var sent, delvd uint64
-		for c := 0; c < workload.NumClasses; c++ {
-			sent += st.classSent[c]
-			delvd += st.classDelvd[c]
+		for _, cs := range st.classes {
+			sent += cs.Sent
+			delvd += cs.Delivered
 		}
 		if sent == 0 {
 			return 0
@@ -396,7 +336,7 @@ func E15TrafficEngineering(cfg Config) *Result {
 	r.check("optimized run delivers its load", "sub-saturation trunks drain every class",
 		ratio(opt) >= 0.9, "delivered ratio %.3f", ratio(opt))
 	r.check("both regimes saw the full tunnel fabric", "the comparison is over identical path sets",
-		greedy.tunnels == opt.tunnels && greedy.tunnels == len(topoPairCount(sites))*2*16,
+		greedy.tunnels == opt.tunnels && greedy.tunnels == widePairs(sites)*2*16,
 		"%d vs %d tunnels", greedy.tunnels, opt.tunnels)
 
 	r.note("capacities derive from the demand matrix (scarce share %.2f on the fastest provider, "+
@@ -408,27 +348,4 @@ func E15TrafficEngineering(cfg Config) *Result {
 	// comparison; the trace is consumed byte-wise, never parsed.
 	r.Trace = greedy.trace + "\n" + opt.trace
 	return r
-}
-
-// topoPairCount mirrors topo.WideMeshConfig's ring-plus-chords pair
-// enumeration so the tunnel-count check scales with cfg.Sites.
-func topoPairCount(n int) [][2]string {
-	var pairs [][2]string
-	seen := map[[2]string]bool{}
-	name := func(i int) string { return fmt.Sprintf("s%02d", i) }
-	for _, off := range []int{1, 3, 9, 19, 27} {
-		if off >= (n+1)/2 {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			a, b := name(i), name((i+off)%n)
-			key := [2]string{min(a, b), max(a, b)}
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			pairs = append(pairs, [2]string{a, b})
-		}
-	}
-	return pairs
 }

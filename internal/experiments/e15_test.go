@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -11,13 +10,8 @@ import (
 // measurement window — small enough for the race detector, big enough
 // that the greedy regime oversubscribes the scarce trunk and the solver
 // has a real multi-path placement to find.
-func e15Smoke(seed int64, shards int) *Result {
-	return E15TrafficEngineering(Config{
-		Seed:     seed,
-		Sites:    8,
-		Duration: 2 * time.Second,
-		Shards:   shards,
-	})
+func e15Smoke(seed int64) Config {
+	return Config{Seed: seed, Sites: 8, Duration: 2 * time.Second}
 }
 
 // TestE15SmokeShardInvariant extends the shard-invariance contract to
@@ -35,16 +29,7 @@ func TestE15SmokeShardInvariant(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			base := e15Smoke(seed, 1)
-			requirePassed(t, base)
-			got := e15Smoke(seed, 2)
-			if base.Trace != got.Trace {
-				t.Errorf("E15 trace journal diverged between 1 and 2 workers")
-			}
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("E15 Result diverged between 1 and 2 workers:\n--- workers=1\n%s\n--- workers=2\n%s",
-					renderResult(base), renderResult(got))
-			}
+			requirePassed(t, sameAcrossWorkers(t, E15TrafficEngineering, e15Smoke(seed), 2))
 		})
 	}
 }

@@ -7,28 +7,6 @@ import (
 	"tango/internal/control"
 )
 
-// pathRow is a snapshot of one monitored path's aggregates.
-type pathRow struct {
-	name      string
-	mean, min float64 // raw, receiver clock domain (ms)
-	std       float64
-	n         uint64
-}
-
-func rowsOf(m *control.Monitor) []pathRow {
-	var out []pathRow
-	for _, pm := range m.Paths() {
-		out = append(out, pathRow{
-			name: pm.Name,
-			mean: pm.OWD.Mean(),
-			min:  pm.OWD.Min(),
-			std:  pm.OWD.Std(),
-			n:    pm.OWD.N(),
-		})
-	}
-	return out
-}
-
 // E2OWDComparison reproduces Figure 4 (left) and the §5 headline: over a
 // sustained trace of per-path one-way delays between NY and LA, the BGP
 // default path (NTT) averages ~30% higher delay than the best exposed
@@ -46,29 +24,30 @@ func E2OWDComparison(cfg Config) *Result {
 	r.VirtualTime = dur
 
 	r.Rows = append(r.Rows, []string{"direction", "path", "mean OWD (ms)", "min OWD (ms)", "std (ms)", "samples"})
-	collect := func(dir string, off time.Duration, paths []pathRow) (def, best float64, bestName string) {
+	// Raw OWDs are in the receiver's clock domain; off corrects them.
+	collect := func(dir string, off time.Duration, m *control.Monitor) (def, best float64, bestName string) {
 		def, best = -1, -1
-		for _, p := range paths {
-			mean := p.mean - ms(off)
+		for _, pm := range m.Paths() {
+			mean := pm.OWD.Mean() - ms(off)
 			r.Rows = append(r.Rows, []string{
-				dir, p.name,
+				dir, pm.Name,
 				fmt.Sprintf("%.3f", mean),
-				fmt.Sprintf("%.3f", p.min-ms(off)),
-				fmt.Sprintf("%.3f", p.std),
-				fmt.Sprintf("%d", p.n),
+				fmt.Sprintf("%.3f", pm.OWD.Min()-ms(off)),
+				fmt.Sprintf("%.3f", pm.OWD.Std()),
+				fmt.Sprintf("%d", pm.OWD.N()),
 			})
-			if p.name == "NTT" {
+			if pm.Name == "NTT" {
 				def = mean
 			}
 			if best < 0 || mean < best {
-				best, bestName = mean, p.name
+				best, bestName = mean, pm.Name
 			}
 		}
 		return
 	}
 
-	defLA, bestLA, bestLAName := collect("NY->LA", l.offNYtoLA, rowsOf(l.monLA()))
-	defNY, bestNY, bestNYName := collect("LA->NY", l.offLAtoNY, rowsOf(l.monNY()))
+	defLA, bestLA, bestLAName := collect("NY->LA", l.offNYtoLA, l.monLA())
+	defNY, bestNY, bestNYName := collect("LA->NY", l.offLAtoNY, l.monNY())
 
 	ratioLA := defLA / bestLA
 	ratioNY := defNY / bestNY
@@ -79,12 +58,7 @@ func E2OWDComparison(cfg Config) *Result {
 	r.check("default/best delay ratio LA->NY", "same holds in reverse",
 		within(ratioNY, 1.2, 1.4), "%.1f%% higher", (ratioNY-1)*100)
 
-	// Export the NY->LA series for the figure.
-	for _, pm := range l.monLA().Paths() {
-		if pm.Series != nil {
-			r.Series["ny-la/"+pm.Name] = pm.Series
-		}
-	}
+	l.exportSeries(r)
 	r.note("raw OWDs carry the inter-switch clock offset (%.0f ms NY->LA); table values are offset-corrected using ground truth the deployment itself does not need", ms(l.offNYtoLA))
 	l.snapshot(r)
 	r.Trace = traceJSON(l.J)

@@ -85,12 +85,7 @@ func E4RouteChange(cfg Config) *Result {
 	r.Rows = append(r.Rows, []string{"best alternative (Telia)", fmt.Sprintf("%.2f", teliaDuring)})
 	r.check("alternate path wins during event", "switching is optimal", teliaDuring < gttDuring, "Telia %.2f vs GTT %.2f ms", teliaDuring, gttDuring)
 	r.invariantsHold(l.Chaos)
-
-	for _, pm := range l.monLA().Paths() {
-		if pm.Series != nil {
-			r.Series["ny-la/"+pm.Name] = pm.Series
-		}
-	}
+	l.exportSeries(r)
 	l.snapshot(r)
 	return r
 }
@@ -156,12 +151,7 @@ func E5Instability(cfg Config) *Result {
 	}
 	r.check("other paths undisturbed", "almost no interference elsewhere", flat, "%v", flat)
 	r.invariantsHold(l.Chaos)
-
-	for _, pm := range l.monLA().Paths() {
-		if pm.Series != nil {
-			r.Series["ny-la/"+pm.Name] = pm.Series
-		}
-	}
+	l.exportSeries(r)
 	l.snapshot(r)
 	return r
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -225,18 +226,5 @@ func E8DataPlaneCost(cfg Config) *Result {
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
-func spread(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return hi - lo
-}
+// spread is the range of a non-empty sample.
+func spread(xs []float64) float64 { return slices.Max(xs) - slices.Min(xs) }

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/control"
 	"tango/internal/core"
 	"tango/internal/simnet"
 	"tango/internal/transport/udp"
@@ -59,19 +58,9 @@ func livePathSpec(delays []time.Duration) string {
 	return strings.Join(parts, ",")
 }
 
-// Control cadences shared by both transports. They mirror tangod's
-// -transport udp defaults (live.go): wall-clock scaled so a loopback
-// deployment converges within a couple of seconds.
-const (
-	liveProbeEvery  = 20 * time.Millisecond
-	liveReportEvery = 25 * time.Millisecond
-	liveDecideEvery = 100 * time.Millisecond
-	liveRunFor      = 5 * time.Second
-)
-
-func liveSteeringPolicy() control.Policy {
-	return &control.MinOWD{HysteresisMs: 1, MinDwell: 300 * time.Millisecond, StaleAfter: 5 * time.Second}
-}
+// liveRunFor is the simulated reference's default run; its cadences and
+// policy are core's live edge, tangod -transport udp's defaults.
+const liveRunFor = 5 * time.Second
 
 // E8LiveSim runs the E8-live scenario on the simulated transport: two
 // nodes joined by one link per provider path, each direction delayed by
@@ -98,10 +87,10 @@ func E8LiveSim(cfg Config) *Result {
 		cfg := core.EdgeConfig{
 			Local:        localSw,
 			PeerPaths:    livePathNames,
-			Policy:       liveSteeringPolicy(),
-			DecideEvery:  liveDecideEvery,
-			ReportEvery:  liveReportEvery,
-			ReportMaxAge: 5 * liveReportEvery,
+			Policy:       core.LiveMinDelay(),
+			DecideEvery:  core.LiveDecideEvery,
+			ReportEvery:  core.LiveReportEvery,
+			ReportMaxAge: 5 * core.LiveReportEvery,
 		}
 		for i, name := range livePathNames {
 			cfg.Paths = append(cfg.Paths, core.EdgePath{Name: name, Remote: peerEPs[i]})
@@ -124,8 +113,8 @@ func E8LiveSim(cfg Config) *Result {
 		nb.SetRoute(host128(epA[i]), links[i].PortB())
 	}
 
-	a.Probe(swA, swB, liveProbeEvery)
-	b.Probe(swB, swA, liveProbeEvery)
+	a.Probe(swA, swB, core.LiveProbeEvery)
+	b.Probe(swB, swA, core.LiveProbeEvery)
 
 	runFor := cfg.dur(liveRunFor)
 	w.Run(w.Now() + runFor)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tango/internal/chaos"
-	"tango/internal/measure"
 	"tango/internal/simnet"
 )
 
@@ -96,8 +95,6 @@ func E9LossReorder(cfg Config) *Result {
 		othersReord == 0, "%d elsewhere", othersReord)
 
 	// No false positives in quiet operation.
-	qGTT := before["GTT"]
-	_ = qGTT
 	var quietLost, quietReord uint64
 	for _, name := range []string{"NTT", "Telia", "Level3"} {
 		quietLost += after[name].lost
@@ -107,12 +104,7 @@ func E9LossReorder(cfg Config) *Result {
 		quietLost == 0 && quietReord == 0, "lost=%d reordered=%d", quietLost, quietReord)
 	r.invariantsHold(l.Chaos)
 
-	// Loss-rate estimator from measure: cross-check with the path's
-	// LossRate helper over the whole trace.
-	gtt := pathByName(l.monLA(), "GTT")
-	var w measure.Welford
-	w.Add(gtt.Seq.LossRate())
-	r.note("GTT cumulative loss over the whole trace: %.4f%%", gtt.Seq.LossRate()*100)
+	r.note("GTT cumulative loss over the whole trace: %.4f%%", pathByName(l.monLA(), "GTT").Seq.LossRate()*100)
 
 	r.VirtualTime = l.now()
 	l.snapshot(r)

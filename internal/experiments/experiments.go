@@ -47,9 +47,9 @@ type Result struct {
 	// byte-identically; the shard-invariance differential compares it
 	// across worker counts.
 	Trace string
-	// Err records a driver panic recovered by RunJobs: the run died
-	// before producing checks, and the message says why. A non-empty
-	// Err fails Passed regardless of the (absent) checks.
+	// Err says why the run produced no checks: a driver panic recovered
+	// by RunJobs, or a Config the driver cannot run at. A non-empty Err
+	// fails Passed regardless of the (absent) checks.
 	Err string
 }
 
@@ -87,7 +87,7 @@ func (r *Result) Passed() bool {
 func (r *Result) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s (virtual time %v)\n", r.ID, r.Title, r.VirtualTime)
 	if r.Err != "" {
-		fmt.Fprintf(w, "   [FAIL] driver panicked: %s\n", r.Err)
+		fmt.Fprintf(w, "   [FAIL] %s\n", r.Err)
 	}
 	if len(r.Rows) > 0 {
 		widths := make([]int, len(r.Rows[0]))

@@ -8,6 +8,25 @@ import (
 	"time"
 )
 
+// sameAcrossWorkers runs cfg at one worker and at n, fails t unless the
+// two Results are deeply equal with byte-identical trace journals, and
+// returns the one-worker run.
+func sameAcrossWorkers(t *testing.T, run func(Config) *Result, cfg Config, n int) *Result {
+	t.Helper()
+	cfg.Shards = 1
+	base := run(cfg)
+	cfg.Shards = n
+	got := run(cfg)
+	if base.Trace != got.Trace {
+		t.Errorf("%s trace journal diverged between 1 and %d workers", base.ID, n)
+	}
+	if !reflect.DeepEqual(base, got) {
+		t.Errorf("%s Result diverged between 1 and %d workers:\n--- workers=1\n%s\n--- workers=%d\n%s",
+			base.ID, n, renderResult(base), n, renderResult(got))
+	}
+	return base
+}
+
 // shardCases are the experiments the shard-invariance differential pins,
 // with measurement windows short enough to keep the seed sweep brisk.
 var shardCases = []struct {
@@ -39,18 +58,7 @@ func TestShardInvariance(t *testing.T) {
 			n := counts[seed%len(counts)]
 			t.Run(fmt.Sprintf("%s/seed%d/workers%d", ex.name, seed, n), func(t *testing.T) {
 				t.Parallel()
-				cfg := Config{Seed: int64(seed), Duration: ex.dur, Shards: 1}
-				base := ex.run(cfg)
-				cfg.Shards = n
-				got := ex.run(cfg)
-				if base.Trace != got.Trace {
-					t.Errorf("trace journal diverged between 1 and %d workers:\n--- workers=1\n%s\n--- workers=%d\n%s",
-						n, base.Trace, n, got.Trace)
-				}
-				if !reflect.DeepEqual(base, got) {
-					t.Errorf("Result diverged between 1 and %d workers:\n--- workers=1\n%s\n--- workers=%d\n%s",
-						n, renderResult(base), n, renderResult(got))
-				}
+				sameAcrossWorkers(t, ex.run, Config{Seed: int64(seed), Duration: ex.dur}, n)
 			})
 		}
 	}
@@ -68,18 +76,7 @@ func TestShardedE11Passes(t *testing.T) {
 // it that TestShardInvariance pins on E2/E9/E10/E11: the checks must pass
 // and the worker count must not leak into the Result or the journal.
 func TestE12SmokeShardInvariant(t *testing.T) {
-	cfg := Config{Seed: 1, Sites: 12, Duration: 10 * time.Second, Shards: 1}
-	base := E12ShardedStorm(cfg)
-	requirePassed(t, base)
-	cfg.Shards = 2
-	got := E12ShardedStorm(cfg)
-	if base.Trace != got.Trace {
-		t.Errorf("E12 trace journal diverged between 1 and 2 workers")
-	}
-	if !reflect.DeepEqual(base, got) {
-		t.Errorf("E12 Result diverged between 1 and 2 workers:\n--- workers=1\n%s\n--- workers=2\n%s",
-			renderResult(base), renderResult(got))
-	}
+	requirePassed(t, sameAcrossWorkers(t, E12ShardedStorm, Config{Seed: 1, Sites: 12, Duration: 10 * time.Second}, 2))
 }
 
 func renderResult(r *Result) string {

@@ -199,11 +199,16 @@ func (h *Histogram) Sum() int64 {
 // 250 ms") over millions of observations with 64 words of state.
 // Returns 0 when nothing was observed (or on a nil receiver), and 0 for
 // any q when every observation was <= 0 (bucket 0's bound).
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
+func (h *Histogram) Quantile(q float64) int64 { return Quantile(q, h) }
+
+// Quantile is Histogram.Quantile over the union of hs: per-bucket counts
+// summed across the histograms, the same rule applied to the merged
+// distribution. Nil histograms count as empty.
+func Quantile(q float64, hs ...*Histogram) int64 {
+	var total uint64
+	for _, h := range hs {
+		total += h.Count()
 	}
-	total := h.count.Load()
 	if total == 0 {
 		return 0
 	}
@@ -219,7 +224,9 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	var cum uint64
 	for i := 0; i < NumBuckets; i++ {
-		cum += h.bucket[i].Load()
+		for _, h := range hs {
+			cum += h.Bucket(i)
+		}
 		if cum >= need {
 			return BucketUpperBound(i)
 		}

@@ -191,6 +191,22 @@ func TestHistogramQuantile(t *testing.T) {
 	if got := top.Quantile(0.5); got != math.MaxInt64 {
 		t.Errorf("top-bucket Quantile = %d, want MaxInt64", got)
 	}
+
+	// Over a union the rule runs on summed buckets: split's nine low
+	// observations plus one's ten at 128 put p50 in one's bucket and p95
+	// there too (19 of 20 at or below 128), p96 in split's high bucket. A
+	// nil member is empty, and no members report 0.
+	for _, c := range []struct {
+		q    float64
+		want int64
+	}{{0.4, 4}, {0.5, 128}, {0.95, 128}, {0.96, 1024}} {
+		if got := Quantile(c.q, split, nilH, one); got != c.want {
+			t.Errorf("union Quantile(%v) = %d, want %d", c.q, got, c.want)
+		}
+	}
+	if got := Quantile(0.5); got != 0 {
+		t.Errorf("Quantile over no histograms = %d, want 0", got)
+	}
 }
 
 func TestRegistryIdentity(t *testing.T) {
