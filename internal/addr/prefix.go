@@ -66,9 +66,6 @@ func (p Prefix) Contains(ip netip.Addr) bool { return p.p.Contains(ip) }
 // String returns the CIDR notation.
 func (p Prefix) String() string { return p.p.String() }
 
-// Std returns the underlying netip.Prefix.
-func (p Prefix) Std() netip.Prefix { return p.p }
-
 // Compare orders prefixes by address then by length; usable for sorting
 // route tables into a stable display order.
 func (p Prefix) Compare(q Prefix) int {

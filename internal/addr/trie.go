@@ -118,28 +118,6 @@ func (t *Trie[V]) Lookup(ip netip.Addr) (V, Prefix, bool) {
 	return best, bestPfx, found
 }
 
-// Get returns the value stored for exactly p.
-func (t *Trie[V]) Get(p Prefix) (V, bool) {
-	var zero V
-	root := t.rootFor(p.Addr(), false)
-	if root == nil {
-		return zero, false
-	}
-	n := root
-	b := p.Addr().As16()
-	base := 128 - p.Addr().BitLen()
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(b, base+i)]
-		if n == nil {
-			return zero, false
-		}
-	}
-	if !n.set {
-		return zero, false
-	}
-	return n.val, true
-}
-
 // Len returns the number of stored prefixes.
 func (t *Trie[V]) Len() int { return t.size }
 

@@ -66,8 +66,8 @@ func TestTrieReplaceAndDelete(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Fatalf("Len after replace = %d", tr.Len())
 	}
-	if v, ok := tr.Get(p); !ok || v != 2 {
-		t.Fatalf("Get = %d,%v", v, ok)
+	if v, got, ok := tr.Lookup(netip.MustParseAddr("10.0.0.1")); !ok || v != 2 || got != p {
+		t.Fatalf("Lookup = %d,%v,%v", v, got, ok)
 	}
 	if !tr.Delete(p) {
 		t.Fatal("Delete reported missing")
@@ -94,14 +94,17 @@ func TestTrieDeleteKeepsCoveringRoute(t *testing.T) {
 	}
 }
 
-func TestTrieGetExact(t *testing.T) {
+func TestTrieDeleteExact(t *testing.T) {
 	var tr Trie[int]
 	tr.Insert(MustParsePrefix("2001:db8::/32"), 7)
-	if _, ok := tr.Get(MustParsePrefix("2001:db8::/48")); ok {
-		t.Fatal("Get matched a non-inserted more-specific")
+	if tr.Delete(MustParsePrefix("2001:db8::/48")) {
+		t.Fatal("Delete matched a non-inserted more-specific")
 	}
-	if _, ok := tr.Get(MustParsePrefix("2001:db8::/16")); ok {
-		t.Fatal("Get matched a non-inserted less-specific")
+	if tr.Delete(MustParsePrefix("2001:db8::/16")) {
+		t.Fatal("Delete matched a non-inserted less-specific")
+	}
+	if v, _, ok := tr.Lookup(netip.MustParseAddr("2001:db8::1")); !ok || v != 7 || tr.Len() != 1 {
+		t.Fatalf("stored prefix disturbed: %d,%v len %d", v, ok, tr.Len())
 	}
 }
 

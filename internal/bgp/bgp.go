@@ -74,9 +74,6 @@ func MakeCommunity(asn ASN, value uint16) Community {
 // ASN returns the high 16 bits.
 func (c Community) ASN() ASN { return ASN(c >> 16) }
 
-// Value returns the low 16 bits.
-func (c Community) Value() uint16 { return uint16(c) }
-
 func (c Community) String() string {
 	switch c {
 	case CommunityNoExport:

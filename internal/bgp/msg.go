@@ -51,20 +51,6 @@ type Message struct {
 	Keepalive    bool
 }
 
-// Type returns the message type code.
-func (m *Message) Type() int {
-	switch {
-	case m.Open != nil:
-		return MsgOpen
-	case m.Update != nil:
-		return MsgUpdate
-	case m.Notification != nil:
-		return MsgNotification
-	default:
-		return MsgKeepalive
-	}
-}
-
 // Open is the session-establishment message.
 type Open struct {
 	Version  uint8

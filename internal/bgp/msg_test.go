@@ -26,9 +26,6 @@ func TestOpenRoundTrip(t *testing.T) {
 	if *got.Open != *m.Open {
 		t.Fatalf("open = %+v", got.Open)
 	}
-	if got.Type() != MsgOpen {
-		t.Fatalf("Type = %d", got.Type())
-	}
 }
 
 func TestKeepaliveAndNotification(t *testing.T) {
@@ -298,8 +295,8 @@ func TestPrefixCodecProperty(t *testing.T) {
 
 func TestCommunityHelpers(t *testing.T) {
 	c := MakeCommunity(ASVultr, 6000)
-	if c.ASN() != ASVultr || c.Value() != 6000 {
-		t.Fatalf("community parts: %v %v", c.ASN(), c.Value())
+	if c.ASN() != ASVultr || uint16(c) != 6000 {
+		t.Fatalf("community parts: %v %v", c.ASN(), uint16(c))
 	}
 	if c.String() != "20473:6000" {
 		t.Fatalf("String = %q", c.String())

@@ -117,29 +117,12 @@ type Session struct {
 	blackholed bool
 
 	Stats struct {
-		MsgsSent, MsgsRcvd       uint64
-		UpdatesSent, UpdatesRcvd uint64
-		RoutesRejected           uint64
+		UpdatesSent uint64
 	}
 }
 
-// Speaker returns the owning speaker.
-func (s *Session) Speaker() *Speaker { return s.speaker }
-
-// Peer returns the remote speaker.
-func (s *Session) Peer() *Speaker { return s.peer.speaker }
-
 // PeerAS returns the remote speaker's ASN.
 func (s *Session) PeerAS() ASN { return s.peer.speaker.AS }
-
-// Relation returns the configured relation of the peer.
-func (s *Session) Relation() Relation { return s.cfg.Relation }
-
-// State returns the FSM state.
-func (s *Session) State() State { return s.state }
-
-// LocalAddr returns this side's session endpoint address.
-func (s *Session) LocalAddr() netip.Addr { return s.cfg.LocalAddr }
 
 // AdjIn returns the route learned from the peer for p, if any.
 func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
@@ -223,7 +206,6 @@ func (s *Session) sendMsg(m *Message) {
 	if err != nil {
 		panic(fmt.Sprintf("bgp: encoding on %v: %v", s, err))
 	}
-	s.Stats.MsgsSent++
 	if m.Update != nil {
 		s.Stats.UpdatesSent++
 	}
@@ -248,14 +230,12 @@ func (s *Session) recvBytes(raw []byte) {
 	if err != nil {
 		panic(fmt.Sprintf("bgp: decoding on %v: %v", s, err))
 	}
-	s.Stats.MsgsRcvd++
 	s.lastHeard = s.speaker.eng.Now()
 	s.rearmHold()
 	switch {
 	case m.Open != nil:
 		s.handleOpen(m.Open)
 	case m.Update != nil:
-		s.Stats.UpdatesRcvd++
 		s.speaker.handleUpdate(s, m.Update)
 	case m.Notification != nil:
 		s.goDown()

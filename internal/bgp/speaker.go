@@ -28,15 +28,6 @@ type Speaker struct {
 	// (newBest nil on withdrawal). The Tango node uses it to program
 	// the data-plane FIB.
 	OnBestChange func(p addr.Prefix, newBest, old *Route)
-
-	Stats struct {
-		BestChanges uint64
-		Withdrawals uint64
-		// PolicySuppressed counts exports the Gao-Rexford valley-free
-		// rule refused (a peer- or provider-learned route headed
-		// anywhere but a customer).
-		PolicySuppressed uint64
-	}
 }
 
 // NewSpeaker creates a speaker on the given engine.
@@ -142,7 +133,6 @@ func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 		}
 		imported := sp.importRoute(s, r)
 		if imported == nil {
-			s.Stats.RoutesRejected++
 			// An implicit withdrawal if we previously accepted one.
 			if _, ok := s.adjIn[p]; ok {
 				delete(s.adjIn, p)
@@ -201,11 +191,9 @@ func (sp *Speaker) reselect(p addr.Prefix) {
 	}
 	if best == nil {
 		delete(sp.locRIB, p)
-		sp.Stats.Withdrawals++
 	} else {
 		sp.locRIB[p] = best
 	}
-	sp.Stats.BestChanges++
 	if sp.OnBestChange != nil {
 		sp.OnBestChange(p, best, old)
 	}
@@ -280,7 +268,6 @@ func (sp *Speaker) exportRoute(s *Session, best *Route) *Route {
 	if best.FromSession != nil {
 		from := best.FromSession.cfg.Relation
 		if (from == RelProvider || from == RelPeer) && s.cfg.Relation != RelCustomer {
-			sp.Stats.PolicySuppressed++
 			return nil
 		}
 	}

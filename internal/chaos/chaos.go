@@ -163,9 +163,6 @@ func (e *Engine) Line(name string) *simnet.Line {
 	return nil
 }
 
-// Speaker returns the registered speaker, or nil.
-func (e *Engine) Speaker(name string) *bgp.Speaker { return e.speakers[name] }
-
 // LineNames returns the registered line names, sorted.
 func (e *Engine) LineNames() []string {
 	out := make([]string, 0, len(e.lines))

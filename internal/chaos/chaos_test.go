@@ -220,8 +220,8 @@ func TestFaultOnUnknownTargetIsLoggedNotFatal(t *testing.T) {
 
 func TestConservationAndBufferBalanceOnLiveTraffic(t *testing.T) {
 	w, lk := twoNodes(1)
-	a := w.Node("a")
-	b := w.Node("b")
+	a := lk.PortA().Node()
+	b := lk.PortB().Node()
 	dst := netip.MustParseAddr("2001:db8::b")
 	b.AddAddr(dst)
 	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
@@ -249,7 +249,7 @@ func TestConservationAndBufferBalanceOnLiveTraffic(t *testing.T) {
 }
 
 func TestConservationDetectsCookedBooks(t *testing.T) {
-	w, _ := twoNodes(1)
+	w, lk := twoNodes(1)
 	ch := New(w.Eng)
 	ch.Watch(Conservation("w", w))
 	ch.CheckNow()
@@ -257,7 +257,7 @@ func TestConservationDetectsCookedBooks(t *testing.T) {
 		t.Fatalf("clean network flagged: %v", ch.Violations())
 	}
 	// A packet claimed as originated but never accounted for anywhere.
-	w.Node("a").Stats.Sent++
+	lk.PortA().Node().Stats.Sent++
 	ch.CheckNow()
 	vs := ch.Violations()
 	if len(vs) != 1 || !strings.Contains(vs[0].Err, "node a") {
@@ -267,7 +267,7 @@ func TestConservationDetectsCookedBooks(t *testing.T) {
 
 func TestPathEvacuationFlagsStubbornController(t *testing.T) {
 	w, lk := twoNodes(1)
-	a := w.Node("a")
+	a := lk.PortA().Node()
 	sw := dataplane.NewSwitch(a)
 	sw.AddTunnel(&dataplane.Tunnel{
 		PathID:     1,
@@ -299,7 +299,7 @@ func TestPathEvacuationFlagsStubbornController(t *testing.T) {
 
 func TestNoDataOnDeadPathExemptsProbes(t *testing.T) {
 	w, lk := twoNodes(1)
-	sw := dataplane.NewSwitch(w.Node("a"))
+	sw := dataplane.NewSwitch(lk.PortA().Node())
 	tun := &dataplane.Tunnel{
 		PathID:     1,
 		Name:       "only",

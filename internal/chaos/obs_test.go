@@ -71,7 +71,7 @@ func TestChaosObsWithdrawalKind(t *testing.T) {
 // TestChaosObsViolationCounter checks invariant violations increment the
 // counter and journal a violation record naming the invariant.
 func TestChaosObsViolationCounter(t *testing.T) {
-	w, _ := twoNodes(1)
+	w, lk := twoNodes(1)
 	ch := New(w.Eng)
 	reg := obs.NewRegistry()
 	j := obs.NewJournal(8)
@@ -82,7 +82,7 @@ func TestChaosObsViolationCounter(t *testing.T) {
 	if got := reg.Snapshot()["tango_chaos_violations_total"]; got != 0 {
 		t.Fatalf("violations counter = %v before any violation", got)
 	}
-	w.Node("a").Stats.Sent++ // cook the books
+	lk.PortA().Node().Stats.Sent++ // cook the books
 	ch.CheckNow()
 	if got := reg.Snapshot()["tango_chaos_violations_total"]; got != 1 {
 		t.Fatalf("violations counter = %v, want 1", got)

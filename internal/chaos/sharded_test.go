@@ -46,9 +46,6 @@ func TestShardedFaultLogMergesAcrossPartitions(t *testing.T) {
 	if ch.Line("ba") != cross.LineBA() || ch.Line("missing") != nil {
 		t.Fatal("Line accessor broken")
 	}
-	if ch.Speaker("missing") != nil {
-		t.Fatal("Speaker accessor broken")
-	}
 	ch.Schedule(LinkDown("ba", 5*time.Millisecond, 20*time.Millisecond))
 	ch.Schedule(LinkDown("ac", 5*time.Millisecond, 20*time.Millisecond))
 	ch.Schedule(LossBurst("ba", 15*time.Millisecond, 10*time.Millisecond, 0.5))

@@ -118,10 +118,8 @@ type MinJitter struct {
 	// lower jitter; a calmer path more than this much slower than the
 	// fastest is not chosen.
 	MaxOWDPenaltyMs float64
-	// HysteresisMs is the absolute jitter improvement (in milliseconds)
-	// required to switch away from the current path.
-	HysteresisMs float64
-	// MinDwell is the minimum time between switches.
+	// MinDwell is the minimum time between switches. There is no
+	// margin: any jitter improvement switches once the dwell allows.
 	MinDwell time.Duration
 	// StaleAfter treats estimates older than this as invalid (path
 	// possibly dead); 0 disables.
@@ -158,7 +156,7 @@ func (p *MinJitter) Choose(now sim.Time, cur uint8, ests []PathEstimate) uint8 {
 		}
 	}
 	return p.settle(now, p.MinDwell, cur, best.ID, curEst != nil,
-		curEst != nil && best.JitterMs <= curEst.JitterMs-p.HysteresisMs)
+		curEst != nil && best.JitterMs <= curEst.JitterMs)
 }
 
 // Static always uses one path — the "BGP default" baseline when pointed
@@ -201,7 +199,6 @@ type Controller struct {
 	Stats struct {
 		Decisions uint64
 		Switches  uint64
-		Reports   uint64
 	}
 }
 
@@ -353,7 +350,6 @@ func (c *Controller) UpdateEstimate(id uint8, owdMs, jitterMs float64, samples u
 	e.Samples = samples
 	e.UpdatedAt = c.eng.Now()
 	e.Valid = true
-	c.Stats.Reports++
 	c.cobs.reports.Inc()
 	// Gauges mirror the estimate only after every field (and the order
 	// slice) is final, so a concurrent scrape never sees a gauge ahead of

@@ -184,7 +184,6 @@ type Reporter struct {
 	eng  *sim.Engine
 	tick *sim.Ticker
 	next int
-	Sent uint64
 	// MaxAge suppresses reports for paths with no packet received for
 	// this long — a dead path must go stale at the peer's controller
 	// rather than be refreshed with a frozen estimate. 0 disables.
@@ -221,7 +220,6 @@ func (r *Reporter) emit() {
 		MeanOWDNano: int64(pm.Est.Value() * float64(time.Millisecond)),
 		JitterNano:  int64(pm.JitEst.Value() * float64(time.Millisecond)),
 	})
-	r.Sent++
 }
 
 // Stop halts reporting.

@@ -121,8 +121,7 @@ func jest(id uint8, owd, jitter float64, at sim.Time) PathEstimate {
 }
 
 // TestMinJitterEdgeCases pins MinJitter's damping: the policy gets the
-// same dwell/hysteresis/staleness treatment as MinOWD, so near-equal
-// jitter readings cannot flap traffic every tick.
+// same dwell and staleness treatment as MinOWD, with no margin.
 func TestMinJitterEdgeCases(t *testing.T) {
 	type step struct {
 		now  sim.Time
@@ -136,42 +135,10 @@ func TestMinJitterEdgeCases(t *testing.T) {
 		steps  []step
 	}{
 		{
-			// The flap MinJitter used to exhibit: two paths trading places
-			// by a hair of jitter each tick. With hysteresis the policy
-			// settles on path 2 and stays there.
-			name:   "sub-hysteresis wobble does not flap",
-			policy: MinJitter{HysteresisMs: 0.5},
-			steps: []step{
-				{now: 1 * time.Second, cur: 1, want: 2, ests: []PathEstimate{
-					jest(1, 30, 3.0, time.Second), jest(2, 31, 2.0, time.Second),
-				}},
-				{now: 2 * time.Second, cur: 2, want: 2, ests: []PathEstimate{
-					jest(1, 30, 1.9, 2*time.Second), jest(2, 31, 2.1, 2*time.Second),
-				}},
-				{now: 3 * time.Second, cur: 2, want: 2, ests: []PathEstimate{
-					jest(1, 30, 2.0, 3*time.Second), jest(2, 31, 1.8, 3*time.Second),
-				}},
-			},
-		},
-		{
-			// A gain of exactly the margin switches (inclusive compare,
-			// mirroring MinOWD); a hair under holds.
-			name:   "exact hysteresis margin switches, under holds",
-			policy: MinJitter{HysteresisMs: 1.0},
-			steps: []step{
-				{now: time.Second, cur: 1, want: 1, ests: []PathEstimate{
-					jest(1, 30, 3.0, time.Second), jest(2, 30, 2.001, time.Second),
-				}},
-				{now: 2 * time.Second, cur: 1, want: 2, ests: []PathEstimate{
-					jest(1, 30, 3.0, 2*time.Second), jest(2, 30, 2.0, 2*time.Second),
-				}},
-			},
-		},
-		{
 			// Dwell holds a clearly better path until the window expires
 			// (guard is now-lastSwitch < MinDwell, exact expiry may move).
 			name:   "dwell blocks until exact expiry",
-			policy: MinJitter{HysteresisMs: 0.1, MinDwell: 5 * time.Second},
+			policy: MinJitter{MinDwell: 5 * time.Second},
 			steps: []step{
 				{now: time.Second, cur: 1, want: 2, ests: []PathEstimate{
 					jest(1, 30, 5, time.Second), jest(2, 30, 1, time.Second),
@@ -188,7 +155,7 @@ func TestMinJitterEdgeCases(t *testing.T) {
 			// All estimates stale: hold rather than guess. At the exact
 			// staleness boundary the estimate still counts.
 			name:   "staleness: all stale holds, boundary counts",
-			policy: MinJitter{HysteresisMs: 0.1, StaleAfter: 2 * time.Second},
+			policy: MinJitter{StaleAfter: 2 * time.Second},
 			steps: []step{
 				{now: 10 * time.Second, cur: 1, want: 1, ests: []PathEstimate{
 					jest(1, 30, 5, 0), jest(2, 30, 1, time.Second),
@@ -200,9 +167,9 @@ func TestMinJitterEdgeCases(t *testing.T) {
 		},
 		{
 			// The current path going invalid evacuates immediately, even
-			// mid-dwell and for a sub-hysteresis gain.
+			// mid-dwell.
 			name:   "current invalid moves immediately despite dwell",
-			policy: MinJitter{HysteresisMs: 5, MinDwell: time.Minute},
+			policy: MinJitter{MinDwell: time.Minute},
 			steps: []step{
 				{now: time.Second, cur: 1, want: 2, ests: []PathEstimate{
 					jest(1, 30, 8, time.Second), jest(2, 30, 1, time.Second),
@@ -217,7 +184,7 @@ func TestMinJitterEdgeCases(t *testing.T) {
 			// The OWD penalty still gates candidates: a calm path that is
 			// too slow is never chosen, whatever its jitter.
 			name:   "owd penalty excludes calm-but-slow path",
-			policy: MinJitter{MaxOWDPenaltyMs: 2, HysteresisMs: 0.1},
+			policy: MinJitter{MaxOWDPenaltyMs: 2},
 			steps: []step{
 				{now: time.Second, cur: 1, want: 1, ests: []PathEstimate{
 					jest(1, 30, 2, time.Second), jest(2, 40, 0.1, time.Second),
@@ -250,6 +217,7 @@ func TestMinJitterEdgeCases(t *testing.T) {
 // value column is the path's OWD for MinOWD and its jitter for MinJitter
 // (at equal OWD), and every step must come out the same, because the
 // rule — keep, evacuate, dwell, margin — is damping.settle for both.
+// MinJitter's margin is 0, so the rows that turn on it run on MinOWD only.
 func TestDampingIsOneRule(t *testing.T) {
 	type path struct {
 		id    uint8
@@ -267,6 +235,7 @@ func TestDampingIsOneRule(t *testing.T) {
 	cases := []struct {
 		name         string
 		margin       float64
+		marginOnly   bool // the outcome turns on a non-zero margin
 		dwell, stale time.Duration
 		steps        []step
 	}{
@@ -278,7 +247,7 @@ func TestDampingIsOneRule(t *testing.T) {
 		{name: "an estimate exactly at the stale bound still counts", margin: 0.5, stale: 2 * s, steps: []step{
 			{now: 10 * s, cur: 1, want: 2, paths: []path{{1, 30, 10 * s, false}, {2, 20, 8 * s, false}}},
 		}},
-		{name: "the margin is inclusive and absolute", margin: 2, steps: []step{
+		{name: "the margin is inclusive and absolute", margin: 2, marginOnly: true, steps: []step{
 			{now: s, cur: 1, want: 1, paths: []path{{1, 30, s, false}, {2, 28.001, s, false}}},
 			{now: 2 * s, cur: 1, want: 2, paths: []path{{1, 30, 2 * s, false}, {2, 28, 2 * s, false}}},
 			// Shifting every value by a clock offset changes nothing.
@@ -306,20 +275,21 @@ func TestDampingIsOneRule(t *testing.T) {
 		}},
 	}
 	policies := []struct {
-		name string
-		make func(margin float64, dwell, stale time.Duration) Policy
-		est  func(p path) PathEstimate
+		name   string
+		margin bool
+		make   func(margin float64, dwell, stale time.Duration) Policy
+		est    func(p path) PathEstimate
 	}{
-		{"MinOWD",
+		{"MinOWD", true,
 			func(m float64, d, st time.Duration) Policy {
 				return &MinOWD{HysteresisMs: m, MinDwell: d, StaleAfter: st}
 			},
 			func(p path) PathEstimate {
 				return PathEstimate{ID: p.id, OWDMs: p.value, UpdatedAt: p.at, Valid: !p.dead}
 			}},
-		{"MinJitter",
-			func(m float64, d, st time.Duration) Policy {
-				return &MinJitter{HysteresisMs: m, MinDwell: d, StaleAfter: st}
+		{"MinJitter", false,
+			func(_ float64, d, st time.Duration) Policy {
+				return &MinJitter{MinDwell: d, StaleAfter: st}
 			},
 			func(p path) PathEstimate {
 				return PathEstimate{ID: p.id, OWDMs: 30, JitterMs: p.value, UpdatedAt: p.at, Valid: !p.dead}
@@ -327,6 +297,9 @@ func TestDampingIsOneRule(t *testing.T) {
 	}
 	for _, pol := range policies {
 		for _, tc := range cases {
+			if tc.marginOnly && !pol.margin {
+				continue
+			}
 			t.Run(pol.name+"/"+tc.name, func(t *testing.T) {
 				p := pol.make(tc.margin, tc.dwell, tc.stale)
 				for i, st := range tc.steps {

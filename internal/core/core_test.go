@@ -130,7 +130,7 @@ func TestPairControllerMovesToGTT(t *testing.T) {
 	if bName != "GTT" {
 		t.Fatalf("LA controller on %s, want GTT", bName)
 	}
-	if p.A.Controller.Stats.Reports == 0 {
+	if p.A.Switch.Stats.ReportsRecvd == 0 {
 		t.Fatal("no feedback reports arrived")
 	}
 }

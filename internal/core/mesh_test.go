@@ -211,9 +211,9 @@ func TestMeshConfigErrors(t *testing.T) {
 
 func mustEdgeT(t *testing.T, s *topo.MeshScenario, site, peer string) *topo.AS {
 	t.Helper()
-	e, err := s.Edge(site, peer)
-	if err != nil {
-		t.Fatal(err)
+	e := s.Edges[site+":"+peer]
+	if e == nil {
+		t.Fatalf("no edge %s:%s", site, peer)
 	}
 	return e
 }

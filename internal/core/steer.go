@@ -81,9 +81,9 @@ func (d *Deployment) Steer(seed int64, demands []SteerDemand) (float64, [][]floa
 	// solver's input, so it must not vary from run to run.
 	idx := map[*simnet.Line]int{}
 	var links []te.Link
-	add := func(name string, line *simnet.Line) {
+	add := func(line *simnet.Line) {
 		idx[line] = len(links)
-		links = append(links, te.Link{Name: name, CapacityBps: line.Capacity()})
+		links = append(links, te.Link{CapacityBps: line.Capacity()})
 	}
 	for _, site := range d.Mesh.Sites() {
 		provs := make([]string, 0, len(d.Scenario.Trunk[site]))
@@ -92,8 +92,8 @@ func (d *Deployment) Steer(seed int64, demands []SteerDemand) (float64, [][]floa
 		}
 		sort.Strings(provs)
 		for _, p := range provs {
-			add("up/"+site+"/"+p, d.Scenario.Uplink[site][p])
-			add("down/"+site+"/"+p, d.Scenario.Trunk[site][p])
+			add(d.Scenario.Uplink[site][p])
+			add(d.Scenario.Trunk[site][p])
 		}
 	}
 

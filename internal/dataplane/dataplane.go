@@ -155,7 +155,6 @@ type Switch struct {
 	Stats struct {
 		Encapped     uint64
 		Decapped     uint64
-		NotTango     uint64
 		BadPacket    uint64
 		NoTunnel     uint64
 		AuthFail     uint64
@@ -267,9 +266,6 @@ func NewSwitch(ep transport.Endpoint) *Switch {
 	return s
 }
 
-// Endpoint returns the transport endpoint the switch is attached to.
-func (s *Switch) Endpoint() transport.Endpoint { return s.ep }
-
 // AddTunnel registers a path. The tunnel's local endpoint address is
 // claimed on the node so arriving outer packets are delivered here.
 func (s *Switch) AddTunnel(t *Tunnel) {
@@ -365,7 +361,6 @@ func (s *Switch) handle(data []byte) {
 		s.receiverProgram(data)
 		return
 	}
-	s.Stats.NotTango++
 	s.DeliverLocal(data)
 }
 

@@ -53,6 +53,11 @@ func E14DiscoverySweep(cfg Config) *Result {
 	if !full {
 		npairs = max(4, sites/2)
 	}
+	if sites < 2 || sites*(sites-1) < npairs {
+		r.Err = fmt.Sprintf("E14 needs %d distinct ordered site pairs: %d sites give %d",
+			npairs, sites, max(0, sites*(sites-1)))
+		return r
+	}
 	workers := cfg.Shards
 	if workers == 0 {
 		workers = 1

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 )
 
 // e14Smoke is the CI-scale configuration: a ~34-AS generated internet
@@ -13,6 +15,24 @@ func TestE14Smoke(t *testing.T) {
 	cfg := e14Smoke(1)
 	cfg.Shards = 2
 	requirePassed(t, E14DiscoverySweep(cfg))
+}
+
+// TestE14TooFewSites: a scale too small to draw the swept pairs from is
+// an error, not an endless draw. The run gets a deadline so a hang fails
+// the test instead of the suite.
+func TestE14TooFewSites(t *testing.T) {
+	for _, sites := range []int{1, 2, -1} {
+		done := make(chan *Result, 1)
+		go func() { done <- E14DiscoverySweep(Config{Seed: 1, Sites: sites}) }()
+		select {
+		case r := <-done:
+			if !strings.Contains(r.Err, "distinct ordered site pairs") || r.Passed() {
+				t.Fatalf("Sites %d: Err %q, passed %v", sites, r.Err, r.Passed())
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Sites %d: E14 still running after 10 s", sites)
+		}
+	}
 }
 
 // TestE14SweepWorkerInvariance is the sweep driver's differential test:

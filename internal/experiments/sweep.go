@@ -50,10 +50,8 @@ const (
 	sweepMaxRounds = 8
 )
 
-// PairResult scores one pair's discovery run.
+// PairResult scores one pair's discovery run (SweepConfig.Pairs order).
 type PairResult struct {
-	// Src and Dst are the pair's site indices.
-	Src, Dst int
 	// Found is the discovery loop's raw output, in round order.
 	Found []control.DiscoveredPath
 	// Providers is the distinct discovered provider set, ascending.
@@ -241,7 +239,6 @@ func runSweepChunk(cfg SweepConfig, g *topo.ASGraph, edgeSites []int, lo, hi int
 // scorePair folds one pair's discovery output against the ground truth.
 func scorePair(g *topo.ASGraph, src, dst int, found []control.DiscoveredPath) PairResult {
 	pr := PairResult{
-		Src: src, Dst: dst,
 		Found:       found,
 		Truth:       g.ValleyFreeProviders(dst, src),
 		PhantomFree: true,

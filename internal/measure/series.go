@@ -75,15 +75,6 @@ func (s *Series) Points() []Point {
 	return s.pts
 }
 
-// Len returns the number of closed buckets plus any open one.
-func (s *Series) Len() int {
-	n := len(s.pts)
-	if s.curOpen {
-		n++
-	}
-	return n
-}
-
 // Slice returns the points with bucket start in [from, to).
 func (s *Series) Slice(from, to time.Duration) []Point {
 	pts := s.Points()

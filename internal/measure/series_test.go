@@ -14,9 +14,6 @@ func TestSeriesRaw(t *testing.T) {
 	if len(pts) != 2 || pts[0].Mean != 1 || pts[1].Mean != 2 {
 		t.Fatalf("points = %+v", pts)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
 }
 
 func TestSeriesAggregation(t *testing.T) {

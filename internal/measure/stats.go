@@ -58,9 +58,6 @@ func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 // Min returns the smallest sample (0 with no samples).
 func (w *Welford) Min() float64 { return w.min }
 
-// Max returns the largest sample (0 with no samples).
-func (w *Welford) Max() float64 { return w.max }
-
 // Reset clears the accumulator.
 func (w *Welford) Reset() { *w = Welford{} }
 

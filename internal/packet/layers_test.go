@@ -301,17 +301,13 @@ func TestFullEncapStack(t *testing.T) {
 	// after computing OWD.
 	var iip IPv6
 	var iudp UDP
-	var ipay Payload
 	if err := iip.DecodeFromBytes(oth.LayerPayload()); err != nil {
 		t.Fatal(err)
 	}
 	if err := iudp.DecodeFromBytes(iip.LayerPayload()); err != nil {
 		t.Fatal(err)
 	}
-	if err := ipay.DecodeFromBytes(iudp.LayerPayload()); err != nil {
-		t.Fatal(err)
-	}
-	if string(ipay) != "drone telemetry sample" {
+	if ipay := iudp.LayerPayload(); string(ipay) != "drone telemetry sample" {
 		t.Fatalf("inner payload = %q", ipay)
 	}
 	if iip.Src != srcV6 || iudp.SrcPort != 9000 {

@@ -74,10 +74,6 @@ type Tango struct {
 	// above 1, decrementing as it re-encapsulates.
 	RelayTTL uint8
 
-	// AuthTag is the decoded authentication tag (nil when absent). It
-	// aliases the decode buffer.
-	AuthTag []byte
-
 	// Report is the piggybacked reverse-path observation; valid when
 	// Flags&TangoFlagReport != 0.
 	Report OWDReport
@@ -187,10 +183,7 @@ func (t *Tango) DecodeFromBytes(data []byte) error {
 		if len(data) < off+tangoAuthLen {
 			return fmt.Errorf("tango: %w auth tag", errTruncated)
 		}
-		t.AuthTag = data[off : off+tangoAuthLen]
 		off += tangoAuthLen
-	} else {
-		t.AuthTag = nil
 	}
 	t.payload = data[off:]
 	return nil
@@ -199,18 +192,9 @@ func (t *Tango) DecodeFromBytes(data []byte) error {
 // Payload is a raw application payload layer.
 type Payload []byte
 
-// LayerPayload returns nil: payload is the innermost layer.
-func (p *Payload) LayerPayload() []byte { return nil }
-
 // SerializeTo prepends the payload bytes.
 func (p *Payload) SerializeTo(buf *SerializeBuffer) error {
 	b := buf.PrependBytes(len(*p))
 	copy(b, *p)
-	return nil
-}
-
-// DecodeFromBytes records the payload bytes (zero copy).
-func (p *Payload) DecodeFromBytes(data []byte) error {
-	*p = data
 	return nil
 }

@@ -80,9 +80,6 @@ func NewBatchWheel(eng *Engine, granule, horizon time.Duration, cb func(now Time
 	return w
 }
 
-// Len returns the number of items currently scheduled.
-func (w *BatchWheel) Len() int { return w.n }
-
 // Reserve grows the per-item link array to hold item indices < n, so
 // later Adds below that bound never allocate. Adding an item beyond the
 // reserved range grows the array amortized (an allocation).

@@ -47,8 +47,8 @@ func TestBatchWheelQuantizesUpAndBatches(t *testing.T) {
 		t.Fatalf("last firing = %+v", (*fired)[3])
 	}
 	// One bucket of three = one engine event; item 3 = a second.
-	if w.Len() != 0 {
-		t.Fatalf("Len = %d after drain", w.Len())
+	if w.n != 0 {
+		t.Fatalf("Len = %d after drain", w.n)
 	}
 }
 
@@ -173,8 +173,8 @@ func TestBatchWheelStopForgetsAndReArms(t *testing.T) {
 	w.Add(0, Time(5*time.Millisecond))
 	w.Add(1, Time(7*time.Millisecond))
 	w.Stop()
-	if w.Len() != 0 {
-		t.Fatalf("Len = %d after Stop", w.Len())
+	if w.n != 0 {
+		t.Fatalf("Len = %d after Stop", w.n)
 	}
 	eng.RunAll()
 	if len(*fired) != 0 {

@@ -130,9 +130,6 @@ func (c *Coordinator) SetWorkers(n int) {
 	c.workers = n
 }
 
-// Workers returns the configured worker count.
-func (c *Coordinator) Workers() int { return c.workers }
-
 // EnterParallel switches subsequent Runs to parallel epochs. It is a
 // no-op (the coordinator stays coupled) when there is only one partition
 // or no positive lookahead. Call between runs, never from a callback.
@@ -143,14 +140,6 @@ func (c *Coordinator) EnterParallel() {
 	if len(c.parts) > 1 && c.lookahead > 0 {
 		c.parallel = true
 	}
-}
-
-// EnterCoupled switches subsequent Runs back to the sequential interleave.
-func (c *Coordinator) EnterCoupled() {
-	if c.running {
-		panic("sim: EnterCoupled during Run")
-	}
-	c.parallel = false
 }
 
 // Parallel reports whether parallel epochs are active.

@@ -54,7 +54,6 @@ func TestCoordinatorValidation(t *testing.T) {
 	// they would corrupt the epoch structure mid-flight.
 	c.Part(0).ScheduleAt(Time(time.Millisecond), func() {
 		mustPanic(t, "EnterParallel during Run", c.EnterParallel)
-		mustPanic(t, "EnterCoupled during Run", c.EnterCoupled)
 		mustPanic(t, "re-entrant", func() { c.Run(Time(time.Second)) })
 	})
 	c.Run(Time(10 * time.Millisecond))
@@ -71,16 +70,16 @@ func TestCoordinatorAccessors(t *testing.T) {
 			t.Fatalf("partition %d engine not wired to coordinator", i)
 		}
 	}
-	if c.Workers() != 1 {
-		t.Fatalf("default workers %d, want 1", c.Workers())
+	if c.workers != 1 {
+		t.Fatalf("default workers %d, want 1", c.workers)
 	}
 	c.SetWorkers(0)
-	if c.Workers() != 1 {
-		t.Fatalf("SetWorkers(0) gave %d, want clamp to 1", c.Workers())
+	if c.workers != 1 {
+		t.Fatalf("SetWorkers(0) gave %d, want clamp to 1", c.workers)
 	}
 	c.SetWorkers(64)
-	if c.Workers() != 3 {
-		t.Fatalf("SetWorkers(64) gave %d, want clamp to 3 partitions", c.Workers())
+	if c.workers != 3 {
+		t.Fatalf("SetWorkers(64) gave %d, want clamp to 3 partitions", c.workers)
 	}
 	if c.Parallel() {
 		t.Fatal("coordinator born parallel")
@@ -88,10 +87,6 @@ func TestCoordinatorAccessors(t *testing.T) {
 	c.EnterParallel()
 	if !c.Parallel() {
 		t.Fatal("EnterParallel did not arm parallel mode")
-	}
-	c.EnterCoupled()
-	if c.Parallel() {
-		t.Fatal("EnterCoupled did not disarm parallel mode")
 	}
 
 	// The degenerate cases stay coupled: one partition, or no lookahead.

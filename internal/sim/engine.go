@@ -67,12 +67,6 @@ type ArgHandler interface {
 	OnSimEvent(arg any)
 }
 
-// Cancelled reports whether the event was cancelled or has already fired.
-func (e *Event) Cancelled() bool { return e.state < 0 }
-
-// At returns the virtual time the event is (or was) scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Engine is a discrete-event simulator. The zero value is not ready for
 // use; call NewEngine.
 type Engine struct {
@@ -82,7 +76,6 @@ type Engine struct {
 	nlive   int // pending, non-cancelled events
 	ntomb   int // cancelled events still linked in a chain
 	running bool
-	stopped bool
 	free    *Event // freelist to avoid per-event allocation in long runs
 
 	// coord/part are set when the engine is one partition of a sharded
@@ -92,10 +85,8 @@ type Engine struct {
 
 	// Stats counts engine activity; useful in tests and benchmarks.
 	Stats struct {
-		Scheduled uint64
 		Fired     uint64
 		Cancelled uint64
-		Swept     uint64 // tombstones reclaimed (deferred sweeps and bucket expiry)
 		DuePeak   uint64 // largest due set so far: events the cursor had already passed
 	}
 }
@@ -205,7 +196,6 @@ func (e *Engine) push(t Time) *Event {
 	e.seq++
 	e.w.place(e, ev)
 	e.nlive++
-	e.Stats.Scheduled++
 	return ev
 }
 
@@ -304,7 +294,6 @@ func (e *Engine) filterChain(head *Event) *Event {
 // reclaim returns an unlinked tombstone to the freelist.
 func (e *Engine) reclaim(ev *Event) {
 	e.ntomb--
-	e.Stats.Swept++
 	e.release(ev)
 }
 
@@ -369,9 +358,8 @@ func (e *Engine) Run(until Time) (fired int) {
 		panic("sim: re-entrant Run")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
-	for !e.stopped {
+	for {
 		ev := e.peek()
 		if ev == nil || ev.at > until {
 			break
@@ -385,13 +373,9 @@ func (e *Engine) Run(until Time) (fired int) {
 	return fired
 }
 
-// RunAll fires events until the queue drains or Stop is called. Unlike
-// Run, it leaves the clock at the last fired event's instant.
+// RunAll fires events until the queue drains. Unlike Run, it leaves the
+// clock at the last fired event's instant.
 func (e *Engine) RunAll() (fired int) { return e.Run(Forever) }
-
-// Stop makes a Run in progress return after the current event completes.
-// It may be called from inside an event callback.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of events currently queued (cancelled events
 // excluded).

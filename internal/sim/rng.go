@@ -10,11 +10,7 @@ import "math/rand"
 // or not the controller is adaptive.
 type RNG struct {
 	*rand.Rand
-	name string
 }
-
-// Name returns the label the stream was created with.
-func (r *RNG) Name() string { return r.name }
 
 // Streams derives named RNGs from a master seed.
 type Streams struct {
@@ -32,11 +28,8 @@ func (s *Streams) Stream(name string) *RNG {
 	// decorrelates nearby seeds.
 	x := uint64(s.seed) ^ h
 	x = splitmix64(x)
-	return &RNG{Rand: rand.New(rand.NewSource(int64(x))), name: name}
+	return &RNG{Rand: rand.New(rand.NewSource(int64(x)))}
 }
-
-// Seed returns the master seed the factory was created with.
-func (s *Streams) Seed() int64 { return s.seed }
 
 func fnv64(name string) uint64 {
 	const offset = 14695981039346656037

@@ -28,7 +28,7 @@ func TestStreamsIndependentByName(t *testing.T) {
 		}
 	}
 	if same > 2 {
-		t.Fatalf("streams %q and %q agree on %d/100 draws; not independent", a.Name(), b.Name(), same)
+		t.Fatalf("streams jitter and loss agree on %d/100 draws; not independent", same)
 	}
 }
 
@@ -136,9 +136,6 @@ func TestTicker(t *testing.T) {
 	e.Run(time.Second)
 	if len(ticks) != 5 {
 		t.Fatalf("ticker fired after Stop: %d ticks", len(ticks))
-	}
-	if tk.Ticks != 5 {
-		t.Fatalf("Ticks = %d, want 5", tk.Ticks)
 	}
 }
 

@@ -11,7 +11,6 @@ type Ticker struct {
 	fn     func(Time)
 	ev     *Event
 	stop   bool
-	Ticks  uint64
 }
 
 // NewTicker schedules fn every period, with the first tick after one full
@@ -30,7 +29,6 @@ func (t *Ticker) arm() {
 		if t.stop {
 			return
 		}
-		t.Ticks++
 		t.fn(t.eng.Now())
 		if !t.stop {
 			t.arm()

@@ -159,8 +159,8 @@ func TestScheduleOverflowClampsToForever(t *testing.T) {
 	e.Run(50 * time.Millisecond) // now > 0 so now+MaxInt64 definitely wraps
 	var got []string
 	evHuge := e.Schedule(math.MaxInt64-1, func() { got = append(got, "huge") })
-	if evHuge.At() != Forever {
-		t.Fatalf("huge delay scheduled at %v, want Forever", evHuge.At())
+	if evHuge.at != Forever {
+		t.Fatalf("huge delay scheduled at %v, want Forever", evHuge.at)
 	}
 	e.Schedule(time.Millisecond, func() { got = append(got, "soon") })
 	e.Run(time.Second)
@@ -185,8 +185,8 @@ func TestScheduleArgOverflowClampsToForever(t *testing.T) {
 	e.Run(time.Millisecond)
 	h := &recordingHandler{}
 	ev := e.ScheduleArg(math.MaxInt64, h, "late")
-	if ev.At() != Forever {
-		t.Fatalf("ScheduleArg huge delay at %v, want Forever", ev.At())
+	if ev.at != Forever {
+		t.Fatalf("ScheduleArg huge delay at %v, want Forever", ev.at)
 	}
 }
 
@@ -206,14 +206,14 @@ func TestLazyCancelSweep(t *testing.T) {
 	}
 	for _, ev := range evs {
 		e.Cancel(ev)
-		if !ev.Cancelled() {
+		if ev.state >= 0 {
 			t.Fatal("Cancel did not mark the event")
 		}
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after cancelling everything", e.Pending())
 	}
-	if e.Stats.Swept == 0 {
+	if e.ntomb == n {
 		t.Fatalf("no deferred sweep ran after %d cancels (threshold %d)", n, sweepMinTombstones)
 	}
 	if fired := e.RunAll(); fired != 0 {
@@ -240,7 +240,7 @@ func TestSweepPreservesSurvivors(t *testing.T) {
 	for _, ev := range doomed {
 		e.Cancel(ev)
 	}
-	if e.Stats.Swept == 0 {
+	if e.ntomb == len(doomed) {
 		t.Fatal("expected a deferred sweep")
 	}
 	var got []Time

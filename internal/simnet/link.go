@@ -214,7 +214,6 @@ func (l *Line) OnSimEvent(arg any) {
 // Port is a node's attachment to one end of a link.
 type Port struct {
 	node *Node
-	link *Link
 	// out is the direction leaving this port; in the one arriving.
 	out *Line
 	in  *Line
@@ -223,9 +222,6 @@ type Port struct {
 
 // Node returns the owning node.
 func (p *Port) Node() *Node { return p.node }
-
-// Link returns the attached link.
-func (p *Port) Link() *Link { return p.link }
 
 // Peer returns the node at the other end of the link.
 func (p *Port) Peer() *Node { return p.out.to.node }

@@ -74,15 +74,6 @@ func NewSharded(seed int64, parts int, lookahead time.Duration, assign func(stri
 // Coord returns the coordinator of a sharded network, or nil.
 func (w *Network) Coord() *sim.Coordinator { return w.coord }
 
-// Sharded reports whether the network runs partitioned.
-func (w *Network) Sharded() bool { return w.coord != nil }
-
-// BufPool returns the network's packet-buffer pool (partition 0's pool on
-// a sharded network). Components that originate packets lease buffers
-// from their own node's pool (Node.Pool); see the ownership rules on
-// packet.Buf.
-func (w *Network) BufPool() *packet.BufPool { return w.pools[0] }
-
 // LeasedBufs returns the outstanding buffer leases summed over every
 // partition pool — the quantity the chaos buffer-balance invariant
 // compares against packets in flight.
@@ -133,9 +124,6 @@ func (w *Network) AddNode(name string, clockOffset time.Duration) *Node {
 	return n
 }
 
-// Node returns the named node, or nil.
-func (w *Network) Node(name string) *Node { return w.nodes[name] }
-
 // Nodes returns all nodes sorted by name.
 func (w *Network) Nodes() []*Node {
 	out := make([]*Node, 0, len(w.nodes))
@@ -162,8 +150,8 @@ func (w *Network) Connect(a, b *Node, ab, ba DelayModel) *Link {
 	}
 	name := fmt.Sprintf("%s<->%s", a.name, b.name)
 	l := &Link{name: name}
-	pa := &Port{node: a, link: l, idx: len(a.ports)}
-	pb := &Port{node: b, link: l, idx: len(b.ports)}
+	pa := &Port{node: a, idx: len(a.ports)}
+	pb := &Port{node: b, idx: len(b.ports)}
 	l.a, l.b = pa, pb
 	l.ab = newLine(pa, pb, ab, w.Streams.Stream(name+"/ab"))
 	l.ba = newLine(pb, pa, ba, w.Streams.Stream(name+"/ba"))

@@ -26,7 +26,6 @@ var _ transport.Endpoint = (*Node)(nil)
 // NodeStats counts per-node data-plane activity.
 type NodeStats struct {
 	Sent       uint64 // packets originated here
-	Forwarded  uint64 // packets transited
 	Delivered  uint64 // packets consumed locally
 	NoRoute    uint64 // dropped: no FIB entry
 	TTLExpired uint64
@@ -208,7 +207,6 @@ func (n *Node) route(from *Port, pb *packet.Buf) {
 			return
 		}
 		packet.DecHopLimit(data)
-		n.Stats.Forwarded++
 	}
 	ent := n.lookupCached(dst)
 	if ent == nil {

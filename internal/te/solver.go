@@ -259,15 +259,6 @@ func pathHas(p []int, li int) bool {
 	return false
 }
 
-// MaxUtil returns the maximum utilization of the current placement.
-func (s *Solver) MaxUtil() float64 {
-	m, _ := s.state.MaxUtil()
-	return m
-}
-
-// State exposes the solver's utilization state (read-only use).
-func (s *Solver) State() *State { return s.state }
-
 // Counts writes the number of quanta demand d currently places on each
 // of its candidate paths into out, which must have room for the
 // demand's path count, and returns it. Zero allocations when out has

@@ -13,7 +13,7 @@ import (
 // capacity 100 each. The optimum is an even split at 0.5 utilization.
 func twoPathProblem() *Problem {
 	return &Problem{
-		Links: []Link{{Name: "a", CapacityBps: 100}, {Name: "b", CapacityBps: 100}},
+		Links: []Link{{CapacityBps: 100}, {CapacityBps: 100}},
 		Demands: []Demand{
 			{Name: "d", RateBps: 100, Paths: [][]int{{0}, {1}}},
 		},
@@ -39,10 +39,10 @@ func TestSolverFindsEvenSplit(t *testing.T) {
 // spread onto the alternatives.
 func TestSolverBeatsSinglePathHerding(t *testing.T) {
 	const n = 8
-	links := []Link{{Name: "shared", CapacityBps: 100}}
+	links := []Link{{CapacityBps: 100}}
 	var demands []Demand
 	for i := 0; i < n; i++ {
-		links = append(links, Link{Name: "alt", CapacityBps: 100})
+		links = append(links, Link{CapacityBps: 100})
 		demands = append(demands, Demand{
 			RateBps: 50,
 			Paths:   [][]int{{0}, {len(links) - 1}},

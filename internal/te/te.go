@@ -20,7 +20,6 @@ package te
 // direction of a provider trunk). CapacityBps of 0 means uncapacitated:
 // the link never contributes to utilization.
 type Link struct {
-	Name        string
 	CapacityBps float64
 }
 
@@ -76,9 +75,6 @@ func NewState(links []Link) *State {
 
 // NumLinks returns the number of links tracked.
 func (s *State) NumLinks() int { return len(s.load) }
-
-// Load returns the placed load on link i in bits per second.
-func (s *State) Load(i int) float64 { return s.load[i] }
 
 // Util returns link i's utilization (load over capacity; 0 when
 // uncapacitated).

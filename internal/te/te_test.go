@@ -19,10 +19,10 @@ func brute(s *State) (float64, int) {
 
 func fourLinks() []Link {
 	return []Link{
-		{Name: "l0", CapacityBps: 100},
-		{Name: "l1", CapacityBps: 200},
-		{Name: "l2", CapacityBps: 50},
-		{Name: "l3", CapacityBps: 400},
+		{CapacityBps: 100},
+		{CapacityBps: 200},
+		{CapacityBps: 50},
+		{CapacityBps: 400},
 	}
 }
 
@@ -64,20 +64,20 @@ func TestStateApplyUndoRoundTrip(t *testing.T) {
 	wantMax, wantLink := s.MaxUtil()
 	loads := make([]float64, s.NumLinks())
 	for i := range loads {
-		loads[i] = s.Load(i)
+		loads[i] = s.load[i]
 	}
 	from, to := []int{0, 1}, []int{1, 3} // overlap on link 1 must net out
 	s.ApplyMove(from, to, 30)
-	if s.Load(0) != 0 || s.Load(1) != 30 || s.Load(3) != 50 {
-		t.Fatalf("after move: loads %v %v %v", s.Load(0), s.Load(1), s.Load(3))
+	if s.load[0] != 0 || s.load[1] != 30 || s.load[3] != 50 {
+		t.Fatalf("after move: loads %v %v %v", s.load[0], s.load[1], s.load[3])
 	}
 	if m, ml := s.MaxUtil(); math.Abs(m-0.4) > 1e-12 || ml != 2 {
 		t.Fatalf("after move: max %v at %d, want 0.4 at 2", m, ml)
 	}
 	s.UndoMove(from, to, 30)
 	for i := range loads {
-		if math.Abs(s.Load(i)-loads[i]) > 1e-9 {
-			t.Fatalf("undo did not restore link %d: %v != %v", i, s.Load(i), loads[i])
+		if math.Abs(s.load[i]-loads[i]) > 1e-9 {
+			t.Fatalf("undo did not restore link %d: %v != %v", i, s.load[i], loads[i])
 		}
 	}
 	if m, ml := s.MaxUtil(); math.Abs(m-wantMax) > 1e-12 || ml != wantLink {

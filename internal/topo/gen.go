@@ -136,7 +136,6 @@ type GenEdge struct {
 
 // ASGraph is a generated AS-level topology.
 type ASGraph struct {
-	Cfg   GenConfig
 	ASes  []GenAS
 	Edges []GenEdge
 }
@@ -149,7 +148,7 @@ func Gen(cfg GenConfig) (*ASGraph, error) {
 		return nil, err
 	}
 	rng := sim.NewStreams(cfg.Seed).Stream("topo/gen")
-	g := &ASGraph{Cfg: cfg}
+	g := &ASGraph{}
 
 	// Tier 1: the core clique, peering all-to-all.
 	for i := 0; i < cfg.Tier1; i++ {

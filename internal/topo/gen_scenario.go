@@ -40,15 +40,12 @@ type GenScenarioConfig struct {
 // GenScenario is a built generated internet.
 type GenScenario struct {
 	B *Builder
-	G *ASGraph
 	// ASes indexes the built ASes exactly like the graph's node order.
 	ASes []*AS
 	// Edges and Hosts map a site index to its Tango edge server and the
 	// host prefix it originates.
 	Edges map[int]*AS
 	Hosts map[int]addr.Prefix
-	// EdgeSites is the deduplicated, ascending site list actually built.
-	EdgeSites []int
 
 	probeBase addr.Prefix
 }
@@ -76,9 +73,8 @@ func NewGenScenario(cfg GenScenarioConfig) (*GenScenario, error) {
 	}
 	b := NewBuilder(cfg.Graph.Seed)
 	m := &GenScenario{
-		B: b, G: g,
+		B:     b,
 		Edges: map[int]*AS{}, Hosts: map[int]addr.Prefix{},
-		EdgeSites: sites,
 		probeBase: addr.MustParsePrefix("2001:db8:9000::/36"),
 	}
 	for i, a := range g.ASes {

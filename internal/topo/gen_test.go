@@ -147,6 +147,10 @@ func TestGenSpeakerValleyFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewGenScenario: %v", seed, err)
 		}
+		g, err := Gen(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		s.Run(120 * time.Second)
 
 		checked := 0
@@ -159,7 +163,7 @@ func TestGenSpeakerValleyFree(t *testing.T) {
 				// Paths heard straight from a tenant edge still carry its
 				// private ASN (stripping happens on the way to the core);
 				// the graph walk covers public hops only.
-				if !s.G.ValleyFreeObserved(observer, r.Path.StripPrivate()) {
+				if !g.ValleyFreeObserved(observer, r.Path.StripPrivate()) {
 					t.Fatalf("seed %d: %s selected non-valley-free path [%v] for %v",
 						seed, sp.Name, r.Path, p)
 				}
@@ -167,7 +171,7 @@ func TestGenSpeakerValleyFree(t *testing.T) {
 			}
 		}
 		for i, as := range s.ASes {
-			checkSpeaker(s.G.ASes[i].ASN, as.Speaker)
+			checkSpeaker(g.ASes[i].ASN, as.Speaker)
 		}
 		for _, e := range s.Edges {
 			// Edge servers observe from off-graph private ASNs.

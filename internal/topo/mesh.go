@@ -77,12 +77,10 @@ type MeshPair struct {
 	SideA, SideB MeshPairSide
 }
 
-// MeshPeering wires a settlement-free peering between two providers.
+// MeshPeering wires a settlement-free peering between two providers,
+// meshPeeringDelay one way in both directions.
 type MeshPeering struct {
 	A, B string
-	// Delay is the one-way peering-hop delay, both directions (default
-	// 4 ms).
-	Delay time.Duration
 }
 
 // MeshConfig declares an N-site mesh.
@@ -224,11 +222,7 @@ func MeshPartition(cfg MeshConfig) Partition {
 		if !oka || !okb {
 			continue
 		}
-		d := pe.Delay
-		if d == 0 {
-			d = meshPeeringDelay
-		}
-		d = min(d, meshSessionDelay)
+		d := min(meshPeeringDelay, meshSessionDelay)
 		edges = append(edges, PartEdge{A: pa, B: pb, MinDelayAB: d, MinDelayBA: d})
 	}
 	return PartitionGraph(nodes, edges)
@@ -384,14 +378,10 @@ func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
 		if pa == nil || pb == nil {
 			return nil, fmt.Errorf("topo: peering %s<->%s references unknown provider", pe.A, pe.B)
 		}
-		d := pe.Delay
-		if d == 0 {
-			d = meshPeeringDelay
-		}
 		b.Wire(pa, pb, WireOpts{
 			RelAB:   bgp.RelPeer,
-			DelayAB: simnet.FixedDelay(d),
-			DelayBA: simnet.FixedDelay(d),
+			DelayAB: simnet.FixedDelay(meshPeeringDelay),
+			DelayBA: simnet.FixedDelay(meshPeeringDelay),
 		})
 	}
 	return m, nil
@@ -406,15 +396,6 @@ func sideOrAlloc(p addr.Prefix, al *addr.Alloc, bits int) (addr.Prefix, error) {
 
 // Run advances virtual time by d.
 func (m *MeshScenario) Run(d time.Duration) { m.B.W.Run(m.B.W.Now() + d) }
-
-// Edge returns the server at site paired with peer.
-func (m *MeshScenario) Edge(site, peer string) (*AS, error) {
-	e, ok := m.Edges[site+":"+peer]
-	if !ok {
-		return nil, fmt.Errorf("topo: no edge %s:%s", site, peer)
-	}
-	return e, nil
-}
 
 // RadialProvider parameterizes a provider for RadialMeshConfig: its
 // hub-and-spoke backbone scales each site's radius by Scale (NTT slowest,

@@ -35,13 +35,12 @@ func (a *AS) portFor(nh netip.Addr) (*simnet.Port, bool) {
 // Builder constructs a topology over one network/engine.
 type Builder struct {
 	W       *simnet.Network
-	ases    map[string]*AS
 	linkSeq int
 }
 
 // NewBuilder creates a builder over a fresh network seeded with seed.
 func NewBuilder(seed int64) *Builder {
-	return &Builder{W: simnet.New(seed), ases: make(map[string]*AS)}
+	return &Builder{W: simnet.New(seed)}
 }
 
 // NewShardedBuilder creates a builder over a partitioned network: p maps
@@ -61,14 +60,11 @@ func NewShardedBuilder(seed int64, p Partition) *Builder {
 		}
 		return pi
 	})
-	return &Builder{W: w, ases: make(map[string]*AS)}
+	return &Builder{W: w}
 }
 
 // Eng returns the underlying engine.
 func (b *Builder) Eng() *sim.Engine { return b.W.Eng }
-
-// AS returns the named AS, or nil.
-func (b *Builder) AS(name string) *AS { return b.ases[name] }
 
 // AddAS creates an AS with the given clock offset on its node.
 func (b *Builder) AddAS(name string, asn bgp.ASN, routerID uint32, clockOffset time.Duration) *AS {
@@ -78,7 +74,6 @@ func (b *Builder) AddAS(name string, asn bgp.ASN, routerID uint32, clockOffset t
 	sp.OnBestChange = func(p addr.Prefix, best, old *bgp.Route) {
 		a.applyBest(p, best)
 	}
-	b.ases[name] = a
 	return a
 }
 

@@ -19,9 +19,9 @@ func mustTri(t *testing.T, seed int64) *MeshScenario {
 
 func mustEdge(t *testing.T, s *MeshScenario, site, peer string) *AS {
 	t.Helper()
-	e, err := s.Edge(site, peer)
-	if err != nil {
-		t.Fatal(err)
+	e := s.Edges[site+":"+peer]
+	if e == nil {
+		t.Fatalf("no edge %s:%s", site, peer)
 	}
 	return e
 }
@@ -39,12 +39,7 @@ func TestTriScenarioStructure(t *testing.T) {
 	if s.Trunk["ny"]["GTT"] != nil || s.Trunk["la"]["Telia"] != nil {
 		t.Fatal("unexpected provider attachment")
 	}
-	if mustEdge(t, s, "ny", "la") == nil {
-		t.Fatal("edge lookup failed")
-	}
-	if _, err := s.Edge("ny", "nowhere"); err == nil {
-		t.Fatal("unknown edge did not error")
-	}
+	mustEdge(t, s, "ny", "la")
 }
 
 func TestMeshConfigValidation(t *testing.T) {

@@ -131,9 +131,6 @@ func (s *Session) SwitchAddr() netip.Addr { return s.switchAddr }
 // Endpoints returns the local tunnel endpoint addresses (path ID -1).
 func (s *Session) Endpoints() []netip.Addr { return s.endpoints }
 
-// Established reports whether the handshake completed.
-func (s *Session) Established() bool { return s.peer != nil }
-
 // Peer returns the established peer, or nil.
 func (s *Session) Peer() *Peer { return s.peer }
 

@@ -65,15 +65,10 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// Stats is a point-in-time snapshot of the backend's counters.
+// Stats is a point-in-time snapshot of the backend's frame counters; the
+// rest are tango_transport_* families in the registry.
 type Stats struct {
-	TxFrames, TxBytes uint64
-	RxFrames, RxBytes uint64
-	NoRoute           uint64 // outbound frames with no routed destination
-	ParseErr          uint64 // frames with no parsable outer destination
-	NotOwned          uint64 // arriving frames for addresses not owned here
-	WriteErr          uint64
-	CtlTx, CtlRx      uint64
+	TxFrames, RxFrames uint64
 }
 
 // route maps one outer destination address to a socket address, with an
@@ -180,13 +175,7 @@ func (b *Backend) Eng() *sim.Engine { return b.eng }
 
 // Stats snapshots the backend's counters.
 func (b *Backend) Stats() Stats {
-	return Stats{
-		TxFrames: b.txFrames.Value(), TxBytes: b.txBytes.Value(),
-		RxFrames: b.rxFrames.Value(), RxBytes: b.rxBytes.Value(),
-		NoRoute: b.noRoute.Value(), ParseErr: b.parseErr.Value(),
-		NotOwned: b.notOwned.Value(), WriteErr: b.wrErr.Value(),
-		CtlTx: b.ctlTx.Value(), CtlRx: b.ctlRx.Value(),
-	}
+	return Stats{TxFrames: b.txFrames.Value(), RxFrames: b.rxFrames.Value()}
 }
 
 // AddRoute maps an outer destination address to a peer socket address,

@@ -102,7 +102,7 @@ func TestTwoBackendsExchangeFrames(t *testing.T) {
 		a.AddRoute(other, b.Addr(), 0)
 		a.Inject(mkFrame(other, nil))
 	})
-	waitFor(t, b, 2*time.Second, "not-owned drop", func() bool { return b.Stats().NotOwned == 1 })
+	waitFor(t, b, 2*time.Second, "not-owned drop", func() bool { return b.notOwned.Value() == 1 })
 }
 
 // mkFrame builds an IPv6/UDP frame to dst around payload.
@@ -162,6 +162,7 @@ func TestBackendAbsorbsReadStall(t *testing.T) {
 	})
 	f := mkFrame(dst, make([]byte, 1024))
 	var sent Stats
+	var wrErr uint64
 	b.Do(func() { // the stall
 		a.Do(func() {
 			a.AddRoute(dst, b.Addr(), 0)
@@ -169,10 +170,10 @@ func TestBackendAbsorbsReadStall(t *testing.T) {
 				a.Inject(f)
 			}
 		})
-		sent = a.Stats()
+		sent, wrErr = a.Stats(), a.wrErr.Value()
 	})
-	if sent.TxFrames != frames || sent.WriteErr != 0 {
-		t.Fatalf("sender wrote %d frames with %d errors, want %d and 0", sent.TxFrames, sent.WriteErr, frames)
+	if sent.TxFrames != frames || wrErr != 0 {
+		t.Fatalf("sender wrote %d frames with %d errors, want %d and 0", sent.TxFrames, wrErr, frames)
 	}
 	got := 0
 	for deadline := time.Now().Add(2 * time.Second); got != frames && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
@@ -241,8 +242,8 @@ func TestSessionHandshake(t *testing.T) {
 		sa.Dial(b.Addr())
 	})
 
-	waitFor(t, a, 5*time.Second, "dialer established", func() bool { return sa.Established() })
-	waitFor(t, b, 5*time.Second, "listener established", func() bool { return sb.Established() })
+	waitFor(t, a, 5*time.Second, "dialer established", func() bool { return sa.Peer() != nil })
+	waitFor(t, b, 5*time.Second, "listener established", func() bool { return sb.Peer() != nil })
 
 	a.Do(func() {
 		p := sa.Peer()

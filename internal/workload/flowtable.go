@@ -253,15 +253,9 @@ func (t *FlowTable) AddEndpoint(sw *dataplane.Switch, src, dst netip.Addr) int {
 	return len(t.eps) - 1
 }
 
-// Endpoints returns how many endpoints are registered.
-func (t *FlowTable) Endpoints() int { return len(t.eps) }
-
 // Eng returns the table's owner engine — the only engine Start, Stop,
 // and StartArrivals may run on.
 func (t *FlowTable) Eng() *sim.Engine { return t.eng }
-
-// Capacity returns the table's fixed flow capacity.
-func (t *FlowTable) Capacity() int { return len(t.send) }
 
 // Active returns the number of live flows. Peak returns the high-water
 // mark. Both are owner-engine state; read them between runs.

@@ -470,13 +470,13 @@ func TestHistogramQuantileFlowScale(t *testing.T) {
 	}
 	// 5ms lands in the 2^23ns (~8.4ms) log2 bucket: the bound is within
 	// 2x of the true quantile.
-	if q := h.Quantile(0.5); q > int64(10*time.Millisecond) {
+	if q := obs.Quantile(0.5, &h); q > int64(10*time.Millisecond) {
 		t.Fatalf("p50 bound = %v", time.Duration(q))
 	}
-	if q := h.Quantile(0.99); q > int64(10*time.Millisecond) {
+	if q := obs.Quantile(0.99, &h); q > int64(10*time.Millisecond) {
 		t.Fatalf("p99 bound = %v (tail is exactly 1%%)", time.Duration(q))
 	}
-	if q := h.Quantile(1); q < int64(300*time.Millisecond) {
+	if q := obs.Quantile(1, &h); q < int64(300*time.Millisecond) {
 		t.Fatalf("p100 bound = %v misses the tail", time.Duration(q))
 	}
 }

@@ -22,17 +22,16 @@ import (
 // ride the tunnels like any data packet, so the receiver measures them
 // with zero extra machinery (no ICMP, no protocol dependence).
 type Prober struct {
-	sw       *dataplane.Switch
-	tick     *sim.Ticker
-	inner    []byte
-	Interval time.Duration
-	Sent     uint64
+	sw    *dataplane.Switch
+	tick  *sim.Ticker
+	inner []byte
+	Sent  uint64
 }
 
 // NewProber starts probing every interval. src/dst address the inner
 // probe packet (conventionally host addresses of the two sites).
 func NewProber(eng *sim.Engine, sw *dataplane.Switch, src, dst netip.Addr, interval time.Duration) *Prober {
-	p := &Prober{sw: sw, Interval: interval}
+	p := &Prober{sw: sw}
 	p.inner = packet.InnerUDP{Src: src, Dst: dst, SrcPort: 7, DstPort: 7}.New([]byte("tango-probe"))
 	p.tick = sim.NewTicker(eng, interval, func(sim.Time) { p.probe() })
 	return p
@@ -174,9 +173,6 @@ func cmpRecords(a, b AppRecord) int {
 		return 0
 	}
 }
-
-// Sent returns the number of packets emitted.
-func (g *AppGen) Sent() uint32 { return g.seq }
 
 // InOrderLatencies converts a per-packet delay trace into in-order
 // delivery latency, the quantity a TCP-like bytestream application

@@ -65,8 +65,8 @@ func TestAppGenLatencyGroundTruth(t *testing.T) {
 
 	w.Run(time.Second)
 	g.Stop()
-	if g.Sent() < 45 {
-		t.Fatalf("sent = %d", g.Sent())
+	if g.seq < 45 {
+		t.Fatalf("sent = %d", g.seq)
 	}
 	pending := 0
 	for _, r := range g.FinalRecords() {
@@ -94,8 +94,8 @@ func TestAppGenFinalRecordsIncludeLost(t *testing.T) {
 	w.Run(3 * time.Second)
 
 	recs := g.FinalRecords()
-	if uint32(len(recs)) != g.Sent() {
-		t.Fatalf("FinalRecords %d != sent %d", len(recs), g.Sent())
+	if uint32(len(recs)) != g.seq {
+		t.Fatalf("FinalRecords %d != sent %d", len(recs), g.seq)
 	}
 	lost := 0
 	for i, r := range recs {
@@ -126,8 +126,8 @@ func TestAppGenFinalRecordsJoin(t *testing.T) {
 	swB.DeliverLocal = func(inner []byte) { captured = append(captured, append([]byte(nil), inner...)) }
 	w.Run(110 * time.Millisecond) // ticks at 20..100ms: seq 0..4
 	g.Stop()
-	if len(captured) != 5 || g.Sent() != 5 {
-		t.Fatalf("captured %d of %d sent, want 5 of 5", len(captured), g.Sent())
+	if len(captured) != 5 || g.seq != 5 {
+		t.Fatalf("captured %d of %d sent, want 5 of 5", len(captured), g.seq)
 	}
 
 	if g.Sink([]byte{1, 2, 3}) {
