@@ -58,9 +58,7 @@ func main() {
 		Observer:  observer.Speaker,
 		Probe:     probe,
 		POPAS:     bgp.ASVultr,
-		NameFor: func(a bgp.ASN) string {
-			return topo.ProviderNameForPath(bgp.Path{a, bgp.ASVultr})
-		},
+		NameFor:   s.ProviderName,
 		RoundWait: *roundWait,
 	}
 	d.OnRound = func(round int, found *control.DiscoveredPath) {

@@ -116,10 +116,7 @@ func (d *Discoverer) Run(done func([]DiscoveredPath)) {
 	if wait == 0 {
 		wait = 120 * time.Second
 	}
-	maxRounds := d.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 8
-	}
+	maxRounds := d.MaxRoundsOrDefault()
 	nameFor := d.NameFor
 	if nameFor == nil {
 		nameFor = func(a bgp.ASN) string { return fmt.Sprintf("AS%d", a) }

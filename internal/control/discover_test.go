@@ -55,7 +55,7 @@ func TestDiscoveryVultrLAtoNY(t *testing.T) {
 		Observer:  s.EdgeLA.Speaker, // source observes
 		Probe:     addr.MustParsePrefix("2001:db8:100::/48"),
 		POPAS:     bgp.ASVultr,
-		NameFor:   func(a bgp.ASN) string { return topo.ProviderNameForPath(bgp.Path{a, bgp.ASVultr}) },
+		NameFor:   s.ProviderName,
 		RoundWait: 2 * time.Minute,
 	}
 	var got []DiscoveredPath
@@ -101,7 +101,7 @@ func TestDiscoveryVultrNYtoLA(t *testing.T) {
 		Observer:  s.EdgeNY.Speaker,
 		Probe:     addr.MustParsePrefix("2001:db8:200::/48"),
 		POPAS:     bgp.ASVultr,
-		NameFor:   func(a bgp.ASN) string { return topo.ProviderNameForPath(bgp.Path{a, bgp.ASVultr}) },
+		NameFor:   s.ProviderName,
 		RoundWait: 2 * time.Minute,
 	}
 	var got []DiscoveredPath
@@ -184,7 +184,8 @@ func TestPinnedPrefixesRouteViaDistinctProviders(t *testing.T) {
 		if best == nil {
 			t.Fatalf("pinned prefix %d unreachable", i)
 		}
-		if got := topo.ProviderNameForPath(best.Path); got != want {
+		via, _ := AdjacentProvider(best.Path, bgp.ASVultr)
+		if got := s.ProviderName(via); got != want {
 			t.Fatalf("pinned prefix %d routes via %s (%v), want %s", i, got, best.Path, want)
 		}
 	}

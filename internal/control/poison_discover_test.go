@@ -6,7 +6,6 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/bgp"
-	"tango/internal/topo"
 )
 
 // TestDiscoveryPoisoningFindsFewerPaths contrasts the two suppression
@@ -20,13 +19,12 @@ func TestDiscoveryPoisoningFindsFewerPaths(t *testing.T) {
 	s := mustVultr(t, 15)
 	s.Run(5 * time.Minute)
 
-	name := func(a bgp.ASN) string { return topo.ProviderNameForPath(bgp.Path{a, bgp.ASVultr}) }
 	d := &Discoverer{
 		Announcer:    s.EdgeNY.Speaker,
 		Observer:     s.EdgeLA.Speaker,
 		Probe:        addr.MustParsePrefix("2001:db8:100::/48"),
 		POPAS:        bgp.ASVultr,
-		NameFor:      name,
+		NameFor:      s.ProviderName,
 		RoundWait:    2 * time.Minute,
 		UsePoisoning: true,
 	}

@@ -50,7 +50,6 @@ type SiteSpec struct {
 
 // PairConfig configures Establish.
 type PairConfig struct {
-	A, B SiteSpec
 	// MaxRounds bounds discovery rounds per direction, and with them the
 	// number of paths a pair can expose (control.Discoverer defaults
 	// to 8; deployments sharing more providers must raise it).
@@ -64,8 +63,6 @@ type PairConfig struct {
 	// PolicyA/PolicyB are the path-selection policies (default MinOWD
 	// with a 0.5 ms absolute margin and 2 s dwell).
 	PolicyA, PolicyB control.Policy
-	// NameFor labels provider ASNs (default topo's provider names).
-	NameFor func(bgp.ASN) string
 	// RecordBucket, when positive, records per-path OWD series at this
 	// aggregation (for figures).
 	RecordBucket time.Duration
@@ -173,8 +170,7 @@ type Pair struct {
 	A, B *Site
 
 	cfg   PairConfig
-	eng   *sim.Engine     // site A's engine; establishment sequencing runs here
-	net   *simnet.Network // drives time (dispatches to the coordinator when sharded)
+	s     *topo.MeshScenario // names providers; its network drives time
 	ready bool
 	// OnReady fires once both directions are provisioned.
 	OnReady func()
@@ -192,31 +188,36 @@ func (p *Pair) Instrument(reg *obs.Registry, j *obs.Journal) {
 	p.B.Instrument(reg, j)
 }
 
-// NewPair prepares (but does not start) a deployment. Both sites must
-// live on the same engine, or on partition engines of one coordinator
-// (establishment then runs in coupled mode, where cross-site calls are
-// exact).
-func NewPair(cfg PairConfig) *Pair {
-	ea, eb := cfg.A.Edge.Speaker.Engine(), cfg.B.Edge.Speaker.Engine()
-	if ea != eb && (ea.Coord() == nil || ea.Coord() != eb.Coord()) {
-		panic("core: sites on different engines")
-	}
+// newPair prepares (but does not start) Tango between sites a and b of s,
+// on the edge servers s built for that pair. The two live on one engine,
+// or on partition engines of one coordinator (establishment then runs in
+// coupled mode, where cross-site calls are exact).
+func newPair(s *topo.MeshScenario, a, b string, cfg PairConfig) *Pair {
 	if cfg.PolicyA == nil {
 		cfg.PolicyA = &control.MinOWD{HysteresisMs: 0.5, MinDwell: 2 * time.Second}
 	}
 	if cfg.PolicyB == nil {
 		cfg.PolicyB = &control.MinOWD{HysteresisMs: 0.5, MinDwell: 2 * time.Second}
 	}
-	if cfg.NameFor == nil {
-		cfg.NameFor = func(a bgp.ASN) string {
-			return topo.ProviderNameForPath(bgp.Path{a, bgp.ASVultr})
-		}
-	}
-	p := &Pair{cfg: cfg, eng: ea, net: cfg.A.Edge.Node.Network()}
-	p.A = newSite(cfg.A)
-	p.B = newSite(cfg.B)
+	p := &Pair{cfg: cfg, s: s}
+	p.A = newSite(siteSpec(s, a, b))
+	p.B = newSite(siteSpec(s, b, a))
 	p.A.peer, p.B.peer = p.B, p.A
 	return p
+}
+
+// siteSpec describes the edge server s built at site for its pair with
+// peer, named by its edge key "site:peer".
+func siteSpec(s *topo.MeshScenario, site, peer string) SiteSpec {
+	key := site + ":" + peer
+	return SiteSpec{
+		Name:        key,
+		Edge:        s.Edges[key],
+		POPAS:       s.POPs[site].ASN,
+		Block:       s.Block[key],
+		HostPrefix:  s.HostPrefix[key],
+		ProbePrefix: s.Probe[key],
+	}
 }
 
 func newSite(spec SiteSpec) *Site {
@@ -252,7 +253,7 @@ func (p *Pair) Establish() {
 		// Each site originates one pinned prefix per path toward it.
 		originatePinned(p.B, p.A.OutPaths)
 		originatePinned(p.A, p.B.OutPaths)
-		p.eng.Schedule(settleWait, func() {
+		p.A.Eng().Schedule(settleWait, func() {
 			p.start(p.A, p.cfg.PolicyA)
 			p.start(p.B, p.cfg.PolicyB)
 			if every := p.cfg.ProbeInterval; every > 0 {
@@ -275,7 +276,7 @@ func (p *Pair) Establish() {
 			Observer:  src.Spec.Edge.Speaker,
 			Probe:     dst.Spec.ProbePrefix,
 			POPAS:     dst.Spec.POPAS,
-			NameFor:   p.cfg.NameFor,
+			NameFor:   p.s.ProviderName,
 			RoundWait: roundWait,
 			MaxRounds: p.cfg.MaxRounds,
 		}
@@ -338,7 +339,7 @@ func (p *Pair) start(s *Site, policy control.Policy) {
 // the deadline passes, reporting success. On a sharded network time is
 // driven through the coordinator (never an individual partition engine).
 func (p *Pair) RunUntilReady(maxVirtual time.Duration) bool {
-	return runUntil(p.net, p.Ready, maxVirtual)
+	return runUntil(p.s.B.W, p.Ready, maxVirtual)
 }
 
 // runUntil advances net in 10 s steps until done reports true or
@@ -354,7 +355,7 @@ func runUntil(net *simnet.Network, done func() bool, maxVirtual time.Duration) b
 // VultrPair builds a Pair over the paper's Vultr scenario with sensible
 // defaults: NY is site A, LA is site B.
 func VultrPair(s *topo.Scenario, cfg PairConfig) *Pair {
-	cfg.A, cfg.B = siteSpec(s.MeshScenario, "ny", "la"), siteSpec(s.MeshScenario, "la", "ny")
-	cfg.A.Name, cfg.B.Name = "ny", "la"
-	return NewPair(cfg)
+	p := newPair(s.MeshScenario, "ny", "la", cfg)
+	p.A.Spec.Name, p.B.Spec.Name = "ny", "la"
+	return p
 }

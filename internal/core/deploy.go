@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"tango/internal/bgp"
 	"tango/internal/chaos"
 	"tango/internal/dataplane"
 	"tango/internal/obs"
@@ -29,10 +28,8 @@ type Deployment struct {
 	Chaos *chaos.Engine
 
 	started bool
-	// provByASN names each scenario provider by its ASN (PathLines);
 	// steer holds the class selectors Steer installed, per directed pair.
-	provByASN map[bgp.ASN]string
-	steer     map[[2]string]*dataplane.ClassSelector
+	steer map[[2]string]*dataplane.ClassSelector
 }
 
 // NewDeployment builds the scenario, lets BGP converge for five virtual
@@ -55,11 +52,7 @@ func NewDeployment(tc topo.MeshConfig, mc MeshConfig) (*Deployment, error) {
 	}
 	ch.Watch(chaos.Conservation("net", s.B.W))
 	ch.Watch(chaos.BufferBalance("net", s.B.W))
-	provByASN := make(map[bgp.ASN]string, len(s.Providers))
-	for name, p := range s.Providers {
-		provByASN[p.ASN] = name
-	}
-	return &Deployment{Scenario: s, Mesh: m, Chaos: ch, provByASN: provByASN}, nil
+	return &Deployment{Scenario: s, Mesh: m, Chaos: ch}, nil
 }
 
 // TrunkTarget names the line carrying provider's traffic into site as a

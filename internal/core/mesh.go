@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"tango/internal/bgp"
 	"tango/internal/control"
 	"tango/internal/dataplane"
 	"tango/internal/obs"
@@ -31,17 +30,9 @@ import (
 // selects a route by choosing which member's prefix to target — no
 // per-packet route header beyond the relay TTL.
 
-// MeshLink declares one deployed pair of the mesh: the two site names
-// and the per-side specs (edge server, prefixes, POP AS).
-type MeshLink struct {
-	SiteA, SiteB string
-	A, B         SiteSpec
-}
-
 // MeshConfig configures an N-site deployment. The per-pair timing knobs
 // mirror PairConfig and apply to every deployed pair.
 type MeshConfig struct {
-	Links []MeshLink
 	// MaxRounds/ProbeInterval/DecideEvery are passed through to each
 	// pair (see PairConfig).
 	MaxRounds     int
@@ -51,8 +42,6 @@ type MeshConfig struct {
 	// site toward peer. Policies hold state (dwell timers), so the mesh
 	// needs a fresh instance per direction; nil uses the Pair default.
 	NewPolicy func(site, peer string) control.Policy
-	// NameFor labels provider ASNs (default topo's Vultr names).
-	NameFor func(bgp.ASN) string
 	// RecordBucket enables per-path OWD series recording.
 	RecordBucket time.Duration
 	// AuthKey enables authenticated telemetry on every switch.
@@ -72,7 +61,7 @@ type Mesh struct {
 	// Table scores end-to-end routes from the live segment estimates.
 	Table *control.CompositeTable
 
-	eng     *sim.Engine     // first link's A-side engine (time reads)
+	eng     *sim.Engine     // first pair's A-side engine (time reads)
 	net     *simnet.Network // drives time (dispatches to the coordinator when sharded)
 	pairs   []*Pair
 	members map[string]map[string]*Site // members[site][peer]
@@ -81,13 +70,16 @@ type Mesh struct {
 	ready   bool
 }
 
-// NewMesh prepares (but does not start) an N-site deployment.
-func NewMesh(cfg MeshConfig) (*Mesh, error) {
-	if len(cfg.Links) == 0 {
+// MeshFromScenario prepares (but does not start) Tango on every pair of a
+// built topo mesh, in the scenario's pair order, on the edge servers and
+// prefixes the scenario allocated.
+func MeshFromScenario(s *topo.MeshScenario, cfg MeshConfig) (*Mesh, error) {
+	if len(s.PairKeys) == 0 {
 		return nil, fmt.Errorf("core: mesh needs at least one link")
 	}
 	m := &Mesh{
 		Table:   control.NewCompositeTable(),
+		net:     s.B.W,
 		members: map[string]map[string]*Site{},
 		relays:  map[string]*dataplane.Relay{},
 		sendBuf: packet.NewSerializeBuffer(),
@@ -95,42 +87,26 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	m.Table.MaxRelays = cfg.MaxRelays
 	m.Table.Source = m.segmentEstimate
 
-	eng := cfg.Links[0].A.Edge.Speaker.Engine()
-	for _, l := range cfg.Links {
-		if l.SiteA == "" || l.SiteB == "" || l.SiteA == l.SiteB {
-			return nil, fmt.Errorf("core: bad link %q:%q", l.SiteA, l.SiteB)
-		}
-		if m.members[l.SiteA][l.SiteB] != nil || m.members[l.SiteB][l.SiteA] != nil {
-			return nil, fmt.Errorf("core: duplicate link %s:%s", l.SiteA, l.SiteB)
-		}
-		ea, eb := l.A.Edge.Speaker.Engine(), l.B.Edge.Speaker.Engine()
-		sameTimeline := func(e *sim.Engine) bool {
-			return e == eng || (e.Coord() != nil && e.Coord() == eng.Coord())
-		}
-		if !sameTimeline(ea) || !sameTimeline(eb) {
-			return nil, fmt.Errorf("core: link %s:%s on a different engine", l.SiteA, l.SiteB)
-		}
+	for _, pk := range s.PairKeys {
+		a, b := pk[0], pk[1]
 		pc := PairConfig{
-			A: l.A, B: l.B,
 			MaxRounds:     cfg.MaxRounds,
 			ProbeInterval: cfg.ProbeInterval,
 			DecideEvery:   cfg.DecideEvery,
-			NameFor:       cfg.NameFor,
 			RecordBucket:  cfg.RecordBucket,
 			AuthKey:       cfg.AuthKey,
 		}
 		if cfg.NewPolicy != nil {
-			pc.PolicyA = cfg.NewPolicy(l.SiteA, l.SiteB)
-			pc.PolicyB = cfg.NewPolicy(l.SiteB, l.SiteA)
+			pc.PolicyA = cfg.NewPolicy(a, b)
+			pc.PolicyB = cfg.NewPolicy(b, a)
 		}
-		p := NewPair(pc)
+		p := newPair(s, a, b, pc)
 		m.pairs = append(m.pairs, p)
-		m.addMember(l.SiteA, l.SiteB, p.A)
-		m.addMember(l.SiteB, l.SiteA, p.B)
-		m.Table.AddLink(l.SiteA, l.SiteB)
+		m.addMember(a, b, p.A)
+		m.addMember(b, a, p.B)
+		m.Table.AddLink(a, b)
 	}
-	m.eng = eng
-	m.net = cfg.Links[0].A.Edge.Node.Network()
+	m.eng = m.pairs[0].A.Eng()
 
 	// One relay per site, attached to every member switch: a relayed
 	// packet arrives at whichever member terminates the previous segment
@@ -138,8 +114,8 @@ func NewMesh(cfg MeshConfig) (*Mesh, error) {
 	for site, peers := range m.members {
 		r := dataplane.NewRelay()
 		m.relays[site] = r
-		for _, s := range peers {
-			r.Attach(s.Switch)
+		for _, member := range peers {
+			r.Attach(member.Switch)
 		}
 	}
 	return m, nil
@@ -361,31 +337,6 @@ func (m *Mesh) SendAlong(r control.CompositeRoute, sport, dport uint16, payload 
 func (m *Mesh) AddSink(site string, fn func(inner []byte) bool) {
 	for _, s := range m.members[site] {
 		s.AddSink(fn)
-	}
-}
-
-// MeshFromScenario deploys Tango over every pair of a built topo mesh,
-// deriving the per-side SiteSpecs from the scenario's allocated edges
-// and prefixes. cfg.Links is filled in; other fields pass through.
-func MeshFromScenario(s *topo.MeshScenario, cfg MeshConfig) (*Mesh, error) {
-	for _, pk := range s.PairKeys {
-		a, b := pk[0], pk[1]
-		cfg.Links = append(cfg.Links, MeshLink{SiteA: a, SiteB: b, A: siteSpec(s, a, b), B: siteSpec(s, b, a)})
-	}
-	return NewMesh(cfg)
-}
-
-// siteSpec describes the edge server the scenario allocated at site for
-// its pair with peer.
-func siteSpec(s *topo.MeshScenario, site, peer string) SiteSpec {
-	key := site + ":" + peer
-	return SiteSpec{
-		Name:        key,
-		Edge:        s.Edges[key],
-		POPAS:       s.POPs[site].ASN,
-		Block:       s.Block[key],
-		HostPrefix:  s.HostPrefix[key],
-		ProbePrefix: s.Probe[key],
 	}
 }
 

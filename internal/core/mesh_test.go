@@ -17,7 +17,6 @@ func establishMesh(t *testing.T, seed int64, cfg MeshConfig) (*topo.MeshScenario
 		t.Fatal(err)
 	}
 	s.Run(5 * time.Minute) // base convergence
-	cfg.NameFor = topo.TriProviderName
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 10 * time.Millisecond
 	}
@@ -173,47 +172,13 @@ func TestMeshRelayedDelivery(t *testing.T) {
 }
 
 func TestMeshConfigErrors(t *testing.T) {
-	if _, err := NewMesh(MeshConfig{}); err == nil {
-		t.Fatal("empty mesh accepted")
-	}
-	s, err := topo.NewMeshScenario(topo.TriConfig(34))
+	cfg := topo.TriConfig(34)
+	cfg.Pairs = nil
+	s, err := topo.NewMeshScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(a, b string) MeshLink {
-		ka, kb := a+":"+b, b+":"+a
-		return MeshLink{
-			SiteA: a, SiteB: b,
-			A: SiteSpec{Name: ka, Edge: mustEdgeT(t, s, a, b), POPAS: s.POPs[a].ASN,
-				Block: s.Block[ka], HostPrefix: s.HostPrefix[ka], ProbePrefix: s.Probe[ka]},
-			B: SiteSpec{Name: kb, Edge: mustEdgeT(t, s, b, a), POPAS: s.POPs[b].ASN,
-				Block: s.Block[kb], HostPrefix: s.HostPrefix[kb], ProbePrefix: s.Probe[kb]},
-		}
+	if _, err := MeshFromScenario(s, MeshConfig{}); err == nil {
+		t.Fatal("mesh without a pair accepted")
 	}
-	if _, err := NewMesh(MeshConfig{Links: []MeshLink{mk("ny", "la"), mk("la", "ny")}}); err == nil {
-		t.Fatal("duplicate link accepted")
-	}
-	bad := mk("ny", "la")
-	bad.SiteB = "ny"
-	if _, err := NewMesh(MeshConfig{Links: []MeshLink{bad}}); err == nil {
-		t.Fatal("self-link accepted")
-	}
-	s2, err := topo.NewMeshScenario(topo.TriConfig(35))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cross := mk("ny", "chi")
-	cross.B.Edge = mustEdgeT(t, s2, "chi", "ny")
-	if _, err := NewMesh(MeshConfig{Links: []MeshLink{mk("ny", "la"), cross}}); err == nil {
-		t.Fatal("cross-engine link accepted")
-	}
-}
-
-func mustEdgeT(t *testing.T, s *topo.MeshScenario, site, peer string) *topo.AS {
-	t.Helper()
-	e := s.Edges[site+":"+peer]
-	if e == nil {
-		t.Fatalf("no edge %s:%s", site, peer)
-	}
-	return e
 }

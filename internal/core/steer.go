@@ -16,9 +16,8 @@ const SteerClasses = 8
 // PathLines is what one tunnel is made of: the trunk lines its packets
 // load on the way from the sending site to its peer.
 type PathLines struct {
-	// Provider is the delivering provider's scenario name (the key of
-	// Scenario.Providers, Trunk and Uplink) — not the discovery label,
-	// which a deployment's NameFor may spell differently.
+	// Provider is the delivering provider's scenario name: the key of
+	// Scenario.Providers, Trunk and Uplink.
 	Provider string
 	// Up is the sender's uplink to the provider, nil when the sending
 	// site does not attach to it (the packet then enters the provider
@@ -42,8 +41,8 @@ func (d *Deployment) PathLines(site, peer string, id uint8) (PathLines, error) {
 		return PathLines{}, fmt.Errorf("core: pair %s:%s has no path %d", site, peer, id)
 	}
 	asn := sender.OutPaths[i].ProviderASN
-	prov, ok := d.provByASN[asn]
-	if !ok {
+	prov := d.Scenario.ProviderName(asn)
+	if p := d.Scenario.Providers[prov]; p == nil || p.ASN != asn {
 		return PathLines{}, fmt.Errorf("core: path %d of %s:%s is delivered by AS%d, not a scenario provider", id, site, peer, asn)
 	}
 	down := d.Scenario.Trunk[peer][prov]

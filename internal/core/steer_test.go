@@ -5,21 +5,16 @@ import (
 	"strings"
 	"testing"
 
-	"tango/internal/bgp"
 	"tango/internal/packet"
 	"tango/internal/simnet"
 	"tango/internal/te"
 	"tango/internal/topo"
 )
 
-// steerFixture deploys Tango on the tri scenario with discovery labels
-// unlike the scenario's provider names — the wide mesh's shape, where the
-// labels read "AS60001" and the trunk keys "P00".
+// steerFixture deploys Tango on the tri scenario.
 func steerFixture(t *testing.T) *Deployment {
 	t.Helper()
-	d, err := Deploy(topo.TriConfig(5), MeshConfig{
-		NameFor: func(a bgp.ASN) string { return fmt.Sprintf("AS%d", a) },
-	})
+	d, err := Deploy(topo.TriConfig(5), MeshConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,17 +36,20 @@ func TestPathLinesResolveByASN(t *testing.T) {
 	paths := 0
 	for _, pk := range directedPairs(d) {
 		site, peer := pk[0], pk[1]
-		for i, dp := range d.Mesh.Member(site, peer).OutPaths {
+		out := d.Mesh.Member(site, peer).OutPaths
+		for i, dp := range out {
 			prov := ""
 			for name, as := range s.Providers {
 				if as.ASN == dp.ProviderASN {
 					prov = name
 				}
 			}
-			if prov == "" || prov == dp.ProviderName {
-				t.Fatalf("%s->%s path %d: label %q, provider %q: the fixture must label unlike the trunk keys",
+			if prov == "" || prov != dp.ProviderName {
+				t.Fatalf("%s->%s path %d: label %q, provider %q: discovery must label with the scenario's names",
 					site, peer, i+1, dp.ProviderName, prov)
 			}
+			// Resolution reads the ASN, never the label.
+			out[i].ProviderName = "relabelled"
 			pl, err := d.PathLines(site, peer, uint8(i+1))
 			if err != nil {
 				t.Fatalf("%s->%s path %d: %v", site, peer, i+1, err)

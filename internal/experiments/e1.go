@@ -23,16 +23,13 @@ func E1PathDiscovery(cfg Config) *Result {
 	}
 	s.Run(5 * time.Minute)
 
-	nameFor := func(a bgp.ASN) string {
-		return topo.ProviderNameForPath(bgp.Path{a, bgp.ASVultr})
-	}
 	runDir := func(label string, ann, obs *topo.AS, probe string) []control.DiscoveredPath {
 		d := &control.Discoverer{
 			Announcer: ann.Speaker,
 			Observer:  obs.Speaker,
 			Probe:     addr.MustParsePrefix(probe),
 			POPAS:     bgp.ASVultr,
-			NameFor:   nameFor,
+			NameFor:   s.ProviderName,
 			RoundWait: 2 * time.Minute,
 		}
 		var got []control.DiscoveredPath
@@ -109,7 +106,9 @@ func E1PathDiscovery(cfg Config) *Result {
 	for i, want := range gotLA {
 		pfx, _ := s.Block["ny:la"].Subnet(48, i)
 		best := s.EdgeLA.Speaker.Best(pfx)
-		if best == nil || topo.ProviderNameForPath(best.Path) != want {
+		if best == nil {
+			pinOK = false
+		} else if via, _ := control.AdjacentProvider(best.Path, bgp.ASVultr); s.ProviderName(via) != want {
 			pinOK = false
 		}
 	}

@@ -28,7 +28,6 @@ func E10MeshOverlay(cfg Config) *Result {
 	d, reg, journal := deploy(tc, core.MeshConfig{
 		ProbeInterval: probeInterval,
 		DecideEvery:   time.Second,
-		NameFor:       topo.TriProviderName,
 	}, 1024)
 	s, m, ch := d.Scenario, d.Mesh, d.Chaos
 	ch.Instrument(reg, journal)

@@ -42,7 +42,6 @@ func E11Failover(cfg Config) *Result {
 	d, reg, journal := deploy(tc, core.MeshConfig{
 		ProbeInterval: probeInterval,
 		DecideEvery:   decideEvery,
-		NameFor:       topo.TriProviderName,
 		NewPolicy: func(site, peer string) control.Policy {
 			return &control.MinOWD{HysteresisMs: 0.5, MinDwell: minDwell, StaleAfter: staleAfter}
 		},

@@ -5,11 +5,9 @@ import (
 	"sort"
 	"time"
 
-	"tango/internal/bgp"
 	"tango/internal/core"
 	"tango/internal/obs"
 	"tango/internal/simnet"
-	"tango/internal/topo"
 	"tango/internal/workload"
 )
 
@@ -65,45 +63,46 @@ type e15Stats struct {
 }
 
 // pinProviderRoutes pins the forwarding of every tunnel's remote /48 to
-// its provider: sender POP up the provider's trunk, provider hub down to
-// the receiving POP, receiving POP to the owning edge. The scenario's
-// BGP plane re-advertises transit routes without export policy, so after
-// the discovery rounds a POP's best path for a pinned prefix can be a
-// longer detour through another provider or even an edge AS — harmless
-// when links are delay-only, but fatal to capacity accounting, where the
-// TE model (and the experiment's utilization meters) must know exactly
-// which trunk a tunnel loads. Both steering regimes get the same pinned
-// forwarding, so the comparison stays apples-to-apples.
-func pinProviderRoutes(s *topo.MeshScenario, m *core.Mesh) {
-	portTo := func(n *simnet.Node, peer string) *simnet.Port {
+// the provider PathLines resolves it to: sender POP up the provider's
+// trunk, provider hub down to the receiving POP, receiving POP to the
+// owning edge. BGP does not get every pinned /48 there on its own: the
+// wide mesh allocates each edge's /44 pin block and its /48 host and
+// probe prefixes from one addr.Alloc, whose per-length counters overlap,
+// so every host prefix is also some edge's pinned /48, and a POP's best
+// route for that /48 may lead to the host prefix's origin instead.
+// (Export policy is not the cause: Speaker.exportRoute is Gao–Rexford.)
+// That is harmless when links are delay-only, but fatal to capacity
+// accounting, where the TE model (and the experiment's utilization
+// meters) must know exactly which trunk a tunnel loads. Both steering
+// regimes get the same pinned forwarding, so the comparison stays
+// apples-to-apples.
+func pinProviderRoutes(d *core.Deployment) {
+	s := d.Scenario
+	portTo := func(n, peer *simnet.Node) *simnet.Port {
 		for _, pt := range n.Ports() {
-			if pt.Peer().Name() == peer {
+			if pt.Peer() == peer {
 				return pt
 			}
 		}
-		panic("experiments: node " + n.Name() + " has no port toward " + peer)
-	}
-	hubByASN := map[bgp.ASN]*simnet.Node{}
-	for _, p := range s.Providers {
-		hubByASN[p.ASN] = p.Node
+		panic("experiments: node " + n.Name() + " has no port toward " + peer.Name())
 	}
 	for _, dir := range directions(s) {
 		from, to := dir[0], dir[1]
-		recv := m.Member(to, from)
-		pop := s.POPs[from].Node
-		rpop := s.POPs[to].Node
-		for i, dp := range m.Member(from, to).OutPaths {
+		recv := d.Mesh.Member(to, from)
+		pop, rpop, edge := s.POPs[from].Node, s.POPs[to].Node, recv.Spec.Edge.Node
+		for i := range d.Mesh.Member(from, to).OutPaths {
 			pfx, err := recv.PinnedPrefix(uint8(i + 1))
 			if err != nil {
 				panic(err)
 			}
-			hub, ok := hubByASN[dp.ProviderASN]
-			if !ok {
-				panic(fmt.Sprintf("experiments: tunnel provider AS%d is not a scenario provider", dp.ProviderASN))
+			pl, err := d.PathLines(from, to, uint8(i+1))
+			if err != nil {
+				panic(err)
 			}
-			pop.SetRoute(pfx, portTo(pop, hub.Name()))
-			hub.SetRoute(pfx, portTo(hub, "pop-"+to))
-			rpop.SetRoute(pfx, portTo(rpop, "edge-"+to+":"+from))
+			hub := s.Providers[pl.Provider].Node
+			pop.SetRoute(pfx, portTo(pop, hub))
+			hub.SetRoute(pfx, portTo(hub, rpop))
+			rpop.SetRoute(pfx, portTo(rpop, edge))
 		}
 	}
 }
@@ -120,8 +119,8 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 		decideEvery = 0
 	}
 	d, reg, journal := newWideMesh(cfg.Seed+15, sites, shards, decideEvery)
-	s, m, eng := d.Scenario, d.Mesh, d.Scenario.B.Eng()
-	pinProviderRoutes(s, m)
+	s, eng := d.Scenario, d.Scenario.B.Eng()
+	pinProviderRoutes(d)
 
 	// Provider order (P00 fastest) fixes which trunks are scarce.
 	provNames := make([]string, 0, len(s.Providers))

@@ -72,9 +72,6 @@ func (n *Node) Name() string { return n.name }
 // Clock returns the node's local wall clock.
 func (n *Node) Clock() *sim.Clock { return n.clock }
 
-// Network returns the owning network.
-func (n *Node) Network() *Network { return n.net }
-
 // Eng returns the engine of the node's partition (the network engine on
 // an unsharded network).
 func (n *Node) Eng() *sim.Engine { return n.eng }

@@ -42,7 +42,7 @@ func TestShardedDeliveryAcrossPartitions(t *testing.T) {
 	if a.Eng() == b.Eng() || a.Eng() != w.Eng {
 		t.Fatal("per-partition engines wired wrong")
 	}
-	if a.Network() != w || a.Clock() == nil {
+	if a.net != w || a.Clock() == nil {
 		t.Fatal("node accessors broken")
 	}
 

@@ -13,19 +13,14 @@ import (
 // Generated-internet scenario: instantiates an ASGraph as a running
 // simulation — one speaker+node per AS, every adjacency wired in both
 // planes with the graph's delay — and deploys a Tango edge server behind
-// each requested site, the way the mesh scenarios put edge servers behind
-// their POPs. Sites play the POP role: their provider-facing sessions
-// strip the edge's private ASN and scrub action communities, so the
-// paper's discovery knob (64600:<asn>) is interpreted exactly once, by
-// the site the probe enters the transit core through.
+// each requested site with the mesh's own edge wiring (addEdge). Sites
+// play the POP role: their provider-facing sessions strip the edge's
+// private ASN and scrub action communities, so the paper's discovery knob
+// (64600:<asn>) is interpreted exactly once, by the site the probe enters
+// the transit core through.
 
-const (
-	genEdgeLinkDelay    = 200 * time.Microsecond
-	genEdgeSessionDelay = time.Millisecond
-	// genMRAI paces the transit sessions; the edge-to-site sessions run
-	// at 1 s like the mesh scenarios.
-	genMRAI = 2 * time.Second
-)
+// genMRAI paces the transit sessions (edge sessions are addEdge's).
+const genMRAI = 2 * time.Second
 
 // GenScenarioConfig parameterizes NewGenScenario.
 type GenScenarioConfig struct {
@@ -99,24 +94,12 @@ func NewGenScenario(cfg GenScenarioConfig) (*GenScenario, error) {
 	}
 
 	hostBase := addr.MustParsePrefix("2001:db8:8000::/36")
-	dc := simnet.FixedDelay(genEdgeLinkDelay)
 	for k, s := range sites {
-		edge := b.AddAS(edgeNodeName(g.ASes[s]), bgp.ASN(64701+k), uint32(5001+k), 0)
-		lnk, _, _ := b.Wire(edge, m.ASes[s], WireOpts{
-			RelAB:   bgp.RelProvider,
-			DelayAB: dc, DelayBA: dc,
-			SessionDelay: genEdgeSessionDelay,
-			MRAI:         time.Second,
-		})
-		if err := DefaultRoute(edge, lnk); err != nil {
-			return nil, err
-		}
 		host, err := hostBase.Subnet(48, k)
 		if err != nil {
 			return nil, fmt.Errorf("topo: host prefix for edge site %d: %w", s, err)
 		}
-		edge.Speaker.Originate(host)
-		m.Edges[s] = edge
+		m.Edges[s] = b.addEdge(m.ASes[s], edgeNodeName(g.ASes[s]), bgp.ASN(64701+k), uint32(5001+k), 0, host)
 		m.Hosts[s] = host
 	}
 	return m, nil

@@ -134,114 +134,50 @@ type MeshScenario struct {
 	// Layout is the partition layout the mesh was built over (zero value
 	// when cfg.Shards == 0).
 	Layout Partition
+
+	provName map[bgp.ASN]string // ProviderName's table
 }
 
-// meshSessionDelay and meshEdgeDelay mirror the construction constants
-// below; MeshPartition folds them into the partition graph, so the two
-// must stay in sync with NewMeshScenario's wiring.
-const (
-	meshSessionDelay     = 10 * time.Millisecond // Wire's default control-plane delay
-	meshEdgeLinkDelay    = 200 * time.Microsecond
-	meshEdgeSessionDelay = time.Millisecond
-	meshPeeringDelay     = 4 * time.Millisecond
-)
+// meshPeeringDelay is a provider peering's one-way delay, both ways.
+const meshPeeringDelay = 4 * time.Millisecond
 
-// modelFloor returns the known propagation minimum of a delay model: nil
-// models take Wire's 1 ms default, models without a declared floor are
-// conservatively 0 (forcing their endpoints into one partition).
-func modelFloor(dm simnet.DelayModel) time.Duration {
-	if dm == nil {
-		return time.Millisecond
-	}
-	if md, ok := dm.(simnet.MinDelayer); ok {
-		return md.MinDelay()
-	}
-	return 0
-}
-
-// MeshPartition derives the partition graph of a mesh config without
-// building it: the nodes are every provider, POP, and edge server the
-// config will create, and each adjacency's per-direction minimum folds
-// the data-plane delay floor with the BGP session delay (whichever plane
-// interacts first bounds the lookahead). The layout depends only on the
-// topology — never on cfg.Shards.
+// MeshPartition is the partition layout of cfg, read from cfg built once
+// on a classic builder: every node it added and every adjacency it wired
+// (see Builder). The layout depends only on the topology — never on
+// cfg.Shards. An invalid config yields the layout of what was built before
+// the error, which is where a sharded build of it stops too.
 func MeshPartition(cfg MeshConfig) Partition {
-	var nodes []string
-	var edges []PartEdge
-	provNode := map[string]string{}
-	for _, p := range cfg.Providers {
-		node := p.NodeName
-		if node == "" {
-			node = p.Name
-		}
-		provNode[p.Name] = node
-		nodes = append(nodes, node)
-	}
-	popNode := map[string]string{}
-	for _, s := range cfg.Sites {
-		pop := s.POPName
-		if pop == "" {
-			pop = "pop-" + s.Name
-		}
-		popNode[s.Name] = pop
-		nodes = append(nodes, pop)
-		for _, at := range s.Attach {
-			pn, ok := provNode[at.Provider]
-			if !ok {
-				continue // construction reports the error
-			}
-			edges = append(edges, PartEdge{
-				A: pop, B: pn,
-				MinDelayAB: min(modelFloor(at.Access), meshSessionDelay),
-				MinDelayBA: min(modelFloor(at.Trunk), meshSessionDelay),
-			})
-		}
-	}
-	for _, pr := range cfg.Pairs {
-		for k := 0; k < 2; k++ {
-			siteName, peer, side := pr.A, pr.B, pr.SideA
-			if k == 1 {
-				siteName, peer, side = pr.B, pr.A, pr.SideB
-			}
-			pop, ok := popNode[siteName]
-			if !ok {
-				continue
-			}
-			name := side.EdgeName
-			if name == "" {
-				name = "edge-" + siteName + ":" + peer
-			}
-			nodes = append(nodes, name)
-			d := min(meshEdgeLinkDelay, meshEdgeSessionDelay)
-			edges = append(edges, PartEdge{A: name, B: pop, MinDelayAB: d, MinDelayBA: d})
-		}
-	}
-	for _, pe := range cfg.Peerings {
-		pa, oka := provNode[pe.A]
-		pb, okb := provNode[pe.B]
-		if !oka || !okb {
-			continue
-		}
-		d := min(meshPeeringDelay, meshSessionDelay)
-		edges = append(edges, PartEdge{A: pa, B: pb, MinDelayAB: d, MinDelayBA: d})
-	}
-	return PartitionGraph(nodes, edges)
+	b := NewBuilder(cfg.Seed)
+	_, _ = buildMesh(b, cfg, Partition{})
+	return PartitionGraph(b.nodes, b.edges)
 }
 
 // NewMeshScenario builds the mesh, validating the config as it goes.
 func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
-	var b *Builder
-	var layout Partition
-	if cfg.Shards > 0 {
-		layout = MeshPartition(cfg)
-		b = NewShardedBuilder(cfg.Seed, layout)
-		b.W.Coord().SetWorkers(cfg.Shards)
-	} else {
-		b = NewBuilder(cfg.Seed)
+	if cfg.Shards <= 0 {
+		return buildMesh(NewBuilder(cfg.Seed), cfg, Partition{})
 	}
+	layout := MeshPartition(cfg)
+	b := NewShardedBuilder(cfg.Seed, layout)
+	b.W.Coord().SetWorkers(cfg.Shards)
+	return buildMesh(b, cfg, layout)
+}
+
+// ProviderName returns the scenario's name for the provider with this
+// ASN, or "AS<n>" for an AS that is none of its providers.
+func (m *MeshScenario) ProviderName(asn bgp.ASN) string {
+	if name, ok := m.provName[asn]; ok {
+		return name
+	}
+	return fmt.Sprintf("AS%d", asn)
+}
+
+// buildMesh builds cfg on b, in the canonical order.
+func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, error) {
 	m := &MeshScenario{
 		B:          b,
 		Layout:     layout,
+		provName:   map[bgp.ASN]string{},
 		POPs:       map[string]*AS{},
 		Providers:  map[string]*AS{},
 		Edges:      map[string]*AS{},
@@ -261,6 +197,10 @@ func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
 		if m.Providers[p.Name] != nil {
 			return nil, fmt.Errorf("topo: duplicate provider %q", p.Name)
 		}
+		if prev, dup := m.provName[p.ASN]; dup {
+			return nil, fmt.Errorf("topo: providers %s and %s share AS%d", prev, p.Name, p.ASN)
+		}
+		m.provName[p.ASN] = p.Name
 		node := p.NodeName
 		if node == "" {
 			node = p.Name
@@ -311,9 +251,7 @@ func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
 		}
 	}
 
-	// Per-pair edge servers: dedicated AS behind each site's POP, with
-	// default route toward it and a plainly originated host prefix.
-	dc := simnet.FixedDelay(meshEdgeLinkDelay)
+	// Per-pair edge servers: dedicated AS behind each site's POP.
 	edgeASN := bgp.ASN(64700)
 	for _, pr := range cfg.Pairs {
 		if pr.A == pr.B {
@@ -347,17 +285,6 @@ func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
 			if name == "" {
 				name = "edge-" + key
 			}
-			edge := b.AddAS(name, asn, rid, site.ClockOffset)
-			m.Edges[key] = edge
-			lnk, _, _ := b.Wire(edge, m.POPs[siteName], WireOpts{
-				RelAB:   bgp.RelProvider,
-				DelayAB: dc, DelayBA: dc,
-				SessionDelay: meshEdgeSessionDelay,
-				MRAI:         time.Second,
-			})
-			if err := DefaultRoute(edge, lnk); err != nil {
-				return nil, err
-			}
 			var err error
 			if m.Block[key], err = sideOrAlloc(side.Block, blockAl, 44); err != nil {
 				return nil, fmt.Errorf("topo: block for %s: %w", key, err)
@@ -368,7 +295,7 @@ func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
 			if m.Probe[key], err = sideOrAlloc(side.Probe, blockAl, 48); err != nil {
 				return nil, fmt.Errorf("topo: probe prefix for %s: %w", key, err)
 			}
-			edge.Speaker.Originate(m.HostPrefix[key])
+			m.Edges[key] = b.addEdge(m.POPs[siteName], name, asn, rid, site.ClockOffset, m.HostPrefix[key])
 		}
 		m.PairKeys = append(m.PairKeys, [2]string{pr.A, pr.B})
 	}
@@ -385,6 +312,24 @@ func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
 		})
 	}
 	return m, nil
+}
+
+// addEdge adds a Tango edge server behind pop — a mesh site's POP or a
+// generated stub site: its own AS, pop's customer over a site-internal
+// link (200 µs each way, 1 ms BGP session, 1 s MRAI), with a static
+// default route toward pop and host originated plainly.
+func (b *Builder) addEdge(pop *AS, name string, asn bgp.ASN, routerID uint32, clockOffset time.Duration, host addr.Prefix) *AS {
+	edge := b.AddAS(name, asn, routerID, clockOffset)
+	dc := simnet.FixedDelay(200 * time.Microsecond)
+	lnk, _, _ := b.Wire(edge, pop, WireOpts{
+		RelAB:   bgp.RelProvider,
+		DelayAB: dc, DelayBA: dc,
+		SessionDelay: time.Millisecond,
+		MRAI:         time.Second,
+	})
+	_ = DefaultRoute(edge, lnk) // cannot fail: lnk starts at edge
+	edge.Speaker.Originate(host)
+	return edge
 }
 
 func sideOrAlloc(p addr.Prefix, al *addr.Alloc, bits int) (addr.Prefix, error) {

@@ -32,10 +32,15 @@ func (a *AS) portFor(nh netip.Addr) (*simnet.Port, bool) {
 	return p, ok
 }
 
-// Builder constructs a topology over one network/engine.
+// Builder constructs a topology over one network/engine. It records every
+// node it adds and every adjacency it wires, so a partition layout is read
+// from what was built (MeshPartition), never from a second walk of a
+// config.
 type Builder struct {
 	W       *simnet.Network
 	linkSeq int
+	nodes   []string
+	edges   []PartEdge
 }
 
 // NewBuilder creates a builder over a fresh network seeded with seed.
@@ -69,6 +74,7 @@ func (b *Builder) Eng() *sim.Engine { return b.W.Eng }
 // AddAS creates an AS with the given clock offset on its node.
 func (b *Builder) AddAS(name string, asn bgp.ASN, routerID uint32, clockOffset time.Duration) *AS {
 	n := b.W.AddNode(name, clockOffset)
+	b.nodes = append(b.nodes, name)
 	sp := bgp.NewSpeaker(n.Eng(), name, asn, routerID)
 	a := &AS{Name: name, ASN: asn, Node: n, Speaker: sp, nhPort: make(map[netip.Addr]*simnet.Port)}
 	sp.OnBestChange = func(p addr.Prefix, best, old *bgp.Route) {
@@ -130,11 +136,16 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 		o.DelayBA = simnet.FixedDelay(time.Millisecond)
 	}
 	if o.SessionDelay == 0 {
-		o.SessionDelay = meshSessionDelay
+		o.SessionDelay = 10 * time.Millisecond
 	}
 	if o.MRAI == 0 {
 		o.MRAI = 5 * time.Second
 	}
+	// Whichever plane interacts first bounds how soon x and y can affect
+	// each other: the data-plane delay floor or the BGP session delay.
+	b.edges = append(b.edges, PartEdge{A: x.Name, B: y.Name,
+		MinDelayAB: min(modelFloor(o.DelayAB), o.SessionDelay),
+		MinDelayBA: min(modelFloor(o.DelayBA), o.SessionDelay)})
 	link := b.W.Connect(x.Node, y.Node, o.DelayAB, o.DelayBA)
 
 	// The two session endpoints are ::1 and ::2 of a link /64 of their
@@ -169,6 +180,16 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 	}
 	sx, sy := bgp.Connect(x.Speaker, y.Speaker, cfgX, cfgY)
 	return link, sx, sy
+}
+
+// modelFloor returns the known propagation minimum of a delay model;
+// models without a declared floor are conservatively 0 (forcing their
+// endpoints into one partition).
+func modelFloor(dm simnet.DelayModel) time.Duration {
+	if md, ok := dm.(simnet.MinDelayer); ok {
+		return md.MinDelay()
+	}
+	return 0
 }
 
 func invert(r bgp.Relation) bgp.Relation {

@@ -7,6 +7,7 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/bgp"
+	"tango/internal/control"
 	"tango/internal/packet"
 	"tango/internal/simnet"
 )
@@ -37,10 +38,10 @@ func TestScenarioConverges(t *testing.T) {
 	}
 	// The default path runs through NTT (Vultr's most-preferred
 	// transit), as in the paper.
-	if got := ProviderNameForPath(bestAtLA.Path); got != "NTT" {
+	if got := deliveredBy(s, bestAtLA.Path); got != "NTT" {
 		t.Fatalf("LA default path via %s (path %v), want NTT", got, bestAtLA.Path)
 	}
-	if got := ProviderNameForPath(bestAtNY.Path); got != "NTT" {
+	if got := deliveredBy(s, bestAtNY.Path); got != "NTT" {
 		t.Fatalf("NY default path via %s (path %v), want NTT", got, bestAtNY.Path)
 	}
 	// Full AS path shape: [20473 2914 20473] after private-ASN strip.
@@ -123,7 +124,7 @@ func TestScenarioSuppressionExposesAlternatePaths(t *testing.T) {
 		if best == nil {
 			t.Fatalf("no route with suppression %v", step.suppress)
 		}
-		if got := ProviderNameForPath(best.Path); got != step.want {
+		if got := deliveredBy(s, best.Path); got != step.want {
 			t.Fatalf("suppression %v -> path via %s (%v), want %s",
 				step.suppress, got, best.Path, step.want)
 		}
@@ -151,7 +152,7 @@ func TestScenarioReversePathsIncludeLevel3(t *testing.T) {
 	if best == nil {
 		t.Fatal("no route with NTT/Telia/GTT suppressed")
 	}
-	if got := ProviderNameForPath(best.Path); got != "Level3" {
+	if got := deliveredBy(s, best.Path); got != "Level3" {
 		t.Fatalf("NY->LA 4th path via %s (%v), want Level3", got, best.Path)
 	}
 }
@@ -169,7 +170,18 @@ func TestScenarioClockOffsets(t *testing.T) {
 	}
 }
 
+// deliveredBy names the provider that hands path into its destination's
+// Vultr POP, the way discovery labels it; "direct" when no provider does.
+func deliveredBy(s *Scenario, path bgp.Path) string {
+	asn, ok := control.AdjacentProvider(path, bgp.ASVultr)
+	if !ok {
+		return "direct"
+	}
+	return s.ProviderName(asn)
+}
+
 func TestProviderNameForPath(t *testing.T) {
+	s := mustVultr(t, ScenarioConfig{Seed: 1})
 	cases := []struct {
 		path bgp.Path
 		want string
@@ -182,8 +194,40 @@ func TestProviderNameForPath(t *testing.T) {
 		{bgp.Path{}, "direct"},
 	}
 	for _, c := range cases {
-		if got := ProviderNameForPath(c.path); got != c.want {
-			t.Fatalf("ProviderNameForPath(%v) = %s, want %s", c.path, got, c.want)
+		if got := deliveredBy(s, c.path); got != c.want {
+			t.Fatalf("deliveredBy(%v) = %s, want %s", c.path, got, c.want)
+		}
+	}
+}
+
+func TestProviderName(t *testing.T) {
+	custom := RadialMeshConfig(1,
+		[]RadialProvider{{Name: "Zayo", ASN: 6461, Scale: 1}, {Name: "Lumen", ASN: 3356, Scale: 1.2}},
+		[]RadialSite{{Name: "a", Radius: 5 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
+			{Name: "b", Radius: 7 * time.Millisecond, Providers: []string{"Zayo"}}},
+		[][2]string{{"a", "b"}})
+	for _, tc := range []struct {
+		name string
+		cfg  MeshConfig
+		want map[bgp.ASN]string
+	}{
+		{"vultr", VultrConfig(ScenarioConfig{Seed: 1}), map[bgp.ASN]string{
+			bgp.ASNTT: "NTT", bgp.ASTelia: "Telia", bgp.ASGTT: "GTT", bgp.ASCogent: "Cogent", bgp.ASLevel3: "Level3"}},
+		{"tri", TriConfig(1), map[bgp.ASN]string{bgp.ASNTT: "NTT", bgp.ASTelia: "Telia", bgp.ASGTT: "GTT"}},
+		{"wide", WideMeshConfig(1, 6), map[bgp.ASN]string{60001: "P00", 60016: "P15"}},
+		{"custom", custom, map[bgp.ASN]string{6461: "Zayo", 3356: "Lumen"}},
+	} {
+		s, err := NewMeshScenario(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Neither a POP's AS nor an AS the scenario lacks is a provider.
+		tc.want[bgp.ASVultr] = "AS20473"
+		tc.want[9999] = "AS9999"
+		for asn, want := range tc.want {
+			if got := s.ProviderName(asn); got != want {
+				t.Errorf("%s: ProviderName(%d) = %q, want %q", tc.name, asn, got, want)
+			}
 		}
 	}
 }

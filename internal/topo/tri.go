@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"fmt"
 	"time"
 
 	"tango/internal/bgp"
@@ -37,17 +36,4 @@ func TriConfig(seed int64) MeshConfig {
 	}
 	pairs := [][2]string{{"ny", "la"}, {"ny", "chi"}, {"chi", "la"}}
 	return RadialMeshConfig(seed, provs, sites, pairs)
-}
-
-// TriProviderName labels providers for the tri scenario's POP ASNs.
-func TriProviderName(asn bgp.ASN) string {
-	switch asn {
-	case bgp.ASNTT:
-		return "NTT"
-	case bgp.ASTelia:
-		return "Telia"
-	case bgp.ASGTT:
-		return "GTT"
-	}
-	return fmt.Sprintf("AS%d", asn)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"tango/internal/bgp"
 	"tango/internal/control"
 )
 
@@ -77,7 +76,7 @@ func triDiscover(t *testing.T, s *MeshScenario, a, b string) []control.Discovere
 		Observer:  mustEdge(t, s, a, b).Speaker,
 		Probe:     s.Probe[b+":"+a],
 		POPAS:     s.POPs[b].ASN,
-		NameFor:   TriProviderName,
+		NameFor:   s.ProviderName,
 		RoundWait: 90 * time.Second,
 	}
 	var got []control.DiscoveredPath
@@ -115,9 +114,14 @@ func TestTriScenarioPathDiversity(t *testing.T) {
 }
 
 func TestTriProviderName(t *testing.T) {
-	if TriProviderName(bgp.ASNTT) != "NTT" || TriProviderName(bgp.ASGTT) != "GTT" ||
-		TriProviderName(bgp.ASTelia) != "Telia" || TriProviderName(9999) != "AS9999" {
-		t.Fatal("TriProviderName wrong")
+	s := mustTri(t, 1)
+	for name, p := range s.Providers {
+		if got := s.ProviderName(p.ASN); got != name {
+			t.Errorf("ProviderName(%d) = %q, want %q", p.ASN, got, name)
+		}
+	}
+	if len(s.Providers) != 3 || s.ProviderName(9999) != "AS9999" {
+		t.Fatalf("tri providers %d, ProviderName(9999) = %q", len(s.Providers), s.ProviderName(9999))
 	}
 }
 

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"fmt"
 	"time"
 
 	"tango/internal/addr"
@@ -161,28 +160,4 @@ func strLower(s string) string {
 		}
 	}
 	return string(b)
-}
-
-// ProviderNameForPath names the wide-area path a route takes, using the
-// transit AS adjacent to the destination's Vultr POP — the convention the
-// paper uses ("NTT and Cogent (we refer to this as Cogent)").
-func ProviderNameForPath(path bgp.Path) string {
-	names := map[bgp.ASN]string{
-		bgp.ASNTT: "NTT", bgp.ASTelia: "Telia", bgp.ASGTT: "GTT",
-		bgp.ASCogent: "Cogent", bgp.ASLevel3: "Level3",
-	}
-	// The path (seen from the source edge) reads
-	// [providers..., 20473(dest POP)] after private-ASN stripping, or
-	// [20473(src POP), providers..., 20473] when learned through the
-	// local POP. The provider adjacent to the *final* 20473 names it.
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == bgp.ASVultr {
-			continue
-		}
-		if n, ok := names[path[i]]; ok {
-			return n
-		}
-		return fmt.Sprintf("AS%d", path[i])
-	}
-	return "direct"
 }

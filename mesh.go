@@ -85,13 +85,10 @@ func NewMesh(opts MeshOptions) *Mesh {
 		return &Mesh{deployment: deployment{buildErr: err}}
 	}
 	var cfg topo.MeshConfig
-	var nameFor func(bgp.ASN) string
 	if len(opts.Sites) == 0 {
 		cfg = topo.TriConfig(opts.Seed)
-		nameFor = topo.TriProviderName
 	} else {
 		provs := make([]topo.RadialProvider, 0, len(opts.Providers))
-		names := make(map[bgp.ASN]string, len(opts.Providers))
 		for _, p := range opts.Providers {
 			provs = append(provs, topo.RadialProvider{
 				Name:  p.Name,
@@ -99,13 +96,6 @@ func NewMesh(opts MeshOptions) *Mesh {
 				Scale: p.Scale,
 				Std:   p.JitterStd,
 			})
-			names[bgp.ASN(p.ASN)] = p.Name
-		}
-		nameFor = func(a bgp.ASN) string {
-			if n, ok := names[a]; ok {
-				return n
-			}
-			return fmt.Sprintf("AS%d", a)
 		}
 		sites := make([]topo.RadialSite, 0, len(opts.Sites))
 		for _, s := range opts.Sites {
@@ -122,7 +112,6 @@ func NewMesh(opts MeshOptions) *Mesh {
 		ProbeInterval: opts.ProbeInterval,
 		DecideEvery:   opts.DecideEvery,
 		NewPolicy:     func(site, peer string) control.Policy { return mkPolicy(opts.SitePolicy) },
-		NameFor:       nameFor,
 		RecordBucket:  opts.RecordBucket,
 		AuthKey:       opts.AuthKey,
 		MaxRelays:     opts.MaxRelays,

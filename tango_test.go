@@ -257,3 +257,25 @@ func TestNegativeCadenceIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestMeshProvidersShareNoASN: two providers with one ASN used to build,
+// the discovery labels kept whichever name came last, and BGP loop
+// detection dropped every route through either. Establish now names both.
+func TestMeshProvidersShareNoASN(t *testing.T) {
+	mesh := NewMesh(MeshOptions{
+		Seed: 1,
+		Providers: []MeshProvider{
+			{Name: "Zayo", ASN: 6461, Scale: 1},
+			{Name: "Lumen", ASN: 6461, Scale: 1.2},
+		},
+		Sites: []MeshSiteSpec{
+			{Name: "a", Radius: 5 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
+			{Name: "b", Radius: 7 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
+		},
+		Pairs: [][2]string{{"a", "b"}},
+	})
+	want := "topo: providers Zayo and Lumen share AS6461"
+	if err := mesh.Establish(); err == nil || err.Error() != want {
+		t.Fatalf("Establish() = %v, want %q", err, want)
+	}
+}
