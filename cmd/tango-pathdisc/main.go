@@ -42,10 +42,10 @@ func main() {
 	case "la-ny":
 		// Paths for LA->NY traffic: the NY edge announces, LA observes.
 		announcer, observer = s.EdgeNY, s.EdgeLA
-		probe = addr.MustParsePrefix("2001:db8:100::/48")
+		probe = s.Probe["ny:la"]
 	case "ny-la":
 		announcer, observer = s.EdgeLA, s.EdgeNY
-		probe = addr.MustParsePrefix("2001:db8:200::/48")
+		probe = s.Probe["la:ny"]
 	default:
 		fmt.Fprintf(os.Stderr, "unknown direction %q\n", *direction)
 		os.Exit(2)

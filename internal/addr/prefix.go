@@ -57,9 +57,6 @@ func (p Prefix) Addr() netip.Addr { return p.p.Addr() }
 // Bits returns the prefix length.
 func (p Prefix) Bits() int { return p.p.Bits() }
 
-// Is6 reports whether the prefix is IPv6 (and not an IPv4-mapped address).
-func (p Prefix) Is6() bool { return p.p.Addr().Is6() && !p.p.Addr().Is4In6() }
-
 // Contains reports whether the prefix contains ip.
 func (p Prefix) Contains(ip netip.Addr) bool { return p.p.Contains(ip) }
 

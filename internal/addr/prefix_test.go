@@ -13,15 +13,9 @@ func TestParsePrefixCanonicalizes(t *testing.T) {
 	if p.String() != "2001:db8::/48" {
 		t.Fatalf("not masked: %v", p)
 	}
-	if !p.Is6() {
-		t.Fatal("Is6 = false for IPv6 prefix")
-	}
 	p4 := MustParsePrefix("10.1.2.3/8")
 	if p4.String() != "10.0.0.0/8" {
 		t.Fatalf("not masked: %v", p4)
-	}
-	if p4.Is6() {
-		t.Fatal("Is6 = true for IPv4 prefix")
 	}
 }
 

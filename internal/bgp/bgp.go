@@ -1,8 +1,9 @@
 // Package bgp implements the BGP-4 control plane the Tango prototype
-// drives: wire-format messages (RFC 4271) with multiprotocol IPv6 NLRI
-// (RFC 4760), RFC 1997 communities, per-neighbor import/export policy with
-// Gao-Rexford defaults, the standard decision process, and MRAI-paced
-// propagation — everything the paper's BIRD-based deployment relies on.
+// drives: OPEN/UPDATE/KEEPALIVE sessions over IPv6, RFC 1997 communities,
+// per-neighbor import/export policy with Gao-Rexford defaults, the
+// standard decision process, and MRAI-paced propagation — everything the
+// paper's BIRD-based deployment relies on. Sessions hand each other
+// message values, not RFC 4271 bytes: every speaker runs in the process.
 //
 // The paper's key control-plane move is operator "action communities":
 // a Vultr customer attaches, say, 64600:2914 to an announcement and
@@ -22,9 +23,9 @@ import (
 	"tango/internal/addr"
 )
 
-// ASN is an autonomous system number. The wire codec uses the classic
-// 2-octet representation, which covers every ASN in the Tango scenarios
-// (real transit providers and RFC 6996 private ASNs).
+// ASN is an autonomous system number in the classic 2-octet range, which
+// covers every ASN in the Tango scenarios (real transit providers and
+// RFC 6996 private ASNs).
 type ASN uint16
 
 // Well-known ASNs used across the Tango scenarios (real allocations).

@@ -42,6 +42,14 @@ func TestDecisionStability(t *testing.T) {
 	}
 }
 
+func prefixes(ss ...string) []addr.Prefix {
+	out := make([]addr.Prefix, len(ss))
+	for i, s := range ss {
+		out[i] = addr.MustParsePrefix(s)
+	}
+	return out
+}
+
 func TestWithdrawNonOriginatedIsNoop(t *testing.T) {
 	eng := sim.NewEngine()
 	sp := NewSpeaker(eng, "x", 1, 1)

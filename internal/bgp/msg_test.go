@@ -1,295 +1,126 @@
 package bgp
 
 import (
-	"encoding/binary"
-	"net/netip"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"tango/internal/addr"
+	"tango/internal/sim"
 )
 
+// handover connects a (AS 100) to its provider b (AS 200) and returns
+// the engine and both sides' sessions.
+func handover() (eng *sim.Engine, a, b *Speaker, sa, sb *Session) {
+	eng = sim.NewEngine()
+	a = NewSpeaker(eng, "a", 100, 1)
+	b = NewSpeaker(eng, "b", 200, 2)
+	cA, cB := pairCfg(RelProvider, "2001:db8:10::1", "2001:db8:10::2")
+	sa, sb = Connect(a, b, cA, cB)
+	return eng, a, b, sa, sb
+}
+
+// TestOpenRoundTrip: each side's OPEN reaches the peer one session delay
+// after Connect and is answered by a KEEPALIVE, so both sides establish
+// exactly one round trip in, not an event sooner.
 func TestOpenRoundTrip(t *testing.T) {
-	m := &Message{Open: &Open{Version: 4, AS: ASVultr, HoldTime: 90, RouterID: 0x0a000001}}
-	raw, err := EncodeMessage(m)
-	if err != nil {
-		t.Fatal(err)
+	eng, _, _, sa, sb := handover()
+	eng.Run(2*msDelay - 1)
+	if sa.state != StateOpenSent || sb.state != StateOpenSent {
+		t.Fatalf("before one round trip: %v/%v, want OpenSent", sa.state, sb.state)
 	}
-	got, n, err := DecodeMessage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(raw) {
-		t.Fatalf("consumed %d of %d", n, len(raw))
-	}
-	if *got.Open != *m.Open {
-		t.Fatalf("open = %+v", got.Open)
+	eng.Run(2 * msDelay)
+	if sa.state != StateEstablished || sb.state != StateEstablished {
+		t.Fatalf("after one round trip: %v/%v, want Established", sa.state, sb.state)
 	}
 }
 
-func TestKeepaliveAndNotification(t *testing.T) {
-	raw, err := EncodeMessage(&Message{Keepalive: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != headerLen {
-		t.Fatalf("keepalive length %d", len(raw))
-	}
-	got, _, err := DecodeMessage(raw)
-	if err != nil || !got.Keepalive {
-		t.Fatalf("keepalive decode: %v %v", got, err)
-	}
-
-	n := &Notification{Code: 6, Subcode: 2, Data: []byte{1, 2}}
-	raw, err = EncodeMessage(&Message{Notification: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err = DecodeMessage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Notification.Code != 6 || got.Notification.Subcode != 2 || len(got.Notification.Data) != 2 {
-		t.Fatalf("notification = %+v", got.Notification)
-	}
-	if got.Notification.Error() == "" {
-		t.Fatal("empty notification error")
-	}
-}
-
+// TestUpdateRoundTripIPv6: the peer learns a route exactly as the sender
+// exported it — prefix, path, next hop, origin, MED and communities —
+// and only local preference is the receiver's own.
 func TestUpdateRoundTripIPv6(t *testing.T) {
-	u := &Update{
-		Announced: []addr.Prefix{
-			addr.MustParsePrefix("2001:db8:1::/48"),
-			addr.MustParsePrefix("2001:db8:2::/48"),
-		},
-		Withdrawn: []addr.Prefix{addr.MustParsePrefix("2001:db8:dead::/48")},
-		Attrs: Attrs{
-			Origin:      OriginIGP,
-			Path:        Path{ASVultr, ASNTT},
-			NextHop:     netip.MustParseAddr("2001:db8:ffff::1"),
-			MED:         10,
-			HasMED:      true,
-			Communities: []Community{NoExportTo(ASNTT), MakeCommunity(ASVultr, 100)},
-		},
+	eng, a, _, sa, sb := handover()
+	pfx := addr.MustParsePrefix("2001:db8:1::/48")
+	a.OriginateWithPath(pfx, Path{300, 400}, MakeCommunity(ASVultr, 100), MakeCommunity(300, 7))
+	eng.Run(time.Second)
+	sent, got := sa.adjOut[pfx], sb.adjIn[pfx]
+	if sent == nil || got == nil {
+		t.Fatalf("exported %v, learned %v", sent, got)
 	}
-	raw, err := EncodeMessage(&Message{Update: u})
-	if err != nil {
-		t.Fatal(err)
+	if got.Prefix != sent.Prefix || !got.Path.Equal(sent.Path) || got.NextHop != sent.NextHop ||
+		got.Origin != sent.Origin || got.MED != sent.MED || !slices.Equal(got.Communities, sent.Communities) {
+		t.Fatalf("learned %v %v, exported %v %v", got, got.Communities, sent, sent.Communities)
 	}
-	got, _, err := DecodeMessage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := got.Update
-	if !reflect.DeepEqual(g.Announced, u.Announced) {
-		t.Fatalf("announced = %v", g.Announced)
-	}
-	if !reflect.DeepEqual(g.Withdrawn, u.Withdrawn) {
-		t.Fatalf("withdrawn = %v", g.Withdrawn)
-	}
-	if !g.Attrs.Path.Equal(u.Attrs.Path) || g.Attrs.NextHop != u.Attrs.NextHop {
-		t.Fatalf("attrs = %+v", g.Attrs)
-	}
-	if !g.Attrs.HasMED || g.Attrs.MED != 10 {
-		t.Fatalf("MED = %v %d", g.Attrs.HasMED, g.Attrs.MED)
-	}
-	if !reflect.DeepEqual(g.Attrs.Communities, u.Attrs.Communities) {
-		t.Fatalf("communities = %v", g.Attrs.Communities)
+	if got.LocalPref != DefaultLocalPref(RelCustomer) || got.FromSession != sb {
+		t.Fatalf("learned local-pref %d from %v", got.LocalPref, got.FromSession)
 	}
 }
 
-func TestUpdateMixedFamilies(t *testing.T) {
-	// Sessions peer over IPv6, so only MP_REACH/MP_UNREACH carry NLRI: an
-	// IPv4 prefix is refused whether announced (alone or beside an IPv6
-	// one, with either next-hop family) or withdrawn, and so is an IPv4
-	// next hop.
-	v4, v6 := addr.MustParsePrefix("10.0.0.0/8"), addr.MustParsePrefix("2001:db8::/32")
-	for name, u := range map[string]*Update{
-		"announce v4": {Announced: []addr.Prefix{v4}, Attrs: Attrs{NextHop: netip.MustParseAddr("10.0.0.1")}},
-		"mixed":       {Announced: []addr.Prefix{v6, v4}, Attrs: Attrs{NextHop: netip.MustParseAddr("2001:db8:ffff::1")}},
-		"withdraw v4": {Withdrawn: []addr.Prefix{v6, v4}},
-		"v4 next hop": {Announced: []addr.Prefix{v6}, Attrs: Attrs{NextHop: netip.MustParseAddr("10.0.0.1")}},
-	} {
-		if _, err := EncodeMessage(&Message{Update: u}); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// TestUpdateLongAttributes: LOCAL_PREF round-trips, an attribute longer
-// than 255 bytes takes the extended-length form, and a message past 4 096
-// bytes is refused.
-func TestUpdateLongAttributes(t *testing.T) {
-	u := &Update{
-		Announced: []addr.Prefix{addr.MustParsePrefix("2001:db8:1::/48")},
-		Attrs: Attrs{
-			NextHop:      netip.MustParseAddr("2001:db8:ffff::1"),
-			LocalPref:    200,
-			HasLocalPref: true,
-		},
-	}
-	for i := 0; i < 100; i++ { // 400 bytes of COMMUNITIES
-		u.Attrs.Communities = append(u.Attrs.Communities, MakeCommunity(ASN(i), 1))
-	}
-	raw, err := EncodeMessage(&Message{Update: u})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := DecodeMessage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a := got.Update.Attrs; !a.HasLocalPref || a.LocalPref != 200 || !reflect.DeepEqual(a.Communities, u.Attrs.Communities) {
-		t.Fatalf("attrs = %+v", a)
-	}
-	for i := 0; i < 1000; i++ {
-		u.Attrs.Communities = append(u.Attrs.Communities, MakeCommunity(ASN(i), 2))
-	}
-	if _, err := EncodeMessage(&Message{Update: u}); err == nil {
-		t.Fatal("message over 4096 bytes accepted")
-	}
-}
-
+// TestUpdateWithdrawOnly: withdrawing a prefix costs the peer one UPDATE,
+// and both sides' RIBs forget the route.
 func TestUpdateWithdrawOnly(t *testing.T) {
-	u := &Update{Withdrawn: []addr.Prefix{
-		addr.MustParsePrefix("2001:db8:1::/48"),
-		addr.MustParsePrefix("2001:db8::/32"),
-	}}
-	raw, err := EncodeMessage(&Message{Update: u})
-	if err != nil {
-		t.Fatal(err)
+	eng, a, b, sa, sb := handover()
+	pfx := addr.MustParsePrefix("2001:db8:1::/48")
+	a.Originate(pfx)
+	eng.Run(time.Second)
+	sent := sa.Stats.UpdatesSent
+	a.Withdraw(pfx)
+	eng.Run(2 * time.Second)
+	if n := sa.Stats.UpdatesSent - sent; n != 1 {
+		t.Fatalf("withdrawal sent %d UPDATEs, want 1", n)
 	}
-	got, _, err := DecodeMessage(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Update.Withdrawn) != 2 || len(got.Update.Announced) != 0 {
-		t.Fatalf("update = %+v", got.Update)
+	if _, ok := sa.adjOut[pfx]; ok || sb.AdjInLen() != 0 || b.Best(pfx) != nil {
+		t.Fatal("withdrawn route survived")
 	}
 }
 
-func TestDecodeErrors(t *testing.T) {
-	raw, _ := EncodeMessage(&Message{Keepalive: true})
-	// Bad marker.
-	bad := append([]byte{}, raw...)
-	bad[0] = 0
-	if _, _, err := DecodeMessage(bad); err == nil {
-		t.Fatal("bad marker accepted")
-	}
-	// Bad type.
-	bad = append([]byte{}, raw...)
-	bad[18] = 99
-	if _, _, err := DecodeMessage(bad); err == nil {
-		t.Fatal("unknown type accepted")
-	}
-	// Short.
-	if _, _, err := DecodeMessage(raw[:10]); err == nil {
-		t.Fatal("short message accepted")
-	}
-	// Wrong version.
-	o, _ := EncodeMessage(&Message{Open: &Open{Version: 3, AS: 1, RouterID: 1}})
-	if _, _, err := DecodeMessage(o); err == nil {
-		t.Fatal("version 3 accepted")
-	}
-	// Classic IPv4 withdrawn routes or NLRI: 10.0.0.0/8 after an empty
-	// attribute block, or as the withdrawn-routes field.
-	for name, body := range map[string][]byte{
-		"withdrawn": {0, 2, 8, 10, 0, 0},
-		"nlri":      {0, 0, 0, 0, 8, 10},
-	} {
-		u := append([]byte{}, raw...)
-		u[18] = MsgUpdate
-		u = append(u, body...)
-		binary.BigEndian.PutUint16(u[16:18], uint16(len(u)))
-		if _, _, err := DecodeMessage(u); err == nil {
-			t.Fatalf("IPv4 %s accepted", name)
-		}
-	}
-}
-
-// Property: IPv6 UPDATE encoding round-trips arbitrary path/community
-// combinations.
+// Property: whatever path and communities a speaker originates, its peer
+// learns that path behind the speaker's AS, with the same communities.
 func TestUpdateRoundTripProperty(t *testing.T) {
-	f := func(pathRaw []uint16, comms []uint32, subIdx uint16, med uint32) bool {
-		if len(pathRaw) > 30 {
-			pathRaw = pathRaw[:30]
-		}
-		if len(comms) > 30 {
-			comms = comms[:30]
-		}
-		var path Path
-		for _, a := range pathRaw {
-			path = append(path, ASN(a))
-		}
-		var cs []Community
-		for _, c := range comms {
-			cs = append(cs, Community(c))
-		}
-		parent := addr.MustParsePrefix("2001:db8::/32")
-		pfx, err := parent.Subnet(48, int(subIdx))
-		if err != nil {
-			return false
-		}
-		u := &Update{
-			Announced: []addr.Prefix{pfx},
-			Attrs: Attrs{
-				Path:        path,
-				NextHop:     netip.MustParseAddr("2001:db8:ffff::1"),
-				MED:         med,
-				HasMED:      med != 0,
-				Communities: cs,
-			},
-		}
-		raw, err := EncodeMessage(&Message{Update: u})
-		if err != nil {
-			return false
-		}
-		got, n, err := DecodeMessage(raw)
-		if err != nil || n != len(raw) {
-			return false
-		}
-		g := got.Update
-		if len(g.Announced) != 1 || g.Announced[0] != pfx {
-			return false
-		}
-		if !g.Attrs.Path.Equal(path) {
-			return false
-		}
-		if len(g.Attrs.Communities) != len(cs) {
-			return false
-		}
-		for i := range cs {
-			if g.Attrs.Communities[i] != cs[i] {
-				return false
+	f := func(pathRaw []uint16, comms []uint32) bool {
+		var poison Path
+		for _, a := range pathRaw[:min(len(pathRaw), 30)] {
+			if ASN(a) != 200 { // the peer would reject its own AS
+				poison = append(poison, ASN(a))
 			}
 		}
-		return g.Attrs.MED == med || !u.Attrs.HasMED
+		var cs []Community
+		for _, c := range comms[:min(len(comms), 30)] {
+			switch Community(c).ASN() {
+			case ActionNoExportTo, ActionPrepend1, ActionPrepend2, ActionPrepend3, 0xFFFF:
+				continue // knobs that change the export itself
+			}
+			cs = append(cs, Community(c))
+		}
+		eng, a, b, _, _ := handover()
+		pfx := addr.MustParsePrefix("2001:db8:1::/48")
+		a.OriginateWithPath(pfx, poison, cs...)
+		eng.Run(time.Second)
+		best := b.Best(pfx)
+		return best != nil && best.Path.Equal(append(Path{100}, poison...)) && slices.Equal(best.Communities, cs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: prefix encoding round-trips for arbitrary prefix lengths.
-func TestPrefixCodecProperty(t *testing.T) {
-	f := func(ipRaw [16]byte, bits uint8) bool {
-		b := int(bits) % 129
-		ipRaw[0], ipRaw[1] = 0x20, 0x01 // keep it a plausible global
-		p, err := addr.PrefixFrom(netip.AddrFrom16(ipRaw), b)
-		if err != nil {
-			return false
-		}
-		enc := encodePrefixes([]addr.Prefix{p})
-		dec, err := decodePrefixes(enc)
-		if err != nil || len(dec) != 1 {
-			return false
-		}
-		return dec[0] == p
+// TestUpdateHandoverDoesNotAlias: an UPDATE carries the sender's
+// Adj-RIB-Out slices, so the receiver must keep copies. Writing through
+// the route the peer learned leaves the sender's export as it was.
+func TestUpdateHandoverDoesNotAlias(t *testing.T) {
+	eng, a, _, sa, sb := handover()
+	pfx := addr.MustParsePrefix("2001:db8:1::/48")
+	a.OriginateWithPath(pfx, Path{300}, MakeCommunity(300, 7))
+	eng.Run(time.Second)
+	sent, got := sa.adjOut[pfx], sb.adjIn[pfx]
+	if sent == nil || got == nil {
+		t.Fatalf("exported %v, learned %v", sent, got)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	got.Path[0] = 999
+	got.Communities[0] = MakeCommunity(999, 9)
+	if !sent.Path.Equal(Path{100, 300}) || !slices.Equal(sent.Communities, []Community{MakeCommunity(300, 7)}) {
+		t.Fatalf("sender's export changed with the peer's copy: path [%v], communities %v", sent.Path, sent.Communities)
 	}
 }
 

@@ -100,8 +100,7 @@ func TestPoisonBlocksTransitPaths(t *testing.T) {
 }
 
 func TestPoisonedPathOnWire(t *testing.T) {
-	// The poisoned ASN must survive the wire codec like any other path
-	// element.
+	// The poisoned ASN must cross a session like any other path element.
 	eng := sim.NewEngine()
 	a := NewSpeaker(eng, "a", 100, 1)
 	b := NewSpeaker(eng, "b", 200, 2)

@@ -92,8 +92,7 @@ type SessionConfig struct {
 }
 
 // Session is one side of an established eBGP session. Messages to the
-// peer are serialized to wire format and delivered after the configured
-// delay, so everything a speaker learns arrives through the real codec.
+// peer are delivered after the configured delay, on the peer's engine.
 type Session struct {
 	speaker *Speaker
 	peer    *Session
@@ -109,7 +108,6 @@ type Session struct {
 	lastFlush sim.Time
 	neverSent bool
 	// Liveness.
-	lastHeard      sim.Time
 	keepaliveTimer *sim.Ticker
 	holdEvent      *sim.Event
 	// Fault injection: when true, all messages in both directions are
@@ -193,67 +191,43 @@ func newSession(sp *Speaker, cfg SessionConfig) *Session {
 
 func (s *Session) startHandshake() {
 	s.state = StateOpenSent
-	hold := uint16(s.cfg.HoldTime / time.Second)
-	s.sendMsg(&Message{Open: &Open{Version: 4, AS: s.speaker.AS, HoldTime: hold, RouterID: s.speaker.RouterID}})
+	s.sendMsg(&Message{Open: true})
 }
 
-// sendMsg serializes and schedules delivery to the peer.
+// sendMsg schedules delivery of m to the peer after the session delay.
 func (s *Session) sendMsg(m *Message) {
 	if s.blackholed || s.state == StateDown {
 		return
-	}
-	raw, err := EncodeMessage(m)
-	if err != nil {
-		panic(fmt.Sprintf("bgp: encoding on %v: %v", s, err))
 	}
 	if m.Update != nil {
 		s.Stats.UpdatesSent++
 	}
 	peer := s.peer
 	at := s.speaker.eng.Now() + sim.Time(s.cfg.Delay)
-	sim.CrossScheduleAt(s.speaker.eng, peer.speaker.eng, at, peer, raw)
+	sim.CrossScheduleAt(s.speaker.eng, peer.speaker.eng, at, peer, m)
 }
 
-// OnSimEvent implements sim.ArgHandler: the arrival of one serialized
-// message, fired on this side's engine. Receive-side gating (blackhole,
-// session down) happens here, at delivery time on the receiving
-// partition — never on the sender's goroutine.
+// OnSimEvent implements sim.ArgHandler: the arrival of one message, fired
+// on this side's engine. Receive-side gating (blackhole, session down)
+// happens here, at delivery time on the receiving partition — never on
+// the sender's goroutine.
 func (s *Session) OnSimEvent(arg any) {
 	if s.blackholed || s.state == StateDown {
 		return
 	}
-	s.recvBytes(arg.([]byte))
-}
-
-func (s *Session) recvBytes(raw []byte) {
-	m, _, err := DecodeMessage(raw)
-	if err != nil {
-		panic(fmt.Sprintf("bgp: decoding on %v: %v", s, err))
-	}
-	s.lastHeard = s.speaker.eng.Now()
+	m := arg.(*Message)
 	s.rearmHold()
 	switch {
-	case m.Open != nil:
-		s.handleOpen(m.Open)
+	case m.Open:
+		// The peer's KEEPALIVE confirming our OPEN establishes the session.
+		s.sendMsg(&Message{Keepalive: true})
 	case m.Update != nil:
 		s.speaker.handleUpdate(s, m.Update)
-	case m.Notification != nil:
-		s.goDown()
 	case m.Keepalive:
 		if s.state == StateOpenSent {
 			s.establish()
 		}
 	}
-}
-
-func (s *Session) handleOpen(o *Open) {
-	if o.AS != s.peer.speaker.AS {
-		s.sendMsg(&Message{Notification: &Notification{Code: 2, Subcode: 2}})
-		s.goDown()
-		return
-	}
-	// The peer's KEEPALIVE confirming our OPEN establishes the session.
-	s.sendMsg(&Message{Keepalive: true})
 }
 
 func (s *Session) establish() {
@@ -331,9 +305,7 @@ func (s *Session) queue(p addr.Prefix) {
 	s.speaker.eng.Schedule(wait, s.flush)
 }
 
-// flush advertises all pending changes in (at most) two UPDATE messages
-// per distinct attribute set — one per prefix keeps the codec simple and
-// matters nothing for correctness.
+// flush advertises all pending changes, one UPDATE per prefix.
 func (s *Session) flush() {
 	s.mraiArmed = false
 	if s.state != StateEstablished {
@@ -376,7 +348,6 @@ func (s *Session) advertise(p addr.Prefix) {
 			Path:        export.Path,
 			NextHop:     export.NextHop,
 			MED:         export.MED,
-			HasMED:      export.MED != 0,
 			Communities: export.Communities,
 		},
 	}

@@ -113,7 +113,9 @@ func (sp *Speaker) OriginatedPrefixes() []addr.Prefix {
 	return out
 }
 
-// handleUpdate applies a decoded UPDATE from a session.
+// handleUpdate applies an UPDATE from a session. The update's Path and
+// Communities are the sender's Adj-RIB-Out slices, so the imported route
+// gets its own copies.
 func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 	for _, p := range u.Withdrawn {
 		if _, ok := s.adjIn[p]; ok {

@@ -243,7 +243,7 @@ func (c *Controller) Instrument(reg *obs.Registry, j *obs.Journal, site string) 
 			"Times the controller moved data traffic between paths.", l),
 		reports: reg.Counter("tango_controller_reports_total",
 			"Piggybacked path reports folded into estimates.", l),
-		decideNs: reg.Histogram("tango_controller_decide_ns",
+		decideNs: reg.Timer("tango_controller_decide_ns",
 			"Wall-clock duration of one decision tick, nanoseconds; sampled 1 in 8, each sample counted 8 times.", l),
 		current: reg.Gauge("tango_controller_current_path",
 			"Path ID currently carrying data traffic.", l),

@@ -210,9 +210,9 @@ func count(word *uint64, c *obs.Counter) {
 func (s *Switch) Instrument(reg *obs.Registry, site string) {
 	so := &switchObs{reg: reg, site: site}
 	l := obs.L("site", site)
-	so.encapNs = reg.Histogram("tango_dataplane_encap_ns",
+	so.encapNs = reg.Timer("tango_dataplane_encap_ns",
 		"Wall-clock latency of the sender program (classify, encapsulate, checksum, inject), nanoseconds; sampled 1 in 8, each sample counted 8 times.", l)
-	so.decapNs = reg.Histogram("tango_dataplane_decap_ns",
+	so.decapNs = reg.Timer("tango_dataplane_decap_ns",
 		"Wall-clock latency of the receiver program (parse, verify, measure, decap, deliver), nanoseconds; sampled 1 in 8, each sample counted 8 times.", l)
 	so.encapped = reg.Counter("tango_dataplane_encapped_total", "Packets encapsulated by the sender program.", l)
 	so.decapped = reg.Counter("tango_dataplane_decapped_total", "Tango packets decapsulated by the receiver program.", l)

@@ -175,7 +175,7 @@ func TestStatsMatchInstruments(t *testing.T) {
 			{"tango_dataplane_encap_ns", st.Encapped + st.NoTunnel},
 			{"tango_dataplane_decap_ns", st.Decapped + st.AuthFail + st.BadPacket - 1},
 		} {
-			got := uint64(snap[h.family+`_count{site="x"}`])
+			got := reg.Timer(h.family, "", obs.L("site", "x")).Count()
 			if got%8 != 0 || got > (h.timed+7)/8*8 {
 				t.Errorf("keyed %t: %s_count %d from %d timed runs, want a multiple of 8 not above %d",
 					key != nil, h.family, got, h.timed, (h.timed+7)/8*8)

@@ -45,12 +45,13 @@ func TestSwitchObsCountersMatchStats(t *testing.T) {
 	}
 	// Each program ran five times, every run accepted. Timing samples the
 	// first call and every eighth after it, each sample counted 8 times:
-	// one sample, a _count of 8 = 8 × ⌈5 ÷ 8⌉.
-	if got := snap[`tango_dataplane_encap_ns_count{site="a"}`]; got != 8 {
-		t.Fatalf("encap latency _count %v, want 8 (one sample of weight 8 from 5 encapsulations)", got)
+	// one sample, a count of 8 = 8 × ⌈5 ÷ 8⌉. The timers are wall-clock,
+	// so they are read from the registry, not the snapshot.
+	if got := reg.Timer("tango_dataplane_encap_ns", "", obs.L("site", "a")).Count(); got != 8 {
+		t.Fatalf("encap latency count %d, want 8 (one sample of weight 8 from 5 encapsulations)", got)
 	}
-	if got := snap[`tango_dataplane_decap_ns_count{site="b"}`]; got != 8 {
-		t.Fatalf("decap latency _count %v, want 8 (one sample of weight 8 from 5 accepted datagrams)", got)
+	if got := reg.Timer("tango_dataplane_decap_ns", "", obs.L("site", "b")).Count(); got != 8 {
+		t.Fatalf("decap latency count %d, want 8 (one sample of weight 8 from 5 accepted datagrams)", got)
 	}
 }
 

@@ -23,11 +23,11 @@ func E1PathDiscovery(cfg Config) *Result {
 	}
 	s.Run(5 * time.Minute)
 
-	runDir := func(label string, ann, obs *topo.AS, probe string) []control.DiscoveredPath {
+	runDir := func(ann, obs *topo.AS, probe addr.Prefix) []control.DiscoveredPath {
 		d := &control.Discoverer{
 			Announcer: ann.Speaker,
 			Observer:  obs.Speaker,
-			Probe:     addr.MustParsePrefix(probe),
+			Probe:     probe,
 			POPAS:     bgp.ASVultr,
 			NameFor:   s.ProviderName,
 			RoundWait: 2 * time.Minute,
@@ -39,9 +39,9 @@ func E1PathDiscovery(cfg Config) *Result {
 	}
 
 	// Paths for LA->NY traffic: NY announces, LA observes.
-	laToNY := runDir("LA->NY", s.EdgeNY, s.EdgeLA, "2001:db8:100::/48")
+	laToNY := runDir(s.EdgeNY, s.EdgeLA, s.Probe["ny:la"])
 	// Paths for NY->LA traffic: LA announces, NY observes.
-	nyToLA := runDir("NY->LA", s.EdgeLA, s.EdgeNY, "2001:db8:200::/48")
+	nyToLA := runDir(s.EdgeLA, s.EdgeNY, s.Probe["la:ny"])
 
 	r.Rows = append(r.Rows, []string{"direction", "round", "provider", "AS path", "communities attached"})
 	add := func(dir string, paths []control.DiscoveredPath) {

@@ -80,7 +80,6 @@ func E14DiscoverySweep(cfg Config) *Result {
 	rep, err := RunSweep(SweepConfig{
 		Graph:   gcfg,
 		Pairs:   pairs,
-		Chunks:  min(8, npairs),
 		Workers: workers,
 	})
 	if err != nil {
@@ -145,7 +144,7 @@ func E14DiscoverySweep(cfg Config) *Result {
 	r.note("discovery is community-driven (64600:<asn>) against each destination site; " +
 		"ground truth is the generator's two-state valley-free reachability per provider")
 	r.VirtualTime = rep.VirtualTime
-	r.Metrics = deterministicSnapshot(reg)
+	r.Metrics = reg.Snapshot()
 	r.Trace = rep.Trace
 	return r
 }

@@ -268,7 +268,7 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 	}
 	st.combP99 = obs.Quantile(0.99, allH...)
 	st.virtual = eng.Now()
-	st.metrics = deterministicSnapshot(reg)
+	st.metrics = reg.Snapshot()
 	st.trace = traceJSON(journal)
 	return st
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"strings"
 	"time"
 
 	"tango/internal/chaos"
@@ -109,7 +108,7 @@ func newLab(o labOpts) *lab {
 }
 
 // snapshot folds the lab's final observability state into the result.
-func (l *lab) snapshot(r *Result) { r.Metrics = deterministicSnapshot(l.Reg) }
+func (l *lab) snapshot(r *Result) { r.Metrics = l.Reg.Snapshot() }
 
 // exportSeries adds the recorded NY->LA per-path OWD series to r, the
 // data Figure 4 plots.
@@ -142,7 +141,7 @@ func (l *lab) trackCurrentOWD(from time.Duration) *measure.Welford {
 // metrics and trace.
 func (r *Result) finish(eng *sim.Engine, reg *obs.Registry, j *obs.Journal) {
 	r.VirtualTime = eng.Now()
-	r.Metrics = deterministicSnapshot(reg)
+	r.Metrics = reg.Snapshot()
 	r.Trace = traceJSON(j)
 }
 
@@ -153,32 +152,6 @@ func (l *lab) mustHold() {
 	if vs := l.Chaos.Violations(); len(vs) > 0 {
 		panic("experiments: invariant violated: " + vs[0].String())
 	}
-}
-
-// wallClockFamilies are the instrument families measuring host wall-clock
-// latency. Their values vary run to run even with a fixed seed, so
-// experiment snapshots drop them: seeded Results stay deeply equal (the
-// parallel runner's contract) and metrics.json stays reproducible. The
-// event counts they would carry are duplicated by the corresponding
-// _total counters.
-var wallClockFamilies = []string{
-	"tango_dataplane_encap_ns",
-	"tango_dataplane_decap_ns",
-	"tango_controller_decide_ns",
-}
-
-// deterministicSnapshot returns reg's snapshot minus wall-clock families.
-func deterministicSnapshot(reg *obs.Registry) map[string]float64 {
-	snap := reg.Snapshot()
-	for k := range snap {
-		for _, fam := range wallClockFamilies {
-			if strings.HasPrefix(k, fam) {
-				delete(snap, k)
-				break
-			}
-		}
-	}
-	return snap
 }
 
 // run advances virtual time by d.

@@ -16,11 +16,11 @@ import (
 // discovered provider sets against the generator's valley-free ground
 // truth.
 //
-// Pairs are split into a fixed number of chunks; each chunk is one
+// Pairs are split into min(8, len(Pairs)) chunks; each chunk is one
 // RunJobs job that builds its own replica of the (identical, seeded)
 // topology and runs its pairs' discoverers concurrently on that one
 // engine. The chunk count — and therefore every engine's event timeline
-// — depends only on the config, never on Workers, so serial (Workers 1)
+// — depends only on the pairs, never on Workers, so serial (Workers 1)
 // and parallel runs produce deeply equal results and byte-identical
 // merged journals (the differential test pins this).
 type SweepConfig struct {
@@ -31,9 +31,6 @@ type SweepConfig struct {
 	// runs toward dst, observing from src. At most 4096 pairs (each gets
 	// its own probe /48).
 	Pairs [][2]int
-	// Chunks fixes how many topology replicas share the pair load
-	// (default min(8, len(Pairs))). It must not vary with Workers.
-	Chunks int
 	// Workers bounds RunJobs parallelism (<= 0: GOMAXPROCS; 1: serial).
 	Workers int
 }
@@ -103,13 +100,7 @@ func RunSweep(cfg SweepConfig) (*SweepReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks := cfg.Chunks
-	if chunks <= 0 {
-		chunks = min(8, len(cfg.Pairs))
-	}
-	if chunks > len(cfg.Pairs) {
-		chunks = len(cfg.Pairs)
-	}
+	chunks := min(8, len(cfg.Pairs))
 
 	// Every chunk deploys the full edge-site union, so all replicas are
 	// byte-for-byte the same topology and per-chunk timelines compose

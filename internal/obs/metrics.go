@@ -252,6 +252,7 @@ const (
 	typeCounter metricType = iota
 	typeGauge
 	typeHistogram
+	typeTimer // a histogram of host wall-clock time
 )
 
 func (t metricType) String() string {
@@ -260,6 +261,8 @@ func (t metricType) String() string {
 		return "counter"
 	case typeGauge:
 		return "gauge"
+	case typeTimer:
+		return "timer"
 	default:
 		return "histogram"
 	}
@@ -321,7 +324,19 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // Histogram returns the histogram registered under (name, labels),
 // creating it on first use.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	inst := r.instrument(name, help, typeHistogram, labels)
+	return r.histogram(name, help, typeHistogram, labels)
+}
+
+// Timer returns the histogram registered under (name, labels) as a timer
+// of host wall-clock time, creating it on first use. Prometheus exposition
+// shows a timer as a histogram; Snapshot leaves it out, because its value
+// varies run to run even with a fixed seed.
+func (r *Registry) Timer(name, help string, labels ...Label) *Histogram {
+	return r.histogram(name, help, typeTimer, labels)
+}
+
+func (r *Registry) histogram(name, help string, typ metricType, labels []Label) *Histogram {
+	inst := r.instrument(name, help, typ, labels)
 	if inst.h == nil {
 		inst.h = &Histogram{}
 	}
@@ -421,10 +436,11 @@ func escapeHelp(v string) string {
 	return b.String()
 }
 
-// Snapshot flattens every instrument into a name{labels} -> value map:
-// counters and gauges one entry each, histograms a _count and _sum pair.
-// Experiment drivers attach this to their Results so tango-lab can write
-// a per-experiment metrics.json.
+// Snapshot flattens every instrument but the timers into a
+// name{labels} -> value map: counters and gauges one entry each,
+// histograms a _count and _sum pair. Without the timers it is a function
+// of the simulation alone, so experiment drivers attach it to their
+// Results and tango-lab writes it as a per-experiment metrics.json.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	r.mu.RLock()

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -268,6 +269,37 @@ func TestSnapshot(t *testing.T) {
 	if len(snap) != len(want) {
 		t.Errorf("snapshot has %d entries, want %d: %v", len(snap), len(want), snap)
 	}
+}
+
+// TestTimerLeavesSnapshot: a timer is scraped as the histogram it is but
+// stays out of Snapshot, which must be a function of the simulation.
+func TestTimerLeavesSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("lat_ns", "h").Observe(10)
+	timer := r.Timer("wall_ns", "w", L("site", "ny"))
+	timer.Observe(20)
+	if r.Timer("wall_ns", "", L("site", "ny")) != timer {
+		t.Fatal("re-registering a timer made a second instrument")
+	}
+	snap := r.Snapshot()
+	if len(snap) != 2 || snap["lat_ns_count"] != 1 {
+		t.Fatalf("snapshot = %v, want only lat_ns's _count and _sum", snap)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"# TYPE wall_ns histogram", `wall_ns_count{site="ny"} 1`, `wall_ns_sum{site="ny"} 20`} {
+		if !strings.Contains(b.String(), line+"\n") {
+			t.Errorf("scrape lacks %q:\n%s", line, b.String())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering a timer's name as a histogram must panic")
+		}
+	}()
+	r.Histogram("wall_ns", "w")
 }
 
 func TestRenderLabelsEscaping(t *testing.T) {

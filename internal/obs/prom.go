@@ -33,7 +33,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, fam.typ); err != nil {
+		typ := fam.typ
+		if typ == typeTimer {
+			typ = typeHistogram // exposed as the histogram it is
+		}
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ); err != nil {
 			return err
 		}
 		for _, inst := range fam.order {

@@ -1,7 +1,7 @@
 package topo
 
 // Fuzz target for generator config validation (the companion of the
-// bgp codec fuzzers): arbitrary field values must either be rejected by
+// packet codec fuzzers): arbitrary field values must either be rejected by
 // Validate with an error or generate a structurally sound graph —
 // never panic, and never hang. Run it locally with
 //
