@@ -1,9 +1,9 @@
-// Package bgp implements the BGP-4 control plane the Tango prototype
-// drives: OPEN/UPDATE/KEEPALIVE sessions over IPv6, RFC 1997 communities,
-// per-neighbor import/export policy with Gao-Rexford defaults, the
-// standard decision process, and MRAI-paced propagation — everything the
-// paper's BIRD-based deployment relies on. Sessions hand each other
-// message values, not RFC 4271 bytes: every speaker runs in the process.
+// Package bgp implements the part of BGP-4 the paper's control plane
+// uses: OPEN/UPDATE/KEEPALIVE sessions over IPv6, communities, AS paths,
+// Gao-Rexford export rules and local preference, a decision process of
+// LOCAL_PREF, AS-path length and router ID, and MRAI-paced propagation.
+// Sessions hand each other message values, not RFC 4271 bytes: every
+// speaker runs in the process.
 //
 // The paper's key control-plane move is operator "action communities":
 // a Vultr customer attaches, say, 64600:2914 to an announcement and
@@ -41,28 +41,6 @@ const (
 // IsPrivate reports whether the ASN is in the RFC 6996 private range.
 func (a ASN) IsPrivate() bool { return a >= 64512 }
 
-// Origin is the ORIGIN path attribute value.
-type Origin uint8
-
-// Origin values per RFC 4271.
-const (
-	OriginIGP        Origin = 0
-	OriginEGP        Origin = 1
-	OriginIncomplete Origin = 2
-)
-
-func (o Origin) String() string {
-	switch o {
-	case OriginIGP:
-		return "IGP"
-	case OriginEGP:
-		return "EGP"
-	case OriginIncomplete:
-		return "Incomplete"
-	}
-	return fmt.Sprintf("Origin(%d)", uint8(o))
-}
-
 // Community is an RFC 1997 community value: high 16 bits conventionally an
 // ASN, low 16 bits an operator-defined action or tag.
 type Community uint32
@@ -76,51 +54,16 @@ func MakeCommunity(asn ASN, value uint16) Community {
 func (c Community) ASN() ASN { return ASN(c >> 16) }
 
 func (c Community) String() string {
-	switch c {
-	case CommunityNoExport:
-		return "no-export"
-	case CommunityNoAdvertise:
-		return "no-advertise"
-	}
 	return fmt.Sprintf("%d:%d", uint32(c)>>16, uint16(c))
 }
 
-// Well-known communities (RFC 1997).
-const (
-	CommunityNoExport    Community = 0xFFFFFF01
-	CommunityNoAdvertise Community = 0xFFFFFF02
-)
-
-// Action-community namespaces implemented by the provider export policy,
-// modelled on the AS20473 (Vultr) BGP customer guide the paper uses:
-//
-//	64600:<asn>  do not export to AS <asn>
-//	64601:<asn>  prepend own ASN once when exporting to AS <asn>
-//	64602:<asn>  prepend twice
-//	64603:<asn>  prepend three times
-const (
-	ActionNoExportTo ASN = 64600
-	ActionPrepend1   ASN = 64601
-	ActionPrepend2   ASN = 64602
-	ActionPrepend3   ASN = 64603
-)
+// ActionNoExportTo is the action-community namespace the provider export
+// policy implements, modelled on the AS20473 (Vultr) BGP customer guide
+// the paper uses: 64600:<asn> means do not export to AS <asn>.
+const ActionNoExportTo ASN = 64600
 
 // NoExportTo returns the action community suppressing export to asn.
 func NoExportTo(asn ASN) Community { return MakeCommunity(ActionNoExportTo, uint16(asn)) }
-
-// PrependTo returns the action community prepending n (1..3) copies of
-// the provider's ASN when exporting to asn.
-func PrependTo(asn ASN, n int) Community {
-	switch n {
-	case 1:
-		return MakeCommunity(ActionPrepend1, uint16(asn))
-	case 2:
-		return MakeCommunity(ActionPrepend2, uint16(asn))
-	case 3:
-		return MakeCommunity(ActionPrepend3, uint16(asn))
-	}
-	panic(fmt.Sprintf("bgp: PrependTo count %d out of range", n))
-}
 
 // Path is an AS_PATH as a flat AS_SEQUENCE (the only segment type the
 // Tango scenarios produce).
@@ -192,8 +135,6 @@ type Route struct {
 	Prefix      addr.Prefix
 	Path        Path
 	NextHop     netip.Addr
-	Origin      Origin
-	MED         uint32
 	LocalPref   uint32 // meaningful locally; not exported on eBGP
 	Communities []Community
 
@@ -231,5 +172,5 @@ func (r *Route) String() string {
 	if r == nil {
 		return "<nil route>"
 	}
-	return fmt.Sprintf("%v via %v path [%v] lp=%d med=%d", r.Prefix, r.NextHop, r.Path, r.LocalPref, r.MED)
+	return fmt.Sprintf("%v via %v path [%v] lp=%d", r.Prefix, r.NextHop, r.Path, r.LocalPref)
 }

@@ -8,25 +8,6 @@ import (
 	"tango/internal/sim"
 )
 
-// TestDecisionMED: with equal local-pref, path length, and origin, the
-// lower MED wins.
-func TestDecisionMED(t *testing.T) {
-	a := &Route{LocalPref: 100, Path: Path{12}, MED: 10}
-	b := &Route{LocalPref: 100, Path: Path{11}, MED: 50}
-	if !better(a, b) || better(b, a) {
-		t.Fatal("MED comparison wrong")
-	}
-}
-
-// TestDecisionOrigin: lower origin wins at equal local-pref/length.
-func TestDecisionOrigin(t *testing.T) {
-	a := &Route{LocalPref: 100, Path: Path{1}, Origin: OriginIGP}
-	b := &Route{LocalPref: 100, Path: Path{2}, Origin: OriginIncomplete}
-	if !better(a, b) || better(b, a) {
-		t.Fatal("origin comparison wrong")
-	}
-}
-
 // TestDecisionStability: pickBest keeps the current best on exact ties
 // (no churn from re-running the decision process).
 func TestDecisionStability(t *testing.T) {

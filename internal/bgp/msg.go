@@ -16,10 +16,8 @@ type Message struct {
 
 // Attrs are the path attributes shared by all NLRI in one UPDATE.
 type Attrs struct {
-	Origin      Origin
 	Path        Path
 	NextHop     netip.Addr
-	MED         uint32
 	Communities []Community
 }
 

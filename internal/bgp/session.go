@@ -33,31 +33,6 @@ func (r Relation) String() string {
 	return fmt.Sprintf("Relation(%d)", int(r))
 }
 
-// State is a (simplified) BGP FSM state.
-type State int
-
-// States.
-const (
-	StateIdle State = iota
-	StateOpenSent
-	StateEstablished
-	StateDown // administratively or hold-timer down
-)
-
-func (s State) String() string {
-	switch s {
-	case StateIdle:
-		return "Idle"
-	case StateOpenSent:
-		return "OpenSent"
-	case StateEstablished:
-		return "Established"
-	case StateDown:
-		return "Down"
-	}
-	return fmt.Sprintf("State(%d)", int(s))
-}
-
 // SessionConfig parameterizes one side of an eBGP session.
 type SessionConfig struct {
 	// Relation of the remote peer as seen from this side.
@@ -71,10 +46,6 @@ type SessionConfig struct {
 	// UPDATE bursts to the peer are spaced at least this far apart.
 	// Zero means no pacing.
 	MRAI time.Duration
-	// HoldTime, when positive, enables keepalives (sent every
-	// HoldTime/3) and tears the session down if nothing is heard for a
-	// full HoldTime.
-	HoldTime time.Duration
 	// AllowOwnAS disables loop rejection of routes whose AS path
 	// contains the local ASN ("allowas-in"). The Vultr scenario needs it
 	// at each DC's border: both POPs announce from AS 20473, and each
@@ -86,18 +57,20 @@ type SessionConfig struct {
 	// customer announcements made from a private ASN.
 	StripPrivateASNs bool
 	// ScrubActionCommunities removes this speaker's action communities
-	// (64600-64603 namespaces) after applying them, so internal knobs
-	// do not leak beyond the provider applying them.
+	// (the 64600 namespace) after applying them, so internal knobs do not
+	// leak beyond the provider applying them.
 	ScrubActionCommunities bool
 }
 
-// Session is one side of an established eBGP session. Messages to the
-// peer are delivered after the configured delay, on the peer's engine.
+// Session is one side of an eBGP session. Messages to the peer are
+// delivered after the configured delay, on the peer's engine. Sessions
+// run in the process and are never cut, so once established a session
+// stays up.
 type Session struct {
-	speaker *Speaker
-	peer    *Session
-	cfg     SessionConfig
-	state   State
+	speaker     *Speaker
+	peer        *Session
+	cfg         SessionConfig
+	established bool
 
 	adjIn  map[addr.Prefix]*Route
 	adjOut map[addr.Prefix]*Route
@@ -107,12 +80,6 @@ type Session struct {
 	mraiArmed bool
 	lastFlush sim.Time
 	neverSent bool
-	// Liveness.
-	keepaliveTimer *sim.Ticker
-	holdEvent      *sim.Event
-	// Fault injection: when true, all messages in both directions are
-	// silently dropped (link cut), eventually expiring the hold timer.
-	blackholed bool
 
 	Stats struct {
 		UpdatesSent uint64
@@ -130,14 +97,6 @@ func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
 
 // AdjInLen returns the number of routes learned from the peer.
 func (s *Session) AdjInLen() int { return len(s.adjIn) }
-
-// SetBlackholed cuts (or restores) the session's transport in both
-// directions. With a HoldTime configured, both sides eventually expire
-// and flush routes learned from each other.
-func (s *Session) SetBlackholed(v bool) {
-	s.blackholed = v
-	s.peer.blackholed = v
-}
 
 func (s *Session) String() string {
 	return fmt.Sprintf("%s->%s(%s)", s.speaker.Name, s.peer.speaker.Name, s.cfg.Relation)
@@ -172,8 +131,8 @@ func Connect(a, b *Speaker, cfgA, cfgB SessionConfig) (*Session, *Session) {
 	sa.peer, sb.peer = sb, sa
 	a.sessions = append(a.sessions, sa)
 	b.sessions = append(b.sessions, sb)
-	sa.startHandshake()
-	sb.startHandshake()
+	sa.sendMsg(&Message{Open: true})
+	sb.sendMsg(&Message{Open: true})
 	return sa, sb
 }
 
@@ -181,7 +140,6 @@ func newSession(sp *Speaker, cfg SessionConfig) *Session {
 	return &Session{
 		speaker:   sp,
 		cfg:       cfg,
-		state:     StateIdle,
 		adjIn:     make(map[addr.Prefix]*Route),
 		adjOut:    make(map[addr.Prefix]*Route),
 		pending:   make(map[addr.Prefix]bool),
@@ -189,16 +147,8 @@ func newSession(sp *Speaker, cfg SessionConfig) *Session {
 	}
 }
 
-func (s *Session) startHandshake() {
-	s.state = StateOpenSent
-	s.sendMsg(&Message{Open: true})
-}
-
 // sendMsg schedules delivery of m to the peer after the session delay.
 func (s *Session) sendMsg(m *Message) {
-	if s.blackholed || s.state == StateDown {
-		return
-	}
 	if m.Update != nil {
 		s.Stats.UpdatesSent++
 	}
@@ -208,86 +158,26 @@ func (s *Session) sendMsg(m *Message) {
 }
 
 // OnSimEvent implements sim.ArgHandler: the arrival of one message, fired
-// on this side's engine. Receive-side gating (blackhole, session down)
-// happens here, at delivery time on the receiving partition — never on
-// the sender's goroutine.
+// on this side's engine.
 func (s *Session) OnSimEvent(arg any) {
-	if s.blackholed || s.state == StateDown {
-		return
-	}
 	m := arg.(*Message)
-	s.rearmHold()
 	switch {
 	case m.Open:
 		// The peer's KEEPALIVE confirming our OPEN establishes the session.
 		s.sendMsg(&Message{Keepalive: true})
 	case m.Update != nil:
 		s.speaker.handleUpdate(s, m.Update)
-	case m.Keepalive:
-		if s.state == StateOpenSent {
-			s.establish()
-		}
-	}
-}
-
-func (s *Session) establish() {
-	if s.state == StateEstablished {
-		return
-	}
-	s.state = StateEstablished
-	if s.cfg.HoldTime > 0 {
-		interval := s.cfg.HoldTime / 3
-		s.keepaliveTimer = sim.NewTicker(s.speaker.eng, interval, func(sim.Time) {
-			s.sendMsg(&Message{Keepalive: true})
-		})
-		s.rearmHold()
-	}
-	// Initial table exchange: advertise everything eligible.
-	s.speaker.scheduleFullExport(s)
-}
-
-func (s *Session) rearmHold() {
-	if s.cfg.HoldTime <= 0 || s.state == StateDown {
-		return
-	}
-	if s.holdEvent != nil {
-		s.speaker.eng.Cancel(s.holdEvent)
-	}
-	s.holdEvent = s.speaker.eng.Schedule(s.cfg.HoldTime, func() {
-		s.goDown()
-	})
-}
-
-// goDown tears the session down locally: routes learned here are flushed
-// and best-path selection re-runs.
-func (s *Session) goDown() {
-	if s.state == StateDown {
-		return
-	}
-	s.state = StateDown
-	if s.keepaliveTimer != nil {
-		s.keepaliveTimer.Stop()
-	}
-	if s.holdEvent != nil {
-		s.speaker.eng.Cancel(s.holdEvent)
-		s.holdEvent = nil
-	}
-	affected := make([]addr.Prefix, 0, len(s.adjIn))
-	for p := range s.adjIn {
-		affected = append(affected, p)
-	}
-	s.adjIn = make(map[addr.Prefix]*Route)
-	s.adjOut = make(map[addr.Prefix]*Route)
-	s.pending = make(map[addr.Prefix]bool)
-	for _, p := range affected {
-		s.speaker.reselect(p)
+	case m.Keepalive && !s.established:
+		s.established = true
+		// Initial table exchange: advertise everything eligible.
+		s.speaker.scheduleFullExport(s)
 	}
 }
 
 // queue marks a prefix as needing (re)advertisement to this peer and
 // arms the MRAI flush.
 func (s *Session) queue(p addr.Prefix) {
-	if s.state != StateEstablished {
+	if !s.established {
 		return
 	}
 	s.pending[p] = true
@@ -308,9 +198,6 @@ func (s *Session) queue(p addr.Prefix) {
 // flush advertises all pending changes, one UPDATE per prefix.
 func (s *Session) flush() {
 	s.mraiArmed = false
-	if s.state != StateEstablished {
-		return
-	}
 	s.lastFlush = s.speaker.eng.Now()
 	s.neverSent = false
 	prefixes := make([]addr.Prefix, 0, len(s.pending))
@@ -344,10 +231,8 @@ func (s *Session) advertise(p addr.Prefix) {
 	u := &Update{
 		Announced: []addr.Prefix{p},
 		Attrs: Attrs{
-			Origin:      export.Origin,
 			Path:        export.Path,
 			NextHop:     export.NextHop,
-			MED:         export.MED,
 			Communities: export.Communities,
 		},
 	}
@@ -355,7 +240,7 @@ func (s *Session) advertise(p addr.Prefix) {
 }
 
 func sameExport(a, b *Route) bool {
-	if !a.Path.Equal(b.Path) || a.NextHop != b.NextHop || a.Origin != b.Origin || a.MED != b.MED {
+	if !a.Path.Equal(b.Path) || a.NextHop != b.NextHop {
 		return false
 	}
 	ac, bc := a.SortedCommunities(), b.SortedCommunities()

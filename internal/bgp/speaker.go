@@ -75,7 +75,6 @@ func (sp *Speaker) OriginateWithPath(p addr.Prefix, poison Path, communities ...
 	r := &Route{
 		Prefix:      p,
 		Path:        poison.Clone(),
-		Origin:      OriginIGP,
 		LocalPref:   1 << 30, // locally originated beats anything learned
 		Communities: append([]Community(nil), communities...),
 	}
@@ -128,8 +127,6 @@ func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 			Prefix:      p,
 			Path:        u.Attrs.Path.Clone(),
 			NextHop:     u.Attrs.NextHop,
-			Origin:      u.Attrs.Origin,
-			MED:         u.Attrs.MED,
 			Communities: append([]Community(nil), u.Attrs.Communities...),
 			FromSession: s,
 		}
@@ -217,8 +214,8 @@ func (sp *Speaker) scheduleFullExport(s *Session) {
 }
 
 // pickBest implements the decision process: highest LOCAL_PREF, shortest
-// AS path, lowest origin, lowest MED, then lowest peer router ID as the
-// deterministic tie breaker (all sessions are eBGP).
+// AS path, then lowest peer router ID as the deterministic tie breaker
+// (all sessions are eBGP).
 func pickBest(cands []*Route) *Route {
 	var best *Route
 	for _, r := range cands {
@@ -235,12 +232,6 @@ func better(a, b *Route) bool {
 	}
 	if len(a.Path) != len(b.Path) {
 		return len(a.Path) < len(b.Path)
-	}
-	if a.Origin != b.Origin {
-		return a.Origin < b.Origin
-	}
-	if a.MED != b.MED {
-		return a.MED < b.MED
 	}
 	ra, rb := routerIDOf(a), routerIDOf(b)
 	if ra != rb {
@@ -273,29 +264,15 @@ func (sp *Speaker) exportRoute(s *Session, best *Route) *Route {
 			return nil
 		}
 	}
-	if best.HasCommunity(CommunityNoExport) || best.HasCommunity(CommunityNoAdvertise) {
-		return nil
-	}
-	// Action communities addressed to this speaker.
-	peerAS := s.PeerAS()
-	if best.HasCommunity(NoExportTo(peerAS)) {
+	// The action community addressed to this speaker.
+	if best.HasCommunity(NoExportTo(s.PeerAS())) {
 		return nil
 	}
 	out := best.Clone()
-	out.FromSession = best.FromSession
-	prepends := 1
-	switch {
-	case best.HasCommunity(PrependTo(peerAS, 3)):
-		prepends = 4
-	case best.HasCommunity(PrependTo(peerAS, 2)):
-		prepends = 3
-	case best.HasCommunity(PrependTo(peerAS, 1)):
-		prepends = 2
-	}
 	if s.cfg.StripPrivateASNs {
 		out.Path = out.Path.StripPrivate()
 	}
-	out.Path = out.Path.Prepend(sp.AS, prepends)
+	out.Path = out.Path.Prepend(sp.AS, 1)
 	out.NextHop = s.cfg.LocalAddr
 	out.LocalPref = 0 // not carried on eBGP
 	if s.cfg.ScrubActionCommunities {
@@ -307,9 +284,7 @@ func (sp *Speaker) exportRoute(s *Session, best *Route) *Route {
 func scrubActions(cs []Community) []Community {
 	out := cs[:0]
 	for _, c := range cs {
-		switch c.ASN() {
-		case ActionNoExportTo, ActionPrepend1, ActionPrepend2, ActionPrepend3:
-		default:
+		if c.ASN() != ActionNoExportTo {
 			out = append(out, c)
 		}
 	}

@@ -2,12 +2,11 @@ package packet
 
 import "net/netip"
 
-// InnerUDP describes the host-level packet the probers, traffic
-// generators, experiments and benchmarks tunnel: IPv6/UDP with hop limit
-// 64 and the all-zero "not computed" UDP checksum, so a generator may
-// restamp its template in place without re-summing it. (The public
-// Site.Send builds the checksummed variant, the only other inner packet
-// in the tree.)
+// InnerUDP describes the host-level packet every sender in the tree
+// tunnels — probers, traffic generators, the public Send methods,
+// experiments and benchmarks: IPv6/UDP with hop limit 64 and the all-zero
+// "not computed" UDP checksum, so a generator may restamp its template in
+// place without re-summing it.
 type InnerUDP struct {
 	Src, Dst         netip.Addr
 	SrcPort, DstPort uint16

@@ -176,11 +176,15 @@ func (s *Session) encode(typ string) []byte {
 	return j
 }
 
-// onControl consumes one control datagram on the event goroutine.
+// onControl consumes one control datagram on the event goroutine. Anyone
+// can send a datagram that is not JSON or not a hello or an ack, so those
+// are counted in tango_transport_ctl_rejected_total and dropped without a
+// call to OnError; a well-formed body that fails the handshake still
+// reaches it.
 func (s *Session) onControl(from netip.AddrPort, payload []byte) {
 	var m helloMsg
-	if err := json.Unmarshal(payload, &m); err != nil {
-		s.fail(fmt.Errorf("udp: bad control datagram from %s: %w", from, err))
+	if json.Unmarshal(payload, &m) != nil {
+		s.b.ctlRejected.Inc()
 		return
 	}
 	switch m.Type {
@@ -213,7 +217,7 @@ func (s *Session) onControl(from netip.AddrPort, payload []byte) {
 		}
 		s.establish(peer)
 	default:
-		s.fail(fmt.Errorf("udp: unknown control type %q from %s", m.Type, from))
+		s.b.ctlRejected.Inc()
 	}
 }
 

@@ -2,14 +2,17 @@ package udp
 
 import (
 	"encoding/json"
+	"math/rand/v2"
 	"net/netip"
 	"slices"
 	"testing"
+
+	"tango/internal/obs"
 )
 
 // TestSessionRejectsBadHandshakes drives onControl directly with every
-// malformed handshake shape: each must fire OnError and none may
-// establish. Accessors are pinned along the way.
+// well-formed body that fails the handshake: each must fire OnError and
+// none may establish. Accessors are pinned along the way.
 func TestSessionRejectsBadHandshakes(t *testing.T) {
 	b := newBackend(t, "site-x")
 	if b.Name() != "site-x" {
@@ -62,8 +65,6 @@ func TestSessionRejectsBadHandshakes(t *testing.T) {
 		name    string
 		payload []byte
 	}{
-		{"not json", []byte("{nope")},
-		{"unknown type", enc(func() helloMsg { m := base(); m.Type = "bye"; return m }())},
 		{"own site name", enc(func() helloMsg { m := base(); m.Site = "site-x"; return m }())},
 		{"path count mismatch", enc(func() helloMsg { m := base(); m.Paths = m.Paths[:1]; return m }())},
 		{"path name mismatch", enc(func() helloMsg { m := base(); m.Paths = []string{"NTT", "Telia"}; return m }())},
@@ -95,5 +96,59 @@ func TestSessionRejectsBadHandshakes(t *testing.T) {
 	b.Do(func() { sess.onControl(from, enc(base())) })
 	if sess.Peer() == nil || sess.Peer().Site != "site-y" {
 		t.Fatalf("valid hello did not establish: %+v", sess.Peer())
+	}
+}
+
+// TestSessionCountsGarbageControl: a control datagram whose body is not
+// JSON, or is JSON of no handshake type, is counted and dropped. A
+// stranger sending a thousand of them moves one counter and never
+// reaches OnError, which tangod prints to stderr.
+func TestSessionCountsGarbageControl(t *testing.T) {
+	reg := obs.NewRegistry()
+	b, err := New(Config{Name: "site-x", Listen: "127.0.0.1:0", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	paths, err := ParsePaths("NTT:10ms,GTT:20ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	onError := 0
+	rng := rand.New(rand.NewPCG(1, 2))
+	from := netip.MustParseAddrPort("127.0.0.1:9")
+	b.Do(func() {
+		sess := NewSession(b, "site-x", paths)
+		sess.OnError = func(error) { onError++ }
+		for i := range 1000 {
+			var body []byte
+			switch i % 4 {
+			case 0:
+				body = []byte(`{"type":"bye","site":"site-y"}`)
+			case 1:
+				body = []byte(`{"type":`)
+			case 2:
+				body = nil
+			default:
+				body = make([]byte, rng.IntN(64))
+				for j := range body {
+					body[j] = byte(rng.Uint32())
+				}
+			}
+			b.deliver(from, append(append([]byte(nil), ctlMagic[:]...), body...))
+		}
+		if sess.Peer() != nil {
+			t.Error("garbage established a peer")
+		}
+	})
+	snap := reg.Snapshot()
+	if got := snap[`tango_transport_ctl_rejected_total{site="site-x"}`]; got != 1000 {
+		t.Errorf("ctl_rejected = %v, want 1000 (snapshot %v)", got, snap)
+	}
+	if got := snap[`tango_transport_ctl_rx_total{site="site-x"}`]; got != 1000 {
+		t.Errorf("ctl_rx = %v, want 1000", got)
+	}
+	if onError != 0 {
+		t.Errorf("OnError fired %d times, want 0", onError)
 	}
 }

@@ -118,6 +118,7 @@ type Backend struct {
 	noRoute, parseErr *obs.Counter
 	notOwned, wrErr   *obs.Counter
 	ctlTx, ctlRx      *obs.Counter
+	ctlRejected       *obs.Counter
 }
 
 // New binds the socket and prepares (but does not start) the backend;
@@ -162,6 +163,7 @@ func New(cfg Config) (*Backend, error) {
 	b.wrErr = reg.Counter("tango_transport_write_err_total", "Socket write failures.", l)
 	b.ctlTx = reg.Counter("tango_transport_ctl_tx_total", "Control datagrams sent (session handshake).", l)
 	b.ctlRx = reg.Counter("tango_transport_ctl_rx_total", "Control datagrams received (session handshake).", l)
+	b.ctlRejected = reg.Counter("tango_transport_ctl_rejected_total", "Control datagrams dropped: not JSON, or not a hello or an ack.", l)
 	return b, nil
 }
 

@@ -1,6 +1,7 @@
 package tango
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -118,8 +119,18 @@ func NewMesh(opts MeshOptions) *Mesh {
 	})}
 }
 
-// Sites returns the deployment's site names, sorted.
-func (m *Mesh) Sites() []string { return m.d.Mesh.Sites() }
+// errNotEstablished is what the Mesh methods with an error result return
+// until Establish has succeeded.
+var errNotEstablished = errors.New("tango: mesh not established; call Establish first and check its error")
+
+// Sites returns the deployment's site names, sorted; nil until Establish
+// has succeeded.
+func (m *Mesh) Sites() []string {
+	if !m.established() {
+		return nil
+	}
+	return m.d.Mesh.Sites()
+}
 
 // Route is one end-to-end overlay route: direct (empty Via) or relayed
 // through the named sites in order. OWDMs/JitterMs sum the live smoothed
@@ -153,8 +164,11 @@ func publicRoute(r control.CompositeRoute) Route {
 }
 
 // Routes returns every route from src to dst scored from the live
-// segment estimates, best-first. Establish must have succeeded.
+// segment estimates, best-first; nil until Establish has succeeded.
 func (m *Mesh) Routes(src, dst string) []Route {
+	if !m.established() {
+		return nil
+	}
 	rs := m.d.Mesh.Routes(src, dst)
 	out := make([]Route, 0, len(rs))
 	for _, r := range rs {
@@ -163,8 +177,12 @@ func (m *Mesh) Routes(src, dst string) []Route {
 	return out
 }
 
-// BestRoute returns the currently best valid route from src to dst.
+// BestRoute returns the currently best valid route from src to dst; false
+// until Establish has succeeded.
 func (m *Mesh) BestRoute(src, dst string) (Route, bool) {
+	if !m.established() {
+		return Route{}, false
+	}
 	r, ok := m.d.Mesh.Best(src, dst)
 	return publicRoute(r), ok
 }
@@ -174,6 +192,9 @@ func (m *Mesh) BestRoute(src, dst string) (Route, bool) {
 // tunnelled by the origin pair; relayed routes are re-encapsulated at
 // each intermediate site.
 func (m *Mesh) Send(r Route, srcPort, dstPort uint16, payload []byte) error {
+	if !m.established() {
+		return errNotEstablished
+	}
 	return m.d.Mesh.SendAlong(control.CompositeRoute{Src: r.Src, Dst: r.Dst, Via: r.Via},
 		srcPort, dstPort, payload)
 }
@@ -185,9 +206,12 @@ func (m *Mesh) OnReceive(site string, dstPort uint16, fn func(Delivery)) {
 }
 
 // Paths returns the live per-path view of one deployed segment: the
-// paths carrying traffic from site toward peer. Establish must have
-// succeeded and the pair must exist.
+// paths carrying traffic from site toward peer. It is an error before
+// Establish has succeeded or when the pair does not exist.
 func (m *Mesh) Paths(site, peer string) ([]PathInfo, error) {
+	if !m.established() {
+		return nil, errNotEstablished
+	}
 	sender := m.d.Mesh.Member(site, peer)
 	recv := m.d.Mesh.Member(peer, site)
 	if sender == nil || recv == nil {
@@ -197,8 +221,12 @@ func (m *Mesh) Paths(site, peer string) ([]PathInfo, error) {
 }
 
 // RelayStats reports a site's relay activity: packets re-encapsulated
-// onto a next segment and packets dropped by the TTL loop guard.
+// onto a next segment and packets dropped by the TTL loop guard; zero
+// until Establish has succeeded.
 func (m *Mesh) RelayStats(site string) (forwarded, ttlExpired uint64) {
+	if !m.established() {
+		return 0, 0
+	}
 	r := m.d.Mesh.Relay(site)
 	if r == nil {
 		return 0, 0

@@ -117,14 +117,11 @@ func (s *Site) Send(srcHost, dstHost netip.Addr, srcPort, dstPort uint16, payloa
 	if s.sendBuf == nil {
 		s.sendBuf = packet.NewSerializeBuffer()
 	}
-	pay := packet.Payload(payload)
-	udp := &packet.UDP{SrcPort: srcPort, DstPort: dstPort}
-	udp.SetNetworkForChecksum(srcHost, dstHost)
-	ip := &packet.IPv6{NextHeader: packet.ProtoUDP, HopLimit: 64, Src: srcHost, Dst: dstHost}
-	if err := packet.SerializeLayers(s.sendBuf, ip, udp, &pay); err != nil {
+	inner, err := packet.InnerUDP{Src: srcHost, Dst: dstHost, SrcPort: srcPort, DstPort: dstPort}.Build(s.sendBuf, payload)
+	if err != nil {
 		return err
 	}
-	s.site.Send(s.sendBuf.Bytes())
+	s.site.Send(inner)
 	return nil
 }
 

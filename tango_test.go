@@ -258,6 +258,46 @@ func TestNegativeCadenceIsAnError(t *testing.T) {
 	}
 }
 
+// TestMeshBeforeEstablish: on a mesh whose options were refused and on a
+// valid mesh before Establish, the public methods used to die with a nil
+// dereference. Those with an error result now name Establish; the rest
+// return their empty values.
+func TestMeshBeforeEstablish(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		mesh *Mesh
+	}{
+		{"refused", NewMesh(MeshOptions{ProbeInterval: -1})},
+		{"unestablished", NewMesh(MeshOptions{Seed: 1})},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if _, err := m.mesh.Paths("ny", "chi"); err == nil || !strings.Contains(err.Error(), "Establish") {
+				t.Errorf("Paths: error %v, want one naming Establish", err)
+			}
+			if err := m.mesh.Send(Route{Src: "ny", Dst: "la"}, 9, 9, []byte("x")); err == nil || !strings.Contains(err.Error(), "Establish") {
+				t.Errorf("Send: error %v, want one naming Establish", err)
+			}
+			if s := m.mesh.Sites(); s != nil {
+				t.Errorf("Sites = %v, want nil", s)
+			}
+			if rs := m.mesh.Routes("ny", "la"); rs != nil {
+				t.Errorf("Routes = %v, want nil", rs)
+			}
+			if r, ok := m.mesh.BestRoute("ny", "la"); ok || r.Src != "" {
+				t.Errorf("BestRoute = %v, %v, want the zero route", r, ok)
+			}
+			if f, x := m.mesh.RelayStats("chi"); f != 0 || x != 0 {
+				t.Errorf("RelayStats = %d, %d, want 0, 0", f, x)
+			}
+		})
+	}
+}
+
 // TestMeshProvidersShareNoASN: two providers with one ASN used to build,
 // the discovery labels kept whichever name came last, and BGP loop
 // detection dropped every route through either. Establish now names both.
