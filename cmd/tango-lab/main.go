@@ -18,19 +18,20 @@
 // isolated, so the reports are byte-identical to a serial run; output is
 // buffered and printed in experiment order once all results are in.
 //
-// -shards N runs the sharding-aware experiments (e2, e9, e10, e11, e12,
-// e13, e15) on a partitioned network with N worker goroutines advancing
-// the partitions in lock-stepped epochs. The partition layout is fixed by
-// the topology, so any N produces the same report as -shards 1 — only
-// wall-clock time changes. e12, the 64-site / 10k-tunnel storm
-// scale test, e13, the million-concurrent-flow SLO run on the same
-// mesh, e14, the discovery sweep over a generated 521-AS internet, and
-// e15, the traffic-engineering comparison of greedy best-path steering
-// against Link-Guided Local Search weights on the capacitated mesh, are
-// not part of 'all' (they run minutes, not seconds); select them
-// explicitly with -run e12/e13/e14/e15, and shrink them with -sites and
-// -flows when smoke-testing. For e14, -shards sets the chunk-runner
-// worker count and -sites the generated stub-site count.
+// -shards N advances the partitions of the multi-partition experiments
+// (e10, e11, e12, e13, e15) on N worker goroutines in lock-stepped epochs;
+// 0 means one worker. The partition layout is fixed by the topology, so
+// every N produces the same report — only wall-clock time changes. The
+// Vultr experiments (e1-e9) run on one partition. e12, the 64-site /
+// 10k-tunnel storm scale test, e13, the million-concurrent-flow SLO run
+// on the same mesh, e14, the discovery sweep over a generated 521-AS
+// internet, and e15, the traffic-engineering comparison of greedy
+// best-path steering against Link-Guided Local Search weights on the
+// capacitated mesh, are not part of 'all' (they run minutes, not
+// seconds); select them explicitly with -run e12/e13/e14/e15, and shrink
+// them with -sites and -flows when smoke-testing. For e14, -shards sets
+// the chunk-runner worker count (0 again one) and -sites the generated
+// stub-site count.
 package main
 
 import (
@@ -65,7 +66,7 @@ func realMain() int {
 		duration   = flag.Duration("duration", 0, "main measurement window of virtual time (0 = per-experiment default)")
 		csvDir     = flag.String("csv", "", "directory to write figure series CSVs into")
 		parallel   = flag.Int("parallel", 1, "run up to N experiments concurrently (<=0: one per CPU)")
-		shards     = flag.Int("shards", 0, "advance sharding-aware experiments (e2, e9-e13, e15) on N workers (0 = classic single engine); e14: chunk-runner workers")
+		shards     = flag.Int("shards", 0, "advance the partitions of e10-e13 and e15 on N workers (0 = one); e14: chunk-runner workers")
 		sites      = flag.Int("sites", 0, "scale e12/e13/e15's wide mesh to N sites (0 = the full 64)")
 		flows      = flag.Int("flows", 0, "scale e13's concurrent flow population (0 = the full 1M)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -161,7 +162,7 @@ func realMain() int {
 // checkScale rejects scale flags no run can honour: a wide mesh needs
 // three sites for its first pair (and E14 three stubs for its four
 // distinct pairs), and a negative -shards, -flows or -duration has no
-// meaning — a negative -shards would silently pick the classic engine.
+// meaning — a negative -shards would silently run one worker, as 0 does.
 func checkScale(c experiments.Config) error {
 	switch {
 	case c.Sites != 0 && c.Sites < 3:

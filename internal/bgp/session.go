@@ -108,9 +108,10 @@ func (s *Session) String() string {
 // consistent (customer on one side implies provider on the other).
 func Connect(a, b *Speaker, cfgA, cfgB SessionConfig) (*Session, *Session) {
 	if a.eng != b.eng {
+		// Speakers on two engines must be partitions of one coordinator.
 		c := a.eng.Coord()
-		if c == nil || c != b.eng.Coord() {
-			panic("bgp: Connect across engines")
+		if c != b.eng.Coord() {
+			panic("bgp: Connect across coordinators")
 		}
 		// A partition-crossing session is only sound under the conservative
 		// epoch scheme when its messages are in flight at least one

@@ -73,17 +73,15 @@ type Engine struct {
 	speakers map[string]*bgp.Speaker
 
 	invs       []Invariant
-	tick       *sim.Ticker
 	log        []Entry
 	violations []Violation
 
-	// Sharded-network support: log entries produced on partition engines
-	// stage per partition (one writer each) and merge into log at epoch
-	// barriers in canonical (At, partition, append) order, so LogString
-	// stays byte-identical across worker counts. checksOn gates the
-	// barrier-hook check cadence (hooks cannot be unregistered).
+	// Log entries produced on the partition engines of a network with
+	// several stage per partition (one writer each) and merge into log at
+	// epoch barriers in canonical (At, partition, append) order, so
+	// LogString stays byte-identical across worker counts. checksOn gates
+	// the barrier-hook check cadence (hooks cannot be unregistered).
 	logStage    [][]Entry
-	mergeHooked bool
 	checkHooked bool
 	checksOn    bool
 
@@ -98,13 +96,24 @@ type Engine struct {
 	obsViol    *obs.Counter
 }
 
-// New creates a chaos engine on the simulation engine under test.
+// New creates a chaos engine on the simulation engine under test: a
+// partition engine of the simulated network (simnet.Network.Eng). It
+// registers the barrier hook that folds staged log entries and journal
+// views back into the shared log and journal, ahead of any check hook,
+// so checks at a barrier observe both merged.
 func New(eng *sim.Engine) *Engine {
-	return &Engine{
+	c := eng.Coord()
+	e := &Engine{
 		eng:      eng,
 		lines:    make(map[string]*lineTarget),
 		speakers: make(map[string]*bgp.Speaker),
+		logStage: make([][]Entry, c.NumParts()),
 	}
+	c.AtBarrier(0, func(sim.Time) {
+		e.journal.MergeShards()
+		e.mergeStagedLog()
+	})
+	return e
 }
 
 // Sim returns the underlying simulation engine.
@@ -135,10 +144,10 @@ func (e *Engine) instrumentLine(name string, l *simnet.Line) {
 }
 
 // journalFor returns the journal view an event running on eng may write:
-// the parent journal on a classic single-engine network, or eng's
-// partition shard view on a sharded one (merged at epoch barriers).
+// eng's partition shard view when its events stage (merged at epoch
+// barriers), else the parent journal.
 func (e *Engine) journalFor(eng *sim.Engine) *obs.Journal {
-	if eng.Coord() != nil {
+	if eng.Staged() {
 		return e.journal.Shard(eng.Part())
 	}
 	return e.journal
@@ -212,9 +221,6 @@ func (e *Engine) schedule(f Fault) {
 	if owner == nil {
 		owner = e.eng // unknown target: Apply fails and is logged here
 	}
-	if c := owner.Coord(); c != nil {
-		e.ensureMergeHook(c)
-	}
 	owner.ScheduleAt(at, func() {
 		revert, err := f.Apply(e)
 		if err != nil {
@@ -232,24 +238,6 @@ func (e *Engine) schedule(f Fault) {
 				e.journalFor(owner).Record(owner.Now(), obs.KindFaultRevert, 0, 0, 0, f.Label())
 			})
 		}
-	})
-}
-
-// ensureMergeHook registers, once, the barrier hook that folds staged
-// per-partition log entries (and the journal's shard views) back into
-// the shared structures. Registered before any check hook, so checks at
-// a barrier observe a fully merged log.
-func (e *Engine) ensureMergeHook(c *sim.Coordinator) {
-	if e.mergeHooked {
-		return
-	}
-	e.mergeHooked = true
-	if e.logStage == nil {
-		e.logStage = make([][]Entry, c.NumParts())
-	}
-	c.AtBarrier(0, func(sim.Time) {
-		e.journal.MergeShards()
-		e.mergeStagedLog()
 	})
 }
 
@@ -280,46 +268,35 @@ func (e *Engine) mergeStagedLog() {
 }
 
 // StartChecks begins checking every registered invariant on a fixed
-// cadence. Checks run as ordinary events, so they observe the network
-// only at event boundaries — never mid-packet. On a sharded network the
-// cadence instead rides the coordinator's epoch barriers (workers
+// cadence. The cadence rides the coordinator's barrier hooks: a check
+// runs after every event at or before its instant in coupled mode, and at
+// the barrier of the epoch holding it in parallel mode (workers
 // quiesced, cross traffic drained — the only instants where global
-// invariants like buffer balance are well defined); the cadence is then
-// fixed by the first StartChecks call.
+// invariants like buffer balance are well defined). Either way checks
+// observe the network only between events, never mid-packet. The cadence
+// is fixed by the first StartChecks call.
 func (e *Engine) StartChecks(every time.Duration) {
-	if c := e.eng.Coord(); c != nil {
-		e.checksOn = true
-		if !e.checkHooked {
-			e.checkHooked = true
-			e.ensureMergeHook(c)
-			c.AtBarrier(every, func(now sim.Time) {
-				if e.checksOn {
-					e.runChecks(now)
-				}
-			})
-		}
+	e.checksOn = true
+	if e.checkHooked {
 		return
 	}
-	if e.tick != nil {
-		e.tick.Stop()
-	}
-	e.tick = sim.NewTicker(e.eng, every, func(now sim.Time) { e.runChecks(now) })
+	e.checkHooked = true
+	e.eng.Coord().AtBarrier(every, func(now sim.Time) {
+		if e.checksOn {
+			e.runChecks(now)
+		}
+	})
 }
 
 // StopChecks halts the check cadence.
-func (e *Engine) StopChecks() {
-	e.checksOn = false
-	if e.tick != nil {
-		e.tick.Stop()
-	}
-}
+func (e *Engine) StopChecks() { e.checksOn = false }
 
 // CheckNow runs every invariant once at the current instant.
 func (e *Engine) CheckNow() { e.runChecks(e.eng.Now()) }
 
-// runChecks is always single-threaded: a ticker event on the classic
-// path, a barrier hook on the sharded path, or CheckNow between runs —
-// so it appends to the shared log and parent journal directly.
+// runChecks is always single-threaded: a barrier hook, or CheckNow
+// between runs — so it appends to the shared log and parent journal
+// directly.
 func (e *Engine) runChecks(now sim.Time) {
 	for _, inv := range e.invs {
 		if err := inv.Check(now); err != nil {
@@ -348,12 +325,12 @@ func (e *Engine) LogString() string {
 	return b.String()
 }
 
-// logOn appends a log entry timestamped by eng's clock. On a sharded
-// network the entry stages in eng's partition slot (events on distinct
+// logOn appends a log entry timestamped by eng's clock. When eng's events
+// stage, the entry goes to eng's partition slot (events on distinct
 // partitions run concurrently) and merges at the next barrier.
 func (e *Engine) logOn(eng *sim.Engine, format string, args ...any) {
 	en := Entry{At: eng.Now(), Msg: fmt.Sprintf(format, args...)}
-	if eng.Coord() != nil {
+	if eng.Staged() {
 		p := eng.Part()
 		e.logStage[p] = append(e.logStage[p], en)
 		return

@@ -177,7 +177,7 @@ func TestLossBurstAndDelayFaultsRestoreState(t *testing.T) {
 }
 
 func TestWithdrawalFaultReannouncesIdentically(t *testing.T) {
-	eng := sim.NewEngine()
+	eng := simnet.New(1).Eng // the chaos engine runs on a network partition
 	sp := bgp.NewSpeaker(eng, "edge", 65000, 1)
 	pfx := addr.MustParsePrefix("2001:db8:100::/48")
 	sp.OriginateWithPath(pfx, bgp.Path{65099}, bgp.Community(4242))

@@ -164,9 +164,7 @@ func residueRun(seed int64, parts int) (log, rest, end string) {
 	}
 	ch.ScheduleStorm(rng, StormConfig{Faults: 24, Start: time.Second, Window: window, MaxFor: 20 * time.Second})
 
-	if c := w.Coord(); c != nil {
-		c.EnterParallel()
-	}
+	w.Coord().EnterParallel() // one partition stays coupled
 	w.Run(2 * window)
 	return ch.LogString(), rest, state()
 }

@@ -7,7 +7,7 @@ import (
 	"tango/internal/addr"
 	"tango/internal/bgp"
 	"tango/internal/obs"
-	"tango/internal/sim"
+	"tango/internal/simnet"
 )
 
 // TestChaosObsCountersAndJournal checks a fault window increments the
@@ -49,7 +49,7 @@ func TestChaosObsCountersAndJournal(t *testing.T) {
 // TestChaosObsWithdrawalKind checks BGP withdrawals journal under the
 // withdraw kind rather than the generic fault kind.
 func TestChaosObsWithdrawalKind(t *testing.T) {
-	eng := sim.NewEngine()
+	eng := simnet.New(1).Eng // the chaos engine runs on a network partition
 	sp := bgp.NewSpeaker(eng, "edge", 65000, 1)
 	pfx := addr.MustParsePrefix("2001:db8:100::/48")
 	sp.Originate(pfx)

@@ -139,8 +139,8 @@ func (s *Site) PinnedPrefix(id uint8) (addr.Prefix, error) {
 func (s *Site) Peer() *Site { return s.peer }
 
 // Eng returns the engine the site's events run on: its partition's
-// engine on a sharded network, the network engine otherwise. Workloads
-// that emit at this site (generators, probers) must tick here.
+// engine. Workloads that emit at this site (generators, probers) must
+// tick here.
 func (s *Site) Eng() *sim.Engine { return s.Spec.Edge.Speaker.Engine() }
 
 // Instrument registers the site's switch, monitor, and controller
@@ -155,11 +155,10 @@ func (s *Site) instrument(reg *obs.Registry, j *obs.Journal, name string) {
 }
 
 // shardView returns the journal view a site's controller may write: the
-// site partition's staging view on a sharded network (merged into j at
-// epoch barriers, in canonical order), or j itself on a classic one.
+// site partition's staging view when its events stage (merged into j at
+// epoch barriers, in canonical order), else j itself.
 func shardView(j *obs.Journal, s *Site) *obs.Journal {
-	eng := s.Spec.Edge.Speaker.Engine()
-	if eng.Coord() != nil {
+	if eng := s.Eng(); eng.Staged() {
 		return j.Shard(eng.Part())
 	}
 	return j
@@ -189,8 +188,8 @@ func (p *Pair) Instrument(reg *obs.Registry, j *obs.Journal) {
 }
 
 // newPair prepares (but does not start) Tango between sites a and b of s,
-// on the edge servers s built for that pair. The two live on one engine,
-// or on partition engines of one coordinator (establishment then runs in
+// on the edge servers s built for that pair. The two live on partition
+// engines of one coordinator, often the same one (establishment runs in
 // coupled mode, where cross-site calls are exact).
 func newPair(s *topo.MeshScenario, a, b string, cfg PairConfig) *Pair {
 	if cfg.PolicyA == nil {
@@ -336,8 +335,8 @@ func (p *Pair) start(s *Site, policy control.Policy) {
 }
 
 // RunUntilReady drives the simulation until establishment completes or
-// the deadline passes, reporting success. On a sharded network time is
-// driven through the coordinator (never an individual partition engine).
+// the deadline passes, reporting success. Time is driven through the
+// coordinator, never an individual partition engine.
 func (p *Pair) RunUntilReady(maxVirtual time.Duration) bool {
 	return runUntil(p.s.B.W, p.Ready, maxVirtual)
 }

@@ -96,13 +96,11 @@ func (d *Deployment) EdgeTarget(site, peer string) string {
 }
 
 // InstrumentEdges registers every member's metrics in reg and journals
-// path switches to j. On a sharded network it first registers j's shard
-// merge at the epoch barriers, so every barrier hook registered later
-// (chaos log merges, invariant checks) observes a fully merged journal.
+// path switches to j. It first registers j's shard merge at the epoch
+// barriers, so every barrier hook registered later (invariant checks)
+// observes a fully merged journal.
 func (d *Deployment) InstrumentEdges(reg *obs.Registry, j *obs.Journal) {
-	if c := d.Scenario.B.Eng().Coord(); c != nil && j != nil {
-		c.AtBarrier(0, func(sim.Time) { j.MergeShards() })
-	}
+	d.Scenario.B.W.Coord().AtBarrier(0, func(sim.Time) { j.MergeShards() })
 	d.Mesh.Instrument(reg, j)
 }
 

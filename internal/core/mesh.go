@@ -10,7 +10,6 @@ import (
 	"tango/internal/dataplane"
 	"tango/internal/obs"
 	"tango/internal/packet"
-	"tango/internal/sim"
 	"tango/internal/simnet"
 	"tango/internal/topo"
 )
@@ -61,8 +60,7 @@ type Mesh struct {
 	// Table scores end-to-end routes from the live segment estimates.
 	Table *control.CompositeTable
 
-	eng     *sim.Engine     // first pair's A-side engine (time reads)
-	net     *simnet.Network // drives time (dispatches to the coordinator when sharded)
+	net     *simnet.Network // drives time through its coordinator
 	pairs   []*Pair
 	members map[string]map[string]*Site // members[site][peer]
 	relays  map[string]*dataplane.Relay // one per site, attached to all members
@@ -106,8 +104,6 @@ func MeshFromScenario(s *topo.MeshScenario, cfg MeshConfig) (*Mesh, error) {
 		m.addMember(b, a, p.B)
 		m.Table.AddLink(a, b)
 	}
-	m.eng = m.pairs[0].A.Eng()
-
 	// One relay per site, attached to every member switch: a relayed
 	// packet arrives at whichever member terminates the previous segment
 	// and leaves through the member facing the next one.
@@ -209,10 +205,10 @@ func (m *Mesh) Establish() {
 }
 
 // RunUntilReady drives the simulation until establishment completes or
-// the deadline passes, reporting success. On a sharded network time is
-// driven through the coordinator (never an individual partition engine);
-// establishment always runs in coupled mode, where the cross-site calls
-// of discovery and provisioning are exact.
+// the deadline passes, reporting success. Time is driven through the
+// coordinator, never an individual partition engine; establishment
+// always runs in coupled mode, where the cross-site calls of discovery
+// and provisioning are exact.
 func (m *Mesh) RunUntilReady(maxVirtual time.Duration) bool {
 	return runUntil(m.net, m.Ready, maxVirtual)
 }
@@ -265,7 +261,7 @@ func (m *Mesh) segmentEstimate(from, to string) control.SegmentEstimate {
 		if pm.Est == nil || !pm.Est.Valid() {
 			continue
 		}
-		if m.eng.Now()-pm.LastAt > segmentStaleAfter {
+		if m.net.Now()-pm.LastAt > segmentStaleAfter {
 			continue
 		}
 		if !est.Valid || pm.Est.Value() < est.OWDMs {

@@ -77,7 +77,7 @@ func splitKey(key string) (string, string) {
 func TestMeshRoutesAndEstimates(t *testing.T) {
 	_, m := establishMesh(t, 32, MeshConfig{})
 	// Let probes feed every segment's monitor.
-	m.eng.Run(m.eng.Now() + 2*time.Minute)
+	m.net.Run(m.net.Now() + 2*time.Minute)
 
 	routes := m.Routes("ny", "la")
 	if len(routes) != 2 {
@@ -114,7 +114,7 @@ func TestMeshRoutesAndEstimates(t *testing.T) {
 
 func TestMeshRelayedDelivery(t *testing.T) {
 	_, m := establishMesh(t, 33, MeshConfig{})
-	m.eng.Run(m.eng.Now() + 30*time.Second)
+	m.net.Run(m.net.Now() + 30*time.Second)
 
 	viaChi := false
 	target := -1
@@ -141,7 +141,7 @@ func TestMeshRelayedDelivery(t *testing.T) {
 	if err := m.SendAlong(routes[target], 9909, dport, []byte("over the top")); err != nil {
 		t.Fatal(err)
 	}
-	m.eng.Run(m.eng.Now() + time.Second)
+	m.net.Run(m.net.Now() + time.Second)
 
 	if delivered != 1 {
 		t.Fatalf("relayed packet deliveries = %d, want 1", delivered)
@@ -162,7 +162,7 @@ func TestMeshRelayedDelivery(t *testing.T) {
 			}
 		}
 	}
-	m.eng.Run(m.eng.Now() + time.Second)
+	m.net.Run(m.net.Now() + time.Second)
 	if delivered != 2 {
 		t.Fatalf("direct deliveries = %d, want 2 total", delivered)
 	}

@@ -87,7 +87,7 @@ func E10MeshOverlay(cfg Config) *Result {
 		delete(viaRelay, seq)
 		return true
 	})
-	enterParallel(eng)
+	eng.Coord().EnterParallel()
 	var seq uint32
 	sample := func(dur time.Duration) (directMs, relayMs float64, best control.CompositeRoute) {
 		directW, relayW = win{}, win{}

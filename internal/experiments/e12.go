@@ -13,14 +13,14 @@ import (
 // loss bursts, delay shifts, and BGP withdrawals drawn over every trunk
 // in the deployment — while one application stream and the global
 // conservation invariants verify the fabric stays coherent. The driver
-// honors cfg.Shards (1 = one worker; the partition layout is fixed by
-// the topology either way) and cfg.Sites (CI smoke runs a fraction of
+// honors cfg.Shards (0 or 1 = one worker; the partition layout is fixed
+// by the topology either way) and cfg.Sites (CI smoke runs a fraction of
 // the full deployment).
 func E12ShardedStorm(cfg Config) *Result {
 	r := newResult("E12", "Sharded wide mesh rides out a chaos storm (§6 at scale)")
 
-	sites, shards := cfg.wideScale()
-	d, reg, journal := newWideMesh(cfg.Seed+12, sites, shards, time.Second)
+	sites := cfg.wideSites()
+	d, reg, journal := newWideMesh(cfg.Seed+12, sites, cfg.Shards, time.Second)
 	s, eng := d.Scenario, d.Scenario.B.Eng()
 
 	tunnels := tunnelCount(d)
@@ -43,7 +43,7 @@ func E12ShardedStorm(cfg Config) *Result {
 	labels := storm(d, reg, journal, sim.NewStreams(cfg.Seed+12).Stream("e12/storm"), window)
 	ch := d.Chaos
 
-	enterParallel(eng)
+	eng.Coord().EnterParallel()
 	s.Run(stormLead + window + 15*time.Second) // storm + reverts land
 	gen.Stop()
 	ch.StopChecks()

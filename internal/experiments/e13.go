@@ -36,7 +36,7 @@ const e13AvgPPSPerFlow = 58
 func E13FlowStorm(cfg Config) *Result {
 	r := newResult("E13", "1M concurrent flows ride out a path-failure storm (§4.2 at edge scale)")
 
-	sites, shards := cfg.wideScale()
+	sites := cfg.wideSites()
 	flows := cfg.Flows
 	if flows == 0 {
 		flows = 1_000_000
@@ -51,7 +51,7 @@ func E13FlowStorm(cfg Config) *Result {
 	}
 	perEp := flows / endpoints
 	standing := perEp * endpoints
-	d, reg, journal := newWideMesh(cfg.Seed+13, sites, shards, time.Second)
+	d, reg, journal := newWideMesh(cfg.Seed+13, sites, cfg.Shards, time.Second)
 	s, eng := d.Scenario, d.Scenario.B.Eng()
 
 	// Stretch the class cadence so the whole population emits near the
@@ -127,7 +127,7 @@ func E13FlowStorm(cfg Config) *Result {
 	}
 	flashTable.Eng().Schedule(stopAt, arr.Stop)
 
-	enterParallel(eng)
+	eng.Coord().EnterParallel()
 	s.Run(stopAt + 10*time.Second)
 	ch.StopChecks()
 	s.Run(2 * time.Second)

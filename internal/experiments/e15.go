@@ -113,12 +113,12 @@ func pinProviderRoutes(d *core.Deployment) {
 // optimize=true disables them and installs Link-Guided Local Search
 // weights through per-class selectors instead. Both regimes see the
 // identical topology, capacities, demand matrix, and probe plane.
-func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
+func e15Run(cfg Config, sites int, optimize bool) *e15Stats {
 	decideEvery := time.Second
 	if optimize {
 		decideEvery = 0
 	}
-	d, reg, journal := newWideMesh(cfg.Seed+15, sites, shards, decideEvery)
+	d, reg, journal := newWideMesh(cfg.Seed+15, sites, cfg.Shards, decideEvery)
 	s, eng := d.Scenario, d.Scenario.B.Eng()
 	pinProviderRoutes(d)
 
@@ -251,7 +251,7 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 		t.Eng().Schedule(stopAt, t.Stop)
 	}
 
-	enterParallel(eng)
+	eng.Coord().EnterParallel()
 	s.Run(stopAt + 5*time.Second) // stop line + drain for in-flight deliveries
 
 	for _, p := range peaks {
@@ -288,9 +288,9 @@ func e15Run(cfg Config, sites, shards int, optimize bool) *e15Stats {
 func E15TrafficEngineering(cfg Config) *Result {
 	r := newResult("E15", "Capacity-aware weighted steering beats greedy best-path under load (§5, §6)")
 
-	sites, shards := cfg.wideScale()
-	greedy := e15Run(cfg, sites, shards, false)
-	opt := e15Run(cfg, sites, shards, true)
+	sites := cfg.wideSites()
+	greedy := e15Run(cfg, sites, false)
+	opt := e15Run(cfg, sites, true)
 
 	ratio := func(st *e15Stats) float64 {
 		var sent, delvd uint64

@@ -15,7 +15,6 @@ func E2OWDComparison(cfg Config) *Result {
 	r := newResult("E2", "One-way delay across paths; default vs best (Fig. 4 left, §5)")
 	l := newLab(labOpts{
 		seed:          cfg.Seed,
-		shards:        cfg.Shards,
 		probeInterval: probeInterval,
 		recordBucket:  10 * time.Second,
 	})

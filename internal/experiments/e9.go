@@ -19,7 +19,6 @@ func E9LossReorder(cfg Config) *Result {
 	r := newResult("E9", "Loss and reordering from tunnel sequence numbers (§3)")
 	l := newLab(labOpts{
 		seed:          cfg.Seed + 9,
-		shards:        cfg.Shards,
 		probeInterval: probeInterval,
 	})
 

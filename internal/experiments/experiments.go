@@ -139,15 +139,14 @@ type Config struct {
 	// runs in seconds of real time; the paper's 8-day trace is the
 	// same process run longer).
 	Duration time.Duration
-	// Shards, when positive, runs the experiment on a sharded network
-	// with that many worker goroutines (see topo.MeshConfig.Shards).
-	// The partition layout depends only on the topology, so any two
-	// positive values produce identical Results and trace journals — the
-	// shard-invariance differential test pins exactly that. Zero keeps
-	// the classic single-engine path. E2, E9, E10, E11, E12, E13 and E15
-	// read it (E12, E13 and E15 treat zero as one worker); E14 reads it
-	// as its chunk-runner worker count; the remaining experiments ignore
-	// it.
+	// Shards is how many worker goroutines advance the partitions of the
+	// experiment's network in parallel epochs (see topo.MeshConfig.Shards);
+	// 0 means one. The partition layout depends only on the topology, so
+	// every value produces identical Results and trace journals — the
+	// shard-invariance differential test pins exactly that. E10, E11, E12,
+	// E13 and E15 read it; E14 reads it as its chunk-runner worker count
+	// (0 again one); the remaining experiments run the one-partition
+	// Vultr lab and ignore it.
 	Shards int
 	// Sites scales the wide mesh of E12, E13 and E15 (0 = the full
 	// 64-site / 10k-tunnel deployment; CI smoke runs a fraction of that)
@@ -160,7 +159,7 @@ type Config struct {
 }
 
 // probeInterval is the paper's per-path measurement cadence; the wide
-// mesh probes at wideProbeInterval instead (see wideScale).
+// mesh probes at wideProbeInterval instead (see wideSites).
 const probeInterval = 10 * time.Millisecond
 
 func (c Config) dur(def time.Duration) time.Duration {

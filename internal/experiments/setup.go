@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"time"
 
 	"tango/internal/chaos"
@@ -38,7 +39,6 @@ type lab struct {
 
 type labOpts struct {
 	seed          int64
-	shards        int // 0 = classic single-engine network
 	probeInterval time.Duration
 	recordBucket  time.Duration
 	decideEvery   time.Duration
@@ -75,7 +75,6 @@ func newLab(o labOpts) *lab {
 	d, reg, j := deploy(
 		topo.VultrConfig(topo.ScenarioConfig{
 			Seed:          o.seed,
-			Shards:        o.shards,
 			ClockOffsetNY: o.clockNY,
 			ClockOffsetLA: o.clockLA,
 		}),
@@ -92,7 +91,6 @@ func newLab(o labOpts) *lab {
 		}, 1024)
 	d.Chaos.Instrument(reg, j)
 	d.Chaos.StartChecks(time.Second)
-	enterParallel(d.Scenario.B.Eng())
 	p := d.Mesh.Pairs()[0]
 	offNY, offLA := p.A.Spec.Edge.Node.Clock().Offset(), p.B.Spec.Edge.Node.Clock().Offset()
 	return &lab{
@@ -145,6 +143,15 @@ func (r *Result) finish(eng *sim.Engine, reg *obs.Registry, j *obs.Journal) {
 	r.Trace = traceJSON(j)
 }
 
+// traceJSON renders the journal's full tail for byte-exact comparison.
+func traceJSON(j *obs.Journal) string {
+	var b strings.Builder
+	if err := j.WriteJSON(&b, 0); err != nil {
+		panic(err) // strings.Builder cannot fail
+	}
+	return b.String()
+}
+
 // mustHold is Result.invariantsHold for the ablations, which return bare
 // numbers and have no Result to carry a check.
 func (l *lab) mustHold() {
@@ -181,17 +188,13 @@ func pathByName(m *control.Monitor, name string) *control.PathMonitor {
 // the data load), not the probe plane, is the load under test.
 const wideProbeInterval = 100 * time.Millisecond
 
-// wideScale resolves the knobs E12, E13 and E15 share: the full 64-site
-// mesh and one shard worker.
-func (c Config) wideScale() (sites, shards int) {
-	sites, shards = c.Sites, c.Shards
-	if sites == 0 {
-		sites = 64
+// wideSites resolves the scale E12, E13 and E15 share: the full 64-site
+// mesh unless cfg.Sites says otherwise.
+func (c Config) wideSites() int {
+	if c.Sites == 0 {
+		return 64
 	}
-	if shards == 0 {
-		shards = 1
-	}
-	return sites, shards
+	return c.Sites
 }
 
 // newWideMesh is the fixture E12, E13 and E15 run on: the wide-mesh

@@ -50,8 +50,8 @@ func TestJournalShardMergeOrder(t *testing.T) {
 
 func TestJournalShardMatchesDirectWrites(t *testing.T) {
 	// A sharded journal whose views saw the same records in the same global
-	// order as a classic journal must serialize byte-identically — the
-	// property the shard-invariance differential leans on.
+	// order as a directly written journal must serialize byte-identically —
+	// the property the shard-invariance differential leans on.
 	direct := NewJournal(8)
 	sharded := NewJournal(8)
 	v0, v1 := sharded.Shard(0), sharded.Shard(1)

@@ -10,16 +10,17 @@ import (
 )
 
 // Coordinator advances a set of partition engines over one shared virtual
-// timeline. It is the synchronization layer of the sharded simulation: a
-// large mesh is partitioned into P engines (one per low-delay cluster of
-// nodes), and the coordinator runs them either
+// timeline. Every simulated network runs under one: a large mesh is
+// partitioned into P engines (one per low-delay cluster of nodes), a
+// small topology is one partition, and the coordinator runs them either
 //
 //   - coupled: a sequential interleave that fires the globally earliest
 //     event across all partitions, tie-broken by (time, partition index,
 //     scheduling order). Clocks stay synchronized at every fire, so event
 //     callbacks may freely touch components on other partitions — this is
 //     the mode for construction, BGP convergence, and Tango establishment,
-//     whose setup logic makes direct cross-site calls; or
+//     whose setup logic makes direct cross-site calls, and the only mode
+//     of a one-partition network, which runs its engine directly; or
 //
 //   - parallel: conservative lock-stepped epochs of length equal to the
 //     lookahead (the minimum delay of any cross-partition link or session).
@@ -114,9 +115,6 @@ func (c *Coordinator) NumParts() int { return len(c.parts) }
 // Lookahead returns the synchronization horizon.
 func (c *Coordinator) Lookahead() time.Duration { return c.lookahead }
 
-// Now returns the shared virtual time (all partitions agree between runs).
-func (c *Coordinator) Now() Time { return c.now }
-
 // SetWorkers sets how many goroutines advance partitions in parallel
 // epochs. Values are clamped to [1, partitions]. The worker count never
 // affects results, only wall-clock time.
@@ -146,11 +144,13 @@ func (c *Coordinator) EnterParallel() {
 func (c *Coordinator) Parallel() bool { return c.parallel }
 
 // AtBarrier registers fn to run single-threaded at epoch barriers. With
-// every > 0 it fires once per elapsed period (like a Ticker, receiving the
-// nominal tick instant); with every <= 0 it fires at every barrier with
-// the barrier time. Hooks run after the cross-partition drain, in
-// registration order — register state merges (journals, logs) before
-// consumers (invariant checks).
+// every > 0 it fires once per period, receiving the nominal tick instant:
+// in coupled mode an epoch ends at each tick, so fn runs after every event
+// at or before its instant, like a Ticker that fires last; a parallel
+// epoch fires every tick it spanned at its barrier. With every <= 0 fn
+// fires at every barrier with the barrier time. Hooks run after the
+// cross-partition drain, in registration order — register state merges
+// (journals, logs) before consumers (invariant checks).
 func (c *Coordinator) AtBarrier(every time.Duration, fn func(Time)) {
 	h := barrierHook{every: every, fn: fn}
 	if every > 0 {
@@ -161,9 +161,10 @@ func (c *Coordinator) AtBarrier(every time.Duration, fn func(Time)) {
 
 // Run advances all partitions to the finite virtual time until, in epochs
 // of the lookahead (one epoch for the whole span when the lookahead is
-// zero). Barriers — cross-partition drains plus hooks — run at every
-// epoch boundary in both modes, so hook cadence does not depend on the
-// mode or worker count.
+// zero); a coupled epoch also ends at the next periodic hook's tick.
+// Barriers — cross-partition drains plus hooks — run at every epoch
+// boundary in both modes, so hook cadence does not depend on the worker
+// count.
 func (c *Coordinator) Run(until Time) {
 	if c.running {
 		panic("sim: re-entrant Coordinator.Run")
@@ -181,6 +182,7 @@ func (c *Coordinator) Run(until Time) {
 		if c.parallel {
 			c.runEpochParallel(end)
 		} else {
+			end = min(end, c.nextTick())
 			c.runEpochCoupled(end)
 		}
 		c.now = end
@@ -190,10 +192,28 @@ func (c *Coordinator) Run(until Time) {
 	}
 }
 
+// nextTick returns the earliest pending tick of the periodic hooks, or
+// Forever when there is none.
+func (c *Coordinator) nextTick() Time {
+	next := Forever
+	for i := range c.hooks {
+		if h := &c.hooks[i]; h.every > 0 {
+			next = min(next, h.next)
+		}
+	}
+	return next
+}
+
 // runEpochCoupled fires the globally earliest event until none remain at
 // or before end, keeping every partition clock at the global fire instant
 // so cross-partition reads and schedules behave as on a single engine.
+// The only partition of a one-partition network simply runs to end, so
+// coupling costs it nothing per event.
 func (c *Coordinator) runEpochCoupled(end Time) {
+	if len(c.parts) == 1 {
+		c.parts[0].Run(end)
+		return
+	}
 	for {
 		best := -1
 		at := Forever

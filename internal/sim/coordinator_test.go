@@ -61,8 +61,8 @@ func TestCoordinatorValidation(t *testing.T) {
 
 func TestCoordinatorAccessors(t *testing.T) {
 	c := NewCoordinator(3, 5*time.Millisecond)
-	if c.NumParts() != 3 || c.Lookahead() != 5*time.Millisecond || c.Now() != 0 {
-		t.Fatalf("accessors: parts=%d lookahead=%v now=%v", c.NumParts(), c.Lookahead(), c.Now())
+	if c.NumParts() != 3 || c.Lookahead() != 5*time.Millisecond || c.now != 0 {
+		t.Fatalf("accessors: parts=%d lookahead=%v now=%v", c.NumParts(), c.Lookahead(), c.now)
 	}
 	for i := 0; i < 3; i++ {
 		e := c.Part(i)
@@ -101,8 +101,8 @@ func TestCoordinatorAccessors(t *testing.T) {
 		t.Fatal("zero lookahead must stay coupled")
 	}
 	flat.Run(Time(time.Millisecond)) // zero lookahead: one epoch for the whole span
-	if flat.Now() != Time(time.Millisecond) || flat.Stats.Epochs != 1 {
-		t.Fatalf("flat run: now=%v epochs=%d", flat.Now(), flat.Stats.Epochs)
+	if flat.now != Time(time.Millisecond) || flat.Stats.Epochs != 1 {
+		t.Fatalf("flat run: now=%v epochs=%d", flat.now, flat.Stats.Epochs)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestCoupledFiresGlobalTimeOrder(t *testing.T) {
 	if !reflect.DeepEqual(log.entries, want) {
 		t.Fatalf("fire order %v, want %v", log.entries, want)
 	}
-	if c.Now() != Time(20*time.Millisecond) {
-		t.Fatalf("now=%v, want 20ms", c.Now())
+	if c.now != Time(20*time.Millisecond) {
+		t.Fatalf("now=%v, want 20ms", c.now)
 	}
 	if c.Stats.Epochs != 2 {
 		t.Fatalf("20ms at 10ms lookahead: %d epochs, want 2", c.Stats.Epochs)
@@ -214,22 +214,71 @@ func TestCrossScheduleSameEngineIsDirect(t *testing.T) {
 	}
 }
 
+// TestBarrierHooks: a parallel epoch fires a periodic hook at the
+// barrier of the epoch holding its tick; coupled mode ends an epoch at
+// each tick, so the hook runs at its own instant, after every event at
+// or before it and before any later one — on one partition with no
+// lookahead as on several with a lookahead longer than the run.
 func TestBarrierHooks(t *testing.T) {
-	c := NewCoordinator(2, 5*time.Millisecond)
-	var every, periodic []Time
-	c.AtBarrier(0, func(now Time) { every = append(every, now) })
-	c.AtBarrier(7*time.Millisecond, func(now Time) { periodic = append(periodic, now) })
-	c.EnterParallel()
-	c.Run(Time(20 * time.Millisecond))
-
-	wantEvery := []Time{Time(5 * time.Millisecond), Time(10 * time.Millisecond), Time(15 * time.Millisecond), Time(20 * time.Millisecond)}
-	if !reflect.DeepEqual(every, wantEvery) {
-		t.Fatalf("every-barrier hook fired at %v, want %v", every, wantEvery)
+	ms := func(ns ...int) []Time {
+		out := make([]Time, len(ns))
+		for i, n := range ns {
+			out[i] = Time(n) * Time(time.Millisecond)
+		}
+		return out
 	}
-	// The periodic hook receives nominal tick instants, not barrier times.
-	wantTicks := []Time{Time(7 * time.Millisecond), Time(14 * time.Millisecond)}
-	if !reflect.DeepEqual(periodic, wantTicks) {
-		t.Fatalf("periodic hook fired at %v, want %v", periodic, wantTicks)
+	for _, tc := range []struct {
+		name      string
+		parts     int
+		lookahead time.Duration
+		parallel  bool
+		wantEvery []Time // the every-barrier hook's barrier times
+		wantClock []Time // partition clocks the 7 ms hook observes
+	}{
+		{"parallel", 2, 5 * time.Millisecond, true, ms(5, 10, 15, 20), ms(10, 15)},
+		{"coupled/one partition", 1, 0, false, ms(7, 14, 20), ms(7, 14)},
+		{"coupled/three partitions", 3, 50 * time.Millisecond, false, ms(7, 14, 20), ms(7, 14)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCoordinator(tc.parts, tc.lookahead)
+			fired := 0
+			for i := 0; i < tc.parts; i++ {
+				for _, at := range ms(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20) {
+					c.Part(i).ScheduleAt(at, func() { fired++ })
+				}
+			}
+			var every, ticks, clocks []Time
+			c.AtBarrier(0, func(now Time) { every = append(every, now) })
+			c.AtBarrier(7*time.Millisecond, func(now Time) {
+				ticks = append(ticks, now)
+				clock := c.Part(0).Now()
+				for i := 1; i < tc.parts; i++ {
+					if c.Part(i).Now() != clock {
+						t.Errorf("tick %v: partition %d at %v, partition 0 at %v", now, i, c.Part(i).Now(), clock)
+					}
+				}
+				clocks = append(clocks, clock)
+				// Every event at or before the clock has fired, none after.
+				if want := tc.parts * int(clock/Time(time.Millisecond)); fired != want {
+					t.Errorf("tick %v at clock %v: %d events fired, want %d", now, clock, fired, want)
+				}
+			})
+			if tc.parallel {
+				c.EnterParallel()
+			}
+			c.Run(Time(20 * time.Millisecond))
+
+			if !reflect.DeepEqual(every, tc.wantEvery) {
+				t.Errorf("every-barrier hook fired at %v, want %v", every, tc.wantEvery)
+			}
+			// The periodic hook receives nominal tick instants in both modes.
+			if !reflect.DeepEqual(ticks, ms(7, 14)) {
+				t.Errorf("periodic hook ticks %v, want [7ms 14ms]", ticks)
+			}
+			if !reflect.DeepEqual(clocks, tc.wantClock) {
+				t.Errorf("periodic hook saw clocks %v, want %v", clocks, tc.wantClock)
+			}
+		})
 	}
 }
 

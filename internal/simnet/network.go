@@ -11,17 +11,16 @@ import (
 )
 
 // Network owns the nodes and links of one simulated internet, plus the
-// packet-buffer pools every in-flight packet lives in. A classic network
-// runs on one engine and one pool (single-goroutine, as before). A
-// sharded network (NewSharded) runs each partition of the node set on its
-// own engine with its own pool, synchronized by a sim.Coordinator; every
-// pool is still touched by exactly one goroutine at a time, because
-// cross-partition packets are staged as plain bytes and materialized into
-// the destination pool at epoch barriers.
+// packet-buffer pools every in-flight packet lives in. Its node set is
+// partitioned over the engines of one sim.Coordinator, each partition
+// with its own pool; a small network is one partition. Every pool is
+// touched by exactly one goroutine at a time, because cross-partition
+// packets are staged as plain bytes and materialized into the destination
+// pool at epoch barriers.
 type Network struct {
-	// Eng is the engine of a classic network, and partition 0's engine of
-	// a sharded one (construction-time conveniences may use it; per-node
-	// work must go through Node.Eng).
+	// Eng is partition 0's engine (construction-time conveniences may use
+	// it; per-node work must go through Node.Eng). On a one-partition
+	// network it is the engine every node runs on.
 	Eng     *sim.Engine
 	Streams *sim.Streams
 
@@ -34,14 +33,9 @@ type Network struct {
 	stages []*crossStage
 }
 
-// New creates an empty network over a fresh engine seeded with seed.
+// New creates an empty one-partition network seeded with seed.
 func New(seed int64) *Network {
-	return &Network{
-		Eng:     sim.NewEngine(),
-		Streams: sim.NewStreams(seed),
-		nodes:   make(map[string]*Node),
-		pools:   []*packet.BufPool{packet.NewBufPool()},
-	}
+	return NewSharded(seed, 1, 0, func(string) int { return 0 })
 }
 
 // NewSharded creates an empty network whose nodes are partitioned over
@@ -71,7 +65,7 @@ func NewSharded(seed int64, parts int, lookahead time.Duration, assign func(stri
 	return w
 }
 
-// Coord returns the coordinator of a sharded network, or nil.
+// Coord returns the coordinator that runs the network.
 func (w *Network) Coord() *sim.Coordinator { return w.coord }
 
 // LeasedBufs returns the outstanding buffer leases summed over every
@@ -102,15 +96,11 @@ func (w *Network) AddNode(name string, clockOffset time.Duration) *Node {
 	if _, dup := w.nodes[name]; dup {
 		panic(fmt.Sprintf("simnet: duplicate node %q", name))
 	}
-	part := 0
-	eng := w.Eng
-	if w.coord != nil {
-		part = w.assign(name)
-		if part < 0 || part >= w.coord.NumParts() {
-			panic(fmt.Sprintf("simnet: node %q assigned to partition %d of %d", name, part, w.coord.NumParts()))
-		}
-		eng = w.coord.Part(part)
+	part := w.assign(name)
+	if part < 0 || part >= w.coord.NumParts() {
+		panic(fmt.Sprintf("simnet: node %q assigned to partition %d of %d", name, part, w.coord.NumParts()))
 	}
+	eng := w.coord.Part(part)
 	n := &Node{
 		name:  name,
 		net:   w,
@@ -202,21 +192,13 @@ func (w *Network) checkCross(name string, dm DelayModel) {
 }
 
 // Run advances the simulation to the given virtual time.
-func (w *Network) Run(until sim.Time) {
-	if w.coord != nil {
-		w.coord.Run(until)
-		return
-	}
-	w.Eng.Run(until)
-}
+func (w *Network) Run(until sim.Time) { w.coord.Run(until) }
 
-// Now returns the current virtual time.
-func (w *Network) Now() sim.Time {
-	if w.coord != nil {
-		return w.coord.Now()
-	}
-	return w.Eng.Now()
-}
+// Now returns the current virtual time: the shared time between runs and,
+// in coupled mode, the instant of the event being fired, which every
+// partition clock reads. During a parallel epoch partitions keep their own
+// clocks; an event there reads its node's engine instead.
+func (w *Network) Now() sim.Time { return w.Eng.Now() }
 
 // crossStage recycles the byte carriers of cross-partition packets for
 // one source partition: get runs on the partition's goroutine during an

@@ -40,7 +40,7 @@ type NodeStats struct {
 type Node struct {
 	name  string
 	net   *Network
-	eng   *sim.Engine // the node's partition engine (the network engine when unsharded)
+	eng   *sim.Engine // the node's partition engine
 	part  int
 	pool  *packet.BufPool // the partition's buffer pool
 	clock *sim.Clock
@@ -72,15 +72,14 @@ func (n *Node) Name() string { return n.name }
 // Clock returns the node's local wall clock.
 func (n *Node) Clock() *sim.Clock { return n.clock }
 
-// Eng returns the engine of the node's partition (the network engine on
-// an unsharded network).
+// Eng returns the engine of the node's partition.
 func (n *Node) Eng() *sim.Engine { return n.eng }
 
 // Now returns the node's current event time: its partition engine's
 // virtual time (transport.Endpoint surface).
 func (n *Node) Now() sim.Time { return n.eng.Now() }
 
-// Part returns the node's partition index (0 on an unsharded network).
+// Part returns the node's partition index.
 func (n *Node) Part() int { return n.part }
 
 // Pool returns the buffer pool of the node's partition. Components that

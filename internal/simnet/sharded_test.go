@@ -30,7 +30,7 @@ func shardedPair(t *testing.T, la time.Duration) (*Network, *Node, *Node) {
 func TestShardedDeliveryAcrossPartitions(t *testing.T) {
 	const la = 10 * time.Millisecond
 	w, a, b := shardedPair(t, la)
-	if w.Coord() == nil || w.Coord().NumParts() != 2 {
+	if w.Coord().NumParts() != 2 {
 		t.Fatal("network not sharded over 2 partitions")
 	}
 	if a.Part() != 0 || b.Part() != 1 {

@@ -13,7 +13,7 @@ import (
 // a best path appears, repoint it when the best path changes, and remove
 // it on withdrawal.
 func TestFIBFollowsBGP(t *testing.T) {
-	b := NewBuilder(8)
+	b := NewBuilder(8, Partition{})
 	col := b.AddAS("col", 10, 1, 0)
 	p1 := b.AddAS("p1", 11, 2, 0)
 	p2 := b.AddAS("p2", 12, 3, 0)
@@ -58,7 +58,7 @@ func TestFIBFollowsBGP(t *testing.T) {
 // TestLocallyOriginatedNeedsNoFIB: an AS's own prefixes are delivered
 // locally; the coupling must not try to resolve a next hop for them.
 func TestLocallyOriginatedNeedsNoFIB(t *testing.T) {
-	b := NewBuilder(9)
+	b := NewBuilder(9, Partition{})
 	a := b.AddAS("a", 10, 1, 0)
 	c := b.AddAS("c", 11, 2, 0)
 	b.Wire(a, c, WireOpts{RelAB: bgp.RelPeer})

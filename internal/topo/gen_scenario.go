@@ -66,7 +66,7 @@ func NewGenScenario(cfg GenScenarioConfig) (*GenScenario, error) {
 				s, stubBase, len(g.ASes))
 		}
 	}
-	b := NewBuilder(cfg.Graph.Seed)
+	b := NewBuilder(cfg.Graph.Seed, Partition{})
 	m := &GenScenario{
 		B:     b,
 		Edges: map[int]*AS{}, Hosts: map[int]addr.Prefix{},

@@ -86,12 +86,11 @@ type MeshPeering struct {
 // MeshConfig declares an N-site mesh.
 type MeshConfig struct {
 	Seed int64
-	// Shards, when positive, builds the mesh over a partitioned network
-	// (see MeshPartition) and runs parallel phases on that many worker
-	// goroutines. The partition layout is a function of the topology
-	// only — Shards sets workers, never the layout — so any two positive
-	// values produce identical simulations, differing only in wall-clock
-	// time. Zero builds the classic single-engine network.
+	// Shards is how many worker goroutines run the parallel phases of
+	// the mesh's partitioned network (see MeshPartition); 0 means one.
+	// The partition layout is a function of the topology only — Shards
+	// sets workers, never the layout — so every value produces the same
+	// simulation, differing only in wall-clock time.
 	Shards int
 	// EdgeBlockBase supplies default per-edge prefixes (a /44 block plus
 	// host and probe /48s per edge, in edge-creation order). Default
@@ -131,8 +130,7 @@ type MeshScenario struct {
 	Block      map[string]addr.Prefix
 	Probe      map[string]addr.Prefix
 
-	// Layout is the partition layout the mesh was built over (zero value
-	// when cfg.Shards == 0).
+	// Layout is the partition layout the mesh was built over.
 	Layout Partition
 
 	provName map[bgp.ASN]string // ProviderName's table
@@ -142,23 +140,21 @@ type MeshScenario struct {
 const meshPeeringDelay = 4 * time.Millisecond
 
 // MeshPartition is the partition layout of cfg, read from cfg built once
-// on a classic builder: every node it added and every adjacency it wired
-// (see Builder). The layout depends only on the topology — never on
+// on a one-partition builder: every node it added and every adjacency it
+// wired (see Builder). The layout depends only on the topology — never on
 // cfg.Shards. An invalid config yields the layout of what was built before
-// the error, which is where a sharded build of it stops too.
+// the error, which is where the partitioned build of it stops too.
 func MeshPartition(cfg MeshConfig) Partition {
-	b := NewBuilder(cfg.Seed)
+	b := NewBuilder(cfg.Seed, Partition{})
 	_, _ = buildMesh(b, cfg, Partition{})
 	return PartitionGraph(b.nodes, b.edges)
 }
 
-// NewMeshScenario builds the mesh, validating the config as it goes.
+// NewMeshScenario builds the mesh over its partition layout, validating
+// the config as it goes.
 func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
-	if cfg.Shards <= 0 {
-		return buildMesh(NewBuilder(cfg.Seed), cfg, Partition{})
-	}
 	layout := MeshPartition(cfg)
-	b := NewShardedBuilder(cfg.Seed, layout)
+	b := NewBuilder(cfg.Seed, layout)
 	b.W.Coord().SetWorkers(cfg.Shards)
 	return buildMesh(b, cfg, layout)
 }

@@ -73,12 +73,9 @@ func TestPartitionMoreShardsThanNodesClamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := s.B.W.Coord()
-	if c == nil {
-		t.Fatal("sharded build has no coordinator")
-	}
-	if s.Layout.Parts != want.Parts {
-		t.Fatalf("worker count changed the layout: %d parts vs %d", s.Layout.Parts, want.Parts)
+	if s.Layout.Parts != want.Parts || s.B.W.Coord().NumParts() != want.Parts {
+		t.Fatalf("worker count changed the layout: %d parts (%d engines) vs %d",
+			s.Layout.Parts, s.B.W.Coord().NumParts(), want.Parts)
 	}
 	for n, part := range want.Part {
 		if s.Layout.Part[n] != part {

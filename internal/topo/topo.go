@@ -43,22 +43,16 @@ type Builder struct {
 	edges   []PartEdge
 }
 
-// NewBuilder creates a builder over a fresh network seeded with seed.
-func NewBuilder(seed int64) *Builder {
-	return &Builder{W: simnet.New(seed)}
-}
-
-// NewShardedBuilder creates a builder over a partitioned network: p maps
-// every future node name to its partition (see PartitionGraph), and the
-// coordinator synchronizes partitions at p.Lookahead. A single-partition
-// layout still runs through the coordinator (in coupled mode), so the
-// same construction path serves every shard count.
-func NewShardedBuilder(seed int64, p Partition) *Builder {
-	parts := p.Parts
-	if parts < 1 {
-		parts = 1
+// NewBuilder creates a builder over a fresh network seeded with seed and
+// laid out by p (see PartitionGraph): every future node goes to its
+// partition, and the coordinator synchronizes partitions at p.Lookahead.
+// A layout of at most one partition — the zero Partition included — puts
+// every node on one engine.
+func NewBuilder(seed int64, p Partition) *Builder {
+	if p.Parts <= 1 {
+		return &Builder{W: simnet.New(seed)}
 	}
-	w := simnet.NewSharded(seed, parts, p.Lookahead, func(name string) int {
+	w := simnet.NewSharded(seed, p.Parts, p.Lookahead, func(name string) int {
 		pi, ok := p.Part[name]
 		if !ok {
 			panic(fmt.Sprintf("topo: node %q missing from partition layout", name))
@@ -68,7 +62,7 @@ func NewShardedBuilder(seed int64, p Partition) *Builder {
 	return &Builder{W: w}
 }
 
-// Eng returns the underlying engine.
+// Eng returns partition 0's engine.
 func (b *Builder) Eng() *sim.Engine { return b.W.Eng }
 
 // AddAS creates an AS with the given clock offset on its node.

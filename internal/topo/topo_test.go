@@ -253,7 +253,7 @@ func TestTrunkHandles(t *testing.T) {
 }
 
 func TestWireDefaultsAndDefaultRoute(t *testing.T) {
-	b := NewBuilder(7)
+	b := NewBuilder(7, Partition{})
 	x := b.AddAS("x", 1, 1, 0)
 	y := b.AddAS("y", 2, 2, 0)
 	link, _, _ := b.Wire(x, y, WireOpts{RelAB: bgp.RelPeer})

@@ -51,12 +51,6 @@ type Scenario struct {
 // ScenarioConfig tweaks the Vultr scenario.
 type ScenarioConfig struct {
 	Seed int64
-	// Shards forwards to MeshConfig.Shards (0 = classic single-engine
-	// network). The Vultr topology's 50 µs access links merge every node
-	// into one partition, so a sharded Vultr run exercises the
-	// coordinator's coupled path end to end while remaining trivially
-	// worker-count invariant.
-	Shards int
 	// ClockOffsetNY/LA model the unsynchronised server clocks. The
 	// defaults are deliberately large and asymmetric.
 	ClockOffsetNY, ClockOffsetLA time.Duration
@@ -68,7 +62,9 @@ const (
 	ASEdgeLA bgp.ASN = 65002
 )
 
-// VultrConfig returns the Vultr deployment's MeshConfig.
+// VultrConfig returns the Vultr deployment's MeshConfig. Its 50 µs
+// access links glue every node into one partition, so the deployment
+// runs on one engine whatever the worker count.
 func VultrConfig(cfg ScenarioConfig) MeshConfig {
 	if cfg.ClockOffsetNY == 0 && cfg.ClockOffsetLA == 0 {
 		cfg.ClockOffsetNY = 1700 * time.Millisecond
@@ -97,8 +93,7 @@ func VultrConfig(cfg ScenarioConfig) MeshConfig {
 		return out
 	}
 	return MeshConfig{
-		Seed:   cfg.Seed,
-		Shards: cfg.Shards,
+		Seed: cfg.Seed,
 		Sites: []MeshSite{
 			{
 				Name: "ny", ClockOffset: cfg.ClockOffsetNY,

@@ -201,8 +201,12 @@ func (m *Mesh) Send(r Route, srcPort, dstPort uint16, payload []byte) error {
 
 // OnReceive registers a handler for application packets addressed to the
 // given inner UDP port arriving at a site, whichever route carried them.
+// On a refused mesh (Establish returns why) no packet can arrive, and
+// OnReceive does nothing.
 func (m *Mesh) OnReceive(site string, dstPort uint16, fn func(Delivery)) {
-	m.d.Mesh.AddSink(site, deliverySink(m.Now, dstPort, fn))
+	if m.buildErr == nil {
+		m.d.Mesh.AddSink(site, deliverySink(m.Now, dstPort, fn))
+	}
 }
 
 // Paths returns the live per-path view of one deployed segment: the

@@ -148,11 +148,22 @@ func (p *deployment) Instrument(reg *obs.Registry, j *obs.Journal) error {
 // established reports whether Establish has succeeded.
 func (p *deployment) established() bool { return p.buildErr == nil && p.d.Mesh.Ready() }
 
-// Run advances the deployment by d of virtual time.
-func (p *deployment) Run(d time.Duration) { p.d.Scenario.Run(d) }
+// Run advances the deployment by d of virtual time. On a deployment that
+// was refused (Establish returns why) there is nothing to run, and Run
+// does nothing.
+func (p *deployment) Run(d time.Duration) {
+	if p.buildErr == nil {
+		p.d.Scenario.Run(d)
+	}
+}
 
-// Now returns the current virtual time.
-func (p *deployment) Now() time.Duration { return p.d.Scenario.B.W.Now() }
+// Now returns the current virtual time; 0 on a refused deployment.
+func (p *deployment) Now() time.Duration {
+	if p.buildErr != nil {
+		return 0
+	}
+	return p.d.Scenario.B.W.Now()
+}
 
 // Lab is the paper's deployment: two cooperating edge servers in Vultr's
 // NY and LA datacenters connected across five transit providers. It is

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tango/internal/obs"
 )
 
 func newEstablishedLab(t *testing.T, opts Options) *Lab {
@@ -143,6 +145,38 @@ func TestLabInjectErrors(t *testing.T) {
 	}
 }
 
+// TestLabRefused: a lab whose options were refused says why from every
+// method with an error result, and Run, Now and the site accessors stay
+// safe to call.
+func TestLabRefused(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("panicked: %v", r)
+		}
+	}()
+	l := NewLab(Options{ProbeInterval: -1})
+	l.Run(time.Second)
+	if now := l.Now(); now != 0 {
+		t.Errorf("Now after Run(1s) = %v, want 0", now)
+	}
+	const why = "Options.ProbeInterval"
+	if err := l.Establish(); err == nil || !strings.Contains(err.Error(), why) {
+		t.Errorf("Establish: %v, want an error naming %s", err, why)
+	}
+	if err := l.Instrument(obs.NewRegistry(), obs.NewJournal(8)); err == nil {
+		t.Error("Instrument accepted a refused lab")
+	}
+	if _, err := l.Chaos(); err == nil || !strings.Contains(err.Error(), why) {
+		t.Errorf("Chaos: %v, want an error naming %s", err, why)
+	}
+	if err := l.InjectLossBurst("GTT", NYtoLA, 0, time.Minute, 0.2); err == nil || !strings.Contains(err.Error(), why) {
+		t.Errorf("InjectLossBurst: %v, want an error naming %s", err, why)
+	}
+	if l.NY() != nil || l.LA() != nil {
+		t.Error("sites of a refused lab are not nil")
+	}
+}
+
 func TestLabDeterminism(t *testing.T) {
 	run := func() (string, float64) {
 		l := newEstablishedLab(t, Options{Seed: 77})
@@ -264,11 +298,12 @@ func TestNegativeCadenceIsAnError(t *testing.T) {
 // return their empty values.
 func TestMeshBeforeEstablish(t *testing.T) {
 	for _, m := range []struct {
-		name string
-		mesh *Mesh
+		name    string
+		mesh    *Mesh
+		wantNow time.Duration // after Run(time.Second)
 	}{
-		{"refused", NewMesh(MeshOptions{ProbeInterval: -1})},
-		{"unestablished", NewMesh(MeshOptions{Seed: 1})},
+		{"refused", NewMesh(MeshOptions{ProbeInterval: -1}), 0},
+		{"unestablished", NewMesh(MeshOptions{Seed: 1}), 5*time.Minute + time.Second},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			defer func() {
@@ -276,6 +311,11 @@ func TestMeshBeforeEstablish(t *testing.T) {
 					t.Fatalf("panicked: %v", r)
 				}
 			}()
+			m.mesh.OnReceive("la", 9, func(Delivery) {})
+			m.mesh.Run(time.Second)
+			if now := m.mesh.Now(); now != m.wantNow {
+				t.Errorf("Now after Run(1s) = %v, want %v", now, m.wantNow)
+			}
 			if _, err := m.mesh.Paths("ny", "chi"); err == nil || !strings.Contains(err.Error(), "Establish") {
 				t.Errorf("Paths: error %v, want one naming Establish", err)
 			}
