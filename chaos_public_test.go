@@ -78,8 +78,8 @@ func TestMeshChaosFaultCampaign(t *testing.T) {
 }
 
 // TestLabChaosHandle pins that the two-site lab hands out the same
-// Chaos type as the mesh, over the lab's own targets: the Inject*
-// wrappers land on "trunk/<site the direction flows into>/<provider>",
+// Chaos type as the mesh, over the lab's own targets: a line fault
+// lands on "trunk/<site the traffic flows into>/<provider>",
 // a withdrawal resolves the pair's edge speaker, and the invariants
 // watch the run.
 func TestLabChaosHandle(t *testing.T) {
@@ -91,10 +91,10 @@ func TestLabChaosHandle(t *testing.T) {
 	if ch2, _ := l.Chaos(); ch2 != ch {
 		t.Fatal("second Chaos() call built a new engine")
 	}
-	if err := l.InjectRouteShift("GTT", NYtoLA, time.Second, 30*time.Second, 5*time.Millisecond); err != nil {
+	if err := ch.RouteShift("la", "GTT", time.Second, 30*time.Second, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.InjectInstability("Telia", LAtoNY, time.Second, 10*time.Second, 0.1, 40*time.Millisecond); err != nil {
+	if err := ch.Instability("ny", "Telia", time.Second, 10*time.Second, 0.1, 40*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if err := ch.WithdrawPath("la", "ny", 1, 2*time.Second, 4*time.Second); err != nil {
@@ -183,16 +183,20 @@ func TestOneLineOneDropCounter(t *testing.T) {
 }
 
 // TestInstrumentAloneJournalsFaults: Lab.Instrument (and Mesh.Instrument)
-// cover the fault injector too — a fault scheduled through the Inject*
-// wrappers or the chaos handle shows up in /trace and the trunk drop
-// counters exist without a second Instrument call.
+// cover the fault injector too — a fault scheduled through the chaos
+// handle shows up in /trace and the trunk drop counters exist without a
+// second Instrument call.
 func TestInstrumentAloneJournalsFaults(t *testing.T) {
 	l := newEstablishedLab(t, Options{Seed: 10})
 	reg, j := obs.NewRegistry(), obs.NewJournal(4096)
 	if err := l.Instrument(reg, j); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.InjectLossBurst("GTT", NYtoLA, time.Second, 2*time.Second, 0.5); err != nil {
+	ch, err := l.Chaos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.LossBurst("la", "GTT", time.Second, 2*time.Second, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	l.Run(5 * time.Second)

@@ -1,169 +1,236 @@
-// Command tangod runs a long-lived simulated Tango deployment and streams
-// per-path statistics, like watching the paper's prototype live. Optional
-// incidents can be scheduled to watch the controller react.
+// Command tangod is one Tango endpoint: a border switch and its
+// controller (the paper's Figure 2) on a real UDP socket. It runs
+// core.Edge — the same switch / monitor / controller / reporter / prober
+// stack the simulator runs — on the wall clock. Two tangod processes,
+// one per site, handshake, probe every path and steer on live one-way
+// delays over loopback or a LAN.
 //
 // Usage:
 //
-//	tangod [-seed N] [-hours 2] [-report 5m] [-policy min-delay|min-jitter|static]
-//	       [-event none|route-shift|instability] [-event-at 1h]
-//	       [-metrics :9090]
+//	tangod [-site site-a] [-listen 127.0.0.1:0] [-peer HOST:PORT]
+//	       [-paths NTT:12ms,GTT:30ms,Cogent:20ms]
+//	       [-policy min-delay|min-jitter|static] [-metrics :9090]
+//	       [-duration 0] [-addr-file F] ...
 //
-// With -metrics, tangod serves live observability over real HTTP while
-// virtual time runs: GET /metrics is a Prometheus text scrape of every
-// registered counter, gauge and histogram, and GET /trace?n=100 is a
-// JSON tail of the structured trace journal (path switches, queue
-// drops). All instruments are atomic, so scrapes never block the event
-// loop.
+// With -metrics, tangod serves GET /metrics (a Prometheus text scrape of
+// every registered instrument), GET /trace?n=100 (a JSON tail of the
+// trace journal) and GET /readyz, which answers 503 until the peer
+// handshake has completed and 200 after.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
+	"net/netip"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
-	"tango"
+	"tango/internal/control"
 	"tango/internal/core"
 	"tango/internal/obs"
+	"tango/internal/transport/udp"
 )
 
-func main() {
-	var (
-		seed    = flag.Int64("seed", 1, "random seed")
-		hours   = flag.Float64("hours", 2, "virtual hours to run")
-		report  = flag.Duration("report", 10*time.Minute, "virtual time between status reports")
-		policy  = flag.String("policy", "min-delay", "path policy: min-delay, min-jitter, static")
-		event   = flag.String("event", "none", "incident to inject on GTT NY->LA: none, route-shift, instability")
-		eventAt = flag.Duration("event-at", time.Hour, "virtual time of the incident")
-		metrics = flag.String("metrics", "", "serve Prometheus /metrics and JSON /trace on this address (e.g. :9090)")
+func main() { os.Exit(run()) }
 
-		// -transport udp runs one real endpoint on a UDP socket instead
-		// of the whole simulated deployment; see live.go.
-		transport = flag.String("transport", "sim", "transport backend: sim (whole deployment, virtual time) or udp (one endpoint, real socket, wall time)")
-		site      = flag.String("site", "site-a", "udp: site name (labels metrics, derives outer addresses)")
-		listen    = flag.String("listen", "127.0.0.1:0", "udp: UDP bind address")
-		peer      = flag.String("peer", "", "udp: peer socket address to dial; empty waits for a dialer")
-		paths     = flag.String("paths", "NTT:12ms,GTT:30ms,Cogent:20ms", "udp: outgoing paths as NAME:DELAY,... (emulated one-way delays)")
-		probeIv   = flag.Duration("probe-interval", core.LiveProbeEvery, "udp: probe send interval per path")
-		reportIv  = flag.Duration("report-every", core.LiveReportEvery, "udp: piggybacked report interval; 0 turns reports off")
-		decideIv  = flag.Duration("decide-every", core.LiveDecideEvery, "udp: controller decision interval; 0 leaves the controller idle")
-		duration  = flag.Duration("duration", 0, "udp: wall-clock run time; 0 runs until SIGINT/SIGTERM")
-		addrFile  = flag.String("addr-file", "", "udp: write the bound socket address to this file")
-		readyFile = flag.String("ready-file", "", "udp: write to this file once the pair is established")
-		statusIv  = flag.Duration("status-every", 2*time.Second, "udp: wall-clock time between status prints")
+// run binds, handshakes, steers and reports until SIGINT/SIGTERM or
+// -duration, and returns the exit code.
+func run() int {
+	var (
+		site     = flag.String("site", "site-a", "site name (labels metrics, derives outer addresses)")
+		listen   = flag.String("listen", "127.0.0.1:0", "UDP bind address")
+		peer     = flag.String("peer", "", "peer socket address to dial; empty waits for a dialer")
+		pathSpec = flag.String("paths", "NTT:12ms,GTT:30ms,Cogent:20ms", "outgoing paths as NAME:DELAY,... (emulated one-way delays)")
+		policy   = flag.String("policy", "min-delay", "path policy: min-delay, min-jitter, static")
+		metrics  = flag.String("metrics", "", "serve /metrics, /trace and /readyz on this address (e.g. :9090)")
+		probeIv  = flag.Duration("probe-interval", core.LiveProbeEvery, "probe send interval per path")
+		reportIv = flag.Duration("report-every", core.LiveReportEvery, "piggybacked report interval; 0 turns reports off")
+		decideIv = flag.Duration("decide-every", core.LiveDecideEvery, "controller decision interval; 0 leaves the controller idle")
+		duration = flag.Duration("duration", 0, "wall-clock run time; 0 runs until SIGINT/SIGTERM")
+		addrFile = flag.String("addr-file", "", "write the bound UDP and HTTP addresses to this file as JSON")
+		statusIv = flag.Duration("status-every", 2*time.Second, "wall-clock time between status prints")
 	)
 	flag.Parse()
 	if err := checkCadences(cadences{
-		Hours: *hours, Report: *report, Probe: *probeIv, Status: *statusIv,
-		ReportEvery: *reportIv, DecideEvery: *decideIv,
+		Probe: *probeIv, Status: *statusIv, ReportEvery: *reportIv, DecideEvery: *decideIv,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "tangod:", err)
-		os.Exit(2)
+		return 2
 	}
-
-	switch *transport {
-	case "udp":
-		os.Exit(runLive(liveOptions{
-			Site: *site, Listen: *listen, Peer: *peer, Paths: *paths,
-			Policy: *policy, Metrics: *metrics,
-			ProbeInterval: *probeIv, ReportEvery: *reportIv, DecideEvery: *decideIv,
-			Duration: *duration, AddrFile: *addrFile, ReadyFile: *readyFile, Status: *statusIv,
-		}))
-	case "sim":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown transport %q\n", *transport)
-		os.Exit(2)
-	}
-
-	var pol tango.Policy
-	switch *policy {
-	case "min-delay":
-		pol = tango.PolicyMinDelay
-	case "min-jitter":
-		pol = tango.PolicyMinJitter
-	case "static":
-		pol = tango.PolicyStaticDefault
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
-		os.Exit(2)
-	}
-
-	lab := tango.NewLab(tango.Options{Seed: *seed, PolicyNY: pol, PolicyLA: pol})
-	fmt.Println("tangod: establishing (discovery, pinned prefixes, tunnels)...")
-	if err := lab.Establish(); err != nil {
+	paths, err := udp.ParsePaths(*pathSpec)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 2
 	}
-	for _, s := range []*tango.Site{lab.NY(), lab.LA()} {
-		s := s
-		s.OnPathSwitch(func(at time.Duration, from, to string) {
-			fmt.Printf("%9v  %s: controller switched %s -> %s\n", at.Round(time.Second), s.Name(), from, to)
-		})
+	pol, err := livePolicy(*policy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 
+	reg := obs.NewRegistry()
+	j := obs.NewJournal(4096)
+	b, err := udp.New(udp.Config{Name: *site, Listen: *listen, Registry: reg})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer b.Close()
+
+	edge := core.NewEdge(b, b.Eng())
+	edge.Instrument(reg, j, *site)
+
+	// The handshake provisions everything: tunnels toward the peer's
+	// endpoints, local endpoint ownership, and the measurement loop.
+	// OnEstablished runs on the event goroutine, so core.Edge wires here
+	// exactly as it does single-threaded in the simulator.
+	established := make(chan struct{})
+	sess := udp.NewSession(b, *site, paths)
+	sess.OnEstablished = func(p *udp.Peer) {
+		for _, ep := range sess.Endpoints() {
+			b.AddAddr(ep)
+		}
+		cfg := core.EdgeConfig{
+			Local:        sess.SwitchAddr(),
+			Policy:       pol,
+			DecideEvery:  *decideIv,
+			ReportEvery:  *reportIv,
+			ReportMaxAge: 5 * *reportIv,
+		}
+		for i, ps := range paths {
+			cfg.Paths = append(cfg.Paths, core.EdgePath{Name: ps.Name, Remote: p.Endpoints[i]})
+		}
+		for _, ps := range p.Paths {
+			cfg.PeerPaths = append(cfg.PeerPaths, ps.Name)
+		}
+		edge.Start(cfg)
+		edge.Probe(sess.SwitchAddr(), p.SwitchAddr, *probeIv)
+		close(established)
+	}
+	sess.OnError = func(err error) { fmt.Fprintf(os.Stderr, "tangod: session: %v\n", err) }
+
+	b.Start()
+	fmt.Printf("tangod: %s listening on %s (%d paths: %s)\n", *site, b.Addr(), len(paths), *pathSpec)
+
+	metricsAddr := ""
 	if *metrics != "" {
-		reg := obs.NewRegistry()
-		j := obs.NewJournal(4096)
-		must(lab.Instrument(reg, j))
 		ln, err := net.Listen("tcp", *metrics)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		srv := &http.Server{Handler: obs.Handler(reg, j)}
+		metricsAddr = ln.Addr().String()
+		srv := &http.Server{Handler: handler(reg, j, established)}
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
 		defer srv.Close()
-		fmt.Printf("tangod: serving /metrics and /trace on %s\n", ln.Addr())
+		fmt.Printf("tangod: serving /metrics, /trace and /readyz on %s\n", metricsAddr)
 	}
 
-	switch *event {
-	case "route-shift":
-		must(lab.InjectRouteShift("GTT", tango.NYtoLA, *eventAt, 10*time.Minute, 5*time.Millisecond))
-		fmt.Printf("scheduled: GTT NY->LA +5ms internal route change at +%v for 10m\n", *eventAt)
-	case "instability":
-		must(lab.InjectInstability("GTT", tango.NYtoLA, *eventAt, 5*time.Minute, 0.05, 48*time.Millisecond))
-		fmt.Printf("scheduled: GTT NY->LA instability window at +%v for 5m\n", *eventAt)
-	case "none":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown event %q\n", *event)
-		os.Exit(2)
-	}
-
-	total := time.Duration(*hours * float64(time.Hour))
-	for elapsed := time.Duration(0); elapsed < total; elapsed += *report {
-		step := *report
-		if total-elapsed < step {
-			step = total - elapsed
+	if *addrFile != "" {
+		// JSON so harnesses learn both bound ports from one poll; written
+		// then renamed, so a polling reader never sees a partial file.
+		blob, err := json.Marshal(map[string]string{"udp": b.Addr().String(), "metrics": metricsAddr})
+		if err != nil {
+			panic(err)
 		}
-		lab.Run(step)
-		printStatus(lab)
+		tmp := *addrFile + ".tmp"
+		err = os.WriteFile(tmp, blob, 0o644)
+		if err == nil {
+			err = os.Rename(tmp, *addrFile)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
 	}
-	fmt.Println("tangod: done")
+
+	if *peer != "" {
+		ua, err := net.ResolveUDPAddr("udp", *peer)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		// Unmap 4-in-6 so the address family matches an IPv4-bound socket.
+		ap := netip.AddrPortFrom(ua.AddrPort().Addr().Unmap(), ua.AddrPort().Port())
+		b.Do(func() { sess.Dial(ap) })
+	}
+
+	select {
+	case <-established:
+	case <-time.After(30 * time.Second):
+		fmt.Fprintln(os.Stderr, "tangod: no peer established within 30s")
+		return 1
+	}
+	fmt.Printf("tangod: established with %q\n", sess.Peer().Site)
+
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	var until <-chan time.Time
+	if *duration > 0 {
+		until = time.After(*duration)
+	}
+	status := time.NewTicker(*statusIv)
+	defer status.Stop()
+loop:
+	for {
+		select {
+		case <-status.C:
+			b.Do(func() { printStatus(b, edge) })
+		case s := <-sigc:
+			fmt.Printf("tangod: %v, shutting down\n", s)
+			break loop
+		case <-until:
+			break loop
+		}
+	}
+
+	b.Do(func() {
+		edge.Prober.Stop()
+		if edge.Reporter != nil { // -report-every 0 never started one
+			edge.Reporter.Stop()
+		}
+		edge.Controller.Stop()
+		printStatus(b, edge)
+	})
+	return 0
+}
+
+// handler serves obs.Handler plus /readyz, which answers 503 until
+// established is closed and 200 after.
+func handler(reg *obs.Registry, j *obs.Journal, established <-chan struct{}) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", obs.Handler(reg, j))
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-established:
+			fmt.Fprintln(w, "ready")
+		default:
+			http.Error(w, "not established", http.StatusServiceUnavailable)
+		}
+	})
+	return mux
 }
 
 // cadences are the flag values that pace a run.
 type cadences struct {
-	Hours                    float64
-	Report, Probe, Status    time.Duration
+	Probe, Status            time.Duration
 	ReportEvery, DecideEvery time.Duration
 }
 
-// checkCadences rejects values a run cannot survive: the status loop
-// never advances on a non-positive -report, and a ticker panics on a
-// non-positive period. Zero -report-every and -decide-every are legal —
+// checkCadences rejects values a run cannot survive: a ticker panics on
+// a non-positive period. Zero -report-every and -decide-every are legal —
 // core.Edge leaves that loop off.
 func checkCadences(c cadences) error {
 	switch {
-	case !(c.Hours > 0): // NaN included
-		return fmt.Errorf("-hours must be positive, got %v", c.Hours)
-	case c.Report <= 0:
-		return fmt.Errorf("-report must be positive, got %v", c.Report)
 	case c.Probe <= 0:
 		return fmt.Errorf("-probe-interval must be positive, got %v", c.Probe)
 	case c.Status <= 0:
@@ -176,24 +243,36 @@ func checkCadences(c cadences) error {
 	return nil
 }
 
-func printStatus(lab *tango.Lab) {
-	fmt.Printf("%9v  status:\n", lab.Now().Round(time.Second))
-	for _, s := range []*tango.Site{lab.NY(), lab.LA()} {
-		fmt.Printf("           %s outgoing (measured at peer, raw clock domain):\n", s.Name())
-		for _, p := range s.Paths() {
-			mark := " "
-			if p.Current {
-				mark = "*"
-			}
-			fmt.Printf("            %s %-7s mean %9.3f ms  min %9.3f ms  jitter %7.4f ms  loss %5.3f%%  n=%d\n",
-				mark, p.Provider, p.MeanOWDMs, p.MinOWDMs, p.JitterMs, p.LossRate*100, p.Samples)
-		}
+// livePolicy builds the steering policy. The dwell and staleness
+// constants are wall-clock scaled: loopback deployments converge in
+// hundreds of milliseconds, not simulated minutes.
+func livePolicy(name string) (control.Policy, error) {
+	switch name {
+	case "min-delay":
+		return core.LiveMinDelay(), nil
+	case "min-jitter":
+		return &control.MinJitter{MinDwell: 300 * time.Millisecond, StaleAfter: 5 * time.Second}, nil
+	case "static":
+		return &control.Static{ID: 1}, nil
 	}
+	return nil, fmt.Errorf("unknown policy %q", name)
 }
 
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// printStatus prints the live stack's traffic and estimates; it runs
+// inside b.Do, under the event lock.
+func printStatus(b *udp.Backend, e *core.Edge) {
+	ctl, mon := e.Controller, e.Monitor
+	st := b.Stats()
+	fmt.Printf("%9v  tx %d rx %d frames; current path %d\n",
+		time.Duration(b.Now()).Round(time.Second), st.TxFrames, st.RxFrames, ctl.Current())
+	for _, e := range ctl.Estimates() {
+		if !e.Valid {
+			continue
+		}
+		fmt.Printf("            -> path %d  owd %9.3f ms  jitter %7.4f ms  n=%d (receiver clock domain)\n",
+			e.ID, e.OWDMs, e.JitterMs, e.Samples)
+	}
+	for _, pm := range mon.Paths() {
+		fmt.Printf("            <- %-7s mean %9.3f ms  n=%d\n", pm.Name, pm.Est.Value(), pm.OWD.N())
 	}
 }

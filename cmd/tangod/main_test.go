@@ -1,14 +1,18 @@
 package main
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"tango/internal/obs"
 )
 
 func TestCheckCadences(t *testing.T) {
 	ok := cadences{
-		Hours: 2, Report: 10 * time.Minute, Probe: 20 * time.Millisecond, Status: 2 * time.Second,
+		Probe: 20 * time.Millisecond, Status: 2 * time.Second,
 		ReportEvery: 25 * time.Millisecond, DecideEvery: 100 * time.Millisecond,
 	}
 	for _, tc := range []struct {
@@ -19,10 +23,6 @@ func TestCheckCadences(t *testing.T) {
 		{"defaults", func(*cadences) {}, ""},
 		{"reports off", func(c *cadences) { c.ReportEvery = 0 }, ""},
 		{"controller idle", func(c *cadences) { c.DecideEvery = 0 }, ""},
-		{"zero hours", func(c *cadences) { c.Hours = 0 }, "-hours"},
-		{"negative hours", func(c *cadences) { c.Hours = -1 }, "-hours"},
-		{"zero report", func(c *cadences) { c.Report = 0 }, "-report must"},
-		{"negative report", func(c *cadences) { c.Report = -time.Minute }, "-report must"},
 		{"zero probe interval", func(c *cadences) { c.Probe = 0 }, "-probe-interval"},
 		{"zero status", func(c *cadences) { c.Status = 0 }, "-status-every"},
 		{"negative report-every", func(c *cadences) { c.ReportEvery = -1 }, "-report-every"},
@@ -37,5 +37,33 @@ func TestCheckCadences(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestReadyz: /readyz answers 503 until the handshake has established
+// the pair and 200 after, while /metrics serves throughout.
+func TestReadyz(t *testing.T) {
+	established := make(chan struct{})
+	srv := httptest.NewServer(handler(obs.NewRegistry(), obs.NewJournal(8), established))
+	defer srv.Close()
+	status := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	if got := status("/readyz"); got != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz before establishment = %d, want 503", got)
+	}
+	if got := status("/metrics"); got != http.StatusOK {
+		t.Fatalf("/metrics before establishment = %d, want 200", got)
+	}
+	close(established)
+	if got := status("/readyz"); got != http.StatusOK {
+		t.Fatalf("/readyz after establishment = %d, want 200", got)
 	}
 }

@@ -85,7 +85,11 @@ func Example_incident() {
 	}
 	lab.Run(3 * time.Minute) // settle on the best path
 
-	if err := lab.InjectRouteShift("GTT", tango.NYtoLA, time.Minute, 10*time.Minute, 5*time.Millisecond); err != nil {
+	ch, err := lab.Chaos()
+	if err != nil {
+		panic(err)
+	}
+	if err := ch.RouteShift("la", "GTT", time.Minute, 10*time.Minute, 5*time.Millisecond); err != nil {
 		panic(err)
 	}
 	before := lab.NY().CurrentPath()

@@ -88,8 +88,10 @@ func run(label string, policy tango.Policy) []time.Duration {
 	base := lab.Now()
 	shiftAt := warmup
 	instAt := warmup + phase
-	must(lab.InjectRouteShift("GTT", tango.NYtoLA, shiftAt, 8*time.Minute, 5*time.Millisecond))
-	must(lab.InjectInstability("GTT", tango.NYtoLA, instAt, 5*time.Minute, 0.15, 48*time.Millisecond))
+	ch, err := lab.Chaos()
+	must(err)
+	must(ch.RouteShift("la", "GTT", shiftAt, 8*time.Minute, 5*time.Millisecond))
+	must(ch.Instability("la", "GTT", instAt, 5*time.Minute, 0.15, 48*time.Millisecond))
 	inWindow = func(t time.Duration) bool {
 		rel := t - base
 		return (rel >= shiftAt && rel < shiftAt+8*time.Minute) ||

@@ -49,7 +49,11 @@ func main() {
 
 	// Blackhole the active path (100% loss) for 2 minutes, 30s from now.
 	failAt := lab.Now() + 30*time.Second
-	if err := lab.InjectLossBurst("GTT", tango.NYtoLA, 30*time.Second, 2*time.Minute, 1.0); err != nil {
+	ch, err := lab.Chaos()
+	if err != nil {
+		panic(err)
+	}
+	if err := ch.LossBurst("la", "GTT", 30*time.Second, 2*time.Minute, 1.0); err != nil {
 		panic(err)
 	}
 	fmt.Println("scheduled: GTT NY->LA blackhole for 2 minutes, starting in 30s")

@@ -57,7 +57,11 @@ func run(policy tango.Policy) (frames, misses int, meanLat time.Duration) {
 	lab.Run(warmup)
 
 	// A mid-call instability window on GTT in the LA->NY direction.
-	if err := lab.InjectInstability("GTT", tango.LAtoNY, 3*time.Minute, 4*time.Minute, 0.10, 40*time.Millisecond); err != nil {
+	ch, err := lab.Chaos()
+	if err != nil {
+		panic(err)
+	}
+	if err := ch.Instability("ny", "GTT", 3*time.Minute, 4*time.Minute, 0.10, 40*time.Millisecond); err != nil {
 		panic(err)
 	}
 

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"tango/internal/addr"
@@ -196,7 +197,8 @@ func (s *Session) queue(p addr.Prefix) {
 	s.speaker.eng.Schedule(wait, s.flush)
 }
 
-// flush advertises all pending changes, one UPDATE per prefix.
+// flush advertises all pending changes, one UPDATE per prefix, in
+// prefix order so the UPDATE sequence never depends on map iteration.
 func (s *Session) flush() {
 	s.mraiArmed = false
 	s.lastFlush = s.speaker.eng.Now()
@@ -205,6 +207,7 @@ func (s *Session) flush() {
 	for p := range s.pending {
 		prefixes = append(prefixes, p)
 	}
+	slices.SortFunc(prefixes, addr.Prefix.Compare)
 	s.pending = make(map[addr.Prefix]bool)
 	for _, p := range prefixes {
 		s.advertise(p)

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -413,6 +414,45 @@ func TestMRAIPacing(t *testing.T) {
 	if sa.Stats.UpdatesSent > 5 {
 		t.Fatalf("MRAI did not pace: %d updates for 20 flaps", sa.Stats.UpdatesSent)
 	}
+}
+
+// TestFlushSendsInPrefixOrder: one MRAI flush advertises its pending
+// prefixes in addr.Prefix order, whatever order they were queued in, so
+// a run's UPDATE sequence does not depend on map iteration.
+func TestFlushSendsInPrefixOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	a := NewSpeaker(eng, "a", 100, 1)
+	b := NewSpeaker(eng, "b", 200, 2)
+	cA, cB := pairCfg(RelProvider, "2001:db8:10::1", "2001:db8:10::2")
+	Connect(a, b, cA, cB)
+	eng.Run(time.Second)
+
+	var got []addr.Prefix
+	b.OnBestChange = func(p addr.Prefix, _, _ *Route) { got = append(got, p) }
+	var want []addr.Prefix
+	for i := 0; i < 24; i++ {
+		want = append(want, addr.MustParsePrefix(fmt.Sprintf("2001:db8:%x::/48", i+1)))
+	}
+	check := func(what string, queue func(addr.Prefix)) {
+		t.Helper()
+		got = got[:0]
+		eng.Schedule(0, func() { // one instant, so one flush
+			for i := len(want) - 1; i >= 0; i-- {
+				queue(want[i])
+			}
+		})
+		eng.Run(eng.Now() + time.Minute)
+		if len(got) != len(want) {
+			t.Fatalf("%s: peer saw %d changes, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: change %d is %v, want %v (order %v)", what, i, got[i], want[i], got)
+			}
+		}
+	}
+	check("announcements", func(p addr.Prefix) { a.Originate(p) })
+	check("withdrawals", a.Withdraw)
 }
 
 func TestOnBestChangeHook(t *testing.T) {

@@ -16,9 +16,9 @@ import (
 // Edge is one Tango border switch with its measurement loop — the object
 // of the paper's Figure 2 — on any transport endpoint: a simnet node in
 // virtual time or a UDP socket backend on the wall clock. Every
-// deployment in the tree (core.Pair and through it Mesh, tangod
-// -transport udp, the E8-live reference) builds its edges here, so what
-// a pair's probing costs is switched on in exactly one place.
+// deployment in the tree (core.Pair and through it Mesh, tangod, the
+// E8-live reference) builds its edges here, so what a pair's probing
+// costs is switched on in exactly one place.
 type Edge struct {
 	Switch     *dataplane.Switch
 	Monitor    *control.Monitor    // measures incoming (peer->this) paths
@@ -67,7 +67,7 @@ type EdgeConfig struct {
 
 // The live edge: cadences and steering policy for an edge on a real
 // socket, scaled to the wall clock so a loopback pair converges within a
-// couple of seconds. tangod -transport udp takes them as its defaults and
+// couple of seconds. tangod takes them as its defaults and
 // the E8-live simulated reference runs them, so both transports steer on
 // one configuration.
 const (

@@ -59,7 +59,7 @@ func livePathSpec(delays []time.Duration) string {
 }
 
 // liveRunFor is the simulated reference's default run; its cadences and
-// policy are core's live edge, tangod -transport udp's defaults.
+// policy are core's live edge, tangod's defaults.
 const liveRunFor = 5 * time.Second
 
 // E8LiveSim runs the E8-live scenario on the simulated transport: two
@@ -223,13 +223,11 @@ func RunE8Loopback(cfg LoopbackConfig) (*LoopbackReport, error) {
 			return nil, err
 		}
 		args := []string{
-			"-transport", "udp",
 			"-site", "site-" + site,
 			"-listen", "127.0.0.1:0",
 			"-paths", pathSpec,
 			"-metrics", "127.0.0.1:0",
 			"-addr-file", filepath.Join(dir, site+".addr"),
-			"-ready-file", filepath.Join(dir, site+".ready"),
 			"-status-every", "1s",
 		}
 		args = append(args, extra...)
@@ -266,7 +264,7 @@ func RunE8Loopback(cfg LoopbackConfig) (*LoopbackReport, error) {
 	b.metrics = "http://" + addrsB.Metrics
 
 	for _, p := range []*proc{a, b} {
-		if err := waitFile(filepath.Join(dir, p.site+".ready"), deadline); err != nil {
+		if err := waitReady(p.metrics+"/readyz", deadline); err != nil {
 			return nil, fmt.Errorf("site-%s never became ready: %w", p.site, err)
 		}
 	}
@@ -360,6 +358,24 @@ func waitFile(path string, deadline time.Time) error {
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("timed out waiting for %s", path)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// waitReady polls tangod's /readyz until it answers 200, which it does
+// once the peer handshake has established the pair.
+func waitReady(url string, deadline time.Time) error {
+	for {
+		resp, err := http.Get(url)
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return nil
+			}
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("timed out waiting for 200 from %s", url)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

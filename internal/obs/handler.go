@@ -10,9 +10,9 @@ import (
 //	/metrics  Prometheus text format (the scrape endpoint)
 //	/trace    JSON tail of the trace journal (?n=100 bounds it)
 //
-// tangod mounts this on a real listener while virtual time runs; tests
-// mount it on httptest. All underlying state is atomic or mutex-guarded,
-// so serving never blocks or perturbs the event loop.
+// tangod mounts this on a real listener next to its /readyz; tests mount
+// it on httptest. All underlying state is atomic or mutex-guarded, so
+// serving never blocks or perturbs the event loop.
 func Handler(reg *Registry, j *Journal) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

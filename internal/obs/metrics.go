@@ -15,10 +15,11 @@
 // unconditionally and uninstrumented deployments pay one predictable
 // branch, no interface dispatch, no allocation.
 //
-// The simulation itself is single-goroutine, but exposition is not:
-// tangod scrapes over real HTTP while virtual time runs. All instrument
-// state is therefore atomic, and a scrape observes each instrument at a
-// consistent-enough instant without ever blocking the event loop.
+// The event loop is single-goroutine, but exposition is not: tangod
+// serves scrapes over real HTTP while its wall-clock loop runs. All
+// instrument state is therefore atomic, and a scrape observes each
+// instrument at a consistent-enough instant without ever blocking the
+// event loop.
 package obs
 
 import (

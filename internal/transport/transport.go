@@ -5,8 +5,8 @@
 // satisfy: internal/simnet's Node is the virtual-time backend the
 // experiments and CI run on, and internal/transport/udp is the wall-clock
 // backend that carries the same encapsulated frames over real UDP
-// sockets, so two tangod processes can run the identical discovery/probe/
-// steering stack over loopback or a LAN.
+// sockets, so two tangod processes can run the identical probe/steering
+// stack over loopback or a LAN.
 //
 // # Contract
 //

@@ -237,59 +237,3 @@ func (l *Lab) NY() *Site { return l.ny }
 
 // LA returns the Los Angeles site.
 func (l *Lab) LA() *Site { return l.la }
-
-// Direction identifies one traffic direction between the sites.
-type Direction int
-
-// Directions.
-const (
-	NYtoLA Direction = iota
-	LAtoNY
-)
-
-func (d Direction) String() string {
-	if d == NYtoLA {
-		return "NY->LA"
-	}
-	return "LA->NY"
-}
-
-// into returns the site the direction's traffic flows into, which names
-// the trunks carrying it ("trunk/<site>/<provider>").
-func (d Direction) into() string {
-	if d == NYtoLA {
-		return "la"
-	}
-	return "ny"
-}
-
-// InjectRouteShift schedules an intra-provider routing change (the
-// Figure 4 middle incident): after `in` of virtual time the provider's
-// path in the given direction settles delta higher for dur, then reverts.
-func (l *Lab) InjectRouteShift(provider string, dir Direction, in, dur, delta time.Duration) error {
-	c, err := l.Chaos()
-	if err != nil {
-		return err
-	}
-	return c.RouteShift(dir.into(), provider, in, dur, delta)
-}
-
-// InjectInstability schedules a Figure 4 (right) style degradation window
-// with latency spikes up to peak above the path's floor.
-func (l *Lab) InjectInstability(provider string, dir Direction, in, dur time.Duration, spikeProb float64, peakExtra time.Duration) error {
-	c, err := l.Chaos()
-	if err != nil {
-		return err
-	}
-	return c.Instability(dir.into(), provider, in, dur, spikeProb, peakExtra)
-}
-
-// InjectLossBurst raises the provider's loss rate in one direction for a
-// window.
-func (l *Lab) InjectLossBurst(provider string, dir Direction, in, dur time.Duration, loss float64) error {
-	c, err := l.Chaos()
-	if err != nil {
-		return err
-	}
-	return c.LossBurst(dir.into(), provider, in, dur, loss)
-}

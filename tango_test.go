@@ -116,7 +116,11 @@ func TestLabInjectRouteShiftMovesTraffic(t *testing.T) {
 	if l.NY().CurrentPath() != "GTT" {
 		t.Fatalf("pre-event path %s", l.NY().CurrentPath())
 	}
-	if err := l.InjectRouteShift("GTT", NYtoLA, time.Minute, 10*time.Minute, 5*time.Millisecond); err != nil {
+	ch, err := l.Chaos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.RouteShift("la", "GTT", time.Minute, 10*time.Minute, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	l.Run(5 * time.Minute) // into the event
@@ -131,17 +135,18 @@ func TestLabInjectRouteShiftMovesTraffic(t *testing.T) {
 
 func TestLabInjectErrors(t *testing.T) {
 	l := newEstablishedLab(t, Options{Seed: 6})
-	if err := l.InjectRouteShift("Nonexistent", NYtoLA, 0, time.Minute, time.Millisecond); err == nil {
+	ch, err := l.Chaos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.RouteShift("la", "Nonexistent", 0, time.Minute, time.Millisecond); err == nil {
 		t.Fatal("unknown provider accepted")
 	}
-	if err := l.InjectInstability("GTT", LAtoNY, 0, time.Minute, 0.1, 40*time.Millisecond); err != nil {
+	if err := ch.Instability("ny", "GTT", 0, time.Minute, 0.1, 40*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.InjectLossBurst("Telia", NYtoLA, 0, time.Minute, 0.2); err != nil {
+	if err := ch.LossBurst("la", "Telia", 0, time.Minute, 0.2); err != nil {
 		t.Fatal(err)
-	}
-	if NYtoLA.String() == LAtoNY.String() {
-		t.Fatal("direction strings")
 	}
 }
 
@@ -168,9 +173,6 @@ func TestLabRefused(t *testing.T) {
 	}
 	if _, err := l.Chaos(); err == nil || !strings.Contains(err.Error(), why) {
 		t.Errorf("Chaos: %v, want an error naming %s", err, why)
-	}
-	if err := l.InjectLossBurst("GTT", NYtoLA, 0, time.Minute, 0.2); err == nil || !strings.Contains(err.Error(), why) {
-		t.Errorf("InjectLossBurst: %v, want an error naming %s", err, why)
 	}
 	if l.NY() != nil || l.LA() != nil {
 		t.Error("sites of a refused lab are not nil")
