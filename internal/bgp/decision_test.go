@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,8 +9,9 @@ import (
 	"tango/internal/sim"
 )
 
-// TestDecisionStability: pickBest keeps the current best on exact ties
-// (no churn from re-running the decision process).
+// TestDecisionStability: of several fully tied routes the decision
+// process keeps the first candidate in session creation order, whichever
+// arrived first, and re-running it causes no churn.
 func TestDecisionStability(t *testing.T) {
 	a := &Route{LocalPref: 100, Path: Path{1}}
 	b := &Route{LocalPref: 100, Path: Path{2}}
@@ -18,8 +20,26 @@ func TestDecisionStability(t *testing.T) {
 	if better(a, b) || better(b, a) {
 		t.Fatal("tie should not prefer either")
 	}
-	if pickBest([]*Route{a, b}) != a {
-		t.Fatal("pickBest should keep the first (stable)")
+
+	eng := sim.NewEngine()
+	x := NewSpeaker(eng, "x", 300, 3)
+	p1 := NewSpeaker(eng, "p1", 100, 7) // the same router ID: a full tie
+	p2 := NewSpeaker(eng, "p2", 200, 7)
+	cA, cB := pairCfg(RelPeer, "2001:db8:10::1", "2001:db8:10::2")
+	s1, _ := Connect(x, p1, cA, cB)
+	cA, cB = pairCfg(RelPeer, "2001:db8:11::1", "2001:db8:11::2")
+	s2, _ := Connect(x, p2, cA, cB)
+	pfx := addr.MustParsePrefix("2001:db8:1::/48")
+	changes := 0
+	x.OnBestChange = func(addr.Prefix, *Route, *Route) { changes++ }
+	x.handleUpdate(s2, &Update{Announced: []addr.Prefix{pfx}, Attrs: Attrs{Path: Path{200}}})
+	x.handleUpdate(s1, &Update{Announced: []addr.Prefix{pfx}, Attrs: Attrs{Path: Path{100}}})
+	if best := x.Best(pfx); best == nil || best.FromSession != s1 || changes != 2 {
+		t.Fatalf("best %v after %d changes, want the first session's route after 2", best, changes)
+	}
+	x.reselect(x.lookup(pfx))
+	if x.Best(pfx).FromSession != s1 || changes != 2 {
+		t.Fatal("re-running the decision process churned a tie")
 	}
 }
 
@@ -73,4 +93,76 @@ func TestMultiPrefixUpdate(t *testing.T) {
 	if b.Best(addr.MustParsePrefix("2001:db8:2::/48")) != nil {
 		t.Fatal("withdrawn prefix still best")
 	}
+}
+
+// TestRIBCountsFollowWithdrawals: AdjInLen, Best, BestPrefixes and
+// OriginatedPrefixes follow announcements, withdrawals and
+// re-announcements over two sessions, and a withdrawal of a prefix the
+// speaker never heard of does not number it.
+func TestRIBCountsFollowWithdrawals(t *testing.T) {
+	eng := sim.NewEngine()
+	c := NewSpeaker(eng, "c", 300, 3)
+	a := NewSpeaker(eng, "a", 100, 1)
+	b := NewSpeaker(eng, "b", 200, 2)
+	cA, cB := pairCfg(RelCustomer, "2001:db8:10::1", "2001:db8:10::2")
+	sa, _ := Connect(c, a, cA, cB)
+	cA, cB = pairCfg(RelCustomer, "2001:db8:11::1", "2001:db8:11::2")
+	sb, _ := Connect(c, b, cA, cB)
+	p := prefixes("2001:db8:1::/48", "2001:db8:2::/48", "2001:db8:3::/48", "2001:db8:4::/48")
+	from := map[*Session]string{nil: "c", sa: "a", sb: "b"}
+
+	// check compares c's RIBs with the expected state after one step:
+	// routes learned on each session, and the origin of each best route
+	// (absent: none).
+	check := func(step string, inA, inB int, best map[addr.Prefix]string, orig ...addr.Prefix) {
+		t.Helper()
+		eng.Run(eng.Now() + time.Minute)
+		if sa.AdjInLen() != inA || sb.AdjInLen() != inB {
+			t.Fatalf("%s: AdjInLen %d/%d, want %d/%d", step, sa.AdjInLen(), sb.AdjInLen(), inA, inB)
+		}
+		var want []addr.Prefix
+		for _, q := range p {
+			got := ""
+			if r := c.Best(q); r != nil {
+				got = from[r.FromSession]
+			}
+			if got != best[q] {
+				t.Fatalf("%s: best for %v from %q, want %q", step, q, got, best[q])
+			}
+			if got != "" {
+				want = append(want, q)
+			}
+		}
+		if got := c.BestPrefixes(); !slices.Equal(got, want) {
+			t.Fatalf("%s: BestPrefixes %v, want %v", step, got, want)
+		}
+		if got := c.OriginatedPrefixes(); !slices.Equal(got, orig) {
+			t.Fatalf("%s: OriginatedPrefixes %v, want %v", step, got, orig)
+		}
+	}
+
+	a.Originate(p[0])
+	a.Originate(p[1])
+	b.Originate(p[1])
+	b.Originate(p[2])
+	c.Originate(p[3])
+	check("announce", 2, 2, map[addr.Prefix]string{p[0]: "a", p[1]: "a", p[2]: "b", p[3]: "c"}, p[3])
+
+	a.Withdraw(p[0])
+	a.Withdraw(p[1])
+	c.Withdraw(p[3])
+	check("withdraw", 0, 2, map[addr.Prefix]string{p[1]: "b", p[2]: "b"})
+
+	a.Originate(p[0])
+	c.Originate(p[3])
+	check("re-announce", 1, 2, map[addr.Prefix]string{p[0]: "a", p[1]: "b", p[2]: "b", p[3]: "c"}, p[3])
+
+	numbered := len(c.rib)
+	never := addr.MustParsePrefix("2001:db8:99::/48")
+	c.handleUpdate(sa, &Update{Withdrawn: []addr.Prefix{never}})
+	c.Withdraw(never)
+	if len(c.rib) != numbered || len(c.num) != numbered {
+		t.Fatalf("withdrawing a never-heard prefix numbered it: %d prefixes, want %d", len(c.rib), numbered)
+	}
+	check("never-heard withdrawal", 1, 2, map[addr.Prefix]string{p[0]: "a", p[1]: "b", p[2]: "b", p[3]: "c"}, p[3])
 }

@@ -21,6 +21,14 @@ func handover() (eng *sim.Engine, a, b *Speaker, sa, sb *Session) {
 	return eng, a, b, sa, sb
 }
 
+// adjOut returns the route s last exported for p, or nil.
+func adjOut(s *Session, p addr.Prefix) *Route {
+	if n := s.speaker.lookup(p); n >= 0 {
+		return s.adj[n].out
+	}
+	return nil
+}
+
 // TestOpenRoundTrip: each side's OPEN reaches the peer one session delay
 // after Connect and is answered by a KEEPALIVE, so both sides establish
 // exactly one round trip in, not an event sooner.
@@ -44,7 +52,8 @@ func TestUpdateRoundTripIPv6(t *testing.T) {
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	a.OriginateWithPath(pfx, Path{300, 400}, MakeCommunity(ASVultr, 100), MakeCommunity(300, 7))
 	eng.Run(time.Second)
-	sent, got := sa.adjOut[pfx], sb.adjIn[pfx]
+	sent := adjOut(sa, pfx)
+	got, _ := sb.AdjIn(pfx)
 	if sent == nil || got == nil {
 		t.Fatalf("exported %v, learned %v", sent, got)
 	}
@@ -70,7 +79,7 @@ func TestUpdateWithdrawOnly(t *testing.T) {
 	if n := sa.Stats.UpdatesSent - sent; n != 1 {
 		t.Fatalf("withdrawal sent %d UPDATEs, want 1", n)
 	}
-	if _, ok := sa.adjOut[pfx]; ok || sb.AdjInLen() != 0 || b.Best(pfx) != nil {
+	if adjOut(sa, pfx) != nil || sb.AdjInLen() != 0 || b.Best(pfx) != nil {
 		t.Fatal("withdrawn route survived")
 	}
 }
@@ -112,7 +121,8 @@ func TestUpdateHandoverDoesNotAlias(t *testing.T) {
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	a.OriginateWithPath(pfx, Path{300}, MakeCommunity(300, 7))
 	eng.Run(time.Second)
-	sent, got := sa.adjOut[pfx], sb.adjIn[pfx]
+	sent := adjOut(sa, pfx)
+	got, _ := sb.AdjIn(pfx)
 	if sent == nil || got == nil {
 		t.Fatalf("exported %v, learned %v", sent, got)
 	}

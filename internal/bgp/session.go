@@ -73,11 +73,14 @@ type Session struct {
 	cfg         SessionConfig
 	established bool
 
-	adjIn  map[addr.Prefix]*Route
-	adjOut map[addr.Prefix]*Route
+	// adj is indexed by the speaker's prefix numbers; nIn counts the
+	// routes learned from the peer.
+	adj []adjEntry
+	nIn int
 
-	// MRAI pacing state.
-	pending   map[addr.Prefix]bool
+	// MRAI pacing state: pending lists the numbers queued since the last
+	// flush, each once.
+	pending   []int32
 	mraiArmed bool
 	lastFlush sim.Time
 	neverSent bool
@@ -87,17 +90,26 @@ type Session struct {
 	}
 }
 
+// adjEntry is a session's state for one numbered prefix.
+type adjEntry struct {
+	in     *Route // Adj-RIB-In: the route learned from the peer
+	out    *Route // Adj-RIB-Out: the route the peer last heard
+	queued bool   // in pending
+}
+
 // PeerAS returns the remote speaker's ASN.
 func (s *Session) PeerAS() ASN { return s.peer.speaker.AS }
 
 // AdjIn returns the route learned from the peer for p, if any.
 func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
-	r, ok := s.adjIn[p]
-	return r, ok
+	if n := s.speaker.lookup(p); n >= 0 && s.adj[n].in != nil {
+		return s.adj[n].in, true
+	}
+	return nil, false
 }
 
 // AdjInLen returns the number of routes learned from the peer.
-func (s *Session) AdjInLen() int { return len(s.adjIn) }
+func (s *Session) AdjInLen() int { return s.nIn }
 
 func (s *Session) String() string {
 	return fmt.Sprintf("%s->%s(%s)", s.speaker.Name, s.peer.speaker.Name, s.cfg.Relation)
@@ -142,9 +154,7 @@ func newSession(sp *Speaker, cfg SessionConfig) *Session {
 	return &Session{
 		speaker:   sp,
 		cfg:       cfg,
-		adjIn:     make(map[addr.Prefix]*Route),
-		adjOut:    make(map[addr.Prefix]*Route),
-		pending:   make(map[addr.Prefix]bool),
+		adj:       make([]adjEntry, len(sp.rib)),
 		neverSent: true,
 	}
 }
@@ -176,13 +186,14 @@ func (s *Session) OnSimEvent(arg any) {
 	}
 }
 
-// queue marks a prefix as needing (re)advertisement to this peer and
-// arms the MRAI flush.
-func (s *Session) queue(p addr.Prefix) {
-	if !s.established {
+// queue marks prefix number n as needing (re)advertisement to this peer
+// and arms the MRAI flush.
+func (s *Session) queue(n int32) {
+	if !s.established || s.adj[n].queued {
 		return
 	}
-	s.pending[p] = true
+	s.adj[n].queued = true
+	s.pending = append(s.pending, n)
 	if s.mraiArmed {
 		return
 	}
@@ -198,42 +209,41 @@ func (s *Session) queue(p addr.Prefix) {
 }
 
 // flush advertises all pending changes, one UPDATE per prefix, in
-// prefix order so the UPDATE sequence never depends on map iteration.
+// prefix order (not number order), so the UPDATE sequence does not
+// depend on the order in which the speaker first heard of each prefix.
 func (s *Session) flush() {
 	s.mraiArmed = false
 	s.lastFlush = s.speaker.eng.Now()
 	s.neverSent = false
-	prefixes := make([]addr.Prefix, 0, len(s.pending))
-	for p := range s.pending {
-		prefixes = append(prefixes, p)
+	rib := s.speaker.rib
+	slices.SortFunc(s.pending, func(a, b int32) int { return rib[a].prefix.Compare(rib[b].prefix) })
+	for _, n := range s.pending {
+		s.adj[n].queued = false
+		s.advertise(n)
 	}
-	slices.SortFunc(prefixes, addr.Prefix.Compare)
-	s.pending = make(map[addr.Prefix]bool)
-	for _, p := range prefixes {
-		s.advertise(p)
-	}
+	s.pending = s.pending[:0]
 }
 
-// advertise computes the export route for p and sends an UPDATE if it
-// differs from what the peer last heard.
-func (s *Session) advertise(p addr.Prefix) {
-	best := s.speaker.locRIB[p]
-	export := s.speaker.exportRoute(s, best)
-	prev, had := s.adjOut[p]
+// advertise computes the export route for prefix number n and sends an
+// UPDATE if it differs from what the peer last heard.
+func (s *Session) advertise(n int32) {
+	e := &s.speaker.rib[n]
+	export := s.speaker.exportRoute(s, e.best)
+	prev := s.adj[n].out
 	if export == nil {
-		if !had {
+		if prev == nil {
 			return
 		}
-		delete(s.adjOut, p)
-		s.sendMsg(&Message{Update: &Update{Withdrawn: []addr.Prefix{p}}})
+		s.adj[n].out = nil
+		s.sendMsg(&Message{Update: &Update{Withdrawn: []addr.Prefix{e.prefix}}})
 		return
 	}
-	if had && sameExport(prev, export) {
+	if prev != nil && sameExport(prev, export) {
 		return
 	}
-	s.adjOut[p] = export
+	s.adj[n].out = export
 	u := &Update{
-		Announced: []addr.Prefix{p},
+		Announced: []addr.Prefix{e.prefix},
 		Attrs: Attrs{
 			Path:        export.Path,
 			NextHop:     export.NextHop,
@@ -243,18 +253,13 @@ func (s *Session) advertise(p addr.Prefix) {
 	s.sendMsg(&Message{Update: u})
 }
 
+// sameExport reports whether two exports carry the same path, next hop
+// and community set. The lists almost always match in order, so only a
+// mismatch pays for sorted copies.
 func sameExport(a, b *Route) bool {
-	if !a.Path.Equal(b.Path) || a.NextHop != b.NextHop {
+	if !a.Path.Equal(b.Path) || a.NextHop != b.NextHop || len(a.Communities) != len(b.Communities) {
 		return false
 	}
-	ac, bc := a.SortedCommunities(), b.SortedCommunities()
-	if len(ac) != len(bc) {
-		return false
-	}
-	for i := range ac {
-		if ac[i] != bc[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Communities, b.Communities) ||
+		slices.Equal(a.SortedCommunities(), b.SortedCommunities())
 }

@@ -2,7 +2,7 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tango/internal/addr"
 	"tango/internal/sim"
@@ -21,8 +21,13 @@ type Speaker struct {
 	eng      *sim.Engine
 	sessions []*Session
 
-	originated map[addr.Prefix]*Route
-	locRIB     map[addr.Prefix]*Route
+	// The RIBs are indexed by prefix number: each prefix gets the next
+	// number the first time this speaker hears of it, and keeps it. The
+	// numbering is per speaker, because speakers on different partitions
+	// run on different goroutines.
+	num   map[addr.Prefix]int32
+	rib   []ribEntry
+	nBest int
 
 	// OnBestChange fires whenever the best route for a prefix changes
 	// (newBest nil on withdrawal). The Tango node uses it to program
@@ -30,31 +35,68 @@ type Speaker struct {
 	OnBestChange func(p addr.Prefix, newBest, old *Route)
 }
 
+// ribEntry is the speaker's state for one numbered prefix: the locally
+// originated route and the Loc-RIB best, each nil when absent.
+type ribEntry struct {
+	prefix     addr.Prefix
+	originated *Route
+	best       *Route
+}
+
 // NewSpeaker creates a speaker on the given engine.
 func NewSpeaker(eng *sim.Engine, name string, as ASN, routerID uint32) *Speaker {
 	return &Speaker{
-		Name:       name,
-		AS:         as,
-		RouterID:   routerID,
-		eng:        eng,
-		originated: make(map[addr.Prefix]*Route),
-		locRIB:     make(map[addr.Prefix]*Route),
+		Name:     name,
+		AS:       as,
+		RouterID: routerID,
+		eng:      eng,
+		num:      make(map[addr.Prefix]int32),
 	}
+}
+
+// lookup returns p's number, or -1 if the speaker has never heard of p.
+func (sp *Speaker) lookup(p addr.Prefix) int32 {
+	if n, ok := sp.num[p]; ok {
+		return n
+	}
+	return -1
+}
+
+// number returns p's number, assigning the next one (and a slot in every
+// session's Adj-RIBs) the first time.
+func (sp *Speaker) number(p addr.Prefix) int32 {
+	if n, ok := sp.num[p]; ok {
+		return n
+	}
+	n := int32(len(sp.rib))
+	sp.num[p] = n
+	sp.rib = append(sp.rib, ribEntry{prefix: p})
+	for _, s := range sp.sessions {
+		s.adj = append(s.adj, adjEntry{})
+	}
+	return n
 }
 
 // Sessions returns the speaker's sessions in creation order.
 func (sp *Speaker) Sessions() []*Session { return sp.sessions }
 
 // Best returns the current best route for p, or nil.
-func (sp *Speaker) Best(p addr.Prefix) *Route { return sp.locRIB[p] }
+func (sp *Speaker) Best(p addr.Prefix) *Route {
+	if n := sp.lookup(p); n >= 0 {
+		return sp.rib[n].best
+	}
+	return nil
+}
 
 // BestPrefixes returns all prefixes with a best route, sorted.
 func (sp *Speaker) BestPrefixes() []addr.Prefix {
-	out := make([]addr.Prefix, 0, len(sp.locRIB))
-	for p := range sp.locRIB {
-		out = append(out, p)
+	out := make([]addr.Prefix, 0, sp.nBest)
+	for i := range sp.rib {
+		if sp.rib[i].best != nil {
+			out = append(out, sp.rib[i].prefix)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, addr.Prefix.Compare)
 	return out
 }
 
@@ -78,37 +120,43 @@ func (sp *Speaker) OriginateWithPath(p addr.Prefix, poison Path, communities ...
 		LocalPref:   1 << 30, // locally originated beats anything learned
 		Communities: append([]Community(nil), communities...),
 	}
-	sp.originated[p] = r
-	sp.reselect(p)
+	n := sp.number(p)
+	sp.rib[n].originated = r
+	sp.reselect(n)
 	// Even if the best route (local) is unchanged, the communities or
 	// the seeded path may have changed, which alters per-peer exports.
-	sp.scheduleExportAll(p)
+	sp.scheduleExportAll(n)
 }
 
 // Withdraw removes a locally originated prefix.
 func (sp *Speaker) Withdraw(p addr.Prefix) {
-	if _, ok := sp.originated[p]; !ok {
+	n := sp.lookup(p)
+	if n < 0 || sp.rib[n].originated == nil {
 		return
 	}
-	delete(sp.originated, p)
-	sp.reselect(p)
+	sp.rib[n].originated = nil
+	sp.reselect(n)
 }
 
 // Originated returns the locally originated route for p, if any.
 func (sp *Speaker) Originated(p addr.Prefix) (*Route, bool) {
-	r, ok := sp.originated[p]
-	return r, ok
+	if n := sp.lookup(p); n >= 0 && sp.rib[n].originated != nil {
+		return sp.rib[n].originated, true
+	}
+	return nil, false
 }
 
 // OriginatedPrefixes returns every locally originated prefix in a
 // deterministic (sorted) order, so seeded fault generators can pick
 // withdrawal targets reproducibly.
 func (sp *Speaker) OriginatedPrefixes() []addr.Prefix {
-	out := make([]addr.Prefix, 0, len(sp.originated))
-	for p := range sp.originated {
-		out = append(out, p)
+	var out []addr.Prefix
+	for i := range sp.rib {
+		if sp.rib[i].originated != nil {
+			out = append(out, sp.rib[i].prefix)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, addr.Prefix.Compare)
 	return out
 }
 
@@ -117,10 +165,7 @@ func (sp *Speaker) OriginatedPrefixes() []addr.Prefix {
 // gets its own copies.
 func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 	for _, p := range u.Withdrawn {
-		if _, ok := s.adjIn[p]; ok {
-			delete(s.adjIn, p)
-			sp.reselect(p)
-		}
+		sp.dropIn(s, sp.lookup(p))
 	}
 	for _, p := range u.Announced {
 		r := &Route{
@@ -133,15 +178,27 @@ func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 		imported := sp.importRoute(s, r)
 		if imported == nil {
 			// An implicit withdrawal if we previously accepted one.
-			if _, ok := s.adjIn[p]; ok {
-				delete(s.adjIn, p)
-				sp.reselect(p)
-			}
+			sp.dropIn(s, sp.lookup(p))
 			continue
 		}
-		s.adjIn[p] = imported
-		sp.reselect(p)
+		n := sp.number(p)
+		if s.adj[n].in == nil {
+			s.nIn++
+		}
+		s.adj[n].in = imported
+		sp.reselect(n)
 	}
+}
+
+// dropIn forgets the route learned on s for prefix number n, if any; n
+// is -1 for a prefix the speaker has never heard of.
+func (sp *Speaker) dropIn(s *Session, n int32) {
+	if n < 0 || s.adj[n].in == nil {
+		return
+	}
+	s.adj[n].in = nil
+	s.nIn--
+	sp.reselect(n)
 }
 
 // importRoute runs the import pipeline; nil rejects.
@@ -171,61 +228,55 @@ func DefaultLocalPref(rel Relation) uint32 {
 	}
 }
 
-// reselect re-runs the decision process for p and, on change, updates the
-// Loc-RIB, fires OnBestChange, and queues re-advertisement to every peer.
-func (sp *Speaker) reselect(p addr.Prefix) {
-	var candidates []*Route
-	if r, ok := sp.originated[p]; ok {
-		candidates = append(candidates, r)
-	}
+// reselect re-runs the decision process for prefix number n and, on
+// change, updates the Loc-RIB, fires OnBestChange, and queues
+// re-advertisement to every peer. The candidates are the originated route
+// and then each session's, in creation order; a candidate must be
+// strictly better to displace an earlier one, so the first of several
+// fully tied routes wins.
+func (sp *Speaker) reselect(n int32) {
+	e := &sp.rib[n]
+	best := e.originated
 	for _, s := range sp.sessions {
-		if r, ok := s.adjIn[p]; ok {
-			candidates = append(candidates, r)
+		if r := s.adj[n].in; r != nil && (best == nil || better(r, best)) {
+			best = r
 		}
 	}
-	best := pickBest(candidates)
-	old := sp.locRIB[p]
+	old := e.best
 	if best == old {
 		return
 	}
-	if best == nil {
-		delete(sp.locRIB, p)
-	} else {
-		sp.locRIB[p] = best
+	if old == nil {
+		sp.nBest++
+	} else if best == nil {
+		sp.nBest--
 	}
+	e.best = best
 	if sp.OnBestChange != nil {
-		sp.OnBestChange(p, best, old)
+		sp.OnBestChange(e.prefix, best, old)
 	}
-	sp.scheduleExportAll(p)
+	sp.scheduleExportAll(n)
 }
 
-func (sp *Speaker) scheduleExportAll(p addr.Prefix) {
+func (sp *Speaker) scheduleExportAll(n int32) {
 	for _, s := range sp.sessions {
-		s.queue(p)
+		s.queue(n)
 	}
 }
 
 // scheduleFullExport queues every Loc-RIB prefix on a newly established
 // session (initial table exchange).
 func (sp *Speaker) scheduleFullExport(s *Session) {
-	for p := range sp.locRIB {
-		s.queue(p)
-	}
-}
-
-// pickBest implements the decision process: highest LOCAL_PREF, shortest
-// AS path, then lowest peer router ID as the deterministic tie breaker
-// (all sessions are eBGP).
-func pickBest(cands []*Route) *Route {
-	var best *Route
-	for _, r := range cands {
-		if best == nil || better(r, best) {
-			best = r
+	for n := range sp.rib {
+		if sp.rib[n].best != nil {
+			s.queue(int32(n))
 		}
 	}
-	return best
 }
 
+// better implements the decision process: highest LOCAL_PREF, shortest
+// AS path, then lowest peer router ID as the deterministic tie breaker
+// (all sessions are eBGP).
 func better(a, b *Route) bool {
 	if a.LocalPref != b.LocalPref {
 		return a.LocalPref > b.LocalPref

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"tango/internal/sim"
 )
 
 func TestJournalShardMergeOrder(t *testing.T) {
@@ -92,4 +94,43 @@ func TestJournalShardGuards(t *testing.T) {
 		}
 	}()
 	view.Shard(0)
+}
+
+// stagedCoupledRun journals from three partitions of a coupled run cut
+// into epochs by a 1 s hook, with ties across partitions on and between
+// ticks. mergeEvery folds the views at every barrier; otherwise they are
+// folded once after the run.
+func stagedCoupledRun(t *testing.T, mergeEvery bool) string {
+	t.Helper()
+	c := sim.NewCoordinator(3, 4*time.Millisecond)
+	j := NewJournal(64)
+	if mergeEvery {
+		c.AtBarrier(0, func(sim.Time) { j.MergeShards() })
+	}
+	c.AtBarrier(time.Second, func(sim.Time) {})
+	for p := 0; p < 3; p++ {
+		view, eng := j.Shard(p), c.Part(p)
+		for i := 0; i < 8; i++ {
+			at := time.Duration((i*(p+2))%7) * 500 * time.Millisecond
+			eng.ScheduleAt(at, func() {
+				view.Record(eng.Now(), KindPathSwitch, uint8(p), uint8(i), int64(at), "r")
+			})
+		}
+	}
+	c.Run(sim.Time(5 * time.Second))
+	j.MergeShards()
+	var b bytes.Buffer
+	if err := j.WriteJSON(&b, 0); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// The journal merge is invariant to barrier batching: every record at or
+// before a barrier's instant is staged before that barrier runs, so
+// merging at every coupled barrier equals merging once at the end.
+func TestJournalMergeBatchInvariant(t *testing.T) {
+	if every, once := stagedCoupledRun(t, true), stagedCoupledRun(t, false); every != once {
+		t.Fatalf("merged at every barrier:\n%s\nmerged once:\n%s", every, once)
+	}
 }

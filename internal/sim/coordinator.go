@@ -148,9 +148,11 @@ func (c *Coordinator) Parallel() bool { return c.parallel }
 // in coupled mode an epoch ends at each tick, so fn runs after every event
 // at or before its instant, like a Ticker that fires last; a parallel
 // epoch fires every tick it spanned at its barrier. With every <= 0 fn
-// fires at every barrier with the barrier time. Hooks run after the
-// cross-partition drain, in registration order — register state merges
-// (journals, logs) before consumers (invariant checks).
+// fires at every barrier with the barrier time; a coupled run has
+// barriers only at ticks and at the end of Run, so such a hook (a staged
+// merge) must give the same result however the run is cut. Hooks run
+// after the cross-partition drain, in registration order — register
+// state merges (journals, logs) before consumers (invariant checks).
 func (c *Coordinator) AtBarrier(every time.Duration, fn func(Time)) {
 	h := barrierHook{every: every, fn: fn}
 	if every > 0 {
@@ -159,12 +161,12 @@ func (c *Coordinator) AtBarrier(every time.Duration, fn func(Time)) {
 	c.hooks = append(c.hooks, h)
 }
 
-// Run advances all partitions to the finite virtual time until, in epochs
-// of the lookahead (one epoch for the whole span when the lookahead is
-// zero); a coupled epoch also ends at the next periodic hook's tick.
-// Barriers — cross-partition drains plus hooks — run at every epoch
-// boundary in both modes, so hook cadence does not depend on the worker
-// count.
+// Run advances all partitions to the finite virtual time until. A
+// parallel epoch spans one lookahead; a coupled epoch schedules cross
+// events directly, so it runs to the next periodic hook's tick (or until)
+// however idle the span. Barriers — cross-partition drains plus hooks —
+// run at every epoch boundary in both modes, so hook cadence does not
+// depend on the worker count.
 func (c *Coordinator) Run(until Time) {
 	if c.running {
 		panic("sim: re-entrant Coordinator.Run")
@@ -175,14 +177,12 @@ func (c *Coordinator) Run(until Time) {
 	c.running = true
 	defer func() { c.running = false }()
 	for c.now < until {
-		end := until
-		if c.lookahead > 0 && c.now+c.lookahead < until {
-			end = c.now + c.lookahead
-		}
+		var end Time
 		if c.parallel {
+			end = min(until, c.now+c.lookahead)
 			c.runEpochParallel(end)
 		} else {
-			end = min(end, c.nextTick())
+			end = min(until, c.nextTick())
 			c.runEpochCoupled(end)
 		}
 		c.now = end

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -129,8 +131,56 @@ func TestCoupledFiresGlobalTimeOrder(t *testing.T) {
 	if c.now != Time(20*time.Millisecond) {
 		t.Fatalf("now=%v, want 20ms", c.now)
 	}
-	if c.Stats.Epochs != 2 {
-		t.Fatalf("20ms at 10ms lookahead: %d epochs, want 2", c.Stats.Epochs)
+	if c.Stats.Epochs != 1 {
+		t.Fatalf("coupled 20ms run with no hooks: %d epochs, want 1", c.Stats.Epochs)
+	}
+}
+
+// TestCoupledSkipsIdleTime: the lookahead bounds parallel epochs only. A
+// coupled run over minutes of sparse events costs one epoch per periodic
+// tick, not one per lookahead, and still fires in global time order with
+// every clock at each tick when its hook runs.
+func TestCoupledSkipsIdleTime(t *testing.T) {
+	const (
+		parts = 32
+		until = Time(10 * time.Minute)
+		every = time.Second
+	)
+	c := NewCoordinator(parts, 4*time.Millisecond)
+	var fired []Time
+	var want []Time
+	for i := 0; i < 20; i++ {
+		// Scrambled over the ten minutes; every third lands on a tick.
+		k := (i * 7) % 20
+		at := Time(k)*Time(30*time.Second) + Time(k%3)*Time(500*time.Millisecond)
+		want = append(want, at)
+		c.Part((i*11)%parts).ScheduleAt(at, func() { fired = append(fired, at) })
+	}
+	slices.Sort(want)
+	ticks := 0
+	c.AtBarrier(every, func(now Time) {
+		ticks++
+		for i := 0; i < parts; i++ {
+			if got := c.Part(i).Now(); got != now {
+				t.Errorf("tick %v: partition %d clock at %v", now, i, got)
+			}
+		}
+		if n := len(fired); n != sort.Search(len(want), func(j int) bool { return want[j] > now }) {
+			t.Errorf("tick %v: %d events fired, want those at or before the tick", now, n)
+		}
+	})
+	c.Run(until)
+	if !slices.Equal(fired, want) {
+		t.Fatalf("fire order %v, want %v", fired, want)
+	}
+	for i := 0; i < parts; i++ {
+		if got := c.Part(i).Now(); got != until {
+			t.Fatalf("partition %d ended at %v, want %v", i, got, until)
+		}
+	}
+	if ticks != int(until/Time(every)) || c.Stats.Epochs > uint64(ticks)+1 {
+		t.Fatalf("%d ticks in %d epochs, want %d ticks in at most %d", ticks, c.Stats.Epochs,
+			until/Time(every), ticks+1)
 	}
 }
 
