@@ -21,7 +21,8 @@ import (
 // random storms are drawn from the deployment's seeded RNG streams, and
 // the whole-network conservation and buffer-balance invariants are
 // checked continuously — so a fault campaign either reproduces byte for
-// byte from its seed or fails loudly.
+// byte from its seed or fails loudly. A negative offset or duration, or
+// a probability outside [0, 1], is an error and schedules nothing.
 type Chaos struct {
 	d *core.Deployment
 }
@@ -54,8 +55,12 @@ func (c *Chaos) Instrument(reg *obs.Registry, j *obs.Journal) {
 	c.d.Chaos.Instrument(reg, j)
 }
 
-// trunk resolves a site/provider pair to its registered target name.
-func (c *Chaos) trunk(site, provider string) (string, error) {
+// trunk checks a trunk fault's offset and duration (see timing) and
+// resolves its site/provider pair to the registered target name.
+func (c *Chaos) trunk(site, provider string, in, dur time.Duration) (string, error) {
+	if err := timing(in, dur); err != nil {
+		return "", err
+	}
 	name := core.TrunkTarget(site, provider)
 	if c.d.Chaos.Line(name) == nil {
 		return "", fmt.Errorf("tango: no trunk into site %q via provider %q", site, provider)
@@ -63,11 +68,31 @@ func (c *Chaos) trunk(site, provider string) (string, error) {
 	return name, nil
 }
 
+// timing rejects a fault that would start in the past or end before it
+// starts.
+func timing(in, dur time.Duration) error {
+	if in < 0 {
+		return fmt.Errorf("tango: fault offset %v is negative; faults start now or later", in)
+	}
+	if dur < 0 {
+		return fmt.Errorf("tango: fault duration %v is negative", dur)
+	}
+	return nil
+}
+
+// probability rejects p (named what in the error) outside [0, 1].
+func probability(what string, p float64) error {
+	if !(p >= 0 && p <= 1) {
+		return fmt.Errorf("tango: %s %v is not a probability in [0, 1]", what, p)
+	}
+	return nil
+}
+
 // LinkDown takes the provider trunk into site admin-down after in, for
 // dur. Packets already in flight still arrive; everything offered while
 // down is dropped at admission.
 func (c *Chaos) LinkDown(site, provider string, in, dur time.Duration) error {
-	name, err := c.trunk(site, provider)
+	name, err := c.trunk(site, provider, in, dur)
 	if err != nil {
 		return err
 	}
@@ -78,7 +103,10 @@ func (c *Chaos) LinkDown(site, provider string, in, dur time.Duration) error {
 // LossBurst sets the provider trunk into site to the given loss
 // probability after in, restoring the previous probability after dur.
 func (c *Chaos) LossBurst(site, provider string, in, dur time.Duration, loss float64) error {
-	name, err := c.trunk(site, provider)
+	if err := probability("loss", loss); err != nil {
+		return err
+	}
+	name, err := c.trunk(site, provider, in, dur)
 	if err != nil {
 		return err
 	}
@@ -89,7 +117,7 @@ func (c *Chaos) LossBurst(site, provider string, in, dur time.Duration, loss flo
 // DelayShift adds delta of one-way delay on the provider trunk into site
 // after in, removing it after dur.
 func (c *Chaos) DelayShift(site, provider string, in, dur, delta time.Duration) error {
-	name, err := c.trunk(site, provider)
+	name, err := c.trunk(site, provider, in, dur)
 	if err != nil {
 		return err
 	}
@@ -102,7 +130,7 @@ func (c *Chaos) DelayShift(site, provider string, in, dur, delta time.Duration) 
 // turbulent for 20 s, settles delta higher for dur, then returns to the
 // original path through a second 20 s of turbulence.
 func (c *Chaos) RouteShift(site, provider string, in, dur, delta time.Duration) error {
-	name, err := c.trunk(site, provider)
+	name, err := c.trunk(site, provider, in, dur)
 	if err != nil {
 		return err
 	}
@@ -115,7 +143,10 @@ func (c *Chaos) RouteShift(site, provider string, in, dur, delta time.Duration) 
 // with probability spikeProb by up to peakExtra above the path's
 // slightly lifted floor.
 func (c *Chaos) Instability(site, provider string, in, dur time.Duration, spikeProb float64, peakExtra time.Duration) error {
-	name, err := c.trunk(site, provider)
+	if err := probability("spike probability", spikeProb); err != nil {
+		return err
+	}
+	name, err := c.trunk(site, provider, in, dur)
 	if err != nil {
 		return err
 	}
@@ -131,6 +162,9 @@ func (c *Chaos) Instability(site, provider string, in, dur time.Duration, spikeP
 // identical attributes after dur. The deployment must be established
 // first (path prefixes exist only after establishment).
 func (c *Chaos) WithdrawPath(site, peer string, id uint8, in, dur time.Duration) error {
+	if err := timing(in, dur); err != nil {
+		return err
+	}
 	st := c.d.Mesh.Member(site, peer)
 	if st == nil {
 		return fmt.Errorf("tango: no deployed pair %s:%s", site, peer)
@@ -152,13 +186,16 @@ func (c *Chaos) WithdrawPath(site, peer string, id uint8, in, dur time.Duration)
 // delay shifts, withdrawals — uniformly over the window starting after
 // in, and returns their labels in schedule order. The draw comes from
 // the deployment's named RNG streams, so a storm replays exactly from
-// its seed.
-func (c *Chaos) Storm(n int, in, window time.Duration) []string {
+// its seed. A negative n, in or window is an error.
+func (c *Chaos) Storm(n int, in, window time.Duration) ([]string, error) {
+	if n < 0 || in < 0 || window < 0 {
+		return nil, fmt.Errorf("tango: storm of %d faults after %v over %v; none may be negative", n, in, window)
+	}
 	return c.d.Chaos.ScheduleStorm(c.d.Scenario.B.W.Streams.Stream("chaos-storm"), chaos.StormConfig{
 		Faults: n,
 		Start:  c.now() + in,
 		Window: window,
-	})
+	}), nil
 }
 
 // CheckNow runs every registered invariant once at the current instant.

@@ -1,6 +1,7 @@
 package tango
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -127,6 +128,53 @@ func TestLabChaosHandle(t *testing.T) {
 	}
 }
 
+// TestChaosRejectsBadArguments: a fault that would start in the past,
+// end before it starts, or draw with a probability outside [0, 1] is an
+// error, and schedules nothing.
+func TestChaosRejectsBadArguments(t *testing.T) {
+	l := newEstablishedLab(t, Options{Seed: 1})
+	ch, err := l.Chaos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const s = time.Second
+	storm := func(n int, in, window time.Duration) error {
+		_, err := ch.Storm(n, in, window)
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{
+		{"LinkDown in", ch.LinkDown("la", "GTT", -s, s)},
+		{"LinkDown dur", ch.LinkDown("la", "GTT", s, -s)},
+		{"LossBurst in", ch.LossBurst("la", "GTT", -s, s, 0.5)},
+		{"LossBurst loss>1", ch.LossBurst("la", "GTT", s, s, 1.5)},
+		{"LossBurst loss<0", ch.LossBurst("la", "GTT", s, s, -0.1)},
+		{"LossBurst loss NaN", ch.LossBurst("la", "GTT", s, s, math.NaN())},
+		{"DelayShift in", ch.DelayShift("la", "GTT", -s, s, 5*time.Millisecond)},
+		{"DelayShift dur", ch.DelayShift("la", "GTT", s, -s, 5*time.Millisecond)},
+		{"RouteShift in", ch.RouteShift("la", "GTT", -s, 30*s, 5*time.Millisecond)},
+		{"RouteShift dur", ch.RouteShift("la", "GTT", s, -30*s, 5*time.Millisecond)},
+		{"Instability in", ch.Instability("ny", "Telia", -s, 10*s, 0.1, 40*time.Millisecond)},
+		{"Instability dur", ch.Instability("ny", "Telia", s, -10*s, 0.1, 40*time.Millisecond)},
+		{"Instability prob>1", ch.Instability("ny", "Telia", s, 10*s, 2, 40*time.Millisecond)},
+		{"WithdrawPath in", ch.WithdrawPath("la", "ny", 1, -s, s)},
+		{"WithdrawPath dur", ch.WithdrawPath("la", "ny", 1, s, -s)},
+		{"Storm in", storm(4, -s, 20*s)},
+		{"Storm window", storm(4, s, -20*s)},
+		{"Storm n", storm(-1, s, 20*s)},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: bad argument accepted", tc.name)
+		}
+	}
+	l.Run(time.Minute)
+	if evs := ch.Events(); len(evs) != 0 {
+		t.Fatalf("rejected faults still fired:\n%s", strings.Join(evs, "\n"))
+	}
+}
+
 // lineDrops returns the tango_line_drops_total series in reg by their
 // line label.
 func lineDrops(reg *obs.Registry) map[string]float64 {
@@ -234,7 +282,9 @@ func TestLabStormReplaysFromSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		labels = ch.Storm(8, time.Second, 20*time.Second)
+		if labels, err = ch.Storm(8, time.Second, 20*time.Second); err != nil {
+			t.Fatal(err)
+		}
 		l.Run(time.Minute)
 		ch.CheckNow()
 		if vs := ch.Violations(); len(vs) != 0 {

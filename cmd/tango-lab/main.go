@@ -29,9 +29,9 @@
 // best-path steering against Link-Guided Local Search weights on the
 // capacitated mesh, are not part of 'all' (they run minutes, not
 // seconds); select them explicitly with -run e12/e13/e14/e15, and shrink
-// them with -sites and -flows when smoke-testing. For e14, -shards sets
-// the chunk-runner worker count (0 again one) and -sites the generated
-// stub-site count.
+// them with -sites and -flows when smoke-testing. e14 runs every swept
+// pair on one generated internet, one partition, so -shards does not
+// apply to it; -sites sets its generated stub-site count.
 package main
 
 import (
@@ -66,7 +66,7 @@ func realMain() int {
 		duration   = flag.Duration("duration", 0, "main measurement window of virtual time (0 = per-experiment default)")
 		csvDir     = flag.String("csv", "", "directory to write figure series CSVs into")
 		parallel   = flag.Int("parallel", 1, "run up to N experiments concurrently (<=0: one per CPU)")
-		shards     = flag.Int("shards", 0, "advance the partitions of e10-e13 and e15 on N workers (0 = one); e14: chunk-runner workers")
+		shards     = flag.Int("shards", 0, "advance the partitions of e10-e13 and e15 on N workers (0 = one)")
 		sites      = flag.Int("sites", 0, "scale e12/e13/e15's wide mesh to N sites (0 = the full 64)")
 		flows      = flag.Int("flows", 0, "scale e13's concurrent flow population (0 = the full 1M)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
+	"time"
 
+	"tango/internal/bgp"
+	"tango/internal/control"
 	"tango/internal/obs"
 	"tango/internal/sim"
 	"tango/internal/topo"
@@ -17,14 +21,45 @@ import (
 // artifacts on future topology families.
 const e14RecallFloor = 0.90
 
+// Timing of the sweep (virtual time).
+const (
+	// sweepEstablish is the initial convergence window.
+	sweepEstablish = 120 * time.Second
+	// sweepRoundWait is the per-round convergence wait: a dozen-plus MRAI
+	// intervals, comfortably above worst-case path hunting on generated
+	// graphs.
+	sweepRoundWait = 30 * time.Second
+	// sweepMaxRounds bounds each discovery loop.
+	sweepMaxRounds = 8
+)
+
+// pairResult scores one pair's discovery run.
+type pairResult struct {
+	// found is the discovery loop's raw output, in round order.
+	found []control.DiscoveredPath
+	// providers is the distinct discovered provider set, ascending.
+	providers []bgp.ASN
+	// truth is the valley-free ground truth: dst's providers through
+	// which src is reachable, ascending.
+	truth []bgp.ASN
+	// recall is |providers ∩ truth| / |truth| (1 when truth is empty).
+	recall float64
+	// phantomFree reports providers ⊆ truth: discovery never observed a
+	// provider the ground truth rules out.
+	phantomFree bool
+	// valleyFree reports every observed AS path obeyed the export rules.
+	valleyFree bool
+}
+
 // E14DiscoverySweep measures the discovery loop against a generated
-// internet (ROADMAP item 1): a seeded Gao-Rexford AS graph — tiered
-// transit core, power-law provider degrees, multi-homed stub sites — at
-// full scale 521 ASes, with concurrent discovery over 64 seeded site
-// pairs scored against the generator's exhaustively enumerated
-// valley-free ground truth. cfg.Shards sets the RunJobs worker count
-// (results are identical across values — the differential test pins it);
-// cfg.Sites scales the graph down for CI smoke.
+// internet: a seeded Gao-Rexford AS graph — tiered transit core,
+// power-law provider degrees, multi-homed stub sites — at full scale
+// 521 ASes, with 64 seeded site pairs scored against the
+// generator's exhaustively enumerated valley-free ground truth. Every
+// pair's discoverer runs concurrently on the one built internet, each
+// announcing its own probe prefix, so per-pair suppression communities
+// never interfere. cfg.Sites scales the graph down for CI smoke; the
+// network is one partition, so cfg.Shards does not apply.
 func E14DiscoverySweep(cfg Config) *Result {
 	r := newResult("E14", "Discovery sweeps vs valley-free ground truth on a generated internet (§4.1)")
 
@@ -58,16 +93,13 @@ func E14DiscoverySweep(cfg Config) *Result {
 			npairs, sites, max(0, sites*(sites-1)))
 		return r
 	}
-	workers := cfg.Shards
-	if workers == 0 {
-		workers = 1
-	}
 
 	// Seeded distinct ordered pairs over the stub sites.
 	rng := sim.NewStreams(cfg.Seed + 14).Stream("e14/pairs")
 	stubBase := gcfg.Tier1 + gcfg.Tier2
 	seen := map[[2]int]bool{}
 	var pairs [][2]int
+	var edgeSites []int
 	for len(pairs) < npairs {
 		p := [2]int{stubBase + rng.Intn(sites), stubBase + rng.Intn(sites)}
 		if p[0] == p[1] || seen[p] {
@@ -75,15 +107,57 @@ func E14DiscoverySweep(cfg Config) *Result {
 		}
 		seen[p] = true
 		pairs = append(pairs, p)
+		edgeSites = append(edgeSites, p[0], p[1])
 	}
 
-	rep, err := RunSweep(SweepConfig{
-		Graph:   gcfg,
-		Pairs:   pairs,
-		Workers: workers,
-	})
+	s, err := topo.NewGenScenario(topo.GenScenarioConfig{Graph: gcfg, EdgeSites: edgeSites})
 	if err != nil {
 		r.Err = err.Error()
+		return r
+	}
+	g := s.Graph
+	s.Run(sweepEstablish)
+
+	// Discovery runs toward dst, observing from src.
+	journal := obs.NewJournal(len(pairs)*(sweepMaxRounds+2) + 1)
+	found := make([][]control.DiscoveredPath, len(pairs))
+	done := 0
+	for i, p := range pairs {
+		src, dst := p[0], p[1]
+		probe, err := s.ProbePrefix(i)
+		if err != nil {
+			r.Err = err.Error()
+			return r
+		}
+		target := fmt.Sprintf("d/%d/%s->%s", i, g.ASes[src].Name, g.ASes[dst].Name)
+		d := &control.Discoverer{
+			Announcer: s.Edges[dst].Speaker,
+			Observer:  s.Edges[src].Speaker,
+			Probe:     probe,
+			POPAS:     g.ASes[dst].ASN,
+			RoundWait: sweepRoundWait,
+			MaxRounds: sweepMaxRounds,
+			OnRound: func(round int, f *control.DiscoveredPath) {
+				if f == nil {
+					journal.Record(s.B.W.Now(), obs.KindDiscovery, uint8(round), 0, 0, target)
+					return
+				}
+				journal.Record(s.B.W.Now(), obs.KindDiscovery,
+					uint8(round), uint8(len(f.Path)), int64(f.ProviderASN), target)
+			},
+		}
+		d.Run(func(paths []control.DiscoveredPath) {
+			found[i] = paths
+			done++
+		})
+	}
+	// Every loop terminates within sweepMaxRounds+1 waits; the guard is
+	// slack for the final withdrawals to land.
+	for k := 0; k < sweepMaxRounds+4 && done < len(pairs); k++ {
+		s.Run(sweepRoundWait)
+	}
+	if done < len(pairs) {
+		r.Err = fmt.Sprintf("E14 finished only %d/%d discovery loops", done, len(pairs))
 		return r
 	}
 
@@ -96,29 +170,28 @@ func E14DiscoverySweep(cfg Config) *Result {
 	sumRecall := 0.0
 	totalFound, totalTruth := 0, 0
 	phantomFree, valleyFree, nonEmpty := true, true, true
-	for _, p := range rep.Pairs {
-		sumRecall += p.Recall
-		totalFound += len(p.Providers)
-		totalTruth += len(p.Truth)
-		phantomFree = phantomFree && p.PhantomFree
-		valleyFree = valleyFree && p.ValleyFree
-		nonEmpty = nonEmpty && len(p.Found) > 0
-		recallH.Observe(int64(p.Recall * 100))
-		foundH.Observe(int64(len(p.Found)))
-		truthH.Observe(int64(len(p.Truth)))
-		for _, f := range p.Found {
+	for i, pair := range pairs {
+		p := scorePair(g, pair[0], pair[1], found[i])
+		sumRecall += p.recall
+		totalFound += len(p.providers)
+		totalTruth += len(p.truth)
+		phantomFree = phantomFree && p.phantomFree
+		valleyFree = valleyFree && p.valleyFree
+		nonEmpty = nonEmpty && len(p.found) > 0
+		recallH.Observe(int64(p.recall * 100))
+		foundH.Observe(int64(len(p.found)))
+		truthH.Observe(int64(len(p.truth)))
+		for _, f := range p.found {
 			lenH.Observe(int64(len(f.Path)))
 		}
 	}
-	meanRecall := sumRecall / float64(len(rep.Pairs))
+	meanRecall := sumRecall / float64(len(pairs))
 
-	g := rep.Graph
 	r.Rows = append(r.Rows, []string{"quantity", "value"})
 	for _, row := range [][2]string{
 		{"ASes", fmt.Sprint(len(g.ASes))},
 		{"adjacencies", fmt.Sprint(len(g.Edges))},
-		{"pairs swept", fmt.Sprint(len(rep.Pairs))},
-		{"chunks", fmt.Sprint(rep.Chunks)},
+		{"pairs swept", fmt.Sprint(len(pairs))},
 		{"providers discovered", fmt.Sprint(totalFound)},
 		{"ground-truth providers", fmt.Sprint(totalTruth)},
 		{"mean recall", fmt.Sprintf("%.3f", meanRecall)},
@@ -130,10 +203,10 @@ func E14DiscoverySweep(cfg Config) *Result {
 		g.Connected() && g.ProviderAcyclic() && (!full || len(g.ASes) >= 500),
 		"%d ASes, %d adjacencies", len(g.ASes), len(g.Edges))
 	r.check("sweep coverage", "≥64 concurrent site pairs",
-		(!full || len(rep.Pairs) >= 64) && len(rep.Pairs) >= 4,
-		"%d pairs in %d chunks", len(rep.Pairs), rep.Chunks)
+		(!full || len(pairs) >= 64) && len(pairs) >= 4,
+		"%d pairs on one network", len(pairs))
 	r.check("every pair discovered a path", "the default route is always observable",
-		nonEmpty, "min rounds > 0 across %d pairs", len(rep.Pairs))
+		nonEmpty, "min rounds > 0 across %d pairs", len(pairs))
 	r.check("diversity recall at the pinned floor", fmt.Sprintf("recall ≥ %.2f", e14RecallFloor),
 		meanRecall >= e14RecallFloor, "mean recall %.3f (%d/%d providers)", meanRecall, totalFound, totalTruth)
 	r.check("no phantom providers", "discovered ⊆ valley-free ground truth",
@@ -143,8 +216,47 @@ func E14DiscoverySweep(cfg Config) *Result {
 
 	r.note("discovery is community-driven (64600:<asn>) against each destination site; " +
 		"ground truth is the generator's two-state valley-free reachability per provider")
-	r.VirtualTime = rep.VirtualTime
+	r.VirtualTime = s.B.W.Now()
 	r.Metrics = reg.Snapshot()
-	r.Trace = rep.Trace
+	r.Trace = traceJSON(journal)
 	return r
+}
+
+// scorePair folds one pair's discovery output against the ground truth.
+func scorePair(g *topo.ASGraph, src, dst int, found []control.DiscoveredPath) pairResult {
+	pr := pairResult{
+		found:       found,
+		truth:       g.ValleyFreeProviders(dst, src),
+		phantomFree: true,
+		valleyFree:  true,
+	}
+	truth := map[bgp.ASN]bool{}
+	for _, a := range pr.truth {
+		truth[a] = true
+	}
+	seen := map[bgp.ASN]bool{}
+	hits := 0
+	for _, f := range found {
+		if !seen[f.ProviderASN] {
+			seen[f.ProviderASN] = true
+			pr.providers = append(pr.providers, f.ProviderASN)
+			if truth[f.ProviderASN] {
+				hits++
+			} else {
+				pr.phantomFree = false
+			}
+		}
+		// The observer is a Tango edge speaking from a private ASN, off
+		// the AS graph; the observed path starts at its own site.
+		if !g.ValleyFreeObserved(0, f.Path) {
+			pr.valleyFree = false
+		}
+	}
+	sort.Slice(pr.providers, func(i, j int) bool { return pr.providers[i] < pr.providers[j] })
+	if len(pr.truth) == 0 {
+		pr.recall = 1
+	} else {
+		pr.recall = float64(hits) / float64(len(pr.truth))
+	}
+	return pr
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -12,9 +13,7 @@ import (
 func e14Smoke(seed int64) Config { return Config{Seed: seed, Sites: 16} }
 
 func TestE14Smoke(t *testing.T) {
-	cfg := e14Smoke(1)
-	cfg.Shards = 2
-	requirePassed(t, E14DiscoverySweep(cfg))
+	requirePassed(t, E14DiscoverySweep(e14Smoke(1)))
 }
 
 // TestE14TooFewSites: a scale too small to draw the swept pairs from is
@@ -35,18 +34,36 @@ func TestE14TooFewSites(t *testing.T) {
 	}
 }
 
-// TestE14SweepWorkerInvariance is the sweep driver's differential test:
-// serial (one worker) and RunJobs-parallel discovery over the same pair
-// set must produce deeply equal Results and byte-identical merged trace
-// journals — across at least 5 seeds, under -race in CI.
-func TestE14SweepWorkerInvariance(t *testing.T) {
+// TestE14Seeds pins one smoke run per seed, so a change to the sweep's
+// event order shows as a moved digest at five seeds, not one.
+func TestE14Seeds(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			requirePassed(t, sameAcrossWorkers(t, E14DiscoverySweep, e14Smoke(seed), 4))
+			requirePassed(t, E14DiscoverySweep(e14Smoke(seed)))
 		})
+	}
+}
+
+// TestE14TraceInTimeOrder: every pair's discovery runs on one network and
+// records into one journal, so the trace reads in virtual-time order.
+func TestE14TraceInTimeOrder(t *testing.T) {
+	r := E14DiscoverySweep(e14Smoke(2))
+	var recs []struct {
+		At int64 `json:"at_ns"`
+	}
+	if err := json.Unmarshal([]byte(r.Trace), &recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("E14 journaled no discovery rounds")
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].At < recs[i-1].At {
+			t.Fatalf("trace record %d at %d ns follows one at %d ns", i, recs[i].At, recs[i-1].At)
+		}
 	}
 }

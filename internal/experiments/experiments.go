@@ -144,9 +144,8 @@ type Config struct {
 	// 0 means one. The partition layout depends only on the topology, so
 	// every value produces identical Results and trace journals — the
 	// shard-invariance differential test pins exactly that. E10, E11, E12,
-	// E13 and E15 read it; E14 reads it as its chunk-runner worker count
-	// (0 again one); the remaining experiments run the one-partition
-	// Vultr lab and ignore it.
+	// E13 and E15 read it; the rest run on one partition (the Vultr lab,
+	// E14's generated internet) and ignore it.
 	Shards int
 	// Sites scales the wide mesh of E12, E13 and E15 (0 = the full
 	// 64-site / 10k-tunnel deployment; CI smoke runs a fraction of that)

@@ -35,12 +35,12 @@ type GenScenarioConfig struct {
 // GenScenario is a built generated internet.
 type GenScenario struct {
 	B *Builder
+	// Graph is the generated AS graph the scenario instantiates.
+	Graph *ASGraph
 	// ASes indexes the built ASes exactly like the graph's node order.
 	ASes []*AS
-	// Edges and Hosts map a site index to its Tango edge server and the
-	// host prefix it originates.
+	// Edges maps a site index to its Tango edge server.
 	Edges map[int]*AS
-	Hosts map[int]addr.Prefix
 
 	probeBase addr.Prefix
 }
@@ -68,8 +68,9 @@ func NewGenScenario(cfg GenScenarioConfig) (*GenScenario, error) {
 	}
 	b := NewBuilder(cfg.Graph.Seed, Partition{})
 	m := &GenScenario{
-		B:     b,
-		Edges: map[int]*AS{}, Hosts: map[int]addr.Prefix{},
+		B:         b,
+		Graph:     g,
+		Edges:     map[int]*AS{},
 		probeBase: addr.MustParsePrefix("2001:db8:9000::/36"),
 	}
 	for i, a := range g.ASes {
@@ -99,8 +100,8 @@ func NewGenScenario(cfg GenScenarioConfig) (*GenScenario, error) {
 		if err != nil {
 			return nil, fmt.Errorf("topo: host prefix for edge site %d: %w", s, err)
 		}
-		m.Edges[s] = b.addEdge(m.ASes[s], edgeNodeName(g.ASes[s]), bgp.ASN(64701+k), uint32(5001+k), 0, host)
-		m.Hosts[s] = host
+		// Edge router IDs follow the graph's, so none can collide.
+		m.Edges[s] = b.addEdge(m.ASes[s], edgeNodeName(g.ASes[s]), bgp.ASN(64701+k), uint32(len(g.ASes)+1+k), 0, host)
 	}
 	return m, nil
 }

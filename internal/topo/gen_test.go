@@ -147,10 +147,7 @@ func TestGenSpeakerValleyFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: NewGenScenario: %v", seed, err)
 		}
-		g, err := Gen(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := s.Graph
 		s.Run(120 * time.Second)
 
 		checked := 0
@@ -180,6 +177,33 @@ func TestGenSpeakerValleyFree(t *testing.T) {
 		if checked == 0 {
 			t.Fatalf("seed %d: no learned best routes to check", seed)
 		}
+	}
+}
+
+// TestGenRouterIDsDistinct: past 5 000 ASes every speaker, transit AS
+// and Tango edge alike, still has its own router ID, BGP's last
+// tie-break.
+func TestGenRouterIDsDistinct(t *testing.T) {
+	cfg := GenConfig{Seed: 1, Tier1: 4, Tier2: 800, Sites: 4500,
+		MinHoming: 2, MaxHoming: 4, Tier2MaxHoming: 2, PeerLinks: 400, PrefExp: 1}
+	stub := cfg.Tier1 + cfg.Tier2
+	s, err := NewGenScenario(GenScenarioConfig{Graph: cfg, EdgeSites: []int{stub, stub + 1, stub + 2, stub + 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint32]string{}
+	speakers := append([]*AS(nil), s.ASes...)
+	for _, e := range s.Edges {
+		speakers = append(speakers, e)
+	}
+	for _, a := range speakers {
+		if prev, ok := seen[a.Speaker.RouterID]; ok {
+			t.Fatalf("%s and %s share router ID %d", prev, a.Name, a.Speaker.RouterID)
+		}
+		seen[a.Speaker.RouterID] = a.Name
+	}
+	if len(s.ASes) != 5304 {
+		t.Fatalf("built %d ASes, want 5304", len(s.ASes))
 	}
 }
 
