@@ -160,13 +160,14 @@ func realMain() int {
 }
 
 // checkScale rejects scale flags no run can honour: a wide mesh needs
-// three sites for its first pair (and E14 three stubs for its four
-// distinct pairs), and a negative -shards, -flows or -duration has no
-// meaning — a negative -shards would silently run one worker, as 0 does.
+// three sites for its first pair and E14 four stubs for its four
+// distinct unordered pairs, and a negative -shards, -flows or -duration
+// has no meaning — a negative -shards would silently run one worker, as
+// 0 does.
 func checkScale(c experiments.Config) error {
 	switch {
-	case c.Sites != 0 && c.Sites < 3:
-		return fmt.Errorf("-sites must be 0 (full scale) or at least 3, got %d", c.Sites)
+	case c.Sites != 0 && c.Sites < 4:
+		return fmt.Errorf("-sites must be 0 (full scale) or at least 4, got %d", c.Sites)
 	case c.Shards < 0:
 		return fmt.Errorf("-shards must not be negative, got %d", c.Shards)
 	case c.Flows < 0:

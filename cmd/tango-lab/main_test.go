@@ -38,7 +38,7 @@ func TestSelectExperiments(t *testing.T) {
 }
 
 // TestCheckScale pins the scale flags each run is checked against: -sites
-// is 0 or at least 3, -shards, -flows and -duration are not negative, and
+// is 0 or at least 4 (E14's four unordered pairs), -shards, -flows and -duration are not negative, and
 // every refusal names its flag.
 func TestCheckScale(t *testing.T) {
 	ok := experiments.Config{Seed: 1, Sites: 16, Shards: 2, Flows: 20000, Duration: time.Minute}
@@ -49,7 +49,8 @@ func TestCheckScale(t *testing.T) {
 	}{
 		{"scaled", func(*experiments.Config) {}, ""},
 		{"defaults", func(c *experiments.Config) { *c = experiments.Config{} }, ""},
-		{"smallest mesh", func(c *experiments.Config) { c.Sites = 3 }, ""},
+		{"smallest scale", func(c *experiments.Config) { c.Sites = 4 }, ""},
+		{"three sites", func(c *experiments.Config) { c.Sites = 3 }, "-sites"},
 		{"two sites", func(c *experiments.Config) { c.Sites = 2 }, "-sites"},
 		{"one site", func(c *experiments.Config) { c.Sites = 1 }, "-sites"},
 		{"negative sites", func(c *experiments.Config) { c.Sites = -5 }, "-sites"},

@@ -88,53 +88,50 @@ func E14DiscoverySweep(cfg Config) *Result {
 	if !full {
 		npairs = max(4, sites/2)
 	}
-	if sites < 2 || sites*(sites-1) < npairs {
-		r.Err = fmt.Sprintf("E14 needs %d distinct ordered site pairs: %d sites give %d",
-			npairs, sites, max(0, sites*(sites-1)))
+	// A mesh pair deploys both directions, so the draw is over unordered
+	// pairs.
+	if sites < 2 || sites*(sites-1)/2 < npairs {
+		r.Err = fmt.Sprintf("E14 needs %d distinct unordered site pairs: %d sites give %d",
+			npairs, sites, max(0, sites*(sites-1)/2))
 		return r
 	}
 
-	// Seeded distinct ordered pairs over the stub sites.
+	// Seeded distinct unordered pairs over the stub sites; each pair
+	// discovers from its first site toward its second.
 	rng := sim.NewStreams(cfg.Seed + 14).Stream("e14/pairs")
-	stubBase := gcfg.Tier1 + gcfg.Tier2
 	seen := map[[2]int]bool{}
 	var pairs [][2]int
-	var edgeSites []int
 	for len(pairs) < npairs {
-		p := [2]int{stubBase + rng.Intn(sites), stubBase + rng.Intn(sites)}
-		if p[0] == p[1] || seen[p] {
+		p := [2]int{rng.Intn(sites), rng.Intn(sites)}
+		key := [2]int{min(p[0], p[1]), max(p[0], p[1])}
+		if p[0] == p[1] || seen[key] {
 			continue
 		}
-		seen[p] = true
+		seen[key] = true
 		pairs = append(pairs, p)
-		edgeSites = append(edgeSites, p[0], p[1])
 	}
 
-	s, err := topo.NewGenScenario(topo.GenScenarioConfig{Graph: gcfg, EdgeSites: edgeSites})
+	s, err := topo.NewGenMesh(gcfg, pairs)
 	if err != nil {
 		r.Err = err.Error()
 		return r
 	}
-	g := s.Graph
+	g := &s.B.Graph
 	s.Run(sweepEstablish)
 
 	// Discovery runs toward dst, observing from src.
 	journal := obs.NewJournal(len(pairs)*(sweepMaxRounds+2) + 1)
 	found := make([][]control.DiscoveredPath, len(pairs))
 	done := 0
-	for i, p := range pairs {
-		src, dst := p[0], p[1]
-		probe, err := s.ProbePrefix(i)
-		if err != nil {
-			r.Err = err.Error()
-			return r
-		}
-		target := fmt.Sprintf("d/%d/%s->%s", i, g.ASes[src].Name, g.ASes[dst].Name)
+	for i, k := range s.PairKeys {
+		src, dst := k[0], k[1]
+		fwd, back := src+":"+dst, dst+":"+src
+		target := fmt.Sprintf("d/%d/%s->%s", i, src, dst)
 		d := &control.Discoverer{
-			Announcer: s.Edges[dst].Speaker,
-			Observer:  s.Edges[src].Speaker,
-			Probe:     probe,
-			POPAS:     g.ASes[dst].ASN,
+			Announcer: s.Edges[back].Speaker,
+			Observer:  s.Edges[fwd].Speaker,
+			Probe:     s.Probe[back],
+			POPAS:     s.POPs[dst].ASN,
 			RoundWait: sweepRoundWait,
 			MaxRounds: sweepMaxRounds,
 			OnRound: func(round int, f *control.DiscoveredPath) {
@@ -170,8 +167,9 @@ func E14DiscoverySweep(cfg Config) *Result {
 	sumRecall := 0.0
 	totalFound, totalTruth := 0, 0
 	phantomFree, valleyFree, nonEmpty := true, true, true
-	for i, pair := range pairs {
-		p := scorePair(g, pair[0], pair[1], found[i])
+	for i, k := range s.PairKeys {
+		src, dst := k[0], k[1]
+		p := scorePair(g, s.Edges[src+":"+dst].Index, s.POPs[src].Index, s.POPs[dst].Index, found[i])
 		sumRecall += p.recall
 		totalFound += len(p.providers)
 		totalTruth += len(p.truth)
@@ -187,9 +185,11 @@ func E14DiscoverySweep(cfg Config) *Result {
 	}
 	meanRecall := sumRecall / float64(len(pairs))
 
+	ases := len(s.Providers) + len(s.POPs)
 	r.Rows = append(r.Rows, []string{"quantity", "value"})
 	for _, row := range [][2]string{
-		{"ASes", fmt.Sprint(len(g.ASes))},
+		{"ASes", fmt.Sprint(ases)},
+		{"Tango edges", fmt.Sprint(len(s.Edges))},
 		{"adjacencies", fmt.Sprint(len(g.Edges))},
 		{"pairs swept", fmt.Sprint(len(pairs))},
 		{"providers discovered", fmt.Sprint(totalFound)},
@@ -200,8 +200,8 @@ func E14DiscoverySweep(cfg Config) *Result {
 	}
 
 	r.check("generated internet at target scale", "≥500 ASes, connected, provider-acyclic",
-		g.Connected() && g.ProviderAcyclic() && (!full || len(g.ASes) >= 500),
-		"%d ASes, %d adjacencies", len(g.ASes), len(g.Edges))
+		g.Connected() && g.ProviderAcyclic() && (!full || ases >= 500),
+		"%d ASes and %d Tango edges, %d adjacencies", ases, len(s.Edges), len(g.Edges))
 	r.check("sweep coverage", "≥64 concurrent site pairs",
 		(!full || len(pairs) >= 64) && len(pairs) >= 4,
 		"%d pairs on one network", len(pairs))
@@ -222,8 +222,9 @@ func E14DiscoverySweep(cfg Config) *Result {
 	return r
 }
 
-// scorePair folds one pair's discovery output against the ground truth.
-func scorePair(g *topo.ASGraph, src, dst int, found []control.DiscoveredPath) pairResult {
+// scorePair folds one pair's discovery output, observed at the observer
+// edge behind src, against the ground truth from src's POP to dst's.
+func scorePair(g *topo.ASGraph, observer, src, dst int, found []control.DiscoveredPath) pairResult {
 	pr := pairResult{
 		found:       found,
 		truth:       g.ValleyFreeProviders(dst, src),
@@ -246,9 +247,10 @@ func scorePair(g *topo.ASGraph, src, dst int, found []control.DiscoveredPath) pa
 				pr.phantomFree = false
 			}
 		}
-		// The observer is a Tango edge speaking from a private ASN, off
-		// the AS graph; the observed path starts at its own site.
-		if !g.ValleyFreeObserved(0, f.Path) {
+		// The destination's POP strips its edge's private ASN on the way
+		// into the core, so one on an observed path leaked, though the
+		// edge it names is on the graph.
+		if len(f.Path.StripPrivate()) != len(f.Path) || !g.ValleyFreeObserved(observer, f.Path) {
 			pr.valleyFree = false
 		}
 	}

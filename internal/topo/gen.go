@@ -118,23 +118,26 @@ const (
 	GenStub  = 3 // edge site
 )
 
-// GenAS is one generated autonomous system.
+// GenAS is one autonomous system of an ASGraph.
 type GenAS struct {
 	Name string
 	ASN  bgp.ASN
+	// Tier is set by Gen; a Builder's recorded graph leaves it 0.
 	Tier int
 }
 
 // GenEdge is one inter-AS adjacency. RelAB follows the Wire convention:
 // it is what B is to A (RelProvider: B provides transit to A). Delay is
-// the symmetric one-way link delay, also used as the BGP session delay.
+// the earliest either end can affect the other; Gen draws it as the
+// symmetric one-way link delay, also used as the BGP session delay.
 type GenEdge struct {
 	A, B  int
 	RelAB bgp.Relation
 	Delay time.Duration
 }
 
-// ASGraph is a generated AS-level topology.
+// ASGraph is an AS-level topology: one Gen draws, or one a Builder
+// records as it builds.
 type ASGraph struct {
 	ASes  []GenAS
 	Edges []GenEdge
@@ -296,20 +299,6 @@ func pickWeighted(rng *sim.RNG, pool []int, deg []int, exp float64, k int) []int
 	return out
 }
 
-// Rel returns the relation of b as seen from a (what b is to a), and
-// whether the two ASes are adjacent.
-func (g *ASGraph) Rel(a, b int) (bgp.Relation, bool) {
-	for _, e := range g.Edges {
-		if e.A == a && e.B == b {
-			return e.RelAB, true
-		}
-		if e.A == b && e.B == a {
-			return invert(e.RelAB), true
-		}
-	}
-	return 0, false
-}
-
 // Neighbors returns the adjacency lists of every AS: for each node, the
 // (neighbor index, relation-of-neighbor) pairs in edge order.
 func (g *ASGraph) Neighbors() [][]GenAdj {
@@ -401,15 +390,6 @@ func (g *ASGraph) ProviderAcyclic() bool {
 		}
 	}
 	return drained == len(g.ASes)
-}
-
-// ASNIndex maps every ASN to its node index.
-func (g *ASGraph) ASNIndex() map[bgp.ASN]int {
-	m := make(map[bgp.ASN]int, len(g.ASes))
-	for i, a := range g.ASes {
-		m[a.ASN] = i
-	}
-	return m
 }
 
 // ValleyFreeProviders returns, sorted, the ASNs of dst's transit
@@ -543,57 +523,63 @@ func (g *ASGraph) ValleyFreePaths(dst, src, maxLen, maxPaths int) [][]bgp.ASN {
 	return out
 }
 
-// ValleyFreeObserved reports whether an AS path observed at a speaker is
-// valley-free under the graph's relationships. The path is in wire order:
-// element 0 is the last prepender (nearest the observer), the last
-// element is the origin. Consecutive duplicates (prepending) are skipped;
-// ASNs outside the graph (unstripped private edge ASNs) fail the check.
-//
-// When observer names a graph AS, the final import hop into the observer
-// is checked too; pass 0 for an off-graph observer (a Tango edge server
-// speaking from a private ASN behind a site).
-func (g *ASGraph) ValleyFreeObserved(observer bgp.ASN, path bgp.Path) bool {
-	idx := g.ASNIndex()
-	// Collapse the wire path to the distinct AS chain, observer-nearest
-	// first, and resolve every hop to a graph node.
-	var chain []int
-	if observer != 0 {
-		o, ok := idx[observer]
-		if !ok {
-			return false
-		}
-		chain = append(chain, o)
-	}
+// ValleyFreeObserved reports whether an AS path observed at the observer
+// node is valley-free under the graph's relationships. The path is in
+// wire order: element 0 is the last prepender (the observer's neighbour),
+// the last element is the origin; consecutive duplicates (prepending)
+// collapse. The walk starts at the observer and resolves each hop among
+// the previous node's neighbours not yet on the walk, so an ASN several
+// nodes share (Vultr's two POPs are both AS 20473) resolves by adjacency.
+// A hop no such neighbour carries fails the check.
+func (g *ASGraph) ValleyFreeObserved(observer int, path bgp.Path) bool {
+	var hops []bgp.ASN
 	for _, a := range path {
-		n, ok := idx[a]
-		if !ok {
-			return false
+		if len(hops) == 0 || hops[len(hops)-1] != a {
+			hops = append(hops, a)
 		}
-		if len(chain) > 0 && chain[len(chain)-1] == n {
-			continue // prepending
+	}
+	adj := g.Neighbors()
+	onWalk := make([]bool, len(g.ASes))
+	onWalk[observer] = true
+	// rels[i] is what the walk's node i+1 is to its node i.
+	rels := make([]bgp.Relation, 0, len(hops))
+	var walk func(node int) bool
+	walk = func(node int) bool {
+		if len(rels) == len(hops) {
+			return valleyFree(rels)
 		}
-		chain = append(chain, n)
+		for _, a := range adj[node] {
+			if onWalk[a.Peer] || g.ASes[a.Peer].ASN != hops[len(rels)] {
+				continue
+			}
+			onWalk[a.Peer] = true
+			rels = append(rels, a.Rel)
+			ok := walk(a.Peer)
+			rels = rels[:len(rels)-1]
+			onWalk[a.Peer] = false
+			if ok {
+				return true
+			}
+		}
+		return false
 	}
-	if len(chain) < 2 {
-		return true
-	}
-	// Walk in announcement direction: origin (end) toward observer
-	// (front). The origin holds the route permissively (it originated it,
-	// or — for a site fronting a Tango edge — learned it from a
-	// customer).
+	return walk(observer)
+}
+
+// valleyFree checks a walk's relations in announcement direction, from
+// the origin (the end) toward the observer: rels[i] is what the exporter
+// (the walk's node i+1) is to the importer (node i).
+func valleyFree(rels []bgp.Relation) bool {
+	// The origin holds the route permissively: it originated it, or — for
+	// a POP fronting a Tango edge — learned it from a customer.
 	permissive := true
-	for i := len(chain) - 1; i > 0; i-- {
-		exporter, importer := chain[i], chain[i-1]
-		rel, ok := g.Rel(exporter, importer) // what importer is to exporter
-		if !ok {
-			return false // hop without an adjacency
+	for i := len(rels) - 1; i >= 0; i-- {
+		if !permissive && rels[i] != bgp.RelProvider {
+			return false // a restricted route exported beyond customers
 		}
-		if !permissive && rel != bgp.RelCustomer {
-			return false // restricted route exported beyond customers
-		}
-		// State after import: permissive iff the importer heard it from
-		// its own customer, i.e. the exporter is the importer's customer.
-		permissive = rel == bgp.RelProvider
+		// Permissive after import iff the importer heard it from its own
+		// customer.
+		permissive = rels[i] == bgp.RelCustomer
 	}
 	return true
 }

@@ -56,7 +56,7 @@ func FuzzGenConfig(f *testing.F) {
 		if !g.ProviderAcyclic() {
 			t.Fatalf("generated provider digraph is cyclic: %+v", cfg)
 		}
-		if len(g.ASNIndex()) != len(g.ASes) {
+		if !distinctASNs(g) {
 			t.Fatalf("generated graph reuses ASNs: %+v", cfg)
 		}
 	})

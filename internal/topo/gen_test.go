@@ -2,6 +2,7 @@ package topo
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -59,26 +60,32 @@ func TestGenProperties(t *testing.T) {
 		}
 
 		// Relationship antisymmetry: X customer-of Y ⇔ Y provider-of X,
-		// and peering is symmetric.
-		for _, e := range g.Edges {
-			ab, ok := g.Rel(e.A, e.B)
-			ba, ok2 := g.Rel(e.B, e.A)
-			if !ok || !ok2 {
-				t.Fatalf("seed %d: edge %d-%d not adjacent via Rel", seed, e.A, e.B)
+		// peering is symmetric, and no pair is adjacent twice.
+		adj := g.Neighbors()
+		rel := map[[2]int]bgp.Relation{}
+		for a, list := range adj {
+			for _, n := range list {
+				if _, dup := rel[[2]int{a, n.Peer}]; dup {
+					t.Fatalf("seed %d: %d-%d adjacent twice", seed, a, n.Peer)
+				}
+				rel[[2]int{a, n.Peer}] = n.Rel
 			}
-			want := map[bgp.Relation]bgp.Relation{
-				bgp.RelProvider: bgp.RelCustomer,
-				bgp.RelCustomer: bgp.RelProvider,
-				bgp.RelPeer:     bgp.RelPeer,
-			}[ab]
-			if ba != want {
+		}
+		inverse := map[bgp.Relation]bgp.Relation{
+			bgp.RelProvider: bgp.RelCustomer,
+			bgp.RelCustomer: bgp.RelProvider,
+			bgp.RelPeer:     bgp.RelPeer,
+		}
+		for _, e := range g.Edges {
+			ab, ba := rel[[2]int{e.A, e.B}], rel[[2]int{e.B, e.A}]
+			if ab != e.RelAB || ba != inverse[ab] {
 				t.Fatalf("seed %d: edge %d-%d relation %v inverts to %v, want %v",
-					seed, e.A, e.B, ab, ba, want)
+					seed, e.A, e.B, ab, ba, inverse[ab])
 			}
 		}
 
 		// ASN uniqueness and tier/homing structure.
-		if len(g.ASNIndex()) != len(g.ASes) {
+		if !distinctASNs(g) {
 			t.Fatalf("seed %d: duplicate ASNs", seed)
 		}
 		for i, a := range g.ASes {
@@ -127,56 +134,72 @@ func TestGenProperties(t *testing.T) {
 	}
 }
 
+// distinctASNs reports whether no two ASes of g share an ASN.
+func distinctASNs(g *ASGraph) bool {
+	seen := map[bgp.ASN]bool{}
+	for _, a := range g.ASes {
+		if seen[a.ASN] {
+			return false
+		}
+		seen[a.ASN] = true
+	}
+	return true
+}
+
+// speakers lists every AS of m — transit, POP and edge — in graph order.
+func speakers(m *MeshScenario) []*AS {
+	var out []*AS
+	for _, set := range []map[string]*AS{m.Providers, m.POPs, m.Edges} {
+		for _, a := range set {
+			out = append(out, a)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	return out
+}
+
+// checkBestValleyFree fails t unless every learned best route at every
+// speaker of m is valley-free by m's own recorded graph, observed from
+// that speaker's node.
+func checkBestValleyFree(t *testing.T, m *MeshScenario) {
+	t.Helper()
+	checked := 0
+	for _, a := range speakers(m) {
+		sp := a.Speaker
+		for _, p := range sp.BestPrefixes() {
+			r := sp.Best(p)
+			if r.FromSession == nil {
+				continue // locally originated
+			}
+			if !m.B.Graph.ValleyFreeObserved(a.Index, r.Path) {
+				t.Fatalf("%s selected non-valley-free path [%v] for %v", sp.Name, r.Path, p)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no learned best routes to check")
+	}
+}
+
 // TestGenSpeakerValleyFree builds each sweep graph as a live simulation
 // and asserts that after convergence, every path selected by any speaker
-// — transit ASes and Tango edges alike — is valley-free under the
-// graph's relationships. This pins the bgp package's Gao-Rexford export
-// rule and import preference to the generator's model of them.
+// — transit ASes, stub sites and Tango edges alike — is valley-free
+// under the recorded graph's relationships. This pins the bgp package's
+// Gao-Rexford export rule and import preference to the generator's model
+// of them.
 func TestGenSpeakerValleyFree(t *testing.T) {
 	seeds := int64(genSweepSeeds)
 	if testing.Short() {
 		seeds = 5
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		cfg := genSweepConfig(seed)
-		stub := cfg.Tier1 + cfg.Tier2
-		s, err := NewGenScenario(GenScenarioConfig{
-			Graph:     cfg,
-			EdgeSites: []int{stub, stub + 3, stub + 7},
-		})
+		m, err := NewGenMesh(genSweepConfig(seed), [][2]int{{0, 3}, {3, 7}})
 		if err != nil {
-			t.Fatalf("seed %d: NewGenScenario: %v", seed, err)
+			t.Fatalf("seed %d: NewGenMesh: %v", seed, err)
 		}
-		g := s.Graph
-		s.Run(120 * time.Second)
-
-		checked := 0
-		checkSpeaker := func(observer bgp.ASN, sp *bgp.Speaker) {
-			for _, p := range sp.BestPrefixes() {
-				r := sp.Best(p)
-				if r.FromSession == nil {
-					continue // locally originated
-				}
-				// Paths heard straight from a tenant edge still carry its
-				// private ASN (stripping happens on the way to the core);
-				// the graph walk covers public hops only.
-				if !g.ValleyFreeObserved(observer, r.Path.StripPrivate()) {
-					t.Fatalf("seed %d: %s selected non-valley-free path [%v] for %v",
-						seed, sp.Name, r.Path, p)
-				}
-				checked++
-			}
-		}
-		for i, as := range s.ASes {
-			checkSpeaker(g.ASes[i].ASN, as.Speaker)
-		}
-		for _, e := range s.Edges {
-			// Edge servers observe from off-graph private ASNs.
-			checkSpeaker(0, e.Speaker)
-		}
-		if checked == 0 {
-			t.Fatalf("seed %d: no learned best routes to check", seed)
-		}
+		m.Run(120 * time.Second)
+		checkBestValleyFree(t, m)
 	}
 }
 
@@ -186,24 +209,19 @@ func TestGenSpeakerValleyFree(t *testing.T) {
 func TestGenRouterIDsDistinct(t *testing.T) {
 	cfg := GenConfig{Seed: 1, Tier1: 4, Tier2: 800, Sites: 4500,
 		MinHoming: 2, MaxHoming: 4, Tier2MaxHoming: 2, PeerLinks: 400, PrefExp: 1}
-	stub := cfg.Tier1 + cfg.Tier2
-	s, err := NewGenScenario(GenScenarioConfig{Graph: cfg, EdgeSites: []int{stub, stub + 1, stub + 2, stub + 3}})
+	m, err := NewGenMesh(cfg, [][2]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint32]string{}
-	speakers := append([]*AS(nil), s.ASes...)
-	for _, e := range s.Edges {
-		speakers = append(speakers, e)
-	}
-	for _, a := range speakers {
+	for _, a := range speakers(m) {
 		if prev, ok := seen[a.Speaker.RouterID]; ok {
 			t.Fatalf("%s and %s share router ID %d", prev, a.Name, a.Speaker.RouterID)
 		}
 		seen[a.Speaker.RouterID] = a.Name
 	}
-	if len(s.ASes) != 5304 {
-		t.Fatalf("built %d ASes, want 5304", len(s.ASes))
+	if n := len(m.Providers) + len(m.POPs); n != 5304 || len(m.Edges) != 4 {
+		t.Fatalf("built %d ASes and %d edges, want 5304 and 4", n, len(m.Edges))
 	}
 }
 
@@ -239,5 +257,102 @@ func TestGenValidateErrors(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("baseline config rejected: %v", err)
+	}
+	for _, pairs := range [][][2]int{{{0, base.Sites}}, {{-1, 0}}, {{2, 2}}, {{0, 1}, {1, 0}}} {
+		if _, err := NewGenMesh(base, pairs); err == nil {
+			t.Errorf("NewGenMesh accepted pairs %v", pairs)
+		}
+	}
+}
+
+// TestMeshValleyFree: the scenarios Tango deploys on carry the same
+// oracle as a generated internet. After 5 virtual minutes every best
+// route at every speaker of Vultr, tri and an 8-site wide mesh is
+// valley-free by that scenario's own recorded graph, and the oracle
+// reproduces the §4.1 provider sets of the Vultr pair (PAPER.md, E1).
+func TestMeshValleyFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  MeshConfig
+	}{
+		{"vultr", VultrConfig(ScenarioConfig{Seed: 1})},
+		{"tri", TriConfig(1)},
+		{"wide8", WideMeshConfig(1, 8)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewMeshScenario(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Run(5 * time.Minute)
+			checkBestValleyFree(t, m)
+		})
+	}
+
+	m, err := NewMeshScenario(VultrConfig(ScenarioConfig{Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ny, la := m.POPs["ny"].Index, m.POPs["la"].Index
+	for _, tc := range []struct {
+		dir      string
+		dst, src int
+		want     []bgp.ASN
+	}{
+		{"NY->LA", la, ny, []bgp.ASN{bgp.ASTelia, bgp.ASNTT, bgp.ASGTT, bgp.ASLevel3}},
+		{"LA->NY", ny, la, []bgp.ASN{bgp.ASCogent, bgp.ASTelia, bgp.ASNTT, bgp.ASGTT}},
+	} {
+		if got := m.B.Graph.ValleyFreeProviders(tc.dst, tc.src); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s providers %v, want %v", tc.dir, got, tc.want)
+		}
+	}
+}
+
+// TestValleyFreeObservedVultrEdge: both Vultr POPs are AS 20473, so a
+// hop resolves among the previous node's neighbours, not by ASN alone.
+// edge-ny's route to LA through NTT walks edge-ny → vultr-ny → NTT →
+// vultr-la.
+func TestValleyFreeObservedVultrEdge(t *testing.T) {
+	m, err := NewMeshScenario(VultrConfig(ScenarioConfig{Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, edge := &m.B.Graph, m.Edges["ny:la"].Index
+	if !g.ValleyFreeObserved(edge, bgp.Path{bgp.ASVultr, bgp.ASNTT, bgp.ASVultr}) {
+		t.Fatal("edge-ny's NTT path to LA rejected")
+	}
+	// Prepending collapses; the origin's private ASN is on the graph
+	// behind vultr-la.
+	if !g.ValleyFreeObserved(edge, bgp.Path{bgp.ASVultr, bgp.ASNTT, bgp.ASNTT, bgp.ASVultr, ASEdgeLA}) {
+		t.Fatal("prepended path to edge-la rejected")
+	}
+	// A valley: NTT hears LA from its peer Level3 and hands it on to
+	// Telia, which is no customer of NTT (and not even adjacent).
+	if g.ValleyFreeObserved(edge, bgp.Path{bgp.ASVultr, bgp.ASTelia, bgp.ASNTT, bgp.ASLevel3, bgp.ASVultr}) {
+		t.Fatal("path through a non-adjacency accepted")
+	}
+	// NTT may not carry Cogent's peer route to its peer Level3.
+	if g.ValleyFreeObserved(m.Providers["Level3"].Index, bgp.Path{bgp.ASNTT, bgp.ASCogent, bgp.ASVultr}) {
+		t.Fatal("peer-to-peer transit accepted")
+	}
+}
+
+// TestValleyFreeObservedOffGraphHop: a hop whose ASN no neighbour of the
+// previous node carries fails the walk, wherever it sits on the path.
+func TestValleyFreeObservedOffGraphHop(t *testing.T) {
+	m, err := NewMeshScenario(VultrConfig(ScenarioConfig{Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, edge := &m.B.Graph, m.Edges["ny:la"].Index
+	for _, path := range []bgp.Path{
+		{64999},
+		{bgp.ASVultr, 64999, bgp.ASVultr},
+		{bgp.ASVultr, bgp.ASNTT, bgp.ASVultr, 64999},
+		{bgp.ASLevel3}, // on the graph, but no neighbour of vultr-ny's edge
+	} {
+		if g.ValleyFreeObserved(edge, path) {
+			t.Errorf("path [%v] with an unresolvable hop accepted", path)
+		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 // N-site mesh construction (§6, "from Tango of 2 to Tango of N"): every
 // deployment this package builds — the paper's two-site Vultr testbed,
 // the three-site tri scenario, and arbitrary overlays — is one
-// MeshConfig run through NewMeshScenario. A mesh is a set of sites, each
+// MeshConfig run through NewMeshScenario, and a generated internet is a
+// mesh too (NewGenMesh). A mesh is a set of sites, each
 // a POP attached to some transit providers, plus the deployed pairs:
 // for every pair each site runs a dedicated Tango edge server behind its
 // POP, because a pairwise deployment owns its own pinned prefixes and
@@ -102,7 +103,8 @@ type MeshConfig struct {
 	Peerings      []MeshPeering
 }
 
-// MeshScenario is a built N-site deployment.
+// MeshScenario is a built N-site deployment. B.Graph is its AS graph:
+// every speaker — provider, POP and edge — is a node (AS.Index).
 type MeshScenario struct {
 	B *Builder
 
@@ -139,15 +141,15 @@ type MeshScenario struct {
 // meshPeeringDelay is a provider peering's one-way delay, both ways.
 const meshPeeringDelay = 4 * time.Millisecond
 
-// MeshPartition is the partition layout of cfg, read from cfg built once
-// on a one-partition builder: every node it added and every adjacency it
-// wired (see Builder). The layout depends only on the topology — never on
-// cfg.Shards. An invalid config yields the layout of what was built before
-// the error, which is where the partitioned build of it stops too.
+// MeshPartition is the partition layout of cfg, read from the graph of
+// cfg built once on a one-partition builder (see Builder). The layout
+// depends only on the topology — never on cfg.Shards. An invalid config
+// yields the layout of what was built before the error, which is where
+// the partitioned build of it stops too.
 func MeshPartition(cfg MeshConfig) Partition {
 	b := NewBuilder(cfg.Seed, Partition{})
 	_, _ = buildMesh(b, cfg, Partition{})
-	return PartitionGraph(b.nodes, b.edges)
+	return PartitionGraph(&b.Graph)
 }
 
 // NewMeshScenario builds the mesh over its partition layout, validating
@@ -168,9 +170,8 @@ func (m *MeshScenario) ProviderName(asn bgp.ASN) string {
 	return fmt.Sprintf("AS%d", asn)
 }
 
-// buildMesh builds cfg on b, in the canonical order.
-func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, error) {
-	m := &MeshScenario{
+func newMeshScenario(b *Builder, layout Partition) *MeshScenario {
+	return &MeshScenario{
 		B:          b,
 		Layout:     layout,
 		provName:   map[bgp.ASN]string{},
@@ -183,12 +184,11 @@ func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, err
 		Block:      map[string]addr.Prefix{},
 		Probe:      map[string]addr.Prefix{},
 	}
-	blockBase := cfg.EdgeBlockBase
-	if !blockBase.IsValid() {
-		blockBase = addr.MustParsePrefix("2001:db8:4000::/36")
-	}
-	blockAl := addr.NewAlloc(blockBase)
+}
 
+// buildMesh builds cfg on b, in the canonical order.
+func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, error) {
+	m := newMeshScenario(b, layout)
 	for i, p := range cfg.Providers {
 		if m.Providers[p.Name] != nil {
 			return nil, fmt.Errorf("topo: duplicate provider %q", p.Name)
@@ -208,12 +208,12 @@ func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, err
 		m.Providers[p.Name] = b.AddAS(node, p.ASN, rid, 0)
 	}
 
-	siteCfg := map[string]MeshSite{}
+	offset := map[string]time.Duration{}
 	for i, s := range cfg.Sites {
-		if _, dup := siteCfg[s.Name]; dup {
+		if m.POPs[s.Name] != nil {
 			return nil, fmt.Errorf("topo: duplicate site %q", s.Name)
 		}
-		siteCfg[s.Name] = s
+		offset[s.Name] = s.ClockOffset
 		m.SiteNames = append(m.SiteNames, s.Name)
 		popName := s.POPName
 		if popName == "" {
@@ -247,53 +247,8 @@ func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, err
 		}
 	}
 
-	// Per-pair edge servers: dedicated AS behind each site's POP.
-	edgeASN := bgp.ASN(64700)
-	for _, pr := range cfg.Pairs {
-		if pr.A == pr.B {
-			return nil, fmt.Errorf("topo: pair %q:%q is a self-pair", pr.A, pr.B)
-		}
-		for k := 0; k < 2; k++ {
-			siteName, peer := pr.A, pr.B
-			side := pr.SideA
-			if k == 1 {
-				siteName, peer = pr.B, pr.A
-				side = pr.SideB
-			}
-			site, ok := siteCfg[siteName]
-			if !ok {
-				return nil, fmt.Errorf("topo: pair references unknown site %q", siteName)
-			}
-			key := siteName + ":" + peer
-			if m.Edges[key] != nil {
-				return nil, fmt.Errorf("topo: duplicate pair %s", key)
-			}
-			edgeASN++
-			asn := side.EdgeASN
-			if asn == 0 {
-				asn = edgeASN
-			}
-			rid := side.RouterID
-			if rid == 0 {
-				rid = uint32(100 + len(m.Edges))
-			}
-			name := side.EdgeName
-			if name == "" {
-				name = "edge-" + key
-			}
-			var err error
-			if m.Block[key], err = sideOrAlloc(side.Block, blockAl, 44); err != nil {
-				return nil, fmt.Errorf("topo: block for %s: %w", key, err)
-			}
-			if m.HostPrefix[key], err = sideOrAlloc(side.Host, blockAl, 48); err != nil {
-				return nil, fmt.Errorf("topo: host prefix for %s: %w", key, err)
-			}
-			if m.Probe[key], err = sideOrAlloc(side.Probe, blockAl, 48); err != nil {
-				return nil, fmt.Errorf("topo: probe prefix for %s: %w", key, err)
-			}
-			m.Edges[key] = b.addEdge(m.POPs[siteName], name, asn, rid, site.ClockOffset, m.HostPrefix[key])
-		}
-		m.PairKeys = append(m.PairKeys, [2]string{pr.A, pr.B})
+	if err := m.deployPairs(cfg.Pairs, cfg.EdgeBlockBase, 100, offset); err != nil {
+		return nil, err
 	}
 
 	for _, pe := range cfg.Peerings {
@@ -306,6 +261,134 @@ func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, err
 			DelayAB: simnet.FixedDelay(meshPeeringDelay),
 			DelayBA: simnet.FixedDelay(meshPeeringDelay),
 		})
+	}
+	return m, nil
+}
+
+// deployPairs deploys Tango on each pair, in order: a dedicated edge
+// server per side behind its site's POP, keyed "<site>:<peer>". Sides
+// default to edge ASNs 64701, 64702, ... and router IDs ridBase,
+// ridBase+1, ... in creation order, and to prefixes carved from
+// blockBase (2001:db8:4000::/36 when invalid); offset is each site's edge
+// clock offset. A default edge ASN past 65534, the last private one, is
+// an error.
+func (m *MeshScenario) deployPairs(pairs []MeshPair, blockBase addr.Prefix, ridBase uint32, offset map[string]time.Duration) error {
+	if !blockBase.IsValid() {
+		blockBase = addr.MustParsePrefix("2001:db8:4000::/36")
+	}
+	blockAl := addr.NewAlloc(blockBase)
+	edgeASN := 64700
+	for _, pr := range pairs {
+		if pr.A == pr.B {
+			return fmt.Errorf("topo: pair %q:%q is a self-pair", pr.A, pr.B)
+		}
+		for k := 0; k < 2; k++ {
+			siteName, peer := pr.A, pr.B
+			side := pr.SideA
+			if k == 1 {
+				siteName, peer = pr.B, pr.A
+				side = pr.SideB
+			}
+			pop := m.POPs[siteName]
+			if pop == nil {
+				return fmt.Errorf("topo: pair references unknown site %q", siteName)
+			}
+			key := siteName + ":" + peer
+			if m.Edges[key] != nil {
+				return fmt.Errorf("topo: duplicate pair %s", key)
+			}
+			edgeASN++
+			asn := side.EdgeASN
+			if asn == 0 {
+				if edgeASN > 65534 {
+					return fmt.Errorf("topo: pair %s:%s: default edge ASN %d for %s is past the private range (64512-65534)",
+						pr.A, pr.B, edgeASN, key)
+				}
+				asn = bgp.ASN(edgeASN)
+			}
+			rid := side.RouterID
+			if rid == 0 {
+				rid = ridBase + uint32(len(m.Edges))
+			}
+			name := side.EdgeName
+			if name == "" {
+				name = "edge-" + key
+			}
+			var err error
+			if m.Block[key], err = sideOrAlloc(side.Block, blockAl, 44); err != nil {
+				return fmt.Errorf("topo: block for %s: %w", key, err)
+			}
+			if m.HostPrefix[key], err = sideOrAlloc(side.Host, blockAl, 48); err != nil {
+				return fmt.Errorf("topo: host prefix for %s: %w", key, err)
+			}
+			if m.Probe[key], err = sideOrAlloc(side.Probe, blockAl, 48); err != nil {
+				return fmt.Errorf("topo: probe prefix for %s: %w", key, err)
+			}
+			m.Edges[key] = m.B.addEdge(pop, name, asn, rid, offset[siteName], m.HostPrefix[key])
+		}
+		m.PairKeys = append(m.PairKeys, [2]string{pr.A, pr.B})
+	}
+	return nil
+}
+
+// genMRAI paces a generated internet's transit sessions (edge sessions
+// are addEdge's).
+const genMRAI = 2 * time.Second
+
+// NewGenMesh builds the internet cfg generates (see Gen) on one
+// partition and deploys Tango on pairs of its stub sites, given as site
+// ordinals (0 is the first stub). Tier-1 and tier-2 ASes become the
+// Providers; stubs become the POPs, with SiteNames in graph order. Every
+// adjacency is wired in both planes with the graph's delay. A stub's
+// provider-facing sessions strip the edge's private ASN and scrub action
+// communities, as a mesh POP's do, so the paper's discovery knob
+// (64600:<asn>) is interpreted exactly once, by the site the probe enters
+// the transit core through. Edges take deployPairs' defaults, with router
+// IDs numbered after the graph's.
+func NewGenMesh(cfg GenConfig, pairs [][2]int) (*MeshScenario, error) {
+	g, err := Gen(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := newMeshScenario(NewBuilder(cfg.Seed, Partition{}), Partition{})
+	ases := make([]*AS, len(g.ASes))
+	for i, a := range g.ASes {
+		ases[i] = m.B.AddAS(a.Name, a.ASN, uint32(1+i), 0)
+		if a.Tier == GenStub {
+			m.POPs[a.Name] = ases[i]
+			m.SiteNames = append(m.SiteNames, a.Name)
+		} else {
+			m.Providers[a.Name] = ases[i]
+			m.provName[a.ASN] = a.Name
+		}
+	}
+	for _, e := range g.Edges {
+		o := WireOpts{
+			RelAB:        e.RelAB,
+			DelayAB:      simnet.FixedDelay(e.Delay),
+			DelayBA:      simnet.FixedDelay(e.Delay),
+			SessionDelay: e.Delay,
+			MRAI:         genMRAI,
+		}
+		if g.ASes[e.A].Tier == GenStub && e.RelAB == bgp.RelProvider {
+			o.StripPrivateA2B = true
+			o.ScrubA2B = true
+		}
+		m.B.Wire(ases[e.A], ases[e.B], o)
+	}
+	mp := make([]MeshPair, len(pairs))
+	for i, p := range pairs {
+		for _, s := range p {
+			if s < 0 || s >= len(m.SiteNames) {
+				return nil, fmt.Errorf("topo: pair site %d is not one of the %d stub sites", s, len(m.SiteNames))
+			}
+		}
+		mp[i] = MeshPair{A: m.SiteNames[p[0]], B: m.SiteNames[p[1]]}
+	}
+	// Every edge's /44 block and two /48s come from a /24, so no sweep
+	// runs out of prefixes before it runs out of private ASNs.
+	if err := m.deployPairs(mp, addr.MustParsePrefix("3000::/24"), uint32(len(g.ASes)+1), nil); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

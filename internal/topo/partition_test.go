@@ -4,12 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"tango/internal/bgp"
 	"tango/internal/sim"
 	"tango/internal/simnet"
 )
 
 func TestPartitionGraphEmpty(t *testing.T) {
-	p := PartitionGraph(nil, nil)
+	p := PartitionGraph(&ASGraph{})
 	if p.Parts != 0 || len(p.Part) != 0 || p.Lookahead != 0 {
 		t.Fatalf("empty graph: got %+v", p)
 	}
@@ -18,10 +19,26 @@ func TestPartitionGraphEmpty(t *testing.T) {
 	}
 	// Disconnected nodes are one partition each, in node order, with no
 	// cross edge to bound the epoch.
-	p = PartitionGraph([]string{"a", "b", "c"}, nil)
+	p = PartitionGraph(&ASGraph{ASes: []GenAS{{Name: "a"}, {Name: "b"}, {Name: "c"}}})
 	if p.Parts != 3 || p.Part["a"] != 0 || p.Part["c"] != 2 || p.Lookahead != 0 {
 		t.Fatalf("edgeless graph: got %+v", p)
 	}
+}
+
+// chainGraph builds the chain a-b-c-… with one Wire per hop, hop i
+// carrying data-plane delays ab[i] (toward the later node) and ba[i]
+// (back) over a session of delay session, and returns the graph the
+// builder recorded.
+func chainGraph(session time.Duration, ab, ba []time.Duration) *ASGraph {
+	b := NewBuilder(1, Partition{})
+	prev := b.AddAS("a", 1, 1, 0)
+	for i := range ab {
+		next := b.AddAS(string(rune('b'+i)), bgp.ASN(2+i), uint32(2+i), 0)
+		b.Wire(prev, next, WireOpts{RelAB: bgp.RelPeer, SessionDelay: session,
+			DelayAB: simnet.FixedDelay(ab[i]), DelayBA: simnet.FixedDelay(ba[i])})
+		prev = next
+	}
+	return &b.Graph
 }
 
 func TestPartitionSingleSiteMergesWithFastAccess(t *testing.T) {
@@ -87,24 +104,31 @@ func TestPartitionMoreShardsThanNodesClamps(t *testing.T) {
 func TestPartitionLookaheadAsymmetricDelays(t *testing.T) {
 	// The lookahead must be the minimum over BOTH directions of every
 	// cut edge: an epoch bounds when any cross event can land, and the
-	// faster direction is the binding one.
-	nodes := []string{"a", "b", "c"}
-	edges := []PartEdge{
-		{A: "a", B: "b", MinDelayAB: 9 * time.Millisecond, MinDelayBA: 3 * time.Millisecond},
-		{A: "b", B: "c", MinDelayAB: 5 * time.Millisecond, MinDelayBA: 20 * time.Millisecond},
+	// faster direction is the binding one. The builder records that
+	// minimum as the edge's Delay.
+	ms := time.Millisecond
+	g := chainGraph(20*ms, []time.Duration{9 * ms, 5 * ms}, []time.Duration{3 * ms, 20 * ms})
+	if g.Edges[0].Delay != 3*ms || g.Edges[1].Delay != 5*ms {
+		t.Fatalf("recorded delays %v, %v; want 3ms, 5ms", g.Edges[0].Delay, g.Edges[1].Delay)
 	}
-	p := PartitionGraph(nodes, edges)
+	p := PartitionGraph(g)
 	if p.Parts != 3 {
 		t.Fatalf("want 3 partitions, got %d", p.Parts)
 	}
-	if p.Lookahead != 3*time.Millisecond {
+	if p.Lookahead != 3*ms {
 		t.Fatalf("lookahead: want 3ms (min of 9/3/5/20), got %v", p.Lookahead)
 	}
 
-	// Reversing an edge's direction fields must not change the answer.
-	edges[0].MinDelayAB, edges[0].MinDelayBA = edges[0].MinDelayBA, edges[0].MinDelayAB
-	if q := PartitionGraph(nodes, edges); q.Lookahead != 3*time.Millisecond {
+	// Reversing an edge's direction must not change the answer.
+	g = chainGraph(20*ms, []time.Duration{3 * ms, 5 * ms}, []time.Duration{9 * ms, 20 * ms})
+	if q := PartitionGraph(g); q.Lookahead != 3*ms {
 		t.Fatalf("lookahead after swap: want 3ms, got %v", q.Lookahead)
+	}
+
+	// A BGP session faster than both lines binds instead.
+	g = chainGraph(2*ms, []time.Duration{9 * ms}, []time.Duration{9 * ms})
+	if q := PartitionGraph(g); q.Parts != 2 || q.Lookahead != 2*ms {
+		t.Fatalf("session-bound edge: got %d parts, lookahead %v; want 2, 2ms", q.Parts, q.Lookahead)
 	}
 }
 
@@ -112,19 +136,16 @@ func TestPartitionSubFloorEdgeNeverCut(t *testing.T) {
 	// An edge faster than the cut floor glues its endpoints into one
 	// cluster even when one direction is slow: conservative sync at that
 	// cadence would be useless.
-	nodes := []string{"a", "b", "c"}
-	edges := []PartEdge{
-		{A: "a", B: "b", MinDelayAB: 100 * time.Microsecond, MinDelayBA: 30 * time.Millisecond},
-		{A: "b", B: "c", MinDelayAB: 2 * time.Millisecond, MinDelayBA: 2 * time.Millisecond},
-	}
-	p := PartitionGraph(nodes, edges)
+	ms := time.Millisecond
+	g := chainGraph(20*ms, []time.Duration{100 * time.Microsecond, 2 * ms}, []time.Duration{30 * ms, 2 * ms})
+	p := PartitionGraph(g)
 	if p.Parts != 2 {
 		t.Fatalf("want 2 partitions (a+b merged), got %d", p.Parts)
 	}
 	if p.Part["a"] != p.Part["b"] {
 		t.Fatal("sub-floor edge a-b was cut")
 	}
-	if p.Lookahead != 2*time.Millisecond {
+	if p.Lookahead != 2*ms {
 		t.Fatalf("lookahead: want 2ms, got %v", p.Lookahead)
 	}
 }

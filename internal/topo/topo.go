@@ -18,8 +18,10 @@ import (
 // AS is one autonomous system's point of presence: a forwarding node and
 // a BGP speaker whose decisions program the node's FIB.
 type AS struct {
-	Name    string
-	ASN     bgp.ASN
+	Name string
+	ASN  bgp.ASN
+	// Index is the AS's node in its builder's Graph.
+	Index   int
 	Node    *simnet.Node
 	Speaker *bgp.Speaker
 
@@ -32,15 +34,17 @@ func (a *AS) portFor(nh netip.Addr) (*simnet.Port, bool) {
 	return p, ok
 }
 
-// Builder constructs a topology over one network/engine. It records every
-// node it adds and every adjacency it wires, so a partition layout is read
-// from what was built (MeshPartition), never from a second walk of a
+// Builder constructs a topology over one network/engine. It records what
+// it builds as one AS graph, so the partition layout (MeshPartition) and
+// the valley-free oracle read what was built, never a second walk of a
 // config.
 type Builder struct {
-	W       *simnet.Network
+	W *simnet.Network
+	// Graph holds a node per AddAS, in call order (AS.Index), and an
+	// adjacency per Wire, whose Delay is the earliest either end can
+	// affect the other.
+	Graph   ASGraph
 	linkSeq int
-	nodes   []string
-	edges   []PartEdge
 }
 
 // NewBuilder creates a builder over a fresh network seeded with seed and
@@ -68,9 +72,9 @@ func (b *Builder) Eng() *sim.Engine { return b.W.Eng }
 // AddAS creates an AS with the given clock offset on its node.
 func (b *Builder) AddAS(name string, asn bgp.ASN, routerID uint32, clockOffset time.Duration) *AS {
 	n := b.W.AddNode(name, clockOffset)
-	b.nodes = append(b.nodes, name)
 	sp := bgp.NewSpeaker(n.Eng(), name, asn, routerID)
-	a := &AS{Name: name, ASN: asn, Node: n, Speaker: sp, nhPort: make(map[netip.Addr]*simnet.Port)}
+	a := &AS{Name: name, ASN: asn, Index: len(b.Graph.ASes), Node: n, Speaker: sp, nhPort: make(map[netip.Addr]*simnet.Port)}
+	b.Graph.ASes = append(b.Graph.ASes, GenAS{Name: name, ASN: asn})
 	sp.OnBestChange = func(p addr.Prefix, best, old *bgp.Route) {
 		a.applyBest(p, best)
 	}
@@ -135,11 +139,11 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 	if o.MRAI == 0 {
 		o.MRAI = 5 * time.Second
 	}
-	// Whichever plane interacts first bounds how soon x and y can affect
-	// each other: the data-plane delay floor or the BGP session delay.
-	b.edges = append(b.edges, PartEdge{A: x.Name, B: y.Name,
-		MinDelayAB: min(modelFloor(o.DelayAB), o.SessionDelay),
-		MinDelayBA: min(modelFloor(o.DelayBA), o.SessionDelay)})
+	// Whichever plane and direction interacts first bounds how soon x and
+	// y can affect each other: a data-plane delay floor or the BGP session
+	// delay.
+	b.Graph.Edges = append(b.Graph.Edges, GenEdge{A: x.Index, B: y.Index, RelAB: o.RelAB,
+		Delay: min(modelFloor(o.DelayAB), modelFloor(o.DelayBA), o.SessionDelay)})
 	link := b.W.Connect(x.Node, y.Node, o.DelayAB, o.DelayBA)
 
 	// The two session endpoints are ::1 and ::2 of a link /64 of their

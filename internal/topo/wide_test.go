@@ -2,6 +2,7 @@ package topo
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -64,5 +65,20 @@ func TestWideMeshPartitionsSitePerShard(t *testing.T) {
 	}
 	if p.Lookahead != 4*time.Millisecond {
 		t.Fatalf("lookahead: %v, want 4ms", p.Lookahead)
+	}
+}
+
+// TestWideMeshEdgeASNsStayPrivate: at 84 sites the wide mesh deploys 840
+// edges, and default numbering from 64701 would pass 65534. The build
+// must refuse, naming the pair, instead of wrapping the ASN to 0-4,
+// which POPs do not strip as private.
+func TestWideMeshEdgeASNsStayPrivate(t *testing.T) {
+	_, err := NewMeshScenario(WideMeshConfig(1, 84))
+	if err == nil || !strings.Contains(err.Error(), "pair s") || !strings.Contains(err.Error(), "65535") {
+		t.Fatalf("84-site wide mesh: err = %v, want one naming the pair whose default edge ASN passes 65534", err)
+	}
+	// 83 sites deploy 830 edges, the last at 65530.
+	if _, err := NewMeshScenario(WideMeshConfig(1, 83)); err != nil {
+		t.Fatalf("83-site wide mesh: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package tango
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"tango/internal/bgp"
@@ -17,7 +18,9 @@ import (
 // factor, plus per-packet Gaussian noise.
 type MeshProvider struct {
 	Name string
-	ASN  uint32
+	// ASN is the provider's 16-bit AS number (1-65535; Establish refuses
+	// any other).
+	ASN uint32
 	// Scale multiplies each site's radius on this provider's backbone
 	// (1.0 = the topology's fastest tier; slower carriers use >1).
 	Scale float64
@@ -91,6 +94,10 @@ func NewMesh(opts MeshOptions) *Mesh {
 	} else {
 		provs := make([]topo.RadialProvider, 0, len(opts.Providers))
 		for _, p := range opts.Providers {
+			if p.ASN == 0 || p.ASN > math.MaxUint16 {
+				return &Mesh{deployment: deployment{buildErr: fmt.Errorf(
+					"tango: MeshOptions provider %s has ASN %d; want 1-65535", p.Name, p.ASN)}}
+			}
 			provs = append(provs, topo.RadialProvider{
 				Name:  p.Name,
 				ASN:   bgp.ASN(p.ASN),

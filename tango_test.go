@@ -361,3 +361,32 @@ func TestMeshProvidersShareNoASN(t *testing.T) {
 		t.Fatalf("Establish() = %v, want %q", err, want)
 	}
 }
+
+// TestMeshProviderASNFitsSixteenBits: BGP here speaks 16-bit ASNs, and
+// NewMesh used to truncate a provider's: ASN 70000 became AS4464 and the
+// mesh established. Establish now names the provider, for 0 too.
+func TestMeshProviderASNFitsSixteenBits(t *testing.T) {
+	for _, c := range []struct {
+		asn  uint32
+		want string
+	}{
+		{70000, "tango: MeshOptions provider Zayo has ASN 70000; want 1-65535"},
+		{0, "tango: MeshOptions provider Zayo has ASN 0; want 1-65535"},
+	} {
+		mesh := NewMesh(MeshOptions{
+			Seed: 1,
+			Providers: []MeshProvider{
+				{Name: "Lumen", ASN: 3356, Scale: 1.2},
+				{Name: "Zayo", ASN: c.asn, Scale: 1},
+			},
+			Sites: []MeshSiteSpec{
+				{Name: "a", Radius: 5 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
+				{Name: "b", Radius: 7 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
+			},
+			Pairs: [][2]string{{"a", "b"}},
+		})
+		if err := mesh.Establish(); err == nil || err.Error() != c.want {
+			t.Errorf("ASN %d: Establish() = %v, want %q", c.asn, err, c.want)
+		}
+	}
+}
