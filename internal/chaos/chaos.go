@@ -269,10 +269,9 @@ func (e *Engine) mergeStagedLog() {
 
 // StartChecks begins checking every registered invariant on a fixed
 // cadence. The cadence rides the coordinator's barrier hooks: a check
-// runs after every event at or before its instant in coupled mode, and at
-// the barrier of the epoch holding it in parallel mode (workers
-// quiesced, cross traffic drained — the only instants where global
-// invariants like buffer balance are well defined). Either way checks
+// runs at its own instant, after every event at or before it, with
+// workers quiesced and cross traffic drained — the only instants where
+// global invariants like buffer balance are well defined — so checks
 // observe the network only between events, never mid-packet. The cadence
 // is fixed by the first StartChecks call.
 func (e *Engine) StartChecks(every time.Duration) {

@@ -99,8 +99,8 @@ func AdjacentProvider(path bgp.Path, popAS bgp.ASN) (bgp.ASN, bool) {
 	}
 }
 
-// MaxRoundsOrDefault returns the configured round bound (default 8).
-func (d *Discoverer) MaxRoundsOrDefault() int {
+// maxRounds returns the configured round bound (default 8).
+func (d *Discoverer) maxRounds() int {
 	if d.MaxRounds == 0 {
 		return 8
 	}
@@ -116,7 +116,7 @@ func (d *Discoverer) Run(done func([]DiscoveredPath)) {
 	if wait == 0 {
 		wait = 120 * time.Second
 	}
-	maxRounds := d.MaxRoundsOrDefault()
+	maxRounds := d.maxRounds()
 	nameFor := d.NameFor
 	if nameFor == nil {
 		nameFor = func(a bgp.ASN) string { return fmt.Sprintf("AS%d", a) }

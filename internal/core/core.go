@@ -189,8 +189,9 @@ func (p *Pair) Instrument(reg *obs.Registry, j *obs.Journal) {
 
 // newPair prepares (but does not start) Tango between sites a and b of s,
 // on the edge servers s built for that pair. The two live on partition
-// engines of one coordinator, often the same one (establishment runs in
-// coupled mode, where cross-site calls are exact).
+// engines of one coordinator, often the same one: establishment runs in
+// coupled mode, where cross-site calls are exact, and only the traffic
+// that follows it runs in parallel epochs.
 func newPair(s *topo.MeshScenario, a, b string, cfg PairConfig) *Pair {
 	if cfg.PolicyA == nil {
 		cfg.PolicyA = &control.MinOWD{HysteresisMs: 0.5, MinDwell: 2 * time.Second}

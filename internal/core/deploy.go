@@ -70,7 +70,9 @@ func Deploy(tc topo.MeshConfig, mc MeshConfig) (*Deployment, error) {
 
 // Establish runs every pair's establishment — discovery, pinned prefixes,
 // tunnels, measurement loop, relay tables — to completion in virtual
-// time. Later calls change nothing and report the same outcome.
+// time, then switches the coordinator to parallel epochs: from here on
+// no event calls across sites. Later calls change nothing and report the
+// same outcome.
 func (d *Deployment) Establish() error {
 	if !d.started {
 		d.started = true
@@ -80,6 +82,7 @@ func (d *Deployment) Establish() error {
 	if !d.Mesh.Ready() {
 		return fmt.Errorf("core: establishment did not complete")
 	}
+	d.Scenario.B.W.Coord().EnterParallel()
 	return nil
 }
 

@@ -206,9 +206,10 @@ func (m *Mesh) Establish() {
 
 // RunUntilReady drives the simulation until establishment completes or
 // the deadline passes, reporting success. Time is driven through the
-// coordinator, never an individual partition engine; establishment
-// always runs in coupled mode, where the cross-site calls of discovery
-// and provisioning are exact.
+// coordinator, never an individual partition engine; establishment runs
+// in coupled mode, where the cross-site calls of discovery and
+// provisioning are exact (Deployment.Establish leaves it once every pair
+// is ready).
 func (m *Mesh) RunUntilReady(maxVirtual time.Duration) bool {
 	return runUntil(m.net, m.Ready, maxVirtual)
 }

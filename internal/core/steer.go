@@ -71,9 +71,9 @@ type SteerDemand struct {
 // demand placed on each tunnel (index = path ID - 1, multiples of
 // 1/te.DefaultQuanta).
 //
-// The installs write selectors owned by the senders' partitions, so on a
-// sharded network Steer must run before parallel epochs begin. Repeated
-// calls reuse the installed selectors and overwrite their weights.
+// The installs write selectors owned by the senders' partitions, so Steer
+// must run between runs, never while one is in progress. Repeated calls
+// reuse the installed selectors and overwrite their weights.
 func (d *Deployment) Steer(seed int64, demands []SteerDemand) (float64, [][]float64, error) {
 	// The link table covers every trunk direction of every site, in
 	// (sorted site, sorted provider, up then down) order — part of the

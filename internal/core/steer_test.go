@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"tango/internal/packet"
 	"tango/internal/simnet"
@@ -166,5 +167,70 @@ func TestSteerInstallsSolverCounts(t *testing.T) {
 	}
 	if _, _, err := d.Steer(3, []SteerDemand{{Src: "ny", Dst: "nowhere", RateBps: 1}}); err == nil {
 		t.Fatal("undeployed pair accepted")
+	}
+}
+
+// TestSteerBetweenParallelRuns: on two workers, Steer between runs after
+// parallel epochs have begun installs weights that later traffic follows.
+func TestSteerBetweenParallelRuns(t *testing.T) {
+	tc := topo.TriConfig(5)
+	tc.Shards = 2
+	d, err := Deploy(tc, MeshConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := d.Scenario.B.W.Coord()
+	if !coord.Parallel() {
+		t.Fatal("an established tri deployment still runs coupled")
+	}
+	d.Scenario.Run(time.Second)
+
+	sender := d.Mesh.Member("ny", "chi")
+	var down [2]*simnet.Line
+	for i := range down {
+		pl, err := d.PathLines("ny", "chi", uint8(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		down[i] = pl.Down
+	}
+	src, _ := sender.HostAddr()
+	dst, _ := d.Mesh.Member("chi", "ny").HostAddr()
+	const class, flows = 2, 256
+	// carried sends one packet on each of the class's flows and returns
+	// how many packets each tunnel's trunk carried in the next second,
+	// probes included (both tunnels probe alike).
+	carried := func() [2]int64 {
+		var before [2]uint64
+		for i, l := range down {
+			before[i] = l.Stats.Tx
+		}
+		for port := 0; port < flows; port++ {
+			sender.Send(packet.InnerUDP{Src: src, Dst: dst, SrcPort: uint16(20000 + port), DstPort: 9, TrafficClass: class}.New(nil))
+		}
+		d.Scenario.Run(time.Second)
+		var n [2]int64
+		for i, l := range down {
+			n[i] = int64(l.Stats.Tx - before[i])
+		}
+		return n
+	}
+	demands := []SteerDemand{{Src: "ny", Dst: "chi", Class: class, RateBps: 8e6}}
+	for _, want := range []int{0, 1, 0} {
+		// The roomy trunk is the one the solver must pick.
+		down[want].SetCapacity(1e9)
+		down[1-want].SetCapacity(1e6)
+		if _, _, err := d.Steer(3, demands); err != nil {
+			t.Fatal(err)
+		}
+		epochs := coord.Stats.Epochs
+		n := carried()
+		if extra := n[want] - n[1-want]; extra < flows-8 || extra > flows+8 {
+			t.Fatalf("steered onto path %d, which carried %d packets to the other's %d; want %d±8 more",
+				want+1, n[want], n[1-want], flows)
+		}
+		if coord.Stats.Epochs == epochs || !coord.Parallel() {
+			t.Fatal("the run after Steer left parallel epochs")
+		}
 	}
 }

@@ -196,8 +196,8 @@ type switchObs struct {
 var noObs = &switchObs{}
 
 // count is the one way an event is counted: the Stats word and the
-// instrument beside it (ROADMAP 3(d): Stats stays until benchmark/ can
-// read the counters instead).
+// instrument beside it (ROADMAP 9: Stats stays until benchmark/ reads
+// the counters instead, which ROADMAP 1(a) does).
 func count(word *uint64, c *obs.Counter) {
 	*word++
 	c.Inc()

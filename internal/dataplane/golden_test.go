@@ -87,7 +87,7 @@ func peerFrames(key []byte) (direct, relayed []byte) {
 	return n.sent[0], n.sent[1]
 }
 
-// TestStatsMatchInstruments holds the two sets of counters (ROADMAP 3(d))
+// TestStatsMatchInstruments holds the two sets of counters (ROADMAP 9)
 // to one count. The receiver sees FuzzReceiverProgram's corpus —
 // accepted, truncated, corrupted and unsigned frames — plus a reporting
 // and a relay-tagged frame; the sender emits probes, host data, relayed

@@ -87,7 +87,6 @@ func E10MeshOverlay(cfg Config) *Result {
 		delete(viaRelay, seq)
 		return true
 	})
-	eng.Coord().EnterParallel()
 	var seq uint32
 	sample := func(dur time.Duration) (directMs, relayMs float64, best control.CompositeRoute) {
 		directW, relayW = win{}, win{}

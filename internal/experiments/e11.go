@@ -118,9 +118,6 @@ func E11Failover(cfg Config) *Result {
 	const faultFor = 45 * time.Second
 	const lead = 2 * time.Second
 
-	// Wiring is done; the run flips to parallel epochs here.
-	eng.Coord().EnterParallel()
-
 	// Baseline.
 	t0 := eng.Now()
 	s.Run(window)

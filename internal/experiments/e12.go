@@ -43,7 +43,6 @@ func E12ShardedStorm(cfg Config) *Result {
 	labels := storm(d, reg, journal, sim.NewStreams(cfg.Seed+12).Stream("e12/storm"), window)
 	ch := d.Chaos
 
-	eng.Coord().EnterParallel()
 	s.Run(stormLead + window + 15*time.Second) // storm + reverts land
 	gen.Stop()
 	ch.StopChecks()

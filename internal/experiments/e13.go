@@ -127,7 +127,6 @@ func E13FlowStorm(cfg Config) *Result {
 	}
 	flashTable.Eng().Schedule(stopAt, arr.Stop)
 
-	eng.Coord().EnterParallel()
 	s.Run(stopAt + 10*time.Second)
 	ch.StopChecks()
 	s.Run(2 * time.Second)

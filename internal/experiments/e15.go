@@ -251,7 +251,6 @@ func e15Run(cfg Config, sites int, optimize bool) *e15Stats {
 		t.Eng().Schedule(stopAt, t.Stop)
 	}
 
-	eng.Coord().EnterParallel()
 	s.Run(stopAt + 5*time.Second) // stop line + drain for in-flight deliveries
 
 	for _, p := range peaks {

@@ -22,8 +22,9 @@ import (
 //     whose setup logic makes direct cross-site calls, and the only mode
 //     of a one-partition network, which runs its engine directly; or
 //
-//   - parallel: conservative lock-stepped epochs of length equal to the
-//     lookahead (the minimum delay of any cross-partition link or session).
+//   - parallel: conservative lock-stepped epochs of at most the lookahead
+//     (the minimum delay of any cross-partition link or session), which a
+//     deployment enters once established (core.Deployment.Establish).
 //     Within an epoch [T, T+L) no partition can affect another before T+L,
 //     so W worker goroutines advance partitions independently; cross-
 //     partition events accumulate in per-partition outboxes and are drained
@@ -144,16 +145,19 @@ func (c *Coordinator) EnterParallel() {
 func (c *Coordinator) Parallel() bool { return c.parallel }
 
 // AtBarrier registers fn to run single-threaded at epoch barriers. With
-// every > 0 it fires once per period, receiving the nominal tick instant:
-// in coupled mode an epoch ends at each tick, so fn runs after every event
-// at or before its instant, like a Ticker that fires last; a parallel
-// epoch fires every tick it spanned at its barrier. With every <= 0 fn
-// fires at every barrier with the barrier time; a coupled run has
-// barriers only at ticks and at the end of Run, so such a hook (a staged
-// merge) must give the same result however the run is cut. Hooks run
-// after the cross-partition drain, in registration order — register
-// state merges (journals, logs) before consumers (invariant checks).
+// every > 0 it fires once per period at the nominal tick instant: every
+// epoch ends at the next tick, so fn runs after every event at or before
+// its instant and before any later one, like a Ticker that fires last.
+// With every <= 0 fn fires at every barrier with the barrier time; where
+// barriers fall depends on the mode and the other hooks, so such a hook
+// (a staged merge) must give the same result however the run is cut.
+// Hooks run after the cross-partition drain, in registration order —
+// register state merges (journals, logs) before consumers (invariant
+// checks). Call between runs, never from a callback.
 func (c *Coordinator) AtBarrier(every time.Duration, fn func(Time)) {
+	if c.running {
+		panic("sim: AtBarrier during Run")
+	}
 	h := barrierHook{every: every, fn: fn}
 	if every > 0 {
 		h.next = c.now + every
@@ -161,12 +165,13 @@ func (c *Coordinator) AtBarrier(every time.Duration, fn func(Time)) {
 	c.hooks = append(c.hooks, h)
 }
 
-// Run advances all partitions to the finite virtual time until. A
-// parallel epoch spans one lookahead; a coupled epoch schedules cross
-// events directly, so it runs to the next periodic hook's tick (or until)
-// however idle the span. Barriers — cross-partition drains plus hooks —
-// run at every epoch boundary in both modes, so hook cadence does not
-// depend on the worker count.
+// Run advances all partitions to the finite virtual time until. Every
+// epoch ends at until or the next periodic hook's tick, whichever comes
+// first; a parallel epoch also ends one lookahead after it starts, while
+// a coupled epoch schedules cross events directly and so spans idle time
+// for free. Barriers — cross-partition drains plus hooks — run at every
+// epoch boundary in both modes, so hook cadence does not depend on the
+// worker count.
 func (c *Coordinator) Run(until Time) {
 	if c.running {
 		panic("sim: re-entrant Coordinator.Run")
@@ -177,12 +182,10 @@ func (c *Coordinator) Run(until Time) {
 	c.running = true
 	defer func() { c.running = false }()
 	for c.now < until {
-		var end Time
+		end := min(until, c.nextTick(), c.horizon())
 		if c.parallel {
-			end = min(until, c.now+c.lookahead)
 			c.runEpochParallel(end)
 		} else {
-			end = min(until, c.nextTick())
 			c.runEpochCoupled(end)
 		}
 		c.now = end
@@ -190,6 +193,15 @@ func (c *Coordinator) Run(until Time) {
 		c.drain()
 		c.fireHooks(end)
 	}
+}
+
+// horizon is the latest end of an epoch starting now: one lookahead
+// ahead in parallel mode, unbounded in coupled mode.
+func (c *Coordinator) horizon() Time {
+	if c.parallel {
+		return c.now + c.lookahead
+	}
+	return Forever
 }
 
 // nextTick returns the earliest pending tick of the periodic hooks, or
@@ -325,8 +337,8 @@ func (c *Coordinator) fireHooks(now Time) {
 			h.fn(now)
 			continue
 		}
-		for h.next <= now {
-			h.fn(h.next)
+		if h.next == now {
+			h.fn(now)
 			h.next += h.every
 		}
 	}

@@ -52,10 +52,12 @@ func TestCoordinatorValidation(t *testing.T) {
 	c := NewCoordinator(2, time.Millisecond)
 	mustPanic(t, "finite horizon", func() { c.Run(Forever) })
 
-	// Mode switches and re-entrant Runs inside a callback must be loud:
-	// they would corrupt the epoch structure mid-flight.
+	// Mode switches, hook registrations and re-entrant Runs inside a
+	// callback must be loud: they would corrupt the epoch structure
+	// mid-flight.
 	c.Part(0).ScheduleAt(Time(time.Millisecond), func() {
 		mustPanic(t, "EnterParallel during Run", c.EnterParallel)
+		mustPanic(t, "AtBarrier during Run", func() { c.AtBarrier(time.Millisecond, func(Time) {}) })
 		mustPanic(t, "re-entrant", func() { c.Run(Time(time.Second)) })
 	})
 	c.Run(Time(10 * time.Millisecond))
@@ -264,11 +266,11 @@ func TestCrossScheduleSameEngineIsDirect(t *testing.T) {
 	}
 }
 
-// TestBarrierHooks: a parallel epoch fires a periodic hook at the
-// barrier of the epoch holding its tick; coupled mode ends an epoch at
-// each tick, so the hook runs at its own instant, after every event at
-// or before it and before any later one — on one partition with no
-// lookahead as on several with a lookahead longer than the run.
+// TestBarrierHooks: every epoch ends at the next hook tick, so a
+// periodic hook runs at its own instants only, with every clock there,
+// after every event at or before the instant and before any later one —
+// in parallel epochs shorter than the lookahead, on one partition with no
+// lookahead, and on several with a lookahead longer than the run.
 func TestBarrierHooks(t *testing.T) {
 	ms := func(ns ...int) []Time {
 		out := make([]Time, len(ns))
@@ -277,17 +279,23 @@ func TestBarrierHooks(t *testing.T) {
 		}
 		return out
 	}
+	const until = Time(20 * time.Millisecond)
 	for _, tc := range []struct {
 		name      string
 		parts     int
 		lookahead time.Duration
 		parallel  bool
+		periods   []time.Duration
 		wantEvery []Time // the every-barrier hook's barrier times
-		wantClock []Time // partition clocks the 7 ms hook observes
 	}{
-		{"parallel", 2, 5 * time.Millisecond, true, ms(5, 10, 15, 20), ms(10, 15)},
-		{"coupled/one partition", 1, 0, false, ms(7, 14, 20), ms(7, 14)},
-		{"coupled/three partitions", 3, 50 * time.Millisecond, false, ms(7, 14, 20), ms(7, 14)},
+		{"parallel", 2, 5 * time.Millisecond, true,
+			[]time.Duration{7 * time.Millisecond}, ms(5, 7, 12, 14, 19, 20)},
+		{"parallel/two hooks", 2, 5 * time.Millisecond, true,
+			[]time.Duration{5 * time.Millisecond, 7 * time.Millisecond}, ms(5, 7, 10, 14, 15, 20)},
+		{"coupled/one partition", 1, 0, false,
+			[]time.Duration{7 * time.Millisecond}, ms(7, 14, 20)},
+		{"coupled/three partitions", 3, 50 * time.Millisecond, false,
+			[]time.Duration{7 * time.Millisecond}, ms(7, 14, 20)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCoordinator(tc.parts, tc.lookahead)
@@ -297,36 +305,39 @@ func TestBarrierHooks(t *testing.T) {
 					c.Part(i).ScheduleAt(at, func() { fired++ })
 				}
 			}
-			var every, ticks, clocks []Time
+			var every []Time
 			c.AtBarrier(0, func(now Time) { every = append(every, now) })
-			c.AtBarrier(7*time.Millisecond, func(now Time) {
-				ticks = append(ticks, now)
-				clock := c.Part(0).Now()
-				for i := 1; i < tc.parts; i++ {
-					if c.Part(i).Now() != clock {
-						t.Errorf("tick %v: partition %d at %v, partition 0 at %v", now, i, c.Part(i).Now(), clock)
+			ticks := make([][]Time, len(tc.periods))
+			for k, p := range tc.periods {
+				c.AtBarrier(p, func(now Time) {
+					ticks[k] = append(ticks[k], now)
+					for i := 0; i < tc.parts; i++ {
+						if got := c.Part(i).Now(); got != now {
+							t.Errorf("%v hook at %v: partition %d clock at %v", p, now, i, got)
+						}
 					}
-				}
-				clocks = append(clocks, clock)
-				// Every event at or before the clock has fired, none after.
-				if want := tc.parts * int(clock/Time(time.Millisecond)); fired != want {
-					t.Errorf("tick %v at clock %v: %d events fired, want %d", now, clock, fired, want)
-				}
-			})
+					// Every event at or before the tick has fired, none after.
+					if want := tc.parts * int(now/Time(time.Millisecond)); fired != want {
+						t.Errorf("%v hook at %v: %d events fired, want %d", p, now, fired, want)
+					}
+				})
+			}
 			if tc.parallel {
 				c.EnterParallel()
 			}
-			c.Run(Time(20 * time.Millisecond))
+			c.Run(until)
 
 			if !reflect.DeepEqual(every, tc.wantEvery) {
 				t.Errorf("every-barrier hook fired at %v, want %v", every, tc.wantEvery)
 			}
-			// The periodic hook receives nominal tick instants in both modes.
-			if !reflect.DeepEqual(ticks, ms(7, 14)) {
-				t.Errorf("periodic hook ticks %v, want [7ms 14ms]", ticks)
-			}
-			if !reflect.DeepEqual(clocks, tc.wantClock) {
-				t.Errorf("periodic hook saw clocks %v, want %v", clocks, tc.wantClock)
+			for k, p := range tc.periods {
+				var want []Time
+				for at := Time(p); at <= until; at += Time(p) {
+					want = append(want, at)
+				}
+				if !reflect.DeepEqual(ticks[k], want) {
+					t.Errorf("%v hook fired at %v, want %v", p, ticks[k], want)
+				}
 			}
 		})
 	}

@@ -194,10 +194,8 @@ func (w *Network) checkCross(name string, dm DelayModel) {
 // Run advances the simulation to the given virtual time.
 func (w *Network) Run(until sim.Time) { w.coord.Run(until) }
 
-// Now returns the current virtual time: the shared time between runs and,
-// in coupled mode, the instant of the event being fired, which every
-// partition clock reads. During a parallel epoch partitions keep their own
-// clocks; an event there reads its node's engine instead.
+// Now returns the shared virtual time between runs; an event reads its
+// own node's engine instead.
 func (w *Network) Now() sim.Time { return w.Eng.Now() }
 
 // crossStage recycles the byte carriers of cross-partition packets for

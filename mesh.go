@@ -212,7 +212,9 @@ func (m *Mesh) Send(r Route, srcPort, dstPort uint16, payload []byte) error {
 // OnReceive does nothing.
 func (m *Mesh) OnReceive(site string, dstPort uint16, fn func(Delivery)) {
 	if m.buildErr == nil {
-		m.d.Mesh.AddSink(site, deliverySink(m.Now, dstPort, fn))
+		for _, recv := range m.d.Mesh.MembersOf(site) {
+			recv.AddSink(deliverySink(recv, dstPort, fn))
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 type Site struct {
 	name string
 	site *core.Site
-	now  func() time.Duration // the lab's virtual clock, stamped on deliveries
 	// sendBuf is reused across Send calls: the core only borrows the
 	// serialized bytes (the switch copies them into a pooled buffer).
 	sendBuf *packet.SerializeBuffer
@@ -136,12 +135,15 @@ type Delivery struct {
 // OnReceive registers a handler for application packets addressed to the
 // given inner UDP destination port.
 func (s *Site) OnReceive(dstPort uint16, fn func(Delivery)) {
-	s.site.AddSink(deliverySink(s.now, dstPort, fn))
+	s.site.AddSink(deliverySink(s.site, dstPort, fn))
 }
 
-// deliverySink builds a sink claiming inner UDP packets on dstPort and
-// handing them to fn as parsed Deliveries.
-func deliverySink(now func() time.Duration, dstPort uint16, fn func(Delivery)) func([]byte) bool {
+// deliverySink builds a sink on the receiving member recv, claiming inner
+// UDP packets on dstPort and handing them to fn as parsed Deliveries
+// stamped with recv's engine clock — the instant of the delivery event in
+// every engine mode.
+func deliverySink(recv *core.Site, dstPort uint16, fn func(Delivery)) func([]byte) bool {
+	eng := recv.Eng()
 	return func(inner []byte) bool {
 		if dp, _, ok := packet.UDP6(inner); !ok || dp != dstPort {
 			return false
@@ -155,7 +157,7 @@ func deliverySink(now func() time.Duration, dstPort uint16, fn func(Delivery)) f
 		// after the sink chain returns; Delivery is a public value users
 		// retain, so its payload must be an owned copy.
 		fn(Delivery{
-			At:      now(),
+			At:      eng.Now(),
 			Src:     ip.Src,
 			Dst:     ip.Dst,
 			SrcPort: udp.SrcPort,

@@ -226,8 +226,8 @@ func (l *Lab) Establish() error {
 		return fmt.Errorf("tango: no wide-area paths discovered")
 	}
 	if l.ny == nil {
-		l.ny = &Site{name: "ny", site: ny, now: l.Now}
-		l.la = &Site{name: "la", site: la, now: l.Now}
+		l.ny = &Site{name: "ny", site: ny}
+		l.la = &Site{name: "la", site: la}
 	}
 	return nil
 }

@@ -390,3 +390,47 @@ func TestMeshProviderASNFitsSixteenBits(t *testing.T) {
 		}
 	}
 }
+
+// TestMeshDeliveryAtIsReceiverClock: a Delivery is stamped with the
+// receiving member's engine clock, the instant of the delivery event. An
+// established mesh runs parallel epochs, in which partition 0's clock
+// (Mesh.Now) sits elsewhere while another partition's events fire.
+func TestMeshDeliveryAtIsReceiverClock(t *testing.T) {
+	m := NewMesh(MeshOptions{Seed: 1})
+	if err := m.Establish(); err != nil {
+		t.Fatal(err)
+	}
+	const port = 9100
+	sites := m.Sites()
+	delivered := 0
+	for _, site := range sites {
+		members := m.d.Mesh.MembersOf(site)
+		eng := members[0].Eng()
+		for _, mem := range members {
+			if mem.Eng() != eng {
+				t.Fatalf("site %s members span partitions", site)
+			}
+		}
+		m.OnReceive(site, port, func(d Delivery) {
+			delivered++
+			if d.At != eng.Now() {
+				t.Fatalf("delivery at %s stamped %v, receiving engine at %v", site, d.At, eng.Now())
+			}
+		})
+	}
+	for round := 0; round < 20; round++ {
+		for _, src := range sites {
+			for _, dst := range sites {
+				for _, r := range m.Routes(src, dst) {
+					if err := m.Send(r, port, port, []byte("tick")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		m.Run(50 * time.Millisecond)
+	}
+	if delivered == 0 {
+		t.Fatal("no deliveries")
+	}
+}
