@@ -2,6 +2,7 @@ package tango
 
 import (
 	"bufio"
+	"bytes"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -16,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestCensus holds every exported name under internal/ to a reader in
@@ -41,7 +43,9 @@ import (
 // package main is a program, so neither is itself checked.
 //
 // The design subtest holds DESIGN.md's module map (§3) to the module and
-// its experiment index (§4) to the test files.
+// its experiment index (§4) to the test files, the file to its byte
+// budget, and every reference to one of its sections, anywhere in the
+// tree, to a heading.
 func TestCensus(t *testing.T) {
 	m := loadModule(t)
 	t.Run("names", func(t *testing.T) {
@@ -64,6 +68,7 @@ func TestCensus(t *testing.T) {
 	})
 	t.Run("design", func(t *testing.T) {
 		m.checkDesign(t, "DESIGN.md")
+		checkDesignRefs(t, "DESIGN.md")
 	})
 }
 
@@ -643,6 +648,88 @@ func (m *module) checkDesign(t *testing.T, path string) {
 				t.Errorf("%s §4: no test named %s", path, k[1])
 			}
 		}
+	}
+}
+
+// designBudget is the most bytes DESIGN.md may hold: a design record
+// that outgrows it is narrating history, which CHANGES.md keeps.
+const designBudget = 40000
+
+var (
+	designHeading = regexp.MustCompile(`(?m)^## (\d+)\. (.+)$`)
+	// A reference may wrap, in prose or in a comment: the separators
+	// skip white space and comment markers.
+	designNumRef   = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//|#)*§(\d+)`)
+	designTitleRef = regexp.MustCompile(`DESIGN\.md,(?:\s|//|#)*"([^"]+)"`)
+	codeSpan       = regexp.MustCompile("`[^`\n]*`")
+)
+
+// checkDesignRefs holds DESIGN.md to its budget, and every section
+// reference in a text file of the tree — by number or by quoted title —
+// to a heading of it. CHANGES.md is history and refers to the sections
+// as they were; an inline code span quotes syntax and refers to nothing.
+func checkDesignRefs(t *testing.T, path string) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) > designBudget {
+		t.Errorf("%s is %d B, over its %d B budget", path, len(b), designBudget)
+	}
+	nums, titles := map[string]bool{}, map[string]bool{}
+	for _, h := range designHeading.FindAllStringSubmatch(string(b), -1) {
+		nums[h[1]] = true
+		titles[h[2]] = true
+		// A reference may leave out the packages a title ends with.
+		if short, _, ok := strings.Cut(h[2], " ("); ok {
+			titles[short] = true
+		}
+	}
+	err = filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if file == "CHANGES.md" {
+			return nil
+		}
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			return err
+		}
+		if !utf8.Valid(raw) || bytes.IndexByte(raw, 0) >= 0 {
+			return nil // not text
+		}
+		// Blank the spans byte for byte, so offsets still give lines.
+		text := codeSpan.ReplaceAllStringFunc(string(raw), func(span string) string {
+			return strings.Repeat(" ", len(span))
+		})
+		line := func(at int) int { return strings.Count(text[:at], "\n") + 1 }
+		for _, r := range designNumRef.FindAllStringSubmatchIndex(text, -1) {
+			if n := text[r[2]:r[3]]; !nums[n] {
+				t.Errorf("%s:%d: DESIGN §%s names no section of %s", file, line(r[0]), n, path)
+			}
+		}
+		for _, r := range designTitleRef.FindAllStringSubmatchIndex(text, -1) {
+			var words []string
+			for _, w := range strings.Fields(text[r[2]:r[3]]) {
+				if w != "//" && w != "#" {
+					words = append(words, w)
+				}
+			}
+			if title := strings.Join(words, " "); !titles[title] {
+				t.Errorf("%s:%d: %s has no section titled %q", file, line(r[0]), path, title)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,7 +10,10 @@
 //	tangod [-site site-a] [-listen 127.0.0.1:0] [-peer HOST:PORT]
 //	       [-paths NTT:12ms,GTT:30ms,Cogent:20ms]
 //	       [-policy min-delay|min-jitter|static] [-metrics :9090]
-//	       [-duration 0] [-addr-file F] ...
+//	       [-duration 0] [-addr-file F] [-status-every 2s]
+//
+// The edge probes, reports and decides on the core.Live* cadences, the
+// ones the E8-live simulated reference runs.
 //
 // With -metrics, tangod serves GET /metrics (a Prometheus text scrape of
 // every registered instrument), GET /trace?n=100 (a JSON tail of the
@@ -48,17 +51,12 @@ func run() int {
 		pathSpec = flag.String("paths", "NTT:12ms,GTT:30ms,Cogent:20ms", "outgoing paths as NAME:DELAY,... (emulated one-way delays)")
 		policy   = flag.String("policy", "min-delay", "path policy: min-delay, min-jitter, static")
 		metrics  = flag.String("metrics", "", "serve /metrics, /trace and /readyz on this address (e.g. :9090)")
-		probeIv  = flag.Duration("probe-interval", core.LiveProbeEvery, "probe send interval per path")
-		reportIv = flag.Duration("report-every", core.LiveReportEvery, "piggybacked report interval; 0 turns reports off")
-		decideIv = flag.Duration("decide-every", core.LiveDecideEvery, "controller decision interval; 0 leaves the controller idle")
 		duration = flag.Duration("duration", 0, "wall-clock run time; 0 runs until SIGINT/SIGTERM")
 		addrFile = flag.String("addr-file", "", "write the bound UDP and HTTP addresses to this file as JSON")
 		statusIv = flag.Duration("status-every", 2*time.Second, "wall-clock time between status prints")
 	)
 	flag.Parse()
-	if err := checkCadences(cadences{
-		Probe: *probeIv, Status: *statusIv, ReportEvery: *reportIv, DecideEvery: *decideIv,
-	}); err != nil {
+	if err := checkCadences(*statusIv); err != nil {
 		fmt.Fprintln(os.Stderr, "tangod:", err)
 		return 2
 	}
@@ -98,9 +96,9 @@ func run() int {
 		cfg := core.EdgeConfig{
 			Local:        sess.SwitchAddr(),
 			Policy:       pol,
-			DecideEvery:  *decideIv,
-			ReportEvery:  *reportIv,
-			ReportMaxAge: 5 * *reportIv,
+			DecideEvery:  core.LiveDecideEvery,
+			ReportEvery:  core.LiveReportEvery,
+			ReportMaxAge: 5 * core.LiveReportEvery,
 		}
 		for i, ps := range paths {
 			cfg.Paths = append(cfg.Paths, core.EdgePath{Name: ps.Name, Remote: p.Endpoints[i]})
@@ -109,7 +107,7 @@ func run() int {
 			cfg.PeerPaths = append(cfg.PeerPaths, ps.Name)
 		}
 		edge.Start(cfg)
-		edge.Probe(sess.SwitchAddr(), p.SwitchAddr, *probeIv)
+		edge.Probe(sess.SwitchAddr(), p.SwitchAddr, core.LiveProbeEvery)
 		close(established)
 	}
 	sess.OnError = func(err error) { fmt.Fprintf(os.Stderr, "tangod: session: %v\n", err) }
@@ -195,9 +193,7 @@ loop:
 
 	b.Do(func() {
 		edge.Prober.Stop()
-		if edge.Reporter != nil { // -report-every 0 never started one
-			edge.Reporter.Stop()
-		}
+		edge.Reporter.Stop()
 		edge.Controller.Stop()
 		printStatus(b, edge)
 	})
@@ -220,25 +216,12 @@ func handler(reg *obs.Registry, j *obs.Journal, established <-chan struct{}) htt
 	return mux
 }
 
-// cadences are the flag values that pace a run.
-type cadences struct {
-	Probe, Status            time.Duration
-	ReportEvery, DecideEvery time.Duration
-}
-
-// checkCadences rejects values a run cannot survive: a ticker panics on
-// a non-positive period. Zero -report-every and -decide-every are legal —
-// core.Edge leaves that loop off.
-func checkCadences(c cadences) error {
-	switch {
-	case c.Probe <= 0:
-		return fmt.Errorf("-probe-interval must be positive, got %v", c.Probe)
-	case c.Status <= 0:
-		return fmt.Errorf("-status-every must be positive, got %v", c.Status)
-	case c.ReportEvery < 0:
-		return fmt.Errorf("-report-every must not be negative, got %v", c.ReportEvery)
-	case c.DecideEvery < 0:
-		return fmt.Errorf("-decide-every must not be negative, got %v", c.DecideEvery)
+// checkCadences rejects a -status-every a run cannot survive: a ticker
+// panics on a non-positive period. The edge's own cadences are the
+// core.Live* constants.
+func checkCadences(status time.Duration) error {
+	if status <= 0 {
+		return fmt.Errorf("-status-every must be positive, got %v", status)
 	}
 	return nil
 }

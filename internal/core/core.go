@@ -12,7 +12,7 @@
 // with its measurement loop on any transport endpoint, Pair discovers the
 // paths between two sites and starts an Edge on each, Mesh composes pairs
 // with relay forwarding. Deploy stands the whole thing up from a topology
-// (DESIGN.md §7).
+// (DESIGN.md §5).
 package core
 
 import (

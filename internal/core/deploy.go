@@ -71,8 +71,9 @@ func Deploy(tc topo.MeshConfig, mc MeshConfig) (*Deployment, error) {
 // Establish runs every pair's establishment — discovery, pinned prefixes,
 // tunnels, measurement loop, relay tables — to completion in virtual
 // time, then switches the coordinator to parallel epochs: from here on
-// no event calls across sites. Later calls change nothing and report the
-// same outcome.
+// no event calls across sites. A deployed pair that BGP exposed no path
+// to, in either direction, is an error naming the pair. Later calls
+// change nothing and report the same outcome.
 func (d *Deployment) Establish() error {
 	if !d.started {
 		d.started = true
@@ -81,6 +82,13 @@ func (d *Deployment) Establish() error {
 	}
 	if !d.Mesh.Ready() {
 		return fmt.Errorf("core: establishment did not complete")
+	}
+	for _, pk := range d.Scenario.PairKeys {
+		for _, dir := range [2][2]string{pk, {pk[1], pk[0]}} {
+			if len(d.Mesh.Member(dir[0], dir[1]).OutPaths) == 0 {
+				return fmt.Errorf("core: BGP exposed no path from %s to %s", dir[0], dir[1])
+			}
+		}
 	}
 	d.Scenario.B.W.Coord().EnterParallel()
 	return nil

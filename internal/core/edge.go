@@ -67,9 +67,8 @@ type EdgeConfig struct {
 
 // The live edge: cadences and steering policy for an edge on a real
 // socket, scaled to the wall clock so a loopback pair converges within a
-// couple of seconds. tangod takes them as its defaults and
-// the E8-live simulated reference runs them, so both transports steer on
-// one configuration.
+// couple of seconds. tangod runs on them and so does the E8-live
+// simulated reference, so both transports steer on one configuration.
 const (
 	LiveProbeEvery  = 20 * time.Millisecond
 	LiveReportEvery = 25 * time.Millisecond

@@ -124,7 +124,7 @@ type Switch struct {
 	// DeliverLocal consumes decapsulated inner packets. The slice is a
 	// borrowed view of the arriving packet's pooled buffer, valid only
 	// until the callback returns; consumers that keep bytes must copy
-	// them (see DESIGN.md, "Fast path & buffer ownership").
+	// them (see DESIGN.md, "Wire format and data plane").
 	DeliverLocal func(inner []byte)
 
 	// authKey, when set, makes the sender sign every Tango datagram and

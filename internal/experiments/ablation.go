@@ -10,7 +10,7 @@ import (
 	"tango/internal/simnet"
 )
 
-// The ablations quantify the design choices DESIGN.md §5 calls out. Each
+// The ablations quantify the design choices DESIGN.md §4 calls out. Each
 // returns plain numbers for the benches in ablation_test.go to report.
 
 // AblationCadenceResult summarizes one controller-cadence run.

@@ -71,7 +71,7 @@ func TestAblationEstimatorBounds(t *testing.T) {
 // columns: `go test -run '^$' -bench Ablation -benchtime 1x`.
 
 // BenchmarkAblationCadence sweeps the controller decision cadence
-// (DESIGN.md §5): achieved OWD through an E4 event per cadence.
+// (DESIGN.md §4): achieved OWD through an E4 event per cadence.
 func BenchmarkAblationCadence(b *testing.B) {
 	for _, cadence := range []time.Duration{500 * time.Millisecond, 2 * time.Second, 10 * time.Second} {
 		b.Run(cadence.String(), func(b *testing.B) {

@@ -6,7 +6,7 @@ package packet
 // works in, where the paper's data plane encapsulates and decapsulates
 // every packet without touching an allocator.
 //
-// Ownership convention (see DESIGN.md, "Fast path & buffer ownership"):
+// Ownership convention (see DESIGN.md, "Wire format and data plane"):
 //
 //   - Exactly one owner at a time. Passing a *Buf to a consuming function
 //     (Node.InjectBuf, Line.send, the engine's payload events) hands

@@ -23,8 +23,10 @@ type MeshProvider struct {
 	ASN uint32
 	// Scale multiplies each site's radius on this provider's backbone
 	// (1.0 = the topology's fastest tier; slower carriers use >1).
+	// Establish refuses a negative, infinite or NaN scale.
 	Scale float64
-	// JitterStd is the per-packet delay noise.
+	// JitterStd is the per-packet delay noise (Establish refuses a
+	// negative one).
 	JitterStd time.Duration
 }
 
@@ -32,7 +34,8 @@ type MeshProvider struct {
 type MeshSiteSpec struct {
 	Name string
 	// Radius is the site's distance from the (notional) network center;
-	// it sets the scale of every provider path touching the site.
+	// it sets the scale of every provider path touching the site
+	// (Establish refuses a negative radius).
 	Radius time.Duration
 	// ClockOffset skews the site's server clocks (unsynchronised sites
 	// are the realistic default; zero means perfectly synced).
@@ -55,7 +58,8 @@ type MeshOptions struct {
 	// refuses a negative value). PolicyStaticDefault keeps traffic on the
 	// BGP default path.
 	DecideEvery time.Duration
-	// SitePolicy selects every member controller's strategy.
+	// SitePolicy selects every member controller's strategy (Establish
+	// refuses a value that is none of the Policy constants).
 	SitePolicy Policy
 	// RecordBucket, when positive, records per-path OWD series.
 	RecordBucket time.Duration
@@ -85,8 +89,14 @@ type Mesh struct {
 func NewMesh(opts MeshOptions) *Mesh {
 	var err error
 	opts.ProbeInterval, opts.DecideEvery, err = cadences("MeshOptions", opts.ProbeInterval, opts.DecideEvery)
+	if err == nil {
+		err = checkPolicy("MeshOptions.SitePolicy", opts.SitePolicy)
+	}
 	if err != nil {
 		return &Mesh{deployment: deployment{buildErr: err}}
+	}
+	refuse := func(format string, a ...any) *Mesh {
+		return &Mesh{deployment: deployment{buildErr: fmt.Errorf("tango: MeshOptions "+format, a...)}}
 	}
 	var cfg topo.MeshConfig
 	if len(opts.Sites) == 0 {
@@ -94,9 +104,13 @@ func NewMesh(opts MeshOptions) *Mesh {
 	} else {
 		provs := make([]topo.RadialProvider, 0, len(opts.Providers))
 		for _, p := range opts.Providers {
-			if p.ASN == 0 || p.ASN > math.MaxUint16 {
-				return &Mesh{deployment: deployment{buildErr: fmt.Errorf(
-					"tango: MeshOptions provider %s has ASN %d; want 1-65535", p.Name, p.ASN)}}
+			switch {
+			case p.ASN == 0 || p.ASN > math.MaxUint16:
+				return refuse("provider %s has ASN %d; want 1-65535", p.Name, p.ASN)
+			case !(p.Scale >= 0) || math.IsInf(p.Scale, 1):
+				return refuse("provider %s has Scale %g; want a finite value, 0 or more", p.Name, p.Scale)
+			case p.JitterStd < 0:
+				return refuse("provider %s has JitterStd %v; want 0 or more", p.Name, p.JitterStd)
 			}
 			provs = append(provs, topo.RadialProvider{
 				Name:  p.Name,
@@ -107,6 +121,9 @@ func NewMesh(opts MeshOptions) *Mesh {
 		}
 		sites := make([]topo.RadialSite, 0, len(opts.Sites))
 		for _, s := range opts.Sites {
+			if s.Radius < 0 {
+				return refuse("site %s has Radius %v; want 0 or more", s.Name, s.Radius)
+			}
 			sites = append(sites, topo.RadialSite{
 				Name:        s.Name,
 				Radius:      s.Radius,

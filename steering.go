@@ -2,6 +2,7 @@ package tango
 
 import (
 	"fmt"
+	"math"
 
 	"tango/internal/core"
 )
@@ -31,18 +32,19 @@ type SteeringPlacement struct {
 	Weights map[string]float64
 }
 
-// SetTrunkCapacity declares the capacity, in bits per virtual second, of
-// both directions of the named provider's trunk serving a site. Declared
-// capacities have two effects: the simulated lines model serialization
-// delay (an oversubscribed trunk builds queueing delay, never loss), and
-// OptimizeSteering's placement counts load against them. Undeclared
-// trunks stay uncapacitated and free.
+// SetTrunkCapacity declares the capacity, in bits per virtual second
+// (positive and finite), of both directions of the named provider's
+// trunk serving a site. Declared capacities have two effects: the
+// simulated lines model serialization delay (an oversubscribed trunk
+// builds queueing delay, never loss), and OptimizeSteering's placement
+// counts load against them. Undeclared trunks stay uncapacitated and
+// free.
 func (m *Mesh) SetTrunkCapacity(site, provider string, bps float64) error {
 	if m.buildErr != nil {
 		return m.buildErr
 	}
-	if bps <= 0 {
-		return fmt.Errorf("tango: trunk capacity must be positive, got %g", bps)
+	if !(bps > 0) || math.IsInf(bps, 1) {
+		return fmt.Errorf("tango: trunk capacity must be positive and finite, got %g", bps)
 	}
 	down := m.d.Scenario.Trunk[site][provider]
 	up := m.d.Scenario.Uplink[site][provider]

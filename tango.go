@@ -71,7 +71,8 @@ type Options struct {
 	// negative value). PolicyStaticDefault, not a cadence, is how to keep
 	// traffic on the BGP default path.
 	DecideEvery time.Duration
-	// PolicyNY / PolicyLA select each site's strategy.
+	// PolicyNY / PolicyLA select each site's strategy (Establish refuses
+	// a value that is none of the Policy constants).
 	PolicyNY, PolicyLA Policy
 	// RecordBucket, when positive, records per-path OWD time series at
 	// this aggregation for later export.
@@ -121,8 +122,9 @@ func cadences(opts string, probe, decide time.Duration) (time.Duration, time.Dur
 // in virtual time — iterative path discovery in both directions, one
 // pinned prefix announced per exposed path, tunnels provisioned, probing
 // and the measurement feedback loop started — then wires the overlay
-// relay tables. It returns an error if the topology was invalid or
-// establishment does not complete. A second call changes nothing.
+// relay tables. It returns an error if the topology was invalid,
+// establishment does not complete, or BGP exposed no path between a
+// deployed pair. A second call changes nothing.
 func (p *deployment) Establish() error {
 	if p.buildErr != nil {
 		return p.buildErr
@@ -178,6 +180,12 @@ type Lab struct {
 func NewLab(opts Options) *Lab {
 	var err error
 	opts.ProbeInterval, opts.DecideEvery, err = cadences("Options", opts.ProbeInterval, opts.DecideEvery)
+	if err == nil {
+		err = checkPolicy("Options.PolicyNY", opts.PolicyNY)
+	}
+	if err == nil {
+		err = checkPolicy("Options.PolicyLA", opts.PolicyLA)
+	}
 	if err != nil {
 		return &Lab{deployment: deployment{buildErr: err}}
 	}
@@ -201,6 +209,15 @@ func NewLab(opts Options) *Lab {
 		})}
 }
 
+// checkPolicy refuses a Policy value that names no policy (field names
+// it in the error).
+func checkPolicy(field string, p Policy) error {
+	if p < PolicyMinDelay || p > PolicyStaticDefault {
+		return fmt.Errorf("tango: %s is Policy(%d); want PolicyMinDelay, PolicyMinJitter or PolicyStaticDefault", field, p)
+	}
+	return nil
+}
+
 func mkPolicy(p Policy) control.Policy {
 	switch p {
 	case PolicyMinJitter:
@@ -221,13 +238,9 @@ func (l *Lab) Establish() error {
 	if err := l.deployment.Establish(); err != nil {
 		return err
 	}
-	ny, la := l.d.Mesh.Member("ny", "la"), l.d.Mesh.Member("la", "ny")
-	if len(ny.OutPaths) == 0 || len(la.OutPaths) == 0 {
-		return fmt.Errorf("tango: no wide-area paths discovered")
-	}
 	if l.ny == nil {
-		l.ny = &Site{name: "ny", site: ny}
-		l.la = &Site{name: "la", site: la}
+		l.ny = &Site{name: "ny", site: l.d.Mesh.Member("ny", "la")}
+		l.la = &Site{name: "la", site: l.d.Mesh.Member("la", "ny")}
 	}
 	return nil
 }

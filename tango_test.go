@@ -1,6 +1,7 @@
 package tango
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -340,22 +341,29 @@ func TestMeshBeforeEstablish(t *testing.T) {
 	}
 }
 
-// TestMeshProvidersShareNoASN: two providers with one ASN used to build,
-// the discovery labels kept whichever name came last, and BGP loop
-// detection dropped every route through either. Establish now names both.
-func TestMeshProvidersShareNoASN(t *testing.T) {
-	mesh := NewMesh(MeshOptions{
+// radialOptions is a valid two-site custom mesh for edit to break.
+func radialOptions(edit func(*MeshOptions)) MeshOptions {
+	o := MeshOptions{
 		Seed: 1,
 		Providers: []MeshProvider{
 			{Name: "Zayo", ASN: 6461, Scale: 1},
-			{Name: "Lumen", ASN: 6461, Scale: 1.2},
+			{Name: "Lumen", ASN: 3356, Scale: 1.2},
 		},
 		Sites: []MeshSiteSpec{
 			{Name: "a", Radius: 5 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
 			{Name: "b", Radius: 7 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
 		},
 		Pairs: [][2]string{{"a", "b"}},
-	})
+	}
+	edit(&o)
+	return o
+}
+
+// TestMeshProvidersShareNoASN: two providers with one ASN used to build,
+// the discovery labels kept whichever name came last, and BGP loop
+// detection dropped every route through either. Establish now names both.
+func TestMeshProvidersShareNoASN(t *testing.T) {
+	mesh := NewMesh(radialOptions(func(o *MeshOptions) { o.Providers[1].ASN = 6461 }))
 	want := "topo: providers Zayo and Lumen share AS6461"
 	if err := mesh.Establish(); err == nil || err.Error() != want {
 		t.Fatalf("Establish() = %v, want %q", err, want)
@@ -373,20 +381,82 @@ func TestMeshProviderASNFitsSixteenBits(t *testing.T) {
 		{70000, "tango: MeshOptions provider Zayo has ASN 70000; want 1-65535"},
 		{0, "tango: MeshOptions provider Zayo has ASN 0; want 1-65535"},
 	} {
-		mesh := NewMesh(MeshOptions{
-			Seed: 1,
-			Providers: []MeshProvider{
-				{Name: "Lumen", ASN: 3356, Scale: 1.2},
-				{Name: "Zayo", ASN: c.asn, Scale: 1},
-			},
-			Sites: []MeshSiteSpec{
-				{Name: "a", Radius: 5 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
-				{Name: "b", Radius: 7 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
-			},
-			Pairs: [][2]string{{"a", "b"}},
-		})
+		mesh := NewMesh(radialOptions(func(o *MeshOptions) { o.Providers[0].ASN = c.asn }))
 		if err := mesh.Establish(); err == nil || err.Error() != c.want {
 			t.Errorf("ASN %d: Establish() = %v, want %q", c.asn, err, c.want)
+		}
+	}
+}
+
+// TestBadOptionsNameTheField: a negative Radius or Scale used to
+// establish and then panic in the scheduler on the first Run, a NaN
+// Scale left every route invalid, a negative JitterStd was accepted, and
+// a Policy out of range ran MinOWD. Establish now names the field and
+// the value.
+func TestBadOptionsNameTheField(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		establish func() error
+		want      string
+	}{
+		{"negative radius", NewMesh(radialOptions(func(o *MeshOptions) { o.Sites[0].Radius = -time.Millisecond })).Establish,
+			"tango: MeshOptions site a has Radius -1ms; want 0 or more"},
+		{"negative scale", NewMesh(radialOptions(func(o *MeshOptions) { o.Providers[1].Scale = -1 })).Establish,
+			"tango: MeshOptions provider Lumen has Scale -1; want a finite value, 0 or more"},
+		{"NaN scale", NewMesh(radialOptions(func(o *MeshOptions) { o.Providers[0].Scale = math.NaN() })).Establish,
+			"tango: MeshOptions provider Zayo has Scale NaN; want a finite value, 0 or more"},
+		{"infinite scale", NewMesh(radialOptions(func(o *MeshOptions) { o.Providers[0].Scale = math.Inf(1) })).Establish,
+			"tango: MeshOptions provider Zayo has Scale +Inf; want a finite value, 0 or more"},
+		{"negative jitter", NewMesh(radialOptions(func(o *MeshOptions) { o.Providers[0].JitterStd = -time.Microsecond })).Establish,
+			"tango: MeshOptions provider Zayo has JitterStd -1µs; want 0 or more"},
+		{"mesh policy", NewMesh(MeshOptions{Seed: 1, SitePolicy: Policy(99)}).Establish,
+			"tango: MeshOptions.SitePolicy is Policy(99); want PolicyMinDelay, PolicyMinJitter or PolicyStaticDefault"},
+		{"lab policy NY", NewLab(Options{Seed: 1, PolicyNY: Policy(99)}).Establish,
+			"tango: Options.PolicyNY is Policy(99); want PolicyMinDelay, PolicyMinJitter or PolicyStaticDefault"},
+		{"lab policy LA", NewLab(Options{Seed: 1, PolicyLA: -1}).Establish,
+			"tango: Options.PolicyLA is Policy(-1); want PolicyMinDelay, PolicyMinJitter or PolicyStaticDefault"},
+	} {
+		if err := c.establish(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Establish() = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestTrunkCapacityIsFinite: NaN passed the bps <= 0 check and +Inf is
+// no capacity at all; both are refused like 0.
+func TestTrunkCapacityIsFinite(t *testing.T) {
+	m := NewMesh(MeshOptions{Seed: 1})
+	for _, bps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if err := m.SetTrunkCapacity("ny", "NTT", bps); err == nil || !strings.Contains(err.Error(), "positive and finite") {
+			t.Errorf("SetTrunkCapacity(%g) = %v, want a refusal", bps, err)
+		}
+	}
+	if err := m.SetTrunkCapacity("ny", "NTT", 1e9); err != nil {
+		t.Errorf("SetTrunkCapacity(1e9) = %v", err)
+	}
+}
+
+// TestPairWithNoPathIsAnError: a Mesh whose deployed pair BGP exposed no
+// path to used to establish, and Send then failed on undeployed links.
+// Every deployment now refuses it in Establish and names the pair.
+func TestPairWithNoPathIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*MeshOptions)
+		want string
+	}{
+		{"no shared provider", func(o *MeshOptions) {
+			o.Sites[0].Providers = []string{"Zayo"}
+			o.Sites[1].Providers = []string{"Lumen"}
+		}, "core: BGP exposed no path from a to b"},
+		{"site with no provider", func(o *MeshOptions) { o.Sites[1].Providers = nil },
+			"core: BGP exposed no path from a to b"},
+	} {
+		m := NewMesh(radialOptions(c.edit))
+		for i := 0; i < 2; i++ { // a second call reports the same outcome
+			if err := m.Establish(); err == nil || err.Error() != c.want {
+				t.Errorf("%s: Establish() #%d = %v, want %q", c.name, i+1, err, c.want)
+			}
 		}
 	}
 }
