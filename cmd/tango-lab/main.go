@@ -17,6 +17,8 @@
 // engine per goroutine (N <= 0 means one per CPU). Experiments are fully
 // isolated, so the reports are byte-identical to a serial run; output is
 // buffered and printed in experiment order once all results are in.
+// Serial or not, a driver that panics fails its own report, with the
+// panic, and the other experiments still run.
 //
 // -shards N advances the partitions of the multi-partition experiments
 // (e10, e11, e12, e13, e15) on N worker goroutines in lock-stepped epochs;
@@ -130,19 +132,19 @@ func realMain() int {
 		}
 		return nil
 	}
+	jobs := make([]experiments.Job, len(exps))
+	for i, e := range exps {
+		jobs[i] = experiments.Job{ID: e.ID, Cfg: cfg, Run: e.Run}
+	}
 	if *parallel == 1 {
 		// Serial runs stream each report as it finishes.
-		for _, e := range exps {
-			if err := emit(e.Run(cfg)); err != nil {
+		for _, j := range jobs {
+			if err := emit(experiments.RunJob(j)); err != nil {
 				fmt.Fprintf(os.Stderr, "writing CSVs: %v\n", err)
 				return 1
 			}
 		}
 	} else {
-		jobs := make([]experiments.Job, len(exps))
-		for i, e := range exps {
-			jobs[i] = experiments.Job{ID: e.ID, Cfg: cfg, Run: e.Run}
-		}
 		for _, res := range experiments.RunJobs(jobs, *parallel) {
 			if err := emit(res); err != nil {
 				fmt.Fprintf(os.Stderr, "writing CSVs: %v\n", err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,6 +99,44 @@ func TestWriteSeriesSorted(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("run %d wrote %v, want sorted %v", run, got, want)
+		}
+	}
+}
+
+// TestPanickingDriverFailsOnlyItsReport runs tango-lab's default serial
+// path over a registry with a panicking driver ahead of a passing one:
+// the panic becomes that experiment's FAIL, the next experiment still
+// runs, and the run exits 1 instead of crashing.
+func TestPanickingDriverFailsOnlyItsReport(t *testing.T) {
+	registry, args, cmdline, stdout := experiments.Registry, os.Args, flag.CommandLine, os.Stdout
+	t.Cleanup(func() {
+		experiments.Registry, os.Args, flag.CommandLine, os.Stdout = registry, args, cmdline, stdout
+	})
+	experiments.Registry = append(slices.Clip(registry),
+		experiments.Experiment{ID: "boom", Run: func(experiments.Config) *experiments.Result { panic("driver bug") }},
+		experiments.Experiment{ID: "fine", Run: func(experiments.Config) *experiments.Result {
+			return &experiments.Result{ID: "FINE", Title: "runs after the panic"}
+		}},
+	)
+	os.Args = []string{"tango-lab", "-run", "boom,fine"}
+	flag.CommandLine = flag.NewFlagSet("tango-lab", flag.ContinueOnError)
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = out
+	code := realMain()
+	os.Stdout = stdout
+	report, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 1 {
+		t.Errorf("exit code %d, want 1", code)
+	}
+	for _, want := range []string{"[FAIL] driver bug", "runs after the panic", "RESULT: some checks FAILED"} {
+		if !strings.Contains(string(report), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, report)
 		}
 	}
 }

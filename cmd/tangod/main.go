@@ -12,8 +12,8 @@
 //	       [-policy min-delay|min-jitter|static] [-metrics :9090]
 //	       [-duration 0] [-addr-file F] [-status-every 2s]
 //
-// The edge probes, reports and decides on the core.Live* cadences, the
-// ones the E8-live simulated reference runs.
+// The edge starts with core.LiveEdgeConfig and probes at
+// core.LiveProbeEvery, as the E8-live simulated reference does.
 //
 // With -metrics, tangod serves GET /metrics (a Prometheus text scrape of
 // every registered instrument), GET /trace?n=100 (a JSON tail of the
@@ -93,20 +93,7 @@ func run() int {
 		for _, ep := range sess.Endpoints() {
 			b.AddAddr(ep)
 		}
-		cfg := core.EdgeConfig{
-			Local:        sess.SwitchAddr(),
-			Policy:       pol,
-			DecideEvery:  core.LiveDecideEvery,
-			ReportEvery:  core.LiveReportEvery,
-			ReportMaxAge: 5 * core.LiveReportEvery,
-		}
-		for i, ps := range paths {
-			cfg.Paths = append(cfg.Paths, core.EdgePath{Name: ps.Name, Remote: p.Endpoints[i]})
-		}
-		for _, ps := range p.Paths {
-			cfg.PeerPaths = append(cfg.PeerPaths, ps.Name)
-		}
-		edge.Start(cfg)
+		edge.Start(core.LiveEdgeConfig(sess.SwitchAddr(), pathNames(paths), p.Endpoints, pathNames(p.Paths), pol))
 		edge.Probe(sess.SwitchAddr(), p.SwitchAddr, core.LiveProbeEvery)
 		close(established)
 	}
@@ -217,13 +204,22 @@ func handler(reg *obs.Registry, j *obs.Journal, established <-chan struct{}) htt
 }
 
 // checkCadences rejects a -status-every a run cannot survive: a ticker
-// panics on a non-positive period. The edge's own cadences are the
-// core.Live* constants.
+// panics on a non-positive period. The edge's own cadences come from
+// core.LiveEdgeConfig.
 func checkCadences(status time.Duration) error {
 	if status <= 0 {
 		return fmt.Errorf("-status-every must be positive, got %v", status)
 	}
 	return nil
+}
+
+// pathNames lists the names of specs in order.
+func pathNames(specs []udp.PathSpec) []string {
+	names := make([]string, len(specs))
+	for i, ps := range specs {
+		names[i] = ps.Name
+	}
+	return names
 }
 
 // livePolicy builds the steering policy. The dwell and staleness

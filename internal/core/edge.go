@@ -71,13 +71,32 @@ type EdgeConfig struct {
 // simulated reference, so both transports steer on one configuration.
 const (
 	LiveProbeEvery  = 20 * time.Millisecond
-	LiveReportEvery = 25 * time.Millisecond
-	LiveDecideEvery = 100 * time.Millisecond
+	liveReportEvery = 25 * time.Millisecond
+	liveDecideEvery = 100 * time.Millisecond
 )
 
 // LiveMinDelay returns the live edge's min-delay policy.
 func LiveMinDelay() control.Policy {
 	return &control.MinOWD{HysteresisMs: 1, MinDwell: 300 * time.Millisecond, StaleAfter: 5 * time.Second}
+}
+
+// LiveEdgeConfig is the live edge's configuration: outgoing path i is
+// named paths[i] and reaches the peer's endpoint remotes[i], peerPaths
+// names the peer's outgoing paths, and the cadences are the live ones.
+// Probe at LiveProbeEvery once both edges of the pair have started.
+func LiveEdgeConfig(local netip.Addr, paths []string, remotes []netip.Addr, peerPaths []string, pol control.Policy) EdgeConfig {
+	cfg := EdgeConfig{
+		Local:        local,
+		PeerPaths:    peerPaths,
+		Policy:       pol,
+		DecideEvery:  liveDecideEvery,
+		ReportEvery:  liveReportEvery,
+		ReportMaxAge: 5 * liveReportEvery,
+	}
+	for i, name := range paths {
+		cfg.Paths = append(cfg.Paths, EdgePath{Name: name, Remote: remotes[i]})
+	}
+	return cfg
 }
 
 // NewEdge attaches a switch and a monitor to ep; eng is the engine ep's

@@ -84,22 +84,11 @@ func E8LiveSim(cfg Config) *Result {
 	swB, epB := udp.SiteAddrs("site-b", len(livePathNames))
 
 	wire := func(local *simnet.Node, localSw netip.Addr, peerEPs, ownEPs []netip.Addr) *core.Edge {
-		cfg := core.EdgeConfig{
-			Local:        localSw,
-			PeerPaths:    livePathNames,
-			Policy:       core.LiveMinDelay(),
-			DecideEvery:  core.LiveDecideEvery,
-			ReportEvery:  core.LiveReportEvery,
-			ReportMaxAge: 5 * core.LiveReportEvery,
-		}
-		for i, name := range livePathNames {
-			cfg.Paths = append(cfg.Paths, core.EdgePath{Name: name, Remote: peerEPs[i]})
-		}
 		for _, ep := range ownEPs {
 			local.AddAddr(ep)
 		}
 		e := core.NewEdge(local, local.Eng())
-		e.Start(cfg)
+		e.Start(core.LiveEdgeConfig(localSw, livePathNames, peerEPs, livePathNames, core.LiveMinDelay()))
 		return e
 	}
 

@@ -39,7 +39,7 @@ func RunJobs(jobs []Job, workers int) []*Result {
 	}
 	if workers <= 1 {
 		for i, j := range jobs {
-			results[i] = runJob(j)
+			results[i] = RunJob(j)
 		}
 		return results
 	}
@@ -50,7 +50,7 @@ func RunJobs(jobs []Job, workers int) []*Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runJob(jobs[i])
+				results[i] = RunJob(jobs[i])
 			}
 		}()
 	}
@@ -62,10 +62,11 @@ func RunJobs(jobs []Job, workers int) []*Result {
 	return results
 }
 
-// runJob shields the worker pool from a panicking driver: the panic
-// becomes the job's Result.Err (with the panic site for debugging)
-// instead of killing the process and every sibling job with it.
-func runJob(j Job) (r *Result) {
+// RunJob runs one job on the caller's goroutine, shielded from a
+// panicking driver: the panic becomes the job's Result.Err (with the
+// panic site for debugging) instead of killing the process and every
+// sibling job with it.
+func RunJob(j Job) (r *Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			buf := make([]byte, 4096)

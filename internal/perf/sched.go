@@ -53,18 +53,17 @@ func BenchSchedFire(b *testing.B) {
 	}
 }
 
-// cancelWarmup pushes the cancel loop through several deferred-sweep
-// cycles before measurement so the steady state — tombstones accumulating
-// toward the sweep threshold, sweeps refilling the freelist — is what the
-// timer sees, not the first sweep's cold start.
+// cancelWarmup runs the cancel loop before measurement so the buckets
+// its targets land in and the event freelist are warm: the timer sees
+// the steady state, not first touches.
 const cancelWarmup = 8192
 
 // BenchCancel measures one Schedule+Cancel cycle on the wheel with
 // schedBacklog live events pending. The cancel target's delay is drawn
 // from the same exponential span as the backlog so it lands mid-structure
-// rather than past every pending event. Cancellation is lazy, so the
-// measured cost is the O(1) tombstone write plus the amortized share of
-// the deferred sweeps that reclaim tombstones in bulk.
+// rather than past every pending event. Cancel unlinks a bucketed event
+// and recycles it at once, so the measured cost is one placement and one
+// O(1) unlink.
 func BenchCancel(b *testing.B) {
 	e := sim.NewEngine()
 	noop := func() {}

@@ -10,8 +10,8 @@ import (
 
 // The burst differential covers what the due heap added and the 300-op
 // scripts of differential_test.go never reach: a due set thousands deep,
-// filled in arbitrary order behind a cursor that has run ahead, and swept
-// while populated. Scripts are byte strings so the same interpreter serves
+// filled in arbitrary order behind a cursor that has run ahead, and
+// cancelled in bulk while populated. Scripts are byte strings so the same interpreter serves
 // the seeded differential, its replay twin and the coverage-guided fuzz
 // target; every byte string is a valid script.
 //
@@ -59,7 +59,7 @@ func opDelay(class byte, mag uint16) time.Duration {
 	case 5:
 		return time.Duration(m) * time.Second
 	case 6:
-		return time.Duration(1<<(granBits+horizonBits) | m<<20) // beyond horizon
+		return time.Duration(1<<(granBits+(numLevels-1)*levelBits) | m<<20) // top level
 	default:
 		return time.Duration(1<<63 - 1 - m) // clamps to Forever
 	}
@@ -73,6 +73,9 @@ type byteScript struct {
 	live  []int       // creation indices currently pending
 	pos   map[int]int // creation index → position in live
 	n     int         // events scheduled so far
+	// dueTombs is the most tombstones an Engine's due heap held after a
+	// burst's cancels (0 for the reference heap).
+	dueTombs int
 }
 
 func (s *byteScript) byte() byte {
@@ -122,8 +125,8 @@ func (s *byteScript) cancel(idx int) {
 // burst is the case the due heap exists for. A far timer and NextAt run
 // the cursor ahead; 3–5k events then land in already-passed granules in
 // random order — one in eight at a single hot instant, one in eight with
-// children — more than sweepMinTombstones of them are cancelled at
-// random, which sweeps the populated due set, and the rest run.
+// children — at least half of them are cancelled at random, which leaves
+// tombstones all through the populated due heap, and the rest run.
 func (s *byteScript) burst(n, cancels int, seed byte) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	s.sched(5*time.Millisecond+time.Duration(rng.Intn(1000))*time.Microsecond, 0, 0)
@@ -150,6 +153,15 @@ func (s *byteScript) burst(n, cancels int, seed byte) {
 	for _, idx := range ids[:cancels] {
 		s.cancel(idx)
 	}
+	if e := s.d.eng; e != nil {
+		tombs := 0
+		for _, ev := range e.w.due {
+			if ev.state == stateDone {
+				tombs++
+			}
+		}
+		s.dueTombs = max(s.dueTombs, tombs)
+	}
 	s.runFor(time.Duration(window))
 }
 
@@ -165,6 +177,11 @@ func (s *byteScript) runFor(dd time.Duration) {
 // runBytes executes one byte script against a fresh driver and returns
 // the fire sequence plus the checkpoint trace.
 func runBytes(data []byte, d *diffDriver) ([]firing, []int64) {
+	s := runByteScript(data, d)
+	return s.fires, s.trace
+}
+
+func runByteScript(data []byte, d *diffDriver) *byteScript {
 	s := &byteScript{d: d, data: data, pos: make(map[int]int)}
 	for len(s.data) > 0 {
 		switch s.byte() % numOps {
@@ -187,14 +204,14 @@ func runBytes(data []byte, d *diffDriver) ([]firing, []int64) {
 			s.trace = append(s.trace, int64(at), okBit)
 		case opBurst:
 			n := 3000 + int(s.u16())%2001
-			cancels := sweepMinTombstones + 1 + int(s.u16())%(n-sweepMinTombstones-1)
+			cancels := n/2 + int(s.u16())%(n/2)
 			s.burst(n, cancels, s.byte())
 		}
 		s.trace = append(s.trace, int64(s.d.now()), int64(s.d.pending()))
 	}
 	s.d.run(Forever)
 	s.trace = append(s.trace, int64(s.d.now()), int64(s.d.pending()))
-	return s.fires, s.trace
+	return s
 }
 
 // burstScript generates the seeded script of the burst differential: 120
@@ -266,16 +283,17 @@ func TestDifferentialBurstVsHeap(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		script := burstScript(seed)
 		ed := engineDriver()
-		wf, wt := runBytes(script, ed)
+		ws := runByteScript(script, ed)
 		hf, ht := runBytes(script, refDriver())
-		sameRun(t, fmt.Sprintf("seed %d", seed), wf, wt, hf, ht)
-		// The script did what it is for: the due set held a burst and a
-		// deferred sweep walked it.
-		// Every tombstone not still linked was reclaimed.
-		st := ed.eng.Stats
-		if swept := st.Cancelled - uint64(ed.eng.ntomb); st.DuePeak < 3000 || swept < sweepMinTombstones {
-			t.Fatalf("seed %d: DuePeak %d, swept %d: the burst never populated and swept the due set",
-				seed, st.DuePeak, swept)
+		sameRun(t, fmt.Sprintf("seed %d", seed), ws.fires, ws.trace, hf, ht)
+		// The script did what it is for: the due set held a burst, and
+		// cancels left tombstones in it for peek to skip and recycle.
+		if st := ed.eng.Stats; st.DuePeak < 3000 || ws.dueTombs < 1000 {
+			t.Fatalf("seed %d: DuePeak %d, %d due tombstones: the burst never populated the due set and cancelled in it",
+				seed, st.DuePeak, ws.dueTombs)
+		}
+		if n := len(ed.eng.w.due); n != 0 {
+			t.Fatalf("seed %d: due heap holds %d events after the final drain", seed, n)
 		}
 	}
 }

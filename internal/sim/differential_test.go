@@ -13,7 +13,7 @@ import (
 // (time, creation-index) fire sequences, identical clocks, and identical
 // pending counts at every checkpoint. Delays are drawn from a mix that
 // deliberately stresses every wheel path: same-instant bursts, sub-granule
-// jitter, level-crossing delays, multi-level jumps, and overflow-horizon
+// jitter, level-crossing delays, multi-level jumps, and top-level
 // monsters (including delays that clamp to Forever).
 
 type firing struct {
@@ -94,7 +94,7 @@ func drawDelay(rng *rand.Rand) time.Duration {
 	case 6, 7:
 		return time.Duration(rng.Int63n(int64(2 * time.Hour))) // level 3-4
 	case 8:
-		return time.Duration(rng.Int63n(int64(1<<62))) | 1<<(granBits+horizonBits) // beyond horizon
+		return time.Duration(rng.Int63n(int64(1<<62))) | 1<<(granBits+(numLevels-1)*levelBits) // top level
 	default:
 		return time.Duration(1<<63 - 1 - rng.Int63n(1000)) // clamps to Forever
 	}
@@ -156,7 +156,7 @@ func runScript(seed int64, mk func() *diffDriver) (fires []firing, trace []int64
 		}
 		trace = append(trace, int64(d.now()), int64(d.pending()), int64(at), okBit)
 	}
-	// Drain completely so the tail (overflow rebases, Forever events)
+	// Drain completely so the tail (top-level cascades, Forever events)
 	// is exercised too.
 	d.run(Forever)
 	trace = append(trace, int64(d.now()), int64(d.pending()))
@@ -192,8 +192,8 @@ func TestDifferentialWheelVsHeap(t *testing.T) {
 }
 
 // The wheel must also agree with itself: the same script replayed on a
-// fresh Engine fires identically (no hidden iteration-order or sweep
-// nondeterminism).
+// fresh Engine fires identically (no hidden iteration-order or
+// cancellation nondeterminism).
 func TestDifferentialWheelReplay(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		a, at := runScript(seed, engineDriver)

@@ -1,25 +1,28 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock and a hierarchical timing wheel of
-// scheduled events (see wheel.go). Events scheduled for the same instant
-// fire in scheduling order, which—together with seeded random streams
-// (see rng.go)—makes every run with the same seed bit-for-bit
-// reproducible. All Tango experiments are built on this property: the
-// paper's eight-day Internet measurement is replaced by a virtual-time
-// trace that can be regenerated exactly.
+// The engine keeps a virtual clock and a hierarchical timing wheel of
+// pending events (see wheel.go) and fires them in (at, seq) order: events
+// scheduled for the same instant fire in scheduling order, which—together
+// with seeded random streams (see rng.go)—makes every run with the same
+// seed bit-for-bit reproducible. All Tango experiments are built on this
+// property: the paper's eight-day Internet measurement is replaced by a
+// virtual-time trace that can be regenerated exactly. The *Event a
+// schedule returns is a handle that stays valid until the event fires or
+// is cancelled (see Engine.Cancel).
 //
-// The engine is single-goroutine by design. Simulated components never
+// An engine runs on one goroutine at a time. Simulated components never
 // block; they schedule continuations instead. This mirrors how an eBPF
 // program or a switch pipeline is written (run-to-completion handlers) and
-// avoids all locking on the simulation hot path. Independent engines are
-// fully isolated, so a sweep of experiments may run one engine per
-// goroutine (see internal/experiments' runner).
+// avoids all locking on the simulation hot path. A Coordinator (see
+// coordinator.go) advances the partition engines of one network in
+// epochs, concurrently when it has several; engines of different networks
+// share nothing, so internal/experiments' runner runs one experiment per
+// goroutine.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"time"
 )
 
@@ -32,8 +35,9 @@ const Forever Time = math.MaxInt64
 
 // Event lifecycle states (Event.state).
 const (
-	statePending int32 = 1  // scheduled, will fire unless cancelled
-	stateDone    int32 = -1 // fired, cancelled, or on the freelist
+	stateBucketed int8 = 1  // pending, in the bucket chain at (level, slot)
+	stateDue      int8 = 2  // pending, in the due heap
+	stateDone     int8 = -1 // fired, cancelled, or on the freelist
 )
 
 // Event is a scheduled callback. The callback runs exactly once, at the
@@ -51,8 +55,11 @@ type Event struct {
 	fn      func()
 	handler ArgHandler
 	arg     any
-	state   int32
-	next    *Event // bucket / overflow / freelist chain link
+	next    *Event // bucket chain / freelist link
+	prev    *Event // bucket chain back link
+	state   int8
+	level   uint8 // bucket of a stateBucketed event
+	slot    uint8
 }
 
 // ArgHandler consumes payload-carrying events scheduled with ScheduleArg.
@@ -74,7 +81,6 @@ type Engine struct {
 	seq     uint64
 	w       wheel
 	nlive   int // pending, non-cancelled events
-	ntomb   int // cancelled events still linked in a chain
 	running bool
 	free    *Event // freelist to avoid per-event allocation in long runs
 
@@ -199,109 +205,33 @@ func (e *Engine) push(t Time) *Event {
 	ev := e.alloc()
 	ev.at = t
 	ev.seq = e.seq
-	ev.state = statePending
 	e.seq++
 	e.w.place(e, ev)
 	e.nlive++
 	return ev
 }
 
-// Cancel prevents a scheduled event from firing. Cancelling an event that
-// already fired (or was already cancelled) is a no-op.
+// Cancel prevents a scheduled event from firing. A handle is valid until
+// its event fires or is cancelled: the engine recycles the Event at that
+// point (a fired one before its callback runs), so a fired or cancelled
+// handle must never be cancelled. Cancelling nil is a no-op.
 //
-// Cancellation is lazy: the event is tombstoned in place — O(1), no
-// bucket surgery — and its memory is reclaimed when its bucket expires or
-// when accumulated tombstones trigger a deferred sweep, whichever comes
-// first.
+// A bucketed event is unlinked and recycled at once. An event already in
+// the due heap is left there as a tombstone, which peek recycles when it
+// reaches the root; it precedes every bucketed event, so it leaves the
+// heap by the time the clock passes its instant.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.state < 0 {
+	if ev == nil || ev.state == stateDone {
 		return
 	}
-	ev.state = stateDone
-	ev.fn = nil
-	ev.handler = nil
-	ev.arg = nil
+	ev.fn, ev.handler, ev.arg = nil, nil, nil
 	e.nlive--
-	e.ntomb++
 	e.Stats.Cancelled++
-	e.maybeSweep()
-}
-
-// Sweep policy: tombstones are reclaimed in bulk once enough accumulate
-// to matter, amortizing the walk over the cancels that created them. The
-// floor keeps sweeps rare in cancel-light runs; the live-count ratio
-// keeps a huge backlog from being walked for a handful of tombstones.
-const (
-	sweepMinTombstones = 2048
-	sweepLiveRatio     = 4 // sweep when ntomb ≥ nlive/sweepLiveRatio
-)
-
-func (e *Engine) maybeSweep() {
-	if e.ntomb >= sweepMinTombstones && e.ntomb*sweepLiveRatio >= e.nlive {
-		e.sweep()
+	if ev.state == stateBucketed {
+		e.w.unlink(ev)
+		e.release(ev)
 	}
-}
-
-// sweep unlinks every tombstone from the due heap and every chain and
-// returns the events to the freelist.
-func (e *Engine) sweep() {
-	w := &e.w
-	live := w.due[:0]
-	for _, ev := range w.due {
-		if ev.state < 0 {
-			e.reclaim(ev)
-			continue
-		}
-		live = append(live, ev)
-	}
-	clear(w.due[len(live):])
-	w.due = live
-	w.heapifyDue()
-	for l := range w.level {
-		lv := &w.level[l]
-		for m := lv.occupied; m != 0; m &= m - 1 {
-			s := bits.TrailingZeros64(m)
-			lv.slot[s] = e.filterChain(lv.slot[s])
-			if lv.slot[s] == nil {
-				lv.occupied &^= 1 << uint(s)
-			}
-		}
-	}
-	w.overflow = e.filterChain(w.overflow)
-	w.overflowMin = 0
-	for ev := w.overflow; ev != nil; ev = ev.next {
-		if u := granule(ev.at); w.overflowMin == 0 || u < w.overflowMin {
-			w.overflowMin = u
-		}
-	}
-}
-
-// filterChain rebuilds a chain without its tombstones and returns the
-// new head.
-func (e *Engine) filterChain(head *Event) *Event {
-	var out, tail *Event
-	for head != nil {
-		ev := head
-		head = head.next
-		if ev.state < 0 {
-			e.reclaim(ev)
-			continue
-		}
-		ev.next = nil
-		if tail == nil {
-			out = ev
-		} else {
-			tail.next = ev
-		}
-		tail = ev
-	}
-	return out
-}
-
-// reclaim returns an unlinked tombstone to the freelist.
-func (e *Engine) reclaim(ev *Event) {
-	e.ntomb--
-	e.release(ev)
+	ev.state = stateDone
 }
 
 // noteDue records the due set's high-water mark.
@@ -313,21 +243,22 @@ func (e *Engine) noteDue() {
 
 // peek returns the earliest pending event without firing it, advancing
 // the wheel cursor (but never the clock) as needed. Tombstones surfacing
-// at the due heap's root are reclaimed on the way.
+// at the due heap's root are recycled on the way.
 func (e *Engine) peek() *Event {
-	for {
-		for len(e.w.due) > 0 {
-			ev := e.w.due[0]
-			if ev.state >= 0 {
-				return ev
-			}
-			e.w.popDue()
-			e.reclaim(ev)
+	w := &e.w
+	for len(w.due) > 0 {
+		ev := w.due[0]
+		if ev.state != stateDone {
+			return ev
 		}
-		if !e.w.refill(e) {
-			return nil
-		}
+		w.popDue()
+		e.release(ev)
 	}
+	if e.nlive == 0 {
+		return nil
+	}
+	w.refill(e)
+	return w.due[0]
 }
 
 // Step fires the single earliest pending event, advancing the clock to its

@@ -87,11 +87,11 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	// Double-cancel and cancel-after-fire are no-ops.
-	e.Cancel(ev)
-	ev2 := e.Schedule(time.Second, func() {})
-	e.RunAll()
-	e.Cancel(ev2)
+	// Cancelling nil is a no-op.
+	e.Cancel(nil)
+	if e.Pending() != 0 || e.Stats.Cancelled != 1 {
+		t.Fatalf("Pending() = %d, Cancelled = %d; want 0, 1", e.Pending(), e.Stats.Cancelled)
+	}
 }
 
 func TestEngineCancelOneOfMany(t *testing.T) {

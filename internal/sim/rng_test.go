@@ -155,6 +155,41 @@ func TestTickerStopFromCallback(t *testing.T) {
 	}
 }
 
+// Stop inside the callback must not touch the tick that just fired: the
+// engine recycled its Event before the callback ran, so the first event
+// the callback schedules may reuse it, and that event must still fire.
+func TestTickerStopInCallbackKeepsItsEvents(t *testing.T) {
+	e := NewEngine()
+	fired := false
+	var tk *Ticker
+	tk = NewTicker(e, time.Millisecond, func(Time) {
+		e.Schedule(time.Millisecond, func() { fired = true })
+		tk.Stop()
+	})
+	e.RunAll()
+	if !fired {
+		t.Fatal("the event scheduled before Stop in the tick callback never fired")
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the drain", e.Pending())
+	}
+}
+
+// A tick reschedules the ticker itself, not a fresh closure, so a warm
+// ticker allocates nothing per tick.
+func TestTickerTickAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	ticks := 0
+	NewTicker(e, time.Millisecond, func(Time) { ticks++ })
+	e.Step()
+	if allocs := testing.AllocsPerRun(100, func() { e.Step() }); allocs != 0 {
+		t.Fatalf("a tick allocates %v times, want 0", allocs)
+	}
+	if ticks != 102 {
+		t.Fatalf("ticks = %d, want 102", ticks)
+	}
+}
+
 func TestClockOffset(t *testing.T) {
 	e := NewEngine()
 	c := NewClock(e, 5*time.Second)

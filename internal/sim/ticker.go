@@ -9,7 +9,7 @@ type Ticker struct {
 	eng    *Engine
 	period time.Duration
 	fn     func(Time)
-	ev     *Event
+	ev     *Event // the pending tick; nil while a tick runs and after Stop
 	stop   bool
 }
 
@@ -20,26 +20,25 @@ func NewTicker(eng *Engine, period time.Duration, fn func(Time)) *Ticker {
 		panic("sim: Ticker period must be positive")
 	}
 	t := &Ticker{eng: eng, period: period, fn: fn}
-	t.arm()
+	t.ev = eng.ScheduleArg(period, t, nil)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.eng.Schedule(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.fn(t.eng.Now())
-		if !t.stop {
-			t.arm()
-		}
-	})
+// OnSimEvent runs one tick and schedules the next. It implements
+// ArgHandler; only the engine calls it.
+func (t *Ticker) OnSimEvent(any) {
+	t.ev = nil // fired: the engine has recycled it
+	t.fn(t.eng.Now())
+	if !t.stop {
+		t.ev = t.eng.ScheduleArg(t.period, t, nil)
+	}
 }
 
 // Stop cancels future ticks. Safe to call from inside the callback.
 func (t *Ticker) Stop() {
 	t.stop = true
 	t.eng.Cancel(t.ev)
+	t.ev = nil
 }
 
 // Clock is a node-local wall clock: virtual time plus a constant offset.

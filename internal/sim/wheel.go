@@ -12,16 +12,17 @@ import "math/bits"
 //   - Virtual time is quantized into granules of 2^granBits ns. Level 0
 //     has one bucket per granule across a 64-granule window; each higher
 //     level widens its buckets by 64×, so numLevels levels cover
-//     64^numLevels granules (≈9 years of virtual time at 1 µs granules).
-//     Anything beyond that horizon waits on an overflow chain.
+//     64^numLevels granules: every int64 instant, Forever included, has
+//     a bucket.
 //   - An event's bucket is derived from the highest 6-bit digit in which
 //     its granule index differs from the cursor's ("base"): digit L
 //     differs → level L, slot = that digit. Events in the same bucket are
-//     chained through Event.next (unordered — chains are prepend-only, so
-//     insertion allocates nothing and touches one pointer).
+//     chained both ways through Event.next/prev (unordered, prepended),
+//     and each event records its level and slot, so Cancel unlinks it in
+//     O(1).
 //   - The cursor only moves forward. Entering a region cascades that
 //     region's bucket into lower levels; expiring a level-0 bucket moves
-//     its live events into the "due" set the engine fires from, a binary
+//     its events into the "due" set the engine fires from, a binary
 //     min-heap on (at, seq).
 //
 // Exactness is what distinguishes this wheel from the kernel's: a timer
@@ -54,12 +55,11 @@ import "math/bits"
 // batch, a set-up burst — lands in the due set in arbitrary order. A
 // push is O(log n) whatever the arrival order.
 const (
-	granBits    = 10 // level-0 bucket width: 2^10 ns ≈ 1 µs of virtual time
-	levelBits   = 6  // 64 buckets per level
-	wheelSlots  = 1 << levelBits
-	slotMask    = wheelSlots - 1
-	numLevels   = 8                     // 48 bits of granules ≈ 9.1 years
-	horizonBits = numLevels * levelBits // granule deltas ≥ 2^48 overflow
+	granBits   = 10 // level-0 bucket width: 2^10 ns ≈ 1 µs of virtual time
+	levelBits  = 6  // 64 buckets per level
+	wheelSlots = 1 << levelBits
+	slotMask   = wheelSlots - 1
+	numLevels  = 9 // 54 bits of granules: Forever is granule 2^53−1
 )
 
 type wheelLevel struct {
@@ -77,11 +77,6 @@ type wheel struct {
 	// pending event whose granule precedes base. The slice keeps its
 	// capacity, so a warm engine pushes without allocating.
 	due []*Event
-	// overflow chains events beyond the wheel horizon (notably timers
-	// clamped to Forever). overflowMin tracks the earliest granule on the
-	// chain so an exhausted wheel can rebase onto it.
-	overflow    *Event
-	overflowMin int64
 }
 
 func granule(t Time) int64 { return int64(t) >> granBits }
@@ -93,33 +88,45 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// place files ev into the due heap, a bucket, or the overflow chain,
-// according to where its granule falls relative to the cursor.
+// place files ev into the due heap or a bucket, according to where its
+// granule falls relative to the cursor.
 func (w *wheel) place(e *Engine, ev *Event) {
 	u := granule(ev.at)
 	if u < w.base {
+		ev.state = stateDue
 		w.insertDue(ev)
 		e.noteDue()
 		return
 	}
-	x := uint64(u ^ w.base)
-	if bits.Len64(x) > horizonBits {
-		if w.overflow == nil || u < w.overflowMin {
-			w.overflowMin = u
-		}
-		ev.next = w.overflow
-		w.overflow = ev
-		return
-	}
 	l := 0
-	if x != 0 {
+	if x := uint64(u ^ w.base); x != 0 {
 		l = (bits.Len64(x) - 1) / levelBits
 	}
 	s := (u >> (uint(l) * levelBits)) & slotMask
 	lv := &w.level[l]
-	ev.next = lv.slot[s]
+	ev.state, ev.level, ev.slot = stateBucketed, uint8(l), uint8(s)
+	ev.prev, ev.next = nil, lv.slot[s]
+	if ev.next != nil {
+		ev.next.prev = ev
+	}
 	lv.slot[s] = ev
 	lv.occupied |= 1 << uint(s)
+}
+
+// unlink removes a bucketed event from its chain.
+func (w *wheel) unlink(ev *Event) {
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	}
+	if ev.prev != nil {
+		ev.prev.next = ev.next
+		return
+	}
+	lv := &w.level[ev.level]
+	lv.slot[ev.slot] = ev.next
+	if ev.next == nil {
+		lv.occupied &^= 1 << ev.slot
+	}
 }
 
 // insertDue pushes ev onto the due heap.
@@ -170,15 +177,6 @@ func siftDown(h []*Event, i int, ev *Event) {
 	h[i] = ev
 }
 
-// heapifyDue restores the heap property over the whole due slice, in
-// O(n): after a bucket's events were appended or a sweep removed some.
-func (w *wheel) heapifyDue() {
-	h := w.due
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, h[i])
-	}
-}
-
 // take detaches and returns slot s of level l.
 func (w *wheel) take(l, s int) *Event {
 	lv := &w.level[l]
@@ -189,50 +187,38 @@ func (w *wheel) take(l, s int) *Event {
 }
 
 // refill advances the cursor to the next occupied bucket, cascading
-// higher levels as regions are entered, and loads that bucket —
-// tombstones dropped — into the due heap. It reports whether any live
-// event became due. It never touches the clock: calling it early (NextAt
-// peeking ahead) only moves events between buckets, which cannot change
-// the (at, seq) fire order.
-func (w *wheel) refill(e *Engine) bool {
-	if e.nlive+e.ntomb == 0 {
-		return false
-	}
+// higher levels as regions are entered, and loads that bucket into the
+// due heap. The due heap must be empty and a bucketed event pending. It
+// never touches the clock: calling it early (NextAt peeking ahead) only
+// moves events between buckets, which cannot change the (at, seq) fire
+// order.
+func (w *wheel) refill(e *Engine) {
+next:
 	for {
 		// inv-2, part 1: cascade any occupied bucket at the cursor's own
 		// digit, lowest level first. Such a bucket covers a region the
 		// cursor already entered, so its events may precede anything the
 		// level-0 window holds.
-		cascaded := false
 		for l := 1; l < numLevels; l++ {
 			d := (w.base >> (uint(l) * levelBits)) & slotMask
 			if w.level[l].occupied&(1<<uint(d)) != 0 {
 				w.drain(e, l, int(d))
-				cascaded = true
-				break
+				continue next
 			}
-		}
-		if cascaded {
-			continue
 		}
 		// Level-0 window: earliest occupied slot at or after the cursor.
 		if m := w.level[0].occupied &^ (1<<uint(w.base&slotMask) - 1); m != 0 {
 			k := int64(bits.TrailingZeros64(m))
-			u := w.base&^slotMask | k
 			chain := w.take(0, int(k))
-			w.base = u + 1
+			w.base = (w.base&^slotMask | k) + 1
 			w.expire(e, chain)
-			if len(w.due) > 0 {
-				return true
-			}
-			continue // bucket held only tombstones
+			return
 		}
 		// inv-2, part 2: the level-0 window is empty, so jump the cursor
 		// to the earliest occupied slot of the lowest non-empty level and
 		// cascade it. A lower level's next slot always starts before any
 		// higher level's (its buckets subdivide the region the higher
 		// slot has yet to reach), so scanning upward finds the true next.
-		jumped := false
 		for l := 1; l < numLevels; l++ {
 			shift := uint(l) * levelBits
 			d := (w.base >> shift) & slotMask
@@ -244,71 +230,33 @@ func (w *wheel) refill(e *Engine) bool {
 			span := int64(1) << (shift + levelBits)
 			w.base = w.base&^(span-1) | k<<shift
 			w.drain(e, l, int(k))
-			jumped = true
-			break
+			continue next
 		}
-		if jumped {
-			continue
-		}
-		// Wheel exhausted: rebase onto the overflow chain if it holds
-		// anything (Forever timers, multi-year delays).
-		if w.overflow != nil {
-			w.rebase(e)
-			continue
-		}
-		return false
+		panic("sim: wheel is empty but events are pending")
 	}
 }
 
-// drain cascades bucket (l, s) into lower levels (or the due heap),
-// reclaiming tombstones on the way. Every event re-places strictly below
-// level l because its granule now shares digit l with the cursor.
+// drain cascades bucket (l, s) into lower levels (or the due heap).
+// Every event re-places strictly below level l because its granule now
+// shares digit l with the cursor.
 func (w *wheel) drain(e *Engine, l, s int) {
-	chain := w.take(l, s)
-	for chain != nil {
-		ev := chain
-		chain = chain.next
-		if ev.state < 0 {
-			e.reclaim(ev)
-			continue
-		}
+	for ev := w.take(l, s); ev != nil; {
+		next := ev.next
 		w.place(e, ev)
+		ev = next
 	}
 }
 
-// rebase moves the cursor to the overflow chain's earliest granule and
-// re-places the chain; events still beyond the new horizon re-overflow
-// (place retracks overflowMin).
-func (w *wheel) rebase(e *Engine) {
-	if w.overflowMin > w.base {
-		w.base = w.overflowMin
-	}
-	chain := w.overflow
-	w.overflow = nil
-	for chain != nil {
-		ev := chain
-		chain = chain.next
-		if ev.state < 0 {
-			e.reclaim(ev)
-			continue
-		}
-		w.place(e, ev)
-	}
-}
-
-// expire moves an expired level-0 bucket's live events onto the due heap
-// and reclaims its tombstones. refill only runs on an empty due set, so
-// the one heapify costs O(bucket).
+// expire moves an expired level-0 bucket onto the due heap. refill only
+// runs on an empty due set, so the one heapify costs O(bucket).
 func (w *wheel) expire(e *Engine, chain *Event) {
-	for chain != nil {
-		ev := chain
-		chain = chain.next
-		if ev.state < 0 {
-			e.reclaim(ev)
-			continue
-		}
+	for ev := chain; ev != nil; ev = ev.next {
+		ev.state = stateDue
 		w.due = append(w.due, ev)
 	}
-	w.heapifyDue()
+	h := w.due
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, h[i])
+	}
 	e.noteDue()
 }

@@ -2,16 +2,18 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
 
 // Tests in this file target the timing-wheel internals through the public
 // Engine API: level-boundary placement, own-digit cascades, cursor jumps
-// across empty windows, overflow rebase, the overflow clamp on Schedule,
-// and the lazy-cancellation sweep. The differential test (differential_
-// test.go) covers the same machinery with random scripts; these pin down
-// the named edge cases so a regression points straight at the broken path.
+// across empty windows, the top level's far instants, the overflow clamp
+// on Schedule, and cancellation in buckets and in the due heap. The
+// differential test (differential_test.go) covers the same machinery with
+// random scripts; these pin down the named edge cases so a regression
+// points straight at the broken path.
 
 // gran converts a granule index into the Time at that granule's start.
 func gran(u int64) Time { return Time(u << granBits) }
@@ -64,15 +66,13 @@ func TestWheelLevelBoundaryCascade(t *testing.T) {
 
 // Placement boundaries per level: the last instant covered by level l and
 // the first instant of level l+1 are adjacent in time and must fire
-// adjacently, for every level the wheel has.
+// adjacently, for every boundary the wheel has (the top level's buckets
+// reach past Forever, so it has none above it).
 func TestWheelEveryLevelBoundary(t *testing.T) {
 	e := NewEngine()
 	var want []Time
-	for l := 0; l < numLevels; l++ {
+	for l := 0; l < numLevels-1; l++ {
 		edge := Time(int64(1) << (granBits + uint(l+1)*levelBits))
-		if edge > Forever/2 {
-			break
-		}
 		want = append(want, edge-1, edge, edge+1)
 	}
 	var got []Time
@@ -129,24 +129,33 @@ func TestWheelScheduleBehindCursor(t *testing.T) {
 	wantOrder(t, got, []Time{near, far})
 }
 
-// Events beyond the wheel horizon wait on the overflow chain; once the
-// wheel drains, the cursor rebases onto the chain and the events fire at
-// their exact instants, in order — including a second-generation overflow
-// that is beyond the horizon even from the rebased cursor.
-func TestWheelOverflowRebase(t *testing.T) {
-	e := NewEngine()
-	horizon := int64(1) << (granBits + horizonBits)
-	within := Time(int64(5) << (granBits + 3*levelBits))
-	over1 := Time(horizon + int64(gran(3)))
-	over2 := Time(2*horizon + 12345)
-	var got []Time
-	for _, a := range []Time{over2, within, over1} {
-		a := a
-		e.ScheduleAt(a, func() { got = append(got, a) })
+// Every instant has a bucket: far instants, up to Forever, land in the
+// top levels and fire at their exact instants, in order, both from the
+// epoch and from a cursor that has already moved.
+func TestWheelFarInstantsFireInOrder(t *testing.T) {
+	top := int64(1) << (granBits + (numLevels-1)*levelBits) // first level-8 instant
+	want := []Time{
+		Time(5) << (granBits + 5*levelBits), // ≈1.5 h
+		Time(top - 1),
+		Time(top),
+		Time(top) + gran(3),
+		Time(1) << 62,
+		Time(1)<<62 + 1,
+		Forever - 1,
+		Forever,
 	}
-	for e.Step() {
+	for _, start := range []Time{0, time.Hour} {
+		e := NewEngine()
+		e.Run(start)
+		var got []Time
+		for _, i := range []int{6, 2, 7, 0, 4, 1, 5, 3} {
+			a := want[i]
+			e.ScheduleAt(a, func() { got = append(got, a) })
+		}
+		for e.Step() {
+		}
+		wantOrder(t, got, want)
 	}
-	wantOrder(t, got, []Time{within, over1, over2})
 }
 
 // Regression for the virtual-time overflow: before the deadline clamp,
@@ -194,41 +203,76 @@ type recordingHandler struct{ args []any }
 
 func (r *recordingHandler) OnSimEvent(arg any) { r.args = append(r.args, arg) }
 
-// Lazy cancellation: cancelling is O(1) tombstoning, Pending drops
-// immediately, and once tombstones cross the sweep thresholds they are
-// reclaimed in bulk without firing anything.
+func noop() {}
+
+// Cancel churn against a standing backlog: each cancel unlinks its event
+// from its bucket and recycles it at once, so 100k schedule+cancel pairs
+// leave Pending flat, allocate nothing, and the backlog still fires in
+// (at, seq) order.
+func TestCancelChurnKeepsPendingFlat(t *testing.T) {
+	const backlog, churn = 10_000, 100_000
+	e := NewEngine()
+	var want []Time
+	for i := 0; i < backlog; i++ {
+		at := Time(i+1) * Time(37*time.Microsecond) // spreads across levels 0-2
+		want = append(want, at)
+		e.ScheduleAt(at, noop)
+	}
+	e.Cancel(e.Schedule(time.Millisecond, noop)) // warm the freelist
+	i := 0
+	allocs := testing.AllocsPerRun(churn, func() {
+		i++
+		e.Cancel(e.Schedule(Time(i%backlog)*Time(41*time.Microsecond), noop))
+		if e.Pending() != backlog {
+			t.Fatalf("Pending() = %d after %d schedule+cancel pairs, want %d", e.Pending(), i, backlog)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("schedule+cancel allocates %v/op against a %d-event backlog", allocs, backlog)
+	}
+	var got []Time
+	for e.Step() {
+		got = append(got, e.Now())
+	}
+	wantOrder(t, got, want)
+}
+
+// Cancelling a bucketed event releases it at once, with no deferred
+// sweep: after mass cancels across many levels every bucket is empty,
+// Pending reads 0, and nothing fires.
 func TestLazyCancelSweep(t *testing.T) {
 	e := NewEngine()
-	n := sweepMinTombstones + sweepMinTombstones/2
-	evs := make([]*Event, n)
+	evs := make([]*Event, 3072)
 	for i := range evs {
 		evs[i] = e.Schedule(time.Duration(i+1)*time.Hour, func() { t.Fatal("cancelled event fired") })
 	}
 	for _, ev := range evs {
 		e.Cancel(ev)
-		if ev.state >= 0 {
+		if ev.state != stateDone {
 			t.Fatal("Cancel did not mark the event")
 		}
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after cancelling everything", e.Pending())
 	}
-	if e.ntomb == n {
-		t.Fatalf("no deferred sweep ran after %d cancels (threshold %d)", n, sweepMinTombstones)
+	for l := range e.w.level {
+		if occ := e.w.level[l].occupied; occ != 0 {
+			t.Fatalf("level %d still has occupied buckets %#x after cancelling everything", l, occ)
+		}
 	}
 	if fired := e.RunAll(); fired != 0 {
 		t.Fatalf("RunAll fired %d cancelled events", fired)
 	}
 }
 
-// A sweep must preserve the survivors and their order: interleave live and
-// cancelled events across several levels, trigger the sweep, and verify
-// the live ones still fire exactly in (at, seq) order.
+// Mass cancels must preserve the survivors and their order: interleave
+// live and cancelled events across several levels, cancel, and verify the
+// live ones still fire exactly in (at, seq) order.
 func TestSweepPreservesSurvivors(t *testing.T) {
 	e := NewEngine()
 	var want []Time
 	var doomed []*Event
-	for i := 0; i < 2*sweepMinTombstones; i++ {
+	for i := 0; i < 4096; i++ {
 		at := Time(i+1) * Time(37*time.Microsecond) // spreads across levels 0-2
 		if i%8 == 0 {
 			want = append(want, at)
@@ -240,14 +284,57 @@ func TestSweepPreservesSurvivors(t *testing.T) {
 	for _, ev := range doomed {
 		e.Cancel(ev)
 	}
-	if e.ntomb == len(doomed) {
-		t.Fatal("expected a deferred sweep")
+	if e.Pending() != len(want) {
+		t.Fatalf("Pending() = %d after the cancels, want %d", e.Pending(), len(want))
 	}
 	var got []Time
 	for e.Step() {
 		got = append(got, e.Now())
 	}
 	wantOrder(t, got, want)
+}
+
+// An event cancelled after it reached the due heap stays there as a
+// tombstone: it never fires, NextAt and Step skip it, and peek recycles
+// it when it reaches the root, so the heap ends empty.
+func TestDueHeapSkipsTombstones(t *testing.T) {
+	e := NewEngine()
+	far := gran(1 << 20)
+	e.ScheduleAt(far, noop)
+	e.NextAt() // the cursor runs ahead to far
+	var want []Time
+	var doomed []*Event
+	for i := 0; i < 64; i++ {
+		at := gran(int64(64 - i))
+		if i%3 == 0 {
+			want = append(want, at)
+			e.ScheduleAt(at, noop)
+		} else {
+			doomed = append(doomed, e.ScheduleAt(at, noop))
+		}
+	}
+	for _, ev := range doomed {
+		e.Cancel(ev)
+		if ev.state != stateDone {
+			t.Fatal("Cancel did not mark the event")
+		}
+	}
+	if n := len(e.w.due); n != 65 {
+		t.Fatalf("due heap holds %d events, want 65 (live, tombstones and far)", n)
+	}
+	if e.Pending() != len(want)+1 {
+		t.Fatalf("Pending() = %d, want %d", e.Pending(), len(want)+1)
+	}
+	slices.Reverse(want)
+	want = append(want, far)
+	var got []Time
+	for e.Step() {
+		got = append(got, e.Now())
+	}
+	wantOrder(t, got, want)
+	if n := len(e.w.due); n != 0 {
+		t.Fatalf("due heap holds %d events after the drain", n)
+	}
 }
 
 // NextAt must skip a cancelled head: cancel the earliest event and the

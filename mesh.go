@@ -61,8 +61,6 @@ type MeshOptions struct {
 	// SitePolicy selects every member controller's strategy (Establish
 	// refuses a value that is none of the Policy constants).
 	SitePolicy Policy
-	// RecordBucket, when positive, records per-path OWD series.
-	RecordBucket time.Duration
 	// AuthKey enables authenticated telemetry on every border switch.
 	AuthKey []byte
 	// MaxRelays bounds intermediate sites per overlay route (0 = the
@@ -137,7 +135,6 @@ func NewMesh(opts MeshOptions) *Mesh {
 		ProbeInterval: opts.ProbeInterval,
 		DecideEvery:   opts.DecideEvery,
 		NewPolicy:     func(site, peer string) control.Policy { return mkPolicy(opts.SitePolicy) },
-		RecordBucket:  opts.RecordBucket,
 		AuthKey:       opts.AuthKey,
 		MaxRelays:     opts.MaxRelays,
 	})}

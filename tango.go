@@ -74,9 +74,6 @@ type Options struct {
 	// PolicyNY / PolicyLA select each site's strategy (Establish refuses
 	// a value that is none of the Policy constants).
 	PolicyNY, PolicyLA Policy
-	// RecordBucket, when positive, records per-path OWD time series at
-	// this aggregation for later export.
-	RecordBucket time.Duration
 	// ClockOffsetNY / ClockOffsetLA skew the two servers' clocks
 	// (defaults: +1.7 s and -0.9 s, deliberately unsynchronised).
 	ClockOffsetNY, ClockOffsetLA time.Duration
@@ -204,8 +201,7 @@ func NewLab(opts Options) *Lab {
 				}
 				return mkPolicy(opts.PolicyLA)
 			},
-			RecordBucket: opts.RecordBucket,
-			AuthKey:      opts.AuthKey,
+			AuthKey: opts.AuthKey,
 		})}
 }
 
