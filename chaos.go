@@ -7,6 +7,7 @@ import (
 	"tango/internal/chaos"
 	"tango/internal/core"
 	"tango/internal/obs"
+	"tango/internal/sim"
 	"tango/internal/simnet"
 )
 
@@ -21,28 +22,29 @@ import (
 // random storms are drawn from the deployment's seeded RNG streams, and
 // the whole-network conservation and buffer-balance invariants are
 // checked continuously — so a fault campaign either reproduces byte for
-// byte from its seed or fails loudly. A negative offset or duration, or
-// a probability outside [0, 1], is an error and schedules nothing.
+// byte from its seed or fails loudly. A negative offset, duration or
+// added delay, or a probability outside [0, 1], is an error and
+// schedules nothing.
 type Chaos struct {
 	d *core.Deployment
+	// storms is the one RNG stream every Storm draws from, so a second
+	// storm continues the sequence instead of replaying the first.
+	storms *sim.RNG
 }
 
 // Chaos returns the deployment's fault-injection handle. The first call
 // registers every edge server as a withdrawal target and starts the
 // invariant checks on a 250 ms cadence.
-func (p *deployment) Chaos() (*Chaos, error) {
-	if p.buildErr != nil {
-		return nil, p.buildErr
-	}
-	if p.chaos == nil {
-		for _, pk := range p.d.Scenario.PairKeys {
-			p.d.EdgeTarget(pk[0], pk[1])
-			p.d.EdgeTarget(pk[1], pk[0])
+func (m *Mesh) Chaos() *Chaos {
+	if m.chaos == nil {
+		for _, pk := range m.d.Scenario.PairKeys {
+			m.d.EdgeTarget(pk[0], pk[1])
+			m.d.EdgeTarget(pk[1], pk[0])
 		}
-		p.d.Chaos.StartChecks(250 * time.Millisecond)
-		p.chaos = &Chaos{d: p.d}
+		m.d.Chaos.StartChecks(250 * time.Millisecond)
+		m.chaos = &Chaos{d: m.d, storms: m.d.Scenario.B.W.Streams.Stream("chaos-storm")}
 	}
-	return p.chaos, nil
+	return m.chaos
 }
 
 // now is the current virtual time; fault offsets count from it.
@@ -76,6 +78,16 @@ func timing(in, dur time.Duration) error {
 	}
 	if dur < 0 {
 		return fmt.Errorf("tango: fault duration %v is negative", dur)
+	}
+	return nil
+}
+
+// addedDelay rejects a negative added delay (named what in the error): a
+// fault only ever adds delay, and taking it away would schedule an
+// arrival in the past.
+func addedDelay(what string, d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("tango: %s %v is negative; a fault adds delay, it never removes it", what, d)
 	}
 	return nil
 }
@@ -117,6 +129,9 @@ func (c *Chaos) LossBurst(site, provider string, in, dur time.Duration, loss flo
 // DelayShift adds delta of one-way delay on the provider trunk into site
 // after in, removing it after dur.
 func (c *Chaos) DelayShift(site, provider string, in, dur, delta time.Duration) error {
+	if err := addedDelay("delta", delta); err != nil {
+		return err
+	}
 	name, err := c.trunk(site, provider, in, dur)
 	if err != nil {
 		return err
@@ -130,6 +145,9 @@ func (c *Chaos) DelayShift(site, provider string, in, dur, delta time.Duration) 
 // turbulent for 20 s, settles delta higher for dur, then returns to the
 // original path through a second 20 s of turbulence.
 func (c *Chaos) RouteShift(site, provider string, in, dur, delta time.Duration) error {
+	if err := addedDelay("delta", delta); err != nil {
+		return err
+	}
 	name, err := c.trunk(site, provider, in, dur)
 	if err != nil {
 		return err
@@ -146,6 +164,9 @@ func (c *Chaos) Instability(site, provider string, in, dur time.Duration, spikeP
 	if err := probability("spike probability", spikeProb); err != nil {
 		return err
 	}
+	if err := addedDelay("peakExtra", peakExtra); err != nil {
+		return err
+	}
 	name, err := c.trunk(site, provider, in, dur)
 	if err != nil {
 		return err
@@ -159,8 +180,7 @@ func (c *Chaos) Instability(site, provider string, in, dur time.Duration, spikeP
 // WithdrawPath withdraws the pinned BGP prefix that site announces for
 // path id of its Tango pair with peer — killing that path of the
 // peer-to-site direction at the routing layer — and re-announces it with
-// identical attributes after dur. The deployment must be established
-// first (path prefixes exist only after establishment).
+// identical attributes after dur.
 func (c *Chaos) WithdrawPath(site, peer string, id uint8, in, dur time.Duration) error {
 	if err := timing(in, dur); err != nil {
 		return err
@@ -184,14 +204,14 @@ func (c *Chaos) WithdrawPath(site, peer string, id uint8, in, dur time.Duration)
 
 // Storm schedules n seeded-random faults — link flaps, loss bursts,
 // delay shifts, withdrawals — uniformly over the window starting after
-// in, and returns their labels in schedule order. The draw comes from
-// the deployment's named RNG streams, so a storm replays exactly from
-// its seed. A negative n, in or window is an error.
+// in, and returns their labels in schedule order. Every storm draws from
+// one of the deployment's named RNG streams, so a sequence of storms
+// replays exactly from its seed. A negative n, in or window is an error.
 func (c *Chaos) Storm(n int, in, window time.Duration) ([]string, error) {
 	if n < 0 || in < 0 || window < 0 {
 		return nil, fmt.Errorf("tango: storm of %d faults after %v over %v; none may be negative", n, in, window)
 	}
-	return c.d.Chaos.ScheduleStorm(c.d.Scenario.B.W.Streams.Stream("chaos-storm"), chaos.StormConfig{
+	return c.d.Chaos.ScheduleStorm(c.storms, chaos.StormConfig{
 		Faults: n,
 		Start:  c.now() + in,
 		Window: window,

@@ -14,15 +14,9 @@ import (
 // revert on schedule, a withdrawal round-trips through the edge speaker,
 // and the always-on conservation invariants stay silent throughout.
 func TestMeshChaosFaultCampaign(t *testing.T) {
-	m := NewMesh(MeshOptions{Seed: 1})
-	if err := m.Establish(); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := m.Chaos()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch2, _ := m.Chaos(); ch2 != ch {
+	m := newMesh(t, MeshOptions{Seed: 1})
+	ch := m.Chaos()
+	if m.Chaos() != ch {
 		t.Fatal("second Chaos() call built a new engine")
 	}
 	if len(ch.Targets()) == 0 {
@@ -84,12 +78,9 @@ func TestMeshChaosFaultCampaign(t *testing.T) {
 // a withdrawal resolves the pair's edge speaker, and the invariants
 // watch the run.
 func TestLabChaosHandle(t *testing.T) {
-	l := newEstablishedLab(t, Options{Seed: 3})
-	ch, err := l.Chaos()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch2, _ := l.Chaos(); ch2 != ch {
+	l := newLab(t, Options{Seed: 3})
+	ch := l.Chaos()
+	if l.Chaos() != ch {
 		t.Fatal("second Chaos() call built a new engine")
 	}
 	if err := ch.RouteShift("la", "GTT", time.Second, 30*time.Second, 5*time.Millisecond); err != nil {
@@ -129,15 +120,14 @@ func TestLabChaosHandle(t *testing.T) {
 }
 
 // TestChaosRejectsBadArguments: a fault that would start in the past,
-// end before it starts, or draw with a probability outside [0, 1] is an
-// error, and schedules nothing.
+// end before it starts, take delay away, or draw with a probability
+// outside [0, 1] is an error naming the argument, and schedules nothing.
+// A negative added delay used to be accepted, and the next Run panicked
+// scheduling an arrival in the past.
 func TestChaosRejectsBadArguments(t *testing.T) {
-	l := newEstablishedLab(t, Options{Seed: 1})
-	ch, err := l.Chaos()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const s = time.Second
+	l := newLab(t, Options{Seed: 1})
+	ch := l.Chaos()
+	const s, ms = time.Second, time.Millisecond
 	storm := func(n int, in, window time.Duration) error {
 		_, err := ch.Storm(n, in, window)
 		return err
@@ -145,28 +135,32 @@ func TestChaosRejectsBadArguments(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		err  error
+		want string // what the error must name
 	}{
-		{"LinkDown in", ch.LinkDown("la", "GTT", -s, s)},
-		{"LinkDown dur", ch.LinkDown("la", "GTT", s, -s)},
-		{"LossBurst in", ch.LossBurst("la", "GTT", -s, s, 0.5)},
-		{"LossBurst loss>1", ch.LossBurst("la", "GTT", s, s, 1.5)},
-		{"LossBurst loss<0", ch.LossBurst("la", "GTT", s, s, -0.1)},
-		{"LossBurst loss NaN", ch.LossBurst("la", "GTT", s, s, math.NaN())},
-		{"DelayShift in", ch.DelayShift("la", "GTT", -s, s, 5*time.Millisecond)},
-		{"DelayShift dur", ch.DelayShift("la", "GTT", s, -s, 5*time.Millisecond)},
-		{"RouteShift in", ch.RouteShift("la", "GTT", -s, 30*s, 5*time.Millisecond)},
-		{"RouteShift dur", ch.RouteShift("la", "GTT", s, -30*s, 5*time.Millisecond)},
-		{"Instability in", ch.Instability("ny", "Telia", -s, 10*s, 0.1, 40*time.Millisecond)},
-		{"Instability dur", ch.Instability("ny", "Telia", s, -10*s, 0.1, 40*time.Millisecond)},
-		{"Instability prob>1", ch.Instability("ny", "Telia", s, 10*s, 2, 40*time.Millisecond)},
-		{"WithdrawPath in", ch.WithdrawPath("la", "ny", 1, -s, s)},
-		{"WithdrawPath dur", ch.WithdrawPath("la", "ny", 1, s, -s)},
-		{"Storm in", storm(4, -s, 20*s)},
-		{"Storm window", storm(4, s, -20*s)},
-		{"Storm n", storm(-1, s, 20*s)},
+		{"LinkDown in", ch.LinkDown("la", "GTT", -s, s), "offset"},
+		{"LinkDown dur", ch.LinkDown("la", "GTT", s, -s), "duration"},
+		{"LossBurst in", ch.LossBurst("la", "GTT", -s, s, 0.5), "offset"},
+		{"LossBurst loss>1", ch.LossBurst("la", "GTT", s, s, 1.5), "loss"},
+		{"LossBurst loss<0", ch.LossBurst("la", "GTT", s, s, -0.1), "loss"},
+		{"LossBurst loss NaN", ch.LossBurst("la", "GTT", s, s, math.NaN()), "loss"},
+		{"DelayShift in", ch.DelayShift("la", "GTT", -s, s, 5*ms), "offset"},
+		{"DelayShift dur", ch.DelayShift("la", "GTT", s, -s, 5*ms), "duration"},
+		{"DelayShift delta", ch.DelayShift("la", "GTT", s, 10*s, -5*ms), "delta -5ms"},
+		{"RouteShift in", ch.RouteShift("la", "GTT", -s, 30*s, 5*ms), "offset"},
+		{"RouteShift dur", ch.RouteShift("la", "GTT", s, -30*s, 5*ms), "duration"},
+		{"RouteShift delta", ch.RouteShift("la", "GTT", s, 30*s, -5*ms), "delta -5ms"},
+		{"Instability in", ch.Instability("ny", "Telia", -s, 10*s, 0.1, 40*ms), "offset"},
+		{"Instability dur", ch.Instability("ny", "Telia", s, -10*s, 0.1, 40*ms), "duration"},
+		{"Instability prob>1", ch.Instability("ny", "Telia", s, 10*s, 2, 40*ms), "spike probability"},
+		{"Instability peakExtra", ch.Instability("ny", "Telia", s, 10*s, 0.1, -40*ms), "peakExtra -40ms"},
+		{"WithdrawPath in", ch.WithdrawPath("la", "ny", 1, -s, s), "offset"},
+		{"WithdrawPath dur", ch.WithdrawPath("la", "ny", 1, s, -s), "duration"},
+		{"Storm in", storm(4, -s, 20*s), "storm"},
+		{"Storm window", storm(4, s, -20*s), "storm"},
+		{"Storm n", storm(-1, s, 20*s), "storm"},
 	} {
-		if tc.err == nil {
-			t.Errorf("%s: bad argument accepted", tc.name)
+		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, tc.err, tc.want)
 		}
 	}
 	l.Run(time.Minute)
@@ -194,15 +188,10 @@ func lineDrops(reg *obs.Registry) map[string]float64 {
 // either order, once or twice — leaves exactly one drop counter per trunk
 // direction, and that counter counts.
 func TestOneLineOneDropCounter(t *testing.T) {
-	l := newEstablishedLab(t, Options{Seed: 9})
+	l := newLab(t, Options{Seed: 9})
 	reg, j := obs.NewRegistry(), obs.NewJournal(4096)
-	if err := l.Instrument(reg, j); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := l.Chaos()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l.Instrument(reg, j)
+	ch := l.Chaos()
 	ch.Instrument(reg, j)
 	if err := ch.LinkDown("la", "GTT", time.Second, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -235,15 +224,10 @@ func TestOneLineOneDropCounter(t *testing.T) {
 // handle shows up in /trace and the trunk drop counters exist without a
 // second Instrument call.
 func TestInstrumentAloneJournalsFaults(t *testing.T) {
-	l := newEstablishedLab(t, Options{Seed: 10})
+	l := newLab(t, Options{Seed: 10})
 	reg, j := obs.NewRegistry(), obs.NewJournal(4096)
-	if err := l.Instrument(reg, j); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := l.Chaos()
-	if err != nil {
-		t.Fatal(err)
-	}
+	l.Instrument(reg, j)
+	ch := l.Chaos()
 	if err := ch.LossBurst("la", "GTT", time.Second, 2*time.Second, 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +242,9 @@ func TestInstrumentAloneJournalsFaults(t *testing.T) {
 		}
 	}
 
-	m := NewMesh(MeshOptions{Seed: 10})
-	if err := m.Establish(); err != nil {
-		t.Fatal(err)
-	}
+	m := newMesh(t, MeshOptions{Seed: 10})
 	reg = obs.NewRegistry()
-	if err := m.Instrument(reg, obs.NewJournal(64)); err != nil {
-		t.Fatal(err)
-	}
+	m.Instrument(reg, obs.NewJournal(64))
 	if _, ok := lineDrops(reg)["trunk/chi/NTT"]; !ok {
 		t.Fatalf("Mesh.Instrument registered no trunk drop counters: %v", lineDrops(reg))
 	}
@@ -277,11 +256,9 @@ func TestInstrumentAloneJournalsFaults(t *testing.T) {
 // another storm.
 func TestLabStormReplaysFromSeed(t *testing.T) {
 	storm := func(seed int64) (labels, events []string) {
-		l := newEstablishedLab(t, Options{Seed: seed})
-		ch, err := l.Chaos()
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := newLab(t, Options{Seed: seed})
+		ch := l.Chaos()
+		var err error
 		if labels, err = ch.Storm(8, time.Second, 20*time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -305,5 +282,29 @@ func TestLabStormReplaysFromSeed(t *testing.T) {
 	}
 	if other, _ := storm(12); strings.Join(other, "\n") == strings.Join(labels, "\n") {
 		t.Fatalf("seeds 11 and 12 drew the same storm: %v", labels)
+	}
+}
+
+// TestSecondStormDrawsAnew: every Storm used to draw from a freshly
+// seeded copy of the storm stream, so a second storm on one handle
+// replayed the first one's faults. The handle now holds one stream, and
+// the second storm continues it.
+func TestSecondStormDrawsAnew(t *testing.T) {
+	l := newLab(t, Options{Seed: 1})
+	ch := l.Chaos()
+	first, err := ch.Storm(6, 0, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Run(time.Minute)
+	second, err := ch.Storm(6, 0, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 6 || len(second) != 6 {
+		t.Fatalf("storms of 6 scheduled %d and %d faults", len(first), len(second))
+	}
+	if strings.Join(first, "\n") == strings.Join(second, "\n") {
+		t.Fatalf("second storm replayed the first: %v", first)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // measurement loop run, and shows the controller's choice. The run is
 // fully deterministic, so the output is stable.
 func Example_deployAndSteer() {
-	lab := tango.NewLab(tango.Options{Seed: 42})
-	if err := lab.Establish(); err != nil {
+	lab, err := tango.NewLab(tango.Options{Seed: 42})
+	if err != nil {
 		panic(err)
 	}
 	lab.Run(5 * time.Minute)
@@ -36,8 +36,8 @@ func Example_deployAndSteer() {
 // winner-take-all choice. Everything is a pure function of the seeds, so
 // the placement is stable.
 func Example_weightedSteering() {
-	mesh := tango.NewMesh(tango.MeshOptions{Seed: 11})
-	if err := mesh.Establish(); err != nil {
+	mesh, err := tango.NewMesh(tango.MeshOptions{Seed: 11})
+	if err != nil {
 		panic(err)
 	}
 	// ny and chi share two providers; make NTT scarce at both ends so
@@ -79,17 +79,13 @@ func Example_weightedSteering() {
 // Example_incident injects the paper's Figure 4 (middle) incident and
 // watches the controller route around it using live one-way delays.
 func Example_incident() {
-	lab := tango.NewLab(tango.Options{Seed: 7})
-	if err := lab.Establish(); err != nil {
+	lab, err := tango.NewLab(tango.Options{Seed: 7})
+	if err != nil {
 		panic(err)
 	}
 	lab.Run(3 * time.Minute) // settle on the best path
 
-	ch, err := lab.Chaos()
-	if err != nil {
-		panic(err)
-	}
-	if err := ch.RouteShift("la", "GTT", time.Minute, 10*time.Minute, 5*time.Millisecond); err != nil {
+	if err := lab.Chaos().RouteShift("la", "GTT", time.Minute, 10*time.Minute, 5*time.Millisecond); err != nil {
 		panic(err)
 	}
 	before := lab.NY().CurrentPath()

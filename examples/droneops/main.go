@@ -55,10 +55,8 @@ func main() {
 // sent during the two incident windows.
 func run(label string, policy tango.Policy) []time.Duration {
 	fmt.Printf("\n=== %s\n", label)
-	lab := tango.NewLab(tango.Options{Seed: 7, PolicyNY: policy})
-	if err := lab.Establish(); err != nil {
-		panic(err)
-	}
+	lab, err := tango.NewLab(tango.Options{Seed: 7, PolicyNY: policy})
+	must(err)
 	lab.NY().OnPathSwitch(func(at time.Duration, from, to string) {
 		fmt.Printf("  [%v] controller: %s -> %s\n", at.Round(time.Second), from, to)
 	})
@@ -88,8 +86,7 @@ func run(label string, policy tango.Policy) []time.Duration {
 	base := lab.Now()
 	shiftAt := warmup
 	instAt := warmup + phase
-	ch, err := lab.Chaos()
-	must(err)
+	ch := lab.Chaos()
 	must(ch.RouteShift("la", "GTT", shiftAt, 8*time.Minute, 5*time.Millisecond))
 	must(ch.Instability("la", "GTT", instAt, 5*time.Minute, 0.15, 48*time.Millisecond))
 	inWindow = func(t time.Duration) bool {

@@ -24,9 +24,9 @@ const (
 )
 
 func main() {
-	lab := tango.NewLab(tango.Options{Seed: 23})
 	fmt.Println("establishing...")
-	if err := lab.Establish(); err != nil {
+	lab, err := tango.NewLab(tango.Options{Seed: 23})
+	if err != nil {
 		panic(err)
 	}
 	lab.NY().OnPathSwitch(func(at time.Duration, from, to string) {
@@ -49,11 +49,7 @@ func main() {
 
 	// Blackhole the active path (100% loss) for 2 minutes, 30s from now.
 	failAt := lab.Now() + 30*time.Second
-	ch, err := lab.Chaos()
-	if err != nil {
-		panic(err)
-	}
-	if err := ch.LossBurst("la", "GTT", 30*time.Second, 2*time.Minute, 1.0); err != nil {
+	if err := lab.Chaos().LossBurst("la", "GTT", 30*time.Second, 2*time.Minute, 1.0); err != nil {
 		panic(err)
 	}
 	fmt.Println("scheduled: GTT NY->LA blackhole for 2 minutes, starting in 30s")

@@ -14,10 +14,9 @@ import (
 
 func main() {
 	// One seed = one reproducible universe.
-	lab := tango.NewLab(tango.Options{Seed: 42})
-
 	fmt.Println("establishing Tango between Vultr NY and LA (virtual time)...")
-	if err := lab.Establish(); err != nil {
+	lab, err := tango.NewLab(tango.Options{Seed: 42})
+	if err != nil {
 		panic(err)
 	}
 

@@ -29,9 +29,9 @@ const (
 )
 
 func main() {
-	mesh := tango.NewMesh(tango.MeshOptions{Seed: 31})
 	fmt.Println("establishing three pairwise Tango deployments...")
-	if err := mesh.Establish(); err != nil {
+	mesh, err := tango.NewMesh(tango.MeshOptions{Seed: 31})
+	if err != nil {
 		panic(err)
 	}
 
@@ -81,11 +81,7 @@ func main() {
 	// 10 minutes — the direct pair's only path.
 	lead := 3 * time.Minute
 	eventDur := 10 * time.Minute
-	faults, err := mesh.Chaos()
-	if err != nil {
-		panic(err)
-	}
-	if err := faults.RouteShift("la", "NTT", lead, eventDur, 8*time.Millisecond); err != nil {
+	if err := mesh.Chaos().RouteShift("la", "NTT", lead, eventDur, 8*time.Millisecond); err != nil {
 		panic(err)
 	}
 	fmt.Printf("\nscheduled: +8 ms NTT internal route change toward LA (the direct pair's only path)\n\n")

@@ -50,18 +50,14 @@ func main() {
 }
 
 func run(policy tango.Policy) (frames, misses int, meanLat time.Duration) {
-	lab := tango.NewLab(tango.Options{Seed: 11, PolicyLA: policy})
-	if err := lab.Establish(); err != nil {
+	lab, err := tango.NewLab(tango.Options{Seed: 11, PolicyLA: policy})
+	if err != nil {
 		panic(err)
 	}
 	lab.Run(warmup)
 
 	// A mid-call instability window on GTT in the LA->NY direction.
-	ch, err := lab.Chaos()
-	if err != nil {
-		panic(err)
-	}
-	if err := ch.Instability("ny", "GTT", 3*time.Minute, 4*time.Minute, 0.10, 40*time.Millisecond); err != nil {
+	if err := lab.Chaos().Instability("ny", "GTT", 3*time.Minute, 4*time.Minute, 0.10, 40*time.Millisecond); err != nil {
 		panic(err)
 	}
 

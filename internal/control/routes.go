@@ -62,13 +62,6 @@ type CompositeTable struct {
 	// Source returns the current estimate for the segment from one site
 	// to an adjacent one. Nil or missing segments score as invalid.
 	Source func(from, to string) SegmentEstimate
-
-	// MaxRelays bounds the number of intermediate sites per route.
-	// Zero means the default of 1 — the paper's Tango-of-N composition
-	// is a single hand-off; longer chains multiply the provisioning cost
-	// (one pinned prefix per exposed path per segment) for vanishing
-	// returns. Set -1 to allow direct routes only.
-	MaxRelays int
 }
 
 // NewCompositeTable returns an empty table.
@@ -98,47 +91,26 @@ func (t *CompositeTable) Sites() []string {
 	return out
 }
 
-// maxRelays resolves the configured bound.
-func (t *CompositeTable) maxRelays() int {
-	if t.MaxRelays == 0 {
-		return 1
-	}
-	if t.MaxRelays < 0 {
-		return 0
-	}
-	return t.MaxRelays
-}
-
-// Routes enumerates every simple route from src to dst within the relay
-// bound and scores each from the Source estimates. The result is sorted
-// best-first: valid routes before invalid, then ascending summed OWD,
-// then fewer segments, then lexicographic relay names — a deterministic
-// total order so equal-scoring routes never flap.
+// Routes enumerates the direct route and every one-relay route from src
+// to dst — the paper's Tango-of-N composition is a single hand-off;
+// longer chains multiply the provisioning cost (one pinned prefix per
+// exposed path per segment) for vanishing returns — and scores each from
+// the Source estimates. The result is sorted best-first: valid routes
+// before invalid, then ascending summed OWD, then fewer segments, then
+// lexicographic relay names — a deterministic total order so
+// equal-scoring routes never flap.
 func (t *CompositeTable) Routes(src, dst string) []CompositeRoute {
 	if src == dst || t.adj[src] == nil || t.adj[dst] == nil {
 		return nil
 	}
 	var out []CompositeRoute
-	visited := map[string]bool{src: true}
-	var via []string
-	var walk func(at string)
-	walk = func(at string) {
-		for _, next := range neighborsSorted(t.adj[at]) {
-			if next == dst {
-				out = append(out, t.score(src, dst, via))
-				continue
-			}
-			if visited[next] || len(via) >= t.maxRelays() {
-				continue
-			}
-			visited[next] = true
-			via = append(via, next)
-			walk(next)
-			via = via[:len(via)-1]
-			visited[next] = false
+	for _, next := range neighborsSorted(t.adj[src]) {
+		if next == dst {
+			out = append(out, t.score(src, dst, nil))
+		} else if t.adj[next][dst] {
+			out = append(out, t.score(src, dst, []string{next}))
 		}
 	}
-	walk(src)
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Valid != b.Valid {
@@ -172,7 +144,7 @@ func (t *CompositeTable) Best(src, dst string) (CompositeRoute, bool) {
 }
 
 func (t *CompositeTable) score(src, dst string, via []string) CompositeRoute {
-	r := CompositeRoute{Src: src, Dst: dst, Via: append([]string(nil), via...), Valid: true}
+	r := CompositeRoute{Src: src, Dst: dst, Via: via, Valid: true}
 	seq := r.Segments()
 	for i := 0; i+1 < len(seq); i++ {
 		var est SegmentEstimate

@@ -63,9 +63,6 @@ type PairConfig struct {
 	// PolicyA/PolicyB are the path-selection policies (default MinOWD
 	// with a 0.5 ms absolute margin and 2 s dwell).
 	PolicyA, PolicyB control.Policy
-	// RecordBucket, when positive, records per-path OWD series at this
-	// aggregation (for figures).
-	RecordBucket time.Duration
 	// AuthKey, when non-empty, enables authenticated telemetry on both
 	// switches: Tango datagrams are signed and unverified ones dropped
 	// (paper §6, trustworthy telemetry).
@@ -329,7 +326,6 @@ func (p *Pair) start(s *Site, policy control.Policy) {
 		DecideEvery:  p.cfg.DecideEvery,
 		ReportEvery:  reportEvery,
 		ReportMaxAge: reportMaxAge,
-		RecordBucket: p.cfg.RecordBucket,
 		AuthKey:      p.cfg.AuthKey,
 	})
 	s.Switch.AddPeerPrefix(peer.Spec.HostPrefix)

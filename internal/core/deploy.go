@@ -27,14 +27,21 @@ type Deployment struct {
 	// EdgeTarget.
 	Chaos *chaos.Engine
 
-	started bool
 	// steer holds the class selectors Steer installed, per directed pair.
 	steer map[[2]string]*dataplane.ClassSelector
 }
 
-// NewDeployment builds the scenario, lets BGP converge for five virtual
-// minutes, and prepares (but does not establish) Tango on every pair.
-func NewDeployment(tc topo.MeshConfig, mc MeshConfig) (*Deployment, error) {
+// TrunkTarget names the line carrying provider's traffic into site as a
+// fault target, metric label and journal target.
+func TrunkTarget(site, provider string) string { return "trunk/" + site + "/" + provider }
+
+// Deploy builds the scenario, lets BGP converge for five virtual
+// minutes, and runs every pair's establishment — discovery, pinned
+// prefixes, tunnels, measurement loop, relay tables — to completion in
+// virtual time, then switches the coordinator to parallel epochs: from
+// here on no event calls across sites. A deployed pair that BGP exposed
+// no path to, in either direction, is an error naming the pair.
+func Deploy(tc topo.MeshConfig, mc MeshConfig) (*Deployment, error) {
 	s, err := topo.NewMeshScenario(tc)
 	if err != nil {
 		return nil, err
@@ -52,46 +59,20 @@ func NewDeployment(tc topo.MeshConfig, mc MeshConfig) (*Deployment, error) {
 	}
 	ch.Watch(chaos.Conservation("net", s.B.W))
 	ch.Watch(chaos.BufferBalance("net", s.B.W))
-	return &Deployment{Scenario: s, Mesh: m, Chaos: ch}, nil
-}
 
-// TrunkTarget names the line carrying provider's traffic into site as a
-// fault target, metric label and journal target.
-func TrunkTarget(site, provider string) string { return "trunk/" + site + "/" + provider }
-
-// Deploy is NewDeployment followed by Establish.
-func Deploy(tc topo.MeshConfig, mc MeshConfig) (*Deployment, error) {
-	d, err := NewDeployment(tc, mc)
-	if err != nil {
-		return nil, err
+	m.Establish()
+	if !m.RunUntilReady(4 * time.Hour) {
+		return nil, fmt.Errorf("core: establishment did not complete")
 	}
-	return d, d.Establish()
-}
-
-// Establish runs every pair's establishment — discovery, pinned prefixes,
-// tunnels, measurement loop, relay tables — to completion in virtual
-// time, then switches the coordinator to parallel epochs: from here on
-// no event calls across sites. A deployed pair that BGP exposed no path
-// to, in either direction, is an error naming the pair. Later calls
-// change nothing and report the same outcome.
-func (d *Deployment) Establish() error {
-	if !d.started {
-		d.started = true
-		d.Mesh.Establish()
-		d.Mesh.RunUntilReady(4 * time.Hour)
-	}
-	if !d.Mesh.Ready() {
-		return fmt.Errorf("core: establishment did not complete")
-	}
-	for _, pk := range d.Scenario.PairKeys {
+	for _, pk := range s.PairKeys {
 		for _, dir := range [2][2]string{pk, {pk[1], pk[0]}} {
-			if len(d.Mesh.Member(dir[0], dir[1]).OutPaths) == 0 {
-				return fmt.Errorf("core: BGP exposed no path from %s to %s", dir[0], dir[1])
+			if len(m.Member(dir[0], dir[1]).OutPaths) == 0 {
+				return nil, fmt.Errorf("core: BGP exposed no path from %s to %s", dir[0], dir[1])
 			}
 		}
 	}
-	d.Scenario.B.W.Coord().EnterParallel()
-	return nil
+	s.B.W.Coord().EnterParallel()
+	return &Deployment{Scenario: s, Mesh: m, Chaos: ch}, nil
 }
 
 // EdgeTarget returns the withdrawal target name of the edge server at

@@ -58,8 +58,6 @@ type EdgeConfig struct {
 	// this long, so the sender's estimate goes stale and its policy
 	// evacuates.
 	ReportMaxAge time.Duration
-	// RecordBucket, when positive, records per-path OWD series.
-	RecordBucket time.Duration
 	// AuthKey, when non-empty, signs outgoing Tango datagrams and drops
 	// incoming ones that fail verification.
 	AuthKey []byte
@@ -121,7 +119,6 @@ func (e *Edge) Start(cfg EdgeConfig) {
 	if len(cfg.AuthKey) > 0 {
 		e.Switch.SetAuthKey(cfg.AuthKey)
 	}
-	e.Monitor.RecordBucket = cfg.RecordBucket
 	e.Monitor.Attach(e.Switch, func(id uint8) string { return pathName(cfg.PeerPaths, id) })
 
 	e.Controller = control.NewController(e.eng, e.Switch, cfg.Policy)

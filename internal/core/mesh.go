@@ -45,9 +45,6 @@ type MeshConfig struct {
 	RecordBucket time.Duration
 	// AuthKey enables authenticated telemetry on every switch.
 	AuthKey []byte
-	// MaxRelays bounds intermediate sites per overlay route (0 = the
-	// default of 1; -1 = direct only). See control.CompositeTable.
-	MaxRelays int
 }
 
 // segmentStaleAfter discards a segment's estimate when its freshest path
@@ -82,7 +79,6 @@ func MeshFromScenario(s *topo.MeshScenario, cfg MeshConfig) (*Mesh, error) {
 		relays:  map[string]*dataplane.Relay{},
 		sendBuf: packet.NewSerializeBuffer(),
 	}
-	m.Table.MaxRelays = cfg.MaxRelays
 	m.Table.Source = m.segmentEstimate
 
 	for _, pk := range s.PairKeys {
@@ -91,7 +87,6 @@ func MeshFromScenario(s *topo.MeshScenario, cfg MeshConfig) (*Mesh, error) {
 			MaxRounds:     cfg.MaxRounds,
 			ProbeInterval: cfg.ProbeInterval,
 			DecideEvery:   cfg.DecideEvery,
-			RecordBucket:  cfg.RecordBucket,
 			AuthKey:       cfg.AuthKey,
 		}
 		if cfg.NewPolicy != nil {
@@ -99,6 +94,8 @@ func MeshFromScenario(s *topo.MeshScenario, cfg MeshConfig) (*Mesh, error) {
 			pc.PolicyB = cfg.NewPolicy(b, a)
 		}
 		p := newPair(s, a, b, pc)
+		p.A.Monitor.RecordBucket = cfg.RecordBucket
+		p.B.Monitor.RecordBucket = cfg.RecordBucket
 		m.pairs = append(m.pairs, p)
 		m.addMember(a, b, p.A)
 		m.addMember(b, a, p.B)
@@ -208,8 +205,7 @@ func (m *Mesh) Establish() {
 // the deadline passes, reporting success. Time is driven through the
 // coordinator, never an individual partition engine; establishment runs
 // in coupled mode, where the cross-site calls of discovery and
-// provisioning are exact (Deployment.Establish leaves it once every pair
-// is ready).
+// provisioning are exact (Deploy leaves it once every pair is ready).
 func (m *Mesh) RunUntilReady(maxVirtual time.Duration) bool {
 	return runUntil(m.net, m.Ready, maxVirtual)
 }
@@ -219,10 +215,8 @@ func (m *Mesh) RunUntilReady(maxVirtual time.Duration) bool {
 // host prefix with the segment-count TTL, and each intermediate site's
 // relay maps that prefix to the egress member of its next segment.
 //
-// With the default MaxRelays of 1 the final member's prefix uniquely
-// identifies the route, so the tables are conflict-free. Longer chains
-// can share a final prefix across routes; enumeration order (sorted
-// sites, best-first routes) then makes the last write deterministic.
+// A route has at most one relay, so the final member's prefix uniquely
+// identifies it and the tables are conflict-free.
 func (m *Mesh) wireRelays() {
 	sites := m.Table.Sites()
 	for _, src := range sites {

@@ -24,7 +24,7 @@ import (
 //
 //   - parallel: conservative lock-stepped epochs of at most the lookahead
 //     (the minimum delay of any cross-partition link or session), which a
-//     deployment enters once established (core.Deployment.Establish).
+//     deployment enters once established (core.Deploy).
 //     Within an epoch [T, T+L) no partition can affect another before T+L,
 //     so W worker goroutines advance partitions independently; cross-
 //     partition events accumulate in per-partition outboxes and are drained

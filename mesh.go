@@ -1,7 +1,6 @@
 package tango
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"tango/internal/bgp"
 	"tango/internal/control"
 	"tango/internal/core"
+	"tango/internal/obs"
 	"tango/internal/topo"
 )
 
@@ -18,14 +18,14 @@ import (
 // factor, plus per-packet Gaussian noise.
 type MeshProvider struct {
 	Name string
-	// ASN is the provider's 16-bit AS number (1-65535; Establish refuses
+	// ASN is the provider's 16-bit AS number (1-65535; NewMesh refuses
 	// any other).
 	ASN uint32
 	// Scale multiplies each site's radius on this provider's backbone
 	// (1.0 = the topology's fastest tier; slower carriers use >1).
-	// Establish refuses a negative, infinite or NaN scale.
+	// NewMesh refuses a negative, infinite or NaN scale.
 	Scale float64
-	// JitterStd is the per-packet delay noise (Establish refuses a
+	// JitterStd is the per-packet delay noise (NewMesh refuses a
 	// negative one).
 	JitterStd time.Duration
 }
@@ -35,7 +35,7 @@ type MeshSiteSpec struct {
 	Name string
 	// Radius is the site's distance from the (notional) network center;
 	// it sets the scale of every provider path touching the site
-	// (Establish refuses a negative radius).
+	// (NewMesh refuses a negative radius).
 	Radius time.Duration
 	// ClockOffset skews the site's server clocks (unsynchronised sites
 	// are the realistic default; zero means perfectly synced).
@@ -52,20 +52,17 @@ type MeshOptions struct {
 	// Seed drives every random process; equal seeds reproduce bit-for-bit.
 	Seed int64
 	// ProbeInterval is the per-path measurement cadence (0 = 10 ms;
-	// Establish refuses a negative value).
+	// NewMesh refuses a negative value).
 	ProbeInterval time.Duration
-	// DecideEvery is the per-pair controller cadence (0 = 1 s; Establish
+	// DecideEvery is the per-pair controller cadence (0 = 1 s; NewMesh
 	// refuses a negative value). PolicyStaticDefault keeps traffic on the
 	// BGP default path.
 	DecideEvery time.Duration
-	// SitePolicy selects every member controller's strategy (Establish
+	// SitePolicy selects every member controller's strategy (NewMesh
 	// refuses a value that is none of the Policy constants).
 	SitePolicy Policy
 	// AuthKey enables authenticated telemetry on every border switch.
 	AuthKey []byte
-	// MaxRelays bounds intermediate sites per overlay route (0 = the
-	// default of one relay; -1 restricts to direct routes).
-	MaxRelays int
 
 	// Providers/Sites/Pairs define a custom topology. Pairs lists the
 	// site pairs that deploy Tango; sites without a pair between them can
@@ -78,23 +75,30 @@ type MeshOptions struct {
 // Mesh is an N-site Tango deployment: pairwise Tango between the
 // configured site pairs, composed into an overlay that can relay traffic
 // through intermediate sites when every direct wide-area path degrades.
+// A Lab is the one-link case.
 type Mesh struct {
-	deployment
+	d     *core.Deployment
+	chaos *Chaos // built by the first Chaos call
 }
 
-// NewMesh builds the simulated N-site deployment (BGP converged, host
-// prefixes announced) without running Tango establishment yet.
-func NewMesh(opts MeshOptions) *Mesh {
+// NewMesh builds the simulated N-site deployment and establishes Tango
+// on every configured pair concurrently in virtual time — iterative path
+// discovery in both directions, one pinned prefix announced per exposed
+// path, tunnels provisioned, probing and the measurement feedback loop
+// started — then wires the overlay relay tables. It returns an error for
+// a refused option, an invalid topology, an establishment that does not
+// complete, or a deployed pair BGP exposed no path between.
+func NewMesh(opts MeshOptions) (*Mesh, error) {
 	var err error
 	opts.ProbeInterval, opts.DecideEvery, err = cadences("MeshOptions", opts.ProbeInterval, opts.DecideEvery)
 	if err == nil {
 		err = checkPolicy("MeshOptions.SitePolicy", opts.SitePolicy)
 	}
 	if err != nil {
-		return &Mesh{deployment: deployment{buildErr: err}}
+		return nil, err
 	}
-	refuse := func(format string, a ...any) *Mesh {
-		return &Mesh{deployment: deployment{buildErr: fmt.Errorf("tango: MeshOptions "+format, a...)}}
+	refuse := func(format string, a ...any) (*Mesh, error) {
+		return nil, fmt.Errorf("tango: MeshOptions "+format, a...)
 	}
 	var cfg topo.MeshConfig
 	if len(opts.Sites) == 0 {
@@ -131,27 +135,40 @@ func NewMesh(opts MeshOptions) *Mesh {
 		}
 		cfg = topo.RadialMeshConfig(opts.Seed, provs, sites, opts.Pairs)
 	}
-	return &Mesh{deployment: newDeployment(cfg, core.MeshConfig{
+	return deploy(cfg, core.MeshConfig{
 		ProbeInterval: opts.ProbeInterval,
 		DecideEvery:   opts.DecideEvery,
 		NewPolicy:     func(site, peer string) control.Policy { return mkPolicy(opts.SitePolicy) },
 		AuthKey:       opts.AuthKey,
-		MaxRelays:     opts.MaxRelays,
-	})}
+	})
 }
 
-// errNotEstablished is what the Mesh methods with an error result return
-// until Establish has succeeded.
-var errNotEstablished = errors.New("tango: mesh not established; call Establish first and check its error")
-
-// Sites returns the deployment's site names, sorted; nil until Establish
-// has succeeded.
-func (m *Mesh) Sites() []string {
-	if !m.established() {
-		return nil
+// deploy builds tc and establishes Tango on it as mc configures.
+func deploy(tc topo.MeshConfig, mc core.MeshConfig) (*Mesh, error) {
+	d, err := core.Deploy(tc, mc)
+	if err != nil {
+		return nil, err
 	}
-	return m.d.Mesh.Sites()
+	return &Mesh{d: d}, nil
 }
+
+// Instrument registers the deployment's metrics in reg — every edge
+// server's switch, monitor and controller (labelled by site on a Lab,
+// "site->peer" on a Mesh), the fault counters, and one
+// tango_line_drops_total series per provider trunk labelled
+// line="trunk/<site>/<provider>" — and journals structured events (path
+// switches, fault applies and reverts, queue drops) to j. Both are
+// typically served with obs.Handler.
+func (m *Mesh) Instrument(reg *obs.Registry, j *obs.Journal) { m.d.Instrument(reg, j) }
+
+// Run advances the deployment by d of virtual time.
+func (m *Mesh) Run(d time.Duration) { m.d.Scenario.Run(d) }
+
+// Now returns the current virtual time.
+func (m *Mesh) Now() time.Duration { return m.d.Scenario.B.W.Now() }
+
+// Sites returns the deployment's site names, sorted.
+func (m *Mesh) Sites() []string { return m.d.Mesh.Sites() }
 
 // Route is one end-to-end overlay route: direct (empty Via) or relayed
 // through the named sites in order. OWDMs/JitterMs sum the live smoothed
@@ -185,11 +202,8 @@ func publicRoute(r control.CompositeRoute) Route {
 }
 
 // Routes returns every route from src to dst scored from the live
-// segment estimates, best-first; nil until Establish has succeeded.
+// segment estimates, best-first.
 func (m *Mesh) Routes(src, dst string) []Route {
-	if !m.established() {
-		return nil
-	}
 	rs := m.d.Mesh.Routes(src, dst)
 	out := make([]Route, 0, len(rs))
 	for _, r := range rs {
@@ -198,12 +212,9 @@ func (m *Mesh) Routes(src, dst string) []Route {
 	return out
 }
 
-// BestRoute returns the currently best valid route from src to dst; false
-// until Establish has succeeded.
+// BestRoute returns the currently best valid route from src to dst, or
+// false when no route has a live estimate on every segment.
 func (m *Mesh) BestRoute(src, dst string) (Route, bool) {
-	if !m.established() {
-		return Route{}, false
-	}
 	r, ok := m.d.Mesh.Best(src, dst)
 	return publicRoute(r), ok
 }
@@ -213,32 +224,22 @@ func (m *Mesh) BestRoute(src, dst string) (Route, bool) {
 // tunnelled by the origin pair; relayed routes are re-encapsulated at
 // each intermediate site.
 func (m *Mesh) Send(r Route, srcPort, dstPort uint16, payload []byte) error {
-	if !m.established() {
-		return errNotEstablished
-	}
 	return m.d.Mesh.SendAlong(control.CompositeRoute{Src: r.Src, Dst: r.Dst, Via: r.Via},
 		srcPort, dstPort, payload)
 }
 
 // OnReceive registers a handler for application packets addressed to the
 // given inner UDP port arriving at a site, whichever route carried them.
-// On a refused mesh (Establish returns why) no packet can arrive, and
-// OnReceive does nothing.
 func (m *Mesh) OnReceive(site string, dstPort uint16, fn func(Delivery)) {
-	if m.buildErr == nil {
-		for _, recv := range m.d.Mesh.MembersOf(site) {
-			recv.AddSink(deliverySink(recv, dstPort, fn))
-		}
+	for _, recv := range m.d.Mesh.MembersOf(site) {
+		recv.AddSink(deliverySink(recv, dstPort, fn))
 	}
 }
 
 // Paths returns the live per-path view of one deployed segment: the
-// paths carrying traffic from site toward peer. It is an error before
-// Establish has succeeded or when the pair does not exist.
+// paths carrying traffic from site toward peer. It is an error when the
+// pair does not exist.
 func (m *Mesh) Paths(site, peer string) ([]PathInfo, error) {
-	if !m.established() {
-		return nil, errNotEstablished
-	}
 	sender := m.d.Mesh.Member(site, peer)
 	recv := m.d.Mesh.Member(peer, site)
 	if sender == nil || recv == nil {
@@ -249,11 +250,8 @@ func (m *Mesh) Paths(site, peer string) ([]PathInfo, error) {
 
 // RelayStats reports a site's relay activity: packets re-encapsulated
 // onto a next segment and packets dropped by the TTL loop guard; zero
-// until Establish has succeeded.
+// for a site the mesh does not have.
 func (m *Mesh) RelayStats(site string) (forwarded, ttlExpired uint64) {
-	if !m.established() {
-		return 0, 0
-	}
 	r := m.d.Mesh.Relay(site)
 	if r == nil {
 		return 0, 0

@@ -40,9 +40,6 @@ type SteeringPlacement struct {
 // counts load against them. Undeclared trunks stay uncapacitated and
 // free.
 func (m *Mesh) SetTrunkCapacity(site, provider string, bps float64) error {
-	if m.buildErr != nil {
-		return m.buildErr
-	}
 	if !(bps > 0) || math.IsInf(bps, 1) {
 		return fmt.Errorf("tango: trunk capacity must be positive and finite, got %g", bps)
 	}
@@ -69,12 +66,9 @@ func (m *Mesh) SetTrunkCapacity(site, provider string, bps float64) error {
 // (a value above 1 means even the best split oversubscribes some trunk)
 // together with the per-demand weights, in input order.
 //
-// Call after Establish, and again whenever demands change; repeated
-// calls reuse the installed selectors and overwrite their weights.
+// Call again whenever demands change; repeated calls reuse the installed
+// selectors and overwrite their weights.
 func (m *Mesh) OptimizeSteering(seed int64, demands []SteeringDemand) (float64, []SteeringPlacement, error) {
-	if !m.established() {
-		return 0, nil, fmt.Errorf("tango: OptimizeSteering before Establish")
-	}
 	if len(demands) == 0 {
 		return 0, nil, fmt.Errorf("tango: OptimizeSteering needs at least one demand")
 	}

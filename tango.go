@@ -12,10 +12,12 @@
 // an eBPF-equivalent data plane operating on real packet bytes. The
 // two-site entry point is the Lab: the paper's two-datacenter Vultr
 // deployment, ready for discovery, measurement, traffic, and incident
-// injection.
+// injection. NewLab and NewMesh return an established deployment — BGP
+// converged, paths discovered and pinned, tunnels up, the measurement
+// loop running — or an error saying why there is none.
 //
-//	lab := tango.NewLab(tango.Options{Seed: 1})
-//	if err := lab.Establish(); err != nil { ... }
+//	lab, err := tango.NewLab(tango.Options{Seed: 1})
+//	if err != nil { ... }
 //	lab.Run(30 * time.Minute)
 //	for _, p := range lab.NY().Paths() {
 //		fmt.Printf("%s: %.2f ms\n", p.Provider, p.MeanOWDMs)
@@ -27,8 +29,8 @@
 // routes, so traffic can detour through an intermediate site when every
 // direct wide-area path degrades.
 //
-//	mesh := tango.NewMesh(tango.MeshOptions{Seed: 1})
-//	if err := mesh.Establish(); err != nil { ... }
+//	mesh, err := tango.NewMesh(tango.MeshOptions{Seed: 1})
+//	if err != nil { ... }
 //	mesh.Run(2 * time.Minute)
 //	best, _ := mesh.BestRoute("ny", "la") // direct, or relayed via chi
 package tango
@@ -39,7 +41,6 @@ import (
 
 	"tango/internal/control"
 	"tango/internal/core"
-	"tango/internal/obs"
 	"tango/internal/topo"
 )
 
@@ -65,14 +66,14 @@ type Options struct {
 	// bit-for-bit reproducible.
 	Seed int64
 	// ProbeInterval is the per-path measurement cadence (0 = the paper's
-	// 10 ms; Establish refuses a negative value).
+	// 10 ms; NewLab refuses a negative value).
 	ProbeInterval time.Duration
-	// DecideEvery is the controller cadence (0 = 1 s; Establish refuses a
+	// DecideEvery is the controller cadence (0 = 1 s; NewLab refuses a
 	// negative value). PolicyStaticDefault, not a cadence, is how to keep
 	// traffic on the BGP default path.
 	DecideEvery time.Duration
-	// PolicyNY / PolicyLA select each site's strategy (Establish refuses
-	// a value that is none of the Policy constants).
+	// PolicyNY / PolicyLA select each site's strategy (NewLab refuses a
+	// value that is none of the Policy constants).
 	PolicyNY, PolicyLA Policy
 	// ClockOffsetNY / ClockOffsetLA skew the two servers' clocks
 	// (defaults: +1.7 s and -0.9 s, deliberately unsynchronised).
@@ -80,20 +81,6 @@ type Options struct {
 	// AuthKey, when non-empty, enables authenticated telemetry: both
 	// border switches sign Tango datagrams and drop unverified ones.
 	AuthKey []byte
-}
-
-// deployment is what a Lab and a Mesh both are: one core.Deployment (the
-// built topology, Tango on every deployed pair, the fault injector) or
-// the error that kept it from being built.
-type deployment struct {
-	d        *core.Deployment
-	buildErr error
-	chaos    *Chaos
-}
-
-func newDeployment(tc topo.MeshConfig, mc core.MeshConfig) deployment {
-	d, err := core.NewDeployment(tc, mc)
-	return deployment{d: d, buildErr: err}
 }
 
 // cadences resolves the probe and decision cadences of an options struct
@@ -115,66 +102,21 @@ func cadences(opts string, probe, decide time.Duration) (time.Duration, time.Dur
 	return probe, decide, nil
 }
 
-// Establish runs the paper's setup for every deployed pair concurrently
-// in virtual time — iterative path discovery in both directions, one
-// pinned prefix announced per exposed path, tunnels provisioned, probing
-// and the measurement feedback loop started — then wires the overlay
-// relay tables. It returns an error if the topology was invalid,
-// establishment does not complete, or BGP exposed no path between a
-// deployed pair. A second call changes nothing.
-func (p *deployment) Establish() error {
-	if p.buildErr != nil {
-		return p.buildErr
-	}
-	return p.d.Establish()
-}
-
-// Instrument registers the deployment's metrics in reg — every edge
-// server's switch, monitor and controller (labelled by site on a Lab,
-// "site->peer" on a Mesh), the fault counters, and one
-// tango_line_drops_total series per provider trunk labelled
-// line="trunk/<site>/<provider>" — and journals structured events (path
-// switches, fault applies and reverts, queue drops) to j. Call after
-// Establish; both are typically served with obs.Handler.
-func (p *deployment) Instrument(reg *obs.Registry, j *obs.Journal) error {
-	if !p.established() {
-		return fmt.Errorf("tango: Instrument before Establish")
-	}
-	p.d.Instrument(reg, j)
-	return nil
-}
-
-// established reports whether Establish has succeeded.
-func (p *deployment) established() bool { return p.buildErr == nil && p.d.Mesh.Ready() }
-
-// Run advances the deployment by d of virtual time. On a deployment that
-// was refused (Establish returns why) there is nothing to run, and Run
-// does nothing.
-func (p *deployment) Run(d time.Duration) {
-	if p.buildErr == nil {
-		p.d.Scenario.Run(d)
-	}
-}
-
-// Now returns the current virtual time; 0 on a refused deployment.
-func (p *deployment) Now() time.Duration {
-	if p.buildErr != nil {
-		return 0
-	}
-	return p.d.Scenario.B.W.Now()
-}
-
 // Lab is the paper's deployment: two cooperating edge servers in Vultr's
 // NY and LA datacenters connected across five transit providers. It is
-// the one-link case of the machinery behind NewMesh.
+// the one-link Mesh, with its two sites at hand.
 type Lab struct {
-	deployment
+	*Mesh
 	ny, la *Site
 }
 
-// NewLab builds the simulated deployment (BGP sessions established, host
-// prefixes announced) without running Tango discovery yet.
-func NewLab(opts Options) *Lab {
+// NewLab builds the simulated deployment and establishes Tango on it in
+// virtual time: BGP converges, iterative path discovery runs in both
+// directions, one pinned prefix is announced per exposed path, tunnels
+// are provisioned, and probing and the measurement feedback loop start.
+// It returns an error for a refused option, an establishment that does
+// not complete, or a direction BGP exposed no path in.
+func NewLab(opts Options) (*Lab, error) {
 	var err error
 	opts.ProbeInterval, opts.DecideEvery, err = cadences("Options", opts.ProbeInterval, opts.DecideEvery)
 	if err == nil {
@@ -184,9 +126,9 @@ func NewLab(opts Options) *Lab {
 		err = checkPolicy("Options.PolicyLA", opts.PolicyLA)
 	}
 	if err != nil {
-		return &Lab{deployment: deployment{buildErr: err}}
+		return nil, err
 	}
-	return &Lab{deployment: newDeployment(
+	m, err := deploy(
 		topo.VultrConfig(topo.ScenarioConfig{
 			Seed:          opts.Seed,
 			ClockOffsetNY: opts.ClockOffsetNY,
@@ -202,7 +144,15 @@ func NewLab(opts Options) *Lab {
 				return mkPolicy(opts.PolicyLA)
 			},
 			AuthKey: opts.AuthKey,
-		})}
+		})
+	if err != nil {
+		return nil, err
+	}
+	return &Lab{
+		Mesh: m,
+		ny:   &Site{name: "ny", site: m.d.Mesh.Member("ny", "la")},
+		la:   &Site{name: "la", site: m.d.Mesh.Member("la", "ny")},
+	}, nil
 }
 
 // checkPolicy refuses a Policy value that names no policy (field names
@@ -225,23 +175,7 @@ func mkPolicy(p Policy) control.Policy {
 	}
 }
 
-// Establish runs the paper's setup end to end in virtual time: iterative
-// path discovery in both directions, one pinned prefix announced per
-// exposed path, tunnels provisioned, probing and the measurement feedback
-// loop started. It returns an error if establishment does not complete
-// or BGP exposed no path. A second call changes nothing.
-func (l *Lab) Establish() error {
-	if err := l.deployment.Establish(); err != nil {
-		return err
-	}
-	if l.ny == nil {
-		l.ny = &Site{name: "ny", site: l.d.Mesh.Member("ny", "la")}
-		l.la = &Site{name: "la", site: l.d.Mesh.Member("la", "ny")}
-	}
-	return nil
-}
-
-// NY returns the New York site. Establish must have succeeded.
+// NY returns the New York site.
 func (l *Lab) NY() *Site { return l.ny }
 
 // LA returns the Los Angeles site.
