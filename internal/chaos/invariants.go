@@ -165,11 +165,10 @@ func Conservation(label string, net *simnet.Network) Invariant {
 
 // BufferBalance asserts no packet buffer leaks: the pools' outstanding
 // leases (summed over every partition on a sharded network) must equal
-// the packets in flight on the wire. At an event boundary every leased
-// buffer is exactly one scheduled delivery; on a sharded network the
-// check runs at epoch barriers, after the cross-partition drain has
-// materialized staged packets into destination pools, so the identity
-// holds there too.
+// the packets in flight on the wire. The identity holds at every event
+// boundary: every leased buffer is exactly one pending delivery, and a
+// cross-partition packet staged for the next barrier keeps its source
+// pool's lease until the drain moves it into the destination pool.
 func BufferBalance(label string, net *simnet.Network) Invariant {
 	return InvariantFunc("buffer-balance:"+label, func(now sim.Time) error {
 		var inflight uint64

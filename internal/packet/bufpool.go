@@ -36,6 +36,19 @@ func (b *Buf) Release() {
 	}
 }
 
+// MoveTo hands b's packet to a buffer leased from p without copying it:
+// the two backing arrays trade places, so the packet and its headroom
+// arrive as they were, and b — now holding the fresh buffer's cleared
+// array — goes back to its own pool. Every Buf stays in the pool it was
+// made by; only arrays travel. b is released and must not be touched
+// afterwards.
+func (b *Buf) MoveTo(p *BufPool) *Buf {
+	nb := p.Get()
+	nb.SerializeBuffer, b.SerializeBuffer = b.SerializeBuffer, nb.SerializeBuffer
+	b.Release()
+	return nb
+}
+
 // Buffer capacity policy: buffers start at defaultBufCap (an MTU-sized
 // inner packet plus worst-case encapsulation overhead fits without
 // growing) and are discarded on release once grown past maxPooledCap, so

@@ -96,3 +96,58 @@ func TestBufSerializesLikeABuffer(t *testing.T) {
 	}
 	b.Release()
 }
+
+// MoveTo hands the packet over by trading backing arrays: the bytes and
+// their headroom arrive at the same address, each pool counts one lease
+// or one release, and the source Buf is released.
+func TestBufMoveTo(t *testing.T) {
+	src, dst := NewBufPool(), NewBufPool()
+	b := src.Get()
+	copy(b.PrependBytes(3), []byte{4, 5, 6}) // the rest stays headroom
+	want := append([]byte(nil), b.Bytes()...)
+	first, headroom := &b.Bytes()[0], b.start
+	srcStats, dstStats := src.Stats, dst.Stats
+
+	nb := b.MoveTo(dst)
+	if !bytes.Equal(nb.Bytes(), want) || nb.start != headroom {
+		t.Fatalf("moved %v with headroom %d, want %v with %d", nb.Bytes(), nb.start, want, headroom)
+	}
+	if &nb.Bytes()[0] != first {
+		t.Fatal("MoveTo copied the bytes instead of moving the array")
+	}
+	if nb.pool != dst || b.pool != src {
+		t.Fatal("a Buf changed pools")
+	}
+	if src.Stats.Gets != srcStats.Gets || src.Stats.Puts != srcStats.Puts+1 ||
+		dst.Stats.Gets != dstStats.Gets+1 || dst.Stats.Puts != dstStats.Puts {
+		t.Fatalf("pool stats: src %+v → %+v, dst %+v → %+v", srcStats, src.Stats, dstStats, dst.Stats)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("releasing the moved-from Buf again did not panic")
+			}
+		}()
+		b.Release()
+	}()
+	nb.Release()
+
+	// A moved array that outgrew the pool's cap is discarded where it
+	// ends up, not where it was leased.
+	big := src.Get()
+	big.SetBytes(make([]byte, maxPooledCap+1))
+	moved := big.MoveTo(dst)
+	if src.Stats.Discards != 0 {
+		t.Fatal("the source pool discarded the fresh array it got back")
+	}
+	moved.Release()
+	if dst.Stats.Discards != 1 {
+		t.Fatalf("oversized moved array pooled: dst discards=%d", dst.Stats.Discards)
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		src.Get().MoveTo(dst).Release()
+	}); allocs != 0 {
+		t.Fatalf("warm MoveTo allocates %.0f times", allocs)
+	}
+}

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,13 +26,13 @@ import (
 //     Within an epoch [T, T+L) no partition can affect another before T+L,
 //     so W worker goroutines advance partitions independently; cross-
 //     partition events accumulate in per-partition outboxes and are drained
-//     at the barrier in a canonical (time, source, sequence) order.
+//     at the barrier source by source, each outbox in append order.
 //
 // Both modes produce results that are independent of the worker count:
 // coupled mode is sequential by construction, and parallel mode schedules
-// every cross-partition event in an order derived only from virtual time
-// and per-partition sequence numbers, never from goroutine arrival. The
-// partition count itself is a property of the topology (see
+// every cross-partition event in an order derived only from partition
+// indices and each partition's own scheduling order, never from goroutine
+// arrival. The partition count itself is a property of the topology (see
 // topo.PartitionGraph), not of the worker knob, so "1 shard" and "N
 // shards" runs execute identical event sequences.
 type Coordinator struct {
@@ -50,9 +48,8 @@ type Coordinator struct {
 	// before worker launch and after the join, so workers read it safely.
 	inEpoch bool
 
-	outbox  [][]crossMsg
-	scratch []crossMsg
-	hooks   []barrierHook
+	outbox [][]crossMsg
+	hooks  []barrierHook
 
 	// Stats counts coordinator activity for tests and benchmarks.
 	Stats struct {
@@ -64,11 +61,10 @@ type Coordinator struct {
 
 // crossMsg is one cross-partition event waiting for the next barrier.
 type crossMsg struct {
-	at       Time
-	src, dst int32
-	seq      uint32
-	h        ArgHandler
-	arg      any
+	at  Time
+	dst int32
+	h   ArgHandler
+	arg any
 }
 
 type barrierHook struct {
@@ -81,8 +77,8 @@ type barrierHook struct {
 // must be materialized on the destination side. PrepareCross runs single-
 // threaded at the barrier, before the event is scheduled on the
 // destination engine; the returned value replaces the payload. The packet
-// layer uses this to copy staged bytes into a buffer leased from the
-// destination partition's pool, keeping pools single-goroutine.
+// layer uses this to move a staged buffer's bytes into a buffer leased
+// from the destination partition's pool, keeping pools single-goroutine.
 type CrossPrepper interface {
 	PrepareCross(arg any) any
 }
@@ -285,45 +281,33 @@ func (c *Coordinator) runEpochParallel(end Time) {
 	c.inEpoch = false
 }
 
-// drain moves every outbox message onto its destination engine in the
-// canonical (time, source partition, per-source sequence) order. The
-// ordering depends only on virtual time and scheduling order within each
-// partition, so the resulting destination-side event sequence is
-// identical for every worker count. A batch sorted by time is also the
-// cheapest arrival order for the destinations' due heaps: every push
-// stays at the bottom.
+// drain moves every outbox message onto its destination engine, source
+// partition by source partition, each outbox in append order. No sort is
+// needed: a destination fires by (at, seq), and seq is assigned here, so
+// messages with different times fire in time order whatever order they
+// arrive in, and messages with equal times get their seq in (source,
+// append) order — which depends only on the partition index and each
+// partition's own scheduling order, so the destination-side event
+// sequence is identical for every worker count.
 func (c *Coordinator) drain() {
-	c.scratch = c.scratch[:0]
-	for i := range c.outbox {
-		c.scratch = append(c.scratch, c.outbox[i]...)
-		c.outbox[i] = c.outbox[i][:0]
+	var n uint64
+	for i, ob := range c.outbox {
+		for j := range ob {
+			m := &ob[j]
+			if p, ok := m.h.(CrossPrepper); ok {
+				m.arg = p.PrepareCross(m.arg)
+			}
+			dst := c.parts[m.dst]
+			if m.at < dst.Now() {
+				panic(fmt.Sprintf("sim: lookahead violation: cross event at %v behind partition %d clock %v",
+					m.at, m.dst, dst.Now()))
+			}
+			dst.ScheduleArgAt(m.at, m.h, m.arg)
+			m.h, m.arg = nil, nil
+		}
+		n += uint64(len(ob))
+		c.outbox[i] = ob[:0]
 	}
-	if len(c.scratch) == 0 {
-		return
-	}
-	slices.SortFunc(c.scratch, func(a, b crossMsg) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		if a.src != b.src {
-			return cmp.Compare(a.src, b.src)
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	for i := range c.scratch {
-		m := &c.scratch[i]
-		if p, ok := m.h.(CrossPrepper); ok {
-			m.arg = p.PrepareCross(m.arg)
-		}
-		dst := c.parts[m.dst]
-		if m.at < dst.Now() {
-			panic(fmt.Sprintf("sim: lookahead violation: cross event at %v behind partition %d clock %v",
-				m.at, m.dst, dst.Now()))
-		}
-		dst.ScheduleArgAt(m.at, m.h, m.arg)
-		m.h, m.arg = nil, nil
-	}
-	n := uint64(len(c.scratch))
 	c.Stats.CrossMsg += n
 	if n > c.Stats.DrainMax {
 		c.Stats.DrainMax = n
@@ -361,9 +345,5 @@ func CrossScheduleAt(src, dst *Engine, at Time, h ArgHandler, arg any) {
 		dst.ScheduleArgAt(at, h, arg)
 		return
 	}
-	ob := &c.outbox[src.part]
-	*ob = append(*ob, crossMsg{
-		at: at, src: int32(src.part), dst: int32(dst.part),
-		seq: uint32(len(*ob)), h: h, arg: arg,
-	})
+	c.outbox[src.part] = append(c.outbox[src.part], crossMsg{at: at, dst: int32(dst.part), h: h, arg: arg})
 }

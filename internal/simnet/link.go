@@ -173,30 +173,19 @@ func (l *Line) send(pb *packet.Buf) {
 	eng.ScheduleArgAt(txDone+prop, l, pb)
 }
 
-// sendCross stages a partition-crossing packet: the payload bytes are
-// copied into a recycled carrier owned by the sending partition, the
-// source-pool buffer is released immediately, and the delivery event is
-// routed through the coordinator. PrepareCross later rehydrates the bytes
-// into the destination partition's pool — so each pool stays touched by
-// exactly one goroutine, and steady state allocates nothing once carrier
-// capacity has warmed up.
+// sendCross stages a partition-crossing packet: the source-pool buffer
+// itself rides the coordinator to the destination partition, and
+// PrepareCross hands its bytes over to the destination pool there.
 func (l *Line) sendCross(at sim.Time, pb *packet.Buf) {
-	src := l.from.node
-	cp := src.net.stages[src.part].get()
-	cp.data = append(cp.data[:0], pb.Bytes()...)
-	pb.Release()
-	sim.CrossScheduleAt(src.eng, l.to.node.eng, at, l, cp)
+	sim.CrossScheduleAt(l.from.node.eng, l.to.node.eng, at, l, pb)
 }
 
 // PrepareCross implements sim.CrossPrepper: it runs single-threaded at the
-// barrier (or inline in coupled mode) and converts the staged byte carrier
-// into a buffer leased from the destination partition's pool.
+// barrier (or inline in coupled mode), so it may touch both partitions'
+// pools. It moves the staged buffer's backing array into a buffer leased
+// from the destination pool and releases the source buffer to its own.
 func (l *Line) PrepareCross(arg any) any {
-	cp := arg.(*crossPkt)
-	pb := l.to.node.pool.Get()
-	pb.SetBytes(cp.data)
-	l.from.node.net.stages[l.from.node.part].put(cp)
-	return pb
+	return arg.(*packet.Buf).MoveTo(l.to.node.pool)
 }
 
 // OnSimEvent implements sim.ArgHandler: it is the arrival half of send,

@@ -14,9 +14,9 @@ import (
 // packet-buffer pools every in-flight packet lives in. Its node set is
 // partitioned over the engines of one sim.Coordinator, each partition
 // with its own pool; a small network is one partition. Every pool is
-// touched by exactly one goroutine at a time, because cross-partition
-// packets are staged as plain bytes and materialized into the destination
-// pool at epoch barriers.
+// touched by exactly one goroutine at a time, because a cross-partition
+// packet keeps its source-pool buffer until the epoch barrier, where its
+// bytes move into a buffer leased from the destination pool.
 type Network struct {
 	// Eng is partition 0's engine (construction-time conveniences may use
 	// it; per-node work must go through Node.Eng). On a one-partition
@@ -30,7 +30,6 @@ type Network struct {
 	coord  *sim.Coordinator
 	assign func(string) int
 	pools  []*packet.BufPool
-	stages []*crossStage
 }
 
 // New creates an empty one-partition network seeded with seed.
@@ -56,11 +55,9 @@ func NewSharded(seed int64, parts int, lookahead time.Duration, assign func(stri
 		coord:   c,
 		assign:  assign,
 		pools:   make([]*packet.BufPool, parts),
-		stages:  make([]*crossStage, parts),
 	}
 	for i := 0; i < parts; i++ {
 		w.pools[i] = packet.NewBufPool()
-		w.stages[i] = &crossStage{}
 	}
 	return w
 }
@@ -197,34 +194,3 @@ func (w *Network) Run(until sim.Time) { w.coord.Run(until) }
 // Now returns the shared virtual time between runs; an event reads its
 // own node's engine instead.
 func (w *Network) Now() sim.Time { return w.Eng.Now() }
-
-// crossStage recycles the byte carriers of cross-partition packets for
-// one source partition: get runs on the partition's goroutine during an
-// epoch, put runs single-threaded at the barrier when the bytes have been
-// copied into the destination pool. Steady state allocates nothing.
-type crossStage struct {
-	free *crossPkt
-}
-
-// crossPkt is one staged cross-partition packet: a copy of the payload
-// bytes, detached from any buffer pool.
-type crossPkt struct {
-	data []byte
-	next *crossPkt
-}
-
-func (s *crossStage) get() *crossPkt {
-	cp := s.free
-	if cp == nil {
-		return &crossPkt{}
-	}
-	s.free = cp.next
-	cp.next = nil
-	return cp
-}
-
-func (s *crossStage) put(cp *crossPkt) {
-	cp.data = cp.data[:0]
-	cp.next = s.free
-	s.free = cp
-}

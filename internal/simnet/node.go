@@ -47,11 +47,13 @@ type Node struct {
 
 	fib   addr.Trie[*RouteEntry]
 	owned map[netip.Addr]bool
-	// fibCache memoizes full-address FIB lookups (nil = cached miss);
-	// any FIB mutation flushes it. Real routers keep the same structure
-	// as a host/route cache in front of the LPM table, and the simulated
+	// fibCache memoizes full-address route decisions (localRoute = owned,
+	// nil = cached miss); any FIB mutation flushes it, and AddAddr drops
+	// the claimed address. Real routers keep the same structure as a
+	// host/route cache in front of the LPM table, and the simulated
 	// traffic concentrates on a handful of destinations, so this turns
-	// the per-packet bit-by-bit trie walk into one map probe.
+	// the per-packet owned check and bit-by-bit trie walk into one map
+	// probe.
 	fibCache map[netip.Addr]*RouteEntry
 	ports    []*Port
 	handler  Handler
@@ -95,7 +97,10 @@ func (n *Node) SetHandler(h Handler) { n.handler = h }
 
 // AddAddr marks ip as owned: packets to ip are delivered locally.
 // Tunnels may share a local address; claiming it twice is harmless.
-func (n *Node) AddAddr(ip netip.Addr) { n.owned[ip] = true }
+func (n *Node) AddAddr(ip netip.Addr) {
+	n.owned[ip] = true
+	delete(n.fibCache, ip)
+}
 
 // OwnsAddr reports whether ip is local to this node.
 func (n *Node) OwnsAddr(ip netip.Addr) bool { return n.owned[ip] }
@@ -120,15 +125,18 @@ func (n *Node) DelRoute(p addr.Prefix) bool {
 	return n.fib.Delete(p)
 }
 
-// lookupCached resolves dst through the route cache, falling back to the
-// LPM trie and memoizing the result (including misses).
+// lookupCached resolves dst through the route cache: localRoute for an
+// owned address, else the LPM trie's entry (nil for none). It memoizes
+// the result, misses included.
 func (n *Node) lookupCached(dst netip.Addr) *RouteEntry {
 	if ent, ok := n.fibCache[dst]; ok {
 		return ent
 	}
-	ent, _, found := n.fib.Lookup(dst)
-	if !found {
-		ent = nil
+	var ent *RouteEntry
+	if n.owned[dst] {
+		ent = localRoute
+	} else if e, _, found := n.fib.Lookup(dst); found {
+		ent = e
 	}
 	if n.fibCache == nil {
 		n.fibCache = make(map[netip.Addr]*RouteEntry)
@@ -138,6 +146,9 @@ func (n *Node) lookupCached(dst netip.Addr) *RouteEntry {
 	n.fibCache[dst] = ent
 	return ent
 }
+
+// localRoute is the route cache's entry for an owned address.
+var localRoute = &RouteEntry{}
 
 // maxFIBCacheEntries bounds the route cache; simulated traffic uses a
 // handful of destinations, so the bound only matters for scans.
@@ -176,10 +187,11 @@ func (n *Node) deliverFromLink(from *Port, pb *packet.Buf) {
 	n.route(from, pb)
 }
 
-// route implements the forwarding pipeline: parse destination, local
-// delivery check, TTL, LPM, ECMP port choice, transmit. It owns pb:
-// every non-transmit exit releases the buffer (local delivery hands the
-// handler a borrowed view first), and transmit passes ownership onward.
+// route implements the forwarding pipeline: parse destination, one
+// route-cache probe, then local delivery, TTL, no-route, ECMP port
+// choice, transmit. It owns pb: every non-transmit exit releases the
+// buffer (local delivery hands the handler a borrowed view first), and
+// transmit passes ownership onward.
 func (n *Node) route(from *Port, pb *packet.Buf) {
 	data := pb.Bytes()
 	dst, hop, ok := packet.Dst(data)
@@ -188,7 +200,8 @@ func (n *Node) route(from *Port, pb *packet.Buf) {
 		pb.Release()
 		return
 	}
-	if n.owned[dst] {
+	ent := n.lookupCached(dst)
+	if ent == localRoute {
 		n.Stats.Delivered++
 		if n.handler != nil {
 			n.handler(data)
@@ -204,7 +217,6 @@ func (n *Node) route(from *Port, pb *packet.Buf) {
 		}
 		packet.DecHopLimit(data)
 	}
-	ent := n.lookupCached(dst)
 	if ent == nil {
 		n.Stats.NoRoute++
 		pb.Release()

@@ -61,7 +61,7 @@ func TestShardedDeliveryAcrossPartitions(t *testing.T) {
 	})
 
 	// Parallel epochs: the delivery must ride the outbox (sendCross →
-	// barrier drain → PrepareCross into b's pool) and still land at
+	// barrier drain → PrepareCross moves it into b's pool) and still land at
 	// exactly the propagation delay.
 	w.Coord().EnterParallel()
 	a.Eng().ScheduleAt(sim.Time(time.Millisecond), func() {
@@ -77,20 +77,52 @@ func TestShardedDeliveryAcrossPartitions(t *testing.T) {
 	if w.Now() != sim.Time(50*time.Millisecond) {
 		t.Fatalf("Now()=%v, want 50ms", w.Now())
 	}
-	// The staged carrier was recycled and both pools balance: nothing
-	// leaks across the partition boundary.
+	// The staged buffer went back to a's pool and both pools balance:
+	// nothing leaks across the partition boundary.
 	if w.LeasedBufs() != 0 {
 		t.Fatalf("leaked %d buffers across the boundary", w.LeasedBufs())
 	}
 
-	// A second round reuses the recycled carrier (crossStage.get hits the
-	// freelist) and must behave identically.
+	// A second round reuses both pools' recycled buffers and must behave
+	// identically.
 	a.Eng().ScheduleAt(sim.Time(60*time.Millisecond), func() {
 		a.Inject(mkPkt(t, "2001:db8::a", "2001:db8::b", 64, 1, 2))
 	})
 	w.Run(sim.Time(100 * time.Millisecond))
 	if deliveries != 2 || w.LeasedBufs() != 0 {
 		t.Fatalf("second round: %d deliveries, %d leaked", deliveries, w.LeasedBufs())
+	}
+}
+
+// A cross packet staged for the barrier keeps its source-pool lease, so
+// the pools' outstanding leases equal the packets in flight at every
+// event boundary, mid-epoch included — not only after a drain.
+func TestShardedStagedPacketKeepsLease(t *testing.T) {
+	const la = 10 * time.Millisecond
+	w, a, b := shardedPair(t, la)
+	b.AddAddr(netip.MustParseAddr("2001:db8::b"))
+	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
+	w.Coord().SetWorkers(1)
+	w.Coord().EnterParallel()
+
+	a.Eng().ScheduleAt(sim.Time(time.Millisecond), func() {
+		a.Inject(mkPkt(t, "2001:db8::a", "2001:db8::b", 64, 1, 2))
+	})
+	checked := false
+	a.Eng().ScheduleAt(sim.Time(2*time.Millisecond), func() {
+		checked = true
+		var inflight uint64
+		for _, lk := range w.Links() {
+			inflight += lk.LineAB().InFlight() + lk.LineBA().InFlight()
+		}
+		if inflight != 1 || w.LeasedBufs() != inflight {
+			t.Errorf("before the barrier: %d buffers leased, %d packets in flight, want 1 and 1",
+				w.LeasedBufs(), inflight)
+		}
+	})
+	w.Run(sim.Time(2 * la))
+	if !checked || b.Stats.Delivered != 1 || w.LeasedBufs() != 0 {
+		t.Fatalf("checked=%v delivered=%d leased=%d", checked, b.Stats.Delivered, w.LeasedBufs())
 	}
 }
 

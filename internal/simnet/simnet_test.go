@@ -117,6 +117,28 @@ func TestNoRouteDrop(t *testing.T) {
 	}
 }
 
+// The route cache memoizes local delivery too, so claiming an address
+// must drop its cached FIB route: the next packet is delivered, not
+// forwarded.
+func TestAddrClaimedAfterCachedRoute(t *testing.T) {
+	w := New(1)
+	a := w.AddNode("a", 0)
+	b := w.AddNode("b", 0)
+	w.Connect(a, b, FixedDelay(time.Millisecond), FixedDelay(time.Millisecond))
+	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
+	handled := 0
+	a.SetHandler(func([]byte) { handled++ })
+
+	pkt := mkPkt(t, "2001:db8::a", "2001:db8::b", 64, 1, 2)
+	a.Inject(pkt)
+	a.AddAddr(netip.MustParseAddr("2001:db8::b"))
+	a.Inject(pkt)
+	w.Run(time.Second)
+	if tx := a.Ports()[0].Out().Stats.Tx; tx != 1 || handled != 1 || a.Stats.Delivered != 1 {
+		t.Fatalf("forwarded %d, handled %d, delivered %d: want 1, 1, 1", tx, handled, a.Stats.Delivered)
+	}
+}
+
 func TestParseErrDrop(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)
