@@ -284,6 +284,30 @@ func TestReporterSkipsInvalidAndEmpty(t *testing.T) {
 	}
 }
 
+// A report tick reads the monitor's ordered path list in place: paths
+// appearing in any ID order come back sorted, and a tick allocates
+// nothing.
+func TestReporterTickAllocatesNothing(t *testing.T) {
+	w := simnet.New(4)
+	sw := dataplane.NewSwitch(w.AddNode("x", 0))
+	mon := NewMonitor()
+	for _, id := range []uint8{3, 1, 2} {
+		mon.Ingest(dataplane.Measurement{PathID: id, OWD: time.Millisecond}, nil)
+	}
+	ps := mon.Paths()
+	if len(ps) != 3 || ps[0].ID != 1 || ps[1].ID != 2 || ps[2].ID != 3 {
+		t.Fatalf("Paths = %+v", ps)
+	}
+	r := NewReporter(w.Eng, mon, sw, 10*time.Millisecond)
+	defer r.Stop()
+	if allocs := testing.AllocsPerRun(100, r.emit); allocs != 0 {
+		t.Fatalf("a report tick allocates %.0f times", allocs)
+	}
+	if sw.PendingReports() == 0 {
+		t.Fatal("the ticks queued no report")
+	}
+}
+
 func TestMonitorSampleCap(t *testing.T) {
 	// Reports clamp sample counts to uint16.
 	w := simnet.New(3)

@@ -47,6 +47,8 @@ type PathMonitor struct {
 // data-plane's per-packet observations and maintains per-path state.
 type Monitor struct {
 	paths map[uint8]*PathMonitor
+	// ordered holds the same paths in ID order, for Paths.
+	ordered []*PathMonitor
 	// RecordBucket, when positive, attaches a Series with this bucket
 	// to every path created afterwards.
 	RecordBucket time.Duration
@@ -148,31 +150,24 @@ func (m *Monitor) newPath(id uint8, name string) *PathMonitor {
 		m.instrumentPath(id, pm)
 	}
 	m.paths[id] = pm
+	i := len(m.ordered)
+	for i > 0 && m.ordered[i-1].ID > id {
+		i--
+	}
+	m.ordered = append(m.ordered, nil)
+	copy(m.ordered[i+1:], m.ordered[i:])
+	m.ordered[i] = pm
 	return pm
 }
 
 // Path returns the state for a path ID, or nil.
 func (m *Monitor) Path(id uint8) *PathMonitor { return m.paths[id] }
 
-// Paths returns all monitored paths in ID order.
-func (m *Monitor) Paths() []*PathMonitor {
-	var max uint8
-	for id := range m.paths {
-		if id > max {
-			max = id
-		}
-	}
-	out := make([]*PathMonitor, 0, len(m.paths))
-	for id := uint8(0); ; id++ {
-		if pm, ok := m.paths[id]; ok {
-			out = append(out, pm)
-		}
-		if id == max {
-			break
-		}
-	}
-	return out
-}
+// Paths returns all monitored paths in ID order. The slice is the
+// monitor's own, returned without a copy so a report tick allocates
+// nothing: callers must not modify it, and it is valid until the next
+// path appears.
+func (m *Monitor) Paths() []*PathMonitor { return m.ordered }
 
 // Reporter periodically piggybacks the monitor's per-path estimates onto
 // data traffic flowing back to the peer (round-robin over paths), closing

@@ -227,10 +227,16 @@ type SeqTracker struct {
 	Lost      uint64 // gaps never filled (net of late arrivals)
 	Reordered uint64 // arrived after a later sequence number
 	Dup       uint64
-	// recent tracks sequence numbers seen out of an assumed gap so a
-	// late arrival converts a counted loss into a reorder.
-	recentGap map[uint32]bool
+	// gaps marks, over the seqWindow sequence numbers before next, the
+	// ones skipped and not yet arrived, so a late arrival converts a
+	// counted loss into a reorder. Slot seq%seqWindow; allocated on the
+	// first gap, so an in-order path never pays for it.
+	gaps *[seqWindow / 64]uint64
 }
+
+// seqWindow is how far behind the newest sequence number a straggler
+// still converts its loss into a reorder; older ones count as dups.
+const seqWindow = 4096
 
 // Add processes one received sequence number and reports its kind:
 // "ok", "reorder", or "dup".
@@ -243,26 +249,33 @@ func (s *SeqTracker) Add(seq uint32) string {
 	}
 	switch {
 	case seq == s.next:
+		if s.gaps != nil {
+			s.setGap(seq, false) // the slot's last occupant left the window
+		}
 		s.next++
 		return "ok"
 	case seqAfter(seq, s.next):
-		// Gap: provisionally count the skipped range as lost.
+		// Gap: provisionally count the skipped range as lost. Only the
+		// last seqWindow slots up to seq are rewritten: anything older
+		// leaves the window.
 		gap := seq - s.next
 		s.Lost += uint64(gap)
-		if s.recentGap == nil {
-			s.recentGap = make(map[uint32]bool)
+		if s.gaps == nil {
+			s.gaps = new([seqWindow / 64]uint64)
 		}
-		for i := s.next; i != seq; i++ {
-			if len(s.recentGap) > 4096 {
-				break
-			}
-			s.recentGap[i] = true
+		from := s.next
+		if gap >= seqWindow {
+			from = seq - (seqWindow - 1)
 		}
+		for i := from; i != seq; i++ {
+			s.setGap(i, true)
+		}
+		s.setGap(seq, false)
 		s.next = seq + 1
 		return "ok"
 	default:
-		if s.recentGap[seq] {
-			delete(s.recentGap, seq)
+		if s.pending(seq) {
+			s.setGap(seq, false)
 			if s.Lost > 0 {
 				s.Lost--
 			}
@@ -271,6 +284,21 @@ func (s *SeqTracker) Add(seq uint32) string {
 		}
 		s.Dup++
 		return "dup"
+	}
+}
+
+// pending reports whether seq, behind next, was skipped, has not
+// arrived since, and is still inside the window.
+func (s *SeqTracker) pending(seq uint32) bool {
+	return s.gaps != nil && s.next-seq <= seqWindow && s.gaps[seq%seqWindow/64]&(1<<(seq%64)) != 0
+}
+
+func (s *SeqTracker) setGap(seq uint32, lost bool) {
+	w, bit := &s.gaps[seq%seqWindow/64], uint64(1)<<(seq%64)
+	if lost {
+		*w |= bit
+	} else {
+		*w &^= bit
 	}
 }
 

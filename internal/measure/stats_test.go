@@ -431,21 +431,43 @@ func TestSeqTrackerLateThenDuplicate(t *testing.T) {
 
 func TestSeqTrackerGapTrackingBounded(t *testing.T) {
 	// A huge gap counts fully as loss, but late-arrival tracking is
-	// bounded: stragglers beyond the tracked window register as dups
-	// rather than growing state without limit.
+	// bounded to the most recent sequence numbers: a straggler from
+	// before the window registers as a dup rather than growing state
+	// without limit.
 	var s SeqTracker
 	s.Add(0)
 	s.Add(10000)
 	if s.Lost != 9999 {
 		t.Fatalf("Lost = %d, want 9999", s.Lost)
 	}
-	if s.Add(100) != "reorder" {
+	if s.Add(9000) != "reorder" {
 		t.Fatal("straggler inside tracked window not a reorder")
 	}
-	if s.Add(9000) != "dup" {
+	if s.Add(100) != "dup" {
 		t.Fatal("straggler beyond tracked window should degrade to dup")
 	}
 	if s.Reordered != 1 || s.Dup != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
+func TestSeqTrackerTracksAfterManyLosses(t *testing.T) {
+	// Losses that never recover leave the window as the path moves on,
+	// so tracking never fills up: after 5 000 of them a packet three
+	// places late is still a reorder.
+	var s SeqTracker
+	var seq uint32
+	for i := 0; i < 5000; i++ {
+		s.Add(seq)
+		seq += 2
+	}
+	s.Add(seq + 1)
+	s.Add(seq + 2)
+	s.Add(seq + 3)
+	if got := s.Add(seq); got != "reorder" {
+		t.Fatalf("packet three places late after 5000 losses = %q, want reorder", got)
+	}
+	if s.Lost != 5000 || s.Reordered != 1 || s.Dup != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 }

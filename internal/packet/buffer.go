@@ -56,13 +56,10 @@ func (b *SerializeBuffer) PrependBytes(n int) []byte {
 		panic("packet: negative prepend")
 	}
 	if b.start < n {
-		// Grow at the front with doubling, so repeated large prepends
-		// amortize to O(1) (a per-call constant would let capacity —
-		// and make's zeroing cost — grow without bound on a reused
-		// buffer). Existing back free space is preserved.
+		// Grow at the front, existing back free space preserved.
 		used := len(b.data) - b.start
 		backFree := cap(b.data) - len(b.data)
-		newCap := 2*cap(b.data) + n
+		newCap := b.grownCap(n)
 		newStart := newCap - backFree - used
 		nd := make([]byte, newStart+used, newCap)
 		copy(nd[newStart:], b.data[b.start:])
@@ -86,17 +83,25 @@ func (b *SerializeBuffer) Clear() {
 
 // SetBytes replaces the buffer contents with a copy of p, leaving no
 // front headroom (a received packet is parsed in place, not prepended
-// to). It grows the backing array only when p exceeds the capacity, so a
-// reused buffer loads packets without allocating.
+// to). It grows the backing array only when p exceeds the capacity, and
+// then by the same rule as PrependBytes, so a reused buffer loads packets
+// without allocating.
 func (b *SerializeBuffer) SetBytes(p []byte) {
 	if cap(b.data) < len(p) {
-		b.data = make([]byte, len(p))
+		b.data = make([]byte, len(p), b.grownCap(len(p)))
 	} else {
 		b.data = b.data[:len(p)]
 	}
 	b.start = 0
 	copy(b.data, p)
 }
+
+// grownCap is the capacity a buffer grows to when it must take n more
+// bytes than it has room for: double, plus n. Doubling amortizes repeated
+// growth to O(1) (a per-call constant would let capacity — and make's
+// zeroing cost — grow without bound on a reused buffer), and a pooled
+// buffer that grew once for a large packet keeps the room for the next.
+func (b *SerializeBuffer) grownCap(n int) int { return 2*cap(b.data) + n }
 
 // SerializableLayer is a layer that can write itself in front of the
 // current buffer contents.

@@ -49,22 +49,26 @@ func (b *Buf) MoveTo(p *BufPool) *Buf {
 	return nb
 }
 
-// Buffer capacity policy: buffers start at defaultBufCap (an MTU-sized
-// inner packet plus worst-case encapsulation overhead fits without
-// growing) and are discarded on release once grown past maxPooledCap, so
-// one jumbo packet cannot permanently inflate the pool's footprint. The
+// Buffer capacity policy: a buffer starts as small as a small packet and
+// grows on demand. defaultBufCap is the Go size class (224 B) that holds
+// the largest small packet: a 64 B payload in inner IPv6 and UDP, under
+// outer IPv6, UDP and a Tango header with report, relay and auth (216 B).
+// A larger packet grows the array by doubling (PrependBytes, SetBytes).
+// A grown array stays in the pool, so 1 KiB traffic grows each buffer
+// once; one grown past maxPooledCap is discarded on release, so one
+// jumbo packet cannot permanently inflate the pool's footprint. The
 // buffer count is not capped: the freelist can never hold more buffers
 // than were once leased at the same instant, which is memory the run
 // already needed, and a cap below that working set turns every burst
 // into fresh allocations.
 const (
-	defaultBufCap = 2048
+	defaultBufCap = 224
 	maxPooledCap  = 16384
 )
 
-// BufPool is a freelist of fixed-capacity packet buffers. It is not
-// goroutine-safe: like the event engine, it belongs to one
-// single-goroutine simulation (each simnet.Network owns one).
+// BufPool is a freelist of packet buffers. It is not goroutine-safe:
+// like the event engine, it belongs to one single-goroutine simulation
+// (each simnet.Network owns one).
 type BufPool struct {
 	free  *Buf
 	nfree int

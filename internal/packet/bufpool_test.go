@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"net/netip"
 	"testing"
 )
 
@@ -149,5 +150,122 @@ func TestBufMoveTo(t *testing.T) {
 		src.Get().MoveTo(dst).Release()
 	}); allocs != 0 {
 		t.Fatalf("warm MoveTo allocates %.0f times", allocs)
+	}
+}
+
+// sendStack serializes what the sender program builds around payload,
+// with every optional Tango header: inner IPv6 and UDP, then the Tango
+// header with report, relay and auth, then outer UDP and IPv6. It
+// returns how many times the buffer's backing array grew.
+func sendStack(t *testing.T, b *SerializeBuffer, payload []byte) (grew int) {
+	t.Helper()
+	src, dst := netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2")
+	pay := Payload(payload)
+	innerUDP := UDP{SrcPort: 1, DstPort: 2}
+	innerIP := IPv6{NextHeader: ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
+	hdr := Tango{
+		Flags:    TangoFlagSeq | TangoFlagTimestamp | TangoFlagInner6 | TangoFlagReport,
+		ExtFlags: TangoExtRelay | TangoExtAuth,
+		RelayTTL: 1,
+	}
+	outerUDP := UDP{SrcPort: 3, DstPort: TangoPort}
+	outerUDP.SetNetworkForChecksum(src, dst)
+	outerIP := IPv6{NextHeader: ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
+	// Direct calls, not a []SerializableLayer: boxing the layers would
+	// allocate and hide the buffer's own allocations.
+	arr := &b.data[:cap(b.data)][0]
+	step := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now := &b.data[:cap(b.data)][0]; now != arr {
+			arr = now
+			grew++
+		}
+	}
+	step(pay.SerializeTo(b))
+	step(innerUDP.SerializeTo(b))
+	step(innerIP.SerializeTo(b))
+	step(hdr.SerializeTo(b))
+	step(outerUDP.SerializeTo(b))
+	step(outerIP.SerializeTo(b))
+	return grew
+}
+
+// A fresh buffer is the size of the largest small packet: 64 B of
+// payload under every header the sender can put on it, 216 B, rounded up
+// to its Go size class (classes are 16 B apart here).
+func TestBufPoolFreshBufferHoldsSmallPacket(t *testing.T) {
+	b := NewBufPool().Get()
+	if grew := sendStack(t, &b.SerializeBuffer, make([]byte, 64)); grew != 0 {
+		t.Fatalf("a 64 B packet with every header grew a fresh buffer %d times", grew)
+	}
+	if b.Len() != 216 || cap(b.data) != defaultBufCap || defaultBufCap-b.Len() >= 16 {
+		t.Fatalf("len %d cap %d, want 216 in the 224 B size class", b.Len(), cap(b.data))
+	}
+	b.Release()
+}
+
+// A 1 KiB packet grows a fresh buffer once, and the pool keeps the grown
+// array: the next lease carries 1 KiB without growing.
+func TestBufPoolGrownBufferStaysPooled(t *testing.T) {
+	p := NewBufPool()
+	b := p.Get()
+	if grew := sendStack(t, &b.SerializeBuffer, make([]byte, 1024)); grew != 1 {
+		t.Fatalf("a 1 KiB packet grew a fresh buffer %d times, want once", grew)
+	}
+	grown := cap(b.data)
+	b.Release()
+	b = p.Get()
+	if cap(b.data) != grown || p.Stats.News != 1 || p.Stats.Discards != 0 {
+		t.Fatalf("lease after growth: cap %d (want %d), stats %+v", cap(b.data), grown, p.Stats)
+	}
+	if grew := sendStack(t, &b.SerializeBuffer, make([]byte, 1024)); grew != 0 {
+		t.Fatalf("a pooled grown buffer grew %d more times", grew)
+	}
+	b.Release()
+}
+
+// Growth by prepending past maxPooledCap discards the buffer on release,
+// like an oversized SetBytes.
+func TestBufPoolDiscardsGrownPastMax(t *testing.T) {
+	p := NewBufPool()
+	b := p.Get()
+	sendStack(t, &b.SerializeBuffer, make([]byte, maxPooledCap))
+	b.Release()
+	if p.Stats.Discards != 1 || p.Free() != 0 {
+		t.Fatalf("buffer grown to %d pooled: discards=%d free=%d", cap(b.data), p.Stats.Discards, p.Free())
+	}
+}
+
+// A pool serving interleaved 64 B probes and 1 KiB data reaches a steady
+// state: after warm-up it makes no buffer and grows no array.
+func TestBufPoolMixedSizesSteadyState(t *testing.T) {
+	const inFlight = 64
+	p := NewBufPool()
+	small, large := make([]byte, 64), make([]byte, 1024)
+	bufs := make([]*Buf, inFlight)
+	round := func() {
+		for i := range bufs {
+			bufs[i] = p.Get()
+			if i%2 == 0 {
+				sendStack(t, &bufs[i].SerializeBuffer, small)
+			} else {
+				sendStack(t, &bufs[i].SerializeBuffer, large)
+			}
+		}
+		for _, b := range bufs {
+			b.Release()
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	news := p.Stats.News
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("warm mixed-size round allocates %.0f times", allocs)
+	}
+	if p.Stats.News != news || p.Stats.Discards != 0 {
+		t.Fatalf("warm rounds made %d buffers, discarded %d", p.Stats.News-news, p.Stats.Discards)
 	}
 }
