@@ -76,11 +76,11 @@ type Engine struct {
 	log        []Entry
 	violations []Violation
 
-	// Log entries produced on the partition engines of a network with
-	// several stage per partition (one writer each) and merge into log at
-	// epoch barriers in canonical (At, partition, append) order, so
-	// LogString stays byte-identical across worker counts. checksOn gates
-	// the barrier-hook check cadence (hooks cannot be unregistered).
+	// Log entries produced by events stage per partition (one writer
+	// each) and merge into log at epoch barriers in canonical (At,
+	// partition, append) order, so LogString stays byte-identical across
+	// worker counts. checksOn gates the barrier-hook check cadence (hooks
+	// cannot be unregistered).
 	logStage    [][]Entry
 	checkHooked bool
 	checksOn    bool
@@ -140,17 +140,7 @@ func (e *Engine) instrumentLine(name string, l *simnet.Line) {
 	drop := e.reg.Counter("tango_line_drops_total",
 		"Packets refused at line admission (down or queue overflow).",
 		obs.L("line", name))
-	l.Instrument(name, drop, e.journalFor(l.Eng()))
-}
-
-// journalFor returns the journal view an event running on eng may write:
-// eng's partition shard view when its events stage (merged at epoch
-// barriers), else the parent journal.
-func (e *Engine) journalFor(eng *sim.Engine) *obs.Journal {
-	if eng.Staged() {
-		return e.journal.Shard(eng.Part())
-	}
-	return e.journal
+	l.Instrument(name, drop, e.journal.Shard(l.Eng().Part()))
 }
 
 // AddLine registers a line as a fault target under name.
@@ -229,13 +219,13 @@ func (e *Engine) schedule(f Fault) {
 		}
 		e.logOn(owner, "apply %s", f.Label())
 		e.obsApplied.Inc()
-		e.journalFor(owner).Record(owner.Now(), kind, 0, 0, int64(dur), f.Label())
+		e.journal.Shard(owner.Part()).Record(owner.Now(), kind, 0, 0, int64(dur), f.Label())
 		if revert != nil && dur > 0 {
 			owner.Schedule(dur, func() {
 				revert()
 				e.logOn(owner, "revert %s", f.Label())
 				e.obsRevert.Inc()
-				e.journalFor(owner).Record(owner.Now(), obs.KindFaultRevert, 0, 0, 0, f.Label())
+				e.journal.Shard(owner.Part()).Record(owner.Now(), obs.KindFaultRevert, 0, 0, 0, f.Label())
 			})
 		}
 	})
@@ -324,15 +314,10 @@ func (e *Engine) LogString() string {
 	return b.String()
 }
 
-// logOn appends a log entry timestamped by eng's clock. When eng's events
-// stage, the entry goes to eng's partition slot (events on distinct
-// partitions run concurrently) and merges at the next barrier.
+// logOn stages a log entry timestamped by eng's clock in eng's partition
+// slot (events on distinct partitions run concurrently); it merges into
+// the log at the next barrier.
 func (e *Engine) logOn(eng *sim.Engine, format string, args ...any) {
-	en := Entry{At: eng.Now(), Msg: fmt.Sprintf(format, args...)}
-	if eng.Staged() {
-		p := eng.Part()
-		e.logStage[p] = append(e.logStage[p], en)
-		return
-	}
-	e.log = append(e.log, en)
+	p := eng.Part()
+	e.logStage[p] = append(e.logStage[p], Entry{At: eng.Now(), Msg: fmt.Sprintf(format, args...)})
 }

@@ -49,7 +49,8 @@ func TestChaosObsCountersAndJournal(t *testing.T) {
 // TestChaosObsWithdrawalKind checks BGP withdrawals journal under the
 // withdraw kind rather than the generic fault kind.
 func TestChaosObsWithdrawalKind(t *testing.T) {
-	eng := simnet.New(1).Eng // the chaos engine runs on a network partition
+	w := simnet.New(1)
+	eng := w.Eng // the chaos engine runs on a network partition
 	sp := bgp.NewSpeaker(eng, "edge", 65000, 1)
 	pfx := addr.MustParsePrefix("2001:db8:100::/48")
 	sp.Originate(pfx)
@@ -60,7 +61,7 @@ func TestChaosObsWithdrawalKind(t *testing.T) {
 	j := obs.NewJournal(8)
 	ch.Instrument(reg, j)
 	ch.Schedule(Withdrawal{Speaker: "edge", Prefix: pfx, At: time.Second, For: time.Second})
-	eng.Run(3 * time.Second)
+	w.Run(3 * time.Second) // the network's barriers merge the staged records
 
 	recs := j.Tail(0)
 	if len(recs) != 2 || recs[0].Kind != obs.KindWithdraw {

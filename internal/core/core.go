@@ -140,25 +140,11 @@ func (s *Site) Peer() *Site { return s.peer }
 // tick here.
 func (s *Site) Eng() *sim.Engine { return s.Spec.Edge.Speaker.Engine() }
 
-// Instrument registers the site's switch, monitor, and controller
-// metrics in reg under the site's name and journals its path switches
-// to j.
-func (s *Site) Instrument(reg *obs.Registry, j *obs.Journal) {
-	s.instrument(reg, j, s.Spec.Name)
-}
-
+// instrument registers the site's switch, monitor, and controller
+// metrics in reg under name and journals its path switches to its
+// partition's view of j, which the caller merges at epoch barriers.
 func (s *Site) instrument(reg *obs.Registry, j *obs.Journal, name string) {
-	s.Edge.Instrument(reg, shardView(j, s), name)
-}
-
-// shardView returns the journal view a site's controller may write: the
-// site partition's staging view when its events stage (merged into j at
-// epoch barriers, in canonical order), else j itself.
-func shardView(j *obs.Journal, s *Site) *obs.Journal {
-	if eng := s.Eng(); eng.Staged() {
-		return j.Shard(eng.Part())
-	}
-	return j
+	s.Edge.Instrument(reg, j.Shard(s.Eng().Part()), name)
 }
 
 // Pair is a Tango deployment between two sites.
@@ -176,12 +162,13 @@ type Pair struct {
 func (p *Pair) Ready() bool { return p.ready }
 
 // Instrument registers both sites' metrics in reg (labelled by site
-// name) and journals their path switches to j. Call after Establish so
-// every tunnel and path is known; lazily created paths still register
-// on first report.
+// name) and journals their path switches to j, merged at every epoch
+// barrier. Call between runs, after Establish so every tunnel and path
+// is known; lazily created paths still register on first report.
 func (p *Pair) Instrument(reg *obs.Registry, j *obs.Journal) {
-	p.A.Instrument(reg, j)
-	p.B.Instrument(reg, j)
+	p.s.B.W.Coord().AtBarrier(0, func(sim.Time) { j.MergeShards() })
+	p.A.instrument(reg, j, p.A.Spec.Name)
+	p.B.instrument(reg, j, p.B.Spec.Name)
 }
 
 // newPair prepares (but does not start) Tango between sites a and b of s,

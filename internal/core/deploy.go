@@ -7,7 +7,6 @@ import (
 	"tango/internal/chaos"
 	"tango/internal/dataplane"
 	"tango/internal/obs"
-	"tango/internal/sim"
 	"tango/internal/topo"
 )
 
@@ -87,19 +86,12 @@ func (d *Deployment) EdgeTarget(site, peer string) string {
 	return name
 }
 
-// InstrumentEdges registers every member's metrics in reg and journals
-// path switches to j. It first registers j's shard merge at the epoch
-// barriers, so every barrier hook registered later (invariant checks)
-// observes a fully merged journal.
-func (d *Deployment) InstrumentEdges(reg *obs.Registry, j *obs.Journal) {
-	d.Scenario.B.W.Coord().AtBarrier(0, func(sim.Time) { j.MergeShards() })
-	d.Mesh.Instrument(reg, j)
-}
-
-// Instrument is InstrumentEdges plus the fault injector: fault counters,
-// one tango_line_drops_total series per trunk labelled with its target
-// name, and fault applies, reverts, violations and queue drops in j.
+// Instrument registers every member's metrics in reg and journals path
+// switches to j (Mesh.Instrument), then instruments the fault injector:
+// fault counters, one tango_line_drops_total series per trunk labelled
+// with its target name, and fault applies, reverts, violations and queue
+// drops in j.
 func (d *Deployment) Instrument(reg *obs.Registry, j *obs.Journal) {
-	d.InstrumentEdges(reg, j)
+	d.Mesh.Instrument(reg, j)
 	d.Chaos.Instrument(reg, j)
 }

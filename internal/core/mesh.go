@@ -10,6 +10,7 @@ import (
 	"tango/internal/dataplane"
 	"tango/internal/obs"
 	"tango/internal/packet"
+	"tango/internal/sim"
 	"tango/internal/simnet"
 	"tango/internal/topo"
 )
@@ -125,8 +126,13 @@ func (m *Mesh) addMember(site, peer string, s *Site) {
 func (m *Mesh) Ready() bool { return m.ready }
 
 // Instrument registers every member edge server's metrics in reg and
-// journals path switches to j, each member under its label.
+// journals path switches to j, each member under its label. Members
+// stage records in their partition's view of j; Instrument first
+// registers the merge at every epoch barrier, so barrier hooks
+// registered later (invariant checks) observe a fully merged journal.
+// Call between runs.
 func (m *Mesh) Instrument(reg *obs.Registry, j *obs.Journal) {
+	m.net.Coord().AtBarrier(0, func(sim.Time) { j.MergeShards() })
 	for _, site := range m.Sites() {
 		for _, peer := range m.peersOf(site) {
 			m.members[site][peer].instrument(reg, j, m.label(site, peer))

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"time"
 
+	"tango/internal/obs"
 	"tango/internal/topo"
 )
 
@@ -180,5 +182,56 @@ func TestMeshConfigErrors(t *testing.T) {
 	}
 	if _, err := MeshFromScenario(s, MeshConfig{}); err == nil {
 		t.Fatal("mesh without a pair accepted")
+	}
+}
+
+// TestMeshInstrumentMergesJournal binds a journal to the six-partition
+// tri mesh with the one call, before establishment. Members stage their
+// path switches in their partitions' views of the journal, so nothing
+// reaches it unless Instrument registered the barrier merge; and the
+// merged journal must not depend on the worker count once partitions
+// run in parallel.
+func TestMeshInstrumentMergesJournal(t *testing.T) {
+	run := func(workers int) string {
+		s, err := topo.NewMeshScenario(topo.TriConfig(35))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := s.B.W.Coord().NumParts(); n != 6 {
+			t.Fatalf("tri mesh has %d partitions, want 6", n)
+		}
+		s.Run(5 * time.Minute)
+		m, err := MeshFromScenario(s, MeshConfig{ProbeInterval: 100 * time.Millisecond, DecideEvery: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := obs.NewJournal(4096)
+		m.Instrument(obs.NewRegistry(), j)
+		m.Establish()
+		if !m.RunUntilReady(2 * time.Hour) {
+			t.Fatal("mesh did not establish within two hours of virtual time")
+		}
+		m.net.Run(m.net.Now() + time.Minute)
+		switches := 0
+		for _, r := range j.Tail(0) {
+			if r.Kind == obs.KindPathSwitch {
+				switches++
+			}
+		}
+		if switches == 0 {
+			t.Fatalf("journal holds no path_switch record a minute after ready (%d records)", j.Total())
+		}
+		coord := m.net.Coord()
+		coord.EnterParallel()
+		coord.SetWorkers(workers)
+		m.net.Run(m.net.Now() + time.Minute)
+		var b bytes.Buffer
+		if err := j.WriteJSON(&b, 0); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if one, two := run(1), run(2); one != two {
+		t.Fatalf("journal differs between 1 and 2 workers:\n%s\nvs\n%s", one, two)
 	}
 }

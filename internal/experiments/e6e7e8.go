@@ -56,7 +56,7 @@ func E6InOrderImpact(cfg Config) *Result {
 		srcHost, _ := l.Pair.A.Spec.HostPrefix.Host(9)
 		dstHost, _ := l.Pair.B.Spec.HostPrefix.Host(9)
 		g := workload.NewAppGen(l.S.B.Eng(), l.Pair.A.Switch, srcHost, dstHost, 20*time.Millisecond, 256)
-		l.Pair.B.AddSink(g.Sink)
+		l.Pair.B.AddSink(g.SinkFor(l.Pair.B.Eng()))
 
 		total := lead + eventDur + 2*time.Minute
 		l.run(total)

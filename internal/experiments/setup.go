@@ -64,7 +64,7 @@ func deploy(tc topo.MeshConfig, mc core.MeshConfig, journalCap int) (*core.Deplo
 	}
 	reg := obs.NewRegistry()
 	j := obs.NewJournal(journalCap)
-	d.InstrumentEdges(reg, j)
+	d.Mesh.Instrument(reg, j)
 	return d, reg, j
 }
 
@@ -255,8 +255,7 @@ func appStream(m *core.Mesh, site, peer string) *workload.AppGen {
 		panic(err)
 	}
 	gen := workload.NewAppGen(sender.Eng(), sender.Switch, src, dst, 5*time.Millisecond, 64)
-	gen.BindSink(recv.Eng())
-	recv.AddSink(gen.Sink)
+	recv.AddSink(gen.SinkFor(recv.Eng()))
 	return gen
 }
 

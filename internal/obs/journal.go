@@ -88,12 +88,13 @@ func (r *Rec) Target() string { return string(r.targ[:r.tlen]) }
 // after construction; readers copy records out under the same mutex, so
 // a real-HTTP /trace tail can run while the simulation appends.
 //
-// In a sharded simulation every partition records into its own staging
-// view (see Shard), and the views are merged into the parent ring at
-// epoch barriers in a canonical order — virtual time, then partition,
-// then per-partition append order. Merge order therefore never depends on
-// goroutine scheduling, and the parent's WriteJSON output is byte-
-// identical across worker counts.
+// In a simulation every partition, the lone partition of a small
+// network included, records into its own staging view (see Shard), and
+// the deployment that binds the journal merges the views into the
+// parent ring at epoch barriers in a canonical order — virtual time,
+// then partition, then per-partition append order. Merge order
+// therefore never depends on goroutine scheduling, and the parent's
+// WriteJSON output is byte-identical across worker counts.
 type Journal struct {
 	mu   sync.Mutex
 	recs []Rec
@@ -149,9 +150,9 @@ func (j *Journal) Record(at time.Duration, kind Kind, a, b uint8, v int64, targe
 	j.mu.Unlock()
 }
 
-// Shard returns the staging view for one partition of a sharded
-// simulation, creating views up to part as needed. Components owned by
-// that partition record into the view from the partition's goroutine;
+// Shard returns the staging view for one partition of a simulation,
+// creating views up to part as needed. Components owned by that
+// partition record into the view from the partition's goroutine;
 // MergeShards folds everything back into this journal.
 func (j *Journal) Shard(part int) *Journal {
 	if j == nil {

@@ -112,13 +112,6 @@ func (e *Engine) Coord() *Coordinator { return e.coord }
 // Part returns the engine's partition index (0 for standalone engines).
 func (e *Engine) Part() int { return e.part }
 
-// Staged reports whether e's events must stage what they write into
-// structures shared across partitions (journals, logs) and leave the
-// merge to the barriers: e is one of several partitions, which parallel
-// epochs run concurrently. The only partition of a coordinator, like a
-// standalone engine, writes shared structures directly.
-func (e *Engine) Staged() bool { return e.coord != nil && len(e.coord.parts) > 1 }
-
 // advanceTo moves the clock forward to t without firing anything. Only
 // the coordinator calls it, and only when it has proven no event earlier
 // than t is pending on this engine.

@@ -11,8 +11,9 @@ import (
 // first's socket or from another one, to a fresh listening session on a
 // bound but unstarted backend. Whatever the bytes: nothing panics,
 // OnEstablished fires at most once, no route exists until it has fired,
-// and once a peer is established a datagram from any other address is
-// neither provisioned nor answered.
+// no body that decodes as an ack establishes the session (it never
+// dialed), and once a peer is established a datagram from any other
+// address is neither provisioned nor answered.
 func FuzzSessionControl(f *testing.F) {
 	paths, err := ParsePaths("NTT:5ms,GTT:10ms")
 	if err != nil {
@@ -79,7 +80,12 @@ func FuzzSessionControl(f *testing.F) {
 			s.OnEstablished = func(*Peer) { established++ }
 			s.OnError = func(error) {}
 			feed := func(step string, from netip.AddrPort, payload []byte) {
+				before := established
 				b.deliver(from, append(append([]byte(nil), ctlMagic[:]...), payload...))
+				var m helloMsg
+				if established > before && json.Unmarshal(payload, &m) == nil && m.Type == "ack" {
+					t.Fatalf("%s: an ack established a session that never dialed", step)
+				}
 				if established > 1 {
 					t.Fatalf("%s: OnEstablished fired %d times", step, established)
 				}

@@ -111,9 +111,10 @@ type Session struct {
 	switchAddr netip.Addr
 	endpoints  []netip.Addr
 
-	peer  *Peer
-	retx  *sim.Ticker
-	tries int
+	peer   *Peer
+	dialed netip.AddrPort // the only source an ack is accepted from
+	retx   *sim.Ticker
+	tries  int
 }
 
 // NewSession prepares a session for the given site over b and installs
@@ -138,8 +139,10 @@ func (s *Session) Peer() *Peer { return s.peer }
 const maxHelloTries = 100
 
 // Dial starts the handshake toward a listening peer, retransmitting the
-// hello every 200ms until acked. Event-goroutine only (use Backend.Do).
+// hello every 200ms until acked. Only an ack from peer establishes the
+// session. Event-goroutine only (use Backend.Do).
 func (s *Session) Dial(peer netip.AddrPort) {
+	s.dialed = netip.AddrPortFrom(peer.Addr().Unmap(), peer.Port())
 	send := func() {
 		if s.peer != nil {
 			return
@@ -177,10 +180,11 @@ func (s *Session) encode(typ string) []byte {
 }
 
 // onControl consumes one control datagram on the event goroutine. Anyone
-// can send a datagram that is not JSON or not a hello or an ack, so those
-// are counted in tango_transport_ctl_rejected_total and dropped without a
-// call to OnError; a well-formed body that fails the handshake still
-// reaches it.
+// can send a datagram that is not JSON or not a hello or an ack, an ack
+// to a session that did not dial its source, or a hello once another
+// peer is established, so those are counted in
+// tango_transport_ctl_rejected_total and dropped without a call to
+// OnError; a well-formed body that fails the handshake still reaches it.
 func (s *Session) onControl(from netip.AddrPort, payload []byte) {
 	var m helloMsg
 	if json.Unmarshal(payload, &m) != nil {
@@ -199,11 +203,18 @@ func (s *Session) onControl(from netip.AddrPort, payload []byte) {
 			}
 			s.establish(peer)
 		}
-		if s.peer != nil && s.peer.Addr == from {
-			s.b.SendControl(from, s.encode("ack"))
+		if s.peer.Addr != from {
+			s.b.ctlRejected.Inc()
+			return
 		}
+		s.b.SendControl(from, s.encode("ack"))
 	case "ack":
-		// Dialer side.
+		// Dialer side: only the dialed address may answer, and a session
+		// that never dialed has none.
+		if from != s.dialed {
+			s.b.ctlRejected.Inc()
+			return
+		}
 		if s.peer != nil {
 			return
 		}

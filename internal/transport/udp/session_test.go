@@ -3,6 +3,7 @@ package udp
 import (
 	"encoding/json"
 	"math/rand/v2"
+	"net"
 	"net/netip"
 	"slices"
 	"testing"
@@ -83,9 +84,11 @@ func TestSessionRejectsBadHandshakes(t *testing.T) {
 		}
 	}
 
-	// The ack branch rejects bad bodies through the same validator.
+	// The ack branch rejects bad bodies through the same validator; an
+	// ack is only read from the address the session dialed.
 	before := len(errs)
 	b.Do(func() {
+		sess.Dial(from)
 		sess.onControl(from, enc(func() helloMsg { m := base(); m.Type = "ack"; m.Site = "site-x"; return m }()))
 	})
 	if len(errs) != before+1 || sess.Peer() != nil {
@@ -147,6 +150,76 @@ func TestSessionCountsGarbageControl(t *testing.T) {
 	}
 	if got := snap[`tango_transport_ctl_rx_total{site="site-x"}`]; got != 1000 {
 		t.Errorf("ctl_rx = %v, want 1000", got)
+	}
+	if onError != 0 {
+		t.Errorf("OnError fired %d times, want 0", onError)
+	}
+}
+
+// TestSessionIgnoresUnsolicitedAck: an ack establishes only a session
+// that dialed, and only from the dialed address; a hello from anyone but
+// the established peer is not answered. Every other such datagram is
+// counted as rejected and never reaches OnError or installs a route.
+func TestSessionIgnoresUnsolicitedAck(t *testing.T) {
+	reg := obs.NewRegistry()
+	b, err := New(Config{Name: "site-x", Listen: "127.0.0.1:0", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	paths, err := ParsePaths("NTT:10ms,GTT:20ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two sockets of the test's own stand in for the dialed peer and a
+	// stranger, so hellos and acks land somewhere and nothing leaves the
+	// host.
+	var peer, stranger netip.AddrPort
+	for _, ap := range []*netip.AddrPort{&peer, &stranger} {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		*ap = c.LocalAddr().(*net.UDPAddr).AddrPort()
+	}
+	body := func(typ, site string) []byte {
+		sw, eps := SiteAddrs(site, 2)
+		j, err := json.Marshal(helloMsg{Type: typ, Site: site, SwitchAddr: sw.String(), Paths: []string{"NTT", "GTT"},
+			Endpoints: []string{eps[0].String(), eps[1].String()}, DelayNs: []int64{10e6, 20e6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(append([]byte(nil), ctlMagic[:]...), j...)
+	}
+	onError := 0
+	b.Do(func() {
+		s := NewSession(b, "site-x", paths)
+		s.OnError = func(error) { onError++ }
+
+		b.deliver(peer, body("ack", "site-y"))
+		if s.Peer() != nil || len(b.routes) != 0 {
+			t.Fatal("a session that never dialed established from an ack")
+		}
+
+		s.Dial(peer)
+		b.deliver(stranger, body("ack", "site-z"))
+		if s.Peer() != nil || len(b.routes) != 0 {
+			t.Fatal("an ack from an address never dialed established the session")
+		}
+
+		b.deliver(peer, body("ack", "site-y"))
+		if s.Peer() == nil || s.Peer().Site != "site-y" {
+			t.Fatalf("the dialed peer's ack did not establish: %+v", s.Peer())
+		}
+		routes, sent := len(b.routes), b.ctlTx.Value()
+		b.deliver(stranger, body("hello", "site-z"))
+		if s.Peer().Site != "site-y" || len(b.routes) != routes || b.ctlTx.Value() != sent {
+			t.Fatal("a hello from a non-peer after establishment was provisioned or answered")
+		}
+	})
+	if got := reg.Snapshot()[`tango_transport_ctl_rejected_total{site="site-x"}`]; got != 3 {
+		t.Errorf("ctl_rejected = %v, want 3 (two unsolicited acks, one stranger's hello)", got)
 	}
 	if onError != 0 {
 		t.Errorf("OnError fired %d times, want 0", onError)

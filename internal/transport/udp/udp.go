@@ -163,7 +163,7 @@ func New(cfg Config) (*Backend, error) {
 	b.wrErr = reg.Counter("tango_transport_write_err_total", "Socket write failures.", l)
 	b.ctlTx = reg.Counter("tango_transport_ctl_tx_total", "Control datagrams sent (session handshake).", l)
 	b.ctlRx = reg.Counter("tango_transport_ctl_rx_total", "Control datagrams received (session handshake).", l)
-	b.ctlRejected = reg.Counter("tango_transport_ctl_rejected_total", "Control datagrams dropped: not JSON, or not a hello or an ack.", l)
+	b.ctlRejected = reg.Counter("tango_transport_ctl_rejected_total", "Control datagrams dropped: not JSON, not a hello or an ack, an ack from an address never dialed, or a hello from a non-peer.", l)
 	return b, nil
 }
 

@@ -26,7 +26,8 @@ import (
 // at this scale; per-stream objects cap out three orders of magnitude
 // short of it.
 //
-// Shard ownership follows PR 6's BindSink discipline, enforced
+// Shard ownership follows the rule both generators share (the receiving
+// engine is named where the sink is wired, SinkFor), enforced
 // structurally: everything a packet emission touches (sendRec, the
 // wheel, endpoint templates, the free lists) belongs to the table's
 // owner engine — the sending site's partition — and everything a
@@ -332,7 +333,7 @@ func (t *FlowTable) emit(now sim.Time, i int32) {
 }
 
 // SinkFor returns a delivery sink bound to the receiving partition's
-// engine — the flow-table analogue of AppGen.BindSink. Register it with
+// engine, the same shape as AppGen.SinkFor. Register it with
 // the receiving site's switch (Site.AddSink / DeliverLocal); it claims
 // flow-port packets belonging to this table and accounts OWD and
 // in-order latency against the receiver's clock, touching only

@@ -69,10 +69,8 @@ type AppGen struct {
 	// payload bytes, where emit stamps the sequence number.
 	template, seqAt []byte
 
-	// recvEng is the clock Sink stamps arrivals with; arrivals collects
-	// (seq, receive time) pairs touched only by the receiving
-	// partition's goroutine, joined with sentAt in FinalRecords.
-	recvEng  *sim.Engine
+	// arrivals collects (seq, receive time) pairs touched only by the
+	// receiving partition's goroutine, joined with sentAt in FinalRecords.
 	arrivals []arrival
 }
 
@@ -86,14 +84,15 @@ type arrival struct {
 const AppPort = 7001
 
 // NewAppGen starts a stream of payloadSize-byte packets every interval.
-// Call Sink on the receiving site's delivery hook to complete the loop.
-// payloadSize must be at least 4 bytes — the sequence number is stamped
-// into the first 4 payload bytes — and NewAppGen panics otherwise.
+// Register SinkFor on the receiving site's delivery hook to complete the
+// loop. payloadSize must be at least 4 bytes — the sequence number is
+// stamped into the first 4 payload bytes — and NewAppGen panics
+// otherwise.
 func NewAppGen(eng *sim.Engine, sw *dataplane.Switch, src, dst netip.Addr, interval time.Duration, payloadSize int) *AppGen {
 	if payloadSize < 4 {
 		panic(fmt.Sprintf("workload: NewAppGen payload %dB cannot carry the 4-byte sequence number", payloadSize))
 	}
-	g := &AppGen{sw: sw, sentAt: make(map[uint32]sim.Time), recvEng: eng}
+	g := &AppGen{sw: sw, sentAt: make(map[uint32]sim.Time)}
 	g.template = packet.InnerUDP{Src: src, Dst: dst, SrcPort: 7000, DstPort: AppPort}.New(make([]byte, payloadSize))
 	_, g.seqAt, _ = packet.UDP6(g.template)
 	g.tick = sim.NewTicker(eng, interval, func(now sim.Time) { g.emit(now) })
@@ -110,23 +109,21 @@ func (g *AppGen) emit(now sim.Time) {
 	g.sw.SendToPeer(g.template)
 }
 
-// BindSink names the receiving site's engine (the default is the
-// sender's). Sink timestamps arrivals with that clock and touches only
-// receiver-owned state; send and receive records are joined in
-// FinalRecords. Required on a sharded network whenever the receiving
-// switch lives on a different partition than the generator.
-func (g *AppGen) BindSink(eng *sim.Engine) { g.recvEng = eng }
-
-// Sink consumes an inner packet delivered at the receiving site and, if
-// it is AppGen traffic, stages its arrival. Wire it into the remote
-// switch's DeliverLocal.
-func (g *AppGen) Sink(inner []byte) bool {
-	dport, pay, ok := packet.UDP6(inner)
-	if !ok || dport != AppPort || len(pay) < 4 {
-		return false
+// SinkFor returns a delivery sink bound to the receiving site's engine.
+// Register it with the receiving site's switch (Site.AddSink /
+// DeliverLocal); it claims AppGen packets, stamps their arrival with
+// recvEng's clock and touches only receiver-owned state, so the
+// receiving switch may live on another partition than the generator.
+// Send and receive records are joined in FinalRecords.
+func (g *AppGen) SinkFor(recvEng *sim.Engine) func(inner []byte) bool {
+	return func(inner []byte) bool {
+		dport, pay, ok := packet.UDP6(inner)
+		if !ok || dport != AppPort || len(pay) < 4 {
+			return false
+		}
+		g.arrivals = append(g.arrivals, arrival{seq: binary.BigEndian.Uint32(pay), at: recvEng.Now()})
+		return true
 	}
-	g.arrivals = append(g.arrivals, arrival{seq: binary.BigEndian.Uint32(pay), at: g.recvEng.Now()})
-	return true
 }
 
 // Stop halts the stream.

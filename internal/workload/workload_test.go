@@ -61,7 +61,8 @@ func TestAppGenLatencyGroundTruth(t *testing.T) {
 	g := NewAppGen(w.Eng, swA,
 		netip.MustParseAddr("2001:db8:aa::1"), netip.MustParseAddr("2001:db8:bb::1"),
 		20*time.Millisecond, 100)
-	swB.DeliverLocal = func(inner []byte) { g.Sink(inner) }
+	sink := g.SinkFor(w.Eng)
+	swB.DeliverLocal = func(inner []byte) { sink(inner) }
 
 	w.Run(time.Second)
 	g.Stop()
@@ -88,7 +89,8 @@ func TestAppGenFinalRecordsIncludeLost(t *testing.T) {
 	g := NewAppGen(w.Eng, swA,
 		netip.MustParseAddr("2001:db8:aa::1"), netip.MustParseAddr("2001:db8:bb::1"),
 		5*time.Millisecond, 50)
-	swB.DeliverLocal = func(inner []byte) { g.Sink(inner) }
+	sink := g.SinkFor(w.Eng)
+	swB.DeliverLocal = func(inner []byte) { sink(inner) }
 	w.Run(2 * time.Second)
 	g.Stop()
 	w.Run(3 * time.Second)
@@ -121,7 +123,7 @@ func TestAppGenFinalRecordsJoin(t *testing.T) {
 		netip.MustParseAddr("2001:db8:aa::1"), netip.MustParseAddr("2001:db8:bb::1"),
 		20*time.Millisecond, 100)
 	recv := sim.NewEngine()
-	g.BindSink(recv)
+	sink := g.SinkFor(recv)
 	var captured [][]byte // DeliverLocal borrows; keep copies
 	swB.DeliverLocal = func(inner []byte) { captured = append(captured, append([]byte(nil), inner...)) }
 	w.Run(110 * time.Millisecond) // ticks at 20..100ms: seq 0..4
@@ -130,15 +132,15 @@ func TestAppGenFinalRecordsJoin(t *testing.T) {
 		t.Fatalf("captured %d of %d sent, want 5 of 5", len(captured), g.seq)
 	}
 
-	if g.Sink([]byte{1, 2, 3}) {
+	if sink([]byte{1, 2, 3}) {
 		t.Fatal("garbage accepted")
 	}
-	if g.Sink(make([]byte, 100)) {
+	if sink(make([]byte, 100)) {
 		t.Fatal("non-IPv6 accepted")
 	}
 	otherPort := append([]byte(nil), captured[0]...)
 	otherPort[42], otherPort[43] = 0, 9
-	if g.Sink(otherPort) {
+	if sink(otherPort) {
 		t.Fatal("packet for another port accepted")
 	}
 	neverSent := append([]byte(nil), captured[0]...)
@@ -148,7 +150,7 @@ func TestAppGenFinalRecordsJoin(t *testing.T) {
 	sinkAt := func(at sim.Time, inner []byte) {
 		t.Helper()
 		recv.Run(at)
-		if !g.Sink(inner) {
+		if !sink(inner) {
 			t.Fatalf("AppGen packet refused at %v", at)
 		}
 	}
