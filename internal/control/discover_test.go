@@ -51,8 +51,8 @@ func TestDiscoveryVultrLAtoNY(t *testing.T) {
 	s.Run(5 * time.Minute) // establish + host prefixes
 
 	d := &Discoverer{
-		Announcer: s.EdgeNY.Speaker, // destination announces
-		Observer:  s.EdgeLA.Speaker, // source observes
+		Announcer: s.Edges["ny:la"].Speaker, // destination announces
+		Observer:  s.Edges["la:ny"].Speaker, // source observes
 		Probe:     addr.MustParsePrefix("2001:db8:100::/48"),
 		POPAS:     bgp.ASVultr,
 		NameFor:   s.ProviderName,
@@ -82,9 +82,9 @@ func TestDiscoveryVultrLAtoNY(t *testing.T) {
 		}
 	}
 	// Probe prefix cleaned up after discovery.
-	if s.EdgeLA.Speaker.Best(d.Probe) != nil {
+	if s.Edges["la:ny"].Speaker.Best(d.Probe) != nil {
 		s.Run(5 * time.Minute)
-		if s.EdgeLA.Speaker.Best(d.Probe) != nil {
+		if s.Edges["la:ny"].Speaker.Best(d.Probe) != nil {
 			t.Fatal("probe prefix still announced after discovery")
 		}
 	}
@@ -97,8 +97,8 @@ func TestDiscoveryVultrNYtoLA(t *testing.T) {
 	s.Run(5 * time.Minute)
 
 	d := &Discoverer{
-		Announcer: s.EdgeLA.Speaker,
-		Observer:  s.EdgeNY.Speaker,
+		Announcer: s.Edges["la:ny"].Speaker,
+		Observer:  s.Edges["ny:la"].Speaker,
 		Probe:     addr.MustParsePrefix("2001:db8:200::/48"),
 		POPAS:     bgp.ASVultr,
 		NameFor:   s.ProviderName,
@@ -174,13 +174,13 @@ func TestPinnedPrefixesRouteViaDistinctProviders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.EdgeNY.Speaker.Originate(pfx, PinCommunities(paths, i)...)
+		s.Edges["ny:la"].Speaker.Originate(pfx, PinCommunities(paths, i)...)
 	}
 	s.Run(5 * time.Minute)
 
 	for i, want := range []string{"NTT", "Telia", "GTT", "Cogent"} {
 		pfx, _ := base.Subnet(48, i)
-		best := s.EdgeLA.Speaker.Best(pfx)
+		best := s.Edges["la:ny"].Speaker.Best(pfx)
 		if best == nil {
 			t.Fatalf("pinned prefix %d unreachable", i)
 		}

@@ -20,8 +20,8 @@ func TestDiscoveryPoisoningFindsFewerPaths(t *testing.T) {
 	s.Run(5 * time.Minute)
 
 	d := &Discoverer{
-		Announcer:    s.EdgeNY.Speaker,
-		Observer:     s.EdgeLA.Speaker,
+		Announcer:    s.Edges["ny:la"].Speaker,
+		Observer:     s.Edges["la:ny"].Speaker,
 		Probe:        addr.MustParsePrefix("2001:db8:100::/48"),
 		POPAS:        bgp.ASVultr,
 		NameFor:      s.ProviderName,

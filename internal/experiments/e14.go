@@ -68,22 +68,6 @@ func E14DiscoverySweep(cfg Config) *Result {
 	if full {
 		sites = 440
 	}
-	tier1 := 4
-	if full {
-		tier1 = 8
-	}
-	tier2 := max(6, sites/6)
-	gcfg := topo.GenConfig{
-		Seed:           cfg.Seed + 14,
-		Tier1:          tier1,
-		Tier2:          tier2,
-		Sites:          sites,
-		MinHoming:      2,
-		MaxHoming:      min(4, tier2),
-		Tier2MaxHoming: 2,
-		PeerLinks:      tier2 / 2,
-		PrefExp:        1.0,
-	}
 	npairs := 64
 	if !full {
 		npairs = max(4, sites/2)
@@ -111,7 +95,7 @@ func E14DiscoverySweep(cfg Config) *Result {
 		pairs = append(pairs, p)
 	}
 
-	s, err := topo.NewGenMesh(gcfg, pairs)
+	s, err := topo.NewGenMesh(topo.GenConfig{Seed: cfg.Seed + 14, Sites: sites}, pairs)
 	if err != nil {
 		r.Err = err.Error()
 		return r

@@ -163,18 +163,16 @@ type LoopbackConfig struct {
 	// ArtifactDir, when set, receives process logs and final /metrics
 	// scrapes (a.log, b.log, a_metrics.prom, b_metrics.prom).
 	ArtifactDir string
-	// Timeout bounds the whole run (default 60s).
-	Timeout time.Duration
 }
+
+// loopbackTimeout bounds a whole RunE8Loopback run.
+const loopbackTimeout = 90 * time.Second
 
 // RunE8Loopback launches two tangod processes over 127.0.0.1 on the
 // E8-live delay table, waits for both controllers to converge, takes a
 // final /metrics scrape of each, and tears both processes down.
 func RunE8Loopback(cfg LoopbackConfig) (*LoopbackReport, error) {
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 60 * time.Second
-	}
-	deadline := time.Now().Add(cfg.Timeout)
+	deadline := time.Now().Add(loopbackTimeout)
 
 	dir, err := os.MkdirTemp("", "tango-loopback-*")
 	if err != nil {

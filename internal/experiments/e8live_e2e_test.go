@@ -41,7 +41,6 @@ func TestLoopbackE2E(t *testing.T) {
 	rep, err := RunE8Loopback(LoopbackConfig{
 		Tangod:      bin,
 		ArtifactDir: artifactDir,
-		Timeout:     90 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("loopback run: %v (report: %+v)", err, rep)

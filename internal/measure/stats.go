@@ -1,13 +1,12 @@
 // Package measure implements the statistics behind Tango's measurement
 // story: streaming one-way-delay aggregates, the 1-second rolling-window
 // jitter metric the paper reports, time-series capture for figure
-// regeneration, quantiles, and sequence-gap loss/reorder accounting.
+// regeneration, and sequence-gap loss/reorder accounting.
 package measure
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -153,68 +152,6 @@ func (e *EWMA) Value() float64 { return e.v }
 
 // Valid reports whether at least one sample arrived.
 func (e *EWMA) Valid() bool { return e.init }
-
-// Reservoir keeps a bounded uniform sample for quantile estimation. It is
-// deterministic: the "random" replacement indices come from a splitmix64
-// stream seeded at construction, so experiments reproduce exactly.
-type Reservoir struct {
-	cap   int
-	seen  uint64
-	state uint64
-	vals  []float64
-}
-
-// NewReservoir returns a reservoir holding at most capn samples.
-func NewReservoir(capn int, seed uint64) *Reservoir {
-	if capn <= 0 {
-		panic("measure: reservoir capacity must be positive")
-	}
-	return &Reservoir{cap: capn, state: seed ^ 0x9e3779b97f4a7c15, vals: make([]float64, 0, capn)}
-}
-
-// Add incorporates one sample (Algorithm R).
-func (r *Reservoir) Add(v float64) {
-	r.seen++
-	if len(r.vals) < r.cap {
-		r.vals = append(r.vals, v)
-		return
-	}
-	// next pseudo-random index in [0, seen)
-	r.state += 0x9e3779b97f4a7c15
-	x := r.state
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	idx := x % r.seen
-	if idx < uint64(r.cap) {
-		r.vals[idx] = v
-	}
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the retained sample.
-func (r *Reservoir) Quantile(q float64) float64 {
-	if len(r.vals) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), r.vals...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Seen returns how many samples were offered.
-func (r *Reservoir) Seen() uint64 { return r.seen }
 
 // SeqTracker derives loss, reordering, and duplication from the Tango
 // header's per-path sequence numbers (§3: "adding tunnel-specific

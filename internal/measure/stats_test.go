@@ -188,52 +188,6 @@ func TestEWMA(t *testing.T) {
 	}
 }
 
-func TestReservoirExactWhenSmall(t *testing.T) {
-	r := NewReservoir(100, 1)
-	for i := 0; i < 100; i++ {
-		r.Add(float64(i))
-	}
-	if r.Quantile(0) != 0 || r.Quantile(1) != 99 {
-		t.Fatal("extremes wrong")
-	}
-	if !almostEq(r.Quantile(0.5), 49.5, 1e-9) {
-		t.Fatalf("median = %v", r.Quantile(0.5))
-	}
-	if r.Seen() != 100 {
-		t.Fatal("Seen wrong")
-	}
-}
-
-func TestReservoirApproximatesLargeStream(t *testing.T) {
-	r := NewReservoir(2000, 7)
-	rg := rand.New(rand.NewSource(3))
-	for i := 0; i < 200000; i++ {
-		r.Add(rg.Float64() * 100)
-	}
-	if !almostEq(r.Quantile(0.5), 50, 5) {
-		t.Fatalf("median = %v", r.Quantile(0.5))
-	}
-	if !almostEq(r.Quantile(0.99), 99, 2.5) {
-		t.Fatalf("p99 = %v", r.Quantile(0.99))
-	}
-}
-
-func TestReservoirDeterministic(t *testing.T) {
-	run := func() float64 {
-		r := NewReservoir(50, 9)
-		for i := 0; i < 10000; i++ {
-			r.Add(float64(i % 997))
-		}
-		return r.Quantile(0.5)
-	}
-	if run() != run() {
-		t.Fatal("reservoir not deterministic")
-	}
-	if NewReservoir(10, 1).Quantile(0.5) != 0 {
-		t.Fatal("empty reservoir quantile nonzero")
-	}
-}
-
 func TestSeqTrackerInOrder(t *testing.T) {
 	var s SeqTracker
 	for i := uint32(100); i < 200; i++ {

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -16,20 +15,22 @@ import (
 // be measured against topologies whose ground-truth path diversity is
 // nontrivial (cf. "BGP-Multipath Routing in the Internet").
 //
-// The model is the classic three-layer hierarchy:
+// The model is the classic three-layer hierarchy, its shape a function of
+// the site count alone:
 //
 //   - Tier 1: a full settlement-free peering clique — the default-free
-//     zone. Every tier-1 reaches every prefix without a provider.
-//   - Tier 2: regional transit. Each tier-2 buys transit from one or more
-//     providers chosen among the tier-1s and the previously created
-//     tier-2s by preferential attachment — the probability of picking a
-//     provider grows with its existing customer degree raised to PrefExp,
-//     which yields the heavy-tailed (power-law-ish) degree distribution
-//     measured AS graphs show. Lateral tier-2 peerings add the shortcut
-//     edges real peering fabrics provide.
+//     zone — of 4 ASes, or 8 from bigTier1Sites sites up. Every tier-1
+//     reaches every prefix without a provider.
+//   - Tier 2: max(6, Sites/6) regional transit ASes. Each buys transit
+//     from 1–2 providers chosen among the tier-1s and the previously
+//     created tier-2s by preferential attachment — a provider is drawn
+//     with probability ∝ 1+customers, which yields the heavy-tailed
+//     (power-law-ish) degree distribution measured AS graphs show. Half
+//     as many lateral tier-2 peerings add the shortcut edges real peering
+//     fabrics provide.
 //   - Sites: stub edge networks (the paper's deployment sites), each
-//     multi-homed to MinHoming..MaxHoming transit providers. Sites buy
-//     transit only — they never peer and never provide.
+//     multi-homed to 2–4 tier-2 providers. Sites buy transit only — they
+//     never peer and never provide.
 //
 // Providers are always drawn among strictly earlier-created ASes, so the
 // customer→provider digraph is acyclic by construction, and every AS has
@@ -37,76 +38,29 @@ import (
 // invariants are also checked explicitly by the property-test suite.
 //
 // Everything is drawn from one named stream of sim.Streams(Seed), so a
-// graph is a pure function of its GenConfig: equal configs give deeply
+// graph is a pure function of seed and size: equal configs give deeply
 // equal graphs (the determinism property test pins this).
 
-// GenConfig parameterizes the AS-graph generator. The zero value is
-// invalid.
+// GenConfig names one generated internet. The zero value is the smallest:
+// a core and transit layer with no sites.
 type GenConfig struct {
 	// Seed drives every random draw.
 	Seed int64
-	// Tier1 is the size of the settlement-free core clique (1..64).
-	Tier1 int
-	// Tier2 is the number of mid-tier transit ASes (0..4096).
-	Tier2 int
-	// Sites is the number of stub edge networks (0..50000).
+	// Sites is the number of stub edge networks (0..50000); it sets the
+	// size of every tier.
 	Sites int
-	// MinHoming..MaxHoming bound each site's transit provider count.
-	// MaxHoming must not exceed the provider pool (Tier2, or Tier1 when
-	// Tier2 is zero).
-	MinHoming, MaxHoming int
-	// Tier2MaxHoming bounds each tier-2's provider count (1..64); the
-	// draw is clamped to the pool available when the AS is created.
-	Tier2MaxHoming int
-	// PeerLinks is the number of lateral tier-2 peerings to attempt
-	// (duplicates of existing adjacencies are skipped, so the realized
-	// count may be lower).
-	PeerLinks int
-	// PrefExp is the preferential-attachment exponent: provider draws are
-	// weighted by (1+customers)^PrefExp. 0 is uniform; 1 is linear
-	// (Barabási-Albert-like). Must be finite, in [0, 8].
-	PrefExp float64
 }
 
+// bigTier1Sites is the site count from which the tier-1 clique doubles
+// to 8 (E14's full scale).
+const bigTier1Sites = 440
+
 // Validate reports whether the config describes a generatable graph. It
-// returns an error — never panics — for any out-of-range field, which is
+// returns an error — never panics — for an out-of-range size, which is
 // the contract FuzzGenConfig exercises.
 func (c GenConfig) Validate() error {
-	if c.Tier1 < 1 || c.Tier1 > 64 {
-		return fmt.Errorf("topo: GenConfig.Tier1 %d out of range [1, 64]", c.Tier1)
-	}
-	if c.Tier2 < 0 || c.Tier2 > 4096 {
-		return fmt.Errorf("topo: GenConfig.Tier2 %d out of range [0, 4096]", c.Tier2)
-	}
 	if c.Sites < 0 || c.Sites > 50000 {
 		return fmt.Errorf("topo: GenConfig.Sites %d out of range [0, 50000]", c.Sites)
-	}
-	if c.Tier2 > 0 && (c.Tier2MaxHoming < 1 || c.Tier2MaxHoming > 64) {
-		return fmt.Errorf("topo: GenConfig.Tier2MaxHoming %d out of range [1, 64]", c.Tier2MaxHoming)
-	}
-	if c.Sites > 0 {
-		pool := c.Tier2
-		if pool == 0 {
-			pool = c.Tier1
-		}
-		if c.MinHoming < 1 {
-			return fmt.Errorf("topo: GenConfig.MinHoming %d must be at least 1", c.MinHoming)
-		}
-		if c.MaxHoming < c.MinHoming {
-			return fmt.Errorf("topo: GenConfig.MaxHoming %d below MinHoming %d", c.MaxHoming, c.MinHoming)
-		}
-		if c.MaxHoming > pool {
-			return fmt.Errorf("topo: GenConfig.MaxHoming %d exceeds provider pool %d", c.MaxHoming, pool)
-		}
-	}
-	if c.PeerLinks < 0 || c.PeerLinks > 100000 {
-		return fmt.Errorf("topo: GenConfig.PeerLinks %d out of range [0, 100000]", c.PeerLinks)
-	}
-	if maxPeer := c.Tier2 * (c.Tier2 - 1) / 2; c.PeerLinks > maxPeer {
-		return fmt.Errorf("topo: GenConfig.PeerLinks %d exceeds tier-2 pair count %d", c.PeerLinks, maxPeer)
-	}
-	if math.IsNaN(c.PrefExp) || math.IsInf(c.PrefExp, 0) || c.PrefExp < 0 || c.PrefExp > 8 {
-		return fmt.Errorf("topo: GenConfig.PrefExp %v out of range [0, 8]", c.PrefExp)
 	}
 	return nil
 }
@@ -143,26 +97,30 @@ type ASGraph struct {
 	Edges []GenEdge
 }
 
-// Gen generates the AS graph for cfg. It returns an error for any invalid
+// Gen generates the AS graph for cfg. It returns an error for an invalid
 // config (it never panics on one), and a graph that is a pure function of
 // cfg: calling Gen twice with equal configs yields deeply equal graphs.
 func Gen(cfg GenConfig) (*ASGraph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	tier1, tier2, sites := 4, max(6, cfg.Sites/6), cfg.Sites
+	if sites >= bigTier1Sites {
+		tier1 = 8
+	}
 	rng := sim.NewStreams(cfg.Seed).Stream("topo/gen")
 	g := &ASGraph{}
 
 	// Tier 1: the core clique, peering all-to-all.
-	for i := 0; i < cfg.Tier1; i++ {
+	for i := 0; i < tier1; i++ {
 		g.ASes = append(g.ASes, GenAS{
 			Name: fmt.Sprintf("t1-%02d", i),
 			ASN:  bgp.ASN(101 + i),
 			Tier: GenTier1,
 		})
 	}
-	for i := 0; i < cfg.Tier1; i++ {
-		for j := i + 1; j < cfg.Tier1; j++ {
+	for i := 0; i < tier1; i++ {
+		for j := i + 1; j < tier1; j++ {
 			g.Edges = append(g.Edges, GenEdge{
 				A: i, B: j, RelAB: bgp.RelPeer,
 				Delay: time.Duration(10+rng.Intn(31)) * time.Millisecond,
@@ -172,11 +130,11 @@ func Gen(cfg GenConfig) (*ASGraph, error) {
 
 	// custDeg[i] counts transit customers attached to AS i so far — the
 	// preferential-attachment weight driver.
-	custDeg := make([]int, cfg.Tier1+cfg.Tier2+cfg.Sites)
+	custDeg := make([]int, tier1+tier2+sites)
 
-	// Tier 2: each AS buys transit from earlier-created providers.
-	for i := 0; i < cfg.Tier2; i++ {
-		idx := cfg.Tier1 + i
+	// Tier 2: each AS buys transit from 1–2 earlier-created providers.
+	for i := 0; i < tier2; i++ {
+		idx := tier1 + i
 		g.ASes = append(g.ASes, GenAS{
 			Name: fmt.Sprintf("t2-%04d", i),
 			ASN:  bgp.ASN(1001 + i),
@@ -186,11 +144,7 @@ func Gen(cfg GenConfig) (*ASGraph, error) {
 		for p := range pool {
 			pool[p] = p
 		}
-		n := 1 + rng.Intn(cfg.Tier2MaxHoming)
-		if n > len(pool) {
-			n = len(pool)
-		}
-		for _, prov := range pickWeighted(rng, pool, custDeg, cfg.PrefExp, n) {
+		for _, prov := range pickWeighted(rng, pool, custDeg, 1+rng.Intn(2)) {
 			g.Edges = append(g.Edges, GenEdge{
 				A: idx, B: prov, RelAB: bgp.RelProvider,
 				Delay: time.Duration(5+rng.Intn(21)) * time.Millisecond,
@@ -200,52 +154,39 @@ func Gen(cfg GenConfig) (*ASGraph, error) {
 	}
 
 	// Lateral tier-2 peerings: drawn pairs, skipping existing adjacencies
-	// (bounded attempts, so degenerate configs terminate instead of
-	// spinning — the fuzz target's no-hang contract).
-	if cfg.Tier2 > 1 && cfg.PeerLinks > 0 {
-		adj := make(map[[2]int]bool, len(g.Edges))
-		for _, e := range g.Edges {
-			adj[edgeKey(e.A, e.B)] = true
+	// (bounded attempts, so the loop terminates whatever the draws — the
+	// fuzz target's no-hang contract).
+	adj := make(map[[2]int]bool, len(g.Edges))
+	for _, e := range g.Edges {
+		adj[edgeKey(e.A, e.B)] = true
+	}
+	for attempt, added, peers := 0, 0, tier2/2; attempt < 20*peers && added < peers; attempt++ {
+		a := tier1 + rng.Intn(tier2)
+		b := tier1 + rng.Intn(tier2)
+		if a == b || adj[edgeKey(a, b)] {
+			continue
 		}
-		added := 0
-		for attempt := 0; attempt < 20*cfg.PeerLinks && added < cfg.PeerLinks; attempt++ {
-			a := cfg.Tier1 + rng.Intn(cfg.Tier2)
-			b := cfg.Tier1 + rng.Intn(cfg.Tier2)
-			if a == b || adj[edgeKey(a, b)] {
-				continue
-			}
-			adj[edgeKey(a, b)] = true
-			g.Edges = append(g.Edges, GenEdge{
-				A: a, B: b, RelAB: bgp.RelPeer,
-				Delay: time.Duration(5+rng.Intn(26)) * time.Millisecond,
-			})
-			added++
-		}
+		adj[edgeKey(a, b)] = true
+		g.Edges = append(g.Edges, GenEdge{
+			A: a, B: b, RelAB: bgp.RelPeer,
+			Delay: time.Duration(5+rng.Intn(26)) * time.Millisecond,
+		})
+		added++
 	}
 
-	// Sites: stub edge networks multi-homed into the transit layer.
-	sitePool := make([]int, 0, cfg.Tier2)
-	if cfg.Tier2 > 0 {
-		for i := 0; i < cfg.Tier2; i++ {
-			sitePool = append(sitePool, cfg.Tier1+i)
-		}
-	} else {
-		for i := 0; i < cfg.Tier1; i++ {
-			sitePool = append(sitePool, i)
-		}
+	// Sites: stub edge networks homed to 2–4 tier-2s.
+	sitePool := make([]int, tier2)
+	for i := range sitePool {
+		sitePool[i] = tier1 + i
 	}
-	for i := 0; i < cfg.Sites; i++ {
-		idx := cfg.Tier1 + cfg.Tier2 + i
+	for i := 0; i < sites; i++ {
+		idx := tier1 + tier2 + i
 		g.ASes = append(g.ASes, GenAS{
 			Name: fmt.Sprintf("st-%05d", i),
 			ASN:  bgp.ASN(10001 + i),
 			Tier: GenStub,
 		})
-		n := cfg.MinHoming
-		if cfg.MaxHoming > cfg.MinHoming {
-			n += rng.Intn(cfg.MaxHoming - cfg.MinHoming + 1)
-		}
-		for _, prov := range pickWeighted(rng, sitePool, custDeg, cfg.PrefExp, n) {
+		for _, prov := range pickWeighted(rng, sitePool, custDeg, 2+rng.Intn(3)) {
 			g.Edges = append(g.Edges, GenEdge{
 				A: idx, B: prov, RelAB: bgp.RelProvider,
 				Delay: time.Duration(5+rng.Intn(11)) * time.Millisecond,
@@ -264,32 +205,28 @@ func edgeKey(a, b int) [2]int {
 }
 
 // pickWeighted draws k distinct elements of pool without replacement,
-// weighting element i by (1+deg[i])^exp. Sampling removes each pick from
-// the candidate set and rescales, so the draw is exact and bounded — no
+// weighting element i by 1+deg[i]. Sampling removes each pick from the
+// candidate set and rescales, so the draw is exact and bounded — no
 // rejection loop.
-func pickWeighted(rng *sim.RNG, pool []int, deg []int, exp float64, k int) []int {
-	if k > len(pool) {
-		k = len(pool)
-	}
+func pickWeighted(rng *sim.RNG, pool []int, deg []int, k int) []int {
+	k = min(k, len(pool))
 	cand := append([]int(nil), pool...)
 	w := make([]float64, len(cand))
 	total := 0.0
 	for i, p := range cand {
-		w[i] = math.Pow(1+float64(deg[p]), exp)
+		w[i] = 1 + float64(deg[p])
 		total += w[i]
 	}
 	out := make([]int, 0, k)
 	for len(out) < k {
+		r := rng.Float64() * total
 		idx := len(cand) - 1
-		if total > 0 {
-			r := rng.Float64() * total
-			for i, wi := range w {
-				if r < wi || i == len(cand)-1 {
-					idx = i
-					break
-				}
-				r -= wi
+		for i, wi := range w {
+			if r < wi {
+				idx = i
+				break
 			}
+			r -= wi
 		}
 		out = append(out, cand[idx])
 		total -= w[idx]

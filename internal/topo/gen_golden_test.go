@@ -24,18 +24,7 @@ var updateGenGolden = flag.Bool("update-gen-golden", false, "rewrite the generat
 //
 // and review the diff like any other behavior change.
 func TestGenGolden(t *testing.T) {
-	cfg := GenConfig{
-		Seed:           42,
-		Tier1:          3,
-		Tier2:          5,
-		Sites:          6,
-		MinHoming:      2,
-		MaxHoming:      3,
-		Tier2MaxHoming: 2,
-		PeerLinks:      2,
-		PrefExp:        1.0,
-	}
-	g, err := Gen(cfg)
+	g, err := Gen(GenConfig{Seed: 42, Sites: 6})
 	if err != nil {
 		t.Fatalf("Gen: %v", err)
 	}
@@ -68,7 +57,7 @@ func TestGenGolden(t *testing.T) {
 			Rel: relName[e.RelAB], DelayNS: int64(e.Delay),
 		})
 	}
-	stub := cfg.Tier1 + cfg.Tier2
+	stub := 4 + 6 // the first site follows 4 tier-1s and 6 tier-2s
 	for _, pr := range [][2]int{{stub, stub + 1}, {stub + 2, stub + 5}, {stub + 4, stub}} {
 		src, dst := pr[0], pr[1]
 		out.Pairs = append(out.Pairs, goldenPair{

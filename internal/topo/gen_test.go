@@ -9,22 +9,11 @@ import (
 	"tango/internal/bgp"
 )
 
-// genSweepConfig is the 25-seed property sweep's graph shape: small
-// enough to build a full simulation per seed, rich enough to exercise
-// multi-homing, lateral peerings, and preferential attachment.
-func genSweepConfig(seed int64) GenConfig {
-	return GenConfig{
-		Seed:           seed,
-		Tier1:          3,
-		Tier2:          6,
-		Sites:          10,
-		MinHoming:      2,
-		MaxHoming:      3,
-		Tier2MaxHoming: 2,
-		PeerLinks:      3,
-		PrefExp:        1.0,
-	}
-}
+// genSweepConfig is the 25-seed property sweep's graph: 4 tier-1s, 6
+// tier-2s and 10 sites, small enough to build a full simulation per seed,
+// rich enough to exercise multi-homing, lateral peerings, and
+// preferential attachment.
+func genSweepConfig(seed int64) GenConfig { return GenConfig{Seed: seed, Sites: 10} }
 
 const genSweepSeeds = 25
 
@@ -49,8 +38,8 @@ func TestGenProperties(t *testing.T) {
 			t.Fatalf("seed %d: two builds of the same config differ", seed)
 		}
 
-		if want := cfg.Tier1 + cfg.Tier2 + cfg.Sites; len(g.ASes) != want {
-			t.Fatalf("seed %d: %d ASes, want %d", seed, len(g.ASes), want)
+		if len(g.ASes) != 4+6+cfg.Sites {
+			t.Fatalf("seed %d: %d ASes, want %d", seed, len(g.ASes), 4+6+cfg.Sites)
 		}
 		if !g.Connected() {
 			t.Fatalf("seed %d: graph is not connected", seed)
@@ -96,14 +85,12 @@ func TestGenProperties(t *testing.T) {
 					t.Fatalf("seed %d: tier-1 %s has providers %v", seed, a.Name, provs)
 				}
 			case GenTier2:
-				if len(provs) < 1 || len(provs) > cfg.Tier2MaxHoming {
-					t.Fatalf("seed %d: tier-2 %s has %d providers, want 1..%d",
-						seed, a.Name, len(provs), cfg.Tier2MaxHoming)
+				if len(provs) < 1 || len(provs) > 2 {
+					t.Fatalf("seed %d: tier-2 %s has %d providers, want 1..2", seed, a.Name, len(provs))
 				}
 			case GenStub:
-				if len(provs) < cfg.MinHoming || len(provs) > cfg.MaxHoming {
-					t.Fatalf("seed %d: site %s has %d providers, want %d..%d",
-						seed, a.Name, len(provs), cfg.MinHoming, cfg.MaxHoming)
+				if len(provs) < 2 || len(provs) > 4 {
+					t.Fatalf("seed %d: site %s has %d providers, want 2..4", seed, a.Name, len(provs))
 				}
 			}
 			// Providers are always earlier-created — the structural form
@@ -117,7 +104,7 @@ func TestGenProperties(t *testing.T) {
 
 		// Ground truth sanity: every site pair reaches through at least
 		// one of dst's providers, and never through a non-provider.
-		src, dst := cfg.Tier1+cfg.Tier2, cfg.Tier1+cfg.Tier2+1
+		src, dst := 4+6, 4+6+1
 		truth := g.ValleyFreeProviders(dst, src)
 		if len(truth) == 0 {
 			t.Fatalf("seed %d: no valley-free provider between sites %d and %d", seed, src, dst)
@@ -207,9 +194,7 @@ func TestGenSpeakerValleyFree(t *testing.T) {
 // and Tango edge alike, still has its own router ID, BGP's last
 // tie-break.
 func TestGenRouterIDsDistinct(t *testing.T) {
-	cfg := GenConfig{Seed: 1, Tier1: 4, Tier2: 800, Sites: 4500,
-		MinHoming: 2, MaxHoming: 4, Tier2MaxHoming: 2, PeerLinks: 400, PrefExp: 1}
-	m, err := NewGenMesh(cfg, [][2]int{{0, 1}, {2, 3}})
+	m, err := NewGenMesh(GenConfig{Seed: 1, Sites: 4500}, [][2]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,47 +205,55 @@ func TestGenRouterIDsDistinct(t *testing.T) {
 		}
 		seen[a.Speaker.RouterID] = a.Name
 	}
-	if n := len(m.Providers) + len(m.POPs); n != 5304 || len(m.Edges) != 4 {
-		t.Fatalf("built %d ASes and %d edges, want 5304 and 4", n, len(m.Edges))
+	if n := len(m.Providers) + len(m.POPs); n != 5258 || len(m.Edges) != 4 {
+		t.Fatalf("built %d ASes and %d edges, want 5258 and 4", n, len(m.Edges))
 	}
 }
 
-// TestGenValidateErrors spot-checks that Validate rejects each class of
-// invalid config with an error (the fuzz target explores the space).
+// TestGenValidateErrors: Validate and Gen reject an out-of-range size
+// with an error, and NewGenMesh rejects pairs that name no stub site or
+// repeat one.
 func TestGenValidateErrors(t *testing.T) {
-	base := genSweepConfig(1)
-	bad := []func(*GenConfig){
-		func(c *GenConfig) { c.Tier1 = 0 },
-		func(c *GenConfig) { c.Tier1 = 65 },
-		func(c *GenConfig) { c.Tier2 = -1 },
-		func(c *GenConfig) { c.Tier2 = 4097 },
-		func(c *GenConfig) { c.Sites = -1 },
-		func(c *GenConfig) { c.Sites = 50001 },
-		func(c *GenConfig) { c.MinHoming = 0 },
-		func(c *GenConfig) { c.MaxHoming = 1 }, // below MinHoming 2
-		func(c *GenConfig) { c.MaxHoming = 7 }, // above the tier-2 pool
-		func(c *GenConfig) { c.Tier2MaxHoming = 0 },
-		func(c *GenConfig) { c.PeerLinks = -1 },
-		func(c *GenConfig) { c.PeerLinks = 16 }, // above the tier-2 pair count
-		func(c *GenConfig) { c.PrefExp = -0.5 },
-		func(c *GenConfig) { c.PrefExp = 9 },
-	}
-	for i, mutate := range bad {
-		c := base
-		mutate(&c)
+	for _, sites := range []int{-1, 50001} {
+		c := GenConfig{Seed: 1, Sites: sites}
 		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, c)
+			t.Errorf("Validate accepted %+v", c)
 		}
 		if _, err := Gen(c); err == nil {
-			t.Errorf("case %d: Gen accepted %+v", i, c)
+			t.Errorf("Gen accepted %+v", c)
 		}
 	}
+	base := genSweepConfig(1)
 	if err := base.Validate(); err != nil {
 		t.Fatalf("baseline config rejected: %v", err)
 	}
 	for _, pairs := range [][][2]int{{{0, base.Sites}}, {{-1, 0}}, {{2, 2}}, {{0, 1}, {1, 0}}} {
 		if _, err := NewGenMesh(base, pairs); err == nil {
 			t.Errorf("NewGenMesh accepted pairs %v", pairs)
+		}
+	}
+}
+
+// TestGenShape pins the size rule: a 4-member tier-1 clique below 440
+// sites and 8 from there up, max(6, Sites/6) tier-2s, and one stub per
+// site.
+func TestGenShape(t *testing.T) {
+	for _, tc := range []struct{ sites, tier1, tier2 int }{
+		{16, 4, 6},
+		{439, 4, 73},
+		{440, 8, 73},
+	} {
+		g, err := Gen(GenConfig{Seed: 1, Sites: tc.sites})
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := map[int]int{}
+		for _, a := range g.ASes {
+			count[a.Tier]++
+		}
+		if count[GenTier1] != tc.tier1 || count[GenTier2] != tc.tier2 || count[GenStub] != tc.sites {
+			t.Errorf("Sites %d: %d/%d/%d ASes per tier, want %d/%d/%d", tc.sites,
+				count[GenTier1], count[GenTier2], count[GenStub], tc.tier1, tc.tier2, tc.sites)
 		}
 	}
 }

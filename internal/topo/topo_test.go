@@ -28,11 +28,11 @@ func TestScenarioConverges(t *testing.T) {
 	converge(s)
 
 	// Each edge learns the other's host prefix.
-	bestAtLA := s.EdgeLA.Speaker.Best(s.HostPrefix["ny:la"])
+	bestAtLA := s.Edges["la:ny"].Speaker.Best(s.HostPrefix["ny:la"])
 	if bestAtLA == nil {
 		t.Fatal("LA edge has no route to NY host prefix")
 	}
-	bestAtNY := s.EdgeNY.Speaker.Best(s.HostPrefix["la:ny"])
+	bestAtNY := s.Edges["ny:la"].Speaker.Best(s.HostPrefix["la:ny"])
 	if bestAtNY == nil {
 		t.Fatal("NY edge has no route to LA host prefix")
 	}
@@ -62,12 +62,12 @@ func TestScenarioDataPlaneDefaultPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EdgeLA.Node.AddAddr(dst)
+	s.Edges["la:ny"].Node.AddAddr(dst)
 	var arrived simnet.NodeStats
 	_ = arrived
 	gotAt := time.Duration(-1)
 	start := s.B.W.Now()
-	s.EdgeLA.Node.SetHandler(func(data []byte) {
+	s.Edges["la:ny"].Node.SetHandler(func(data []byte) {
 		gotAt = time.Duration(s.B.W.Now() - start)
 	})
 
@@ -81,7 +81,7 @@ func TestScenarioDataPlaneDefaultPath(t *testing.T) {
 	}
 	raw := make([]byte, buf.Len())
 	copy(raw, buf.Bytes())
-	s.EdgeNY.Node.Inject(raw)
+	s.Edges["ny:la"].Node.Inject(raw)
 	s.Run(time.Second)
 
 	if gotAt < 0 {
@@ -118,9 +118,9 @@ func TestScenarioSuppressionExposesAlternatePaths(t *testing.T) {
 		{[]bgp.Community{bgp.NoExportTo(bgp.ASNTT), bgp.NoExportTo(bgp.ASTelia), bgp.NoExportTo(bgp.ASGTT)}, "Cogent"},
 	}
 	for _, step := range steps {
-		s.EdgeNY.Speaker.Originate(probe, step.suppress...)
+		s.Edges["ny:la"].Speaker.Originate(probe, step.suppress...)
 		s.Run(3 * time.Minute)
-		best := s.EdgeLA.Speaker.Best(probe)
+		best := s.Edges["la:ny"].Speaker.Best(probe)
 		if best == nil {
 			t.Fatalf("no route with suppression %v", step.suppress)
 		}
@@ -131,11 +131,11 @@ func TestScenarioSuppressionExposesAlternatePaths(t *testing.T) {
 	}
 
 	// Suppressing all four kills reachability (termination condition).
-	s.EdgeNY.Speaker.Originate(probe,
+	s.Edges["ny:la"].Speaker.Originate(probe,
 		bgp.NoExportTo(bgp.ASNTT), bgp.NoExportTo(bgp.ASTelia),
 		bgp.NoExportTo(bgp.ASGTT), bgp.NoExportTo(bgp.ASCogent))
 	s.Run(3 * time.Minute)
-	if best := s.EdgeLA.Speaker.Best(probe); best != nil {
+	if best := s.Edges["la:ny"].Speaker.Best(probe); best != nil {
 		t.Fatalf("still reachable via %v with all transits suppressed", best.Path)
 	}
 }
@@ -145,10 +145,10 @@ func TestScenarioReversePathsIncludeLevel3(t *testing.T) {
 	converge(s)
 
 	probe := addr.MustParsePrefix("2001:db8:222::/48")
-	s.EdgeLA.Speaker.Originate(probe,
+	s.Edges["la:ny"].Speaker.Originate(probe,
 		bgp.NoExportTo(bgp.ASNTT), bgp.NoExportTo(bgp.ASTelia), bgp.NoExportTo(bgp.ASGTT))
 	s.Run(3 * time.Minute)
-	best := s.EdgeNY.Speaker.Best(probe)
+	best := s.Edges["ny:la"].Speaker.Best(probe)
 	if best == nil {
 		t.Fatal("no route with NTT/Telia/GTT suppressed")
 	}
@@ -159,13 +159,13 @@ func TestScenarioReversePathsIncludeLevel3(t *testing.T) {
 
 func TestScenarioClockOffsets(t *testing.T) {
 	s := mustVultr(t, ScenarioConfig{Seed: 5})
-	offNY := s.EdgeNY.Node.Clock().Offset()
-	offLA := s.EdgeLA.Node.Clock().Offset()
+	offNY := s.Edges["ny:la"].Node.Clock().Offset()
+	offLA := s.Edges["la:ny"].Node.Clock().Offset()
 	if offNY == offLA {
 		t.Fatal("edge clocks are synchronized; scenario must model skew")
 	}
 	s2 := mustVultr(t, ScenarioConfig{Seed: 5, ClockOffsetNY: time.Second, ClockOffsetLA: 2 * time.Second})
-	if s2.EdgeNY.Node.Clock().Offset() != time.Second {
+	if s2.Edges["ny:la"].Node.Clock().Offset() != time.Second {
 		t.Fatal("clock offset override ignored")
 	}
 }

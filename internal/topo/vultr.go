@@ -41,11 +41,10 @@ var (
 // fourth LA→NY path. It is the two-site special case of the mesh, whose
 // maps hold everything else: POPs["ny"], Providers["GTT"],
 // Trunk["la"]["GTT"] (the line carrying GTT's NY->LA traffic),
-// Block/HostPrefix/Probe["ny:la"].
+// Block/HostPrefix/Probe["ny:la"], and Edges["ny:la"] and Edges["la:ny"],
+// the Tango servers (private ASNs).
 type Scenario struct {
 	*MeshScenario
-
-	EdgeNY, EdgeLA *AS // the Tango servers (private ASNs)
 }
 
 // ScenarioConfig tweaks the Vultr scenario.
@@ -143,7 +142,7 @@ func NewVultrScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scenario{MeshScenario: m, EdgeNY: m.Edges["ny:la"], EdgeLA: m.Edges["la:ny"]}, nil
+	return &Scenario{MeshScenario: m}, nil
 }
 
 // strLower lowercases ASCII letters (provider node names).
