@@ -35,12 +35,17 @@ import (
 //     fields rooted at it (sw.Stats.Encapped++ sets Stats);
 //   - unread: an exported struct field that shipped code only writes.
 //
+// The public constructors' inputs are held to a caller: every exported
+// field of a root-package struct whose name ends in Options that no
+// shipped code outside the root package sets is unset too (the root
+// package writing its own defaults back does not count).
+//
 // A field with a json tag counts as set and read. A finding either goes
 // or gets a line in testdata/census.txt with a one-line reason, and a
 // line that matches no finding fails too, so the list cannot go stale.
 // The references come from every package of the module, benchmark/,
 // cmd/ and examples/ included; the root package is the public API and
-// package main is a program, so neither is itself checked.
+// package main is a program, so neither is otherwise checked.
 //
 // The design subtest holds DESIGN.md's module map (§3) to the module and
 // its experiment index (§4) to the test files, the file to its byte
@@ -235,10 +240,16 @@ func (m *module) census() []finding {
 		}
 	}
 
-	// How shipped code touches each field.
-	set, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	// How shipped code touches each field; callerSet leaves out the root
+	// package's own writes.
+	set, read, callerSet := map[*types.Var]bool{}, map[*types.Var]bool{}, map[*types.Var]bool{}
 	for _, p := range m.list {
-		writes := fieldWrites(p, set)
+		pset := map[*types.Var]bool{}
+		writes := fieldWrites(p, pset)
+		for v := range pset {
+			set[v] = true
+			callerSet[v] = callerSet[v] || p.path != modulePath
+		}
 		for id, obj := range p.info.Uses {
 			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
 				read[v.Origin()] = true
@@ -277,6 +288,20 @@ func (m *module) census() []finding {
 		}
 		if kind != "" {
 			out = append(out, finding{m.fset.Position(obj.Pos()), kind, name})
+		}
+	}
+	root := m.pkgs[modulePath].types
+	for _, n := range root.Scope().Names() {
+		tn, ok := root.Scope().Lookup(n).(*types.TypeName)
+		if !ok || !tn.Exported() || !strings.HasSuffix(n, "Options") {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !callerSet[f] {
+					out = append(out, finding{m.fset.Position(f.Pos()), "unset", root.Name() + "." + n + "." + f.Name()})
+				}
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

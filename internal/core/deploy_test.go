@@ -54,3 +54,32 @@ func TestLabIsTheOneLinkMesh(t *testing.T) {
 		}
 	}
 }
+
+// TestPairWithNoPathIsAnError: a mesh whose deployed pair BGP exposed no
+// path to used to establish, and Send then failed on undeployed links.
+// Deploy now refuses it and names the pair.
+func TestPairWithNoPathIsAnError(t *testing.T) {
+	provs := []topo.RadialProvider{
+		{Name: "Zayo", ASN: 6461, Scale: 1},
+		{Name: "Lumen", ASN: 3356, Scale: 1.2},
+	}
+	for _, c := range []struct {
+		name   string
+		aProvs []string
+		bProvs []string
+	}{
+		{"no shared provider", []string{"Zayo"}, []string{"Lumen"}},
+		{"site with no provider", []string{"Zayo", "Lumen"}, nil},
+	} {
+		sites := []topo.RadialSite{
+			{Name: "a", Radius: 5 * time.Millisecond, Providers: c.aProvs},
+			{Name: "b", Radius: 7 * time.Millisecond, Providers: c.bProvs},
+		}
+		cfg := topo.RadialMeshConfig(1, provs, sites, [][2]string{{"a", "b"}})
+		want := "core: BGP exposed no path from a to b"
+		d, err := Deploy(cfg, MeshConfig{ProbeInterval: 10 * time.Millisecond, DecideEvery: time.Second})
+		if err == nil || err.Error() != want || d != nil {
+			t.Errorf("%s: Deploy: %v, want %q", c.name, err, want)
+		}
+	}
+}

@@ -149,7 +149,6 @@ func host128(ip netip.Addr) addr.Prefix {
 // LoopbackReport is the outcome of one two-process loopback run.
 type LoopbackReport struct {
 	PathA, PathB int           // converged current-path IDs per site
-	MatchesSim   bool          // equals the E8LiveSim expectation
 	ConvergedIn  time.Duration // wall time from both-ready to both-converged
 	// Final holds each site's last /metrics scrape (site-a, site-b),
 	// taken after convergence and before teardown.
@@ -169,8 +168,10 @@ type LoopbackConfig struct {
 const loopbackTimeout = 90 * time.Second
 
 // RunE8Loopback launches two tangod processes over 127.0.0.1 on the
-// E8-live delay table, waits for both controllers to converge, takes a
-// final /metrics scrape of each, and tears both processes down.
+// E8-live delay table, waits for both controllers to converge on the
+// paths of the simulated reference (an error if they do not before the
+// timeout), takes a final /metrics scrape of each, and tears both
+// processes down.
 func RunE8Loopback(cfg LoopbackConfig) (*LoopbackReport, error) {
 	deadline := time.Now().Add(loopbackTimeout)
 
@@ -277,7 +278,6 @@ func RunE8Loopback(cfg LoopbackConfig) (*LoopbackReport, error) {
 		time.Sleep(100 * time.Millisecond)
 	}
 	rep.ConvergedIn = time.Since(convergeStart)
-	rep.MatchesSim = true
 
 	// Final scrapes go into the report and, as CI artifacts, to disk.
 	for i, p := range []*proc{a, b} {

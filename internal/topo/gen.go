@@ -128,9 +128,12 @@ func Gen(cfg GenConfig) (*ASGraph, error) {
 		}
 	}
 
-	// custDeg[i] counts transit customers attached to AS i so far — the
-	// preferential-attachment weight driver.
-	custDeg := make([]int, tier1+tier2+sites)
+	// Provider candidates: every tier-1 and earlier tier-2 while the
+	// tier-2s home, the tier-2s alone while the sites do.
+	w := newWeights(tier1 + tier2)
+	for i := 0; i < tier1; i++ {
+		w.set(i, 1)
+	}
 
 	// Tier 2: each AS buys transit from 1–2 earlier-created providers.
 	for i := 0; i < tier2; i++ {
@@ -140,17 +143,13 @@ func Gen(cfg GenConfig) (*ASGraph, error) {
 			ASN:  bgp.ASN(1001 + i),
 			Tier: GenTier2,
 		})
-		pool := make([]int, idx) // every tier-1 and earlier tier-2
-		for p := range pool {
-			pool[p] = p
-		}
-		for _, prov := range pickWeighted(rng, pool, custDeg, 1+rng.Intn(2)) {
+		for _, prov := range w.pick(rng, 1+rng.Intn(2)) {
 			g.Edges = append(g.Edges, GenEdge{
 				A: idx, B: prov, RelAB: bgp.RelProvider,
 				Delay: time.Duration(5+rng.Intn(21)) * time.Millisecond,
 			})
-			custDeg[prov]++
 		}
+		w.set(idx, 1)
 	}
 
 	// Lateral tier-2 peerings: drawn pairs, skipping existing adjacencies
@@ -175,9 +174,8 @@ func Gen(cfg GenConfig) (*ASGraph, error) {
 	}
 
 	// Sites: stub edge networks homed to 2–4 tier-2s.
-	sitePool := make([]int, tier2)
-	for i := range sitePool {
-		sitePool[i] = tier1 + i
+	for i := 0; i < tier1; i++ {
+		w.set(i, 0)
 	}
 	for i := 0; i < sites; i++ {
 		idx := tier1 + tier2 + i
@@ -186,12 +184,11 @@ func Gen(cfg GenConfig) (*ASGraph, error) {
 			ASN:  bgp.ASN(10001 + i),
 			Tier: GenStub,
 		})
-		for _, prov := range pickWeighted(rng, sitePool, custDeg, 2+rng.Intn(3)) {
+		for _, prov := range w.pick(rng, 2+rng.Intn(3)) {
 			g.Edges = append(g.Edges, GenEdge{
 				A: idx, B: prov, RelAB: bgp.RelProvider,
 				Delay: time.Duration(5+rng.Intn(11)) * time.Millisecond,
 			})
-			custDeg[prov]++
 		}
 	}
 	return g, nil
@@ -204,34 +201,64 @@ func edgeKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// pickWeighted draws k distinct elements of pool without replacement,
-// weighting element i by 1+deg[i]. Sampling removes each pick from the
-// candidate set and rescales, so the draw is exact and bounded — no
-// rejection loop.
-func pickWeighted(rng *sim.RNG, pool []int, deg []int, k int) []int {
-	k = min(k, len(pool))
-	cand := append([]int(nil), pool...)
-	w := make([]float64, len(cand))
-	total := 0.0
-	for i, p := range cand {
-		w[i] = 1 + float64(deg[p])
-		total += w[i]
+// weights is a Fenwick tree over the provider candidates' draw weights,
+// 1+customers, with 0 for an AS that is not a candidate: a weighted draw
+// and a weight change each cost O(log n).
+type weights struct {
+	w     []float64 // each AS's weight
+	tree  []float64 // 1-based Fenwick sums of w, less a pick's draws so far
+	total float64   // the sum of the tree
+}
+
+func newWeights(n int) *weights {
+	return &weights{w: make([]float64, n), tree: make([]float64, n+1)}
+}
+
+// move adds d to element i in the tree.
+func (f *weights) move(i int, d float64) {
+	f.total += d
+	for i++; i < len(f.tree); i += i & -i {
+		f.tree[i] += d
 	}
-	out := make([]int, 0, k)
-	for len(out) < k {
-		r := rng.Float64() * total
-		idx := len(cand) - 1
-		for i, wi := range w {
-			if r < wi {
-				idx = i
-				break
-			}
-			r -= wi
+}
+
+// set makes v the weight of element i.
+func (f *weights) set(i int, v float64) {
+	f.move(i, v-f.w[i])
+	f.w[i] = v
+}
+
+// search returns the first element whose running weight sum exceeds r,
+// or the last candidate when r has rounded up to the total. The weights
+// are integers below 2^53, so every sum, subtraction and comparison is
+// exact and the element is the one a linear scan would find.
+func (f *weights) search(r float64) int {
+	r = min(r, f.total-1)
+	step := 1
+	for step < len(f.tree) {
+		step <<= 1
+	}
+	i := 0
+	for ; step > 0; step >>= 1 {
+		if j := i + step; j < len(f.tree) && f.tree[j] <= r {
+			i, r = j, r-f.tree[j]
 		}
-		out = append(out, cand[idx])
-		total -= w[idx]
-		cand = append(cand[:idx], cand[idx+1:]...)
-		w = append(w[:idx], w[idx+1:]...)
+	}
+	return i
+}
+
+// pick draws k distinct candidates without replacement, each with
+// probability ∝ its weight among those left, and gives each pick one
+// more customer. Every caller has more than k candidates.
+func (f *weights) pick(rng *sim.RNG, k int) []int {
+	out := make([]int, k)
+	for j := range out {
+		out[j] = f.search(rng.Float64() * f.total)
+		f.move(out[j], -f.w[out[j]])
+	}
+	for _, i := range out {
+		f.w[i]++
+		f.move(i, f.w[i])
 	}
 	return out
 }

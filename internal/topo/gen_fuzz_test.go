@@ -26,12 +26,6 @@ func FuzzGenConfig(f *testing.F) {
 			}
 			return
 		}
-		// Graphs near the size cap are legitimate but too slow for a
-		// fuzz budget; the full-size path belongs to the scale
-		// experiments.
-		if sites > 5000 {
-			t.Skip("valid but beyond the fuzz work budget")
-		}
 		g, err := Gen(cfg)
 		if err != nil {
 			t.Fatalf("Gen rejected a validated config %+v: %v", cfg, err)

@@ -2,11 +2,13 @@ package topo
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"tango/internal/bgp"
+	"tango/internal/sim"
 )
 
 // genSweepConfig is the 25-seed property sweep's graph: 4 tier-1s, 6
@@ -255,6 +257,80 @@ func TestGenShape(t *testing.T) {
 			t.Errorf("Sites %d: %d/%d/%d ASes per tier, want %d/%d/%d", tc.sites,
 				count[GenTier1], count[GenTier2], count[GenStub], tc.tier1, tc.tier2, tc.sites)
 		}
+	}
+}
+
+// linearPick is the reference weights.pick is held to: k distinct
+// elements of pool drawn without replacement, element p weighted w[p],
+// by a linear scan over the remaining candidates.
+func linearPick(rng *sim.RNG, pool []int, w []float64, k int) []int {
+	cand := append([]int(nil), pool...)
+	total := 0.0
+	for _, p := range cand {
+		total += w[p]
+	}
+	out := make([]int, 0, k)
+	for len(out) < k {
+		r := rng.Float64() * total
+		idx := len(cand) - 1
+		for i, p := range cand {
+			if r < w[p] {
+				idx = i
+				break
+			}
+			r -= w[p]
+		}
+		out = append(out, cand[idx])
+		total -= w[cand[idx]]
+		cand = append(cand[:idx], cand[idx+1:]...)
+	}
+	return out
+}
+
+// TestWeightedPickMatchesLinearScan: on random weight vectors, some
+// entries not candidates, the Fenwick picker draws exactly the elements
+// the linear scan draws from the same random stream, and leaves each
+// pick one customer heavier. A draw that rounds up to the total takes
+// the last candidate, as the scan's fallback does.
+func TestWeightedPickMatchesLinearScan(t *testing.T) {
+	src := sim.NewStreams(1).Stream("weights")
+	rngF, rngL := sim.NewStreams(2).Stream("pick"), sim.NewStreams(2).Stream("pick")
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + src.Intn(200)
+		f := newWeights(n)
+		var pool []int
+		for i := 0; i < n; i++ {
+			if src.Intn(4) > 0 {
+				f.set(i, float64(1+src.Intn(1000)))
+				pool = append(pool, i)
+			}
+		}
+		if len(pool) == 0 {
+			continue
+		}
+		if last := pool[len(pool)-1]; f.search(f.total) != last {
+			t.Fatalf("trial %d: search(total) = %d, want the last candidate %d", trial, f.search(f.total), last)
+		}
+		before := append([]float64(nil), f.w...)
+		k := 1 + src.Intn(min(4, len(pool)))
+		want := linearPick(rngL, pool, before, k)
+		got := f.pick(rngF, k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: picked %v, the linear scan %v", trial, got, want)
+		}
+		total := 0.0
+		for i := range before {
+			if slices.Contains(got, i) {
+				before[i]++
+			}
+			total += before[i]
+		}
+		if !reflect.DeepEqual(f.w, before) || f.total != total {
+			t.Fatalf("trial %d: weights after the pick %v (total %g), want %v (total %g)", trial, f.w, f.total, before, total)
+		}
+	}
+	if rngF.Int63() != rngL.Int63() {
+		t.Fatal("the picker and the scan consumed different numbers of draws")
 	}
 }
 

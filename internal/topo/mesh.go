@@ -25,14 +25,13 @@ import (
 // rests on names and router IDs, not creation order: simnet RNG streams
 // are keyed by node-name pairs and BGP ties break on RouterID.
 
-// MeshProvider declares one transit provider.
+// MeshProvider declares one transit provider. Its router ID is 21 plus
+// its index in MeshConfig.Providers.
 type MeshProvider struct {
 	Name string
 	// NodeName is the simnet node name; defaults to Name.
 	NodeName string
 	ASN      bgp.ASN
-	// RouterID defaults to 21+index.
-	RouterID uint32
 }
 
 // MeshAttachment connects a site's POP to a provider, with the two
@@ -45,15 +44,14 @@ type MeshAttachment struct {
 	Trunk    simnet.DelayModel
 }
 
-// MeshSite declares one deployment site.
+// MeshSite declares one deployment site. Its POP's router ID is 11 plus
+// its index in MeshConfig.Sites.
 type MeshSite struct {
 	Name        string
 	ClockOffset time.Duration // applied to the site's edge servers
 	// POPName defaults to "pop-"+Name.
 	POPName string
 	POPASN  bgp.ASN
-	// POPRouterID defaults to 11+index.
-	POPRouterID uint32
 	// AllowOwnAS enables allowas-in on the POP's transit sessions, for
 	// overlays whose sites share one POP ASN (Vultr's AS 20473).
 	AllowOwnAS bool
@@ -201,11 +199,7 @@ func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, err
 		if node == "" {
 			node = p.Name
 		}
-		rid := p.RouterID
-		if rid == 0 {
-			rid = uint32(21 + i)
-		}
-		m.Providers[p.Name] = b.AddAS(node, p.ASN, rid, 0)
+		m.Providers[p.Name] = b.AddAS(node, p.ASN, uint32(21+i), 0)
 	}
 
 	offset := map[string]time.Duration{}
@@ -219,11 +213,7 @@ func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, err
 		if popName == "" {
 			popName = "pop-" + s.Name
 		}
-		rid := s.POPRouterID
-		if rid == 0 {
-			rid = uint32(11 + i)
-		}
-		pop := b.AddAS(popName, s.POPASN, rid, 0)
+		pop := b.AddAS(popName, s.POPASN, uint32(11+i), 0)
 		m.POPs[s.Name] = pop
 		m.Trunk[s.Name] = map[string]*simnet.Line{}
 		m.Uplink[s.Name] = map[string]*simnet.Line{}

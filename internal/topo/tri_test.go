@@ -67,6 +67,15 @@ func TestMeshConfigValidation(t *testing.T) {
 	if _, err := NewMeshScenario(bad); err == nil {
 		t.Fatal("peering with unknown provider accepted")
 	}
+	// Two providers with one ASN used to build, the discovery labels kept
+	// whichever name came last, and BGP loop detection dropped every
+	// route through either.
+	bad = TriConfig(1)
+	bad.Providers[1].ASN = bad.Providers[0].ASN
+	want := "topo: providers NTT and Telia share AS2914"
+	if _, err := NewMeshScenario(bad); err == nil || err.Error() != want {
+		t.Fatalf("providers sharing an ASN: %v, want %q", err, want)
+	}
 }
 
 func triDiscover(t *testing.T, s *MeshScenario, a, b string) []control.DiscoveredPath {

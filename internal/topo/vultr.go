@@ -72,13 +72,12 @@ func VultrConfig(cfg ScenarioConfig) MeshConfig {
 	profs := []ProviderProfile{ProfileNTT, ProfileTelia, ProfileGTT, ProfileCogent, ProfileLevel3}
 	byName := map[string]ProviderProfile{}
 	var providers []MeshProvider
-	for i, p := range profs {
+	for _, p := range profs {
 		byName[p.Name] = p
 		providers = append(providers, MeshProvider{
 			Name:     p.Name,
 			NodeName: strLower(p.Name),
 			ASN:      p.ASN,
-			RouterID: uint32(21 + i),
 		})
 	}
 	// The access direction (POP -> provider) is near-zero; the trunk
@@ -96,14 +95,14 @@ func VultrConfig(cfg ScenarioConfig) MeshConfig {
 		Sites: []MeshSite{
 			{
 				Name: "ny", ClockOffset: cfg.ClockOffsetNY,
-				POPName: "vultr-ny", POPASN: bgp.ASVultr, POPRouterID: 11,
+				POPName: "vultr-ny", POPASN: bgp.ASVultr,
 				// Both POPs share AS 20473: accept paths containing it.
 				AllowOwnAS: true,
 				Attach:     attach("NTT", "Telia", "GTT", "Cogent"),
 			},
 			{
 				Name: "la", ClockOffset: cfg.ClockOffsetLA,
-				POPName: "vultr-la", POPASN: bgp.ASVultr, POPRouterID: 12,
+				POPName: "vultr-la", POPASN: bgp.ASVultr,
 				AllowOwnAS: true,
 				Attach:     attach("NTT", "Telia", "GTT", "Level3"),
 			},

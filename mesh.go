@@ -2,74 +2,24 @@ package tango
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"tango/internal/bgp"
 	"tango/internal/control"
 	"tango/internal/core"
 	"tango/internal/obs"
 	"tango/internal/topo"
 )
 
-// MeshProvider describes one transit provider of a custom mesh topology.
-// Backbone delay follows the radial model: the provider's path between
-// two sites costs the sum of the sites' radii scaled by the provider's
-// factor, plus per-packet Gaussian noise.
-type MeshProvider struct {
-	Name string
-	// ASN is the provider's 16-bit AS number (1-65535; NewMesh refuses
-	// any other).
-	ASN uint32
-	// Scale multiplies each site's radius on this provider's backbone
-	// (1.0 = the topology's fastest tier; slower carriers use >1).
-	// NewMesh refuses a negative, infinite or NaN scale.
-	Scale float64
-	// JitterStd is the per-packet delay noise (NewMesh refuses a
-	// negative one).
-	JitterStd time.Duration
-}
-
-// MeshSiteSpec places one site in a custom mesh topology.
-type MeshSiteSpec struct {
-	Name string
-	// Radius is the site's distance from the (notional) network center;
-	// it sets the scale of every provider path touching the site
-	// (NewMesh refuses a negative radius).
-	Radius time.Duration
-	// ClockOffset skews the site's server clocks (unsynchronised sites
-	// are the realistic default; zero means perfectly synced).
-	ClockOffset time.Duration
-	// Providers lists the transit providers the site's POP attaches to.
-	Providers []string
-}
-
-// MeshOptions configures NewMesh. Leaving Providers/Sites/Pairs empty
-// deploys the default three-site topology (NY, CHI, LA over NTT, Telia,
-// GTT) in which NY and LA share only one provider — the situation where
-// relaying through CHI pays off.
+// MeshOptions configures NewMesh, which deploys the three-site topology
+// (NY, CHI, LA over NTT, Telia, GTT) in which NY and LA share only one
+// provider — the situation where relaying through CHI pays off. Every
+// member probes each path every 10 ms and its min-delay controller
+// decides once a second.
 type MeshOptions struct {
 	// Seed drives every random process; equal seeds reproduce bit-for-bit.
 	Seed int64
-	// ProbeInterval is the per-path measurement cadence (0 = 10 ms;
-	// NewMesh refuses a negative value).
-	ProbeInterval time.Duration
-	// DecideEvery is the per-pair controller cadence (0 = 1 s; NewMesh
-	// refuses a negative value). PolicyStaticDefault keeps traffic on the
-	// BGP default path.
-	DecideEvery time.Duration
-	// SitePolicy selects every member controller's strategy (NewMesh
-	// refuses a value that is none of the Policy constants).
-	SitePolicy Policy
 	// AuthKey enables authenticated telemetry on every border switch.
 	AuthKey []byte
-
-	// Providers/Sites/Pairs define a custom topology. Pairs lists the
-	// site pairs that deploy Tango; sites without a pair between them can
-	// still be connected through relays.
-	Providers []MeshProvider
-	Sites     []MeshSiteSpec
-	Pairs     [][2]string
 }
 
 // Mesh is an N-site Tango deployment: pairwise Tango between the
@@ -82,63 +32,17 @@ type Mesh struct {
 }
 
 // NewMesh builds the simulated N-site deployment and establishes Tango
-// on every configured pair concurrently in virtual time — iterative path
+// on every deployed pair concurrently in virtual time — iterative path
 // discovery in both directions, one pinned prefix announced per exposed
 // path, tunnels provisioned, probing and the measurement feedback loop
 // started — then wires the overlay relay tables. It returns an error for
-// a refused option, an invalid topology, an establishment that does not
-// complete, or a deployed pair BGP exposed no path between.
+// an establishment that does not complete or a deployed pair BGP exposed
+// no path between.
 func NewMesh(opts MeshOptions) (*Mesh, error) {
-	var err error
-	opts.ProbeInterval, opts.DecideEvery, err = cadences("MeshOptions", opts.ProbeInterval, opts.DecideEvery)
-	if err == nil {
-		err = checkPolicy("MeshOptions.SitePolicy", opts.SitePolicy)
-	}
-	if err != nil {
-		return nil, err
-	}
-	refuse := func(format string, a ...any) (*Mesh, error) {
-		return nil, fmt.Errorf("tango: MeshOptions "+format, a...)
-	}
-	var cfg topo.MeshConfig
-	if len(opts.Sites) == 0 {
-		cfg = topo.TriConfig(opts.Seed)
-	} else {
-		provs := make([]topo.RadialProvider, 0, len(opts.Providers))
-		for _, p := range opts.Providers {
-			switch {
-			case p.ASN == 0 || p.ASN > math.MaxUint16:
-				return refuse("provider %s has ASN %d; want 1-65535", p.Name, p.ASN)
-			case !(p.Scale >= 0) || math.IsInf(p.Scale, 1):
-				return refuse("provider %s has Scale %g; want a finite value, 0 or more", p.Name, p.Scale)
-			case p.JitterStd < 0:
-				return refuse("provider %s has JitterStd %v; want 0 or more", p.Name, p.JitterStd)
-			}
-			provs = append(provs, topo.RadialProvider{
-				Name:  p.Name,
-				ASN:   bgp.ASN(p.ASN),
-				Scale: p.Scale,
-				Std:   p.JitterStd,
-			})
-		}
-		sites := make([]topo.RadialSite, 0, len(opts.Sites))
-		for _, s := range opts.Sites {
-			if s.Radius < 0 {
-				return refuse("site %s has Radius %v; want 0 or more", s.Name, s.Radius)
-			}
-			sites = append(sites, topo.RadialSite{
-				Name:        s.Name,
-				Radius:      s.Radius,
-				ClockOffset: s.ClockOffset,
-				Providers:   s.Providers,
-			})
-		}
-		cfg = topo.RadialMeshConfig(opts.Seed, provs, sites, opts.Pairs)
-	}
-	return deploy(cfg, core.MeshConfig{
-		ProbeInterval: opts.ProbeInterval,
-		DecideEvery:   opts.DecideEvery,
-		NewPolicy:     func(site, peer string) control.Policy { return mkPolicy(opts.SitePolicy) },
+	return deploy(topo.TriConfig(opts.Seed), core.MeshConfig{
+		ProbeInterval: probeInterval,
+		DecideEvery:   decideEvery,
+		NewPolicy:     func(site, peer string) control.Policy { return mkPolicy(PolicyMinDelay) },
 		AuthKey:       opts.AuthKey,
 	})
 }

@@ -60,47 +60,28 @@ const (
 	PolicyStaticDefault
 )
 
-// Options configures a Lab.
+// Options configures a Lab. Every site probes each path every 10 ms,
+// the paper's cadence, and its controller decides once a second; the
+// two servers' clocks are skewed +1.7 s (NY) and -0.9 s (LA), so the
+// deployment measures across unsynchronised clocks.
 type Options struct {
 	// Seed drives every random process; runs with equal seeds are
 	// bit-for-bit reproducible.
 	Seed int64
-	// ProbeInterval is the per-path measurement cadence (0 = the paper's
-	// 10 ms; NewLab refuses a negative value).
-	ProbeInterval time.Duration
-	// DecideEvery is the controller cadence (0 = 1 s; NewLab refuses a
-	// negative value). PolicyStaticDefault, not a cadence, is how to keep
-	// traffic on the BGP default path.
-	DecideEvery time.Duration
 	// PolicyNY / PolicyLA select each site's strategy (NewLab refuses a
 	// value that is none of the Policy constants).
 	PolicyNY, PolicyLA Policy
-	// ClockOffsetNY / ClockOffsetLA skew the two servers' clocks
-	// (defaults: +1.7 s and -0.9 s, deliberately unsynchronised).
-	ClockOffsetNY, ClockOffsetLA time.Duration
 	// AuthKey, when non-empty, enables authenticated telemetry: both
 	// border switches sign Tango datagrams and drop unverified ones.
 	AuthKey []byte
 }
 
-// cadences resolves the probe and decision cadences of an options struct
-// (named opts in the error): 0 takes the default, 10 ms probing and a
-// decision every second, and a negative value is an error.
-func cadences(opts string, probe, decide time.Duration) (time.Duration, time.Duration, error) {
-	if probe < 0 {
-		return 0, 0, fmt.Errorf("tango: %s.ProbeInterval is %v; want a positive cadence, or 0 for 10ms", opts, probe)
-	}
-	if decide < 0 {
-		return 0, 0, fmt.Errorf("tango: %s.DecideEvery is %v; want a positive cadence, or 0 for 1s", opts, decide)
-	}
-	if probe == 0 {
-		probe = 10 * time.Millisecond
-	}
-	if decide == 0 {
-		decide = time.Second
-	}
-	return probe, decide, nil
-}
+// The cadences of every deployment: the paper's 10 ms probing and a
+// controller decision every second.
+const (
+	probeInterval = 10 * time.Millisecond
+	decideEvery   = time.Second
+)
 
 // Lab is the paper's deployment: two cooperating edge servers in Vultr's
 // NY and LA datacenters connected across five transit providers. It is
@@ -117,11 +98,7 @@ type Lab struct {
 // It returns an error for a refused option, an establishment that does
 // not complete, or a direction BGP exposed no path in.
 func NewLab(opts Options) (*Lab, error) {
-	var err error
-	opts.ProbeInterval, opts.DecideEvery, err = cadences("Options", opts.ProbeInterval, opts.DecideEvery)
-	if err == nil {
-		err = checkPolicy("Options.PolicyNY", opts.PolicyNY)
-	}
+	err := checkPolicy("Options.PolicyNY", opts.PolicyNY)
 	if err == nil {
 		err = checkPolicy("Options.PolicyLA", opts.PolicyLA)
 	}
@@ -129,14 +106,10 @@ func NewLab(opts Options) (*Lab, error) {
 		return nil, err
 	}
 	m, err := deploy(
-		topo.VultrConfig(topo.ScenarioConfig{
-			Seed:          opts.Seed,
-			ClockOffsetNY: opts.ClockOffsetNY,
-			ClockOffsetLA: opts.ClockOffsetLA,
-		}),
+		topo.VultrConfig(topo.ScenarioConfig{Seed: opts.Seed}),
 		core.MeshConfig{
-			ProbeInterval: opts.ProbeInterval,
-			DecideEvery:   opts.DecideEvery,
+			ProbeInterval: probeInterval,
+			DecideEvery:   decideEvery,
 			NewPolicy: func(site, peer string) control.Policy {
 				if site == "ny" {
 					return mkPolicy(opts.PolicyNY)

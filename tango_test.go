@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tango/internal/core"
+	"tango/internal/topo"
 )
 
 func newLab(t *testing.T, opts Options) *Lab {
@@ -25,14 +28,9 @@ func newMesh(t *testing.T, opts MeshOptions) *Mesh {
 	return m
 }
 
-// labErr and meshErr return the constructor's error alone.
+// labErr returns NewLab's error alone.
 func labErr(opts Options) error {
 	_, err := NewLab(opts)
-	return err
-}
-
-func meshErr(opts MeshOptions) error {
-	_, err := NewMesh(opts)
 	return err
 }
 
@@ -166,8 +164,8 @@ func TestLabInjectErrors(t *testing.T) {
 // TestLabRefused: a lab whose options were refused is no lab — NewLab
 // returns nil and an error naming the field.
 func TestLabRefused(t *testing.T) {
-	const why = "Options.ProbeInterval"
-	l, err := NewLab(Options{ProbeInterval: -1})
+	const why = "Options.PolicyNY"
+	l, err := NewLab(Options{PolicyNY: Policy(99)})
 	if err == nil || !strings.Contains(err.Error(), why) {
 		t.Errorf("NewLab: %v, want an error naming %s", err, why)
 	}
@@ -206,96 +204,35 @@ func TestLabAuthenticatedTelemetry(t *testing.T) {
 	}
 }
 
-// TestNegativeCadenceIsAnError: a negative probe or decision cadence used
-// to switch probing or the controllers off without a word; the
-// constructor now names the field and the value.
-func TestNegativeCadenceIsAnError(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		err  error
-		want string
-	}{
-		{"lab probe", labErr(Options{Seed: 1, ProbeInterval: -time.Millisecond}), "Options.ProbeInterval is -1ms"},
-		{"lab decide", labErr(Options{Seed: 1, DecideEvery: -time.Second}), "Options.DecideEvery is -1s"},
-		{"mesh probe", meshErr(MeshOptions{Seed: 1, ProbeInterval: -time.Millisecond}), "MeshOptions.ProbeInterval is -1ms"},
-		{"mesh decide", meshErr(MeshOptions{Seed: 1, DecideEvery: -time.Second}), "MeshOptions.DecideEvery is -1s"},
-	} {
-		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
-			t.Errorf("%s: constructor error %v, want one containing %q", c.name, c.err, c.want)
-		}
-	}
-}
-
-// radialOptions is a valid two-site custom mesh for edit to break.
-func radialOptions(edit func(*MeshOptions)) MeshOptions {
-	o := MeshOptions{
-		Seed: 1,
-		Providers: []MeshProvider{
-			{Name: "Zayo", ASN: 6461, Scale: 1},
-			{Name: "Lumen", ASN: 3356, Scale: 1.2},
-		},
-		Sites: []MeshSiteSpec{
-			{Name: "a", Radius: 5 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
-			{Name: "b", Radius: 7 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
-		},
-		Pairs: [][2]string{{"a", "b"}},
-	}
-	edit(&o)
-	return o
-}
-
 // TestMeshProvidersShareNoASN: two providers with one ASN used to build,
 // the discovery labels kept whichever name came last, and BGP loop
-// detection dropped every route through either. NewMesh now names both.
+// detection dropped every route through either. The deployment behind
+// every Mesh now refuses it and names both.
 func TestMeshProvidersShareNoASN(t *testing.T) {
-	err := meshErr(radialOptions(func(o *MeshOptions) { o.Providers[1].ASN = 6461 }))
+	provs := []topo.RadialProvider{
+		{Name: "Zayo", ASN: 6461, Scale: 1},
+		{Name: "Lumen", ASN: 6461, Scale: 1.2},
+	}
+	sites := []topo.RadialSite{
+		{Name: "a", Radius: 5 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
+		{Name: "b", Radius: 7 * time.Millisecond, Providers: []string{"Zayo", "Lumen"}},
+	}
+	m, err := deploy(topo.RadialMeshConfig(1, provs, sites, [][2]string{{"a", "b"}}),
+		core.MeshConfig{ProbeInterval: probeInterval, DecideEvery: decideEvery})
 	want := "topo: providers Zayo and Lumen share AS6461"
-	if err == nil || err.Error() != want {
-		t.Fatalf("NewMesh: %v, want %q", err, want)
+	if err == nil || err.Error() != want || m != nil {
+		t.Fatalf("deploy: %v, want %q", err, want)
 	}
 }
 
-// TestMeshProviderASNFitsSixteenBits: BGP here speaks 16-bit ASNs, and
-// NewMesh used to truncate a provider's: ASN 70000 became AS4464 and the
-// mesh established. NewMesh now names the provider, for 0 too.
-func TestMeshProviderASNFitsSixteenBits(t *testing.T) {
-	for _, c := range []struct {
-		asn  uint32
-		want string
-	}{
-		{70000, "tango: MeshOptions provider Zayo has ASN 70000; want 1-65535"},
-		{0, "tango: MeshOptions provider Zayo has ASN 0; want 1-65535"},
-	} {
-		err := meshErr(radialOptions(func(o *MeshOptions) { o.Providers[0].ASN = c.asn }))
-		if err == nil || err.Error() != c.want {
-			t.Errorf("ASN %d: NewMesh: %v, want %q", c.asn, err, c.want)
-		}
-	}
-}
-
-// TestBadOptionsNameTheField: a negative Radius or Scale used to
-// establish and then panic in the scheduler on the first Run, a NaN
-// Scale left every route invalid, a negative JitterStd was accepted, and
-// a Policy out of range ran MinOWD. The constructor now names the field
-// and the value.
+// TestBadOptionsNameTheField: a Policy out of range used to run MinOWD.
+// The constructor now names the field and the value.
 func TestBadOptionsNameTheField(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		err  error
 		want string
 	}{
-		{"negative radius", meshErr(radialOptions(func(o *MeshOptions) { o.Sites[0].Radius = -time.Millisecond })),
-			"tango: MeshOptions site a has Radius -1ms; want 0 or more"},
-		{"negative scale", meshErr(radialOptions(func(o *MeshOptions) { o.Providers[1].Scale = -1 })),
-			"tango: MeshOptions provider Lumen has Scale -1; want a finite value, 0 or more"},
-		{"NaN scale", meshErr(radialOptions(func(o *MeshOptions) { o.Providers[0].Scale = math.NaN() })),
-			"tango: MeshOptions provider Zayo has Scale NaN; want a finite value, 0 or more"},
-		{"infinite scale", meshErr(radialOptions(func(o *MeshOptions) { o.Providers[0].Scale = math.Inf(1) })),
-			"tango: MeshOptions provider Zayo has Scale +Inf; want a finite value, 0 or more"},
-		{"negative jitter", meshErr(radialOptions(func(o *MeshOptions) { o.Providers[0].JitterStd = -time.Microsecond })),
-			"tango: MeshOptions provider Zayo has JitterStd -1µs; want 0 or more"},
-		{"mesh policy", meshErr(MeshOptions{Seed: 1, SitePolicy: Policy(99)}),
-			"tango: MeshOptions.SitePolicy is Policy(99); want PolicyMinDelay, PolicyMinJitter or PolicyStaticDefault"},
 		{"lab policy NY", labErr(Options{Seed: 1, PolicyNY: Policy(99)}),
 			"tango: Options.PolicyNY is Policy(99); want PolicyMinDelay, PolicyMinJitter or PolicyStaticDefault"},
 		{"lab policy LA", labErr(Options{Seed: 1, PolicyLA: -1}),
@@ -318,28 +255,6 @@ func TestTrunkCapacityIsFinite(t *testing.T) {
 	}
 	if err := m.SetTrunkCapacity("ny", "NTT", 1e9); err != nil {
 		t.Errorf("SetTrunkCapacity(1e9) = %v", err)
-	}
-}
-
-// TestPairWithNoPathIsAnError: a Mesh whose deployed pair BGP exposed no
-// path to used to establish, and Send then failed on undeployed links.
-// Every constructor now refuses it and names the pair.
-func TestPairWithNoPathIsAnError(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		edit func(*MeshOptions)
-		want string
-	}{
-		{"no shared provider", func(o *MeshOptions) {
-			o.Sites[0].Providers = []string{"Zayo"}
-			o.Sites[1].Providers = []string{"Lumen"}
-		}, "core: BGP exposed no path from a to b"},
-		{"site with no provider", func(o *MeshOptions) { o.Sites[1].Providers = nil },
-			"core: BGP exposed no path from a to b"},
-	} {
-		if err := meshErr(radialOptions(c.edit)); err == nil || err.Error() != c.want {
-			t.Errorf("%s: NewMesh: %v, want %q", c.name, err, c.want)
-		}
 	}
 }
 
