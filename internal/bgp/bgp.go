@@ -17,7 +17,6 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 
 	"tango/internal/addr"
@@ -82,15 +81,6 @@ func (p Path) Contains(asn ASN) bool {
 // Clone returns an independent copy.
 func (p Path) Clone() Path { return append(Path(nil), p...) }
 
-// Prepend returns a new path with asn prepended n times.
-func (p Path) Prepend(asn ASN, n int) Path {
-	out := make(Path, 0, len(p)+n)
-	for i := 0; i < n; i++ {
-		out = append(out, asn)
-	}
-	return append(out, p...)
-}
-
 // StripPrivate returns the path with private ASNs removed, as providers do
 // when propagating customer announcements made from a private ASN (paper
 // §4.1 footnote).
@@ -128,9 +118,10 @@ func (p Path) String() string {
 	return b.String()
 }
 
-// Route is one BGP route: a prefix plus its path attributes. Routes are
-// treated as immutable once shared; policies that modify a route must
-// clone it first (see Clone).
+// Route is one BGP route: a prefix plus its path attributes. A route is
+// immutable once built: its Path and Communities are shared with the
+// export sets built from it and with the routes peers learn from those,
+// so nothing may write through them.
 type Route struct {
 	Prefix      addr.Prefix
 	Path        Path
@@ -142,14 +133,6 @@ type Route struct {
 	FromSession *Session // nil for locally originated routes
 }
 
-// Clone returns a deep copy safe to modify.
-func (r *Route) Clone() *Route {
-	c := *r
-	c.Path = r.Path.Clone()
-	c.Communities = append([]Community(nil), r.Communities...)
-	return &c
-}
-
 // HasCommunity reports whether the route carries c.
 func (r *Route) HasCommunity(c Community) bool {
 	for _, x := range r.Communities {
@@ -158,14 +141,6 @@ func (r *Route) HasCommunity(c Community) bool {
 		}
 	}
 	return false
-}
-
-// SortedCommunities returns the communities in ascending order (stable
-// display and comparison).
-func (r *Route) SortedCommunities() []Community {
-	out := append([]Community(nil), r.Communities...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (r *Route) String() string {

@@ -21,10 +21,40 @@ type Attrs struct {
 	Communities []Community
 }
 
-// Update announces and/or withdraws prefixes. Its slices may be shared
-// with the sender's Adj-RIB-Out, so the receiver copies what it keeps.
+// Update announces and/or withdraws prefixes. Its Path and Communities
+// are the sender's shared export set: the receiver keeps them as they
+// are and never writes through them.
 type Update struct {
 	Withdrawn []addr.Prefix
 	Announced []addr.Prefix
 	Attrs     Attrs
+}
+
+// The OPEN and the KEEPALIVE carry nothing, so every session sends the
+// same two values.
+var (
+	openMsg      = &Message{Open: true}
+	keepaliveMsg = &Message{Keepalive: true}
+)
+
+// oneUpdate is the single allocation behind a one-prefix UPDATE: the
+// message, its Update and the array its NLRI slice views.
+type oneUpdate struct {
+	msg  Message
+	upd  Update
+	nlri [1]addr.Prefix
+}
+
+// newUpdate returns an UPDATE for p: an announcement carrying x with
+// the given next hop, or a withdrawal when x is nil.
+func newUpdate(p addr.Prefix, x *exportSet, nextHop netip.Addr) *Message {
+	b := &oneUpdate{nlri: [1]addr.Prefix{p}}
+	if x == nil {
+		b.upd.Withdrawn = b.nlri[:]
+	} else {
+		b.upd.Announced = b.nlri[:]
+		b.upd.Attrs = Attrs{Path: x.path, NextHop: nextHop, Communities: x.comms}
+	}
+	b.msg.Update = &b.upd
+	return &b.msg
 }

@@ -21,12 +21,15 @@ func handover() (eng *sim.Engine, a, b *Speaker, sa, sb *Session) {
 	return eng, a, b, sa, sb
 }
 
-// adjOut returns the route s last exported for p, or nil.
+// adjOut returns what s last exported for p as a route — its export set
+// under the session's next hop — or nil.
 func adjOut(s *Session, p addr.Prefix) *Route {
-	if n := s.speaker.lookup(p); n >= 0 {
-		return s.adj[n].out
+	n := s.speaker.lookup(p)
+	if n < 0 || s.adj.at(n).out == nil {
+		return nil
 	}
-	return nil
+	x := s.adj.at(n).out
+	return &Route{Prefix: p, Path: x.path, NextHop: s.cfg.LocalAddr, Communities: x.comms}
 }
 
 // TestOpenRoundTrip: each side's OPEN reaches the peer one session delay
@@ -113,23 +116,65 @@ func TestUpdateRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestUpdateHandoverDoesNotAlias: an UPDATE carries the sender's
-// Adj-RIB-Out slices, so the receiver must keep copies. Writing through
-// the route the peer learned leaves the sender's export as it was.
-func TestUpdateHandoverDoesNotAlias(t *testing.T) {
-	eng, a, _, sa, sb := handover()
+// TestScrubDoesNotWriteSharedAttributes: an export set shares its
+// communities with the Loc-RIB route it was built from, with the other
+// variants' sets and with every route a peer learns from it, so scrubbing
+// must build a new list, never filter the shared one in place. a exports
+// an action community for some other AS plus a tag over a scrubbing
+// session to b and a plain one to c: c keeps both communities, b keeps
+// only the tag, and a's own route is as originated.
+func TestScrubDoesNotWriteSharedAttributes(t *testing.T) {
+	eng := sim.NewEngine()
+	a := NewSpeaker(eng, "a", 100, 1)
+	b := NewSpeaker(eng, "b", 200, 2)
+	c := NewSpeaker(eng, "c", 300, 3)
+	cA, cB := pairCfg(RelProvider, "2001:db8:10::1", "2001:db8:10::2")
+	cA.ScrubActionCommunities = true
+	Connect(a, b, cA, cB)
+	cA, cC := pairCfg(RelProvider, "2001:db8:11::1", "2001:db8:11::2")
+	Connect(a, c, cA, cC)
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
-	a.OriginateWithPath(pfx, Path{300}, MakeCommunity(300, 7))
+	action, tag := NoExportTo(999), MakeCommunity(100, 7)
+	a.Originate(pfx, action, tag)
 	eng.Run(time.Second)
-	sent := adjOut(sa, pfx)
-	got, _ := sb.AdjIn(pfx)
-	if sent == nil || got == nil {
-		t.Fatalf("exported %v, learned %v", sent, got)
+
+	for _, tc := range []struct {
+		who  string
+		r    *Route
+		want []Community
+	}{
+		{"plain peer c", c.Best(pfx), []Community{action, tag}},
+		{"scrubbing peer b", b.Best(pfx), []Community{tag}},
+		{"sender a", a.Best(pfx), []Community{action, tag}},
+	} {
+		if tc.r == nil {
+			t.Fatalf("%s has no route", tc.who)
+		}
+		if !slices.Equal(tc.r.Communities, tc.want) {
+			t.Errorf("%s: communities %v, want %v", tc.who, tc.r.Communities, tc.want)
+		}
 	}
-	got.Path[0] = 999
-	got.Communities[0] = MakeCommunity(999, 9)
-	if !sent.Path.Equal(Path{100, 300}) || !slices.Equal(sent.Communities, []Community{MakeCommunity(300, 7)}) {
-		t.Fatalf("sender's export changed with the peer's copy: path [%v], communities %v", sent.Path, sent.Communities)
+}
+
+// TestSameExportIgnoresCommunityOrder: two export sets with one path and
+// one community set in another order are the same export, so re-ordering
+// communities costs the peer no UPDATE.
+func TestSameExportIgnoresCommunityOrder(t *testing.T) {
+	x := &exportSet{path: Path{1, 2}, comms: []Community{5, 6}}
+	for _, tc := range []struct {
+		y    *exportSet
+		same bool
+	}{
+		{x, true},
+		{&exportSet{path: Path{1, 2}, comms: []Community{6, 5}}, true},
+		{&exportSet{path: Path{1, 2}, comms: []Community{5, 7}}, false},
+		{&exportSet{path: Path{1, 3}, comms: []Community{5, 6}}, false},
+		{&exportSet{path: Path{1, 2}, comms: []Community{5}}, false},
+		{&exportSet{path: Path{1, 2}, comms: []Community{5, 5}}, false},
+	} {
+		if got := sameExport(x, tc.y); got != tc.same {
+			t.Errorf("sameExport(%v %v, %v %v) = %v", x.path, x.comms, tc.y.path, tc.y.comms, got)
+		}
 	}
 }
 
@@ -155,15 +200,6 @@ func TestPathHelpers(t *testing.T) {
 	if !s.Equal(Path{ASVultr, ASNTT}) {
 		t.Fatalf("StripPrivate = %v", s)
 	}
-	pre := s.Prepend(ASGTT, 2)
-	if !pre.Equal(Path{ASGTT, ASGTT, ASVultr, ASNTT}) {
-		t.Fatalf("Prepend = %v", pre)
-	}
-	// Prepend must not alias the original.
-	pre[2] = 0
-	if s[0] != ASVultr {
-		t.Fatal("Prepend aliased source")
-	}
 	if p.String() != "64512 20473 2914" {
 		t.Fatalf("String = %q", p.String())
 	}
@@ -181,21 +217,10 @@ func TestRouteHelpers(t *testing.T) {
 	r := &Route{
 		Prefix:      addr.MustParsePrefix("2001:db8::/48"),
 		Path:        Path{1, 2},
-		Communities: []Community{MakeCommunity(9, 9)},
+		Communities: []Community{MakeCommunity(9, 9), MakeCommunity(8, 8)},
 	}
-	c := r.Clone()
-	c.Path[0] = 99
-	c.Communities[0] = MakeCommunity(8, 8)
-	c.Communities = append(c.Communities, MakeCommunity(7, 7))
-	if r.Path[0] != 1 || len(r.Communities) != 1 || r.Communities[0] != MakeCommunity(9, 9) {
-		t.Fatal("Clone aliased route")
-	}
-	if !c.HasCommunity(MakeCommunity(8, 8)) || c.HasCommunity(MakeCommunity(9, 9)) {
+	if !r.HasCommunity(MakeCommunity(8, 8)) || r.HasCommunity(MakeCommunity(7, 7)) {
 		t.Fatal("HasCommunity wrong")
-	}
-	sc := c.SortedCommunities()
-	if sc[0] > sc[1] {
-		t.Fatal("SortedCommunities unsorted")
 	}
 	if r.String() == "" || (*Route)(nil).String() == "" {
 		t.Fatal("String empty")

@@ -75,13 +75,19 @@ type Session struct {
 
 	// adj is indexed by the speaker's prefix numbers; nIn counts the
 	// routes learned from the peer.
-	adj []adjEntry
+	adj pages[adjEntry]
 	nIn int
 
+	// variant selects the export set this session advertises (see
+	// exportSet).
+	variant uint8
+
 	// MRAI pacing state: pending lists the numbers queued since the last
-	// flush, each once.
+	// flush, each once; flushFn is flush bound once, so arming the timer
+	// allocates no closure.
 	pending   []int32
 	mraiArmed bool
+	flushFn   func()
 	lastFlush sim.Time
 	neverSent bool
 
@@ -92,9 +98,9 @@ type Session struct {
 
 // adjEntry is a session's state for one numbered prefix.
 type adjEntry struct {
-	in     *Route // Adj-RIB-In: the route learned from the peer
-	out    *Route // Adj-RIB-Out: the route the peer last heard
-	queued bool   // in pending
+	in     *Route     // Adj-RIB-In: the route learned from the peer
+	out    *exportSet // Adj-RIB-Out: the attributes the peer last heard
+	queued bool       // in pending
 }
 
 // PeerAS returns the remote speaker's ASN.
@@ -102,8 +108,8 @@ func (s *Session) PeerAS() ASN { return s.peer.speaker.AS }
 
 // AdjIn returns the route learned from the peer for p, if any.
 func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
-	if n := s.speaker.lookup(p); n >= 0 && s.adj[n].in != nil {
-		return s.adj[n].in, true
+	if n := s.speaker.lookup(p); n >= 0 && s.adj.at(n).in != nil {
+		return s.adj.at(n).in, true
 	}
 	return nil, false
 }
@@ -145,18 +151,22 @@ func Connect(a, b *Speaker, cfgA, cfgB SessionConfig) (*Session, *Session) {
 	sa.peer, sb.peer = sb, sa
 	a.sessions = append(a.sessions, sa)
 	b.sessions = append(b.sessions, sb)
-	sa.sendMsg(&Message{Open: true})
-	sb.sendMsg(&Message{Open: true})
+	sa.sendMsg(openMsg)
+	sb.sendMsg(openMsg)
 	return sa, sb
 }
 
 func newSession(sp *Speaker, cfg SessionConfig) *Session {
-	return &Session{
-		speaker:   sp,
-		cfg:       cfg,
-		adj:       make([]adjEntry, len(sp.rib)),
-		neverSent: true,
+	s := &Session{speaker: sp, cfg: cfg, neverSent: true}
+	if cfg.StripPrivateASNs {
+		s.variant |= stripPrivate
 	}
+	if cfg.ScrubActionCommunities {
+		s.variant |= scrubActions
+	}
+	s.adj.cover(len(sp.num))
+	s.flushFn = s.flush
+	return s
 }
 
 // sendMsg schedules delivery of m to the peer after the session delay.
@@ -176,7 +186,7 @@ func (s *Session) OnSimEvent(arg any) {
 	switch {
 	case m.Open:
 		// The peer's KEEPALIVE confirming our OPEN establishes the session.
-		s.sendMsg(&Message{Keepalive: true})
+		s.sendMsg(keepaliveMsg)
 	case m.Update != nil:
 		s.speaker.handleUpdate(s, m.Update)
 	case m.Keepalive && !s.established:
@@ -189,10 +199,10 @@ func (s *Session) OnSimEvent(arg any) {
 // queue marks prefix number n as needing (re)advertisement to this peer
 // and arms the MRAI flush.
 func (s *Session) queue(n int32) {
-	if !s.established || s.adj[n].queued {
+	if !s.established || s.adj.at(n).queued {
 		return
 	}
-	s.adj[n].queued = true
+	s.adj.at(n).queued = true
 	s.pending = append(s.pending, n)
 	if s.mraiArmed {
 		return
@@ -205,7 +215,7 @@ func (s *Session) queue(n int32) {
 		}
 	}
 	s.mraiArmed = true
-	s.speaker.eng.Schedule(wait, s.flush)
+	s.speaker.eng.Schedule(wait, s.flushFn)
 }
 
 // flush advertises all pending changes, one UPDATE per prefix, in
@@ -216,50 +226,66 @@ func (s *Session) flush() {
 	s.lastFlush = s.speaker.eng.Now()
 	s.neverSent = false
 	rib := s.speaker.rib
-	slices.SortFunc(s.pending, func(a, b int32) int { return rib[a].prefix.Compare(rib[b].prefix) })
+	slices.SortFunc(s.pending, func(a, b int32) int { return rib.at(a).prefix.Compare(rib.at(b).prefix) })
 	for _, n := range s.pending {
-		s.adj[n].queued = false
+		s.adj.at(n).queued = false
 		s.advertise(n)
 	}
 	s.pending = s.pending[:0]
 }
 
-// advertise computes the export route for prefix number n and sends an
-// UPDATE if it differs from what the peer last heard.
+// advertise computes the export for prefix number n and sends an UPDATE
+// if it differs from what the peer last heard.
 func (s *Session) advertise(n int32) {
-	e := &s.speaker.rib[n]
-	export := s.speaker.exportRoute(s, e.best)
-	prev := s.adj[n].out
+	e := s.speaker.rib.at(n)
+	export := s.speaker.exportTo(s, e)
+	slot := s.adj.at(n)
+	prev := slot.out
 	if export == nil {
 		if prev == nil {
 			return
 		}
-		s.adj[n].out = nil
-		s.sendMsg(&Message{Update: &Update{Withdrawn: []addr.Prefix{e.prefix}}})
+		slot.out = nil
+		s.sendMsg(newUpdate(e.prefix, nil, s.cfg.LocalAddr))
 		return
 	}
 	if prev != nil && sameExport(prev, export) {
 		return
 	}
-	s.adj[n].out = export
-	u := &Update{
-		Announced: []addr.Prefix{e.prefix},
-		Attrs: Attrs{
-			Path:        export.Path,
-			NextHop:     export.NextHop,
-			Communities: export.Communities,
-		},
-	}
-	s.sendMsg(&Message{Update: u})
+	slot.out = export
+	s.sendMsg(newUpdate(e.prefix, export, s.cfg.LocalAddr))
 }
 
-// sameExport reports whether two exports carry the same path, next hop
-// and community set. The lists almost always match in order, so only a
-// mismatch pays for sorted copies.
-func sameExport(a, b *Route) bool {
-	if !a.Path.Equal(b.Path) || a.NextHop != b.NextHop || len(a.Communities) != len(b.Communities) {
+// sameExport reports whether two export sets carry the same path and
+// community set; the next hop is the session's own address either way.
+// A best that did not change exports the very same set.
+func sameExport(a, b *exportSet) bool {
+	return a == b || a.path.Equal(b.path) && sameCommunities(a.comms, b.comms)
+}
+
+// sameCommunities reports whether a and b hold the same communities,
+// duplicates counted, in any order. The lists almost always match in
+// order, so only a mismatch pays for counting, and counting allocates
+// nothing.
+func sameCommunities(a, b []Community) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	return slices.Equal(a.Communities, b.Communities) ||
-		slices.Equal(a.SortedCommunities(), b.SortedCommunities())
+	if slices.Equal(a, b) {
+		return true
+	}
+	count := func(cs []Community, c Community) (n int) {
+		for _, x := range cs {
+			if x == c {
+				n++
+			}
+		}
+		return n
+	}
+	for _, c := range a {
+		if count(a, c) != count(b, c) {
+			return false
+		}
+	}
+	return true
 }

@@ -26,7 +26,7 @@ type Speaker struct {
 	// numbering is per speaker, because speakers on different partitions
 	// run on different goroutines.
 	num   map[addr.Prefix]int32
-	rib   []ribEntry
+	rib   pages[ribEntry]
 	nBest int
 
 	// OnBestChange fires whenever the best route for a prefix changes
@@ -36,12 +36,56 @@ type Speaker struct {
 }
 
 // ribEntry is the speaker's state for one numbered prefix: the locally
-// originated route and the Loc-RIB best, each nil when absent.
+// originated route and the Loc-RIB best, each nil when absent, and the
+// export sets built from best so far.
 type ribEntry struct {
 	prefix     addr.Prefix
 	originated *Route
 	best       *Route
+	exports    *exportSet // memo for best: reselect drops it when best changes
 }
+
+// The RIBs grow a page at a time. A new prefix number past the last page
+// adds one page to the Loc-RIB and to each session's Adj-RIBs, so growth
+// never copies an entry, where doubling slices re-copied every session's
+// table as the speaker heard of more prefixes.
+const (
+	pageBits = 6
+	pageSize = 1 << pageBits
+)
+
+// pages is a table indexed by prefix number.
+type pages[T any] []*[pageSize]T
+
+func (p pages[T]) at(n int32) *T { return &p[n>>pageBits][n&(pageSize-1)] }
+
+// cover grows p to hold numbers below n.
+func (p *pages[T]) cover(n int) {
+	for len(*p)*pageSize < n {
+		*p = append(*p, new([pageSize]T))
+	}
+}
+
+// exportSet is what one export variant of a Loc-RIB best carries: the
+// best's path with the speaker's AS prepended (private ASNs stripped
+// first for a stripping session) and its communities (action
+// communities scrubbed for a scrubbing session). It is built once per
+// best and variant, then shared — immutable — by every session
+// exporting that variant, by each UPDATE carrying it and by every route
+// a peer learns from one. The next hop, the only per-session attribute,
+// is the session's own address.
+type exportSet struct {
+	path    Path
+	comms   []Community
+	variant uint8      // stripPrivate | scrubActions
+	next    *exportSet // the entry's other variants
+}
+
+// Export variants (Session.variant bits).
+const (
+	stripPrivate uint8 = 1 << iota
+	scrubActions
+)
 
 // NewSpeaker creates a speaker on the given engine.
 func NewSpeaker(eng *sim.Engine, name string, as ASN, routerID uint32) *Speaker {
@@ -68,11 +112,12 @@ func (sp *Speaker) number(p addr.Prefix) int32 {
 	if n, ok := sp.num[p]; ok {
 		return n
 	}
-	n := int32(len(sp.rib))
+	n := int32(len(sp.num))
 	sp.num[p] = n
-	sp.rib = append(sp.rib, ribEntry{prefix: p})
+	sp.rib.cover(int(n) + 1)
+	sp.rib.at(n).prefix = p
 	for _, s := range sp.sessions {
-		s.adj = append(s.adj, adjEntry{})
+		s.adj.cover(int(n) + 1)
 	}
 	return n
 }
@@ -83,7 +128,7 @@ func (sp *Speaker) Sessions() []*Session { return sp.sessions }
 // Best returns the current best route for p, or nil.
 func (sp *Speaker) Best(p addr.Prefix) *Route {
 	if n := sp.lookup(p); n >= 0 {
-		return sp.rib[n].best
+		return sp.rib.at(n).best
 	}
 	return nil
 }
@@ -91,9 +136,9 @@ func (sp *Speaker) Best(p addr.Prefix) *Route {
 // BestPrefixes returns all prefixes with a best route, sorted.
 func (sp *Speaker) BestPrefixes() []addr.Prefix {
 	out := make([]addr.Prefix, 0, sp.nBest)
-	for i := range sp.rib {
-		if sp.rib[i].best != nil {
-			out = append(out, sp.rib[i].prefix)
+	for n := range int32(len(sp.num)) {
+		if e := sp.rib.at(n); e.best != nil {
+			out = append(out, e.prefix)
 		}
 	}
 	slices.SortFunc(out, addr.Prefix.Compare)
@@ -121,7 +166,7 @@ func (sp *Speaker) OriginateWithPath(p addr.Prefix, poison Path, communities ...
 		Communities: append([]Community(nil), communities...),
 	}
 	n := sp.number(p)
-	sp.rib[n].originated = r
+	sp.rib.at(n).originated = r
 	sp.reselect(n)
 	// Even if the best route (local) is unchanged, the communities or
 	// the seeded path may have changed, which alters per-peer exports.
@@ -131,17 +176,17 @@ func (sp *Speaker) OriginateWithPath(p addr.Prefix, poison Path, communities ...
 // Withdraw removes a locally originated prefix.
 func (sp *Speaker) Withdraw(p addr.Prefix) {
 	n := sp.lookup(p)
-	if n < 0 || sp.rib[n].originated == nil {
+	if n < 0 || sp.rib.at(n).originated == nil {
 		return
 	}
-	sp.rib[n].originated = nil
+	sp.rib.at(n).originated = nil
 	sp.reselect(n)
 }
 
 // Originated returns the locally originated route for p, if any.
 func (sp *Speaker) Originated(p addr.Prefix) (*Route, bool) {
-	if n := sp.lookup(p); n >= 0 && sp.rib[n].originated != nil {
-		return sp.rib[n].originated, true
+	if n := sp.lookup(p); n >= 0 && sp.rib.at(n).originated != nil {
+		return sp.rib.at(n).originated, true
 	}
 	return nil, false
 }
@@ -151,41 +196,42 @@ func (sp *Speaker) Originated(p addr.Prefix) (*Route, bool) {
 // withdrawal targets reproducibly.
 func (sp *Speaker) OriginatedPrefixes() []addr.Prefix {
 	var out []addr.Prefix
-	for i := range sp.rib {
-		if sp.rib[i].originated != nil {
-			out = append(out, sp.rib[i].prefix)
+	for n := range int32(len(sp.num)) {
+		if e := sp.rib.at(n); e.originated != nil {
+			out = append(out, e.prefix)
 		}
 	}
 	slices.SortFunc(out, addr.Prefix.Compare)
 	return out
 }
 
-// handleUpdate applies an UPDATE from a session. The update's Path and
-// Communities are the sender's Adj-RIB-Out slices, so the imported route
-// gets its own copies.
+// handleUpdate applies an UPDATE from a session. A learned route aliases
+// the UPDATE's Path and Communities: they are the sender's shared,
+// immutable export set.
 func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 	for _, p := range u.Withdrawn {
 		sp.dropIn(s, sp.lookup(p))
 	}
 	for _, p := range u.Announced {
-		r := &Route{
-			Prefix:      p,
-			Path:        u.Attrs.Path.Clone(),
-			NextHop:     u.Attrs.NextHop,
-			Communities: append([]Community(nil), u.Attrs.Communities...),
-			FromSession: s,
-		}
-		imported := sp.importRoute(s, r)
-		if imported == nil {
-			// An implicit withdrawal if we previously accepted one.
+		// Loop prevention; a rejected route is an implicit withdrawal of
+		// any route accepted before.
+		if u.Attrs.Path.Contains(sp.AS) && !s.cfg.AllowOwnAS {
 			sp.dropIn(s, sp.lookup(p))
 			continue
 		}
 		n := sp.number(p)
-		if s.adj[n].in == nil {
+		slot := s.adj.at(n)
+		if slot.in == nil {
 			s.nIn++
 		}
-		s.adj[n].in = imported
+		slot.in = &Route{
+			Prefix:      p,
+			Path:        u.Attrs.Path,
+			NextHop:     u.Attrs.NextHop,
+			LocalPref:   DefaultLocalPref(s.cfg.Relation),
+			Communities: u.Attrs.Communities,
+			FromSession: s,
+		}
 		sp.reselect(n)
 	}
 }
@@ -193,22 +239,12 @@ func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 // dropIn forgets the route learned on s for prefix number n, if any; n
 // is -1 for a prefix the speaker has never heard of.
 func (sp *Speaker) dropIn(s *Session, n int32) {
-	if n < 0 || s.adj[n].in == nil {
+	if n < 0 || s.adj.at(n).in == nil {
 		return
 	}
-	s.adj[n].in = nil
+	s.adj.at(n).in = nil
 	s.nIn--
 	sp.reselect(n)
-}
-
-// importRoute runs the import pipeline; nil rejects.
-func (sp *Speaker) importRoute(s *Session, r *Route) *Route {
-	// Loop prevention.
-	if r.Path.Contains(sp.AS) && !s.cfg.AllowOwnAS {
-		return nil
-	}
-	r.LocalPref = DefaultLocalPref(s.cfg.Relation)
-	return r
 }
 
 // DefaultLocalPref is the Gao-Rexford import preference: customer routes
@@ -235,10 +271,10 @@ func DefaultLocalPref(rel Relation) uint32 {
 // strictly better to displace an earlier one, so the first of several
 // fully tied routes wins.
 func (sp *Speaker) reselect(n int32) {
-	e := &sp.rib[n]
+	e := sp.rib.at(n)
 	best := e.originated
 	for _, s := range sp.sessions {
-		if r := s.adj[n].in; r != nil && (best == nil || better(r, best)) {
+		if r := s.adj.at(n).in; r != nil && (best == nil || better(r, best)) {
 			best = r
 		}
 	}
@@ -252,6 +288,7 @@ func (sp *Speaker) reselect(n int32) {
 		sp.nBest--
 	}
 	e.best = best
+	e.exports = nil
 	if sp.OnBestChange != nil {
 		sp.OnBestChange(e.prefix, best, old)
 	}
@@ -267,9 +304,9 @@ func (sp *Speaker) scheduleExportAll(n int32) {
 // scheduleFullExport queues every Loc-RIB prefix on a newly established
 // session (initial table exchange).
 func (sp *Speaker) scheduleFullExport(s *Session) {
-	for n := range sp.rib {
-		if sp.rib[n].best != nil {
-			s.queue(int32(n))
+	for n := range int32(len(sp.num)) {
+		if sp.rib.at(n).best != nil {
+			s.queue(n)
 		}
 	}
 }
@@ -298,9 +335,10 @@ func routerIDOf(r *Route) uint32 {
 	return r.FromSession.peer.speaker.RouterID
 }
 
-// exportRoute runs the export pipeline for best toward session s,
-// returning the route to advertise or nil to suppress/withdraw.
-func (sp *Speaker) exportRoute(s *Session, best *Route) *Route {
+// exportTo runs the export pipeline for e's best toward session s,
+// returning the attributes to advertise or nil to suppress/withdraw.
+func (sp *Speaker) exportTo(s *Session, e *ribEntry) *exportSet {
+	best := e.best
 	if best == nil {
 		return nil
 	}
@@ -319,23 +357,38 @@ func (sp *Speaker) exportRoute(s *Session, best *Route) *Route {
 	if best.HasCommunity(NoExportTo(s.PeerAS())) {
 		return nil
 	}
-	out := best.Clone()
-	if s.cfg.StripPrivateASNs {
-		out.Path = out.Path.StripPrivate()
+	for x := e.exports; x != nil; x = x.next {
+		if x.variant == s.variant {
+			return x
+		}
 	}
-	out.Path = out.Path.Prepend(sp.AS, 1)
-	out.NextHop = s.cfg.LocalAddr
-	out.LocalPref = 0 // not carried on eBGP
-	if s.cfg.ScrubActionCommunities {
-		out.Communities = scrubActions(out.Communities)
+	path := make(Path, 1, 1+len(best.Path))
+	path[0] = sp.AS
+	for _, a := range best.Path {
+		if s.variant&stripPrivate == 0 || !a.IsPrivate() {
+			path = append(path, a)
+		}
 	}
-	return out
+	comms := best.Communities
+	if s.variant&scrubActions != 0 {
+		comms = scrubbed(comms)
+	}
+	x := &exportSet{path: path, comms: comms, variant: s.variant, next: e.exports}
+	e.exports = x
+	return x
 }
 
-func scrubActions(cs []Community) []Community {
-	out := cs[:0]
+// scrubbed returns cs without this namespace's action communities. cs is
+// shared, so it is never filtered in place: a list with nothing to scrub
+// comes back as it is, any other as a new list.
+func scrubbed(cs []Community) []Community {
+	isAction := func(c Community) bool { return c.ASN() == ActionNoExportTo }
+	if !slices.ContainsFunc(cs, isAction) {
+		return cs
+	}
+	var out []Community
 	for _, c := range cs {
-		if c.ASN() != ActionNoExportTo {
+		if !isAction(c) {
 			out = append(out, c)
 		}
 	}

@@ -510,3 +510,59 @@ func TestStringers(t *testing.T) {
 		t.Fatal("Engine accessor")
 	}
 }
+
+// TestExportAllocatesNothingWhenUnchanged: a speaker with 8 established
+// customer sessions re-advertises a prefix. A flush whose exports did not
+// change allocates nothing; a best change allocates one export set (the
+// set and its path) and one UPDATE per session, and no per-session copy
+// of the route. The customers' ASNs are in the originated path, so they
+// reject what they hear and the run counts the sender alone.
+func TestExportAllocatesNothingWhenUnchanged(t *testing.T) {
+	eng := sim.NewEngine()
+	x := NewSpeaker(eng, "x", 100, 1)
+	var poison Path
+	for i := range 8 {
+		c := NewSpeaker(eng, fmt.Sprintf("c%d", i), ASN(201+i), uint32(2+i))
+		cX, cC := pairCfg(RelCustomer, fmt.Sprintf("2001:db8:%x::1", 0x10+i), fmt.Sprintf("2001:db8:%x::2", 0x10+i))
+		Connect(x, c, cX, cC)
+		poison = append(poison, c.AS)
+	}
+	pfx := addr.MustParsePrefix("2001:db8:1::/48")
+	var routes [2]*Route
+	for i := range routes {
+		x.OriginateWithPath(pfx, poison, MakeCommunity(100, uint16(i)))
+		routes[i], _ = x.Originated(pfx)
+	}
+	eng.Run(time.Second)
+	n := x.lookup(pfx)
+	updates := func() (sum uint64) {
+		for _, s := range x.sessions {
+			sum += s.Stats.UpdatesSent
+		}
+		return sum
+	}
+
+	before := updates()
+	unchanged := testing.AllocsPerRun(100, func() {
+		x.scheduleExportAll(n)
+		eng.Run(eng.Now() + time.Second)
+	})
+	if unchanged != 0 || updates() != before {
+		t.Errorf("a flush with nothing new allocated %v times and sent %d UPDATEs, want 0 and 0", unchanged, updates()-before)
+	}
+
+	i := 1 // routes[1] is best now
+	before = updates()
+	changed := testing.AllocsPerRun(100, func() {
+		i++
+		x.rib.at(n).originated = routes[i%2]
+		x.reselect(n)
+		eng.Run(eng.Now() + time.Second)
+	})
+	if sent := updates() - before; sent != 8*101 {
+		t.Fatalf("101 best changes sent %d UPDATEs, want %d", sent, 8*101)
+	}
+	if want := 2.0 + 8; changed != want {
+		t.Errorf("a best change allocated %v times, want %v (one export set and its path, 8 UPDATEs)", changed, want)
+	}
+}

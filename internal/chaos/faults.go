@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/bgp"
 	"tango/internal/sim"
 	"tango/internal/simnet"
 )
@@ -206,12 +205,10 @@ func (f Withdrawal) Apply(e *Engine) (func(), error) {
 	if !ok {
 		return nil, fmt.Errorf("%s does not originate %s", f.Speaker, f.Prefix)
 	}
-	// The originated route is about to be deleted; keep what the
+	// A route is immutable, so the withdrawn one still holds what the
 	// re-announcement needs.
-	path := r.Path.Clone()
-	comms := append([]bgp.Community(nil), r.Communities...)
 	sp.Withdraw(f.Prefix)
-	return func() { sp.OriginateWithPath(f.Prefix, path, comms...) }, nil
+	return func() { sp.OriginateWithPath(f.Prefix, r.Path, r.Communities...) }, nil
 }
 
 // StormConfig shapes a seeded-random fault timeline.

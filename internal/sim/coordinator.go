@@ -222,6 +222,11 @@ func (c *Coordinator) runEpochCoupled(end Time) {
 		c.parts[0].Run(end)
 		return
 	}
+	// Every clock is at c.now here. Events cluster on a few instants (BGP
+	// session delays and MRAI timers share values), so the clocks move
+	// only when the instant does; NextAt peeks only at partitions whose
+	// queue changed since it last answered.
+	now := c.now
 	for {
 		best := -1
 		at := Forever
@@ -233,10 +238,15 @@ func (c *Coordinator) runEpochCoupled(end Time) {
 		if best < 0 || at > end {
 			break
 		}
-		for _, e := range c.parts {
-			e.advanceTo(at)
+		if at > now {
+			for _, e := range c.parts {
+				e.advanceTo(at)
+			}
+			now = at
 		}
-		c.parts[best].Step()
+		if !c.parts[best].Step() {
+			panic(fmt.Sprintf("sim: coupled interleave picked partition %d, which has no event", best))
+		}
 	}
 	for _, e := range c.parts {
 		e.advanceTo(end)

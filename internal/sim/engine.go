@@ -84,6 +84,13 @@ type Engine struct {
 	running bool
 	free    *Event // freelist to avoid per-event allocation in long runs
 
+	// next and hasNext cache NextAt's answer while nextOK; push, fire and
+	// Cancel clear nextOK, so the coupled interleave re-peeks only
+	// partitions whose queue changed.
+	next    Time
+	hasNext bool
+	nextOK  bool
+
 	// coord/part are set when the engine is one partition of a sharded
 	// simulation (see coordinator.go); standalone engines leave them zero.
 	coord *Coordinator
@@ -201,6 +208,7 @@ func (e *Engine) push(t Time) *Event {
 	e.seq++
 	e.w.place(e, ev)
 	e.nlive++
+	e.nextOK = false
 	return ev
 }
 
@@ -220,6 +228,7 @@ func (e *Engine) Cancel(ev *Event) {
 	ev.fn, ev.handler, ev.arg = nil, nil, nil
 	e.nlive--
 	e.Stats.Cancelled++
+	e.nextOK = false
 	if ev.state == stateBucketed {
 		e.w.unlink(ev)
 		e.release(ev)
@@ -269,6 +278,7 @@ func (e *Engine) fire(ev *Event) {
 	e.w.popDue()
 	ev.state = stateDone
 	e.nlive--
+	e.nextOK = false
 	e.now = ev.at
 	fn, h, arg := ev.fn, ev.handler, ev.arg
 	ev.fn, ev.handler, ev.arg = nil, nil, nil
@@ -313,13 +323,22 @@ func (e *Engine) RunAll() (fired int) { return e.Run(Forever) }
 func (e *Engine) Pending() int { return e.nlive }
 
 // NextAt returns the virtual time of the earliest pending event, or
-// (Forever, false) if the queue is empty.
+// (Forever, false) if the queue is empty. It peeks only when the queue
+// changed since the last call.
 func (e *Engine) NextAt() (Time, bool) {
-	ev := e.peek()
-	if ev == nil {
-		return Forever, false
+	if !e.nextOK {
+		e.repeek()
 	}
-	return ev.at, true
+	return e.next, e.hasNext
+}
+
+// repeek refreshes NextAt's cache. It stays out of NextAt so that NextAt
+// inlines into the coupled interleave's per-event scan.
+func (e *Engine) repeek() {
+	e.next, e.hasNext, e.nextOK = Forever, false, true
+	if ev := e.peek(); ev != nil {
+		e.next, e.hasNext = ev.at, true
+	}
 }
 
 func (e *Engine) alloc() *Event {

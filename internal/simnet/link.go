@@ -207,6 +207,12 @@ type Port struct {
 	out *Line
 	in  *Line
 	idx int // port index on the node, for naming
+
+	// route is the FIB entry of every route via this port alone, shared
+	// by all of them, so installing one allocates only trie nodes; its
+	// port list views self.
+	route RouteEntry
+	self  [1]*Port
 }
 
 // Node returns the owning node.

@@ -137,8 +137,7 @@ func (w *Network) Connect(a, b *Node, ab, ba DelayModel) *Link {
 	}
 	name := fmt.Sprintf("%s<->%s", a.name, b.name)
 	l := &Link{name: name}
-	pa := &Port{node: a, idx: len(a.ports)}
-	pb := &Port{node: b, idx: len(b.ports)}
+	pa, pb := newPort(a), newPort(b)
 	l.a, l.b = pa, pb
 	l.ab = newLine(pa, pb, ab, w.Streams.Stream(name+"/ab"))
 	l.ba = newLine(pb, pa, ba, w.Streams.Stream(name+"/ba"))
@@ -154,6 +153,13 @@ func (w *Network) Connect(a, b *Node, ab, ba DelayModel) *Link {
 	b.ports = append(b.ports, pb)
 	w.links = append(w.links, l)
 	return l
+}
+
+func newPort(n *Node) *Port {
+	p := &Port{node: n, idx: len(n.ports)}
+	p.self[0] = p
+	p.route.Ports = p.self[:]
+	return p
 }
 
 func newLine(from, to *Port, dm DelayModel, rng *sim.RNG) *Line {

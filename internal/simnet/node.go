@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"tango/internal/addr"
@@ -106,6 +107,8 @@ func (n *Node) AddAddr(ip netip.Addr) {
 func (n *Node) OwnsAddr(ip netip.Addr) bool { return n.owned[ip] }
 
 // SetRoute installs (or replaces) a FIB route for p via the given ports.
+// A route via one port shares that port's entry; an ECMP route gets its
+// own copy of the port list.
 func (n *Node) SetRoute(p addr.Prefix, ports ...*Port) {
 	if len(ports) == 0 {
 		panic("simnet: SetRoute with no ports")
@@ -115,7 +118,11 @@ func (n *Node) SetRoute(p addr.Prefix, ports ...*Port) {
 			panic(fmt.Sprintf("simnet: route on %s via foreign port %s", n.name, pt.Name()))
 		}
 	}
-	n.fib.Insert(p, &RouteEntry{Ports: ports})
+	ent := &ports[0].route
+	if len(ports) > 1 {
+		ent = &RouteEntry{Ports: slices.Clone(ports)}
+	}
+	n.fib.Insert(p, ent)
 	clear(n.fibCache)
 }
 
