@@ -65,7 +65,9 @@ type Discoverer struct {
 	// typically exposing fewer paths than the community-based loop.
 	UsePoisoning bool
 
-	// OnRound, when set, fires after each observation round.
+	// OnRound, when set, fires after each observation round; the round
+	// that ends the loop, whatever ended it, passes nil, once, before
+	// done runs.
 	OnRound func(round int, found *DiscoveredPath)
 }
 
@@ -130,16 +132,15 @@ func (d *Discoverer) Run(done func([]DiscoveredPath)) {
 	round = func() {
 		n := len(found)
 		best := d.Observer.Best(d.Probe)
-		if best == nil || n >= maxRounds {
+		var prov bgp.ASN
+		ok := best != nil && n < maxRounds
+		if ok {
+			prov, ok = AdjacentProvider(best.Path, d.POPAS)
+		}
+		if !ok { // unreachable, out of rounds, or no provider hop into the POP
 			if d.OnRound != nil {
 				d.OnRound(n, nil)
 			}
-			d.Announcer.Withdraw(d.Probe)
-			done(found)
-			return
-		}
-		prov, ok := AdjacentProvider(best.Path, d.POPAS)
-		if !ok {
 			d.Announcer.Withdraw(d.Probe)
 			done(found)
 			return

@@ -1,6 +1,8 @@
 package control
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,6 +42,43 @@ func TestAdjacentProvider(t *testing.T) {
 		if got != c.want || ok != c.ok {
 			t.Fatalf("AdjacentProvider(%v) = %d,%v want %d,%v", c.path, got, ok, c.want, c.ok)
 		}
+	}
+}
+
+// TestDiscoveryJournalsNoProviderExit: when the observed path has no
+// provider hop into the POP (here the observer hears the probe straight
+// from the POP), the loop ends like any other ending: one OnRound(n, nil)
+// and then done, with nothing found.
+func TestDiscoveryJournalsNoProviderExit(t *testing.T) {
+	b := topo.NewBuilder(1, topo.Partition{})
+	pop := b.AddAS("pop", 64500, 1, 0)
+	obs := b.AddAS("obs", 64501, 2, 0)
+	b.Wire(obs, pop, topo.WireOpts{RelAB: bgp.RelPeer})
+	b.Eng().Run(time.Minute)
+
+	var rounds []string
+	d := &Discoverer{
+		Announcer: pop.Speaker,
+		Observer:  obs.Speaker,
+		Probe:     addr.MustParsePrefix("2001:db8:100::/48"),
+		POPAS:     pop.ASN,
+		RoundWait: time.Minute,
+		OnRound: func(n int, f *DiscoveredPath) {
+			rounds = append(rounds, fmt.Sprintf("%d %v", n, f))
+		},
+	}
+	var found []DiscoveredPath
+	done := false
+	d.Run(func(paths []DiscoveredPath) {
+		found, done = paths, true
+		rounds = append(rounds, "done")
+	})
+	b.Eng().Run(b.Eng().Now() + 10*time.Minute)
+	if !done || len(found) != 0 {
+		t.Fatalf("done = %v, found %v; want done with nothing found", done, found)
+	}
+	if want := []string{"0 <nil>", "done"}; !slices.Equal(rounds, want) {
+		t.Fatalf("rounds %q, want %q", rounds, want)
 	}
 }
 

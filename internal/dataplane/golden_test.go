@@ -1,6 +1,7 @@
 package dataplane_test
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"net/netip"
@@ -65,6 +66,72 @@ func TestGoldenFrames(t *testing.T) {
 				t.Errorf("frame differs from the pinned bytes\n got %s\nwant %s", got, g.hex)
 			}
 		})
+	}
+}
+
+// TestTunnelFramesShareOneFlowHash holds the sender program to the job
+// the paper (§3) gives the outer UDP header: every frame one tunnel sends
+// — probe, host data, report-carrying, relay-tagged — carries the same
+// outer 5-tuple, so any ECMP stage inside a provider hashes the whole
+// tunnel onto one path; and two tunnels hash apart.
+func TestTunnelFramesShareOneFlowHash(t *testing.T) {
+	w, n, e := fuzzEdge(nil, fuzzLocal, fuzzRemote)
+	sw := e.Switch
+	sw.AddPeerPrefix(addr.MustParsePrefix("2001:db8:bb::/48"))
+	sw.AddRelayPrefix(addr.MustParsePrefix("2001:db8:cc::/48"), 2)
+	w.Run(20 * time.Millisecond) // the prober's frames on every tunnel
+	probes := len(n.sent)
+	host := netip.MustParseAddr("2001:db8:aa::1")
+	for _, tun := range sw.Tunnels() {
+		sw.SetSelector(func([]byte) *dataplane.Tunnel { return tun })
+		sw.QueueReport(packet.OWDReport{PathID: tun.PathID, SampleCount: 1, MeanOWDNano: 1})
+		sw.HandleHostTraffic(innerUDP(host, netip.MustParseAddr("2001:db8:bb::1"))) // carries the report
+		sw.HandleHostTraffic(innerUDP(host, netip.MustParseAddr("2001:db8:bb::2")))
+		sw.HandleHostTraffic(innerUDP(host, netip.MustParseAddr("2001:db8:cc::1")))
+	}
+
+	type tuple struct {
+		src, dst         [16]byte
+		sport, dport, nh uint16
+	}
+	tuples := map[uint8]tuple{}
+	hashes := map[uint8]uint32{}
+	kinds := map[uint8]map[string]bool{}
+	for i, f := range n.sent {
+		_, payload, ok := packet.UDP6(f)
+		var th packet.Tango
+		if !ok || th.DecodeFromBytes(payload) != nil {
+			t.Fatalf("frame %d is not IPv6/UDP/Tango: %x", i, f)
+		}
+		kind := "data"
+		switch {
+		case i < probes:
+			kind = "probe"
+		case th.Flags&packet.TangoFlagReport != 0:
+			kind = "report"
+		case th.ExtFlags&packet.TangoExtRelay != 0:
+			kind = "relay"
+		}
+		got := tuple{packet.Src6(f), [16]byte(f[24:40]), binary.BigEndian.Uint16(f[40:42]), binary.BigEndian.Uint16(f[42:44]), uint16(f[6])}
+		if kinds[th.PathID] == nil {
+			kinds[th.PathID] = map[string]bool{}
+			tuples[th.PathID], hashes[th.PathID] = got, packet.FlowHash(f)
+		}
+		kinds[th.PathID][kind] = true
+		if got != tuples[th.PathID] || packet.FlowHash(f) != hashes[th.PathID] {
+			t.Errorf("path %d %s frame %d: 5-tuple %+v hash %#x, the tunnel's first frame had %+v hash %#x",
+				th.PathID, kind, i, got, packet.FlowHash(f), tuples[th.PathID], hashes[th.PathID])
+		}
+	}
+	if len(hashes) != 2 || hashes[1] == hashes[2] {
+		t.Fatalf("tunnel hashes %v: want two tunnels that hash apart", hashes)
+	}
+	for id, k := range kinds {
+		for _, want := range []string{"probe", "data", "report", "relay"} {
+			if !k[want] {
+				t.Errorf("path %d sent no %s frame (saw %v)", id, want, k)
+			}
+		}
 	}
 }
 

@@ -39,24 +39,10 @@ func Dst(data []byte) (dst netip.Addr, hopLimit uint8, ok bool) {
 	return netip.Addr{}, 0, false
 }
 
-// DecHopLimit ages a packet Dst accepted by one hop, in place.
-func DecHopLimit(data []byte) {
-	if data[0]>>4 == 6 {
-		data[7]--
-		return
-	}
-	decTTL4(data)
-}
-
-// decTTL4 also rewrites the IPv4 header checksum, as a router does, so
-// receivers that verify it keep working.
-func decTTL4(data []byte) {
-	data[8]--
-	if ihl := int(data[0]&0x0f) * 4; ihl <= len(data) {
-		data[10], data[11] = 0, 0
-		binary.BigEndian.PutUint16(data[10:12], checksum(data[:ihl], 0))
-	}
-}
+// DecHopLimit ages an IPv6 packet Dst accepted by one hop, in place.
+// Simulated routers forward IPv6 only: IPv4 crosses the simulated
+// internet inside Tango tunnels, never as transit.
+func DecHopLimit(data []byte) { data[7]-- }
 
 // FlowHash hashes a packet's flow identity — source and destination
 // address plus the first four transport bytes, i.e. the ports — with

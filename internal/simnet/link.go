@@ -62,11 +62,9 @@ func (l *Line) Instrument(name string, drop *obs.Counter, j *obs.Journal) {
 	l.journal = j
 }
 
-// recordDrop accounts one admission drop to the instruments.
+// recordDrop accounts one admission drop to the instruments (both are
+// no-ops on an uninstrumented line).
 func (l *Line) recordDrop(size int) {
-	if l.obsDrop == nil && l.journal == nil {
-		return
-	}
 	l.obsDrop.Inc()
 	l.journal.Record(l.from.node.eng.Now(), obs.KindQueueDrop, 0, 0, int64(size), l.obsName)
 }
@@ -207,12 +205,6 @@ type Port struct {
 	out *Line
 	in  *Line
 	idx int // port index on the node, for naming
-
-	// route is the FIB entry of every route via this port alone, shared
-	// by all of them, so installing one allocates only trie nodes; its
-	// port list views self.
-	route RouteEntry
-	self  [1]*Port
 }
 
 // Node returns the owning node.

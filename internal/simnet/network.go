@@ -155,12 +155,7 @@ func (w *Network) Connect(a, b *Node, ab, ba DelayModel) *Link {
 	return l
 }
 
-func newPort(n *Node) *Port {
-	p := &Port{node: n, idx: len(n.ports)}
-	p.self[0] = p
-	p.route.Ports = p.self[:]
-	return p
-}
+func newPort(n *Node) *Port { return &Port{node: n, idx: len(n.ports)} }
 
 func newLine(from, to *Port, dm DelayModel, rng *sim.RNG) *Line {
 	if dm == nil {

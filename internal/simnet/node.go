@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"time"
 
 	"tango/internal/addr"
@@ -46,27 +45,20 @@ type Node struct {
 	pool  *packet.BufPool // the partition's buffer pool
 	clock *sim.Clock
 
-	fib   addr.Trie[*RouteEntry]
+	fib   addr.Trie[*Port]
 	owned map[netip.Addr]bool
-	// fibCache memoizes full-address route decisions (localRoute = owned,
+	// fibCache memoizes full-address route decisions (localPort = owned,
 	// nil = cached miss); any FIB mutation flushes it, and AddAddr drops
 	// the claimed address. Real routers keep the same structure as a
 	// host/route cache in front of the LPM table, and the simulated
 	// traffic concentrates on a handful of destinations, so this turns
 	// the per-packet owned check and bit-by-bit trie walk into one map
 	// probe.
-	fibCache map[netip.Addr]*RouteEntry
+	fibCache map[netip.Addr]*Port
 	ports    []*Port
 	handler  Handler
 
 	Stats NodeStats
-}
-
-// RouteEntry is a FIB entry: one or more equal-cost output ports. With
-// several ports the node hashes the packet's flow (ECMP) to pick one —
-// the behaviour Tango's fixed outer UDP tuple is designed to pin down.
-type RouteEntry struct {
-	Ports []*Port
 }
 
 // Name returns the node's name.
@@ -103,26 +95,18 @@ func (n *Node) AddAddr(ip netip.Addr) {
 	delete(n.fibCache, ip)
 }
 
-// OwnsAddr reports whether ip is local to this node.
-func (n *Node) OwnsAddr(ip netip.Addr) bool { return n.owned[ip] }
-
-// SetRoute installs (or replaces) a FIB route for p via the given ports.
-// A route via one port shares that port's entry; an ECMP route gets its
-// own copy of the port list.
-func (n *Node) SetRoute(p addr.Prefix, ports ...*Port) {
-	if len(ports) == 0 {
-		panic("simnet: SetRoute with no ports")
+// SetRoute installs (or replaces) the FIB route for p via port. A FIB
+// entry is one port: BGP installs one best route, and simulated routers
+// forward IPv6 only (IPv4 rides inside Tango tunnels), so p must be an
+// IPv6 prefix.
+func (n *Node) SetRoute(p addr.Prefix, port *Port) {
+	if port.node != n {
+		panic(fmt.Sprintf("simnet: route on %s via foreign port %s", n.name, port.Name()))
 	}
-	for _, pt := range ports {
-		if pt.node != n {
-			panic(fmt.Sprintf("simnet: route on %s via foreign port %s", n.name, pt.Name()))
-		}
+	if !p.Addr().Is6() {
+		panic(fmt.Sprintf("simnet: route on %s for non-IPv6 prefix %v", n.name, p))
 	}
-	ent := &ports[0].route
-	if len(ports) > 1 {
-		ent = &RouteEntry{Ports: slices.Clone(ports)}
-	}
-	n.fib.Insert(p, ent)
+	n.fib.Insert(p, port)
 	clear(n.fibCache)
 }
 
@@ -132,37 +116,37 @@ func (n *Node) DelRoute(p addr.Prefix) bool {
 	return n.fib.Delete(p)
 }
 
-// lookupCached resolves dst through the route cache: localRoute for an
-// owned address, else the LPM trie's entry (nil for none). It memoizes
+// lookupCached resolves dst through the route cache: localPort for an
+// owned address, else the LPM trie's port (nil for none). It memoizes
 // the result, misses included.
-func (n *Node) lookupCached(dst netip.Addr) *RouteEntry {
-	if ent, ok := n.fibCache[dst]; ok {
-		return ent
+func (n *Node) lookupCached(dst netip.Addr) *Port {
+	if port, ok := n.fibCache[dst]; ok {
+		return port
 	}
-	var ent *RouteEntry
+	var port *Port
 	if n.owned[dst] {
-		ent = localRoute
-	} else if e, _, found := n.fib.Lookup(dst); found {
-		ent = e
+		port = localPort
+	} else if p, _, found := n.fib.Lookup(dst); found {
+		port = p
 	}
 	if n.fibCache == nil {
-		n.fibCache = make(map[netip.Addr]*RouteEntry)
+		n.fibCache = make(map[netip.Addr]*Port)
 	} else if len(n.fibCache) >= maxFIBCacheEntries {
 		clear(n.fibCache) // bound memory under adversarial dst churn
 	}
-	n.fibCache[dst] = ent
-	return ent
+	n.fibCache[dst] = port
+	return port
 }
 
-// localRoute is the route cache's entry for an owned address.
-var localRoute = &RouteEntry{}
+// localPort is the route cache's entry for an owned address.
+var localPort = &Port{}
 
 // maxFIBCacheEntries bounds the route cache; simulated traffic uses a
 // handful of destinations, so the bound only matters for scans.
 const maxFIBCacheEntries = 4096
 
-// LookupRoute returns the FIB entry matching ip.
-func (n *Node) LookupRoute(ip netip.Addr) (*RouteEntry, addr.Prefix, bool) {
+// LookupRoute returns the output port of the FIB route matching ip.
+func (n *Node) LookupRoute(ip netip.Addr) (*Port, addr.Prefix, bool) {
 	return n.fib.Lookup(ip)
 }
 
@@ -195,10 +179,12 @@ func (n *Node) deliverFromLink(from *Port, pb *packet.Buf) {
 }
 
 // route implements the forwarding pipeline: parse destination, one
-// route-cache probe, then local delivery, TTL, no-route, ECMP port
-// choice, transmit. It owns pb: every non-transmit exit releases the
-// buffer (local delivery hands the handler a borrowed view first), and
-// transmit passes ownership onward.
+// route-cache probe, then local delivery, no-route, hop limit, transmit.
+// An unroutable packet is dropped before it is aged, so only a packet
+// with an IPv6 route — the only kind SetRoute installs — is ever aged.
+// It owns pb: every non-transmit exit releases the buffer (local
+// delivery hands the handler a borrowed view first), and transmit passes
+// ownership onward.
 func (n *Node) route(from *Port, pb *packet.Buf) {
 	data := pb.Bytes()
 	dst, hop, ok := packet.Dst(data)
@@ -207,33 +193,25 @@ func (n *Node) route(from *Port, pb *packet.Buf) {
 		pb.Release()
 		return
 	}
-	ent := n.lookupCached(dst)
-	if ent == localRoute {
+	port := n.lookupCached(dst)
+	switch {
+	case port == localPort:
 		n.Stats.Delivered++
 		if n.handler != nil {
 			n.handler(data)
 		}
-		pb.Release()
-		return
-	}
-	if from != nil { // transit: decrement hop limit
-		if hop <= 1 {
-			n.Stats.TTLExpired++
-			pb.Release()
-			return
-		}
-		packet.DecHopLimit(data)
-	}
-	if ent == nil {
+	case port == nil:
 		n.Stats.NoRoute++
-		pb.Release()
+	case from != nil && hop <= 1:
+		n.Stats.TTLExpired++
+	default:
+		if from != nil { // transit: age the packet
+			packet.DecHopLimit(data)
+		}
+		port.transmit(pb)
 		return
 	}
-	port := ent.Ports[0]
-	if len(ent.Ports) > 1 {
-		port = ent.Ports[packet.FlowHash(data)%uint32(len(ent.Ports))]
-	}
-	port.transmit(pb)
+	pb.Release()
 }
 
 // Schedule is a convenience for scheduling node-scoped work.

@@ -28,23 +28,23 @@ func TestFIBFollowsBGP(t *testing.T) {
 
 	dst.Speaker.Originate(pfx, bgp.NoExportTo(12)) // only via p1
 	b.Eng().Run(b.Eng().Now() + time.Minute)
-	ent, _, ok := col.Node.LookupRoute(probe)
+	port, _, ok := col.Node.LookupRoute(probe)
 	if !ok {
 		t.Fatal("no FIB route after best install")
 	}
-	if ent.Ports[0].Peer() != p1.Node {
-		t.Fatalf("FIB points at %s, want p1", ent.Ports[0].Peer().Name())
+	if port.Peer() != p1.Node {
+		t.Fatalf("FIB points at %s, want p1", port.Peer().Name())
 	}
 
 	// Flip the pin: FIB must repoint to p2.
 	dst.Speaker.Originate(pfx, bgp.NoExportTo(11))
 	b.Eng().Run(b.Eng().Now() + 3*time.Minute)
-	ent, _, ok = col.Node.LookupRoute(probe)
+	port, _, ok = col.Node.LookupRoute(probe)
 	if !ok {
 		t.Fatal("no FIB route after repoint")
 	}
-	if ent.Ports[0].Peer() != p2.Node {
-		t.Fatalf("FIB points at %s, want p2", ent.Ports[0].Peer().Name())
+	if port.Peer() != p2.Node {
+		t.Fatalf("FIB points at %s, want p2", port.Peer().Name())
 	}
 
 	// Withdraw: FIB entry must vanish.

@@ -386,7 +386,7 @@ func NewGenMesh(cfg GenConfig, pairs [][2]int) (*MeshScenario, error) {
 // addEdge adds a Tango edge server behind pop — a mesh site's POP or a
 // generated stub site: its own AS, pop's customer over a site-internal
 // link (200 µs each way, 1 ms BGP session, 1 s MRAI), with a static
-// default route toward pop and host originated plainly.
+// default route (::/0) toward pop and host originated plainly.
 func (b *Builder) addEdge(pop *AS, name string, asn bgp.ASN, routerID uint32, clockOffset time.Duration, host addr.Prefix) *AS {
 	edge := b.AddAS(name, asn, routerID, clockOffset)
 	dc := simnet.FixedDelay(200 * time.Microsecond)
@@ -396,7 +396,7 @@ func (b *Builder) addEdge(pop *AS, name string, asn bgp.ASN, routerID uint32, cl
 		SessionDelay: time.Millisecond,
 		MRAI:         time.Second,
 	})
-	_ = DefaultRoute(edge, lnk) // cannot fail: lnk starts at edge
+	edge.Node.SetRoute(addr.MustParsePrefix("::/0"), lnk.PortA())
 	edge.Speaker.Originate(host)
 	return edge
 }

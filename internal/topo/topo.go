@@ -208,22 +208,3 @@ func mustHost(p addr.Prefix, i uint64) netip.Addr {
 	}
 	return ip
 }
-
-// DefaultRoute installs a static default route from a toward its neighbor
-// on the given link (used by single-homed edges). It reports an error if
-// the link is not attached to the AS.
-func DefaultRoute(a *AS, link *simnet.Link) error {
-	var port *simnet.Port
-	switch a.Node {
-	case link.PortA().Node():
-		port = link.PortA()
-	case link.PortB().Node():
-		port = link.PortB()
-	default:
-		return fmt.Errorf("topo: DefaultRoute: link %v-%v not attached to %s",
-			link.PortA().Node().Name(), link.PortB().Node().Name(), a.Name)
-	}
-	a.Node.SetRoute(addr.MustParsePrefix("::/0"), port)
-	a.Node.SetRoute(addr.MustParsePrefix("0.0.0.0/0"), port)
-	return nil
-}

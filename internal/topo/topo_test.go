@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
@@ -249,24 +248,5 @@ func TestTrunkHandles(t *testing.T) {
 	s.Trunk["la"]["GTT"].Shaper().SetOffset(100 * time.Millisecond)
 	if s.Trunk["la"]["GTT"].Shaper().Offset() != 100*time.Millisecond {
 		t.Fatal("shaper offset not applied")
-	}
-}
-
-func TestWireDefaultsAndDefaultRoute(t *testing.T) {
-	b := NewBuilder(7, Partition{})
-	x := b.AddAS("x", 1, 1, 0)
-	y := b.AddAS("y", 2, 2, 0)
-	link, _, _ := b.Wire(x, y, WireOpts{RelAB: bgp.RelPeer})
-	if err := DefaultRoute(x, link); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := x.Node.LookupRoute(netip.MustParseAddr("2001:db8::1")); !ok {
-		t.Fatal("default route missing")
-	}
-	// A link not attached to the AS is an error, not a panic.
-	z := b.AddAS("z", 3, 3, 0)
-	other, _, _ := b.Wire(x, y, WireOpts{RelAB: bgp.RelPeer})
-	if err := DefaultRoute(z, other); err == nil {
-		t.Fatal("DefaultRoute accepted a detached link")
 	}
 }

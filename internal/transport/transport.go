@@ -63,13 +63,11 @@ import (
 type Handler func(data []byte)
 
 // Endpoint is one attachment of the Tango stack to a packet transport:
-// the surface internal/dataplane's Switch drives. It is exactly the
-// inject/deliver/clock/address surface internal/simnet's Node always had;
-// the interface exists so a real-socket backend can stand in for it.
+// the calls internal/dataplane's Switch makes (handler, owned addresses,
+// inject, pool, clock, now) plus Schedule, which the benchmark's tracing
+// decorator calls. Nothing else belongs here: a backend's name, routes
+// and address lookups are its own business, not the switch's.
 type Endpoint interface {
-	// Name labels the endpoint (node name, site name).
-	Name() string
-
 	// SetHandler installs the local-delivery callback.
 	SetHandler(h Handler)
 
@@ -77,9 +75,6 @@ type Endpoint interface {
 	// Several tunnels may share one local address; claiming it again is
 	// harmless.
 	AddAddr(ip netip.Addr)
-
-	// OwnsAddr reports whether ip is local to this endpoint.
-	OwnsAddr(ip netip.Addr) bool
 
 	// Inject originates a frame from this endpoint. The bytes are copied
 	// (the caller keeps ownership of data); undeliverable frames are

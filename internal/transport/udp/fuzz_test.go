@@ -10,21 +10,20 @@ import (
 // FuzzSessionControl feeds two control datagrams, the second from the
 // first's socket or from another one, to a fresh listening session on a
 // bound but unstarted backend. Whatever the bytes: nothing panics,
-// OnEstablished fires at most once, no route exists until it has fired,
-// no body that decodes as an ack establishes the session (it never
-// dialed), and once a peer is established a datagram from any other
-// address is neither provisioned nor answered.
+// OnEstablished fires at most once, no route exists until it has fired
+// and every route after leads into the peer's own /64, no body that
+// decodes as an ack establishes the session (it never dialed), and once
+// a peer is established a datagram from any other address is neither
+// provisioned nor answered.
 func FuzzSessionControl(f *testing.F) {
 	paths, err := ParsePaths("NTT:5ms,GTT:10ms")
 	if err != nil {
 		f.Fatal(err)
 	}
-	body := func(typ, site string, edit func(*helloMsg)) []byte {
-		sw, eps := SiteAddrs(site, len(paths))
-		m := helloMsg{Type: typ, Site: site, SwitchAddr: sw.String(), Paths: []string{"NTT", "GTT"},
-			Endpoints: []string{eps[0].String(), eps[1].String()}, DelayNs: []int64{5e6, 10e6}}
+	body := func(typ, site string, edit func(map[string]any)) []byte {
+		m := map[string]any{"type": typ, "site": site, "paths": []string{"NTT", "GTT"}}
 		if edit != nil {
-			edit(&m)
+			edit(m)
 		}
 		j, err := json.Marshal(m)
 		if err != nil {
@@ -39,14 +38,17 @@ func FuzzSessionControl(f *testing.F) {
 			f.Add(p[:cut], p, true)
 		}
 	}
-	for _, edit := range []func(*helloMsg){
-		func(m *helloMsg) { m.Paths = m.Paths[:1] },
-		func(m *helloMsg) { m.Paths = []string{"NTT", "Telia"} },
-		func(m *helloMsg) { m.DelayNs = nil },
-		func(m *helloMsg) { m.SwitchAddr = "pigeon" },
-		func(m *helloMsg) { m.Endpoints[1] = "pigeon" },
-		func(m *helloMsg) { m.Site = "ny" },
-		func(m *helloMsg) { m.Type = "bye" },
+	for _, edit := range []func(map[string]any){
+		func(m map[string]any) { m["paths"] = []string{"NTT"} },
+		func(m map[string]any) { m["paths"] = []string{"NTT", "Telia"} },
+		func(m map[string]any) { m["paths"] = nil },
+		// The fields an older hello carried, pointing elsewhere.
+		func(m map[string]any) {
+			m["switch_addr"], m["endpoints"], m["delay_ns"] = "fd00::1", []string{"fd00::2", "2001:db8::1"}, []int64{1, 2}
+		},
+		func(m map[string]any) { m["site"] = "" },
+		func(m map[string]any) { m["site"] = "ny" },
+		func(m map[string]any) { m["type"] = "bye" },
 	} {
 		f.Add(body("hello", "la", edit), hello, true)
 	}
@@ -91,6 +93,14 @@ func FuzzSessionControl(f *testing.F) {
 				}
 				if established == 0 && len(b.routes) != 0 {
 					t.Fatalf("%s: %d routes added with no peer established", step, len(b.routes))
+				}
+				if p := s.Peer(); p != nil {
+					sw, _ := SiteAddrs(p.Site, 0)
+					for dst := range b.routes {
+						if !netip.PrefixFrom(sw, 64).Contains(dst) || netip.PrefixFrom(s.SwitchAddr(), 64).Contains(dst) {
+							t.Fatalf("%s: route to %v outside peer %q's own /64", step, dst, p.Site)
+						}
+					}
 				}
 			}
 			feed("first", peers[0], first)

@@ -70,26 +70,26 @@ func SiteAddrs(site string, paths int) (switchAddr netip.Addr, endpoints []netip
 	return switchAddr, endpoints
 }
 
-// Peer is the established view of the cooperating endpoint.
+// Peer is the established view of the cooperating endpoint. Its
+// addresses are SiteAddrs(Site, len(Paths)); its Paths carry names only
+// (the peer's emulated delays are its own business, so Delay is zero).
 type Peer struct {
 	Site       string
 	Addr       netip.AddrPort // socket address frames are sent to
 	SwitchAddr netip.Addr
 	Endpoints  []netip.Addr // peer-owned tunnel endpoints, by path ID -1
-	Paths      []PathSpec   // peer's outgoing path specs (names match ours)
+	Paths      []PathSpec   // peer's outgoing paths (names match ours)
 }
 
 // helloMsg is the control payload both sides exchange. The dialer sends
 // type "hello" until acked; the listener replies type "ack" with its own
-// body. Both bodies carry the sender's site, path names, switch address,
-// and endpoints, so each side can provision tunnels toward the other.
+// body. A body is names only — the sender's site and path names — and
+// each side derives the other's addresses from them (SiteAddrs), so a
+// hello cannot point our routes anywhere but the peer's own /64.
 type helloMsg struct {
-	Type       string   `json:"type"` // "hello" | "ack"
-	Site       string   `json:"site"`
-	SwitchAddr string   `json:"switch_addr"`
-	Paths      []string `json:"paths"`
-	Endpoints  []string `json:"endpoints"`
-	DelayNs    []int64  `json:"delay_ns"`
+	Type  string   `json:"type"` // "hello" | "ack"
+	Site  string   `json:"site"`
+	Paths []string `json:"paths"`
 }
 
 // Session negotiates one cooperating pair over the backend's control
@@ -160,22 +160,11 @@ func (s *Session) Dial(peer netip.AddrPort) {
 }
 
 func (s *Session) encode(typ string) []byte {
-	m := helloMsg{
-		Type:       typ,
-		Site:       s.site,
-		SwitchAddr: s.switchAddr.String(),
-	}
+	m := helloMsg{Type: typ, Site: s.site}
 	for _, p := range s.paths {
 		m.Paths = append(m.Paths, p.Name)
-		m.DelayNs = append(m.DelayNs, int64(p.Delay))
 	}
-	for _, ep := range s.endpoints {
-		m.Endpoints = append(m.Endpoints, ep.String())
-	}
-	j, err := json.Marshal(m)
-	if err != nil {
-		panic(err) // static message shape; cannot fail
-	}
+	j, _ := json.Marshal(m) // a struct of strings cannot fail to encode
 	return j
 }
 
@@ -232,34 +221,24 @@ func (s *Session) onControl(from netip.AddrPort, payload []byte) {
 	}
 }
 
-// makePeer validates a handshake body against the local path set.
+// makePeer validates a handshake body against the local path set and
+// derives the peer's addresses from its site name. A peer whose /64 is
+// ours — its own name, or one whose hash collides with ours — is
+// refused: its endpoints would be our own.
 func (s *Session) makePeer(from netip.AddrPort, m *helloMsg) (*Peer, error) {
-	if m.Site == s.site {
-		return nil, fmt.Errorf("udp: peer %s claims our own site name %q", from, m.Site)
+	sw, eps := SiteAddrs(m.Site, len(s.paths))
+	if netip.PrefixFrom(s.switchAddr, 64).Contains(sw) {
+		return nil, fmt.Errorf("udp: peer %s site %q derives our own /64", from, m.Site)
 	}
 	if len(m.Paths) != len(s.paths) {
 		return nil, fmt.Errorf("udp: peer %q has %d paths, we have %d", m.Site, len(m.Paths), len(s.paths))
 	}
+	p := &Peer{Site: m.Site, Addr: from, SwitchAddr: sw, Endpoints: eps}
 	for i, name := range m.Paths {
 		if name != s.paths[i].Name {
 			return nil, fmt.Errorf("udp: path %d is %q at peer %q, %q here", i+1, name, m.Site, s.paths[i].Name)
 		}
-	}
-	if len(m.Endpoints) != len(s.paths) || len(m.DelayNs) != len(s.paths) {
-		return nil, fmt.Errorf("udp: peer %q handshake body inconsistent", m.Site)
-	}
-	sw, err := netip.ParseAddr(m.SwitchAddr)
-	if err != nil {
-		return nil, fmt.Errorf("udp: peer %q switch addr: %w", m.Site, err)
-	}
-	p := &Peer{Site: m.Site, Addr: from, SwitchAddr: sw}
-	for i, e := range m.Endpoints {
-		ip, err := netip.ParseAddr(e)
-		if err != nil {
-			return nil, fmt.Errorf("udp: peer %q endpoint %d: %w", m.Site, i+1, err)
-		}
-		p.Endpoints = append(p.Endpoints, ip)
-		p.Paths = append(p.Paths, PathSpec{ID: uint8(i + 1), Name: m.Paths[i], Delay: time.Duration(m.DelayNs[i])})
+		p.Paths = append(p.Paths, PathSpec{ID: uint8(i + 1), Name: name})
 	}
 	return p, nil
 }
@@ -272,10 +251,6 @@ func (s *Session) establish(p *Peer) {
 	for i, ep := range p.Endpoints {
 		s.b.AddRoute(ep, p.Addr, s.paths[i].Delay)
 	}
-	// The peer's outer source address is routable too, so stray frames
-	// toward it (never sent by the current stack) fail loudly at the
-	// peer's owned-address check rather than silently here.
-	s.b.AddRoute(p.SwitchAddr, p.Addr, 0)
 	if s.OnEstablished != nil {
 		s.OnEstablished(p)
 	}

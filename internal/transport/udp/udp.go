@@ -56,7 +56,7 @@ const recvBuffer = 4 << 20
 
 // Config parameterizes New.
 type Config struct {
-	// Name labels the endpoint (site name).
+	// Name labels the backend's instruments (site name).
 	Name string
 	// Listen is the UDP address to bind ("127.0.0.1:0" picks a port).
 	Listen string
@@ -90,8 +90,6 @@ func (rt *route) OnSimEvent(arg any) { rt.b.write(rt, arg.(*packet.Buf)) }
 // goroutine (inside Do, a delivery handler, or a scheduled callback),
 // mirroring the single-goroutine discipline of the simulated backend.
 type Backend struct {
-	name string
-
 	// mu serializes the event world: the engine, the owned-address and
 	// route tables, and every handler invocation. The run loop, the read
 	// loop, and Do all take it; the stack above is therefore effectively
@@ -138,7 +136,6 @@ func New(cfg Config) (*Backend, error) {
 	}
 	eng := sim.NewEngine()
 	b := &Backend{
-		name:   cfg.Name,
 		eng:    eng,
 		clock:  sim.NewClock(eng, 0),
 		pool:   packet.NewBufPool(),
@@ -210,17 +207,11 @@ func (b *Backend) SendControl(to netip.AddrPort, payload []byte) {
 
 var _ transport.Endpoint = (*Backend)(nil)
 
-// Name returns the endpoint's configured name.
-func (b *Backend) Name() string { return b.name }
-
 // SetHandler installs the local-delivery callback.
 func (b *Backend) SetHandler(h transport.Handler) { b.handler = h }
 
 // AddAddr marks ip as owned, like the simulated node.
 func (b *Backend) AddAddr(ip netip.Addr) { b.owned[ip] = true }
-
-// OwnsAddr reports whether ip is local to this endpoint.
-func (b *Backend) OwnsAddr(ip netip.Addr) bool { return b.owned[ip] }
 
 // Pool returns the pool outgoing frames must be leased from.
 func (b *Backend) Pool() *packet.BufPool { return b.pool }
