@@ -9,15 +9,24 @@
 package addr
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
-// Prefix is an IP prefix in canonical (masked) form. It wraps netip.Prefix
-// and guarantees the address is the network address (host bits zero), so
-// Prefix values are comparable with == and usable as map keys.
+// Prefix is an IP prefix in canonical (masked) form: the network address
+// as two left-aligned words (an IPv6 address fills both, an IPv4 address
+// the top 32 bits of hi), its length and its family. It holds no pointer
+// and is 24 bytes, so the routing state that keys on it — every RIB's
+// numbering map, every route and UPDATE — costs the garbage collector
+// nothing to scan. Prefix values are comparable with == and usable as map
+// keys; the zero Prefix is not a prefix.
 type Prefix struct {
-	p netip.Prefix
+	hi, lo uint64
+	bits   uint8
+	family uint8 // 0 (the zero Prefix), 4 or 6
 }
 
 // MustParsePrefix parses a CIDR string, panicking on error. For use in
@@ -36,7 +45,7 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, err
 	}
-	return Prefix{p.Masked()}, nil
+	return fromNetip(p), nil
 }
 
 // PrefixFrom builds a canonical Prefix from an address and length.
@@ -45,43 +54,125 @@ func PrefixFrom(ip netip.Addr, bits int) (Prefix, error) {
 	if !p.IsValid() {
 		return Prefix{}, fmt.Errorf("addr: invalid prefix %v/%d", ip, bits)
 	}
-	return Prefix{p.Masked()}, nil
+	return fromNetip(p), nil
+}
+
+// fromNetip converts a valid netip.Prefix, masking its host bits.
+func fromNetip(p netip.Prefix) Prefix {
+	hi, lo := words(p.Addr())
+	hi, lo = mask(hi, lo, p.Bits())
+	fam := uint8(6)
+	if p.Addr().Is4() {
+		fam = 4
+	}
+	return Prefix{hi: hi, lo: lo, bits: uint8(p.Bits()), family: fam}
+}
+
+// words returns ip left-aligned in two words.
+func words(ip netip.Addr) (hi, lo uint64) {
+	b := ip.As16()
+	if ip.Is4() {
+		return uint64(binary.BigEndian.Uint32(b[12:])) << 32, 0
+	}
+	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])
+}
+
+// mask keeps the top n bits of the 128-bit word pair.
+func mask(hi, lo uint64, n int) (uint64, uint64) {
+	if n <= 64 {
+		return hi &^ (^uint64(0) >> uint(n)), 0
+	}
+	return hi, lo &^ (^uint64(0) >> uint(n-64))
+}
+
+// commonBits returns how many leading bits two word pairs share.
+func commonBits(ahi, alo, bhi, blo uint64) int {
+	if x := ahi ^ bhi; x != 0 {
+		return bits.LeadingZeros64(x)
+	}
+	return 64 + bits.LeadingZeros64(alo^blo)
+}
+
+// bitAt returns bit i (0 = the most significant bit of hi) of the pair.
+func bitAt(hi, lo uint64, i int) int {
+	if i < 64 {
+		return int(hi>>uint(63-i)) & 1
+	}
+	return int(lo>>uint(127-i)) & 1
 }
 
 // IsValid reports whether p is a real prefix (the zero Prefix is not).
-func (p Prefix) IsValid() bool { return p.p.IsValid() }
+func (p Prefix) IsValid() bool { return p.family != 0 }
 
-// Addr returns the network address.
-func (p Prefix) Addr() netip.Addr { return p.p.Addr() }
+// Addr returns the network address (the zero Addr for the zero Prefix).
+func (p Prefix) Addr() netip.Addr {
+	switch p.family {
+	case 4:
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(p.hi>>32))
+		return netip.AddrFrom4(b)
+	case 6:
+		var b [16]byte
+		binary.BigEndian.PutUint64(b[:8], p.hi)
+		binary.BigEndian.PutUint64(b[8:], p.lo)
+		return netip.AddrFrom16(b)
+	}
+	return netip.Addr{}
+}
 
-// Bits returns the prefix length.
-func (p Prefix) Bits() int { return p.p.Bits() }
+// Bits returns the prefix length, or -1 for the zero Prefix.
+func (p Prefix) Bits() int {
+	if p.family == 0 {
+		return -1
+	}
+	return int(p.bits)
+}
 
-// Contains reports whether the prefix contains ip.
-func (p Prefix) Contains(ip netip.Addr) bool { return p.p.Contains(ip) }
+// maxBits is the address length of p's family.
+func (p Prefix) maxBits() int {
+	if p.family == 4 {
+		return 32
+	}
+	return 128
+}
+
+// Contains reports whether the prefix contains ip. Like netip, an IPv4
+// address never matches an IPv6 prefix nor the reverse (4-in-6
+// addresses included), and a zoned address matches nothing.
+func (p Prefix) Contains(ip netip.Addr) bool {
+	switch {
+	case p.family == 4 && ip.Is4():
+	case p.family == 6 && ip.Is6() && ip.Zone() == "":
+	default:
+		return false
+	}
+	hi, lo := words(ip)
+	hi, lo = mask(hi, lo, int(p.bits))
+	return hi == p.hi && lo == p.lo
+}
 
 // String returns the CIDR notation.
-func (p Prefix) String() string { return p.p.String() }
+func (p Prefix) String() string { return netip.PrefixFrom(p.Addr(), p.Bits()).String() }
 
 // Compare orders prefixes by address then by length; usable for sorting
-// route tables into a stable display order.
+// route tables into a stable display order. IPv4 sorts before IPv6.
 func (p Prefix) Compare(q Prefix) int {
-	if c := p.p.Addr().Compare(q.p.Addr()); c != 0 {
-		return c
+	if p.family != q.family {
+		return cmp.Compare(p.family, q.family)
 	}
-	switch {
-	case p.Bits() < q.Bits():
-		return -1
-	case p.Bits() > q.Bits():
-		return 1
+	if p.hi != q.hi {
+		return cmp.Compare(p.hi, q.hi)
 	}
-	return 0
+	if p.lo != q.lo {
+		return cmp.Compare(p.lo, q.lo)
+	}
+	return cmp.Compare(p.bits, q.bits)
 }
 
 // Subnet returns the idx-th subnet of length newBits carved out of p.
 // For example Subnet(2001:db8::/32, 48, 5) = 2001:db8:5::/48.
 func (p Prefix) Subnet(newBits, idx int) (Prefix, error) {
-	if newBits < p.Bits() || newBits > p.p.Addr().BitLen() {
+	if !p.IsValid() || newBits < p.Bits() || newBits > p.maxBits() {
 		return Prefix{}, fmt.Errorf("addr: cannot carve /%d from %v", newBits, p)
 	}
 	if idx < 0 {
@@ -91,57 +182,31 @@ func (p Prefix) Subnet(newBits, idx int) (Prefix, error) {
 	if span < 64 && uint64(idx) >= uint64(1)<<uint(span) {
 		return Prefix{}, fmt.Errorf("addr: subnet index %d out of range for /%d in %v", idx, newBits, p)
 	}
-	b := p.p.Addr().As16()
-	// Write idx into bits [p.Bits(), newBits) counting from the top of
-	// the 128-bit address. IPv4 addresses are handled in 4-byte form.
-	bitLen := p.p.Addr().BitLen()
-	base := 128 - bitLen // offset of the address within the 16-byte array
-	for i := 0; i < span; i++ {
-		// Bit position (from the MSB of the address) of the i-th
-		// lowest bit of idx.
-		bitPos := newBits - 1 - i
-		if idx&(1<<uint(i)) != 0 {
-			byteIdx := (base + bitPos) / 8
-			bitInByte := 7 - uint((base+bitPos)%8)
-			b[byteIdx] |= 1 << bitInByte
-		}
-	}
-	var ip netip.Addr
-	if bitLen == 32 {
-		var v4 [4]byte
-		copy(v4[:], b[12:])
-		ip = netip.AddrFrom4(v4)
+	// idx fills bits [p.Bits(), newBits) counting from the top, so its
+	// lowest bit sits 128-newBits bits above the bottom of lo.
+	q, x, s := p, uint64(idx), uint(128-newBits)
+	q.bits = uint8(newBits)
+	if s >= 64 {
+		q.hi |= x << (s - 64)
 	} else {
-		ip = netip.AddrFrom16(b)
+		q.hi |= x >> (64 - s)
+		q.lo |= x << s
 	}
-	return PrefixFrom(ip, newBits)
+	return q, nil
 }
 
 // Host returns the idx-th usable address inside the prefix (idx 0 is the
-// network address itself; most scenarios use idx >= 1).
+// network address itself; most scenarios use idx >= 1). The index is
+// added to the low 64 bits of an IPv6 address and to the 32 bits of an
+// IPv4 one, without carry; an address that leaves the prefix is an error.
 func (p Prefix) Host(idx uint64) (netip.Addr, error) {
-	b := p.p.Addr().As16()
-	// Add idx to the low 64 bits (sufficient: scenarios never exceed
-	// 2^64 hosts).
-	var lo uint64
-	for i := 8; i < 16; i++ {
-		lo = lo<<8 | uint64(b[i])
+	h := p
+	if p.family == 4 {
+		h.hi = uint64(uint32(p.hi>>32)+uint32(idx)) << 32
+	} else {
+		h.lo += idx
 	}
-	lo += idx
-	for i := 15; i >= 8; i-- {
-		b[i] = byte(lo)
-		lo >>= 8
-	}
-	if p.p.Addr().BitLen() == 32 {
-		var v4 [4]byte
-		copy(v4[:], b[12:])
-		a := netip.AddrFrom4(v4)
-		if !p.Contains(a) {
-			return netip.Addr{}, fmt.Errorf("addr: host index %d overflows %v", idx, p)
-		}
-		return a, nil
-	}
-	a := netip.AddrFrom16(b)
+	a := h.Addr()
 	if !p.Contains(a) {
 		return netip.Addr{}, fmt.Errorf("addr: host index %d overflows %v", idx, p)
 	}

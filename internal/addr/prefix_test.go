@@ -1,6 +1,9 @@
 package addr
 
 import (
+	"cmp"
+	"math/big"
+	"math/rand"
 	"net/netip"
 	"testing"
 )
@@ -139,5 +142,148 @@ func TestPrefixFromInvalid(t *testing.T) {
 	}
 	if _, err := PrefixFrom(netip.MustParseAddr("10.0.0.1"), 64); err == nil {
 		t.Fatal("overlong IPv4 prefix accepted")
+	}
+}
+
+// randPrefix draws a prefix of a random family — IPv4, IPv6 or
+// IPv4-mapped IPv6 — and length, favouring the edge lengths, with its
+// netip counterpart.
+func randPrefix(r *rand.Rand) (Prefix, netip.Prefix) {
+	var ip netip.Addr
+	var b [16]byte
+	r.Read(b[:])
+	switch r.Intn(3) {
+	case 0:
+		ip = netip.AddrFrom4([4]byte(b[:4]))
+	case 1:
+		ip = netip.AddrFrom16(b)
+	default:
+		ip = netip.AddrFrom16(netip.AddrFrom4([4]byte(b[:4])).As16())
+	}
+	edges := []int{0, 1, 32, 48, 63, 64, 65, 127, 128}
+	bits := r.Intn(ip.BitLen() + 1)
+	if e := edges[r.Intn(len(edges))]; r.Intn(2) == 0 && e <= ip.BitLen() {
+		bits = e
+	}
+	p, err := PrefixFrom(ip, bits)
+	if err != nil {
+		panic(err)
+	}
+	return p, netip.PrefixFrom(ip, bits).Masked()
+}
+
+// randAddrNear draws an address that often lies inside ref: ref's
+// address with random host bits, sometimes of the other family or zoned.
+func randAddrNear(r *rand.Rand, ref netip.Prefix) netip.Addr {
+	var b [16]byte
+	r.Read(b[:])
+	switch r.Intn(6) {
+	case 0:
+		return netip.AddrFrom4([4]byte(b[:4]))
+	case 1:
+		return netip.AddrFrom16(b)
+	case 2:
+		return netip.AddrFrom16(b).WithZone("eth0")
+	}
+	if !ref.IsValid() {
+		return netip.Addr{}
+	}
+	if r.Intn(4) == 0 {
+		return ref.Addr().WithZone("eth0")
+	}
+	a := ref.Addr().AsSlice()
+	host := ref.Addr().BitLen() - ref.Bits()
+	for i := range host {
+		bit := len(a)*8 - 1 - i
+		a[bit/8] ^= byte(r.Intn(2)) << (7 - bit%8)
+	}
+	ip, _ := netip.AddrFromSlice(a)
+	return ip
+}
+
+// netipCompare is the order Compare documents, over netip.
+func netipCompare(p, q netip.Prefix) int {
+	if c := p.Addr().Compare(q.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Bits(), q.Bits())
+}
+
+// TestPrefixMatchesNetip holds every Prefix accessor to netip on random
+// IPv4, IPv6 and 4-in-6 prefixes, the zero Prefix among them.
+func TestPrefixMatchesNetip(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var ps []Prefix
+	var refs []netip.Prefix
+	for range 2000 {
+		p, ref := randPrefix(r)
+		ps, refs = append(ps, p), append(refs, ref)
+	}
+	ps, refs = append(ps, Prefix{}), append(refs, netip.Prefix{})
+	for i, p := range ps {
+		ref := refs[i]
+		if p.String() != ref.String() || p.Addr() != ref.Addr() || p.Bits() != ref.Bits() || p.IsValid() != ref.IsValid() {
+			t.Fatalf("%v: Addr %v Bits %d valid %v, netip %v: %v %d %v",
+				p, p.Addr(), p.Bits(), p.IsValid(), ref, ref.Addr(), ref.Bits(), ref.IsValid())
+		}
+		if ref.IsValid() {
+			if back := MustParsePrefix(ref.String()); back != p {
+				t.Fatalf("%v does not round-trip through its string", p)
+			}
+		}
+		for range 20 {
+			ip := randAddrNear(r, refs[r.Intn(len(refs))])
+			if p.Contains(ip) != ref.Contains(ip) {
+				t.Fatalf("%v.Contains(%v) = %v, netip says %v", p, ip, p.Contains(ip), ref.Contains(ip))
+			}
+		}
+		for range 20 {
+			j := r.Intn(len(ps))
+			if got, want := p.Compare(ps[j]), netipCompare(ref, refs[j]); got != want {
+				t.Fatalf("%v.Compare(%v) = %d, want %d", p, ps[j], got, want)
+			}
+			if (p == ps[j]) != (ref == refs[j]) {
+				t.Fatalf("%v == %v disagrees with netip", p, ps[j])
+			}
+		}
+	}
+}
+
+// TestSubnetMatchesArithmetic holds Subnet to big-integer arithmetic: the
+// idx-th /newBits of p is p's address plus idx shifted to end at bit
+// newBits, and it is refused when newBits is outside [p.Bits(), the
+// family's length] or idx does not fit between the two.
+func TestSubnetMatchesArithmetic(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for range 5000 {
+		p, ref := randPrefix(r)
+		maxBits := ref.Addr().BitLen()
+		newBits := ref.Bits() + r.Intn(maxBits-ref.Bits()+2) - r.Intn(2)
+		span := newBits - ref.Bits()
+		idx := r.Intn(4)
+		if span > 2 && r.Intn(2) == 0 {
+			idx = int(r.Int63n(int64(1) << min(span, 62)))
+		}
+		if r.Intn(8) == 0 {
+			idx = -1
+		}
+		got, err := p.Subnet(newBits, idx)
+		fits := span >= 63 || span >= 0 && idx < 1<<span
+		if newBits < ref.Bits() || newBits > maxBits || idx < 0 || !fits {
+			if err == nil {
+				t.Fatalf("%v.Subnet(%d, %d) = %v, want an error", p, newBits, idx, got)
+			}
+			continue
+		}
+		a := ref.Addr().AsSlice()
+		sum := new(big.Int).SetBytes(a)
+		sum.Add(sum, new(big.Int).Lsh(big.NewInt(int64(idx)), uint(maxBits-newBits)))
+		want, _ := netip.AddrFromSlice(sum.FillBytes(make([]byte, len(a))))
+		if err != nil || got.Addr() != want || got.Bits() != newBits {
+			t.Fatalf("%v.Subnet(%d, %d) = %v, %v; want %v/%d", p, newBits, idx, got, err, want, newBits)
+		}
+	}
+	if _, err := (Prefix{}).Subnet(0, 0); err == nil {
+		t.Fatal("the zero Prefix was subnetted")
 	}
 }

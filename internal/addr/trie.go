@@ -1,14 +1,16 @@
 package addr
 
-import (
-	"encoding/binary"
-	"net/netip"
-	"sort"
-)
+import "net/netip"
 
-// Trie is a binary (one bit per level) longest-prefix-match trie mapping
+// Trie is a path-compressed (Patricia) longest-prefix-match trie mapping
 // prefixes to arbitrary route values. It is the lookup structure behind
-// every simulated router FIB and BGP Loc-RIB view.
+// every simulated router FIB and the data plane's peer and relay tables.
+//
+// A node keys on a prefix's words: it holds the key bits and their
+// length, never a Prefix, and Lookup and Walk rebuild the Prefix from
+// them. A node branches on the first bit past its key, so a chain of
+// single-child levels is one node and n stored prefixes take at most
+// 2n-1 nodes: a node that stores no value always has two children.
 //
 // The zero value is an empty trie ready for use. IPv4 and IPv6 prefixes
 // coexist: IPv4 keys live in a separate root so that 10.0.0.0/8 never
@@ -22,11 +24,29 @@ type Trie[V any] struct {
 }
 
 type trieNode[V any] struct {
-	child [2]*trieNode[V]
-	val   V
-	set   bool
-	// pfx is stored for iteration/deletion bookkeeping.
-	pfx Prefix
+	hi, lo uint64 // key: the top bits of the address, the rest zero
+	bits   uint8  // key length
+	set    bool   // val is a stored route; else the node only branches
+	child  [2]*trieNode[V]
+	val    V
+}
+
+// covers reports whether n's key is a prefix of the words (hi, lo).
+func (n *trieNode[V]) covers(hi, lo uint64) bool {
+	mhi, mlo := mask(hi, lo, int(n.bits))
+	return mhi == n.hi && mlo == n.lo
+}
+
+// stored returns a childless node storing v for p.
+func stored[V any](p Prefix, v V) *trieNode[V] {
+	return &trieNode[V]{hi: p.hi, lo: p.lo, bits: p.bits, set: true, val: v}
+}
+
+func (t *Trie[V]) root(family uint8) **trieNode[V] {
+	if family == 4 {
+		return &t.root4
+	}
+	return &t.root6
 }
 
 // Insert adds or replaces the value for prefix p.
@@ -34,132 +54,147 @@ func (t *Trie[V]) Insert(p Prefix, v V) {
 	if !p.IsValid() {
 		panic("addr: Insert with invalid prefix")
 	}
-	root := t.rootFor(p.Addr(), true)
-	n := root
-	b := p.Addr().As16()
-	base := 128 - p.Addr().BitLen()
-	for i := 0; i < p.Bits(); i++ {
-		bit := bitAt(b, base+i)
-		if n.child[bit] == nil {
-			n.child[bit] = &trieNode[V]{}
+	at := t.root(p.family)
+	for {
+		n := *at
+		if n == nil {
+			*at = stored(p, v)
+			t.size++
+			return
 		}
-		n = n.child[bit]
-	}
-	if !n.set {
+		c := min(commonBits(p.hi, p.lo, n.hi, n.lo), int(p.bits), int(n.bits))
+		switch {
+		case c == int(n.bits) && c == int(p.bits):
+			if !n.set {
+				n.set = true
+				t.size++
+			}
+			n.val = v
+			return
+		case c == int(n.bits):
+			at = &n.child[bitAt(p.hi, p.lo, c)]
+			continue
+		case c == int(p.bits):
+			// p covers n: p takes n's place and n hangs below it.
+			m := stored(p, v)
+			m.child[bitAt(n.hi, n.lo, c)] = n
+			*at = m
+		default:
+			// p and n part at bit c: a branching node joins them.
+			hi, lo := mask(p.hi, p.lo, c)
+			b := &trieNode[V]{hi: hi, lo: lo, bits: uint8(c)}
+			b.child[bitAt(p.hi, p.lo, c)] = stored(p, v)
+			b.child[bitAt(n.hi, n.lo, c)] = n
+			*at = b
+		}
 		t.size++
+		return
 	}
-	n.val = v
-	n.set = true
-	n.pfx = p
 }
 
 // Delete removes the exact prefix p, reporting whether it was present.
-// Interior nodes left empty are pruned lazily on later operations; the
-// trie stays correct either way.
+// It prunes as it goes: the node of p goes unless it still branches, and
+// a branching node left with one child gives way to that child, so
+// deleting what was inserted returns the trie to its earlier shape.
 func (t *Trie[V]) Delete(p Prefix) bool {
-	root := t.rootFor(p.Addr(), false)
-	if root == nil {
+	if !p.IsValid() {
 		return false
 	}
-	n := root
-	b := p.Addr().As16()
-	base := 128 - p.Addr().BitLen()
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(b, base+i)]
-		if n == nil {
+	var up **trieNode[V] // the link to n's parent
+	at := t.root(p.family)
+	for n := *at; n != nil && n.bits <= p.bits && n.covers(p.hi, p.lo); n = *at {
+		if n.bits < p.bits {
+			up, at = at, &n.child[bitAt(p.hi, p.lo, int(n.bits))]
+			continue
+		}
+		if !n.set {
 			return false
 		}
+		t.size--
+		switch {
+		case n.child[0] != nil && n.child[1] != nil:
+			n.set = false
+			var zero V
+			n.val = zero
+		case n.child[0] != nil:
+			*at = n.child[0]
+		case n.child[1] != nil:
+			*at = n.child[1]
+		default:
+			*at = nil
+			if up != nil && !(*up).set {
+				// The parent only branched, and one branch is gone.
+				parent := *up
+				*up = parent.child[0]
+				if *up == nil {
+					*up = parent.child[1]
+				}
+			}
+		}
+		return true
 	}
-	if !n.set {
-		return false
-	}
-	n.set = false
-	var zero V
-	n.val = zero
-	t.size--
-	return true
+	return false
 }
 
 // Lookup returns the value of the longest prefix containing ip. It is
 // the per-packet forwarding primitive, so the descent reads the address
-// as two 64-bit words kept in registers instead of indexing the byte
-// array once per level.
+// as two 64-bit words kept in registers. An invalid address matches
+// nothing.
 func (t *Trie[V]) Lookup(ip netip.Addr) (V, Prefix, bool) {
-	var best V
-	var bestPfx Prefix
-	found := false
-	root := t.rootFor(ip, false)
-	if root == nil {
-		return best, bestPfx, false
+	var best *trieNode[V]
+	n, family, max := t.root6, uint8(6), 128
+	switch {
+	case ip.Is4():
+		n, family, max = t.root4, 4, 32
+	case !ip.IsValid():
+		n = nil
 	}
-	n := root
-	b := ip.As16()
-	hi := binary.BigEndian.Uint64(b[:8])
-	lo := binary.BigEndian.Uint64(b[8:])
-	if n.set {
-		best, bestPfx, found = n.val, n.pfx, true
-	}
-	base := 128 - ip.BitLen()
-	for i := base; i < 128; i++ {
-		var bit uint64
-		if i < 64 {
-			bit = hi >> (63 - uint(i)) & 1
-		} else {
-			bit = lo >> (127 - uint(i)) & 1
+	hi, lo := words(ip)
+	for n != nil && n.covers(hi, lo) {
+		if n.set {
+			best = n
 		}
-		n = n.child[bit]
-		if n == nil {
+		if int(n.bits) == max {
 			break
 		}
-		if n.set {
-			best, bestPfx, found = n.val, n.pfx, true
-		}
+		n = n.child[bitAt(hi, lo, int(n.bits))]
 	}
-	return best, bestPfx, found
+	if best == nil {
+		var zero V
+		return zero, Prefix{}, false
+	}
+	return best.val, best.prefix(family), true
+}
+
+func (n *trieNode[V]) prefix(family uint8) Prefix {
+	return Prefix{hi: n.hi, lo: n.lo, bits: n.bits, family: family}
 }
 
 // Len returns the number of stored prefixes.
 func (t *Trie[V]) Len() int { return t.size }
 
-// Walk visits every stored (prefix, value) pair in address order. The
-// callback may not mutate the trie.
+// Walk visits every stored (prefix, value) pair in Prefix.Compare order:
+// a node's key is the smallest address below it, and it comes before the
+// longer keys that share it. The callback may not mutate the trie.
 func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
-	walk(t.root4, fn)
-	walk(t.root6, fn)
+	if walk(t.root4, 4, fn) {
+		walk(t.root6, 6, fn)
+	}
 }
 
-func walk[V any](n *trieNode[V], fn func(Prefix, V) bool) bool {
+func walk[V any](n *trieNode[V], family uint8, fn func(Prefix, V) bool) bool {
 	if n == nil {
 		return true
 	}
-	if n.set && !fn(n.pfx, n.val) {
+	if n.set && !fn(n.prefix(family), n.val) {
 		return false
 	}
-	return walk(n.child[0], fn) && walk(n.child[1], fn)
+	return walk(n.child[0], family, fn) && walk(n.child[1], family, fn)
 }
 
 // Prefixes returns all stored prefixes sorted with Prefix.Compare.
 func (t *Trie[V]) Prefixes() []Prefix {
 	out := make([]Prefix, 0, t.size)
 	t.Walk(func(p Prefix, _ V) bool { out = append(out, p); return true })
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
-}
-
-func (t *Trie[V]) rootFor(ip netip.Addr, create bool) *trieNode[V] {
-	if ip.BitLen() == 32 {
-		if t.root4 == nil && create {
-			t.root4 = &trieNode[V]{}
-		}
-		return t.root4
-	}
-	if t.root6 == nil && create {
-		t.root6 = &trieNode[V]{}
-	}
-	return t.root6
-}
-
-// bitAt returns bit i (0 = MSB of the 16-byte array) of b.
-func bitAt(b [16]byte, i int) int {
-	return int(b[i/8]>>(7-uint(i%8))) & 1
 }

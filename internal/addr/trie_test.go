@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -159,31 +160,59 @@ func naiveLookup(entries []naiveEntry, ip netip.Addr) (int, bool) {
 	return entries[best].v, true
 }
 
-// Property: trie lookup agrees with a naive scan over random prefix sets.
+// randTriePrefix draws a prefix from a small space, so that random sets
+// nest, share keys and collide.
+func randTriePrefix(r *rand.Rand) Prefix {
+	if r.Intn(2) == 0 {
+		ip := netip.AddrFrom4([4]byte{byte(r.Intn(4)), byte(r.Intn(4)), byte(r.Intn(256)), byte(r.Intn(256))})
+		p, _ := PrefixFrom(ip, r.Intn(33))
+		return p
+	}
+	var b [16]byte
+	b[0], b[1] = 0x20, 0x01
+	b[2], b[3] = byte(r.Intn(2)), byte(r.Intn(4))
+	b[4] = byte(r.Intn(256))
+	p, _ := PrefixFrom(netip.AddrFrom16(b), r.Intn(65))
+	return p
+}
+
+// Property: under random inserts, replacements and deletes (of stored
+// and of absent prefixes), the trie agrees with a map: Delete reports
+// presence, Len counts, Walk visits the map's prefixes in Compare order
+// with their values, and Lookup matches a naive scan.
 func TestTrieMatchesNaiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		var tr Trie[int]
-		var entries []naiveEntry
 		byPfx := map[Prefix]int{}
-		for i := 0; i < 40; i++ {
-			var p Prefix
-			if r.Intn(2) == 0 {
-				ip := netip.AddrFrom4([4]byte{byte(r.Intn(4)), byte(r.Intn(4)), byte(r.Intn(256)), byte(r.Intn(256))})
-				p, _ = PrefixFrom(ip, r.Intn(33))
+		for i := 0; i < 120; i++ {
+			p := randTriePrefix(r)
+			if r.Intn(3) == 0 {
+				if len(byPfx) > 0 && r.Intn(2) == 0 {
+					for q := range byPfx { // a stored prefix
+						p = q
+						break
+					}
+				}
+				_, had := byPfx[p]
+				if tr.Delete(p) != had {
+					return false
+				}
+				delete(byPfx, p)
 			} else {
-				var b [16]byte
-				b[0], b[1] = 0x20, 0x01
-				b[2], b[3] = byte(r.Intn(2)), byte(r.Intn(4))
-				b[4] = byte(r.Intn(256))
-				ip := netip.AddrFrom16(b)
-				p, _ = PrefixFrom(ip, r.Intn(65))
+				tr.Insert(p, i)
+				byPfx[p] = i
 			}
-			tr.Insert(p, i)
-			byPfx[p] = i
 		}
+		var entries []naiveEntry
 		for p, v := range byPfx {
 			entries = append(entries, naiveEntry{p, v})
+		}
+		slices.SortFunc(entries, func(a, b naiveEntry) int { return a.p.Compare(b.p) })
+		var walked []naiveEntry
+		tr.Walk(func(p Prefix, v int) bool { walked = append(walked, naiveEntry{p, v}); return true })
+		if tr.Len() != len(byPfx) || !slices.Equal(walked, entries) {
+			return false
 		}
 		// Random probes, biased toward the inserted space.
 		for i := 0; i < 200; i++ {
@@ -198,19 +227,99 @@ func TestTrieMatchesNaiveProperty(t *testing.T) {
 				b[15] = byte(r.Intn(256))
 				ip = netip.AddrFrom16(b)
 			}
-			gotV, _, gotOK := tr.Lookup(ip)
+			gotV, gotP, gotOK := tr.Lookup(ip)
 			wantV, wantOK := naiveLookup(entries, ip)
 			if gotOK != wantOK {
 				return false
 			}
-			if gotOK && gotV != wantV {
+			if gotOK && (gotV != wantV || byPfx[gotP] != gotV || !gotP.Contains(ip)) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// nodes counts a trie's nodes, stored or branching.
+func (t *Trie[V]) nodes() int {
+	var count func(n *trieNode[V]) int
+	count = func(n *trieNode[V]) int {
+		if n == nil {
+			return 0
+		}
+		return 1 + count(n.child[0]) + count(n.child[1])
+	}
+	return count(t.root4) + count(t.root6)
+}
+
+// TestTrieChurnReturnsToStart: inserting 10 k prefixes into a populated
+// trie and deleting them again, in another order, leaves exactly the
+// nodes it started with, and n stored prefixes never take 2n nodes.
+func TestTrieChurnReturnsToStart(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var tr Trie[int]
+	base := map[Prefix]bool{}
+	for len(base) < 500 {
+		p := randTriePrefix(r)
+		base[p] = true
+		tr.Insert(p, 0)
+	}
+	start := tr.nodes()
+	var churn []Prefix
+	seen := map[Prefix]bool{}
+	for len(churn) < 10000 {
+		var b [16]byte
+		r.Read(b[:8])
+		p, _ := PrefixFrom(netip.AddrFrom16(b), 16+r.Intn(49))
+		if r.Intn(4) == 0 {
+			p = randTriePrefix(r)
+		}
+		if base[p] || seen[p] {
+			continue
+		}
+		seen[p] = true
+		churn = append(churn, p)
+		tr.Insert(p, 1)
+	}
+	if n := tr.Len(); n != len(base)+len(churn) || tr.nodes() >= 2*n {
+		t.Fatalf("Len %d over %d nodes after inserting %d into %d", n, tr.nodes(), len(churn), len(base))
+	}
+	r.Shuffle(len(churn), func(i, j int) { churn[i], churn[j] = churn[j], churn[i] })
+	for _, p := range churn {
+		if !tr.Delete(p) {
+			t.Fatalf("Delete(%v) missed", p)
+		}
+	}
+	if tr.nodes() != start || tr.Len() != len(base) {
+		t.Fatalf("after churn: %d nodes, Len %d; want %d and %d", tr.nodes(), tr.Len(), start, len(base))
+	}
+}
+
+// TestTrieLookupEdges: a /0 matches every address of its family, a /32
+// or /128 only its own address, and the invalid address nothing.
+func TestTrieLookupEdges(t *testing.T) {
+	var tr Trie[string]
+	for _, s := range []string{"0.0.0.0/0", "10.1.2.3/32", "::/0", "2001:db8::1/128", "::ffff:10.0.0.0/104"} {
+		tr.Insert(MustParsePrefix(s), s)
+	}
+	cases := []struct{ ip, want string }{
+		{"10.1.2.3", "10.1.2.3/32"},
+		{"10.1.2.4", "0.0.0.0/0"},
+		{"2001:db8::1", "2001:db8::1/128"},
+		{"2001:db8::2", "::/0"},
+		{"::ffff:10.1.2.3", "::ffff:10.0.0.0/104"},
+	}
+	for _, c := range cases {
+		v, p, ok := tr.Lookup(netip.MustParseAddr(c.ip))
+		if !ok || v != c.want || p.String() != c.want {
+			t.Fatalf("Lookup(%s) = %q %v %v, want %s", c.ip, v, p, ok, c.want)
+		}
+	}
+	if _, _, ok := tr.Lookup(netip.Addr{}); ok {
+		t.Fatal("the invalid address matched")
 	}
 }
 

@@ -121,16 +121,39 @@ func (p Path) String() string {
 // Route is one BGP route: a prefix plus its path attributes. A route is
 // immutable once built: its Path and Communities are shared with the
 // export sets built from it and with the routes peers learn from those,
-// so nothing may write through them.
+// so nothing may write through them. The next hop and the local
+// preference follow from the session the route came in on, so a route
+// holds the session and derives them (NextHop, LocalPref).
 type Route struct {
 	Prefix      addr.Prefix
 	Path        Path
-	NextHop     netip.Addr
-	LocalPref   uint32 // meaningful locally; not exported on eBGP
 	Communities []Community
 
 	// Learned metadata (not wire attributes).
 	FromSession *Session // nil for locally originated routes
+}
+
+// originatedLocalPref is a locally originated route's LOCAL_PREF: it
+// beats anything learned.
+const originatedLocalPref = 1 << 30
+
+// NextHop returns the NEXT_HOP the route was learned with: the sending
+// session's own address. A locally originated route has none.
+func (r *Route) NextHop() netip.Addr {
+	if r.FromSession == nil {
+		return netip.Addr{}
+	}
+	return r.FromSession.peer.cfg.LocalAddr
+}
+
+// LocalPref returns the route's LOCAL_PREF (meaningful locally; not
+// exported on eBGP): the Gao-Rexford import preference of the session it
+// came in on, or originatedLocalPref.
+func (r *Route) LocalPref() uint32 {
+	if r.FromSession == nil {
+		return originatedLocalPref
+	}
+	return DefaultLocalPref(r.FromSession.cfg.Relation)
 }
 
 // HasCommunity reports whether the route carries c.
@@ -147,5 +170,5 @@ func (r *Route) String() string {
 	if r == nil {
 		return "<nil route>"
 	}
-	return fmt.Sprintf("%v via %v path [%v] lp=%d", r.Prefix, r.NextHop, r.Path, r.LocalPref)
+	return fmt.Sprintf("%v via %v path [%v] lp=%d", r.Prefix, r.NextHop(), r.Path, r.LocalPref())
 }

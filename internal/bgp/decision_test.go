@@ -13,14 +13,6 @@ import (
 // process keeps the first candidate in session creation order, whichever
 // arrived first, and re-running it causes no churn.
 func TestDecisionStability(t *testing.T) {
-	a := &Route{LocalPref: 100, Path: Path{1}}
-	b := &Route{LocalPref: 100, Path: Path{2}}
-	// Identical on every criterion (both local, routerID 0): neither is
-	// strictly better.
-	if better(a, b) || better(b, a) {
-		t.Fatal("tie should not prefer either")
-	}
-
 	eng := sim.NewEngine()
 	x := NewSpeaker(eng, "x", 300, 3)
 	p1 := NewSpeaker(eng, "p1", 100, 7) // the same router ID: a full tie
@@ -29,6 +21,15 @@ func TestDecisionStability(t *testing.T) {
 	s1, _ := Connect(x, p1, cA, cB)
 	cA, cB = pairCfg(RelPeer, "2001:db8:11::1", "2001:db8:11::2")
 	s2, _ := Connect(x, p2, cA, cB)
+
+	a := &Route{Path: Path{1}, FromSession: s1}
+	b := &Route{Path: Path{2}, FromSession: s2}
+	// Identical on every criterion (both from peers, so local-pref 100;
+	// one hop; router ID 7): neither is strictly better.
+	if a.LocalPref() != 100 || better(a, b) || better(b, a) {
+		t.Fatal("tie should not prefer either")
+	}
+
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	changes := 0
 	x.OnBestChange = func(addr.Prefix, *Route, *Route) { changes++ }
@@ -79,7 +80,7 @@ func TestMultiPrefixUpdate(t *testing.T) {
 
 	u := &Update{
 		Announced: prefixes("2001:db8:1::/48", "2001:db8:2::/48", "2001:db8:3::/48"),
-		Attrs:     Attrs{Path: Path{100}, NextHop: v6("2001:db8:10::1")},
+		Attrs:     Attrs{Path: Path{100}},
 	}
 	bs := b.sessions[0]
 	b.handleUpdate(bs, u)

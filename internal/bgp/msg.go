@@ -1,10 +1,6 @@
 package bgp
 
-import (
-	"net/netip"
-
-	"tango/internal/addr"
-)
+import "tango/internal/addr"
 
 // Message is one BGP message in flight between the two sides of a
 // session: an OPEN, an UPDATE or a KEEPALIVE, exactly one field set.
@@ -14,10 +10,11 @@ type Message struct {
 	Keepalive bool
 }
 
-// Attrs are the path attributes shared by all NLRI in one UPDATE.
+// Attrs are the path attributes shared by all NLRI in one UPDATE. The
+// NEXT_HOP is the sending session's own address, so the receiver reads
+// it from the session (Route.NextHop) and the UPDATE does not carry it.
 type Attrs struct {
 	Path        Path
-	NextHop     netip.Addr
 	Communities []Community
 }
 
@@ -45,15 +42,15 @@ type oneUpdate struct {
 	nlri [1]addr.Prefix
 }
 
-// newUpdate returns an UPDATE for p: an announcement carrying x with
-// the given next hop, or a withdrawal when x is nil.
-func newUpdate(p addr.Prefix, x *exportSet, nextHop netip.Addr) *Message {
+// newUpdate returns an UPDATE for p: an announcement carrying x, or a
+// withdrawal when x is nil.
+func newUpdate(p addr.Prefix, x *exportSet) *Message {
 	b := &oneUpdate{nlri: [1]addr.Prefix{p}}
 	if x == nil {
 		b.upd.Withdrawn = b.nlri[:]
 	} else {
 		b.upd.Announced = b.nlri[:]
-		b.upd.Attrs = Attrs{Path: x.path, NextHop: nextHop, Communities: x.comms}
+		b.upd.Attrs = Attrs{Path: x.path, Communities: x.comms}
 	}
 	b.msg.Update = &b.upd
 	return &b.msg

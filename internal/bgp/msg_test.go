@@ -21,15 +21,15 @@ func handover() (eng *sim.Engine, a, b *Speaker, sa, sb *Session) {
 	return eng, a, b, sa, sb
 }
 
-// adjOut returns what s last exported for p as a route — its export set
-// under the session's next hop — or nil.
+// adjOut returns what s last exported for p as a route (its export set;
+// the next hop is s's own address), or nil.
 func adjOut(s *Session, p addr.Prefix) *Route {
 	n := s.speaker.lookup(p)
 	if n < 0 || s.adj.at(n).out == nil {
 		return nil
 	}
 	x := s.adj.at(n).out
-	return &Route{Prefix: p, Path: x.path, NextHop: s.cfg.LocalAddr, Communities: x.comms}
+	return &Route{Prefix: p, Path: x.path, Communities: x.comms}
 }
 
 // TestOpenRoundTrip: each side's OPEN reaches the peer one session delay
@@ -60,12 +60,12 @@ func TestUpdateRoundTripIPv6(t *testing.T) {
 	if sent == nil || got == nil {
 		t.Fatalf("exported %v, learned %v", sent, got)
 	}
-	if got.Prefix != sent.Prefix || !got.Path.Equal(sent.Path) || got.NextHop != sent.NextHop ||
+	if got.Prefix != sent.Prefix || !got.Path.Equal(sent.Path) || got.NextHop() != sa.cfg.LocalAddr ||
 		!slices.Equal(got.Communities, sent.Communities) {
 		t.Fatalf("learned %v %v, exported %v %v", got, got.Communities, sent, sent.Communities)
 	}
-	if got.LocalPref != DefaultLocalPref(RelCustomer) || got.FromSession != sb {
-		t.Fatalf("learned local-pref %d from %v", got.LocalPref, got.FromSession)
+	if got.LocalPref() != DefaultLocalPref(RelCustomer) || got.FromSession != sb {
+		t.Fatalf("learned local-pref %d from %v", got.LocalPref(), got.FromSession)
 	}
 }
 

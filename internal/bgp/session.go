@@ -38,8 +38,8 @@ func (r Relation) String() string {
 type SessionConfig struct {
 	// Relation of the remote peer as seen from this side.
 	Relation Relation
-	// LocalAddr is this side's session endpoint; it becomes the NEXT_HOP
-	// on routes exported here.
+	// LocalAddr is this side's session endpoint; it is the NEXT_HOP of
+	// the routes the peer learns here.
 	LocalAddr netip.Addr
 	// Delay is the one-way message propagation delay to the peer.
 	Delay time.Duration
@@ -74,9 +74,11 @@ type Session struct {
 	established bool
 
 	// adj is indexed by the speaker's prefix numbers; nIn counts the
-	// routes learned from the peer.
-	adj pages[adjEntry]
-	nIn int
+	// routes learned from the peer. queued holds a bit per number, set
+	// while the number is in pending.
+	adj    pages[adjEntry]
+	queued []uint64
+	nIn    int
 
 	// variant selects the export set this session advertises (see
 	// exportSet).
@@ -98,9 +100,16 @@ type Session struct {
 
 // adjEntry is a session's state for one numbered prefix.
 type adjEntry struct {
-	in     *Route     // Adj-RIB-In: the route learned from the peer
-	out    *exportSet // Adj-RIB-Out: the attributes the peer last heard
-	queued bool       // in pending
+	in  *Route     // Adj-RIB-In: the route learned from the peer
+	out *exportSet // Adj-RIB-Out: the attributes the peer last heard
+}
+
+// cover grows the session's tables to hold numbers below n.
+func (s *Session) cover(n int) {
+	s.adj.cover(n)
+	for len(s.queued)*64 < n {
+		s.queued = append(s.queued, 0)
+	}
 }
 
 // PeerAS returns the remote speaker's ASN.
@@ -164,7 +173,7 @@ func newSession(sp *Speaker, cfg SessionConfig) *Session {
 	if cfg.ScrubActionCommunities {
 		s.variant |= scrubActions
 	}
-	s.adj.cover(len(sp.num))
+	s.cover(len(sp.num))
 	s.flushFn = s.flush
 	return s
 }
@@ -199,10 +208,11 @@ func (s *Session) OnSimEvent(arg any) {
 // queue marks prefix number n as needing (re)advertisement to this peer
 // and arms the MRAI flush.
 func (s *Session) queue(n int32) {
-	if !s.established || s.adj.at(n).queued {
+	w, bit := &s.queued[n>>6], uint64(1)<<(n&63)
+	if !s.established || *w&bit != 0 {
 		return
 	}
-	s.adj.at(n).queued = true
+	*w |= bit
 	s.pending = append(s.pending, n)
 	if s.mraiArmed {
 		return
@@ -228,7 +238,7 @@ func (s *Session) flush() {
 	rib := s.speaker.rib
 	slices.SortFunc(s.pending, func(a, b int32) int { return rib.at(a).prefix.Compare(rib.at(b).prefix) })
 	for _, n := range s.pending {
-		s.adj.at(n).queued = false
+		s.queued[n>>6] &^= uint64(1) << (n & 63)
 		s.advertise(n)
 	}
 	s.pending = s.pending[:0]
@@ -246,14 +256,14 @@ func (s *Session) advertise(n int32) {
 			return
 		}
 		slot.out = nil
-		s.sendMsg(newUpdate(e.prefix, nil, s.cfg.LocalAddr))
+		s.sendMsg(newUpdate(e.prefix, nil))
 		return
 	}
 	if prev != nil && sameExport(prev, export) {
 		return
 	}
 	slot.out = export
-	s.sendMsg(newUpdate(e.prefix, export, s.cfg.LocalAddr))
+	s.sendMsg(newUpdate(e.prefix, export))
 }
 
 // sameExport reports whether two export sets carry the same path and

@@ -117,7 +117,7 @@ func (sp *Speaker) number(p addr.Prefix) int32 {
 	sp.rib.cover(int(n) + 1)
 	sp.rib.at(n).prefix = p
 	for _, s := range sp.sessions {
-		s.adj.cover(int(n) + 1)
+		s.cover(int(n) + 1)
 	}
 	return n
 }
@@ -162,7 +162,6 @@ func (sp *Speaker) OriginateWithPath(p addr.Prefix, poison Path, communities ...
 	r := &Route{
 		Prefix:      p,
 		Path:        poison.Clone(),
-		LocalPref:   1 << 30, // locally originated beats anything learned
 		Communities: append([]Community(nil), communities...),
 	}
 	n := sp.number(p)
@@ -227,8 +226,6 @@ func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 		slot.in = &Route{
 			Prefix:      p,
 			Path:        u.Attrs.Path,
-			NextHop:     u.Attrs.NextHop,
-			LocalPref:   DefaultLocalPref(s.cfg.Relation),
 			Communities: u.Attrs.Communities,
 			FromSession: s,
 		}
@@ -315,8 +312,8 @@ func (sp *Speaker) scheduleFullExport(s *Session) {
 // AS path, then lowest peer router ID as the deterministic tie breaker
 // (all sessions are eBGP).
 func better(a, b *Route) bool {
-	if a.LocalPref != b.LocalPref {
-		return a.LocalPref > b.LocalPref
+	if la, lb := a.LocalPref(), b.LocalPref(); la != lb {
+		return la > lb
 	}
 	if len(a.Path) != len(b.Path) {
 		return len(a.Path) < len(b.Path)

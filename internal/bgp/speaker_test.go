@@ -47,8 +47,8 @@ func TestSessionEstablishAndPropagate(t *testing.T) {
 	if !best.Path.Equal(Path{64512}) {
 		t.Fatalf("path = %v", best.Path)
 	}
-	if best.NextHop != v6("2001:db8:f::1") {
-		t.Fatalf("nexthop = %v", best.NextHop)
+	if best.NextHop() != v6("2001:db8:f::1") {
+		t.Fatalf("nexthop = %v", best.NextHop())
 	}
 	if r, ok := sb.AdjIn(pfx); !ok || r != best {
 		t.Fatal("AdjIn inconsistent with Loc-RIB")
@@ -259,7 +259,9 @@ func TestDecisionLocalPrefThenPathLen(t *testing.T) {
 	cA, cB := pairCfg(RelCustomer, "2001:db8:10::1", "2001:db8:10::2")
 	Connect(col, m1, cA, cB)
 	cA, cB = pairCfg(RelCustomer, "2001:db8:11::1", "2001:db8:11::2")
-	Connect(col, m2, cA, cB)
+	fromCustomer, _ := Connect(col, m2, cA, cB)
+	cA, cB = pairCfg(RelPeer, "2001:db8:15::1", "2001:db8:15::2")
+	fromPeer, _ := Connect(col, NewSpeaker(eng, "peer", 15, 6), cA, cB)
 	cA, cB = pairCfg(RelCustomer, "2001:db8:12::1", "2001:db8:12::2")
 	Connect(m1, dst, cA, cB)
 	cA, cB = pairCfg(RelCustomer, "2001:db8:13::1", "2001:db8:13::2")
@@ -280,8 +282,8 @@ func TestDecisionLocalPrefThenPathLen(t *testing.T) {
 	}
 
 	// A higher local-pref on the long path overrides length.
-	long := &Route{LocalPref: DefaultLocalPref(RelCustomer), Path: Path{12, 13, 14}}
-	short := &Route{LocalPref: DefaultLocalPref(RelPeer), Path: Path{11, 14}}
+	long := &Route{Path: Path{12, 13, 14}, FromSession: fromCustomer}
+	short := &Route{Path: Path{11, 14}, FromSession: fromPeer}
 	if !better(long, short) || better(short, long) {
 		t.Fatal("local-pref must be compared before path length")
 	}
@@ -371,7 +373,7 @@ func TestLoopPrevention(t *testing.T) {
 	eng.Run(5 * time.Second) // establish
 	u := &Update{
 		Announced: []addr.Prefix{pfx},
-		Attrs:     Attrs{Path: Path{100, 200, 300}, NextHop: v6("2001:db8:10::1")},
+		Attrs:     Attrs{Path: Path{100, 200, 300}},
 	}
 	bs := b.sessions[0]
 	b.handleUpdate(bs, u)

@@ -10,6 +10,7 @@ import "math/rand"
 // or not the controller is adaptive.
 type RNG struct {
 	*rand.Rand
+	src *lazySource
 }
 
 // Streams derives named RNGs from a master seed.
@@ -21,15 +22,46 @@ type Streams struct {
 func NewStreams(seed int64) *Streams { return &Streams{seed: seed} }
 
 // Stream returns an independent generator for the given name. The same
-// (seed, name) pair always yields the same sequence.
+// (seed, name) pair always yields the same sequence. The generator is
+// seeded on its first draw: its state is 4.9 KB, and most streams — one
+// per direction of every simulated link — are never drawn from, because
+// a fixed-delay, lossless line draws nothing. Seeding late draws the
+// same sequence as seeding now.
 func (s *Streams) Stream(name string) *RNG {
-	h := fnv64(name)
 	// Mix the master seed with the name hash. splitmix64 finalization
 	// decorrelates nearby seeds.
-	x := uint64(s.seed) ^ h
-	x = splitmix64(x)
-	return &RNG{Rand: rand.New(rand.NewSource(int64(x)))}
+	r := &RNG{}
+	r.src = &lazySource{rng: r, seed: int64(splitmix64(uint64(s.seed) ^ fnv64(name)))}
+	r.Rand = rand.New(r.src)
+	return r
 }
+
+// Seeded reports whether the stream has been drawn from.
+func (r *RNG) Seeded() bool { return r.src.src != nil }
+
+// lazySource is a math/rand source seeded on its first draw. Seeding
+// also gives its stream a generator over the seeded source, so later
+// draws skip this wrapper; a draw already under way finishes through it,
+// on the same source.
+type lazySource struct {
+	rng  *RNG
+	seed int64
+	src  rand.Source64 // nil until the first draw
+}
+
+func (l *lazySource) get() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+		l.rng.Rand = rand.New(l.src)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64   { return l.get().Int63() }
+func (l *lazySource) Uint64() uint64 { return l.get().Uint64() }
+
+// Seed restarts the stream from seed, seeded again on its next draw.
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
 
 func fnv64(name string) uint64 {
 	const offset = 14695981039346656037

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -113,6 +114,50 @@ func TestStreamDerivationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLazyStreamMatchesEager: a stream seeds its generator on its first
+// draw, and draws what a generator seeded eagerly from the same (seed,
+// name) draws, whichever methods draw.
+func TestLazyStreamMatchesEager(t *testing.T) {
+	f := func(seed int64, name string, ops []uint8) bool {
+		lazy := NewStreams(seed).Stream(name)
+		if lazy.Seeded() {
+			return false
+		}
+		eager := rand.New(rand.NewSource(int64(splitmix64(uint64(seed) ^ fnv64(name)))))
+		for _, op := range append(ops, 0) {
+			var a, b uint64
+			switch op % 6 {
+			case 0:
+				a, b = lazy.Uint64(), eager.Uint64()
+			case 1:
+				a, b = uint64(lazy.Int63()), uint64(eager.Int63())
+			case 2:
+				a, b = math.Float64bits(lazy.Float64()), math.Float64bits(eager.Float64())
+			case 3:
+				a, b = math.Float64bits(lazy.NormFloat64()), math.Float64bits(eager.NormFloat64())
+			case 4:
+				a, b = math.Float64bits(lazy.ExpFloat64()), math.Float64bits(eager.ExpFloat64())
+			case 5:
+				a, b = uint64(lazy.Intn(1000)), uint64(eager.Intn(1000))
+			}
+			if a != b {
+				return false
+			}
+		}
+		return lazy.Seeded()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	// Edge probabilities draw nothing, so they leave a stream unseeded.
+	r := NewStreams(1).Stream("edges")
+	r.Bernoulli(0)
+	r.Bernoulli(1)
+	if r.Seeded() {
+		t.Fatal("Bernoulli(0) and Bernoulli(1) seeded the stream")
 	}
 }
 

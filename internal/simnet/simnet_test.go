@@ -201,6 +201,33 @@ func TestLoss(t *testing.T) {
 	}
 }
 
+// TestFixedLosslessLineNeverSeeds: a line draws from its stream only for
+// jitter or loss, so one with a fixed delay and no loss never seeds its
+// generator, and a lossy line seeds on its first packet.
+func TestFixedLosslessLineNeverSeeds(t *testing.T) {
+	w := New(1)
+	a := w.AddNode("a", 0)
+	b := w.AddNode("b", 0)
+	l := w.Connect(a, b, FixedDelay(time.Millisecond), FixedDelay(time.Millisecond))
+	b.AddAddr(netip.MustParseAddr("2001:db8::b"))
+	a.SetRoute(addr.MustParsePrefix("2001:db8::/32"), a.Ports()[0])
+	got := 0
+	b.SetHandler(func([]byte) { got++ })
+	for i := 0; i < 100; i++ {
+		a.Inject(mkPkt(t, "2001:db8::a", "2001:db8::b", 64, 1, 2))
+	}
+	w.Run(time.Second)
+	if got != 100 || l.LineAB().rngDelay.Seeded() || l.LineBA().rngDelay.Seeded() {
+		t.Fatalf("delivered %d; seeded %v/%v, want 100 and neither", got,
+			l.LineAB().rngDelay.Seeded(), l.LineBA().rngDelay.Seeded())
+	}
+	l.LineAB().SetLoss(0.01)
+	a.Inject(mkPkt(t, "2001:db8::a", "2001:db8::b", 64, 1, 2))
+	if !l.LineAB().rngLoss.Seeded() || l.LineBA().rngLoss.Seeded() {
+		t.Fatal("a lossy line's first packet did not seed its stream alone")
+	}
+}
+
 func TestLinkDown(t *testing.T) {
 	w := New(1)
 	a := w.AddNode("a", 0)

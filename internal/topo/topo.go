@@ -25,13 +25,9 @@ type AS struct {
 	Node    *simnet.Node
 	Speaker *bgp.Speaker
 
-	nhPort map[netip.Addr]*simnet.Port
-}
-
-// portFor resolves a BGP next hop to the output port toward that neighbor.
-func (a *AS) portFor(nh netip.Addr) (*simnet.Port, bool) {
-	p, ok := a.nhPort[nh]
-	return p, ok
+	// ports maps each of the speaker's sessions to the output port of
+	// the link it runs over: a learned route leaves by its session's.
+	ports map[*bgp.Session]*simnet.Port
 }
 
 // Builder constructs a topology over one network/engine. It records what
@@ -73,7 +69,7 @@ func (b *Builder) Eng() *sim.Engine { return b.W.Eng }
 func (b *Builder) AddAS(name string, asn bgp.ASN, routerID uint32, clockOffset time.Duration) *AS {
 	n := b.W.AddNode(name, clockOffset)
 	sp := bgp.NewSpeaker(n.Eng(), name, asn, routerID)
-	a := &AS{Name: name, ASN: asn, Index: len(b.Graph.ASes), Node: n, Speaker: sp, nhPort: make(map[netip.Addr]*simnet.Port)}
+	a := &AS{Name: name, ASN: asn, Index: len(b.Graph.ASes), Node: n, Speaker: sp, ports: make(map[*bgp.Session]*simnet.Port)}
 	b.Graph.ASes = append(b.Graph.ASes, GenAS{Name: name, ASN: asn})
 	sp.OnBestChange = func(p addr.Prefix, best, old *bgp.Route) {
 		a.applyBest(p, best)
@@ -91,9 +87,9 @@ func (a *AS) applyBest(p addr.Prefix, best *bgp.Route) {
 		// (tunnel endpoints are owned addresses), no FIB entry needed.
 		return
 	}
-	port, ok := a.portFor(best.NextHop)
+	port, ok := a.ports[best.FromSession]
 	if !ok {
-		panic(fmt.Sprintf("topo: %s has no port toward next hop %v", a.Name, best.NextHop))
+		panic(fmt.Sprintf("topo: %s has no port for session %v", a.Name, best.FromSession))
 	}
 	a.Node.SetRoute(p, port)
 }
@@ -157,8 +153,6 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 	ipY := mustHost(lp, 2)
 	x.Node.AddAddr(ipX)
 	y.Node.AddAddr(ipY)
-	x.nhPort[ipY] = link.PortA()
-	y.nhPort[ipX] = link.PortB()
 
 	relBA := invert(o.RelAB)
 	cfgX := bgp.SessionConfig{
@@ -177,6 +171,8 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 		MRAI:      o.MRAI,
 	}
 	sx, sy := bgp.Connect(x.Speaker, y.Speaker, cfgX, cfgY)
+	x.ports[sx] = link.PortA()
+	y.ports[sy] = link.PortB()
 	return link, sx, sy
 }
 
