@@ -1,5 +1,5 @@
 // Package bgp implements the part of BGP-4 the paper's control plane
-// uses: OPEN/UPDATE/KEEPALIVE sessions over IPv6, communities, AS paths,
+// uses: OPEN/UPDATE/KEEPALIVE sessions, communities, AS paths,
 // Gao-Rexford export rules and local preference, a decision process of
 // LOCAL_PREF, AS-path length and router ID, and MRAI-paced propagation.
 // Sessions hand each other message values, not RFC 4271 bytes: every
@@ -16,7 +16,6 @@ package bgp
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 
 	"tango/internal/addr"
@@ -121,9 +120,9 @@ func (p Path) String() string {
 // Route is one BGP route: a prefix plus its path attributes. A route is
 // immutable once built: its Path and Communities are shared with the
 // export sets built from it and with the routes peers learn from those,
-// so nothing may write through them. The next hop and the local
-// preference follow from the session the route came in on, so a route
-// holds the session and derives them (NextHop, LocalPref).
+// so nothing may write through them. The local preference follows from
+// the session the route came in on, so a route holds the session and
+// derives it (LocalPref).
 type Route struct {
 	Prefix      addr.Prefix
 	Path        Path
@@ -136,15 +135,6 @@ type Route struct {
 // originatedLocalPref is a locally originated route's LOCAL_PREF: it
 // beats anything learned.
 const originatedLocalPref = 1 << 30
-
-// NextHop returns the NEXT_HOP the route was learned with: the sending
-// session's own address. A locally originated route has none.
-func (r *Route) NextHop() netip.Addr {
-	if r.FromSession == nil {
-		return netip.Addr{}
-	}
-	return r.FromSession.peer.cfg.LocalAddr
-}
 
 // LocalPref returns the route's LOCAL_PREF (meaningful locally; not
 // exported on eBGP): the Gao-Rexford import preference of the session it
@@ -170,5 +160,5 @@ func (r *Route) String() string {
 	if r == nil {
 		return "<nil route>"
 	}
-	return fmt.Sprintf("%v via %v path [%v] lp=%d", r.Prefix, r.NextHop(), r.Path, r.LocalPref())
+	return fmt.Sprintf("%v from %v path [%v] lp=%d", r.Prefix, r.FromSession, r.Path, r.LocalPref())
 }

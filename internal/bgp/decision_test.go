@@ -17,9 +17,9 @@ func TestDecisionStability(t *testing.T) {
 	x := NewSpeaker(eng, "x", 300, 3)
 	p1 := NewSpeaker(eng, "p1", 100, 7) // the same router ID: a full tie
 	p2 := NewSpeaker(eng, "p2", 200, 7)
-	cA, cB := pairCfg(RelPeer, "2001:db8:10::1", "2001:db8:10::2")
+	cA, cB := pairCfg(RelPeer)
 	s1, _ := Connect(x, p1, cA, cB)
-	cA, cB = pairCfg(RelPeer, "2001:db8:11::1", "2001:db8:11::2")
+	cA, cB = pairCfg(RelPeer)
 	s2, _ := Connect(x, p2, cA, cB)
 
 	a := &Route{Path: Path{1}, FromSession: s1}
@@ -32,7 +32,7 @@ func TestDecisionStability(t *testing.T) {
 
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	changes := 0
-	x.OnBestChange = func(addr.Prefix, *Route, *Route) { changes++ }
+	x.OnBestChange = func(addr.Prefix, *Route) { changes++ }
 	x.handleUpdate(s2, &Update{Announced: []addr.Prefix{pfx}, Attrs: Attrs{Path: Path{200}}})
 	x.handleUpdate(s1, &Update{Announced: []addr.Prefix{pfx}, Attrs: Attrs{Path: Path{100}}})
 	if best := x.Best(pfx); best == nil || best.FromSession != s1 || changes != 2 {
@@ -74,7 +74,7 @@ func TestMultiPrefixUpdate(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewSpeaker(eng, "a", 100, 1)
 	b := NewSpeaker(eng, "b", 200, 2)
-	cA, cB := pairCfg(RelProvider, "2001:db8:10::1", "2001:db8:10::2")
+	cA, cB := pairCfg(RelProvider)
 	Connect(a, b, cA, cB)
 	eng.Run(time.Second)
 
@@ -105,9 +105,9 @@ func TestRIBCountsFollowWithdrawals(t *testing.T) {
 	c := NewSpeaker(eng, "c", 300, 3)
 	a := NewSpeaker(eng, "a", 100, 1)
 	b := NewSpeaker(eng, "b", 200, 2)
-	cA, cB := pairCfg(RelCustomer, "2001:db8:10::1", "2001:db8:10::2")
+	cA, cB := pairCfg(RelCustomer)
 	sa, _ := Connect(c, a, cA, cB)
-	cA, cB = pairCfg(RelCustomer, "2001:db8:11::1", "2001:db8:11::2")
+	cA, cB = pairCfg(RelCustomer)
 	sb, _ := Connect(c, b, cA, cB)
 	p := prefixes("2001:db8:1::/48", "2001:db8:2::/48", "2001:db8:3::/48", "2001:db8:4::/48")
 	from := map[*Session]string{nil: "c", sa: "a", sb: "b"}

@@ -10,9 +10,9 @@ type Message struct {
 	Keepalive bool
 }
 
-// Attrs are the path attributes shared by all NLRI in one UPDATE. The
-// NEXT_HOP is the sending session's own address, so the receiver reads
-// it from the session (Route.NextHop) and the UPDATE does not carry it.
+// Attrs are the path attributes shared by all NLRI in one UPDATE. A
+// route is forwarded over the session it came in on, so an UPDATE
+// carries no NEXT_HOP.
 type Attrs struct {
 	Path        Path
 	Communities []Community

@@ -16,13 +16,13 @@ func handover() (eng *sim.Engine, a, b *Speaker, sa, sb *Session) {
 	eng = sim.NewEngine()
 	a = NewSpeaker(eng, "a", 100, 1)
 	b = NewSpeaker(eng, "b", 200, 2)
-	cA, cB := pairCfg(RelProvider, "2001:db8:10::1", "2001:db8:10::2")
+	cA, cB := pairCfg(RelProvider)
 	sa, sb = Connect(a, b, cA, cB)
 	return eng, a, b, sa, sb
 }
 
-// adjOut returns what s last exported for p as a route (its export set;
-// the next hop is s's own address), or nil.
+// adjOut returns what s last exported for p as a route (its export set),
+// or nil.
 func adjOut(s *Session, p addr.Prefix) *Route {
 	n := s.speaker.lookup(p)
 	if n < 0 || s.adj.at(n).out == nil {
@@ -48,8 +48,9 @@ func TestOpenRoundTrip(t *testing.T) {
 }
 
 // TestUpdateRoundTripIPv6: the peer learns a route exactly as the sender
-// exported it — prefix, path, next hop and communities — and only local
-// preference is the receiver's own.
+// exported it — prefix, path and communities — and only the session it
+// came in on and the local preference that follows are the receiver's
+// own.
 func TestUpdateRoundTripIPv6(t *testing.T) {
 	eng, a, _, sa, sb := handover()
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
@@ -60,8 +61,7 @@ func TestUpdateRoundTripIPv6(t *testing.T) {
 	if sent == nil || got == nil {
 		t.Fatalf("exported %v, learned %v", sent, got)
 	}
-	if got.Prefix != sent.Prefix || !got.Path.Equal(sent.Path) || got.NextHop() != sa.cfg.LocalAddr ||
-		!slices.Equal(got.Communities, sent.Communities) {
+	if got.Prefix != sent.Prefix || !got.Path.Equal(sent.Path) || !slices.Equal(got.Communities, sent.Communities) {
 		t.Fatalf("learned %v %v, exported %v %v", got, got.Communities, sent, sent.Communities)
 	}
 	if got.LocalPref() != DefaultLocalPref(RelCustomer) || got.FromSession != sb {
@@ -117,21 +117,21 @@ func TestUpdateRoundTripProperty(t *testing.T) {
 }
 
 // TestScrubDoesNotWriteSharedAttributes: an export set shares its
-// communities with the Loc-RIB route it was built from, with the other
-// variants' sets and with every route a peer learns from it, so scrubbing
+// communities with the Loc-RIB route it was built from, with the plain
+// sessions' set and with every route a peer learns from it, so scrubbing
 // must build a new list, never filter the shared one in place. a exports
-// an action community for some other AS plus a tag over a scrubbing
-// session to b and a plain one to c: c keeps both communities, b keeps
-// only the tag, and a's own route is as originated.
+// an action community for some other AS plus a tag over a border session
+// to b and a plain one to c: c keeps both communities, b keeps only the
+// tag, and a's own route is as originated.
 func TestScrubDoesNotWriteSharedAttributes(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewSpeaker(eng, "a", 100, 1)
 	b := NewSpeaker(eng, "b", 200, 2)
 	c := NewSpeaker(eng, "c", 300, 3)
-	cA, cB := pairCfg(RelProvider, "2001:db8:10::1", "2001:db8:10::2")
-	cA.ScrubActionCommunities = true
+	cA, cB := pairCfg(RelProvider)
+	cA.Border = true
 	Connect(a, b, cA, cB)
-	cA, cC := pairCfg(RelProvider, "2001:db8:11::1", "2001:db8:11::2")
+	cA, cC := pairCfg(RelProvider)
 	Connect(a, c, cA, cC)
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	action, tag := NoExportTo(999), MakeCommunity(100, 7)
@@ -144,7 +144,7 @@ func TestScrubDoesNotWriteSharedAttributes(t *testing.T) {
 		want []Community
 	}{
 		{"plain peer c", c.Best(pfx), []Community{action, tag}},
-		{"scrubbing peer b", b.Best(pfx), []Community{tag}},
+		{"border peer b", b.Best(pfx), []Community{tag}},
 		{"sender a", a.Best(pfx), []Community{action, tag}},
 	} {
 		if tc.r == nil {

@@ -16,11 +16,11 @@ func TestPoisonBlocksVictim(t *testing.T) {
 	vultr := NewSpeaker(eng, "vultr", ASVultr, 2)
 	ntt := NewSpeaker(eng, "ntt", ASNTT, 3)
 	telia := NewSpeaker(eng, "telia", ASTelia, 4)
-	cA, cB := pairCfg(RelProvider, "2001:db8:10::1", "2001:db8:10::2")
+	cA, cB := pairCfg(RelProvider)
 	Connect(edge, vultr, cA, cB)
-	cA, cB = pairCfg(RelProvider, "2001:db8:11::1", "2001:db8:11::2")
+	cA, cB = pairCfg(RelProvider)
 	Connect(vultr, ntt, cA, cB)
-	cA, cB = pairCfg(RelProvider, "2001:db8:12::1", "2001:db8:12::2")
+	cA, cB = pairCfg(RelProvider)
 	Connect(vultr, telia, cA, cB)
 
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
@@ -54,19 +54,20 @@ func TestPoisonBlocksTransitPaths(t *testing.T) {
 	cogent := NewSpeaker(eng, "cogent", ASCogent, 4)
 	obs := NewSpeaker(eng, "obs", 64513, 5)
 
-	cA, cB := pairCfg(RelProvider, "2001:db8:10::1", "2001:db8:10::2")
+	cA, cB := pairCfg(RelProvider)
 	Connect(edge, vultr, cA, cB)
-	// The provider scrubs its action communities on export to the core,
-	// as Vultr does; otherwise other ASes would honor 64600:* too.
-	cA, cB = pairCfg(RelProvider, "2001:db8:11::1", "2001:db8:11::2")
-	cA.ScrubActionCommunities = true
+	// The provider's sessions to the core are border sessions, as
+	// Vultr's are: they scrub its action communities, or other ASes
+	// would honor 64600:* too.
+	cA, cB = pairCfg(RelProvider)
+	cA.Border = true
 	Connect(vultr, ntt, cA, cB)
-	cA, cB = pairCfg(RelProvider, "2001:db8:12::1", "2001:db8:12::2")
-	cA.ScrubActionCommunities = true
+	cA, cB = pairCfg(RelProvider)
+	cA.Border = true
 	Connect(vultr, cogent, cA, cB)
-	cA, cB = pairCfg(RelPeer, "2001:db8:13::1", "2001:db8:13::2")
+	cA, cB = pairCfg(RelPeer)
 	Connect(ntt, cogent, cA, cB)
-	cA, cB = pairCfg(RelCustomer, "2001:db8:14::1", "2001:db8:14::2")
+	cA, cB = pairCfg(RelCustomer)
 	Connect(ntt, obs, cA, cB)
 
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
@@ -104,7 +105,7 @@ func TestPoisonedPathOnWire(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewSpeaker(eng, "a", 100, 1)
 	b := NewSpeaker(eng, "b", 200, 2)
-	cA, cB := pairCfg(RelProvider, "2001:db8:10::1", "2001:db8:10::2")
+	cA, cB := pairCfg(RelProvider)
 	Connect(a, b, cA, cB)
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	a.OriginateWithPath(pfx, Path{300, 400})

@@ -2,7 +2,6 @@ package bgp
 
 import (
 	"fmt"
-	"net/netip"
 	"slices"
 	"time"
 
@@ -38,9 +37,6 @@ func (r Relation) String() string {
 type SessionConfig struct {
 	// Relation of the remote peer as seen from this side.
 	Relation Relation
-	// LocalAddr is this side's session endpoint; it is the NEXT_HOP of
-	// the routes the peer learns here.
-	LocalAddr netip.Addr
 	// Delay is the one-way message propagation delay to the peer.
 	Delay time.Duration
 	// MRAI is the minimum route advertisement interval: successive
@@ -53,14 +49,12 @@ type SessionConfig struct {
 	// hears the other's prefixes through the public core with 20473
 	// already in the path — exactly as in the paper's deployment.
 	AllowOwnAS bool
-	// StripPrivateASNs removes RFC 6996 private ASNs from the AS path
-	// when exporting to this peer, as Vultr does when propagating
-	// customer announcements made from a private ASN.
-	StripPrivateASNs bool
-	// ScrubActionCommunities removes this speaker's action communities
-	// (the 64600 namespace) after applying them, so internal knobs do not
-	// leak beyond the provider applying them.
-	ScrubActionCommunities bool
+	// Border marks a provider's session toward the transit core. On
+	// export to it the AS path loses its RFC 6996 private ASNs, as Vultr
+	// strips a customer's private ASN, and the communities lose this
+	// speaker's action communities (the 64600 namespace) after they were
+	// applied, so the knobs stay inside the provider that offers them.
+	Border bool
 }
 
 // Session is one side of an eBGP session. Messages to the peer are
@@ -79,10 +73,6 @@ type Session struct {
 	adj    pages[adjEntry]
 	queued []uint64
 	nIn    int
-
-	// variant selects the export set this session advertises (see
-	// exportSet).
-	variant uint8
 
 	// MRAI pacing state: pending lists the numbers queued since the last
 	// flush, each once; flushFn is flush bound once, so arming the timer
@@ -167,12 +157,6 @@ func Connect(a, b *Speaker, cfgA, cfgB SessionConfig) (*Session, *Session) {
 
 func newSession(sp *Speaker, cfg SessionConfig) *Session {
 	s := &Session{speaker: sp, cfg: cfg, neverSent: true}
-	if cfg.StripPrivateASNs {
-		s.variant |= stripPrivate
-	}
-	if cfg.ScrubActionCommunities {
-		s.variant |= scrubActions
-	}
 	s.cover(len(sp.num))
 	s.flushFn = s.flush
 	return s
@@ -267,8 +251,7 @@ func (s *Session) advertise(n int32) {
 }
 
 // sameExport reports whether two export sets carry the same path and
-// community set; the next hop is the session's own address either way.
-// A best that did not change exports the very same set.
+// community set. A best that did not change exports the very same set.
 func sameExport(a, b *exportSet) bool {
 	return a == b || a.path.Equal(b.path) && sameCommunities(a.comms, b.comms)
 }

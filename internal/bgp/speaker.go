@@ -30,9 +30,9 @@ type Speaker struct {
 	nBest int
 
 	// OnBestChange fires whenever the best route for a prefix changes
-	// (newBest nil on withdrawal). The Tango node uses it to program
-	// the data-plane FIB.
-	OnBestChange func(p addr.Prefix, newBest, old *Route)
+	// (best nil on withdrawal). The Tango node uses it to program the
+	// data-plane FIB.
+	OnBestChange func(p addr.Prefix, best *Route)
 }
 
 // ribEntry is the speaker's state for one numbered prefix: the locally
@@ -66,26 +66,18 @@ func (p *pages[T]) cover(n int) {
 	}
 }
 
-// exportSet is what one export variant of a Loc-RIB best carries: the
-// best's path with the speaker's AS prepended (private ASNs stripped
-// first for a stripping session) and its communities (action
-// communities scrubbed for a scrubbing session). It is built once per
-// best and variant, then shared — immutable — by every session
-// exporting that variant, by each UPDATE carrying it and by every route
-// a peer learns from one. The next hop, the only per-session attribute,
-// is the session's own address.
+// exportSet is what a Loc-RIB best exports: its path with the speaker's
+// AS prepended and its communities, for a border session (see
+// SessionConfig.Border) with private ASNs stripped and action
+// communities scrubbed. It is built once per best and kind of session,
+// then shared — immutable — by every session of that kind, by each
+// UPDATE carrying it and by every route a peer learns from one.
 type exportSet struct {
-	path    Path
-	comms   []Community
-	variant uint8      // stripPrivate | scrubActions
-	next    *exportSet // the entry's other variants
+	path   Path
+	comms  []Community
+	border bool
+	next   *exportSet // the entry's set for the other kind of session
 }
-
-// Export variants (Session.variant bits).
-const (
-	stripPrivate uint8 = 1 << iota
-	scrubActions
-)
 
 // NewSpeaker creates a speaker on the given engine.
 func NewSpeaker(eng *sim.Engine, name string, as ASN, routerID uint32) *Speaker {
@@ -287,7 +279,7 @@ func (sp *Speaker) reselect(n int32) {
 	e.best = best
 	e.exports = nil
 	if sp.OnBestChange != nil {
-		sp.OnBestChange(e.prefix, best, old)
+		sp.OnBestChange(e.prefix, best)
 	}
 	sp.scheduleExportAll(n)
 }
@@ -354,23 +346,24 @@ func (sp *Speaker) exportTo(s *Session, e *ribEntry) *exportSet {
 	if best.HasCommunity(NoExportTo(s.PeerAS())) {
 		return nil
 	}
+	border := s.cfg.Border
 	for x := e.exports; x != nil; x = x.next {
-		if x.variant == s.variant {
+		if x.border == border {
 			return x
 		}
 	}
 	path := make(Path, 1, 1+len(best.Path))
 	path[0] = sp.AS
 	for _, a := range best.Path {
-		if s.variant&stripPrivate == 0 || !a.IsPrivate() {
+		if !border || !a.IsPrivate() {
 			path = append(path, a)
 		}
 	}
 	comms := best.Communities
-	if s.variant&scrubActions != 0 {
+	if border {
 		comms = scrubbed(comms)
 	}
-	x := &exportSet{path: path, comms: comms, variant: s.variant, next: e.exports}
+	x := &exportSet{path: path, comms: comms, border: border, next: e.exports}
 	e.exports = x
 	return x
 }

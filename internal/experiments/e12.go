@@ -22,6 +22,7 @@ func E12ShardedStorm(cfg Config) *Result {
 	sites := cfg.wideSites()
 	d, reg, journal := newWideMesh(cfg.Seed+12, sites, cfg.Shards, time.Second)
 	s, eng := d.Scenario, d.Scenario.B.Eng()
+	parts, lookahead := eng.Coord().NumParts(), eng.Coord().Lookahead()
 
 	tunnels := tunnelCount(d)
 	expect := len(s.PairKeys) * 2 * 16
@@ -29,8 +30,8 @@ func E12ShardedStorm(cfg Config) *Result {
 		tunnels == expect && (sites < 64 || tunnels >= 10000),
 		"%d tunnels across %d pairs", tunnels, len(s.PairKeys))
 	r.check("partitioner split the mesh site-per-shard", "radial floors exceed the cut floor",
-		s.Layout.Parts == sites+16 && s.Layout.Lookahead == 4*time.Millisecond,
-		"%d partitions, lookahead %v", s.Layout.Parts, s.Layout.Lookahead)
+		parts == sites+16 && lookahead == 4*time.Millisecond,
+		"%d partitions, lookahead %v", parts, lookahead)
 
 	// The probe stream under test: the last chord pair, farthest offset.
 	pk := s.PairKeys[len(s.PairKeys)-1]
@@ -65,8 +66,8 @@ func E12ShardedStorm(cfg Config) *Result {
 		{"sites", fmt.Sprint(sites)},
 		{"pairs", fmt.Sprint(len(s.PairKeys))},
 		{"tunnels", fmt.Sprint(tunnels)},
-		{"partitions", fmt.Sprint(s.Layout.Parts)},
-		{"lookahead", s.Layout.Lookahead.String()},
+		{"partitions", fmt.Sprint(parts)},
+		{"lookahead", lookahead.String()},
 		{"storm faults", fmt.Sprint(len(labels))},
 		{"app sent", fmt.Sprint(sent)},
 		{"app delivered", fmt.Sprint(delivered)},

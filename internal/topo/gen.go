@@ -382,6 +382,29 @@ func (g *ASGraph) ValleyFreeProviders(dst, src int) []bgp.ASN {
 	return out
 }
 
+// The two states of a route under valley-free export: restricted (learned
+// from a peer or provider; exportable only to customers) and permissive
+// (originated or learned from a customer; exportable to everyone).
+const (
+	restricted = 0
+	permissive = 1
+)
+
+// exportStep is the valley-free export rule for one hop: to is what the
+// importing neighbour is to the exporter, which holds the route in state.
+// ok reports whether the export is allowed, and next is the state the
+// neighbour then holds the route in: permissive iff the exporter is its
+// customer.
+func exportStep(state int, to bgp.Relation) (next int, ok bool) {
+	if state == restricted && to != bgp.RelCustomer {
+		return restricted, false
+	}
+	if to == bgp.RelProvider {
+		return permissive, true
+	}
+	return restricted, true
+}
+
 // reachableVia reports whether the announcement dst hands to its provider
 // entry can propagate to src under valley-free export, never transiting
 // dst itself.
@@ -389,10 +412,6 @@ func (g *ASGraph) reachableVia(adj [][]GenAdj, dst, entry, src int) bool {
 	if entry == src {
 		return true
 	}
-	const (
-		restricted = 0
-		permissive = 1
-	)
 	seen := make([][2]bool, len(g.ASes))
 	// The entry provider learned the route from its customer dst.
 	seen[entry][permissive] = true
@@ -405,19 +424,8 @@ func (g *ASGraph) reachableVia(adj [][]GenAdj, dst, entry, src int) bool {
 			if a.Peer == dst {
 				continue
 			}
-			// Export rule: permissive routes go everywhere; restricted
-			// routes only to customers.
-			if it.state == restricted && a.Rel != bgp.RelCustomer {
-				continue
-			}
-			// Import state at the neighbor: permissive iff it learned the
-			// route from one of its customers (we are its customer iff it
-			// is our provider).
-			ns := restricted
-			if a.Rel == bgp.RelProvider {
-				ns = permissive
-			}
-			if seen[a.Peer][ns] {
+			ns, ok := exportStep(it.state, a.Rel)
+			if !ok || seen[a.Peer][ns] {
 				continue
 			}
 			seen[a.Peer][ns] = true
@@ -441,10 +449,6 @@ func (g *ASGraph) ValleyFreePaths(dst, src, maxLen, maxPaths int) [][]bgp.ASN {
 	path := []int{dst}
 	onPath[dst] = true
 	var dfs func(node, state int)
-	const (
-		restricted = 0
-		permissive = 1
-	)
 	dfs = func(node, state int) {
 		if len(out) >= maxPaths {
 			return
@@ -466,15 +470,9 @@ func (g *ASGraph) ValleyFreePaths(dst, src, maxLen, maxPaths int) [][]bgp.ASN {
 		next := append([]GenAdj(nil), adj[node]...)
 		sort.Slice(next, func(i, j int) bool { return next[i].Peer < next[j].Peer })
 		for _, a := range next {
-			if onPath[a.Peer] {
+			ns, ok := exportStep(state, a.Rel)
+			if onPath[a.Peer] || !ok {
 				continue
-			}
-			if state == restricted && a.Rel != bgp.RelCustomer {
-				continue
-			}
-			ns := restricted
-			if a.Rel == bgp.RelProvider {
-				ns = permissive
 			}
 			onPath[a.Peer] = true
 			path = append(path, a.Peer)
@@ -536,14 +534,12 @@ func (g *ASGraph) ValleyFreeObserved(observer int, path bgp.Path) bool {
 func valleyFree(rels []bgp.Relation) bool {
 	// The origin holds the route permissively: it originated it, or — for
 	// a POP fronting a Tango edge — learned it from a customer.
-	permissive := true
+	state := permissive
 	for i := len(rels) - 1; i >= 0; i-- {
-		if !permissive && rels[i] != bgp.RelProvider {
-			return false // a restricted route exported beyond customers
+		var ok bool
+		if state, ok = exportStep(state, invert(rels[i])); !ok {
+			return false
 		}
-		// Permissive after import iff the importer heard it from its own
-		// customer.
-		permissive = rels[i] == bgp.RelCustomer
 	}
 	return true
 }

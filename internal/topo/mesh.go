@@ -51,11 +51,11 @@ type MeshSite struct {
 	ClockOffset time.Duration // applied to the site's edge servers
 	// POPName defaults to "pop-"+Name.
 	POPName string
-	POPASN  bgp.ASN
-	// AllowOwnAS enables allowas-in on the POP's transit sessions, for
-	// overlays whose sites share one POP ASN (Vultr's AS 20473).
-	AllowOwnAS bool
-	Attach     []MeshAttachment
+	// POPASN may be shared with other sites (Vultr's AS 20473): each
+	// such POP hears the others' prefixes through the core with its own
+	// ASN in the path, so its transit sessions turn on allowas-in.
+	POPASN bgp.ASN
+	Attach []MeshAttachment
 }
 
 // MeshPairSide overrides per-side details of one deployed pair. Zero
@@ -130,9 +130,6 @@ type MeshScenario struct {
 	Block      map[string]addr.Prefix
 	Probe      map[string]addr.Prefix
 
-	// Layout is the partition layout the mesh was built over.
-	Layout Partition
-
 	provName map[bgp.ASN]string // ProviderName's table
 }
 
@@ -146,17 +143,16 @@ const meshPeeringDelay = 4 * time.Millisecond
 // the partitioned build of it stops too.
 func MeshPartition(cfg MeshConfig) Partition {
 	b := NewBuilder(cfg.Seed, Partition{})
-	_, _ = buildMesh(b, cfg, Partition{})
+	_, _ = buildMesh(b, cfg)
 	return PartitionGraph(&b.Graph)
 }
 
 // NewMeshScenario builds the mesh over its partition layout, validating
 // the config as it goes.
 func NewMeshScenario(cfg MeshConfig) (*MeshScenario, error) {
-	layout := MeshPartition(cfg)
-	b := NewBuilder(cfg.Seed, layout)
+	b := NewBuilder(cfg.Seed, MeshPartition(cfg))
 	b.W.Coord().SetWorkers(cfg.Shards)
-	return buildMesh(b, cfg, layout)
+	return buildMesh(b, cfg)
 }
 
 // ProviderName returns the scenario's name for the provider with this
@@ -168,10 +164,9 @@ func (m *MeshScenario) ProviderName(asn bgp.ASN) string {
 	return fmt.Sprintf("AS%d", asn)
 }
 
-func newMeshScenario(b *Builder, layout Partition) *MeshScenario {
+func newMeshScenario(b *Builder) *MeshScenario {
 	return &MeshScenario{
 		B:          b,
-		Layout:     layout,
 		provName:   map[bgp.ASN]string{},
 		POPs:       map[string]*AS{},
 		Providers:  map[string]*AS{},
@@ -185,8 +180,8 @@ func newMeshScenario(b *Builder, layout Partition) *MeshScenario {
 }
 
 // buildMesh builds cfg on b, in the canonical order.
-func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, error) {
-	m := newMeshScenario(b, layout)
+func buildMesh(b *Builder, cfg MeshConfig) (*MeshScenario, error) {
+	m := newMeshScenario(b)
 	for i, p := range cfg.Providers {
 		if m.Providers[p.Name] != nil {
 			return nil, fmt.Errorf("topo: duplicate provider %q", p.Name)
@@ -202,6 +197,10 @@ func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, err
 		m.Providers[p.Name] = b.AddAS(node, p.ASN, uint32(21+i), 0)
 	}
 
+	sitesOf := map[bgp.ASN]int{}
+	for _, s := range cfg.Sites {
+		sitesOf[s.POPASN]++
+	}
 	offset := map[string]time.Duration{}
 	for i, s := range cfg.Sites {
 		if m.POPs[s.Name] != nil {
@@ -228,9 +227,8 @@ func buildMesh(b *Builder, cfg MeshConfig, layout Partition) (*MeshScenario, err
 				DelayBA: at.Trunk,
 				// The POP strips the tenant's private ASN and scrubs
 				// action communities when announcing to the core.
-				StripPrivateA2B: true,
-				ScrubA2B:        true,
-				AllowOwnASA:     s.AllowOwnAS,
+				BorderA2B:   true,
+				AllowOwnASA: sitesOf[s.POPASN] > 1,
 			})
 			m.Trunk[s.Name][at.Provider] = lnk.LineFrom(prov.Node)
 			m.Uplink[s.Name][at.Provider] = lnk.LineFrom(pop.Node)
@@ -340,7 +338,7 @@ func NewGenMesh(cfg GenConfig, pairs [][2]int) (*MeshScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newMeshScenario(NewBuilder(cfg.Seed, Partition{}), Partition{})
+	m := newMeshScenario(NewBuilder(cfg.Seed, Partition{}))
 	ases := make([]*AS, len(g.ASes))
 	for i, a := range g.ASes {
 		ases[i] = m.B.AddAS(a.Name, a.ASN, uint32(1+i), 0)
@@ -360,10 +358,7 @@ func NewGenMesh(cfg GenConfig, pairs [][2]int) (*MeshScenario, error) {
 			SessionDelay: e.Delay,
 			MRAI:         genMRAI,
 		}
-		if g.ASes[e.A].Tier == GenStub && e.RelAB == bgp.RelProvider {
-			o.StripPrivateA2B = true
-			o.ScrubA2B = true
-		}
+		o.BorderA2B = g.ASes[e.A].Tier == GenStub && e.RelAB == bgp.RelProvider
 		m.B.Wire(ases[e.A], ases[e.B], o)
 	}
 	mp := make([]MeshPair, len(pairs))

@@ -90,13 +90,16 @@ func TestPartitionMoreShardsThanNodesClamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Layout.Parts != want.Parts || s.B.W.Coord().NumParts() != want.Parts {
-		t.Fatalf("worker count changed the layout: %d parts (%d engines) vs %d",
-			s.Layout.Parts, s.B.W.Coord().NumParts(), want.Parts)
+	if got := s.B.W.Coord().NumParts(); got != want.Parts {
+		t.Fatalf("worker count changed the layout: %d engines vs %d parts", got, want.Parts)
 	}
-	for n, part := range want.Part {
-		if s.Layout.Part[n] != part {
-			t.Fatalf("node %s moved: partition %d vs %d", n, s.Layout.Part[n], part)
+	nodes := s.B.W.Nodes()
+	if len(nodes) != len(want.Part) {
+		t.Fatalf("%d nodes built, layout places %d", len(nodes), len(want.Part))
+	}
+	for _, n := range nodes {
+		if part, ok := want.Part[n.Name()]; !ok || n.Part() != part {
+			t.Fatalf("node %s moved: partition %d vs %d", n.Name(), n.Part(), part)
 		}
 	}
 }

@@ -6,7 +6,6 @@ package topo
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
 	"tango/internal/addr"
@@ -39,8 +38,7 @@ type Builder struct {
 	// Graph holds a node per AddAS, in call order (AS.Index), and an
 	// adjacency per Wire, whose Delay is the earliest either end can
 	// affect the other.
-	Graph   ASGraph
-	linkSeq int
+	Graph ASGraph
 }
 
 // NewBuilder creates a builder over a fresh network seeded with seed and
@@ -71,9 +69,7 @@ func (b *Builder) AddAS(name string, asn bgp.ASN, routerID uint32, clockOffset t
 	sp := bgp.NewSpeaker(n.Eng(), name, asn, routerID)
 	a := &AS{Name: name, ASN: asn, Index: len(b.Graph.ASes), Node: n, Speaker: sp, ports: make(map[*bgp.Session]*simnet.Port)}
 	b.Graph.ASes = append(b.Graph.ASes, GenAS{Name: name, ASN: asn})
-	sp.OnBestChange = func(p addr.Prefix, best, old *bgp.Route) {
-		a.applyBest(p, best)
-	}
+	sp.OnBestChange = a.applyBest
 	return a
 }
 
@@ -108,14 +104,11 @@ type WireOpts struct {
 	// MRAI paces UPDATEs on both sides (defaults to 5 s — short enough
 	// to keep discovery experiments brisk, long enough to batch).
 	MRAI time.Duration
-	// StripPrivateA2B strips private ASNs when A exports to B: set on a
-	// provider's sessions toward the core when the customer announces
-	// from a private ASN.
-	StripPrivateA2B bool
-	// ScrubA2B removes A's action communities when exporting to B
-	// (after applying them), so operator knobs stay inside the
-	// provider that offers them.
-	ScrubA2B bool
+	// BorderA2B makes A's session to B a border session
+	// (bgp.SessionConfig.Border): set on a provider's sessions toward
+	// the core, it strips the customer's private ASN and scrubs A's
+	// action communities.
+	BorderA2B bool
 	// AllowOwnASA enables allowas-in on A's side of the session.
 	AllowOwnASA bool
 }
@@ -141,35 +134,14 @@ func (b *Builder) Wire(x, y *AS, o WireOpts) (*simnet.Link, *bgp.Session, *bgp.S
 	b.Graph.Edges = append(b.Graph.Edges, GenEdge{A: x.Index, B: y.Index, RelAB: o.RelAB,
 		Delay: min(modelFloor(o.DelayAB), modelFloor(o.DelayBA), o.SessionDelay)})
 	link := b.W.Connect(x.Node, y.Node, o.DelayAB, o.DelayBA)
-
-	// The two session endpoints are ::1 and ::2 of a link /64 of their
-	// own, numbered in wiring order.
-	lp, err := addr.MustParsePrefix("2001:db8:fe00::/40").Subnet(64, b.linkSeq)
-	if err != nil {
-		panic(err)
-	}
-	b.linkSeq++
-	ipX := mustHost(lp, 1)
-	ipY := mustHost(lp, 2)
-	x.Node.AddAddr(ipX)
-	y.Node.AddAddr(ipY)
-
-	relBA := invert(o.RelAB)
 	cfgX := bgp.SessionConfig{
-		Relation:               o.RelAB,
-		LocalAddr:              ipX,
-		Delay:                  o.SessionDelay,
-		MRAI:                   o.MRAI,
-		StripPrivateASNs:       o.StripPrivateA2B,
-		ScrubActionCommunities: o.ScrubA2B,
-		AllowOwnAS:             o.AllowOwnASA,
+		Relation:   o.RelAB,
+		Delay:      o.SessionDelay,
+		MRAI:       o.MRAI,
+		AllowOwnAS: o.AllowOwnASA,
+		Border:     o.BorderA2B,
 	}
-	cfgY := bgp.SessionConfig{
-		Relation:  relBA,
-		LocalAddr: ipY,
-		Delay:     o.SessionDelay,
-		MRAI:      o.MRAI,
-	}
+	cfgY := bgp.SessionConfig{Relation: invert(o.RelAB), Delay: o.SessionDelay, MRAI: o.MRAI}
 	sx, sy := bgp.Connect(x.Speaker, y.Speaker, cfgX, cfgY)
 	x.ports[sx] = link.PortA()
 	y.ports[sy] = link.PortB()
@@ -195,12 +167,4 @@ func invert(r bgp.Relation) bgp.Relation {
 	default:
 		return bgp.RelPeer
 	}
-}
-
-func mustHost(p addr.Prefix, i uint64) netip.Addr {
-	ip, err := p.Host(i)
-	if err != nil {
-		panic(err)
-	}
-	return ip
 }

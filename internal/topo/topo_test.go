@@ -250,3 +250,48 @@ func TestTrunkHandles(t *testing.T) {
 		t.Fatal("shaper offset not applied")
 	}
 }
+
+// TestMeshAllowOwnASDerived: a POP turns allowas-in on for its transit
+// sessions exactly when another site shares its ASN. Two sites behind
+// one provider, with one POP ASN, reach each other's host prefix although
+// the route arrives with that ASN already in its path. With two POP ASNs,
+// loop prevention still holds: a host prefix poisoned with the other
+// POP's ASN stops at the provider.
+func TestMeshAllowOwnASDerived(t *testing.T) {
+	build := func(asnA, asnB bgp.ASN) *MeshScenario {
+		t.Helper()
+		site := func(name string, asn bgp.ASN) MeshSite {
+			return MeshSite{Name: name, POPASN: asn, Attach: []MeshAttachment{{Provider: "P"}}}
+		}
+		m, err := NewMeshScenario(MeshConfig{
+			Seed:      1,
+			Providers: []MeshProvider{{Name: "P", ASN: 100}},
+			Sites:     []MeshSite{site("a", asnA), site("b", asnB)},
+			Pairs:     []MeshPair{{A: "a", B: "b"}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	m := build(200, 200)
+	m.Run(time.Minute)
+	for _, k := range [][2]string{{"a:b", "b:a"}, {"b:a", "a:b"}} {
+		best := m.Edges[k[0]].Speaker.Best(m.HostPrefix[k[1]])
+		if best == nil || !best.Path.Equal(bgp.Path{200, 100, 200}) {
+			t.Fatalf("shared POP ASN: edge %s has route %v to %s's host prefix, want path [200 100 200]", k[0], best, k[1])
+		}
+	}
+
+	m = build(200, 201)
+	host := m.HostPrefix["a:b"]
+	m.Edges["a:b"].Speaker.OriginateWithPath(host, bgp.Path{201})
+	m.Run(time.Minute)
+	if m.Providers["P"].Speaker.Best(host) == nil {
+		t.Fatal("distinct POP ASNs: the provider has no route to a's host prefix")
+	}
+	if best := m.POPs["b"].Speaker.Best(host); best != nil {
+		t.Fatalf("distinct POP ASNs: POP b accepted a path with its own ASN: %v", best)
+	}
+}

@@ -96,15 +96,12 @@ func VultrConfig(cfg ScenarioConfig) MeshConfig {
 			{
 				Name: "ny", ClockOffset: cfg.ClockOffsetNY,
 				POPName: "vultr-ny", POPASN: bgp.ASVultr,
-				// Both POPs share AS 20473: accept paths containing it.
-				AllowOwnAS: true,
-				Attach:     attach("NTT", "Telia", "GTT", "Cogent"),
+				Attach: attach("NTT", "Telia", "GTT", "Cogent"),
 			},
 			{
 				Name: "la", ClockOffset: cfg.ClockOffsetLA,
 				POPName: "vultr-la", POPASN: bgp.ASVultr,
-				AllowOwnAS: true,
-				Attach:     attach("NTT", "Telia", "GTT", "Level3"),
+				Attach: attach("NTT", "Telia", "GTT", "Level3"),
 			},
 		},
 		Providers: providers,
