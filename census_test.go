@@ -40,6 +40,11 @@ import (
 // shipped code outside the root package sets is unset too (the root
 // package writing its own defaults back does not count).
 //
+// The public API is held to its programs (the root rule): an exported
+// root-package func or method that no package under cmd/ or examples/
+// and no Example function of example_test.go refers to is a root
+// finding. String and Error are exempt, as above.
+//
 // A field with a json tag counts as set and read. A finding either goes
 // or gets a line in testdata/census.txt with a one-line reason, and a
 // line that matches no finding fails too, so the list cannot go stale.
@@ -87,8 +92,9 @@ type modPkg struct {
 type module struct {
 	fset  *token.FileSet
 	pkgs  map[string]*modPkg
-	list  []*modPkg       // dependency order
-	tests map[string]bool // top-level func names in _test.go files
+	list  []*modPkg             // dependency order
+	tests map[string]bool       // top-level func names in _test.go files
+	shown map[types.Object]bool // what cmd/, examples/ and the Example functions refer to
 }
 
 const modulePath = "tango"
@@ -188,6 +194,33 @@ func loadModule(t *testing.T) *module {
 		}
 		imp.mod[p.path] = p.types
 	}
+
+	f, err := parser.ParseFile(m.fset, "example_test.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	if _, err := (&types.Config{Importer: imp}).Check(modulePath+"_test", m.fset, []*ast.File{f}, info); err != nil {
+		t.Fatalf("type-check example_test.go: %v", err)
+	}
+	m.shown = map[types.Object]bool{}
+	for _, p := range m.list {
+		if strings.HasPrefix(p.path, modulePath+"/cmd/") || strings.HasPrefix(p.path, modulePath+"/examples/") {
+			for _, obj := range p.info.Uses {
+				m.shown[origin(obj)] = true
+			}
+		}
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Example") {
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+					m.shown[origin(info.Uses[id])] = true
+				}
+				return true
+			})
+		}
+	}
 	return m
 }
 
@@ -205,11 +238,11 @@ func (i *modImporter) Import(path string) (*types.Package, error) {
 
 type finding struct {
 	pos  token.Position
-	kind string // unused, unset or unread
+	kind string // unused, unset, unread or root
 	name string // package.Name[.Member...]
 }
 
-// census returns every finding of the three rules, in file order.
+// census returns every finding of the four rules, in file order.
 func (m *module) census() []finding {
 	decls := map[types.Object]string{} // checked object → census name
 	for _, p := range m.list {
@@ -304,6 +337,7 @@ func (m *module) census() []finding {
 			}
 		}
 	}
+	out = append(out, m.rootFindings()...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].pos, out[j].pos
 		if a.Filename != b.Filename {
@@ -311,6 +345,36 @@ func (m *module) census() []finding {
 		}
 		return a.Line < b.Line
 	})
+	return out
+}
+
+// rootFindings applies the root rule: every exported root-package func,
+// and every exported method of a root type but String and Error, that
+// no program refers to.
+func (m *module) rootFindings() []finding {
+	var out []finding
+	check := func(fn *types.Func, name string) {
+		if fn.Exported() && !m.shown[fn] {
+			out = append(out, finding{m.fset.Position(fn.Pos()), "root", name})
+		}
+	}
+	scope := m.pkgs[modulePath].types.Scope()
+	for _, n := range scope.Names() {
+		switch obj := scope.Lookup(n).(type) {
+		case *types.Func:
+			check(obj, modulePath+"."+n)
+		case *types.TypeName:
+			named, ok := obj.Type().(*types.Named)
+			if !ok || obj.IsAlias() {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if fn := named.Method(i); fn.Name() != "String" && fn.Name() != "Error" {
+					check(fn, modulePath+"."+n+"."+fn.Name())
+				}
+			}
+		}
+	}
 	return out
 }
 

@@ -1,33 +1,48 @@
 package tango
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"tango/internal/chaos"
 	"tango/internal/obs"
 )
 
+// faultLog instruments m and returns a func rendering the faults
+// journaled since, "apply <label>" or "revert <label>", one per line.
+func faultLog(m *Mesh) func() string {
+	j := obs.NewJournal(1 << 16)
+	m.Instrument(obs.NewRegistry(), j)
+	return func() string {
+		var b strings.Builder
+		for _, r := range j.Tail(0) {
+			switch r.Kind {
+			case obs.KindFaultApply:
+				fmt.Fprintf(&b, "apply %s\n", r.Target())
+			case obs.KindFaultRevert:
+				fmt.Fprintf(&b, "revert %s\n", r.Target())
+			}
+		}
+		return b.String()
+	}
+}
+
 // TestMeshChaosFaultCampaign drives the public chaos API end to end on
 // the default three-site mesh: named targets resolve, faults apply and
-// revert on schedule, a withdrawal round-trips through the edge speaker,
-// and the always-on conservation invariants stay silent throughout.
+// revert on schedule, and the always-on conservation invariants stay
+// silent throughout.
 func TestMeshChaosFaultCampaign(t *testing.T) {
 	m := newMesh(t, MeshOptions{Seed: 1})
+	faults := faultLog(m)
 	ch := m.Chaos()
 	if m.Chaos() != ch {
 		t.Fatal("second Chaos() call built a new engine")
 	}
-	if len(ch.Targets()) == 0 {
-		t.Fatal("no fault targets registered")
-	}
-
-	if err := ch.LinkDown("nowhere", "NTT", time.Second, time.Second); err == nil {
+	if err := ch.LossBurst("nowhere", "NTT", time.Second, time.Second, 1); err == nil {
 		t.Fatal("bogus trunk target accepted")
-	}
-	if err := ch.WithdrawPath("ny", "nowhere", 1, time.Second, time.Second); err == nil {
-		t.Fatal("bogus withdrawal target accepted")
 	}
 
 	paths, err := m.Paths("ny", "chi")
@@ -39,29 +54,25 @@ func TestMeshChaosFaultCampaign(t *testing.T) {
 	}
 	prov := paths[0].Provider
 
-	if err := ch.LinkDown("chi", prov, time.Second, 3*time.Second); err != nil {
+	if err := ch.LossBurst("chi", prov, time.Second, 3*time.Second, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := ch.LossBurst("chi", prov, 6*time.Second, time.Second, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.DelayShift("chi", prov, 8*time.Second, time.Second, 5*time.Millisecond); err != nil {
+	if err := ch.RouteShift("chi", prov, 8*time.Second, time.Second, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.WithdrawPath("chi", "ny", 1, 2*time.Second, 4*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	m.Run(12 * time.Second)
-	ch.CheckNow()
+	m.Run(time.Minute)
+	m.d.Chaos.CheckNow()
 
-	events := strings.Join(ch.Events(), "\n")
+	events := faults()
 	for _, want := range []string{
-		"apply link-down trunk/chi/" + prov,
-		"revert link-down trunk/chi/" + prov,
-		"apply loss-burst trunk/chi/" + prov,
-		"apply delay-shift trunk/chi/" + prov,
-		"apply withdraw edge/chi:ny",
-		"revert withdraw edge/chi:ny",
+		"apply loss-burst trunk/chi/" + prov + " p=1",
+		"revert loss-burst trunk/chi/" + prov + " p=1",
+		"apply loss-burst trunk/chi/" + prov + " p=0.5",
+		"apply delay-shift trunk/chi/" + prov + " +5ms",
+		"revert delay-shift trunk/chi/" + prov + " +5ms",
 	} {
 		if !strings.Contains(events, want) {
 			t.Fatalf("missing %q in event log:\n%s", want, events)
@@ -74,11 +85,11 @@ func TestMeshChaosFaultCampaign(t *testing.T) {
 
 // TestLabChaosHandle pins that the two-site lab hands out the same
 // Chaos type as the mesh, over the lab's own targets: a line fault
-// lands on "trunk/<site the traffic flows into>/<provider>",
-// a withdrawal resolves the pair's edge speaker, and the invariants
-// watch the run.
+// lands on "trunk/<site the traffic flows into>/<provider>", and the
+// invariants watch the run.
 func TestLabChaosHandle(t *testing.T) {
 	l := newLab(t, Options{Seed: 3})
+	faults := faultLog(l.Mesh)
 	ch := l.Chaos()
 	if l.Chaos() != ch {
 		t.Fatal("second Chaos() call built a new engine")
@@ -89,23 +100,15 @@ func TestLabChaosHandle(t *testing.T) {
 	if err := ch.Instability("ny", "Telia", time.Second, 10*time.Second, 0.1, 40*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.WithdrawPath("la", "ny", 1, 2*time.Second, 4*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := ch.WithdrawPath("la", "chi", 1, time.Second, time.Second); err == nil {
-		t.Fatal("withdrawal for a pair the lab does not have accepted")
-	}
 	l.Run(2 * time.Minute)
-	ch.CheckNow()
+	l.d.Chaos.CheckNow()
 
-	events := strings.Join(ch.Events(), "\n")
+	events := faults()
 	for _, want := range []string{
 		"apply turbulence trunk/la/GTT",
 		"apply delay-shift trunk/la/GTT +5ms",
 		"revert delay-shift trunk/la/GTT +5ms",
 		"revert instability trunk/ny/Telia",
-		"apply withdraw edge/la:ny",
-		"revert withdraw edge/la:ny",
 	} {
 		if !strings.Contains(events, want) {
 			t.Fatalf("missing %q in event log:\n%s", want, events)
@@ -126,26 +129,19 @@ func TestLabChaosHandle(t *testing.T) {
 // scheduling an arrival in the past.
 func TestChaosRejectsBadArguments(t *testing.T) {
 	l := newLab(t, Options{Seed: 1})
+	faults := faultLog(l.Mesh)
 	ch := l.Chaos()
 	const s, ms = time.Second, time.Millisecond
-	storm := func(n int, in, window time.Duration) error {
-		_, err := ch.Storm(n, in, window)
-		return err
-	}
 	for _, tc := range []struct {
 		name string
 		err  error
 		want string // what the error must name
 	}{
-		{"LinkDown in", ch.LinkDown("la", "GTT", -s, s), "offset"},
-		{"LinkDown dur", ch.LinkDown("la", "GTT", s, -s), "duration"},
 		{"LossBurst in", ch.LossBurst("la", "GTT", -s, s, 0.5), "offset"},
+		{"LossBurst dur", ch.LossBurst("la", "GTT", s, -s, 0.5), "duration"},
 		{"LossBurst loss>1", ch.LossBurst("la", "GTT", s, s, 1.5), "loss"},
 		{"LossBurst loss<0", ch.LossBurst("la", "GTT", s, s, -0.1), "loss"},
 		{"LossBurst loss NaN", ch.LossBurst("la", "GTT", s, s, math.NaN()), "loss"},
-		{"DelayShift in", ch.DelayShift("la", "GTT", -s, s, 5*ms), "offset"},
-		{"DelayShift dur", ch.DelayShift("la", "GTT", s, -s, 5*ms), "duration"},
-		{"DelayShift delta", ch.DelayShift("la", "GTT", s, 10*s, -5*ms), "delta -5ms"},
 		{"RouteShift in", ch.RouteShift("la", "GTT", -s, 30*s, 5*ms), "offset"},
 		{"RouteShift dur", ch.RouteShift("la", "GTT", s, -30*s, 5*ms), "duration"},
 		{"RouteShift delta", ch.RouteShift("la", "GTT", s, 30*s, -5*ms), "delta -5ms"},
@@ -153,19 +149,14 @@ func TestChaosRejectsBadArguments(t *testing.T) {
 		{"Instability dur", ch.Instability("ny", "Telia", s, -10*s, 0.1, 40*ms), "duration"},
 		{"Instability prob>1", ch.Instability("ny", "Telia", s, 10*s, 2, 40*ms), "spike probability"},
 		{"Instability peakExtra", ch.Instability("ny", "Telia", s, 10*s, 0.1, -40*ms), "peakExtra -40ms"},
-		{"WithdrawPath in", ch.WithdrawPath("la", "ny", 1, -s, s), "offset"},
-		{"WithdrawPath dur", ch.WithdrawPath("la", "ny", 1, s, -s), "duration"},
-		{"Storm in", storm(4, -s, 20*s), "storm"},
-		{"Storm window", storm(4, s, -20*s), "storm"},
-		{"Storm n", storm(-1, s, 20*s), "storm"},
 	} {
 		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one naming %q", tc.name, tc.err, tc.want)
 		}
 	}
 	l.Run(time.Minute)
-	if evs := ch.Events(); len(evs) != 0 {
-		t.Fatalf("rejected faults still fired:\n%s", strings.Join(evs, "\n"))
+	if evs := faults(); evs != "" {
+		t.Fatalf("rejected faults still fired:\n%s", evs)
 	}
 }
 
@@ -184,27 +175,18 @@ func lineDrops(reg *obs.Registry) map[string]float64 {
 
 // TestOneLineOneDropCounter pins the one naming scheme: a trunk is
 // "trunk/<site>/<provider>" as a fault target, as a metric label and in
-// the journal, so instrumenting the deployment and its chaos handle — in
-// either order, once or twice — leaves exactly one drop counter per trunk
-// direction, and that counter counts.
+// the journal, so instrumenting the deployment leaves exactly one drop
+// counter per trunk direction, and that counter counts.
 func TestOneLineOneDropCounter(t *testing.T) {
 	l := newLab(t, Options{Seed: 9})
 	reg, j := obs.NewRegistry(), obs.NewJournal(4096)
 	l.Instrument(reg, j)
-	ch := l.Chaos()
-	ch.Instrument(reg, j)
-	if err := ch.LinkDown("la", "GTT", time.Second, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	l.Chaos()
+	l.d.Chaos.Schedule(chaos.LinkDown("trunk/la/GTT", l.Now()+time.Second, 5*time.Second))
 	l.Run(10 * time.Second)
 
 	drops := lineDrops(reg)
-	var trunks []string
-	for _, target := range ch.Targets() {
-		if strings.HasPrefix(target, "trunk/") {
-			trunks = append(trunks, target)
-		}
-	}
+	trunks := l.d.Chaos.LineNames()
 	if len(drops) != len(trunks) {
 		t.Fatalf("%d drop series for %d trunk directions: %v", len(drops), len(trunks), drops)
 	}
@@ -247,64 +229,5 @@ func TestInstrumentAloneJournalsFaults(t *testing.T) {
 	m.Instrument(reg, obs.NewJournal(64))
 	if _, ok := lineDrops(reg)["trunk/chi/NTT"]; !ok {
 		t.Fatalf("Mesh.Instrument registered no trunk drop counters: %v", lineDrops(reg))
-	}
-}
-
-// TestLabStormReplaysFromSeed: Chaos.Storm draws from the deployment's
-// seeded streams, so two labs of one seed schedule the same storm and log
-// the same events, the invariants hold through it, and another seed draws
-// another storm.
-func TestLabStormReplaysFromSeed(t *testing.T) {
-	storm := func(seed int64) (labels, events []string) {
-		l := newLab(t, Options{Seed: seed})
-		ch := l.Chaos()
-		var err error
-		if labels, err = ch.Storm(8, time.Second, 20*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		l.Run(time.Minute)
-		ch.CheckNow()
-		if vs := ch.Violations(); len(vs) != 0 {
-			t.Fatalf("seed %d: invariant violations during the storm: %v", seed, vs)
-		}
-		return labels, ch.Events()
-	}
-	labels, events := storm(11)
-	if len(labels) != 8 || len(events) < 16 {
-		t.Fatalf("storm of 8 scheduled %d faults and logged %d events:\n%s",
-			len(labels), len(events), strings.Join(events, "\n"))
-	}
-	labels2, events2 := storm(11)
-	if strings.Join(labels2, "\n") != strings.Join(labels, "\n") ||
-		strings.Join(events2, "\n") != strings.Join(events, "\n") {
-		t.Fatalf("equal seeds drew different storms:\n%s\n---\n%s",
-			strings.Join(events, "\n"), strings.Join(events2, "\n"))
-	}
-	if other, _ := storm(12); strings.Join(other, "\n") == strings.Join(labels, "\n") {
-		t.Fatalf("seeds 11 and 12 drew the same storm: %v", labels)
-	}
-}
-
-// TestSecondStormDrawsAnew: every Storm used to draw from a freshly
-// seeded copy of the storm stream, so a second storm on one handle
-// replayed the first one's faults. The handle now holds one stream, and
-// the second storm continues it.
-func TestSecondStormDrawsAnew(t *testing.T) {
-	l := newLab(t, Options{Seed: 1})
-	ch := l.Chaos()
-	first, err := ch.Storm(6, 0, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Run(time.Minute)
-	second, err := ch.Storm(6, 0, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != 6 || len(second) != 6 {
-		t.Fatalf("storms of 6 scheduled %d and %d faults", len(first), len(second))
-	}
-	if strings.Join(first, "\n") == strings.Join(second, "\n") {
-		t.Fatalf("second storm replayed the first: %v", first)
 	}
 }

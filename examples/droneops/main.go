@@ -107,6 +107,11 @@ func run(label string, policy tango.Policy) []time.Duration {
 		lab.Run(telemetryPeriod)
 	}
 	fmt.Printf("  sent %d telemetry packets; final path: %s\n", seq, lab.NY().CurrentPath())
+	// The fault injector checks packet conservation and buffer balance
+	// all along; a latency table over a broken network would mislead.
+	if vs := ch.Violations(); len(vs) > 0 {
+		panic(fmt.Sprintf("invariant violations: %v", vs))
+	}
 	return latencies
 }
 

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"tango"
+	"tango/internal/obs"
 )
 
 const (
@@ -34,6 +35,10 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	// The metrics an operator would scrape; the run checks one of them
+	// against the relay's own count below.
+	reg := obs.NewRegistry()
+	mesh.Instrument(reg, obs.NewJournal(1024))
 
 	for _, pair := range [][2]string{{"ny", "la"}, {"ny", "chi"}, {"chi", "la"}} {
 		paths, err := mesh.Paths(pair[0], pair[1])
@@ -127,7 +132,16 @@ func main() {
 	mesh.Run(3 * time.Minute) // let the reroute settle back
 	phase("after incident", 2*time.Minute)
 
-	fwd, _ := mesh.RelayStats("chi")
+	fwd, expired := mesh.RelayStats("chi")
+	// Every packet chi's switches hand to the relay is forwarded or
+	// expires there, so the scraped counters must add up to RelayStats.
+	var handed uint64
+	for _, peer := range []string{"ny", "la"} {
+		handed += reg.Counter("tango_dataplane_relayed_total", "", obs.L("site", "chi->"+peer)).Value()
+	}
+	if handed != fwd+expired {
+		panic(fmt.Sprintf("chi's switches handed %d packets to the relay, RelayStats counts %d", handed, fwd+expired))
+	}
 	fmt.Printf("\nchi relayed %d packets end-to-end.\n", fwd)
 	fmt.Println("a pair with one path has no choices; an overlay of pairs does (§6).")
 }

@@ -20,7 +20,6 @@ import "net/netip"
 // single-goroutine so routers never need locking.
 type Trie[V any] struct {
 	root4, root6 *trieNode[V]
-	size         int
 }
 
 type trieNode[V any] struct {
@@ -59,16 +58,12 @@ func (t *Trie[V]) Insert(p Prefix, v V) {
 		n := *at
 		if n == nil {
 			*at = stored(p, v)
-			t.size++
 			return
 		}
 		c := min(commonBits(p.hi, p.lo, n.hi, n.lo), int(p.bits), int(n.bits))
 		switch {
 		case c == int(n.bits) && c == int(p.bits):
-			if !n.set {
-				n.set = true
-				t.size++
-			}
+			n.set = true
 			n.val = v
 			return
 		case c == int(n.bits):
@@ -87,7 +82,6 @@ func (t *Trie[V]) Insert(p Prefix, v V) {
 			b.child[bitAt(n.hi, n.lo, c)] = n
 			*at = b
 		}
-		t.size++
 		return
 	}
 }
@@ -110,7 +104,6 @@ func (t *Trie[V]) Delete(p Prefix) bool {
 		if !n.set {
 			return false
 		}
-		t.size--
 		switch {
 		case n.child[0] != nil && n.child[1] != nil:
 			n.set = false
@@ -168,33 +161,4 @@ func (t *Trie[V]) Lookup(ip netip.Addr) (V, Prefix, bool) {
 
 func (n *trieNode[V]) prefix(family uint8) Prefix {
 	return Prefix{hi: n.hi, lo: n.lo, bits: n.bits, family: family}
-}
-
-// Len returns the number of stored prefixes.
-func (t *Trie[V]) Len() int { return t.size }
-
-// Walk visits every stored (prefix, value) pair in Prefix.Compare order:
-// a node's key is the smallest address below it, and it comes before the
-// longer keys that share it. The callback may not mutate the trie.
-func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
-	if walk(t.root4, 4, fn) {
-		walk(t.root6, 6, fn)
-	}
-}
-
-func walk[V any](n *trieNode[V], family uint8, fn func(Prefix, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.set && !fn(n.prefix(family), n.val) {
-		return false
-	}
-	return walk(n.child[0], family, fn) && walk(n.child[1], family, fn)
-}
-
-// Prefixes returns all stored prefixes sorted with Prefix.Compare.
-func (t *Trie[V]) Prefixes() []Prefix {
-	out := make([]Prefix, 0, t.size)
-	t.Walk(func(p Prefix, _ V) bool { out = append(out, p); return true })
-	return out
 }

@@ -352,3 +352,32 @@ func ExampleTrie() {
 	fmt.Println(nh)
 	// Output: via GTT
 }
+
+// Len returns the number of stored prefixes.
+func (t *Trie[V]) Len() int { return len(t.Prefixes()) }
+
+// Prefixes returns all stored prefixes sorted with Prefix.Compare.
+func (t *Trie[V]) Prefixes() []Prefix {
+	var out []Prefix
+	t.Walk(func(p Prefix, _ V) bool { out = append(out, p); return true })
+	return out
+}
+
+// Walk visits every stored (prefix, value) pair in Prefix.Compare order:
+// a node's key is the smallest address below it, and it comes before the
+// longer keys that share it. The callback may not mutate the trie.
+func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
+	if walk(t.root4, 4, fn) {
+		walk(t.root6, 6, fn)
+	}
+}
+
+func walk[V any](n *trieNode[V], family uint8, fn func(Prefix, V) bool) bool {
+	if n == nil {
+		return true
+	}
+	if n.set && !fn(n.prefix(family), n.val) {
+		return false
+	}
+	return walk(n.child[0], family, fn) && walk(n.child[1], family, fn)
+}

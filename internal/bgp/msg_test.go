@@ -156,17 +156,17 @@ func TestScrubDoesNotWriteSharedAttributes(t *testing.T) {
 	}
 }
 
-// TestSameExportIgnoresCommunityOrder: two export sets with one path and
-// one community set in another order are the same export, so re-ordering
-// communities costs the peer no UPDATE.
-func TestSameExportIgnoresCommunityOrder(t *testing.T) {
+// TestSameExportComparesInOrder: two export sets are the same export
+// when they carry one path and one community list, in one order.
+func TestSameExportComparesInOrder(t *testing.T) {
 	x := &exportSet{path: Path{1, 2}, comms: []Community{5, 6}}
 	for _, tc := range []struct {
 		y    *exportSet
 		same bool
 	}{
 		{x, true},
-		{&exportSet{path: Path{1, 2}, comms: []Community{6, 5}}, true},
+		{&exportSet{path: Path{1, 2}, comms: []Community{5, 6}}, true},
+		{&exportSet{path: Path{1, 2}, comms: []Community{6, 5}}, false},
 		{&exportSet{path: Path{1, 2}, comms: []Community{5, 7}}, false},
 		{&exportSet{path: Path{1, 3}, comms: []Community{5, 6}}, false},
 		{&exportSet{path: Path{1, 2}, comms: []Community{5}}, false},
@@ -176,6 +176,75 @@ func TestSameExportIgnoresCommunityOrder(t *testing.T) {
 			t.Errorf("sameExport(%v %v, %v %v) = %v", x.path, x.comms, tc.y.path, tc.y.comms, got)
 		}
 	}
+}
+
+// TestExportSetsKeepOriginOrder: every export set carries its
+// originator's communities in the originator's order, less the action
+// communities a border session scrubs; no hop sorts or reorders them.
+// The shipped originators re-announce a prefix in two ways, both run
+// here: a discovery round extends the previous list, and a withdrawal
+// fault's revert repeats it. So two exports of one prefix never hold one
+// community set in two orders, and sameExport compares in order.
+func TestExportSetsKeepOriginOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	edge := NewSpeaker(eng, "edge", 64512, 1)
+	vultr := NewSpeaker(eng, "vultr", ASVultr, 2)
+	ntt := NewSpeaker(eng, "ntt", ASNTT, 3)
+	gtt := NewSpeaker(eng, "gtt", ASGTT, 4)
+	remote := NewSpeaker(eng, "remote", 20474, 5)
+	cA, cB := pairCfg(RelProvider)
+	Connect(edge, vultr, cA, cB)
+	cA, cB = pairCfg(RelProvider)
+	cA.Border = true
+	Connect(vultr, ntt, cA, cB)
+	cA, cB = pairCfg(RelProvider)
+	Connect(vultr, gtt, cA, cB)
+	cA, cB = pairCfg(RelCustomer)
+	Connect(ntt, remote, cA, cB)
+	cA, cB = pairCfg(RelCustomer)
+	Connect(gtt, remote, cA, cB)
+
+	pfx := addr.MustParsePrefix("2001:db8:1::/48")
+	// Informational communities out of numeric order, between actions.
+	list := []Community{MakeCommunity(ASVultr, 900), NoExportTo(ASCogent), MakeCommunity(ASVultr, 100), NoExportTo(ASTelia)}
+	inOrder := func(sub, of []Community) bool {
+		i := 0
+		for _, c := range of {
+			if i < len(sub) && sub[i] == c {
+				i++
+			}
+		}
+		return i == len(sub)
+	}
+	check := func(step string) {
+		t.Helper()
+		eng.Run(eng.Now() + 10*time.Second)
+		exports := 0
+		for _, sp := range []*Speaker{edge, vultr, ntt, gtt, remote} {
+			for _, s := range sp.sessions {
+				x := adjOut(s, pfx)
+				if x == nil {
+					continue
+				}
+				exports++
+				if !inOrder(x.Communities, list) {
+					t.Fatalf("%s: %s exports %v to AS%d, not in the origin's order %v", step, sp.Name, x.Communities, s.PeerAS(), list)
+				}
+			}
+		}
+		if exports < 5 {
+			t.Fatalf("%s: %d export sets, want one per session toward the remote side", step, exports)
+		}
+	}
+	edge.Originate(pfx, list...)
+	check("first announcement")
+	list = append(list, NoExportTo(ASLevel3), MakeCommunity(ASVultr, 500))
+	edge.Originate(pfx, list...)
+	check("extended like a discovery round")
+	edge.Withdraw(pfx)
+	eng.Run(eng.Now() + 10*time.Second)
+	edge.Originate(pfx, list...)
+	check("repeated like a withdrawal's revert")
 }
 
 func TestCommunityHelpers(t *testing.T) {
@@ -225,4 +294,22 @@ func TestRouteHelpers(t *testing.T) {
 	if r.String() == "" || (*Route)(nil).String() == "" {
 		t.Fatal("String empty")
 	}
+}
+
+// AdjIn returns the route learned from the peer for p, if any.
+func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
+	if n := s.speaker.lookup(p); n >= 0 && s.adj.at(n).in != nil {
+		return s.adj.at(n).in, true
+	}
+	return nil, false
+}
+
+// AdjInLen returns the number of routes learned from the peer.
+func (s *Session) AdjInLen() (n int) {
+	for i := range int32(len(s.speaker.num)) {
+		if s.adj.at(i).in != nil {
+			n++
+		}
+	}
+	return n
 }

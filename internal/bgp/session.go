@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"tango/internal/addr"
 	"tango/internal/sim"
 )
 
@@ -67,12 +66,10 @@ type Session struct {
 	cfg         SessionConfig
 	established bool
 
-	// adj is indexed by the speaker's prefix numbers; nIn counts the
-	// routes learned from the peer. queued holds a bit per number, set
-	// while the number is in pending.
+	// adj is indexed by the speaker's prefix numbers. queued holds a bit
+	// per number, set while the number is in pending.
 	adj    pages[adjEntry]
 	queued []uint64
-	nIn    int
 
 	// MRAI pacing state: pending lists the numbers queued since the last
 	// flush, each once; flushFn is flush bound once, so arming the timer
@@ -104,17 +101,6 @@ func (s *Session) cover(n int) {
 
 // PeerAS returns the remote speaker's ASN.
 func (s *Session) PeerAS() ASN { return s.peer.speaker.AS }
-
-// AdjIn returns the route learned from the peer for p, if any.
-func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
-	if n := s.speaker.lookup(p); n >= 0 && s.adj.at(n).in != nil {
-		return s.adj.at(n).in, true
-	}
-	return nil, false
-}
-
-// AdjInLen returns the number of routes learned from the peer.
-func (s *Session) AdjInLen() int { return s.nIn }
 
 func (s *Session) String() string {
 	return fmt.Sprintf("%s->%s(%s)", s.speaker.Name, s.peer.speaker.Name, s.cfg.Relation)
@@ -251,34 +237,10 @@ func (s *Session) advertise(n int32) {
 }
 
 // sameExport reports whether two export sets carry the same path and
-// community set. A best that did not change exports the very same set.
+// communities. A best that did not change exports the very same set.
+// Communities compare in order: an export keeps its originator's order
+// (TestExportSetsKeepOriginOrder), so two exports of one prefix differ in
+// order only where they differ in content.
 func sameExport(a, b *exportSet) bool {
-	return a == b || a.path.Equal(b.path) && sameCommunities(a.comms, b.comms)
-}
-
-// sameCommunities reports whether a and b hold the same communities,
-// duplicates counted, in any order. The lists almost always match in
-// order, so only a mismatch pays for counting, and counting allocates
-// nothing.
-func sameCommunities(a, b []Community) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if slices.Equal(a, b) {
-		return true
-	}
-	count := func(cs []Community, c Community) (n int) {
-		for _, x := range cs {
-			if x == c {
-				n++
-			}
-		}
-		return n
-	}
-	for _, c := range a {
-		if count(a, c) != count(b, c) {
-			return false
-		}
-	}
-	return true
+	return a == b || a.path.Equal(b.path) && slices.Equal(a.comms, b.comms)
 }

@@ -211,11 +211,7 @@ func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 			continue
 		}
 		n := sp.number(p)
-		slot := s.adj.at(n)
-		if slot.in == nil {
-			s.nIn++
-		}
-		slot.in = &Route{
+		s.adj.at(n).in = &Route{
 			Prefix:      p,
 			Path:        u.Attrs.Path,
 			Communities: u.Attrs.Communities,
@@ -232,7 +228,6 @@ func (sp *Speaker) dropIn(s *Session, n int32) {
 		return
 	}
 	s.adj.at(n).in = nil
-	s.nIn--
 	sp.reselect(n)
 }
 

@@ -18,7 +18,6 @@ package chaos
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"tango/internal/bgp"
@@ -115,9 +114,6 @@ func New(eng *sim.Engine) *Engine {
 	})
 	return e
 }
-
-// Sim returns the underlying simulation engine.
-func (e *Engine) Sim() *sim.Engine { return e.eng }
 
 // Instrument registers fault counters in reg and starts journaling chaos
 // events to j. Lines already registered as targets gain per-line drop
@@ -300,19 +296,6 @@ func (e *Engine) runChecks(now sim.Time) {
 
 // Violations returns every invariant failure observed so far.
 func (e *Engine) Violations() []Violation { return e.violations }
-
-// Log returns the ordered event log.
-func (e *Engine) Log() []Entry { return e.log }
-
-// LogString renders the event log one entry per line — the byte-exact
-// artifact the determinism test compares across runs.
-func (e *Engine) LogString() string {
-	var b strings.Builder
-	for _, en := range e.log {
-		fmt.Fprintf(&b, "t=%s %s\n", en.At, en.Msg)
-	}
-	return b.String()
-}
 
 // logOn stages a log entry timestamped by eng's clock in eng's partition
 // slot (events on distinct partitions run concurrently); it merges into

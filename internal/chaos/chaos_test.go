@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -362,4 +363,14 @@ func mkPkt(t testingT, src, dst string) []byte {
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())
 	return out
+}
+
+// LogString renders the event log one entry per line — the byte-exact
+// artifact the determinism test compares across runs.
+func (e *Engine) LogString() string {
+	var b strings.Builder
+	for _, en := range e.log {
+		fmt.Fprintf(&b, "t=%s %s\n", en.At, en.Msg)
+	}
+	return b.String()
 }

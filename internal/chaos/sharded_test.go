@@ -64,9 +64,6 @@ func TestShardedFaultLogMergesAcrossPartitions(t *testing.T) {
 	if got := ch.LogString(); got != want {
 		t.Fatalf("merged log:\n%q\nwant:\n%q", got, want)
 	}
-	if len(ch.Log()) != 6 {
-		t.Fatalf("Log holds %d entries, want 6", len(ch.Log()))
-	}
 }
 
 func TestShardedChecksRideBarriersAndStop(t *testing.T) {
@@ -134,3 +131,6 @@ func TestShardedJournalViewsMergeAtBarriers(t *testing.T) {
 		t.Fatalf("journal merge order: %q then %q", recs[0].Target(), recs[1].Target())
 	}
 }
+
+// Sim returns the underlying simulation engine.
+func (e *Engine) Sim() *sim.Engine { return e.eng }

@@ -197,7 +197,7 @@ var noObs = &switchObs{}
 
 // count is the one way an event is counted: the Stats word and the
 // instrument beside it (ROADMAP 9: Stats stays until benchmark/ reads
-// the counters instead, which ROADMAP 1(a) does).
+// the counters instead, which ROADMAP 1(b) does).
 func count(word *uint64, c *obs.Counter) {
 	*word++
 	c.Inc()

@@ -70,8 +70,7 @@ const (
 // like the event engine, it belongs to one single-goroutine simulation
 // (each simnet.Network owns one).
 type BufPool struct {
-	free  *Buf
-	nfree int
+	free *Buf
 
 	// Stats counts pool activity; News on a warm steady state means the
 	// fast path is leaking buffers somewhere.
@@ -102,15 +101,11 @@ func (p *BufPool) Get() *Buf {
 	} else {
 		p.free = b.next
 		b.next = nil
-		p.nfree--
 	}
 	b.leased = true
 	b.Clear()
 	return b
 }
-
-// Free returns the number of buffers currently on the freelist.
-func (p *BufPool) Free() int { return p.nfree }
 
 func (p *BufPool) put(b *Buf) {
 	if !b.leased {
@@ -125,5 +120,4 @@ func (p *BufPool) put(b *Buf) {
 	}
 	b.next = p.free
 	p.free = b
-	p.nfree++
 }

@@ -269,3 +269,11 @@ func TestBufPoolMixedSizesSteadyState(t *testing.T) {
 		t.Fatalf("warm rounds made %d buffers, discarded %d", p.Stats.News-news, p.Stats.Discards)
 	}
 }
+
+// Free returns the number of buffers currently on the freelist.
+func (p *BufPool) Free() (n int) {
+	for b := p.free; b != nil; b = b.next {
+		n++
+	}
+	return n
+}

@@ -8,11 +8,9 @@ import (
 	"net/netip"
 )
 
-// IP protocol numbers used by Tango packets.
-const (
-	ProtoUDP  = 17
-	ProtoIPv4 = 4 // IPv4-in-X encapsulation
-)
+// ProtoUDP is the IP protocol number of UDP, the one transport Tango
+// packets use.
+const ProtoUDP = 17
 
 // IPv6 is the fixed 40-byte IPv6 header.
 type IPv6 struct {
@@ -81,80 +79,9 @@ func (ip *IPv6) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// IPv4 is the 20-byte (no options) IPv4 header.
-type IPv4 struct {
-	TOS      uint8
-	ID       uint16
-	Flags    uint8 // 3 bits
-	FragOff  uint16
-	TTL      uint8
-	Protocol uint8
-	Src, Dst netip.Addr
-
-	payload []byte
-}
-
+// ipv4HeaderLen is an IPv4 header without options: the header readers
+// take IPv4 inner packets, which cross Tango tunnels unchanged.
 const ipv4HeaderLen = 20
-
-// LayerPayload returns the bytes after the IPv4 header.
-func (ip *IPv4) LayerPayload() []byte { return ip.payload }
-
-// SerializeTo prepends the IPv4 header with a correct checksum.
-func (ip *IPv4) SerializeTo(buf *SerializeBuffer) error {
-	if !ip.Src.Is4() || !ip.Dst.Is4() {
-		return fmt.Errorf("ipv4: src/dst must be IPv4 (src=%v dst=%v)", ip.Src, ip.Dst)
-	}
-	total := buf.Len() + ipv4HeaderLen
-	if total > 0xffff {
-		return fmt.Errorf("ipv4: total length %d exceeds 65535", total)
-	}
-	b := buf.PrependBytes(ipv4HeaderLen)
-	b[0] = 4<<4 | ipv4HeaderLen/4
-	b[1] = ip.TOS
-	binary.BigEndian.PutUint16(b[2:4], uint16(total))
-	binary.BigEndian.PutUint16(b[4:6], ip.ID)
-	binary.BigEndian.PutUint16(b[6:8], uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
-	b[8] = ip.TTL
-	b[9] = ip.Protocol
-	src := ip.Src.As4()
-	dst := ip.Dst.As4()
-	copy(b[12:16], src[:])
-	copy(b[16:20], dst[:])
-	binary.BigEndian.PutUint16(b[10:12], checksum(b, 0))
-	return nil
-}
-
-// DecodeFromBytes parses an IPv4 header and verifies its checksum.
-func (ip *IPv4) DecodeFromBytes(data []byte) error {
-	if len(data) < ipv4HeaderLen {
-		return fmt.Errorf("ipv4: %w: %d bytes", errTruncated, len(data))
-	}
-	if v := data[0] >> 4; v != 4 {
-		return fmt.Errorf("ipv4: version %d", v)
-	}
-	ihl := int(data[0]&0x0f) * 4
-	if ihl < ipv4HeaderLen || len(data) < ihl {
-		return fmt.Errorf("ipv4: bad IHL %d", ihl)
-	}
-	if checksum(data[:ihl], 0) != 0 {
-		return errors.New("ipv4: header checksum mismatch")
-	}
-	ip.TOS = data[1]
-	total := int(binary.BigEndian.Uint16(data[2:4]))
-	ip.ID = binary.BigEndian.Uint16(data[4:6])
-	ff := binary.BigEndian.Uint16(data[6:8])
-	ip.Flags = uint8(ff >> 13)
-	ip.FragOff = ff & 0x1fff
-	ip.TTL = data[8]
-	ip.Protocol = data[9]
-	ip.Src = netip.AddrFrom4([4]byte(data[12:16]))
-	ip.Dst = netip.AddrFrom4([4]byte(data[16:20]))
-	if total < ihl || len(data) < total {
-		return fmt.Errorf("ipv4: %w: total %d have %d", errTruncated, total, len(data))
-	}
-	ip.payload = data[ihl:total]
-	return nil
-}
 
 // checksum computes the Internet checksum (RFC 1071) over data with an
 // initial partial sum. It adds eight big-endian bytes per step into a

@@ -405,3 +405,18 @@ func TestUDPChecksumProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// HeaderLen returns the encoded header length given the flags.
+func (t *Tango) HeaderLen() int {
+	n := tangoFixedLen
+	if t.Flags&TangoFlagReport != 0 {
+		n += tangoReportLen
+	}
+	if t.ExtFlags&TangoExtRelay != 0 {
+		n += tangoRelayLen
+	}
+	if t.ExtFlags&TangoExtAuth != 0 {
+		n += tangoAuthLen
+	}
+	return n
+}

@@ -97,21 +97,6 @@ type OWDReport struct {
 // LayerPayload returns the inner (tunnelled) packet bytes.
 func (t *Tango) LayerPayload() []byte { return t.payload }
 
-// HeaderLen returns the encoded header length given the flags.
-func (t *Tango) HeaderLen() int {
-	n := tangoFixedLen
-	if t.Flags&TangoFlagReport != 0 {
-		n += tangoReportLen
-	}
-	if t.ExtFlags&TangoExtRelay != 0 {
-		n += tangoRelayLen
-	}
-	if t.ExtFlags&TangoExtAuth != 0 {
-		n += tangoAuthLen
-	}
-	return n
-}
-
 // SerializeTo prepends the Tango header.
 func (t *Tango) SerializeTo(buf *SerializeBuffer) error {
 	if t.Flags > 0x0f {

@@ -318,10 +318,6 @@ func (e *Engine) Run(until Time) (fired int) {
 // clock at the last fired event's instant.
 func (e *Engine) RunAll() (fired int) { return e.Run(Forever) }
 
-// Pending returns the number of events currently queued (cancelled events
-// excluded).
-func (e *Engine) Pending() int { return e.nlive }
-
 // NextAt returns the virtual time of the earliest pending event, or
 // (Forever, false) if the queue is empty. It peeks only when the queue
 // changed since the last call.

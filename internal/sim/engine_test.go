@@ -382,3 +382,7 @@ func TestEventFreelistKeepsWorkingSet(t *testing.T) {
 		t.Fatalf("%d events pending again after a drain allocate %v times per burst, want 0", n, allocs)
 	}
 }
+
+// Pending returns the number of events currently queued (cancelled events
+// excluded).
+func (e *Engine) Pending() int { return e.nlive }

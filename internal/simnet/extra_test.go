@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -37,8 +38,10 @@ func TestSetRouteValidation(t *testing.T) {
 			fn()
 		}()
 	}
-	if a.FIBLen() != 0 {
-		t.Fatal("FIBLen after failed inserts")
+	for _, dst := range []string{"2001:db8::1", "10.0.0.1"} {
+		if _, _, ok := a.LookupRoute(netip.MustParseAddr(dst)); ok {
+			t.Fatalf("a failed insert left a route to %s", dst)
+		}
 	}
 }
 

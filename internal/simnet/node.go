@@ -150,9 +150,6 @@ func (n *Node) LookupRoute(ip netip.Addr) (*Port, addr.Prefix, bool) {
 	return n.fib.Lookup(ip)
 }
 
-// FIBLen returns the number of installed routes.
-func (n *Node) FIBLen() int { return n.fib.Len() }
-
 // Inject originates a packet from this node: it is routed exactly as if
 // it had arrived from a local application. The bytes are copied into a
 // pooled buffer (the caller keeps ownership of data); components on the

@@ -73,13 +73,6 @@ func NewState(links []Link) *State {
 	return s
 }
 
-// NumLinks returns the number of links tracked.
-func (s *State) NumLinks() int { return len(s.load) }
-
-// Util returns link i's utilization (load over capacity; 0 when
-// uncapacitated).
-func (s *State) Util(i int) float64 { return s.load[i] * s.invCap[i] }
-
 // Reset zeroes all load.
 func (s *State) Reset() {
 	for i := range s.load {

@@ -121,3 +121,10 @@ func TestStateMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// NumLinks returns the number of links tracked.
+func (s *State) NumLinks() int { return len(s.load) }
+
+// Util returns link i's utilization (load over capacity; 0 when
+// uncapacitated).
+func (s *State) Util(i int) float64 { return s.load[i] * s.invCap[i] }

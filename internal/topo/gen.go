@@ -9,8 +9,9 @@ import (
 	"tango/internal/sim"
 )
 
-// AS-level topology generation (ROADMAP item 1, scenario diversity): a
-// seeded generator producing internets of hundreds to thousands of ASes
+// AS-level topology generation (ROADMAP items 6, 13 and 19: deploying
+// on, and scoring discovery against, a generated internet): a seeded
+// generator producing internets of hundreds to thousands of ASes
 // with Gao-Rexford business relationships, so the §4.1 discovery loop can
 // be measured against topologies whose ground-truth path diversity is
 // nontrivial (cf. "BGP-Multipath Routing in the Internet").
@@ -436,53 +437,6 @@ func (g *ASGraph) reachableVia(adj [][]GenAdj, dst, entry, src int) bool {
 		}
 	}
 	return false
-}
-
-// ValleyFreePaths enumerates simple valley-free AS paths from src to dst
-// (observed-path orientation: element 0 is src, the last element is dst),
-// in deterministic DFS order, bounded by maxLen hops and maxPaths
-// results. The golden-file test pins these sets for a small seeded graph.
-func (g *ASGraph) ValleyFreePaths(dst, src, maxLen, maxPaths int) [][]bgp.ASN {
-	adj := g.Neighbors()
-	var out [][]bgp.ASN
-	onPath := make([]bool, len(g.ASes))
-	path := []int{dst}
-	onPath[dst] = true
-	var dfs func(node, state int)
-	dfs = func(node, state int) {
-		if len(out) >= maxPaths {
-			return
-		}
-		if node == src {
-			// The announcement walked dst→…→src; the observed AS path at
-			// src reads src-nearest first.
-			p := make([]bgp.ASN, len(path))
-			for i, n := range path {
-				p[len(path)-1-i] = g.ASes[n].ASN
-			}
-			out = append(out, p)
-			return
-		}
-		if len(path) > maxLen {
-			return
-		}
-		// Deterministic neighbor order: ascending node index.
-		next := append([]GenAdj(nil), adj[node]...)
-		sort.Slice(next, func(i, j int) bool { return next[i].Peer < next[j].Peer })
-		for _, a := range next {
-			ns, ok := exportStep(state, a.Rel)
-			if onPath[a.Peer] || !ok {
-				continue
-			}
-			onPath[a.Peer] = true
-			path = append(path, a.Peer)
-			dfs(a.Peer, ns)
-			path = path[:len(path)-1]
-			onPath[a.Peer] = false
-		}
-	}
-	dfs(dst, permissive)
-	return out
 }
 
 // ValleyFreeObserved reports whether an AS path observed at the observer

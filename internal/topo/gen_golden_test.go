@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"tango/internal/bgp"
@@ -107,4 +108,51 @@ func firstDiffContext(a, b []byte) string {
 		hi = len(a)
 	}
 	return fmt.Sprintf("...byte %d: %q...", i, a[lo:hi])
+}
+
+// ValleyFreePaths enumerates simple valley-free AS paths from src to dst
+// (observed-path orientation: element 0 is src, the last element is dst),
+// in deterministic DFS order, bounded by maxLen hops and maxPaths
+// results. The golden-file test pins these sets for a small seeded graph.
+func (g *ASGraph) ValleyFreePaths(dst, src, maxLen, maxPaths int) [][]bgp.ASN {
+	adj := g.Neighbors()
+	var out [][]bgp.ASN
+	onPath := make([]bool, len(g.ASes))
+	path := []int{dst}
+	onPath[dst] = true
+	var dfs func(node, state int)
+	dfs = func(node, state int) {
+		if len(out) >= maxPaths {
+			return
+		}
+		if node == src {
+			// The announcement walked dst→…→src; the observed AS path at
+			// src reads src-nearest first.
+			p := make([]bgp.ASN, len(path))
+			for i, n := range path {
+				p[len(path)-1-i] = g.ASes[n].ASN
+			}
+			out = append(out, p)
+			return
+		}
+		if len(path) > maxLen {
+			return
+		}
+		// Deterministic neighbor order: ascending node index.
+		next := append([]GenAdj(nil), adj[node]...)
+		sort.Slice(next, func(i, j int) bool { return next[i].Peer < next[j].Peer })
+		for _, a := range next {
+			ns, ok := exportStep(state, a.Rel)
+			if onPath[a.Peer] || !ok {
+				continue
+			}
+			onPath[a.Peer] = true
+			path = append(path, a.Peer)
+			dfs(a.Peer, ns)
+			path = path[:len(path)-1]
+			onPath[a.Peer] = false
+		}
+	}
+	dfs(dst, permissive)
+	return out
 }

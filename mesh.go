@@ -71,9 +71,6 @@ func (m *Mesh) Run(d time.Duration) { m.d.Scenario.Run(d) }
 // Now returns the current virtual time.
 func (m *Mesh) Now() time.Duration { return m.d.Scenario.B.W.Now() }
 
-// Sites returns the deployment's site names, sorted.
-func (m *Mesh) Sites() []string { return m.d.Mesh.Sites() }
-
 // Route is one end-to-end overlay route: direct (empty Via) or relayed
 // through the named sites in order. OWDMs/JitterMs sum the live smoothed
 // per-segment estimates; the per-segment clock offsets telescope, so

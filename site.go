@@ -1,7 +1,6 @@
 package tango
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
@@ -88,9 +87,6 @@ func (s *Site) CurrentPath() string {
 	return s.site.PathName(s.site.Controller.Current())
 }
 
-// Switches returns how many times the controller has moved traffic.
-func (s *Site) Switches() uint64 { return s.site.Controller.Stats.Switches }
-
 // OnPathSwitch registers a callback invoked when the controller moves
 // traffic (at is virtual time).
 func (s *Site) OnPathSwitch(fn func(at time.Duration, from, to string)) {
@@ -166,29 +162,4 @@ func deliverySink(recv *core.Site, dstPort uint16, fn func(Delivery)) func([]byt
 		})
 		return true
 	}
-}
-
-// Stats is a snapshot of the site's border-switch counters.
-type Stats struct {
-	Encapped, Decapped uint64
-	ReportsSent        uint64
-	ProbesSent         uint64
-}
-
-// Stats returns the site's data-plane counters.
-func (s *Site) Stats() Stats {
-	st := Stats{
-		Encapped:    s.site.Switch.Stats.Encapped,
-		Decapped:    s.site.Switch.Stats.Decapped,
-		ReportsSent: s.site.Switch.Stats.ReportsSent,
-	}
-	if s.site.Prober != nil {
-		st.ProbesSent = s.site.Prober.Sent
-	}
-	return st
-}
-
-// String summarizes the site.
-func (s *Site) String() string {
-	return fmt.Sprintf("site %s: %d paths, data on %s", s.Name(), len(s.site.OutPaths), s.CurrentPath())
 }

@@ -75,9 +75,6 @@ func TestLabEstablishAndPaths(t *testing.T) {
 	if cur != 1 {
 		t.Fatalf("current paths = %d", cur)
 	}
-	if ny.String() == "" {
-		t.Fatal("empty String")
-	}
 }
 
 func TestLabControllerConverges(t *testing.T) {
@@ -90,7 +87,7 @@ func TestLabControllerConverges(t *testing.T) {
 	if l.NY().CurrentPath() != "GTT" {
 		t.Fatalf("NY on %s, want GTT", l.NY().CurrentPath())
 	}
-	if l.NY().Switches() == 0 || len(moves) == 0 {
+	if l.NY().site.Controller.Stats.Switches == 0 || len(moves) == 0 {
 		t.Fatal("no switches recorded")
 	}
 }
@@ -121,9 +118,8 @@ func TestLabSendReceive(t *testing.T) {
 	if string(d.Payload) != "hello LA" || d.SrcPort != 8000 || d.Src != src || d.Dst != dst {
 		t.Fatalf("delivery = %+v", d)
 	}
-	st := l.NY().Stats()
-	if st.Encapped == 0 || st.ProbesSent == 0 {
-		t.Fatalf("stats = %+v", st)
+	if ny := l.NY().site; ny.Switch.Stats.Encapped == 0 || ny.Prober.Sent == 0 {
+		t.Fatalf("encapped %d, probes sent %d", ny.Switch.Stats.Encapped, ny.Prober.Sent)
 	}
 }
 
@@ -265,7 +261,7 @@ func TestTrunkCapacityIsFinite(t *testing.T) {
 func TestMeshDeliveryAtIsReceiverClock(t *testing.T) {
 	m := newMesh(t, MeshOptions{Seed: 1})
 	const port = 9100
-	sites := m.Sites()
+	sites := m.d.Mesh.Sites()
 	delivered := 0
 	for _, site := range sites {
 		members := m.d.Mesh.MembersOf(site)
