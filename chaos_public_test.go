@@ -75,7 +75,7 @@ func TestMeshChaosFaultCampaign(t *testing.T) {
 		"revert delay-shift trunk/chi/" + prov + " +5ms",
 	} {
 		if !strings.Contains(events, want) {
-			t.Fatalf("missing %q in event log:\n%s", want, events)
+			t.Fatalf("missing %q in journal:\n%s", want, events)
 		}
 	}
 	if vs := ch.Violations(); len(vs) != 0 {
@@ -111,7 +111,7 @@ func TestLabChaosHandle(t *testing.T) {
 		"revert instability trunk/ny/Telia",
 	} {
 		if !strings.Contains(events, want) {
-			t.Fatalf("missing %q in event log:\n%s", want, events)
+			t.Fatalf("missing %q in journal:\n%s", want, events)
 		}
 	}
 	if n := strings.Count(events, "turbulence trunk/la/GTT"); n != 4 {

@@ -11,7 +11,8 @@
 //
 // Everything is deterministic: faults fire at exact virtual instants,
 // random timelines are drawn from a caller-provided named RNG stream,
-// and the engine keeps an ordered event log so two runs with the same
+// and every apply, revert, failed apply and violation is a record in the
+// journal the engine is instrumented with, so two runs with the same
 // seed can be compared byte for byte (see the replay test).
 package chaos
 
@@ -25,12 +26,6 @@ import (
 	"tango/internal/sim"
 	"tango/internal/simnet"
 )
-
-// Entry is one line of the chaos event log.
-type Entry struct {
-	At  sim.Time
-	Msg string
-}
 
 // Violation records an invariant failure observed at a check instant.
 type Violation struct {
@@ -64,30 +59,27 @@ func InvariantFunc(name string, fn func(now sim.Time) error) Invariant {
 }
 
 // Engine drives fault timelines against named targets and watches
-// invariants. Targets are registered under stable names so event logs
-// and random target selection are reproducible across runs.
+// invariants. Targets are registered under stable names so journal
+// records and random target selection are reproducible across runs.
 type Engine struct {
 	eng      *sim.Engine
 	lines    map[string]*lineTarget
 	speakers map[string]*bgp.Speaker
 
 	invs       []Invariant
-	log        []Entry
 	violations []Violation
 
-	// Log entries produced by events stage per partition (one writer
-	// each) and merge into log at epoch barriers in canonical (At,
-	// partition, append) order, so LogString stays byte-identical across
-	// worker counts. checksOn gates the barrier-hook check cadence (hooks
-	// cannot be unregistered).
-	logStage    [][]Entry
+	// checksOn gates the barrier-hook check cadence (hooks cannot be
+	// unregistered).
 	checkHooked bool
 	checksOn    bool
 
-	// Instrumentation (nil when uninstrumented). The journal mirrors the
-	// event log: fault applies/reverts, withdrawals, and violations each
-	// append one virtual-time record, so seeded runs produce byte-identical
-	// trace tails.
+	// Instrumentation (nil when uninstrumented). Fault applies, failed
+	// applies, reverts, withdrawals and violations each append one
+	// virtual-time record to the journal, so seeded runs produce
+	// byte-identical trace tails. Faults record into their owner's
+	// partition view; the deployment that binds the journal merges the
+	// views at barriers.
 	reg        *obs.Registry
 	journal    *obs.Journal
 	obsApplied *obs.Counter
@@ -96,23 +88,13 @@ type Engine struct {
 }
 
 // New creates a chaos engine on the simulation engine under test: a
-// partition engine of the simulated network (simnet.Network.Eng). It
-// registers the barrier hook that folds staged log entries and journal
-// views back into the shared log and journal, ahead of any check hook,
-// so checks at a barrier observe both merged.
+// partition engine of the simulated network (simnet.Network.Eng).
 func New(eng *sim.Engine) *Engine {
-	c := eng.Coord()
-	e := &Engine{
+	return &Engine{
 		eng:      eng,
 		lines:    make(map[string]*lineTarget),
 		speakers: make(map[string]*bgp.Speaker),
-		logStage: make([][]Entry, c.NumParts()),
 	}
-	c.AtBarrier(0, func(sim.Time) {
-		e.journal.MergeShards()
-		e.mergeStagedLog()
-	})
-	return e
 }
 
 // Instrument registers fault counters in reg and starts journaling chaos
@@ -187,10 +169,11 @@ func (e *Engine) Invariants() int { return len(e.invs) }
 
 // Schedule arms faults: Apply fires at each fault's start instant and,
 // for a finite window, the returned revert runs when the window closes.
-// Both transitions are logged. On a sharded network a fault fires on
-// its target's partition engine (line faults mutate send-path state
-// owned by the line's source partition; withdrawals run on the
-// speaker's partition), so no cross-partition state is touched.
+// Both transitions are journaled, and so is an apply that fails. On a
+// sharded network a fault fires on its target's partition engine (line
+// faults mutate send-path state owned by the line's source partition;
+// withdrawals run on the speaker's partition), so no cross-partition
+// state is touched.
 func (e *Engine) Schedule(fs ...Fault) {
 	for _, f := range fs {
 		e.schedule(f)
@@ -205,52 +188,29 @@ func (e *Engine) schedule(f Fault) {
 	}
 	owner := f.owner(e)
 	if owner == nil {
-		owner = e.eng // unknown target: Apply fails and is logged here
+		owner = e.eng // unknown target: Apply fails and is journaled here
+	}
+	// record stages in the owner's partition view (events on distinct
+	// partitions run concurrently).
+	record := func(kind obs.Kind, v int64) {
+		e.journal.Shard(owner.Part()).Record(owner.Now(), kind, 0, 0, v, f.Label())
 	}
 	owner.ScheduleAt(at, func() {
 		revert, err := f.Apply(e)
 		if err != nil {
-			e.logOn(owner, "fault %s: %v", f.Label(), err)
+			record(obs.KindFaultFailed, 0)
 			return
 		}
-		e.logOn(owner, "apply %s", f.Label())
 		e.obsApplied.Inc()
-		e.journal.Shard(owner.Part()).Record(owner.Now(), kind, 0, 0, int64(dur), f.Label())
+		record(kind, int64(dur))
 		if revert != nil && dur > 0 {
 			owner.Schedule(dur, func() {
 				revert()
-				e.logOn(owner, "revert %s", f.Label())
 				e.obsRevert.Inc()
-				e.journal.Shard(owner.Part()).Record(owner.Now(), obs.KindFaultRevert, 0, 0, 0, f.Label())
+				record(obs.KindFaultRevert, 0)
 			})
 		}
 	})
-}
-
-// mergeStagedLog drains per-partition staged entries into the shared log
-// in (At, partition, append order) order. Runs only at barriers (workers
-// quiesced).
-func (e *Engine) mergeStagedLog() {
-	type staged struct {
-		part int
-		en   Entry
-	}
-	var all []staged
-	for p := range e.logStage {
-		for _, en := range e.logStage[p] {
-			all = append(all, staged{p, en})
-		}
-		e.logStage[p] = e.logStage[p][:0]
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].en.At != all[j].en.At {
-			return all[i].en.At < all[j].en.At
-		}
-		return all[i].part < all[j].part
-	})
-	for _, s := range all {
-		e.log = append(e.log, s.en)
-	}
 }
 
 // StartChecks begins checking every registered invariant on a fixed
@@ -280,15 +240,16 @@ func (e *Engine) StopChecks() { e.checksOn = false }
 func (e *Engine) CheckNow() { e.runChecks(e.eng.Now()) }
 
 // runChecks is always single-threaded: a barrier hook, or CheckNow
-// between runs — so it appends to the shared log and parent journal
-// directly.
+// between runs — so it records into the parent journal directly. It
+// merges the partition views first, so a violation lands after every
+// record at or before its instant whether the check hook was registered
+// before or after the deployment's merge.
 func (e *Engine) runChecks(now sim.Time) {
 	for _, inv := range e.invs {
 		if err := inv.Check(now); err != nil {
-			v := Violation{At: now, Invariant: inv.Name(), Err: err.Error()}
-			e.violations = append(e.violations, v)
-			e.log = append(e.log, Entry{At: now, Msg: fmt.Sprintf("VIOLATION %s: %s", inv.Name(), err)})
+			e.violations = append(e.violations, Violation{At: now, Invariant: inv.Name(), Err: err.Error()})
 			e.obsViol.Inc()
+			e.journal.MergeShards()
 			e.journal.Record(now, obs.KindViolation, 0, 0, 0, inv.Name())
 		}
 	}
@@ -296,11 +257,3 @@ func (e *Engine) runChecks(now sim.Time) {
 
 // Violations returns every invariant failure observed so far.
 func (e *Engine) Violations() []Violation { return e.violations }
-
-// logOn stages a log entry timestamped by eng's clock in eng's partition
-// slot (events on distinct partitions run concurrently); it merges into
-// the log at the next barrier.
-func (e *Engine) logOn(eng *sim.Engine, format string, args ...any) {
-	p := eng.Part()
-	e.logStage[p] = append(e.logStage[p], Entry{At: eng.Now(), Msg: fmt.Sprintf(format, args...)})
-}

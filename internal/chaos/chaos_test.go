@@ -11,6 +11,7 @@ import (
 	"tango/internal/bgp"
 	"tango/internal/control"
 	"tango/internal/dataplane"
+	"tango/internal/obs"
 	"tango/internal/packet"
 	"tango/internal/sim"
 	"tango/internal/simnet"
@@ -27,10 +28,28 @@ func twoNodes(seed int64) (*simnet.Network, *simnet.Link) {
 	return w, lk
 }
 
+// bind instruments ch with reg and j and merges j's partition views at
+// every barrier, as the deployment that binds a journal does.
+func bind(ch *Engine, reg *obs.Registry, j *obs.Journal) {
+	ch.eng.Coord().AtBarrier(0, func(sim.Time) { j.MergeShards() })
+	ch.Instrument(reg, j)
+}
+
+// trace renders j's records one per line as "t=<at> <kind> <target>".
+func trace(j *obs.Journal) string {
+	var b strings.Builder
+	for _, r := range j.Tail(0) {
+		fmt.Fprintf(&b, "t=%s %s %s\n", r.At, r.Kind, r.Target())
+	}
+	return b.String()
+}
+
 func TestLinkDownAppliesAndReverts(t *testing.T) {
 	w, lk := twoNodes(1)
 	ch := New(w.Eng)
 	ch.AddLine("ab", lk.LineAB())
+	j := obs.NewJournal(8)
+	bind(ch, obs.NewRegistry(), j)
 	ch.Schedule(LinkDown("ab", time.Second, 2*time.Second))
 
 	var duringDown, afterUp bool
@@ -41,10 +60,9 @@ func TestLinkDownAppliesAndReverts(t *testing.T) {
 	if !duringDown || !afterUp {
 		t.Fatalf("down timeline wrong: during=%v after-up=%v", duringDown, afterUp)
 	}
-	log := ch.LogString()
-	want := "t=1s apply link-down ab\nt=3s revert link-down ab\n"
-	if log != want {
-		t.Fatalf("log:\n%q\nwant:\n%q", log, want)
+	want := "t=1s fault_apply link-down ab\nt=3s fault_revert link-down ab\n"
+	if got := trace(j); got != want {
+		t.Fatalf("journal:\n%q\nwant:\n%q", got, want)
 	}
 }
 
@@ -209,13 +227,34 @@ func TestWithdrawalFaultReannouncesIdentically(t *testing.T) {
 	}
 }
 
+// TestFaultOnUnknownTargetIsLoggedNotFatal: an apply that fails — an
+// unknown line, or a withdrawal of a prefix the speaker does not
+// originate — is journaled as fault_failed, counts as no apply, and
+// schedules no revert.
 func TestFaultOnUnknownTargetIsLoggedNotFatal(t *testing.T) {
 	w, _ := twoNodes(1)
 	ch := New(w.Eng)
-	ch.Schedule(LinkDown("nope", time.Second, time.Second))
-	w.Run(2 * time.Second)
-	if !strings.Contains(ch.LogString(), `fault link-down nope: no line "nope"`) {
-		t.Fatalf("missing error entry in log: %q", ch.LogString())
+	ch.AddSpeaker("edge", bgp.NewSpeaker(w.Eng, "edge", 65000, 1))
+	reg, j := obs.NewRegistry(), obs.NewJournal(8)
+	bind(ch, reg, j)
+	down := LinkDown("nope", time.Second, time.Second)
+	withdraw := Withdrawal{Speaker: "edge", Prefix: addr.MustParsePrefix("2001:db8:100::/48"), At: time.Second, For: time.Second}
+	for _, c := range []struct {
+		f   Fault
+		err string
+	}{{down, `no line "nope"`}, {withdraw, "edge does not originate 2001:db8:100::/48"}} {
+		if _, err := c.f.Apply(ch); err == nil || err.Error() != c.err {
+			t.Fatalf("%s: Apply error %v, want %q", c.f.Label(), err, c.err)
+		}
+	}
+	ch.Schedule(down, withdraw)
+	w.Run(3 * time.Second)
+	want := "t=1s fault_failed link-down nope\nt=1s fault_failed withdraw edge 2001:db8:100::/48\n"
+	if got := trace(j); got != want {
+		t.Fatalf("journal:\n%q\nwant:\n%q", got, want)
+	}
+	if n := reg.Snapshot()["tango_chaos_faults_applied_total"]; n != 0 {
+		t.Fatalf("failed applies counted as %v applied", n)
 	}
 }
 
@@ -363,14 +402,4 @@ func mkPkt(t testingT, src, dst string) []byte {
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())
 	return out
-}
-
-// LogString renders the event log one entry per line — the byte-exact
-// artifact the determinism test compares across runs.
-func (e *Engine) LogString() string {
-	var b strings.Builder
-	for _, en := range e.log {
-		fmt.Fprintf(&b, "t=%s %s\n", en.At, en.Msg)
-	}
-	return b.String()
 }

@@ -15,8 +15,8 @@ import (
 
 // stormRun builds a three-node chain carrying periodic traffic, unleashes
 // a seeded random storm on every line, and returns a byte-exact
-// fingerprint of the run: the chaos event log plus all line and node
-// counters. It is the replay guarantee the seeded-RNG discipline in
+// fingerprint of the run: the journal's /trace rendering plus all line
+// and node counters. It is the replay guarantee the seeded-RNG discipline in
 // internal/sim/rng.go promises, end to end.
 func stormRun(seed int64) string {
 	w := simnet.New(seed)
@@ -54,7 +54,7 @@ func stormRun(seed int64) string {
 	ch.AddLine("cb", bc.LineBA())
 	reg := obs.NewRegistry()
 	journal := obs.NewJournal(4096)
-	ch.Instrument(reg, journal)
+	bind(ch, reg, journal)
 	ch.Watch(Conservation("chain", w))
 	ch.Watch(BufferBalance("chain", w))
 	ch.StartChecks(50 * time.Millisecond)
@@ -67,9 +67,6 @@ func stormRun(seed int64) string {
 	w.Run(30 * time.Second)
 
 	var sb strings.Builder
-	sb.WriteString(ch.LogString())
-	// The trace journal rides along in the fingerprint: seeded replays
-	// must produce byte-identical /trace output, not just equal logs.
 	if err := journal.WriteJSON(&sb, 0); err != nil {
 		panic(err)
 	}
@@ -98,7 +95,7 @@ func TestStormReplayIsByteIdentical(t *testing.T) {
 	if run1 != run2 {
 		t.Fatalf("same seed diverged:\n--- run1:\n%s\n--- run2:\n%s", run1, run2)
 	}
-	if !strings.Contains(run1, "apply ") {
+	if !strings.Contains(run1, `"kind":"fault_apply"`) {
 		t.Fatalf("storm applied no faults:\n%s", run1)
 	}
 	if !strings.Contains(run1, "violations=0") {
@@ -113,9 +110,9 @@ func TestStormReplayIsByteIdentical(t *testing.T) {
 // residueRun schedules a seeded mix of scripted incidents and storm
 // faults on the two lines of one link (dense enough that windows of one
 // kind interleave on a line), runs until the last window has closed, and
-// returns the chaos log and each line's state at rest and at the end.
+// returns the journal and each line's state at rest and at the end.
 // parts 1 is a single engine; parts 2 puts the lines on two partitions.
-func residueRun(seed int64, parts int) (log, rest, end string) {
+func residueRun(seed int64, parts int) (journal, rest, end string) {
 	var w *simnet.Network
 	if parts == 1 {
 		w = simnet.New(seed)
@@ -148,6 +145,8 @@ func residueRun(seed int64, parts int) (log, rest, end string) {
 	ch := New(w.Eng)
 	ch.AddLine("ab", lines["ab"])
 	ch.AddLine("ba", lines["ba"])
+	j := obs.NewJournal(256)
+	bind(ch, obs.NewRegistry(), j)
 	rng := sim.NewStreams(seed).Stream("mix")
 	const window = time.Minute
 	for i := 0; i < 4; i++ {
@@ -166,24 +165,24 @@ func residueRun(seed int64, parts int) (log, rest, end string) {
 
 	w.Coord().EnterParallel() // one partition stays coupled
 	w.Run(2 * window)
-	return ch.LogString(), rest, state()
+	return trace(j), rest, state()
 }
 
 // TestFaultsLeaveNoResidue: whatever mix of faults ran, once the last
-// window closes every line is back at rest; the log replays byte for
+// window closes every line is back at rest; the journal replays byte for
 // byte from the seed and does not depend on the partition count.
 func TestFaultsLeaveNoResidue(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		log, rest, end := residueRun(seed, 1)
+		jr, rest, end := residueRun(seed, 1)
 		if end != rest {
-			t.Fatalf("seed %d: lines not at rest after the last window closed:\n%s--- want\n%s--- log\n%s", seed, end, rest, log)
+			t.Fatalf("seed %d: lines not at rest after the last window closed:\n%s--- want\n%s--- journal\n%s", seed, end, rest, jr)
 		}
-		if again, _, _ := residueRun(seed, 1); again != log {
-			t.Fatalf("seed %d: same seed, different log:\n%s---\n%s", seed, log, again)
+		if again, _, _ := residueRun(seed, 1); again != jr {
+			t.Fatalf("seed %d: same seed, different journal:\n%s---\n%s", seed, jr, again)
 		}
-		log2, _, end2 := residueRun(seed, 2)
-		if log2 != log || end2 != rest {
-			t.Fatalf("seed %d: two partitions diverged from one:\n%s%s--- one partition\n%s", seed, log2, end2, log)
+		jr2, _, end2 := residueRun(seed, 2)
+		if jr2 != jr || end2 != rest {
+			t.Fatalf("seed %d: two partitions diverged from one:\n%s%s--- one partition\n%s", seed, jr2, end2, jr)
 		}
 	}
 }

@@ -19,7 +19,7 @@ func TestChaosObsCountersAndJournal(t *testing.T) {
 	ch.AddLine("ab", lk.LineAB())
 	reg := obs.NewRegistry()
 	j := obs.NewJournal(32)
-	ch.Instrument(reg, j)
+	bind(ch, reg, j)
 
 	ch.Schedule(LinkDown("ab", time.Second, 2*time.Second))
 	w.Run(5 * time.Second)
@@ -59,9 +59,9 @@ func TestChaosObsWithdrawalKind(t *testing.T) {
 	ch.AddSpeaker("edge", sp)
 	reg := obs.NewRegistry()
 	j := obs.NewJournal(8)
-	ch.Instrument(reg, j)
+	bind(ch, reg, j)
 	ch.Schedule(Withdrawal{Speaker: "edge", Prefix: pfx, At: time.Second, For: time.Second})
-	w.Run(3 * time.Second) // the network's barriers merge the staged records
+	w.Run(3 * time.Second)
 
 	recs := j.Tail(0)
 	if len(recs) != 2 || recs[0].Kind != obs.KindWithdraw {

@@ -89,8 +89,8 @@ func (d *Deployment) EdgeTarget(site, peer string) string {
 // Instrument registers every member's metrics in reg and journals path
 // switches to j (Mesh.Instrument), then instruments the fault injector:
 // fault counters, one tango_line_drops_total series per trunk labelled
-// with its target name, and fault applies, reverts, violations and queue
-// drops in j.
+// with its target name, and fault applies, failed applies, reverts,
+// violations and queue drops in j.
 func (d *Deployment) Instrument(reg *obs.Registry, j *obs.Journal) {
 	d.Mesh.Instrument(reg, j)
 	d.Chaos.Instrument(reg, j)

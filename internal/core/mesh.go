@@ -127,10 +127,10 @@ func (m *Mesh) Ready() bool { return m.ready }
 
 // Instrument registers every member edge server's metrics in reg and
 // journals path switches to j, each member under its label. Members
-// stage records in their partition's view of j; Instrument first
-// registers the merge at every epoch barrier, so barrier hooks
-// registered later (invariant checks) observe a fully merged journal.
-// Call between runs.
+// and faults stage records in their partition's view of j; Instrument
+// registers the merge that folds the views into j at every epoch
+// barrier. A chaos check merges before it records a violation, so the
+// check cadence may start before or after Instrument. Call between runs.
 func (m *Mesh) Instrument(reg *obs.Registry, j *obs.Journal) {
 	m.net.Coord().AtBarrier(0, func(sim.Time) { j.MergeShards() })
 	for _, site := range m.Sites() {

@@ -3,9 +3,11 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // Kind classifies a trace record.
@@ -37,6 +39,10 @@ const (
 	// length (0 on the terminating round), V the adjacent provider's ASN
 	// (0 on termination), Target "d/<pair>/<src>-><dst>".
 	KindDiscovery
+	// KindFaultFailed is a chaos fault whose Apply failed (an unknown
+	// target, or a withdrawal of a prefix not originated); Target is the
+	// fault label.
+	KindFaultFailed
 )
 
 // String returns the stable wire name used in JSON exposition.
@@ -56,14 +62,16 @@ func (k Kind) String() string {
 		return "violation"
 	case KindDiscovery:
 		return "discovery"
+	case KindFaultFailed:
+		return "fault_failed"
 	default:
 		return "unknown"
 	}
 }
 
 // TargetLen is the fixed byte budget for a record's target name; longer
-// names are truncated. Fixed-size records keep Record allocation-free
-// and make the ring's memory footprint exact.
+// names are truncated at a rune boundary. Fixed-size records keep Record
+// allocation-free and make the ring's memory footprint exact.
 const TargetLen = 40
 
 // Rec is one fixed-size trace record. All fields are virtual-time data,
@@ -134,7 +142,7 @@ func (j *Journal) Record(at time.Duration, kind Kind, a, b uint8, v int64, targe
 		r.Kind = kind
 		r.A, r.B = a, b
 		r.V = v
-		r.tlen = uint8(copy(r.targ[:], target))
+		r.tlen = uint8(copy(r.targ[:], clip(target)))
 		return
 	}
 	j.mu.Lock()
@@ -144,10 +152,26 @@ func (j *Journal) Record(at time.Duration, kind Kind, a, b uint8, v int64, targe
 	r.Kind = kind
 	r.A, r.B = a, b
 	r.V = v
-	n := copy(r.targ[:], target)
-	r.tlen = uint8(n)
+	r.tlen = uint8(copy(r.targ[:], clip(target)))
 	j.next++
 	j.mu.Unlock()
+}
+
+// clip cuts s to at most TargetLen bytes without splitting a rune: a
+// valid but incomplete multi-byte sequence left at the cut goes too.
+func clip(s string) string {
+	if len(s) <= TargetLen {
+		return s
+	}
+	s = s[:TargetLen]
+	i := len(s) - 1 // back to the start of the last rune, if it is near
+	for i > len(s)-utf8.UTFMax && !utf8.RuneStart(s[i]) {
+		i--
+	}
+	if !utf8.FullRuneInString(s[i:]) {
+		return s[:i]
+	}
+	return s
 }
 
 // Shard returns the staging view for one partition of a simulation,
@@ -271,20 +295,24 @@ func (j *Journal) WriteJSON(w io.Writer, n int) error {
 	return err
 }
 
-// escapeJSONSafe strips control characters that %q would render as Go
-// escapes unknown to JSON (targets are ASCII labels in practice; this
-// guards fuzzed or hostile names).
+// escapeJSONSafe replaces invalid UTF-8 and every non-printable rune,
+// control characters among them, with '.'. %q escapes those, some in
+// forms JSON does not know (\xNN, \U000NNNNN, \a), and leaves printable
+// runes as they are, so what remains renders as valid JSON. Targets are
+// ASCII labels in practice, but a site name reaches one from a flag.
 func escapeJSONSafe(s string) string {
-	if !strings.ContainsFunc(s, func(r rune) bool { return r < 0x20 || r == 0x7f }) {
+	if utf8.ValidString(s) && !strings.ContainsFunc(s, func(r rune) bool { return !strconv.IsPrint(r) }) {
 		return s
 	}
 	var b strings.Builder
-	for _, r := range s {
-		if r < 0x20 || r == 0x7f {
+	for len(s) > 0 {
+		r, n := utf8.DecodeRuneInString(s)
+		if r == utf8.RuneError && n == 1 || !strconv.IsPrint(r) {
 			b.WriteByte('.')
-			continue
+		} else {
+			b.WriteString(s[:n])
 		}
-		b.WriteRune(r)
+		s = s[n:]
 	}
 	return b.String()
 }

@@ -3,9 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestJournalNilSafe(t *testing.T) {
@@ -100,20 +103,73 @@ func TestJournalJSONDeterministicAndValid(t *testing.T) {
 	}
 }
 
-func TestJournalJSONControlCharsStripped(t *testing.T) {
+// writeOne records target into a fresh journal and returns WriteJSON's
+// output and the target it decodes to, failing on invalid JSON.
+func writeOne(t *testing.T, target string) (out, decoded string) {
+	t.Helper()
 	j := NewJournal(1)
-	j.Record(0, KindViolation, 0, 0, 0, "bad\x01name\x7f")
+	j.Record(0, KindPathSwitch, 0, 0, 0, target)
 	var buf bytes.Buffer
 	if err := j.WriteJSON(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("control chars must not break JSON: %v\n%s", err, buf.String())
+	var recs []struct {
+		Target string `json:"target"`
 	}
-	if got := decoded[0]["target"]; got != "bad.name." {
-		t.Fatalf("target = %q, want control chars replaced", got)
+	if err := json.Unmarshal(buf.Bytes(), &recs); err != nil || len(recs) != 1 || !utf8.Valid(buf.Bytes()) {
+		t.Fatalf("target %q renders as invalid JSON (%v):\n%s", target, err, buf.String())
 	}
+	return buf.String(), recs[0].Target
+}
+
+// TestJournalJSONAnyTarget: /trace is valid JSON whatever bytes a target
+// holds. Invalid UTF-8 and non-printable runes render as '.', the
+// TargetLen cut never splits a rune, and every other target renders
+// exactly as before: %q of its bytes, with no HTML escaping of E14's
+// "d/<i>/<src>-><dst>".
+func TestJournalJSONAnyTarget(t *testing.T) {
+	a38, a39 := strings.Repeat("a", TargetLen-2), strings.Repeat("a", TargetLen-1)
+	cases := []struct{ name, in, want string }{
+		{"ascii", "trunk/la/GTT", "trunk/la/GTT"},
+		{"html and quotes", `d/<0>/a->b "q" \`, `d/<0>/a->b "q" \`},
+		{"printable non-ascii", "zürich→東京", "zürich→東京"},
+		{"control chars", "bad\x01name\x7f", "bad.name."},
+		{"cut inside a 2-byte rune", a39 + "é", a39},
+		{"cut inside a 4-byte rune", a38 + "\U0001F600", a38},
+		{"invalid byte", "bad\xffname", "bad.name"},
+		{"astral non-printable", "x\U000E0001y", "x.y"},
+		{"bmp non-printable", "soft\u00adhyphen", "soft.hyphen"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out, got := writeOne(t, tc.in)
+			if got != tc.want {
+				t.Fatalf("target %q decodes to %q, want %q", tc.in, got, tc.want)
+			}
+			if want := fmt.Sprintf(`"target":%q}`, tc.want); !strings.Contains(out, want) {
+				t.Fatalf("output %s does not render the target as %s", out, want)
+			}
+		})
+	}
+}
+
+// FuzzJournalJSON: whatever target is recorded, WriteJSON is valid JSON,
+// the target decodes to at most TargetLen bytes, and a printable,
+// valid-UTF-8 target that fits comes back exactly.
+func FuzzJournalJSON(f *testing.F) {
+	for _, s := range []string{"trunk/la/GTT", "d/<0>/a->b", strings.Repeat("a", TargetLen-1) + "é", "bad\xffname", "x\U000E0001y", `"\`} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, target string) {
+		_, got := writeOne(t, target)
+		if len(got) > TargetLen {
+			t.Fatalf("target %q decodes to %d bytes, over TargetLen", target, len(got))
+		}
+		printable := utf8.ValidString(target) && !strings.ContainsFunc(target, func(r rune) bool { return !strconv.IsPrint(r) })
+		if printable && len(target) <= TargetLen && got != target {
+			t.Fatalf("printable target %q decodes to %q", target, got)
+		}
+	})
 }
 
 func TestKindStrings(t *testing.T) {
@@ -124,6 +180,8 @@ func TestKindStrings(t *testing.T) {
 		KindWithdraw:    "withdraw",
 		KindQueueDrop:   "queue_drop",
 		KindViolation:   "violation",
+		KindDiscovery:   "discovery",
+		KindFaultFailed: "fault_failed",
 		Kind(200):       "unknown",
 	}
 	for k, want := range kinds {

@@ -147,9 +147,10 @@ func (c *Coordinator) Parallel() bool { return c.parallel }
 // With every <= 0 fn fires at every barrier with the barrier time; where
 // barriers fall depends on the mode and the other hooks, so such a hook
 // (a staged merge) must give the same result however the run is cut.
-// Hooks run after the cross-partition drain, in registration order —
-// register state merges (journals, logs) before consumers (invariant
-// checks). Call between runs, never from a callback.
+// Hooks run after the cross-partition drain, in registration order — a
+// consumer of merged state registers after the merge (a journal's), or
+// merges first itself, as chaos checks do before recording a violation.
+// Call between runs, never from a callback.
 func (c *Coordinator) AtBarrier(every time.Duration, fn func(Time)) {
 	if c.running {
 		panic("sim: AtBarrier during Run")
