@@ -14,8 +14,8 @@ import (
 // the engine and both sides' sessions.
 func handover() (eng *sim.Engine, a, b *Speaker, sa, sb *Session) {
 	eng = sim.NewEngine()
-	a = NewSpeaker(eng, "a", 100, 1)
-	b = NewSpeaker(eng, "b", 200, 2)
+	a = NewSpeaker(eng, testTable, "a", 100, 1)
+	b = NewSpeaker(eng, testTable, "b", 200, 2)
 	cA, cB := pairCfg(RelProvider)
 	sa, sb = Connect(a, b, cA, cB)
 	return eng, a, b, sa, sb
@@ -29,7 +29,7 @@ func adjOut(s *Session, p addr.Prefix) *Route {
 		return nil
 	}
 	x := s.adj.at(n).out
-	return &Route{Prefix: p, Path: x.path, Communities: x.comms}
+	return &Route{Prefix: p, Path: x.Path, Communities: x.Communities}
 }
 
 // TestOpenRoundTrip: each side's OPEN reaches the peer one session delay
@@ -125,9 +125,9 @@ func TestUpdateRoundTripProperty(t *testing.T) {
 // tag, and a's own route is as originated.
 func TestScrubDoesNotWriteSharedAttributes(t *testing.T) {
 	eng := sim.NewEngine()
-	a := NewSpeaker(eng, "a", 100, 1)
-	b := NewSpeaker(eng, "b", 200, 2)
-	c := NewSpeaker(eng, "c", 300, 3)
+	a := NewSpeaker(eng, testTable, "a", 100, 1)
+	b := NewSpeaker(eng, testTable, "b", 200, 2)
+	c := NewSpeaker(eng, testTable, "c", 300, 3)
 	cA, cB := pairCfg(RelProvider)
 	cA.Border = true
 	Connect(a, b, cA, cB)
@@ -159,21 +159,21 @@ func TestScrubDoesNotWriteSharedAttributes(t *testing.T) {
 // TestSameExportComparesInOrder: two export sets are the same export
 // when they carry one path and one community list, in one order.
 func TestSameExportComparesInOrder(t *testing.T) {
-	x := &exportSet{path: Path{1, 2}, comms: []Community{5, 6}}
+	x := &exportSet{Attrs: Attrs{Path{1, 2}, []Community{5, 6}}}
 	for _, tc := range []struct {
 		y    *exportSet
 		same bool
 	}{
 		{x, true},
-		{&exportSet{path: Path{1, 2}, comms: []Community{5, 6}}, true},
-		{&exportSet{path: Path{1, 2}, comms: []Community{6, 5}}, false},
-		{&exportSet{path: Path{1, 2}, comms: []Community{5, 7}}, false},
-		{&exportSet{path: Path{1, 3}, comms: []Community{5, 6}}, false},
-		{&exportSet{path: Path{1, 2}, comms: []Community{5}}, false},
-		{&exportSet{path: Path{1, 2}, comms: []Community{5, 5}}, false},
+		{&exportSet{Attrs: Attrs{Path{1, 2}, []Community{5, 6}}}, true},
+		{&exportSet{Attrs: Attrs{Path{1, 2}, []Community{6, 5}}}, false},
+		{&exportSet{Attrs: Attrs{Path{1, 2}, []Community{5, 7}}}, false},
+		{&exportSet{Attrs: Attrs{Path{1, 3}, []Community{5, 6}}}, false},
+		{&exportSet{Attrs: Attrs{Path{1, 2}, []Community{5}}}, false},
+		{&exportSet{Attrs: Attrs{Path{1, 2}, []Community{5, 5}}}, false},
 	} {
 		if got := sameExport(x, tc.y); got != tc.same {
-			t.Errorf("sameExport(%v %v, %v %v) = %v", x.path, x.comms, tc.y.path, tc.y.comms, got)
+			t.Errorf("sameExport(%v %v, %v %v) = %v", x.Path, x.Communities, tc.y.Path, tc.y.Communities, got)
 		}
 	}
 }
@@ -187,11 +187,11 @@ func TestSameExportComparesInOrder(t *testing.T) {
 // community set in two orders, and sameExport compares in order.
 func TestExportSetsKeepOriginOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	edge := NewSpeaker(eng, "edge", 64512, 1)
-	vultr := NewSpeaker(eng, "vultr", ASVultr, 2)
-	ntt := NewSpeaker(eng, "ntt", ASNTT, 3)
-	gtt := NewSpeaker(eng, "gtt", ASGTT, 4)
-	remote := NewSpeaker(eng, "remote", 20474, 5)
+	edge := NewSpeaker(eng, testTable, "edge", 64512, 1)
+	vultr := NewSpeaker(eng, testTable, "vultr", ASVultr, 2)
+	ntt := NewSpeaker(eng, testTable, "ntt", ASNTT, 3)
+	gtt := NewSpeaker(eng, testTable, "gtt", ASGTT, 4)
+	remote := NewSpeaker(eng, testTable, "remote", 20474, 5)
 	cA, cB := pairCfg(RelProvider)
 	Connect(edge, vultr, cA, cB)
 	cA, cB = pairCfg(RelProvider)
@@ -306,7 +306,7 @@ func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
 
 // AdjInLen returns the number of routes learned from the peer.
 func (s *Session) AdjInLen() (n int) {
-	for i := range int32(len(s.speaker.num)) {
+	for i := range s.speaker.covered() {
 		if s.adj.at(i).in != nil {
 			n++
 		}

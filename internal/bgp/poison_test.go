@@ -12,10 +12,10 @@ import (
 // rejected by the victim's loop prevention, everywhere.
 func TestPoisonBlocksVictim(t *testing.T) {
 	eng := sim.NewEngine()
-	edge := NewSpeaker(eng, "edge", 64512, 1)
-	vultr := NewSpeaker(eng, "vultr", ASVultr, 2)
-	ntt := NewSpeaker(eng, "ntt", ASNTT, 3)
-	telia := NewSpeaker(eng, "telia", ASTelia, 4)
+	edge := NewSpeaker(eng, testTable, "edge", 64512, 1)
+	vultr := NewSpeaker(eng, testTable, "vultr", ASVultr, 2)
+	ntt := NewSpeaker(eng, testTable, "ntt", ASNTT, 3)
+	telia := NewSpeaker(eng, testTable, "telia", ASTelia, 4)
 	cA, cB := pairCfg(RelProvider)
 	Connect(edge, vultr, cA, cB)
 	cA, cB = pairCfg(RelProvider)
@@ -48,11 +48,11 @@ func TestPoisonBlocksTransitPaths(t *testing.T) {
 	// hear via NTT directly, but if we poison NTT, even the
 	// Cogent->NTT->obs path dies and obs hears nothing.
 	eng := sim.NewEngine()
-	edge := NewSpeaker(eng, "edge", 64512, 1)
-	vultr := NewSpeaker(eng, "vultr", ASVultr, 2)
-	ntt := NewSpeaker(eng, "ntt", ASNTT, 3)
-	cogent := NewSpeaker(eng, "cogent", ASCogent, 4)
-	obs := NewSpeaker(eng, "obs", 64513, 5)
+	edge := NewSpeaker(eng, testTable, "edge", 64512, 1)
+	vultr := NewSpeaker(eng, testTable, "vultr", ASVultr, 2)
+	ntt := NewSpeaker(eng, testTable, "ntt", ASNTT, 3)
+	cogent := NewSpeaker(eng, testTable, "cogent", ASCogent, 4)
+	obs := NewSpeaker(eng, testTable, "obs", 64513, 5)
 
 	cA, cB := pairCfg(RelProvider)
 	Connect(edge, vultr, cA, cB)
@@ -103,8 +103,8 @@ func TestPoisonBlocksTransitPaths(t *testing.T) {
 func TestPoisonedPathOnWire(t *testing.T) {
 	// The poisoned ASN must cross a session like any other path element.
 	eng := sim.NewEngine()
-	a := NewSpeaker(eng, "a", 100, 1)
-	b := NewSpeaker(eng, "b", 200, 2)
+	a := NewSpeaker(eng, testTable, "a", 100, 1)
+	b := NewSpeaker(eng, testTable, "b", 200, 2)
 	cA, cB := pairCfg(RelProvider)
 	Connect(a, b, cA, cB)
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")

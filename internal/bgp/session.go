@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -66,15 +67,14 @@ type Session struct {
 	cfg         SessionConfig
 	established bool
 
-	// adj is indexed by the speaker's prefix numbers. queued holds a bit
-	// per number, set while the number is in pending.
+	// adj is indexed by the prefix numbers of the speakers' Table and
+	// covers what the speaker's RIB covers. queued holds a bit per
+	// number, set while the number waits for the next flush.
 	adj    pages[adjEntry]
 	queued []uint64
 
-	// MRAI pacing state: pending lists the numbers queued since the last
-	// flush, each once; flushFn is flush bound once, so arming the timer
+	// MRAI pacing state: flushFn is flush bound once, so arming the timer
 	// allocates no closure.
-	pending   []int32
 	mraiArmed bool
 	flushFn   func()
 	lastFlush sim.Time
@@ -111,6 +111,9 @@ func (s *Session) String() string {
 // is what b is to a), cfgB from b's side. The relations must be
 // consistent (customer on one side implies provider on the other).
 func Connect(a, b *Speaker, cfgA, cfgB SessionConfig) (*Session, *Session) {
+	if a.tab != b.tab {
+		panic(fmt.Sprintf("bgp: Connect %s<->%s across prefix tables", a.Name, b.Name))
+	}
 	if a.eng != b.eng {
 		// Speakers on two engines must be partitions of one coordinator.
 		c := a.eng.Coord()
@@ -143,14 +146,15 @@ func Connect(a, b *Speaker, cfgA, cfgB SessionConfig) (*Session, *Session) {
 
 func newSession(sp *Speaker, cfg SessionConfig) *Session {
 	s := &Session{speaker: sp, cfg: cfg, neverSent: true}
-	s.cover(len(sp.num))
+	s.cover(int(sp.covered()))
 	s.flushFn = s.flush
 	return s
 }
 
-// sendMsg schedules delivery of m to the peer after the session delay.
-func (s *Session) sendMsg(m *Message) {
-	if m.Update != nil {
+// sendMsg schedules delivery of m, a signal or an *Update, to the peer
+// after the session delay.
+func (s *Session) sendMsg(m any) {
+	if _, ok := m.(*Update); ok {
 		s.Stats.UpdatesSent++
 	}
 	peer := s.peer
@@ -161,14 +165,19 @@ func (s *Session) sendMsg(m *Message) {
 // OnSimEvent implements sim.ArgHandler: the arrival of one message, fired
 // on this side's engine.
 func (s *Session) OnSimEvent(arg any) {
-	m := arg.(*Message)
-	switch {
-	case m.Open:
-		// The peer's KEEPALIVE confirming our OPEN establishes the session.
-		s.sendMsg(keepaliveMsg)
-	case m.Update != nil:
-		s.speaker.handleUpdate(s, m.Update)
-	case m.Keepalive && !s.established:
+	switch m := arg.(type) {
+	case *Update:
+		s.speaker.handleUpdate(s, m)
+	case signal:
+		if m == openMsg {
+			// The peer's KEEPALIVE confirming our OPEN establishes the
+			// session.
+			s.sendMsg(keepaliveMsg)
+			return
+		}
+		if s.established {
+			return
+		}
 		s.established = true
 		// Initial table exchange: advertise everything eligible.
 		s.speaker.scheduleFullExport(s)
@@ -183,7 +192,6 @@ func (s *Session) queue(n int32) {
 		return
 	}
 	*w |= bit
-	s.pending = append(s.pending, n)
 	if s.mraiArmed {
 		return
 	}
@@ -198,27 +206,25 @@ func (s *Session) queue(n int32) {
 	s.speaker.eng.Schedule(wait, s.flushFn)
 }
 
-// flush advertises all pending changes, one UPDATE per prefix, in
-// prefix order (not number order), so the UPDATE sequence does not
-// depend on the order in which the speaker first heard of each prefix.
+// flush advertises all queued changes, one UPDATE per prefix, in number
+// order, which is prefix order, so the UPDATE sequence does not depend on
+// the order in which they were queued.
 func (s *Session) flush() {
 	s.mraiArmed = false
 	s.lastFlush = s.speaker.eng.Now()
 	s.neverSent = false
-	rib := s.speaker.rib
-	slices.SortFunc(s.pending, func(a, b int32) int { return rib.at(a).prefix.Compare(rib.at(b).prefix) })
-	for _, n := range s.pending {
-		s.queued[n>>6] &^= uint64(1) << (n & 63)
-		s.advertise(n)
+	for w, word := range s.queued {
+		s.queued[w] = 0
+		for ; word != 0; word &= word - 1 {
+			s.advertise(int32(w<<6 + bits.TrailingZeros64(word)))
+		}
 	}
-	s.pending = s.pending[:0]
 }
 
 // advertise computes the export for prefix number n and sends an UPDATE
 // if it differs from what the peer last heard.
 func (s *Session) advertise(n int32) {
-	e := s.speaker.rib.at(n)
-	export := s.speaker.exportTo(s, e)
+	export := s.speaker.exportTo(s, s.speaker.rib.at(n))
 	slot := s.adj.at(n)
 	prev := slot.out
 	if export == nil {
@@ -226,14 +232,14 @@ func (s *Session) advertise(n int32) {
 			return
 		}
 		slot.out = nil
-		s.sendMsg(newUpdate(e.prefix, nil))
+		s.sendMsg(newUpdate(n, nil))
 		return
 	}
 	if prev != nil && sameExport(prev, export) {
 		return
 	}
 	slot.out = export
-	s.sendMsg(newUpdate(e.prefix, export))
+	s.sendMsg(newUpdate(n, export))
 }
 
 // sameExport reports whether two export sets carry the same path and
@@ -242,5 +248,5 @@ func (s *Session) advertise(n int32) {
 // (TestExportSetsKeepOriginOrder), so two exports of one prefix differ in
 // order only where they differ in content.
 func sameExport(a, b *exportSet) bool {
-	return a == b || a.path.Equal(b.path) && slices.Equal(a.comms, b.comms)
+	return a == b || a.Path.Equal(b.Path) && slices.Equal(a.Communities, b.Communities)
 }

@@ -197,8 +197,8 @@ func TestLossBurstAndDelayFaultsRestoreState(t *testing.T) {
 
 func TestWithdrawalFaultReannouncesIdentically(t *testing.T) {
 	eng := simnet.New(1).Eng // the chaos engine runs on a network partition
-	sp := bgp.NewSpeaker(eng, "edge", 65000, 1)
 	pfx := addr.MustParsePrefix("2001:db8:100::/48")
+	sp := bgp.NewSpeaker(eng, bgp.NewTable(pfx), "edge", 65000, 1)
 	sp.OriginateWithPath(pfx, bgp.Path{65099}, bgp.Community(4242))
 
 	ch := New(eng)
@@ -234,11 +234,12 @@ func TestWithdrawalFaultReannouncesIdentically(t *testing.T) {
 func TestFaultOnUnknownTargetIsLoggedNotFatal(t *testing.T) {
 	w, _ := twoNodes(1)
 	ch := New(w.Eng)
-	ch.AddSpeaker("edge", bgp.NewSpeaker(w.Eng, "edge", 65000, 1))
+	pfx := addr.MustParsePrefix("2001:db8:100::/48")
+	ch.AddSpeaker("edge", bgp.NewSpeaker(w.Eng, bgp.NewTable(pfx), "edge", 65000, 1))
 	reg, j := obs.NewRegistry(), obs.NewJournal(8)
 	bind(ch, reg, j)
 	down := LinkDown("nope", time.Second, time.Second)
-	withdraw := Withdrawal{Speaker: "edge", Prefix: addr.MustParsePrefix("2001:db8:100::/48"), At: time.Second, For: time.Second}
+	withdraw := Withdrawal{Speaker: "edge", Prefix: pfx, At: time.Second, For: time.Second}
 	for _, c := range []struct {
 		f   Fault
 		err string

@@ -51,8 +51,8 @@ func TestChaosObsCountersAndJournal(t *testing.T) {
 func TestChaosObsWithdrawalKind(t *testing.T) {
 	w := simnet.New(1)
 	eng := w.Eng // the chaos engine runs on a network partition
-	sp := bgp.NewSpeaker(eng, "edge", 65000, 1)
 	pfx := addr.MustParsePrefix("2001:db8:100::/48")
+	sp := bgp.NewSpeaker(eng, bgp.NewTable(pfx), "edge", 65000, 1)
 	sp.Originate(pfx)
 
 	ch := New(eng)

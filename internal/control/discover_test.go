@@ -50,7 +50,8 @@ func TestAdjacentProvider(t *testing.T) {
 // from the POP), the loop ends like any other ending: one OnRound(n, nil)
 // and then done, with nothing found.
 func TestDiscoveryJournalsNoProviderExit(t *testing.T) {
-	b := topo.NewBuilder(1, topo.Partition{})
+	probe := addr.MustParsePrefix("2001:db8:100::/48")
+	b := topo.NewBuilder(1, topo.Partition{}, []addr.Prefix{probe})
 	pop := b.AddAS("pop", 64500, 1, 0)
 	obs := b.AddAS("obs", 64501, 2, 0)
 	b.Wire(obs, pop, topo.WireOpts{RelAB: bgp.RelPeer})
@@ -60,7 +61,7 @@ func TestDiscoveryJournalsNoProviderExit(t *testing.T) {
 	d := &Discoverer{
 		Announcer: pop.Speaker,
 		Observer:  obs.Speaker,
-		Probe:     addr.MustParsePrefix("2001:db8:100::/48"),
+		Probe:     probe,
 		POPAS:     pop.ASN,
 		RoundWait: time.Minute,
 		OnRound: func(n int, f *DiscoveredPath) {

@@ -31,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Counter is a monotonically increasing metric (atomic, zero-allocation).
@@ -397,9 +398,11 @@ func renderLabels(labels []Label) string {
 }
 
 // escapeLabelValue applies the Prometheus text-format escapes for label
-// values: backslash, double quote, and newline.
+// values: backslash, double quote, and newline. The exposition is UTF-8,
+// so each byte of v that is not valid UTF-8 (a tangod -site name can
+// carry one) becomes U+FFFD, as ranging over v yields it.
 func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
+	if utf8.ValidString(v) && !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
 	var b strings.Builder

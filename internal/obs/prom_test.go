@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -35,6 +36,39 @@ func goldenRegistry() *Registry {
 	h.Observe(1 << 20) // bucket 21
 	r.Histogram("empty_hist", "No observations yet.")
 	return r
+}
+
+// TestLabelValueEscapes: a label value goes out with the text format's
+// three escapes and with each byte that is not valid UTF-8 replaced by
+// U+FFFD, whether or not it also needs an escape, so a scrape is valid
+// UTF-8 whatever a site is named; valid UTF-8 goes out as it came.
+func TestLabelValueEscapes(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"ny", "ny"},
+		{"", ""},
+		{"café ✓ \U0001F600", "café ✓ \U0001F600"},
+		{"\uFFFD", "\uFFFD"},
+		{`GTT\NY->"LA"` + "\n", `GTT\\NY->\"LA\"\n`},
+		{"bad\xffname", "bad\uFFFDname"},
+		{"bad\xff\"name", "bad\uFFFD\\\"name"},
+		{"\xe2\x82", "\uFFFD\uFFFD"},
+		{"cut é\xc3", "cut é\uFFFD"},
+		{"\xc0\xaf", "\uFFFD\uFFFD"},
+	} {
+		got := escapeLabelValue(c.in)
+		if got != c.want {
+			t.Errorf("escapeLabelValue(%q) = %q, want %q", c.in, got, c.want)
+		}
+		r := NewRegistry()
+		r.Counter("site_total", "Per site.", L("site", c.in)).Inc()
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !utf8.Valid(buf.Bytes()) || !strings.Contains(buf.String(), `site="`+c.want+`"`) {
+			t.Errorf("label %q scraped as\n%s", c.in, buf.Bytes())
+		}
+	}
 }
 
 func TestWritePrometheusGolden(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"tango/internal/addr"
 	"tango/internal/bgp"
 	"tango/internal/control"
 	"tango/internal/packet"
@@ -104,7 +103,7 @@ func TestScenarioSuppressionExposesAlternatePaths(t *testing.T) {
 	s := mustVultr(t, ScenarioConfig{Seed: 3})
 	converge(s)
 
-	probe := addr.MustParsePrefix("2001:db8:111::/48")
+	probe := s.Probe["ny:la"]
 	// NY announces; LA observes — this is one round of the discovery
 	// loop done by hand, for each successive suppression set.
 	steps := []struct {
@@ -143,7 +142,7 @@ func TestScenarioReversePathsIncludeLevel3(t *testing.T) {
 	s := mustVultr(t, ScenarioConfig{Seed: 4})
 	converge(s)
 
-	probe := addr.MustParsePrefix("2001:db8:222::/48")
+	probe := s.Probe["la:ny"]
 	s.Edges["la:ny"].Speaker.Originate(probe,
 		bgp.NoExportTo(bgp.ASNTT), bgp.NoExportTo(bgp.ASTelia), bgp.NoExportTo(bgp.ASGTT))
 	s.Run(3 * time.Minute)

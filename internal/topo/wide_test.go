@@ -59,7 +59,7 @@ func TestWideMeshPartitionsSitePerShard(t *testing.T) {
 	// minimum), above the 1 ms cut floor: the partitioner must keep every
 	// site and provider separate and derive the 4 ms lookahead.
 	n := 10
-	p := MeshPartition(WideMeshConfig(3, n))
+	p := meshPartition(t, WideMeshConfig(3, n))
 	if p.Parts != n+16 {
 		t.Fatalf("partitions: %d, want %d (sites+providers)", p.Parts, n+16)
 	}
