@@ -100,7 +100,7 @@ func E14DiscoverySweep(cfg Config) *Result {
 		r.Err = err.Error()
 		return r
 	}
-	g := &s.B.Graph
+	g := &s.Graph
 	s.Run(sweepEstablish)
 
 	// Discovery runs toward dst, observing from src.

@@ -81,7 +81,7 @@ func TestE14ScoreLeakedPrivateASN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &m.B.Graph
+	g := &m.Graph
 	observer, src, dst := m.Edges["ny:la"].Index, m.POPs["ny"].Index, m.POPs["la"].Index
 	clean := bgp.Path{bgp.ASVultr, bgp.ASNTT, bgp.ASVultr}
 	leaked := append(clean, topo.ASEdgeLA)

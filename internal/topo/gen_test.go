@@ -160,7 +160,7 @@ func checkBestValleyFree(t *testing.T, m *MeshScenario) {
 			if r.FromSession == nil {
 				continue // locally originated
 			}
-			if !m.B.Graph.ValleyFreeObserved(a.Index, r.Path) {
+			if !m.Graph.ValleyFreeObserved(a.Index, r.Path) {
 				t.Fatalf("%s selected non-valley-free path [%v] for %v", sp.Name, r.Path, p)
 			}
 			checked++
@@ -371,7 +371,7 @@ func TestMeshValleyFree(t *testing.T) {
 		{"NY->LA", la, ny, []bgp.ASN{bgp.ASTelia, bgp.ASNTT, bgp.ASGTT, bgp.ASLevel3}},
 		{"LA->NY", ny, la, []bgp.ASN{bgp.ASCogent, bgp.ASTelia, bgp.ASNTT, bgp.ASGTT}},
 	} {
-		if got := m.B.Graph.ValleyFreeProviders(tc.dst, tc.src); !reflect.DeepEqual(got, tc.want) {
+		if got := m.Graph.ValleyFreeProviders(tc.dst, tc.src); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s providers %v, want %v", tc.dir, got, tc.want)
 		}
 	}
@@ -386,7 +386,7 @@ func TestValleyFreeObservedVultrEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, edge := &m.B.Graph, m.Edges["ny:la"].Index
+	g, edge := &m.Graph, m.Edges["ny:la"].Index
 	if !g.ValleyFreeObserved(edge, bgp.Path{bgp.ASVultr, bgp.ASNTT, bgp.ASVultr}) {
 		t.Fatal("edge-ny's NTT path to LA rejected")
 	}
@@ -413,7 +413,7 @@ func TestValleyFreeObservedOffGraphHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, edge := &m.B.Graph, m.Edges["ny:la"].Index
+	g, edge := &m.Graph, m.Edges["ny:la"].Index
 	for _, path := range []bgp.Path{
 		{64999},
 		{bgp.ASVultr, 64999, bgp.ASVultr},

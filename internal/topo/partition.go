@@ -31,7 +31,7 @@ const DefaultCutFloor = time.Millisecond
 // interactions are too fast to synchronize conservatively at a useful
 // cadence); every cluster is one partition, numbered by first appearance
 // in node order. An edge's Delay is the earliest either end can affect the
-// other (see Builder.Graph).
+// other (see MeshScenario.Graph).
 //
 // The partition layout is a function of the topology only — never of the
 // worker count driving the simulation — which is what makes 1-worker and
