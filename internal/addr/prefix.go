@@ -104,6 +104,10 @@ func bitAt(hi, lo uint64, i int) int {
 // IsValid reports whether p is a real prefix (the zero Prefix is not).
 func (p Prefix) IsValid() bool { return p.family != 0 }
 
+// Is6 reports whether p is an IPv6 prefix, as netip's Addr.Is6 does for
+// its address.
+func (p Prefix) Is6() bool { return p.family == 6 }
+
 // Addr returns the network address (the zero Addr for the zero Prefix).
 func (p Prefix) Addr() netip.Addr {
 	switch p.family {

@@ -222,9 +222,9 @@ func TestPrefixMatchesNetip(t *testing.T) {
 	ps, refs = append(ps, Prefix{}), append(refs, netip.Prefix{})
 	for i, p := range ps {
 		ref := refs[i]
-		if p.String() != ref.String() || p.Addr() != ref.Addr() || p.Bits() != ref.Bits() || p.IsValid() != ref.IsValid() {
-			t.Fatalf("%v: Addr %v Bits %d valid %v, netip %v: %v %d %v",
-				p, p.Addr(), p.Bits(), p.IsValid(), ref, ref.Addr(), ref.Bits(), ref.IsValid())
+		if p.String() != ref.String() || p.Addr() != ref.Addr() || p.Bits() != ref.Bits() || p.IsValid() != ref.IsValid() || p.Is6() != ref.Addr().Is6() {
+			t.Fatalf("%v: Addr %v Bits %d valid %v IPv6 %v, netip %v: %v %d %v %v",
+				p, p.Addr(), p.Bits(), p.IsValid(), p.Is6(), ref, ref.Addr(), ref.Bits(), ref.IsValid(), ref.Addr().Is6())
 		}
 		if ref.IsValid() {
 			if back := MustParsePrefix(ref.String()); back != p {

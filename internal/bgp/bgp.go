@@ -16,9 +16,8 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-
-	"tango/internal/addr"
 )
 
 // ASN is an autonomous system number in the classic 2-octet range, which
@@ -117,19 +116,15 @@ func (p Path) String() string {
 	return b.String()
 }
 
-// Route is one BGP route: a prefix plus its path attributes. A route is
-// immutable once built: its Path and Communities are shared with the
-// export sets built from it and with the routes peers learn from those,
-// so nothing may write through them. The local preference follows from
-// the session the route came in on, so a route holds the session and
-// derives it (LocalPref).
+// Route is one BGP route for a prefix the RIB slot holding it names:
+// the attributes it was announced with and the session it came in on,
+// nil when originated. The attributes are shared — a learned route's are
+// the sender's export set, as its UPDATE carried them — so nothing may
+// write through them. The zero Route is no route. The local preference
+// follows from the session (LocalPref).
 type Route struct {
-	Prefix      addr.Prefix
-	Path        Path
-	Communities []Community
-
-	// Learned metadata (not wire attributes).
-	FromSession *Session // nil for locally originated routes
+	*Attrs
+	FromSession *Session
 }
 
 // originatedLocalPref is a locally originated route's LOCAL_PREF: it
@@ -139,7 +134,7 @@ const originatedLocalPref = 1 << 30
 // LocalPref returns the route's LOCAL_PREF (meaningful locally; not
 // exported on eBGP): the Gao-Rexford import preference of the session it
 // came in on, or originatedLocalPref.
-func (r *Route) LocalPref() uint32 {
+func (r Route) LocalPref() uint32 {
 	if r.FromSession == nil {
 		return originatedLocalPref
 	}
@@ -147,18 +142,13 @@ func (r *Route) LocalPref() uint32 {
 }
 
 // HasCommunity reports whether the route carries c.
-func (r *Route) HasCommunity(c Community) bool {
-	for _, x := range r.Communities {
-		if x == c {
-			return true
-		}
-	}
-	return false
+func (r Route) HasCommunity(c Community) bool {
+	return slices.Contains(r.Communities, c)
 }
 
-func (r *Route) String() string {
-	if r == nil {
-		return "<nil route>"
+func (r Route) String() string {
+	if r.Attrs == nil {
+		return "<no route>"
 	}
-	return fmt.Sprintf("%v from %v path [%v] lp=%d", r.Prefix, r.FromSession, r.Path, r.LocalPref())
+	return fmt.Sprintf("from %v path [%v] lp=%d", r.FromSession, r.Path, r.LocalPref())
 }

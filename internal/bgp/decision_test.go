@@ -22,8 +22,8 @@ func TestDecisionStability(t *testing.T) {
 	cA, cB = pairCfg(RelPeer)
 	s2, _ := Connect(x, p2, cA, cB)
 
-	a := &Route{Path: Path{1}, FromSession: s1}
-	b := &Route{Path: Path{2}, FromSession: s2}
+	a := Route{&Attrs{Path: Path{1}}, s1}
+	b := Route{&Attrs{Path: Path{2}}, s2}
 	// Identical on every criterion (both from peers, so local-pref 100;
 	// one hop; router ID 7): neither is strictly better.
 	if a.LocalPref() != 100 || better(a, b) || better(b, a) {
@@ -32,14 +32,14 @@ func TestDecisionStability(t *testing.T) {
 
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	changes := 0
-	x.OnBestChange = func(addr.Prefix, *Route) { changes++ }
+	x.OnBestChange = func(addr.Prefix, Route) { changes++ }
 	x.handleUpdate(s2, announce(pfx, Path{200}))
 	x.handleUpdate(s1, announce(pfx, Path{100}))
-	if best := x.Best(pfx); best == nil || best.FromSession != s1 || changes != 2 {
+	if best, ok := x.Best(pfx); !ok || best.FromSession != s1 || changes != 2 {
 		t.Fatalf("best %v after %d changes, want the first session's route after 2", best, changes)
 	}
 	x.reselect(x.lookup(pfx))
-	if x.Best(pfx).FromSession != s1 || changes != 2 {
+	if best, _ := x.Best(pfx); best.FromSession != s1 || changes != 2 {
 		t.Fatal("re-running the decision process churned a tie")
 	}
 }
@@ -93,7 +93,7 @@ func TestMultiPrefixUpdate(t *testing.T) {
 	if len(b.BestPrefixes()) != 2 {
 		t.Fatalf("withdraw left %d prefixes", len(b.BestPrefixes()))
 	}
-	if b.Best(addr.MustParsePrefix("2001:db8:2::/48")) != nil {
+	if _, ok := b.Best(addr.MustParsePrefix("2001:db8:2::/48")); ok {
 		t.Fatal("withdrawn prefix still best")
 	}
 }
@@ -126,7 +126,7 @@ func TestRIBCountsFollowWithdrawals(t *testing.T) {
 		var want []addr.Prefix
 		for _, q := range p {
 			got := ""
-			if r := c.Best(q); r != nil {
+			if r, ok := c.Best(q); ok {
 				got = from[r.FromSession]
 			}
 			if got != best[q] {

@@ -10,10 +10,12 @@ import (
 )
 
 // TestRoutingStateLayout holds the routing state to its sizes: the
-// simulated internet keeps a prefix per RIB entry, a route per Adj-RIB-In
-// entry and an Adj-RIB entry per session and prefix, so a byte on any of
-// them is paid prefixes × routers × sessions times. A Prefix carries no
-// pointer, so the maps keyed by it are never scanned by the collector.
+// simulated internet keeps a RIB entry per router and prefix and an
+// Adj-RIB entry per session and prefix, so a byte on either is paid
+// prefixes × routers × sessions times. A route is two pointers, its
+// attributes and its session, so a RIB holds it as a value, not as a
+// heap object. A Prefix carries no pointer, so the maps keyed by it are
+// never scanned by the collector.
 func TestRoutingStateLayout(t *testing.T) {
 	if n := unsafe.Sizeof(addr.Prefix{}); n != 24 {
 		t.Errorf("addr.Prefix is %d B, want 24", n)
@@ -24,11 +26,14 @@ func TestRoutingStateLayout(t *testing.T) {
 	if !hasPointer(reflect.TypeFor[netip.Prefix]()) {
 		t.Error("the walk misses netip.Prefix's zone pointer")
 	}
-	if n := unsafe.Sizeof(Route{}); n > 80 {
-		t.Errorf("Route is %d B, want at most 80", n)
+	if n := unsafe.Sizeof(Route{}); n != 16 {
+		t.Errorf("Route is %d B, want 16", n)
 	}
 	if n := unsafe.Sizeof(adjEntry{}); n != 16 {
 		t.Errorf("adjEntry is %d B, want 16", n)
+	}
+	if n := unsafe.Sizeof(ribEntry{}); n > 32 {
+		t.Errorf("ribEntry is %d B, want at most 32", n)
 	}
 }
 

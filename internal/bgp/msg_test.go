@@ -21,15 +21,14 @@ func handover() (eng *sim.Engine, a, b *Speaker, sa, sb *Session) {
 	return eng, a, b, sa, sb
 }
 
-// adjOut returns what s last exported for p as a route (its export set),
+// adjOut returns the attributes s last exported for p (its export set),
 // or nil.
-func adjOut(s *Session, p addr.Prefix) *Route {
+func adjOut(s *Session, p addr.Prefix) *Attrs {
 	n := s.speaker.lookup(p)
 	if n < 0 || s.adj.at(n).out == nil {
 		return nil
 	}
-	x := s.adj.at(n).out
-	return &Route{Prefix: p, Path: x.Path, Communities: x.Communities}
+	return &s.adj.at(n).out.Attrs
 }
 
 // TestOpenRoundTrip: each side's OPEN reaches the peer one session delay
@@ -47,22 +46,22 @@ func TestOpenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUpdateRoundTripIPv6: the peer learns a route exactly as the sender
-// exported it — prefix, path and communities — and only the session it
-// came in on and the local preference that follows are the receiver's
-// own.
+// TestUpdateRoundTripIPv6: the peer learns a route for the prefix
+// exactly as the sender exported it — path and communities — and only
+// the session it came in on and the local preference that follows are
+// the receiver's own.
 func TestUpdateRoundTripIPv6(t *testing.T) {
 	eng, a, _, sa, sb := handover()
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	a.OriginateWithPath(pfx, Path{300, 400}, MakeCommunity(ASVultr, 100), MakeCommunity(300, 7))
 	eng.Run(time.Second)
 	sent := adjOut(sa, pfx)
-	got, _ := sb.AdjIn(pfx)
-	if sent == nil || got == nil {
+	got, ok := sb.AdjIn(pfx)
+	if sent == nil || !ok {
 		t.Fatalf("exported %v, learned %v", sent, got)
 	}
-	if got.Prefix != sent.Prefix || !got.Path.Equal(sent.Path) || !slices.Equal(got.Communities, sent.Communities) {
-		t.Fatalf("learned %v %v, exported %v %v", got, got.Communities, sent, sent.Communities)
+	if !got.Path.Equal(sent.Path) || !slices.Equal(got.Communities, sent.Communities) {
+		t.Fatalf("learned %v %v, exported %v %v", got, got.Communities, sent.Path, sent.Communities)
 	}
 	if got.LocalPref() != DefaultLocalPref(RelCustomer) || got.FromSession != sb {
 		t.Fatalf("learned local-pref %d from %v", got.LocalPref(), got.FromSession)
@@ -82,7 +81,7 @@ func TestUpdateWithdrawOnly(t *testing.T) {
 	if n := sa.Stats.UpdatesSent - sent; n != 1 {
 		t.Fatalf("withdrawal sent %d UPDATEs, want 1", n)
 	}
-	if adjOut(sa, pfx) != nil || sb.AdjInLen() != 0 || b.Best(pfx) != nil {
+	if _, ok := b.Best(pfx); ok || adjOut(sa, pfx) != nil || sb.AdjInLen() != 0 {
 		t.Fatal("withdrawn route survived")
 	}
 }
@@ -108,8 +107,8 @@ func TestUpdateRoundTripProperty(t *testing.T) {
 		pfx := addr.MustParsePrefix("2001:db8:1::/48")
 		a.OriginateWithPath(pfx, poison, cs...)
 		eng.Run(time.Second)
-		best := b.Best(pfx)
-		return best != nil && best.Path.Equal(append(Path{100}, poison...)) && slices.Equal(best.Communities, cs)
+		best, ok := b.Best(pfx)
+		return ok && best.Path.Equal(append(Path{100}, poison...)) && slices.Equal(best.Communities, cs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -140,18 +139,19 @@ func TestScrubDoesNotWriteSharedAttributes(t *testing.T) {
 
 	for _, tc := range []struct {
 		who  string
-		r    *Route
+		at   *Speaker
 		want []Community
 	}{
-		{"plain peer c", c.Best(pfx), []Community{action, tag}},
-		{"border peer b", b.Best(pfx), []Community{tag}},
-		{"sender a", a.Best(pfx), []Community{action, tag}},
+		{"plain peer c", c, []Community{action, tag}},
+		{"border peer b", b, []Community{tag}},
+		{"sender a", a, []Community{action, tag}},
 	} {
-		if tc.r == nil {
+		r, ok := tc.at.Best(pfx)
+		if !ok {
 			t.Fatalf("%s has no route", tc.who)
 		}
-		if !slices.Equal(tc.r.Communities, tc.want) {
-			t.Errorf("%s: communities %v, want %v", tc.who, tc.r.Communities, tc.want)
+		if !slices.Equal(r.Communities, tc.want) {
+			t.Errorf("%s: communities %v, want %v", tc.who, r.Communities, tc.want)
 		}
 	}
 }
@@ -283,25 +283,24 @@ func TestPathHelpers(t *testing.T) {
 }
 
 func TestRouteHelpers(t *testing.T) {
-	r := &Route{
-		Prefix:      addr.MustParsePrefix("2001:db8::/48"),
+	r := Route{Attrs: &Attrs{
 		Path:        Path{1, 2},
 		Communities: []Community{MakeCommunity(9, 9), MakeCommunity(8, 8)},
-	}
+	}}
 	if !r.HasCommunity(MakeCommunity(8, 8)) || r.HasCommunity(MakeCommunity(7, 7)) {
 		t.Fatal("HasCommunity wrong")
 	}
-	if r.String() == "" || (*Route)(nil).String() == "" {
+	if r.String() == "" || (Route{}).String() == "" {
 		t.Fatal("String empty")
 	}
 }
 
 // AdjIn returns the route learned from the peer for p, if any.
-func (s *Session) AdjIn(p addr.Prefix) (*Route, bool) {
+func (s *Session) AdjIn(p addr.Prefix) (Route, bool) {
 	if n := s.speaker.lookup(p); n >= 0 && s.adj.at(n).in != nil {
-		return s.adj.at(n).in, true
+		return Route{s.adj.at(n).in, s}, true
 	}
-	return nil, false
+	return Route{}, false
 }
 
 // AdjInLen returns the number of routes learned from the peer.

@@ -27,11 +27,11 @@ func TestPoisonBlocksVictim(t *testing.T) {
 	edge.OriginateWithPath(pfx, Path{ASNTT})
 	eng.Run(10 * time.Second)
 
-	if ntt.Best(pfx) != nil {
+	if _, ok := ntt.Best(pfx); ok {
 		t.Fatal("poisoned AS accepted the route")
 	}
-	best := telia.Best(pfx)
-	if best == nil {
+	best, ok := telia.Best(pfx)
+	if !ok {
 		t.Fatal("unpoisoned provider did not learn the route")
 	}
 	// The poison rides the path: [1299's view: 20473 64512 2914].
@@ -76,8 +76,8 @@ func TestPoisonBlocksTransitPaths(t *testing.T) {
 	// Community suppression of NTT: obs still hears via Cogent->NTT.
 	edge.Originate(pfx, NoExportTo(ASNTT))
 	advance(30 * time.Second)
-	best := obs.Best(pfx)
-	if best == nil {
+	best, ok := obs.Best(pfx)
+	if !ok {
 		t.Fatal("community suppression killed the transit path too")
 	}
 	if !best.Path.Contains(ASCogent) {
@@ -88,14 +88,14 @@ func TestPoisonBlocksTransitPaths(t *testing.T) {
 	// behind NTT, so it loses the prefix entirely.
 	edge.OriginateWithPath(pfx, Path{ASNTT})
 	advance(3 * time.Minute)
-	if obs.Best(pfx) != nil {
-		t.Fatalf("poisoning left a path through the victim: %v", obs.Best(pfx).Path)
+	if best, ok := obs.Best(pfx); ok {
+		t.Fatalf("poisoning left a path through the victim: %v", best.Path)
 	}
 
 	// Clearing the poison restores reachability.
 	edge.Originate(pfx)
 	advance(3 * time.Minute)
-	if obs.Best(pfx) == nil {
+	if _, ok := obs.Best(pfx); !ok {
 		t.Fatal("clearing the poison did not restore the route")
 	}
 }
@@ -110,8 +110,8 @@ func TestPoisonedPathOnWire(t *testing.T) {
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	a.OriginateWithPath(pfx, Path{300, 400})
 	eng.Run(10 * time.Second)
-	best := b.Best(pfx)
-	if best == nil {
+	best, ok := b.Best(pfx)
+	if !ok {
 		t.Fatal("no route")
 	}
 	if !best.Path.Equal(Path{100, 300, 400}) {

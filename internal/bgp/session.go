@@ -87,7 +87,7 @@ type Session struct {
 
 // adjEntry is a session's state for one numbered prefix.
 type adjEntry struct {
-	in  *Route     // Adj-RIB-In: the route learned from the peer
+	in  *Attrs     // Adj-RIB-In: the attributes the peer's UPDATE carried
 	out *exportSet // Adj-RIB-Out: the attributes the peer last heard
 }
 

@@ -25,21 +25,20 @@ type Speaker struct {
 	// The RIBs are indexed by the prefix numbers of the network's Table,
 	// which every speaker shares. They cover the numbers below the
 	// highest the speaker has heard of, a page at a time.
-	rib   pages[ribEntry]
-	nBest int
+	rib pages[ribEntry]
 
 	// OnBestChange fires whenever the best route for a prefix changes
-	// (best nil on withdrawal). The Tango node uses it to program the
-	// data-plane FIB.
-	OnBestChange func(p addr.Prefix, best *Route)
+	// (best.Attrs nil on withdrawal). The Tango node uses it to program
+	// the data-plane FIB.
+	OnBestChange func(p addr.Prefix, best Route)
 }
 
 // ribEntry is the speaker's state for one numbered prefix: the locally
-// originated route and the Loc-RIB best, each nil when absent, and the
-// export sets built from best so far.
+// originated attributes and the Loc-RIB best, each zero when absent, and
+// the export sets built from best so far.
 type ribEntry struct {
-	originated *Route
-	best       *Route
+	originated *Attrs
+	best       Route
 	exports    *exportSet // memo for best: reselect drops it when best changes
 }
 
@@ -69,7 +68,8 @@ func (p *pages[T]) cover(n int) {
 // SessionConfig.Border) with private ASNs stripped and action
 // communities scrubbed. It is built once per best and kind of session,
 // then shared — immutable — by every session of that kind, by each
-// UPDATE carrying it and by every route a peer learns from one.
+// UPDATE carrying it and by the Adj-RIB-In slot of every peer that keeps
+// one.
 type exportSet struct {
 	Attrs
 	border bool
@@ -126,19 +126,20 @@ func (sp *Speaker) cover(n int32) {
 // Sessions returns the speaker's sessions in creation order.
 func (sp *Speaker) Sessions() []*Session { return sp.sessions }
 
-// Best returns the current best route for p, or nil.
-func (sp *Speaker) Best(p addr.Prefix) *Route {
+// Best returns the current best route for p, if any.
+func (sp *Speaker) Best(p addr.Prefix) (Route, bool) {
 	if n := sp.lookup(p); n >= 0 {
-		return sp.rib.at(n).best
+		best := sp.rib.at(n).best
+		return best, best.Attrs != nil
 	}
-	return nil
+	return Route{}, false
 }
 
 // BestPrefixes returns all prefixes with a best route, sorted.
 func (sp *Speaker) BestPrefixes() []addr.Prefix {
-	out := make([]addr.Prefix, 0, sp.nBest)
+	var out []addr.Prefix
 	for n := range sp.covered() {
-		if sp.rib.at(n).best != nil {
+		if sp.rib.at(n).best.Attrs != nil {
 			out = append(out, sp.tab.prefixes[n])
 		}
 	}
@@ -159,13 +160,11 @@ func (sp *Speaker) Originate(p addr.Prefix, communities ...Community) {
 // it (unlike an action community, which only suppresses one provider's
 // direct export). The speaker's own ASN is still prepended on export.
 func (sp *Speaker) OriginateWithPath(p addr.Prefix, poison Path, communities ...Community) {
-	r := &Route{
-		Prefix:      p,
+	n := sp.number(p)
+	sp.rib.at(n).originated = &Attrs{
 		Path:        poison.Clone(),
 		Communities: append([]Community(nil), communities...),
 	}
-	n := sp.number(p)
-	sp.rib.at(n).originated = r
 	sp.reselect(n)
 	// Even if the best route (local) is unchanged, the communities or
 	// the seeded path may have changed, which alters per-peer exports.
@@ -183,11 +182,11 @@ func (sp *Speaker) Withdraw(p addr.Prefix) {
 }
 
 // Originated returns the locally originated route for p, if any.
-func (sp *Speaker) Originated(p addr.Prefix) (*Route, bool) {
+func (sp *Speaker) Originated(p addr.Prefix) (Route, bool) {
 	if n := sp.lookup(p); n >= 0 && sp.rib.at(n).originated != nil {
-		return sp.rib.at(n).originated, true
+		return Route{Attrs: sp.rib.at(n).originated}, true
 	}
-	return nil, false
+	return Route{}, false
 }
 
 // OriginatedPrefixes returns every locally originated prefix in a
@@ -203,9 +202,9 @@ func (sp *Speaker) OriginatedPrefixes() []addr.Prefix {
 	return out
 }
 
-// handleUpdate applies an UPDATE from a session. A learned route aliases
-// the UPDATE's Path and Communities: they are the sender's shared,
-// immutable export set.
+// handleUpdate applies an UPDATE from a session. The Adj-RIB-In keeps
+// the UPDATE's Attrs as they came: the sender's shared, immutable export
+// set, so accepting a route allocates nothing.
 func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 	n := u.Num
 	// A withdrawal, or loop prevention: a rejected route is an implicit
@@ -215,12 +214,7 @@ func (sp *Speaker) handleUpdate(s *Session, u *Update) {
 		return
 	}
 	sp.cover(n)
-	s.adj.at(n).in = &Route{
-		Prefix:      sp.tab.prefixes[n],
-		Path:        u.Attrs.Path,
-		Communities: u.Attrs.Communities,
-		FromSession: s,
-	}
+	s.adj.at(n).in = u.Attrs
 	sp.reselect(n)
 }
 
@@ -256,23 +250,20 @@ func DefaultLocalPref(rel Relation) uint32 {
 // re-advertisement to every peer. The candidates are the originated route
 // and then each session's, in creation order; a candidate must be
 // strictly better to displace an earlier one, so the first of several
-// fully tied routes wins.
+// fully tied routes wins. A best is the same while its attributes and
+// session are: a session never re-sends the export the peer last heard
+// (sameExport), and a speaker builds new export sets whenever its best
+// changes, so new content always arrives as new attributes.
 func (sp *Speaker) reselect(n int32) {
 	e := sp.rib.at(n)
-	best := e.originated
+	best := Route{Attrs: e.originated}
 	for _, s := range sp.sessions {
-		if r := s.adj.at(n).in; r != nil && (best == nil || better(r, best)) {
+		if r := (Route{s.adj.at(n).in, s}); r.Attrs != nil && (best.Attrs == nil || better(r, best)) {
 			best = r
 		}
 	}
-	old := e.best
-	if best == old {
+	if best == e.best {
 		return
-	}
-	if old == nil {
-		sp.nBest++
-	} else if best == nil {
-		sp.nBest--
 	}
 	e.best = best
 	e.exports = nil
@@ -292,7 +283,7 @@ func (sp *Speaker) scheduleExportAll(n int32) {
 // session (initial table exchange).
 func (sp *Speaker) scheduleFullExport(s *Session) {
 	for n := range sp.covered() {
-		if sp.rib.at(n).best != nil {
+		if sp.rib.at(n).best.Attrs != nil {
 			s.queue(n)
 		}
 	}
@@ -301,7 +292,7 @@ func (sp *Speaker) scheduleFullExport(s *Session) {
 // better implements the decision process: highest LOCAL_PREF, shortest
 // AS path, then lowest peer router ID as the deterministic tie breaker
 // (all sessions are eBGP).
-func better(a, b *Route) bool {
+func better(a, b Route) bool {
 	if la, lb := a.LocalPref(), b.LocalPref(); la != lb {
 		return la > lb
 	}
@@ -315,7 +306,7 @@ func better(a, b *Route) bool {
 	return false // stable: keep current
 }
 
-func routerIDOf(r *Route) uint32 {
+func routerIDOf(r Route) uint32 {
 	if r.FromSession == nil {
 		return 0 // locally originated wins ties
 	}
@@ -326,7 +317,7 @@ func routerIDOf(r *Route) uint32 {
 // returning the attributes to advertise or nil to suppress/withdraw.
 func (sp *Speaker) exportTo(s *Session, e *ribEntry) *exportSet {
 	best := e.best
-	if best == nil {
+	if best.Attrs == nil {
 		return nil
 	}
 	// Split horizon: never send a route back where it came from.

@@ -41,8 +41,8 @@ func TestSessionEstablishAndPropagate(t *testing.T) {
 	a.Originate(pfx)
 	eng.Run(5 * time.Second)
 
-	best := b.Best(pfx)
-	if best == nil {
+	best, ok := b.Best(pfx)
+	if !ok {
 		t.Fatal("route did not propagate")
 	}
 	if !best.Path.Equal(Path{64512}) {
@@ -88,8 +88,8 @@ func TestPathAccumulationAcrossChain(t *testing.T) {
 	edge.Originate(pfx)
 	eng.Run(10 * time.Second)
 
-	best := redge.Best(pfx)
-	if best == nil {
+	best, ok := redge.Best(pfx)
+	if !ok {
 		t.Fatal("route did not cross the chain")
 	}
 	want := Path{20474, ASNTT, ASVultr, 64512}
@@ -136,8 +136,8 @@ func TestStripPrivateASN(t *testing.T) {
 		{"border peer ntt", ntt, Path{ASVultr}},
 		{"plain peer gtt", gtt, Path{ASVultr, 64512}},
 	} {
-		best := tc.at.Best(pfx)
-		if best == nil {
+		best, ok := tc.at.Best(pfx)
+		if !ok {
 			t.Fatalf("%s has no route", tc.who)
 		}
 		if !best.Path.Equal(tc.path) {
@@ -159,8 +159,8 @@ func TestScrubActionCommunities(t *testing.T) {
 		{"border peer ntt", ntt, []Community{keep}},
 		{"plain peer gtt", gtt, []Community{action, keep}},
 	} {
-		best := tc.at.Best(pfx)
-		if best == nil {
+		best, ok := tc.at.Best(pfx)
+		if !ok {
 			t.Fatalf("%s has no route", tc.who)
 		}
 		if !slices.Equal(best.Communities, tc.comms) {
@@ -185,10 +185,10 @@ func TestGaoRexfordValleyFree(t *testing.T) {
 	t1.Originate(pfx)
 	eng.Run(10 * time.Second)
 
-	if vultr.Best(pfx) == nil {
+	if _, ok := vultr.Best(pfx); !ok {
 		t.Fatal("customer did not learn provider route")
 	}
-	if t2.Best(pfx) != nil {
+	if _, ok := t2.Best(pfx); ok {
 		t.Fatal("valley: provider route leaked to another provider")
 	}
 
@@ -196,7 +196,9 @@ func TestGaoRexfordValleyFree(t *testing.T) {
 	pfx2 := addr.MustParsePrefix("2001:db8:2::/48")
 	vultr.Originate(pfx2)
 	eng.Run(20 * time.Second)
-	if t1.Best(pfx2) == nil || t2.Best(pfx2) == nil {
+	_, ok1 := t1.Best(pfx2)
+	_, ok2 := t2.Best(pfx2)
+	if !ok1 || !ok2 {
 		t.Fatal("origin route not exported to providers")
 	}
 }
@@ -215,10 +217,10 @@ func TestPeerToPeerNoTransit(t *testing.T) {
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	a.Originate(pfx)
 	eng.Run(10 * time.Second)
-	if b.Best(pfx) == nil {
+	if _, ok := b.Best(pfx); !ok {
 		t.Fatal("peer route not learned")
 	}
-	if c.Best(pfx) != nil {
+	if _, ok := c.Best(pfx); ok {
 		t.Fatal("peer route transited")
 	}
 }
@@ -242,10 +244,10 @@ func TestNoExportToCommunity(t *testing.T) {
 	edge.Originate(pfx, NoExportTo(ASNTT))
 	eng.Run(10 * time.Second)
 
-	if ntt.Best(pfx) != nil {
+	if _, ok := ntt.Best(pfx); ok {
 		t.Fatal("NoExportTo(NTT) did not suppress export to NTT")
 	}
-	if gtt.Best(pfx) == nil {
+	if _, ok := gtt.Best(pfx); !ok {
 		t.Fatal("unrelated provider also suppressed")
 	}
 
@@ -253,14 +255,14 @@ func TestNoExportToCommunity(t *testing.T) {
 	// exact knob the discovery algorithm toggles.
 	edge.Originate(pfx)
 	eng.Run(60 * time.Second)
-	if ntt.Best(pfx) == nil {
+	if _, ok := ntt.Best(pfx); !ok {
 		t.Fatal("removing community did not restore export")
 	}
 
 	// And adding it back withdraws the route from NTT.
 	edge.Originate(pfx, NoExportTo(ASNTT))
 	eng.Run(120 * time.Second)
-	if ntt.Best(pfx) != nil {
+	if _, ok := ntt.Best(pfx); ok {
 		t.Fatal("re-adding community did not withdraw from NTT")
 	}
 }
@@ -292,8 +294,8 @@ func TestDecisionLocalPrefThenPathLen(t *testing.T) {
 	dst.Originate(pfx)
 	eng.Run(30 * time.Second)
 
-	best := col.Best(pfx)
-	if best == nil {
+	best, ok := col.Best(pfx)
+	if !ok {
 		t.Fatal("no route")
 	}
 	if !best.Path.Equal(Path{11, 14}) {
@@ -301,8 +303,8 @@ func TestDecisionLocalPrefThenPathLen(t *testing.T) {
 	}
 
 	// A higher local-pref on the long path overrides length.
-	long := &Route{Path: Path{12, 13, 14}, FromSession: fromCustomer}
-	short := &Route{Path: Path{11, 14}, FromSession: fromPeer}
+	long := Route{&Attrs{Path: Path{12, 13, 14}}, fromCustomer}
+	short := Route{&Attrs{Path: Path{11, 14}}, fromPeer}
 	if !better(long, short) || better(short, long) {
 		t.Fatal("local-pref must be compared before path length")
 	}
@@ -326,8 +328,8 @@ func TestDecisionRouterIDTieBreak(t *testing.T) {
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	dst.Originate(pfx)
 	eng.Run(60 * time.Second)
-	best := col.Best(pfx)
-	if best == nil {
+	best, ok := col.Best(pfx)
+	if !ok {
 		t.Fatal("no route")
 	}
 	// Equal local-pref, equal length: lowest router ID (5, speaker lo).
@@ -354,16 +356,16 @@ func TestWithdrawFailover(t *testing.T) {
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	dst.Originate(pfx, NoExportTo(12)) // force via p1 only
 	eng.Run(30 * time.Second)
-	best := col.Best(pfx)
-	if best == nil || best.Path[0] != 11 {
+	best, ok := col.Best(pfx)
+	if !ok || best.Path[0] != 11 {
 		t.Fatalf("initial best = %v", best)
 	}
 
 	// Suppress p1 instead: col must fail over to p2.
 	dst.Originate(pfx, NoExportTo(11))
 	eng.Run(120 * time.Second)
-	best = col.Best(pfx)
-	if best == nil {
+	best, ok = col.Best(pfx)
+	if !ok {
 		t.Fatal("no failover route")
 	}
 	if best.Path[0] != 12 {
@@ -374,7 +376,7 @@ func TestWithdrawFailover(t *testing.T) {
 	// algorithm's termination condition).
 	dst.Originate(pfx, NoExportTo(11), NoExportTo(12))
 	eng.Run(240 * time.Second)
-	if col.Best(pfx) != nil {
+	if _, ok := col.Best(pfx); ok {
 		t.Fatal("prefix still reachable with all exports suppressed")
 	}
 }
@@ -392,7 +394,7 @@ func TestLoopPrevention(t *testing.T) {
 	eng.Run(5 * time.Second) // establish
 	bs := b.sessions[0]
 	b.handleUpdate(bs, announce(pfx, Path{100, 200, 300}))
-	if b.Best(pfx) != nil {
+	if _, ok := b.Best(pfx); ok {
 		t.Fatal("looped route accepted")
 	}
 	if _, ok := bs.AdjIn(pfx); ok {
@@ -423,7 +425,7 @@ func TestMRAIPacing(t *testing.T) {
 		})
 	}
 	eng.Run(300 * time.Second)
-	if b.Best(pfx) == nil {
+	if _, ok := b.Best(pfx); !ok {
 		t.Fatal("route missing after flaps")
 	}
 	// 20 flaps in 2s with MRAI 30s: first flush immediate, next at
@@ -445,7 +447,7 @@ func TestFlushSendsInPrefixOrder(t *testing.T) {
 	eng.Run(time.Second)
 
 	var got []addr.Prefix
-	b.OnBestChange = func(p addr.Prefix, _ *Route) { got = append(got, p) }
+	b.OnBestChange = func(p addr.Prefix, _ Route) { got = append(got, p) }
 	// 24 prefixes numbered 1 to 254 in testTable, so the queued bits
 	// span four words.
 	var want []addr.Prefix
@@ -493,7 +495,7 @@ func TestFlushSendsInPrefixOrder(t *testing.T) {
 			eng.Run(eng.Now() + time.Minute)
 		}
 		var out strings.Builder
-		b.OnBestChange = func(p addr.Prefix, r *Route) {
+		b.OnBestChange = func(p addr.Prefix, r Route) {
 			fmt.Fprintf(&out, "%d %v [%v] %v\n", eng.Now(), p, r.Path, r.Communities)
 		}
 		eng.Schedule(0, func() {
@@ -527,8 +529,8 @@ func TestOnBestChangeHook(t *testing.T) {
 		add, del bool
 	}
 	var changes []change
-	b.OnBestChange = func(p addr.Prefix, nb *Route) {
-		changes = append(changes, change{p, nb != nil, nb == nil})
+	b.OnBestChange = func(p addr.Prefix, nb Route) {
+		changes = append(changes, change{p, nb.Attrs != nil, nb.Attrs == nil})
 	}
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	a.Originate(pfx)
@@ -538,6 +540,82 @@ func TestOnBestChangeHook(t *testing.T) {
 
 	if len(changes) != 2 || !changes[0].add || !changes[1].del {
 		t.Fatalf("changes = %+v", changes)
+	}
+}
+
+// TestBestIsAttrsAndSession: a best route is the attributes an UPDATE
+// carried and the session it came in on. a announces to its provider b,
+// which exports to its provider c. b's best holds a's export set itself,
+// not a copy. A re-announcement with new attributes on the session
+// holding the best fires OnBestChange once with them and sends c one
+// UPDATE; re-originating the same attributes sends b nothing, so its
+// best stays; a withdrawal passes the zero Route.
+func TestBestIsAttrsAndSession(t *testing.T) {
+	eng, a, b, sa, sb := handover()
+	c := NewSpeaker(eng, testTable, "c", 300, 3)
+	cB, cC := pairCfg(RelProvider)
+	sbc, _ := Connect(b, c, cB, cC)
+	pfx := addr.MustParsePrefix("2001:db8:1::/48")
+	var changes []Route
+	b.OnBestChange = func(_ addr.Prefix, r Route) { changes = append(changes, r) }
+	step := func(what string, change func(), wantChanges int, wantSent uint64) Route {
+		t.Helper()
+		changes = changes[:0]
+		sent := sbc.Stats.UpdatesSent
+		change()
+		eng.Run(eng.Now() + time.Minute)
+		if len(changes) != wantChanges || sbc.Stats.UpdatesSent-sent != wantSent {
+			t.Fatalf("%s: %d best changes and %d UPDATEs to c, want %d and %d", what, len(changes), sbc.Stats.UpdatesSent-sent, wantChanges, wantSent)
+		}
+		best, _ := b.Best(pfx)
+		return best
+	}
+
+	first := step("announcement", func() { a.Originate(pfx) }, 1, 1)
+	if x := adjOut(sa, pfx); first.Attrs != x || &first.Path[0] != &x.Path[0] || first.FromSession != sb || changes[0] != first {
+		t.Fatalf("b's best %v holds %p, want a's export set %p on %v", first, first.Attrs, x, sb)
+	}
+	tag := MakeCommunity(100, 7)
+	second := step("new attributes", func() { a.Originate(pfx, tag) }, 1, 1)
+	if second.Attrs != adjOut(sa, pfx) || second == first || changes[0] != second || !second.HasCommunity(tag) {
+		t.Fatalf("re-announced best %v %v, want a's new export set with %v", second, second.Communities, tag)
+	}
+	if r, _ := c.Best(pfx); !r.HasCommunity(tag) {
+		t.Fatalf("c's best %v %v lacks %v", r, r.Communities, tag)
+	}
+	if same := step("same attributes", func() { a.Originate(pfx, tag) }, 0, 0); same != second {
+		t.Fatalf("re-originating the same attributes moved b's best to %v", same)
+	}
+	step("withdrawal", func() { a.Withdraw(pfx) }, 1, 1)
+	if changes[0] != (Route{}) {
+		t.Fatalf("withdrawal passed %v, want the zero Route", changes[0])
+	}
+}
+
+// TestLearnedRouteAllocatesNothing: accepting an announcement that
+// replaces the best route stores the UPDATE's attributes and allocates
+// nothing. One UPDATE value alternates two attribute sets on one session.
+func TestLearnedRouteAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	x := NewSpeaker(eng, testTable, "x", 100, 1)
+	p := NewSpeaker(eng, testTable, "p", 200, 2)
+	cX, cP := pairCfg(RelProvider)
+	s, _ := Connect(x, p, cX, cP)
+	eng.Run(time.Second)
+	pfx := addr.MustParsePrefix("2001:db8:1::/48")
+	attrs := [2]Attrs{{Path: Path{200}}, {Path: Path{200, 7}}}
+	u := announce(pfx, nil)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		i++
+		u.Attrs = &attrs[i%2]
+		x.handleUpdate(s, u)
+	})
+	if best := x.rib.at(u.Num).best; !best.Path.Equal(u.Attrs.Path) {
+		t.Fatalf("best path %v, want the last announcement's %v", best.Path, u.Attrs.Path)
+	}
+	if allocs != 0 {
+		t.Errorf("accepting an announcement allocated %v times, want 0", allocs)
 	}
 }
 
@@ -588,10 +666,11 @@ func TestExportAllocatesNothingWhenUnchanged(t *testing.T) {
 		poison = append(poison, c.AS)
 	}
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
-	var routes [2]*Route
+	var routes [2]*Attrs
 	for i := range routes {
 		x.OriginateWithPath(pfx, poison, MakeCommunity(100, uint16(i)))
-		routes[i], _ = x.Originated(pfx)
+		r, _ := x.Originated(pfx)
+		routes[i] = r.Attrs
 	}
 	eng.Run(time.Second)
 	n := x.lookup(pfx)

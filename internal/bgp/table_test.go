@@ -87,7 +87,8 @@ func TestOriginateOutsideTablePanics(t *testing.T) {
 	sp := NewSpeaker(sim.NewEngine(), testTable, "x", 1, 1)
 	outside := addr.MustParsePrefix("2001:db9:1::/48")
 	sp.Withdraw(outside)
-	if _, ok := sp.Originated(outside); ok || sp.Best(outside) != nil {
+	_, orig := sp.Originated(outside)
+	if _, best := sp.Best(outside); orig || best {
 		t.Fatal("a prefix outside the table has a route")
 	}
 	for _, originate := range []func(){

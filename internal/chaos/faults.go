@@ -205,8 +205,8 @@ func (f Withdrawal) Apply(e *Engine) (func(), error) {
 	if !ok {
 		return nil, fmt.Errorf("%s does not originate %s", f.Speaker, f.Prefix)
 	}
-	// A route is immutable, so the withdrawn one still holds what the
-	// re-announcement needs.
+	// A route's attributes are immutable, so the withdrawn ones still
+	// hold what the re-announcement needs.
 	sp.Withdraw(f.Prefix)
 	return func() { sp.OriginateWithPath(f.Prefix, r.Path, r.Communities...) }, nil
 }

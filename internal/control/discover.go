@@ -131,9 +131,9 @@ func (d *Discoverer) Run(done func([]DiscoveredPath)) {
 	announce := func() { d.Announcer.OriginateWithPath(d.Probe, poison, suppressed...) }
 	round = func() {
 		n := len(found)
-		best := d.Observer.Best(d.Probe)
+		best, ok := d.Observer.Best(d.Probe)
 		var prov bgp.ASN
-		ok := best != nil && n < maxRounds
+		ok = ok && n < maxRounds
 		if ok {
 			prov, ok = AdjacentProvider(best.Path, d.POPAS)
 		}

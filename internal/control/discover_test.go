@@ -122,9 +122,9 @@ func TestDiscoveryVultrLAtoNY(t *testing.T) {
 		}
 	}
 	// Probe prefix cleaned up after discovery.
-	if s.Edges["la:ny"].Speaker.Best(d.Probe) != nil {
+	if _, ok := s.Edges["la:ny"].Speaker.Best(d.Probe); ok {
 		s.Run(5 * time.Minute)
-		if s.Edges["la:ny"].Speaker.Best(d.Probe) != nil {
+		if _, ok := s.Edges["la:ny"].Speaker.Best(d.Probe); ok {
 			t.Fatal("probe prefix still announced after discovery")
 		}
 	}
@@ -220,8 +220,8 @@ func TestPinnedPrefixesRouteViaDistinctProviders(t *testing.T) {
 
 	for i, want := range []string{"NTT", "Telia", "GTT", "Cogent"} {
 		pfx, _ := base.Subnet(48, i)
-		best := s.Edges["la:ny"].Speaker.Best(pfx)
-		if best == nil {
+		best, ok := s.Edges["la:ny"].Speaker.Best(pfx)
+		if !ok {
 			t.Fatalf("pinned prefix %d unreachable", i)
 		}
 		via, _ := AdjacentProvider(best.Path, bgp.ASVultr)

@@ -73,8 +73,8 @@ func E1PathDiscovery(cfg Config) *Result {
 	pinOK := true
 	for i, want := range gotLA {
 		pfx, err := l.Pair.A.PinnedPrefix(uint8(i + 1))
-		best := l.Pair.B.Spec.Edge.Speaker.Best(pfx)
-		if err != nil || best == nil {
+		best, ok := l.Pair.B.Spec.Edge.Speaker.Best(pfx)
+		if err != nil || !ok {
 			pinOK = false
 		} else if via, _ := control.AdjacentProvider(best.Path, bgp.ASVultr); l.S.ProviderName(via) != want {
 			pinOK = false

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,15 +25,15 @@ func TestSetRouteValidation(t *testing.T) {
 	a := w.AddNode("a", 0)
 	b := w.AddNode("b", 0)
 	w.Connect(a, b, nil, nil)
-	for name, fn := range map[string]func(){
-		"IPv4 prefix":  func() { a.SetRoute(addr.MustParsePrefix("0.0.0.0/0"), a.Ports()[0]) },
-		"foreign port": func() { a.SetRoute(addr.MustParsePrefix("::/0"), b.Ports()[0]) },
-		"self link":    func() { w.Connect(a, a, nil, nil) },
+	for want, fn := range map[string]func(){
+		"simnet: route on a for non-IPv6 prefix 0.0.0.0/0": func() { a.SetRoute(addr.MustParsePrefix("0.0.0.0/0"), a.Ports()[0]) },
+		"simnet: route on a via foreign port":              func() { a.SetRoute(addr.MustParsePrefix("::/0"), b.Ports()[0]) },
+		"simnet: self-link":                                func() { w.Connect(a, a, nil, nil) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
+				if got, _ := recover().(string); !strings.HasPrefix(got, want) {
+					t.Fatalf("panicked with %q, want %q", got, want)
 				}
 			}()
 			fn()

@@ -103,7 +103,7 @@ func (n *Node) SetRoute(p addr.Prefix, port *Port) {
 	if port.node != n {
 		panic(fmt.Sprintf("simnet: route on %s via foreign port %s", n.name, port.Name()))
 	}
-	if !p.Addr().Is6() {
+	if !p.Is6() {
 		panic(fmt.Sprintf("simnet: route on %s for non-IPv6 prefix %v", n.name, p))
 	}
 	n.fib.Insert(p, port)

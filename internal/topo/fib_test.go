@@ -65,7 +65,7 @@ func TestLocallyOriginatedNeedsNoFIB(t *testing.T) {
 	b.Wire(a, c, WireOpts{RelAB: bgp.RelPeer})
 	a.Speaker.Originate(pfx) // must not panic in applyBest
 	b.Eng().Run(b.Eng().Now() + 30*time.Second)
-	if c.Speaker.Best(pfx) == nil {
+	if _, ok := c.Speaker.Best(pfx); !ok {
 		t.Fatal("peer did not learn the prefix")
 	}
 }

@@ -156,7 +156,7 @@ func checkBestValleyFree(t *testing.T, m *MeshScenario) {
 	for _, a := range speakers(m) {
 		sp := a.Speaker
 		for _, p := range sp.BestPrefixes() {
-			r := sp.Best(p)
+			r, _ := sp.Best(p)
 			if r.FromSession == nil {
 				continue // locally originated
 			}

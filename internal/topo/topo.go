@@ -76,8 +76,8 @@ func (b *Builder) AddAS(name string, asn bgp.ASN, routerID uint32, clockOffset t
 	return a
 }
 
-func (a *AS) applyBest(p addr.Prefix, best *bgp.Route) {
-	if best == nil {
+func (a *AS) applyBest(p addr.Prefix, best bgp.Route) {
+	if best.Attrs == nil {
 		a.Node.DelRoute(p)
 		return
 	}

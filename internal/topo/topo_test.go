@@ -26,12 +26,12 @@ func TestScenarioConverges(t *testing.T) {
 	converge(s)
 
 	// Each edge learns the other's host prefix.
-	bestAtLA := s.Edges["la:ny"].Speaker.Best(s.HostPrefix["ny:la"])
-	if bestAtLA == nil {
+	bestAtLA, ok := s.Edges["la:ny"].Speaker.Best(s.HostPrefix["ny:la"])
+	if !ok {
 		t.Fatal("LA edge has no route to NY host prefix")
 	}
-	bestAtNY := s.Edges["ny:la"].Speaker.Best(s.HostPrefix["la:ny"])
-	if bestAtNY == nil {
+	bestAtNY, ok := s.Edges["ny:la"].Speaker.Best(s.HostPrefix["la:ny"])
+	if !ok {
 		t.Fatal("NY edge has no route to LA host prefix")
 	}
 	// The default path runs through NTT (Vultr's most-preferred
@@ -118,8 +118,8 @@ func TestScenarioSuppressionExposesAlternatePaths(t *testing.T) {
 	for _, step := range steps {
 		s.Edges["ny:la"].Speaker.Originate(probe, step.suppress...)
 		s.Run(3 * time.Minute)
-		best := s.Edges["la:ny"].Speaker.Best(probe)
-		if best == nil {
+		best, ok := s.Edges["la:ny"].Speaker.Best(probe)
+		if !ok {
 			t.Fatalf("no route with suppression %v", step.suppress)
 		}
 		if got := deliveredBy(s, best.Path); got != step.want {
@@ -133,7 +133,7 @@ func TestScenarioSuppressionExposesAlternatePaths(t *testing.T) {
 		bgp.NoExportTo(bgp.ASNTT), bgp.NoExportTo(bgp.ASTelia),
 		bgp.NoExportTo(bgp.ASGTT), bgp.NoExportTo(bgp.ASCogent))
 	s.Run(3 * time.Minute)
-	if best := s.Edges["la:ny"].Speaker.Best(probe); best != nil {
+	if best, ok := s.Edges["la:ny"].Speaker.Best(probe); ok {
 		t.Fatalf("still reachable via %v with all transits suppressed", best.Path)
 	}
 }
@@ -146,8 +146,8 @@ func TestScenarioReversePathsIncludeLevel3(t *testing.T) {
 	s.Edges["la:ny"].Speaker.Originate(probe,
 		bgp.NoExportTo(bgp.ASNTT), bgp.NoExportTo(bgp.ASTelia), bgp.NoExportTo(bgp.ASGTT))
 	s.Run(3 * time.Minute)
-	best := s.Edges["ny:la"].Speaker.Best(probe)
-	if best == nil {
+	best, ok := s.Edges["ny:la"].Speaker.Best(probe)
+	if !ok {
 		t.Fatal("no route with NTT/Telia/GTT suppressed")
 	}
 	if got := deliveredBy(s, best.Path); got != "Level3" {
@@ -277,8 +277,8 @@ func TestMeshAllowOwnASDerived(t *testing.T) {
 	m := build(200, 200)
 	m.Run(time.Minute)
 	for _, k := range [][2]string{{"a:b", "b:a"}, {"b:a", "a:b"}} {
-		best := m.Edges[k[0]].Speaker.Best(m.HostPrefix[k[1]])
-		if best == nil || !best.Path.Equal(bgp.Path{200, 100, 200}) {
+		best, ok := m.Edges[k[0]].Speaker.Best(m.HostPrefix[k[1]])
+		if !ok || !best.Path.Equal(bgp.Path{200, 100, 200}) {
 			t.Fatalf("shared POP ASN: edge %s has route %v to %s's host prefix, want path [200 100 200]", k[0], best, k[1])
 		}
 	}
@@ -287,10 +287,10 @@ func TestMeshAllowOwnASDerived(t *testing.T) {
 	host := m.HostPrefix["a:b"]
 	m.Edges["a:b"].Speaker.OriginateWithPath(host, bgp.Path{201})
 	m.Run(time.Minute)
-	if m.Providers["P"].Speaker.Best(host) == nil {
+	if _, ok := m.Providers["P"].Speaker.Best(host); !ok {
 		t.Fatal("distinct POP ASNs: the provider has no route to a's host prefix")
 	}
-	if best := m.POPs["b"].Speaker.Best(host); best != nil {
+	if best, ok := m.POPs["b"].Speaker.Best(host); ok {
 		t.Fatalf("distinct POP ASNs: POP b accepted a path with its own ASN: %v", best)
 	}
 }
