@@ -119,7 +119,7 @@ func (p Path) String() string {
 // Route is one BGP route for a prefix the RIB slot holding it names:
 // the attributes it was announced with and the session it came in on,
 // nil when originated. The attributes are shared — a learned route's are
-// the sender's export set, as its UPDATE carried them — so nothing may
+// those of the export set the sender sent as its UPDATE — so nothing may
 // write through them. The zero Route is no route. The local preference
 // follows from the session (LocalPref).
 type Route struct {

@@ -33,8 +33,8 @@ func TestDecisionStability(t *testing.T) {
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	changes := 0
 	x.OnBestChange = func(addr.Prefix, Route) { changes++ }
-	x.handleUpdate(s2, announce(pfx, Path{200}))
-	x.handleUpdate(s1, announce(pfx, Path{100}))
+	s2.OnSimEvent(announce(pfx, Path{200}))
+	s1.OnSimEvent(announce(pfx, Path{100}))
 	if best, ok := x.Best(pfx); !ok || best.FromSession != s1 || changes != 2 {
 		t.Fatalf("best %v after %d changes, want the first session's route after 2", best, changes)
 	}
@@ -162,7 +162,7 @@ func TestRIBCountsFollowWithdrawals(t *testing.T) {
 
 	covered := c.covered()
 	never := addr.MustParsePrefix("2001:db8:99::/48")
-	c.handleUpdate(sa, withdraw(never))
+	sa.OnSimEvent(withdraw(never))
 	c.Withdraw(never)
 	if c.covered() != covered {
 		t.Fatalf("withdrawing a never-heard prefix grew the RIB: %d numbers covered, want %d", c.covered(), covered)

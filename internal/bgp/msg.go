@@ -1,8 +1,12 @@
 package bgp
 
-// A session hands its peer one of three messages: the OPEN and the
+// A session hands its peer one of four messages: the OPEN and the
 // KEEPALIVE, which carry nothing, so every session sends the same two
-// signal values, and an UPDATE, an *Update.
+// signal values; an announcement, which is the sender's *exportSet for
+// the prefix; and a withdrawal, which is the *withdrawal the Table holds
+// for the prefix's number. Neither UPDATE is built per session or per
+// send, and neither is written after it exists, so the receiver keeps
+// what arrived as it is.
 type signal uint8
 
 const (
@@ -10,27 +14,12 @@ const (
 	keepaliveMsg
 )
 
+// withdrawal is the UPDATE withdrawing the prefix it numbers.
+type withdrawal int32
+
 // Attrs are the path attributes of an announcement. A route is forwarded
 // over the session it came in on, so an UPDATE carries no NEXT_HOP.
 type Attrs struct {
 	Path        Path
 	Communities []Community
-}
-
-// Update announces or withdraws one prefix, named by its number in the
-// Table both sides of a session share. An announcement's Attrs are the
-// sender's shared export set: the receiver keeps them as they are and
-// never writes through them. A withdrawal has none.
-type Update struct {
-	Num   int32
-	Attrs *Attrs
-}
-
-// newUpdate returns an UPDATE for prefix number n: an announcement
-// carrying x, or a withdrawal when x is nil.
-func newUpdate(n int32, x *exportSet) *Update {
-	if x == nil {
-		return &Update{Num: n}
-	}
-	return &Update{Num: n, Attrs: &x.Attrs}
 }

@@ -157,7 +157,8 @@ func TestScrubDoesNotWriteSharedAttributes(t *testing.T) {
 }
 
 // TestSameExportComparesInOrder: two export sets are the same export
-// when they carry one path and one community list, in one order.
+// when they carry one path and one community list, in one order; no
+// export is the same as no export only.
 func TestSameExportComparesInOrder(t *testing.T) {
 	x := &exportSet{Attrs: Attrs{Path{1, 2}, []Community{5, 6}}}
 	for _, tc := range []struct {
@@ -175,6 +176,9 @@ func TestSameExportComparesInOrder(t *testing.T) {
 		if got := sameExport(x, tc.y); got != tc.same {
 			t.Errorf("sameExport(%v %v, %v %v) = %v", x.Path, x.Communities, tc.y.Path, tc.y.Communities, got)
 		}
+	}
+	if !sameExport(nil, nil) || sameExport(x, nil) || sameExport(nil, x) {
+		t.Error("sameExport with no export: want true for nil, nil only")
 	}
 }
 

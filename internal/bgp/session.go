@@ -151,10 +151,10 @@ func newSession(sp *Speaker, cfg SessionConfig) *Session {
 	return s
 }
 
-// sendMsg schedules delivery of m, a signal or an *Update, to the peer
+// sendMsg schedules delivery of m, a signal or an UPDATE, to the peer
 // after the session delay.
 func (s *Session) sendMsg(m any) {
-	if _, ok := m.(*Update); ok {
+	if _, ok := m.(signal); !ok {
 		s.Stats.UpdatesSent++
 	}
 	peer := s.peer
@@ -166,8 +166,10 @@ func (s *Session) sendMsg(m any) {
 // on this side's engine.
 func (s *Session) OnSimEvent(arg any) {
 	switch m := arg.(type) {
-	case *Update:
+	case *exportSet:
 		s.speaker.handleUpdate(s, m)
+	case *withdrawal:
+		s.speaker.dropIn(s, int32(*m))
 	case signal:
 		if m == openMsg {
 			// The peer's KEEPALIVE confirming our OPEN establishes the
@@ -221,32 +223,28 @@ func (s *Session) flush() {
 	}
 }
 
-// advertise computes the export for prefix number n and sends an UPDATE
-// if it differs from what the peer last heard.
+// advertise computes the export for prefix number n and, if it differs
+// from what the peer last heard, sends it: the export set itself, or the
+// Table's withdrawal of n. Sending allocates nothing.
 func (s *Session) advertise(n int32) {
-	export := s.speaker.exportTo(s, s.speaker.rib.at(n))
+	export := s.speaker.exportTo(s, n)
 	slot := s.adj.at(n)
-	prev := slot.out
-	if export == nil {
-		if prev == nil {
-			return
-		}
-		slot.out = nil
-		s.sendMsg(newUpdate(n, nil))
-		return
-	}
-	if prev != nil && sameExport(prev, export) {
+	if sameExport(slot.out, export) {
 		return
 	}
 	slot.out = export
-	s.sendMsg(newUpdate(n, export))
+	if export == nil {
+		s.sendMsg(&s.speaker.tab.withdrawals[n])
+		return
+	}
+	s.sendMsg(export)
 }
 
-// sameExport reports whether two export sets carry the same path and
-// communities. A best that did not change exports the very same set.
-// Communities compare in order: an export keeps its originator's order
-// (TestExportSetsKeepOriginOrder), so two exports of one prefix differ in
-// order only where they differ in content.
+// sameExport reports whether two export sets, either nil for none, carry
+// the same path and communities. A best that did not change exports the
+// very same set. Communities compare in order: an export keeps its
+// originator's order (TestExportSetsKeepOriginOrder), so two exports of
+// one prefix differ in order only where they differ in content.
 func sameExport(a, b *exportSet) bool {
-	return a == b || a.Path.Equal(b.Path) && slices.Equal(a.Communities, b.Communities)
+	return a == b || a != nil && b != nil && a.Path.Equal(b.Path) && slices.Equal(a.Communities, b.Communities)
 }

@@ -63,15 +63,16 @@ func (p *pages[T]) cover(n int) {
 	}
 }
 
-// exportSet is what a Loc-RIB best exports: its path with the speaker's
-// AS prepended and its communities, for a border session (see
-// SessionConfig.Border) with private ASNs stripped and action
-// communities scrubbed. It is built once per best and kind of session,
-// then shared — immutable — by every session of that kind, by each
-// UPDATE carrying it and by the Adj-RIB-In slot of every peer that keeps
-// one.
+// exportSet is what a Loc-RIB best exports for prefix number num: its
+// path with the speaker's AS prepended and its communities, for a border
+// session (see SessionConfig.Border) with private ASNs stripped and
+// action communities scrubbed. It is built once per best and kind of
+// session and never written after exportTo returns it, so it is the
+// announcement itself: every session of that kind sends it as it is, and
+// the Adj-RIB-In slot of every peer that keeps the route holds its Attrs.
 type exportSet struct {
 	Attrs
+	num    int32
 	border bool
 	next   *exportSet // the entry's set for the other kind of session
 }
@@ -202,20 +203,19 @@ func (sp *Speaker) OriginatedPrefixes() []addr.Prefix {
 	return out
 }
 
-// handleUpdate applies an UPDATE from a session. The Adj-RIB-In keeps
-// the UPDATE's Attrs as they came: the sender's shared, immutable export
-// set, so accepting a route allocates nothing.
-func (sp *Speaker) handleUpdate(s *Session, u *Update) {
-	n := u.Num
-	// A withdrawal, or loop prevention: a rejected route is an implicit
-	// withdrawal of any route accepted before.
-	if u.Attrs == nil || u.Attrs.Path.Contains(sp.AS) && !s.cfg.AllowOwnAS {
-		sp.dropIn(s, n)
+// handleUpdate applies an announcement from a session: the sender's
+// shared, immutable export set. The Adj-RIB-In keeps its Attrs as they
+// came, so accepting a route allocates nothing.
+func (sp *Speaker) handleUpdate(s *Session, x *exportSet) {
+	// Loop prevention: a rejected route is an implicit withdrawal of any
+	// route accepted before.
+	if x.Path.Contains(sp.AS) && !s.cfg.AllowOwnAS {
+		sp.dropIn(s, x.num)
 		return
 	}
-	sp.cover(n)
-	s.adj.at(n).in = u.Attrs
-	sp.reselect(n)
+	sp.cover(x.num)
+	s.adj.at(x.num).in = &x.Attrs
+	sp.reselect(x.num)
 }
 
 // dropIn forgets the route learned on s for prefix number n, if any; n
@@ -313,9 +313,11 @@ func routerIDOf(r Route) uint32 {
 	return r.FromSession.peer.speaker.RouterID
 }
 
-// exportTo runs the export pipeline for e's best toward session s,
-// returning the attributes to advertise or nil to suppress/withdraw.
-func (sp *Speaker) exportTo(s *Session, e *ribEntry) *exportSet {
+// exportTo runs the export pipeline for the best of prefix number n
+// toward session s, returning the export set to advertise or nil to
+// suppress/withdraw.
+func (sp *Speaker) exportTo(s *Session, n int32) *exportSet {
+	e := sp.rib.at(n)
 	best := e.best
 	if best.Attrs == nil {
 		return nil
@@ -352,7 +354,7 @@ func (sp *Speaker) exportTo(s *Session, e *ribEntry) *exportSet {
 	if border {
 		comms = scrubbed(comms)
 	}
-	x := &exportSet{Attrs: Attrs{Path: path, Communities: comms}, border: border, next: e.exports}
+	x := &exportSet{Attrs: Attrs{Path: path, Communities: comms}, num: n, border: border, next: e.exports}
 	e.exports = x
 	return x
 }

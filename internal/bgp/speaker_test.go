@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -393,7 +394,7 @@ func TestLoopPrevention(t *testing.T) {
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
 	eng.Run(5 * time.Second) // establish
 	bs := b.sessions[0]
-	b.handleUpdate(bs, announce(pfx, Path{100, 200, 300}))
+	bs.OnSimEvent(announce(pfx, Path{100, 200, 300}))
 	if _, ok := b.Best(pfx); ok {
 		t.Fatal("looped route accepted")
 	}
@@ -593,8 +594,8 @@ func TestBestIsAttrsAndSession(t *testing.T) {
 }
 
 // TestLearnedRouteAllocatesNothing: accepting an announcement that
-// replaces the best route stores the UPDATE's attributes and allocates
-// nothing. One UPDATE value alternates two attribute sets on one session.
+// replaces the best route stores the export set's attributes and
+// allocates nothing. Two export sets alternate on one session.
 func TestLearnedRouteAllocatesNothing(t *testing.T) {
 	eng := sim.NewEngine()
 	x := NewSpeaker(eng, testTable, "x", 100, 1)
@@ -603,16 +604,17 @@ func TestLearnedRouteAllocatesNothing(t *testing.T) {
 	s, _ := Connect(x, p, cX, cP)
 	eng.Run(time.Second)
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
-	attrs := [2]Attrs{{Path: Path{200}}, {Path: Path{200, 7}}}
-	u := announce(pfx, nil)
+	sets := [2]*exportSet{announce(pfx, Path{200}), announce(pfx, Path{200, 7})}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		i++
-		u.Attrs = &attrs[i%2]
-		x.handleUpdate(s, u)
+		s.OnSimEvent(sets[i%2])
 	})
-	if best := x.rib.at(u.Num).best; !best.Path.Equal(u.Attrs.Path) {
-		t.Fatalf("best path %v, want the last announcement's %v", best.Path, u.Attrs.Path)
+	if in, _ := s.AdjIn(pfx); in.Attrs != &sets[i%2].Attrs {
+		t.Fatalf("Adj-RIB-In holds %p, want the last announcement's attributes %p", in.Attrs, &sets[i%2].Attrs)
+	}
+	if best, _ := x.Best(pfx); !best.Path.Equal(sets[i%2].Path) {
+		t.Fatalf("best path %v, want the last announcement's %v", best.Path, sets[i%2].Path)
 	}
 	if allocs != 0 {
 		t.Errorf("accepting an announcement allocated %v times, want 0", allocs)
@@ -649,15 +651,14 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-// TestExportAllocatesNothingWhenUnchanged: a speaker with 8 established
-// customer sessions re-advertises a prefix. A flush whose exports did not
-// change allocates nothing; a best change allocates one export set (the
-// set and its path) and one UPDATE per session, and no per-session copy
-// of the route. The customers' ASNs are in the originated path, so they
-// reject what they hear and the run counts the sender alone.
-func TestExportAllocatesNothingWhenUnchanged(t *testing.T) {
-	eng := sim.NewEngine()
-	x := NewSpeaker(eng, testTable, "x", 100, 1)
+// eightCustomers returns a speaker with 8 established customer sessions
+// and a prefix number it originates, best as the second of the two
+// originated attribute sets it returns. The customers' ASNs are in the
+// originated path, so they reject what they hear and a run counts the
+// sender alone. updates sums the UPDATEs the speaker sent.
+func eightCustomers() (eng *sim.Engine, x *Speaker, n int32, routes [2]*Attrs, updates func() uint64) {
+	eng = sim.NewEngine()
+	x = NewSpeaker(eng, testTable, "x", 100, 1)
 	var poison Path
 	for i := range 8 {
 		c := NewSpeaker(eng, testTable, fmt.Sprintf("c%d", i), ASN(201+i), uint32(2+i))
@@ -666,20 +667,28 @@ func TestExportAllocatesNothingWhenUnchanged(t *testing.T) {
 		poison = append(poison, c.AS)
 	}
 	pfx := addr.MustParsePrefix("2001:db8:1::/48")
-	var routes [2]*Attrs
 	for i := range routes {
 		x.OriginateWithPath(pfx, poison, MakeCommunity(100, uint16(i)))
 		r, _ := x.Originated(pfx)
 		routes[i] = r.Attrs
 	}
 	eng.Run(time.Second)
-	n := x.lookup(pfx)
-	updates := func() (sum uint64) {
+	updates = func() (sum uint64) {
 		for _, s := range x.sessions {
 			sum += s.Stats.UpdatesSent
 		}
 		return sum
 	}
+	return eng, x, x.lookup(pfx), routes, updates
+}
+
+// TestExportAllocatesNothingWhenUnchanged: a speaker with 8 established
+// customer sessions re-advertises a prefix. A flush whose exports did not
+// change allocates nothing; a best change allocates one export set (the
+// set and its path), which every session sends as it is, and no
+// per-session copy of the route or message.
+func TestExportAllocatesNothingWhenUnchanged(t *testing.T) {
+	eng, x, n, routes, updates := eightCustomers()
 
 	before := updates()
 	unchanged := testing.AllocsPerRun(100, func() {
@@ -701,7 +710,69 @@ func TestExportAllocatesNothingWhenUnchanged(t *testing.T) {
 	if sent := updates() - before; sent != 8*101 {
 		t.Fatalf("101 best changes sent %d UPDATEs, want %d", sent, 8*101)
 	}
-	if want := 2.0 + 8; changed != want {
-		t.Errorf("a best change allocated %v times, want %v (one export set and its path, 8 UPDATEs)", changed, want)
+	if want := 2.0; changed != want {
+		t.Errorf("a best change allocated %v times, want %v (one export set and its path)", changed, want)
+	}
+}
+
+// TestWithdrawalAllocatesNothing: the same speaker withdraws its prefix
+// from 8 customer sessions, one UPDATE each, and the flush allocates
+// nothing: every session sends the table's withdrawal of the number. The
+// re-announcement between two withdrawals runs outside the count, and
+// the count is checked without the race detector only.
+func TestWithdrawalAllocatesNothing(t *testing.T) {
+	eng, x, n, routes, updates := eightCustomers()
+	var before, after runtime.MemStats
+	allocs, sent := uint64(0), uint64(0)
+	const runs = 100
+	for i := range runs {
+		x.rib.at(n).originated = routes[i%2]
+		x.reselect(n)
+		eng.Run(eng.Now() + time.Second)
+		u := updates()
+		runtime.ReadMemStats(&before)
+		x.rib.at(n).originated = nil
+		x.reselect(n)
+		eng.Run(eng.Now() + time.Second)
+		runtime.ReadMemStats(&after)
+		allocs += after.Mallocs - before.Mallocs
+		sent += updates() - u
+	}
+	if sent != 8*runs {
+		t.Fatalf("%d withdrawals sent %d UPDATEs, want %d", runs, sent, 8*runs)
+	}
+	// The race detector allocates on its own bookkeeping.
+	if got := float64(allocs) / runs; got != 0 && !sim.RaceEnabled {
+		t.Errorf("a withdrawal allocated %v times, want 0", got)
+	}
+}
+
+// TestPeersOfOneKindHearOneSet: the two customers of a speaker hear one
+// UPDATE each for its prefix, and both Adj-RIB-In slots hold the very
+// attributes of the export set the speaker sent them, the set it records
+// as each session's Adj-RIB-Out.
+func TestPeersOfOneKindHearOneSet(t *testing.T) {
+	eng := sim.NewEngine()
+	x := NewSpeaker(eng, testTable, "x", 100, 1)
+	var out, in [2]*Session
+	for i := range in {
+		c := NewSpeaker(eng, testTable, fmt.Sprintf("c%d", i), ASN(201+i), uint32(2+i))
+		cX, cC := pairCfg(RelCustomer)
+		out[i], in[i] = Connect(x, c, cX, cC)
+	}
+	pfx := addr.MustParsePrefix("2001:db8:1::/48")
+	x.Originate(pfx, MakeCommunity(100, 1))
+	eng.Run(time.Second)
+	set := adjOut(out[0], pfx)
+	if set == nil || adjOut(out[1], pfx) != set {
+		t.Fatalf("Adj-RIB-Out %p and %p, want one export set", set, adjOut(out[1], pfx))
+	}
+	for i, s := range in {
+		if r, _ := s.AdjIn(pfx); r.Attrs != set {
+			t.Errorf("customer %d holds %p, want the sent set's attributes %p", i, r.Attrs, set)
+		}
+		if n := out[i].Stats.UpdatesSent; n != 1 {
+			t.Errorf("session to customer %d sent %d UPDATEs, want 1", i, n)
+		}
 	}
 }

@@ -28,12 +28,12 @@ var testTable = func() *Table {
 }()
 
 // announce and withdraw build the UPDATE a peer sends for p, numbered
-// by testTable.
-func announce(p addr.Prefix, path Path) *Update {
-	return &Update{Num: testNum(p), Attrs: &Attrs{Path: path}}
+// by testTable: an export set, or the table's withdrawal.
+func announce(p addr.Prefix, path Path) *exportSet {
+	return &exportSet{Attrs: Attrs{Path: path}, num: testNum(p)}
 }
 
-func withdraw(p addr.Prefix) *Update { return &Update{Num: testNum(p)} }
+func withdraw(p addr.Prefix) *withdrawal { return &testTable.withdrawals[testNum(p)] }
 
 func testNum(p addr.Prefix) int32 {
 	n := testTable.find(p)

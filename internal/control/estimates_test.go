@@ -68,18 +68,3 @@ func BenchmarkEstimatesSnapshot(b *testing.B) {
 		ctl.scratch = ctl.estimatesInto(ctl.scratch[:0])
 	}
 }
-
-// BenchmarkEstimatesResort measures what every decide tick used to cost:
-// materialize the map and sort it by path ID.
-func BenchmarkEstimatesResort(b *testing.B) {
-	ctl := benchController(b, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ests := make([]PathEstimate, 0, len(ctl.ests))
-		for _, e := range ctl.ests {
-			ests = append(ests, *e)
-		}
-		sort.Slice(ests, func(i, j int) bool { return ests[i].ID < ests[j].ID })
-	}
-}

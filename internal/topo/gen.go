@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"tango/internal/bgp"
@@ -91,11 +92,15 @@ type GenEdge struct {
 	Delay time.Duration
 }
 
-// ASGraph is an AS-level topology: one Gen draws, or one a Builder
-// records as it builds.
+// ASGraph is an AS-level topology: one Gen draws, or one a mesh plan
+// records. It does not change once queried: the first query works out
+// the adjacency lists every later one reads.
 type ASGraph struct {
 	ASes  []GenAS
 	Edges []GenEdge
+
+	adjOnce sync.Once
+	adj     [][]GenAdj
 }
 
 // Gen generates the AS graph for cfg. It returns an error for an invalid
@@ -265,14 +270,18 @@ func (f *weights) pick(rng *sim.RNG, k int) []int {
 }
 
 // Neighbors returns the adjacency lists of every AS: for each node, the
-// (neighbor index, relation-of-neighbor) pairs in edge order.
+// (neighbor index, relation-of-neighbor) pairs in edge order. Every call
+// returns the same lists, built on the first, so callers must not write
+// them.
 func (g *ASGraph) Neighbors() [][]GenAdj {
-	adj := make([][]GenAdj, len(g.ASes))
-	for _, e := range g.Edges {
-		adj[e.A] = append(adj[e.A], GenAdj{Peer: e.B, Rel: e.RelAB})
-		adj[e.B] = append(adj[e.B], GenAdj{Peer: e.A, Rel: invert(e.RelAB)})
-	}
-	return adj
+	g.adjOnce.Do(func() {
+		g.adj = make([][]GenAdj, len(g.ASes))
+		for _, e := range g.Edges {
+			g.adj[e.A] = append(g.adj[e.A], GenAdj{Peer: e.B, Rel: e.RelAB})
+			g.adj[e.B] = append(g.adj[e.B], GenAdj{Peer: e.A, Rel: invert(e.RelAB)})
+		}
+	})
+	return g.adj
 }
 
 // GenAdj is one adjacency-list entry: Rel is what Peer is to the owning
@@ -285,12 +294,9 @@ type GenAdj struct {
 // Providers returns the indices of a's transit providers, in edge order.
 func (g *ASGraph) Providers(a int) []int {
 	var out []int
-	for _, e := range g.Edges {
-		if e.A == a && e.RelAB == bgp.RelProvider {
-			out = append(out, e.B)
-		}
-		if e.B == a && e.RelAB == bgp.RelCustomer {
-			out = append(out, e.A)
+	for _, n := range g.Neighbors()[a] {
+		if n.Rel == bgp.RelProvider {
+			out = append(out, n.Peer)
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,6 +121,44 @@ func TestGenProperties(t *testing.T) {
 				t.Fatalf("seed %d: ground truth names AS%d, not a provider of %d", seed, a, dst)
 			}
 		}
+	}
+}
+
+// TestGenGraphConcurrentQueries: a graph works out its adjacency once and
+// every query shares it, so two goroutines may query one fresh graph at
+// once (run under -race) and get the answers a serial run gives.
+func TestGenGraphConcurrentQueries(t *testing.T) {
+	cfg := genSweepConfig(0)
+	serial, err := Gen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := Gen(cfg)
+	sites := len(g.ASes) - 10
+	answers := func(g *ASGraph) (out [][]bgp.ASN) {
+		for dst := 10; dst < 10+sites; dst++ {
+			out = append(out, g.ValleyFreeProviders(dst, 10+(dst+1-10)%sites))
+		}
+		return out
+	}
+	want := answers(serial)
+	var got [2][][]bgp.ASN
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = answers(g)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("goroutine %d: answers differ from a serial run", i)
+		}
+	}
+	if a, b := g.Neighbors(), g.Neighbors(); &a[0][0] != &b[0][0] {
+		t.Fatal("two queries built the adjacency twice")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/control"
+	"tango/internal/sim"
 )
 
 func mustTri(t *testing.T, seed int64) *MeshScenario {
@@ -47,7 +48,8 @@ func TestTriScenarioStructure(t *testing.T) {
 // TestMeshConfigValidation: the plan refuses each invalid config with
 // its own error, and NewMeshScenario returns that error and nothing
 // else, allocating what planning the config does: a refused config is
-// refused before any node, line or RNG stream exists. Two
+// refused before any node, line or RNG stream exists. The allocation
+// comparison runs without the race detector only. Two
 // providers with one ASN used to build, the discovery labels kept
 // whichever name came last, and BGP loop detection dropped every route
 // through either.
@@ -86,6 +88,9 @@ func TestMeshConfigValidation(t *testing.T) {
 		}
 		if s, err2 := NewMeshScenario(cfg); s != nil || err2 == nil || err2.Error() != err.Error() {
 			t.Fatalf("%s: NewMeshScenario = %v, %v; want only the plan's error %q", c.name, s, err2, err)
+		}
+		if sim.RaceEnabled {
+			continue // the race detector allocates on its own bookkeeping
 		}
 		plan := testing.AllocsPerRun(1, func() { _, _ = planMesh(cfg) })
 		whole := testing.AllocsPerRun(1, func() { _, _ = NewMeshScenario(cfg) })
